@@ -1,31 +1,28 @@
 //! Sharded engine throughput: 1, 2 and 8 shards × 1 and 8 concurrent
-//! queries over one repository, a parallel-execution axis (serial vs 2 and 4
-//! worker threads at 2 and 8 shards) measured under **both dispatch
-//! runtimes** — the persistent per-run worker pool (`parallel_detect`, the
-//! engine default) and the legacy per-stage scoped spawn
-//! (`parallel_detect_scoped`) — a batching axis (`batched_detect`) comparing
-//! per-shard batching against cross-shard aggregation on a cost-model
-//! instrumented detector — plus the report-merge overhead measured
-//! separately.
+//! queries over one repository, a parallel-execution axis (`parallel_detect`:
+//! serial vs 2 and 4 worker threads of the persistent per-run worker pool at
+//! 2 and 8 shards), a batching axis (`batched_detect`) comparing per-shard
+//! batching against cross-shard aggregation on a cost-model instrumented
+//! detector — plus the report-merge overhead measured separately.  (The
+//! `parallel_detect_scoped` rows still in `BENCH_sharded.json` are the last
+//! capture of the per-stage scoped spawn this pool replaced, kept as the
+//! recorded baseline; the runtime itself is gone.)
 //!
 //! Each iteration executes a full sharded `QueryEngine` run (contiguous-range
 //! chunk assignment).  Outcomes are bitwise-identical across shard counts,
-//! execution modes, thread counts and dispatch runtimes — the determinism
-//! suite enforces that — so what this benchmark tracks is pure execution
-//! overhead: routing picks to shard workers, running one `detect_batch` per
-//! (detector group, shard) instead of per group, dispatching DETECT threads
-//! (a channel wake per stage for the pool, a thread spawn+join per stage for
-//! the scoped runtime), and the merge layer folding per-shard tallies back
-//! into a global report.  The printed table reports the physical-vs-logical
+//! execution modes and thread counts — the determinism suite enforces that —
+//! so what this benchmark tracks is pure execution overhead: routing picks
+//! to shard workers, running one `detect_batch` per (detector group, shard)
+//! instead of per group, dispatching DETECT to the pool (a turnstile wake per
+//! stage), and the merge layer folding per-shard tallies back into a global
+//! report.  The printed table reports the physical-vs-logical
 //! invocation counts that dominate the real-world cost of sharding.
 //!
-//! The parallel axes measure *overhead*, not speedup, on a 1-vCPU container:
+//! The parallel axis measures *overhead*, not speedup, on a 1-vCPU container:
 //! the simulated detector is microseconds-cheap, so any thread dispatch can
-//! only cost time there.  The pooled-vs-scoped delta is exactly the
-//! per-stage dispatch cost the persistent runtime eliminates.  On real
-//! hardware with a real (milliseconds) detector the same axes are where the
-//! speedup shows up; treat the committed baseline's parallel rows as a
-//! dispatch overhead bound.
+//! only cost time there.  On real hardware with a real (milliseconds)
+//! detector the same axis is where the speedup shows up; treat the committed
+//! baseline's parallel rows as a dispatch overhead bound.
 //!
 //! The `cache_contention` axis covers the lock-striped detections cache: a
 //! scripted warm-heavy probe/commit trace compares the striped cache head to
@@ -50,8 +47,8 @@ use exsample_detect::{
     GroundTruth, PerfectDetector,
 };
 use exsample_engine::{
-    BatchAggregation, CacheConfig, DetectionCache, Dispatch, ExSamplePolicy, FailureMode,
-    QuerySpec, RetryPolicy, ShardedReport, StripedDetectionCache,
+    BatchAggregation, CacheConfig, DetectionCache, ExSamplePolicy, FailureMode, QuerySpec,
+    RetryPolicy, ShardedReport, StripedDetectionCache,
 };
 use std::sync::Arc;
 
@@ -59,8 +56,6 @@ const SHARD_COUNTS: [u32; 3] = [1, 2, 8];
 const QUERY_COUNTS: [usize; 2] = [1, 8];
 /// The parallel axis: worker threads (0 = serial) × shard counts.
 const THREAD_COUNTS: [usize; 3] = [0, 2, 4];
-/// The scoped-dispatch comparison rows (serial is dispatch-independent).
-const SCOPED_THREAD_COUNTS: [usize; 2] = [2, 4];
 const PARALLEL_SHARD_COUNTS: [u32; 2] = [2, 8];
 
 fn budget() -> u64 {
@@ -89,13 +84,11 @@ fn run_engine(
     detector: &PerfectDetector,
     shards: u32,
     parallel: usize,
-    dispatch: Dispatch,
     queries: usize,
     budget: u64,
 ) -> ShardedReport {
     let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, parallel)
-        .expect("the bench thread counts are valid execution modes")
-        .dispatch(dispatch);
+        .expect("the bench thread counts are valid execution modes");
     for q in 0..queries {
         let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
         engine
@@ -133,7 +126,6 @@ fn run_engine_guarded(
     );
     let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, 0)
         .expect("serial execution is always a valid mode")
-        .dispatch(Dispatch::Pooled)
         .retry_policy(RetryPolicy::new(3).backoff_cost(1))
         .failure_mode(FailureMode::DropFrames);
     for q in 0..queries {
@@ -172,7 +164,6 @@ fn run_engine_batched(
     );
     let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, 0)
         .expect("serial execution is always a valid mode")
-        .dispatch(Dispatch::Pooled)
         .aggregation(aggregation);
     for q in 0..queries {
         let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
@@ -278,8 +269,7 @@ fn run_engine_warm(
     budget: u64,
 ) -> ShardedReport {
     let mut engine = exsample_bench::sharded_engine(dataset.chunking(), 2, parallel)
-        .expect("the bench thread counts are valid execution modes")
-        .dispatch(Dispatch::Pooled);
+        .expect("the bench thread counts are valid execution modes");
     if cache > 0 {
         engine = engine.cache_capacity(cache);
     }
@@ -340,15 +330,7 @@ fn bench_sharded(c: &mut Criterion) {
                 &shards,
                 |b, &shards| {
                     b.iter(|| {
-                        black_box(run_engine(
-                            &dataset,
-                            &detector,
-                            shards,
-                            0,
-                            Dispatch::Pooled,
-                            queries,
-                            budget,
-                        ))
+                        black_box(run_engine(&dataset, &detector, shards, 0, queries, budget))
                     });
                 },
             );
@@ -375,8 +357,8 @@ fn bench_sharded(c: &mut Criterion) {
     // 8 concurrent queries.  Same work, different thread placement — the
     // determinism suite guarantees identical outputs, so the delta is pure
     // execution-mode overhead (or, with an expensive detector, speedup).
-    // These rows use the engine's default persistent worker pool: thread
-    // dispatch costs a channel wake per stage, not a spawn.
+    // Threads are the run's persistent worker pool: dispatch costs a
+    // turnstile wake per stage, not a spawn.
     let mut parallel_group = c.benchmark_group("parallel_detect");
     parallel_group.sample_size(10);
     for &shards in &PARALLEL_SHARD_COUNTS {
@@ -386,50 +368,13 @@ fn bench_sharded(c: &mut Criterion) {
                 &threads,
                 |b, &threads| {
                     b.iter(|| {
-                        black_box(run_engine(
-                            &dataset,
-                            &detector,
-                            shards,
-                            threads,
-                            Dispatch::Pooled,
-                            8,
-                            budget,
-                        ))
+                        black_box(run_engine(&dataset, &detector, shards, threads, 8, budget))
                     });
                 },
             );
         }
     }
     parallel_group.finish();
-
-    // The same parallel rows under the legacy per-stage scoped spawn+join —
-    // the dispatch overhead baseline the persistent runtime replaces.  The
-    // pooled-vs-scoped delta at a given (shards, threads) point is the
-    // per-run cost of per-stage thread spawning.
-    let mut scoped_group = c.benchmark_group("parallel_detect_scoped");
-    scoped_group.sample_size(10);
-    for &shards in &PARALLEL_SHARD_COUNTS {
-        for &threads in &SCOPED_THREAD_COUNTS {
-            scoped_group.bench_with_input(
-                BenchmarkId::new(&format!("{shards}s_8q"), threads),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        black_box(run_engine(
-                            &dataset,
-                            &detector,
-                            shards,
-                            threads,
-                            Dispatch::Scoped,
-                            8,
-                            budget,
-                        ))
-                    });
-                },
-            );
-        }
-    }
-    scoped_group.finish();
 
     // The batching axis: the same 8-query run against a cost-model
     // instrumented detector, per-shard batching (one physical call per
@@ -514,8 +459,7 @@ fn bench_sharded(c: &mut Criterion) {
     merge_group.sample_size(10);
     for &shards in &SHARD_COUNTS {
         let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, 0)
-            .expect("serial execution is always a valid mode")
-            .dispatch(Dispatch::Pooled);
+            .expect("serial execution is always a valid mode");
         for q in 0..8usize {
             let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
             engine
@@ -536,62 +480,28 @@ fn bench_sharded(c: &mut Criterion) {
 
     // The acceptance-relevant numbers: sharding never changes outcomes or the
     // logical invocation count, only the physical per-shard bill — and
-    // parallel execution changes nothing at all, under either dispatch
-    // runtime.
+    // parallel execution changes nothing at all.
     println!("\n# sharded engine invocation counts (per-query budget {budget} frames)");
     println!("# queries | shards | threads | detector frames | logical calls | physical calls | overhead");
     for &queries in &QUERY_COUNTS {
-        let baseline = run_engine(&dataset, &detector, 1, 0, Dispatch::Pooled, queries, budget);
+        let baseline = run_engine(&dataset, &detector, 1, 0, queries, budget);
         for &shards in &SHARD_COUNTS {
-            let serial = run_engine(
-                &dataset,
-                &detector,
-                shards,
-                0,
-                Dispatch::Pooled,
-                queries,
-                budget,
-            );
+            let serial = run_engine(&dataset, &detector, shards, 0, queries, budget);
             assert_eq!(
                 serial.report.detector_frames,
                 baseline.report.detector_frames
             );
             assert_eq!(serial.report.detector_calls, baseline.report.detector_calls);
             for &threads in &THREAD_COUNTS {
-                let merged = run_engine(
-                    &dataset,
-                    &detector,
-                    shards,
-                    threads,
-                    Dispatch::Pooled,
-                    queries,
-                    budget,
-                );
+                let merged = run_engine(&dataset, &detector, shards, threads, queries, budget);
                 // Parallel runs are bitwise-identical to the serial sharded
-                // run, down to the physical per-shard invocation counts —
-                // and the scoped dispatch runtime to the pooled one.
+                // run, down to the physical per-shard invocation counts.
                 assert_eq!(merged.report.detector_frames, serial.report.detector_frames);
                 assert_eq!(merged.report.detector_calls, serial.report.detector_calls);
                 assert_eq!(
                     merged.physical_detector_calls,
                     serial.physical_detector_calls
                 );
-                if threads > 0 {
-                    let scoped = run_engine(
-                        &dataset,
-                        &detector,
-                        shards,
-                        threads,
-                        Dispatch::Scoped,
-                        queries,
-                        budget,
-                    );
-                    assert_eq!(scoped.shards, merged.shards);
-                    assert_eq!(
-                        scoped.physical_detector_calls,
-                        merged.physical_detector_calls
-                    );
-                }
                 println!(
                     "# {:>7} | {:>6} | {:>7} | {:>15} | {:>13} | {:>14} | {:>8}",
                     queries,
@@ -659,7 +569,7 @@ fn bench_sharded(c: &mut Criterion) {
     // Fault machinery is bitwise-invisible when nothing fails: the guarded
     // run matches the plain run frame for frame, with zero fault counters.
     for &shards in &SHARD_COUNTS {
-        let plain = run_engine(&dataset, &detector, shards, 0, Dispatch::Pooled, 8, budget);
+        let plain = run_engine(&dataset, &detector, shards, 0, 8, budget);
         let guarded = run_engine_guarded(&dataset, &truth, shards, 8, budget);
         assert_eq!(guarded.report.detector_frames, plain.report.detector_frames);
         assert_eq!(guarded.report.detector_calls, plain.report.detector_calls);

@@ -32,7 +32,7 @@
 //!   many threads (or stripes) carried the probes.  Cache accounting —
 //!   hit/miss/eviction/admission-reject tallies and which entries survive —
 //!   is therefore bitwise-identical across every thread count × shard count
-//!   × partitioner × dispatch runtime × overlap/aggregation knob, and
+//!   × partitioner × overlap/aggregation knob, and
 //!   bitwise-identical to the legacy serial LRU's eviction sequence.
 //!
 //! Off by default: caching changes the engine's detector cost accounting
@@ -41,8 +41,8 @@
 //! cache-off engines.  Query *outcomes* are unaffected either way, because
 //! detectors are pure functions of the frame id.  A stage whose every frame
 //! is already resident also skips worker-thread dispatch entirely (checked
-//! with the tally-free [`StripedDetectionCache::contains`]) — no pool wake,
-//! no thread spawn — so a warm engine pays nothing for having parallel
+//! with the tally-free [`StripedDetectionCache::contains`]) — no turnstile
+//! hand-off, no pool wake — so a warm engine pays nothing for having parallel
 //! execution enabled (pinned by the runtime lifecycle tests).
 //!
 //! The LRU order uses lazy deletion: every touch pushes a `(key, tick)`

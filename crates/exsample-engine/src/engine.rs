@@ -29,6 +29,15 @@
 //! detects it once and fans the (deterministic) result out to each query's own
 //! discriminator.  See the crate docs for the exact coalescing semantics.
 //!
+//! In code the pipeline is one loop of four functions, each phase written
+//! once: `plan` (stop checks, SCHEDULE, PICK, grouping and routing into a
+//! `Stage` buffer), `launch` (load the shard workers, hand their chunks to
+//! the pool helpers if the run has any), `land` (rejoin the helpers, or
+//! detect inline — a serial run is the pool with zero helpers) and `settle`
+//! (fail-fast scan, cache commit, tallies, FAN-OUT, quarantine, stats, sink).
+//! [`QueryEngine::overlap`] only moves `plan(n + 1)` from after `settle(n)`
+//! to between `launch(n)` and `land(n)`.
+//!
 //! Determinism: each query owns an RNG stream seeded from its
 //! [`QuerySpec::seed`], detectors are pure functions of the frame id, and
 //! phase 4 always visits queries in registration order — so per-query outcomes
@@ -54,11 +63,11 @@ use crate::merge::{
     self, BatchStats, DetectorInvocations, ShardQueryTally, ShardReport, ShardedReport,
 };
 use crate::policy::SamplingPolicy;
-use crate::runtime::{self, Dispatch, StageCtx, WorkerPool};
+use crate::runtime::{self, PoolCounters, StageCtx, StageDispatch, WorkerPool};
 use crate::scheduler::{QueryLoad, RoundRobin, StageScheduler};
-use crate::shard::{aggregate_detect, DetectPolicy, ShardRouter, ShardWorker};
+use crate::shard::{DetectPolicy, ShardRouter, ShardWorker};
 use exsample_core::SelectionTelemetry;
-use exsample_detect::{DetectError, Detector, FrameDetections, InstanceId};
+use exsample_detect::{Detector, FrameDetections, InstanceId};
 use exsample_track::{Discriminator, OracleDiscriminator};
 use exsample_video::FrameId;
 use rand::rngs::StdRng;
@@ -70,11 +79,11 @@ use std::sync::Arc;
 ///
 /// Serial execution (the default) runs the workers one after another on the
 /// calling thread — pick-for-pick the engine's historical behaviour.
-/// Parallel execution distributes the workers' detect phases over worker
-/// threads — by default the [`crate::runtime`] module's persistent per-run
-/// pool (spawned once per run, woken per stage; see [`Dispatch`]), optionally
-/// the legacy per-stage scoped spawn;
-/// because each worker's probe + detect phase is data-independent per shard
+/// Parallel execution distributes the workers' detect phases over the
+/// [`crate::runtime`] module's persistent per-run pool (helper threads
+/// spawned once per run, woken per stage; serial is the same loop with zero
+/// helpers); because each worker's probe + detect phase is data-independent
+/// per shard
 /// (cache probes only read membership and tally commutatively; recency and
 /// eviction are applied by the serial commit arbitration in worker order),
 /// **every observable result — merged reports, pick sequences, cache state,
@@ -86,9 +95,8 @@ pub enum ExecutionMode {
     /// Run shard workers one after another on the calling thread (default).
     #[default]
     Serial,
-    /// Run shard workers' detect phases on up to this many worker threads
-    /// (the run's persistent pool under the default [`Dispatch::Pooled`],
-    /// per-stage scoped threads under [`Dispatch::Scoped`]).
+    /// Run shard workers' detect phases on up to this many threads: the
+    /// calling thread plus the run's persistent pool helpers.
     ///
     /// A thread count exceeding the shard count is clamped to one thread per
     /// shard at stage time (extra threads would have no worker to run);
@@ -180,7 +188,8 @@ pub enum StopReason {
 ///
 /// Off by default ([`RetryPolicy::none`]): a run with retries disabled is
 /// pick-for-pick identical to the pre-fault-tolerance engine.  When enabled,
-/// a frame that fails with a transient [`DetectError`] is retried up to the
+/// a frame that fails with a transient
+/// [`DetectError`](exsample_detect::DetectError) is retried up to the
 /// attempt budget; permanent errors are never retried.  Each retry is charged
 /// a *deterministic* backoff cost — the `k`-th retry of a frame costs
 /// `backoff_cost * 2^(k-1)` cost units — accounted as stage cost
@@ -388,7 +397,7 @@ pub struct StageStats {
     /// off): probe hits/misses plus the evictions and admission rejects this
     /// stage's commits triggered.  Execution-invariant like every logical
     /// field — the determinism matrix pins it across the full thread ×
-    /// shard × dispatch × overlap/aggregation grid.
+    /// shard × overlap/aggregation grid.
     pub cache: CacheActivity,
 }
 
@@ -418,9 +427,9 @@ pub struct QueryReport {
     /// per-chunk picks and dedup savings; ExSample only, `None` for policies
     /// without a chunk-selection step).
     pub selection: Option<SelectionTelemetry>,
-    /// Why the query stopped, or `None` if it is still running (possible only
-    /// in reports taken via [`QueryEngine::report`] between manual
-    /// [`QueryEngine::run_stage`] calls; after a completed
+    /// Why the query stopped, or `None` if it has not run to completion
+    /// (possible only in reports taken via [`QueryEngine::report`] before a
+    /// run, or after one that returned an error; after a completed
     /// [`QueryEngine::run`] every query has a reason).
     pub stop_reason: Option<StopReason>,
 }
@@ -482,8 +491,6 @@ struct QueryState<'a> {
     stop: Option<StopReason>,
     /// Picks dropped from fan-out because their detection failed.
     dropped_frames: u64,
-    /// This stage's picks (reused buffer).
-    picks: Vec<FrameId>,
 }
 
 impl QueryState<'_> {
@@ -557,7 +564,7 @@ pub struct StageObservation {
 /// folded — the same serial seam the cache's commit transaction uses, so the
 /// batch's observation order is a pure function of (query registration
 /// order, pick order) and therefore bitwise-identical across shard counts,
-/// thread counts, dispatch runtimes, overlap and aggregation.
+/// thread counts, overlap and aggregation.
 ///
 /// An `Err` aborts the run with [`EngineError::CheckpointFailed`]: a
 /// checkpoint that cannot be made durable must stop the run rather than let
@@ -573,31 +580,30 @@ pub trait StageSink {
     ) -> Result<(), String>;
 }
 
-/// One scheduled-but-not-yet-executed stage under overlapped execution: the
-/// engine-side staging buffers that SCHEDULE + PICK + ROUTE fill while the
-/// previous stage's DETECT is still in flight.
+/// One planned stage: everything [`QueryEngine::plan`] decides (SCHEDULE +
+/// PICK + group + ROUTE) and the later phases consume.
 ///
-/// Everything a stage needs that would otherwise live in the engine's
-/// per-stage scratch (group tables, membership, routed lanes, pick shards,
-/// per-query picks) is double-buffered here instead, because the previous
-/// stage's fan-out still needs *its* copies after the overlapped PICK has
-/// run.  The driver ping-pongs two of these; `ShardWorker::adopt_frames`
-/// swaps the routed lanes into the workers at load time, so both sides'
-/// allocations recycle across stages.
+/// The plan lives here rather than in the shard workers because under
+/// [`QueryEngine::overlap`] stage `n + 1` is planned while stage `n`'s
+/// workers are still mid-DETECT on pool helpers, and stage `n`'s fan-out
+/// still needs *its* picks and routing afterwards.  The stage loop ping-pongs
+/// two of these; [`QueryEngine::launch`] swaps the routed lanes into the
+/// workers, so both sides' allocations recycle across stages.
 #[derive(Default)]
-struct StagedStage<'a> {
-    /// 0-based stage number this staging was scheduled as.
-    stage: u64,
-    /// The stage's logical detector groups, in group order.
+struct Stage<'a> {
+    /// The stage's logical detector groups, in group order: one per distinct
+    /// detector among the picking queries (per picking query when coalescing
+    /// is off).
     detectors: Vec<&'a dyn Detector>,
     /// Registry slot of each group.
     slots: Vec<u32>,
     /// Query → group map (`usize::MAX` = not picking this stage).
     membership: Vec<usize>,
-    /// Routed frames per `[shard][group]`, in (query, pick) arrival order —
-    /// the exact lane contents `ShardWorker::push_frame` would have built.
+    /// Routed frames per `[shard][group]`, in (query, pick) arrival order.
     routed: Vec<Vec<Vec<FrameId>>>,
-    /// The shard of every pick, flattened in (query, pick) visitation order.
+    /// The shard of every pick, flattened in (query, pick) visitation order,
+    /// so fan-out replays the routing pass's lookups instead of re-resolving
+    /// each frame's shard.
     pick_shards: Vec<u32>,
     /// Per-query picks (indexed by query registration order).
     picks: Vec<Vec<FrameId>>,
@@ -605,6 +611,9 @@ struct StagedStage<'a> {
     active: usize,
     /// Frames demanded by those picks.
     demanded: u64,
+    /// The fast path: the stage's single picking query is detected straight
+    /// from its pick buffer (see [`QueryEngine::plan`] for when).
+    direct: bool,
 }
 
 /// The batched multi-query execution engine.  See the module docs for the
@@ -620,19 +629,19 @@ pub struct QueryEngine<'a> {
     workers: Vec<ShardWorker>,
     /// How the shard workers' detect phases run (serial by default).
     execution: ExecutionMode,
-    /// How parallel stages hand work to threads (persistent pool by default).
-    dispatch: Dispatch,
-    /// Overlap each stage's PICK with the previous stage's DETECT (off by
-    /// default; see [`QueryEngine::overlap`]).
+    /// Plan each stage while the previous stage's DETECT is in flight (off
+    /// by default; see [`QueryEngine::overlap`]).
     overlap: bool,
     /// Cross-shard batch aggregation for the DETECT phase (off by default;
     /// see [`QueryEngine::aggregation`]).
     aggregation: Option<BatchAggregation>,
     /// The run's worker pool: `Some` only while [`QueryEngine::run_with`] is
-    /// executing a pooled parallel run (the threads live in that call's
+    /// executing a parallel run (the threads live in that call's
     /// `std::thread::scope`, and the pool — whose job senders are their
     /// shutdown signal — is dropped before the scope closes on every path).
     pool: Option<WorkerPool<'a>>,
+    /// Lifecycle counts of the helper threads this engine's pools spawn.
+    pool_counters: Arc<PoolCounters>,
     /// Stages that dispatched work to the pool (cumulative across runs).
     /// Fully cache-warm stages skip dispatch entirely and don't count.
     pooled_dispatches: u64,
@@ -664,21 +673,13 @@ pub struct QueryEngine<'a> {
     demanded_frames: u64,
     detector_frames: u64,
     detector_calls: u64,
-    /// Reused per-stage scratch: the stage's logical detector groups (one
-    /// detector + registry slot per group), the query→group membership map,
-    /// the per-group detected-frame tally, the scheduler inputs/outputs, and
-    /// the detect_batch output buffer.
-    stage_detectors: Vec<&'a dyn Detector>,
-    stage_slots: Vec<u32>,
-    membership: Vec<usize>,
+    /// Reused per-stage scratch: the per-group detected-frame tally, the
+    /// scheduler inputs/outputs, and the fast path's detect_batch output
+    /// buffer.
     lane_detected: Vec<u64>,
     loads: Vec<QueryLoad>,
     allocation: Vec<usize>,
     detections_buf: Vec<FrameDetections>,
-    /// The shard of every pick of the stage, flattened in (query, pick)
-    /// visitation order, so fan-out replays the routing pass's lookups
-    /// instead of re-resolving each frame's shard.
-    pick_shards: Vec<u32>,
     /// Optional checkpoint hook flushed serially at each stage commit (off
     /// by default; see [`QueryEngine::stage_sink`]).
     sink: Option<Box<dyn StageSink + 'a>>,
@@ -704,10 +705,10 @@ impl<'a> QueryEngine<'a> {
             router: ShardRouter::single(),
             workers: vec![ShardWorker::new(0)],
             execution: ExecutionMode::Serial,
-            dispatch: Dispatch::Pooled,
             overlap: false,
             aggregation: None,
             pool: None,
+            pool_counters: Arc::new(PoolCounters::default()),
             pooled_dispatches: 0,
             cache: None,
             retry: RetryPolicy::none(),
@@ -722,14 +723,10 @@ impl<'a> QueryEngine<'a> {
             demanded_frames: 0,
             detector_frames: 0,
             detector_calls: 0,
-            stage_detectors: Vec::new(),
-            stage_slots: Vec::new(),
-            membership: Vec::new(),
             lane_detected: Vec::new(),
             loads: Vec::new(),
             allocation: Vec::new(),
             detections_buf: Vec::new(),
-            pick_shards: Vec::new(),
             sink: None,
             stage_observations: Vec::new(),
         }
@@ -801,55 +798,31 @@ impl<'a> QueryEngine<'a> {
         self.execution
     }
 
-    /// Choose how parallel stages hand DETECT work to threads (default:
-    /// [`Dispatch::Pooled`] — a persistent worker pool spawned once per run).
-    /// [`Dispatch::Scoped`] restores the legacy per-stage
-    /// `std::thread::scope` spawn+join, kept selectable as the dispatch
-    /// overhead baseline the `sharded` bench tracks.  Both modes are
-    /// bitwise-identical in every observable result; serial execution ignores
-    /// the knob entirely.
-    pub fn dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// The engine's dispatch mode.
-    pub fn dispatch_mode(&self) -> Dispatch {
-        self.dispatch
-    }
-
-    /// Overlap each stage's SCHEDULE + PICK + ROUTE with the *previous*
-    /// stage's DETECT (off by default).
+    /// Plan each stage (SCHEDULE + PICK + ROUTE) while the *previous* stage's
+    /// DETECT is in flight (off by default).
     ///
-    /// Within [`QueryEngine::run`] / [`QueryEngine::run_with`], the stage
-    /// loop becomes a software pipeline: stage *n*'s detect pass is handed to
-    /// the persistent worker pool, the coordinator prepares stage *n + 1*
-    /// (scheduling, picking, routing into staging buffers) while the helpers
-    /// detect, then rejoins for the commit, tallies and fan-out.  The cache
-    /// probe rides inside each dispatched lane (probes only read membership
-    /// and tally commutatively), and recency/eviction updates are applied by
-    /// the serial arbitration in canonical `(slot, frame)` order at the
-    /// commit boundary — so every hit/miss/eviction count is identical in
-    /// every execution configuration.  True concurrency needs
-    /// [`ExecutionMode::Parallel`] with [`Dispatch::Pooled`]; every other
-    /// configuration (serial, scoped dispatch, a 1-thread clamp, fully
-    /// cache-warm stages) *emulates* the same canonical order on one thread,
-    /// which is what keeps overlapped runs bitwise-identical across shard
-    /// counts, thread counts, partitioners and dispatch runtimes.  On a
-    /// saturated or single-vCPU host the pool's reclaim pass takes the
-    /// dispatched work back after the overlapped PICK — the handoff stays
+    /// The stage loop is `plan → launch → land → settle`, and this flag
+    /// decides exactly one thing: where `plan(n + 1)` runs.  Off, it runs
+    /// after `settle(n)`; on, it runs between `launch(n)` — which hands stage
+    /// `n`'s workers to the pool helpers — and `land(n)`, which rejoins them,
+    /// so under [`ExecutionMode::Parallel`] the coordinator picks while the
+    /// helpers detect.  Runs without helpers (serial mode, a 1-thread clamp)
+    /// and fully cache-warm stages have nothing in flight to overlap with but
+    /// plan at the same point, which is what keeps overlapped runs
+    /// bitwise-identical across shard counts, thread counts and partitioners.
+    /// On a saturated or single-vCPU host the pool's reclaim pass takes the
+    /// dispatched work back after the overlapped plan — the handoff stays
     /// two mutex operations and never regresses below serial execution.
     ///
     /// The semantic difference from a non-overlapped run: stage *n + 1* is
-    /// scheduled *before* stage *n*'s fan-out, so stop conditions, budget
+    /// planned *before* stage *n*'s fan-out, so stop conditions, budget
     /// clamps and quarantine checks see state that is one stage stale.  An
     /// overlapped run is therefore **not** pick-for-pick identical to a
     /// non-overlapped one — a query may overshoot its frame budget or result
     /// limit by up to one stage's batch before stopping (budgets stay exact
     /// in *accounting*, only the stop decision lags) — but it is fully
-    /// deterministic, and the determinism suite pins overlapped runs across
-    /// the whole execution matrix.  Manual [`QueryEngine::run_stage`] calls
-    /// have nothing in flight to overlap with and ignore this knob.
+    /// deterministic: the determinism suite pins overlapped runs across the
+    /// whole execution matrix and against a golden digest.
     pub fn overlap(mut self, overlap: bool) -> Self {
         self.overlap = overlap;
         self
@@ -866,9 +839,10 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Aggregation serialises each stage's detect pass into one cross-shard
     /// gather/scatter, so there is no per-worker partition left for
-    /// [`ExecutionMode::Parallel`] to spread over threads; it runs inline on
-    /// the coordinator, except under [`QueryEngine::overlap`] where it is
-    /// shipped to a pool helper so the next stage's PICK can run alongside.
+    /// [`ExecutionMode::Parallel`] to spread over threads: a parallel run
+    /// ships it to one pool helper as a single job (which under
+    /// [`QueryEngine::overlap`] lets the next stage's PICK run alongside) and
+    /// the coordinator reclaims it if the helper has not started.
     pub fn aggregation(mut self, aggregation: Option<BatchAggregation>) -> Self {
         self.aggregation = aggregation;
         self
@@ -880,12 +854,27 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Number of stages, across all of this engine's runs, that dispatched
-    /// DETECT work to the persistent worker pool.  Serial stages, scoped
-    /// stages and fully cache-warm stages (which skip dispatch entirely — no
-    /// channel send, no wake) don't count; the runtime lifecycle tests use
-    /// this to pin the warm-skip down.
+    /// DETECT work to the persistent worker pool.  Serial stages and fully
+    /// cache-warm stages (which skip dispatch entirely — no turnstile
+    /// hand-off, no wake) don't count; the runtime lifecycle tests use this
+    /// to pin the warm-skip down.
     pub fn pooled_stage_dispatches(&self) -> u64 {
         self.pooled_dispatches
+    }
+
+    /// Pool helper threads of this engine currently alive.  Pools live only
+    /// for the duration of a run (its `std::thread::scope` joins them), so
+    /// between runs this is zero — the "no leaked threads" guarantee made
+    /// observable.
+    pub fn live_helper_threads(&self) -> usize {
+        self.pool_counters.live()
+    }
+
+    /// Pool helper threads this engine has ever spawned: an `n`-way parallel
+    /// run grows this by exactly `n - 1` — once per run, however many stages
+    /// the run executes.
+    pub fn spawned_helper_threads(&self) -> usize {
+        self.pool_counters.spawned()
     }
 
     /// Enable the bounded cross-stage frame→detections cache with the given
@@ -1012,7 +1001,6 @@ impl<'a> QueryEngine<'a> {
             trajectory: Vec::new(),
             stop: None,
             dropped_frames: 0,
-            picks: Vec::new(),
         });
         Ok(self.queries.len() - 1)
     }
@@ -1043,39 +1031,31 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Execute one stage (schedule → pick → detect → fan-out) across all live
-    /// queries.
+    /// SCHEDULE + PICK + group + ROUTE stage `number` into `stage`, without
+    /// touching the shard workers (which may be mid-DETECT on pool helpers).
     ///
-    /// Returns `None` once every query has stopped — after that the engine is
-    /// finished and [`QueryEngine::report`] is stable.
-    ///
-    /// # Panics
-    /// Panics if the stage fails — a worker lane panicked, or a fallible
-    /// detector failed under [`FailureMode::FailFast`].  Engines running
-    /// fallible detectors should call [`QueryEngine::try_run_stage`] (or
-    /// [`QueryEngine::run`]) and handle the typed error instead.
-    pub fn run_stage(&mut self) -> Option<StageStats> {
-        self.try_run_stage()
-            .expect("stage execution failed; use try_run_stage with fallible detectors")
-    }
+    /// Runs against the engine state as of the last settled stage — under
+    /// [`QueryEngine::overlap`] that is one stage stale (the in-flight
+    /// stage's results are not folded in yet), which is exactly the
+    /// documented semantic difference of overlapped runs.  Returns `false`
+    /// when no query picked: the run ends once the in-flight stage settles.
+    fn plan(&mut self, stage: &mut Stage<'a>, number: u64) -> bool {
+        stage.detectors.clear();
+        stage.slots.clear();
+        stage.membership.clear();
+        stage.pick_shards.clear();
+        stage.active = 0;
+        stage.demanded = 0;
+        let queries = self.queries.len();
+        if stage.picks.len() < queries {
+            stage.picks.resize_with(queries, Vec::new);
+        }
 
-    /// [`QueryEngine::run_stage`], surfacing stage failures.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::WorkerPanicked`] if a worker lane's detect pass
-    /// panicked during a parallel stage (either dispatch runtime), and
-    /// [`EngineError::DetectorFailed`] if a detector exhausted a frame's
-    /// attempts under [`FailureMode::FailFast`].  The stage is abandoned
-    /// before its cache commit and fan-out: reports and cost accounting are
-    /// unspecified after this error, and the run that observed it has already
-    /// returned it.
-    pub fn try_run_stage(&mut self) -> Result<Option<StageStats>, EngineError> {
-        // Phase 1: stop checks and scheduling.  A quarantined detector stops
-        // its queries here, at the stage boundary after the quarantine
-        // decision — deterministically, regardless of sharding or threading.
+        // Stop checks and SCHEDULE.  A quarantined detector stops its
+        // queries here, at the stage boundary after the quarantine decision
+        // — deterministically, regardless of sharding or threading.
         self.loads.clear();
         for q in &mut self.queries {
-            q.picks.clear();
             let quarantined = !self.quarantined.is_empty()
                 && self
                     .detector_slots
@@ -1103,212 +1083,355 @@ impl<'a> QueryEngine<'a> {
         // (against the trait contract) cannot replay last stage's quotas.
         self.allocation.clear();
         self.scheduler
-            .allocate(self.stages, &self.loads, &mut self.allocation);
+            .allocate(number, &self.loads, &mut self.allocation);
 
-        // Phase 2: picks.  The engine clamps every live allocation to
+        // PICK.  The engine clamps every live allocation to
         // `1..=budget_left` so no scheduler can livelock a run or overrun a
         // budget.
-        let mut active = 0usize;
-        let mut demanded = 0u64;
         for (i, q) in self.queries.iter_mut().enumerate() {
+            let picks = &mut stage.picks[i];
+            picks.clear();
             let load = self.loads[i];
             if !load.live {
                 continue;
             }
             let granted = self.allocation.get(i).copied().unwrap_or(load.batch).max(1);
             let want = (granted as u64).min(load.budget_left.unwrap_or(u64::MAX)) as usize;
-            q.policy.next_batch_into(q.rng.as_mut(), want, &mut q.picks);
-            if q.picks.is_empty() {
+            q.policy.next_batch_into(q.rng.as_mut(), want, picks);
+            if picks.is_empty() {
                 q.stop = Some(StopReason::RepositoryExhausted);
                 continue;
             }
-            active += 1;
-            demanded += q.picks.len() as u64;
+            stage.active += 1;
+            stage.demanded += picks.len() as u64;
         }
-        if active == 0 {
-            return Ok(None);
+        if stage.active == 0 {
+            return false;
         }
 
-        // Observation collection is active only when a sink is installed, so
-        // sink-less runs pay nothing.  The scratch vector is moved out of
-        // `self` for the stage (the fan-out borrows `self` mutably) and moved
-        // back after the flush so its allocation is reused across stages.
-        let mut observations = std::mem::take(&mut self.stage_observations);
-        let collecting = self.sink.is_some();
+        // Logical grouping: one group per distinct detector among the picking
+        // queries (per picking query when coalescing is off).
+        for (q, picks) in self.queries.iter().zip(&stage.picks) {
+            if picks.is_empty() {
+                stage.membership.push(usize::MAX);
+                continue;
+            }
+            let group = if self.coalesce {
+                stage
+                    .detectors
+                    .iter()
+                    .position(|&d| std::ptr::eq(d, q.detector))
+            } else {
+                None
+            };
+            let group = group.unwrap_or_else(|| {
+                stage.detectors.push(q.detector);
+                stage
+                    .slots
+                    .push(Self::detector_slot(&mut self.detector_slots, q.detector));
+                stage.detectors.len() - 1
+            });
+            stage.membership.push(group);
+        }
 
-        let mut detector_frames = 0u64;
-        let mut detector_calls = 0u64;
-        let mut stage_retries = 0u64;
-        let mut stage_failed = 0u64;
-        let mut stage_backoff = 0u64;
-        // The fast path skips routing entirely, so it is only taken when the
-        // router has no bounds to enforce — a chunking-built router must see
-        // every frame to uphold its documented out-of-range panic.  It also
-        // skips the miss-gathering pass, so it cannot honour an aggregation
-        // flush limit and is bypassed whenever aggregation is on.
-        if active == 1
-            && self.workers.len() == 1
+        // The routed lanes, cleared.  Sized from the router, not
+        // `self.workers`: under pooled overlap the workers are drained into
+        // the in-flight dispatch while this runs.
+        let shards = self.router.shard_count();
+        let groups = stage.detectors.len();
+        if stage.routed.len() < shards {
+            stage.routed.resize_with(shards, Vec::new);
+        }
+        for per_shard in &mut stage.routed {
+            if per_shard.len() < groups {
+                per_shard.resize_with(groups, Vec::new);
+            }
+            for lane in per_shard.iter_mut() {
+                lane.clear();
+            }
+        }
+
+        // Fast path for single-shard stages with a single picking query (the
+        // whole run, for a single-query engine — e.g. the per-frame sim
+        // runner at batch 1): no routing, no coalescing, no result map —
+        // DETECT is one batched call over the pick buffer and fan-out
+        // consumes the detections straight out of it in pick order.  It is
+        // the one measured fork of the stage loop (forcing it off costs the
+        // benchmark's `fig5_sweep` 2–7 % wall-clock, see CHANGES.md PR 13),
+        // selected from what the stage looks like, never by a setting.  It
+        // skips routing, so it is only taken when the router has no bounds
+        // to enforce — a chunking-built router must see every frame to
+        // uphold its documented out-of-range panic — and it skips the
+        // miss-gathering pass, so it cannot honour a cache or an aggregation
+        // flush limit.
+        stage.direct = stage.active == 1
+            && shards == 1
             && self.cache.is_none()
             && self.aggregation.is_none()
-            && !self.router.checks_bounds()
-        {
-            // Fast path for single-shard stages with a single picking query
-            // (the whole run, for a single-query engine — e.g. the per-frame
-            // sim runner at batch 1): no grouping, no result map, detections
-            // are consumed straight out of the batch buffer in pick order.
-            let index = self
-                .queries
+            && !self.router.checks_bounds();
+        if stage.direct {
+            return true;
+        }
+
+        // ROUTE picks to the shard owning each frame, remembering each pick's
+        // shard so fan-out replays the lookups instead of repeating them.
+        for (picks, &group) in stage.picks.iter().zip(&stage.membership) {
+            if group == usize::MAX {
+                continue;
+            }
+            for &frame in picks {
+                let shard = self.router.shard_of(frame);
+                stage.pick_shards.push(shard as u32);
+                stage.routed[shard][group].push(frame);
+            }
+        }
+        true
+    }
+
+    /// Load a planned stage into the shard workers and, when the run has pool
+    /// helpers and the stage has detection work, hand their chunks to them.
+    /// Returns the in-flight handle [`QueryEngine::land`] joins.
+    ///
+    /// A fully cache-warm stage has nothing to detect; dispatching it would
+    /// be pure overhead (a turnstile hand-off and a wake), so it stays
+    /// inline.  The warm check uses the tally-free
+    /// [`StripedDetectionCache::contains`] — the decision must not perturb
+    /// the accounting the real probe produces.
+    fn launch(&mut self, stage: &mut Stage<'a>) -> Option<StageDispatch<'a>> {
+        let groups = stage.detectors.len();
+        let queries = self.queries.len();
+        for (worker, routed) in self.workers.iter_mut().zip(&mut stage.routed) {
+            worker.begin_stage(groups, queries);
+            for (group, frames) in routed[..groups].iter_mut().enumerate() {
+                worker.adopt_frames(group, frames);
+            }
+        }
+        if self.pool.is_none() || !self.stage_has_work(&stage.slots) {
+            return None;
+        }
+        // Worker lanes and scratch ride along by value and come back with
+        // the results, so their allocations are recycled across stages.
+        let ctx = StageCtx {
+            detectors: stage.detectors.clone(),
+            slots: stage.slots.clone(),
+            share_lanes: self.cache.is_some(),
+            policy: self.detect_policy(),
+            aggregate: self.aggregation.map(|a| a.limit()),
+            cache: self.cache.clone(),
+            coalesce: self.coalesce,
+        };
+        self.pooled_dispatches += 1;
+        let pool = self.pool.as_mut().expect("pool presence checked above");
+        Some(pool.dispatch_stage(&mut self.workers, ctx))
+    }
+
+    /// Complete a launched stage's PROBE + DETECT: rejoin the pool, or — with
+    /// nothing in flight — run it inline on the calling thread.
+    ///
+    /// The cache probe runs wherever the detect pass runs (inline here, or
+    /// on the dispatched lanes as the first half of each chunk): probes only
+    /// read cache membership and tally commutatively, so probe placement can
+    /// never change accounting — see the cache module docs.  Each worker is
+    /// probed exactly once per stage.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::WorkerPanicked`] if a dispatched lane's detect
+    /// pass panicked; the stage is abandoned before its commit and fan-out.
+    fn land(
+        &mut self,
+        stage: &mut Stage<'a>,
+        flight: Option<StageDispatch<'a>>,
+    ) -> Result<(), EngineError> {
+        if let Some(dispatch) = flight {
+            // The reclaim pass inside `join_stage` runs *after* whatever the
+            // coordinator did since `launch`: on a saturated host it takes
+            // the queued chunks back here and pays two mutex operations.
+            let pool = self.pool.as_mut().expect("only a live pool dispatches");
+            return pool.join_stage(&mut self.workers, dispatch);
+        }
+        let policy = self.detect_policy();
+        if stage.direct {
+            let index = stage
+                .membership
                 .iter()
-                .position(|q| !q.picks.is_empty())
+                .position(|&group| group != usize::MAX)
                 .expect("one query picked this stage");
-            let slot = Self::detector_slot(&mut self.detector_slots, self.queries[index].detector);
-            let policy = self.detect_policy();
-            // The fast path bypasses `begin_stage`, so the worker's stage
-            // batch and cache tallies are reset by hand before recording
-            // into them (the cache tally stays zero — this path requires
-            // the cache to be off).
-            self.workers[0].stage_batches = BatchStats::default();
-            self.workers[0].stage_cache = CacheActivity::default();
-            let q = &mut self.queries[index];
-            let picks = std::mem::take(&mut q.picks);
-            self.detections_buf.clear();
-            match q
-                .detector
-                .try_detect_batch(&picks, &mut self.detections_buf)
-            {
-                Ok(()) => {
-                    // Fault-free path: identical to the pre-fault-tolerance
-                    // engine, one batch probe and straight-line fan-out.
-                    detector_calls = 1;
-                    detector_frames = picks.len() as u64;
-                    for (&frame, detections) in picks.iter().zip(self.detections_buf.drain(..)) {
+            let picks = &stage.picks[index];
+            let landed = self.workers[0].detect_direct(
+                stage.detectors[0],
+                stage.slots[0],
+                picks,
+                policy,
+                &mut self.detections_buf,
+            );
+            if !landed {
+                // The batch probe failed and the picks were recovered frame
+                // by frame into worker 0's lane: fan out through the lane,
+                // with the routing a 1-shard router would have recorded.
+                stage.direct = false;
+                stage.pick_shards.resize(picks.len(), 0);
+            }
+            return Ok(());
+        }
+        let cache = self.cache.as_deref();
+        for worker in &mut self.workers {
+            worker.probe(&stage.slots, self.coalesce, cache);
+        }
+        runtime::run_detect(
+            &mut self.workers,
+            &stage.detectors,
+            &stage.slots,
+            cache.is_some(),
+            policy,
+            self.aggregation.map(|a| a.limit()),
+        );
+        Ok(())
+    }
+
+    /// Fold a landed stage into the engine: fail-fast scan, cache commit,
+    /// tallies, FAN-OUT, quarantine, stats, sink flush, run counters — the
+    /// serial half of every stage, identical in every execution
+    /// configuration.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::DetectorFailed`] if a detector exhausted a
+    /// frame's attempts under [`FailureMode::FailFast`] (the stage is
+    /// abandoned before its cache commit and fan-out, so no result of the
+    /// doomed stage is ever published), and
+    /// [`EngineError::CheckpointFailed`] if the stage sink refused the
+    /// stage.  Reports and cost accounting are unspecified after either.
+    fn settle(&mut self, stage: &Stage<'a>) -> Result<StageStats, EngineError> {
+        // Fail-fast scan, shard order: a worker that hit a terminal detect
+        // failure under `FailureMode::FailFast` parked it on its lane; the
+        // first one (in shard order) aborts the stage *before* the cache
+        // commit.
+        let mut fatal = None;
+        for worker in &mut self.workers {
+            let failure = worker.fatal.take();
+            if fatal.is_none() {
+                fatal = failure;
+            }
+        }
+        if let Some(failure) = fatal {
+            let class = self.detector_slots[failure.slot as usize]
+                .class()
+                .to_string();
+            return Err(EngineError::DetectorFailed {
+                class,
+                frame: failure.frame,
+                attempts: failure.attempts,
+                source: failure.error,
+            });
+        }
+
+        // Arbitration — serial cache commit under one transaction, canonical
+        // (slot, frame) order: first every touch (the hits), then every
+        // insert (the fresh results), each kind sorted across workers.  The
+        // order is a pure function of the frames probed and detected this
+        // stage, so the LRU's eviction sequence is identical no matter how
+        // many threads probed or how the frames were partitioned across
+        // shards.
+        if let Some(cache) = self.cache.as_deref() {
+            crate::shard::arbitrate_cache(&mut self.workers, &stage.slots, cache);
+        }
+
+        // Fold the per-worker tallies.  Logical calls are counted once per
+        // group that needed any detection, regardless of how many shards its
+        // frames were split across; the workers keep the physical per-shard
+        // tallies (the batch-size statistics among them).
+        let groups = stage.detectors.len();
+        let mut detector_frames = 0u64;
+        let mut stage_retries = 0u64;
+        let mut stage_backoff = 0u64;
+        let mut stage_batches = BatchStats::default();
+        let mut stage_cache = CacheActivity::default();
+        self.lane_detected.clear();
+        self.lane_detected.resize(groups, 0);
+        for worker in &self.workers {
+            detector_frames += worker.stage_detected_frames();
+            stage_retries += worker.stage_retries;
+            stage_backoff += worker.stage_backoff;
+            stage_batches.merge(&worker.stage_batches);
+            stage_cache.absorb(worker.stage_cache);
+            for (total, &detected) in self.lane_detected.iter_mut().zip(&worker.lane_detected) {
+                *total += detected;
+            }
+        }
+        let detector_calls = self.lane_detected.iter().filter(|&&n| n > 0).count() as u64;
+
+        // Logical per-detector failure counts: summed per group across the
+        // shards (shard-count invariant), then charged to the group's
+        // registry slot so quarantine decisions see the run-cumulative view.
+        let mut stage_failed = 0u64;
+        for g in 0..groups {
+            let failures: u64 = self.workers.iter().map(|w| w.lane_failed[g]).sum();
+            if failures > 0 {
+                stage_failed += failures;
+                let slot = stage.slots[g] as usize;
+                if self.slot_failures.len() <= slot {
+                    self.slot_failures.resize(slot + 1, 0);
+                }
+                self.slot_failures[slot] += failures;
+            }
+        }
+
+        // FAN-OUT in registration order, each query in its own pick order.
+        // Observation collection is active only when a sink is installed, so
+        // sink-less runs pay nothing.  The scratch vector is moved out of
+        // `self` for the fan-out (which borrows `self` mutably) and moved
+        // back after the flush so its allocation is reused across stages.
+        let mut observations = std::mem::take(&mut self.stage_observations);
+        let collect = self.sink.is_some();
+        let mut routed = 0usize;
+        for (i, &group) in stage.membership.iter().enumerate() {
+            if group == usize::MAX {
+                continue;
+            }
+            let q = &mut self.queries[i];
+            if stage.direct {
+                let worker = &mut self.workers[0];
+                for (&frame, detections) in stage.picks[i].iter().zip(self.detections_buf.drain(..))
+                {
+                    let new_hits =
+                        Self::observe_frame(q, i, frame, &detections, collect, &mut observations);
+                    worker.record_observation(i, new_hits);
+                }
+                continue;
+            }
+            for &frame in &stage.picks[i] {
+                // The same (query, pick) order the routing pass walked, so
+                // the recorded shards line up one to one.
+                let worker = &mut self.workers[stage.pick_shards[routed] as usize];
+                routed += 1;
+                // A pick with no result was dropped by the failure policy
+                // (every terminal failure under `FailFast` aborted the stage
+                // above): the query simply never observes the frame, and the
+                // degradation is tallied instead.
+                match worker.result(group, frame) {
+                    Some(detections) => {
                         let new_hits = Self::observe_frame(
                             q,
-                            index,
+                            i,
                             frame,
-                            &detections,
-                            collecting,
+                            detections,
+                            collect,
                             &mut observations,
                         );
-                        self.workers[0].record_observation(index, new_hits);
+                        worker.record_observation(i, new_hits);
                     }
-                    self.workers[0].record_direct(slot, detector_frames, detector_calls);
-                    self.workers[0].record_batches(detector_frames, 1);
-                }
-                Err(_) => {
-                    // Per-frame recovery in pick order — the same attempt
-                    // semantics as `ShardWorker::detect`, so fast-path runs
-                    // stay bitwise-identical to lane-path runs under faults.
-                    let max_attempts = policy.max_attempts.max(1);
-                    let mut physical_calls = 1u64; // the failed probe
-                    let mut fatal: Option<(FrameId, u32, DetectError)> = None;
-                    for &frame in &picks {
-                        let mut attempts = 0u32;
-                        let outcome: Result<FrameDetections, DetectError> = loop {
-                            attempts += 1;
-                            self.detections_buf.clear();
-                            match q.detector.try_detect_batch(
-                                std::slice::from_ref(&frame),
-                                &mut self.detections_buf,
-                            ) {
-                                Ok(()) => {
-                                    break Ok(self
-                                        .detections_buf
-                                        .pop()
-                                        .expect("one detection set per detected frame"));
-                                }
-                                Err(err) => {
-                                    if !err.is_transient() || attempts >= max_attempts {
-                                        break Err(err);
-                                    }
-                                    stage_retries += 1;
-                                    stage_backoff += policy
-                                        .backoff_cost
-                                        .saturating_mul(1u64 << u64::from(attempts - 1).min(62));
-                                }
-                            }
-                        };
-                        physical_calls += u64::from(attempts);
-                        match outcome {
-                            Ok(detections) => {
-                                detector_frames += 1;
-                                let new_hits = Self::observe_frame(
-                                    q,
-                                    index,
-                                    frame,
-                                    &detections,
-                                    collecting,
-                                    &mut observations,
-                                );
-                                self.workers[0].record_observation(index, new_hits);
-                            }
-                            Err(error) => {
-                                stage_failed += 1;
-                                if policy.fail_fast {
-                                    fatal = Some((frame, attempts + 1, error));
-                                    break;
-                                }
-                                q.dropped_frames += 1;
-                                self.workers[0].record_dropped(index);
-                            }
-                        }
-                    }
-                    detector_calls = u64::from(detector_frames > 0);
-                    self.workers[0].record_direct(slot, detector_frames, physical_calls);
-                    // One failed probe over the whole pick batch, then a
-                    // single-frame batch per recovery attempt — the same
-                    // physical shape `ShardWorker::detect` records.
-                    self.workers[0].record_batches(picks.len() as u64, 1);
-                    self.workers[0].record_batches(1, physical_calls - 1);
-                    self.workers[0].record_direct_faults(
-                        slot,
-                        stage_retries,
-                        stage_backoff,
-                        stage_failed,
-                    );
-                    if let Some((frame, attempts, source)) = fatal {
-                        let class = self.detector_slots[slot as usize].class().to_string();
-                        return Err(EngineError::DetectorFailed {
-                            class,
-                            frame,
-                            attempts,
-                            source,
-                        });
-                    }
-                    if stage_failed > 0 {
-                        self.record_slot_failures(slot as usize, stage_failed);
+                    None => {
+                        q.dropped_frames += 1;
+                        worker.record_dropped(i);
                     }
                 }
             }
-            let q = &mut self.queries[index];
-            q.picks = picks;
-            q.picks.clear();
-        } else {
-            self.run_sharded_stage(
-                &mut detector_frames,
-                &mut detector_calls,
-                &mut stage_retries,
-                &mut stage_failed,
-                &mut stage_backoff,
-                &mut observations,
-            )?;
         }
         self.apply_quarantine();
 
-        // Physical batch-size statistics: the fold works for both branches —
-        // the sharded path reset every worker's stage tally in `begin_stage`,
-        // the fast path reset worker 0's by hand before recording.
-        let mut stage_batches = BatchStats::default();
-        let mut stage_cache = CacheActivity::default();
-        for worker in &self.workers {
-            stage_batches.merge(&worker.stage_batches);
-            stage_cache.absorb(worker.stage_cache);
-        }
-
         let stats = StageStats {
             stage: self.stages,
-            active_queries: active,
-            demanded_frames: demanded,
+            active_queries: stage.active,
+            demanded_frames: stage.demanded,
             detector_frames,
             detector_calls,
             retries: stage_retries,
@@ -1324,13 +1447,13 @@ impl<'a> QueryEngine<'a> {
         self.stage_observations = observations;
         flush?;
         self.stages += 1;
-        self.demanded_frames += demanded;
+        self.demanded_frames += stage.demanded;
         self.detector_frames += detector_frames;
         self.detector_calls += detector_calls;
         self.detect_retries += stage_retries;
         self.failed_frames += stage_failed;
         self.backoff_total += stage_backoff;
-        Ok(Some(stats))
+        Ok(stats)
     }
 
     /// Hand the stage's observations to the installed sink (if any) and
@@ -1353,19 +1476,10 @@ impl<'a> QueryEngine<'a> {
         result
     }
 
-    /// Accrue `failures` failed frames against registry slot `slot`.
-    fn record_slot_failures(&mut self, slot: usize, failures: u64) {
-        if self.slot_failures.len() <= slot {
-            self.slot_failures.resize(slot + 1, 0);
-        }
-        self.slot_failures[slot] += failures;
-    }
-
     /// Quarantine every detector whose cumulative failed-frame count exceeds
     /// the threshold (no-op in the other failure modes).  Decided at the
     /// stage boundary from the logical per-detector failure counts, so the
-    /// decision is identical across shard counts, thread counts and dispatch
-    /// runtimes.
+    /// decision is identical across shard counts and thread counts.
     fn apply_quarantine(&mut self) {
         let FailureMode::Quarantine { failure_threshold } = self.failure else {
             return;
@@ -1428,306 +1542,27 @@ impl<'a> QueryEngine<'a> {
         new_hits
     }
 
-    /// Phases 3 and 4 of a stage: group demands per detector (the *logical*
-    /// groups), route every picked frame to the shard worker owning it, run
-    /// each worker's batched detector invocations — serially, on the run's
-    /// persistent worker pool, or on per-stage scoped threads, per the
-    /// engine's [`ExecutionMode`] and [`Dispatch`] — then fan results back
-    /// out per query in registration order.  Group slots, worker lanes, the
-    /// membership map and the detection buffer are reused across stages
-    /// (allocations amortise to zero in steady state).
-    ///
-    /// The DETECT phase itself is split in three so that parallelism can
-    /// never touch shared state: a serial cache-probe pass over the workers
-    /// (in worker order), the data-independent per-worker detect pass (the
-    /// only part that runs on threads), and a serial cache-commit pass (in
-    /// worker order again).  Serial mode runs the identical three passes on
-    /// one thread, which is why all the modes are bitwise-indistinguishable.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::WorkerPanicked`] if a detect lane panicked
-    /// under either dispatch runtime, and [`EngineError::DetectorFailed`] if
-    /// a detector failed terminally under [`FailureMode::FailFast`]; in both
-    /// cases the stage is abandoned before its cache commit and fan-out.
-    fn run_sharded_stage(
-        &mut self,
-        detector_frames: &mut u64,
-        detector_calls: &mut u64,
-        stage_retries: &mut u64,
-        stage_failed: &mut u64,
-        stage_backoff: &mut u64,
-        observations: &mut Vec<StageObservation>,
-    ) -> Result<(), EngineError> {
-        // `observations` is the taken-out staging buffer, so the sink itself
-        // is untouched during the stage — its presence is the collect flag.
-        let collect = self.sink.is_some();
-        // Logical grouping: one group per distinct detector among the picking
-        // queries (per picking query when coalescing is off).
-        self.stage_detectors.clear();
-        self.stage_slots.clear();
-        self.membership.clear();
-        for q in self.queries.iter() {
-            if q.picks.is_empty() {
-                self.membership.push(usize::MAX);
-                continue;
-            }
-            let group = if self.coalesce {
-                self.stage_detectors
-                    .iter()
-                    .position(|&d| std::ptr::eq(d, q.detector))
-            } else {
-                None
-            };
-            let group = group.unwrap_or_else(|| {
-                self.stage_detectors.push(q.detector);
-                self.stage_slots
-                    .push(Self::detector_slot(&mut self.detector_slots, q.detector));
-                self.stage_detectors.len() - 1
-            });
-            self.membership.push(group);
-        }
-        let groups = self.stage_detectors.len();
-        let queries = self.queries.len();
-        for worker in &mut self.workers {
-            worker.begin_stage(groups, queries);
-        }
-
-        // Route picks to the shard owning each frame, remembering each pick's
-        // shard so fan-out replays the lookups instead of repeating them.
-        self.pick_shards.clear();
-        for (q, &group) in self.queries.iter().zip(&self.membership) {
-            if group == usize::MAX {
-                continue;
-            }
-            for &frame in &q.picks {
-                let shard = self.router.shard_of(frame);
-                self.pick_shards.push(shard as u32);
-                self.workers[shard].push_frame(group, frame);
-            }
-        }
-
-        // Per-shard PROBE + DETECT.  The cache probe runs wherever the
-        // detect pass runs (inline, or on the dispatched worker threads as
-        // the first half of each lane's chunk): probes only read cache
-        // membership and tally commutatively, so probe placement can never
-        // change accounting — see the cache module docs.  Each worker is
-        // probed exactly once per stage.
-        //
-        // A fully cache-warm stage has nothing to detect; dispatching it
-        // would be pure overhead (a thread spawn in scoped mode, a channel
-        // wake in pooled mode), so parallel mode falls back to the inline
-        // loop unless some worker actually has work.  The warm check uses
-        // the tally-free `StripedDetectionCache::contains` — the decision
-        // must not perturb the accounting the real probe produces.
-        let share_lanes = self.cache.is_some();
-        let policy = self.detect_policy();
-        let threads = self.execution.effective_threads(self.workers.len());
-        let has_work = self.stage_has_work(&self.stage_slots);
-        if let Some(aggregation) = self.aggregation {
-            // Cross-shard aggregation: one serialised gather/scatter over
-            // every worker's misses — a single batch stream per detector
-            // group, flushed at the aggregation limit.  There is no
-            // per-worker partition left to spread over threads, so outside
-            // overlapped runs (which ship this to a pool helper to overlap
-            // the next PICK) it runs inline; fully cache-warm stages still
-            // skip the detect pass entirely.
-            for worker in &mut self.workers {
-                worker.probe(&self.stage_slots, self.coalesce, self.cache.as_deref());
-            }
-            if self.workers.iter().any(ShardWorker::has_misses) {
-                aggregate_detect(
-                    &mut self.workers,
-                    &self.stage_detectors,
-                    &self.stage_slots,
-                    share_lanes,
-                    policy,
-                    aggregation.limit(),
-                );
-            }
-        } else if threads <= 1 || !has_work {
-            for worker in &mut self.workers {
-                worker.probe(&self.stage_slots, self.coalesce, self.cache.as_deref());
-                worker.detect(
-                    &self.stage_detectors,
-                    &self.stage_slots,
-                    share_lanes,
-                    policy,
-                );
-            }
-        } else if self.pool.is_some() {
-            // Pooled dispatch: hand contiguous worker chunks to the run's
-            // already-parked helper threads (the coordinator probes and
-            // detects the first chunk inline).  Worker lanes and scratch
-            // ride along by value and come back with the results, so their
-            // allocations are recycled across stages.
-            let ctx = StageCtx {
-                detectors: self.stage_detectors.clone(),
-                slots: self.stage_slots.clone(),
-                share_lanes,
-                policy,
-                aggregate: None,
-                cache: self.cache.clone(),
-                coalesce: self.coalesce,
-            };
-            let pool = self.pool.as_mut().expect("pool presence checked above");
-            pool.run_stage(&mut self.workers, threads, ctx)?;
-            self.pooled_dispatches += 1;
-        } else {
-            // Legacy scoped dispatch (`Dispatch::Scoped`, or a manual
-            // `run_stage` call outside a pooled run): spawn and join fresh
-            // scoped threads for this stage.  Each thread runs the same
-            // panic-catching lane as the pooled runtime, so a poisoned
-            // detector surfaces as a typed error here too instead of
-            // unwinding out of the scope.
-            let ctx = StageCtx {
-                detectors: self.stage_detectors.clone(),
-                slots: self.stage_slots.clone(),
-                share_lanes,
-                policy,
-                aggregate: None,
-                cache: self.cache.clone(),
-                coalesce: self.coalesce,
-            };
-            let per_thread = self.workers.len().div_ceil(threads);
-            let first_panic = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .workers
-                    .chunks_mut(per_thread)
-                    .map(|chunk| scope.spawn(|| runtime::detect_chunk(chunk, &ctx)))
-                    .collect();
-                // Join in spawn (= chunk) order so the reported panic is the
-                // first lane's, matching the pooled runtime's contract.
-                handles
-                    .into_iter()
-                    .filter_map(|handle| match handle.join() {
-                        Ok(outcome) => outcome,
-                        Err(payload) => Some(runtime::panic_message(payload)),
-                    })
-                    .next()
-            });
-            if let Some(message) = first_panic {
-                return Err(EngineError::WorkerPanicked { message });
-            }
-        }
-
-        // Fail-fast scan, shard order: a worker that hit a terminal detect
-        // failure under `FailureMode::FailFast` parked it on its lane; the
-        // first one (in shard order) aborts the stage *before* the cache
-        // commit, so no result from the doomed stage is ever published.
-        let mut fatal = None;
-        for worker in &mut self.workers {
-            let failure = worker.fatal.take();
-            if fatal.is_none() {
-                fatal = failure;
-            }
-        }
-        if let Some(failure) = fatal {
-            let class = self.detector_slots[failure.slot as usize]
-                .class()
-                .to_string();
-            return Err(EngineError::DetectorFailed {
-                class,
-                frame: failure.frame,
-                attempts: failure.attempts,
-                source: failure.error,
-            });
-        }
-
-        // Arbitration — serial cache commit under one transaction, canonical
-        // (slot, frame) order: first every touch (the hits), then every
-        // insert (the fresh results), each kind sorted across workers.  The
-        // order is a pure function of the frames probed and detected this
-        // stage, so the LRU's eviction sequence is identical no matter how
-        // many threads probed, which runtime dispatched them, or how the
-        // frames were partitioned across shards.
-        if let Some(cache) = self.cache.as_deref() {
-            crate::shard::arbitrate_cache(&mut self.workers, &self.stage_slots, cache);
-        }
-
-        // Fold the per-worker tallies.  Logical calls are counted once per
-        // group that needed any detection, regardless of how many shards its
-        // frames were split across; the workers keep the physical per-shard
-        // tallies.
-        self.lane_detected.clear();
-        self.lane_detected.resize(groups, 0);
-        for worker in &self.workers {
-            *detector_frames += worker.stage_detected_frames();
-            *stage_retries += worker.stage_retries;
-            *stage_backoff += worker.stage_backoff;
-            for (total, &detected) in self.lane_detected.iter_mut().zip(&worker.lane_detected) {
-                *total += detected;
-            }
-        }
-        *detector_calls += self.lane_detected.iter().filter(|&&n| n > 0).count() as u64;
-
-        // Logical per-detector failure counts: summed per group across the
-        // shards (shard-count invariant), then charged to the group's
-        // registry slot so quarantine decisions see the run-cumulative view.
-        for g in 0..groups {
-            let failures: u64 = self.workers.iter().map(|w| w.lane_failed[g]).sum();
-            if failures > 0 {
-                *stage_failed += failures;
-                let slot = self.stage_slots[g] as usize;
-                self.record_slot_failures(slot, failures);
-            }
-        }
-
-        // FAN-OUT in registration order, each query in its own pick order —
-        // the same (query, pick) order the routing pass walked, so the
-        // recorded shards line up one to one.
-        let mut routed = 0usize;
-        for i in 0..self.queries.len() {
-            let group = self.membership[i];
-            if group == usize::MAX {
-                continue;
-            }
-            let q = &mut self.queries[i];
-            let picks = std::mem::take(&mut q.picks);
-            for &frame in &picks {
-                let shard = self.pick_shards[routed] as usize;
-                routed += 1;
-                let worker = &mut self.workers[shard];
-                // A pick with no result was dropped by the failure policy
-                // (every terminal failure under `FailFast` aborted the stage
-                // above): the query simply never observes the frame, and the
-                // degradation is tallied instead.
-                match worker.result(group, frame) {
-                    Some(detections) => {
-                        let new_hits =
-                            Self::observe_frame(q, i, frame, detections, collect, observations);
-                        worker.record_observation(i, new_hits);
-                    }
-                    None => {
-                        q.dropped_frames += 1;
-                        worker.record_dropped(i);
-                    }
-                }
-            }
-            // Hand the buffer back so the next stage reuses its allocation.
-            q.picks = picks;
-            q.picks.clear();
-        }
-        Ok(())
-    }
-
     /// Run every query to completion, invoking `on_stage` after each stage
     /// (the per-stage cost-accounting hook `exsample-sim` charges its virtual
     /// clock from).
     ///
-    /// Under [`ExecutionMode::Parallel`] with [`Dispatch::Pooled`] (the
-    /// default dispatch), this is where the persistent worker runtime lives:
-    /// one `std::thread::scope` wraps the whole stage loop, `n - 1` helper
-    /// threads are spawned into it once, and every parallel stage wakes them
-    /// over channels instead of spawning fresh threads.  The pool is dropped
-    /// — and with it every helper's shutdown signal sent — before the scope
-    /// closes on *every* path out of the loop (completion, a stage error,
-    /// even a panicking `on_stage` hook), and the scope then joins the
-    /// helpers, so a run can neither leak nor deadlock its threads.
+    /// Under [`ExecutionMode::Parallel`] this is where the persistent worker
+    /// runtime lives: one `std::thread::scope` wraps the whole stage loop,
+    /// `n - 1` helper threads are spawned into it once, and every stage with
+    /// detection work wakes them over their turnstiles instead of spawning
+    /// fresh threads.  The pool is dropped — and with it every helper's
+    /// shutdown signal sent — before the scope closes on *every* path out of
+    /// the loop (completion, a stage error, even a panicking `on_stage`
+    /// hook), and the scope then joins the helpers, so a run can neither leak
+    /// nor deadlock its threads.
     ///
     /// # Errors
-    /// Returns [`EngineError::NoQueries`] if no query was registered, and
+    /// Returns [`EngineError::NoQueries`] if no query was registered,
     /// [`EngineError::WorkerPanicked`] if a pooled worker lane's detector
-    /// panicked (the run stops at the offending stage).
+    /// panicked, [`EngineError::DetectorFailed`] if a detector exhausted a
+    /// frame's attempts under [`FailureMode::FailFast`], and
+    /// [`EngineError::CheckpointFailed`] if the stage sink refused a stage
+    /// (the run stops at the offending stage).
     pub fn run_with<F: FnMut(&StageStats)>(
         &mut self,
         mut on_stage: F,
@@ -1736,12 +1571,12 @@ impl<'a> QueryEngine<'a> {
             return Err(EngineError::NoQueries);
         }
         let threads = self.execution.effective_threads(self.workers.len());
-        if self.dispatch == Dispatch::Pooled && threads > 1 {
+        if threads > 1 {
             return std::thread::scope(|scope| {
-                self.pool = Some(WorkerPool::spawn(scope, threads - 1));
-                // Clears the pool on unwind too: dropping the job senders is
-                // what lets the scoped helpers exit, so the scope's implicit
-                // join cannot hang even if `on_stage` panics mid-run.
+                self.pool = Some(WorkerPool::spawn(scope, threads - 1, &self.pool_counters));
+                // Clears the pool on unwind too: dropping it is what lets the
+                // scoped helpers exit, so the scope's implicit join cannot
+                // hang even if `on_stage` panics mid-run.
                 struct PoolGuard<'g, 'a>(&'g mut QueryEngine<'a>);
                 impl Drop for PoolGuard<'_, '_> {
                     fn drop(&mut self) {
@@ -1755,419 +1590,34 @@ impl<'a> QueryEngine<'a> {
         self.drive(&mut on_stage)
     }
 
-    /// The stage loop shared by pooled and unpooled runs.
+    /// The stage loop: `plan → launch → land → settle` per stage, over two
+    /// ping-ponged [`Stage`] buffers, until a plan finds no query picking.
+    ///
+    /// [`QueryEngine::overlap`] is nothing but the position of `plan(n + 1)`:
+    /// after `settle(n)` by default, between `launch(n)` and `land(n)` when
+    /// overlapped — there it runs while stage `n`'s DETECT is in flight on
+    /// the pool helpers, and sees state one stage stale.
     fn drive<F: FnMut(&StageStats)>(
         &mut self,
         on_stage: &mut F,
     ) -> Result<EngineReport, EngineError> {
-        if self.overlap {
-            return self.drive_overlapped(on_stage);
-        }
-        while let Some(stats) = self.try_run_stage()? {
-            on_stage(&stats);
-        }
-        Ok(self.report())
-    }
-
-    /// SCHEDULE + PICK + ROUTE stage `stage` into `staged` without touching
-    /// the shard workers (which may be mid-DETECT on pool helpers).
-    ///
-    /// Runs against the engine state as of the *previous* stage's fan-out —
-    /// under overlap that state is one stage stale (the in-flight stage's
-    /// results are not folded in yet), which is exactly the documented
-    /// semantic difference of overlapped runs.  Returns `false` when no
-    /// query picked: the staged stage is terminal and the run ends once the
-    /// in-flight stage completes.
-    fn prepare_stage(&mut self, staged: &mut StagedStage<'a>, stage: u64) -> bool {
-        staged.stage = stage;
-        staged.detectors.clear();
-        staged.slots.clear();
-        staged.membership.clear();
-        staged.pick_shards.clear();
-        staged.active = 0;
-        staged.demanded = 0;
-        let queries = self.queries.len();
-        if staged.picks.len() < queries {
-            staged.picks.resize_with(queries, Vec::new);
-        }
-        for picks in &mut staged.picks {
-            picks.clear();
-        }
-
-        // Phase 1: stop checks and scheduling — the same decisions as
-        // `try_run_stage`, just answered from the staging-time state.
-        self.loads.clear();
-        for q in &mut self.queries {
-            let quarantined = !self.quarantined.is_empty()
-                && self
-                    .detector_slots
-                    .iter()
-                    .position(|&d| std::ptr::eq(d, q.detector))
-                    .is_some_and(|slot| self.quarantined.get(slot).copied().unwrap_or(false));
-            let live = if q.stop.is_some() {
-                false
-            } else if let Some(reason) = q.stop_condition() {
-                q.stop = Some(reason);
-                false
-            } else if quarantined {
-                q.stop = Some(StopReason::DetectorQuarantined);
-                false
-            } else {
-                true
-            };
-            self.loads.push(QueryLoad {
-                live,
-                batch: q.batch,
-                budget_left: q.frame_budget.map(|b| b - q.frames_processed.min(b)),
-            });
-        }
-        self.allocation.clear();
-        self.scheduler
-            .allocate(stage, &self.loads, &mut self.allocation);
-
-        // Phase 2: picks, drawn into the staging buffers (the queries' own
-        // pick buffers may still be feeding the in-flight stage's fan-out).
-        for (i, q) in self.queries.iter_mut().enumerate() {
-            let load = self.loads[i];
-            if !load.live {
-                continue;
-            }
-            let granted = self.allocation.get(i).copied().unwrap_or(load.batch).max(1);
-            let want = (granted as u64).min(load.budget_left.unwrap_or(u64::MAX)) as usize;
-            let picks = &mut staged.picks[i];
-            q.policy.next_batch_into(q.rng.as_mut(), want, picks);
-            if picks.is_empty() {
-                q.stop = Some(StopReason::RepositoryExhausted);
-                continue;
-            }
-            staged.active += 1;
-            staged.demanded += picks.len() as u64;
-        }
-        if staged.active == 0 {
-            return false;
-        }
-
-        // Grouping, into the staged tables (same logic as the non-overlapped
-        // stage, which groups into the engine scratch instead).
-        for i in 0..queries {
-            if staged.picks[i].is_empty() {
-                staged.membership.push(usize::MAX);
-                continue;
-            }
-            let detector = self.queries[i].detector;
-            let group = if self.coalesce {
-                staged
-                    .detectors
-                    .iter()
-                    .position(|&d| std::ptr::eq(d, detector))
-            } else {
-                None
-            };
-            let group = group.unwrap_or_else(|| {
-                staged.detectors.push(detector);
-                staged
-                    .slots
-                    .push(Self::detector_slot(&mut self.detector_slots, detector));
-                staged.detectors.len() - 1
-            });
-            staged.membership.push(group);
-        }
-
-        // Routing, into per-[shard][group] staging lanes in the same
-        // (query, pick) order the direct `push_frame` pass would use.
-        // Sized from the router, not `self.workers`: under pooled overlap the
-        // workers are drained into the in-flight dispatch while this runs.
-        let shards = self.router.shard_count();
-        let groups = staged.detectors.len();
-        if staged.routed.len() < shards {
-            staged.routed.resize_with(shards, Vec::new);
-        }
-        for per_shard in &mut staged.routed {
-            if per_shard.len() < groups {
-                per_shard.resize_with(groups, Vec::new);
-            }
-            for lane in per_shard.iter_mut() {
-                lane.clear();
-            }
-        }
-        for (i, &group) in staged.membership.iter().enumerate() {
-            if group == usize::MAX {
-                continue;
-            }
-            for &frame in &staged.picks[i] {
-                let shard = self.router.shard_of(frame);
-                staged.pick_shards.push(shard as u32);
-                staged.routed[shard][group].push(frame);
-            }
-        }
-        true
-    }
-
-    /// Load a staged stage into the shard workers: `begin_stage` plus an
-    /// allocation-recycling swap of every routed lane.
-    fn load_stage(&mut self, staged: &mut StagedStage<'a>) {
-        let groups = staged.detectors.len();
-        let queries = self.queries.len();
-        for (shard, worker) in self.workers.iter_mut().enumerate() {
-            worker.begin_stage(groups, queries);
-            for group in 0..groups {
-                worker.adopt_frames(group, &mut staged.routed[shard][group]);
-            }
-        }
-    }
-
-    /// The overlapped stage loop ([`QueryEngine::overlap`]): a two-deep
-    /// software pipeline where stage `n + 1`'s SCHEDULE + PICK + ROUTE runs
-    /// while stage `n`'s DETECT is in flight.
-    ///
-    /// Canonical per-stage order, identical in every execution configuration
-    /// (truly concurrent under pooled parallel dispatch, emulated serially
-    /// everywhere else):
-    /// load `n` → dispatch DETECT `n` (each lane probes then detects) →
-    /// prepare `n + 1` → join `n` → fail-fast scan → arbitrate/commit `n` →
-    /// tally `n` → fan-out `n` → stats `n`.
-    ///
-    /// The cache probe rides inside the dispatched lanes, overlapped with
-    /// the PICK: probes only read membership and tally commutatively, and
-    /// the serial arbitration order (commit `n - 1` < touches `n` < inserts
-    /// `n`) is enforced by the commit transaction, so the accounting never
-    /// sees the overlap.
-    fn drive_overlapped<F: FnMut(&StageStats)>(
-        &mut self,
-        on_stage: &mut F,
-    ) -> Result<EngineReport, EngineError> {
-        let mut current = StagedStage::default();
-        let mut next = StagedStage::default();
-        let mut scheduled = self.stages;
-        let mut have_stage = self.prepare_stage(&mut next, scheduled);
-        while have_stage {
-            scheduled += 1;
+        let mut current = Stage::default();
+        let mut next = Stage::default();
+        let mut more = self.plan(&mut next, self.stages);
+        while more {
             // `next` becomes the executing stage; the old `current`'s
-            // (cleared) buffers are recycled for preparing the one after.
+            // buffers are recycled for planning the one after.
             std::mem::swap(&mut current, &mut next);
-            self.load_stage(&mut current);
-
-            // PROBE + DETECT n, overlapped with SCHEDULE + PICK + ROUTE n+1.
-            // The probe runs inside each dispatched lane (or inline in the
-            // emulated arm below); the warm-skip decision peeks at cache
-            // membership tally-free, exactly like the non-overlapped loop.
-            let share_lanes = self.cache.is_some();
-            let policy = self.detect_policy();
-            let threads = self.execution.effective_threads(self.workers.len());
-            let aggregate = self.aggregation.map(|a| a.limit());
-            let has_work = self.stage_has_work(&current.slots);
-            if threads > 1 && self.pool.is_some() && has_work {
-                let ctx = StageCtx {
-                    detectors: current.detectors.clone(),
-                    slots: current.slots.clone(),
-                    share_lanes,
-                    policy,
-                    aggregate,
-                    cache: self.cache.clone(),
-                    coalesce: self.coalesce,
-                };
-                let pool = self.pool.as_mut().expect("pool presence checked above");
-                // An aggregated stage is one serialised gather/scatter:
-                // ship the whole worker set to a helper as a single
-                // (reclaimable) job so the PICK still overlaps it.
-                let dispatch = match aggregate {
-                    Some(_) => pool.dispatch_whole(&mut self.workers, ctx),
-                    None => pool.dispatch_stage(&mut self.workers, threads, ctx),
-                };
-                self.pooled_dispatches += 1;
-                have_stage = self.prepare_stage(&mut next, scheduled);
-                // The reclaim pass inside `join_stage` runs *after* the
-                // overlapped PICK: on a saturated host the coordinator
-                // takes the queued chunks back here and pays the same two
-                // mutex operations as a non-overlapped pooled stage.
-                let pool = self.pool.as_mut().expect("pool presence checked above");
-                pool.join_stage(&mut self.workers, dispatch)?;
-            } else {
-                // No helpers to overlap with (serial mode, scoped dispatch,
-                // a 1-thread clamp, or a fully cache-warm stage): emulate
-                // the canonical order — the next stage is still prepared
-                // *before* this stage's results are consumed, so every
-                // configuration schedules from the same one-stage-stale
-                // state and stays bitwise-identical.
-                have_stage = self.prepare_stage(&mut next, scheduled);
-                if let Some(max_batch) = aggregate {
-                    for worker in &mut self.workers {
-                        worker.probe(&current.slots, self.coalesce, self.cache.as_deref());
-                    }
-                    if self.workers.iter().any(ShardWorker::has_misses) {
-                        aggregate_detect(
-                            &mut self.workers,
-                            &current.detectors,
-                            &current.slots,
-                            share_lanes,
-                            policy,
-                            max_batch,
-                        );
-                    }
-                } else if threads <= 1 || !has_work {
-                    for worker in &mut self.workers {
-                        worker.probe(&current.slots, self.coalesce, self.cache.as_deref());
-                        worker.detect(&current.detectors, &current.slots, share_lanes, policy);
-                    }
-                } else {
-                    // Scoped dispatch joins its per-stage threads before
-                    // this arm returns, so the PICK cannot ride alongside
-                    // them — it ran just above instead.
-                    let ctx = StageCtx {
-                        detectors: current.detectors.clone(),
-                        slots: current.slots.clone(),
-                        share_lanes,
-                        policy,
-                        aggregate: None,
-                        cache: self.cache.clone(),
-                        coalesce: self.coalesce,
-                    };
-                    let per_thread = self.workers.len().div_ceil(threads);
-                    let first_panic = std::thread::scope(|scope| {
-                        let handles: Vec<_> = self
-                            .workers
-                            .chunks_mut(per_thread)
-                            .map(|chunk| scope.spawn(|| runtime::detect_chunk(chunk, &ctx)))
-                            .collect();
-                        handles
-                            .into_iter()
-                            .filter_map(|handle| match handle.join() {
-                                Ok(outcome) => outcome,
-                                Err(payload) => Some(runtime::panic_message(payload)),
-                            })
-                            .next()
-                    });
-                    if let Some(message) = first_panic {
-                        return Err(EngineError::WorkerPanicked { message });
-                    }
-                }
+            let flight = self.launch(&mut current);
+            if self.overlap {
+                more = self.plan(&mut next, self.stages + 1);
             }
-
-            // Fail-fast scan, shard order — same contract as the
-            // non-overlapped stage: abort before the cache commit, so no
-            // result of the doomed stage is ever published.  (The stage
-            // prepared into `next` is simply discarded with the run.)
-            let mut fatal = None;
-            for worker in &mut self.workers {
-                let failure = worker.fatal.take();
-                if fatal.is_none() {
-                    fatal = failure;
-                }
-            }
-            if let Some(failure) = fatal {
-                let class = self.detector_slots[failure.slot as usize]
-                    .class()
-                    .to_string();
-                return Err(EngineError::DetectorFailed {
-                    class,
-                    frame: failure.frame,
-                    attempts: failure.attempts,
-                    source: failure.error,
-                });
-            }
-
-            // COMMIT n — the same serial arbitration as the non-overlapped
-            // stage: one transaction, all touches then all inserts, each
-            // kind in canonical (slot, frame) order across workers.
-            if let Some(cache) = self.cache.as_deref() {
-                crate::shard::arbitrate_cache(&mut self.workers, &current.slots, cache);
-            }
-
-            // TALLY n (the same folds as the non-overlapped stage loop).
-            let groups = current.detectors.len();
-            let mut detector_frames = 0u64;
-            let mut stage_retries = 0u64;
-            let mut stage_backoff = 0u64;
-            let mut stage_batches = BatchStats::default();
-            let mut stage_cache = CacheActivity::default();
-            self.lane_detected.clear();
-            self.lane_detected.resize(groups, 0);
-            for worker in &self.workers {
-                detector_frames += worker.stage_detected_frames();
-                stage_retries += worker.stage_retries;
-                stage_backoff += worker.stage_backoff;
-                stage_batches.merge(&worker.stage_batches);
-                stage_cache.absorb(worker.stage_cache);
-                for (total, &detected) in self.lane_detected.iter_mut().zip(&worker.lane_detected) {
-                    *total += detected;
-                }
-            }
-            let detector_calls = self.lane_detected.iter().filter(|&&n| n > 0).count() as u64;
-            let mut stage_failed = 0u64;
-            for g in 0..groups {
-                let failures: u64 = self.workers.iter().map(|w| w.lane_failed[g]).sum();
-                if failures > 0 {
-                    stage_failed += failures;
-                    let slot = current.slots[g] as usize;
-                    self.record_slot_failures(slot, failures);
-                }
-            }
-
-            // FAN-OUT n in registration order, replaying the staged shards.
-            // Observation collection mirrors the non-overlapped path: the
-            // scratch vector is taken for the fan-out and handed back after
-            // the serial sink flush below.
-            let mut observations = std::mem::take(&mut self.stage_observations);
-            let collecting = self.sink.is_some();
-            let mut routed = 0usize;
-            for i in 0..self.queries.len() {
-                let group = current.membership[i];
-                if group == usize::MAX {
-                    continue;
-                }
-                let q = &mut self.queries[i];
-                for &frame in &current.picks[i] {
-                    let shard = current.pick_shards[routed] as usize;
-                    routed += 1;
-                    let worker = &mut self.workers[shard];
-                    match worker.result(group, frame) {
-                        Some(detections) => {
-                            let new_hits = Self::observe_frame(
-                                q,
-                                i,
-                                frame,
-                                detections,
-                                collecting,
-                                &mut observations,
-                            );
-                            worker.record_observation(i, new_hits);
-                        }
-                        None => {
-                            q.dropped_frames += 1;
-                            worker.record_dropped(i);
-                        }
-                    }
-                }
-            }
-            self.apply_quarantine();
-
-            // STATS n.
-            let stats = StageStats {
-                stage: current.stage,
-                active_queries: current.active,
-                demanded_frames: current.demanded,
-                detector_frames,
-                detector_calls,
-                retries: stage_retries,
-                failed_frames: stage_failed,
-                backoff_cost: stage_backoff,
-                batches: stage_batches,
-                cache: stage_cache,
-            };
-            // Stage commit under overlap uses the *logical* stage number the
-            // picks were scheduled with, so the sink's record of the run is
-            // identical to a non-overlapped run of the same seed.
-            let flush = self.flush_stage_sink(current.stage, &mut observations);
-            self.stage_observations = observations;
-            flush?;
-            self.stages += 1;
-            self.demanded_frames += current.demanded;
-            self.detector_frames += detector_frames;
-            self.detector_calls += detector_calls;
-            self.detect_retries += stage_retries;
-            self.failed_frames += stage_failed;
-            self.backoff_total += stage_backoff;
+            self.land(&mut current, flight)?;
+            let stats = self.settle(&current)?;
             on_stage(&stats);
+            if !self.overlap {
+                more = self.plan(&mut next, self.stages);
+            }
         }
         Ok(self.report())
     }

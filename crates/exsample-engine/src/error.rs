@@ -115,9 +115,8 @@ pub enum EngineError {
     },
     /// A worker lane's detect pass panicked during a parallel stage.
     ///
-    /// Both dispatch runtimes catch detector panics on every lane (the pooled
-    /// runtime on helper threads and the coordinator's inline lane alike, the
-    /// scoped runtime on each spawned scope thread) and surface them as this
+    /// The worker pool catches detector panics on every lane (helper threads
+    /// and the coordinator's inline lane alike) and surfaces them as this
     /// typed error instead of unwinding the coordinator or — worse — leaving
     /// it blocked on a completion channel.  The run stops at the offending
     /// stage; the engine's reports and cost accounting are unspecified after

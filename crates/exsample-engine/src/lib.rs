@@ -67,32 +67,46 @@
 //! frames span shards needs one `detect_batch` per shard), which
 //! [`ShardedReport`] accounts separately from the logical counts.
 //!
-//! ## Parallel execution
+//! ## One stage loop, one runtime
+//!
+//! Every run — unsharded or sharded, serial or parallel, overlapped or not —
+//! executes the same loop of four phases, each written once in
+//! [`engine`]: **plan** (stop checks, SCHEDULE, PICK, grouping and routing
+//! into a stage buffer), **launch** (load the shard workers; hand their
+//! chunks to the pool helpers if there are any), **land** (rejoin the
+//! helpers, or probe + detect inline) and **settle** (fail-fast scan, cache
+//! commit, tallies, FAN-OUT, quarantine, stats, checkpoint sink).  Unsharded
+//! is the 1-shard case and serial is the 0-helper pool.  The one fork the
+//! code takes on its own is the single-query fast path: a stage with one
+//! picking query on one shard, no cache, no aggregation and a bounds-free
+//! router detects straight from the pick buffer (measured: forcing it off
+//! costs the shipped fig5 sweep 2–7 % wall-clock); a failed batch probe
+//! drops it back onto the lanes, so fault handling exists once.
 //!
 //! Shard workers' DETECT phases are data-independent (a frame belongs to
 //! exactly one shard, detectors are `Send + Sync` pure functions of the frame
 //! id), so [`QueryEngine::execution`] with [`ExecutionMode::Parallel`] runs
-//! them on worker threads.  By default ([`Dispatch::Pooled`]) those threads
-//! form the [`runtime`] module's **persistent worker pool**: spawned once per
-//! engine run, parked on blocking channels between stages, woken by a channel
-//! send per parallel stage, joined when the run ends — never spawned per
-//! stage (the legacy per-stage `std::thread::scope` behaviour remains
-//! selectable as [`Dispatch::Scoped`], and is what a manual
-//! [`QueryEngine::run_stage`] call outside a run uses).  Worker lanes and
-//! detect scratch travel to the pool by value and come back with the results,
-//! so their allocations are recycled across stages.  The stage's cache probe
-//! rides inside the dispatched lanes (probes only read the lock-striped
-//! cache's membership and tally commutatively), the cache commit is a serial
-//! fixed-order arbitration, and FAN-OUT stays in registration/pick order —
-//! parallelism reorders *work*, never observable results, so parallel runs
-//! are bitwise-identical to serial ones (pinned for threads {1, 2, 4} ×
-//! shards {1, 3, 7} × both partitioners × both dispatch modes, with the
-//! cache on and off).  Serial remains the default; thread counts
-//! exceeding the shard count are clamped to one thread per shard, and
-//! `Parallel(0)` is a typed [`error::EngineError::InvalidExecution`].  A
-//! detector panic on any lane — under either dispatch runtime — surfaces as
-//! a typed [`error::EngineError::WorkerPanicked`], never a deadlocked
-//! coordinator, a leaked thread or an unwinding stage loop.
+//! them on the [`runtime`] module's **persistent worker pool**: helper
+//! threads spawned once per engine run, parked on a condvar turnstile between
+//! stages, woken per stage with detection work, joined when the run ends —
+//! never spawned per stage.  Worker lanes and detect scratch travel to the
+//! pool by value and come back with the results, so their allocations are
+//! recycled across stages.  The stage's cache probe rides inside the
+//! dispatched lanes (probes only read the lock-striped cache's membership and
+//! tally commutatively), the cache commit is a serial fixed-order
+//! arbitration, and FAN-OUT stays in registration/pick order — parallelism
+//! reorders *work*, never observable results, so parallel runs are
+//! bitwise-identical to serial ones (pinned for threads {1, 2, 4} ×
+//! shards {1, 3, 7} × both partitioners, with the cache on and off).  Serial
+//! remains the default; thread counts exceeding the shard count are clamped
+//! to one thread per shard, and `Parallel(0)` is a typed
+//! [`error::EngineError::InvalidExecution`].  A detector panic on any pool
+//! lane surfaces as a typed [`error::EngineError::WorkerPanicked`], never a
+//! deadlocked coordinator, a leaked thread or an unwinding stage loop.
+//! Helper-thread lifecycle counts are per engine
+//! ([`QueryEngine::live_helper_threads`] /
+//! [`QueryEngine::spawned_helper_threads`]); the library keeps no global
+//! mutable state.
 //!
 //! ## Failure model
 //!
@@ -128,13 +142,16 @@
 //!   `per_call + per_frame × n` cost model (`exsample-detect`'s
 //!   `BatchingDetector`) is the batching win the `batched_detect` bench
 //!   axis measures.
-//! * [`QueryEngine::overlap`] pipelines stage `n + 1`'s SCHEDULE + PICK
-//!   against stage `n`'s in-flight DETECT; the cache probe rides inside the
+//! * [`QueryEngine::overlap`] is *where `plan` runs*: instead of planning
+//!   stage `n + 1` after stage `n` has settled, the loop plans it between
+//!   `launch(n)` and `land(n)` — while stage `n`'s DETECT is in flight on the
+//!   pool helpers.  Nothing else changes (the cache probe rides inside the
 //!   dispatched lanes and the commit stays a serial canonical-order
-//!   arbitration.  Stop decisions lag one stage (a query may overshoot
-//!   its budget by up to one stage's batch) — the one documented semantic
-//!   difference — and each overlapped configuration is itself
-//!   bitwise-deterministic across the whole execution matrix.
+//!   arbitration either way).  Stop decisions therefore lag one stage (a
+//!   query may overshoot its budget by up to one stage's batch) — the one
+//!   documented semantic difference — and each overlapped configuration is
+//!   itself bitwise-deterministic across the whole execution matrix and
+//!   pinned against a golden digest.
 //!
 //! Physical batch-size statistics (count/min/mean/max) flow through
 //! [`StageStats`], [`ShardReport`] and the [`merge`] layer as
@@ -159,7 +176,7 @@
 //! during the parallel DETECT dispatch, and all admissions/evictions are
 //! applied by a serial fixed-order commit transaction, so hit/miss/eviction
 //! accounting and the surviving entries are bitwise-identical across every
-//! thread count, stripe count and dispatch runtime.  An opt-in count-min
+//! thread count and stripe count.  An opt-in count-min
 //! frequency admission policy ([`AdmissionPolicy::Frequency`]) keeps a
 //! churning scan from evicting a hot working set.
 //!
@@ -199,6 +216,5 @@ pub use merge::{
     ShardedReport,
 };
 pub use policy::{ExSamplePolicy, FrameSamplerPolicy, MethodPolicy, SamplingPolicy};
-pub use runtime::{live_worker_threads, spawned_worker_threads, Dispatch};
 pub use scheduler::{BudgetProportional, QueryLoad, RoundRobin, StageScheduler};
 pub use shard::ShardRouter;

@@ -1,13 +1,14 @@
-//! The persistent worker-pool execution runtime.
+//! The persistent worker-pool execution runtime — the engine's one way of
+//! running a stage's DETECT on more than one thread.
 //!
-//! PR 4 ran the DETECT phase of a parallel stage on `std::thread::scope`
-//! threads spawned — and joined — *inside every stage*.  On the bench host
-//! that dispatch overhead dominated the simulated detector entirely: the
-//! `parallel_detect` rows of `BENCH_sharded.json` ran ~23–34% slower than
-//! serial, purely from per-stage thread spawn+join.  This module replaces
-//! per-stage spawning with a [`WorkerPool`] of long-lived worker threads
-//! created **once per engine run** and reused by every parallel stage of that
-//! run:
+//! Spawning and joining threads inside every stage costs more than a cheap
+//! detector does (the capture that introduced this pool measured ~+28 % over
+//! serial for per-stage spawns at 2 shards / 8 queries / 2 threads, against
+//! +1.2 % for the pool; the `parallel_detect_scoped` rows of
+//! `BENCH_sharded.json` are the last capture of that deleted design), so
+//! parallel runs use a [`WorkerPool`] of long-lived helper threads created
+//! **once per engine run** and reused by every stage of that run.  A serial run is simply the pool with zero helpers: the engine never
+//! spawns one and its stage loop detects every worker inline.
 //!
 //! * **Spawn once, dispatch many.**  [`crate::QueryEngine::run_with`] (and
 //!   [`crate::QueryEngine::run`]) open one `std::thread::scope` around the
@@ -17,6 +18,12 @@
 //!   on the already-running helpers' Mutex+Condvar **turnstiles** — a condvar
 //!   wake, not a thread spawn.  No busy-waiting anywhere: idle helpers are
 //!   parked in `Condvar::wait`.
+//! * **Two halves.**  `WorkerPool::dispatch_stage` queues the helpers'
+//!   chunks and returns; `WorkerPool::join_stage` detects the coordinator's
+//!   own chunk, collects the rest and reassembles the workers.  The engine's
+//!   stage loop calls them as its `launch` and `land` phases; whatever it
+//!   does in between (under [`crate::QueryEngine::overlap`]: planning the
+//!   next stage) runs alongside the helpers' DETECT.
 //! * **Help-first reclaim.**  After detecting its own chunk, the coordinator
 //!   *reclaims* any queued chunk whose helper has not started it and runs it
 //!   inline.  On a saturated or single-vCPU host — where a helper wake could
@@ -39,19 +46,20 @@
 //!   registration-order fan-out run on the coordinator exactly as in serial
 //!   mode, which is why pooled execution stays bitwise-identical to serial
 //!   (the determinism suite pins threads {1, 2, 4} × shards {1, 3, 7} × both
-//!   partitioners × both dispatch modes).
-//! * **Clean shutdown, typed panics.**  Helpers exit when the pool (and with
-//!   it every job `Sender`) is dropped — the engine guarantees this happens
-//!   before the scope closes, even if a stage errors or a caller hook panics,
-//!   so a run can never leak or deadlock its threads, and the scope joins
-//!   every helper before `run` returns.  A detector panic inside any lane
-//!   (helper *or* the coordinator's inline lane) is caught, the affected
-//!   workers are returned to the engine, and the stage surfaces
-//!   [`EngineError::WorkerPanicked`] instead of unwinding or hanging.
-//!
-//! [`Dispatch::Scoped`] keeps the legacy per-stage `std::thread::scope`
-//! behaviour selectable, so the `sharded` bench can track the dispatch
-//! overhead delta between the two runtimes.
+//!   partitioners).
+//! * **Clean shutdown, typed panics.**  Helpers exit when the pool is
+//!   dropped — the engine guarantees this happens before the scope closes,
+//!   even if a stage errors or a caller hook panics, so a run can never leak
+//!   or deadlock its threads, and the scope joins every helper before `run`
+//!   returns.  A detector panic inside any lane (helper *or* the
+//!   coordinator's inline lane) is caught, the affected workers are returned
+//!   to the engine, and the stage surfaces [`EngineError::WorkerPanicked`]
+//!   instead of unwinding or hanging.
+//! * **No global state.**  Helper-thread lifecycle counts live in a
+//!   `PoolCounters` handle owned by the engine (and shared with the pools
+//!   it spawns), read through [`crate::QueryEngine::live_helper_threads`] /
+//!   [`crate::QueryEngine::spawned_helper_threads`] — concurrent engines
+//!   never see each other's threads.
 
 use crate::cache::StripedDetectionCache;
 use crate::error::EngineError;
@@ -63,76 +71,47 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 
-/// How a parallel stage hands DETECT work to threads.
+/// Helper-thread lifecycle counters of one engine: how many of its pool
+/// helpers are alive right now, and how many it has ever spawned.
 ///
-/// Orthogonal to [`crate::ExecutionMode`]: the execution mode says *how many*
-/// threads run the shard workers' detect phases, the dispatch mode says *how
-/// work reaches them*.  Both modes are bitwise-identical in every observable
-/// result — the determinism suite pins pooled and scoped dispatch against
-/// serial execution over the full thread/shard/partitioner matrix — so the
-/// only difference is dispatch overhead, which the `sharded` bench's
-/// `parallel_detect` (pooled) vs `parallel_detect_scoped` (scoped) axes
-/// track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// Dispatch stages to a persistent [`WorkerPool`] spawned once per engine
-    /// run (the default).  Per-stage dispatch cost is a turnstile hand-off —
-    /// a mutex-guarded job slot and a condvar wake — per helper thread, and
-    /// chunks a helper has not started are reclaimed and run inline by the
-    /// coordinator.
-    #[default]
-    Pooled,
-    /// Spawn and join a fresh set of `std::thread::scope` threads in every
-    /// stage — the pre-runtime behaviour, kept selectable as the overhead
-    /// baseline.  A detector panic is caught on each scope thread and
-    /// surfaces as the same typed [`EngineError::WorkerPanicked`] the pooled
-    /// runtime reports (first panic in chunk order).
-    Scoped,
+/// Owned by the engine and shared with every pool it spawns (and, through
+/// [`LiveGuard`], with each helper thread), so the counts are per engine —
+/// tests asserting "no leaked threads" cannot be perturbed by another
+/// engine's pool running concurrently in the same process.
+#[derive(Debug, Default)]
+pub(crate) struct PoolCounters {
+    live: AtomicUsize,
+    spawned: AtomicUsize,
 }
 
-/// Live pool helper threads in this process (across all engines).
-///
-/// Incremented when a helper thread starts and decremented when it exits; the
-/// runtime lifecycle tests assert this returns to zero after every run, which
-/// is the "no leaked threads" guarantee made observable.
-static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+impl PoolCounters {
+    /// Helper threads currently alive.  Pools live only for the duration of
+    /// an engine run, so outside [`crate::QueryEngine::run`] this is zero.
+    pub(crate) fn live(&self) -> usize {
+        self.live.load(Ordering::SeqCst)
+    }
 
-/// Pool helper threads ever spawned in this process (cumulative).
-static SPAWNED_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of pool helper threads currently alive in this process.
-///
-/// Diagnostic for tests and telemetry: pools live only for the duration of an
-/// engine run, so outside any [`crate::QueryEngine::run`] call this is zero —
-/// repeated runs cannot accumulate threads.
-pub fn live_worker_threads() -> usize {
-    LIVE_WORKERS.load(Ordering::SeqCst)
+    /// Helper threads ever spawned: an `n`-way parallel run grows this by
+    /// exactly `n - 1`, however many stages it executes.
+    pub(crate) fn spawned(&self) -> usize {
+        self.spawned.load(Ordering::SeqCst)
+    }
 }
 
-/// Cumulative number of pool helper threads ever spawned in this process.
-///
-/// Diagnostic for tests and telemetry: an `n`-way parallel run grows this by
-/// exactly `n - 1` — once per run, regardless of how many stages the run
-/// executes — which is the runtime lifecycle tests' proof that per-stage
-/// thread spawning is gone.
-pub fn spawned_worker_threads() -> usize {
-    SPAWNED_WORKERS.load(Ordering::SeqCst)
-}
-
-/// RAII tally of a helper thread's lifetime in [`LIVE_WORKERS`].
-struct LiveGuard;
+/// RAII tally of a helper thread's lifetime in its [`PoolCounters`].
+struct LiveGuard(Arc<PoolCounters>);
 
 impl LiveGuard {
-    fn new() -> Self {
-        LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
-        SPAWNED_WORKERS.fetch_add(1, Ordering::SeqCst);
-        LiveGuard
+    fn new(counters: Arc<PoolCounters>) -> Self {
+        counters.live.fetch_add(1, Ordering::SeqCst);
+        counters.spawned.fetch_add(1, Ordering::SeqCst);
+        LiveGuard(counters)
     }
 }
 
 impl Drop for LiveGuard {
     fn drop(&mut self) {
-        LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
+        self.0.live.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -184,8 +163,7 @@ struct Done {
 }
 
 /// An in-flight dispatched stage: the handle [`WorkerPool::dispatch_stage`]
-/// (or [`WorkerPool::dispatch_whole`]) returns and exactly one
-/// [`WorkerPool::join_stage`] call consumes.  Between the two calls, chunks
+/// returns and exactly one [`WorkerPool::join_stage`] call consumes.  Between the two calls, chunks
 /// `1..` of the stage sit on (or run from) the helper turnstiles while chunk
 /// 0 still lives in the engine's worker vector — which is what lets the
 /// coordinator interleave other work (the next stage's PICK) with the
@@ -197,7 +175,7 @@ pub(crate) struct StageDispatch<'a> {
 
 /// Render a caught panic payload as the message carried by
 /// [`EngineError::WorkerPanicked`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(message) => *message,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -215,34 +193,45 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Each worker is probed exactly once per stage (the engine never
 /// pre-probes dispatched workers).  Typed detect failures are *not* errors
 /// here: they land on the workers themselves (tallies and
-/// [`ShardWorker::fatal`]) and the engine inspects them after the stage's
-/// detect pass — shared by both dispatch runtimes.
-pub(crate) fn detect_chunk(workers: &mut [ShardWorker], ctx: &StageCtx<'_>) -> Option<String> {
+/// [`ShardWorker::fatal`]) and the engine inspects them when it settles the
+/// stage.
+fn detect_chunk(workers: &mut [ShardWorker], ctx: &StageCtx<'_>) -> Option<String> {
     catch_unwind(AssertUnwindSafe(|| {
         for worker in workers.iter_mut() {
             worker.probe(&ctx.slots, ctx.coalesce, ctx.cache.as_deref());
         }
-        run_detect(workers, ctx)
-    }))
-    .err()
-    .map(panic_message)
-}
-
-/// The detect half of [`detect_chunk`] (after every worker in the chunk has
-/// probed).
-fn run_detect(workers: &mut [ShardWorker], ctx: &StageCtx<'_>) {
-    match ctx.aggregate {
-        Some(max_batch) => aggregate_detect(
+        run_detect(
             workers,
             &ctx.detectors,
             &ctx.slots,
             ctx.share_lanes,
             ctx.policy,
-            max_batch,
-        ),
+            ctx.aggregate,
+        )
+    }))
+    .err()
+    .map(panic_message)
+}
+
+/// The detect half of a lane (after every worker in it has probed): one
+/// cross-shard [`aggregate_detect`] over the lane's workers when `aggregate`
+/// carries a flush limit, otherwise each worker's own per-shard lanes.  Also
+/// what a helper-less (serial) stage runs inline over all workers.
+pub(crate) fn run_detect(
+    workers: &mut [ShardWorker],
+    detectors: &[&dyn Detector],
+    slots: &[u32],
+    share_lanes: bool,
+    policy: DetectPolicy,
+    aggregate: Option<usize>,
+) {
+    match aggregate {
+        Some(max_batch) => {
+            aggregate_detect(workers, detectors, slots, share_lanes, policy, max_batch)
+        }
         None => {
             for worker in workers.iter_mut() {
-                worker.detect(&ctx.detectors, &ctx.slots, ctx.share_lanes, ctx.policy);
+                worker.detect(detectors, slots, share_lanes, policy);
             }
         }
     }
@@ -357,6 +346,7 @@ impl<'a> WorkerPool<'a> {
     pub(crate) fn spawn<'scope, 'env>(
         scope: &'scope Scope<'scope, 'env>,
         helpers: usize,
+        counters: &Arc<PoolCounters>,
     ) -> WorkerPool<'a>
     where
         'a: 'scope,
@@ -370,9 +360,10 @@ impl<'a> WorkerPool<'a> {
                 });
                 let helper_slot = Arc::clone(&slot);
                 let done_tx = done_tx.clone();
+                let counters = Arc::clone(counters);
                 std::thread::Builder::new()
                     .name(format!("exsample-detect-{lane}"))
-                    .spawn_scoped(scope, move || helper_loop(&helper_slot, &done_tx))
+                    .spawn_scoped(scope, move || helper_loop(&helper_slot, &done_tx, counters))
                     .expect("spawn DETECT pool worker thread");
                 slot
             })
@@ -388,57 +379,42 @@ impl<'a> WorkerPool<'a> {
         }
     }
 
-    /// Execute one stage's detect pass across the pool: partition `workers`
-    /// into `threads` contiguous chunks, queue chunks `1..` on the helper
-    /// turnstiles, run chunk 0 inline on the calling thread, reclaim and run
-    /// any queued chunk its helper has not started, then reassemble `workers`
-    /// in shard order.
+    /// First half of a stage's detect pass: partition `workers` into one
+    /// contiguous chunk per lane (helpers + the coordinator), queue chunks
+    /// `1..` on the helper turnstiles and return the in-flight stage handle.
+    /// Chunk 0 stays in `workers`; it is detected by
+    /// [`WorkerPool::join_stage`], which must be called exactly once with the
+    /// returned handle (the coordinator may do other work — the next stage's
+    /// planning — in between).
     ///
-    /// `workers` is left in its original order with every worker's detect
-    /// pass executed — exactly what the serial loop and the scoped spawn
-    /// produce — so pooled dispatch is observably identical to both.
-    ///
-    /// Implemented as [`WorkerPool::dispatch_stage`] immediately followed by
-    /// [`WorkerPool::join_stage`]; overlap-mode stages call the two halves
-    /// themselves with the next stage's PICK in between.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::WorkerPanicked`] if any lane's detect pass
-    /// panicked (the first panic in chunk order wins).  All workers are
-    /// reassembled into `workers` even on error; the stage they carry is
-    /// incomplete, so the engine abandons it and surfaces the error.
-    pub(crate) fn run_stage(
-        &mut self,
-        workers: &mut Vec<ShardWorker>,
-        threads: usize,
-        ctx: StageCtx<'a>,
-    ) -> Result<(), EngineError> {
-        let dispatch = self.dispatch_stage(workers, threads, ctx);
-        self.join_stage(workers, dispatch)
-    }
-
-    /// First half of a stage's detect pass: queue chunks `1..` on the helper
-    /// turnstiles and return the in-flight stage handle.  Chunk 0 stays in
-    /// `workers`; it is detected by [`WorkerPool::join_stage`], which must be
-    /// called exactly once with the returned handle (the coordinator may do
-    /// other work — e.g. the next stage's PICK — in between).
+    /// An *aggregated* stage (`ctx.aggregate` set) is one serialised
+    /// cross-shard gather/scatter, so there is no partition to spread over
+    /// lanes: every worker ships as one job (chunk 1) to the first helper and
+    /// the coordinator's chunk 0 is empty — which still lets the coordinator
+    /// plan the next stage concurrently under overlap.  The job remains
+    /// reclaimable exactly like any queued chunk: on a saturated host
+    /// [`WorkerPool::join_stage`] takes it back and runs it inline, same two
+    /// mutex operations as ever.
     pub(crate) fn dispatch_stage(
         &mut self,
         workers: &mut Vec<ShardWorker>,
-        threads: usize,
         ctx: StageCtx<'a>,
     ) -> StageDispatch<'a> {
-        let total = workers.len();
-        let per_chunk = total.div_ceil(threads);
-        let chunks = total.div_ceil(per_chunk);
         debug_assert!(
-            chunks <= self.lanes.len() + 1,
-            "stage needs {chunks} lanes but the pool has {} helpers + 1 inline",
-            self.lanes.len()
+            !self.lanes.is_empty(),
+            "dispatching a stage needs at least one helper"
         );
         let ctx = Arc::new(ctx);
-        self.begin_dispatch();
-
+        self.dispatched_stages += 1;
+        if ctx.aggregate.is_some() {
+            let mut buf = self.spare.pop().unwrap_or_default();
+            buf.append(workers);
+            self.queue_chunk(1, buf, &ctx);
+            return StageDispatch { chunks: 2, ctx };
+        }
+        let total = workers.len();
+        let per_chunk = total.div_ceil(self.lanes.len() + 1);
+        let chunks = total.div_ceil(per_chunk);
         // Carve chunks 1.. off the tail (cheap: draining a suffix shifts
         // nothing) and queue them on their helper turnstiles; chunk 0 stays
         // in `workers`.  Every queued lane was left Idle by the previous
@@ -449,37 +425,6 @@ impl<'a> WorkerPool<'a> {
             self.queue_chunk(chunk, buf, &ctx);
         }
         StageDispatch { chunks, ctx }
-    }
-
-    /// Dispatch an *aggregated* stage: every worker ships as one job (chunk
-    /// 1) to the first helper, and the coordinator's inline chunk 0 is empty.
-    ///
-    /// Cross-shard aggregation turns the whole detect pass into one
-    /// serialised gather/scatter, so there is no partition to spread over
-    /// lanes — but shipping it to a helper lets the coordinator run the next
-    /// stage's PICK concurrently under overlap.  The job remains reclaimable
-    /// exactly like any queued chunk: on a saturated host
-    /// [`WorkerPool::join_stage`] takes it back and runs it inline, same two
-    /// mutex operations as ever.
-    pub(crate) fn dispatch_whole(
-        &mut self,
-        workers: &mut Vec<ShardWorker>,
-        ctx: StageCtx<'a>,
-    ) -> StageDispatch<'a> {
-        debug_assert!(
-            !self.lanes.is_empty(),
-            "dispatching a whole stage needs at least one helper"
-        );
-        let ctx = Arc::new(ctx);
-        self.begin_dispatch();
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.append(workers);
-        self.queue_chunk(1, buf, &ctx);
-        StageDispatch { chunks: 2, ctx }
-    }
-
-    fn begin_dispatch(&mut self) {
-        self.dispatched_stages += 1;
     }
 
     /// Queue one chunk on its helper's turnstile and wake the helper if it
@@ -510,7 +455,9 @@ impl<'a> WorkerPool<'a> {
 
     /// Second half of a stage's detect pass: detect chunk 0 inline, reclaim
     /// queued chunks whose helpers have not started, await the rest, and
-    /// reassemble `workers` in shard order.
+    /// reassemble `workers` in shard order — every worker's detect pass
+    /// executed, exactly what the serial loop produces, so pooled dispatch is
+    /// observably identical to it.
     ///
     /// # Errors
     /// Returns [`EngineError::WorkerPanicked`] if any lane's detect pass
@@ -593,8 +540,8 @@ impl<'a> WorkerPool<'a> {
 
 /// A helper thread's lifetime: block on the turnstile until a job is queued
 /// (or shutdown is signalled), run it, report the result, repeat.
-fn helper_loop(slot: &LaneSlot<'_>, done_tx: &Sender<Done>) {
-    let _live = LiveGuard::new();
+fn helper_loop(slot: &LaneSlot<'_>, done_tx: &Sender<Done>, counters: Arc<PoolCounters>) {
+    let _live = LiveGuard::new(counters);
     loop {
         let Job {
             chunk,
@@ -677,6 +624,16 @@ mod tests {
         }
     }
 
+    /// One stage's dispatch + join, back to back.
+    fn run_stage<'a>(
+        pool: &mut WorkerPool<'a>,
+        workers: &mut Vec<ShardWorker>,
+        ctx: StageCtx<'a>,
+    ) -> Result<(), EngineError> {
+        let dispatch = pool.dispatch_stage(workers, ctx);
+        pool.join_stage(workers, dispatch)
+    }
+
     /// A worker with `frames` routed into one lane of group 0, ready for a
     /// dispatched probe + detect pass (`detect_chunk` probes; pre-probing
     /// here would double the miss lists).
@@ -692,8 +649,9 @@ mod tests {
     #[test]
     fn pool_round_trips_workers_and_recycles_buffers() {
         let detector = NoopDetector(ObjectClass::from("car"));
+        let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(scope, 2);
+            let mut pool = WorkerPool::spawn(scope, 2, &counters);
             assert_eq!(pool.lanes.len(), 2);
             let mut workers: Vec<ShardWorker> = (0..3)
                 .map(|s| loaded_worker(s, &[s as u64, 10 + s as u64]))
@@ -708,7 +666,7 @@ mod tests {
                     cache: None,
                     coalesce: true,
                 };
-                pool.run_stage(&mut workers, 3, ctx).expect("no panics");
+                run_stage(&mut pool, &mut workers, ctx).expect("no panics");
                 // Shard order is restored exactly.
                 let shards: Vec<u32> = workers.iter().map(ShardWorker::shard).collect();
                 assert_eq!(shards, vec![0, 1, 2]);
@@ -722,15 +680,17 @@ mod tests {
             assert!(pool.spare.len() <= 2);
             drop(pool);
         });
-        assert_eq!(live_worker_threads(), 0);
+        assert_eq!(counters.live(), 0);
+        assert_eq!(counters.spawned(), 2, "helpers spawn once, not per stage");
     }
 
     #[test]
     fn helper_lane_panic_is_typed_and_workers_come_back() {
         let noop = NoopDetector(ObjectClass::from("car"));
         let bomb = BombDetector(ObjectClass::from("car"));
+        let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(scope, 1);
+            let mut pool = WorkerPool::spawn(scope, 1, &counters);
             // Chunk 0 (inline) uses the noop detector; chunk 1 (helper) gets
             // the bomb via its own worker's lane.
             let mut workers = vec![loaded_worker(0, &[1]), loaded_worker(1, &[2])];
@@ -751,7 +711,7 @@ mod tests {
                 worker.push_frame(1, 2);
                 worker
             };
-            let err = pool.run_stage(&mut workers, 2, ctx).unwrap_err();
+            let err = run_stage(&mut pool, &mut workers, ctx).unwrap_err();
             match err {
                 EngineError::WorkerPanicked { message } => {
                     assert!(message.contains("bomb detector"), "message: {message}")
@@ -764,14 +724,15 @@ mod tests {
             assert_eq!(workers[1].shard(), 1);
             drop(pool);
         });
-        assert_eq!(live_worker_threads(), 0);
+        assert_eq!(counters.live(), 0);
     }
 
     #[test]
     fn inline_lane_panic_is_typed_too() {
         let bomb = BombDetector(ObjectClass::from("car"));
+        let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(scope, 1);
+            let mut pool = WorkerPool::spawn(scope, 1, &counters);
             let mut workers = vec![loaded_worker(0, &[7]), loaded_worker(1, &[8])];
             let ctx = StageCtx {
                 detectors: vec![&bomb as &dyn Detector],
@@ -782,10 +743,10 @@ mod tests {
                 cache: None,
                 coalesce: true,
             };
-            let err = pool.run_stage(&mut workers, 2, ctx).unwrap_err();
+            let err = run_stage(&mut pool, &mut workers, ctx).unwrap_err();
             assert!(matches!(err, EngineError::WorkerPanicked { .. }));
             drop(pool);
         });
-        assert_eq!(live_worker_threads(), 0);
+        assert_eq!(counters.live(), 0);
     }
 }

@@ -21,11 +21,10 @@
 //!    detector invocations for the cache misses.  Phases 1 and 2 touch only
 //!    the worker's own lanes and tallies plus shared-and-`Sync` state (the
 //!    `&dyn Detector`s, the striped cache), so workers are data-independent
-//!    and the engine may run them concurrently in any order — on the
-//!    persistent per-run worker pool (`crate::runtime`, the default, where
-//!    whole `ShardWorker`s travel to the pool's lanes by value and their
-//!    buffers are recycled across stages) or on legacy per-stage
-//!    `std::thread::scope` threads;
+//!    and the engine may run them concurrently in any order on the
+//!    persistent per-run worker pool (`crate::runtime`, where whole
+//!    `ShardWorker`s travel to the pool's lanes by value and their buffers
+//!    are recycled across stages);
 //! 3. [`arbitrate_cache`] (serial, under one [`crate::cache::CacheTxn`]) —
 //!    the arbitration pass: collect every worker's recorded hits and fresh
 //!    results as intents, sort each kind into canonical `(slot, frame)`
@@ -294,7 +293,7 @@ pub(crate) fn arbitrate_cache(
 ///
 /// All scratch is worker-owned (detection buffer, per-group detected counts),
 /// so [`ShardWorker::detect`] needs no shared mutable state and the engine
-/// can run workers' detect phases on scoped threads.
+/// can run workers' detect phases on pool threads.
 #[derive(Debug)]
 pub(crate) struct ShardWorker {
     shard: u32,
@@ -406,8 +405,10 @@ impl ShardWorker {
         }
     }
 
-    /// Route one picked frame into the lane of logical group `group`.
-    #[inline]
+    /// Route one picked frame into the lane of logical group `group` (unit
+    /// tests load lanes directly; the engine stages whole lanes and hands
+    /// them over with [`ShardWorker::adopt_frames`]).
+    #[cfg(test)]
     pub(crate) fn push_frame(&mut self, group: usize, frame: FrameId) {
         self.lanes[group].frames.push(frame);
     }
@@ -500,7 +501,7 @@ impl ShardWorker {
     /// and its registry slot.  Touches only this worker's own lanes, scratch
     /// and tallies plus the shared (`Send + Sync`) detectors — no cache, no
     /// engine state — so the engine may run workers' detect phases
-    /// concurrently on scoped threads without changing any observable result.
+    /// concurrently on pool threads without changing any observable result.
     ///
     /// Detection may fail.  Each lane is first probed with one batched
     /// [`Detector::try_detect_batch`] call — the fault-free path, identical
@@ -542,28 +543,20 @@ impl ShardWorker {
             if share_lanes {
                 self.reuse_shared_lane(g, detector_slots);
             }
-            let lane = &mut self.lanes[g];
-            if lane.misses.is_empty() {
+            let misses = &self.lanes[g].misses;
+            if misses.is_empty() {
                 continue;
             }
+            let probed = misses.len() as u64;
             self.detect_buf.clear();
-            match detectors[g].try_detect_batch(&lane.misses, &mut self.detect_buf) {
+            let probe = detectors[g].try_detect_batch(misses, &mut self.detect_buf);
+            self.record_call(slot, probed);
+            match probe {
                 Ok(()) => {
                     // Fault-free path: identical bookkeeping to the
                     // pre-fault-tolerance engine.
-                    let detected = lane.misses.len() as u64;
-                    self.detector_calls += 1;
-                    self.detector_frames += detected;
-                    self.lane_detected[g] += detected;
-                    if self.per_detector.len() <= slot as usize {
-                        self.per_detector
-                            .resize(slot as usize + 1, WorkerDetectorTally::default());
-                    }
-                    let tally = &mut self.per_detector[slot as usize];
-                    tally.frames += detected;
-                    tally.calls += 1;
-                    self.stage_batches.record(detected);
-                    self.batches.record(detected);
+                    self.record_detected(g, slot, probed);
+                    let lane = &mut self.lanes[g];
                     lane.results.reserve(self.detect_buf.len());
                     for (&frame, detections) in lane.misses.iter().zip(self.detect_buf.drain(..)) {
                         lane.results.insert(frame, Arc::new(detections));
@@ -571,101 +564,25 @@ impl ShardWorker {
                 }
                 Err(_) => {
                     // The batch probe failed somewhere in the lane: fall back
-                    // to per-frame recovery.  Each frame's attempt history is
-                    // one probe plus its own per-frame tries, so tallies are
-                    // independent of lane/shard composition.
-                    let max_attempts = policy.max_attempts.max(1);
-                    let probe_frames = lane.misses.len() as u64;
-                    let mut physical_calls = 1u64; // the failed probe
-                    let mut ok_frames = 0u64;
-                    let mut lane_retries = 0u64;
-                    let mut lane_backoff = 0u64;
-                    let mut lane_failures = 0u64;
-                    let mut fatal: Option<DetectFailure> = None;
-                    let mut kept = 0usize;
-                    for idx in 0..lane.misses.len() {
-                        let frame = lane.misses[idx];
-                        let mut attempts = 0u32;
-                        let mut outcome: Result<FrameDetections, DetectError>;
-                        loop {
-                            attempts += 1;
-                            self.detect_buf.clear();
-                            match detectors[g].try_detect_batch(
-                                std::slice::from_ref(&frame),
-                                &mut self.detect_buf,
-                            ) {
-                                Ok(()) => {
-                                    outcome = Ok(self
-                                        .detect_buf
-                                        .pop()
-                                        .expect("one detection set per detected frame"));
-                                    break;
-                                }
-                                Err(err) => {
-                                    let transient = err.is_transient();
-                                    outcome = Err(err);
-                                    if !transient || attempts >= max_attempts {
-                                        break;
-                                    }
-                                    // The upcoming try is retry number
-                                    // `attempts` (1-based) for this frame.
-                                    lane_retries += 1;
-                                    lane_backoff += policy.retry_cost(attempts);
-                                }
-                            }
-                        }
-                        physical_calls += u64::from(attempts);
-                        match outcome {
-                            Ok(detections) => {
-                                lane.results.insert(frame, Arc::new(detections));
-                                lane.misses[kept] = frame;
-                                kept += 1;
-                                ok_frames += 1;
-                            }
-                            Err(error) => {
-                                lane_failures += 1;
-                                if policy.fail_fast {
-                                    fatal = Some(DetectFailure {
-                                        slot,
-                                        frame,
-                                        // Batch probe + per-frame tries.
-                                        attempts: attempts + 1,
-                                        error,
-                                    });
-                                    break;
-                                }
-                            }
+                    // to per-frame recovery, in lane order.  Each frame's
+                    // attempt history is one probe plus its own per-frame
+                    // tries, so tallies are independent of lane/shard
+                    // composition.
+                    for idx in 0..self.lanes[g].misses.len() {
+                        let frame = self.lanes[g].misses[idx];
+                        self.recover_frame(detectors[g], g, slot, frame, policy);
+                        if self.fatal.is_some() {
+                            break;
                         }
                     }
                     // Failed (and, under fail-fast, unprocessed) frames leave
                     // the miss list so they can never be committed to the
                     // cache or fanned out.
-                    lane.misses.truncate(kept);
-                    // One failed probe over the whole lane, then size-1
-                    // recovery calls.
-                    self.stage_batches.record(probe_frames);
-                    self.batches.record(probe_frames);
-                    self.stage_batches.record_repeat(1, physical_calls - 1);
-                    self.batches.record_repeat(1, physical_calls - 1);
-                    self.detector_calls += physical_calls;
-                    self.detector_frames += ok_frames;
-                    self.lane_detected[g] += ok_frames;
-                    self.lane_failed[g] += lane_failures;
-                    self.stage_retries += lane_retries;
-                    self.retries += lane_retries;
-                    self.stage_backoff += lane_backoff;
-                    self.backoff += lane_backoff;
-                    self.failed_frames += lane_failures;
-                    if self.per_detector.len() <= slot as usize {
-                        self.per_detector
-                            .resize(slot as usize + 1, WorkerDetectorTally::default());
-                    }
-                    let tally = &mut self.per_detector[slot as usize];
-                    tally.frames += ok_frames;
-                    tally.calls += physical_calls;
-                    tally.failures += lane_failures;
-                    if fatal.is_some() {
-                        self.fatal = fatal;
+                    let Lane {
+                        misses, results, ..
+                    } = &mut self.lanes[g];
+                    misses.retain(|frame| results.contains_key(frame));
+                    if self.fatal.is_some() {
                         return;
                     }
                 }
@@ -708,12 +625,18 @@ impl ShardWorker {
         });
     }
 
-    /// Per-frame recovery of one frame after a failed aggregated batch probe:
-    /// the exact per-frame loop of [`ShardWorker::detect`]'s error path,
-    /// charged to this worker (the frame's owner).  Because the frame's
-    /// attempt history is still one batch probe plus its own per-frame tries,
-    /// its tallies are identical to the per-shard path regardless of how the
-    /// aggregator composed the failed batch.
+    /// Per-frame recovery of one frame after a failed batch probe — the one
+    /// retry loop every detect path shares ([`ShardWorker::detect`]'s lanes,
+    /// [`aggregate_detect`]'s cross-shard batches and
+    /// [`ShardWorker::detect_direct`]), charged to this worker (the frame's
+    /// owner).  The frame is attempted individually up to
+    /// `policy.max_attempts` times (a permanent error stops retrying
+    /// immediately), each retry charging its deterministic backoff cost.
+    /// Because the frame's attempt history is always one batch probe plus its
+    /// own per-frame tries, its tallies are identical however the failed
+    /// batch was composed.  A recovered frame lands in the group's lane
+    /// results; an exhausted one gains no result and, under fail-fast, is
+    /// parked in [`ShardWorker::fatal`].
     fn recover_frame(
         &mut self,
         detector: &dyn Detector,
@@ -737,8 +660,7 @@ impl ShardWorker {
                         .expect("one detection set per detected frame"));
                 }
                 Err(err) => {
-                    let transient = err.is_transient();
-                    if !transient || attempts >= max_attempts {
+                    if !err.is_transient() || attempts >= max_attempts {
                         break Err(err);
                     }
                     // The upcoming try is retry number `attempts` (1-based).
@@ -749,17 +671,14 @@ impl ShardWorker {
         };
         self.detector_calls += u64::from(attempts);
         self.record_batches(1, u64::from(attempts));
+        self.per_detector_entry(slot).calls += u64::from(attempts);
         self.stage_retries += retries;
         self.retries += retries;
         self.stage_backoff += backoff;
         self.backoff += backoff;
         match outcome {
             Ok(detections) => {
-                self.detector_frames += 1;
-                self.lane_detected[group] += 1;
-                let tally = self.per_detector_entry(slot);
-                tally.frames += 1;
-                tally.calls += u64::from(attempts);
+                self.record_detected(group, slot, 1);
                 self.lanes[group]
                     .results
                     .insert(frame, Arc::new(detections));
@@ -767,9 +686,7 @@ impl ShardWorker {
             Err(error) => {
                 self.failed_frames += 1;
                 self.lane_failed[group] += 1;
-                let tally = self.per_detector_entry(slot);
-                tally.failures += 1;
-                tally.calls += u64::from(attempts);
+                self.per_detector_entry(slot).failures += 1;
                 if policy.fail_fast {
                     self.fatal = Some(DetectFailure {
                         slot,
@@ -783,6 +700,40 @@ impl ShardWorker {
         }
     }
 
+    /// The fast path's DETECT: one batched call over a single query's picks,
+    /// in pick order, straight into `out` — no coalescing, result map or
+    /// `Arc` per frame (see the engine's stage planning for when it is
+    /// taken).  Returns whether `out` now holds one detection set per pick.
+    ///
+    /// A failed probe falls back to [`ShardWorker::recover_frame`] for every
+    /// pick, so the recovered frames (and any fail-fast failure) land in lane
+    /// 0 exactly as [`ShardWorker::detect`] would have left them and the
+    /// caller fans out through the lane like any 1-shard stage.
+    pub(crate) fn detect_direct(
+        &mut self,
+        detector: &dyn Detector,
+        slot: DetectorSlot,
+        picks: &[FrameId],
+        policy: DetectPolicy,
+        out: &mut Vec<FrameDetections>,
+    ) -> bool {
+        out.clear();
+        let probe = detector.try_detect_batch(picks, out);
+        self.record_call(slot, picks.len() as u64);
+        if probe.is_ok() {
+            self.record_detected(0, slot, picks.len() as u64);
+            return true;
+        }
+        out.clear();
+        for &frame in picks {
+            self.recover_frame(detector, 0, slot, frame, policy);
+            if self.fatal.is_some() {
+                break;
+            }
+        }
+        false
+    }
+
     fn per_detector_entry(&mut self, slot: DetectorSlot) -> &mut WorkerDetectorTally {
         if self.per_detector.len() <= slot as usize {
             self.per_detector
@@ -793,9 +744,25 @@ impl ShardWorker {
 
     /// Record `count` physical invocations of `frames` frames each into this
     /// shard's batch statistics (stage and cumulative).
-    pub(crate) fn record_batches(&mut self, frames: u64, count: u64) {
+    fn record_batches(&mut self, frames: u64, count: u64) {
         self.stage_batches.record_repeat(frames, count);
         self.batches.record_repeat(frames, count);
+    }
+
+    /// Record one physical batched invocation of `frames` frames against
+    /// registry slot `slot`, whatever its outcome.
+    fn record_call(&mut self, slot: DetectorSlot, frames: u64) {
+        self.detector_calls += 1;
+        self.record_batches(frames, 1);
+        self.per_detector_entry(slot).calls += 1;
+    }
+
+    /// Record `frames` successfully detected frames of logical group `group`
+    /// (registry slot `slot`).
+    fn record_detected(&mut self, group: usize, slot: DetectorSlot, frames: u64) {
+        self.detector_frames += frames;
+        self.lane_detected[group] += frames;
+        self.per_detector_entry(slot).frames += frames;
     }
 
     /// Adopt a staged frame buffer as the lane of logical group `group`,
@@ -881,14 +848,6 @@ impl ShardWorker {
         self.lane_failed.iter().sum()
     }
 
-    /// Whether any lane has unresolved frames for [`ShardWorker::detect`]
-    /// this stage (only meaningful after [`ShardWorker::probe`] ran).
-    pub(crate) fn has_misses(&self) -> bool {
-        self.lanes[..self.live_lanes]
-            .iter()
-            .any(|lane| !lane.misses.is_empty())
-    }
-
     /// Whether any lane has routed frames this stage (the cache-off
     /// pre-dispatch work check: no frames means dispatch would only run
     /// no-ops).
@@ -927,41 +886,6 @@ impl ShardWorker {
             .get(group)
             .and_then(|lane| lane.results.get(&frame))
             .map(Arc::as_ref)
-    }
-
-    /// Record a direct (fast-path) detection that bypassed the lane
-    /// machinery: the single-active-query, single-shard stage.
-    pub(crate) fn record_direct(&mut self, slot: DetectorSlot, frames: u64, calls: u64) {
-        self.detector_frames += frames;
-        self.detector_calls += calls;
-        if self.per_detector.len() <= slot as usize {
-            self.per_detector
-                .resize(slot as usize + 1, WorkerDetectorTally::default());
-        }
-        let tally = &mut self.per_detector[slot as usize];
-        tally.frames += frames;
-        tally.calls += calls;
-    }
-
-    /// Record fault telemetry for a direct (fast-path) detection that
-    /// bypassed the lane machinery.
-    pub(crate) fn record_direct_faults(
-        &mut self,
-        slot: DetectorSlot,
-        retries: u64,
-        backoff: u64,
-        failures: u64,
-    ) {
-        self.stage_retries += retries;
-        self.retries += retries;
-        self.stage_backoff += backoff;
-        self.backoff += backoff;
-        self.failed_frames += failures;
-        if self.per_detector.len() <= slot as usize {
-            self.per_detector
-                .resize(slot as usize + 1, WorkerDetectorTally::default());
-        }
-        self.per_detector[slot as usize].failures += failures;
     }
 
     /// Record one observed frame (and any newly found instances) for query
@@ -1062,10 +986,7 @@ pub(crate) fn aggregate_detect(
             let probe = detectors[g].try_detect_batch(&batch_frames, &mut detect_buf);
             // The physical call belongs to the shard owning the batch's
             // first frame.
-            let first = &mut workers[batch_owners[0]];
-            first.detector_calls += 1;
-            first.record_batches(batch_frames.len() as u64, 1);
-            first.per_detector_entry(slot).calls += 1;
+            workers[batch_owners[0]].record_call(slot, batch_frames.len() as u64);
             match probe {
                 Ok(()) => {
                     for ((&frame, &w), detections) in batch_frames
@@ -1074,9 +995,7 @@ pub(crate) fn aggregate_detect(
                         .zip(detect_buf.drain(..))
                     {
                         let worker = &mut workers[w];
-                        worker.detector_frames += 1;
-                        worker.lane_detected[g] += 1;
-                        worker.per_detector_entry(slot).frames += 1;
+                        worker.record_detected(g, slot, 1);
                         worker.lanes[g].results.insert(frame, Arc::new(detections));
                     }
                 }

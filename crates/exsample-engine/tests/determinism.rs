@@ -15,9 +15,8 @@
 //!    (`ExecutionMode::Parallel`) is bitwise-identical to serial execution —
 //!    merged reports, per-query pick sequences, and logical *and* physical
 //!    invocation counts — over the full matrix of threads {1, 2, 4} ×
-//!    shards {1, 3, 7} × both partitioners × both dispatch runtimes (the
-//!    persistent per-run worker pool, `Dispatch::Pooled`, and the legacy
-//!    per-stage scoped spawn, `Dispatch::Scoped`); and
+//!    shards {1, 3, 7} × both partitioners (serial runs detect inline,
+//!    parallel runs on the persistent per-run worker pool); and
 //! 5. aggregation invariance: cross-shard batch aggregation
 //!    (`QueryEngine::aggregation`) — unbounded and with a max-batch cap —
 //!    leaves picks and merged reports bitwise-identical to the unaggregated
@@ -26,13 +25,16 @@
 //! 6. overlap determinism: stage-overlapped runs (`QueryEngine::overlap`) are
 //!    *not* pick-for-pick with non-overlapped runs (stop decisions lag one
 //!    stage by design) but are bitwise-identical to each other across the
-//!    full execution matrix, with and without aggregation; and
+//!    full execution matrix, with and without aggregation — and match a
+//!    golden digest captured from the engine's former separate overlapped
+//!    stage loop, so the one-stage-stale stop behaviour is pinned
+//!    independently of the loop it now shares with every other run; and
 //! 7. cache-axis determinism: with the lock-striped detections cache enabled
 //!    (small enough to evict), merged reports, per-query pick sequences, and
 //!    the cache accounting itself (hits/misses/evictions/admission rejects,
 //!    globally and per shard) are bitwise-identical across
-//!    threads {1, 2, 4} × shards {1, 3, 7} × both partitioners × both
-//!    dispatch runtimes × overlap on/off × aggregation on/off — and the
+//!    threads {1, 2, 4} × shards {1, 3, 7} × both partitioners × overlap
+//!    on/off × aggregation on/off — and the
 //!    frequency-admission policy preserves the same guarantee.
 
 use exsample_core::{ExSample, ExSampleConfig};
@@ -40,9 +42,9 @@ use exsample_detect::{
     Detector, FrameDetections, GroundTruth, ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    run_query, AdmissionPolicy, BatchAggregation, CacheConfig, Dispatch, EngineReport,
-    ExSamplePolicy, ExecutionMode, FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec,
-    RoundRobin, SamplingPolicy, ShardRouter, ShardedReport, StopReason,
+    run_query, AdmissionPolicy, BatchAggregation, CacheConfig, EngineReport, ExSamplePolicy,
+    ExecutionMode, FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RoundRobin,
+    SamplingPolicy, ShardRouter, ShardedReport, StopReason,
 };
 use exsample_track::{Discriminator, MatchOutcome, OracleDiscriminator};
 use exsample_video::{
@@ -570,15 +572,14 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
 
     for shards in [1u32, 3, 7] {
         for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            let run = |mode: ExecutionMode, dispatch: Dispatch| {
+            let run = |mode: ExecutionMode| {
                 let spec = ShardSpec::new(partitioner, chunking.len(), shards);
                 let router = ShardRouter::new(&chunking, &spec).unwrap();
                 let (specs, logs) = recorded_specs(&chunking, frames, &detector);
                 let mut engine = QueryEngine::new()
                     .sharded(router)
                     .execution(mode)
-                    .expect("valid execution mode")
-                    .dispatch(dispatch);
+                    .expect("valid execution mode");
                 for spec in specs {
                     engine.push(spec).unwrap();
                 }
@@ -591,7 +592,7 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
             // The serial sharded run is the reference the parallel runs must
             // reproduce *including* the per-shard physical breakdown (which
             // legitimately differs from the 1-shard baseline's).
-            let (serial, serial_picks) = run(ExecutionMode::Serial, Dispatch::Pooled);
+            let (serial, serial_picks) = run(ExecutionMode::Serial);
             assert_eq!(serial_picks, baseline_picks);
             assert_engine_reports_equal(
                 &serial.report,
@@ -600,26 +601,18 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
             );
 
             for threads in [1usize, 2, 4] {
-                for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                    let context =
-                        format!("{partitioner:?}/{shards} shards/{threads} threads/{dispatch:?}");
-                    let (parallel, parallel_picks) =
-                        run(ExecutionMode::Parallel(threads), dispatch);
-                    // Per-query pick sequences, frame for frame.
-                    assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                    // Merged report, per-shard breakdowns and physical
-                    // invocation counts, all bitwise against the serial
-                    // sharded run …
-                    assert_sharded_reports_equal(&parallel, &serial, &context);
-                    // … and the logical view bitwise against the unsharded
-                    // run.
-                    assert_engine_reports_equal(
-                        &parallel.report,
-                        &baseline_merged.report,
-                        &context,
-                    );
-                    assert!(parallel.physical_detector_calls >= parallel.report.detector_calls);
-                }
+                let context = format!("{partitioner:?}/{shards} shards/{threads} threads");
+                let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+                // Per-query pick sequences, frame for frame.
+                assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
+                // Merged report, per-shard breakdowns and physical
+                // invocation counts, all bitwise against the serial
+                // sharded run …
+                assert_sharded_reports_equal(&parallel, &serial, &context);
+                // … and the logical view bitwise against the unsharded
+                // run.
+                assert_engine_reports_equal(&parallel.report, &baseline_merged.report, &context);
+                assert!(parallel.physical_detector_calls >= parallel.report.detector_calls);
             }
         }
     }
@@ -658,7 +651,7 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
     ] {
         for shards in [1u32, 3, 7] {
             for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let run = |mode: ExecutionMode, dispatch: Dispatch| {
+                let run = |mode: ExecutionMode| {
                     let spec = ShardSpec::new(partitioner, chunking.len(), shards);
                     let router = ShardRouter::new(&chunking, &spec).unwrap();
                     let (specs, logs) = recorded_specs(&chunking, frames, &detector);
@@ -666,8 +659,7 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
                         .sharded(router)
                         .aggregation(Some(aggregation))
                         .execution(mode)
-                        .expect("valid execution mode")
-                        .dispatch(dispatch);
+                        .expect("valid execution mode");
                     for spec in specs {
                         engine.push(spec).unwrap();
                     }
@@ -681,7 +673,7 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
                 // logical report must match the unaggregated baseline
                 // exactly, for any layout.
                 let context = format!("{partitioner:?}/{shards} shards/{aggregation:?}");
-                let (serial, serial_picks) = run(ExecutionMode::Serial, Dispatch::Pooled);
+                let (serial, serial_picks) = run(ExecutionMode::Serial);
                 assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
                 assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
                 if aggregation == BatchAggregation::unbounded() {
@@ -697,15 +689,12 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
                 }
 
                 // And the physical breakdown itself is invariant across
-                // thread counts and dispatch runtimes at a fixed layout.
+                // thread counts at a fixed layout.
                 for threads in [1usize, 2, 4] {
-                    for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                        let context = format!("{context}/{threads} threads/{dispatch:?}");
-                        let (parallel, parallel_picks) =
-                            run(ExecutionMode::Parallel(threads), dispatch);
-                        assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                        assert_sharded_reports_equal(&parallel, &serial, &context);
-                    }
+                    let context = format!("{context}/{threads} threads");
+                    let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+                    assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
+                    assert_sharded_reports_equal(&parallel, &serial, &context);
                 }
             }
         }
@@ -744,7 +733,7 @@ fn overlapped_runs_are_deterministic_across_the_matrix() {
     for aggregation in [None, Some(BatchAggregation::unbounded())] {
         for shards in [1u32, 3, 7] {
             for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let run = |mode: ExecutionMode, dispatch: Dispatch| {
+                let run = |mode: ExecutionMode| {
                     let spec = ShardSpec::new(partitioner, chunking.len(), shards);
                     let router = ShardRouter::new(&chunking, &spec).unwrap();
                     let (specs, logs) = recorded_specs(&chunking, frames, &detector);
@@ -753,8 +742,7 @@ fn overlapped_runs_are_deterministic_across_the_matrix() {
                         .overlap(true)
                         .aggregation(aggregation)
                         .execution(mode)
-                        .expect("valid execution mode")
-                        .dispatch(dispatch);
+                        .expect("valid execution mode");
                     for spec in specs {
                         engine.push(spec).unwrap();
                     }
@@ -765,23 +753,20 @@ fn overlapped_runs_are_deterministic_across_the_matrix() {
                 };
 
                 let context = format!("{partitioner:?}/{shards} shards/{aggregation:?}");
-                let (serial, serial_picks) = run(ExecutionMode::Serial, Dispatch::Pooled);
+                let (serial, serial_picks) = run(ExecutionMode::Serial);
                 assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
                 assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
 
                 for threads in [1usize, 2, 4] {
-                    for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                        let context = format!("{context}/{threads} threads/{dispatch:?}");
-                        let (parallel, parallel_picks) =
-                            run(ExecutionMode::Parallel(threads), dispatch);
-                        assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                        assert_sharded_reports_equal(&parallel, &serial, &context);
-                        assert_engine_reports_equal(
-                            &parallel.report,
-                            &baseline_merged.report,
-                            &context,
-                        );
-                    }
+                    let context = format!("{context}/{threads} threads");
+                    let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+                    assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
+                    assert_sharded_reports_equal(&parallel, &serial, &context);
+                    assert_engine_reports_equal(
+                        &parallel.report,
+                        &baseline_merged.report,
+                        &context,
+                    );
                 }
             }
         }
@@ -833,7 +818,7 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
         for aggregation in [None, Some(BatchAggregation::unbounded())] {
             for shards in [1u32, 3, 7] {
                 for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                    let run = |mode: ExecutionMode, dispatch: Dispatch| {
+                    let run = |mode: ExecutionMode| {
                         let spec = ShardSpec::new(partitioner, chunking.len(), shards);
                         let router = ShardRouter::new(&chunking, &spec).unwrap();
                         let (specs, logs) = recorded_specs(&chunking, frames, &detector);
@@ -843,8 +828,7 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
                             .aggregation(aggregation)
                             .cache_capacity(MATRIX_CACHE_CAPACITY)
                             .execution(mode)
-                            .expect("valid execution mode")
-                            .dispatch(dispatch);
+                            .expect("valid execution mode");
                         for spec in specs {
                             engine.push(spec).unwrap();
                         }
@@ -857,7 +841,7 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
                     let context = format!(
                         "cached/overlap {overlap}/{partitioner:?}/{shards} shards/{aggregation:?}"
                     );
-                    let (serial, serial_picks) = run(ExecutionMode::Serial, Dispatch::Pooled);
+                    let (serial, serial_picks) = run(ExecutionMode::Serial);
                     assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
                     // The merged report comparison includes the global cache
                     // accounting — identical across shard counts, not just
@@ -865,20 +849,17 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
                     assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
 
                     for threads in [1usize, 2, 4] {
-                        for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                            let context = format!("{context}/{threads} threads/{dispatch:?}");
-                            let (parallel, parallel_picks) =
-                                run(ExecutionMode::Parallel(threads), dispatch);
-                            assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                            // Per-shard breakdowns carry per-shard cache
-                            // tallies; this comparison pins those too.
-                            assert_sharded_reports_equal(&parallel, &serial, &context);
-                            assert_engine_reports_equal(
-                                &parallel.report,
-                                &baseline_merged.report,
-                                &context,
-                            );
-                        }
+                        let context = format!("{context}/{threads} threads");
+                        let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+                        assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
+                        // Per-shard breakdowns carry per-shard cache
+                        // tallies; this comparison pins those too.
+                        assert_sharded_reports_equal(&parallel, &serial, &context);
+                        assert_engine_reports_equal(
+                            &parallel.report,
+                            &baseline_merged.report,
+                            &context,
+                        );
                     }
                 }
             }
@@ -901,7 +882,7 @@ fn frequency_admission_runs_are_bitwise_identical_across_threads() {
             .stripes(4)
             .admission(AdmissionPolicy::Frequency)
     };
-    let run = |mode: ExecutionMode, dispatch: Dispatch| {
+    let run = |mode: ExecutionMode| {
         let spec = ShardSpec::new(ShardPartitioner::RoundRobin, chunking.len(), 3);
         let router = ShardRouter::new(&chunking, &spec).unwrap();
         let (specs, logs) = recorded_specs(&chunking, frames, &detector);
@@ -910,8 +891,7 @@ fn frequency_admission_runs_are_bitwise_identical_across_threads() {
             .cache_config(config())
             .expect("valid cache config")
             .execution(mode)
-            .expect("valid execution mode")
-            .dispatch(dispatch);
+            .expect("valid execution mode");
         for spec in specs {
             engine.push(spec).unwrap();
         }
@@ -920,18 +900,16 @@ fn frequency_admission_runs_are_bitwise_identical_across_threads() {
         (engine.report_sharded(), picks)
     };
 
-    let (serial, serial_picks) = run(ExecutionMode::Serial, Dispatch::Pooled);
+    let (serial, serial_picks) = run(ExecutionMode::Serial);
     assert!(
         serial.report.cache.misses > 0,
         "frequency admission: no cache traffic"
     );
     for threads in [1usize, 2, 4] {
-        for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-            let context = format!("frequency admission/{threads} threads/{dispatch:?}");
-            let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads), dispatch);
-            assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
-            assert_sharded_reports_equal(&parallel, &serial, &context);
-        }
+        let context = format!("frequency admission/{threads} threads");
+        let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+        assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
+        assert_sharded_reports_equal(&parallel, &serial, &context);
     }
 }
 
@@ -958,4 +936,104 @@ fn round_robin_scheduler_reproduces_the_default_pick_sequences() {
     let (explicit_report, explicit_picks) = run(true);
     assert_engine_reports_equal(&explicit_report, &default_report, "explicit round-robin");
     assert_eq!(explicit_picks, default_picks);
+}
+
+/// FNV-1a over a pick sequence — a dependency-free, platform-stable digest.
+fn pick_hash(picks: &[FrameId]) -> u64 {
+    picks
+        .iter()
+        .flat_map(|frame| frame.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `(stages, per-query (frames_processed, stop_reason, true_found, pick hash),
+/// cache (hits, misses, evictions))` of one run.
+type RunDigest = (
+    u64,
+    Vec<(u64, Option<StopReason>, usize, u64)>,
+    (u64, u64, u64),
+);
+
+#[test]
+fn overlapped_runs_match_the_golden_digest() {
+    // Overlapped runs are otherwise only compared with their own serial run,
+    // which shares the stage loop with them.  These constants were captured
+    // from the pre-unification engine (the separate `drive_overlapped` loop),
+    // so they pin the one-stage-stale stop behaviour independently: an
+    // overlapped query overshoots its budget/limit by exactly the picks the
+    // old loop drew.
+    let frames = 4_000u64;
+    let (chunking, truth) = skewed_setup(frames, 21);
+    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
+    let digest = |full: bool| -> RunDigest {
+        let spec = ShardSpec::new(ShardPartitioner::RoundRobin, chunking.len(), 3);
+        let (specs, logs) = recorded_specs(&chunking, frames, &detector);
+        let mut engine = QueryEngine::new()
+            .sharded(ShardRouter::new(&chunking, &spec).unwrap())
+            .overlap(true);
+        if full {
+            engine = engine
+                .aggregation(Some(BatchAggregation::unbounded()))
+                .cache_capacity(MATRIX_CACHE_CAPACITY)
+                .execution(ExecutionMode::Parallel(2))
+                .expect("valid execution mode");
+        }
+        for spec in specs {
+            engine.push(spec).unwrap();
+        }
+        let report = engine.run().unwrap();
+        let queries = report
+            .outcomes
+            .iter()
+            .zip(&logs)
+            .map(|(q, log)| {
+                (
+                    q.frames_processed,
+                    q.stop_reason,
+                    q.true_found,
+                    pick_hash(&log.borrow()),
+                )
+            })
+            .collect();
+        let cache = report.cache;
+        (
+            report.stages,
+            queries,
+            (cache.hits, cache.misses, cache.evictions),
+        )
+    };
+
+    let plain = digest(false);
+    let full = digest(true);
+    // `random` (budget 500, batch 4) stops at 504: the overlapped stop check
+    // runs one stage late.  Picks are execution-invariant, so the two runs
+    // share every per-query value and differ only in cache traffic.
+    let queries = vec![
+        (
+            64,
+            Some(StopReason::ResultLimitReached),
+            13,
+            12_905_561_523_152_941_025,
+        ),
+        (
+            504,
+            Some(StopReason::FrameBudgetExhausted),
+            13,
+            10_197_240_609_292_110_657,
+        ),
+        (
+            64,
+            Some(StopReason::ResultLimitReached),
+            13,
+            14_619_544_510_407_229_637,
+        ),
+    ];
+    assert_eq!(plain, (126, queries.clone(), (0, 0, 0)), "overlapped");
+    assert_eq!(
+        full,
+        (126, queries, (7, 624, 368)),
+        "overlapped + aggregated + cached"
+    );
 }

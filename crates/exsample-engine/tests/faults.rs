@@ -7,7 +7,7 @@
 //!    degraded runs under [`FailureMode::DropFrames`] are bitwise-identical —
 //!    merged reports, per-shard breakdowns, retry/backoff/failure/drop
 //!    tallies — across shard counts {1, 3, 7} × threads {1, 2, 4} × both
-//!    partitioners × both dispatch runtimes;
+//!    partitioners;
 //! 3. **quarantine** — a detector exceeding its failure threshold is disabled
 //!    for the rest of the run, its queries stop with
 //!    [`StopReason::DetectorQuarantined`], other queries are untouched, and
@@ -15,8 +15,9 @@
 //! 4. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
 //!    first terminal failure (in shard order) as a typed
 //!    [`EngineError::DetectorFailed`] with full context and a chained source,
-//!    identically across thread counts and dispatch runtimes at a fixed shard
-//!    layout;
+//!    identically across thread counts at a fixed shard layout — and by the
+//!    fast path, the lane path and the aggregated path alike, which share one
+//!    per-frame retry loop;
 //! 5. **cache hygiene** — failed frames are never committed to the detection
 //!    cache (a warm re-query re-attempts and re-drops exactly them), while
 //!    frames recovered by a retry are committed exactly once (a warm re-query
@@ -24,7 +25,7 @@
 //! 6. **cache determinism under faults** — with the striped detections cache
 //!    enabled and small enough to evict, degraded runs keep every tally
 //!    (including the cache's own hit/miss/eviction accounting) bitwise-
-//!    identical across the shard × thread × partitioner × dispatch matrix.
+//!    identical across the shard × thread × partitioner matrix.
 
 use exsample_core::ExSampleConfig;
 use exsample_detect::{
@@ -32,8 +33,8 @@ use exsample_detect::{
     ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    BatchAggregation, Dispatch, EngineError, EngineReport, ExSamplePolicy, ExecutionMode,
-    FailureMode, FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter,
+    BatchAggregation, EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode,
+    FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter,
     ShardedReport, StopReason,
 };
 use exsample_video::{Chunking, ChunkingPolicy, ShardPartitioner, ShardSpec, VideoRepository};
@@ -221,30 +222,26 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
 
-    let sharded_run =
-        |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode, dispatch: Dispatch| {
-            let detector = faulty_detector(&truth, faulty_plan());
-            let mut engine = QueryEngine::new()
-                .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-                .failure_mode(FailureMode::DropFrames);
-            if let Some((partitioner, shards)) = shards {
-                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-            }
-            engine = engine
-                .execution(mode)
-                .expect("valid execution mode")
-                .dispatch(dispatch);
-            for spec in fault_specs(&chunking, frames, &detector) {
-                engine.push(spec).unwrap();
-            }
-            let _ = engine.run().unwrap();
-            engine.report_sharded()
-        };
+    let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
+        let detector = faulty_detector(&truth, faulty_plan());
+        let mut engine = QueryEngine::new()
+            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
+            .failure_mode(FailureMode::DropFrames);
+        if let Some((partitioner, shards)) = shards {
+            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+            engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
+        }
+        engine = engine.execution(mode).expect("valid execution mode");
+        for spec in fault_specs(&chunking, frames, &detector) {
+            engine.push(spec).unwrap();
+        }
+        let _ = engine.run().unwrap();
+        engine.report_sharded()
+    };
 
     // Baseline: unsharded, serial.  The assertions below are only meaningful
     // if the plan genuinely degraded the run, so pin that first.
-    let baseline = sharded_run(None, ExecutionMode::Serial, Dispatch::Pooled);
+    let baseline = sharded_run(None, ExecutionMode::Serial);
     assert!(
         baseline.report.detect_retries > 0,
         "plan scheduled no transient faults — the matrix would be vacuous"
@@ -277,28 +274,20 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
             // The serial sharded run is the per-layout reference: parallel
             // runs must reproduce its per-shard breakdown bitwise, and its
             // merged view must equal the unsharded baseline's.
-            let serial = sharded_run(
-                Some((partitioner, shards)),
-                ExecutionMode::Serial,
-                Dispatch::Pooled,
-            );
+            let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
             assert_engine_reports_equal(
                 &serial.report,
                 &baseline.report,
                 &format!("{partitioner:?}/{shards} shards serial vs unsharded"),
             );
             for threads in [1usize, 2, 4] {
-                for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                    let context =
-                        format!("{partitioner:?}/{shards} shards/{threads} threads/{dispatch:?}");
-                    let parallel = sharded_run(
-                        Some((partitioner, shards)),
-                        ExecutionMode::Parallel(threads),
-                        dispatch,
-                    );
-                    assert_sharded_reports_equal(&parallel, &serial, &context);
-                    assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
-                }
+                let context = format!("{partitioner:?}/{shards} shards/{threads} threads");
+                let parallel = sharded_run(
+                    Some((partitioner, shards)),
+                    ExecutionMode::Parallel(threads),
+                );
+                assert_sharded_reports_equal(&parallel, &serial, &context);
+                assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
             }
         }
     }
@@ -312,30 +301,26 @@ fn degraded_runs_with_the_striped_cache_stay_deterministic() {
     // The same degraded matrix as above with the striped detections cache in
     // the loop (small enough to evict): retries, drops, cache hygiene and the
     // cache accounting itself must all stay bitwise-identical across shard
-    // layouts, thread counts and dispatch runtimes.
-    let sharded_run =
-        |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode, dispatch: Dispatch| {
-            let detector = faulty_detector(&truth, faulty_plan());
-            let mut engine = QueryEngine::new()
-                .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-                .failure_mode(FailureMode::DropFrames)
-                .cache_capacity(256);
-            if let Some((partitioner, shards)) = shards {
-                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-            }
-            engine = engine
-                .execution(mode)
-                .expect("valid execution mode")
-                .dispatch(dispatch);
-            for spec in fault_specs(&chunking, frames, &detector) {
-                engine.push(spec).unwrap();
-            }
-            let _ = engine.run().unwrap();
-            engine.report_sharded()
-        };
+    // layouts and thread counts.
+    let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
+        let detector = faulty_detector(&truth, faulty_plan());
+        let mut engine = QueryEngine::new()
+            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
+            .failure_mode(FailureMode::DropFrames)
+            .cache_capacity(256);
+        if let Some((partitioner, shards)) = shards {
+            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+            engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
+        }
+        engine = engine.execution(mode).expect("valid execution mode");
+        for spec in fault_specs(&chunking, frames, &detector) {
+            engine.push(spec).unwrap();
+        }
+        let _ = engine.run().unwrap();
+        engine.report_sharded()
+    };
 
-    let baseline = sharded_run(None, ExecutionMode::Serial, Dispatch::Pooled);
+    let baseline = sharded_run(None, ExecutionMode::Serial);
     assert!(
         baseline.report.detect_retries > 0,
         "plan scheduled no transient faults — the matrix would be vacuous"
@@ -351,29 +336,20 @@ fn degraded_runs_with_the_striped_cache_stay_deterministic() {
 
     for shards in [1u32, 3, 7] {
         for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            let serial = sharded_run(
-                Some((partitioner, shards)),
-                ExecutionMode::Serial,
-                Dispatch::Pooled,
-            );
+            let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
             assert_engine_reports_equal(
                 &serial.report,
                 &baseline.report,
                 &format!("cached {partitioner:?}/{shards} shards serial vs unsharded"),
             );
             for threads in [1usize, 2, 4] {
-                for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                    let context = format!(
-                        "cached {partitioner:?}/{shards} shards/{threads} threads/{dispatch:?}"
-                    );
-                    let parallel = sharded_run(
-                        Some((partitioner, shards)),
-                        ExecutionMode::Parallel(threads),
-                        dispatch,
-                    );
-                    assert_sharded_reports_equal(&parallel, &serial, &context);
-                    assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
-                }
+                let context = format!("cached {partitioner:?}/{shards} shards/{threads} threads");
+                let parallel = sharded_run(
+                    Some((partitioner, shards)),
+                    ExecutionMode::Parallel(threads),
+                );
+                assert_sharded_reports_equal(&parallel, &serial, &context);
+                assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
             }
         }
     }
@@ -396,31 +372,27 @@ fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
         (true, None),
         (true, Some(BatchAggregation::unbounded())),
     ] {
-        let sharded_run =
-            |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode, dispatch: Dispatch| {
-                let detector = faulty_detector(&truth, faulty_plan());
-                let mut engine = QueryEngine::new()
-                    .overlap(overlap)
-                    .aggregation(aggregation)
-                    .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-                    .failure_mode(FailureMode::DropFrames);
-                if let Some((partitioner, shards)) = shards {
-                    let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                    engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-                }
-                engine = engine
-                    .execution(mode)
-                    .expect("valid execution mode")
-                    .dispatch(dispatch);
-                for spec in fault_specs(&chunking, frames, &detector) {
-                    engine.push(spec).unwrap();
-                }
-                let _ = engine.run().unwrap();
-                engine.report_sharded()
-            };
+        let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
+            let detector = faulty_detector(&truth, faulty_plan());
+            let mut engine = QueryEngine::new()
+                .overlap(overlap)
+                .aggregation(aggregation)
+                .retry_policy(RetryPolicy::new(3).backoff_cost(4))
+                .failure_mode(FailureMode::DropFrames);
+            if let Some((partitioner, shards)) = shards {
+                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+                engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
+            }
+            engine = engine.execution(mode).expect("valid execution mode");
+            for spec in fault_specs(&chunking, frames, &detector) {
+                engine.push(spec).unwrap();
+            }
+            let _ = engine.run().unwrap();
+            engine.report_sharded()
+        };
 
         let knobs = format!("overlap={overlap}/aggregation={aggregation:?}");
-        let baseline = sharded_run(None, ExecutionMode::Serial, Dispatch::Pooled);
+        let baseline = sharded_run(None, ExecutionMode::Serial);
         assert!(
             baseline.report.detect_retries > 0,
             "{knobs}: no transient faults — the matrix would be vacuous"
@@ -442,50 +414,60 @@ fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
 
         for shards in [1u32, 3, 7] {
             for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let serial = sharded_run(
-                    Some((partitioner, shards)),
-                    ExecutionMode::Serial,
-                    Dispatch::Pooled,
-                );
+                let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
                 assert_engine_reports_equal(
                     &serial.report,
                     &baseline.report,
                     &format!("{knobs}/{partitioner:?}/{shards} shards serial vs unsharded"),
                 );
                 for threads in [1usize, 2, 4] {
-                    for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                        let context = format!(
-                            "{knobs}/{partitioner:?}/{shards} shards/{threads} threads/{dispatch:?}"
-                        );
-                        let parallel = sharded_run(
-                            Some((partitioner, shards)),
-                            ExecutionMode::Parallel(threads),
-                            dispatch,
-                        );
-                        assert_sharded_reports_equal(&parallel, &serial, &context);
-                        assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
-                    }
+                    let context =
+                        format!("{knobs}/{partitioner:?}/{shards} shards/{threads} threads");
+                    let parallel = sharded_run(
+                        Some((partitioner, shards)),
+                        ExecutionMode::Parallel(threads),
+                    );
+                    assert_sharded_reports_equal(&parallel, &serial, &context);
+                    assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
                 }
             }
         }
     }
 }
 
+/// The three DETECT paths a single-query engine can take.
+#[derive(Debug, Clone, Copy)]
+enum DetectPath {
+    /// No cache, unsharded: one batched call straight over the pick buffer.
+    Fast,
+    /// A 1-shard chunking router (which routes and bounds) forces the lanes.
+    Lane,
+    /// Cross-shard aggregation forces the lanes and gathers their misses.
+    Aggregated,
+}
+
 #[test]
 fn fast_path_fault_recovery_matches_the_lane_path() {
-    // A single query, no cache, unsharded: the engine's single-batch fast
-    // path.  Its per-frame recovery must be bitwise-identical to the shard
-    // lane path (forced here via a 1-shard router, which routes and bounds).
+    // All three paths recover a failed batch probe through the one shared
+    // per-frame retry loop, so a degraded run must be bitwise-identical
+    // whichever path detected it.
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 12);
-    let run = |fast: bool| {
+    let run = |path: DetectPath, failure: FailureMode, coalesce: bool| {
         let detector = faulty_detector(&truth, faulty_plan());
         let mut engine = QueryEngine::new()
             .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(FailureMode::DropFrames);
-        if !fast {
-            let spec = ShardSpec::contiguous(chunking.len(), 1);
-            engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
+            .failure_mode(failure)
+            .coalesce(coalesce);
+        match path {
+            DetectPath::Fast => {}
+            DetectPath::Lane => {
+                let spec = ShardSpec::contiguous(chunking.len(), 1);
+                engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
+            }
+            DetectPath::Aggregated => {
+                engine = engine.aggregation(Some(BatchAggregation::unbounded()));
+            }
         }
         engine
             .push(
@@ -499,13 +481,35 @@ fn fast_path_fault_recovery_matches_the_lane_path() {
                 .frame_budget(600),
             )
             .unwrap();
-        engine.run().unwrap()
+        engine.run()
     };
-    let fast = run(true);
-    let lane = run(false);
+    let degraded = |path| run(path, FailureMode::DropFrames, true).unwrap();
+    let fast = degraded(DetectPath::Fast);
     assert!(fast.detect_retries > 0, "vacuous: no retries exercised");
     assert!(fast.failed_frames > 0, "vacuous: no failures exercised");
-    assert_engine_reports_equal(&fast, &lane, "fast path vs 1-shard lane path");
+    for path in [DetectPath::Lane, DetectPath::Aggregated] {
+        assert_engine_reports_equal(&fast, &degraded(path), &format!("fast path vs {path:?}"));
+    }
+
+    // Fail-fast: the same frame, after the same number of attempts, is
+    // reported by every path.  Coalescing is off so the lanes keep pick order
+    // like the fast path does (a coalesced lane sorts its frames, and which
+    // of a stage's failing frames is met *first* depends on the order).
+    let fatal = |path| match run(path, FailureMode::FailFast, false) {
+        Err(EngineError::DetectorFailed {
+            frame,
+            attempts,
+            source,
+            ..
+        }) => (frame, attempts, source),
+        other => panic!("{path:?}: expected DetectorFailed, got {other:?}"),
+    };
+    let (frame, attempts, source) = fatal(DetectPath::Fast);
+    assert_eq!(attempts, 2, "batch probe + one per-frame try");
+    assert!(matches!(source, DetectError::Permanent { .. }));
+    for path in [DetectPath::Lane, DetectPath::Aggregated] {
+        assert_eq!(fatal(path), (frame, attempts, source.clone()), "{path:?}");
+    }
 }
 
 #[test]
@@ -514,7 +518,7 @@ fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
     let (chunking, truth) = skewed_setup(frames, 12);
     let plan = FaultPlan::new(FAULT_SEED).permanent_rate(0.30);
 
-    let run = |shards: u32, threads: usize, dispatch: Dispatch| {
+    let run = |shards: u32, threads: usize| {
         let faulty = faulty_detector(&truth, plan);
         let clean = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("person"));
         let spec = ShardSpec::contiguous(chunking.len(), shards);
@@ -525,8 +529,7 @@ fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
                 failure_threshold: 4,
             })
             .execution(ExecutionMode::Parallel(threads))
-            .expect("valid execution mode")
-            .dispatch(dispatch);
+            .expect("valid execution mode");
         engine
             .push(
                 QuerySpec::new(
@@ -554,7 +557,7 @@ fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
         engine.run().unwrap()
     };
 
-    let baseline = run(1, 1, Dispatch::Pooled);
+    let baseline = run(1, 1);
     let doomed = &baseline.outcomes[0];
     let spared = &baseline.outcomes[1];
     assert_eq!(
@@ -580,11 +583,9 @@ fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
     // so the whole degraded outcome is invariant across the execution matrix.
     for shards in [1u32, 3, 7] {
         for threads in [1usize, 2, 4] {
-            for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-                let context = format!("{shards} shards/{threads} threads/{dispatch:?}");
-                let report = run(shards, threads, dispatch);
-                assert_engine_reports_equal(&report, &baseline, &context);
-            }
+            let context = format!("{shards} shards/{threads} threads");
+            let report = run(shards, threads);
+            assert_engine_reports_equal(&report, &baseline, &context);
         }
     }
 }
@@ -595,15 +596,14 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
     let (chunking, truth) = skewed_setup(frames, 12);
     let plan = FaultPlan::new(FAULT_SEED).permanent_rate(0.10);
 
-    let run = |threads: usize, dispatch: Dispatch| {
+    let run = |threads: usize| {
         let detector = faulty_detector(&truth, plan);
         let spec = ShardSpec::contiguous(chunking.len(), 3);
         let mut engine = QueryEngine::new()
             .sharded(ShardRouter::new(&chunking, &spec).unwrap())
             .retry_policy(RetryPolicy::new(3).backoff_cost(2))
             .execution(ExecutionMode::Parallel(threads))
-            .expect("valid execution mode")
-            .dispatch(dispatch);
+            .expect("valid execution mode");
         engine
             .push(
                 QuerySpec::new(
@@ -627,7 +627,7 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
         }
     };
 
-    let (class, frame, attempts, source) = run(1, Dispatch::Pooled);
+    let (class, frame, attempts, source) = run(1);
     assert_eq!(class, "car");
     assert!(
         matches!(source, DetectError::Permanent { .. }),
@@ -649,16 +649,14 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
     assert!(chained.to_string().contains("permanent"));
 
     // At a fixed shard layout the first fatal frame (shard order) is pinned
-    // across thread counts and dispatch runtimes.
+    // across thread counts.
     for threads in [1usize, 2, 4] {
-        for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-            let (c, f, a, s) = run(threads, dispatch);
-            let context = format!("{threads} threads/{dispatch:?}");
-            assert_eq!(c, class, "{context}: class");
-            assert_eq!(f, frame, "{context}: frame");
-            assert_eq!(a, attempts, "{context}: attempts");
-            assert_eq!(s, source, "{context}: source");
-        }
+        let (c, f, a, s) = run(threads);
+        let context = format!("{threads} threads");
+        assert_eq!(c, class, "{context}: class");
+        assert_eq!(f, frame, "{context}: frame");
+        assert_eq!(a, attempts, "{context}: attempts");
+        assert_eq!(s, source, "{context}: source");
     }
 }
 

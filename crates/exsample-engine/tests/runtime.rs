@@ -1,9 +1,11 @@
 //! Lifecycle guarantees of the persistent worker-pool runtime:
 //!
 //! 1. pool helper threads are spawned once per run — not per stage — and live
-//!    exactly as long as the run that spawned them: repeated pooled runs and
-//!    engine drops leak no threads (observable via [`live_worker_threads`] /
-//!    [`spawned_worker_threads`], which count helpers process-wide);
+//!    exactly as long as the run that spawned them: repeated pooled runs
+//!    leak no threads (observable via
+//!    [`QueryEngine::live_helper_threads`] /
+//!    [`QueryEngine::spawned_helper_threads`], which count the engine's own
+//!    helpers — so these tests need no lock against each other);
 //! 2. a panicking detector on any lane — a helper thread *or* the
 //!    coordinator's inline lane — surfaces as a typed
 //!    [`EngineError::WorkerPanicked`] carrying the panic message, never a
@@ -19,24 +21,17 @@
 //! 5. the stripe count is invisible to accounting: stripes only shard the
 //!    probe-time locks, so stripe counts {1, 2, 8, 64} produce bitwise-
 //!    identical cache tallies and reports, serial or parallel.
-//!
-//! Every test in this file takes the local [`POOL_LOCK`] mutex: the
-//! spawn/live counters are process-wide, so any test that runs a pooled
-//! engine could otherwise perturb a concurrently-running test's assertions.
 
 use exsample_detect::{
     Detector, FrameDetections, GroundTruth, ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    live_worker_threads, spawned_worker_threads, BatchAggregation, CacheConfig, Dispatch,
-    EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec, ShardRouter,
+    BatchAggregation, CacheConfig, EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine,
+    QuerySpec, ShardRouter,
 };
 use exsample_video::{Chunking, ChunkingPolicy, FrameId, ShardSpec, VideoRepository};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Serialises the tests that read the process-wide live-helper counter.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn setup(frames: u64, chunks: u32) -> (Chunking, Arc<GroundTruth>) {
     let repo = VideoRepository::single_clip(frames);
@@ -116,10 +111,8 @@ fn pooled_engine<'a>(chunking: &Chunking, shards: u32, threads: usize) -> QueryE
 
 #[test]
 fn repeated_pooled_runs_leak_no_threads() {
-    let _serial = POOL_LOCK.lock().unwrap();
     let frames = 2_000u64;
     let (chunking, truth) = setup(frames, 9);
-    assert_eq!(live_worker_threads(), 0, "helpers alive before any run");
     for round in 0..5 {
         let detector = ObservantDetector::new(Arc::clone(&truth));
         let mut engine = pooled_engine(&chunking, 3, 3);
@@ -137,7 +130,7 @@ fn repeated_pooled_runs_leak_no_threads() {
                 )
                 .unwrap();
         }
-        let spawned_before = spawned_worker_threads();
+        assert_eq!(engine.live_helper_threads(), 0, "helpers alive before run");
         let report = engine.run().unwrap();
         let stages = report.stages;
         assert_eq!(report.outcomes.len(), 2);
@@ -148,27 +141,23 @@ fn repeated_pooled_runs_leak_no_threads() {
             "the spawn-per-run check needs a multi-stage run"
         );
         // Exactly n - 1 = 2 helpers were spawned for the whole run — once per
-        // run, NOT once per stage (the per-stage scoped runtime this replaces
-        // would have spawned ~3 × stages threads here).
+        // run, NOT once per stage.
         assert_eq!(
-            spawned_worker_threads() - spawned_before,
+            engine.spawned_helper_threads(),
             2,
             "round {round}: expected one helper spawn set per run ({stages} stages)"
         );
         // The run's scope joined its helpers before `run` returned.
         assert_eq!(
-            live_worker_threads(),
+            engine.live_helper_threads(),
             0,
             "round {round} leaked pool threads past run()"
         );
-        drop(engine);
-        assert_eq!(live_worker_threads(), 0, "round {round} leaked on drop");
     }
 }
 
 #[test]
 fn helper_lane_detector_panic_is_a_typed_error() {
-    let _serial = POOL_LOCK.lock().unwrap();
     let frames = 3_000u64;
     let (chunking, truth) = setup(frames, 9);
     // Contiguous 3-shard split: the last third of the frame range lives on
@@ -202,13 +191,11 @@ fn helper_lane_detector_panic_is_a_typed_error() {
         ref other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     assert!(err.to_string().contains("worker lane panicked"));
-    drop(engine);
-    assert_eq!(live_worker_threads(), 0, "panic leaked pool threads");
+    assert_eq!(engine.live_helper_threads(), 0, "panic leaked pool threads");
 }
 
 #[test]
 fn inline_lane_detector_panic_is_a_typed_error() {
-    let _serial = POOL_LOCK.lock().unwrap();
     let frames = 3_000u64;
     let (chunking, truth) = setup(frames, 9);
     // Panic on the *first* third of the range: shard 0, the coordinator's
@@ -235,58 +222,11 @@ fn inline_lane_detector_panic_is_a_typed_error() {
         matches!(err, EngineError::WorkerPanicked { .. }),
         "expected WorkerPanicked, got {err:?}"
     );
-    drop(engine);
-    assert_eq!(live_worker_threads(), 0, "panic leaked pool threads");
-}
-
-#[test]
-fn scoped_dispatch_detector_panic_is_a_typed_error() {
-    let _serial = POOL_LOCK.lock().unwrap();
-    let frames = 3_000u64;
-    let (chunking, truth) = setup(frames, 9);
-    // Regression: scoped dispatch used to let a detector panic unwind out of
-    // its `std::thread::scope` — the engine aborted the process's test thread
-    // instead of returning a typed error like the pooled runtime.  Both
-    // runtimes now catch panics on every lane; pin the scoped one too, for a
-    // panic on a spawned lane (last third of a contiguous split) and the
-    // message contract shared with the pooled path.
-    let detector = BombDetector {
-        inner: PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),
-        panic_at: frames * 2 / 3,
-    };
-    let mut engine = pooled_engine(&chunking, 3, 3).dispatch(Dispatch::Scoped);
-    engine
-        .push(
-            QuerySpec::new(
-                "doomed",
-                Box::new(FrameSamplerPolicy::uniform(frames)),
-                &detector,
-            )
-            .seed(7)
-            .batch(64)
-            .frame_budget(500),
-        )
-        .unwrap();
-    let err = engine.run().unwrap_err();
-    match err {
-        EngineError::WorkerPanicked { ref message } => {
-            assert!(
-                message.contains("bomb detector refuses frame"),
-                "unexpected message: {message}"
-            );
-        }
-        ref other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
-    assert_eq!(
-        engine.pooled_stage_dispatches(),
-        0,
-        "scoped dispatch must not touch the pool"
-    );
+    assert_eq!(engine.live_helper_threads(), 0, "panic leaked pool threads");
 }
 
 #[test]
 fn fully_cache_warm_stages_skip_pool_dispatch() {
-    let _serial = POOL_LOCK.lock().unwrap();
     let frames = 400u64;
     let (chunking, truth) = setup(frames, 9);
     let detector = ObservantDetector::new(Arc::clone(&truth));
@@ -339,13 +279,12 @@ fn fully_cache_warm_stages_skip_pool_dispatch() {
 
 #[test]
 fn warm_stages_skip_dispatch_under_overlap_and_aggregation() {
-    let _serial = POOL_LOCK.lock().unwrap();
     let frames = 400u64;
     let (chunking, truth) = setup(frames, 9);
     let detector = ObservantDetector::new(Arc::clone(&truth));
-    // Overlap moves the cache probe to the commit boundary and aggregation
-    // funnels DETECT through a single `dispatch_whole` pool job — neither may
-    // cost a warm stage a dispatch (or a detector call).
+    // Overlap plans the next stage mid-DETECT and aggregation funnels DETECT
+    // through a single pool job — neither may cost a warm stage a dispatch
+    // (or a detector call).
     let mut engine = pooled_engine(&chunking, 3, 3)
         .cache_capacity(4_096)
         .overlap(true)
@@ -398,21 +337,19 @@ fn warm_stages_skip_dispatch_under_overlap_and_aggregation() {
 
 #[test]
 fn overlapped_cache_accounting_is_execution_invariant() {
-    let _serial = POOL_LOCK.lock().unwrap();
     let frames = 400u64;
     let (chunking, truth) = setup(frames, 9);
     // A cold run followed by a warm re-query on the same overlapped engine:
     // the in-lane probes must produce bitwise-identical hit/miss/eviction
-    // tallies (and reports) whether DETECT runs serial, pooled, scoped, or
+    // tallies (and reports) whether DETECT runs serial, pooled, or
     // aggregated.
-    let run = |mode: ExecutionMode, dispatch: Dispatch, aggregation: Option<BatchAggregation>| {
+    let run = |mode: ExecutionMode, aggregation: Option<BatchAggregation>| {
         let detector = ObservantDetector::new(Arc::clone(&truth));
         let spec = ShardSpec::contiguous(chunking.len(), 3);
         let mut engine = QueryEngine::new()
             .sharded(ShardRouter::new(&chunking, &spec).unwrap())
             .execution(mode)
             .expect("valid execution mode")
-            .dispatch(dispatch)
             .cache_capacity(64)
             .overlap(true)
             .aggregation(aggregation);
@@ -433,31 +370,29 @@ fn overlapped_cache_accounting_is_execution_invariant() {
         let stats = engine.cache_stats().expect("cache is configured");
         (stats, engine.report_sharded())
     };
-    let (reference_stats, reference) = run(ExecutionMode::Serial, Dispatch::Pooled, None);
+    let (reference_stats, reference) = run(ExecutionMode::Serial, None);
     // Capacity 64 over 400 frames: the run genuinely exercises eviction, and
     // the warm query still lands some hits.
     assert!(reference_stats.hits > 0, "warm query never hit the cache");
     assert!(reference_stats.evictions > 0, "cache never evicted");
     for threads in [1usize, 2, 4] {
-        for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-            for aggregation in [None, Some(BatchAggregation::unbounded())] {
-                let context = format!("{threads} threads/{dispatch:?}/{aggregation:?}");
-                let (stats, report) = run(ExecutionMode::Parallel(threads), dispatch, aggregation);
-                assert_eq!(stats, reference_stats, "{context}: cache accounting");
-                assert_eq!(
-                    report.report.outcomes.len(),
-                    reference.report.outcomes.len()
-                );
-                for (a, b) in report
-                    .report
-                    .outcomes
-                    .iter()
-                    .zip(&reference.report.outcomes)
-                {
-                    assert_eq!(a.frames_processed, b.frames_processed, "{context}: frames");
-                    assert_eq!(a.trajectory, b.trajectory, "{context}: trajectory");
-                    assert_eq!(a.stop_reason, b.stop_reason, "{context}: stop reason");
-                }
+        for aggregation in [None, Some(BatchAggregation::unbounded())] {
+            let context = format!("{threads} threads/{aggregation:?}");
+            let (stats, report) = run(ExecutionMode::Parallel(threads), aggregation);
+            assert_eq!(stats, reference_stats, "{context}: cache accounting");
+            assert_eq!(
+                report.report.outcomes.len(),
+                reference.report.outcomes.len()
+            );
+            for (a, b) in report
+                .report
+                .outcomes
+                .iter()
+                .zip(&reference.report.outcomes)
+            {
+                assert_eq!(a.frames_processed, b.frames_processed, "{context}: frames");
+                assert_eq!(a.trajectory, b.trajectory, "{context}: trajectory");
+                assert_eq!(a.stop_reason, b.stop_reason, "{context}: stop reason");
             }
         }
     }
@@ -465,7 +400,6 @@ fn overlapped_cache_accounting_is_execution_invariant() {
 
 #[test]
 fn stripe_count_never_changes_cache_accounting() {
-    let _serial = POOL_LOCK.lock().unwrap();
     let frames = 400u64;
     let (chunking, truth) = setup(frames, 9);
     // The stripe count only controls probe-time lock granularity; recency,
@@ -518,47 +452,5 @@ fn stripe_count_never_changes_cache_accounting() {
             }
             assert_eq!(report.report.cache, reference.report.cache, "{context}");
         }
-    }
-}
-
-#[test]
-fn pooled_and_scoped_dispatch_agree_and_default_is_pooled() {
-    let _serial = POOL_LOCK.lock().unwrap();
-    let frames = 2_000u64;
-    let (chunking, truth) = setup(frames, 9);
-    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
-    let run = |dispatch: Dispatch| {
-        let mut engine = pooled_engine(&chunking, 3, 2).dispatch(dispatch);
-        assert_eq!(engine.dispatch_mode(), dispatch);
-        engine
-            .push(
-                QuerySpec::new(
-                    "q",
-                    Box::new(FrameSamplerPolicy::uniform(frames)),
-                    &detector,
-                )
-                .seed(13)
-                .batch(16)
-                .frame_budget(300),
-            )
-            .unwrap();
-        let _ = engine.run().unwrap();
-        (engine.report_sharded(), engine.pooled_stage_dispatches())
-    };
-    assert_eq!(QueryEngine::new().dispatch_mode(), Dispatch::Pooled);
-    let (pooled, pooled_dispatches) = run(Dispatch::Pooled);
-    let (scoped, scoped_dispatches) = run(Dispatch::Scoped);
-    assert!(pooled_dispatches > 0, "default dispatch must use the pool");
-    assert_eq!(scoped_dispatches, 0, "scoped dispatch must bypass the pool");
-    assert_eq!(pooled.shards, scoped.shards);
-    assert_eq!(
-        pooled.physical_detector_calls,
-        scoped.physical_detector_calls
-    );
-    for (a, b) in pooled.report.outcomes.iter().zip(&scoped.report.outcomes) {
-        assert_eq!(a.frames_processed, b.frames_processed);
-        assert_eq!(a.found_instances, b.found_instances);
-        assert_eq!(a.trajectory, b.trajectory);
-        assert_eq!(a.stop_reason, b.stop_reason);
     }
 }

@@ -13,15 +13,14 @@
 //! chunk axis split across two shard workers — to show that sharding changes
 //! *where* detector work executes (the per-shard breakdown) but not a single
 //! query outcome, and once more with the two shard workers' DETECT phases
-//! running on scoped threads (`ExecutionMode::Parallel`), which changes
-//! nothing observable at all.
+//! running on the run's worker pool (`ExecutionMode::Parallel`), which
+//! changes nothing observable at all.
 
 use exsample::core::ExSampleConfig;
 use exsample::data::{Dataset, GridWorkload, SkewLevel};
 use exsample::detect::PerfectDetector;
 use exsample::engine::{
-    Dispatch, ExSamplePolicy, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec,
-    ShardRouter,
+    ExSamplePolicy, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec, ShardRouter,
 };
 use exsample::video::ShardSpec;
 use std::sync::Arc;
@@ -162,49 +161,40 @@ fn main() {
         merged.shard_overhead_calls()
     );
 
-    // 5. The same 2-shard run with the workers' DETECT phases on two worker
-    //    threads — under the default persistent per-run worker pool, and
-    //    again under the legacy per-stage scoped spawn.  Parallel execution
-    //    reorders *work*, never results: either way the merged report —
-    //    outcomes, per-shard breakdown, physical invocation counts — is
-    //    bitwise-identical to the serial sharded run.
+    // 5. The same 2-shard run with the workers' DETECT phases on two threads
+    //    of the run's persistent worker pool.  Parallel execution reorders
+    //    *work*, never results: the merged report — outcomes, per-shard
+    //    breakdown, physical invocation counts — is bitwise-identical to the
+    //    serial sharded run.
     println!("\n2-shard run with 2 DETECT worker threads:");
-    for dispatch in [Dispatch::Pooled, Dispatch::Scoped] {
-        let router = ShardRouter::new(dataset.chunking(), &spec).expect("spec matches chunking");
-        let mut parallel = QueryEngine::new()
-            .sharded(router)
-            .execution(ExecutionMode::Parallel(2))
-            .expect("a positive thread count is valid")
-            .dispatch(dispatch);
-        push_queries(&mut parallel, &dataset, &detector, limit, budget);
-        let _ = parallel.run().expect("queries registered");
-        let parallel_merged = parallel.report_sharded();
+    let router = ShardRouter::new(dataset.chunking(), &spec).expect("spec matches chunking");
+    let mut parallel = QueryEngine::new()
+        .sharded(router)
+        .execution(ExecutionMode::Parallel(2))
+        .expect("a positive thread count is valid");
+    push_queries(&mut parallel, &dataset, &detector, limit, budget);
+    let _ = parallel.run().expect("queries registered");
+    let parallel_merged = parallel.report_sharded();
 
-        for (a, b) in parallel_merged
-            .report
-            .outcomes
-            .iter()
-            .zip(&merged.report.outcomes)
-        {
-            assert_eq!(a.frames_processed, b.frames_processed);
-            assert_eq!(a.found_instances, b.found_instances);
-            assert_eq!(a.trajectory, b.trajectory);
-            assert_eq!(a.stop_reason, b.stop_reason);
-        }
-        assert_eq!(parallel_merged.shards, merged.shards);
-        assert_eq!(
-            parallel_merged.physical_detector_calls,
-            merged.physical_detector_calls
-        );
-        match dispatch {
-            Dispatch::Pooled => assert!(
-                parallel.pooled_stage_dispatches() > 0,
-                "the default dispatch runs stages on the persistent pool"
-            ),
-            Dispatch::Scoped => assert_eq!(parallel.pooled_stage_dispatches(), 0),
-        }
-        println!(
-            "  {dispatch:?} dispatch: bitwise-identical to the serial sharded run, down to the per-shard breakdown"
-        );
+    for (a, b) in parallel_merged
+        .report
+        .outcomes
+        .iter()
+        .zip(&merged.report.outcomes)
+    {
+        assert_eq!(a.frames_processed, b.frames_processed);
+        assert_eq!(a.found_instances, b.found_instances);
+        assert_eq!(a.trajectory, b.trajectory);
+        assert_eq!(a.stop_reason, b.stop_reason);
     }
+    assert_eq!(parallel_merged.shards, merged.shards);
+    assert_eq!(
+        parallel_merged.physical_detector_calls,
+        merged.physical_detector_calls
+    );
+    assert!(
+        parallel.pooled_stage_dispatches() > 0,
+        "parallel stages run on the persistent pool"
+    );
+    println!("  bitwise-identical to the serial sharded run, down to the per-shard breakdown");
 }
