@@ -15,23 +15,18 @@
 //! * `--shards N` — shard the engine's DETECT phase across N workers
 //!   (contiguous-range chunk assignment; results are bitwise-identical to the
 //!   unsharded run, only the per-shard cost breakdown changes).
-//! * `--parallel N` — run the shard workers' detector invocations on up to N
-//!   worker-pool threads per stage (no flag = serial; `--parallel 0` is
-//!   rejected with the engine's typed `InvalidExecution` message; thread
-//!   counts beyond the shard count are clamped by the engine; results are
+//! * `--parallel N` — cut each stage's detector invocations over N lanes (the
+//!   calling thread plus N − 1 worker-pool threads), with or without
+//!   `--shards` (no flag = serial; `--parallel 0` is rejected with the
+//!   engine's typed `InvalidExecution` message; results are
 //!   bitwise-identical to serial execution).
 //! * `--overlap` — run each stage's PICK concurrently with the previous
 //!   stage's DETECT (stop decisions lag one stage, by design; a given
 //!   overlapped configuration is still bitwise-deterministic).
-//! * `--aggregate` — aggregate every shard's per-stage detector demand into
-//!   one cross-shard batch per detector (results stay bitwise-identical;
-//!   only the physical batch shape changes).
-//! * `--max-batch N` — cap aggregated batches at N frames (implies
-//!   `--aggregate`).
 //! * `--cache N` — enable the engine's lock-striped detections cache with
 //!   capacity N entries (no flag = off; `--cache 0` is rejected — leave the
 //!   flag off instead).  Cache accounting is bitwise-deterministic across
-//!   `--shards`/`--parallel`/`--overlap`/`--aggregate`, and the run summary
+//!   `--shards`/`--parallel`/`--overlap`, and the run summary
 //!   gains a cache telemetry line.
 //! * `--selection per-chunk|class-max` — chunk-selection strategy for every
 //!   ExSample run (`per-chunk` = the default one-Gamma-draw-per-chunk
@@ -82,10 +77,6 @@ pub struct ExperimentOptions {
     pub parallel: usize,
     /// Overlap each stage's PICK with the previous stage's DETECT.
     pub overlap: bool,
-    /// Aggregate per-shard detector demand into cross-shard batches.
-    pub aggregate: bool,
-    /// Cap aggregated batches at this many frames (implies `aggregate`).
-    pub max_batch: Option<usize>,
     /// Capacity of the engine's striped detections cache (0 = off, the
     /// default).
     pub cache: usize,
@@ -116,8 +107,6 @@ impl Default for ExperimentOptions {
             shards: 1,
             parallel: 0,
             overlap: false,
-            aggregate: false,
-            max_batch: None,
             cache: 0,
             selection: exsample_core::SelectionStrategy::PerChunk,
             retries: 0,
@@ -189,18 +178,6 @@ impl ExperimentOptions {
                     options.parallel = parallel;
                 }
                 "--overlap" => options.overlap = true,
-                "--aggregate" => options.aggregate = true,
-                "--max-batch" => {
-                    let value = iter.next().ok_or("--max-batch requires a value")?;
-                    let max_batch: usize = value
-                        .parse()
-                        .map_err(|_| format!("bad --max-batch value: {value}"))?;
-                    if max_batch == 0 {
-                        return Err("--max-batch must be at least 1".to_string());
-                    }
-                    options.max_batch = Some(max_batch);
-                    options.aggregate = true;
-                }
                 "--cache" => {
                     let value = iter.next().ok_or("--cache requires a value")?;
                     let cache: usize = value
@@ -262,7 +239,7 @@ impl ExperimentOptions {
                 }
                 "--help" | "-h" => {
                     return Err("supported flags: --full --trials N --scale X --seed N \
-                         --shards N --parallel N --overlap --aggregate --max-batch N \
+                         --shards N --parallel N --overlap \
                          --cache N --selection per-chunk|class-max --retries N \
                          --fault-rate X --checkpoint PATH --warm-start PATH --csv"
                         .to_string())
@@ -296,30 +273,11 @@ impl ExperimentOptions {
         self.scale.unwrap_or(if self.full { 1.0 } else { reduced })
     }
 
-    /// The worker-thread count the engine will actually use for these
-    /// options: `--parallel` values of 0/1 mean serial execution, and the
-    /// engine clamps the thread count to one thread per shard — what the
-    /// experiment banners must report as provenance.
+    /// The thread (lane) count the engine will use for these options: no
+    /// `--parallel` flag means serial execution — what the experiment
+    /// banners report as provenance.
     pub fn effective_threads(&self) -> usize {
-        if self.parallel > 1 {
-            exsample_engine::ExecutionMode::Parallel(self.parallel)
-                .effective_threads(self.shards as usize)
-        } else {
-            1
-        }
-    }
-
-    /// The batch-aggregation policy implied by `--aggregate`/`--max-batch`
-    /// (None when neither flag was given): unbounded aggregation, or capped
-    /// at the `--max-batch` limit.
-    pub fn aggregation(&self) -> Option<exsample_engine::BatchAggregation> {
-        if !self.aggregate {
-            return None;
-        }
-        Some(match self.max_batch {
-            None => exsample_engine::BatchAggregation::unbounded(),
-            Some(limit) => exsample_engine::BatchAggregation::max_batch(limit),
-        })
+        self.parallel.max(1)
     }
 
     /// The baseline ExSample configuration implied by the options: the
@@ -368,7 +326,7 @@ impl ExperimentOptions {
     }
 
     /// Apply the options' engine-shape, failure-model and durability knobs
-    /// (`--shards`, `--parallel`, `--overlap`, `--aggregate`/`--max-batch`,
+    /// (`--shards`, `--parallel`, `--overlap`,
     /// `--cache`, `--retries`, `--fault-rate`, `--checkpoint`,
     /// `--warm-start`) to a simulation [`exsample_sim::QueryRunner`] — the
     /// single place the runner-driven experiment bins pick them up.
@@ -379,7 +337,6 @@ impl ExperimentOptions {
         let mut runner = runner
             .shards(self.shards)
             .overlap(self.overlap)
-            .aggregation(self.aggregation())
             .cache(self.cache)
             .retry_policy(self.retry_policy())
             .failure_mode(self.failure_mode());
@@ -470,17 +427,16 @@ pub fn sharded_engine<'a>(
     Ok(engine)
 }
 
-/// [`sharded_engine`] with the options' overlap/aggregation knobs, retry
-/// policy and failure mode applied — the engine constructor the experiment
-/// bins use, so `--overlap`, `--aggregate`, `--retries` and `--fault-rate`
-/// reach every engine-driven experiment the same way.
+/// [`sharded_engine`] with the options' overlap knob, retry policy and
+/// failure mode applied — the engine constructor the experiment bins use, so
+/// `--overlap`, `--retries` and `--fault-rate` reach every engine-driven
+/// experiment the same way.
 pub fn experiment_engine<'a>(
     chunking: &exsample_video::Chunking,
     options: &ExperimentOptions,
 ) -> Result<exsample_engine::QueryEngine<'a>, exsample_engine::EngineError> {
     let mut engine = sharded_engine(chunking, options.shards, options.parallel)?
         .overlap(options.overlap)
-        .aggregation(options.aggregation())
         .retry_policy(options.retry_policy())
         .failure_mode(options.failure_mode());
     if options.cache > 0 {
@@ -682,17 +638,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_reports_the_clamped_count() {
+    fn effective_threads_reports_the_lane_count() {
         assert_eq!(parse(&[]).unwrap().effective_threads(), 1);
         assert_eq!(parse(&["--parallel", "1"]).unwrap().effective_threads(), 1);
-        // Clamped to one thread per shard (shards defaults to 1).
-        assert_eq!(parse(&["--parallel", "8"]).unwrap().effective_threads(), 1);
-        assert_eq!(
-            parse(&["--parallel", "8", "--shards", "4"])
-                .unwrap()
-                .effective_threads(),
-            4
-        );
+        // Lanes are independent of shards (shards defaults to 1).
+        assert_eq!(parse(&["--parallel", "8"]).unwrap().effective_threads(), 8);
         assert_eq!(
             parse(&["--parallel", "2", "--shards", "4"])
                 .unwrap()
@@ -702,27 +652,9 @@ mod tests {
     }
 
     #[test]
-    fn overlap_and_aggregation_flags_parse_and_imply() {
-        let defaults = parse(&[]).unwrap();
-        assert!(!defaults.overlap);
-        assert!(!defaults.aggregate);
-        assert_eq!(defaults.aggregation(), None);
-
+    fn overlap_flag_parses() {
+        assert!(!parse(&[]).unwrap().overlap);
         assert!(parse(&["--overlap"]).unwrap().overlap);
-        assert_eq!(
-            parse(&["--aggregate"]).unwrap().aggregation(),
-            Some(exsample_engine::BatchAggregation::unbounded())
-        );
-        // --max-batch implies --aggregate.
-        let capped = parse(&["--max-batch", "64"]).unwrap();
-        assert!(capped.aggregate);
-        assert_eq!(
-            capped.aggregation(),
-            Some(exsample_engine::BatchAggregation::max_batch(64))
-        );
-        assert!(parse(&["--max-batch", "0"]).is_err());
-        assert!(parse(&["--max-batch"]).is_err());
-        assert!(parse(&["--max-batch", "abc"]).is_err());
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //!   against it by a scripted-trace test below.
 //! * [`StripedDetectionCache`] — the concurrent cache the engine uses.  The
 //!   key space is hashed across `N` lock stripes (per-stripe `Mutex`es), so
-//!   workers running on different threads probe concurrently and only
-//!   contend when their frames land on the same stripe.  Recency and
-//!   eviction are *not* decided under the stripe locks: workers publish
-//!   commit intents (their per-lane hit and miss lists) in parallel, and a
+//!   callers on different threads can probe concurrently and only contend
+//!   when their frames land on the same stripe.  (The engine itself probes
+//!   from the coordinator — a stage's gather needs every shard's misses
+//!   before any lane can start — so there the stripe locks are uncontended.)
+//!   Recency and eviction are *not* decided under the stripe locks: workers
+//!   record commit intents (their per-lane hit and miss lists) as they
+//!   probe, and a
 //!   serial arbitration pass — [`StripedDetectionCache::begin`] returning a
 //!   [`CacheTxn`] — applies all recency touches, then all
 //!   admissions/evictions, each kind sorted into canonical `(slot, frame)`
@@ -32,7 +35,7 @@
 //!   many threads (or stripes) carried the probes.  Cache accounting —
 //!   hit/miss/eviction/admission-reject tallies and which entries survive —
 //!   is therefore bitwise-identical across every thread count × shard count
-//!   × partitioner × overlap/aggregation knob, and
+//!   × partitioner × overlap setting, and
 //!   bitwise-identical to the legacy serial LRU's eviction sequence.
 //!
 //! Off by default: caching changes the engine's detector cost accounting
@@ -40,10 +43,11 @@
 //! determinism suite pins between sharded and unsharded runs is stated for
 //! cache-off engines.  Query *outcomes* are unaffected either way, because
 //! detectors are pure functions of the frame id.  A stage whose every frame
-//! is already resident also skips worker-thread dispatch entirely (checked
-//! with the tally-free [`StripedDetectionCache::contains`]) — no turnstile
-//! hand-off, no pool wake — so a warm engine pays nothing for having parallel
-//! execution enabled (pinned by the runtime lifecycle tests).
+//! is already resident also skips worker-thread dispatch entirely (its
+//! probe, which runs before anything is handed out, leaves no detector
+//! demand to gather) — no turnstile hand-off, no pool wake — so a warm
+//! engine pays nothing for having parallel execution enabled (pinned by the
+//! runtime lifecycle tests).
 //!
 //! The LRU order uses lazy deletion: every touch pushes a `(key, tick)`
 //! entry onto a queue, and eviction pops queue entries until one matches its
@@ -581,10 +585,10 @@ impl StripedDetectionCache {
         }
     }
 
-    /// Tally-free membership check, used by the engine's warm-stage
-    /// dispatch-skip decision (which must not perturb the accounting the
-    /// workers will produce when they probe for real).
-    pub(crate) fn contains(&self, detector: DetectorSlot, frame: FrameId) -> bool {
+    /// Tally-free membership check for this module's tests (a probe would
+    /// perturb the counters they assert on).
+    #[cfg(test)]
+    fn contains(&self, detector: DetectorSlot, frame: FrameId) -> bool {
         self.stripe((detector, frame))
             .map
             .contains_key(&(detector, frame))

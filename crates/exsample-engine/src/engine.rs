@@ -11,10 +11,11 @@
 //!          │ 2. PICK     every live query draws ≤ quota frame ids     │
 //!          │             from its SamplingPolicy (own RNG stream)     │
 //!          │ 3. DETECT   picks are grouped per shared detector and    │
-//!          │             routed to the shard owning each frame; one   │
-//!          │             shard worker per shard runs the batched      │
-//!          │             detector invocations for its frames —        │
-//!          │             serially or, under ExecutionMode::Parallel,  │
+//!          │             routed to the shard owning each frame; the   │
+//!          │             shards' cache misses are gathered into one   │
+//!          │             cross-shard batch per detector, cut evenly   │
+//!          │             over the lanes: one on the calling thread,   │
+//!          │             or, under ExecutionMode::Parallel, several   │
 //!          │             on the run's persistent worker pool          │
 //!          │ 4. FAN-OUT  per query, in pick order: discriminator      │
 //!          │             observes the frame's detections, the policy  │
@@ -31,10 +32,11 @@
 //!
 //! In code the pipeline is one loop of four functions, each phase written
 //! once: `plan` (stop checks, SCHEDULE, PICK, grouping and routing into a
-//! `Stage` buffer), `launch` (load the shard workers, hand their chunks to
-//! the pool helpers if the run has any), `land` (rejoin the helpers, or
-//! detect inline — a serial run is the pool with zero helpers) and `settle`
-//! (fail-fast scan, cache commit, tallies, FAN-OUT, quarantine, stats, sink).
+//! `Stage` buffer), `launch` (load the shard workers, probe the cache, gather
+//! the misses into one slice per lane and hand the pool helpers theirs, if
+//! the run has any), `land` (run the coordinator's slice, rejoin the helpers,
+//! scatter the outcomes to the owning shards) and `settle` (fail-fast scan,
+//! cache commit, tallies, FAN-OUT, quarantine, stats, sink).
 //! [`QueryEngine::overlap`] only moves `plan(n + 1)` from after `settle(n)`
 //! to between `launch(n)` and `land(n)`.
 //!
@@ -48,14 +50,14 @@
 //! bitwise-identical to the unsharded run for any shard count and partitioner
 //! — the determinism suite pins this for shard counts {1, 2, 3, 7}, and for
 //! parallel execution over threads {1, 2, 4} × shards {1, 3, 7}.  Parallelism
-//! only reorders *work*: the DETECT phase of each stage is data-independent
-//! per shard, the lock-striped cache is probed from the worker threads
-//! themselves (membership reads plus commutative per-stripe tallies — probe
-//! outcomes depend only on the membership set, which never changes between a
-//! stage's probes and its commit), recency and eviction are applied by a
-//! serial commit arbitration in fixed worker order, and FAN-OUT always
-//! consumes results in registration/pick order — so no observable result,
-//! cache accounting included, ever depends on thread scheduling.
+//! only reorders *work*: what a lane runs is a slice of frame ids and
+//! detector references whose outcome is a pure function of the two, the
+//! cache is probed before the gather and committed after the scatter — both
+//! on the calling thread, in canonical order — and FAN-OUT always consumes
+//! results in registration/pick order — so no observable result, cache
+//! accounting included, ever depends on thread scheduling.  Only the
+//! *physical* invocation shape follows the lane count: a detector group is
+//! cut where a lane boundary falls inside it.
 
 use crate::cache::{CacheActivity, CacheConfig, CacheStats, StripedDetectionCache};
 use crate::error::EngineError;
@@ -63,9 +65,9 @@ use crate::merge::{
     self, BatchStats, DetectorInvocations, ShardQueryTally, ShardReport, ShardedReport,
 };
 use crate::policy::SamplingPolicy;
-use crate::runtime::{self, PoolCounters, StageCtx, StageDispatch, WorkerPool};
+use crate::runtime::{PoolCounters, StageDispatch, WorkerPool};
 use crate::scheduler::{QueryLoad, RoundRobin, StageScheduler};
-use crate::shard::{DetectPolicy, ShardRouter, ShardWorker};
+use crate::shard::{self, DetectPolicy, ShardRouter, ShardWorker, Slice};
 use exsample_core::SelectionTelemetry;
 use exsample_detect::{Detector, FrameDetections, InstanceId};
 use exsample_track::{Discriminator, OracleDiscriminator};
@@ -75,31 +77,30 @@ use rand::{RngCore, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// How the DETECT phase's shard workers are executed.
+/// How many lanes a stage's DETECT is cut over.
 ///
-/// Serial execution (the default) runs the workers one after another on the
-/// calling thread — pick-for-pick the engine's historical behaviour.
-/// Parallel execution distributes the workers' detect phases over the
-/// [`crate::runtime`] module's persistent per-run pool (helper threads
-/// spawned once per run, woken per stage; serial is the same loop with zero
-/// helpers); because each worker's probe + detect phase is data-independent
-/// per shard
-/// (cache probes only read membership and tally commutatively; recency and
-/// eviction are applied by the serial commit arbitration in worker order),
-/// **every observable result — merged reports, pick sequences, cache state,
-/// cost accounting — is bitwise-identical between the two modes** for any
-/// thread count.  The determinism suite pins this for threads {1, 2, 4} ×
-/// shards {1, 3, 7} × both partitioners.
+/// Serial execution (the default) issues one batched detector invocation per
+/// detector group per stage on the calling thread — pick-for-pick the
+/// engine's historical behaviour.  Parallel execution cuts the stage's
+/// gathered detector demand into equal slices, one per lane, and runs them on
+/// the [`crate::runtime`] module's persistent per-run pool (helper threads
+/// spawned once per run, woken per stage) — whatever the shard count, an
+/// unsharded engine included.  A slice's outcome is a pure function of its
+/// frames and detectors, and probing, scattering and committing stay on the
+/// calling thread in canonical order, so **every logical result — merged
+/// reports, pick sequences, cache state, fault tallies — is
+/// bitwise-identical between the two modes** for any thread count; only the
+/// physical invocation count grows, by at most `lanes − 1` per stage.  The
+/// determinism suite pins this for threads {1, 2, 4} × shards {1, 3, 7} ×
+/// both partitioners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Run shard workers one after another on the calling thread (default).
+    /// Run every stage's DETECT on the calling thread (default).
     #[default]
     Serial,
-    /// Run shard workers' detect phases on up to this many threads: the
-    /// calling thread plus the run's persistent pool helpers.
+    /// Cut every stage's DETECT over this many lanes: the calling thread
+    /// plus the run's persistent pool helpers.
     ///
-    /// A thread count exceeding the shard count is clamped to one thread per
-    /// shard at stage time (extra threads would have no worker to run);
     /// `Parallel(1)` is serial execution under another name.  A count of zero
     /// is rejected by [`QueryEngine::execution`] as
     /// [`EngineError::InvalidExecution`].
@@ -107,62 +108,12 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// The number of threads this mode would actually use for `shards` shard
-    /// workers: 1 for serial, otherwise the clamped thread count.
-    pub fn effective_threads(&self, shards: usize) -> usize {
+    /// The number of threads (lanes) this mode uses: 1 for serial.
+    pub fn effective_threads(&self) -> usize {
         match *self {
             ExecutionMode::Serial => 1,
-            ExecutionMode::Parallel(threads) => threads.min(shards).max(1),
+            ExecutionMode::Parallel(threads) => threads.max(1),
         }
-    }
-}
-
-/// Cross-shard batch aggregation policy for the DETECT phase
-/// ([`QueryEngine::aggregation`]).
-///
-/// Per-shard execution issues one physical `detect_batch` per shard per
-/// detector group — splitting a group's frames across shards multiplies the
-/// fixed per-invocation cost of a real inference backend.  With aggregation
-/// enabled, each stage instead gathers *every* shard's cache misses per
-/// logical group into one cross-shard batch stream, flushed at the `max_batch`
-/// limit when one is set (one batch per group per stage when unbounded), and
-/// scatters the results back to each frame's owning shard in deterministic
-/// (shard, frame) order.  Logical outcomes, merged reports, cache state and
-/// fault handling are bitwise-identical to per-shard execution for any shard
-/// layout; only the *physical* invocation shape changes — fewer, larger
-/// batches, which is the whole point ([`ShardedReport::physical_batches`]
-/// and the `batched_detect` bench measure the saving under a
-/// [`BatchCostModel`]-style cost curve).
-///
-/// [`BatchCostModel`]: exsample_detect::BatchCostModel
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchAggregation {
-    /// Flush limit in frames; `None` aggregates without bound.
-    max_batch: Option<usize>,
-}
-
-impl BatchAggregation {
-    /// Aggregate without a flush limit: one physical batch per detector
-    /// group per stage, however many shards contributed (the default).
-    pub fn unbounded() -> Self {
-        BatchAggregation { max_batch: None }
-    }
-
-    /// Flush an aggregated batch once it reaches `limit` frames (modelling a
-    /// backend's memory or latency ceiling).
-    ///
-    /// # Panics
-    /// Panics if `limit` is zero.
-    pub fn max_batch(limit: usize) -> Self {
-        assert!(limit >= 1, "batch aggregation needs a positive flush limit");
-        BatchAggregation {
-            max_batch: Some(limit),
-        }
-    }
-
-    /// The flush limit as a plain chunk size (`usize::MAX` when unbounded).
-    pub(crate) fn limit(&self) -> usize {
-        self.max_batch.unwrap_or(usize::MAX)
     }
 }
 
@@ -387,9 +338,10 @@ pub struct StageStats {
     pub backoff_cost: u64,
     /// Physical batch-size statistics of this stage's detector invocations
     /// (count / frames / min / mean / max).  Unlike every other field, this
-    /// is a *physical* tally: it depends on the shard layout and on whether
-    /// cross-shard aggregation is enabled, so cost hooks wanting
-    /// layout-invariant numbers should stick to `detector_frames` /
+    /// is a *physical* tally: it depends on the lane count (a detector group
+    /// is cut where a lane boundary falls inside it) and on which frames
+    /// shared a failed batch, so cost hooks wanting execution-invariant
+    /// numbers should stick to `detector_frames` /
     /// `detector_calls` and treat this as telemetry (or bill it through a
     /// [`BatchCostModel`](exsample_detect::BatchCostModel)).
     pub batches: BatchStats,
@@ -397,7 +349,7 @@ pub struct StageStats {
     /// off): probe hits/misses plus the evictions and admission rejects this
     /// stage's commits triggered.  Execution-invariant like every logical
     /// field — the determinism matrix pins it across the full thread ×
-    /// shard × overlap/aggregation grid.
+    /// shard × overlap grid.
     pub cache: CacheActivity,
 }
 
@@ -564,7 +516,7 @@ pub struct StageObservation {
 /// folded — the same serial seam the cache's commit transaction uses, so the
 /// batch's observation order is a pure function of (query registration
 /// order, pick order) and therefore bitwise-identical across shard counts,
-/// thread counts, overlap and aggregation.
+/// thread counts and overlap.
 ///
 /// An `Err` aborts the run with [`EngineError::CheckpointFailed`]: a
 /// checkpoint that cannot be made durable must stop the run rather than let
@@ -585,7 +537,7 @@ pub trait StageSink {
 ///
 /// The plan lives here rather than in the shard workers because under
 /// [`QueryEngine::overlap`] stage `n + 1` is planned while stage `n`'s
-/// workers are still mid-DETECT on pool helpers, and stage `n`'s fan-out
+/// slices are still mid-DETECT on pool helpers, and stage `n`'s fan-out
 /// still needs *its* picks and routing afterwards.  The stage loop ping-pongs
 /// two of these; [`QueryEngine::launch`] swaps the routed lanes into the
 /// workers, so both sides' allocations recycle across stages.
@@ -625,16 +577,20 @@ pub struct QueryEngine<'a> {
     scheduler: Box<dyn StageScheduler + 'a>,
     /// Frame → shard routing; [`ShardRouter::single`] (one shard) by default.
     router: ShardRouter,
-    /// One worker per shard, executing the DETECT phase for its frames.
+    /// One worker per shard, holding the stage's frames, results and tallies
+    /// of the shard.
     workers: Vec<ShardWorker>,
-    /// How the shard workers' detect phases run (serial by default).
+    /// This stage's DETECT work: the gathered misses of every shard, cut into
+    /// one slice per lane (recycled across stages).
+    slices: Vec<Slice<'a>>,
+    /// The owning worker of every gathered frame, in gather order — what the
+    /// scatter needs to route outcomes home.
+    slice_owners: Vec<u32>,
+    /// How many lanes DETECT is cut over (serial — one — by default).
     execution: ExecutionMode,
     /// Plan each stage while the previous stage's DETECT is in flight (off
     /// by default; see [`QueryEngine::overlap`]).
     overlap: bool,
-    /// Cross-shard batch aggregation for the DETECT phase (off by default;
-    /// see [`QueryEngine::aggregation`]).
-    aggregation: Option<BatchAggregation>,
     /// The run's worker pool: `Some` only while [`QueryEngine::run_with`] is
     /// executing a parallel run (the threads live in that call's
     /// `std::thread::scope`, and the pool — whose job senders are their
@@ -643,12 +599,10 @@ pub struct QueryEngine<'a> {
     /// Lifecycle counts of the helper threads this engine's pools spawn.
     pool_counters: Arc<PoolCounters>,
     /// Stages that dispatched work to the pool (cumulative across runs).
-    /// Fully cache-warm stages skip dispatch entirely and don't count.
+    /// Stages whose demand fits one slice stay inline and don't count.
     pooled_dispatches: u64,
-    /// Optional cross-stage frame→detections cache (off by default).  The
-    /// striped cache is shared with dispatched worker threads per stage via
-    /// [`StageCtx`], hence the `Arc`.
-    cache: Option<Arc<StripedDetectionCache>>,
+    /// Optional cross-stage frame→detections cache (off by default).
+    cache: Option<StripedDetectionCache>,
     /// Retry policy for failed detect attempts (off by default).
     retry: RetryPolicy,
     /// What happens when a frame's attempts are exhausted (fail-fast by
@@ -704,9 +658,10 @@ impl<'a> QueryEngine<'a> {
             scheduler: Box::new(RoundRobin),
             router: ShardRouter::single(),
             workers: vec![ShardWorker::new(0)],
+            slices: Vec::new(),
+            slice_owners: Vec::new(),
             execution: ExecutionMode::Serial,
             overlap: false,
-            aggregation: None,
             pool: None,
             pool_counters: Arc::new(PoolCounters::default()),
             pooled_dispatches: 0,
@@ -773,14 +728,12 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// Choose how the shard workers' detect phases execute (default:
+    /// Choose how many lanes DETECT is cut over (default:
     /// [`ExecutionMode::Serial`], which is pick-for-pick the historical
-    /// behaviour).  Parallel execution never changes any observable result —
-    /// see [`ExecutionMode`] — only how many threads pay the detector bill.
-    ///
-    /// A thread count exceeding the shard count is clamped to one thread per
-    /// shard at stage time, so `Parallel(n)` composes safely with any
-    /// [`QueryEngine::sharded`] router.
+    /// behaviour).  Parallel execution never changes any logical result —
+    /// see [`ExecutionMode`] — only how many threads pay the detector bill,
+    /// and it composes with any [`QueryEngine::sharded`] router, the
+    /// unsharded default included: lanes are independent of shards.
     ///
     /// # Errors
     /// Returns [`EngineError::InvalidExecution`] for
@@ -804,10 +757,10 @@ impl<'a> QueryEngine<'a> {
     /// The stage loop is `plan → launch → land → settle`, and this flag
     /// decides exactly one thing: where `plan(n + 1)` runs.  Off, it runs
     /// after `settle(n)`; on, it runs between `launch(n)` — which hands stage
-    /// `n`'s workers to the pool helpers — and `land(n)`, which rejoins them,
+    /// `n`'s slices to the pool helpers — and `land(n)`, which rejoins them,
     /// so under [`ExecutionMode::Parallel`] the coordinator picks while the
-    /// helpers detect.  Runs without helpers (serial mode, a 1-thread clamp)
-    /// and fully cache-warm stages have nothing in flight to overlap with but
+    /// helpers detect.  Runs without helpers (serial mode) and stages whose
+    /// demand fits one slice have nothing in flight to overlap with but
     /// plan at the same point, which is what keeps overlapped runs
     /// bitwise-identical across shard counts, thread counts and partitioners.
     /// On a saturated or single-vCPU host the pool's reclaim pass takes the
@@ -833,31 +786,12 @@ impl<'a> QueryEngine<'a> {
         self.overlap
     }
 
-    /// Enable cross-shard batch aggregation for the DETECT phase, or disable
-    /// it with `None` (the default — per-shard batches, the historical
-    /// behaviour).  See [`BatchAggregation`] for the semantics.
-    ///
-    /// Aggregation serialises each stage's detect pass into one cross-shard
-    /// gather/scatter, so there is no per-worker partition left for
-    /// [`ExecutionMode::Parallel`] to spread over threads: a parallel run
-    /// ships it to one pool helper as a single job (which under
-    /// [`QueryEngine::overlap`] lets the next stage's PICK run alongside) and
-    /// the coordinator reclaims it if the helper has not started.
-    pub fn aggregation(mut self, aggregation: Option<BatchAggregation>) -> Self {
-        self.aggregation = aggregation;
-        self
-    }
-
-    /// The engine's batch aggregation policy (`None` when disabled).
-    pub fn aggregation_mode(&self) -> Option<BatchAggregation> {
-        self.aggregation
-    }
-
     /// Number of stages, across all of this engine's runs, that dispatched
-    /// DETECT work to the persistent worker pool.  Serial stages and fully
-    /// cache-warm stages (which skip dispatch entirely — no turnstile
-    /// hand-off, no wake) don't count; the runtime lifecycle tests use this
-    /// to pin the warm-skip down.
+    /// DETECT work to the persistent worker pool.  Serial stages and stages
+    /// whose demand after the cache probe fits one slice — fully cache-warm
+    /// ones above all — stay inline (no turnstile hand-off, no wake) and
+    /// don't count; the runtime lifecycle tests use this to pin the
+    /// warm-skip down.
     pub fn pooled_stage_dispatches(&self) -> u64 {
         self.pooled_dispatches
     }
@@ -888,9 +822,7 @@ impl<'a> QueryEngine<'a> {
     /// Panics if `capacity` is zero (use [`QueryEngine::cache_config`] for a
     /// non-panicking, fully-configurable variant).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Some(Arc::new(StripedDetectionCache::new(CacheConfig::new(
-            capacity,
-        ))));
+        self.cache = Some(StripedDetectionCache::new(CacheConfig::new(capacity)));
         self
     }
 
@@ -912,22 +844,20 @@ impl<'a> QueryEngine<'a> {
                 stripes: config.stripes,
             });
         }
-        self.cache = Some(Arc::new(StripedDetectionCache::new(config)));
+        self.cache = Some(StripedDetectionCache::new(config));
         Ok(self)
     }
 
     /// Hit/miss/eviction/admission-reject counters of the cross-stage cache,
     /// if enabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_deref().map(StripedDetectionCache::stats)
+        self.cache.as_ref().map(StripedDetectionCache::stats)
     }
 
     /// Per-stripe counters of the cross-stage cache, if enabled (contention
     /// diagnostics; the aggregate view is [`QueryEngine::cache_stats`]).
     pub fn cache_stripe_stats(&self) -> Option<Vec<CacheStats>> {
-        self.cache
-            .as_deref()
-            .map(StripedDetectionCache::stripe_stats)
+        self.cache.as_ref().map(StripedDetectionCache::stripe_stats)
     }
 
     /// Set the retry policy for failed detect attempts (default:
@@ -945,7 +875,7 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// The flattened per-lane fault-handling policy for this engine.
+    /// The flattened fault-handling policy every slice of this engine carries.
     fn detect_policy(&self) -> DetectPolicy {
         DetectPolicy {
             max_attempts: self.retry.max_attempts,
@@ -954,26 +884,7 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Whether the routed stage has any detection work left to dispatch.
-    ///
-    /// With the cache off, any routed frame is work.  With the cache on,
-    /// the probe now runs *inside* the dispatch, so the dispatch decision
-    /// peeks at cache membership with the tally-free
-    /// [`StripedDetectionCache::contains`] instead: a stage whose every
-    /// frame is already resident would dispatch only to discover there is
-    /// nothing to detect.  The real probe still runs (inline) and tallies
-    /// the hits, so accounting is unchanged by the skip.
-    fn stage_has_work(&self, slots: &[crate::cache::DetectorSlot]) -> bool {
-        match self.cache.as_deref() {
-            None => self.workers.iter().any(ShardWorker::has_frames),
-            Some(cache) => !self
-                .workers
-                .iter()
-                .all(|worker| worker.is_warm(slots, cache)),
-        }
-    }
-
-    /// Number of shards the DETECT phase is split across.
+    /// Number of shards picked frames are routed (and tallied) across.
     pub fn shard_count(&self) -> usize {
         self.workers.len()
     }
@@ -1032,7 +943,8 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// SCHEDULE + PICK + group + ROUTE stage `number` into `stage`, without
-    /// touching the shard workers (which may be mid-DETECT on pool helpers).
+    /// touching the shard workers or the slices (which may be mid-DETECT on
+    /// pool helpers).
     ///
     /// Runs against the engine state as of the last settled stage — under
     /// [`QueryEngine::overlap`] that is one stage stale (the in-flight
@@ -1134,9 +1046,7 @@ impl<'a> QueryEngine<'a> {
             stage.membership.push(group);
         }
 
-        // The routed lanes, cleared.  Sized from the router, not
-        // `self.workers`: under pooled overlap the workers are drained into
-        // the in-flight dispatch while this runs.
+        // The routed lanes, cleared.
         let shards = self.router.shard_count();
         let groups = stage.detectors.len();
         if stage.routed.len() < shards {
@@ -1158,16 +1068,16 @@ impl<'a> QueryEngine<'a> {
         // consumes the detections straight out of it in pick order.  It is
         // the one measured fork of the stage loop (forcing it off costs the
         // benchmark's `fig5_sweep` 2–7 % wall-clock, see CHANGES.md PR 13),
-        // selected from what the stage looks like, never by a setting.  It
-        // skips routing, so it is only taken when the router has no bounds
-        // to enforce — a chunking-built router must see every frame to
-        // uphold its documented out-of-range panic — and it skips the
-        // miss-gathering pass, so it cannot honour a cache or an aggregation
-        // flush limit.
+        // selected from what the run and the stage look like, never by a
+        // setting.  It skips routing, so it is only taken when the router has
+        // no bounds to enforce — a chunking-built router must see every frame
+        // to uphold its documented out-of-range panic — and it skips the
+        // probe and the gather, so it cannot honour a cache or cut the batch
+        // over the lanes of a run that has helpers.
         stage.direct = stage.active == 1
             && shards == 1
             && self.cache.is_none()
-            && self.aggregation.is_none()
+            && self.pool.is_none()
             && !self.router.checks_bounds();
         if stage.direct {
             return true;
@@ -1188,16 +1098,17 @@ impl<'a> QueryEngine<'a> {
         true
     }
 
-    /// Load a planned stage into the shard workers and, when the run has pool
-    /// helpers and the stage has detection work, hand their chunks to them.
-    /// Returns the in-flight handle [`QueryEngine::land`] joins.
+    /// Load a planned stage into the shard workers, probe the cache, gather
+    /// the misses into one slice per lane and, when the run has pool helpers,
+    /// hand them theirs.  Returns the in-flight handle [`QueryEngine::land`]
+    /// joins.
     ///
-    /// A fully cache-warm stage has nothing to detect; dispatching it would
-    /// be pure overhead (a turnstile hand-off and a wake), so it stays
-    /// inline.  The warm check uses the tally-free
-    /// [`StripedDetectionCache::contains`] — the decision must not perturb
-    /// the accounting the real probe produces.
-    fn launch(&mut self, stage: &mut Stage<'a>) -> Option<StageDispatch<'a>> {
+    /// The probe runs here, on the coordinator, because the gather needs its
+    /// result — and what it leaves decides the dispatch: a stage answered
+    /// entirely from the cache gathers no slice at all, and one whose demand
+    /// fits a single slice has nothing to hand a helper, so neither pays a
+    /// turnstile hand-off or a wake.  No lane is ever handed an empty slice.
+    fn launch(&mut self, stage: &mut Stage<'a>) -> Option<StageDispatch> {
         let groups = stage.detectors.len();
         let queries = self.queries.len();
         for (worker, routed) in self.workers.iter_mut().zip(&mut stage.routed) {
@@ -1206,51 +1117,58 @@ impl<'a> QueryEngine<'a> {
                 worker.adopt_frames(group, frames);
             }
         }
-        if self.pool.is_none() || !self.stage_has_work(&stage.slots) {
+        if stage.direct {
             return None;
         }
-        // Worker lanes and scratch ride along by value and come back with
-        // the results, so their allocations are recycled across stages.
-        let ctx = StageCtx {
-            detectors: stage.detectors.clone(),
-            slots: stage.slots.clone(),
-            share_lanes: self.cache.is_some(),
-            policy: self.detect_policy(),
-            aggregate: self.aggregation.map(|a| a.limit()),
-            cache: self.cache.clone(),
-            coalesce: self.coalesce,
+        for worker in &mut self.workers {
+            worker.probe(&stage.slots, self.coalesce, self.cache.as_ref());
+        }
+        // Uncoalesced, uncached groups may carry the same (detector, frame)
+        // twice.  A detector that counts its attempts per frame (fault
+        // injection does) must see them in group order whatever the lane
+        // count, so such a stage is not cut.  (With the cache on, the probe
+        // has already joined the duplicates to one detection.)
+        let repeats_detector = !self.coalesce
+            && self.cache.is_none()
+            && (1..groups).any(|g| stage.slots[..g].contains(&stage.slots[g]));
+        let lanes = match &self.pool {
+            Some(pool) if !repeats_detector => pool.lanes(),
+            _ => 1,
         };
-        self.pooled_dispatches += 1;
-        let pool = self.pool.as_mut().expect("pool presence checked above");
-        Some(pool.dispatch_stage(&mut self.workers, ctx))
+        shard::gather_slices(
+            &self.workers,
+            &stage.detectors,
+            lanes,
+            self.detect_policy(),
+            &mut self.slices,
+            &mut self.slice_owners,
+        );
+        let pool = self.pool.as_mut()?;
+        if self.slices.is_empty() {
+            return None;
+        }
+        if self.slices.len() > 1 {
+            self.pooled_dispatches += 1;
+        }
+        Some(pool.dispatch_stage(&mut self.slices))
     }
 
-    /// Complete a launched stage's PROBE + DETECT: rejoin the pool, or — with
-    /// nothing in flight — run it inline on the calling thread.
-    ///
-    /// The cache probe runs wherever the detect pass runs (inline here, or
-    /// on the dispatched lanes as the first half of each chunk): probes only
-    /// read cache membership and tally commutatively, so probe placement can
-    /// never change accounting — see the cache module docs.  Each worker is
-    /// probed exactly once per stage.
+    /// Complete a launched stage's DETECT: run the slices — through the pool
+    /// when the run has one, which runs the coordinator's slice under the
+    /// same panic containment as the helpers' and rejoins them — and scatter
+    /// the outcomes to the owning shards.
     ///
     /// # Errors
-    /// Returns [`EngineError::WorkerPanicked`] if a dispatched lane's detect
-    /// pass panicked; the stage is abandoned before its commit and fan-out.
+    /// Returns [`EngineError::WorkerPanicked`] if a lane's detect pass
+    /// panicked under [`ExecutionMode::Parallel`]; the stage is abandoned
+    /// before its scatter, commit and fan-out.
     fn land(
         &mut self,
         stage: &mut Stage<'a>,
-        flight: Option<StageDispatch<'a>>,
+        flight: Option<StageDispatch>,
     ) -> Result<(), EngineError> {
-        if let Some(dispatch) = flight {
-            // The reclaim pass inside `join_stage` runs *after* whatever the
-            // coordinator did since `launch`: on a saturated host it takes
-            // the queued chunks back here and pays two mutex operations.
-            let pool = self.pool.as_mut().expect("only a live pool dispatches");
-            return pool.join_stage(&mut self.workers, dispatch);
-        }
-        let policy = self.detect_policy();
         if stage.direct {
+            let policy = self.detect_policy();
             let index = stage
                 .membership
                 .iter()
@@ -1273,17 +1191,22 @@ impl<'a> QueryEngine<'a> {
             }
             return Ok(());
         }
-        let cache = self.cache.as_deref();
-        for worker in &mut self.workers {
-            worker.probe(&stage.slots, self.coalesce, cache);
+        match flight {
+            // The reclaim pass inside `join_stage` runs *after* whatever the
+            // coordinator did since `launch`: on a saturated host it takes
+            // the queued slices back here and pays two mutex operations.
+            Some(dispatch) => {
+                let pool = self.pool.as_mut().expect("only a live pool dispatches");
+                pool.join_stage(&mut self.slices, dispatch)?;
+            }
+            None => self.slices.iter_mut().for_each(Slice::run),
         }
-        runtime::run_detect(
+        shard::scatter_slices(
             &mut self.workers,
-            &stage.detectors,
             &stage.slots,
-            cache.is_some(),
-            policy,
-            self.aggregation.map(|a| a.limit()),
+            self.cache.is_some(),
+            &mut self.slices,
+            &self.slice_owners,
         );
         Ok(())
     }
@@ -1301,18 +1224,11 @@ impl<'a> QueryEngine<'a> {
     /// [`EngineError::CheckpointFailed`] if the stage sink refused the
     /// stage.  Reports and cost accounting are unspecified after either.
     fn settle(&mut self, stage: &Stage<'a>) -> Result<StageStats, EngineError> {
-        // Fail-fast scan, shard order: a worker that hit a terminal detect
-        // failure under `FailureMode::FailFast` parked it on its lane; the
-        // first one (in shard order) aborts the stage *before* the cache
+        // Fail-fast scan: under `FailureMode::FailFast` the scatter stopped at
+        // the stage's first exhausted frame (in canonical order) and parked
+        // it on the owning worker; it aborts the stage *before* the cache
         // commit.
-        let mut fatal = None;
-        for worker in &mut self.workers {
-            let failure = worker.fatal.take();
-            if fatal.is_none() {
-                fatal = failure;
-            }
-        }
-        if let Some(failure) = fatal {
+        if let Some(failure) = self.workers.iter_mut().find_map(|w| w.fatal.take()) {
             let class = self.detector_slots[failure.slot as usize]
                 .class()
                 .to_string();
@@ -1329,16 +1245,17 @@ impl<'a> QueryEngine<'a> {
         // insert (the fresh results), each kind sorted across workers.  The
         // order is a pure function of the frames probed and detected this
         // stage, so the LRU's eviction sequence is identical no matter how
-        // many threads probed or how the frames were partitioned across
+        // many lanes detected or how the frames were partitioned across
         // shards.
-        if let Some(cache) = self.cache.as_deref() {
+        if let Some(cache) = self.cache.as_ref() {
             crate::shard::arbitrate_cache(&mut self.workers, &stage.slots, cache);
         }
 
         // Fold the per-worker tallies.  Logical calls are counted once per
-        // group that needed any detection, regardless of how many shards its
-        // frames were split across; the workers keep the physical per-shard
-        // tallies (the batch-size statistics among them).
+        // group that needed any detection, regardless of how many lanes its
+        // frames were cut across; the workers keep the physical tallies (the
+        // batch-size statistics among them), each call attributed to the
+        // shard owning its first frame.
         let groups = stage.detectors.len();
         let mut detector_frames = 0u64;
         let mut stage_retries = 0u64;
@@ -1549,8 +1466,8 @@ impl<'a> QueryEngine<'a> {
     /// Under [`ExecutionMode::Parallel`] this is where the persistent worker
     /// runtime lives: one `std::thread::scope` wraps the whole stage loop,
     /// `n - 1` helper threads are spawned into it once, and every stage with
-    /// detection work wakes them over their turnstiles instead of spawning
-    /// fresh threads.  The pool is dropped — and with it every helper's
+    /// more detection work than one slice wakes them over their turnstiles
+    /// instead of spawning fresh threads.  The pool is dropped — and with it every helper's
     /// shutdown signal sent — before the scope closes on *every* path out of
     /// the loop (completion, a stage error, even a panicking `on_stage`
     /// hook), and the scope then joins the helpers, so a run can neither leak
@@ -1570,7 +1487,7 @@ impl<'a> QueryEngine<'a> {
         if self.queries.is_empty() {
             return Err(EngineError::NoQueries);
         }
-        let threads = self.execution.effective_threads(self.workers.len());
+        let threads = self.execution.effective_threads();
         if threads > 1 {
             return std::thread::scope(|scope| {
                 self.pool = Some(WorkerPool::spawn(scope, threads - 1, &self.pool_counters));
@@ -1950,13 +1867,11 @@ mod tests {
             unsharded.report.detector_calls,
             sharded.report.detector_calls
         );
-        // Splitting one detector group across shards costs extra physical
-        // invocations — that is the merge overhead, reported separately.
-        assert!(sharded.physical_detector_calls >= sharded.report.detector_calls);
-        assert_eq!(
-            unsharded.physical_detector_calls,
-            unsharded.report.detector_calls
-        );
+        // A detector group is one cross-shard batch: splitting its frames
+        // across shards costs no extra physical invocation.
+        for merged in [&sharded, &unsharded] {
+            assert_eq!(merged.physical_detector_calls, merged.report.detector_calls);
+        }
         // Every query's frames partition across the shards.
         for i in 0..2 {
             let routed: u64 = sharded.shards.iter().map(|s| s.per_query[i].frames).sum();
@@ -1971,16 +1886,15 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, EngineError::InvalidExecution { threads: 0 }));
-        // Valid modes build, and oversubscribed thread counts are clamped to
-        // one thread per shard rather than rejected.
+        // Valid modes build, and the lane count is the thread count asked
+        // for — whatever the shard count.
         let engine = QueryEngine::new()
             .execution(ExecutionMode::Parallel(64))
             .unwrap();
         assert_eq!(engine.execution_mode(), ExecutionMode::Parallel(64));
-        assert_eq!(engine.execution_mode().effective_threads(1), 1);
-        assert_eq!(engine.execution_mode().effective_threads(4), 4);
-        assert_eq!(ExecutionMode::Serial.effective_threads(8), 1);
-        assert_eq!(ExecutionMode::Parallel(2).effective_threads(8), 2);
+        assert_eq!(engine.execution_mode().effective_threads(), 64);
+        assert_eq!(ExecutionMode::Serial.effective_threads(), 1);
+        assert_eq!(ExecutionMode::Parallel(1).effective_threads(), 1);
     }
 
     #[test]
@@ -2007,13 +1921,20 @@ mod tests {
             engine.report_sharded()
         };
         let serial = run(ExecutionMode::Serial);
+        assert_eq!(serial.physical_detector_calls, serial.report.detector_calls);
         for threads in [1usize, 2, 4, 16] {
             let parallel = run(ExecutionMode::Parallel(threads));
-            assert_eq!(
-                parallel.physical_detector_calls, serial.physical_detector_calls,
-                "{threads} threads"
+            // Only the physical shape follows the lane count: at most one
+            // extra call per lane boundary per stage.
+            let extra = parallel.physical_detector_calls - serial.physical_detector_calls;
+            assert!(
+                extra <= serial.report.stages * (threads as u64 - 1),
+                "{threads} threads: {extra} extra physical calls"
             );
-            assert_eq!(parallel.shards, serial.shards, "{threads} threads");
+            for (p, s) in parallel.shards.iter().zip(&serial.shards) {
+                assert_eq!(p.detector_frames, s.detector_frames, "{threads} threads");
+                assert_eq!(p.per_query, s.per_query, "{threads} threads");
+            }
             for (a, b) in parallel.report.outcomes.iter().zip(&serial.report.outcomes) {
                 assert_eq!(a.frames_processed, b.frames_processed);
                 assert_eq!(a.found_instances, b.found_instances);
@@ -2031,9 +1952,9 @@ mod tests {
 
     #[test]
     fn parallel_execution_with_cache_matches_serial_accounting() {
-        // The cache is probed and committed serially in worker order in both
-        // modes, so even the hit/miss accounting — not just query outcomes —
-        // is identical under parallel execution.
+        // The cache is probed and committed on the coordinator in both modes,
+        // so even the hit/miss accounting — not just query outcomes — is
+        // identical under parallel execution.
         let (chunking, _truth, detector) = setup(2_000, 6);
         let run = |mode: ExecutionMode| {
             let spec = ShardSpec::round_robin(chunking.len(), 3);
@@ -2067,10 +1988,8 @@ mod tests {
             parallel.report.detector_frames,
             serial.report.detector_frames
         );
-        assert_eq!(
-            parallel.physical_detector_calls,
-            serial.physical_detector_calls
-        );
+        assert_eq!(parallel.report.detector_calls, serial.report.detector_calls);
+        assert!(parallel.physical_detector_calls >= serial.physical_detector_calls);
         for (a, b) in parallel.report.outcomes.iter().zip(&serial.report.outcomes) {
             assert_eq!(a.found_instances, b.found_instances);
             assert_eq!(a.trajectory, b.trajectory);
@@ -2160,8 +2079,8 @@ mod tests {
         assert_eq!(parallel_stats, serial_stats, "cache accounting");
         assert_eq!(
             detector.batch_calls.load(Ordering::Relaxed),
-            serial_calls * 2,
-            "parallel run issues the same invocations again"
+            serial_calls * 3,
+            "the parallel run cuts each stage's one batch over its two lanes"
         );
         for (a, b) in parallel.outcomes.iter().zip(&serial.outcomes) {
             assert_eq!(a.found_instances, b.found_instances);

@@ -53,53 +53,61 @@
 //!
 //! ## Sharded execution
 //!
-//! The DETECT phase of every stage can be split across shards
+//! Every stage's picks can be routed across shards
 //! ([`QueryEngine::sharded`] with a [`ShardRouter`] built from an
-//! `exsample-video` `ShardSpec`): each picked frame is routed to the shard
-//! owning its chunk, and one [`shard`] worker per shard runs the batched
-//! detector invocations for its frames, keeping per-shard cost and hit
-//! tallies.  PICK stays global (policies span the full chunk space and own
-//! their per-query RNG streams) and FAN-OUT stays in registration/pick order,
-//! so — detectors being pure functions of the frame id — the [`merge`] layer's
-//! combined report is **bitwise-identical to an unsharded run** for any shard
-//! count, any partitioner and any shard interleaving.  The only thing
-//! sharding changes is *physical* invocation counts (a detector group whose
-//! frames span shards needs one `detect_batch` per shard), which
-//! [`ShardedReport`] accounts separately from the logical counts.
+//! `exsample-video` `ShardSpec`): each picked frame goes to the shard owning
+//! its chunk, and one [`shard`] worker per shard holds its frames and
+//! results and keeps per-shard cost and hit tallies.  PICK stays global
+//! (policies span the full chunk space and own their per-query RNG streams)
+//! and FAN-OUT stays in registration/pick order, so — detectors being pure
+//! functions of the frame id — the [`merge`] layer's combined report is
+//! **bitwise-identical to an unsharded run** for any shard count, any
+//! partitioner and any shard interleaving.  Shards own accounting, not
+//! batches: a detector group's frames are gathered from every shard into one
+//! cross-shard batch, so sharding does not multiply detector invocations
+//! (each physical call is attributed to the shard owning its first frame,
+//! and [`ShardedReport`] accounts physical and logical counts separately).
 //!
 //! ## One stage loop, one runtime
 //!
 //! Every run — unsharded or sharded, serial or parallel, overlapped or not —
 //! executes the same loop of four phases, each written once in
 //! [`engine`]: **plan** (stop checks, SCHEDULE, PICK, grouping and routing
-//! into a stage buffer), **launch** (load the shard workers; hand their
-//! chunks to the pool helpers if there are any), **land** (rejoin the
-//! helpers, or probe + detect inline) and **settle** (fail-fast scan, cache
-//! commit, tallies, FAN-OUT, quarantine, stats, checkpoint sink).  Unsharded
-//! is the 1-shard case and serial is the 0-helper pool.  The one fork the
-//! code takes on its own is the single-query fast path: a stage with one
-//! picking query on one shard, no cache, no aggregation and a bounds-free
-//! router detects straight from the pick buffer (measured: forcing it off
-//! costs the shipped fig5 sweep 2–7 % wall-clock); a failed batch probe
-//! drops it back onto the lanes, so fault handling exists once.
+//! into a stage buffer), **launch** (load the shard workers, probe the
+//! cache, gather the misses into one slice per lane; hand the pool helpers
+//! theirs if there are any), **land** (run the coordinator's slice, rejoin
+//! the helpers, scatter the outcomes to the owning shards) and **settle**
+//! (fail-fast scan, cache commit, tallies, FAN-OUT, quarantine, stats,
+//! checkpoint sink).  Unsharded is the 1-shard case and serial the 1-lane
+//! one.  The one fork the code takes on its own is the single-query fast
+//! path: a stage with one picking query on one shard, no cache, no helpers
+//! and a bounds-free router detects straight from the pick buffer
+//! (measured: forcing it off costs the shipped fig5 sweep 2–7 %
+//! wall-clock); a failed batch probe drops it back onto the lanes, so fault
+//! handling exists once.
 //!
-//! Shard workers' DETECT phases are data-independent (a frame belongs to
-//! exactly one shard, detectors are `Send + Sync` pure functions of the frame
-//! id), so [`QueryEngine::execution`] with [`ExecutionMode::Parallel`] runs
-//! them on the [`runtime`] module's **persistent worker pool**: helper
+//! The unit of DETECT work is the **slice** ([`shard`]): every shard's cache
+//! misses, gathered per detector group in canonical `(group, shard, frame)`
+//! order into one flat list and cut into contiguous spans of equal frame
+//! count, one per lane.  A batch never spans groups and a group is cut only
+//! where a lane boundary falls inside it, so a stage issues at most
+//! `groups + lanes − 1` detector calls — exactly `groups` when serial — for
+//! any shard count, and the lanes are evenly loaded however skewed the
+//! routing.  A slice carries frame ids and detector references only (its
+//! outcome is a pure function of the two; detectors are `Send + Sync`), so
+//! [`QueryEngine::execution`] with [`ExecutionMode::Parallel`] runs the
+//! slices on the [`runtime`] module's **persistent worker pool**: helper
 //! threads spawned once per engine run, parked on a condvar turnstile between
 //! stages, woken per stage with detection work, joined when the run ends —
-//! never spawned per stage.  Worker lanes and detect scratch travel to the
-//! pool by value and come back with the results, so their allocations are
-//! recycled across stages.  The stage's cache probe rides inside the
-//! dispatched lanes (probes only read the lock-striped cache's membership and
-//! tally commutatively), the cache commit is a serial fixed-order
-//! arbitration, and FAN-OUT stays in registration/pick order — parallelism
-//! reorders *work*, never observable results, so parallel runs are
-//! bitwise-identical to serial ones (pinned for threads {1, 2, 4} ×
+//! never spawned per stage.  Lanes are independent of shards: an unsharded
+//! engine uses every lane it is given.  The cache probe before the gather,
+//! the scatter, the cache commit (a serial fixed-order arbitration) and
+//! FAN-OUT (registration/pick order) all stay on the calling thread in
+//! canonical order — parallelism reorders *work*, never logical results, so
+//! parallel runs are bitwise-identical to serial ones in everything but the
+//! physical invocation shape (pinned for threads {1, 2, 4} ×
 //! shards {1, 3, 7} × both partitioners, with the cache on and off).  Serial
-//! remains the default; thread counts exceeding the shard count are clamped
-//! to one thread per shard, and `Parallel(0)` is a typed
+//! remains the default, and `Parallel(0)` is a typed
 //! [`error::EngineError::InvalidExecution`].  A detector panic on any pool
 //! lane surfaces as a typed [`error::EngineError::WorkerPanicked`], never a
 //! deadlocked coordinator, a leaked thread or an unwinding stage loop.
@@ -130,24 +138,19 @@
 //!
 //! ## Batching & overlap
 //!
-//! Two opt-in physical-shape knobs, both bitwise-deterministic and both off
-//! by default:
+//! Batching is not a setting: every stage issues one cross-shard batch per
+//! detector group, cut over the lanes (see above) — under a GPU-shaped
+//! `per_call + per_frame × n` cost model (`exsample-detect`'s
+//! `BatchingDetector`) the bill is the same for any shard count, which the
+//! `batched_detect` bench axis records.  One opt-in knob remains,
+//! bitwise-deterministic and off by default:
 //!
-//! * [`QueryEngine::aggregation`] gathers every shard's per-stage detector
-//!   demand into one cross-shard batch per detector group (optionally capped
-//!   via [`BatchAggregation::max_batch`]), scattering results back to each
-//!   frame's owning shard.  Logical reports stay bitwise-identical to the
-//!   per-shard path; unbounded aggregation collapses the *physical*
-//!   invocation count to the logical one, which under a GPU-shaped
-//!   `per_call + per_frame × n` cost model (`exsample-detect`'s
-//!   `BatchingDetector`) is the batching win the `batched_detect` bench
-//!   axis measures.
 //! * [`QueryEngine::overlap`] is *where `plan` runs*: instead of planning
 //!   stage `n + 1` after stage `n` has settled, the loop plans it between
 //!   `launch(n)` and `land(n)` — while stage `n`'s DETECT is in flight on the
-//!   pool helpers.  Nothing else changes (the cache probe rides inside the
-//!   dispatched lanes and the commit stays a serial canonical-order
-//!   arbitration either way).  Stop decisions therefore lag one stage (a
+//!   pool helpers.  Nothing else changes (the cache probe runs before the
+//!   dispatch and the commit stays a serial canonical-order arbitration
+//!   either way).  Stop decisions therefore lag one stage (a
 //!   query may overshoot its budget by up to one stage's batch) — the one
 //!   documented semantic difference — and each overlapped configuration is
 //!   itself bitwise-deterministic across the whole execution matrix and
@@ -172,11 +175,12 @@
 //! default) carries detector results *across* stages and queries: a warm
 //! re-query over cached frames issues zero new `detect_batch` invocations.
 //! The store is the [`cache`] module's lock-striped
-//! [`StripedDetectionCache`]: workers probe their own stripes concurrently
-//! during the parallel DETECT dispatch, and all admissions/evictions are
-//! applied by a serial fixed-order commit transaction, so hit/miss/eviction
-//! accounting and the surviving entries are bitwise-identical across every
-//! thread count and stripe count.  An opt-in count-min
+//! [`StripedDetectionCache`]: the coordinator probes every shard's frames
+//! before it gathers the stage's detector demand (the gather needs the
+//! misses), and all admissions/evictions are applied by a serial fixed-order
+//! commit transaction after the scatter, so hit/miss/eviction accounting and
+//! the surviving entries are bitwise-identical across every thread count and
+//! stripe count.  An opt-in count-min
 //! frequency admission policy ([`AdmissionPolicy::Frequency`]) keeps a
 //! churning scan from evicting a hot working set.
 //!
@@ -206,8 +210,8 @@ pub use cache::{
 };
 pub use driver::{run_query, QueryOutcome};
 pub use engine::{
-    BatchAggregation, EngineReport, ExecutionMode, FailureMode, QueryEngine, QueryReport,
-    QuerySpec, RetryPolicy, StageObservation, StageSink, StageStats, StopReason, TrajectoryPoint,
+    EngineReport, ExecutionMode, FailureMode, QueryEngine, QueryReport, QuerySpec, RetryPolicy,
+    StageObservation, StageSink, StageStats, StopReason, TrajectoryPoint,
 };
 pub use error::{ChunkCountMismatch, EngineError};
 pub use exsample_core::SelectionTelemetry;

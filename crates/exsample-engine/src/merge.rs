@@ -17,12 +17,12 @@
 //! * `detector_frames` is the sum of the shards' detected frames (frames
 //!   never cross shards, so shard-local deduplication adds up to exactly the
 //!   global deduplicated count);
-//! * `detector_calls` stays *logical* (one per detector group per stage —
-//!   what an unsharded engine would issue), while the physical per-shard
-//!   invocation count, which grows with the shard count because one logical
-//!   group's frames split across shards, is reported separately as
-//!   [`ShardedReport::physical_detector_calls`] — that difference is the
-//!   merge overhead the sharded benchmark tracks;
+//! * `detector_calls` stays *logical* (one per detector group per stage),
+//!   while the physical invocation count — the same for a serial run,
+//!   whatever the shard count, and larger where a group was cut at a lane
+//!   boundary or a failed batch recovered per frame — is reported separately
+//!   as [`ShardedReport::physical_detector_calls`], each call attributed to
+//!   the shard owning its first frame;
 //! * fault telemetry (retries, exhausted frames, backoff cost, per-query
 //!   dropped frames) is summed over the shards in shard order and
 //!   cross-checked against the coordinator's totals the same way, so a
@@ -42,12 +42,12 @@ use std::fmt;
 /// single batch.
 ///
 /// These are *physical* tallies — they describe the invocation shapes a
-/// backend actually saw, so they vary with the shard layout and with the
-/// engine's batching strategy (per-shard lanes vs cross-shard aggregation).
-/// That is the point: paired with a per-call + per-frame cost model
-/// (`exsample_detect::BatchCostModel`), they make a batching strategy's cost
-/// comparable in reports without ever being part of the logical determinism
-/// contract.
+/// backend actually saw, so they vary with the lane count (a detector group
+/// is cut where a lane boundary falls inside it) and with which frames
+/// shared a failed batch.  That is the point: paired with a per-call +
+/// per-frame cost model (`exsample_detect::BatchCostModel`), they make an
+/// execution shape's cost comparable in reports without ever being part of
+/// the logical determinism contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Physical invocations recorded.
@@ -163,7 +163,8 @@ pub struct ShardReport {
     /// Frames run through detectors on this shard (post-coalescing,
     /// post-cache).
     pub detector_frames: u64,
-    /// Physical `detect_batch` invocations issued by this shard.
+    /// Physical `detect_batch` invocations attributed to this shard: batch
+    /// probes whose first frame it owns, plus its frames' recovery tries.
     pub detector_calls: u64,
     /// Detect attempts this shard retried after a transient failure.
     pub retries: u64,
@@ -173,9 +174,9 @@ pub struct ShardReport {
     pub failed_frames: u64,
     /// Batch-size statistics over the physical invocations attributed to this
     /// shard (`batches.count == detector_calls` by construction; checked by
-    /// the merge).  Under cross-shard aggregation a batch attributed here may
-    /// carry other shards' frames, so `batches.frames` is *not* constrained
-    /// to this shard's `detector_frames`.
+    /// the merge).  A batch is cross-shard: one attributed here may carry
+    /// other shards' frames, so `batches.frames` is *not* constrained to this
+    /// shard's `detector_frames`.
     pub batches: BatchStats,
     /// Run-cumulative cache activity attributed to this shard: probes its
     /// worker answered (hits/misses) and the evictions/admission-rejects its
@@ -335,19 +336,20 @@ pub struct ShardedReport {
     /// Per-shard breakdowns, in shard order.
     pub shards: Vec<ShardReport>,
     /// Physical `detect_batch` invocations summed over shards.  Exceeds
-    /// `report.detector_calls` (the logical count) when a stage's detector
-    /// group spans several shards.
+    /// `report.detector_calls` (the logical count) only where a stage's
+    /// detector group was cut at a lane boundary (at most `lanes − 1` times
+    /// per stage) or a failed batch was recovered frame by frame — never
+    /// because the group's frames span several shards.
     pub physical_detector_calls: u64,
     /// Batch-size statistics merged over the shards' physical invocations
-    /// (`physical_batches.count == physical_detector_calls`).  Cross-shard
-    /// aggregation shows up here as fewer, larger batches at unchanged
-    /// logical outcomes.
+    /// (`physical_batches.count == physical_detector_calls`).
     pub physical_batches: BatchStats,
 }
 
 impl ShardedReport {
-    /// Extra detector invocations paid because detector groups split across
-    /// shards — the sharding overhead the merge layer exists to account for.
+    /// Detector invocations paid beyond the logical ones: lane cuts and
+    /// per-frame recovery tries (zero for a fault-free serial run, whatever
+    /// the shard count).
     pub fn shard_overhead_calls(&self) -> u64 {
         self.physical_detector_calls - self.report.detector_calls
     }

@@ -7,68 +7,64 @@
 //! +1.2 % for the pool; the `parallel_detect_scoped` rows of
 //! `BENCH_sharded.json` are the last capture of that deleted design), so
 //! parallel runs use a [`WorkerPool`] of long-lived helper threads created
-//! **once per engine run** and reused by every stage of that run.  A serial run is simply the pool with zero helpers: the engine never
-//! spawns one and its stage loop detects every worker inline.
+//! **once per engine run** and reused by every stage of that run.  A serial
+//! run never spawns one: its stage loop runs the stage's single slice inline.
 //!
+//! * **The job is a slice, not a shard.**  What crosses a thread boundary is
+//!   a [`Slice`]: one lane's equal share of the stage's gathered detector
+//!   demand — frame ids and detector references in, per-batch outcomes out.
+//!   The shard workers (lanes, result maps, tallies) never leave the
+//!   coordinator, so parallelism is independent of the shard count (an
+//!   unsharded engine uses every lane) and of how skewed the routing is.
 //! * **Spawn once, dispatch many.**  [`crate::QueryEngine::run_with`] (and
 //!   [`crate::QueryEngine::run`]) open one `std::thread::scope` around the
 //!   whole stage loop and spawn `n - 1` helper threads into it (the calling
-//!   thread itself is the `n`-th lane — it detects the first worker chunk
-//!   inline instead of sleeping on a channel).  Each stage then queues work
-//!   on the already-running helpers' Mutex+Condvar **turnstiles** — a condvar
-//!   wake, not a thread spawn.  No busy-waiting anywhere: idle helpers are
-//!   parked in `Condvar::wait`.
+//!   thread itself is the `n`-th lane — it runs the first slice inline
+//!   instead of sleeping on a channel).  Each stage then queues slices on the
+//!   already-running helpers' Mutex+Condvar **turnstiles** — a condvar wake,
+//!   not a thread spawn.  No busy-waiting anywhere: idle helpers are parked
+//!   in `Condvar::wait`.
 //! * **Two halves.**  `WorkerPool::dispatch_stage` queues the helpers'
-//!   chunks and returns; `WorkerPool::join_stage` detects the coordinator's
-//!   own chunk, collects the rest and reassembles the workers.  The engine's
+//!   slices and returns; `WorkerPool::join_stage` runs the coordinator's own
+//!   slice, collects the rest and puts them back in lane order.  The engine's
 //!   stage loop calls them as its `launch` and `land` phases; whatever it
 //!   does in between (under [`crate::QueryEngine::overlap`]: planning the
 //!   next stage) runs alongside the helpers' DETECT.
-//! * **Help-first reclaim.**  After detecting its own chunk, the coordinator
-//!   *reclaims* any queued chunk whose helper has not started it and runs it
+//! * **Help-first reclaim.**  After running its own slice, the coordinator
+//!   *reclaims* any queued slice whose helper has not started it and runs it
 //!   inline.  On a saturated or single-vCPU host — where a helper wake could
 //!   only add scheduling latency — the whole handoff therefore collapses to
 //!   two uncontended mutex operations and the stage never blocks; on idle
-//!   multicore hardware the helpers win the race and the chunks execute
-//!   genuinely in parallel.  Which side runs a chunk affects wall-clock
+//!   multicore hardware the helpers win the race and the slices execute
+//!   genuinely in parallel.  Which side runs a slice affects wall-clock
 //!   placement only, never results.
-//! * **Worker-resident lanes.**  The per-shard [`ShardWorker`]s — lanes,
-//!   result maps, detect scratch — are *moved* into the stage's jobs and
-//!   moved back with the results, so every allocation they carry is recycled
-//!   across stages and across runs; nothing is rebuilt per stage, and no
-//!   `unsafe` is needed to share them (ownership transfer, not aliasing).
-//!   The chunk buffers that carry workers through the channels are recycled
-//!   by the pool itself ([`WorkerPool::spare`]).
-//! * **Phase structure preserved.**  The per-worker *probe* and *detect*
-//!   phases are dispatched (each lane probes the lock-striped cache for its
-//!   own workers — membership reads and commutative tallies only); the
-//!   serial commit arbitration ([`crate::cache::CacheTxn`]) and the
-//!   registration-order fan-out run on the coordinator exactly as in serial
-//!   mode, which is why pooled execution stays bitwise-identical to serial
-//!   (the determinism suite pins threads {1, 2, 4} × shards {1, 3, 7} × both
-//!   partitioners).
+//! * **Serial on both sides.**  The cache probe and the gather that builds
+//!   the slices, and the scatter, the commit arbitration
+//!   ([`crate::cache::CacheTxn`]) and the registration-order fan-out that
+//!   consume them, all run on the coordinator in canonical order; a slice's
+//!   outcome is a pure function of its frames and detectors.  That is why
+//!   pooled execution stays bitwise-identical to serial (the determinism
+//!   suite pins threads {1, 2, 4} × shards {1, 3, 7} × both partitioners).
 //! * **Clean shutdown, typed panics.**  Helpers exit when the pool is
 //!   dropped — the engine guarantees this happens before the scope closes,
 //!   even if a stage errors or a caller hook panics, so a run can never leak
 //!   or deadlock its threads, and the scope joins every helper before `run`
 //!   returns.  A detector panic inside any lane (helper *or* the
-//!   coordinator's inline lane) is caught, the affected workers are returned
-//!   to the engine, and the stage surfaces [`EngineError::WorkerPanicked`]
-//!   instead of unwinding or hanging.
+//!   coordinator's inline lane) is caught outside every lock, the slice is
+//!   returned to the engine, and the stage surfaces
+//!   [`EngineError::WorkerPanicked`] instead of unwinding or hanging.
 //! * **No global state.**  Helper-thread lifecycle counts live in a
 //!   `PoolCounters` handle owned by the engine (and shared with the pools
 //!   it spawns), read through [`crate::QueryEngine::live_helper_threads`] /
 //!   [`crate::QueryEngine::spawned_helper_threads`] — concurrent engines
 //!   never see each other's threads.
 
-use crate::cache::StripedDetectionCache;
 use crate::error::EngineError;
-use crate::shard::{aggregate_detect, DetectPolicy, ShardWorker};
-use exsample_detect::Detector;
+use crate::shard::Slice;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
 
 /// Helper-thread lifecycle counters of one engine: how many of its pool
@@ -115,62 +111,33 @@ impl Drop for LiveGuard {
     }
 }
 
-/// The immutable per-stage context every lane needs to run its probe and
-/// detect phases: the stage's logical detector groups, their registry slots,
-/// whether same-slot lanes share results (cache on, coalescing off), the
-/// stage's fault-handling policy, and the shared striped cache (probed from
-/// the lane thread itself — stripe reads and commutative tallies only, so
-/// which thread probes never affects accounting).  Shared across lanes
-/// behind one `Arc` per stage.
-pub(crate) struct StageCtx<'a> {
-    pub(crate) detectors: Vec<&'a dyn Detector>,
-    pub(crate) slots: Vec<u32>,
-    pub(crate) share_lanes: bool,
-    pub(crate) policy: DetectPolicy,
-    /// The shared cross-stage cache, when enabled: each lane probes its own
-    /// workers before detecting them.
-    pub(crate) cache: Option<Arc<StripedDetectionCache>>,
-    /// Whether lanes coalesce (sort + dedup) their frames before probing.
-    pub(crate) coalesce: bool,
-    /// When set, a chunk's workers are detected together by cross-shard
-    /// batch aggregation ([`aggregate_detect`]) with this flush limit,
-    /// instead of each worker running its own per-shard lanes.  Aggregated
-    /// stages ship *all* workers as one chunk — the aggregated batch is the
-    /// cross-shard batch, so there is nothing left to split across lanes.
-    pub(crate) aggregate: Option<usize>,
-}
-
-/// One stage's work for one helper lane: the contiguous chunk of shard
-/// workers it owns this stage (by value — ownership transfer is what makes
-/// the handoff safe without locks) plus the shared stage context.
+/// One stage's work for one helper lane: the slice it owns this stage (by
+/// value — ownership transfer is what makes the handoff safe without locks).
 struct Job<'a> {
-    /// Index of this chunk in the stage's worker partition (chunk 0 is the
+    /// Index of this slice among the stage's slices (slice 0 is the
     /// coordinator's inline lane and never crosses a channel).
-    chunk: usize,
-    ctx: Arc<StageCtx<'a>>,
-    workers: Vec<ShardWorker>,
+    lane: usize,
+    slice: Slice<'a>,
 }
 
 /// A lane's completed stage work, sent back to the coordinator.
-struct Done {
-    chunk: usize,
-    /// The chunk's workers, returned even when the lane panicked (their
-    /// buffers are recycled into the next stage; a panicked stage's tallies
-    /// are unspecified, but the run is erroring out anyway).
-    workers: Vec<ShardWorker>,
+struct Done<'a> {
+    lane: usize,
+    /// The slice, returned even when the lane panicked (its buffers are
+    /// recycled into the next stage; the run is erroring out anyway).
+    slice: Slice<'a>,
     /// The panic message, if the lane's detect pass panicked.
     panic: Option<String>,
 }
 
 /// An in-flight dispatched stage: the handle [`WorkerPool::dispatch_stage`]
-/// returns and exactly one [`WorkerPool::join_stage`] call consumes.  Between the two calls, chunks
-/// `1..` of the stage sit on (or run from) the helper turnstiles while chunk
-/// 0 still lives in the engine's worker vector — which is what lets the
-/// coordinator interleave other work (the next stage's PICK) with the
-/// helpers' DETECT.
-pub(crate) struct StageDispatch<'a> {
-    chunks: usize,
-    ctx: Arc<StageCtx<'a>>,
+/// returns and exactly one [`WorkerPool::join_stage`] call consumes.  Between
+/// the two calls, slices `1..` of the stage sit on (or run from) the helper
+/// turnstiles while slice 0 still lives in the engine's slice vector — which
+/// is what lets the coordinator interleave other work (the next stage's PICK)
+/// with the helpers' DETECT.
+pub(crate) struct StageDispatch {
+    slices: usize,
 }
 
 /// Render a caught panic payload as the message carried by
@@ -185,56 +152,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one lane's probe + detect pass, catching panics so a poisoned
-/// detector can never strand the coordinator (the lane always reports back).
-/// The cache probe runs here — on the lane's own thread, as the first half
-/// of the dispatched work — rather than as a serial coordinator pass; see
-/// the cache module docs for why probe placement cannot affect accounting.
-/// Each worker is probed exactly once per stage (the engine never
-/// pre-probes dispatched workers).  Typed detect failures are *not* errors
-/// here: they land on the workers themselves (tallies and
-/// [`ShardWorker::fatal`]) and the engine inspects them when it settles the
-/// stage.
-fn detect_chunk(workers: &mut [ShardWorker], ctx: &StageCtx<'_>) -> Option<String> {
-    catch_unwind(AssertUnwindSafe(|| {
-        for worker in workers.iter_mut() {
-            worker.probe(&ctx.slots, ctx.coalesce, ctx.cache.as_deref());
-        }
-        run_detect(
-            workers,
-            &ctx.detectors,
-            &ctx.slots,
-            ctx.share_lanes,
-            ctx.policy,
-            ctx.aggregate,
-        )
-    }))
-    .err()
-    .map(panic_message)
-}
-
-/// The detect half of a lane (after every worker in it has probed): one
-/// cross-shard [`aggregate_detect`] over the lane's workers when `aggregate`
-/// carries a flush limit, otherwise each worker's own per-shard lanes.  Also
-/// what a helper-less (serial) stage runs inline over all workers.
-pub(crate) fn run_detect(
-    workers: &mut [ShardWorker],
-    detectors: &[&dyn Detector],
-    slots: &[u32],
-    share_lanes: bool,
-    policy: DetectPolicy,
-    aggregate: Option<usize>,
-) {
-    match aggregate {
-        Some(max_batch) => {
-            aggregate_detect(workers, detectors, slots, share_lanes, policy, max_batch)
-        }
-        None => {
-            for worker in workers.iter_mut() {
-                worker.detect(detectors, slots, share_lanes, policy);
-            }
-        }
-    }
+/// Run one lane's slice, catching panics so a poisoned detector can never
+/// strand the coordinator (the lane always reports back).  Typed detect
+/// failures are *not* errors here: they are outcomes recorded in the slice,
+/// and the engine inspects them when it scatters the stage.
+fn run_slice(slice: &mut Slice<'_>) -> Option<String> {
+    catch_unwind(AssertUnwindSafe(|| slice.run()))
+        .err()
+        .map(panic_message)
 }
 
 /// One helper lane's handoff turnstile: a `Mutex`-guarded job slot plus the
@@ -244,15 +169,26 @@ pub(crate) fn run_detect(
 /// coordinator can **reclaim** a job the helper has not started yet
 /// ([`LaneState::Ready`] → taken back) and run it inline.  On a saturated or
 /// single-vCPU host the helper often is not scheduled before the coordinator
-/// finishes its own chunk, so reclaiming collapses the entire per-stage
+/// finishes its own slice, so reclaiming collapses the entire per-stage
 /// handoff (wake, block, wake) into two uncontended mutex operations; on real
 /// hardware the helper wins the race, marks the lane [`LaneState::Running`],
-/// and the chunks genuinely execute in parallel.  Either way the same chunk
-/// is detected with the same worker-resident state, so the race affects
-/// wall-clock only — never results.
+/// and the slices genuinely execute in parallel.  Either way the same slice
+/// is run to the same outcomes, so the race affects wall-clock only — never
+/// results.
 struct LaneSlot<'a> {
     state: Mutex<LaneState<'a>>,
     turnstile: Condvar,
+}
+
+impl<'a> LaneSlot<'a> {
+    /// Lock the turnstile.  A poisoned lock is recovered rather than
+    /// propagated: every write to the [`LaneState`] is one whole-value
+    /// assignment, so the state is valid at every step, and detector panics —
+    /// the only panics a run expects — are caught outside the lock, so a
+    /// failure elsewhere must not also cost the run its clean shutdown.
+    fn lock(&self) -> MutexGuard<'_, LaneState<'a>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// State of one lane's turnstile.
@@ -279,45 +215,41 @@ enum LaneState<'a> {
 /// completion, stage error, or a panicking caller hook — so shutdown can
 /// never hang.
 pub(crate) struct WorkerPool<'a> {
-    /// One turnstile per helper thread; helper `i` serves chunk `i + 1` of
-    /// each dispatched stage (chunk 0 runs inline on the coordinator).
+    /// One turnstile per helper thread; helper `i` serves slice `i + 1` of
+    /// each dispatched stage (slice 0 runs inline on the coordinator).
     lanes: Vec<Arc<LaneSlot<'a>>>,
-    /// Consecutive chunks of each helper reclaimed by the coordinator — the
+    /// Consecutive slices of each helper reclaimed by the coordinator — the
     /// wake-stickiness state: a helper at or past [`DISENGAGE_AFTER`] misses
-    /// is not woken per stage, its queued chunks are simply reclaimed.
+    /// is not woken per stage, its queued slices are simply reclaimed.
     consecutive_misses: Vec<u32>,
     /// Stages dispatched so far (drives periodic re-engagement).
     dispatched_stages: u64,
-    /// Per-stage panic scratch, indexed by chunk (chunk 0 is the inline
-    /// lane), so the reported panic is the first in *chunk* order no matter
-    /// in which order helper completions arrive.
+    /// Per-stage panic scratch, indexed by lane (lane 0 is the inline lane),
+    /// so the reported panic is the first in *lane* order no matter in which
+    /// order helper completions arrive.
     lane_panics: Vec<Option<String>>,
     /// Completion channel shared by all helpers (used only for jobs a helper
     /// actually ran; reclaimed jobs never touch it).
-    done_rx: Receiver<Done>,
-    /// Recycled chunk buffers: the `Vec<ShardWorker>`s that carry workers
-    /// through the turnstiles, reused across stages so steady-state dispatch
-    /// allocates nothing but one `Arc<StageCtx>` per stage.
-    spare: Vec<Vec<ShardWorker>>,
-    /// Per-stage reassembly scratch, indexed by chunk.
-    returned: Vec<Option<Vec<ShardWorker>>>,
+    done_rx: Receiver<Done<'a>>,
+    /// Per-stage reassembly scratch, indexed by lane.
+    returned: Vec<Option<Slice<'a>>>,
 }
 
-/// Disengage a helper after this many *consecutive* reclaimed chunks.
+/// Disengage a helper after this many *consecutive* reclaimed slices.
 ///
 /// One lost race must not cost a multicore host its parallelism — a helper
 /// can lose a single race to a transient OS stall — so a helper is only
-/// stopped being woken once the coordinator has reclaimed its chunk this
+/// stopped being woken once the coordinator has reclaimed its slice this
 /// many stages in a row (the pattern of a host that is not scheduling it at
-/// all, e.g. one vCPU).  Any chunk the helper does run resets its count.
+/// all, e.g. one vCPU).  Any slice the helper does run resets its count.
 const DISENGAGE_AFTER: u32 = 2;
 
 /// Wake disengaged helpers every this many dispatched stages.
 ///
-/// A helper whose last [`DISENGAGE_AFTER`] chunks were all reclaimed is
+/// A helper whose last [`DISENGAGE_AFTER`] slices were all reclaimed is
 /// probably not getting scheduled (the host is saturated, or has one vCPU);
 /// waking it again every stage would buy a context switch and nothing else,
-/// so its queued chunks go un-notified — still reclaimable — until the next
+/// so its queued slices go un-notified — still reclaimable — until the next
 /// re-engagement stage offers it work again.  On an idle multicore host a
 /// helper re-engages within one period of a (multi-stage) stall — and with a
 /// detector expensive enough for parallelism to matter, helpers win their
@@ -328,10 +260,7 @@ const REENGAGE_PERIOD: u64 = 32;
 impl Drop for WorkerPool<'_> {
     fn drop(&mut self) {
         for lane in &self.lanes {
-            {
-                let mut state = lane.state.lock().expect("lane mutex is never poisoned");
-                *state = LaneState::Shutdown;
-            }
+            *lane.lock() = LaneState::Shutdown;
             lane.turnstile.notify_one();
         }
     }
@@ -340,8 +269,8 @@ impl Drop for WorkerPool<'_> {
 impl<'a> WorkerPool<'a> {
     /// Spawn `helpers` long-lived worker threads into `scope`.
     ///
-    /// The pool supports stages of up to `helpers + 1` lanes: the calling
-    /// thread always executes the first chunk inline, so an engine running
+    /// The pool supports stages of up to `helpers + 1` slices: the calling
+    /// thread always runs the first slice inline, so an engine running
     /// `n`-way parallel stages spawns `n - 1` helpers.
     pub(crate) fn spawn<'scope, 'env>(
         scope: &'scope Scope<'scope, 'env>,
@@ -351,7 +280,7 @@ impl<'a> WorkerPool<'a> {
     where
         'a: 'scope,
     {
-        let (done_tx, done_rx) = channel::<Done>();
+        let (done_tx, done_rx) = channel::<Done<'a>>();
         let lanes = (0..helpers)
             .map(|lane| {
                 let slot = Arc::new(LaneSlot {
@@ -374,123 +303,93 @@ impl<'a> WorkerPool<'a> {
             dispatched_stages: 0,
             lane_panics: Vec::new(),
             done_rx,
-            spare: Vec::new(),
             returned: Vec::new(),
         }
     }
 
-    /// First half of a stage's detect pass: partition `workers` into one
-    /// contiguous chunk per lane (helpers + the coordinator), queue chunks
-    /// `1..` on the helper turnstiles and return the in-flight stage handle.
-    /// Chunk 0 stays in `workers`; it is detected by
-    /// [`WorkerPool::join_stage`], which must be called exactly once with the
-    /// returned handle (the coordinator may do other work — the next stage's
-    /// planning — in between).
-    ///
-    /// An *aggregated* stage (`ctx.aggregate` set) is one serialised
-    /// cross-shard gather/scatter, so there is no partition to spread over
-    /// lanes: every worker ships as one job (chunk 1) to the first helper and
-    /// the coordinator's chunk 0 is empty — which still lets the coordinator
-    /// plan the next stage concurrently under overlap.  The job remains
-    /// reclaimable exactly like any queued chunk: on a saturated host
-    /// [`WorkerPool::join_stage`] takes it back and runs it inline, same two
-    /// mutex operations as ever.
-    pub(crate) fn dispatch_stage(
-        &mut self,
-        workers: &mut Vec<ShardWorker>,
-        ctx: StageCtx<'a>,
-    ) -> StageDispatch<'a> {
+    /// Lanes a stage's demand is cut over: the helpers plus the coordinator.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes.len() + 1
+    }
+
+    /// First half of a stage's detect pass: queue slices `1..` on the helper
+    /// turnstiles and return the in-flight stage handle.  Slice 0 stays in
+    /// `slices`; it is run by [`WorkerPool::join_stage`], which must be
+    /// called exactly once with the returned handle (the coordinator may do
+    /// other work — the next stage's planning — in between).
+    pub(crate) fn dispatch_stage(&mut self, slices: &mut Vec<Slice<'a>>) -> StageDispatch {
         debug_assert!(
-            !self.lanes.is_empty(),
-            "dispatching a stage needs at least one helper"
+            (1..=self.lanes()).contains(&slices.len()),
+            "a dispatched stage has one slice per lane at most, and at least one"
         );
-        let ctx = Arc::new(ctx);
         self.dispatched_stages += 1;
-        if ctx.aggregate.is_some() {
-            let mut buf = self.spare.pop().unwrap_or_default();
-            buf.append(workers);
-            self.queue_chunk(1, buf, &ctx);
-            return StageDispatch { chunks: 2, ctx };
-        }
-        let total = workers.len();
-        let per_chunk = total.div_ceil(self.lanes.len() + 1);
-        let chunks = total.div_ceil(per_chunk);
-        // Carve chunks 1.. off the tail (cheap: draining a suffix shifts
-        // nothing) and queue them on their helper turnstiles; chunk 0 stays
-        // in `workers`.  Every queued lane was left Idle by the previous
-        // stage (its Done was collected, or the coordinator reclaimed it).
-        for chunk in (1..chunks).rev() {
-            let mut buf = self.spare.pop().unwrap_or_default();
-            buf.extend(workers.drain(chunk * per_chunk..));
-            self.queue_chunk(chunk, buf, &ctx);
-        }
-        StageDispatch { chunks, ctx }
-    }
-
-    /// Queue one chunk on its helper's turnstile and wake the helper if it
-    /// is engaged.
-    fn queue_chunk(&mut self, chunk: usize, buf: Vec<ShardWorker>, ctx: &Arc<StageCtx<'a>>) {
         let reengage = self.dispatched_stages.is_multiple_of(REENGAGE_PERIOD);
-        let slot = &self.lanes[chunk - 1];
-        {
-            let mut state = slot.state.lock().expect("lane mutex is never poisoned");
-            debug_assert!(matches!(*state, LaneState::Idle));
-            *state = LaneState::Ready(Job {
-                chunk,
-                ctx: Arc::clone(ctx),
-                workers: buf,
-            });
+        let dispatch = StageDispatch {
+            slices: slices.len(),
+        };
+        // Every queued lane was left Idle by the previous stage (its Done
+        // was collected, or the coordinator reclaimed it).
+        for (helper, slice) in slices.drain(1..).enumerate() {
+            let slot = &self.lanes[helper];
+            {
+                let mut state = slot.lock();
+                debug_assert!(matches!(*state, LaneState::Idle));
+                *state = LaneState::Ready(Job {
+                    lane: helper + 1,
+                    slice,
+                });
+            }
+            // Wake the helper — with the mutex released, so it never stalls
+            // on a lock the coordinator still holds.  Disengaged helpers
+            // (their last DISENGAGE_AFTER slices were all reclaimed, so
+            // waking them only buys a context switch on a host that isn't
+            // scheduling them anyway) are left parked except on
+            // re-engagement stages; their queued slice is picked up by the
+            // reclaim pass in [`WorkerPool::join_stage`].
+            if self.consecutive_misses[helper] < DISENGAGE_AFTER || reengage {
+                slot.turnstile.notify_one();
+            }
         }
-        // Wake the helper — with the mutex released, so it never stalls
-        // on a lock the coordinator still holds.  Disengaged helpers
-        // (their last DISENGAGE_AFTER chunks were all reclaimed, so
-        // waking them only buys a context switch on a host that isn't
-        // scheduling them anyway) are left parked except on
-        // re-engagement stages; their queued chunk is picked up by the
-        // reclaim pass in [`WorkerPool::join_stage`].
-        if self.consecutive_misses[chunk - 1] < DISENGAGE_AFTER || reengage {
-            slot.turnstile.notify_one();
-        }
+        dispatch
     }
 
-    /// Second half of a stage's detect pass: detect chunk 0 inline, reclaim
-    /// queued chunks whose helpers have not started, await the rest, and
-    /// reassemble `workers` in shard order — every worker's detect pass
-    /// executed, exactly what the serial loop produces, so pooled dispatch is
-    /// observably identical to it.
+    /// Second half of a stage's detect pass: run slice 0 inline, reclaim
+    /// queued slices whose helpers have not started, await the rest, and
+    /// reassemble `slices` in lane order — every slice run, exactly what the
+    /// serial loop produces, so pooled dispatch is observably identical to
+    /// it.
     ///
     /// # Errors
     /// Returns [`EngineError::WorkerPanicked`] if any lane's detect pass
-    /// panicked (the first panic in chunk order wins).  All workers are
-    /// reassembled into `workers` even on error.
+    /// panicked (the first panic in lane order wins).  All slices are
+    /// reassembled into `slices` even on error.
     pub(crate) fn join_stage(
         &mut self,
-        workers: &mut Vec<ShardWorker>,
-        dispatch: StageDispatch<'a>,
+        slices: &mut Vec<Slice<'a>>,
+        dispatch: StageDispatch,
     ) -> Result<(), EngineError> {
-        let StageDispatch { chunks, ctx } = dispatch;
+        let count = dispatch.slices;
 
-        // The coordinator is the first lane: detect chunk 0 inline instead of
+        // The coordinator is the first lane: run slice 0 inline instead of
         // sleeping until the helpers finish.  Panics are caught exactly like
         // a helper's, so a poisoned detector surfaces as a typed error no
-        // matter which shard it lives on.
+        // matter which lane its frames fell into.
         self.lane_panics.clear();
-        self.lane_panics.resize_with(chunks, || None);
-        self.lane_panics[0] = detect_chunk(workers, &ctx);
+        self.lane_panics.resize_with(count, || None);
+        self.lane_panics[0] = run_slice(&mut slices[0]);
 
-        // Reclaim pass: any queued chunk whose helper has not started yet is
-        // taken back and detected right here.  On a busy or single-vCPU host
-        // this is the common case — the handoff collapses to two mutex
-        // operations and the stage never blocks — while on idle multicore
-        // hardware the helpers have already flipped their lanes to Running
-        // and the chunks are executing concurrently.
+        // Reclaim pass: any queued slice whose helper has not started yet is
+        // taken back and run right here.  On a busy or single-vCPU host this
+        // is the common case — the handoff collapses to two mutex operations
+        // and the stage never blocks — while on idle multicore hardware the
+        // helpers have already flipped their lanes to Running and the slices
+        // are executing concurrently.
         self.returned.clear();
-        self.returned.resize_with(chunks, || None);
+        self.returned.resize_with(count, || None);
         let mut outstanding = 0usize;
-        for chunk in 1..chunks {
-            let slot = &self.lanes[chunk - 1];
+        for lane in 1..count {
             let reclaimed = {
-                let mut state = slot.state.lock().expect("lane mutex is never poisoned");
+                let mut state = self.lanes[lane - 1].lock();
                 match std::mem::replace(&mut *state, LaneState::Idle) {
                     LaneState::Ready(job) => Some(job),
                     other => {
@@ -501,36 +400,36 @@ impl<'a> WorkerPool<'a> {
             };
             match reclaimed {
                 Some(mut job) => {
-                    self.consecutive_misses[chunk - 1] =
-                        self.consecutive_misses[chunk - 1].saturating_add(1);
-                    self.lane_panics[job.chunk] = detect_chunk(&mut job.workers, &job.ctx);
-                    self.returned[job.chunk] = Some(job.workers);
+                    self.consecutive_misses[lane - 1] =
+                        self.consecutive_misses[lane - 1].saturating_add(1);
+                    self.lane_panics[job.lane] = run_slice(&mut job.slice);
+                    self.returned[job.lane] = Some(job.slice);
                 }
                 None => {
-                    self.consecutive_misses[chunk - 1] = 0;
+                    self.consecutive_misses[lane - 1] = 0;
                     outstanding += 1;
                 }
             }
         }
 
-        // Await the chunks a helper genuinely ran, then splice everything
-        // back in shard order.
+        // Await the slices a helper genuinely ran, then put everything back
+        // in lane order.
         for _ in 0..outstanding {
             let done = self
                 .done_rx
                 .recv()
                 .expect("every running lane reports back, panicked or not");
-            self.lane_panics[done.chunk] = done.panic;
-            self.returned[done.chunk] = Some(done.workers);
+            self.lane_panics[done.lane] = done.panic;
+            self.returned[done.lane] = Some(done.slice);
         }
-        for slot in &mut self.returned[1..] {
-            let mut buf = slot.take().expect("every chunk was collected");
-            workers.append(&mut buf);
-            self.spare.push(buf);
-        }
+        slices.extend(
+            self.returned[1..]
+                .iter_mut()
+                .map(|slot| slot.take().expect("every slice was collected")),
+        );
 
-        // Completion order is scheduler-dependent, chunk order is not: the
-        // reported panic is deterministically the first in chunk order.
+        // Completion order is scheduler-dependent, lane order is not: the
+        // reported panic is deterministically the first in lane order.
         match self.lane_panics.iter_mut().find_map(Option::take) {
             Some(message) => Err(EngineError::WorkerPanicked { message }),
             None => Ok(()),
@@ -540,15 +439,11 @@ impl<'a> WorkerPool<'a> {
 
 /// A helper thread's lifetime: block on the turnstile until a job is queued
 /// (or shutdown is signalled), run it, report the result, repeat.
-fn helper_loop(slot: &LaneSlot<'_>, done_tx: &Sender<Done>, counters: Arc<PoolCounters>) {
+fn helper_loop<'a>(slot: &LaneSlot<'a>, done_tx: &Sender<Done<'a>>, counters: Arc<PoolCounters>) {
     let _live = LiveGuard::new(counters);
     loop {
-        let Job {
-            chunk,
-            ctx,
-            mut workers,
-        } = {
-            let mut state = slot.state.lock().expect("lane mutex is never poisoned");
+        let Job { lane, mut slice } = {
+            let mut state = slot.lock();
             loop {
                 match std::mem::replace(&mut *state, LaneState::Idle) {
                     // Won the race against a coordinator reclaim: mark the
@@ -567,26 +462,19 @@ fn helper_loop(slot: &LaneSlot<'_>, done_tx: &Sender<Done>, counters: Arc<PoolCo
                         state = slot
                             .turnstile
                             .wait(state)
-                            .expect("lane mutex is never poisoned");
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
                 }
             }
         };
-        let panic = detect_chunk(&mut workers, &ctx);
+        let panic = run_slice(&mut slice);
         {
-            let mut state = slot.state.lock().expect("lane mutex is never poisoned");
+            let mut state = slot.lock();
             if !matches!(*state, LaneState::Shutdown) {
                 *state = LaneState::Idle;
             }
         }
-        if done_tx
-            .send(Done {
-                chunk,
-                workers,
-                panic,
-            })
-            .is_err()
-        {
+        if done_tx.send(Done { lane, slice, panic }).is_err() {
             // Coordinator gone (it only drops the completion receiver with
             // the whole pool).
             return;
@@ -597,7 +485,8 @@ fn helper_loop(slot: &LaneSlot<'_>, done_tx: &Sender<Done>, counters: Arc<PoolCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exsample_detect::{FrameDetections, ObjectClass};
+    use crate::shard::{gather_slices, scatter_slices, DetectPolicy, ShardWorker};
+    use exsample_detect::{Detector, FrameDetections, ObjectClass};
     use exsample_video::FrameId;
 
     struct NoopDetector(ObjectClass);
@@ -624,26 +513,33 @@ mod tests {
         }
     }
 
-    /// One stage's dispatch + join, back to back.
-    fn run_stage<'a>(
-        pool: &mut WorkerPool<'a>,
-        workers: &mut Vec<ShardWorker>,
-        ctx: StageCtx<'a>,
-    ) -> Result<(), EngineError> {
-        let dispatch = pool.dispatch_stage(workers, ctx);
-        pool.join_stage(workers, dispatch)
-    }
-
-    /// A worker with `frames` routed into one lane of group 0, ready for a
-    /// dispatched probe + detect pass (`detect_chunk` probes; pre-probing
-    /// here would double the miss lists).
-    fn loaded_worker(shard: u32, frames: &[FrameId]) -> ShardWorker {
-        let mut worker = ShardWorker::new(shard);
-        worker.begin_stage(1, 1);
-        for &frame in frames {
-            worker.push_frame(0, frame);
+    /// One stage of `worker`: `demand[g]` routed to group `g`, probed without
+    /// a cache (every frame is a miss) and gathered over `lanes` lanes into
+    /// `slices` (recycling whatever it held) and `owners`.
+    fn gather_stage<'a>(
+        worker: &mut ShardWorker,
+        detectors: &[&'a dyn Detector],
+        demand: &[&[FrameId]],
+        lanes: usize,
+        slices: &mut Vec<Slice<'a>>,
+        owners: &mut Vec<u32>,
+    ) {
+        let slots: Vec<u32> = (0..detectors.len() as u32).collect();
+        worker.begin_stage(detectors.len(), 1);
+        for (group, frames) in demand.iter().enumerate() {
+            for &frame in *frames {
+                worker.push_frame(group, frame);
+            }
         }
-        worker
+        worker.probe(&slots, true, None);
+        gather_slices(
+            std::slice::from_ref(worker),
+            detectors,
+            lanes,
+            DetectPolicy::infallible(),
+            slices,
+            owners,
+        );
     }
 
     #[test]
@@ -652,32 +548,42 @@ mod tests {
         let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::spawn(scope, 2, &counters);
-            assert_eq!(pool.lanes.len(), 2);
-            let mut workers: Vec<ShardWorker> = (0..3)
-                .map(|s| loaded_worker(s, &[s as u64, 10 + s as u64]))
-                .collect();
-            for _stage in 0..4 {
-                let ctx = StageCtx {
-                    detectors: vec![&detector, &detector, &detector],
-                    slots: vec![0, 0, 0],
-                    share_lanes: false,
-                    policy: DetectPolicy::infallible(),
-                    aggregate: None,
-                    cache: None,
-                    coalesce: true,
-                };
-                run_stage(&mut pool, &mut workers, ctx).expect("no panics");
-                // Shard order is restored exactly.
-                let shards: Vec<u32> = workers.iter().map(ShardWorker::shard).collect();
-                assert_eq!(shards, vec![0, 1, 2]);
-                for worker in &mut workers {
-                    let shard = worker.shard();
-                    worker.begin_stage(1, 1);
-                    worker.push_frame(0, shard as u64);
+            assert_eq!(pool.lanes(), 3);
+            // One worker and one set of slices for every stage, as in the
+            // engine: each gather recycles the slices the pool handed back.
+            let mut worker = ShardWorker::new(0);
+            let (mut slices, mut owners) = (Vec::new(), Vec::new());
+            for stage in 0..4u64 {
+                let frames: Vec<FrameId> = (stage * 10..stage * 10 + 7).collect();
+                gather_stage(
+                    &mut worker,
+                    &[&detector],
+                    &[&frames],
+                    pool.lanes(),
+                    &mut slices,
+                    &mut owners,
+                );
+                assert_eq!(slices.len(), 3);
+                let dispatch = pool.dispatch_stage(&mut slices);
+                assert_eq!(slices.len(), 1, "slice 0 stays with the coordinator");
+                pool.join_stage(&mut slices, dispatch).expect("no panics");
+                assert_eq!(slices.len(), 3);
+                // Lane order was restored: the scatter walks the slices
+                // against the gather's owner list and finds every frame.
+                scatter_slices(
+                    std::slice::from_mut(&mut worker),
+                    &[0],
+                    false,
+                    &mut slices,
+                    &owners,
+                );
+                for &frame in &frames {
+                    assert_eq!(worker.result(0, frame).map(|d| d.frame), Some(frame));
                 }
+                assert_eq!(worker.stage_detected_frames(), 7);
+                // 7 frames over 3 lanes: one batch each.
+                assert_eq!(worker.stage_batches.count, 3);
             }
-            // Chunk buffers were recycled, not re-allocated per stage.
-            assert!(pool.spare.len() <= 2);
             drop(pool);
         });
         assert_eq!(counters.live(), 0);
@@ -691,37 +597,28 @@ mod tests {
         let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::spawn(scope, 1, &counters);
-            // Chunk 0 (inline) uses the noop detector; chunk 1 (helper) gets
-            // the bomb via its own worker's lane.
-            let mut workers = vec![loaded_worker(0, &[1]), loaded_worker(1, &[2])];
-            let ctx = StageCtx {
-                detectors: vec![&noop as &dyn Detector, &bomb],
-                slots: vec![0, 1],
-                share_lanes: false,
-                policy: DetectPolicy::infallible(),
-                aggregate: None,
-                cache: None,
-                coalesce: true,
-            };
-            // Shard 1's frames went to group 0's lane above; re-load shard 1
-            // so its lane belongs to the bomb's group instead.
-            workers[1] = {
-                let mut worker = ShardWorker::new(1);
-                worker.begin_stage(2, 1);
-                worker.push_frame(1, 2);
-                worker
-            };
-            let err = run_stage(&mut pool, &mut workers, ctx).unwrap_err();
+            // Two one-frame groups over two lanes: slice 0 (inline) is the
+            // noop's, slice 1 (the helper's, or reclaimed) the bomb's.
+            let (mut slices, mut owners) = (Vec::new(), Vec::new());
+            gather_stage(
+                &mut ShardWorker::new(0),
+                &[&noop, &bomb],
+                &[&[1], &[2]],
+                pool.lanes(),
+                &mut slices,
+                &mut owners,
+            );
+            let dispatch = pool.dispatch_stage(&mut slices);
+            let err = pool.join_stage(&mut slices, dispatch).unwrap_err();
             match err {
                 EngineError::WorkerPanicked { message } => {
                     assert!(message.contains("bomb detector"), "message: {message}")
                 }
                 other => panic!("expected WorkerPanicked, got {other:?}"),
             }
-            // Both workers were reassembled despite the panic.
-            assert_eq!(workers.len(), 2);
-            assert_eq!(workers[0].shard(), 0);
-            assert_eq!(workers[1].shard(), 1);
+            // Both slices were reassembled despite the panic, and the pool's
+            // worker thread exits with it.
+            assert_eq!(slices.len(), 2);
             drop(pool);
         });
         assert_eq!(counters.live(), 0);
@@ -733,17 +630,17 @@ mod tests {
         let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::spawn(scope, 1, &counters);
-            let mut workers = vec![loaded_worker(0, &[7]), loaded_worker(1, &[8])];
-            let ctx = StageCtx {
-                detectors: vec![&bomb as &dyn Detector],
-                slots: vec![0],
-                share_lanes: false,
-                policy: DetectPolicy::infallible(),
-                aggregate: None,
-                cache: None,
-                coalesce: true,
-            };
-            let err = run_stage(&mut pool, &mut workers, ctx).unwrap_err();
+            let (mut slices, mut owners) = (Vec::new(), Vec::new());
+            gather_stage(
+                &mut ShardWorker::new(0),
+                &[&bomb],
+                &[&[7, 8]],
+                pool.lanes(),
+                &mut slices,
+                &mut owners,
+            );
+            let dispatch = pool.dispatch_stage(&mut slices);
+            let err = pool.join_stage(&mut slices, dispatch).unwrap_err();
             assert!(matches!(err, EngineError::WorkerPanicked { .. }));
             drop(pool);
         });

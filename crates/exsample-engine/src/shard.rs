@@ -1,43 +1,47 @@
-//! Shard routing and per-shard engine workers.
+//! Shard routing, per-shard tallies, and the slice — the unit of DETECT work.
 //!
-//! A sharded engine splits the DETECT phase of every stage across shards: each
-//! query's picks are routed to the shard owning the picked frame's chunk (the
-//! [`ShardRouter`]), and each shard's [`ShardWorker`] runs the batched
-//! detector invocations for the frames routed to it, keeping its own cost and
-//! hit tallies.  PICK stays global (per-query policies span the full chunk
-//! space and own their RNG streams) and FAN-OUT stays in registration/pick
-//! order, which is what makes a merged sharded run bitwise-identical to the
+//! A sharded engine routes every picked frame to the shard owning its chunk
+//! (the [`ShardRouter`]); each shard's [`ShardWorker`] keeps the frames
+//! routed to it this stage, their results, and the shard's own cost and hit
+//! tallies.  PICK stays global (per-query policies span the full chunk space
+//! and own their RNG streams) and FAN-OUT stays in registration/pick order,
+//! which is what makes a merged sharded run bitwise-identical to the
 //! unsharded run — see the crate docs for the full determinism argument.
 //!
-//! A worker's stage work is split into three phases:
+//! Shards own *accounting*, not execution.  A stage's DETECT is:
 //!
-//! 1. [`ShardWorker::probe`] (serial **or** parallel) — coalesce each lane's
-//!    frames and answer what it can from the shared lock-striped cross-stage
-//!    cache ([`StripedDetectionCache::probe`], membership reads plus
-//!    commutative per-stripe tallies — never a recency or membership
-//!    mutation), recording each lane's hits and misses as this worker's
-//!    commit *intents*;
-//! 2. [`ShardWorker::detect`] (serial **or** parallel) — run the batched
-//!    detector invocations for the cache misses.  Phases 1 and 2 touch only
-//!    the worker's own lanes and tallies plus shared-and-`Sync` state (the
-//!    `&dyn Detector`s, the striped cache), so workers are data-independent
-//!    and the engine may run them concurrently in any order on the
-//!    persistent per-run worker pool (`crate::runtime`, where whole
-//!    `ShardWorker`s travel to the pool's lanes by value and their buffers
-//!    are recycled across stages);
-//! 3. [`arbitrate_cache`] (serial, under one [`crate::cache::CacheTxn`]) —
-//!    the arbitration pass: collect every worker's recorded hits and fresh
-//!    results as intents, sort each kind into canonical `(slot, frame)`
-//!    order, then apply all touches followed by all inserts.  The canonical
-//!    order depends only on *which* frames were probed and detected — never
-//!    on how they were partitioned across shards — so cache accounting is
-//!    bitwise-identical across shard counts and partitioners, not just
-//!    across thread counts at a fixed layout.
+//! 1. [`ShardWorker::probe`] (coordinator) — coalesce each lane's frames and
+//!    answer what it can from the cross-stage cache
+//!    ([`StripedDetectionCache::probe`], membership reads plus per-stripe
+//!    tallies — never a recency or membership mutation), recording each
+//!    lane's hits and misses as this worker's commit *intents*;
+//! 2. [`gather_slices`] (coordinator) — concatenate every shard's misses per
+//!    logical detector group in canonical `(group, shard, frame)` order and
+//!    cut that flat list into one contiguous [`Slice`] of equal frame count
+//!    per lane.  A batch never spans groups and a group is cut only where a
+//!    lane boundary falls inside it, so a stage issues at most
+//!    `groups + lanes − 1` batch probes — and exactly `groups` when serial —
+//!    whatever the shard count, and the lanes are evenly loaded however
+//!    skewed the routing was;
+//! 3. [`Slice::run`] (any thread — the slices travel to the persistent
+//!    per-run pool of `crate::runtime`, carrying frames and detector
+//!    references, never a `ShardWorker`) — one batched detector invocation
+//!    per batch, with per-frame recovery of a failed one;
+//! 4. [`scatter_slices`] (coordinator) — apply the outcomes to the owning
+//!    shards' lanes and tallies in the same canonical order, stopping at the
+//!    first exhausted frame under fail-fast;
+//! 5. [`arbitrate_cache`] (coordinator, under one [`crate::cache::CacheTxn`])
+//!    — collect every worker's recorded hits and fresh results as intents,
+//!    sort each kind into canonical `(slot, frame)` order, then apply all
+//!    touches followed by all inserts.  The canonical order depends only on
+//!    *which* frames were probed and detected — never on how they were
+//!    partitioned across shards or lanes — so cache accounting is
+//!    bitwise-identical across shard counts, partitioners and thread counts.
 //!
-//! Because cache membership never changes between a stage's probes and its
-//! arbitration, probe outcomes are a pure function of the membership set and
-//! phase 3's fixed replay order — not locking — is what makes parallel
-//! execution bitwise-identical to serial execution, cache on or off.
+//! Only step 3 leaves the coordinator, and a slice's outcome is a pure
+//! function of its frames and detectors, so where the lane boundaries fall —
+//! and which thread runs which slice — changes the *physical* invocation
+//! shape and nothing else.
 //!
 //! Lane results are held as `Arc<FrameDetections>`: a cache hit keeps the
 //! cached allocation with a reference-count bump instead of deep-copying the
@@ -56,9 +60,9 @@ use exsample_video::{Chunking, FrameId, ShardSpec, ShardedRepository};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// How a worker's detect phase handles detector failures — the engine's
+/// How DETECT handles detector failures — the engine's
 /// [`crate::RetryPolicy`] and [`crate::FailureMode`] flattened into the
-/// `Copy` form every lane carries.
+/// `Copy` form every [`Slice`] carries.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DetectPolicy {
     /// Per-frame attempt budget (batch probe excluded); `1` means no retries.
@@ -90,9 +94,9 @@ impl DetectPolicy {
     }
 }
 
-/// A fatal detect failure recorded by a worker under fail-fast: the engine
-/// surfaces the first one in shard order as
-/// [`EngineError::DetectorFailed`].
+/// A fatal detect failure under fail-fast, parked on the worker owning the
+/// frame: [`scatter_slices`] stops at the first one in canonical order and
+/// the engine surfaces it as [`EngineError::DetectorFailed`].
 #[derive(Debug)]
 pub(crate) struct DetectFailure {
     /// Registry slot of the failing detector.
@@ -232,8 +236,13 @@ pub(crate) struct WorkerDetectorTally {
 struct Lane {
     frames: Vec<FrameId>,
     /// Frames of this lane not answered by the cache ([`ShardWorker::probe`]),
-    /// in lane order — the exact batch [`ShardWorker::detect`] runs.
+    /// in lane order — this lane's contribution to the stage's gathered
+    /// detector demand.
     misses: Vec<FrameId>,
+    /// Frames of this lane that an earlier same-detector lane of this worker
+    /// already missed (cache on, coalescing off): they ride that lane's
+    /// detection instead of being demanded — or tallied — a second time.
+    joined: Vec<FrameId>,
     /// Frames of this lane answered by the cache, in probe order — the
     /// worker's recorded touch intents, replayed during commit arbitration.
     hits: Vec<FrameId>,
@@ -288,20 +297,15 @@ pub(crate) fn arbitrate_cache(
     }
 }
 
-/// Per-shard execution state: the frames routed to this shard in the current
-/// stage, plus the shard's cumulative cost and hit tallies.
-///
-/// All scratch is worker-owned (detection buffer, per-group detected counts),
-/// so [`ShardWorker::detect`] needs no shared mutable state and the engine
-/// can run workers' detect phases on pool threads.
+/// Per-shard state: the frames routed to this shard in the current stage and
+/// their results, plus the shard's cumulative cost and hit tallies.  Lives on
+/// the coordinator for the whole run — DETECT work leaves it as [`Slice`]s.
 #[derive(Debug)]
 pub(crate) struct ShardWorker {
     shard: u32,
     lanes: Vec<Lane>,
     /// Lanes in use this stage (dead slots keep their allocations).
     live_lanes: usize,
-    /// Scratch for `detect_batch` output (reused across lanes and stages).
-    detect_buf: Vec<FrameDetections>,
     /// Frames this worker detected for each logical group this stage; the
     /// engine folds the cross-shard sums into its logical accounting.
     pub lane_detected: Vec<u64>,
@@ -339,9 +343,8 @@ pub(crate) struct ShardWorker {
     /// shard's tally reproduces the engine totals exactly (the merge layer
     /// cross-checks this).
     pub cache_tally: CacheActivity,
-    /// The first fatal failure recorded under fail-fast, if any; the engine
-    /// checks workers in shard order after every detect pass and aborts the
-    /// stage on the first one it finds.
+    /// The stage's fatal failure under fail-fast, if this worker owns the
+    /// failing frame; the engine aborts the stage on finding one.
     pub fatal: Option<DetectFailure>,
     /// Per-query tallies, indexed by query registration index.
     pub per_query: Vec<WorkerQueryTally>,
@@ -355,7 +358,6 @@ impl ShardWorker {
             shard,
             lanes: Vec::new(),
             live_lanes: 0,
-            detect_buf: Vec::new(),
             lane_detected: Vec::new(),
             lane_failed: Vec::new(),
             detector_frames: 0,
@@ -388,6 +390,7 @@ impl ShardWorker {
         for lane in &mut self.lanes[..groups] {
             lane.frames.clear();
             lane.misses.clear();
+            lane.joined.clear();
             lane.hits.clear();
             lane.results.clear();
         }
@@ -413,28 +416,28 @@ impl ShardWorker {
         self.lanes[group].frames.push(frame);
     }
 
-    /// Phase 1 of the worker's stage: coalesce each lane and split it into
-    /// cache hits (answered in place with an `Arc` clone of the cached entry,
-    /// and recorded in probe order as this worker's touch intents) and misses
-    /// (left for [`ShardWorker::detect`]).
+    /// Coalesce each lane and split it into cache hits (answered in place
+    /// with an `Arc` clone of the cached entry, and recorded in probe order as
+    /// this worker's touch intents) and misses (this lane's share of the
+    /// stage's detector demand, see [`gather_slices`]).
     ///
     /// When `coalesce` is set, each lane's frames are sorted and deduplicated
     /// first (queries on the same shard share the detector bill).  Runs once
-    /// per worker per stage — inline on the coordinator or inside the
-    /// parallel dispatch (`runtime::detect_chunk`) — and only *reads* cache
-    /// membership while tallying per-stripe counters, so probe outcomes are
-    /// a pure function of the membership set and the hit/miss sums are
-    /// identical no matter which thread carries which worker.
+    /// per worker per stage, on the coordinator, before the gather — which
+    /// needs its result — and only *reads* cache membership while tallying
+    /// per-stripe counters, so probe outcomes are a pure function of the
+    /// membership set.
     ///
     /// With coalescing *off*, two same-stage lanes of this worker can carry
     /// the same detector; a later lane dedupes against earlier same-slot
     /// lanes at probe time instead of probing the cache again: a frame an
     /// earlier lane hit is shared immediately, a frame an earlier lane
-    /// missed joins this lane's misses untallied (the detect phase's
-    /// same-slot reuse resolves it without a second detection or commit).
-    /// Each distinct `(detector, frame)` pair therefore counts exactly once
-    /// per shard per stage — matching the single physical detection it can
-    /// cost.
+    /// missed is *joined* to that lane's detection untallied
+    /// ([`ShardWorker::share_joined`] hands it the outcome once the stage
+    /// has detected).  Each distinct `(detector, frame)` pair therefore
+    /// counts — and is detected, and can fail — exactly once per stage.
+    /// Without a cache, uncoalesced lanes deliberately pay the full bill
+    /// (that is what "uncoalesced detector work" measures).
     pub(crate) fn probe(
         &mut self,
         detector_slots: &[DetectorSlot],
@@ -472,7 +475,7 @@ impl ShardWorker {
                             continue 'frames;
                         }
                         if other.misses.contains(&frame) {
-                            lane.misses.push(frame);
+                            lane.joined.push(frame);
                             continue 'frames;
                         }
                     }
@@ -494,195 +497,71 @@ impl ShardWorker {
         }
     }
 
-    /// Phase 2 of the worker's stage: run the batched detector invocations
-    /// for every lane with cache misses.
-    ///
-    /// `detectors[g]` / `detector_slots[g]` give the logical group's detector
-    /// and its registry slot.  Touches only this worker's own lanes, scratch
-    /// and tallies plus the shared (`Send + Sync`) detectors — no cache, no
-    /// engine state — so the engine may run workers' detect phases
-    /// concurrently on pool threads without changing any observable result.
-    ///
-    /// Detection may fail.  Each lane is first probed with one batched
-    /// [`Detector::try_detect_batch`] call — the fault-free path, identical
-    /// in cost and behaviour to the pre-fault-tolerance engine.  If the probe
-    /// errs, the lane falls back to per-frame recovery: every miss is
-    /// attempted individually up to `policy.max_attempts` times (a permanent
-    /// error stops retrying immediately), retries and their deterministic
-    /// backoff cost are tallied per frame, and a frame whose attempts are
-    /// exhausted is *removed from the lane's misses* — it gains no result, is
-    /// never committed to the cache, and (under fail-fast) is recorded in
-    /// [`ShardWorker::fatal`] and aborts this worker's detect pass.  Because
-    /// every frame's attempt history depends only on its own schedule (one
-    /// probe plus its own per-frame tries), the per-frame tallies are
-    /// independent of how frames are batched into shards — the engine's
-    /// fault determinism guarantee.
-    ///
-    /// When the cross-stage cache is enabled and coalescing is off, two lanes
-    /// of the same stage can carry the same detector (each picking query gets
-    /// its own group); lanes are processed in order and a later lane reuses
-    /// any frame an earlier same-slot lane already resolved this stage, so a
-    /// (detector, frame) pair is detected at most once per shard per stage —
-    /// the worker-local, execution-mode-independent replacement for the
-    /// intra-stage sharing that interleaving cache inserts with probes used
-    /// to provide.  Without a cache, uncoalesced lanes deliberately pay the
-    /// full bill (that is what "uncoalesced detector work" measures), exactly
-    /// as before.
-    pub(crate) fn detect(
-        &mut self,
-        detectors: &[&dyn Detector],
-        detector_slots: &[DetectorSlot],
-        share_lanes: bool,
-        policy: DetectPolicy,
-    ) {
-        for g in 0..self.live_lanes {
-            if self.lanes[g].misses.is_empty() {
-                continue;
-            }
-            let slot = detector_slots[g];
-            if share_lanes {
-                self.reuse_shared_lane(g, detector_slots);
-            }
-            let misses = &self.lanes[g].misses;
-            if misses.is_empty() {
-                continue;
-            }
-            let probed = misses.len() as u64;
-            self.detect_buf.clear();
-            let probe = detectors[g].try_detect_batch(misses, &mut self.detect_buf);
-            self.record_call(slot, probed);
-            match probe {
-                Ok(()) => {
-                    // Fault-free path: identical bookkeeping to the
-                    // pre-fault-tolerance engine.
-                    self.record_detected(g, slot, probed);
-                    let lane = &mut self.lanes[g];
-                    lane.results.reserve(self.detect_buf.len());
-                    for (&frame, detections) in lane.misses.iter().zip(self.detect_buf.drain(..)) {
-                        lane.results.insert(frame, Arc::new(detections));
-                    }
-                }
-                Err(_) => {
-                    // The batch probe failed somewhere in the lane: fall back
-                    // to per-frame recovery, in lane order.  Each frame's
-                    // attempt history is one probe plus its own per-frame
-                    // tries, so tallies are independent of lane/shard
-                    // composition.
-                    for idx in 0..self.lanes[g].misses.len() {
-                        let frame = self.lanes[g].misses[idx];
-                        self.recover_frame(detectors[g], g, slot, frame, policy);
-                        if self.fatal.is_some() {
-                            break;
-                        }
-                    }
-                    // Failed (and, under fail-fast, unprocessed) frames leave
-                    // the miss list so they can never be committed to the
-                    // cache or fanned out.
-                    let Lane {
-                        misses, results, ..
-                    } = &mut self.lanes[g];
-                    misses.retain(|frame| results.contains_key(frame));
-                    if self.fatal.is_some() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Reuse results an earlier same-slot lane of this worker already
-    /// resolved this stage — the cache-on, coalesce-off intra-stage sharing
-    /// described on [`ShardWorker::detect`].  The scan only arms with
-    /// genuinely duplicated detectors; the common paths pay one slice scan
-    /// per lane at most.
-    fn reuse_shared_lane(&mut self, g: usize, detector_slots: &[DetectorSlot]) {
-        let slot = detector_slots[g];
-        if !detector_slots[..g].contains(&slot) {
-            return;
-        }
-        let (earlier, rest) = self.lanes.split_at_mut(g);
-        let Lane {
-            misses, results, ..
-        } = &mut rest[0];
-        misses.retain(|&frame| {
-            let reused = detector_slots[..g]
-                .iter()
-                .zip(earlier.iter())
-                .find_map(|(&s, other)| {
-                    if s == slot {
-                        other.results.get(&frame)
-                    } else {
-                        None
-                    }
-                });
-            match reused {
-                Some(detections) => {
+    /// Hand every joined frame (see [`ShardWorker::probe`]) the result the
+    /// earlier same-slot lane it rides on got this stage.  A frame that lane
+    /// failed stays without a result here too, so fan-out drops it for both
+    /// queries alike.
+    fn share_joined(&mut self, detector_slots: &[DetectorSlot]) {
+        for g in 1..self.live_lanes {
+            let (earlier, rest) = self.lanes.split_at_mut(g);
+            let Lane {
+                joined, results, ..
+            } = &mut rest[0];
+            for &frame in joined.iter() {
+                let shared = earlier
+                    .iter()
+                    .zip(detector_slots)
+                    .filter(|&(_, &slot)| slot == detector_slots[g])
+                    .find_map(|(other, _)| other.results.get(&frame));
+                if let Some(detections) = shared {
                     results.insert(frame, Arc::clone(detections));
-                    false
                 }
-                None => true,
             }
-        });
+        }
     }
 
-    /// Per-frame recovery of one frame after a failed batch probe — the one
-    /// retry loop every detect path shares ([`ShardWorker::detect`]'s lanes,
-    /// [`aggregate_detect`]'s cross-shard batches and
-    /// [`ShardWorker::detect_direct`]), charged to this worker (the frame's
-    /// owner).  The frame is attempted individually up to
-    /// `policy.max_attempts` times (a permanent error stops retrying
-    /// immediately), each retry charging its deterministic backoff cost.
-    /// Because the frame's attempt history is always one batch probe plus its
-    /// own per-frame tries, its tallies are identical however the failed
-    /// batch was composed.  A recovered frame lands in the group's lane
-    /// results; an exhausted one gains no result and, under fail-fast, is
-    /// parked in [`ShardWorker::fatal`].
-    fn recover_frame(
+    /// Take the detections of one frame of logical group `group` (registry
+    /// slot `slot`) whose batch probe succeeded.
+    fn absorb_detection(
         &mut self,
-        detector: &dyn Detector,
         group: usize,
         slot: DetectorSlot,
         frame: FrameId,
+        detections: FrameDetections,
+    ) {
+        self.record_detected(group, slot, 1);
+        self.lanes[group]
+            .results
+            .insert(frame, Arc::new(detections));
+    }
+
+    /// Take one frame's [`FrameRecovery`] after a failed batch probe, charged
+    /// to this worker (the frame's owner): its per-frame tries are physical
+    /// calls, every try but the first is a retry charged its deterministic
+    /// backoff cost, a recovered frame lands in the group's lane results, and
+    /// an exhausted one gains no result — so it can never be committed to the
+    /// cache or fanned out — and, under fail-fast, is parked in
+    /// [`ShardWorker::fatal`].
+    fn absorb_recovery(
+        &mut self,
+        group: usize,
+        slot: DetectorSlot,
+        frame: FrameId,
+        recovery: FrameRecovery,
         policy: DetectPolicy,
     ) {
-        let max_attempts = policy.max_attempts.max(1);
-        let mut attempts = 0u32;
-        let mut retries = 0u64;
-        let mut backoff = 0u64;
-        let outcome = loop {
-            attempts += 1;
-            self.detect_buf.clear();
-            match detector.try_detect_batch(std::slice::from_ref(&frame), &mut self.detect_buf) {
-                Ok(()) => {
-                    break Ok(self
-                        .detect_buf
-                        .pop()
-                        .expect("one detection set per detected frame"));
-                }
-                Err(err) => {
-                    if !err.is_transient() || attempts >= max_attempts {
-                        break Err(err);
-                    }
-                    // The upcoming try is retry number `attempts` (1-based).
-                    retries += 1;
-                    backoff += policy.retry_cost(attempts);
-                }
-            }
-        };
-        self.detector_calls += u64::from(attempts);
-        self.record_batches(1, u64::from(attempts));
-        self.per_detector_entry(slot).calls += u64::from(attempts);
+        let tries = u64::from(recovery.tries);
+        let retries = tries - 1;
+        let backoff: u64 = (1..recovery.tries).map(|k| policy.retry_cost(k)).sum();
+        self.detector_calls += tries;
+        self.record_batches(1, tries);
+        self.per_detector_entry(slot).calls += tries;
         self.stage_retries += retries;
         self.retries += retries;
         self.stage_backoff += backoff;
         self.backoff += backoff;
-        match outcome {
-            Ok(detections) => {
-                self.record_detected(group, slot, 1);
-                self.lanes[group]
-                    .results
-                    .insert(frame, Arc::new(detections));
-            }
+        match recovery.outcome {
+            Ok(detections) => self.absorb_detection(group, slot, frame, detections),
             Err(error) => {
                 self.failed_frames += 1;
                 self.lane_failed[group] += 1;
@@ -692,7 +571,7 @@ impl ShardWorker {
                         slot,
                         frame,
                         // Batch probe + per-frame tries.
-                        attempts: attempts + 1,
+                        attempts: recovery.tries + 1,
                         error,
                     });
                 }
@@ -705,10 +584,10 @@ impl ShardWorker {
     /// `Arc` per frame (see the engine's stage planning for when it is
     /// taken).  Returns whether `out` now holds one detection set per pick.
     ///
-    /// A failed probe falls back to [`ShardWorker::recover_frame`] for every
-    /// pick, so the recovered frames (and any fail-fast failure) land in lane
-    /// 0 exactly as [`ShardWorker::detect`] would have left them and the
-    /// caller fans out through the lane like any 1-shard stage.
+    /// A failed probe falls back to [`recover_frame`] for every pick, so the
+    /// recovered frames (and any fail-fast failure) land in lane 0 exactly as
+    /// [`scatter_slices`] would have left them and the caller fans out
+    /// through the lane like any 1-shard stage.
     pub(crate) fn detect_direct(
         &mut self,
         detector: &dyn Detector,
@@ -726,7 +605,8 @@ impl ShardWorker {
         }
         out.clear();
         for &frame in picks {
-            self.recover_frame(detector, 0, slot, frame, policy);
+            let recovery = recover_frame(detector, frame, policy);
+            self.absorb_recovery(0, slot, frame, recovery, policy);
             if self.fatal.is_some() {
                 break;
             }
@@ -796,10 +676,9 @@ impl ShardWorker {
     /// with this worker's index so eviction/admission outcomes can be folded
     /// back into the right shard's tallies.
     ///
-    /// Cache hygiene under faults: a frame whose detect attempts failed was
-    /// removed from the lane's miss list by [`ShardWorker::detect`], so a
-    /// failed attempt can never be committed — only frames with an actual
-    /// result reach the LRU, and each exactly once per stage.
+    /// Cache hygiene under faults: a frame whose detect attempts failed has
+    /// no result, so a failed attempt can never be committed — only frames
+    /// with an actual result reach the LRU, and each exactly once per stage.
     fn collect_cache_inserts(
         &self,
         detector_slots: &[DetectorSlot],
@@ -810,9 +689,8 @@ impl ShardWorker {
             let slot = detector_slots[g];
             for &frame in &lane.misses {
                 let Some(detections) = lane.results.get(&frame) else {
-                    // A dedupe-joined miss whose detection lives on the
-                    // earlier same-slot lane (which commits it); nothing to
-                    // publish here.
+                    // The frame's detect attempts were exhausted (or a
+                    // fail-fast stage stopped before reaching it).
                     continue;
                 };
                 out.push(CacheInsert {
@@ -846,36 +724,6 @@ impl ShardWorker {
     #[cfg(test)]
     pub(crate) fn stage_failed_frames(&self) -> u64 {
         self.lane_failed.iter().sum()
-    }
-
-    /// Whether any lane has routed frames this stage (the cache-off
-    /// pre-dispatch work check: no frames means dispatch would only run
-    /// no-ops).
-    pub(crate) fn has_frames(&self) -> bool {
-        self.lanes[..self.live_lanes]
-            .iter()
-            .any(|lane| !lane.frames.is_empty())
-    }
-
-    /// Whether every frame routed to this worker this stage is already
-    /// resident in the cache — the pre-dispatch warm check, evaluated
-    /// *before* [`ShardWorker::probe`] runs.  Uses the tally-free
-    /// [`StripedDetectionCache::contains`] so the decision never perturbs
-    /// the hit/miss accounting the real probe will produce (which keeps
-    /// cache accounting execution-invariant: the skip changes where the
-    /// probe runs, never what it counts).
-    pub(crate) fn is_warm(
-        &self,
-        detector_slots: &[DetectorSlot],
-        cache: &StripedDetectionCache,
-    ) -> bool {
-        self.lanes[..self.live_lanes]
-            .iter()
-            .enumerate()
-            .all(|(g, lane)| {
-                let slot = detector_slots[g];
-                lane.frames.iter().all(|&frame| cache.contains(slot, frame))
-            })
     }
 
     /// The detections of `frame` for logical group `group`, if this worker
@@ -913,110 +761,242 @@ impl ShardWorker {
     }
 }
 
-/// Cross-shard aggregated DETECT: the batching replacement for running each
-/// worker's [`ShardWorker::detect`] independently.
+/// One frame's per-frame recovery after the batch probe carrying it failed.
+pub(crate) struct FrameRecovery {
+    /// Per-frame tries issued (the batch probe excluded; at least one).
+    tries: u32,
+    /// The frame's detections, or the error its last try returned.
+    outcome: Result<FrameDetections, DetectError>,
+}
+
+/// Per-frame recovery of one frame after a failed batch probe — the one
+/// retry loop every detect path shares ([`Slice::run`]'s batches and
+/// [`ShardWorker::detect_direct`]), and a pure function of
+/// `(detector, frame, policy)`.  The frame is attempted individually up to
+/// `policy.max_attempts` times; a permanent error stops retrying
+/// immediately.  Because the frame's attempt history is always one batch
+/// probe plus its own per-frame tries, the record — and every tally
+/// [`ShardWorker::absorb_recovery`] derives from it — is identical however
+/// the failed batch was composed: the engine's fault determinism guarantee.
+fn recover_frame(detector: &dyn Detector, frame: FrameId, policy: DetectPolicy) -> FrameRecovery {
+    let max_attempts = policy.max_attempts.max(1);
+    let mut buf = Vec::with_capacity(1);
+    let mut tries = 0u32;
+    let outcome = loop {
+        tries += 1;
+        buf.clear();
+        match detector.try_detect_batch(std::slice::from_ref(&frame), &mut buf) {
+            Ok(()) => break Ok(buf.pop().expect("one detection set per detected frame")),
+            Err(err) => {
+                if !err.is_transient() || tries >= max_attempts {
+                    break Err(err);
+                }
+            }
+        }
+    };
+    FrameRecovery { tries, outcome }
+}
+
+/// One physical batched invocation of a [`Slice`]: `len` consecutive frames
+/// of the slice, all of logical group `group`.
+struct Batch<'a> {
+    group: usize,
+    detector: &'a dyn Detector,
+    len: usize,
+}
+
+/// What running one [`Batch`] produced, in batch order.
+enum BatchOutcome {
+    /// The batch probe succeeded: one detection set per frame — the
+    /// fault-free path.
+    Detected(Vec<FrameDetections>),
+    /// The batch probe failed somewhere: every frame went through
+    /// [`recover_frame`].  Under fail-fast the list ends at the first
+    /// exhausted frame.
+    Recovered(Vec<FrameRecovery>),
+}
+
+/// The unit of DETECT work: one lane's contiguous span of a stage's gathered
+/// detector demand, as the batches it cuts into — built by
+/// [`gather_slices`], run on whichever thread the pool gives it, applied by
+/// [`scatter_slices`].  It carries frame ids and detector references only, so
+/// its outcomes are a pure function of what it was handed.
+pub(crate) struct Slice<'a> {
+    frames: Vec<FrameId>,
+    batches: Vec<Batch<'a>>,
+    /// One outcome per batch run, in batch order (shorter than `batches`
+    /// only when a fail-fast failure stopped the run).
+    outcomes: Vec<BatchOutcome>,
+    policy: DetectPolicy,
+}
+
+impl Slice<'_> {
+    /// Run the slice's batches in order: one batched
+    /// [`Detector::try_detect_batch`] call each — the fault-free path,
+    /// identical in cost and behaviour to the pre-fault-tolerance engine —
+    /// and, when that probe errs, [`recover_frame`] for each of the batch's
+    /// frames in order.  Under fail-fast the run stops at the first exhausted
+    /// frame: nothing after it in canonical order will be applied.
+    pub(crate) fn run(&mut self) {
+        let mut start = 0;
+        for batch in &self.batches {
+            let frames = &self.frames[start..start + batch.len];
+            start += batch.len;
+            let mut detections = Vec::with_capacity(frames.len());
+            if batch
+                .detector
+                .try_detect_batch(frames, &mut detections)
+                .is_ok()
+            {
+                self.outcomes.push(BatchOutcome::Detected(detections));
+                continue;
+            }
+            let mut recoveries = Vec::with_capacity(frames.len());
+            let mut fatal = false;
+            for &frame in frames {
+                let recovery = recover_frame(batch.detector, frame, self.policy);
+                fatal = self.policy.fail_fast && recovery.outcome.is_err();
+                recoveries.push(recovery);
+                if fatal {
+                    break;
+                }
+            }
+            self.outcomes.push(BatchOutcome::Recovered(recoveries));
+            if fatal {
+                return;
+            }
+        }
+    }
+}
+
+/// Gather the stage's detector demand — every worker's misses per logical
+/// group, in canonical `(group, shard, frame-within-lane)` order — and cut it
+/// into `lanes` contiguous [`Slice`]s of equal frame count (the first
+/// `total % lanes` get the odd frame), recording each gathered frame's owning
+/// worker in `owners`.  Never builds an empty slice: `slices` ends up with
+/// `min(lanes, total)` entries, none at all when every frame was a cache hit.
 ///
-/// For each logical detector group (in group order), the per-shard demand —
-/// every worker's cache misses for that group, gathered in deterministic
-/// (shard, frame-within-lane) order — is concatenated and issued as batches
-/// of at most `max_batch` frames (one batch per group when unbounded), then
-/// each result is scattered back into its owning worker's lane.  Logical
-/// tallies (detected frames, per-group counts, retry/backoff/failure
-/// telemetry) land on the frame's *owner*, so they are identical to the
-/// per-shard path for any shard layout; each *physical* call (and its batch
-/// statistics) is attributed to the shard owning the batch's first frame, so
-/// per-shard call counts remain well-defined and `batches.count` keeps
-/// tracking `detector_calls` everywhere.
+/// A batch never spans groups, and a group is cut only where a lane boundary
+/// falls inside it — so the slices hold at most `groups + lanes − 1` batches
+/// between them, exactly `groups` of them when `lanes` is 1, for any shard
+/// count.  `detectors[g]` is logical group `g`'s detector.
+pub(crate) fn gather_slices<'a>(
+    workers: &[ShardWorker],
+    detectors: &[&'a dyn Detector],
+    lanes: usize,
+    policy: DetectPolicy,
+    slices: &mut Vec<Slice<'a>>,
+    owners: &mut Vec<u32>,
+) {
+    let groups = detectors.len();
+    let total: usize = workers
+        .iter()
+        .flat_map(|worker| &worker.lanes[..groups])
+        .map(|lane| lane.misses.len())
+        .sum();
+    let spans = lanes.min(total);
+    // Recycle last stage's slices: their buffers keep their allocations.
+    slices.resize_with(spans, || Slice {
+        frames: Vec::new(),
+        batches: Vec::new(),
+        outcomes: Vec::new(),
+        policy,
+    });
+    for slice in slices.iter_mut() {
+        slice.frames.clear();
+        slice.batches.clear();
+        slice.outcomes.clear();
+        slice.policy = policy;
+    }
+    owners.clear();
+    if spans == 0 {
+        return;
+    }
+    let quota = |span: usize| total / spans + usize::from(span < total % spans);
+    let mut span = 0;
+    let mut room = quota(0);
+    for (group, &detector) in detectors.iter().enumerate() {
+        for (owner, worker) in workers.iter().enumerate() {
+            let mut misses = worker.lanes[group].misses.as_slice();
+            while !misses.is_empty() {
+                if room == 0 {
+                    span += 1;
+                    room = quota(span);
+                }
+                let (taken, rest) = misses.split_at(misses.len().min(room));
+                misses = rest;
+                room -= taken.len();
+                let slice = &mut slices[span];
+                slice.frames.extend_from_slice(taken);
+                owners.extend(std::iter::repeat_n(owner as u32, taken.len()));
+                match slice.batches.last_mut() {
+                    Some(batch) if batch.group == group => batch.len += taken.len(),
+                    _ => slice.batches.push(Batch {
+                        group,
+                        detector,
+                        len: taken.len(),
+                    }),
+                }
+            }
+        }
+    }
+}
+
+/// Apply the run slices' outcomes to the owning workers, in the canonical
+/// order [`gather_slices`] laid the frames out in (`owners` is its record of
+/// who owns each).  Results land in the owner's lane, logical tallies
+/// (detected frames, per-group counts, retry/backoff/failure telemetry) on
+/// the owner too — so they are identical for any shard layout and any lane
+/// count — and each *physical* batch probe (with its batch statistics) is
+/// attributed to the shard owning the batch's first frame, so per-shard call
+/// counts stay well-defined and `batches.count` keeps tracking
+/// `detector_calls` everywhere.
 ///
-/// Groups are processed strictly in order with all workers completing a group
-/// before the next begins, which preserves the same-slot lane reuse semantics
-/// of [`ShardWorker::detect`] (a later lane of a worker reuses what any of
-/// its earlier lanes resolved).  Faults keep their per-shard shape: a failed
-/// batch probe sends exactly that batch's frames through the owner-charged
-/// per-frame recovery loop, and under fail-fast a worker whose frame exhausts
-/// its attempts skips its own remaining frames (this group and later ones),
-/// exactly like the per-worker early return — other shards are unaffected.
-///
-/// Runs on one thread (the aggregated batch *is* the cross-shard batch, so
-/// there is nothing left to parallelise across workers): inline on the
-/// coordinator, or as a single pool job when the engine overlaps PICK with
-/// DETECT.
-pub(crate) fn aggregate_detect(
+/// Under fail-fast the pass stops at the first exhausted frame in canonical
+/// order, parked as its owner's [`ShardWorker::fatal`]: whatever lanes ran
+/// beyond it is discarded, which makes the reported failure independent of
+/// the lane count, and the engine abandons the stage before any commit.
+pub(crate) fn scatter_slices(
     workers: &mut [ShardWorker],
-    detectors: &[&dyn Detector],
     detector_slots: &[DetectorSlot],
     share_lanes: bool,
-    policy: DetectPolicy,
-    max_batch: usize,
+    slices: &mut [Slice<'_>],
+    owners: &[u32],
 ) {
-    let max_batch = max_batch.max(1);
-    let mut gather: Vec<(usize, FrameId)> = Vec::new();
-    let mut batch_frames: Vec<FrameId> = Vec::new();
-    let mut batch_owners: Vec<usize> = Vec::new();
-    let mut detect_buf: Vec<FrameDetections> = Vec::new();
-    for (g, &slot) in detector_slots.iter().enumerate() {
-        gather.clear();
-        for (w, worker) in workers.iter_mut().enumerate() {
-            if worker.fatal.is_some() {
-                continue;
-            }
-            if share_lanes {
-                worker.reuse_shared_lane(g, detector_slots);
-            }
-            gather.extend(worker.lanes[g].misses.iter().map(|&frame| (w, frame)));
-        }
-        let mut pos = 0;
-        while pos < gather.len() {
-            batch_frames.clear();
-            batch_owners.clear();
-            while pos < gather.len() && batch_frames.len() < max_batch {
-                let (w, frame) = gather[pos];
-                pos += 1;
-                // A worker that went fatal earlier in this group contributes
-                // nothing further (fail-fast early-return semantics).
-                if workers[w].fatal.is_none() {
-                    batch_frames.push(frame);
-                    batch_owners.push(w);
-                }
-            }
-            if batch_frames.is_empty() {
-                continue;
-            }
-            detect_buf.clear();
-            let probe = detectors[g].try_detect_batch(&batch_frames, &mut detect_buf);
-            // The physical call belongs to the shard owning the batch's
-            // first frame.
-            workers[batch_owners[0]].record_call(slot, batch_frames.len() as u64);
-            match probe {
-                Ok(()) => {
-                    for ((&frame, &w), detections) in batch_frames
-                        .iter()
-                        .zip(&batch_owners)
-                        .zip(detect_buf.drain(..))
-                    {
-                        let worker = &mut workers[w];
-                        worker.record_detected(g, slot, 1);
-                        worker.lanes[g].results.insert(frame, Arc::new(detections));
+    let mut gathered = 0;
+    for slice in slices.iter_mut() {
+        let policy = slice.policy;
+        let mut start = 0;
+        for (batch, outcome) in slice.batches.iter().zip(slice.outcomes.drain(..)) {
+            let group = batch.group;
+            let slot = detector_slots[group];
+            let frames = &slice.frames[start..start + batch.len];
+            let owners = &owners[gathered..gathered + batch.len];
+            start += batch.len;
+            gathered += batch.len;
+            workers[owners[0] as usize].record_call(slot, batch.len as u64);
+            let owned = frames.iter().zip(owners);
+            match outcome {
+                BatchOutcome::Detected(detections) => {
+                    for ((&frame, &owner), detections) in owned.zip(detections) {
+                        workers[owner as usize].absorb_detection(group, slot, frame, detections);
                     }
                 }
-                Err(_) => {
-                    for (&frame, &w) in batch_frames.iter().zip(&batch_owners) {
-                        let worker = &mut workers[w];
-                        if worker.fatal.is_none() {
-                            worker.recover_frame(detectors[g], g, slot, frame, policy);
+                BatchOutcome::Recovered(recoveries) => {
+                    for ((&frame, &owner), recovery) in owned.zip(recoveries) {
+                        let worker = &mut workers[owner as usize];
+                        worker.absorb_recovery(group, slot, frame, recovery, policy);
+                        if worker.fatal.is_some() {
+                            return;
                         }
                     }
                 }
             }
         }
-        // Keep only resolved frames in each lane's miss list, in lane order —
-        // commit_cache and fan-out read misses as "frames with fresh
-        // results", exactly like the per-worker error path leaves them.
+    }
+    if share_lanes {
         for worker in workers.iter_mut() {
-            let Lane {
-                misses, results, ..
-            } = &mut worker.lanes[g];
-            misses.retain(|frame| results.contains_key(frame));
+            worker.share_joined(detector_slots);
         }
     }
 }
@@ -1125,6 +1105,33 @@ mod tests {
         worker
     }
 
+    /// One stage's DETECT over `workers`' probed lanes: gather over `lanes`
+    /// lanes, run every slice, scatter.  Returns each slice's frame count.
+    fn detect_stage(
+        workers: &mut [ShardWorker],
+        detectors: &[&dyn Detector],
+        slots: &[DetectorSlot],
+        policy: DetectPolicy,
+        lanes: usize,
+    ) -> Vec<usize> {
+        let (mut slices, mut owners) = (Vec::new(), Vec::new());
+        gather_slices(workers, detectors, lanes, policy, &mut slices, &mut owners);
+        slices.iter_mut().for_each(Slice::run);
+        let sizes = slices.iter().map(|slice| slice.frames.len()).collect();
+        scatter_slices(workers, slots, true, &mut slices, &owners);
+        sizes
+    }
+
+    /// [`detect_stage`] for one worker on one lane.
+    fn detect(
+        worker: &mut ShardWorker,
+        detectors: &[&dyn Detector],
+        slots: &[DetectorSlot],
+        policy: DetectPolicy,
+    ) {
+        detect_stage(std::slice::from_mut(worker), detectors, slots, policy, 1);
+    }
+
     /// Run the serial arbitration pass for one worker against `cache`.
     fn arbitrate(worker: &mut ShardWorker, slots: &[DetectorSlot], cache: &StripedDetectionCache) {
         arbitrate_cache(std::slice::from_mut(worker), slots, cache);
@@ -1142,7 +1149,7 @@ mod tests {
             backoff_cost: 4,
             fail_fast: false,
         };
-        worker.detect(&[&detector], &[0], false, policy);
+        detect(&mut worker, &[&detector], &[0], policy);
 
         // Frame 5 recovered on its retry; frame 9 exhausted its attempts.
         assert!(worker.result(0, 1).is_some());
@@ -1180,7 +1187,7 @@ mod tests {
         // A follow-up stage over the same frames re-detects only frame 9.
         let calls_before = detector.calls.load(Ordering::SeqCst);
         let mut worker = faulty_stage_worker(&[1, 5, 9], &cache);
-        worker.detect(&[&detector], &[0], false, policy);
+        detect(&mut worker, &[&detector], &[0], policy);
         assert!(
             detector.calls.load(Ordering::SeqCst) > calls_before,
             "frame 9 still misses the cache"
@@ -1194,7 +1201,7 @@ mod tests {
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
         let cache = StripedDetectionCache::new(CacheConfig::new(8));
         let mut worker = faulty_stage_worker(&[2, 9, 4], &cache);
-        worker.detect(&[&detector], &[0], false, DetectPolicy::infallible());
+        detect(&mut worker, &[&detector], &[0], DetectPolicy::infallible());
         let fatal = worker
             .fatal
             .as_ref()
@@ -1222,7 +1229,7 @@ mod tests {
             backoff_cost: 10,
             fail_fast: false,
         };
-        worker.detect(&[&detector], &[0], false, policy);
+        detect(&mut worker, &[&detector], &[0], policy);
         assert!(worker.result(0, 5).is_none());
         assert_eq!(worker.stage_failed_frames(), 1);
         assert_eq!(worker.stage_retries, 0, "no retry budget, no retries");
@@ -1258,10 +1265,10 @@ mod tests {
         // ...and detect resolves the shared miss once, sharing it across
         // both lanes with a single commit.
         let detector = FlakyDetector::new(Vec::new(), Vec::new());
-        worker.detect(
+        detect(
+            &mut worker,
             &[&detector, &detector],
             &[0, 0],
-            true,
             DetectPolicy::infallible(),
         );
         assert!(worker.result(0, 7).is_some());
@@ -1270,6 +1277,188 @@ mod tests {
         arbitrate(&mut worker, &[0, 0], &cache);
         assert_eq!(cache.stats().len, 2);
         assert_eq!(cache.stats().misses, 1, "commit does not re-probe");
+    }
+
+    /// `shards` workers with `frames` all routed to worker `hot`, group 0,
+    /// probed without a cache.
+    fn skewed_workers(shards: u32, hot: usize, frames: &[FrameId]) -> Vec<ShardWorker> {
+        let mut workers: Vec<ShardWorker> = (0..shards).map(ShardWorker::new).collect();
+        for worker in &mut workers {
+            worker.begin_stage(1, 1);
+        }
+        for &frame in frames {
+            workers[hot].push_frame(0, frame);
+        }
+        for worker in &mut workers {
+            worker.probe(&[0], false, None);
+        }
+        workers
+    }
+
+    #[test]
+    fn slices_are_even_and_never_empty_however_skewed_the_routing() {
+        let detector = FlakyDetector::new(Vec::new(), Vec::new());
+        let frames: Vec<FrameId> = (100..109).collect();
+        for (lanes, expected) in [
+            (1usize, vec![9usize]),
+            (2, vec![5, 4]),
+            (4, vec![3, 2, 2, 2]),
+            (16, vec![1; 9]),
+        ] {
+            // Every frame sits on shard 2 of 4: the lanes still share evenly.
+            let mut workers = skewed_workers(4, 2, &frames);
+            let sizes = detect_stage(
+                &mut workers,
+                &[&detector],
+                &[0],
+                DetectPolicy::infallible(),
+                lanes,
+            );
+            assert_eq!(sizes, expected, "{lanes} lanes");
+            // One group, so one batch per slice, all attributed to the shard
+            // owning the frames; nothing was lost or detected twice.
+            assert_eq!(workers[2].stage_batches.count, expected.len() as u64);
+            assert_eq!(workers[2].stage_detected_frames(), 9);
+            for &frame in &frames {
+                assert!(workers[2].result(0, frame).is_some());
+            }
+        }
+        // No demand, no slice: nothing is ever handed an empty batch.
+        let mut idle = skewed_workers(4, 2, &[]);
+        let calls = detector.calls.load(Ordering::SeqCst);
+        let sizes = detect_stage(&mut idle, &[&detector], &[0], DetectPolicy::infallible(), 4);
+        assert!(sizes.is_empty());
+        assert_eq!(detector.calls.load(Ordering::SeqCst), calls);
+    }
+
+    #[test]
+    fn a_group_is_cut_only_where_a_lane_boundary_falls_inside_it() {
+        // Three groups of 2, 5 and 4 frames on one worker, cut over 3 lanes
+        // (4 + 4 + 3): slice 0 holds group 0 and the head of group 1, slice 1
+        // the rest of group 1 and one frame of group 2, slice 2 the tail —
+        // 3 groups + 2 cuts = 5 batches, and none spans two groups.
+        let detectors: Vec<FlakyDetector> = (0..3)
+            .map(|_| FlakyDetector::new(Vec::new(), Vec::new()))
+            .collect();
+        let refs: Vec<&dyn Detector> = detectors.iter().map(|d| d as &dyn Detector).collect();
+        let mut worker = ShardWorker::new(0);
+        worker.begin_stage(3, 3);
+        for (group, count) in [(0usize, 2u64), (1, 5), (2, 4)] {
+            for frame in 0..count {
+                worker.push_frame(group, group as u64 * 100 + frame);
+            }
+        }
+        worker.probe(&[0, 1, 2], true, None);
+        let sizes = detect_stage(
+            std::slice::from_mut(&mut worker),
+            &refs,
+            &[0, 1, 2],
+            DetectPolicy::infallible(),
+            3,
+        );
+        assert_eq!(sizes, vec![4, 4, 3]);
+        let calls: Vec<u64> = detectors
+            .iter()
+            .map(|d| d.calls.load(Ordering::SeqCst))
+            .collect();
+        assert_eq!(calls, vec![1, 2, 2]);
+        assert_eq!(worker.stage_batches.count, 5);
+        assert_eq!(worker.lane_detected, vec![2, 5, 4]);
+    }
+
+    #[test]
+    fn slice_composition_never_changes_fault_tallies() {
+        // Frame 5 fails its probe and its first per-frame try, frame 9 fails
+        // permanently, the rest are healthy: however the ten frames are cut
+        // over lanes (and so whichever healthy frames share a failed batch),
+        // every logical tally is the same.  Only the physical call count
+        // moves.
+        let frames: Vec<FrameId> = (0..10).collect();
+        let policy = DetectPolicy {
+            max_attempts: 3,
+            backoff_cost: 4,
+            fail_fast: false,
+        };
+        let run = |lanes: usize| {
+            let detector = FlakyDetector::new(vec![(5, 2)], vec![9]);
+            let mut workers = skewed_workers(3, 1, &frames);
+            detect_stage(&mut workers, &[&detector], &[0], policy, lanes);
+            let worker = workers.swap_remove(1);
+            let resolved: Vec<bool> = frames
+                .iter()
+                .map(|&frame| worker.result(0, frame).is_some())
+                .collect();
+            (
+                worker.stage_detected_frames(),
+                worker.stage_failed_frames(),
+                worker.stage_retries,
+                worker.stage_backoff,
+                resolved,
+            )
+        };
+        let serial = run(1);
+        assert_eq!(
+            (serial.0, serial.1, serial.2, serial.3),
+            (9, 1, 1, 4),
+            "frame 5 recovers on its one retry, frame 9 is dropped"
+        );
+        for lanes in [2usize, 3, 5, 10] {
+            assert_eq!(run(lanes), serial, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn fail_fast_stops_at_the_first_failure_in_canonical_order_for_any_lane_count() {
+        // Frames 9 and 11 both fail permanently.  Whichever lanes they fall
+        // into, the stage reports frame 9 — first in gather order — and
+        // applies nothing after it, even what another lane did detect.
+        let frames = [2u64, 9, 4, 11, 6];
+        for lanes in [1usize, 2, 3, 5] {
+            let detector = FlakyDetector::new(Vec::new(), vec![9, 11]);
+            let mut workers = skewed_workers(2, 0, &frames);
+            detect_stage(
+                &mut workers,
+                &[&detector],
+                &[0],
+                DetectPolicy::infallible(),
+                lanes,
+            );
+            let fatal = workers[0].fatal.as_ref().expect("fail-fast parks it");
+            assert_eq!((fatal.frame, fatal.attempts), (9, 2), "{lanes} lanes");
+            assert!(workers[0].result(0, 2).is_some(), "{lanes} lanes");
+            for after in [4u64, 11, 6] {
+                assert!(workers[0].result(0, after).is_none(), "{lanes} lanes");
+            }
+            assert_eq!(workers[0].stage_failed_frames(), 1, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn a_joined_frame_shares_the_failure_of_the_lane_it_rides_on() {
+        // Coalescing off, cache on: lane 1 joins lane 0's misses.  Frame 9
+        // fails permanently — once, for lane 0 — and lane 1 is left without
+        // a result too instead of demanding the frame a second time.
+        let cache = StripedDetectionCache::new(CacheConfig::new(8));
+        let detector = FlakyDetector::new(Vec::new(), vec![9]);
+        let mut worker = ShardWorker::new(0);
+        worker.begin_stage(2, 2);
+        for &frame in &[3u64, 9] {
+            worker.push_frame(0, frame);
+            worker.push_frame(1, frame);
+        }
+        worker.probe(&[0, 0], false, Some(&cache));
+        let policy = DetectPolicy {
+            max_attempts: 1,
+            backoff_cost: 0,
+            fail_fast: false,
+        };
+        detect(&mut worker, &[&detector, &detector], &[0, 0], policy);
+        assert!(worker.result(0, 3).is_some() && worker.result(1, 3).is_some());
+        assert!(worker.result(0, 9).is_none() && worker.result(1, 9).is_none());
+        assert_eq!(worker.stage_failed_frames(), 1);
+        assert_eq!(detector.attempts_on(9), 2, "one probe, one per-frame try");
+        arbitrate(&mut worker, &[0, 0], &cache);
+        assert_eq!(cache.stats().len, 1, "only frame 3 is committed, once");
     }
 
     #[test]

@@ -13,19 +13,20 @@
 //!    pick-for-pick the default behaviour; and
 //! 4. execution-mode invariance: parallel DETECT execution
 //!    (`ExecutionMode::Parallel`) is bitwise-identical to serial execution —
-//!    merged reports, per-query pick sequences, and logical *and* physical
-//!    invocation counts — over the full matrix of threads {1, 2, 4} ×
+//!    merged reports, per-query pick sequences, the logical per-shard
+//!    breakdown — over the full matrix of threads {1, 2, 4} ×
 //!    shards {1, 3, 7} × both partitioners (serial runs detect inline,
 //!    parallel runs on the persistent per-run worker pool); and
-//! 5. aggregation invariance: cross-shard batch aggregation
-//!    (`QueryEngine::aggregation`) — unbounded and with a max-batch cap —
-//!    leaves picks and merged reports bitwise-identical to the unaggregated
-//!    baseline over the same execution matrix, and unbounded aggregation
-//!    collapses the physical invocation count to the logical one; and
+//! 5. the physical-shape law: a stage's detector demand is one cross-shard
+//!    batch per detector group, cut evenly over the lanes — so a serial run
+//!    issues exactly the logical calls for any shard count, an `L`-lane run
+//!    exactly the batches the closed-form cut predicts (at most `L − 1`
+//!    more per stage), identically for every shard count and partitioner,
+//!    each call attributed to one shard; and
 //! 6. overlap determinism: stage-overlapped runs (`QueryEngine::overlap`) are
 //!    *not* pick-for-pick with non-overlapped runs (stop decisions lag one
 //!    stage by design) but are bitwise-identical to each other across the
-//!    full execution matrix, with and without aggregation — and match a
+//!    full execution matrix — and match a
 //!    golden digest captured from the engine's former separate overlapped
 //!    stage loop, so the one-stage-stale stop behaviour is pinned
 //!    independently of the loop it now shares with every other run; and
@@ -34,17 +35,19 @@
 //!    the cache accounting itself (hits/misses/evictions/admission rejects,
 //!    globally and per shard) are bitwise-identical across
 //!    threads {1, 2, 4} × shards {1, 3, 7} × both partitioners × overlap
-//!    on/off × aggregation on/off — and the
-//!    frequency-admission policy preserves the same guarantee.
+//!    on/off — and the frequency-admission policy preserves the same
+//!    guarantee.
+
+mod common;
 
 use exsample_core::{ExSample, ExSampleConfig};
 use exsample_detect::{
     Detector, FrameDetections, GroundTruth, ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    run_query, AdmissionPolicy, BatchAggregation, CacheConfig, EngineReport, ExSamplePolicy,
-    ExecutionMode, FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RoundRobin,
-    SamplingPolicy, ShardRouter, ShardedReport, StopReason,
+    run_query, AdmissionPolicy, CacheConfig, EngineReport, ExSamplePolicy, ExecutionMode,
+    FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RoundRobin, SamplingPolicy,
+    ShardRouter, ShardedReport, StageStats, StopReason,
 };
 use exsample_track::{Discriminator, MatchOutcome, OracleDiscriminator};
 use exsample_video::{
@@ -407,6 +410,15 @@ fn recorded_specs<'a>(
     total_frames: u64,
     detector: &'a dyn Detector,
 ) -> (Vec<QuerySpec<'a>>, Vec<PickLog>) {
+    recorded_specs_on(chunking, total_frames, [detector; 3])
+}
+
+/// [`recorded_specs`] with query `i` bound to `detectors[i]`.
+fn recorded_specs_on<'a>(
+    chunking: &Chunking,
+    total_frames: u64,
+    detectors: [&'a dyn Detector; 3],
+) -> (Vec<QuerySpec<'a>>, Vec<PickLog>) {
     let inner: Vec<Box<dyn SamplingPolicy>> = vec![
         Box::new(ExSamplePolicy::new(ExSampleConfig::default(), chunking)),
         Box::new(FrameSamplerPolicy::uniform(total_frames)),
@@ -420,6 +432,7 @@ fn recorded_specs<'a>(
             inner: policy,
             log: Rc::clone(&log),
         };
+        let detector = detectors[i];
         let spec = match i {
             0 => QuerySpec::new("exsample", Box::new(recorded), detector)
                 .seed(201)
@@ -516,31 +529,37 @@ fn sharded_runs_are_bitwise_identical_to_unsharded() {
             }
 
             // The per-shard breakdown partitions every query's frames, and
-            // the physical invocation count only ever exceeds the logical
-            // one (the merge overhead).
+            // a serial run issues exactly the logical invocations however
+            // many shards a detector group's frames span.
             assert_eq!(merged.shards.len(), shards as usize);
             for (i, outcome) in merged.report.outcomes.iter().enumerate() {
                 let routed: u64 = merged.shards.iter().map(|s| s.per_query[i].frames).sum();
                 assert_eq!(routed, outcome.frames_processed, "{context}: routing");
             }
-            assert!(merged.physical_detector_calls >= merged.report.detector_calls);
-            if shards == 1 {
-                assert_eq!(merged.physical_detector_calls, merged.report.detector_calls);
-            }
+            common::assert_physical_shape(&merged, 1, &context);
         }
     }
 }
 
-/// Everything a sharded report carries, compared bitwise: the embedded global
-/// report, the per-shard breakdowns (frames, hits, physical invocations,
-/// per-detector tallies) and the physical invocation total.
-fn assert_sharded_reports_equal(a: &ShardedReport, b: &ShardedReport, context: &str) {
-    assert_engine_reports_equal(&a.report, &b.report, context);
-    assert_eq!(a.shards, b.shards, "{context}: per-shard breakdowns");
+/// Everything a sharded report of a `lanes`-lane run carries, against the
+/// serial run of the same layout: the embedded global report and the logical
+/// per-shard breakdowns (frames, hits, cache and per-detector tallies)
+/// bitwise, the physical invocations by the shape law — exactly the logical
+/// calls when serial, at most one more per lane boundary per stage otherwise.
+fn assert_sharded_reports_agree(
+    parallel: &ShardedReport,
+    serial: &ShardedReport,
+    lanes: usize,
+    context: &str,
+) {
+    assert_engine_reports_equal(&parallel.report, &serial.report, context);
     assert_eq!(
-        a.physical_detector_calls, b.physical_detector_calls,
-        "{context}: physical detector calls"
+        common::logical_shards(parallel),
+        common::logical_shards(serial),
+        "{context}: per-shard breakdowns"
     );
+    common::assert_physical_shape(serial, 1, context);
+    common::assert_physical_shape(parallel, lanes, context);
 }
 
 #[test]
@@ -583,14 +602,24 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
                 for spec in specs {
                     engine.push(spec).unwrap();
                 }
-                let _ = engine.run().unwrap();
+                // The three queries share one detector, so every stage is
+                // one group: its frames are cut over the lanes exactly —
+                // one batch per lane, or per frame when there are fewer.
+                let lanes = mode.effective_threads() as u64;
+                let _ = engine
+                    .run_with(|stats: &StageStats| {
+                        assert_eq!(stats.detector_calls, 1);
+                        assert_eq!(stats.batches.count, lanes.min(stats.detector_frames));
+                        assert_eq!(stats.batches.frames, stats.detector_frames);
+                    })
+                    .unwrap();
                 let picks: Vec<Vec<FrameId>> =
                     logs.iter().map(|log| log.borrow().clone()).collect();
                 (engine.report_sharded(), picks)
             };
 
             // The serial sharded run is the reference the parallel runs must
-            // reproduce *including* the per-shard physical breakdown (which
+            // reproduce, per-shard logical breakdown included (which
             // legitimately differs from the 1-shard baseline's).
             let (serial, serial_picks) = run(ExecutionMode::Serial);
             assert_eq!(serial_picks, baseline_picks);
@@ -605,97 +634,126 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
                 let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
                 // Per-query pick sequences, frame for frame.
                 assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                // Merged report, per-shard breakdowns and physical
-                // invocation counts, all bitwise against the serial
-                // sharded run …
-                assert_sharded_reports_equal(&parallel, &serial, &context);
+                // Merged report and logical per-shard breakdowns bitwise
+                // against the serial sharded run, physical invocations by
+                // the shape law …
+                assert_sharded_reports_agree(&parallel, &serial, threads, &context);
                 // … and the logical view bitwise against the unsharded
                 // run.
                 assert_engine_reports_equal(&parallel.report, &baseline_merged.report, &context);
-                assert!(parallel.physical_detector_calls >= parallel.report.detector_calls);
             }
         }
     }
 }
 
+/// The `(detector id, frames)` of every batch the detectors of one run were
+/// handed, in arrival order.
+type BatchLog = Arc<Mutex<Vec<(usize, usize)>>>;
+
+/// A detector that logs the size of every batch it is handed under its id,
+/// and refuses an empty one.
+struct BatchLoggingDetector {
+    id: usize,
+    inner: PerfectDetector,
+    log: BatchLog,
+}
+
+impl Detector for BatchLoggingDetector {
+    fn detect(&self, frame: FrameId) -> FrameDetections {
+        self.inner.detect(frame)
+    }
+
+    fn detect_batch(&self, frames: &[FrameId], out: &mut Vec<FrameDetections>) {
+        assert!(!frames.is_empty(), "an empty batch reached a detector");
+        self.log.lock().unwrap().push((self.id, frames.len()));
+        self.inner.detect_batch(frames, out);
+    }
+
+    fn class(&self) -> &ObjectClass {
+        self.inner.class()
+    }
+}
+
 #[test]
 fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
+    // Every run aggregates: a stage's demand is one cross-shard batch per
+    // detector group, cut evenly over the lanes.  Three queries with a
+    // detector each make multi-group stages; the batches every stage issues
+    // must be exactly the closed-form cut — whatever the shard count and the
+    // partitioner — while picks and merged reports stay those of the
+    // unsharded serial run.
     let frames = 4_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
-    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
-
-    // Baseline: the unsharded, serial, unaggregated engine.
-    let (specs, baseline_logs) = recorded_specs(&chunking, frames, &detector);
-    let mut baseline = QueryEngine::new();
-    for spec in specs {
-        baseline.push(spec).unwrap();
-    }
-    let _ = baseline.run().unwrap();
-    let baseline_merged = baseline.report_sharded();
-    assert!(
-        baseline_merged
-            .report
-            .outcomes
-            .iter()
-            .any(|r| r.true_found > 0),
-        "setup finds nothing"
-    );
-    let baseline_picks: Vec<Vec<FrameId>> = baseline_logs
-        .iter()
-        .map(|log| log.borrow().clone())
+    let log: BatchLog = Arc::default();
+    let detectors: Vec<BatchLoggingDetector> = (0..3)
+        .map(|id| BatchLoggingDetector {
+            id,
+            inner: PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),
+            log: Arc::clone(&log),
+        })
         .collect();
 
-    for aggregation in [
-        BatchAggregation::unbounded(),
-        BatchAggregation::max_batch(5),
-    ] {
-        for shards in [1u32, 3, 7] {
-            for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let run = |mode: ExecutionMode| {
-                    let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                    let router = ShardRouter::new(&chunking, &spec).unwrap();
-                    let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-                    let mut engine = QueryEngine::new()
-                        .sharded(router)
-                        .aggregation(Some(aggregation))
-                        .execution(mode)
-                        .expect("valid execution mode");
-                    for spec in specs {
-                        engine.push(spec).unwrap();
-                    }
-                    let _ = engine.run().unwrap();
-                    let picks: Vec<Vec<FrameId>> =
-                        logs.iter().map(|log| log.borrow().clone()).collect();
-                    (engine.report_sharded(), picks)
-                };
-
-                // Aggregation is purely physical: picks and the merged
-                // logical report must match the unaggregated baseline
-                // exactly, for any layout.
-                let context = format!("{partitioner:?}/{shards} shards/{aggregation:?}");
-                let (serial, serial_picks) = run(ExecutionMode::Serial);
-                assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
-                assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
-                if aggregation == BatchAggregation::unbounded() {
-                    // Unbounded aggregation issues exactly one physical call
-                    // per logical detector group per stage — the aggregated
-                    // batch *is* the cross-shard batch.
-                    assert_eq!(
-                        serial.physical_detector_calls, serial.report.detector_calls,
-                        "{context}: unbounded aggregation must collapse physical to logical"
-                    );
-                } else {
-                    assert!(serial.physical_detector_calls >= serial.report.detector_calls);
+    // Physical calls of the first layout run at each lane count: every other
+    // layout must issue exactly as many.
+    let mut physical_at: Vec<Option<u64>> = vec![None; 5];
+    let mut baseline: Option<(EngineReport, Vec<Vec<FrameId>>)> = None;
+    for shards in [1u32, 3, 7] {
+        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
+            for lanes in [1usize, 2, 4] {
+                let context = format!("{partitioner:?}/{shards} shards/{lanes} lanes");
+                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+                let router = ShardRouter::new(&chunking, &spec).unwrap();
+                let mut engine = QueryEngine::new()
+                    .sharded(router)
+                    .execution(ExecutionMode::Parallel(lanes))
+                    .expect("valid execution mode");
+                // Query `i` owns detector `i`, so a stage's groups come in
+                // detector-id order.
+                let (specs, logs) = recorded_specs_on(
+                    &chunking,
+                    frames,
+                    [&detectors[0], &detectors[1], &detectors[2]],
+                );
+                for spec in specs {
+                    engine.push(spec).unwrap();
                 }
+                log.lock().unwrap().clear();
+                let _ = engine
+                    .run_with(|stats: &StageStats| {
+                        let mut issued = std::mem::take(&mut *log.lock().unwrap());
+                        let mut sizes = [0usize; 3];
+                        for &(id, batch) in &issued {
+                            sizes[id] += batch;
+                        }
+                        let ids: Vec<usize> = (0..3).filter(|&id| sizes[id] > 0).collect();
+                        let demand: Vec<usize> = ids.iter().map(|&id| sizes[id]).collect();
+                        let mut expected: Vec<(usize, usize)> = common::cut_batches(&demand, lanes)
+                            .into_iter()
+                            .map(|(group, batch)| (ids[group], batch))
+                            .collect();
+                        // Lanes run concurrently: arrival order is theirs.
+                        issued.sort_unstable();
+                        expected.sort_unstable();
+                        assert_eq!(issued, expected, "{context}: stage {}", stats.stage);
+                        assert_eq!(stats.detector_calls, ids.len() as u64, "{context}");
+                        assert_eq!(stats.batches.count, expected.len() as u64, "{context}");
+                    })
+                    .unwrap();
+                let merged = engine.report_sharded();
+                let picks: Vec<Vec<FrameId>> =
+                    logs.iter().map(|log| log.borrow().clone()).collect();
 
-                // And the physical breakdown itself is invariant across
-                // thread counts at a fixed layout.
-                for threads in [1usize, 2, 4] {
-                    let context = format!("{context}/{threads} threads");
-                    let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
-                    assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                    assert_sharded_reports_equal(&parallel, &serial, &context);
-                }
+                common::assert_physical_shape(&merged, lanes, &context);
+                let physical = physical_at[lanes].get_or_insert(merged.physical_detector_calls);
+                assert_eq!(
+                    merged.physical_detector_calls, *physical,
+                    "{context}: the physical shape must not depend on the layout"
+                );
+                let (report, baseline_picks) =
+                    baseline.get_or_insert_with(|| (merged.report.clone(), picks.clone()));
+                assert!(report.outcomes.iter().any(|r| r.true_found > 0));
+                assert_engine_reports_equal(&merged.report, report, &context);
+                assert_eq!(&picks, baseline_picks, "{context}: pick sequences");
             }
         }
     }
@@ -730,44 +788,37 @@ fn overlapped_runs_are_deterministic_across_the_matrix() {
         .map(|log| log.borrow().clone())
         .collect();
 
-    for aggregation in [None, Some(BatchAggregation::unbounded())] {
-        for shards in [1u32, 3, 7] {
-            for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let run = |mode: ExecutionMode| {
-                    let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                    let router = ShardRouter::new(&chunking, &spec).unwrap();
-                    let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-                    let mut engine = QueryEngine::new()
-                        .sharded(router)
-                        .overlap(true)
-                        .aggregation(aggregation)
-                        .execution(mode)
-                        .expect("valid execution mode");
-                    for spec in specs {
-                        engine.push(spec).unwrap();
-                    }
-                    let _ = engine.run().unwrap();
-                    let picks: Vec<Vec<FrameId>> =
-                        logs.iter().map(|log| log.borrow().clone()).collect();
-                    (engine.report_sharded(), picks)
-                };
-
-                let context = format!("{partitioner:?}/{shards} shards/{aggregation:?}");
-                let (serial, serial_picks) = run(ExecutionMode::Serial);
-                assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
-                assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
-
-                for threads in [1usize, 2, 4] {
-                    let context = format!("{context}/{threads} threads");
-                    let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
-                    assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                    assert_sharded_reports_equal(&parallel, &serial, &context);
-                    assert_engine_reports_equal(
-                        &parallel.report,
-                        &baseline_merged.report,
-                        &context,
-                    );
+    for shards in [1u32, 3, 7] {
+        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
+            let run = |mode: ExecutionMode| {
+                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+                let router = ShardRouter::new(&chunking, &spec).unwrap();
+                let (specs, logs) = recorded_specs(&chunking, frames, &detector);
+                let mut engine = QueryEngine::new()
+                    .sharded(router)
+                    .overlap(true)
+                    .execution(mode)
+                    .expect("valid execution mode");
+                for spec in specs {
+                    engine.push(spec).unwrap();
                 }
+                let _ = engine.run().unwrap();
+                let picks: Vec<Vec<FrameId>> =
+                    logs.iter().map(|log| log.borrow().clone()).collect();
+                (engine.report_sharded(), picks)
+            };
+
+            let context = format!("{partitioner:?}/{shards} shards");
+            let (serial, serial_picks) = run(ExecutionMode::Serial);
+            assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
+            assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
+
+            for threads in [1usize, 2, 4] {
+                let context = format!("{context}/{threads} threads");
+                let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+                assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
+                assert_sharded_reports_agree(&parallel, &serial, threads, &context);
+                assert_engine_reports_equal(&parallel.report, &baseline_merged.report, &context);
             }
         }
     }
@@ -815,52 +866,47 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
             .map(|log| log.borrow().clone())
             .collect();
 
-        for aggregation in [None, Some(BatchAggregation::unbounded())] {
-            for shards in [1u32, 3, 7] {
-                for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                    let run = |mode: ExecutionMode| {
-                        let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                        let router = ShardRouter::new(&chunking, &spec).unwrap();
-                        let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-                        let mut engine = QueryEngine::new()
-                            .sharded(router)
-                            .overlap(overlap)
-                            .aggregation(aggregation)
-                            .cache_capacity(MATRIX_CACHE_CAPACITY)
-                            .execution(mode)
-                            .expect("valid execution mode");
-                        for spec in specs {
-                            engine.push(spec).unwrap();
-                        }
-                        let _ = engine.run().unwrap();
-                        let picks: Vec<Vec<FrameId>> =
-                            logs.iter().map(|log| log.borrow().clone()).collect();
-                        (engine.report_sharded(), picks)
-                    };
-
-                    let context = format!(
-                        "cached/overlap {overlap}/{partitioner:?}/{shards} shards/{aggregation:?}"
-                    );
-                    let (serial, serial_picks) = run(ExecutionMode::Serial);
-                    assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
-                    // The merged report comparison includes the global cache
-                    // accounting — identical across shard counts, not just
-                    // across thread counts at a fixed layout.
-                    assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
-
-                    for threads in [1usize, 2, 4] {
-                        let context = format!("{context}/{threads} threads");
-                        let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
-                        assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                        // Per-shard breakdowns carry per-shard cache
-                        // tallies; this comparison pins those too.
-                        assert_sharded_reports_equal(&parallel, &serial, &context);
-                        assert_engine_reports_equal(
-                            &parallel.report,
-                            &baseline_merged.report,
-                            &context,
-                        );
+        for shards in [1u32, 3, 7] {
+            for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
+                let run = |mode: ExecutionMode| {
+                    let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+                    let router = ShardRouter::new(&chunking, &spec).unwrap();
+                    let (specs, logs) = recorded_specs(&chunking, frames, &detector);
+                    let mut engine = QueryEngine::new()
+                        .sharded(router)
+                        .overlap(overlap)
+                        .cache_capacity(MATRIX_CACHE_CAPACITY)
+                        .execution(mode)
+                        .expect("valid execution mode");
+                    for spec in specs {
+                        engine.push(spec).unwrap();
                     }
+                    let _ = engine.run().unwrap();
+                    let picks: Vec<Vec<FrameId>> =
+                        logs.iter().map(|log| log.borrow().clone()).collect();
+                    (engine.report_sharded(), picks)
+                };
+
+                let context = format!("cached/overlap {overlap}/{partitioner:?}/{shards} shards");
+                let (serial, serial_picks) = run(ExecutionMode::Serial);
+                assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
+                // The merged report comparison includes the global cache
+                // accounting — identical across shard counts, not just
+                // across thread counts at a fixed layout.
+                assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
+
+                for threads in [1usize, 2, 4] {
+                    let context = format!("{context}/{threads} threads");
+                    let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+                    assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
+                    // Per-shard breakdowns carry per-shard cache
+                    // tallies; this comparison pins those too.
+                    assert_sharded_reports_agree(&parallel, &serial, threads, &context);
+                    assert_engine_reports_equal(
+                        &parallel.report,
+                        &baseline_merged.report,
+                        &context,
+                    );
                 }
             }
         }
@@ -909,7 +955,7 @@ fn frequency_admission_runs_are_bitwise_identical_across_threads() {
         let context = format!("frequency admission/{threads} threads");
         let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
         assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
-        assert_sharded_reports_equal(&parallel, &serial, &context);
+        assert_sharded_reports_agree(&parallel, &serial, threads, &context);
     }
 }
 
@@ -975,7 +1021,6 @@ fn overlapped_runs_match_the_golden_digest() {
             .overlap(true);
         if full {
             engine = engine
-                .aggregation(Some(BatchAggregation::unbounded()))
                 .cache_capacity(MATRIX_CACHE_CAPACITY)
                 .execution(ExecutionMode::Parallel(2))
                 .expect("valid execution mode");
@@ -1034,6 +1079,6 @@ fn overlapped_runs_match_the_golden_digest() {
     assert_eq!(
         full,
         (126, queries, (7, 624, 368)),
-        "overlapped + aggregated + cached"
+        "overlapped + cached + parallel"
     );
 }

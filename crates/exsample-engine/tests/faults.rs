@@ -5,19 +5,20 @@
 //!    detector, no retry policy): retries stay opt-in and free;
 //! 2. **fault determinism matrix** — for a fixed seed and [`FaultPlan`],
 //!    degraded runs under [`FailureMode::DropFrames`] are bitwise-identical —
-//!    merged reports, per-shard breakdowns, retry/backoff/failure/drop
+//!    merged reports, logical per-shard breakdowns, retry/backoff/failure/drop
 //!    tallies — across shard counts {1, 3, 7} × threads {1, 2, 4} × both
-//!    partitioners;
+//!    partitioners, and on the unsharded engine's lanes: a failed batch
+//!    recovers per frame, so it never matters which frames shared it;
 //! 3. **quarantine** — a detector exceeding its failure threshold is disabled
 //!    for the rest of the run, its queries stop with
 //!    [`StopReason::DetectorQuarantined`], other queries are untouched, and
 //!    the whole outcome is config-invariant like every other tally;
 //! 4. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
-//!    first terminal failure (in shard order) as a typed
+//!    first terminal failure (in gather order) as a typed
 //!    [`EngineError::DetectorFailed`] with full context and a chained source,
 //!    identically across thread counts at a fixed shard layout — and by the
-//!    fast path, the lane path and the aggregated path alike, which share one
-//!    per-frame retry loop;
+//!    fast path and the gathered path alike, which share one per-frame retry
+//!    loop;
 //! 5. **cache hygiene** — failed frames are never committed to the detection
 //!    cache (a warm re-query re-attempts and re-drops exactly them), while
 //!    frames recovered by a retry are committed exactly once (a warm re-query
@@ -27,15 +28,16 @@
 //!    (including the cache's own hit/miss/eviction accounting) bitwise-
 //!    identical across the shard × thread × partitioner matrix.
 
+mod common;
+
 use exsample_core::ExSampleConfig;
 use exsample_detect::{
     DetectError, Detector, FaultInjectingDetector, FaultPlan, GroundTruth, ObjectClass,
     ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    BatchAggregation, EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode,
-    FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter,
-    ShardedReport, StopReason,
+    EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy,
+    QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter, ShardedReport, StopReason,
 };
 use exsample_video::{Chunking, ChunkingPolicy, ShardPartitioner, ShardSpec, VideoRepository};
 use std::sync::Arc;
@@ -167,12 +169,16 @@ fn assert_engine_reports_equal(a: &EngineReport, b: &EngineReport, context: &str
     }
 }
 
+/// Merged reports and logical per-shard breakdowns, bitwise.  Physical call
+/// counts are not compared: under faults they depend on which healthy frames
+/// shared a failed batch (each pays one extra per-frame call), which is the
+/// lane count's to decide.
 fn assert_sharded_reports_equal(a: &ShardedReport, b: &ShardedReport, context: &str) {
     assert_engine_reports_equal(&a.report, &b.report, context);
-    assert_eq!(a.shards, b.shards, "{context}: per-shard breakdowns");
     assert_eq!(
-        a.physical_detector_calls, b.physical_detector_calls,
-        "{context}: physical detector calls"
+        common::logical_shards(a),
+        common::logical_shards(b),
+        "{context}: per-shard breakdowns"
     );
 }
 
@@ -269,6 +275,17 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
         "the degraded run found nothing at all"
     );
 
+    // Lanes need no shards: the unsharded engine cuts its failed and healthy
+    // batches differently at every thread count, and tallies the same.
+    for threads in [2usize, 4] {
+        let parallel = sharded_run(None, ExecutionMode::Parallel(threads));
+        assert_sharded_reports_equal(
+            &parallel,
+            &baseline,
+            &format!("unsharded/{threads} threads"),
+        );
+    }
+
     for shards in [1u32, 3, 7] {
         for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
             // The serial sharded run is the per-layout reference: parallel
@@ -357,98 +374,89 @@ fn degraded_runs_with_the_striped_cache_stay_deterministic() {
 
 #[test]
 fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
-    // The fault axis of the batching/overlap knobs: with cross-shard batch
-    // aggregation, with stage overlap, and with both at once, a degraded
-    // `DropFrames` run stays bitwise-deterministic across the execution
-    // matrix.  Overlap's reference is itself overlapped (stop decisions lag
-    // one stage by design); aggregation's cross-shard batches keep faults
+    // The fault axis of stage overlap: a degraded `DropFrames` run stays
+    // bitwise-deterministic across the execution matrix.  Overlap's
+    // reference is itself overlapped (stop decisions lag one stage by
+    // design); the cross-shard batches every run aggregates into keep faults
     // per-frame (a failed batch probe recovers each frame individually), so
     // the logical fault telemetry is layout-invariant either way.
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
 
-    for (overlap, aggregation) in [
-        (false, Some(BatchAggregation::unbounded())),
-        (true, None),
-        (true, Some(BatchAggregation::unbounded())),
-    ] {
-        let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
-            let detector = faulty_detector(&truth, faulty_plan());
-            let mut engine = QueryEngine::new()
-                .overlap(overlap)
-                .aggregation(aggregation)
-                .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-                .failure_mode(FailureMode::DropFrames);
-            if let Some((partitioner, shards)) = shards {
-                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-            }
-            engine = engine.execution(mode).expect("valid execution mode");
-            for spec in fault_specs(&chunking, frames, &detector) {
-                engine.push(spec).unwrap();
-            }
-            let _ = engine.run().unwrap();
-            engine.report_sharded()
-        };
+    let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
+        let detector = faulty_detector(&truth, faulty_plan());
+        let mut engine = QueryEngine::new()
+            .overlap(true)
+            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
+            .failure_mode(FailureMode::DropFrames);
+        if let Some((partitioner, shards)) = shards {
+            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+            engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
+        }
+        engine = engine.execution(mode).expect("valid execution mode");
+        for spec in fault_specs(&chunking, frames, &detector) {
+            engine.push(spec).unwrap();
+        }
+        let _ = engine.run().unwrap();
+        engine.report_sharded()
+    };
 
-        let knobs = format!("overlap={overlap}/aggregation={aggregation:?}");
-        let baseline = sharded_run(None, ExecutionMode::Serial);
-        assert!(
-            baseline.report.detect_retries > 0,
-            "{knobs}: no transient faults — the matrix would be vacuous"
-        );
-        assert!(
-            baseline.report.failed_frames > 0,
-            "{knobs}: no permanent faults — the matrix would be vacuous"
-        );
-        assert!(
-            baseline
-                .report
-                .outcomes
-                .iter()
-                .map(|r| r.dropped_frames)
-                .sum::<u64>()
-                > 0,
-            "{knobs}: no frame was dropped"
-        );
+    let baseline = sharded_run(None, ExecutionMode::Serial);
+    assert!(
+        baseline.report.detect_retries > 0,
+        "no transient faults — the matrix would be vacuous"
+    );
+    assert!(
+        baseline.report.failed_frames > 0,
+        "no permanent faults — the matrix would be vacuous"
+    );
+    assert!(
+        baseline
+            .report
+            .outcomes
+            .iter()
+            .map(|r| r.dropped_frames)
+            .sum::<u64>()
+            > 0,
+        "no frame was dropped"
+    );
 
-        for shards in [1u32, 3, 7] {
-            for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
-                assert_engine_reports_equal(
-                    &serial.report,
-                    &baseline.report,
-                    &format!("{knobs}/{partitioner:?}/{shards} shards serial vs unsharded"),
+    for shards in [1u32, 3, 7] {
+        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
+            let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
+            assert_engine_reports_equal(
+                &serial.report,
+                &baseline.report,
+                &format!("overlap/{partitioner:?}/{shards} shards serial vs unsharded"),
+            );
+            for threads in [1usize, 2, 4] {
+                let context = format!("overlap/{partitioner:?}/{shards} shards/{threads} threads");
+                let parallel = sharded_run(
+                    Some((partitioner, shards)),
+                    ExecutionMode::Parallel(threads),
                 );
-                for threads in [1usize, 2, 4] {
-                    let context =
-                        format!("{knobs}/{partitioner:?}/{shards} shards/{threads} threads");
-                    let parallel = sharded_run(
-                        Some((partitioner, shards)),
-                        ExecutionMode::Parallel(threads),
-                    );
-                    assert_sharded_reports_equal(&parallel, &serial, &context);
-                    assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
-                }
+                assert_sharded_reports_equal(&parallel, &serial, &context);
+                assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
             }
         }
     }
 }
 
-/// The three DETECT paths a single-query engine can take.
+/// The DETECT paths a single-query engine can take.
 #[derive(Debug, Clone, Copy)]
 enum DetectPath {
-    /// No cache, unsharded: one batched call straight over the pick buffer.
+    /// No cache, unsharded, serial: one batched call straight over the pick
+    /// buffer.
     Fast,
-    /// A 1-shard chunking router (which routes and bounds) forces the lanes.
-    Lane,
-    /// Cross-shard aggregation forces the lanes and gathers their misses.
-    Aggregated,
+    /// A 1-shard chunking router (which routes and bounds) forces the gather.
+    Gathered,
+    /// Helpers force the gather too, and cut it over two lanes.
+    Lanes,
 }
 
 #[test]
 fn fast_path_fault_recovery_matches_the_lane_path() {
-    // All three paths recover a failed batch probe through the one shared
+    // Every path recovers a failed batch probe through the one shared
     // per-frame retry loop, so a degraded run must be bitwise-identical
     // whichever path detected it.
     let frames = 3_000u64;
@@ -461,12 +469,14 @@ fn fast_path_fault_recovery_matches_the_lane_path() {
             .coalesce(coalesce);
         match path {
             DetectPath::Fast => {}
-            DetectPath::Lane => {
+            DetectPath::Gathered => {
                 let spec = ShardSpec::contiguous(chunking.len(), 1);
                 engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
             }
-            DetectPath::Aggregated => {
-                engine = engine.aggregation(Some(BatchAggregation::unbounded()));
+            DetectPath::Lanes => {
+                engine = engine
+                    .execution(ExecutionMode::Parallel(2))
+                    .expect("valid execution mode");
             }
         }
         engine
@@ -487,7 +497,7 @@ fn fast_path_fault_recovery_matches_the_lane_path() {
     let fast = degraded(DetectPath::Fast);
     assert!(fast.detect_retries > 0, "vacuous: no retries exercised");
     assert!(fast.failed_frames > 0, "vacuous: no failures exercised");
-    for path in [DetectPath::Lane, DetectPath::Aggregated] {
+    for path in [DetectPath::Gathered, DetectPath::Lanes] {
         assert_engine_reports_equal(&fast, &degraded(path), &format!("fast path vs {path:?}"));
     }
 
@@ -507,8 +517,53 @@ fn fast_path_fault_recovery_matches_the_lane_path() {
     let (frame, attempts, source) = fatal(DetectPath::Fast);
     assert_eq!(attempts, 2, "batch probe + one per-frame try");
     assert!(matches!(source, DetectError::Permanent { .. }));
-    for path in [DetectPath::Lane, DetectPath::Aggregated] {
+    for path in [DetectPath::Gathered, DetectPath::Lanes] {
         assert_eq!(fatal(path), (frame, attempts, source.clone()), "{path:?}");
+    }
+}
+
+#[test]
+fn uncoalesced_twins_on_a_faulty_detector_tally_the_same_on_any_lane_count() {
+    // Coalescing off, no cache: same-seed twins put every frame into two
+    // groups of one detector, and the injector's schedule is per (frame,
+    // attempt) — so which group's batch reaches a frame first decides which
+    // of them pays its transient faults.  Such a stage is never cut over
+    // lanes, which keeps the groups' attempts in group order and the tallies
+    // those of the serial run.
+    let frames = 3_000u64;
+    let (_chunking, truth) = skewed_setup(frames, 12);
+    let run = |mode: ExecutionMode| {
+        let detector = faulty_detector(&truth, faulty_plan());
+        let mut engine = QueryEngine::new()
+            .coalesce(false)
+            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
+            .failure_mode(FailureMode::DropFrames)
+            .execution(mode)
+            .expect("valid execution mode");
+        for label in ["twin-a", "twin-b"] {
+            engine
+                .push(
+                    QuerySpec::new(
+                        label,
+                        Box::new(FrameSamplerPolicy::uniform(frames)),
+                        &detector,
+                    )
+                    .seed(19)
+                    .batch(32)
+                    .frame_budget(600),
+                )
+                .unwrap();
+        }
+        let report = engine.run().unwrap();
+        (report, engine.pooled_stage_dispatches())
+    };
+    let (serial, _) = run(ExecutionMode::Serial);
+    assert!(serial.detect_retries > 0, "vacuous: no retries exercised");
+    assert!(serial.failed_frames > 0, "vacuous: no failures exercised");
+    for threads in [2usize, 4] {
+        let (parallel, dispatches) = run(ExecutionMode::Parallel(threads));
+        assert_eq!(dispatches, 0, "{threads} threads: a twin stage was cut");
+        assert_engine_reports_equal(&parallel, &serial, &format!("{threads} threads"));
     }
 }
 
@@ -648,8 +703,9 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
     let chained = std::error::Error::source(&err).expect("DetectorFailed chains its source");
     assert!(chained.to_string().contains("permanent"));
 
-    // At a fixed shard layout the first fatal frame (shard order) is pinned
-    // across thread counts.
+    // At a fixed shard layout the first fatal frame (gather order) is pinned
+    // across thread counts: the scatter stops there whatever the lanes beyond
+    // it went on to detect.
     for threads in [1usize, 2, 4] {
         let (c, f, a, s) = run(threads);
         let context = format!("{threads} threads");

@@ -9,29 +9,35 @@
 //! 2. a panicking detector on any lane — a helper thread *or* the
 //!    coordinator's inline lane — surfaces as a typed
 //!    [`EngineError::WorkerPanicked`] carrying the panic message, never a
-//!    deadlock, an unwinding coordinator, or a leaked thread; and
+//!    deadlock, an unwinding coordinator, or a leaked thread — and the same
+//!    engine can be run again; and
 //! 3. a fully cache-warm stage skips pool dispatch entirely (no channel send,
 //!    no helper wake), pinned via [`QueryEngine::pooled_stage_dispatches`] —
-//!    including under stage overlap and cross-shard batch aggregation (the
-//!    warm check peeks membership without touching tallies, so the skip is
-//!    invisible to accounting); and
-//! 4. running the cache probe inside the dispatched lanes (parallel DETECT,
-//!    overlap mode) changes no cache accounting: hit/miss/eviction tallies
-//!    are bitwise-identical across the overlapped execution matrix; and
+//!    including under stage overlap (the probe runs before the gather, so a
+//!    warm stage has no slice to hand out); and
+//! 4. cache accounting does not depend on the lanes: hit/miss/eviction
+//!    tallies are bitwise-identical across the overlapped execution matrix;
+//!    and
 //! 5. the stripe count is invisible to accounting: stripes only shard the
 //!    probe-time locks, so stripe counts {1, 2, 8, 64} produce bitwise-
-//!    identical cache tallies and reports, serial or parallel.
+//!    identical cache tallies and reports, serial or parallel; and
+//! 6. lanes are independent of shards: demand routed to one shard of four is
+//!    still shared evenly by the lanes, an unsharded engine uses every lane
+//!    it was given — and stays bitwise the serial run — and no detector is
+//!    ever handed an empty batch.
+
+mod common;
 
 use exsample_detect::{
     Detector, FrameDetections, GroundTruth, ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    BatchAggregation, CacheConfig, EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine,
-    QuerySpec, ShardRouter,
+    CacheConfig, EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec,
+    ShardRouter, StageStats,
 };
 use exsample_video::{Chunking, ChunkingPolicy, FrameId, ShardSpec, VideoRepository};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn setup(frames: u64, chunks: u32) -> (Chunking, Arc<GroundTruth>) {
     let repo = VideoRepository::single_clip(frames);
@@ -54,10 +60,12 @@ fn setup(frames: u64, chunks: u32) -> (Chunking, Arc<GroundTruth>) {
     (chunking, truth)
 }
 
-/// A detector that counts its batched invocations.
+/// A detector that counts its batched invocations, logs their sizes, and
+/// refuses an empty one.
 struct ObservantDetector {
     inner: PerfectDetector,
     batch_calls: AtomicU64,
+    batch_sizes: Mutex<Vec<usize>>,
 }
 
 impl ObservantDetector {
@@ -65,6 +73,7 @@ impl ObservantDetector {
         ObservantDetector {
             inner: PerfectDetector::new(truth, ObjectClass::from("car")),
             batch_calls: AtomicU64::new(0),
+            batch_sizes: Mutex::new(Vec::new()),
         }
     }
 }
@@ -75,7 +84,9 @@ impl Detector for ObservantDetector {
     }
 
     fn detect_batch(&self, frames: &[FrameId], out: &mut Vec<FrameDetections>) {
+        assert!(!frames.is_empty(), "an empty batch reached the detector");
         self.batch_calls.fetch_add(1, Ordering::SeqCst);
+        self.batch_sizes.lock().unwrap().push(frames.len());
         self.inner.detect_batch(frames, out);
     }
 
@@ -160,9 +171,10 @@ fn repeated_pooled_runs_leak_no_threads() {
 fn helper_lane_detector_panic_is_a_typed_error() {
     let frames = 3_000u64;
     let (chunking, truth) = setup(frames, 9);
-    // Contiguous 3-shard split: the last third of the frame range lives on
-    // shard 2, which a 3-thread stage hands to a pool helper (the
-    // coordinator's inline lane is shard 0's chunk).
+    // Contiguous 3-shard split, coalesced lanes: a stage's demand is gathered
+    // in ascending frame order, so the last third of the frame range falls
+    // into the last of the 3 lanes — a pool helper's slice (or one the
+    // coordinator reclaims); the coordinator's inline lane is the first.
     let detector = BombDetector {
         inner: PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),
         panic_at: frames * 2 / 3,
@@ -192,14 +204,25 @@ fn helper_lane_detector_panic_is_a_typed_error() {
     }
     assert!(err.to_string().contains("worker lane panicked"));
     assert_eq!(engine.live_helper_threads(), 0, "panic leaked pool threads");
+
+    // The pool died with its run, cleanly: the same engine runs again — into
+    // the same bomb, typed again — on a fresh set of helpers.
+    let spawned = engine.spawned_helper_threads();
+    let again = engine.run().unwrap_err();
+    assert!(
+        matches!(again, EngineError::WorkerPanicked { .. }),
+        "expected WorkerPanicked, got {again:?}"
+    );
+    assert_eq!(engine.spawned_helper_threads(), spawned * 2);
+    assert_eq!(engine.live_helper_threads(), 0, "rerun leaked pool threads");
 }
 
 #[test]
 fn inline_lane_detector_panic_is_a_typed_error() {
     let frames = 3_000u64;
     let (chunking, truth) = setup(frames, 9);
-    // Panic on the *first* third of the range: shard 0, the coordinator's
-    // inline lane.  The runtime catches it exactly like a helper panic.
+    // Panic on every frame but frame 0: the coordinator's inline lane meets
+    // one first.  The runtime catches it exactly like a helper panic.
     let detector = BombDetector {
         inner: PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),
         panic_at: 1,
@@ -282,13 +305,12 @@ fn warm_stages_skip_dispatch_under_overlap_and_aggregation() {
     let frames = 400u64;
     let (chunking, truth) = setup(frames, 9);
     let detector = ObservantDetector::new(Arc::clone(&truth));
-    // Overlap plans the next stage mid-DETECT and aggregation funnels DETECT
-    // through a single pool job — neither may cost a warm stage a dispatch
-    // (or a detector call).
+    // Overlap plans the next stage mid-DETECT — which must not cost a warm
+    // stage a dispatch (or a detector call): its demand is probed, and found
+    // empty, before anything is handed out.
     let mut engine = pooled_engine(&chunking, 3, 3)
         .cache_capacity(4_096)
-        .overlap(true)
-        .aggregation(Some(BatchAggregation::unbounded()));
+        .overlap(true);
     engine
         .push(
             QuerySpec::new(
@@ -340,10 +362,9 @@ fn overlapped_cache_accounting_is_execution_invariant() {
     let frames = 400u64;
     let (chunking, truth) = setup(frames, 9);
     // A cold run followed by a warm re-query on the same overlapped engine:
-    // the in-lane probes must produce bitwise-identical hit/miss/eviction
-    // tallies (and reports) whether DETECT runs serial, pooled, or
-    // aggregated.
-    let run = |mode: ExecutionMode, aggregation: Option<BatchAggregation>| {
+    // hit/miss/eviction tallies (and reports) must be bitwise-identical
+    // however many lanes DETECT is cut over.
+    let run = |mode: ExecutionMode| {
         let detector = ObservantDetector::new(Arc::clone(&truth));
         let spec = ShardSpec::contiguous(chunking.len(), 3);
         let mut engine = QueryEngine::new()
@@ -351,8 +372,7 @@ fn overlapped_cache_accounting_is_execution_invariant() {
             .execution(mode)
             .expect("valid execution mode")
             .cache_capacity(64)
-            .overlap(true)
-            .aggregation(aggregation);
+            .overlap(true);
         for (label, seed) in [("cold", 3u64), ("warm", 5)] {
             engine
                 .push(
@@ -370,30 +390,28 @@ fn overlapped_cache_accounting_is_execution_invariant() {
         let stats = engine.cache_stats().expect("cache is configured");
         (stats, engine.report_sharded())
     };
-    let (reference_stats, reference) = run(ExecutionMode::Serial, None);
+    let (reference_stats, reference) = run(ExecutionMode::Serial);
     // Capacity 64 over 400 frames: the run genuinely exercises eviction, and
     // the warm query still lands some hits.
     assert!(reference_stats.hits > 0, "warm query never hit the cache");
     assert!(reference_stats.evictions > 0, "cache never evicted");
     for threads in [1usize, 2, 4] {
-        for aggregation in [None, Some(BatchAggregation::unbounded())] {
-            let context = format!("{threads} threads/{aggregation:?}");
-            let (stats, report) = run(ExecutionMode::Parallel(threads), aggregation);
-            assert_eq!(stats, reference_stats, "{context}: cache accounting");
-            assert_eq!(
-                report.report.outcomes.len(),
-                reference.report.outcomes.len()
-            );
-            for (a, b) in report
-                .report
-                .outcomes
-                .iter()
-                .zip(&reference.report.outcomes)
-            {
-                assert_eq!(a.frames_processed, b.frames_processed, "{context}: frames");
-                assert_eq!(a.trajectory, b.trajectory, "{context}: trajectory");
-                assert_eq!(a.stop_reason, b.stop_reason, "{context}: stop reason");
-            }
+        let context = format!("{threads} threads");
+        let (stats, report) = run(ExecutionMode::Parallel(threads));
+        assert_eq!(stats, reference_stats, "{context}: cache accounting");
+        assert_eq!(
+            report.report.outcomes.len(),
+            reference.report.outcomes.len()
+        );
+        for (a, b) in report
+            .report
+            .outcomes
+            .iter()
+            .zip(&reference.report.outcomes)
+        {
+            assert_eq!(a.frames_processed, b.frames_processed, "{context}: frames");
+            assert_eq!(a.trajectory, b.trajectory, "{context}: trajectory");
+            assert_eq!(a.stop_reason, b.stop_reason, "{context}: stop reason");
         }
     }
 }
@@ -451,6 +469,119 @@ fn stripe_count_never_changes_cache_accounting() {
                 assert_eq!(a.stop_reason, b.stop_reason, "{context}: stop reason");
             }
             assert_eq!(report.report.cache, reference.report.cache, "{context}");
+        }
+    }
+}
+
+#[test]
+fn skewed_demand_is_shared_evenly_by_the_lanes() {
+    let frames = 4_000u64;
+    let (chunking, truth) = setup(frames, 8);
+    let detector = ObservantDetector::new(Arc::clone(&truth));
+    // Four contiguous shards of 1000 frames, and a sampler that only ever
+    // picks from the first thousand: every frame of every stage is routed to
+    // shard 0.  The two lanes still get half the stage each.
+    let mut engine = pooled_engine(&chunking, 4, 2);
+    engine
+        .push(
+            QuerySpec::new(
+                "hot",
+                Box::new(FrameSamplerPolicy::uniform(1_000)),
+                &detector,
+            )
+            .seed(13)
+            .batch(33)
+            .frame_budget(330),
+        )
+        .unwrap();
+    let report = engine
+        .run_with(|stats: &StageStats| {
+            let mut sizes = std::mem::take(&mut *detector.batch_sizes.lock().unwrap());
+            sizes.sort_unstable();
+            let n = stats.detector_frames as usize;
+            assert_eq!(n, 33);
+            assert_eq!(sizes, vec![n / 2, n.div_ceil(2)], "stage {}", stats.stage);
+        })
+        .unwrap();
+    assert_eq!(report.stages, 10);
+    assert_eq!(engine.pooled_stage_dispatches(), 10);
+    let merged = engine.report_sharded();
+    assert_eq!(merged.shards[0].detector_frames, 330);
+    assert_eq!(merged.shards[0].detector_calls, 20);
+    for cold in &merged.shards[1..] {
+        assert_eq!((cold.detector_frames, cold.detector_calls), (0, 0));
+    }
+}
+
+#[test]
+fn an_unsharded_engine_uses_its_lanes_and_matches_the_serial_run() {
+    let frames = 2_000u64;
+    let (_chunking, truth) = setup(frames, 9);
+    // One query (which a serial run detects straight from its pick buffer)
+    // and two (which it gathers): on two lanes both go through the slices,
+    // and nothing but the physical batch shape may tell.
+    for queries in [1usize, 2] {
+        let run = |mode: ExecutionMode| {
+            let detector = ObservantDetector::new(Arc::clone(&truth));
+            let mut engine = QueryEngine::new().execution(mode).unwrap();
+            for (label, seed) in [("a", 61u64), ("b", 67)].into_iter().take(queries) {
+                engine
+                    .push(
+                        QuerySpec::new(
+                            label,
+                            Box::new(FrameSamplerPolicy::uniform(frames)),
+                            &detector,
+                        )
+                        .seed(seed)
+                        .batch(16)
+                        .frame_budget(200),
+                    )
+                    .unwrap();
+            }
+            let _ = engine.run().unwrap();
+            let pool = (
+                engine.spawned_helper_threads(),
+                engine.pooled_stage_dispatches(),
+            );
+            (engine.report_sharded(), pool)
+        };
+        let (serial, serial_pool) = run(ExecutionMode::Serial);
+        assert_eq!(serial_pool, (0, 0));
+        common::assert_physical_shape(&serial, 1, "serial");
+        assert!(serial.report.outcomes.iter().any(|q| q.true_found > 0));
+
+        let (parallel, (spawned, dispatches)) = run(ExecutionMode::Parallel(2));
+        let context = format!("{queries} queries");
+        assert_eq!(spawned, 1, "{context}: one helper, no shards needed");
+        assert_eq!(dispatches, serial.report.stages, "{context}");
+        common::assert_physical_shape(&parallel, 2, &context);
+        assert!(parallel.physical_detector_calls > serial.physical_detector_calls);
+        assert_eq!(
+            common::logical_shards(&parallel),
+            common::logical_shards(&serial),
+            "{context}: per-shard breakdown"
+        );
+        let (p, s) = (&parallel.report, &serial.report);
+        assert_eq!(
+            (
+                p.stages,
+                p.demanded_frames,
+                p.detector_frames,
+                p.detector_calls
+            ),
+            (
+                s.stages,
+                s.demanded_frames,
+                s.detector_frames,
+                s.detector_calls
+            ),
+            "{context}: run totals"
+        );
+        for (a, b) in p.outcomes.iter().zip(&s.outcomes) {
+            assert_eq!(a.frames_processed, b.frames_processed, "{context}");
+            assert_eq!(a.found_instances, b.found_instances, "{context}");
+            assert_eq!(a.trajectory, b.trajectory, "{context}");
+            assert_eq!(a.stop_reason, b.stop_reason, "{context}");
         }
     }
 }

@@ -34,8 +34,8 @@ use exsample_detect::{
     PerfectDetector, SimulatedDetector,
 };
 use exsample_engine::{
-    BatchAggregation, CacheActivity, ExSamplePolicy, ExecutionMode, FailureMode, MethodPolicy,
-    QueryEngine, QuerySpec, RetryPolicy, SamplingPolicy, SelectionTelemetry, ShardRouter,
+    CacheActivity, ExSamplePolicy, ExecutionMode, FailureMode, MethodPolicy, QueryEngine,
+    QuerySpec, RetryPolicy, SamplingPolicy, SelectionTelemetry, ShardRouter,
 };
 use exsample_rand::SeedSequence;
 use exsample_store::{BeliefStore, StoreHealth};
@@ -207,9 +207,6 @@ pub struct QueryRunner<'a> {
     /// Overlap each stage's PICK with the previous stage's DETECT (see
     /// `QueryEngine::overlap`; off by default).
     overlap: bool,
-    /// Cross-shard batch aggregation for the DETECT phase (see
-    /// `QueryEngine::aggregation`; off by default).
-    aggregation: Option<BatchAggregation>,
     /// Capacity of the engine's striped detections cache (0 = off, the
     /// default).
     cache: usize,
@@ -241,7 +238,6 @@ impl<'a> QueryRunner<'a> {
             failure: FailureMode::default(),
             fault: None,
             overlap: false,
-            aggregation: None,
             cache: 0,
             checkpoint: None,
             warm_start: None,
@@ -293,10 +289,10 @@ impl<'a> QueryRunner<'a> {
         self
     }
 
-    /// Run the shard workers' detector invocations on up to this many
-    /// persistent worker-pool threads per stage (thread counts beyond the
-    /// shard count are clamped by the engine).  Results are bitwise-identical
-    /// to serial execution for any thread count.  A value of 1 means serial
+    /// Cut each stage's detector invocations over this many lanes — the
+    /// calling thread plus the engine's persistent worker-pool threads —
+    /// whatever the shard count.  Results are bitwise-identical to serial
+    /// execution for any thread count.  A value of 1 means serial
     /// execution (the default when this method is never called); a value of
     /// 0 asks for a worker pool with no threads and surfaces the engine's
     /// typed `EngineError::InvalidExecution` (wrapped in
@@ -314,15 +310,6 @@ impl<'a> QueryRunner<'a> {
     /// condition may be noticed one stage later.
     pub fn overlap(mut self, overlap: bool) -> Self {
         self.overlap = overlap;
-        self
-    }
-
-    /// Gather every shard's detector demand into cross-shard batches per
-    /// stage (fewer, larger physical invocations; `None` — the default —
-    /// keeps per-shard batches).  Never changes query outcomes or the virtual
-    /// clock, only the physical invocation shape.
-    pub fn aggregation(mut self, aggregation: Option<BatchAggregation>) -> Self {
-        self.aggregation = aggregation;
         self
     }
 
@@ -561,8 +548,7 @@ impl<'a> QueryRunner<'a> {
         let mut engine = QueryEngine::new()
             .retry_policy(self.retry)
             .failure_mode(self.failure)
-            .overlap(self.overlap)
-            .aggregation(self.aggregation);
+            .overlap(self.overlap);
         if self.shards > 1 {
             engine = engine.sharded(ShardRouter::contiguous(
                 self.dataset.chunking(),
@@ -846,7 +832,17 @@ mod tests {
                 .expect("query run succeeded")
         };
         let serial = run(1, None);
-        for (shards, parallel) in [(2u32, 1usize), (2, 2), (3, 2), (3, 4), (7, 4), (2, 64)] {
+        // Lanes need no shards: the unsharded runner threads too.
+        for (shards, parallel) in [
+            (1u32, 2usize),
+            (1, 4),
+            (2, 1),
+            (2, 2),
+            (3, 2),
+            (3, 4),
+            (7, 4),
+            (2, 64),
+        ] {
             let threaded = run(shards, Some(parallel));
             assert_eq!(threaded.frames_processed, serial.frames_processed);
             assert_eq!(threaded.found_instances, serial.found_instances);
@@ -856,54 +852,18 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_runner_results_are_bitwise_identical() {
-        // Cross-shard aggregation only reshapes physical detector batches;
-        // outcomes and the virtual clock must not move for any flush limit,
-        // shard count or thread count.
-        let dataset = skewed_dataset();
-        let run = |shards: u32, parallel: Option<usize>, aggregation: Option<BatchAggregation>| {
-            let mut runner = QueryRunner::new(&dataset)
-                .stop(StopCondition::FrameBudget(600))
-                .seed(19)
-                .shards(shards)
-                .aggregation(aggregation);
-            if let Some(threads) = parallel {
-                runner = runner.parallel(threads);
-            }
-            runner
-                .run(MethodKind::ExSample(ExSampleConfig::default()))
-                .expect("query run succeeded")
-        };
-        let baseline = run(1, None, None);
-        for (shards, parallel, aggregation) in [
-            (1u32, None, Some(BatchAggregation::unbounded())),
-            (3, None, Some(BatchAggregation::unbounded())),
-            (3, Some(2), Some(BatchAggregation::max_batch(16))),
-            (7, Some(4), Some(BatchAggregation::unbounded())),
-            (7, None, Some(BatchAggregation::max_batch(1))),
-        ] {
-            let aggregated = run(shards, parallel, aggregation);
-            assert_eq!(aggregated.frames_processed, baseline.frames_processed);
-            assert_eq!(aggregated.found_instances, baseline.found_instances);
-            assert_eq!(aggregated.trajectory, baseline.trajectory);
-            assert_eq!(aggregated.sample_secs, baseline.sample_secs);
-        }
-    }
-
-    #[test]
     fn overlapped_runner_is_deterministic_across_configs() {
         // Overlapped runs schedule from one-stage-stale state, so they are a
         // *different* (still valid) run than non-overlapped ones — but every
         // overlapped configuration must agree bitwise with the overlapped
-        // serial reference, with and without aggregation.
+        // serial reference.
         let dataset = skewed_dataset();
-        let run = |shards: u32, parallel: Option<usize>, aggregation: Option<BatchAggregation>| {
+        let run = |shards: u32, parallel: Option<usize>| {
             let mut runner = QueryRunner::new(&dataset)
                 .stop(StopCondition::FrameBudget(600))
                 .seed(23)
                 .shards(shards)
-                .overlap(true)
-                .aggregation(aggregation);
+                .overlap(true);
             if let Some(threads) = parallel {
                 runner = runner.parallel(threads);
             }
@@ -911,19 +871,23 @@ mod tests {
                 .run(MethodKind::ExSample(ExSampleConfig::default()))
                 .expect("query run succeeded")
         };
-        let reference = run(1, None, None);
+        let reference = run(1, None);
         // Overlapped scheduling decides each stage's stop condition one stage
         // late (the documented staleness), so a FrameBudget(600) run at batch
         // 1 lands on exactly 601 processed frames in every configuration.
         assert_eq!(reference.frames_processed, 601);
-        for (shards, parallel) in [(3u32, None), (3, Some(2)), (7, Some(4)), (2, Some(64))] {
-            for aggregation in [None, Some(BatchAggregation::unbounded())] {
-                let overlapped = run(shards, parallel, aggregation);
-                assert_eq!(overlapped.frames_processed, reference.frames_processed);
-                assert_eq!(overlapped.found_instances, reference.found_instances);
-                assert_eq!(overlapped.trajectory, reference.trajectory);
-                assert_eq!(overlapped.sample_secs, reference.sample_secs);
-            }
+        for (shards, parallel) in [
+            (1u32, Some(2)),
+            (3, None),
+            (3, Some(2)),
+            (7, Some(4)),
+            (2, Some(64)),
+        ] {
+            let overlapped = run(shards, parallel);
+            assert_eq!(overlapped.frames_processed, reference.frames_processed);
+            assert_eq!(overlapped.found_instances, reference.found_instances);
+            assert_eq!(overlapped.trajectory, reference.trajectory);
+            assert_eq!(overlapped.sample_secs, reference.sample_secs);
         }
     }
 
