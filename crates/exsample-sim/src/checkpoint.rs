@@ -3,10 +3,13 @@
 //! [`CheckpointSink`] bridges the engine's stage-commit hook
 //! ([`exsample_engine::StageSink`]) to a crash-safe
 //! [`exsample_store::BeliefStore`]: every committed stage's belief deltas and
-//! newly found results are appended to the store's log and committed as one
-//! atomic stage, so a killed run can recover the exact posterior of its last
-//! committed stage and warm-start from it (see
-//! [`crate::QueryRunner::checkpoint`] / [`crate::QueryRunner::warm_start`]).
+//! newly found results are sealed in the store as one atomic stage, and the
+//! store writes sealed stages to its log 64 to a group (one append, one
+//! fsync).  A killed run therefore recovers the exact posterior of a stage
+//! prefix at most 63 stages behind the kill, and warm-starts from it (see
+//! [`crate::QueryRunner::checkpoint`] / [`crate::QueryRunner::warm_start`]);
+//! the runner — not this sink — makes the open group durable on every path
+//! by which a run returns.
 //!
 //! The engine's sink seam speaks `Result<(), String>` (the engine cannot
 //! depend on the store crate); the sink parks the concrete [`StoreError`] in
@@ -21,7 +24,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// The store, shared between the engine's sink and the runner (the runner
-/// takes the final checkpoint and reads the health counters after the run).
+/// flushes or checkpoints it and reads the health counters after the run).
 pub(crate) type SharedStore = Rc<RefCell<BeliefStore>>;
 
 /// Where the sink parks a concrete [`StoreError`] for the runner to re-chain.
@@ -53,7 +56,7 @@ impl StageSink for CheckpointSink<'_> {
                     store.append_result(self.class, obs.frame, id.0, stage)?;
                 }
             }
-            // Stages with no observations still commit a marker, so the
+            // Stages with no observations still seal a marker, so the
             // recovery cursor tracks the run stage for stage.
             store.commit_stage(stage)
         })();

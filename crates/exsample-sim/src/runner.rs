@@ -133,8 +133,9 @@ pub struct RunResult {
     pub cache: Option<CacheActivity>,
     /// Durable-store health counters (`Some` only when
     /// [`QueryRunner::checkpoint`] enabled checkpointing): records replayed
-    /// and torn bytes discarded during recovery, snapshot compactions, and
-    /// storage retries over the run.
+    /// and torn bytes discarded during recovery, and the run's sealed
+    /// stages, fsynced group writes, snapshot compactions and storage
+    /// retries.
     pub store: Option<StoreHealth>,
 }
 
@@ -247,8 +248,13 @@ impl<'a> QueryRunner<'a> {
     /// Persist every committed stage's belief deltas and newly found results
     /// to a crash-safe [`BeliefStore`] in `path` (created/recovered on run
     /// start; a torn tail from a killed run is truncated and the surviving
-    /// log replayed).  The store is compacted into a snapshot when the run
-    /// completes; its health counters land in [`RunResult::store`].
+    /// log replayed).  Stages reach the disk 64 to a group write, so a
+    /// *killed* run recovers a stage prefix at most 63 stages short of where
+    /// it died — never a partial stage.  A run that *returns* loses nothing
+    /// unless the store itself failed: on success the store is compacted
+    /// into a snapshot, on a typed engine failure (fail-fast detector error,
+    /// worker panic) the open group is flushed first.  Health counters land
+    /// in [`RunResult::store`].
     ///
     /// Checkpointing is a pure observer: outcomes, picks and the virtual
     /// clock are bitwise-identical to the uncheckpointed run.  A storage
@@ -595,15 +601,32 @@ impl<'a> QueryRunner<'a> {
         {
             Ok(report) => report,
             Err(error) => {
-                // The engine's sink seam is stringly typed; if the sink
-                // parked a concrete store error behind the CheckpointFailed
-                // it raised, re-chain that instead.
-                if let Some((_, cell)) = &durable {
+                if let Some((store, cell)) = &durable {
+                    // The engine's sink seam is stringly typed; if the sink
+                    // parked a concrete store error behind the
+                    // CheckpointFailed it raised, re-chain that instead (and
+                    // leave the failed store alone).
                     if let Some(store_error) = cell.borrow_mut().take() {
                         return Err(SimError::Store(store_error));
                     }
+                    // Any other engine failure ends the run, not the store:
+                    // make the stages sealed before it durable.  Best-effort
+                    // — the engine's error is the one to report.
+                    let _ = store.borrow_mut().flush();
                 }
                 return Err(error.into());
+            }
+        };
+        // Final checkpoint, before anything else can return: compact every
+        // sealed stage (the open group included) into a snapshot, so the
+        // next run (warm start or resume) recovers from the snapshot
+        // instead of replaying the log.
+        let store = match &durable {
+            None => None,
+            Some((store, _)) => {
+                let mut store = store.borrow_mut();
+                store.checkpoint()?;
+                Some(store.health())
             }
         };
         let detect_retries = report.detect_retries;
@@ -614,18 +637,6 @@ impl<'a> QueryRunner<'a> {
             .into_iter()
             .next()
             .ok_or(SimError::Engine(exsample_engine::EngineError::NoQueries))?;
-
-        // Final checkpoint: compact the committed state into a snapshot so
-        // the next run (warm start or resume) recovers from the snapshot
-        // instead of replaying the whole log.
-        let store = match &durable {
-            None => None,
-            Some((store, _)) => {
-                let mut store = store.borrow_mut();
-                store.checkpoint()?;
-                Some(store.health())
-            }
-        };
 
         Ok(RunResult {
             method: name,

@@ -1,5 +1,6 @@
 //! End-to-end durability: checkpointing is a pure observer, a torn
-//! checkpoint recovers, and a warm-started run beats a cold one.
+//! checkpoint recovers, a run that fails fast still persists what it sealed,
+//! and a warm-started run beats a cold one.
 //!
 //! These tests run against the real filesystem backend (`FsStorage` under a
 //! scratch directory) — the same code path the experiment binaries'
@@ -7,8 +8,10 @@
 
 use exsample_core::ExSampleConfig;
 use exsample_data::{Dataset, GridWorkload, SkewLevel};
-use exsample_sim::{MethodKind, QueryRunner, StopCondition};
-use exsample_store::BeliefStore;
+use exsample_detect::FaultPlan;
+use exsample_engine::EngineError;
+use exsample_sim::{MethodKind, QueryRunner, SimError, StopCondition};
+use exsample_store::{BeliefState, BeliefStore};
 use std::fs::OpenOptions;
 use std::path::PathBuf;
 
@@ -69,9 +72,13 @@ fn checkpointing_is_a_pure_observer_and_persists_the_posterior() {
     assert_eq!(checkpointed.trajectory, plain.trajectory);
     assert_eq!(checkpointed.sample_secs, plain.sample_secs);
 
-    // The run compacted at least its final checkpoint and was never degraded.
+    // The run compacted at least its final checkpoint and was never
+    // degraded; its stages reached the log 64 to a write, except the tail
+    // the final snapshot superseded.
     let health = checkpointed.store.expect("checkpoint reports health");
     assert!(health.snapshot_compactions >= 1);
+    assert!(health.stages_committed >= plain.frames_processed);
+    assert_eq!(health.durable_writes, health.stages_committed / 64);
     assert_eq!(health.io_retries, 0);
     assert_eq!(health.torn_tail_bytes, 0);
 
@@ -110,15 +117,21 @@ fn a_torn_checkpoint_recovers_and_the_run_resumes() {
 
     // A completed run's final checkpoint compacts everything into the
     // snapshot, so to stage a kill mid-run, commit a few more stages by
-    // hand (each commit is one log append) and then chop the tail off the
-    // live log — tearing exactly the last commit's frame.
+    // hand, flush them (one group append), seal a few more that only a
+    // flush would have saved, and drop the store — the kill.  Then chop the
+    // tail off the live log, tearing exactly the last flushed commit's frame.
     const MANUAL_STAGES: u64 = 10;
+    const UNFLUSHED_STAGES: u64 = 5;
     {
         let (mut store, _) = BeliefStore::open_dir(&scratch.0).expect("store reopens");
-        for stage in 1_000..1_000 + MANUAL_STAGES {
+        for stage in 1_000..1_000 + MANUAL_STAGES + UNFLUSHED_STAGES {
             store.append_delta(0, 0, 1, 1, stage).expect("delta stages");
             store.commit_stage(stage).expect("stage commits");
+            if stage == 1_000 + MANUAL_STAGES - 1 {
+                store.flush().expect("group flushes");
+            }
         }
+        assert_eq!(store.durable_stage(), Some(1_000 + MANUAL_STAGES - 1));
     }
     let log = scratch.0.join("log");
     let len = std::fs::metadata(&log).expect("log exists").len();
@@ -146,9 +159,9 @@ fn a_torn_checkpoint_recovers_and_the_run_resumes() {
     assert!(health.records_replayed > 0, "the surviving log replayed");
     assert_eq!(resumed.frames_processed, 100);
 
-    // The accumulated posterior holds everything that was ever committed:
-    // the first run, the surviving manual commits (the torn one was the
-    // only loss), and the resumed run.
+    // The accumulated posterior holds everything that was ever made
+    // durable: the first run, the surviving flushed commits (the torn one
+    // and the dropped open group were the only losses), and the resumed run.
     let (store, _) = BeliefStore::open_dir(&scratch.0).expect("store reopens");
     let samples: u64 = store
         .state()
@@ -160,6 +173,62 @@ fn a_torn_checkpoint_recovers_and_the_run_resumes() {
         first.frames_processed + (MANUAL_STAGES - 1) + resumed.frames_processed,
         "recovered posterior lost committed history"
     );
+}
+
+/// The persisted state of the first `budget` fault-free stages of the
+/// `seed`-7 query, as a completed checkpointed run leaves it.
+fn state_after(dataset: &Dataset, budget: u64, tag: &str) -> BeliefState {
+    let scratch = Scratch::new(tag);
+    QueryRunner::new(dataset)
+        .stop(StopCondition::FrameBudget(budget))
+        .seed(7)
+        .checkpoint(&scratch.0)
+        .run(MethodKind::ExSample(ExSampleConfig::default()))
+        .expect("fault-free run succeeded");
+    let (store, _) = BeliefStore::open_dir(&scratch.0).expect("store reopens");
+    store.state().clone()
+}
+
+#[test]
+fn a_fail_fast_abort_persists_exactly_the_stages_sealed_before_it() {
+    let dataset = skewed_dataset();
+    let scratch = Scratch::new("failfast");
+
+    // Fail-fast is the default failure mode: the first permanently faulted
+    // frame aborts the run with a typed engine error, mid-group.
+    let error = QueryRunner::new(&dataset)
+        .stop(StopCondition::FrameBudget(2_000))
+        .seed(7)
+        .fault_plan(FaultPlan::new(43).permanent_rate(0.005))
+        .checkpoint(&scratch.0)
+        .run(MethodKind::ExSample(ExSampleConfig::default()))
+        .expect_err("the fault plan aborts the run");
+    let SimError::Engine(EngineError::DetectorFailed { frame, .. }) = error else {
+        panic!("expected the engine's DetectorFailed, got {error:?}");
+    };
+
+    let (store, report) = BeliefStore::open_dir(&scratch.0).expect("store reopens");
+    let sealed = report.last_committed_stage.map_or(0, |s| s + 1);
+    assert!(
+        sealed > 64 && sealed % 64 != 0,
+        "vacuous: {sealed} sealed stages should span a written group and an open one"
+    );
+    assert!(!report.snapshot_loaded, "an aborted run takes no snapshot");
+
+    // Batch 1, so stage k observes the k-th pick, and faults never touch the
+    // picks: the store must hold exactly the fault-free run's first `sealed`
+    // stages, and the next pick must be the frame that failed.
+    assert_eq!(
+        store.state(),
+        &state_after(&dataset, sealed, "failfast-ref")
+    );
+    let next = state_after(&dataset, sealed + 1, "failfast-next");
+    let failed_chunk = dataset.chunking().chunk_of_frame(frame).0;
+    for (key, cell) in next.beliefs() {
+        let before = store.state().belief(key.0, key.1).unwrap_or_default();
+        let expected = before.samples + u64::from(key.1 == failed_chunk);
+        assert_eq!(cell.samples, expected, "chunk {}", key.1);
+    }
 }
 
 #[test]

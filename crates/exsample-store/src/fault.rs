@@ -201,31 +201,9 @@ impl<S: Storage> FaultInjectingStorage<S> {
         }
     }
 
-    /// Total mutating physical calls so far.
-    pub fn mutations(&self) -> u64 {
-        self.counters.mutations.load(Ordering::Relaxed)
-    }
-
-    /// How many transient I/O errors were injected.
-    pub fn injected_transients(&self) -> u64 {
-        self.counters.injected_transients.load(Ordering::Relaxed)
-    }
-
-    /// How many short writes were injected.
-    pub fn injected_short_writes(&self) -> u64 {
-        self.counters.injected_short_writes.load(Ordering::Relaxed)
-    }
-
-    /// Whether the simulated crash has fired.
-    pub fn has_crashed(&self) -> bool {
-        self.counters.crashed.load(Ordering::Relaxed)
-    }
-
     fn check_alive(&self) -> Result<(), StoreError> {
         if self.counters.crashed.load(Ordering::Relaxed) {
-            return Err(StoreError::Crashed {
-                op: self.plan.crash_at.unwrap_or(0),
-            });
+            return Err(self.crashed());
         }
         Ok(())
     }
@@ -262,6 +240,56 @@ impl<S: Storage> FaultInjectingStorage<S> {
         }
     }
 
+    fn crashed(&self) -> StoreError {
+        StoreError::Crashed {
+            op: self.plan.crash_at.unwrap_or(0),
+        }
+    }
+
+    /// The shared front of every mutation with no partial effect: a crash
+    /// leaves the call undone, a transient fault fails it.
+    fn gate(&self, op: &'static str, name: &str) -> Result<(), StoreError> {
+        self.check_alive()?;
+        let (transient, _, _) = self.next_draw();
+        if self.mutation_fires_crash() {
+            return Err(self.crashed());
+        }
+        if transient {
+            return Err(self.transient_error(op, name));
+        }
+        Ok(())
+    }
+
+    /// An append or whole-file write (`inner_put`) under the fault schedule.
+    fn put(
+        &mut self,
+        op: &'static str,
+        name: &str,
+        bytes: &[u8],
+        inner_put: fn(&mut S, &str, &[u8]) -> Result<usize, StoreError>,
+    ) -> Result<usize, StoreError> {
+        self.check_alive()?;
+        let (transient, short, cut) = self.next_draw();
+        let partial = Self::cut_len(bytes.len(), cut);
+        if self.mutation_fires_crash() {
+            // The kill lands mid-write: a prefix reaches the disk, then the
+            // process is gone.  This is the torn tail recovery must absorb.
+            inner_put(&mut self.inner, name, &bytes[..partial])?;
+            return Err(self.crashed());
+        }
+        if transient {
+            return Err(self.transient_error(op, name));
+        }
+        if short {
+            self.counters
+                .injected_short_writes
+                .fetch_add(1, Ordering::Relaxed);
+            inner_put(&mut self.inner, name, &bytes[..partial])?;
+            return Ok(partial);
+        }
+        inner_put(&mut self.inner, name, bytes)
+    }
+
     /// Partial byte count for a torn write of `len` bytes: at least 0, at
     /// most `len - 1`.
     fn cut_len(len: usize, cut: f64) -> usize {
@@ -283,119 +311,36 @@ impl<S: Storage> Storage for FaultInjectingStorage<S> {
         self.inner.read(name)
     }
 
-    fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-        self.check_alive()?;
-        self.inner.len(name)
-    }
-
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<usize, StoreError> {
-        self.check_alive()?;
-        let (transient, short, cut) = self.next_draw();
-        if self.mutation_fires_crash() {
-            // The kill lands mid-write: a prefix reaches the disk, then the
-            // process is gone.  This is the torn tail recovery must absorb.
-            let partial = Self::cut_len(bytes.len(), cut);
-            self.inner.append(name, &bytes[..partial])?;
-            return Err(StoreError::Crashed {
-                op: self.plan.crash_at.unwrap_or(0),
-            });
-        }
-        if transient {
-            return Err(self.transient_error("append", name));
-        }
-        if short {
-            self.counters
-                .injected_short_writes
-                .fetch_add(1, Ordering::Relaxed);
-            let partial = Self::cut_len(bytes.len(), cut);
-            self.inner.append(name, &bytes[..partial])?;
-            return Ok(partial);
-        }
-        self.inner.append(name, bytes)
+        self.put("append", name, bytes, S::append)
     }
 
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<usize, StoreError> {
-        self.check_alive()?;
-        let (transient, short, cut) = self.next_draw();
-        if self.mutation_fires_crash() {
-            let partial = Self::cut_len(bytes.len(), cut);
-            self.inner.write(name, &bytes[..partial])?;
-            return Err(StoreError::Crashed {
-                op: self.plan.crash_at.unwrap_or(0),
-            });
-        }
-        if transient {
-            return Err(self.transient_error("write", name));
-        }
-        if short {
-            self.counters
-                .injected_short_writes
-                .fetch_add(1, Ordering::Relaxed);
-            let partial = Self::cut_len(bytes.len(), cut);
-            self.inner.write(name, &bytes[..partial])?;
-            return Ok(partial);
-        }
-        self.inner.write(name, bytes)
+        self.put("write", name, bytes, S::write)
     }
 
     fn sync(&mut self, name: &str) -> Result<(), StoreError> {
-        self.check_alive()?;
-        let (transient, _, _) = self.next_draw();
-        if self.mutation_fires_crash() {
-            // A crash at fsync: the data written before it may or may not be
-            // durable; we model the pessimistic half by keeping whatever the
-            // backend already holds (the preceding writes) and dying here.
-            return Err(StoreError::Crashed {
-                op: self.plan.crash_at.unwrap_or(0),
-            });
-        }
-        if transient {
-            return Err(self.transient_error("sync", name));
-        }
+        // A crash at fsync: the data written before it may or may not be
+        // durable; we model the pessimistic half by keeping whatever the
+        // backend already holds (the preceding writes) and dying here.
+        self.gate("sync", name)?;
         self.inner.sync(name)
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
-        self.check_alive()?;
-        let (transient, _, _) = self.next_draw();
-        if self.mutation_fires_crash() {
-            // Rename is atomic: a crash leaves it entirely undone.
-            return Err(StoreError::Crashed {
-                op: self.plan.crash_at.unwrap_or(0),
-            });
-        }
-        if transient {
-            return Err(self.transient_error("rename", from));
-        }
+        // Rename is atomic: a crash leaves it entirely undone.
+        self.gate("rename", from)?;
         self.inner.rename(from, to)
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StoreError> {
-        self.check_alive()?;
-        let (transient, _, _) = self.next_draw();
-        if self.mutation_fires_crash() {
-            return Err(StoreError::Crashed {
-                op: self.plan.crash_at.unwrap_or(0),
-            });
-        }
-        if transient {
-            return Err(self.transient_error("remove", name));
-        }
+        self.gate("remove", name)?;
         self.inner.remove(name)
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), StoreError> {
-        self.check_alive()?;
-        let (transient, _, _) = self.next_draw();
-        if self.mutation_fires_crash() {
-            // Truncate either happened or it did not; model "did not".
-            return Err(StoreError::Crashed {
-                op: self.plan.crash_at.unwrap_or(0),
-            });
-        }
-        if transient {
-            return Err(self.transient_error("truncate", name));
-        }
+        // Truncate either happened or it did not; model "did not".
+        self.gate("truncate", name)?;
         self.inner.truncate(name, len)
     }
 }
@@ -443,6 +388,7 @@ mod tests {
         let left = script(&mut a);
         let right = script(&mut b);
         assert_eq!(left, right);
+        let (a, b) = (a.monitor(), b.monitor());
         assert!(
             a.injected_transients() > 0 && a.injected_short_writes() > 0,
             "the flaky plan should actually inject ({} transients, {} shorts)",
@@ -477,7 +423,7 @@ mod tests {
         storage.begin_op();
         let err = storage.append("log", b"0123456789").unwrap_err();
         assert_eq!(err, StoreError::Crashed { op: 1 });
-        assert!(storage.has_crashed());
+        assert!(storage.monitor().has_crashed());
         // Dead means dead: reads and writes all fail now.
         assert!(storage.read("log").is_err());
         assert!(storage.append("log", b"x").is_err());
@@ -500,9 +446,10 @@ mod tests {
         }
         storage.begin_op();
         storage.sync("log").unwrap();
-        assert_eq!(storage.mutations(), 9);
-        assert_eq!(storage.injected_transients(), 0);
-        assert_eq!(storage.injected_short_writes(), 0);
+        let monitor = storage.monitor();
+        assert_eq!(monitor.mutations(), 9);
+        assert_eq!(monitor.injected_transients(), 0);
+        assert_eq!(monitor.injected_short_writes(), 0);
         assert_eq!(storage.into_inner().read("log").unwrap().unwrap().len(), 24);
     }
 }

@@ -25,7 +25,8 @@ use std::sync::{Arc, Mutex};
 /// * [`append`](Storage::append) and [`write`](Storage::write) return the
 ///   number of bytes actually written — a short count is legal and the
 ///   caller must roll back and retry;
-/// * [`rename`](Storage::rename) replaces the destination atomically;
+/// * [`rename`](Storage::rename) replaces the destination atomically and is
+///   durable on return (the store truncates the log right after it);
 /// * [`begin_op`](Storage::begin_op) marks the start of one *logical*
 ///   operation so fault injectors can count retries of the same operation
 ///   separately from new operations.  The default is a no-op.
@@ -35,9 +36,6 @@ pub trait Storage: Send {
 
     /// Read a whole file; `Ok(None)` if it does not exist.
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError>;
-
-    /// Length of a file in bytes; `Ok(None)` if it does not exist.
-    fn len(&self, name: &str) -> Result<Option<u64>, StoreError>;
 
     /// Append bytes to a file (creating it), returning how many were
     /// actually written.
@@ -88,14 +86,6 @@ impl Storage for FsStorage {
         }
     }
 
-    fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-        match std::fs::metadata(self.path(name)) {
-            Ok(meta) => Ok(Some(meta.len())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(StoreError::io("len", name, &e)),
-        }
-    }
-
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<usize, StoreError> {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -123,7 +113,13 @@ impl Storage for FsStorage {
 
     fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
         std::fs::rename(self.path(from), self.path(to))
-            .map_err(|e| StoreError::io("rename", from, &e))
+            .map_err(|e| StoreError::io("rename", from, &e))?;
+        // The new name is durable only once the directory is: without this a
+        // power loss after the caller truncates the log can bring back the
+        // old snapshot beside a new-generation log.
+        std::fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| StoreError::io("sync_dir", to, &e))
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StoreError> {
@@ -178,10 +174,6 @@ impl MemStorage {
 impl Storage for MemStorage {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
         Ok(self.files.lock().unwrap().get(name).cloned())
-    }
-
-    fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-        Ok(self.files.lock().unwrap().get(name).map(|b| b.len() as u64))
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<usize, StoreError> {
@@ -241,18 +233,20 @@ mod tests {
 
     fn exercise(storage: &mut dyn Storage) {
         assert_eq!(storage.read("log").unwrap(), None);
-        assert_eq!(storage.len("log").unwrap(), None);
         assert_eq!(storage.append("log", b"abc").unwrap(), 3);
         assert_eq!(storage.append("log", b"def").unwrap(), 3);
         assert_eq!(storage.read("log").unwrap().unwrap(), b"abcdef");
-        assert_eq!(storage.len("log").unwrap(), Some(6));
         storage.truncate("log", 4).unwrap();
         assert_eq!(storage.read("log").unwrap().unwrap(), b"abcd");
+        // Rename replaces an existing destination (on `FsStorage`, through
+        // the directory fsync) and a missing source is an error.
+        assert_eq!(storage.write("snap", b"old").unwrap(), 3);
         assert_eq!(storage.write("tmp", b"xyz").unwrap(), 3);
         storage.sync("tmp").unwrap();
         storage.rename("tmp", "snap").unwrap();
         assert_eq!(storage.read("snap").unwrap().unwrap(), b"xyz");
         assert_eq!(storage.read("tmp").unwrap(), None);
+        assert!(storage.rename("tmp", "snap").is_err());
         storage.remove("snap").unwrap();
         storage.remove("snap").unwrap(); // removing a missing file is fine
         assert_eq!(storage.read("snap").unwrap(), None);

@@ -15,13 +15,19 @@
 //! # Commit protocol
 //!
 //! Callers stage records with [`BeliefStore::append_delta`] /
-//! [`BeliefStore::append_result`], then make a stage durable with
+//! [`BeliefStore::append_result`], then **seal** a stage with
 //! [`BeliefStore::commit_stage`]: the staged records plus a
-//! [`Record::StageCommit`] marker are appended to the log in **one** write
-//! and fsynced, then folded into the in-memory state.  Recovery folds log
-//! records into state only up to the last commit marker, so a stage is
-//! atomic: either its commit frame survived and the whole stage is applied,
-//! or none of it is.
+//! [`Record::StageCommit`] marker are folded into the in-memory state and
+//! their frames join the open **group**.  The group is the unit of durable
+//! I/O: it reaches the log in **one** append and **one** fsync when it holds
+//! `GROUP_COMMIT_STAGES` (64) sealed stages or on [`BeliefStore::flush`],
+//! and not at all when a compaction supersedes it (the snapshot is built
+//! from the in-memory state, which already contains it).  The stage stays
+//! the unit of recovery — replay folds log records only up to the last
+//! commit marker — so a crash loses at most the last 63 sealed stages, a
+//! function of stage count and never of wall-clock time, and never part of
+//! a stage.  After each group write the log is compacted once it has reached
+//! `max(64 KiB, 2 × snapshot bytes)`, the usual write-ahead-log rule.
 //!
 //! # Recovery rules
 //!
@@ -59,8 +65,12 @@ const SNAPSHOT_TMP: &str = "snapshot.tmp";
 /// Retry budget for one durable operation's transient failures.
 const MAX_ATTEMPTS: u32 = 8;
 
-/// Default number of stage commits between snapshot compactions.
-const DEFAULT_COMPACT_EVERY: u64 = 64;
+/// Sealed stages per durable group write; a crash loses fewer than this.  A
+/// constant, not a knob: the loss window is part of the store's contract.
+const GROUP_COMMIT_STAGES: u64 = 64;
+
+/// The log is compacted once it reaches `max(this, 2 × snapshot bytes)`.
+const COMPACT_MIN_LOG_BYTES: u64 = 64 * 1024;
 
 /// One `(class, chunk)` belief cell: the ExSample posterior statistics
 /// `N1` (signed: track re-matches subtract) and the sample count `n`.
@@ -214,6 +224,10 @@ pub struct StoreHealth {
     pub snapshot_compactions: u64,
     /// Transient I/O failures and short writes absorbed by retrying.
     pub io_retries: u64,
+    /// Stages sealed by [`BeliefStore::commit_stage`].
+    pub stages_committed: u64,
+    /// Fsynced group appends to the log (compactions are counted above).
+    pub durable_writes: u64,
 }
 
 impl StoreHealth {
@@ -224,6 +238,8 @@ impl StoreHealth {
         self.torn_tail_bytes += other.torn_tail_bytes;
         self.snapshot_compactions += other.snapshot_compactions;
         self.io_retries += other.io_retries;
+        self.stages_committed += other.stages_committed;
+        self.durable_writes += other.durable_writes;
     }
 }
 
@@ -248,10 +264,17 @@ pub struct BeliefStore {
     storage: Box<dyn Storage>,
     state: BeliefState,
     pending: Vec<Record>,
+    /// Encoded frames of the sealed stages not yet written to the log.
+    group: Vec<u8>,
+    group_stages: u64,
+    /// Snapshot encode buffer, reused across compactions.
+    snapshot_buf: Vec<u8>,
     generation: u64,
     last_committed_stage: Option<u64>,
-    commits_since_compact: u64,
-    compact_every: u64,
+    durable_stage: Option<u64>,
+    /// Tracked file lengths: the append rollback base and the size rule.
+    log_len: u64,
+    snapshot_len: u64,
     health: StoreHealth,
 }
 
@@ -285,10 +308,14 @@ impl BeliefStore {
             storage,
             state: BeliefState::default(),
             pending: Vec::new(),
+            group: Vec::new(),
+            group_stages: 0,
+            snapshot_buf: Vec::new(),
             generation: 0,
             last_committed_stage: None,
-            commits_since_compact: 0,
-            compact_every: DEFAULT_COMPACT_EVERY,
+            durable_stage: None,
+            log_len: 0,
+            snapshot_len: 0,
             health: StoreHealth::default(),
         };
         let report = store.recover()?;
@@ -302,6 +329,7 @@ impl BeliefStore {
         // Rule 2: the snapshot, which must parse completely.
         let snapshot_loaded = if let Some(bytes) = self.storage.read(SNAPSHOT)? {
             self.load_snapshot(&bytes)?;
+            self.snapshot_len = bytes.len() as u64;
             true
         } else {
             false
@@ -318,8 +346,7 @@ impl BeliefStore {
         let mut replayed = 0u64;
         loop {
             match next_frame(&log, pos) {
-                FrameScan::End => break,
-                FrameScan::Torn => break,
+                FrameScan::End | FrameScan::Torn => break,
                 FrameScan::Complete { record, next } => {
                     match record {
                         Record::Generation { generation } => {
@@ -361,12 +388,16 @@ impl BeliefStore {
                 // Nothing worth keeping (virgin store, or the generation
                 // marker itself was torn): rewrite the marker from scratch.
                 self.reset_log()?;
-            } else if dropped > 0 {
-                self.truncate_durably(LOG, keep_end as u64)?;
-                self.sync_durably(LOG)?;
+            } else {
+                self.log_len = keep_end as u64;
+                if dropped > 0 {
+                    self.truncate_durably(LOG, self.log_len)?;
+                    self.sync_durably(LOG)?;
+                }
             }
             dropped
         };
+        self.durable_stage = self.last_committed_stage;
 
         self.health.records_replayed += replayed;
         self.health.torn_tail_bytes += torn;
@@ -427,10 +458,10 @@ impl BeliefStore {
     /// Truncate the log and write a fresh generation marker.
     fn reset_log(&mut self) -> Result<(), StoreError> {
         self.truncate_durably(LOG, 0)?;
-        let marker = encode_frames(&[Record::Generation {
-            generation: self.generation,
-        }]);
-        self.append_durably(LOG, &marker)?;
+        self.log_len = 0;
+        let generation = self.generation;
+        let marker = encode_frames(&[Record::Generation { generation }]);
+        self.append_log(&marker)?;
         self.sync_durably(LOG)
     }
 
@@ -498,36 +529,62 @@ impl BeliefStore {
         }
     }
 
-    /// Make the staged records durable as one atomic stage (see module
-    /// docs), then fold them into the in-memory state.  Commits with no
-    /// staged records still write the commit marker, advancing
-    /// [`BeliefStore::last_committed_stage`].
+    /// Seal the staged records as one atomic stage (see module docs): fold
+    /// them — or, with none staged, just the commit marker — into the
+    /// in-memory state and add their frames to the open group, which is
+    /// written once it holds `GROUP_COMMIT_STAGES` stages.  An `Err` is that
+    /// group write failing; the stage is sealed in memory either way.
     pub fn commit_stage(&mut self, stage: u64) -> Result<(), StoreError> {
         self.pending.push(Record::StageCommit { stage });
-        let bytes = encode_frames(&self.pending);
-        self.append_durably(LOG, &bytes)?;
-        self.sync_durably(LOG)?;
-        for record in std::mem::take(&mut self.pending) {
+        for record in self.pending.drain(..) {
+            record.encode_frame(&mut self.group);
             self.state.apply(&record);
         }
         self.last_committed_stage = Some(stage);
-        self.commits_since_compact += 1;
-        if self.commits_since_compact >= self.compact_every {
+        self.group_stages += 1;
+        self.health.stages_committed += 1;
+        if self.group_stages >= GROUP_COMMIT_STAGES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Write the open group to the log — one append, one fsync — making
+    /// every sealed stage durable; a no-op when no stage is waiting.  Call
+    /// it wherever "committed" must mean "on disk": dropping the store does
+    /// **not** flush (a drop is indistinguishable from a kill).  After an
+    /// `Err` the group may or may not have reached the log; reopen the store
+    /// rather than retrying on this handle.
+    pub fn flush(&mut self) -> Result<(), StoreError> {
+        if self.group_stages == 0 {
+            return Ok(());
+        }
+        let group = std::mem::take(&mut self.group);
+        let written = self
+            .append_log(&group)
+            .and_then(|()| self.sync_durably(LOG));
+        self.group = group;
+        written?;
+        self.close_group();
+        self.health.durable_writes += 1;
+        if self.log_len >= COMPACT_MIN_LOG_BYTES.max(2 * self.snapshot_len) {
             self.compact()?;
         }
         Ok(())
     }
 
-    /// Force a snapshot compaction now (also called automatically every
-    /// `compact_every` commits).  Uncommitted staged records are not
-    /// included — only committed state is ever snapshotted.
-    pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        self.compact()
+    /// The open group's stages are durable (written, or inside a snapshot).
+    fn close_group(&mut self) {
+        self.group.clear();
+        self.group_stages = 0;
+        self.durable_stage = self.last_committed_stage;
     }
 
-    /// Change the automatic compaction cadence (commits between snapshots).
-    pub fn set_compact_every(&mut self, commits: u64) {
-        self.compact_every = commits.max(1);
+    /// Force a snapshot compaction now (also run by the size rule, see module
+    /// docs).  Every sealed stage — the open group included — is in the
+    /// snapshot and durable on return; staged-but-unsealed records are not.
+    pub fn checkpoint(&mut self) -> Result<(), StoreError> {
+        self.compact()
     }
 
     /// Temp-write → fsync → atomic rename, then restart the log under the
@@ -536,54 +593,71 @@ impl BeliefStore {
     /// recognises as stale and discards (never both applied).
     fn compact(&mut self) -> Result<(), StoreError> {
         let next_generation = self.generation + 1;
-        let mut records = Vec::with_capacity(
-            1 + self.state.classes.len() + self.state.beliefs.len() + self.state.results.len(),
-        );
-        records.push(Record::SnapshotHeader {
+        let mut bytes = std::mem::take(&mut self.snapshot_buf);
+        bytes.clear();
+        Record::SnapshotHeader {
             generation: next_generation,
             last_stage: self.last_committed_stage,
-        });
+        }
+        .encode_frame(&mut bytes);
         for (id, name) in self.state.classes.iter().enumerate() {
-            records.push(Record::ClassName {
+            Record::ClassName {
                 class: id as u32,
                 name: name.clone(),
-            });
+            }
+            .encode_frame(&mut bytes);
         }
         for (&(class, chunk), cell) in &self.state.beliefs {
-            records.push(Record::BeliefTotal {
+            Record::BeliefTotal {
                 class,
                 chunk,
                 n1: cell.n1,
                 samples: cell.samples,
-            });
+            }
+            .encode_frame(&mut bytes);
         }
         for (&(class, instance), cell) in &self.state.results {
-            records.push(Record::ResultFound {
+            Record::ResultFound {
                 class,
                 frame: cell.frame,
                 instance,
                 stage: cell.stage,
-            });
+            }
+            .encode_frame(&mut bytes);
         }
-        let bytes = encode_frames(&records);
-        self.write_durably(SNAPSHOT_TMP, &bytes)?;
-        self.sync_durably(SNAPSHOT_TMP)?;
-        self.rename_durably(SNAPSHOT_TMP, SNAPSHOT)?;
+        let installed = self
+            .put_durably("write", SNAPSHOT_TMP, &bytes, None)
+            .and_then(|()| self.sync_durably(SNAPSHOT_TMP))
+            .and_then(|()| self.rename_durably(SNAPSHOT_TMP, SNAPSHOT));
+        self.snapshot_buf = bytes;
+        installed?;
+        self.snapshot_len = self.snapshot_buf.len() as u64;
+        // The snapshot holds the open group: drop it, never write it to the
+        // old log first.
         self.generation = next_generation;
+        self.close_group();
         self.reset_log()?;
         self.health.snapshot_compactions += 1;
-        self.commits_since_compact = 0;
         Ok(())
     }
 
-    /// The merged durable state (committed records only).
+    /// The merged state of every **sealed** stage.  It may lead the disk by
+    /// the open group (fewer than `GROUP_COMMIT_STAGES` stages); see
+    /// [`BeliefStore::durable_stage`].
     pub fn state(&self) -> &BeliefState {
         &self.state
     }
 
-    /// The last committed stage, if any stage ever committed.
+    /// The last sealed stage, if any stage ever committed.
     pub fn last_committed_stage(&self) -> Option<u64> {
         self.last_committed_stage
+    }
+
+    /// The last stage known to be on disk: what a crash right now would
+    /// recover.  Trails [`BeliefStore::last_committed_stage`] by the open
+    /// group.
+    pub fn durable_stage(&self) -> Option<u64> {
+        self.durable_stage
     }
 
     /// The live snapshot generation.
@@ -608,16 +682,37 @@ impl BeliefStore {
     // MAX_ATTEMPTS physical attempts.  Every retry is counted in
     // `health.io_retries`.
 
-    fn append_durably(&mut self, name: &'static str, bytes: &[u8]) -> Result<(), StoreError> {
-        let base = self.storage.len(name)?.unwrap_or(0);
+    /// Append to the log at the tracked `log_len` (no `stat` per write),
+    /// advancing it on success.
+    fn append_log(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.put_durably("append", LOG, bytes, Some(self.log_len))?;
+        self.log_len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Append `bytes` to `name` (`rollback_to` = its current length) or
+    /// replace its contents (`None`).  A failed append attempt is truncated
+    /// back before the retry, so a half frame is never left in front of the
+    /// retried (good) one; a failed whole-file write is simply overwritten.
+    fn put_durably(
+        &mut self,
+        op: &'static str,
+        name: &'static str,
+        bytes: &[u8],
+        rollback_to: Option<u64>,
+    ) -> Result<(), StoreError> {
         self.storage.begin_op();
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let failure = match self.storage.append(name, bytes) {
+            let put = match rollback_to {
+                Some(_) => self.storage.append(name, bytes),
+                None => self.storage.write(name, bytes),
+            };
+            let failure = match put {
                 Ok(n) if n == bytes.len() => return Ok(()),
                 Ok(n) => StoreError::Io {
-                    op: "append",
+                    op,
                     file: name.to_string(),
                     kind: std::io::ErrorKind::WriteZero,
                     message: format!("short write: {n} of {} bytes", bytes.len()),
@@ -625,67 +720,14 @@ impl BeliefStore {
                 Err(e) if e.is_transient() => e,
                 Err(e) => return Err(e),
             };
-            // Roll the partial bytes back before retrying so a half frame is
-            // never left in front of the retried (good) one.
-            self.rollback(name, base)?;
+            if let Some(base) = rollback_to {
+                // Same logical op as the append, so no `begin_op`.
+                self.retry_simple("truncate", name, |s, n| s.truncate(n, base))?;
+            }
             self.health.io_retries += 1;
             if attempts >= MAX_ATTEMPTS {
                 return Err(StoreError::RetriesExhausted {
-                    op: "append",
-                    file: name.to_string(),
-                    attempts,
-                    source: Box::new(failure),
-                });
-            }
-        }
-    }
-
-    /// Truncate back to `base` as part of an append retry (same logical op,
-    /// so no `begin_op`), retrying its own transient failures.
-    fn rollback(&mut self, name: &'static str, base: u64) -> Result<(), StoreError> {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match self.storage.truncate(name, base) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempts < MAX_ATTEMPTS => {
-                    self.health.io_retries += 1;
-                }
-                Err(e) if e.is_transient() => {
-                    return Err(StoreError::RetriesExhausted {
-                        op: "truncate",
-                        file: name.to_string(),
-                        attempts,
-                        source: Box::new(e),
-                    })
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn write_durably(&mut self, name: &'static str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.storage.begin_op();
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let failure = match self.storage.write(name, bytes) {
-                // `write` replaces the whole file, so a short write needs no
-                // rollback — the retry overwrites it.
-                Ok(n) if n == bytes.len() => return Ok(()),
-                Ok(n) => StoreError::Io {
-                    op: "write",
-                    file: name.to_string(),
-                    kind: std::io::ErrorKind::WriteZero,
-                    message: format!("short write: {n} of {} bytes", bytes.len()),
-                },
-                Err(e) if e.is_transient() => e,
-                Err(e) => return Err(e),
-            };
-            self.health.io_retries += 1;
-            if attempts >= MAX_ATTEMPTS {
-                return Err(StoreError::RetriesExhausted {
-                    op: "write",
+                    op,
                     file: name.to_string(),
                     attempts,
                     source: Box::new(failure),
@@ -766,7 +808,15 @@ mod tests {
             store.commit_stage(0).unwrap();
             store.append_delta(car, 3, 1, 1, 1).unwrap();
             store.commit_stage(1).unwrap();
-            store.state().clone()
+            assert_eq!(store.durable_stage(), None, "sealed, not yet durable");
+            store.flush().unwrap();
+            assert_eq!(store.durable_stage(), Some(1));
+            let state = store.state().clone();
+            // Sealed after the flush, then dropped: the open group is lost.
+            store.append_delta(car, 9, 1, 1, 2).unwrap();
+            store.commit_stage(2).unwrap();
+            assert_eq!(store.last_committed_stage(), Some(2));
+            state
         };
         let (reopened, report) = open_mem(&files);
         assert_eq!(reopened.state(), &state);
@@ -789,8 +839,9 @@ mod tests {
             let car = store.intern_class("car");
             store.append_delta(car, 0, 5, 1, 0).unwrap();
             store.commit_stage(0).unwrap();
-            // Staged but never committed:
+            // Staged but never committed — not even a flush writes it:
             store.append_delta(car, 0, 100, 1, 1).unwrap();
+            store.flush().unwrap();
             assert_eq!(store.pending_records(), 1);
         }
         let (reopened, _) = open_mem(&files);
@@ -809,6 +860,7 @@ mod tests {
             let car = store.intern_class("car");
             store.append_delta(car, 1, 1, 1, 0).unwrap();
             store.commit_stage(0).unwrap();
+            store.flush().unwrap();
         }
         // Simulate a kill mid-append: garbage on the log tail.
         let torn_len = {
@@ -836,16 +888,21 @@ mod tests {
         let files = mem.files();
         let state = {
             let (mut store, _) = BeliefStore::open(mem).unwrap();
-            store.set_compact_every(2);
             let car = store.intern_class("car");
             for stage in 0..5u64 {
                 store
                     .append_delta(car, (stage % 3) as u32, 1, 1, stage)
                     .unwrap();
                 store.commit_stage(stage).unwrap();
+                if stage % 2 == 0 {
+                    // The open group goes into the snapshot, not the log.
+                    store.checkpoint().unwrap();
+                    assert_eq!(store.durable_stage(), Some(stage));
+                }
             }
-            assert!(store.health().snapshot_compactions >= 2);
-            assert_eq!(store.generation(), store.health().snapshot_compactions);
+            assert_eq!(store.health().snapshot_compactions, 3);
+            assert_eq!(store.generation(), 3);
+            assert_eq!(store.health().durable_writes, 0);
             store.state().clone()
         };
         {
@@ -868,6 +925,7 @@ mod tests {
             let car = store.intern_class("car");
             store.append_delta(car, 0, 7, 1, 0).unwrap();
             store.commit_stage(0).unwrap();
+            store.flush().unwrap();
             let old_log = files.lock().unwrap().get(LOG).unwrap().clone();
             store.checkpoint().unwrap();
             (store.state().clone(), old_log)

@@ -1,13 +1,19 @@
-//! The crash-at-every-write-boundary matrix.
+//! The crash-at-every-write-boundary matrix, under the windowed contract.
 //!
-//! A deterministic multi-stage workload runs once uninterrupted to produce
-//! the reference state and to count how many mutating storage calls the run
-//! makes.  Then, for **every** mutating call index `k`, a fresh run is
-//! killed at `k` (the injector applies a partial write where one exists —
-//! the torn tail — and fails everything after), the surviving bytes are
-//! reopened by a fresh store exactly as a restarted process would reopen
-//! real files, the run resumes from the last committed stage, and the final
-//! merged state must be bitwise-identical to the uninterrupted run.
+//! A deterministic multi-stage workload — several commit groups long, with
+//! explicit checkpoints at fixed stages and a final flush — runs once
+//! uninterrupted to produce the reference state after every stage and to
+//! count how many mutating storage calls the run makes.  Then, for **every**
+//! mutating call index `k`, a fresh run is killed at `k` (the injector
+//! applies a partial write where one exists — the torn tail — and fails
+//! everything after), the surviving bytes are reopened by a fresh store
+//! exactly as a restarted process would reopen real files, and:
+//!
+//! * recovery lands on a sealed-stage **prefix** of the run — never a
+//!   partial stage — at most `GROUP_COMMIT_STAGES - 1` stages behind what
+//!   the killed run had sealed;
+//! * the run resumes after the last recovered stage and its final state is
+//!   bitwise-identical to the uninterrupted run.
 //!
 //! A second matrix runs the same workload under flaky-but-not-fatal storage
 //! (transient errors + short writes) and asserts the degraded run is both
@@ -18,8 +24,14 @@ use exsample_store::{
 };
 use std::sync::Arc;
 
-const STAGES: u64 = 24;
-const COMPACT_EVERY: u64 = 4;
+/// Mirror of the store's private `GROUP_COMMIT_STAGES` (pinned from outside
+/// by `tests/group_commit.rs`'s write-count law).
+const GROUP: u64 = 64;
+/// Four full groups and a remainder that is not a multiple of anything.
+const STAGES: u64 = 4 * GROUP + 23;
+/// Stages sealed just before an explicit `checkpoint()`: both land mid-group,
+/// so a snapshot supersedes an open group twice per run.
+const CHECKPOINT_AFTER: [u64; 2] = [100, 200];
 
 /// Deterministic per-stage workload: which deltas and results stage `s`
 /// stages before committing.  Pure arithmetic — no RNG — so every run, in
@@ -38,15 +50,20 @@ fn apply_stage(store: &mut BeliefStore, stage: u64) -> Result<(), StoreError> {
     if stage % 4 == 1 {
         store.append_result(car, stage * 100, stage, stage)?;
     }
-    store.commit_stage(stage)
+    store.commit_stage(stage)?;
+    if CHECKPOINT_AFTER.contains(&stage) {
+        store.checkpoint()?;
+    }
+    Ok(())
 }
 
-/// Run stages `[from, STAGES)`; `Err` means the storage crashed mid-run.
+/// Run stages `[from, STAGES)` and make the tail durable; `Err` means the
+/// storage crashed mid-run.
 fn run_stages(store: &mut BeliefStore, from: u64) -> Result<(), StoreError> {
     for stage in from..STAGES {
         apply_stage(store, stage)?;
     }
-    Ok(())
+    store.flush()
 }
 
 fn open_with_plan(
@@ -55,29 +72,72 @@ fn open_with_plan(
 ) -> Result<(BeliefStore, exsample_store::StorageFaultMonitor), StoreError> {
     let storage = FaultInjectingStorage::new(MemStorage::with_files(Arc::clone(files)), plan);
     let monitor = storage.monitor();
-    let (mut store, _) = BeliefStore::open(storage)?;
-    store.set_compact_every(COMPACT_EVERY);
+    let (store, _) = BeliefStore::open(storage)?;
     Ok((store, monitor))
 }
 
-/// The uninterrupted reference: final state plus the mutating-call count
-/// that defines the crash matrix.
-fn reference() -> (BeliefState, u64) {
+/// How many stages a cursor (`last_committed_stage`) covers.
+fn stage_count(last: Option<u64>) -> u64 {
+    last.map_or(0, |s| s + 1)
+}
+
+/// The uninterrupted reference: the state after every stage count
+/// (`prefixes[n]` = after stages `0..n`) plus the mutating-call count that
+/// defines the crash matrix.
+fn reference() -> (Vec<BeliefState>, u64) {
     let files = MemStorage::new().files();
     let (mut store, monitor) =
         open_with_plan(&files, StoragePlan::new(0)).expect("zero-fault open cannot fail");
-    run_stages(&mut store, 0).expect("zero-fault run cannot crash");
+    let mut prefixes = vec![store.state().clone()];
+    for stage in 0..STAGES {
+        apply_stage(&mut store, stage).expect("zero-fault run cannot crash");
+        prefixes.push(store.state().clone());
+    }
+    store.flush().expect("zero-fault flush cannot crash");
+    let health = store.health();
+    assert_eq!(health.snapshot_compactions, 2, "only the explicit ones");
+    assert_eq!(health.stages_committed, STAGES);
+    // 0..=63 | checkpoint@100 | 101..=164 | checkpoint@200 | 201..=264 | tail.
+    assert_eq!(health.durable_writes, 4, "three full groups and the flush");
+    assert_eq!(store.durable_stage(), Some(STAGES - 1));
+    // A flushed run loses nothing.
+    let (reopened, report) =
+        BeliefStore::open(MemStorage::with_files(files)).expect("clean reopen cannot fail");
+    assert_eq!(reopened.state(), store.state());
+    assert_eq!(report.torn_tail_bytes, 0);
+    (prefixes, monitor.mutations())
+}
+
+/// Reopen the survivors of a kill as a restarted process would and check
+/// the windowed contract: a sealed-stage prefix, at most `GROUP - 1` behind
+/// what the killed run had `sealed`.  Returns the store and where to resume.
+fn recover_within_window(
+    files: &MemFiles,
+    prefixes: &[BeliefState],
+    sealed: u64,
+    context: &str,
+) -> (BeliefStore, u64) {
+    let (store, report) = BeliefStore::open(MemStorage::with_files(Arc::clone(files)))
+        .unwrap_or_else(|e| panic!("recovery after {context} failed: {e}"));
+    let recovered = stage_count(report.last_committed_stage);
     assert!(
-        store.health().snapshot_compactions >= 2,
-        "the workload must exercise compaction inside the matrix"
+        recovered <= sealed && sealed - recovered < GROUP,
+        "{context}: recovered {recovered} stages of {sealed} sealed — outside the \
+         {}-stage loss window (report {report:?})",
+        GROUP - 1
     );
-    (store.state().clone(), monitor.mutations())
+    assert_eq!(
+        store.state(),
+        &prefixes[recovered as usize],
+        "{context}: recovered state is not the run's first {recovered} stages"
+    );
+    (store, recovered)
 }
 
 #[test]
 fn recover_and_resume_is_bitwise_identical_at_every_crash_point() {
-    let (expected, total_ops) = reference();
-    assert!(total_ops > 50, "matrix unexpectedly small: {total_ops} ops");
+    let (prefixes, total_ops) = reference();
+    assert!(total_ops > 20, "matrix unexpectedly small: {total_ops} ops");
 
     for crash_at in 0..total_ops {
         let files = MemStorage::new().files();
@@ -85,56 +145,46 @@ fn recover_and_resume_is_bitwise_identical_at_every_crash_point() {
 
         // Phase 1: run until the kill.  The crash can land inside open()
         // itself (its recovery bootstrap writes a generation marker), inside
-        // a stage commit, or inside a compaction.
-        let crashed = match open_with_plan(&files, plan) {
+        // a group write, or inside a compaction.  `sealed` is what the dying
+        // process believed it had committed.
+        let sealed = match open_with_plan(&files, plan) {
             Err(e) => {
                 assert!(
                     matches!(e, StoreError::Crashed { .. }),
                     "open failed with a non-crash error at op {crash_at}: {e}"
                 );
-                true
+                0
             }
-            Ok((mut store, monitor)) => match run_stages(&mut store, 0) {
-                Err(e) => {
-                    assert!(
-                        matches!(e, StoreError::Crashed { .. }),
-                        "run failed with a non-crash error at op {crash_at}: {e}"
-                    );
-                    true
-                }
-                Ok(()) => {
-                    assert!(!monitor.has_crashed());
-                    false
-                }
-            },
+            Ok((mut store, monitor)) => {
+                let outcome = run_stages(&mut store, 0);
+                assert!(
+                    matches!(outcome, Err(StoreError::Crashed { .. })),
+                    "crash point {crash_at} < {total_ops} never fired: {outcome:?}"
+                );
+                assert!(monitor.has_crashed());
+                stage_count(store.last_committed_stage())
+            }
         };
-        assert!(crashed, "crash point {crash_at} < {total_ops} never fired");
 
         // Phase 2: the process restarts — clean storage over the surviving
-        // bytes — recovers, and resumes from the last committed stage.
-        let (mut store, report) = BeliefStore::open(MemStorage::with_files(Arc::clone(&files)))
-            .unwrap_or_else(|e| panic!("recovery after crash at op {crash_at} failed: {e}"));
-        store.set_compact_every(COMPACT_EVERY);
-        let resume_from = report.last_committed_stage.map_or(0, |s| s + 1);
-        assert!(
-            resume_from <= STAGES,
-            "recovered stage cursor {resume_from} past the workload at op {crash_at}"
-        );
+        // bytes — recovers inside the window, and resumes.
+        let context = format!("crash at op {crash_at}");
+        let (mut store, resume_from) = recover_within_window(&files, &prefixes, sealed, &context);
         run_stages(&mut store, resume_from)
-            .unwrap_or_else(|e| panic!("clean resume after crash at op {crash_at} failed: {e}"));
+            .unwrap_or_else(|e| panic!("clean resume after {context} failed: {e}"));
 
         assert_eq!(
             store.state(),
-            &expected,
-            "crash at op {crash_at}: recovered+resumed state diverged \
-             (resumed from stage {resume_from}, recovery report {report:?})"
+            &prefixes[STAGES as usize],
+            "{context}: recovered+resumed state diverged (resumed from stage {resume_from})"
         );
+        assert_eq!(store.durable_stage(), Some(STAGES - 1));
     }
 }
 
 #[test]
 fn flaky_storage_run_is_correct_and_reproducible() {
-    let (expected, _) = reference();
+    let (prefixes, _) = reference();
     let plan = StoragePlan::new(42)
         .transient_rate(0.35)
         .short_write_rate(0.35)
@@ -144,6 +194,10 @@ fn flaky_storage_run_is_correct_and_reproducible() {
         let files = MemStorage::new().files();
         let (mut store, monitor) = open_with_plan(&files, plan).expect("flaky open should survive");
         run_stages(&mut store, 0).expect("flaky run should survive retries");
+        // Retried writes left no half group behind: a reopen sees it all.
+        let (reopened, report) = BeliefStore::open(MemStorage::with_files(files)).unwrap();
+        assert_eq!(reopened.state(), store.state());
+        assert_eq!(report.torn_tail_bytes, 0, "no crash, no torn tail");
         (store.state().clone(), store.health(), monitor)
     };
 
@@ -151,7 +205,7 @@ fn flaky_storage_run_is_correct_and_reproducible() {
     let (state_b, health_b, _) = run();
 
     assert_eq!(
-        state_a, expected,
+        state_a, prefixes[STAGES as usize],
         "retried faults must not change the state"
     );
     assert_eq!(state_a, state_b);
@@ -170,40 +224,37 @@ fn flaky_storage_run_is_correct_and_reproducible() {
         monitor_a.injected_transients() + monitor_a.injected_short_writes(),
         "every injected fault should be visible as a retry tally"
     );
-    assert_eq!(health_a.torn_tail_bytes, 0, "no crash, no torn tail");
+    assert_eq!(health_a.durable_writes, 4, "retries are not extra groups");
 }
 
 #[test]
 fn a_doubly_interrupted_run_still_converges() {
     // Crash, resume under a *second* crash, resume again: recovery must
-    // compose.  Pick two mid-run crash points from the reference op count.
-    let (expected, total_ops) = reference();
-    let first = total_ops / 3;
+    // compose, and each kill stays inside the loss window.
+    let (prefixes, total_ops) = reference();
 
     let files = MemStorage::new().files();
-    let outcome = open_with_plan(&files, StoragePlan::new(0).crash_at(first))
-        .map(|(mut store, _)| run_stages(&mut store, 0));
-    assert!(matches!(outcome, Ok(Err(StoreError::Crashed { .. }))));
+    let (mut store, _) = open_with_plan(&files, StoragePlan::new(0).crash_at(total_ops / 3))
+        .expect("the first crash lands past open");
+    let outcome = run_stages(&mut store, 0);
+    assert!(matches!(outcome, Err(StoreError::Crashed { .. })));
+    let sealed = stage_count(store.last_committed_stage());
+    let (_, resume_from) = recover_within_window(&files, &prefixes, sealed, "first crash");
+    assert!(resume_from > 0 && resume_from < STAGES, "{resume_from}");
 
-    // Second life: crash again a little further in (fresh injector, fresh
-    // op numbering — any index works as long as it fires mid-run).
-    let resume_from = {
-        let (store, report) = BeliefStore::open(MemStorage::with_files(Arc::clone(&files)))
-            .expect("first recovery failed");
-        drop(store);
-        report.last_committed_stage.map_or(0, |s| s + 1)
-    };
-    let second_outcome = open_with_plan(&files, StoragePlan::new(1).crash_at(20))
-        .map(|(mut store, _)| run_stages(&mut store, resume_from));
-    // The second crash may land in open or in the run; either way, recover.
-    let crashed_twice = !matches!(second_outcome, Ok(Ok(())));
+    // Second life: a fresh injector (fresh op numbering — any index works
+    // as long as it fires mid-run; this one dies restarting the log after
+    // the next snapshot was renamed in).
+    let (mut store, _) = open_with_plan(&files, StoragePlan::new(1).crash_at(5))
+        .expect("the second crash lands past open");
+    let outcome = run_stages(&mut store, resume_from);
+    assert!(
+        matches!(outcome, Err(StoreError::Crashed { .. })),
+        "the second crash point never fired: {outcome:?}"
+    );
+    let sealed = stage_count(store.last_committed_stage());
+    let (mut store, resume_from) = recover_within_window(&files, &prefixes, sealed, "second crash");
 
-    let (mut store, report) = BeliefStore::open(MemStorage::with_files(Arc::clone(&files)))
-        .expect("second recovery failed");
-    store.set_compact_every(COMPACT_EVERY);
-    let resume_from = report.last_committed_stage.map_or(0, |s| s + 1);
     run_stages(&mut store, resume_from).expect("final clean resume failed");
-
-    assert_eq!(store.state(), &expected);
-    assert!(crashed_twice, "the second crash point never fired");
+    assert_eq!(store.state(), &prefixes[STAGES as usize]);
 }

@@ -124,6 +124,7 @@ fn every_byte_prefix_of_a_log_only_store_recovers_consistently() {
         for stage in 0..STAGES {
             apply_stage(&mut store, stage);
         }
+        store.flush().unwrap();
         assert_eq!(store.health().snapshot_compactions, 0);
     }
     sweep_prefixes(&files);
@@ -134,11 +135,14 @@ fn every_byte_prefix_of_a_snapshot_plus_log_store_recovers_consistently() {
     let files = MemStorage::new().files();
     {
         let (mut store, _) = BeliefStore::open(MemStorage::with_files(Arc::clone(&files))).unwrap();
-        store.set_compact_every(5);
         for stage in 0..STAGES {
             apply_stage(&mut store, stage);
+            if stage % 5 == 4 {
+                store.checkpoint().unwrap();
+            }
         }
-        assert!(store.health().snapshot_compactions >= 2);
+        store.flush().unwrap();
+        assert_eq!(store.health().snapshot_compactions, 2);
     }
     // The live log extends a snapshot; cutting it anywhere (including
     // through the generation marker) must fall back to the snapshot state.
