@@ -3,9 +3,11 @@
 //! Measures picks/sec of the optimised sampler (`exsample_core::ExSample` with
 //! the belief cache, incremental eligibility and one-pass batched Thompson
 //! draws) against a faithful replica of the pre-refactor implementation at
-//! M ∈ {60, 1 000, 10 000} chunks, plus the `class_max` axis (belief-class
-//! deduplicated draws vs per-chunk draws vs the seed replica at
-//! M ∈ {1k, 10k, 100k} under all-prior and skewed-posterior regimes) and the
+//! M ∈ {60, 1 000, 10 000} chunks, plus the two axes that predict the
+//! repository benchmark's `exsample-core.pick_s`: `hybrid` (the hybrid
+//! belief-class fold vs the per-chunk reference fold at M ∈ {1k, 10k} under
+//! all-prior and ~16-class posteriors) and `max_of_k` (the fold's large-class
+//! draw at the shapes and class sizes the BDD analogs produce), and the
 //! parallel-vs-sequential sweep throughput of `exsample_sim::run_trials`.
 //!
 //! The `reference` module reproduces the seed implementation line-for-line:
@@ -16,8 +18,10 @@
 //! committed baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use exsample_core::{ExSample, ExSampleConfig, SelectionStrategy};
+use exsample_core::policy::select_chunk_reference;
+use exsample_core::{ExSample, ExSampleConfig};
 use exsample_data::{GridWorkload, SkewLevel};
+use exsample_rand::GammaTail;
 use exsample_sim::{run_trials, MethodKind, QueryRunner, StopCondition};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -311,17 +315,17 @@ fn bench_batched_pick(c: &mut Criterion) {
     group.finish();
 }
 
-/// Belief-state regimes for the `class_max` axis.  The posterior is pinned
-/// (no recording inside the measurement loop) so each arm measures one fixed
+/// Belief-state regimes for the `hybrid` axis.  The posterior is pinned (no
+/// recording inside the measurement loop) so each arm measures one fixed
 /// class structure instead of drifting through many.
 #[derive(Clone, Copy)]
 enum Regime {
     /// Fresh statistics: every chunk still holds the prior, one single class —
-    /// the best case for deduplication (one max-of-M draw plus an O(M) scan).
+    /// the best case for the fold (one max-of-M draw plus a uniform pick).
     AllPrior,
     /// A skewed posterior: every chunk visited once, a third with a hit, plus
-    /// a 16-chunk hot head with 1–8 extra hits each — about ten belief
-    /// classes, the composition a converged skewed search settles into.
+    /// a 16-chunk hot head with 1–8 extra hits each — two big classes and
+    /// about a dozen singletons, the composition a skewed search settles into.
     Skewed,
 }
 
@@ -333,60 +337,34 @@ impl Regime {
         }
     }
 
-    fn seed(self, record: &mut dyn FnMut(usize, i64), chunks: usize) {
-        match self {
-            Regime::AllPrior => {}
-            Regime::Skewed => {
-                seed_history(record, chunks);
-                for (i, j) in (0..chunks).step_by(chunks / 16).take(16).enumerate() {
-                    for _ in 0..=(i % 8) {
-                        record(j, 1);
-                    }
+    fn sampler(self, chunks: usize) -> ExSample {
+        let mut sampler = ExSample::new(ExSampleConfig::default(), &vec![1_000_000u64; chunks]);
+        if let Regime::Skewed = self {
+            seed_history(&mut |j, d| sampler.record(j, d), chunks);
+            for (i, j) in (0..chunks).step_by(chunks / 16).take(16).enumerate() {
+                for _ in 0..=(i % 8) {
+                    sampler.record(j, 1);
                 }
             }
         }
+        sampler
     }
 }
 
-const CLASS_MAX_CHUNK_COUNTS: [usize; 3] = [1_000, 10_000, 100_000];
-
-fn regime_sampler(chunks: usize, regime: Regime, selection: SelectionStrategy) -> ExSample {
-    let config = ExSampleConfig::default().with_selection(selection);
-    let mut sampler = ExSample::new(config, &vec![1_000_000u64; chunks]);
-    regime.seed(&mut |j, d| sampler.record(j, d), chunks);
-    sampler
-}
-
-fn regime_reference(chunks: usize, regime: Regime) -> reference::SeedSampler {
-    let mut sampler =
-        reference::SeedSampler::new(ExSampleConfig::default(), &vec![1_000_000u64; chunks]);
-    regime.seed(&mut |j, d| sampler.record(j, d), chunks);
-    sampler
-}
-
-/// The `class_max` axis: single-pick cost of the belief-class deduplicated
-/// fold vs the per-chunk fold vs the seed replica, at M ∈ {1k, 10k, 100k}
-/// under the all-prior and skewed-posterior regimes.  Unlike `single_pick`,
-/// nothing is recorded inside the loop, so the class structure (and therefore
-/// the measured regime) stays fixed.
-fn bench_class_max(c: &mut Criterion) {
-    let mut group = c.benchmark_group("class_max");
-    for &chunks in &CLASS_MAX_CHUNK_COUNTS {
+/// The `hybrid` axis: single-pick cost of the hybrid belief-class fold (what
+/// every Thompson pick above 64 chunks runs) vs the per-chunk reference fold
+/// over the same statistics, at the chunk counts of the BDD analogs and 10×
+/// that.  Nothing is recorded inside the loop, so the class structure (and
+/// therefore the measured regime) stays fixed.
+fn bench_hybrid(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hybrid");
+    for &chunks in &[1_000usize, 10_000] {
         for regime in [Regime::AllPrior, Regime::Skewed] {
             group.bench_with_input(
-                BenchmarkId::new(&format!("class_max_{}", regime.label()), chunks),
+                BenchmarkId::new(&format!("hybrid_{}", regime.label()), chunks),
                 &chunks,
                 |b, &chunks| {
-                    let mut sampler = regime_sampler(chunks, regime, SelectionStrategy::ClassMax);
-                    let mut rng = StdRng::seed_from_u64(17);
-                    b.iter(|| black_box(sampler.next_frame(&mut rng).expect("frames remain")));
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(&format!("per_chunk_{}", regime.label()), chunks),
-                &chunks,
-                |b, &chunks| {
-                    let mut sampler = regime_sampler(chunks, regime, SelectionStrategy::PerChunk);
+                    let mut sampler = regime.sampler(chunks);
                     let mut rng = StdRng::seed_from_u64(17);
                     b.iter(|| black_box(sampler.next_frame(&mut rng).expect("frames remain")));
                 },
@@ -395,9 +373,39 @@ fn bench_class_max(c: &mut Criterion) {
                 BenchmarkId::new(&format!("reference_{}", regime.label()), chunks),
                 &chunks,
                 |b, &chunks| {
-                    let mut sampler = regime_reference(chunks, regime);
+                    let sampler = regime.sampler(chunks);
+                    let eligible = vec![true; chunks];
                     let mut rng = StdRng::seed_from_u64(17);
-                    b.iter(|| black_box(sampler.next_frame(&mut rng).expect("frames remain")));
+                    b.iter(|| {
+                        black_box(select_chunk_reference(
+                            sampler.config(),
+                            sampler.stats(),
+                            &eligible,
+                            &mut rng,
+                        ))
+                    });
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
+/// The `max_of_k` axis: one exact max-of-k draw from a prepared tail, at the
+/// prior shape and the one-hit shape, for class sizes from the fold's
+/// threshold to a whole BDD analog.  Its cost in per-chunk draws (~16 ns each)
+/// is what places `HYBRID_MIN`.
+fn bench_max_of_k(c: &mut Criterion) {
+    let mut group = c.benchmark_group("max_of_k");
+    for shape in [0.1, 1.1] {
+        for k in [16u64, 100, 900] {
+            group.bench_with_input(
+                BenchmarkId::new(&format!("shape_{shape}"), k),
+                &k,
+                |b, &k| {
+                    let tail = GammaTail::new(shape);
+                    let mut rng = StdRng::seed_from_u64(19);
+                    b.iter(|| black_box(tail.max_of_k(&mut rng, 2.0, black_box(k))));
                 },
             );
         }
@@ -449,7 +457,8 @@ criterion_group!(
     benches,
     bench_single_pick,
     bench_batched_pick,
-    bench_class_max,
+    bench_hybrid,
+    bench_max_of_k,
     bench_sweep_throughput
 );
 criterion_main!(benches);

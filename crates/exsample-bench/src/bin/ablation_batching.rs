@@ -13,6 +13,7 @@
 //! loop this binary used to carry is exactly what the engine now provides.
 
 use exsample_bench::{banner, experiment_engine, ok_or_exit, print_table, ExperimentOptions};
+use exsample_core::ExSampleConfig;
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_detect::PerfectDetector;
 use exsample_engine::{ExSamplePolicy, QuerySpec};
@@ -75,7 +76,7 @@ fn main() {
                 Arc::clone(&truth),
                 class.clone(),
             )));
-            let policy = ExSamplePolicy::new(options.exsample_config(), dataset.chunking());
+            let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
             let mut engine = ok_or_exit(experiment_engine(dataset.chunking(), &options));
             engine
                 .push(

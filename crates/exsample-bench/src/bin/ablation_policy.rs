@@ -12,7 +12,7 @@
 //! outcome identical to a standalone run.
 
 use exsample_bench::{banner, experiment_engine, ok_or_exit, print_table, ExperimentOptions};
-use exsample_core::ChunkSelectionPolicy;
+use exsample_core::{ChunkSelectionPolicy, ExSampleConfig};
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_detect::PerfectDetector;
 use exsample_engine::{ExSamplePolicy, QuerySpec, TrajectoryPoint};
@@ -74,7 +74,7 @@ fn main() {
             )));
             let mut engine = ok_or_exit(experiment_engine(dataset.chunking(), &options));
             for (label, policy) in policies {
-                let config = options.exsample_config().with_policy(policy);
+                let config = ExSampleConfig::default().with_policy(policy);
                 engine
                     .push(
                         QuerySpec::new(

@@ -7,7 +7,7 @@
 //! with random+ within chunks (the paper's default).
 
 use exsample_bench::{banner, ok_or_exit, print_table, ExperimentOptions};
-use exsample_core::WithinChunkSampling;
+use exsample_core::{ExSampleConfig, WithinChunkSampling};
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_rand::{SeedSequence, Summary};
 use exsample_sim::{metrics, run_trials, MethodKind, QueryRunner, StopCondition, Table};
@@ -42,17 +42,13 @@ fn main() {
         (
             "exsample (uniform in chunk)",
             MethodKind::ExSample(
-                options
-                    .exsample_config()
-                    .with_within_chunk(WithinChunkSampling::Uniform),
+                ExSampleConfig::default().with_within_chunk(WithinChunkSampling::Uniform),
             ),
         ),
         (
             "exsample (random+ in chunk)",
             MethodKind::ExSample(
-                options
-                    .exsample_config()
-                    .with_within_chunk(WithinChunkSampling::RandomPlus),
+                ExSampleConfig::default().with_within_chunk(WithinChunkSampling::RandomPlus),
             ),
         ),
     ];

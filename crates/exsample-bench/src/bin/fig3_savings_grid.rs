@@ -16,6 +16,7 @@ use exsample_bench::{
     banner, merged_cache_telemetry, merged_selection_telemetry, ok_or_exit, print_cache_telemetry,
     print_selection_telemetry, print_table, ExperimentOptions,
 };
+use exsample_core::ExSampleConfig;
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_engine::{CacheActivity, SelectionTelemetry};
 use exsample_rand::SeedSequence;
@@ -78,7 +79,7 @@ fn main() {
                     .apply_to_runner(QueryRunner::new(&dataset))
                     .stop(StopCondition::FrameBudget(budget))
                     .seed(cell_seed.derive("exsample").index(trial).seed())
-                    .run(MethodKind::ExSample(options.exsample_config()))
+                    .run(MethodKind::ExSample(ExSampleConfig::default()))
             }));
             if let Some(cell) = merged_selection_telemetry(&exsample.results) {
                 dedup.get_or_insert_with(Default::default).merge(&cell);

@@ -11,6 +11,7 @@ use exsample_bench::{
     banner, merged_selection_telemetry, ok_or_exit, print_selection_telemetry, print_table,
     ExperimentOptions,
 };
+use exsample_core::ExSampleConfig;
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_engine::SelectionTelemetry;
 use exsample_opt::{optimal_weights, InstanceChunkProbabilities, SolverOptions};
@@ -70,7 +71,7 @@ fn main() {
                         .index(trial)
                         .seed(),
                 )
-                .run(MethodKind::ExSample(options.exsample_config()))
+                .run(MethodKind::ExSample(ExSampleConfig::default()))
         }));
         if let Some(cell) = merged_selection_telemetry(&set.results) {
             dedup.get_or_insert_with(Default::default).merge(&cell);

@@ -11,6 +11,7 @@ use exsample_bench::{
     banner, merged_selection_telemetry, ok_or_exit, print_selection_telemetry, print_table,
     ExperimentOptions,
 };
+use exsample_core::ExSampleConfig;
 use exsample_data::datasets::{all_datasets, DatasetAnalog};
 use exsample_engine::SelectionTelemetry;
 use exsample_rand::{geometric_mean, SeedSequence, Summary};
@@ -59,7 +60,7 @@ fn main() {
                     .stop(StopCondition::Recall(0.9))
                     .frame_cap(cap)
                     .seed(query_seed.derive("exsample").index(trial).seed())
-                    .run(MethodKind::ExSample(options.exsample_config()))
+                    .run(MethodKind::ExSample(ExSampleConfig::default()))
             }));
             if let Some(cell) = merged_selection_telemetry(&exsample.results) {
                 dedup.get_or_insert_with(Default::default).merge(&cell);

@@ -1,13 +1,13 @@
 //! Component-level timing of the chunk-selection hot path.
 //!
 //! A developer tool, not an experiment binary: prints ns/op for each primitive
-//! the Thompson selection loop is built from, then the end-to-end per-chunk
-//! cost of a cached pick at 10 000 chunks.  Useful when tuning the hot path —
-//! compare against `benches/hot_path.rs` for the sanctioned baseline numbers.
+//! the Thompson selection loop is built from.  Useful when tuning the hot
+//! path; whole picks (the hybrid belief-class fold against the per-chunk
+//! reference, at 1k and 10k chunks) are the `hybrid` axis of
+//! `benches/hot_path.rs`, which also holds the sanctioned baseline numbers.
 
-use exsample_core::{ChunkStatsSet, ExSampleConfig, SelectionStrategy};
 use exsample_rand::gamma::{gamma_draw, mt_constants, mt_draw_unit};
-use exsample_rand::quantile::{gamma_max_of_k, gamma_quantile};
+use exsample_rand::quantile::{gamma_max_of_k, gamma_quantile, GammaTail};
 use exsample_rand::ziggurat::{fast_exponential, fast_standard_normal};
 use exsample_rand::Sampler;
 use rand::rngs::StdRng;
@@ -56,46 +56,16 @@ fn main() {
     time("gamma_max_of_k (shape 1.1, k = 10k)", 1_000_000, || {
         gamma_max_of_k(&mut rng, 1.1, 2.0, 10_000)
     });
+    let prior = GammaTail::new(0.1);
+    for k in [16, 100, 900] {
+        time(
+            &format!("GammaTail::max_of_k (shape 0.1, k = {k})"),
+            1_000_000,
+            || prior.max_of_k(&mut rng, 2.0, k),
+        );
+    }
     time("exp()", 10_000_000, || (-rng.gen::<f64>()).exp());
     time("powf (seed boost path)", 10_000_000, || {
         rng.gen::<f64>().powf(9.99)
     });
-
-    // End-to-end cached pick at 10k chunks, mixed history.
-    let mut stats = ChunkStatsSet::new(10_000);
-    for j in 0..10_000 {
-        stats.record(j, i64::from(j % 3 == 0));
-    }
-    let eligible = vec![true; 10_000];
-    let config = ExSampleConfig::default();
-    let picks = 2_000;
-    let start = Instant::now();
-    let mut acc = 0usize;
-    for _ in 0..picks {
-        acc += exsample_core::policy::select_chunk(&config, &stats, &eligible, &mut rng).unwrap();
-    }
-    black_box(acc);
-    let per_pick = start.elapsed().as_secs_f64() * 1e9 / picks as f64;
-    println!(
-        "select_chunk cached, M = 10k        {per_pick:>10.0} ns/pick   ({:.2} ns/chunk)",
-        per_pick / 10_000.0
-    );
-
-    // The same pick through the belief-class fold: the j % 3 history collapses
-    // 10k chunks into 2 classes, so each pick costs 2 max-of-k quantile draws
-    // plus the O(M) winner scan instead of 10k Gamma draws.
-    let config = ExSampleConfig::default().with_selection(SelectionStrategy::ClassMax);
-    assert!(exsample_core::policy::class_max_applicable(&config, &stats));
-    let start = Instant::now();
-    let mut acc = 0usize;
-    for _ in 0..picks {
-        acc += exsample_core::policy::select_chunk(&config, &stats, &eligible, &mut rng).unwrap();
-    }
-    black_box(acc);
-    let per_pick = start.elapsed().as_secs_f64() * 1e9 / picks as f64;
-    println!(
-        "select_chunk class-max, M = 10k     {per_pick:>10.0} ns/pick   ({:.2} ns/chunk, {} classes)",
-        per_pick / 10_000.0,
-        stats.class_count()
-    );
 }

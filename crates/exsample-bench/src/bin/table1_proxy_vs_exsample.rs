@@ -19,6 +19,7 @@
 //! is preserved); `--full` uses the full-size analogs.
 
 use exsample_bench::{banner, experiment_engine, ok_or_exit, print_table, ExperimentOptions};
+use exsample_core::ExSampleConfig;
 use exsample_data::datasets::{all_datasets, DatasetAnalog};
 use exsample_detect::{Detector, ObjectClass, PerfectDetector};
 use exsample_engine::{ExSamplePolicy, QuerySpec};
@@ -93,7 +94,7 @@ fn main() {
             let mut query = QuerySpec::new(
                 class,
                 Box::new(ExSamplePolicy::new(
-                    options.exsample_config(),
+                    ExSampleConfig::default(),
                     dataset.chunking(),
                 )),
                 detector.as_ref(),

@@ -28,11 +28,6 @@
 //!   flag off instead).  Cache accounting is bitwise-deterministic across
 //!   `--shards`/`--parallel`/`--overlap`, and the run summary
 //!   gains a cache telemetry line.
-//! * `--selection per-chunk|class-max` — chunk-selection strategy for every
-//!   ExSample run (`per-chunk` = the default one-Gamma-draw-per-chunk
-//!   Thompson fold; `class-max` = belief-class deduplicated draws, one exact
-//!   max-of-k Gamma draw per distinct `(N1, n)` class — distributionally
-//!   equivalent, and reports dedup savings next to recall).
 //! * `--retries N` — allow N retries per frame whose detect attempt failed
 //!   (0 = off, the default; backoff is charged as deterministic stage cost).
 //! * `--fault-rate X` — wrap every detector in a seeded deterministic fault
@@ -80,8 +75,6 @@ pub struct ExperimentOptions {
     /// Capacity of the engine's striped detections cache (0 = off, the
     /// default).
     pub cache: usize,
-    /// Chunk-selection strategy for ExSample runs (`--selection`).
-    pub selection: exsample_core::SelectionStrategy,
     /// Retries allowed per frame whose detect attempt failed (0 = off).
     pub retries: u32,
     /// Transient-fault probability per (frame, attempt) for the deterministic
@@ -108,7 +101,6 @@ impl Default for ExperimentOptions {
             parallel: 0,
             overlap: false,
             cache: 0,
-            selection: exsample_core::SelectionStrategy::PerChunk,
             retries: 0,
             fault_rate: 0.0,
             checkpoint: None,
@@ -189,18 +181,6 @@ impl ExperimentOptions {
                     }
                     options.cache = cache;
                 }
-                "--selection" => {
-                    let value = iter.next().ok_or("--selection requires a value")?;
-                    options.selection = match value.as_str() {
-                        "per-chunk" => exsample_core::SelectionStrategy::PerChunk,
-                        "class-max" => exsample_core::SelectionStrategy::ClassMax,
-                        other => {
-                            return Err(format!(
-                                "bad --selection value `{other}` (expected per-chunk or class-max)"
-                            ))
-                        }
-                    };
-                }
                 "--retries" => {
                     let value = iter.next().ok_or("--retries requires a value")?;
                     options.retries = value
@@ -240,7 +220,7 @@ impl ExperimentOptions {
                 "--help" | "-h" => {
                     return Err("supported flags: --full --trials N --scale X --seed N \
                          --shards N --parallel N --overlap \
-                         --cache N --selection per-chunk|class-max --retries N \
+                         --cache N --retries N \
                          --fault-rate X --checkpoint PATH --warm-start PATH --csv"
                         .to_string())
                 }
@@ -278,14 +258,6 @@ impl ExperimentOptions {
     /// banners report as provenance.
     pub fn effective_threads(&self) -> usize {
         self.parallel.max(1)
-    }
-
-    /// The baseline ExSample configuration implied by the options: the
-    /// paper-faithful defaults with the `--selection` strategy applied.
-    /// Experiment bins start from this (chaining further `with_*` setters as
-    /// needed) so `--selection class-max` reaches every ExSample run.
-    pub fn exsample_config(&self) -> exsample_core::ExSampleConfig {
-        exsample_core::ExSampleConfig::default().with_selection(self.selection)
     }
 
     /// The retry policy implied by `--retries`: `--retries N` grants each
@@ -466,12 +438,6 @@ pub fn banner(reference: &str, description: &str, options: &ExperimentOptions) {
         },
         options.seed
     );
-    if options.selection == exsample_core::SelectionStrategy::ClassMax {
-        println!(
-            "# selection: class-max (belief-class deduplicated Thompson draws; \
-             distributionally equivalent to per-chunk, dedup savings reported per run)"
-        );
-    }
     if options.fault_rate > 0.0 {
         println!(
             "# fault injection: transient rate {} per (frame, attempt), retries {} \
@@ -504,28 +470,18 @@ where
     merged
 }
 
-/// Print a one-line `#`-comment summary of the dedup telemetry carried by
-/// `results` (class-max vs per-chunk pick counts, Gamma draws saved, and the
-/// peak belief-class count), or nothing when no run carried telemetry.
-/// Experiment bins call this after their tables so `--selection class-max`
-/// runs report dedup savings next to recall.
-pub fn print_selection_summary<'a, I>(label: &str, results: I)
-where
-    I: IntoIterator<Item = &'a exsample_sim::RunResult>,
-{
-    print_selection_telemetry(label, merged_selection_telemetry(results).as_ref());
-}
-
-/// Print the already-merged telemetry line of [`print_selection_summary`]
-/// (bins whose runs go out of scope per table cell accumulate telemetry with
-/// [`exsample_engine::SelectionTelemetry::merge`] and print it here).
+/// Print a one-line `#`-comment summary of merged dedup telemetry (hybrid-fold
+/// vs per-chunk pick counts, Gamma draws saved, and the peak belief-class
+/// count), or nothing when no run carried telemetry.  Bins whose runs go out
+/// of scope per table cell accumulate with [`merged_selection_telemetry`] and
+/// [`exsample_engine::SelectionTelemetry::merge`] and print here.
 pub fn print_selection_telemetry(
     label: &str,
     telemetry: Option<&exsample_engine::SelectionTelemetry>,
 ) {
     if let Some(telemetry) = telemetry {
         println!(
-            "# selection[{label}]: class-max picks {}, per-chunk picks {}, \
+            "# selection[{label}]: hybrid-fold picks {}, per-chunk picks {}, \
              gamma draws saved {}, peak classes {}",
             telemetry.class_max_picks,
             telemetry.per_chunk_picks,
@@ -658,34 +614,13 @@ mod tests {
     }
 
     #[test]
-    fn selection_flag_parses_and_reaches_the_config() {
-        use exsample_core::SelectionStrategy;
-        let defaults = parse(&[]).unwrap();
-        assert_eq!(defaults.selection, SelectionStrategy::PerChunk);
-        assert_eq!(
-            defaults.exsample_config().selection,
-            SelectionStrategy::PerChunk
-        );
-        // Knob-off must stay the paper-faithful default configuration.
-        assert_eq!(
-            defaults.exsample_config(),
-            exsample_core::ExSampleConfig::default()
-        );
-
-        let class_max = parse(&["--selection", "class-max"]).unwrap();
-        assert_eq!(class_max.selection, SelectionStrategy::ClassMax);
-        assert_eq!(
-            class_max.exsample_config().selection,
-            SelectionStrategy::ClassMax
-        );
-        assert_eq!(
-            parse(&["--selection", "per-chunk"]).unwrap().selection,
-            SelectionStrategy::PerChunk
-        );
-
-        assert!(parse(&["--selection"]).is_err());
-        let err = parse(&["--selection", "bogus"]).unwrap_err();
-        assert!(err.contains("per-chunk or class-max"), "message: {err}");
+    fn selection_flag_is_rejected_as_unknown() {
+        // How the Thompson arg-max is evaluated is decided by the chunk count;
+        // the former knob must fail loudly, not be ignored.
+        for args in [&["--selection", "class-max"][..], &["--selection"][..]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown flag `--selection`"), "message: {err}");
+        }
     }
 
     #[test]

@@ -32,27 +32,6 @@ pub enum WithinChunkSampling {
     RandomPlus,
 }
 
-/// How the Thompson arg-max over chunks is evaluated.
-///
-/// Both strategies target the *same* distribution over picked chunks; they
-/// differ only in how many Gamma draws they spend to realise it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectionStrategy {
-    /// One Marsaglia–Tsang draw per eligible chunk, arg-max over the draws.
-    /// The default; bitwise-identical to prior releases.
-    PerChunk,
-    /// One exact max-of-k order-statistic draw per belief *class* (chunks
-    /// sharing a clamped `(N1, n)` posterior are exchangeable), with the
-    /// winning chunk resolved uniformly within its class.  Distributionally
-    /// equivalent to [`SelectionStrategy::PerChunk`] (pinned by chi-square
-    /// tests) but scales with posterior diversity instead of chunk count.
-    /// Falls back to the per-chunk fold below
-    /// [`crate::policy::SMALL_M_CHUNKS`] chunks or when the class count
-    /// approaches the chunk count (see
-    /// [`crate::policy::class_max_applicable`]).
-    ClassMax,
-}
-
 /// Full configuration of an [`crate::ExSample`] sampler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExSampleConfig {
@@ -64,9 +43,6 @@ pub struct ExSampleConfig {
     pub policy: ChunkSelectionPolicy,
     /// Within-chunk frame sampling strategy.
     pub within_chunk: WithinChunkSampling,
-    /// How the Thompson arg-max is evaluated (per chunk, or deduplicated per
-    /// belief class).  Only affects [`ChunkSelectionPolicy::ThompsonSampling`].
-    pub selection: SelectionStrategy,
 }
 
 impl Default for ExSampleConfig {
@@ -78,7 +54,6 @@ impl Default for ExSampleConfig {
             beta0: 1.0,
             policy: ChunkSelectionPolicy::ThompsonSampling,
             within_chunk: WithinChunkSampling::RandomPlus,
-            selection: SelectionStrategy::PerChunk,
         }
     }
 }
@@ -120,12 +95,6 @@ impl ExSampleConfig {
         self.beta0 = beta0;
         self
     }
-
-    /// Builder-style setter for the arg-max evaluation strategy.
-    pub fn with_selection(mut self, selection: SelectionStrategy) -> Self {
-        self.selection = selection;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -134,12 +103,15 @@ mod tests {
 
     #[test]
     fn default_matches_paper() {
-        let c = ExSampleConfig::default();
-        assert_eq!(c.alpha0, 0.1);
-        assert_eq!(c.beta0, 1.0);
-        assert_eq!(c.policy, ChunkSelectionPolicy::ThompsonSampling);
-        assert_eq!(c.within_chunk, WithinChunkSampling::RandomPlus);
-        assert_eq!(c.selection, SelectionStrategy::PerChunk);
+        // Spelled as a literal so that a fifth settable value cannot appear
+        // unnoticed: how the arg-max is evaluated is not one of them.
+        let c = ExSampleConfig {
+            alpha0: 0.1,
+            beta0: 1.0,
+            policy: ChunkSelectionPolicy::ThompsonSampling,
+            within_chunk: WithinChunkSampling::RandomPlus,
+        };
+        assert_eq!(ExSampleConfig::default(), c);
         c.validate();
     }
 
@@ -148,13 +120,11 @@ mod tests {
         let c = ExSampleConfig::default()
             .with_policy(ChunkSelectionPolicy::BayesUcb)
             .with_within_chunk(WithinChunkSampling::Uniform)
-            .with_priors(0.5, 2.0)
-            .with_selection(SelectionStrategy::ClassMax);
+            .with_priors(0.5, 2.0);
         assert_eq!(c.policy, ChunkSelectionPolicy::BayesUcb);
         assert_eq!(c.within_chunk, WithinChunkSampling::Uniform);
         assert_eq!(c.alpha0, 0.5);
         assert_eq!(c.beta0, 2.0);
-        assert_eq!(c.selection, SelectionStrategy::ClassMax);
         c.validate();
     }
 

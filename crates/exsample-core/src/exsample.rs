@@ -11,7 +11,7 @@
 //! mode.
 
 use crate::config::{ExSampleConfig, WithinChunkSampling};
-use crate::policy;
+use crate::policy::{self, Served};
 use crate::stats::ChunkStatsSet;
 use exsample_video::{FrameSampler, RandomPlusSampler, UniformSampler};
 use rand::Rng;
@@ -27,21 +27,22 @@ pub struct FramePick {
     pub offset: u64,
 }
 
-/// Counters describing how the chunk-selection strategy spent its draws.
+/// Counters describing how chunk selection spent its draws.
 ///
 /// Accumulated by [`ExSample`] across every pick and surfaced on reports so
 /// experiments can show dedup savings next to recall.  `draws_saved` counts,
-/// for each pick served by the class-max fold, the difference between the
-/// eligible chunk count (what the per-chunk fold would have drawn) and the
-/// class count (what the class-max fold actually drew) — the headline number
-/// of the belief-class optimisation.
+/// for each pick served by the hybrid belief-class fold, the difference
+/// between the eligible chunk count (what a per-chunk fold would have drawn)
+/// and the draws the fold issued (one per large class plus one per member of
+/// every small class) — the headline number of the belief-class optimisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SelectionTelemetry {
-    /// Picks served by the belief-class max-of-k fold.
+    /// Picks served by the hybrid belief-class fold: every Thompson pick over
+    /// more than [`policy::SMALL_M_CHUNKS`] chunks.
     pub class_max_picks: u64,
-    /// Picks served by the per-chunk fold (including class-max fallbacks).
+    /// Picks served by a per-chunk path (small repositories, other policies).
     pub per_chunk_picks: u64,
-    /// Per-chunk Gamma draws avoided by the class-max fold, summed over picks.
+    /// Per-chunk Gamma draws the hybrid fold did not issue, summed over picks.
     pub draws_saved: u64,
     /// Distinct belief classes at the most recent pick.
     pub class_count: u64,
@@ -124,7 +125,7 @@ pub struct ExSample {
     scratch_chunks: Vec<usize>,
     /// Scratch buffer for batched chunk selection (running best draws).
     scratch_draws: Vec<f64>,
-    /// Accumulated chunk-selection telemetry (class-max vs per-chunk picks).
+    /// Accumulated chunk-selection telemetry (hybrid-fold vs per-chunk picks).
     telemetry: SelectionTelemetry,
 }
 
@@ -204,23 +205,21 @@ impl ExSample {
         self.telemetry
     }
 
-    /// Account `picks` chunk selections to the strategy that served them.
+    /// Account `picks` chunk selections to the path that served them.
     ///
     /// Must run *before* the picked frames are taken, while `eligible_count`
     /// still reflects the mask the selection saw — `draws_saved` is the
-    /// per-pick gap between the eligible chunk count and the class count.
+    /// per-pick gap between the eligible chunk count and the draws issued.
     #[inline]
-    fn note_selection(&mut self, picks: u64) {
-        if policy::class_max_applicable(&self.config, &self.stats) {
-            let classes = self.stats.class_count() as u64;
-            self.telemetry.class_max_picks += picks;
-            self.telemetry.draws_saved +=
-                picks * (self.eligible_count as u64).saturating_sub(classes);
-            self.telemetry.class_count = classes;
-        } else {
-            self.telemetry.per_chunk_picks += picks;
-            self.telemetry.class_count = self.stats.class_count() as u64;
+    fn note_selection(&mut self, picks: u64, served: Served) {
+        match served {
+            Served::Hybrid { draws } => {
+                self.telemetry.class_max_picks += picks;
+                self.telemetry.draws_saved += picks * (self.eligible_count - draws) as u64;
+            }
+            Served::PerChunk => self.telemetry.per_chunk_picks += picks,
         }
+        self.telemetry.class_count = self.stats.class_count() as u64;
     }
 
     /// Book-keeping after a frame was handed out from `chunk`.
@@ -244,8 +243,18 @@ impl ExSample {
         if self.eligible_count == 0 {
             return None;
         }
-        let chunk = policy::select_chunk(&self.config, &self.stats, &self.eligible, rng)?;
-        self.note_selection(1);
+        // The maintained counter stands in for the `eligible.iter().all(..)`
+        // scan the public `select_chunk` would run on every pick.
+        let all_eligible = Some(self.eligible_count == self.eligible.len());
+        let (chunk, served) = policy::select_chunk_known(
+            &self.config,
+            &self.stats,
+            &self.eligible,
+            all_eligible,
+            rng,
+        );
+        let chunk = chunk?;
+        self.note_selection(1, served);
         let offset = self.samplers[chunk]
             .next_frame(rng)
             .expect("selected chunk was eligible, so it has frames remaining");
@@ -281,19 +290,19 @@ impl ExSample {
         picks.clear();
         while picks.len() < batch && self.eligible_count > 0 {
             let want = batch - picks.len();
-            policy::select_batch_into(
+            // `want > 0` and `eligible_count > 0` hold here: the two facts
+            // the public `select_batch_into` scans for.
+            let served = policy::select_batch_known(
                 &self.config,
                 &self.stats,
                 &self.eligible,
+                Some(self.eligible_count == self.eligible.len()),
                 want,
                 rng,
                 &mut self.scratch_chunks,
                 &mut self.scratch_draws,
             );
-            if self.scratch_chunks.is_empty() {
-                break;
-            }
-            self.note_selection(self.scratch_chunks.len() as u64);
+            self.note_selection(self.scratch_chunks.len() as u64, served);
             let mut made_progress = false;
             for i in 0..self.scratch_chunks.len() {
                 let chunk = self.scratch_chunks[i];
@@ -553,7 +562,9 @@ mod tests {
 
     #[test]
     fn telemetry_counts_per_chunk_picks_by_default() {
-        let mut sampler = ExSample::new(ExSampleConfig::default(), &[100; 128]);
+        // Up to SMALL_M_CHUNKS chunks the per-chunk paths serve every pick,
+        // single or batched, and nothing is saved.
+        let mut sampler = ExSample::new(ExSampleConfig::default(), &[100; policy::SMALL_M_CHUNKS]);
         let mut rng = StdRng::seed_from_u64(111);
         for _ in 0..10 {
             let pick = sampler.next_frame(&mut rng).unwrap();
@@ -564,16 +575,15 @@ mod tests {
         assert_eq!(t.class_max_picks, 0);
         assert_eq!(t.per_chunk_picks, 10 + picks.len() as u64);
         assert_eq!(t.draws_saved, 0);
+        assert!(t.class_count >= 1);
     }
 
     #[test]
     fn telemetry_tracks_class_max_savings() {
-        use crate::config::SelectionStrategy;
         const M: usize = 128;
-        let config = ExSampleConfig::default().with_selection(SelectionStrategy::ClassMax);
-        let mut sampler = ExSample::new(config, &[1_000; M]);
+        let mut sampler = ExSample::new(ExSampleConfig::default(), &[1_000; M]);
         let mut rng = StdRng::seed_from_u64(112);
-        // First pick: one all-prior class covering all 128 chunks.
+        // First pick: one all-prior class covering all 128 chunks, one draw.
         let pick = sampler.next_frame(&mut rng).unwrap();
         let t = sampler.selection_telemetry();
         assert_eq!(t.class_max_picks, 1);
@@ -581,51 +591,54 @@ mod tests {
         assert_eq!(t.class_count, 1);
         assert_eq!(t.draws_saved, (M - 1) as u64);
         sampler.record(pick.chunk, 0);
-        // Keep sampling; the class fold must keep serving picks and savings
-        // must keep growing while occupancy stays high.
-        for _ in 0..50 {
+        // Second pick: 127 all-prior chunks draw once, the (0, 1) singleton
+        // draws for itself — two draws issued, 126 saved.
+        let pick = sampler.next_frame(&mut rng).unwrap();
+        let t = sampler.selection_telemetry();
+        assert_eq!(t.class_count, 2);
+        assert_eq!(t.draws_saved, (M - 1 + M - 2) as u64);
+        sampler.record(pick.chunk, 0);
+        // Keep sampling; the fold serves every pick and keeps saving.
+        for _ in 0..49 {
             let pick = sampler.next_frame(&mut rng).unwrap();
             sampler.record(pick.chunk, 0);
         }
         let t = sampler.selection_telemetry();
-        assert_eq!(t.class_max_picks + t.per_chunk_picks, 51);
-        assert!(t.class_max_picks > 1, "telemetry {t:?}");
-        assert!(t.draws_saved > (M - 1) as u64, "telemetry {t:?}");
-        assert!(t.class_count >= 1);
+        assert_eq!((t.class_max_picks, t.per_chunk_picks), (51, 0));
+        assert!(t.draws_saved > 51 * (M as u64 / 2), "telemetry {t:?}");
         // Batched picks flow through the same counters.
         let picks = sampler.next_batch(&mut rng, 16);
         assert_eq!(picks.len(), 16);
         let t2 = sampler.selection_telemetry();
-        assert_eq!(
-            t2.class_max_picks + t2.per_chunk_picks,
-            51 + 16,
-            "telemetry {t2:?}"
-        );
+        assert_eq!((t2.class_max_picks, t2.per_chunk_picks), (51 + 16, 0));
+        assert!(t2.draws_saved > t.draws_saved);
     }
 
     #[test]
     fn class_max_run_visits_everything_and_adapts() {
-        use crate::config::SelectionStrategy;
-        // End-to-end sanity: a ClassMax sampler still exhausts the repository
-        // without repeats and still concentrates on a productive chunk.
-        let config = ExSampleConfig::default().with_selection(SelectionStrategy::ClassMax);
-        let mut sampler = ExSample::new(config, &[50; 100]);
+        // End-to-end sanity above SMALL_M_CHUNKS: the hybrid fold still
+        // exhausts the repository without repeats — through every stage of
+        // partial eligibility, down to the last chunk — and still concentrates
+        // on a productive chunk.
+        let mut sampler = ExSample::new(ExSampleConfig::default(), &[50; 100]);
         let mut rng = StdRng::seed_from_u64(113);
         let mut seen = HashSet::new();
-        let mut productive_samples = 0u64;
+        let mut productive_rank = 0usize;
         while let Some(pick) = sampler.next_frame(&mut rng) {
             assert!(seen.insert((pick.chunk, pick.offset)), "frame repeated");
-            let delta = i64::from(pick.chunk == 7);
-            if pick.chunk == 7 {
-                productive_samples += 1;
+            if pick.chunk == 7 && sampler.stats().chunk(7).samples() == 49 {
+                productive_rank = seen.len();
             }
-            sampler.record(pick.chunk, delta);
+            sampler.record(pick.chunk, i64::from(pick.chunk == 7));
         }
         assert_eq!(seen.len(), 50 * 100);
-        assert_eq!(productive_samples, 50);
+        assert!(
+            productive_rank < 50 * 100 / 4,
+            "chunk 7 exhausted only after {productive_rank} picks"
+        );
         let t = sampler.selection_telemetry();
-        assert!(t.class_max_picks > 0, "class fold never engaged: {t:?}");
-        assert!(t.per_chunk_picks > 0, "fallback never engaged: {t:?}");
+        assert_eq!((t.class_max_picks, t.per_chunk_picks), (5_000, 0));
+        assert!(t.draws_saved > 0);
     }
 
     #[test]

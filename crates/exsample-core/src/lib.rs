@@ -38,7 +38,7 @@
 //!
 //! Thompson sampling draws one Gamma value per chunk per pick, so at `M`
 //! chunks the selection step executes `M` Gamma draws for every frame that
-//! reaches the detector.  The selection hot path is engineered around three
+//! reaches the detector.  The selection hot path is engineered around four
 //! invariants (see [`stats`] and [`policy`] for details):
 //!
 //! * **Belief cache (struct-of-arrays).**  [`ChunkStatsSet`] caches each
@@ -46,37 +46,39 @@
 //!   boost exponent, and the rate) in four parallel arrays.  *Invalidation
 //!   rule:* chunk `j`'s entry is refreshed exactly when its `(N1_j, n_j)` pair
 //!   changes — inside `record` and `adjust_n1` — and never on the read path, so
-//!   a pick is `M` cheap cached draws instead of `M` distribution
-//!   constructions.  The cached draws are bitwise identical to sampling a
-//!   freshly constructed belief under the same RNG state.
+//!   a draw is a cheap cached one instead of a distribution construction.  The
+//!   cached draws are bitwise identical to sampling a freshly constructed
+//!   belief under the same RNG state.
 //! * **Allocation-free selection.**  [`ExSample`] maintains the eligibility
 //!   mask, eligible-chunk count and total remaining-frame count incrementally
-//!   (updated the moment a chunk's last frame is handed out), and keeps
-//!   reusable scratch buffers for batched selection.  `next_frame`,
-//!   `next_batch_into` and `is_exhausted` perform zero heap allocations after
-//!   warm-up — a counting-allocator test pins the policy layer to exactly
-//!   zero.  Batched selection makes a *single pass* over the chunk cache
-//!   maintaining `batch` running arg-maxes instead of `batch` full scans.
+//!   (updated the moment a chunk's last frame is handed out), hands selection
+//!   the facts it would otherwise scan the mask for, and keeps reusable scratch
+//!   buffers for batched selection.  `next_frame`, `next_batch_into` and
+//!   `is_exhausted` perform zero heap allocations after warm-up — a
+//!   counting-allocator test pins the policy layer to exactly zero.  Batched
+//!   selection makes a *single pass* maintaining `batch` running arg-maxes
+//!   instead of `batch` full scans.
 //! * **Pruned arg-max.**  A chunk's draw is `d·v³·exp(−E/shape)/rate` with the
 //!   boost factor ≤ 1, so a multiply-compare against the running best prunes
 //!   the exponential variate, the `exp` and the division for chunks that
 //!   provably cannot win; the NaN-total `beats` relation keeps degenerate
 //!   draws from masking later chunks.  Equivalence with a textbook full-draw
-//!   arg-max is asserted by chi-square tests, and the cached and uncached
-//!   selection paths consume identical RNG streams (same picks under the same
-//!   seed, draw for draw).
-//! * **Belief-class deduplication (opt-in).**  Chunks sharing a clamped
+//!   arg-max is asserted by chi-square tests.
+//! * **Hybrid belief-class fold above 64 chunks.**  Chunks sharing a clamped
 //!   `(N1, n)` posterior have identical beliefs and are exchangeable under
-//!   Thompson sampling, so with [`SelectionStrategy::ClassMax`] the arg-max
-//!   runs over the distinct belief *classes*: one exact max-of-k
-//!   order-statistic draw per class (`exsample_rand::gamma_max_of_k`), winner
-//!   resolved uniformly within the winning class.  [`ChunkStatsSet`] maintains
-//!   the class index incrementally at the same invalidation seam as the belief
-//!   cache (RNG-free, so the default `PerChunk` strategy stays
-//!   bitwise-identical), and `policy::class_max_applicable` gates the fold —
-//!   falling back to the per-chunk fold at small `M` or low class occupancy.
-//!   Distributional equivalence with the per-chunk fold is pinned by
-//!   chi-square tests; the pick cost scales with posterior diversity instead
+//!   Thompson sampling, so the maximum over a class of `k` of them is one
+//!   exact order-statistic draw (`exsample_rand::GammaTail::max_of_k`, about
+//!   0.3 µs — twenty per-chunk draws) and its carrier is uniform in the class.
+//!   [`ChunkStatsSet`] maintains the class index incrementally at the same
+//!   invalidation seam as the belief cache, and every Thompson pick over more
+//!   than [`policy::SMALL_M_CHUNKS`] chunks walks it once: small classes draw
+//!   per chunk through the cache and the prune, large classes draw their
+//!   maximum.  All-singleton posteriors degenerate to the per-chunk fold,
+//!   all-prior ones to a single draw; there is no knob and no gate.
+//!   Repositories of up to 64 chunks keep the per-chunk schedule, pick for
+//!   pick with a textbook arg-max under the same seed; above that the fold is
+//!   pinned to [`policy::select_chunk_reference`] in distribution by
+//!   chi-square tests.  The pick cost scales with posterior diversity instead
 //!   of repository size.
 //!
 //! ## Example
@@ -108,6 +110,6 @@ pub mod exsample;
 pub mod policy;
 pub mod stats;
 
-pub use config::{ChunkSelectionPolicy, ExSampleConfig, SelectionStrategy, WithinChunkSampling};
+pub use config::{ChunkSelectionPolicy, ExSampleConfig, WithinChunkSampling};
 pub use exsample::{ExSample, FramePick, SelectionTelemetry};
 pub use stats::{ChunkStats, ChunkStatsSet};

@@ -11,25 +11,23 @@
 //! # The hot path
 //!
 //! Thompson sampling must draw from *every* eligible chunk's belief on every
-//! pick, so this module is the per-pick cost centre.  Two implementations of
-//! the Thompson arg-max exist:
+//! pick, so this module is the per-pick cost centre.  Which arg-max runs is
+//! decided by what the code can see — the chunk count and whether the
+//! statistics' cached priors match the config ([`ChunkStatsSet::priors`]) —
+//! never by a knob:
 //!
-//! * the **cached path** ([`select_chunk`] / [`select_batch_into`] when the
-//!   statistics' cached priors match the config, see
-//!   [`ChunkStatsSet::priors`]): reads the per-chunk Marsaglia–Tsang constants
-//!   from the statistics' struct-of-arrays belief cache, performs zero heap
-//!   allocations, and prunes the expensive `exp` of the `shape < 1` boost
-//!   factor whenever a chunk's draw provably cannot beat the incumbent
-//!   (`exp(−E/shape) ≤ 1`, so `d·v³/rate` bounds the draw from above);
-//! * the **reference path** ([`select_chunk_reference`]): constructs each
-//!   chunk's belief distribution per draw, exactly as a from-the-paper
-//!   implementation would.
+//! * at or below [`SMALL_M_CHUNKS`] chunks, a plain loop over the cached
+//!   per-chunk Marsaglia–Tsang constants, one full draw per eligible chunk
+//!   (one pruned pass maintaining `batch` running arg-maxes when batched);
+//! * above it, the **hybrid belief-class fold** described below;
+//! * the **reference path** ([`select_chunk_reference`], also taken when the
+//!   cached priors do not match): constructs each chunk's belief distribution
+//!   per draw, exactly as a from-the-paper implementation would.
 //!
-//! Both paths consume identical RNG streams and compare identical draw values,
-//! so they select identical chunk sequences under the same seed — a property
-//! the test-suite asserts draw-for-draw.  The batched selector additionally
-//! replaces `batch` repeated full scans with a single pass over the chunk
-//! cache that maintains `batch` running arg-maxes.
+//! At or below [`SMALL_M_CHUNKS`] the cached and reference paths consume
+//! identical RNG streams, so they select identical chunk sequences under the
+//! same seed (asserted draw for draw); above it they agree in distribution
+//! (asserted by chi-square tests).
 //!
 //! NaN handling: arg-max folding uses a *total* "beats" relation in which any
 //! non-NaN draw beats any NaN draw and NaN beats nothing.  A belief degenerate
@@ -37,67 +35,64 @@
 //! therefore can no longer mask every later chunk, which the previous
 //! `draw > best` comparison allowed.
 //!
-//! # The class-max fold
+//! # The hybrid belief-class fold
 //!
-//! When [`SelectionStrategy::ClassMax`] is selected, the Thompson arg-max is
-//! evaluated over the statistics' belief-*class* index instead of over chunks:
-//! all chunks sharing a clamped `(N1, n)` posterior draw from the *same* Gamma,
-//! so the maximum of a class's `k` iid draws is available in one exact
-//! order-statistic draw ([`exsample_rand::gamma_max_of_k`]), and the winning
-//! chunk is resolved by a uniform pick within the winning class (exchangeable
-//! draws make every member equally likely to carry the class maximum).  The
-//! fold is distributionally equivalent to the per-chunk fold — pinned by
-//! chi-square tests — but costs O(classes) draws instead of O(chunks).  It
-//! consumes a *different* RNG stream, so it is opt-in; knob-off runs stay
-//! bitwise-identical.  [`class_max_applicable`] gates the fold: it falls back
-//! to the per-chunk fold at small M or when the class count approaches the
-//! chunk count (where one quantile evaluation per class would cost more than
-//! the per-chunk draws it replaces).
+//! All chunks sharing a clamped `(N1, n)` posterior draw from the *same* Gamma,
+//! so the maximum of a class's `k` iid draws is one exact order-statistic draw
+//! ([`exsample_rand::GammaTail::max_of_k`]), and the chunk carrying it is
+//! uniform among the class's eligible members (exchangeable draws).  That draw
+//! costs about 0.3 µs — twenty cached per-chunk draws — so it pays for a big
+//! class and loses badly on a singleton, and a real posterior holds both: a
+//! few big classes (the all-prior chunks, the chunks sampled a few times
+//! without a hit) and a scatter of small ones.  The fold therefore walks the
+//! belief-class index once and lets every class choose: fewer than
+//! `HYBRID_MIN` eligible members draw per chunk through the cached constants
+//! and the prune, a larger class contributes one max-of-k draw and, if it
+//! wins, resolves to a uniformly chosen eligible member.  All-singleton
+//! posteriors degenerate to the per-chunk fold, all-prior ones to a single
+//! draw, and nothing in between needs a gate.  The fold is distributionally
+//! exact but has its own RNG schedule, which is why it starts above
+//! [`SMALL_M_CHUNKS`]: smaller repositories keep their pick sequences.
 
-use crate::config::{ChunkSelectionPolicy, ExSampleConfig, SelectionStrategy};
+use crate::config::{ChunkSelectionPolicy, ExSampleConfig};
 use crate::stats::ChunkStatsSet;
 use exsample_rand::gamma::{gamma_draw, mt_draw_unit};
-use exsample_rand::quantile::gamma_max_of_k;
 use exsample_rand::ziggurat::fast_exponential;
 use rand::Rng;
 
-/// Chunk count at or below which [`select_chunk`] takes the small-M fast path.
+/// Chunk count at or below which selection stays on the per-chunk paths.
 ///
 /// At small M the arg-max scan is pick-overhead-bound: the zipped
 /// struct-of-arrays walk and the prune's gate branch cost more than the handful
 /// of `exp`s they avoid (the prune only pays off once a scan skips ~`ln M`
 /// boost exponentials, and the video pipeline's typical chunk counts sit well
-/// below that break-even).  The fast path is a plain indexed loop computing
+/// below that break-even).  The single pick is a plain indexed loop computing
 /// every chunk's *full* draw via [`gamma_draw`] — the same RNG schedule as a
 /// textbook per-chunk Thompson draw, which the equivalence tests exploit.
+/// Above it the hybrid belief-class fold takes over.
 pub const SMALL_M_CHUNKS: usize = 64;
 
-/// Minimum average class occupancy (chunks per distinct belief class) for the
-/// class-max fold to engage.
+/// Eligible members at which a belief class stops drawing per chunk and
+/// contributes one max-of-k draw.
 ///
-/// One exact max-of-k draw costs a Gamma quantile evaluation (a few hundred
-/// ns), versus ~12 ns for a cached per-chunk Marsaglia–Tsang draw — so the
-/// fold only pays off when each class replaces a few dozen per-chunk draws.
-/// Below this occupancy [`class_max_applicable`] reports `false` and selection
-/// falls back to the per-chunk fold (same distribution, cheaper here).
-pub const CLASS_MAX_MIN_OCCUPANCY: usize = 32;
+/// Break-even is the cost of that draw in cached per-chunk draws: 0.30–0.45 µs
+/// against ~16 ns each (less where the prune skips the boost), so about 20.
+/// End to end the choice is flat around it — the BDD 1k analog's fig5 queries
+/// (1000 chunks, ~16 live classes) cost 3.05 / 2.84 / 3.28 / 3.14 µs per
+/// ExSample frame at 8 / 16 / 32 / 64 on this host (17.6 before the fold), and
+/// `fig5_sweep/wall_s` reads 1.07 / 0.80 / 0.77 / 0.82 / 0.81 / 0.82 / 0.90 s
+/// at 4 / 8 / 12 / 16 / 24 / 32 / 64 — because a real posterior has almost
+/// nothing between its singletons and its classes of hundreds.
+const HYBRID_MIN: usize = 16;
 
-/// Whether the class-max fold will be used for this `(config, stats)` pair.
-///
-/// Requires all of: the [`SelectionStrategy::ClassMax`] knob, Thompson
-/// sampling (the only policy the fold applies to), more than
-/// [`SMALL_M_CHUNKS`] chunks, a belief cache built for the config's priors,
-/// and average class occupancy of at least [`CLASS_MAX_MIN_OCCUPANCY`].
-///
-/// Exposed so the sampler layer can attribute per-pick telemetry to the same
-/// predicate the selection actually uses.
-#[inline]
-pub fn class_max_applicable(config: &ExSampleConfig, stats: &ChunkStatsSet) -> bool {
-    config.selection == SelectionStrategy::ClassMax
-        && config.policy == ChunkSelectionPolicy::ThompsonSampling
-        && stats.len() > SMALL_M_CHUNKS
-        && cache_matches(config, stats)
-        && stats.class_count() * CLASS_MAX_MIN_OCCUPANCY <= stats.len()
+/// How a selection was served, for the sampler's telemetry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Served {
+    /// One draw per eligible chunk: every path but the hybrid fold.
+    PerChunk,
+    /// The hybrid fold, issuing `draws` Gamma draws per pick: one per large
+    /// class plus one per eligible member of every small class.
+    Hybrid { draws: usize },
 }
 
 /// Total-order arg-max comparison: does `candidate` strictly beat `incumbent`?
@@ -144,35 +139,59 @@ pub fn select_chunk<R: Rng + ?Sized>(
     eligible: &[bool],
     rng: &mut R,
 ) -> Option<usize> {
+    select_chunk_known(config, stats, eligible, None, rng).0
+}
+
+/// [`select_chunk`] for a caller that maintains the mask incrementally and so
+/// knows whether it is all `true` (`None`: scan for it if the answer is
+/// needed).  Also reports how the pick was served.
+pub(crate) fn select_chunk_known<R: Rng + ?Sized>(
+    config: &ExSampleConfig,
+    stats: &ChunkStatsSet,
+    eligible: &[bool],
+    all_eligible: Option<bool>,
+    rng: &mut R,
+) -> (Option<usize>, Served) {
     assert_mask(stats, eligible);
-    match config.policy {
+    let pick = match config.policy {
         ChunkSelectionPolicy::ThompsonSampling => {
-            if class_max_applicable(config, stats) {
-                thompson_pick_class_max(stats, eligible, rng)
-            } else if stats.len() <= SMALL_M_CHUNKS {
-                if cache_matches(config, stats) {
-                    thompson_pick_cached_small(stats, eligible, rng)
-                } else {
-                    thompson_pick_uncached_small(config, stats, eligible, rng)
+            match (stats.len() > SMALL_M_CHUNKS, cache_matches(config, stats)) {
+                (true, true) => {
+                    let mut winner = [UNSET];
+                    let mut best = [f64::NEG_INFINITY];
+                    let draws = thompson_fold_hybrid(
+                        stats,
+                        eligible,
+                        all_eligible,
+                        rng,
+                        &mut winner,
+                        &mut best,
+                    );
+                    let pick = (winner[0] != UNSET).then_some(winner[0]);
+                    return (pick, Served::Hybrid { draws });
                 }
-            } else if cache_matches(config, stats) {
-                thompson_pick_cached(stats, eligible, rng)
-            } else {
-                thompson_pick_uncached(config, stats, eligible, rng)
+                (true, false) => thompson_pick_uncached(config, stats, eligible, rng),
+                (false, true) => thompson_pick_small(eligible, rng, |j| stats.belief_constants(j)),
+                (false, false) => {
+                    thompson_pick_small(eligible, rng, |j| uncached_constants(config, stats, j))
+                }
             }
         }
         ChunkSelectionPolicy::BayesUcb => bayes_ucb_pick(config, stats, eligible),
         ChunkSelectionPolicy::GreedyMean => greedy_pick(stats, eligible, rng),
         ChunkSelectionPolicy::UniformChunk => uniform_pick(eligible, rng),
-    }
+    };
+    (pick, Served::PerChunk)
 }
 
-/// The uncached reference implementation of [`select_chunk`]: every Thompson
-/// draw constructs the chunk's belief distribution from scratch.
+/// The textbook reference implementation of [`select_chunk`]: every Thompson
+/// draw constructs the chunk's belief distribution from scratch and every
+/// eligible chunk draws.
 ///
-/// Exists so tests (and benchmarks) can prove the cached path equivalent: under
-/// the same RNG state both functions consume the same random stream, compute
-/// the same draw values, and return the same chunk — draw for draw.
+/// Exists so tests (and benchmarks) can prove the optimised paths equivalent.
+/// Up to [`SMALL_M_CHUNKS`] chunks both functions consume the same random
+/// stream, compute the same draw values, and return the same chunk — draw for
+/// draw; above it the hybrid fold matches this function in distribution.
 pub fn select_chunk_reference<R: Rng + ?Sized>(
     config: &ExSampleConfig,
     stats: &ChunkStatsSet,
@@ -182,11 +201,10 @@ pub fn select_chunk_reference<R: Rng + ?Sized>(
     assert_mask(stats, eligible);
     match config.policy {
         ChunkSelectionPolicy::ThompsonSampling => {
-            // The reference path mirrors the hot path's draw schedule (full
-            // draws at small M, pruned folds above) so the two consume the
-            // same random stream; only the belief-constant caching differs.
+            // Full draws at small M (the cached path's schedule), the pruned
+            // fold above.
             if stats.len() <= SMALL_M_CHUNKS {
-                thompson_pick_uncached_small(config, stats, eligible, rng)
+                thompson_pick_small(eligible, rng, |j| uncached_constants(config, stats, j))
             } else {
                 thompson_pick_uncached(config, stats, eligible, rng)
             }
@@ -223,9 +241,9 @@ pub fn select_batch<R: Rng + ?Sized>(
 ///
 /// `out` is left empty when no chunk is eligible or `batch == 0`.  For Thompson
 /// sampling with matching cached priors, the selection runs as a *single pass*
-/// over the chunk cache maintaining `batch` running arg-maxes (rather than
-/// `batch` full scans), which keeps every chunk's cached constants in registers
-/// across its `batch` draws.
+/// over the chunk cache (or its belief classes) maintaining `batch` running
+/// arg-maxes rather than `batch` full scans, which keeps every chunk's cached
+/// constants in registers across its `batch` draws.
 pub fn select_batch_into<R: Rng + ?Sized>(
     config: &ExSampleConfig,
     stats: &ChunkStatsSet,
@@ -237,15 +255,55 @@ pub fn select_batch_into<R: Rng + ?Sized>(
 ) {
     assert_mask(stats, eligible);
     out.clear();
-    if batch == 0 || !eligible.iter().any(|&e| e) {
-        return;
+    if batch > 0 && eligible.iter().any(|&e| e) {
+        select_batch_known(
+            config,
+            stats,
+            eligible,
+            None,
+            batch,
+            rng,
+            out,
+            scratch_draws,
+        );
     }
+}
+
+/// [`select_batch_into`] for a caller that already knows `batch > 0`, that
+/// some chunk is eligible, and whether all are (see [`select_chunk_known`]).
+/// Reports how the batch was served.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_batch_known<R: Rng + ?Sized>(
+    config: &ExSampleConfig,
+    stats: &ChunkStatsSet,
+    eligible: &[bool],
+    all_eligible: Option<bool>,
+    batch: usize,
+    rng: &mut R,
+    out: &mut Vec<usize>,
+    scratch_draws: &mut Vec<f64>,
+) -> Served {
+    assert_mask(stats, eligible);
+    out.clear();
     match config.policy {
         ChunkSelectionPolicy::ThompsonSampling => {
-            if class_max_applicable(config, stats) {
-                thompson_batch_class_max(stats, eligible, batch, rng, out, scratch_draws);
-            } else if cache_matches(config, stats) {
-                thompson_batch_cached(stats, eligible, batch, rng, out, scratch_draws);
+            if cache_matches(config, stats) {
+                out.resize(batch, UNSET);
+                scratch_draws.clear();
+                scratch_draws.resize(batch, f64::NEG_INFINITY);
+                if stats.len() > SMALL_M_CHUNKS {
+                    let draws = thompson_fold_hybrid(
+                        stats,
+                        eligible,
+                        all_eligible,
+                        rng,
+                        out,
+                        scratch_draws,
+                    );
+                    debug_assert!(out.iter().all(|&j| j != UNSET));
+                    return Served::Hybrid { draws };
+                }
+                thompson_batch_cached(stats, eligible, rng, out, scratch_draws);
             } else {
                 for _ in 0..batch {
                     let pick = thompson_pick_uncached(config, stats, eligible, rng)
@@ -269,6 +327,7 @@ pub fn select_batch_into<R: Rng + ?Sized>(
             }
         }
     }
+    Served::PerChunk
 }
 
 /// Fold one Thompson draw for a chunk into a running arg-max, given the raw
@@ -285,10 +344,10 @@ pub fn select_batch_into<R: Rng + ?Sized>(
 /// Exactness: the prune never changes which chunk wins the arg-max, up to a
 /// ≤ 1-ulp boundary (the gate compares `t0` against the *rounded* product
 /// `best·rate` instead of dividing), which is far below the noise floor of the
-/// draws themselves.  Both the cached and the uncached selection paths use
-/// this same fold, so they consume identical random streams and return
-/// identical picks under a fixed seed; distribution equivalence against a
-/// textbook full-draw arg-max is asserted by a chi-square test.
+/// draws themselves.  The hybrid fold's small classes, the small-M batched
+/// pass and the uncached reference all use this same fold; distribution
+/// equivalence against a textbook full-draw arg-max is asserted by a
+/// chi-square test.
 ///
 /// Returns the new best draw value if the chunk took the lead.
 #[inline(always)]
@@ -353,164 +412,99 @@ fn resolve_class_winner<R: Rng + ?Sized>(
     }
 }
 
-/// Thompson sampling deduplicated by belief class: one exact max-of-k draw per
-/// occupied class (k = the class's eligible member count), arg-max over the
-/// class maxima, winner resolved uniformly within the winning class.
-/// Allocation-free; O(classes) quantile draws plus an O(chunks) eligibility
-/// scan.
-fn thompson_pick_class_max<R: Rng + ?Sized>(
-    stats: &ChunkStatsSet,
-    eligible: &[bool],
-    rng: &mut R,
-) -> Option<usize> {
-    let all_eligible = eligible.iter().all(|&e| e);
-    let mut best_slot: Option<usize> = None;
-    let mut best = f64::NEG_INFINITY;
-    for slot in 0..stats.class_slot_count() {
-        let members = stats.class_members(slot);
-        if members.is_empty() {
-            continue;
-        }
-        let k = eligible_in_class(members, eligible, all_eligible);
-        if k == 0 {
-            continue;
-        }
-        let (shape, rate) = stats.class_belief(slot);
-        let draw = gamma_max_of_k(rng, shape, rate, k as u64);
-        if best_slot.is_none() || beats(draw, best) {
-            best_slot = Some(slot);
-            best = draw;
-        }
-    }
-    let slot = best_slot?;
-    Some(resolve_class_winner(
-        stats.class_members(slot),
-        eligible,
-        all_eligible,
-        rng,
-    ))
-}
+/// "No candidate yet" in a running arg-max slot.
+const UNSET: usize = usize::MAX;
 
-/// Batched class-max selection: class-outer / slot-inner like
-/// [`thompson_batch_cached`], with each batch slot folding one max-of-k draw
-/// per occupied class, then a resolution pass mapping each slot's winning
-/// class to a uniformly drawn eligible member.  `out` temporarily holds class
-/// slots during the fold; no extra scratch is needed, so the call stays
-/// allocation-free.
-fn thompson_batch_class_max<R: Rng + ?Sized>(
+/// Marks a running arg-max slot as holding a class slot, still to be resolved
+/// to a member, rather than a chunk.  Chunk ids and class slots both fit in a
+/// `u32`, so the top bit is free (and [`UNSET`] is never resolved).
+const CLASS_TAG: usize = 1 << (usize::BITS - 1);
+
+/// The hybrid belief-class Thompson fold (see the module docs): one walk over
+/// the class index folding into `winners.len()` independent running arg-maxes
+/// (`bests` their draw values; both pre-filled with [`UNSET`] / `−∞`), then a
+/// pass resolving every slot won by a large class to one of its eligible
+/// members.  A single pick is a batch of one.  Class-outer / slot-inner keeps
+/// a class's constants in registers across the batch.  Allocation-free.
+///
+/// Slots stay [`UNSET`] only if no chunk is eligible.  Returns the Gamma draws
+/// issued per slot.
+fn thompson_fold_hybrid<R: Rng + ?Sized>(
     stats: &ChunkStatsSet,
     eligible: &[bool],
-    batch: usize,
+    all_eligible: Option<bool>,
     rng: &mut R,
-    out: &mut Vec<usize>,
-    best: &mut Vec<f64>,
-) {
-    const UNSET: usize = usize::MAX;
-    out.clear();
-    out.resize(batch, UNSET);
-    best.clear();
-    best.resize(batch, f64::NEG_INFINITY);
-    let all_eligible = eligible.iter().all(|&e| e);
+    winners: &mut [usize],
+    bests: &mut [f64],
+) -> usize {
+    let all_eligible = all_eligible.unwrap_or_else(|| eligible.iter().all(|&e| e));
+    let mut draws = 0;
     for slot in 0..stats.class_slot_count() {
         let members = stats.class_members(slot);
-        if members.is_empty() {
-            continue;
-        }
         let k = eligible_in_class(members, eligible, all_eligible);
         if k == 0 {
             continue;
         }
-        let (shape, rate) = stats.class_belief(slot);
-        for (winner, slot_best) in out.iter_mut().zip(best.iter_mut()) {
-            let draw = gamma_max_of_k(rng, shape, rate, k as u64);
-            if *winner == UNSET || beats(draw, *slot_best) {
-                *winner = slot;
-                *slot_best = draw;
+        if k < HYBRID_MIN {
+            draws += k;
+            let (d, c, boost, rate) = stats.belief_constants(members[0] as usize);
+            for &member in members {
+                let j = member as usize;
+                if !(all_eligible || eligible[j]) {
+                    continue;
+                }
+                for (winner, best) in winners.iter_mut().zip(bests.iter_mut()) {
+                    let t0 = mt_draw_unit(rng, d, c);
+                    if let Some(draw) =
+                        fold_thompson_draw(rng, t0, boost, rate, *best, *winner == UNSET)
+                    {
+                        *winner = j;
+                        *best = draw;
+                    }
+                }
+            }
+        } else {
+            draws += 1;
+            let (tail, rate) = stats.class_tail(slot);
+            for (winner, best) in winners.iter_mut().zip(bests.iter_mut()) {
+                let draw = tail.max_of_k(rng, rate, k as u64);
+                if *winner == UNSET || beats(draw, *best) {
+                    *winner = CLASS_TAG | slot;
+                    *best = draw;
+                }
             }
         }
     }
-    debug_assert!(out.iter().all(|&slot| slot != UNSET));
-    for winner in out.iter_mut() {
-        *winner = resolve_class_winner(stats.class_members(*winner), eligible, all_eligible, rng);
-    }
-}
-
-/// The small-M fast path over the cached belief constants: a plain indexed
-/// loop computing every eligible chunk's full draw, with no zip chains and no
-/// prune gate (see [`SMALL_M_CHUNKS`]).  Allocation-free like the large-M
-/// path; the full-draw schedule makes each pick draw-for-draw identical to a
-/// textbook per-chunk Thompson arg-max under the same RNG state.
-fn thompson_pick_cached_small<R: Rng + ?Sized>(
-    stats: &ChunkStatsSet,
-    eligible: &[bool],
-    rng: &mut R,
-) -> Option<usize> {
-    let (ds, cs, boosts, rates) = stats.belief_soa();
-    let mut best_j: Option<usize> = None;
-    let mut best = f64::NEG_INFINITY;
-    for j in 0..eligible.len() {
-        if !eligible[j] {
-            continue;
-        }
-        let draw = gamma_draw(rng, ds[j], cs[j], boosts[j], rates[j]);
-        if best_j.is_none() || beats(draw, best) {
-            best_j = Some(j);
-            best = draw;
+    for winner in winners.iter_mut() {
+        if *winner != UNSET && *winner & CLASS_TAG != 0 {
+            let members = stats.class_members(*winner ^ CLASS_TAG);
+            *winner = resolve_class_winner(members, eligible, all_eligible, rng);
         }
     }
-    best_j
+    draws
 }
 
-/// Small-M fast path without the belief cache: constructs each chunk's belief
-/// from the statistics, then takes the same full-draw schedule as
-/// [`thompson_pick_cached_small`] (identical picks under the same seed).
-fn thompson_pick_uncached_small<R: Rng + ?Sized>(
-    config: &ExSampleConfig,
-    stats: &ChunkStatsSet,
+/// The small-M fast path: a plain loop computing every eligible chunk's full
+/// draw from its `(d, c, boost_inv_shape, rate)` constants — `constants` reads
+/// them from the belief cache or rebuilds them from the statistics — with no
+/// prune gate (see [`SMALL_M_CHUNKS`]).  Allocation-free; the full-draw
+/// schedule makes each pick draw-for-draw identical to a textbook per-chunk
+/// Thompson arg-max under the same RNG state.
+#[inline]
+fn thompson_pick_small<R: Rng + ?Sized>(
     eligible: &[bool],
     rng: &mut R,
+    constants: impl Fn(usize) -> (f64, f64, f64, f64),
 ) -> Option<usize> {
     let mut best_j: Option<usize> = None;
     let mut best = f64::NEG_INFINITY;
-    for (j, chunk) in stats.all().iter().enumerate() {
-        if !eligible[j] {
-            continue;
-        }
-        let belief = chunk.belief(config);
-        let (d, c, boost_inv_shape) = exsample_rand::gamma::mt_constants(belief.shape());
-        let draw = gamma_draw(rng, d, c, boost_inv_shape, belief.rate());
-        if best_j.is_none() || beats(draw, best) {
-            best_j = Some(j);
-            best = draw;
-        }
-    }
-    best_j
-}
-
-/// Thompson sampling over the cached belief constants: draw from each eligible
-/// chunk, take the arg-max.  Allocation- and construction-free; iterates the
-/// struct-of-arrays cache zipped so the loop carries no bounds checks.
-fn thompson_pick_cached<R: Rng + ?Sized>(
-    stats: &ChunkStatsSet,
-    eligible: &[bool],
-    rng: &mut R,
-) -> Option<usize> {
-    let (ds, cs, boosts, rates) = stats.belief_soa();
-    let mut best_j: Option<usize> = None;
-    let mut best = f64::NEG_INFINITY;
-    for (j, ((((&elig, &d), &c), &boost), &rate)) in eligible
-        .iter()
-        .zip(ds)
-        .zip(cs)
-        .zip(boosts)
-        .zip(rates)
-        .enumerate()
-    {
+    for (j, &elig) in eligible.iter().enumerate() {
         if !elig {
             continue;
         }
-        let t0 = mt_draw_unit(rng, d, c);
-        if let Some(draw) = fold_thompson_draw(rng, t0, boost, rate, best, best_j.is_none()) {
+        let (d, c, boost_inv_shape, rate) = constants(j);
+        let draw = gamma_draw(rng, d, c, boost_inv_shape, rate);
+        if best_j.is_none() || beats(draw, best) {
             best_j = Some(j);
             best = draw;
         }
@@ -518,21 +512,30 @@ fn thompson_pick_cached<R: Rng + ?Sized>(
     best_j
 }
 
-/// One-pass batched Thompson sampling: for each eligible chunk, draw `batch`
-/// values and fold them into `batch` independent running arg-maxes.
+/// Chunk `j`'s sampling constants rebuilt from its statistics under
+/// `config`'s priors: what the belief cache holds when the priors match.
+#[inline]
+fn uncached_constants(
+    config: &ExSampleConfig,
+    stats: &ChunkStatsSet,
+    j: usize,
+) -> (f64, f64, f64, f64) {
+    let belief = stats.chunk(j).belief(config);
+    let (d, c, boost_inv_shape) = exsample_rand::gamma::mt_constants(belief.shape());
+    (d, c, boost_inv_shape, belief.rate())
+}
+
+/// One-pass batched Thompson sampling at small M: for each eligible chunk,
+/// draw `out.len()` values and fold them into that many independent running
+/// arg-maxes (`out` / `best` pre-filled with [`UNSET`] / `−∞`).  Iterates the
+/// struct-of-arrays cache zipped so the loop carries no bounds checks.
 fn thompson_batch_cached<R: Rng + ?Sized>(
     stats: &ChunkStatsSet,
     eligible: &[bool],
-    batch: usize,
     rng: &mut R,
-    out: &mut Vec<usize>,
-    best: &mut Vec<f64>,
+    out: &mut [usize],
+    best: &mut [f64],
 ) {
-    const UNSET: usize = usize::MAX;
-    out.clear();
-    out.resize(batch, UNSET);
-    best.clear();
-    best.resize(batch, f64::NEG_INFINITY);
     let (ds, cs, boosts, rates) = stats.belief_soa();
     for (j, ((((&elig, &d), &c), &boost), &rate)) in eligible
         .iter()
@@ -557,13 +560,10 @@ fn thompson_batch_cached<R: Rng + ?Sized>(
     debug_assert!(out.iter().all(|&j| j != UNSET));
 }
 
-/// Uncached Thompson sampling: identical selection algorithm to the cached
-/// path, but every chunk's belief constants are rebuilt from the statistics on
-/// every draw instead of being read from the struct-of-arrays cache.
-///
-/// Because both paths share [`fold_thompson_draw`], they consume the same
-/// random stream and pick the same chunks under the same seed — exactly the
-/// property the belief-cache equivalence tests pin down.
+/// Uncached per-chunk Thompson sampling with the prune: every eligible chunk
+/// draws, in chunk order, its belief constants rebuilt from the statistics on
+/// every draw.  The large-M reference, and the path for statistics cached
+/// under other priors than the config's.
 fn thompson_pick_uncached<R: Rng + ?Sized>(
     config: &ExSampleConfig,
     stats: &ChunkStatsSet,
@@ -572,21 +572,13 @@ fn thompson_pick_uncached<R: Rng + ?Sized>(
 ) -> Option<usize> {
     let mut best_j: Option<usize> = None;
     let mut best = f64::NEG_INFINITY;
-    for (j, chunk) in stats.all().iter().enumerate() {
-        if !eligible[j] {
+    for (j, &elig) in eligible.iter().enumerate() {
+        if !elig {
             continue;
         }
-        let belief = chunk.belief(config);
-        let (d, c, boost_inv_shape) = exsample_rand::gamma::mt_constants(belief.shape());
+        let (d, c, boost, rate) = uncached_constants(config, stats, j);
         let t0 = mt_draw_unit(rng, d, c);
-        if let Some(draw) = fold_thompson_draw(
-            rng,
-            t0,
-            boost_inv_shape,
-            belief.rate(),
-            best,
-            best_j.is_none(),
-        ) {
+        if let Some(draw) = fold_thompson_draw(rng, t0, boost, rate, best, best_j.is_none()) {
             best_j = Some(j);
             best = draw;
         }
@@ -689,15 +681,33 @@ mod tests {
         stats
     }
 
+    /// Per-chunk counts of `trials` picks through `pick`.
+    fn counts(chunks: usize, trials: usize, mut pick: impl FnMut() -> usize) -> Vec<usize> {
+        let mut counts = vec![0usize; chunks];
+        for _ in 0..trials {
+            counts[pick()] += 1;
+        }
+        counts
+    }
+
     fn pick_counts(config: &ExSampleConfig, stats: &ChunkStatsSet, trials: usize) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(17);
         let eligible = vec![true; stats.len()];
-        let mut counts = vec![0usize; stats.len()];
-        for _ in 0..trials {
-            let j = select_chunk(config, stats, &eligible, &mut rng).unwrap();
-            counts[j] += 1;
-        }
-        counts
+        counts(stats.len(), trials, || {
+            select_chunk(config, stats, &eligible, &mut rng).unwrap()
+        })
+    }
+
+    /// Two-sample chi-square statistic over per-chunk pick counts.
+    fn chi_square(a: &[usize], b: &[usize]) -> f64 {
+        a.iter()
+            .zip(b)
+            .filter(|(&a, &b)| a + b > 0)
+            .map(|(&a, &b)| {
+                let diff = a as f64 - b as f64;
+                diff * diff / (a + b) as f64
+            })
+            .sum()
     }
 
     #[test]
@@ -969,13 +979,13 @@ mod tests {
 
     #[test]
     fn pruned_argmax_matches_textbook_full_draw_argmax_in_distribution() {
-        // The large-M hot path prunes chunks whose draw provably cannot win
+        // The large-M folds prune chunks whose draw provably cannot win
         // before paying for the boost exponential and the division.  Validate
         // the prune against a textbook Thompson arg-max that always computes
         // every chunk's full draw: per-chunk selection frequencies must agree
-        // (two-sample chi-square).  The pruned fold is invoked directly
-        // because `select_chunk` routes this small a chunk count to the
-        // prune-free fast path.
+        // (two-sample chi-square).  The pruned per-chunk fold is invoked
+        // directly because `select_chunk` routes this small a chunk count to
+        // the prune-free fast path.
         use exsample_rand::Sampler;
         let config = ExSampleConfig::default();
         let mut stats = ChunkStatsSet::new(6);
@@ -985,14 +995,11 @@ mod tests {
             stats.record(5, 1);
         }
         let eligible = vec![true; 6];
-        let trials = 6_000usize;
         let mut rng = StdRng::seed_from_u64(43);
-        let mut pruned_counts = vec![0usize; 6];
-        for _ in 0..trials {
-            pruned_counts[thompson_pick_cached(&stats, &eligible, &mut rng).unwrap()] += 1;
-        }
-        let mut full_counts = vec![0usize; 6];
-        for _ in 0..trials {
+        let pruned_counts = counts(6, 6_000, || {
+            thompson_pick_uncached(&config, &stats, &eligible, &mut rng).unwrap()
+        });
+        let full_counts = counts(6, 6_000, || {
             let mut best_j = 0usize;
             let mut best = f64::NEG_INFINITY;
             for (j, chunk) in stats.all().iter().enumerate() {
@@ -1002,17 +1009,10 @@ mod tests {
                     best = draw;
                 }
             }
-            full_counts[best_j] += 1;
-        }
-        let mut chi = 0.0;
-        for (&a, &b) in pruned_counts.iter().zip(&full_counts) {
-            let total = (a + b) as f64;
-            if total > 0.0 {
-                let diff = a as f64 - b as f64;
-                chi += diff * diff / total;
-            }
-        }
+            best_j
+        });
         // df = 5, 99.99 % quantile = 25.7; fixed seeds make this deterministic.
+        let chi = chi_square(&pruned_counts, &full_counts);
         assert!(
             chi < 25.7,
             "chi-square {chi:.2}: pruned {pruned_counts:?} vs full {full_counts:?}"
@@ -1049,15 +1049,20 @@ mod tests {
 
     #[test]
     fn large_m_cached_and_reference_paths_agree_draw_for_draw() {
-        // Above SMALL_M_CHUNKS both public paths use the pruned fold; they
-        // must keep selecting identical chunks under the same seed.
+        // Up to SMALL_M_CHUNKS the cached path and the reference consume one
+        // RNG stream and must select identical chunks under the same seed;
+        // one chunk more and the hybrid fold takes over, with its own RNG
+        // schedule, so agreement becomes distributional (chi-square).
         let config = ExSampleConfig::default();
-        let chunks = SMALL_M_CHUNKS + 16;
-        let mut stats = ChunkStatsSet::new(chunks);
-        for j in 0..chunks {
-            stats.record(j, i64::from(j % 3 == 0));
-        }
-        let eligible = vec![true; chunks];
+        let seeded = |chunks: usize| {
+            let mut stats = ChunkStatsSet::new(chunks);
+            for j in 0..chunks {
+                stats.record(j, i64::from(j % 3 == 0));
+            }
+            stats
+        };
+        let mut stats = seeded(SMALL_M_CHUNKS);
+        let eligible = vec![true; SMALL_M_CHUNKS];
         let mut rng_a = StdRng::seed_from_u64(53);
         let mut rng_b = StdRng::seed_from_u64(53);
         for i in 0..500 {
@@ -1066,11 +1071,25 @@ mod tests {
             assert_eq!(a, b, "pick {i} diverged");
             stats.record(a, i64::from(i % 7 == 0));
         }
+
+        const M: usize = SMALL_M_CHUNKS + 1;
+        let stats = seeded(M);
+        let eligible = vec![true; M];
+        let hybrid = counts(M, 20_000, || {
+            select_chunk(&config, &stats, &eligible, &mut rng_a).unwrap()
+        });
+        let reference = counts(M, 20_000, || {
+            select_chunk_reference(&config, &stats, &eligible, &mut rng_b).unwrap()
+        });
+        // df = 64, 99.99 % quantile ≈ 115.
+        let chi = chi_square(&hybrid, &reference);
+        assert!(chi < 115.0, "chi-square {chi:.1} at M = {M}");
     }
 
     /// A skewed large-M statistics set with three belief classes: two "hot"
-    /// chunks at (1, 1), four "warm" chunks at (0, 1), the rest all-prior.
-    /// 3 classes × 32 occupancy = 96 ≤ 128, so the class-max fold engages.
+    /// chunks at (1, 1), four "warm" chunks at (0, 1), the rest all-prior —
+    /// two small classes that draw per chunk and one large one that draws its
+    /// maximum.
     fn classed_stats(chunks: usize) -> ChunkStatsSet {
         let mut stats = ChunkStatsSet::new(chunks);
         stats.record(0, 1);
@@ -1081,83 +1100,75 @@ mod tests {
         stats
     }
 
-    fn class_max_config() -> ExSampleConfig {
-        ExSampleConfig::default().with_selection(SelectionStrategy::ClassMax)
+    /// How `select_chunk_known` reports serving one pick over `stats`.
+    fn served(config: &ExSampleConfig, stats: &ChunkStatsSet) -> Served {
+        let eligible = vec![true; stats.len()];
+        let mut rng = StdRng::seed_from_u64(59);
+        select_chunk_known(config, stats, &eligible, Some(true), &mut rng).1
     }
 
     #[test]
-    fn class_max_gate_requires_large_m_and_dense_classes() {
-        let config = class_max_config();
-        assert!(class_max_applicable(&config, &classed_stats(128)));
-        // Knob off.
-        assert!(!class_max_applicable(
-            &ExSampleConfig::default(),
-            &classed_stats(128)
-        ));
+    fn hybrid_fold_requires_large_m_thompson_and_matching_priors() {
+        let config = ExSampleConfig::default();
+        // 122 all-prior chunks draw once, the 2 + 4 others per chunk.
+        assert_eq!(
+            served(&config, &classed_stats(128)),
+            Served::Hybrid { draws: 7 }
+        );
         // Small M.
-        assert!(!class_max_applicable(
-            &config,
-            &classed_stats(SMALL_M_CHUNKS)
-        ));
+        assert_eq!(
+            served(&config, &classed_stats(SMALL_M_CHUNKS)),
+            Served::PerChunk
+        );
         // Non-Thompson policy.
-        assert!(!class_max_applicable(
-            &class_max_config().with_policy(ChunkSelectionPolicy::GreedyMean),
-            &classed_stats(128)
-        ));
+        assert_eq!(
+            served(
+                &config.with_policy(ChunkSelectionPolicy::GreedyMean),
+                &classed_stats(128)
+            ),
+            Served::PerChunk
+        );
         // Priors mismatch: the cache (and the class keys' beliefs) are built
         // for other priors, so the fold must not engage.
-        assert!(!class_max_applicable(
-            &class_max_config().with_priors(0.7, 3.0),
-            &classed_stats(128)
-        ));
-        // Diverse classes: give every chunk a distinct sample count so the
-        // class count equals the chunk count.
+        assert_eq!(
+            served(&config.with_priors(0.7, 3.0), &classed_stats(128)),
+            Served::PerChunk
+        );
+        // Diverse classes are no obstacle: with every chunk in a class of its
+        // own the fold is the per-chunk fold, one draw per chunk.
         let mut diverse = ChunkStatsSet::new(128);
         for j in 0..128 {
-            for _ in 0..j {
-                diverse.record(j, 0);
-            }
+            diverse.seed_chunk(j, 0, j as u64);
         }
         assert_eq!(diverse.class_count(), 128);
-        assert!(!class_max_applicable(&config, &diverse));
+        assert_eq!(served(&config, &diverse), Served::Hybrid { draws: 128 });
+    }
+
+    /// Counts of `trials` reference picks over `classed_stats(128)`.
+    fn classed_reference_counts(trials: usize, seed: u64) -> Vec<usize> {
+        let (config, stats) = (ExSampleConfig::default(), classed_stats(128));
+        let eligible = vec![true; 128];
+        let mut rng = StdRng::seed_from_u64(seed);
+        counts(128, trials, || {
+            select_chunk_reference(&config, &stats, &eligible, &mut rng).unwrap()
+        })
     }
 
     #[test]
     fn class_max_matches_per_chunk_in_distribution() {
-        // Two-sample chi-square over all 128 chunks: the class-max fold and
-        // the per-chunk fold must allocate picks identically — this checks
+        // Two-sample chi-square over all 128 chunks: the hybrid fold and the
+        // per-chunk reference must allocate picks identically — this checks
         // both the cross-class shares (hot vs warm vs cold) and the uniform
         // within-class resolution in one statistic.
-        const M: usize = 128;
         const TRIALS: usize = 40_000;
-        let stats = classed_stats(M);
-        let eligible = vec![true; M];
-        let mut class_counts = vec![0usize; M];
-        let mut rng = StdRng::seed_from_u64(61);
-        for _ in 0..TRIALS {
-            class_counts
-                [select_chunk(&class_max_config(), &stats, &eligible, &mut rng).unwrap()] += 1;
-        }
-        let mut chunk_counts = vec![0usize; M];
-        let mut rng = StdRng::seed_from_u64(67);
-        for _ in 0..TRIALS {
-            chunk_counts
-                [select_chunk(&ExSampleConfig::default(), &stats, &eligible, &mut rng).unwrap()] +=
-                1;
-        }
-        let mut chi = 0.0;
-        for (&a, &b) in class_counts.iter().zip(&chunk_counts) {
-            let total = (a + b) as f64;
-            if total > 0.0 {
-                let diff = a as f64 - b as f64;
-                chi += diff * diff / total;
-            }
-        }
+        let class_counts = pick_counts(&ExSampleConfig::default(), &classed_stats(128), TRIALS);
+        let chunk_counts = classed_reference_counts(TRIALS, 67);
         // df = 127, 99.99 % quantile ≈ 195 (Wilson–Hilferty); fixed seeds make
         // this deterministic.
+        let chi = chi_square(&class_counts, &chunk_counts);
         assert!(
             chi < 195.0,
-            "chi-square {chi:.1}: class-max hot {:?} vs per-chunk hot {:?}",
+            "chi-square {chi:.1}: hybrid hot {:?} vs per-chunk hot {:?}",
             &class_counts[..6],
             &chunk_counts[..6]
         );
@@ -1165,44 +1176,31 @@ mod tests {
 
     #[test]
     fn class_max_batch_matches_per_chunk_batch_in_distribution() {
-        const M: usize = 128;
         const ROUNDS: usize = 700;
         const BATCH: usize = 32;
-        let stats = classed_stats(M);
-        let eligible = vec![true; M];
-        let count_for = |config: &ExSampleConfig, seed: u64| -> Vec<usize> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut counts = vec![0usize; M];
-            let mut out = Vec::new();
-            let mut scratch = Vec::new();
-            for _ in 0..ROUNDS {
-                select_batch_into(
-                    config,
-                    &stats,
-                    &eligible,
-                    BATCH,
-                    &mut rng,
-                    &mut out,
-                    &mut scratch,
-                );
-                assert_eq!(out.len(), BATCH);
-                for &j in &out {
-                    counts[j] += 1;
-                }
-            }
-            counts
-        };
-        let class_counts = count_for(&class_max_config(), 71);
-        let chunk_counts = count_for(&ExSampleConfig::default(), 73);
-        let mut chi = 0.0;
-        for (&a, &b) in class_counts.iter().zip(&chunk_counts) {
-            let total = (a + b) as f64;
-            if total > 0.0 {
-                let diff = a as f64 - b as f64;
-                chi += diff * diff / total;
+        let (config, stats) = (ExSampleConfig::default(), classed_stats(128));
+        let eligible = vec![true; 128];
+        let mut rng = StdRng::seed_from_u64(71);
+        let mut class_counts = vec![0usize; 128];
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
+        for _ in 0..ROUNDS {
+            select_batch_into(
+                &config,
+                &stats,
+                &eligible,
+                BATCH,
+                &mut rng,
+                &mut out,
+                &mut scratch,
+            );
+            assert_eq!(out.len(), BATCH);
+            for &j in &out {
+                class_counts[j] += 1;
             }
         }
         // df = 127, 99.99 % quantile ≈ 195.
+        let chi = chi_square(&class_counts, &classed_reference_counts(ROUNDS * BATCH, 73));
         assert!(chi < 195.0, "chi-square {chi:.1}");
     }
 
@@ -1214,13 +1212,7 @@ mod tests {
         const TRIALS: usize = 25_600; // 200 expected picks per chunk
         let stats = ChunkStatsSet::new(M);
         assert_eq!(stats.class_count(), 1);
-        let eligible = vec![true; M];
-        let config = class_max_config();
-        let mut counts = vec![0usize; M];
-        let mut rng = StdRng::seed_from_u64(79);
-        for _ in 0..TRIALS {
-            counts[select_chunk(&config, &stats, &eligible, &mut rng).unwrap()] += 1;
-        }
+        let counts = pick_counts(&ExSampleConfig::default(), &stats, TRIALS);
         let expected = TRIALS as f64 / M as f64;
         let chi: f64 = counts
             .iter()
@@ -1239,73 +1231,44 @@ mod tests {
 
     #[test]
     fn class_max_below_small_m_falls_back_pick_for_pick() {
-        // At M ≤ SMALL_M_CHUNKS the gate rejects the class fold, so the knob
-        // must change *nothing*: identical picks under identical seeds.
+        // At M ≤ SMALL_M_CHUNKS the class index is never consulted, however
+        // dense its classes: single and batched picks stay the per-chunk
+        // schedule, identical to the reference under identical seeds.
+        let config = ExSampleConfig::default();
         let mut stats = ChunkStatsSet::new(SMALL_M_CHUNKS);
         for j in 0..SMALL_M_CHUNKS {
             stats.record(j % 7, i64::from(j % 5 == 0));
         }
+        assert!(stats.class_count() < 8);
         let eligible = vec![true; SMALL_M_CHUNKS];
         let mut rng_a = StdRng::seed_from_u64(83);
         let mut rng_b = StdRng::seed_from_u64(83);
         for i in 0..1_000 {
-            let a = select_chunk(&class_max_config(), &stats, &eligible, &mut rng_a).unwrap();
-            let b =
-                select_chunk(&ExSampleConfig::default(), &stats, &eligible, &mut rng_b).unwrap();
+            let a = select_chunk(&config, &stats, &eligible, &mut rng_a).unwrap();
+            let b = select_chunk_reference(&config, &stats, &eligible, &mut rng_b).unwrap();
             assert_eq!(a, b, "pick {i} diverged");
         }
-    }
-
-    #[test]
-    fn class_max_with_diverse_classes_falls_back_pick_for_pick() {
-        // Every chunk in its own class → occupancy gate rejects the fold.
-        let chunks = SMALL_M_CHUNKS + 36;
-        let mut stats = ChunkStatsSet::new(chunks);
-        for j in 0..chunks {
-            for _ in 0..j {
-                stats.record(j, 0);
-            }
-        }
-        assert_eq!(stats.class_count(), chunks);
-        let eligible = vec![true; chunks];
-        let mut rng_a = StdRng::seed_from_u64(89);
-        let mut rng_b = StdRng::seed_from_u64(89);
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        let mut scratch_a = Vec::new();
-        let mut scratch_b = Vec::new();
-        for i in 0..200 {
-            let a = select_chunk(&class_max_config(), &stats, &eligible, &mut rng_a).unwrap();
-            let b =
-                select_chunk(&ExSampleConfig::default(), &stats, &eligible, &mut rng_b).unwrap();
-            assert_eq!(a, b, "pick {i} diverged");
-        }
-        select_batch_into(
-            &class_max_config(),
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
+        let served = select_batch_known(
+            &config,
             &stats,
             &eligible,
+            Some(true),
             16,
             &mut rng_a,
-            &mut out_a,
-            &mut scratch_a,
+            &mut out,
+            &mut scratch,
         );
-        select_batch_into(
-            &ExSampleConfig::default(),
-            &stats,
-            &eligible,
-            16,
-            &mut rng_b,
-            &mut out_b,
-            &mut scratch_b,
-        );
-        assert_eq!(out_a, out_b);
+        assert_eq!(served, Served::PerChunk);
+        assert_eq!(out.len(), 16);
     }
 
     #[test]
     fn class_max_respects_eligibility() {
         const M: usize = 128;
         let stats = classed_stats(M);
-        let config = class_max_config();
+        let config = ExSampleConfig::default();
         // Knock out one hot chunk, one warm chunk, and half the cold class.
         let mut eligible = vec![true; M];
         eligible[0] = false;

@@ -30,12 +30,12 @@
 //! # The belief-class index
 //!
 //! Two chunks with the same clamped `(N1, n)` pair have *identical* beliefs, so
-//! under Thompson sampling they are exchangeable: the arg-max over `M` chunks
-//! collapses to an arg-max over the distinct belief classes, with the maximum
-//! of a class's `k` iid draws available in one exact order-statistic draw
-//! (`exsample_rand::gamma_max_of_k`).  In ExSample's target regimes (early-run
-//! all-prior state, skewed repositories where most chunks never hit) the class
-//! count is orders of magnitude below `M`.
+//! under Thompson sampling they are exchangeable: the maximum of a class's `k`
+//! iid draws is one exact order-statistic draw
+//! ([`exsample_rand::GammaTail::max_of_k`]) and its carrier is uniform among
+//! them.  A real posterior is a few big classes and a scatter of singletons
+//! (the BDD 1k analog averages 13.6 live classes, 4.7 of them holding all but
+//! 32 chunks), which is what the hybrid fold in [`crate::policy`] exploits.
 //!
 //! [`ChunkStatsSet`] therefore maintains an incremental index of those classes:
 //! every chunk belongs to exactly one class slot (`class_of`/`class_pos`), each
@@ -44,19 +44,27 @@
 //! seam as the SoA cache* — a chunk's class can only change when its `(N1, n)`
 //! pair changes, i.e. inside [`ChunkStatsSet::record`] /
 //! [`ChunkStatsSet::adjust_n1`].  Maintenance is RNG-free and always on, so it
-//! never perturbs pick sequences; the class-max selection path in
-//! [`crate::policy`] merely *reads* the index ([`ChunkStatsSet::class_count`],
-//! [`ChunkStatsSet::class_members`], [`ChunkStatsSet::class_belief`]).
+//! never perturbs pick sequences; the fold merely *reads* the index
+//! ([`ChunkStatsSet::class_members`], [`ChunkStatsSet::class_tail`]).
+//!
+//! The max-of-k draw needs `ln Γ(N1 + α₀)`, which costs more than the rest of
+//! the draw and depends on `N1` alone, so the set keeps one prepared
+//! [`GammaTail`] per `N1` it has seen (grown at the same seam, nothing global).
 
 use crate::config::ExSampleConfig;
 use exsample_rand::gamma::{gamma_draw, mt_constants};
-use exsample_rand::Gamma;
+use exsample_rand::{Gamma, GammaTail};
 use rand::Rng;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Sentinel for "chunk not yet assigned to a class slot" during construction.
 const NO_CLASS: u32 = u32::MAX;
+
+/// Largest `N1` (exclusive) whose [`GammaTail`] is kept.  `N1` stays in the
+/// tens, but a warm start may seed anything: beyond the cap the tail is
+/// prepared per draw instead of letting the table grow with `N1`.
+const MAX_CACHED_TAILS: u64 = 1024;
 
 /// One belief class: the shared clamped `(N1, n)` key and the chunks that
 /// currently carry it.  Freed slots keep their member capacity for reuse.
@@ -159,6 +167,8 @@ pub struct ChunkStatsSet {
     classes: Vec<ClassEntry>,
     class_lookup: HashMap<(u64, u64), u32>,
     free_class_slots: Vec<u32>,
+    /// `tails[n1]` is the prepared upper tail of shape `n1 + α₀`.
+    tails: Vec<GammaTail>,
 }
 
 impl ChunkStatsSet {
@@ -194,6 +204,7 @@ impl ChunkStatsSet {
             classes: Vec::new(),
             class_lookup: HashMap::new(),
             free_class_slots: Vec::new(),
+            tails: Vec::new(),
         };
         for j in 0..chunks {
             set.refresh_cache(j);
@@ -234,6 +245,10 @@ impl ChunkStatsSet {
         let slot = match self.class_lookup.entry(key) {
             Entry::Occupied(occupied) => *occupied.get(),
             Entry::Vacant(vacant) => {
+                while (self.tails.len() as u64) <= key.0.min(MAX_CACHED_TAILS - 1) {
+                    let shape = self.tails.len() as f64 + self.alpha0;
+                    self.tails.push(GammaTail::new(shape));
+                }
                 let slot = if let Some(freed) = self.free_class_slots.pop() {
                     self.classes[freed as usize].key = key;
                     freed
@@ -277,7 +292,7 @@ impl ChunkStatsSet {
     }
 
     /// Number of class *slots* ever allocated (occupied plus recycled).  The
-    /// class-max fold iterates slots and skips empty ones, so this bounds its
+    /// hybrid fold iterates slots and skips empty ones, so this bounds its
     /// scan; it never exceeds the chunk count.
     #[inline]
     pub fn class_slot_count(&self) -> usize {
@@ -302,12 +317,16 @@ impl ChunkStatsSet {
         self.classes[slot].key
     }
 
-    /// The `(shape, rate)` of the belief shared by every chunk in class slot
-    /// `slot`, under the priors the set was built with.
+    /// The prepared upper tail and the rate of the belief shared by every
+    /// chunk in class slot `slot`: what one max-of-k draw over the class needs.
     #[inline]
-    pub fn class_belief(&self, slot: usize) -> (f64, f64) {
+    pub fn class_tail(&self, slot: usize) -> (GammaTail, f64) {
         let (n1, n) = self.classes[slot].key;
-        (n1 as f64 + self.alpha0, n as f64 + self.beta0)
+        let tail = match self.tails.get(n1 as usize) {
+            Some(&tail) => tail,
+            None => GammaTail::new(n1 as f64 + self.alpha0),
+        };
+        (tail, n as f64 + self.beta0)
     }
 
     /// The cached Marsaglia–Tsang constants `(d, c, boost_inv_shape, rate)` of
@@ -598,9 +617,9 @@ mod tests {
             for &m in members {
                 assert_eq!(set.chunk_class(m as usize), slot, "chunk {m} back-pointer");
             }
-            let (shape, rate) = set.class_belief(slot);
+            let (tail, rate) = set.class_tail(slot);
             let (alpha0, beta0) = set.priors();
-            assert_eq!(shape.to_bits(), (key.0 as f64 + alpha0).to_bits());
+            assert_eq!(tail, GammaTail::new(key.0 as f64 + alpha0));
             assert_eq!(rate.to_bits(), (key.1 as f64 + beta0).to_bits());
             seen += 1;
         }
@@ -645,6 +664,19 @@ mod tests {
         // leaves the index untouched.
         set.adjust_n1(4, -3);
         assert_class_index_consistent(&set);
+    }
+
+    #[test]
+    fn class_tails_follow_n1_past_the_cached_range() {
+        // A warm start may seed any N1; beyond the cap the tail is prepared
+        // on the spot and the table does not grow with it.
+        let mut set = ChunkStatsSet::new(2);
+        set.seed_chunk(1, 5_000_000, 3);
+        assert_class_index_consistent(&set);
+        assert!(set.tails.len() as u64 <= MAX_CACHED_TAILS);
+        set.seed_chunk(0, MAX_CACHED_TAILS as i64 - 1, 1);
+        assert_class_index_consistent(&set);
+        assert_eq!(set.tails.len() as u64, MAX_CACHED_TAILS);
     }
 
     #[test]

@@ -163,23 +163,23 @@ fn policy_selection_allocates_exactly_zero() {
 #[test]
 fn class_max_selection_allocates_exactly_zero() {
     let _guard = SERIAL.lock().unwrap();
-    // Same zero-allocation pin for the belief-class max-of-k fold: the seeded
-    // statistics hold two classes ((1, 1) and (0, 1)) over 1024 chunks, so the
-    // occupancy gate keeps the class fold engaged for the whole window.
-    let config =
-        ExSampleConfig::default().with_selection(exsample_core::SelectionStrategy::ClassMax);
-    let mut stats = exsample_core::ChunkStatsSet::new(1_024);
+    // Same zero-allocation pin for the hybrid belief-class fold at M = 1000,
+    // single and batched, on a posterior that exercises both of its arms: two
+    // large classes ((1, 1) and (0, 1)) that draw their maximum and 24
+    // singletons that draw per chunk.
+    let config = ExSampleConfig::default();
+    let mut stats = exsample_core::ChunkStatsSet::new(1_000);
     let mut rng = StdRng::seed_from_u64(3);
-    for j in 0..1_024 {
+    for j in 0..1_000 {
         stats.record(j, i64::from(j % 5 == 0));
     }
-    assert!(
-        policy::class_max_applicable(&config, &stats),
-        "test setup must engage the class fold"
-    );
+    for j in 0..24 {
+        stats.seed_chunk(j * 40, 0, 2 + j as u64);
+    }
+    assert_eq!(stats.class_count(), 26);
     // Partial eligibility exercises the filtered resolution path too.
-    let mut eligible = vec![true; 1_024];
-    for j in (0..1_024).step_by(3) {
+    let mut eligible = vec![true; 1_000];
+    for j in (0..1_000).step_by(3) {
         eligible[j] = false;
     }
     let mut out = Vec::new();
@@ -221,6 +221,6 @@ fn class_max_selection_allocates_exactly_zero() {
     }
     assert_eq!(
         window_allocs, 0,
-        "class-max selection must perform zero heap allocations"
+        "the hybrid fold must perform zero heap allocations"
     );
 }

@@ -95,22 +95,13 @@ impl Gamma {
     /// The `q`-quantile (inverse CDF).
     ///
     /// Used by the Bayes-UCB policy, which ranks chunks by an upper quantile of the
-    /// belief distribution rather than by a Thompson draw, and by the belief-class
-    /// max-of-k draw.  Delegates to [`crate::quantile::gamma_quantile`]
+    /// belief distribution rather than by a Thompson draw.  Delegates to
+    /// [`crate::quantile::gamma_quantile`]
     /// (Wilson–Hilferty seed + Halley refinement); the rate is a pure scale
     /// parameter, so the unit-rate quantile is divided by it.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile level must be in [0,1]");
         crate::quantile::gamma_quantile(self.shape, q) / self.rate
-    }
-
-    /// Draw the maximum of `k` iid copies of this distribution exactly, via the
-    /// order-statistic identity `max ~ F⁻¹(U^(1/k))`.
-    ///
-    /// See [`crate::quantile::gamma_max_of_k`]; this is the draw behind
-    /// belief-class deduplicated Thompson sampling.
-    pub fn sample_max_of_k<R: Rng + ?Sized>(&self, rng: &mut R, k: u64) -> f64 {
-        crate::quantile::gamma_max_of_k(rng, self.shape, self.rate, k)
     }
 }
 
@@ -278,46 +269,64 @@ pub fn lower_incomplete_gamma_regularized(a: f64, x: f64) -> f64 {
         return 0.0;
     }
     if x < a + 1.0 {
-        // Series representation.
-        let mut term = 1.0 / a;
-        let mut sum = term;
-        let mut ap = a;
-        for _ in 0..500 {
-            ap += 1.0;
-            term *= x / ap;
-            sum += term;
-            if term.abs() < sum.abs() * 1e-15 {
-                break;
-            }
-        }
-        (sum.ln() + a * x.ln() - x - ln_gamma(a)).exp().min(1.0)
+        (lower_series(a, x).ln() + a * x.ln() - x - ln_gamma(a))
+            .exp()
+            .min(1.0)
     } else {
-        // Continued fraction for Q(a, x); P = 1 - Q.
-        let mut b = x + 1.0 - a;
-        let mut c = 1.0 / 1e-300;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < 1e-300 {
-                d = 1e-300;
-            }
-            c = b + an / c;
-            if c.abs() < 1e-300 {
-                c = 1e-300;
-            }
-            d = 1.0 / d;
-            let delta = d * c;
-            h *= delta;
-            if (delta - 1.0).abs() < 1e-15 {
-                break;
-            }
-        }
-        let q = (a * x.ln() - x - ln_gamma(a)).exp() * h;
+        let q = (a * x.ln() - x - ln_gamma(a)).exp() * upper_fraction(a, x);
         (1.0 - q).clamp(0.0, 1.0)
     }
+}
+
+/// Term cap of the two expansions below.  Near `x = a + 1` both need about
+/// `9·√a` terms; a cap of 500 silently truncated them from shape ~3000 on
+/// (`P(50 000, x)` jumped by 0.012 where they switch), un-invertibly.
+const MAX_TERMS: usize = 10_000;
+
+/// The series `Σ xⁿ / (a·(a+1)⋯(a+n))`, with `P(a, x) = x^a e^{−x}/Γ(a)` times
+/// it.  Converges for every `x > 0`, in about `e·x + 35` terms at small `a`.
+pub(crate) fn lower_series(a: f64, x: f64) -> f64 {
+    let mut term = 1.0 / a;
+    let mut sum = term;
+    let mut ap = a;
+    for _ in 0..MAX_TERMS {
+        ap += 1.0;
+        term *= x / ap;
+        sum += term;
+        if term.abs() < sum.abs() * 1e-15 {
+            break;
+        }
+    }
+    sum
+}
+
+/// The continued fraction `h` with `Q(a, x) = x^a e^{−x}/Γ(a) · h` (modified
+/// Lentz evaluation).  Meant for `x ≥ a + 1`, where it needs about `85/x`
+/// terms; it yields the upper tail itself, to full relative precision.
+pub(crate) fn upper_fraction(a: f64, x: f64) -> f64 {
+    let mut b = x + 1.0 - a;
+    let mut c = 1.0 / 1e-300;
+    let mut d = 1.0 / b;
+    let mut h = d;
+    for i in 1..MAX_TERMS {
+        let an = -(i as f64) * (i as f64 - a);
+        b += 2.0;
+        d = an * d + b;
+        if d.abs() < 1e-300 {
+            d = 1e-300;
+        }
+        c = b + an / c;
+        if c.abs() < 1e-300 {
+            c = 1e-300;
+        }
+        d = 1.0 / d;
+        let delta = d * c;
+        h *= delta;
+        if (delta - 1.0).abs() < 1e-15 {
+            break;
+        }
+    }
+    h
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ pub use histogram::Histogram;
 pub use lognormal::LogNormal;
 pub use normal::{Normal, StandardNormal};
 pub use poisson::Poisson;
-pub use quantile::{gamma_max_of_k, gamma_quantile, standard_normal_quantile};
+pub use quantile::{gamma_max_of_k, gamma_quantile, standard_normal_quantile, GammaTail};
 pub use seeding::SeedSequence;
 pub use summary::{geometric_mean, Summary};
 

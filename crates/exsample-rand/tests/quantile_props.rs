@@ -1,16 +1,104 @@
 //! Property-based coverage for the incomplete-gamma / quantile pair.
 //!
-//! The belief-class selection path (ClassMax) leans on `gamma_quantile` being a
-//! faithful inverse of `lower_incomplete_gamma_regularized` across the whole
-//! shape range ExSample produces — from the `α₀ = 0.1` prior up to beliefs with
-//! tens of thousands of observations.  These properties pin round-trip
-//! tolerance, monotonicity in both arguments, and extreme-shape behaviour.
+//! The hybrid belief-class fold leans on `gamma_quantile` / `GammaTail` being
+//! faithful inverses of the incomplete gamma across the whole shape range
+//! ExSample produces — from the `α₀ = 0.1` prior up to beliefs with tens of
+//! thousands of observations — and on the max-of-k draw staying exact from
+//! singleton classes to billion-member ones.  These properties pin round-trip
+//! tolerance, monotonicity in every argument, and extreme-shape behaviour.
 
 use exsample_rand::gamma::lower_incomplete_gamma_regularized;
-use exsample_rand::{gamma_max_of_k, gamma_quantile, Gamma};
+use exsample_rand::{gamma_max_of_k, gamma_quantile, Gamma, GammaTail};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+
+/// An RNG whose every uniform variate is `mantissa · 2⁻⁵³`.
+struct FixedUniform(u64);
+
+impl RngCore for FixedUniform {
+    fn next_u64(&mut self) -> u64 {
+        self.0 << 11
+    }
+}
+
+/// The whole grid of the max-of-k draw: k from a singleton to a billion, the
+/// shapes of the prior / one hit / five hits / a long-run belief, and the
+/// smallest, middle and largest uniform the generator can produce.  Every draw
+/// is finite and positive, moves up with U and with k, and its tail
+/// probability `Q(shape, x·rate)` equals `q = 1 − U^(1/k)` to 1e-8 *relative*
+/// — at `k = 10⁹`, `U = 1 − 2⁻⁵³` that is a tail of 1e-25.
+#[test]
+fn max_of_k_is_exact_and_monotone_from_singletons_to_a_billion() {
+    const KS: [u64; 5] = [1, 16, 1_000, 1_000_000, 1_000_000_000];
+    const MANTISSAS: [u64; 3] = [1, 1 << 52, (1 << 53) - 1];
+    const RATE: f64 = 3.0;
+    for shape in [0.1, 1.1, 5.1, 64.0] {
+        let tail = GammaTail::new(shape);
+        let mut draws = [[0.0f64; KS.len()]; MANTISSAS.len()];
+        for (row, &mantissa) in draws.iter_mut().zip(&MANTISSAS) {
+            let u = mantissa as f64 / (1u64 << 53) as f64;
+            for (draw, &k) in row.iter_mut().zip(&KS) {
+                let x = tail.max_of_k(&mut FixedUniform(mantissa), RATE, k);
+                assert!(x.is_finite() && x > 0.0, "shape {shape}, k {k}, U {u}: {x}");
+                assert_eq!(
+                    x,
+                    gamma_max_of_k(&mut FixedUniform(mantissa), shape, RATE, k),
+                    "the free function is the prepared draw"
+                );
+                let ln_q = (-(u.ln() / k as f64).exp_m1()).ln();
+                let ratio = (tail.ln_survival(x * RATE) - ln_q).exp();
+                assert!(
+                    (ratio - 1.0).abs() < 1e-8,
+                    "shape {shape}, k {k}, U {u}: x {x}, Q/q = {ratio}"
+                );
+                *draw = x;
+            }
+            assert!(
+                row.windows(2).all(|w| w[0] <= w[1]),
+                "shape {shape}, U {u}: not monotone in k: {row:?}"
+            );
+        }
+        for col in 0..KS.len() {
+            assert!(
+                draws.windows(2).all(|w| w[0][col] <= w[1][col]),
+                "shape {shape}, k {}: not monotone in U",
+                KS[col]
+            );
+        }
+    }
+}
+
+/// `ln_survival` against closed forms (integer shapes: `Q(n, x) = e^{−x} Σ
+/// xⁱ/i!`), on both sides of the series / continued-fraction switch and far
+/// into the tail, and against `1 − P` where that still has digits.
+#[test]
+fn ln_survival_matches_closed_forms_and_the_lower_function() {
+    for x in [0.05, 0.5, 1.9, 2.1, 3.9, 4.1, 12.5, 40.0, 300.0] {
+        let exponential = GammaTail::new(1.0).ln_survival(x);
+        assert!((exponential + x).abs() < 1e-12 * x.max(1.0), "Q(1, {x})");
+        let erlang3 = GammaTail::new(3.0).ln_survival(x);
+        let expected = (1.0 + x + 0.5 * x * x).ln() - x;
+        assert!(
+            (erlang3 - expected).abs() < 1e-11 * x.max(1.0),
+            "Q(3, {x}): {erlang3} vs {expected}"
+        );
+    }
+    for shape in [0.1, 0.7, 1.1, 5.1, 64.0] {
+        for scale in [0.2, 0.9, 1.0, 1.5, 3.0] {
+            let x = (shape + 1.0) * scale;
+            let q = 1.0 - lower_incomplete_gamma_regularized(shape, x);
+            if q > 1e-6 {
+                let got = GammaTail::new(shape).ln_survival(x).exp();
+                assert!(
+                    (got / q - 1.0).abs() < 1e-9,
+                    "Q({shape}, {x}): {got} vs {q}"
+                );
+            }
+        }
+    }
+    assert_eq!(GammaTail::new(2.0).ln_survival(0.0), 0.0);
+}
 
 proptest! {
     /// cdf(quantile(p)) ≈ p for any shape and interior probability.
@@ -75,6 +163,20 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// `upper_quantile(q)` inverts the tail to 1e-8 relative in `q`, across
+    /// the median hand-off to `gamma_quantile` and down to tails of 1e-30.
+    #[test]
+    fn upper_quantile_inverts_the_tail(shape in 0.05f64..200.0, ln_q in -69.0f64..-0.01) {
+        let tail = GammaTail::new(shape);
+        let x = tail.upper_quantile(ln_q.exp());
+        prop_assert!(x.is_finite() && x > 0.0, "upper_quantile({shape}, e^{ln_q}) = {x}");
+        let back = tail.ln_survival(x);
+        prop_assert!(
+            ((back - ln_q).exp() - 1.0).abs() < 1e-8,
+            "shape {shape}, ln q {ln_q}: x {x}, ln Q back {back}"
+        );
     }
 
     /// `Gamma::quantile` agrees with the free function under rate scaling.
