@@ -1,23 +1,23 @@
-//! Sharded engine throughput: 1, 2 and 8 shards × 1 and 8 concurrent
+//! Engine throughput under 1, 2 and 8-shard report views × 1 and 8 concurrent
 //! queries over one repository, a parallel-execution axis (`parallel_detect`:
 //! serial vs 2 and 4 worker threads of the persistent per-run worker pool at
 //! 2 and 8 shards), a batching axis (`batched_detect`) running the engine's
-//! cross-shard batches against a cost-model instrumented detector — plus the
-//! report-merge overhead measured separately.  (The `parallel_detect_scoped`
+//! batches against a cost-model instrumented detector — plus the cost of
+//! publishing the per-shard report measured separately.  (The `parallel_detect_scoped`
 //! rows still in `BENCH_sharded.json` are the last capture of the per-stage
 //! scoped spawn this pool replaced, and its `batched_detect/*/per_shard` rows
 //! the last capture of per-shard batching — one physical call per detector
 //! group *per shard* — kept as the recorded baselines; both designs are
 //! gone.)
 //!
-//! Each iteration executes a full sharded `QueryEngine` run (contiguous-range
-//! chunk assignment).  Outcomes are bitwise-identical across shard counts,
-//! execution modes and thread counts — the determinism suite enforces that —
-//! so what this benchmark tracks is pure execution overhead: routing picks
-//! to shard workers, gathering their misses into one `detect_batch` per
-//! detector group and scattering the results back, dispatching DETECT to the
-//! pool (a turnstile wake per stage), and the merge layer folding per-shard
-//! tallies back into a global report.  The printed table reports the
+//! Each iteration executes a full `QueryEngine` run whose report view groups
+//! tallies by a contiguous-range shard router.  Shards are a view, so
+//! outcomes are bitwise-identical across shard counts, execution modes and
+//! thread counts — the determinism suite enforces that — and what this
+//! benchmark tracks is pure execution overhead: gathering the lanes' misses
+//! into one `detect_batch` per detector group and scattering the results
+//! back, attributing each tally to its shard, and dispatching DETECT to the
+//! pool (a turnstile wake per stage).  The printed table reports the
 //! physical-vs-logical invocation counts: equal when serial, at most one
 //! extra call per lane boundary per stage otherwise.
 //!
@@ -50,8 +50,8 @@ use exsample_detect::{
     GroundTruth, PerfectDetector,
 };
 use exsample_engine::{
-    CacheConfig, DetectionCache, ExSamplePolicy, FailureMode, QuerySpec, RetryPolicy,
-    ShardedReport, StripedDetectionCache,
+    CacheConfig, DetectionCache, ExSamplePolicy, ExecutionMode, FailureMode, QueryEngine,
+    QuerySpec, RetryPolicy, ShardRouter, ShardedReport, StripedDetectionCache,
 };
 use std::sync::Arc;
 
@@ -82,6 +82,19 @@ fn dataset() -> Dataset {
         .generate()
 }
 
+/// A fresh engine whose report view groups tallies into `shards`
+/// contiguous-range shards, with each stage's DETECT cut over `parallel`
+/// lanes (0 or 1 = serial).
+fn engine<'a>(dataset: &Dataset, shards: u32, parallel: usize) -> QueryEngine<'a> {
+    let engine = QueryEngine::new().sharded(ShardRouter::contiguous(dataset.chunking(), shards));
+    if parallel > 1 {
+        return engine
+            .execution(ExecutionMode::Parallel(parallel))
+            .expect("the bench thread counts are valid execution modes");
+    }
+    engine
+}
+
 fn run_engine(
     dataset: &Dataset,
     detector: &PerfectDetector,
@@ -90,8 +103,7 @@ fn run_engine(
     queries: usize,
     budget: u64,
 ) -> ShardedReport {
-    let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, parallel)
-        .expect("the bench thread counts are valid execution modes");
+    let mut engine = engine(dataset, shards, parallel);
     for q in 0..queries {
         let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
         engine
@@ -127,8 +139,7 @@ fn run_engine_guarded(
         )) as Box<dyn Detector>,
         FaultPlan::new(4_747),
     );
-    let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, 0)
-        .expect("serial execution is always a valid mode")
+    let mut engine = engine(dataset, shards, 0)
         .retry_policy(RetryPolicy::new(3).backoff_cost(1))
         .failure_mode(FailureMode::DropFrames);
     for q in 0..queries {
@@ -147,7 +158,7 @@ fn run_engine_guarded(
 }
 
 /// A full engine run against a cost-model instrumented detector
-/// ([`BatchingDetector`]).  Returns the merged report plus the physical
+/// ([`BatchingDetector`]).  Returns the report plus the physical
 /// (calls, frames, modelled cost) the detector actually charged — the
 /// numbers the `batched_detect` axis reports, since on a 1-vCPU container
 /// the batching win is a dispatch-cost win, not a wall-clock one.
@@ -163,8 +174,7 @@ fn run_engine_batched(
         PerfectDetector::new(Arc::clone(truth), GridWorkload::class()),
         BatchCostModel::gpu_default(),
     );
-    let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, 0)
-        .expect("serial execution is always a valid mode");
+    let mut engine = engine(dataset, shards, 0);
     for q in 0..queries {
         let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
         engine
@@ -268,8 +278,7 @@ fn run_engine_warm(
     cache: usize,
     budget: u64,
 ) -> ShardedReport {
-    let mut engine = exsample_bench::sharded_engine(dataset.chunking(), 2, parallel)
-        .expect("the bench thread counts are valid execution modes");
+    let mut engine = engine(dataset, 2, parallel);
     if cache > 0 {
         engine = engine.cache_capacity(cache);
     }
@@ -377,8 +386,8 @@ fn bench_sharded(c: &mut Criterion) {
     parallel_group.finish();
 
     // The batching axis: the same 8-query run against a cost-model
-    // instrumented detector.  A detector group is one cross-shard batch, so
-    // the wall-clock here is the gather/scatter bookkeeping; the modelled
+    // instrumented detector.  A detector group is one batch, so the
+    // wall-clock here is the gather/scatter bookkeeping; the modelled
     // dispatch cost is printed (and asserted shard-count-invariant) below.
     // The committed `per_shard` rows are the deleted per-shard design.
     let mut batched_group = c.benchmark_group("batched_detect");
@@ -435,16 +444,15 @@ fn bench_sharded(c: &mut Criterion) {
     }
     cache_group.finish();
 
-    // Merge overhead, separately: building the merged report on an
+    // Publishing overhead, separately: building the per-shard report on an
     // already-completed engine.  This measures report_sharded() end to end —
-    // global report construction (per-query clones and sorts) plus the
-    // merge_reports fold and cross-checks — which is the cost a caller
-    // actually pays per merged report; the fold alone is a fraction of it.
+    // global report construction (per-query clones and sorts) plus copying
+    // out the view's per-shard tallies — which is the cost a caller actually
+    // pays per report.
     let mut merge_group = c.benchmark_group("report_sharded");
     merge_group.sample_size(10);
     for &shards in &SHARD_COUNTS {
-        let mut engine = exsample_bench::sharded_engine(dataset.chunking(), shards, 0)
-            .expect("serial execution is always a valid mode");
+        let mut engine = engine(&dataset, shards, 0);
         for q in 0..8usize {
             let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
             engine
@@ -463,9 +471,9 @@ fn bench_sharded(c: &mut Criterion) {
     }
     merge_group.finish();
 
-    // The acceptance-relevant numbers: sharding changes neither outcomes nor
-    // invocation counts, logical or physical — and parallel execution only
-    // cuts a stage's batches at its lane boundaries.
+    // The acceptance-relevant numbers: the shard view changes neither
+    // outcomes nor invocation counts, logical or physical — and parallel
+    // execution only cuts a stage's batches at its lane boundaries.
     println!("\n# sharded engine invocation counts (per-query budget {budget} frames)");
     println!("# queries | shards | threads | detector frames | logical calls | physical calls | overhead");
     for &queries in &QUERY_COUNTS {
@@ -479,9 +487,9 @@ fn bench_sharded(c: &mut Criterion) {
             assert_eq!(serial.report.detector_calls, baseline.report.detector_calls);
             for &threads in &THREAD_COUNTS {
                 let merged = run_engine(&dataset, &detector, shards, threads, queries, budget);
-                // Parallel runs are logically identical to the serial
-                // sharded run; physically they add at most one call per
-                // extra lane per stage.
+                // Parallel runs are logically identical to the serial run;
+                // physically they add at most one call per extra lane per
+                // stage.
                 assert_eq!(merged.report.detector_frames, serial.report.detector_frames);
                 assert_eq!(merged.report.detector_calls, serial.report.detector_calls);
                 assert_eq!(serial.shard_overhead_calls(), 0);
@@ -544,7 +552,7 @@ fn bench_sharded(c: &mut Criterion) {
 
     // Cache count-invariance: the scripted traces agree hit-for-hit across
     // implementations and stripe counts, striped engine runs are
-    // logically identical across worker-thread counts (merged report and
+    // logically identical across worker-thread counts (report and
     // cache accounting alike), and the cache changes only the detector bill —
     // never any query's outcome.
     let expected_hits = ((CACHE_TRACE_PASSES - 1) * CACHE_TRACE_CAPACITY) as u64;

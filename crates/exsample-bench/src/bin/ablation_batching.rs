@@ -49,9 +49,7 @@ fn main() {
     let cost = DecodeCostModel::paper();
 
     println!(
-        "# workload: 2M frames, 2000 instances, 128 chunks, skew 1/32, budget {budget} frames, {trials} trials, {} engine shard{}, {} worker thread{}\n",
-        options.shards,
-        if options.shards == 1 { "" } else { "s" },
+        "# workload: 2M frames, 2000 instances, 128 chunks, skew 1/32, budget {budget} frames, {trials} trials, {} worker thread{}\n",
         options.effective_threads(),
         if options.effective_threads() == 1 { "" } else { "s" },
     );
@@ -77,7 +75,7 @@ fn main() {
                 class.clone(),
             )));
             let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
-            let mut engine = ok_or_exit(experiment_engine(dataset.chunking(), &options));
+            let mut engine = ok_or_exit(experiment_engine(&options));
             engine
                 .push(
                     QuerySpec::new("batching", Box::new(policy), detector.as_ref())

@@ -46,9 +46,7 @@ fn main() {
 
     println!("# workload: 2M frames, 2000 instances, 64 chunks, skew 1/32, budget {budget}, {trials} trials");
     println!(
-        "# all four policies run as concurrent queries of one engine per trial ({} shard{}, {} worker thread{})\n",
-        options.shards,
-        if options.shards == 1 { "" } else { "s" },
+        "# all four policies run as concurrent queries of one engine per trial ({} worker thread{})\n",
         options.effective_threads(),
         if options.effective_threads() == 1 { "" } else { "s" },
     );
@@ -72,7 +70,7 @@ fn main() {
                 Arc::clone(&truth),
                 GridWorkload::class(),
             )));
-            let mut engine = ok_or_exit(experiment_engine(dataset.chunking(), &options));
+            let mut engine = ok_or_exit(experiment_engine(&options));
             for (label, policy) in policies {
                 let config = ExSampleConfig::default().with_policy(policy);
                 engine

@@ -44,8 +44,7 @@ fn main() {
         "# dataset scale: {scale} (times scale linearly with dataset size; the scan-vs-sample comparison is scale-invariant)"
     );
     println!(
-        "# engine shards: {}, worker threads: {} (outcomes are invariant to both; they only move detector work)\n",
-        options.shards,
+        "# worker threads: {} (outcomes are invariant to them; they only move detector work)\n",
         options.effective_threads(),
     );
 
@@ -87,7 +86,7 @@ fn main() {
             .iter()
             .map(|c| truth.count_of_class(&ObjectClass::from(c.class)))
             .collect();
-        let mut engine = ok_or_exit(experiment_engine(dataset.chunking(), &options));
+        let mut engine = ok_or_exit(experiment_engine(&options));
         for ((class_spec, detector), &total) in spec.classes.iter().zip(&detectors).zip(&totals) {
             let class = class_spec.class;
             let target = (0.9 * total as f64).ceil() as usize;

@@ -12,29 +12,25 @@
 //! * `--trials N` — override the number of trials.
 //! * `--scale X` — override the dataset scale factor (dataset-analog experiments).
 //! * `--seed N` — root seed (default 7).
-//! * `--shards N` — shard the engine's DETECT phase across N workers
-//!   (contiguous-range chunk assignment; results are bitwise-identical to the
-//!   unsharded run, only the per-shard cost breakdown changes).
 //! * `--parallel N` — cut each stage's detector invocations over N lanes (the
-//!   calling thread plus N − 1 worker-pool threads), with or without
-//!   `--shards` (no flag = serial; `--parallel 0` is rejected with the
-//!   engine's typed `InvalidExecution` message; results are
-//!   bitwise-identical to serial execution).
+//!   calling thread plus N − 1 worker-pool threads; no flag = serial;
+//!   `--parallel 0` is rejected with the engine's typed `InvalidExecution`
+//!   message; results are bitwise-identical to serial execution).
 //! * `--overlap` — run each stage's PICK concurrently with the previous
 //!   stage's DETECT (stop decisions lag one stage, by design; a given
 //!   overlapped configuration is still bitwise-deterministic).
 //! * `--cache N` — enable the engine's lock-striped detections cache with
 //!   capacity N entries (no flag = off; `--cache 0` is rejected — leave the
 //!   flag off instead).  Cache accounting is bitwise-deterministic across
-//!   `--shards`/`--parallel`/`--overlap`, and the run summary
-//!   gains a cache telemetry line.
+//!   `--parallel`/`--overlap`, and the run summary gains a cache telemetry
+//!   line.
 //! * `--retries N` — allow N retries per frame whose detect attempt failed
 //!   (0 = off, the default; backoff is charged as deterministic stage cost).
 //! * `--fault-rate X` — wrap every detector in a seeded deterministic fault
 //!   injector with transient-fault probability X per (frame, attempt); the
 //!   run degrades by dropping frames that exhaust their attempts (tallied in
 //!   the report) instead of aborting.  Same seed + same rate ⇒ bitwise-identical
-//!   degraded results, regardless of `--shards`/`--parallel`.
+//!   degraded results, regardless of `--parallel`.
 //! * `--checkpoint PATH` — persist every ExSample run's per-chunk posterior
 //!   and query results to the durable belief store at PATH (crash-safe log +
 //!   snapshot; a torn tail from a kill is recovered and reported on the next
@@ -63,8 +59,6 @@ pub struct ExperimentOptions {
     pub scale: Option<f64>,
     /// Root seed.
     pub seed: u64,
-    /// Shard count for the engine's DETECT phase (1 = unsharded).
-    pub shards: u32,
     /// Worker threads for the DETECT phase.  The default (no `--parallel`
     /// flag) is serial execution; `--parallel 0` is rejected at parse time
     /// with the engine's typed `InvalidExecution` message, and `--parallel 1`
@@ -97,7 +91,6 @@ impl Default for ExperimentOptions {
             trials: None,
             scale: None,
             seed: 7,
-            shards: 1,
             parallel: 0,
             overlap: false,
             cache: 0,
@@ -142,16 +135,6 @@ impl ExperimentOptions {
                     options.seed = value
                         .parse()
                         .map_err(|_| format!("bad --seed value: {value}"))?;
-                }
-                "--shards" => {
-                    let value = iter.next().ok_or("--shards requires a value")?;
-                    let shards: u32 = value
-                        .parse()
-                        .map_err(|_| format!("bad --shards value: {value}"))?;
-                    if shards == 0 {
-                        return Err("--shards must be at least 1".to_string());
-                    }
-                    options.shards = shards;
                 }
                 "--parallel" => {
                     let value = iter.next().ok_or("--parallel requires a value")?;
@@ -219,7 +202,7 @@ impl ExperimentOptions {
                 }
                 "--help" | "-h" => {
                     return Err("supported flags: --full --trials N --scale X --seed N \
-                         --shards N --parallel N --overlap \
+                         --parallel N --overlap \
                          --cache N --retries N \
                          --fault-rate X --checkpoint PATH --warm-start PATH --csv"
                         .to_string())
@@ -298,16 +281,15 @@ impl ExperimentOptions {
     }
 
     /// Apply the options' engine-shape, failure-model and durability knobs
-    /// (`--shards`, `--parallel`, `--overlap`,
-    /// `--cache`, `--retries`, `--fault-rate`, `--checkpoint`,
-    /// `--warm-start`) to a simulation [`exsample_sim::QueryRunner`] — the
-    /// single place the runner-driven experiment bins pick them up.
+    /// (`--parallel`, `--overlap`, `--cache`, `--retries`, `--fault-rate`,
+    /// `--checkpoint`, `--warm-start`) to a simulation
+    /// [`exsample_sim::QueryRunner`] — the single place the runner-driven
+    /// experiment bins pick them up.
     pub fn apply_to_runner<'d>(
         &self,
         runner: exsample_sim::QueryRunner<'d>,
     ) -> exsample_sim::QueryRunner<'d> {
         let mut runner = runner
-            .shards(self.shards)
             .overlap(self.overlap)
             .cache(self.cache)
             .retry_policy(self.retry_policy())
@@ -370,47 +352,25 @@ pub fn ok_or_exit<T, E: std::error::Error>(result: Result<T, E>) -> T {
     }
 }
 
-/// A fresh engine sharded across `shards` workers over `chunking`
-/// (contiguous-range chunk assignment), or an ordinary unsharded engine for
-/// `shards <= 1`, with the workers' detector invocations run on up to
-/// `parallel` worker threads per stage (0 or 1 = serial execution; parallel
-/// runs use the engine's default persistent per-run worker pool — pass the
-/// engine through [`exsample_engine::QueryEngine::dispatch`] to select the
-/// legacy per-stage scoped spawn instead, as the `sharded` bench's dispatch
-/// axis does).  Query outcomes are bitwise-identical in every configuration;
-/// sharding, parallelism and dispatch only change where the detector work
-/// executes and how costs break down.
+/// A fresh engine with the options' execution mode, overlap knob, retry
+/// policy, failure mode and cache applied — the engine constructor the
+/// experiment bins use, so `--parallel`, `--overlap`, `--retries`,
+/// `--fault-rate` and `--cache` reach every engine-driven experiment the same
+/// way.  No `--parallel` flag (or `--parallel 1`) means serial execution.
 ///
 /// Returns the engine's typed [`exsample_engine::EngineError`] when the
 /// thread count is not a valid execution mode, so callers route it through
 /// the chained-error exit path ([`ok_or_exit`]) instead of panicking.
-pub fn sharded_engine<'a>(
-    chunking: &exsample_video::Chunking,
-    shards: u32,
-    parallel: usize,
-) -> Result<exsample_engine::QueryEngine<'a>, exsample_engine::EngineError> {
-    let mut engine = exsample_engine::QueryEngine::new();
-    if shards > 1 {
-        engine = engine.sharded(exsample_engine::ShardRouter::contiguous(chunking, shards));
-    }
-    if parallel > 1 {
-        engine = engine.execution(exsample_engine::ExecutionMode::Parallel(parallel))?;
-    }
-    Ok(engine)
-}
-
-/// [`sharded_engine`] with the options' overlap knob, retry policy and
-/// failure mode applied — the engine constructor the experiment bins use, so
-/// `--overlap`, `--retries` and `--fault-rate` reach every engine-driven
-/// experiment the same way.
 pub fn experiment_engine<'a>(
-    chunking: &exsample_video::Chunking,
     options: &ExperimentOptions,
 ) -> Result<exsample_engine::QueryEngine<'a>, exsample_engine::EngineError> {
-    let mut engine = sharded_engine(chunking, options.shards, options.parallel)?
+    let mut engine = exsample_engine::QueryEngine::new()
         .overlap(options.overlap)
         .retry_policy(options.retry_policy())
         .failure_mode(options.failure_mode());
+    if options.parallel > 1 {
+        engine = engine.execution(exsample_engine::ExecutionMode::Parallel(options.parallel))?;
+    }
     if options.cache > 0 {
         engine = engine.cache_capacity(options.cache);
     }
@@ -448,7 +408,7 @@ pub fn banner(reference: &str, description: &str, options: &ExperimentOptions) {
     if options.cache > 0 {
         println!(
             "# cache: lock-striped detections LRU, capacity {} entries \
-             (accounting is bitwise-deterministic across shards/threads/dispatch)",
+             (accounting is bitwise-deterministic across threads and overlap)",
             options.cache
         );
     }
@@ -572,11 +532,13 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_parses_and_rejects_zero() {
-        assert_eq!(parse(&[]).unwrap().shards, 1);
-        assert_eq!(parse(&["--shards", "8"]).unwrap().shards, 8);
-        assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards"]).is_err());
+    fn shards_flag_is_rejected_as_unknown() {
+        // Shards are a report view no bin prints; the former flag must fail
+        // loudly, not be ignored.
+        for args in [&["--shards", "4"][..], &["--shards"][..]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown flag `--shards`"), "message: {err}");
+        }
     }
 
     #[test]
@@ -597,14 +559,7 @@ mod tests {
     fn effective_threads_reports_the_lane_count() {
         assert_eq!(parse(&[]).unwrap().effective_threads(), 1);
         assert_eq!(parse(&["--parallel", "1"]).unwrap().effective_threads(), 1);
-        // Lanes are independent of shards (shards defaults to 1).
         assert_eq!(parse(&["--parallel", "8"]).unwrap().effective_threads(), 8);
-        assert_eq!(
-            parse(&["--parallel", "2", "--shards", "4"])
-                .unwrap()
-                .effective_threads(),
-            2
-        );
     }
 
     #[test]
@@ -810,24 +765,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_builds_for_any_shard_and_thread_count() {
-        let repo = exsample_video::VideoRepository::single_clip(1_000);
-        let chunking = exsample_video::Chunking::new(
-            &repo,
-            exsample_video::ChunkingPolicy::FixedCount { chunks: 8 },
-        );
-        assert_eq!(sharded_engine(&chunking, 1, 0).unwrap().shard_count(), 1);
-        assert_eq!(sharded_engine(&chunking, 4, 0).unwrap().shard_count(), 4);
-        let parallel = sharded_engine(&chunking, 4, 2).unwrap();
-        assert_eq!(parallel.shard_count(), 4);
+    fn experiment_engine_builds_for_any_thread_count() {
+        let engine = |args: &[&str]| experiment_engine(&parse(args).unwrap()).unwrap();
+        let parallel = engine(&["--parallel", "2", "--overlap"]);
         assert_eq!(
             parallel.execution_mode(),
             exsample_engine::ExecutionMode::Parallel(2)
         );
-        // 0/1 threads mean serial execution.
+        assert!(parallel.overlap_enabled());
         assert_eq!(
-            sharded_engine(&chunking, 4, 1).unwrap().execution_mode(),
-            exsample_engine::ExecutionMode::Serial
+            parallel.shard_count(),
+            1,
+            "experiment engines are unsharded"
         );
+        // No flag, or one thread, means serial execution.
+        for args in [&[][..], &["--parallel", "1"][..]] {
+            assert_eq!(
+                engine(args).execution_mode(),
+                exsample_engine::ExecutionMode::Serial
+            );
+        }
     }
 }

@@ -11,9 +11,9 @@
 //! [`BatchingDetector`] wraps any [`Detector`] to *charge* it: every physical
 //! invocation increments thread-safe counters for calls, frames and modelled
 //! cost, without changing any detection result.  Execution engines can then
-//! compare per-shard vs cross-shard-aggregated invocation strategies by the
-//! number this module produces instead of by wall-clock noise — which is what
-//! makes batching gains measurable on a 1-vCPU container.
+//! compare invocation shapes (how a stage's frames are cut into batches) by
+//! the number this module produces instead of by wall-clock noise — which is
+//! what makes batching gains measurable on a 1-vCPU container.
 
 use crate::class::ObjectClass;
 use crate::detection::FrameDetections;
@@ -51,10 +51,10 @@ impl BatchCostModel {
     /// work (`per_call = 32`, `per_frame = 1`).
     ///
     /// With this curve, halving the number of physical calls at a fixed frame
-    /// count saves 32 units per call eliminated — large enough that cross-shard
-    /// aggregation visibly beats per-shard batching in the benches, small
-    /// enough that per-frame work still dominates for batches of a few hundred
-    /// frames.
+    /// count saves 32 units per call eliminated — large enough that one batch
+    /// per detector group visibly beats several smaller ones in the benches,
+    /// small enough that per-frame work still dominates for batches of a few
+    /// hundred frames.
     pub fn gpu_default() -> Self {
         BatchCostModel::new(32, 1)
     }
@@ -81,7 +81,7 @@ impl Default for BatchCostModel {
 /// [`BatchCostModel`] for each, without altering any detection result.
 ///
 /// Counters are atomics, so one `BatchingDetector` can be shared across
-/// concurrent shard workers (the [`Detector`] thread-safety contract) and the
+/// concurrent worker lanes (the [`Detector`] thread-safety contract) and the
 /// totals stay exact regardless of which thread issued which call.  Relaxed
 /// ordering suffices: the counters are independent monotone tallies read only
 /// after the run joins its workers.

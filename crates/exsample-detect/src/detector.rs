@@ -96,7 +96,7 @@ impl std::error::Error for DetectError {}
 /// # Thread safety
 ///
 /// `Detector` is `Send + Sync`: execution engines share one detector instance
-/// across concurrently running shard workers (scoped threads), so detection
+/// across the concurrently running lanes of a worker pool, so detection
 /// must be callable through `&self` from several threads at once.  Both
 /// simulated implementations satisfy this for free — they are pure functions
 /// of the frame id over immutable ground truth.  An implementation that keeps

@@ -2,8 +2,8 @@
 //!
 //! Testing a fault-tolerant execution engine needs faults that are
 //! *reproducible*: the same seed must schedule the same failures on the same
-//! frames in every run, regardless of shard count, thread count or dispatch
-//! runtime.  [`FaultInjectingDetector`] wraps any [`Detector`] and injects
+//! frames in every run, regardless of thread count or how a stage's frames
+//! are cut into batches.  [`FaultInjectingDetector`] wraps any [`Detector`] and injects
 //! typed [`DetectError`]s according to a seeded [`FaultPlan`] — never
 //! `Math.random`-style nondeterminism.
 //!
@@ -13,12 +13,12 @@
 //! `attempt` counts how many fallible calls have included that frame so far.
 //! Every [`Detector::try_detect_batch`] call charges **one attempt to every
 //! frame in the batch**, whether or not the call succeeds and wherever the
-//! frame sits in the batch.  Because a frame belongs to exactly one shard and
-//! within a shard its lane is processed in a fixed order, a frame's attempt
-//! counter advances identically across shard counts, thread counts and
-//! dispatch runtimes — so a fixed seed + plan yields bitwise-identical fault
-//! behaviour in every engine configuration (pinned by the engine's
-//! fault-determinism matrix).
+//! frame sits in the batch.  Because an engine stage detects each of its
+//! frames in exactly one batch, and recovers a failed batch frame by frame in
+//! a fixed order, a frame's attempt counter advances identically however the
+//! stage's batches are cut over threads — so a fixed seed + plan yields
+//! bitwise-identical fault behaviour in every engine configuration (pinned by
+//! the engine's fault-determinism matrix).
 //!
 //! Three fault kinds are scheduled:
 //!

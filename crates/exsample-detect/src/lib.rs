@@ -22,7 +22,7 @@
 //!   frame where it is visible.
 //! * [`ground_truth`] — a queryable collection of instances with a temporal index.
 //! * [`detector`] — the [`detector::Detector`] trait (thread-safe: `Send + Sync`,
-//!   so engines can share one instance across concurrent shard workers) plus
+//!   so engines can share one instance across concurrent worker lanes) plus
 //!   [`detector::PerfectDetector`] and [`detector::SimulatedDetector`]
 //!   (configurable miss rate, false positives, localisation noise;
 //!   deterministic per frame).  Detection can fail: the fallible

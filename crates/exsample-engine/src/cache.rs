@@ -20,28 +20,26 @@
 //!   key space is hashed across `N` lock stripes (per-stripe `Mutex`es), so
 //!   callers on different threads can probe concurrently and only contend
 //!   when their frames land on the same stripe.  (The engine itself probes
-//!   from the coordinator — a stage's gather needs every shard's misses
-//!   before any lane can start — so there the stripe locks are uncontended.)
-//!   Recency and eviction are *not* decided under the stripe locks: workers
-//!   record commit intents (their per-lane hit and miss lists) as they
-//!   probe, and a
-//!   serial arbitration pass — [`StripedDetectionCache::begin`] returning a
-//!   [`CacheTxn`] — applies all recency touches, then all
-//!   admissions/evictions, each kind sorted into canonical `(slot, frame)`
-//!   order across workers.  Because membership never changes
+//!   from the coordinator — a stage's gather needs every lane's misses
+//!   before any DETECT can start — so there the stripe locks are
+//!   uncontended.)  Recency and eviction are *not* decided under the stripe
+//!   locks: the engine records commit intents (its per-lane hit and miss
+//!   lists) as it probes, and a serial commit pass —
+//!   [`StripedDetectionCache::begin`] returning a [`CacheTxn`] — applies all
+//!   recency touches, then all admissions/evictions, each kind sorted into
+//!   canonical `(slot, frame)` order.  Because membership never changes
 //!   between a stage's probes and its arbitration, probe outcomes are a pure
 //!   function of the membership set, hit/miss tallies are commutative sums,
 //!   and the order log the arbitration replays is identical no matter how
 //!   many threads (or stripes) carried the probes.  Cache accounting —
 //!   hit/miss/eviction/admission-reject tallies and which entries survive —
-//!   is therefore bitwise-identical across every thread count × shard count
-//!   × partitioner × overlap setting, and
+//!   is therefore bitwise-identical across every thread count × overlap
+//!   setting, and
 //!   bitwise-identical to the legacy serial LRU's eviction sequence.
 //!
 //! Off by default: caching changes the engine's detector cost accounting
-//! (hits bypass `detect_batch`), so the bitwise cost-identity the
-//! determinism suite pins between sharded and unsharded runs is stated for
-//! cache-off engines.  Query *outcomes* are unaffected either way, because
+//! (hits bypass `detect_batch`), so a cached run's detector cost is only
+//! comparable to another cached run's.  Query *outcomes* are unaffected either way, because
 //! detectors are pure functions of the frame id.  A stage whose every frame
 //! is already resident also skips worker-thread dispatch entirely (its
 //! probe, which runs before anything is handed out, leaves no detector
@@ -54,7 +52,7 @@
 //! key's current tick (stale entries — keys touched again later, or already
 //! evicted — are discarded).  This keeps both hit and insert O(1) amortised
 //! without an intrusive list.  In the striped cache the per-key recency
-//! ticks live *beside* the order log in [`LruState`], not in the stripes:
+//! ticks live *beside* the order log in `LruState`, not in the stripes:
 //! ticks are only ever read or written under the serial transaction, so a
 //! recency touch never takes a stripe lock at all and a warm hit costs one
 //! stripe lookup (the probe) plus one transaction-local map write — cheap
@@ -113,10 +111,10 @@ pub struct CacheStats {
 /// run): the flow counters of [`CacheStats`] without the resident-size
 /// snapshot.
 ///
-/// Workers tally their own probe and commit outcomes into these, which is
-/// what lets per-shard telemetry roll up: summing every shard's activity
-/// reproduces the engine-level totals exactly (pinned by the merge layer's
-/// cross-check).
+/// The engine tallies probe and commit outcomes into these where they
+/// happen — per stage, per run, and per shard of its report view — so
+/// summing every shard's activity reproduces the run's totals exactly
+/// (pinned by the determinism suite's shard-view test).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheActivity {
     /// Lookups answered from the cache.
@@ -464,7 +462,7 @@ impl CountMinSketch {
 
 /// One lock stripe: a slice of the key space plus the probe tallies for keys
 /// that hash here.  Stripes hold only membership and payloads — recency
-/// lives in [`LruState`], so probes and touches never contend on the same
+/// lives in `LruState`, so probes and touches never contend on the same
 /// lock.
 #[derive(Default)]
 struct Stripe {
@@ -494,7 +492,7 @@ struct LruState {
 ///
 /// Membership and probe tallies live in per-stripe `Mutex`es (probes from
 /// different threads contend only when their keys share a stripe); recency
-/// and eviction live in a single [`LruState`] that is only ever mutated
+/// and eviction live in a single `LruState` that is only ever mutated
 /// through a [`CacheTxn`] during the engine's serial commit arbitration.
 /// See the module docs for the determinism argument.
 pub struct StripedDetectionCache {
@@ -664,9 +662,8 @@ pub struct CommitOutcome {
 /// Exactly one transaction exists per commit boundary; while it lives, the
 /// order log, tick counter, and admission sketch are mutated in the
 /// canonical deterministic replay order (all hit touches, then all miss
-/// inserts, each kind sorted by `(slot, frame)` across workers — an order
-/// that depends only on the frames involved, never on the shard layout or
-/// thread placement).
+/// inserts, each kind sorted by `(slot, frame)` — an order that depends
+/// only on the frames involved, never on thread placement).
 pub struct CacheTxn<'c> {
     cache: &'c StripedDetectionCache,
     lru: MutexGuard<'c, LruState>,

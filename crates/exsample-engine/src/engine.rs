@@ -1,8 +1,7 @@
 //! The batched multi-query execution engine.
 //!
 //! [`QueryEngine`] runs one or many concurrent distinct-object queries over a
-//! shared (possibly sharded) video repository in *stages*.  Each stage is a
-//! four-phase pipeline:
+//! shared video repository in *stages*.  Each stage is a four-phase pipeline:
 //!
 //! ```text
 //!          ┌──────────────────────────────────────────────────────────┐
@@ -10,13 +9,12 @@
 //!          │             pick quota (default: its configured batch)   │
 //!          │ 2. PICK     every live query draws ≤ quota frame ids     │
 //!          │             from its SamplingPolicy (own RNG stream)     │
-//!          │ 3. DETECT   picks are grouped per shared detector and    │
-//!          │             routed to the shard owning each frame; the   │
-//!          │             shards' cache misses are gathered into one   │
-//!          │             cross-shard batch per detector, cut evenly   │
-//!          │             over the lanes: one on the calling thread,   │
-//!          │             or, under ExecutionMode::Parallel, several   │
-//!          │             on the run's persistent worker pool          │
+//!          │ 3. DETECT   picks are grouped per shared detector; each  │
+//!          │             group's cache misses are one batch, the      │
+//!          │             stage's batches cut evenly over the lanes:   │
+//!          │             one on the calling thread, or, under         │
+//!          │             ExecutionMode::Parallel, several on the      │
+//!          │             run's persistent worker pool                 │
 //!          │ 4. FAN-OUT  per query, in pick order: discriminator      │
 //!          │             observes the frame's detections, the policy  │
 //!          │             records the verdict, budgets and             │
@@ -31,43 +29,43 @@
 //! discriminator.  See the crate docs for the exact coalescing semantics.
 //!
 //! In code the pipeline is one loop of four functions, each phase written
-//! once: `plan` (stop checks, SCHEDULE, PICK, grouping and routing into a
-//! `Stage` buffer), `launch` (load the shard workers, probe the cache, gather
-//! the misses into one slice per lane and hand the pool helpers theirs, if
-//! the run has any), `land` (run the coordinator's slice, rejoin the helpers,
-//! scatter the outcomes to the owning shards) and `settle` (fail-fast scan,
-//! cache commit, tallies, FAN-OUT, quarantine, stats, sink).
-//! [`QueryEngine::overlap`] only moves `plan(n + 1)` from after `settle(n)`
-//! to between `launch(n)` and `land(n)`.
+//! once: `plan` (stop checks, SCHEDULE, PICK and grouping into a `Stage`
+//! buffer holding one frame list per detector group), `launch` (load the
+//! lanes, probe the cache, gather the misses into one slice per lane and
+//! hand the pool helpers theirs, if the run has any), `land` (run the
+//! coordinator's slice, rejoin the helpers, scatter the outcomes to the
+//! lanes) and `settle` (fail-fast scan, cache commit, tallies, FAN-OUT,
+//! quarantine, stats, sink).  [`QueryEngine::overlap`] only moves
+//! `plan(n + 1)` from after `settle(n)` to between `launch(n)` and `land(n)`.
+//!
+//! Shards are a reporting view, not an execution mode: the router of
+//! [`QueryEngine::sharded`] is read only where a tally is recorded, to add it
+//! to the shard owning the frame, and [`QueryEngine::report_sharded`]
+//! publishes those per-shard tallies.  Every stage executes the same code for
+//! any router.
 //!
 //! Determinism: each query owns an RNG stream seeded from its
 //! [`QuerySpec::seed`], detectors are pure functions of the frame id, and
 //! phase 4 always visits queries in registration order — so per-query outcomes
 //! are a function of the query's own spec, never of how stages interleave,
-//! which queries share the engine, whether coalescing is enabled, how many
-//! shards the DETECT phase is split across, or how many threads execute the
-//! shard workers.  A merged sharded run ([`QueryEngine::report_sharded`]) is
-//! bitwise-identical to the unsharded run for any shard count and partitioner
-//! — the determinism suite pins this for shard counts {1, 2, 3, 7}, and for
-//! parallel execution over threads {1, 2, 4} × shards {1, 3, 7}.  Parallelism
-//! only reorders *work*: what a lane runs is a slice of frame ids and
-//! detector references whose outcome is a pure function of the two, the
-//! cache is probed before the gather and committed after the scatter — both
-//! on the calling thread, in canonical order — and FAN-OUT always consumes
-//! results in registration/pick order — so no observable result, cache
-//! accounting included, ever depends on thread scheduling.  Only the
-//! *physical* invocation shape follows the lane count: a detector group is
-//! cut where a lane boundary falls inside it.
+//! which queries share the engine, whether coalescing is enabled, or how many
+//! threads execute DETECT.  Parallelism only reorders *work*: what a lane
+//! runs is a slice of frame ids and detector references whose outcome is a
+//! pure function of the two, the cache is probed before the gather and
+//! committed after the scatter — both on the calling thread, in canonical
+//! order — and FAN-OUT always consumes results in registration/pick order —
+//! so no observable result, cache accounting included, ever depends on
+//! thread scheduling (the determinism suite pins threads {1, 2, 4}).  Only
+//! the *physical* invocation shape follows the lane count: a detector group
+//! is cut where a lane boundary falls inside it.
 
 use crate::cache::{CacheActivity, CacheConfig, CacheStats, StripedDetectionCache};
 use crate::error::EngineError;
-use crate::merge::{
-    self, BatchStats, DetectorInvocations, ShardQueryTally, ShardReport, ShardedReport,
-};
+use crate::merge::{BatchStats, ShardedReport};
 use crate::policy::SamplingPolicy;
 use crate::runtime::{PoolCounters, StageDispatch, WorkerPool};
 use crate::scheduler::{QueryLoad, RoundRobin, StageScheduler};
-use crate::shard::{self, DetectPolicy, ShardRouter, ShardWorker, Slice};
+use crate::shard::{self, DetectPolicy, Lanes, ShardRouter, ShardView, Slice};
 use exsample_core::SelectionTelemetry;
 use exsample_detect::{Detector, FrameDetections, InstanceId};
 use exsample_track::{Discriminator, OracleDiscriminator};
@@ -84,15 +82,13 @@ use std::sync::Arc;
 /// engine's historical behaviour.  Parallel execution cuts the stage's
 /// gathered detector demand into equal slices, one per lane, and runs them on
 /// the [`crate::runtime`] module's persistent per-run pool (helper threads
-/// spawned once per run, woken per stage) — whatever the shard count, an
-/// unsharded engine included.  A slice's outcome is a pure function of its
+/// spawned once per run, woken per stage).  A slice's outcome is a pure function of its
 /// frames and detectors, and probing, scattering and committing stay on the
-/// calling thread in canonical order, so **every logical result — merged
-/// reports, pick sequences, cache state, fault tallies — is
-/// bitwise-identical between the two modes** for any thread count; only the
-/// physical invocation count grows, by at most `lanes − 1` per stage.  The
-/// determinism suite pins this for threads {1, 2, 4} × shards {1, 3, 7} ×
-/// both partitioners.
+/// calling thread in canonical order, so **every logical result — reports,
+/// pick sequences, cache state, fault tallies — is bitwise-identical between
+/// the two modes** for any thread count; only the physical invocation count
+/// grows, by at most `lanes − 1` per stage.  The determinism suite pins this
+/// for threads {1, 2, 4}.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Run every stage's DETECT on the calling thread (default).
@@ -324,8 +320,8 @@ pub struct StageStats {
     /// cross-stage cache is enabled, after cache hits).
     pub detector_frames: u64,
     /// Logical batched detector invocations: one per detector group that
-    /// needed any detection this stage, regardless of how many shards the
-    /// group's frames were split across.
+    /// needed any detection this stage, regardless of how many lanes the
+    /// group's frames were cut across.
     pub detector_calls: u64,
     /// Per-frame retry attempts issued this stage (0 on fault-free stages).
     pub retries: u64,
@@ -349,7 +345,7 @@ pub struct StageStats {
     /// off): probe hits/misses plus the evictions and admission rejects this
     /// stage's commits triggered.  Execution-invariant like every logical
     /// field — the determinism matrix pins it across the full thread ×
-    /// shard × overlap grid.
+    /// overlap grid.
     pub cache: CacheActivity,
 }
 
@@ -399,7 +395,7 @@ pub struct EngineReport {
     /// Total frames run through detectors (coalesced detector work).
     pub detector_frames: u64,
     /// Total logical batched detector invocations (see
-    /// [`StageStats::detector_calls`]; the physical per-shard count lives in
+    /// [`StageStats::detector_calls`]; the physical count lives in
     /// [`ShardedReport::physical_detector_calls`]).
     pub detector_calls: u64,
     /// Total per-frame retry attempts issued by the run (0 when fault-free).
@@ -413,9 +409,6 @@ pub struct EngineReport {
     /// (first-seen) order.  Empty unless [`FailureMode::Quarantine`] tripped.
     pub quarantined_detectors: Vec<String>,
     /// Total cross-stage cache activity (all zeros when the cache is off).
-    /// Folded from the per-shard worker tallies, so it always equals the sum
-    /// of the [`ShardReport`] cache fields — the merge layer cross-checks
-    /// this.
     pub cache: CacheActivity,
 }
 
@@ -515,8 +508,8 @@ pub struct StageObservation {
 /// stage's batch to the sink **serially**, after the stage's results are
 /// folded — the same serial seam the cache's commit transaction uses, so the
 /// batch's observation order is a pure function of (query registration
-/// order, pick order) and therefore bitwise-identical across shard counts,
-/// thread counts and overlap.
+/// order, pick order) and therefore bitwise-identical across routers, thread
+/// counts and overlap.
 ///
 /// An `Err` aborts the run with [`EngineError::CheckpointFailed`]: a
 /// checkpoint that cannot be made durable must stop the run rather than let
@@ -533,14 +526,14 @@ pub trait StageSink {
 }
 
 /// One planned stage: everything [`QueryEngine::plan`] decides (SCHEDULE +
-/// PICK + group + ROUTE) and the later phases consume.
+/// PICK + group) and the later phases consume.
 ///
-/// The plan lives here rather than in the shard workers because under
+/// The plan lives here rather than in the lanes because under
 /// [`QueryEngine::overlap`] stage `n + 1` is planned while stage `n`'s
 /// slices are still mid-DETECT on pool helpers, and stage `n`'s fan-out
-/// still needs *its* picks and routing afterwards.  The stage loop ping-pongs
-/// two of these; [`QueryEngine::launch`] swaps the routed lanes into the
-/// workers, so both sides' allocations recycle across stages.
+/// still needs *its* picks afterwards.  The stage loop ping-pongs two of
+/// these; [`QueryEngine::launch`] swaps the group frame lists into the
+/// lanes, so both sides' allocations recycle across stages.
 #[derive(Default)]
 struct Stage<'a> {
     /// The stage's logical detector groups, in group order: one per distinct
@@ -551,12 +544,8 @@ struct Stage<'a> {
     slots: Vec<u32>,
     /// Query → group map (`usize::MAX` = not picking this stage).
     membership: Vec<usize>,
-    /// Routed frames per `[shard][group]`, in (query, pick) arrival order.
-    routed: Vec<Vec<Vec<FrameId>>>,
-    /// The shard of every pick, flattened in (query, pick) visitation order,
-    /// so fan-out replays the routing pass's lookups instead of re-resolving
-    /// each frame's shard.
-    pick_shards: Vec<u32>,
+    /// Picked frames per group, in (query, pick) arrival order.
+    frames: Vec<Vec<FrameId>>,
     /// Per-query picks (indexed by query registration order).
     picks: Vec<Vec<FrameId>>,
     /// Queries that contributed picks.
@@ -575,17 +564,15 @@ pub struct QueryEngine<'a> {
     coalesce: bool,
     /// Per-stage batch allocation policy (default: [`RoundRobin`]).
     scheduler: Box<dyn StageScheduler + 'a>,
-    /// Frame → shard routing; [`ShardRouter::single`] (one shard) by default.
-    router: ShardRouter,
-    /// One worker per shard, holding the stage's frames, results and tallies
-    /// of the shard.
-    workers: Vec<ShardWorker>,
-    /// This stage's DETECT work: the gathered misses of every shard, cut into
-    /// one slice per lane (recycled across stages).
+    /// The per-shard report view: which shard each tally is added to
+    /// ([`ShardRouter::single`], one shard, by default).
+    view: ShardView,
+    /// The stage's DETECT state: one lane per logical detector group, holding
+    /// its frames and results, and the stage's tallies.
+    lanes: Lanes,
+    /// This stage's DETECT work: the lanes' gathered misses, cut into one
+    /// slice per lane (recycled across stages).
     slices: Vec<Slice<'a>>,
-    /// The owning worker of every gathered frame, in gather order — what the
-    /// scatter needs to route outcomes home.
-    slice_owners: Vec<u32>,
     /// How many lanes DETECT is cut over (serial — one — by default).
     execution: ExecutionMode,
     /// Plan each stage while the previous stage's DETECT is in flight (off
@@ -617,6 +604,7 @@ pub struct QueryEngine<'a> {
     detect_retries: u64,
     failed_frames: u64,
     backoff_total: u64,
+    cache_total: CacheActivity,
     /// Registry of distinct detectors seen, in first-seen order.  Membership
     /// is by *fat* pointer (`std::ptr::eq` on `&dyn Detector` compares data
     /// address and vtable), so two distinct zero-sized detector types at the
@@ -627,13 +615,9 @@ pub struct QueryEngine<'a> {
     demanded_frames: u64,
     detector_frames: u64,
     detector_calls: u64,
-    /// Reused per-stage scratch: the per-group detected-frame tally, the
-    /// scheduler inputs/outputs, and the fast path's detect_batch output
-    /// buffer.
-    lane_detected: Vec<u64>,
+    /// Reused per-stage scratch: the scheduler inputs/outputs.
     loads: Vec<QueryLoad>,
     allocation: Vec<usize>,
-    detections_buf: Vec<FrameDetections>,
     /// Optional checkpoint hook flushed serially at each stage commit (off
     /// by default; see [`QueryEngine::stage_sink`]).
     sink: Option<Box<dyn StageSink + 'a>>,
@@ -656,10 +640,9 @@ impl<'a> QueryEngine<'a> {
             queries: Vec::new(),
             coalesce: true,
             scheduler: Box::new(RoundRobin),
-            router: ShardRouter::single(),
-            workers: vec![ShardWorker::new(0)],
+            view: ShardView::new(ShardRouter::single()),
+            lanes: Lanes::default(),
             slices: Vec::new(),
-            slice_owners: Vec::new(),
             execution: ExecutionMode::Serial,
             overlap: false,
             pool: None,
@@ -673,15 +656,14 @@ impl<'a> QueryEngine<'a> {
             detect_retries: 0,
             failed_frames: 0,
             backoff_total: 0,
+            cache_total: CacheActivity::default(),
             detector_slots: Vec::new(),
             stages: 0,
             demanded_frames: 0,
             detector_frames: 0,
             detector_calls: 0,
-            lane_detected: Vec::new(),
             loads: Vec::new(),
             allocation: Vec::new(),
-            detections_buf: Vec::new(),
             sink: None,
             stage_observations: Vec::new(),
         }
@@ -715,25 +697,20 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// Shard the DETECT phase across `router.shard_count()` workers, routing
-    /// every picked frame to the shard owning its chunk.  Query outcomes and
-    /// the merged report are bitwise-identical for any router (see the module
-    /// docs); only the per-shard breakdown and the physical invocation count
-    /// ([`QueryEngine::report_sharded`]) change.
+    /// Group [`QueryEngine::report_sharded`]'s per-shard tallies by
+    /// `router`: every tally is attributed to the shard owning the frame it
+    /// was paid for, and each physical call to the shard owning its batch's
+    /// first frame.  A view, never an execution mode: what runs, and the
+    /// global report, are the same for any router.
     pub fn sharded(mut self, router: ShardRouter) -> Self {
-        self.workers = (0..router.shard_count() as u32)
-            .map(ShardWorker::new)
-            .collect();
-        self.router = router;
+        self.view = ShardView::new(router);
         self
     }
 
     /// Choose how many lanes DETECT is cut over (default:
     /// [`ExecutionMode::Serial`], which is pick-for-pick the historical
     /// behaviour).  Parallel execution never changes any logical result —
-    /// see [`ExecutionMode`] — only how many threads pay the detector bill,
-    /// and it composes with any [`QueryEngine::sharded`] router, the
-    /// unsharded default included: lanes are independent of shards.
+    /// see [`ExecutionMode`] — only how many threads pay the detector bill.
     ///
     /// # Errors
     /// Returns [`EngineError::InvalidExecution`] for
@@ -762,7 +739,7 @@ impl<'a> QueryEngine<'a> {
     /// helpers detect.  Runs without helpers (serial mode) and stages whose
     /// demand fits one slice have nothing in flight to overlap with but
     /// plan at the same point, which is what keeps overlapped runs
-    /// bitwise-identical across shard counts, thread counts and partitioners.
+    /// bitwise-identical across thread counts.
     /// On a saturated or single-vCPU host the pool's reclaim pass takes the
     /// dispatched work back after the overlapped plan — the handoff stays
     /// two mutex operations and never regresses below serial execution.
@@ -884,9 +861,9 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Number of shards picked frames are routed (and tallied) across.
+    /// Number of shards [`QueryEngine::report_sharded`] groups tallies into.
     pub fn shard_count(&self) -> usize {
-        self.workers.len()
+        self.view.router().shard_count()
     }
 
     /// Register a query; returns its index (reports come back in this order).
@@ -942,9 +919,8 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// SCHEDULE + PICK + group + ROUTE stage `number` into `stage`, without
-    /// touching the shard workers or the slices (which may be mid-DETECT on
-    /// pool helpers).
+    /// SCHEDULE + PICK + group stage `number` into `stage`, without touching
+    /// the lanes or the slices (which may be mid-DETECT on pool helpers).
     ///
     /// Runs against the engine state as of the last settled stage — under
     /// [`QueryEngine::overlap`] that is one stage stale (the in-flight
@@ -955,7 +931,6 @@ impl<'a> QueryEngine<'a> {
         stage.detectors.clear();
         stage.slots.clear();
         stage.membership.clear();
-        stage.pick_shards.clear();
         stage.active = 0;
         stage.demanded = 0;
         let queries = self.queries.len();
@@ -965,7 +940,7 @@ impl<'a> QueryEngine<'a> {
 
         // Stop checks and SCHEDULE.  A quarantined detector stops its
         // queries here, at the stage boundary after the quarantine decision
-        // — deterministically, regardless of sharding or threading.
+        // — deterministically, regardless of threading.
         self.loads.clear();
         for q in &mut self.queries {
             let quarantined = !self.quarantined.is_empty()
@@ -1046,61 +1021,48 @@ impl<'a> QueryEngine<'a> {
             stage.membership.push(group);
         }
 
-        // The routed lanes, cleared.
-        let shards = self.router.shard_count();
+        // The group frame lists, cleared.
         let groups = stage.detectors.len();
-        if stage.routed.len() < shards {
-            stage.routed.resize_with(shards, Vec::new);
+        if stage.frames.len() < groups {
+            stage.frames.resize_with(groups, Vec::new);
         }
-        for per_shard in &mut stage.routed {
-            if per_shard.len() < groups {
-                per_shard.resize_with(groups, Vec::new);
-            }
-            for lane in per_shard.iter_mut() {
-                lane.clear();
-            }
+        for frames in &mut stage.frames {
+            frames.clear();
         }
 
-        // Fast path for single-shard stages with a single picking query (the
-        // whole run, for a single-query engine — e.g. the per-frame sim
-        // runner at batch 1): no routing, no coalescing, no result map —
-        // DETECT is one batched call over the pick buffer and fan-out
-        // consumes the detections straight out of it in pick order.  It is
-        // the one measured fork of the stage loop (forcing it off costs the
-        // benchmark's `fig5_sweep` 2–7 % wall-clock, see CHANGES.md PR 13),
-        // selected from what the run and the stage look like, never by a
-        // setting.  It skips routing, so it is only taken when the router has
-        // no bounds to enforce — a chunking-built router must see every frame
-        // to uphold its documented out-of-range panic — and it skips the
-        // probe and the gather, so it cannot honour a cache or cut the batch
-        // over the lanes of a run that has helpers.
+        // Fast path for stages with a single picking query (the whole run,
+        // for a single-query engine — e.g. the per-frame sim runner at batch
+        // 1): no coalescing, no result map — DETECT is one batched call over
+        // the pick buffer and fan-out consumes the detections straight out
+        // of it in pick order.  It is the one measured fork of the stage loop
+        // (forcing it off costs the benchmark's `fig5_sweep` 2–7 %
+        // wall-clock, see CHANGES.md PR 13), selected from what the run and
+        // the stage look like, never by a setting.  It is only taken under
+        // the bounds-free unsharded router, and it skips the probe and the
+        // gather, so it cannot honour a cache or cut the batch over the lanes
+        // of a run that has helpers.
+        let router = self.view.router();
         stage.direct = stage.active == 1
-            && shards == 1
+            && router.shard_count() == 1
             && self.cache.is_none()
             && self.pool.is_none()
-            && !self.router.checks_bounds();
+            && !router.checks_bounds();
         if stage.direct {
             return true;
         }
 
-        // ROUTE picks to the shard owning each frame, remembering each pick's
-        // shard so fan-out replays the lookups instead of repeating them.
+        // Lay every group's picks out in (query, pick) arrival order.
         for (picks, &group) in stage.picks.iter().zip(&stage.membership) {
-            if group == usize::MAX {
-                continue;
-            }
-            for &frame in picks {
-                let shard = self.router.shard_of(frame);
-                stage.pick_shards.push(shard as u32);
-                stage.routed[shard][group].push(frame);
+            if group != usize::MAX {
+                stage.frames[group].extend_from_slice(picks);
             }
         }
         true
     }
 
-    /// Load a planned stage into the shard workers, probe the cache, gather
-    /// the misses into one slice per lane and, when the run has pool helpers,
-    /// hand them theirs.  Returns the in-flight handle [`QueryEngine::land`]
+    /// Load a planned stage into the lanes, probe the cache, gather the misses
+    /// into one slice per lane and, when the run has pool helpers, hand them
+    /// theirs.  Returns the in-flight handle [`QueryEngine::land`]
     /// joins.
     ///
     /// The probe runs here, on the coordinator, because the gather needs its
@@ -1110,19 +1072,19 @@ impl<'a> QueryEngine<'a> {
     /// turnstile hand-off or a wake.  No lane is ever handed an empty slice.
     fn launch(&mut self, stage: &mut Stage<'a>) -> Option<StageDispatch> {
         let groups = stage.detectors.len();
-        let queries = self.queries.len();
-        for (worker, routed) in self.workers.iter_mut().zip(&mut stage.routed) {
-            worker.begin_stage(groups, queries);
-            for (group, frames) in routed[..groups].iter_mut().enumerate() {
-                worker.adopt_frames(group, frames);
-            }
+        self.lanes.begin_stage(groups);
+        for (group, frames) in stage.frames[..groups].iter_mut().enumerate() {
+            self.lanes.adopt_frames(group, frames);
         }
         if stage.direct {
             return None;
         }
-        for worker in &mut self.workers {
-            worker.probe(&stage.slots, self.coalesce, self.cache.as_ref());
-        }
+        self.lanes.probe(
+            &stage.slots,
+            self.coalesce,
+            self.cache.as_ref(),
+            &mut self.view,
+        );
         // Uncoalesced, uncached groups may carry the same (detector, frame)
         // twice.  A detector that counts its attempts per frame (fault
         // injection does) must see them in group order whatever the lane
@@ -1131,17 +1093,16 @@ impl<'a> QueryEngine<'a> {
         let repeats_detector = !self.coalesce
             && self.cache.is_none()
             && (1..groups).any(|g| stage.slots[..g].contains(&stage.slots[g]));
-        let lanes = match &self.pool {
+        let spans = match &self.pool {
             Some(pool) if !repeats_detector => pool.lanes(),
             _ => 1,
         };
         shard::gather_slices(
-            &self.workers,
+            &self.lanes,
             &stage.detectors,
-            lanes,
+            spans,
             self.detect_policy(),
             &mut self.slices,
-            &mut self.slice_owners,
         );
         let pool = self.pool.as_mut()?;
         if self.slices.is_empty() {
@@ -1156,7 +1117,7 @@ impl<'a> QueryEngine<'a> {
     /// Complete a launched stage's DETECT: run the slices — through the pool
     /// when the run has one, which runs the coordinator's slice under the
     /// same panic containment as the helpers' and rejoins them — and scatter
-    /// the outcomes to the owning shards.
+    /// the outcomes to the lanes.
     ///
     /// # Errors
     /// Returns [`EngineError::WorkerPanicked`] if a lane's detect pass
@@ -1174,21 +1135,16 @@ impl<'a> QueryEngine<'a> {
                 .iter()
                 .position(|&group| group != usize::MAX)
                 .expect("one query picked this stage");
-            let picks = &stage.picks[index];
-            let landed = self.workers[0].detect_direct(
+            // A failed batch probe recovers the picks frame by frame into
+            // lane 0: fan out through the lane.
+            stage.direct = self.lanes.detect_direct(
+                &mut self.view,
                 stage.detectors[0],
                 stage.slots[0],
-                picks,
+                &stage.picks[index],
+                self.coalesce,
                 policy,
-                &mut self.detections_buf,
             );
-            if !landed {
-                // The batch probe failed and the picks were recovered frame
-                // by frame into worker 0's lane: fan out through the lane,
-                // with the routing a 1-shard router would have recorded.
-                stage.direct = false;
-                stage.pick_shards.resize(picks.len(), 0);
-            }
             return Ok(());
         }
         match flight {
@@ -1202,11 +1158,11 @@ impl<'a> QueryEngine<'a> {
             None => self.slices.iter_mut().for_each(Slice::run),
         }
         shard::scatter_slices(
-            &mut self.workers,
+            &mut self.lanes,
+            &mut self.view,
             &stage.slots,
             self.cache.is_some(),
             &mut self.slices,
-            &self.slice_owners,
         );
         Ok(())
     }
@@ -1226,9 +1182,8 @@ impl<'a> QueryEngine<'a> {
     fn settle(&mut self, stage: &Stage<'a>) -> Result<StageStats, EngineError> {
         // Fail-fast scan: under `FailureMode::FailFast` the scatter stopped at
         // the stage's first exhausted frame (in canonical order) and parked
-        // it on the owning worker; it aborts the stage *before* the cache
-        // commit.
-        if let Some(failure) = self.workers.iter_mut().find_map(|w| w.fatal.take()) {
+        // it on the lanes; it aborts the stage *before* the cache commit.
+        if let Some(failure) = self.lanes.fatal.take() {
             let class = self.detector_slots[failure.slot as usize]
                 .class()
                 .to_string();
@@ -1240,48 +1195,25 @@ impl<'a> QueryEngine<'a> {
             });
         }
 
-        // Arbitration — serial cache commit under one transaction, canonical
-        // (slot, frame) order: first every touch (the hits), then every
-        // insert (the fresh results), each kind sorted across workers.  The
-        // order is a pure function of the frames probed and detected this
-        // stage, so the LRU's eviction sequence is identical no matter how
-        // many lanes detected or how the frames were partitioned across
-        // shards.
+        // Serial cache commit under one transaction, canonical (slot, frame)
+        // order: first every touch (the hits), then every insert (the fresh
+        // results).  The order is a pure function of the frames probed and
+        // detected this stage, so the LRU's eviction sequence is identical no
+        // matter how many lanes detected.
         if let Some(cache) = self.cache.as_ref() {
-            crate::shard::arbitrate_cache(&mut self.workers, &stage.slots, cache);
+            self.lanes.commit(&stage.slots, cache, &mut self.view);
         }
 
-        // Fold the per-worker tallies.  Logical calls are counted once per
-        // group that needed any detection, regardless of how many lanes its
-        // frames were cut across; the workers keep the physical tallies (the
-        // batch-size statistics among them), each call attributed to the
-        // shard owning its first frame.
-        let groups = stage.detectors.len();
-        let mut detector_frames = 0u64;
-        let mut stage_retries = 0u64;
-        let mut stage_backoff = 0u64;
-        let mut stage_batches = BatchStats::default();
-        let mut stage_cache = CacheActivity::default();
-        self.lane_detected.clear();
-        self.lane_detected.resize(groups, 0);
-        for worker in &self.workers {
-            detector_frames += worker.stage_detected_frames();
-            stage_retries += worker.stage_retries;
-            stage_backoff += worker.stage_backoff;
-            stage_batches.merge(&worker.stage_batches);
-            stage_cache.absorb(worker.stage_cache);
-            for (total, &detected) in self.lane_detected.iter_mut().zip(&worker.lane_detected) {
-                *total += detected;
-            }
-        }
-        let detector_calls = self.lane_detected.iter().filter(|&&n| n > 0).count() as u64;
+        // Logical calls are counted once per group that needed any
+        // detection, regardless of how many lanes its frames were cut
+        // across; the physical ones are in the stage's batch statistics.
+        let detector_frames = self.lanes.detected_frames();
+        let detector_calls = self.lanes.detected.iter().filter(|&&n| n > 0).count() as u64;
 
-        // Logical per-detector failure counts: summed per group across the
-        // shards (shard-count invariant), then charged to the group's
+        // Logical per-detector failure counts, charged to each group's
         // registry slot so quarantine decisions see the run-cumulative view.
         let mut stage_failed = 0u64;
-        for g in 0..groups {
-            let failures: u64 = self.workers.iter().map(|w| w.lane_failed[g]).sum();
+        for (g, &failures) in self.lanes.failed.iter().enumerate() {
             if failures > 0 {
                 stage_failed += failures;
                 let slot = stage.slots[g] as usize;
@@ -1299,32 +1231,25 @@ impl<'a> QueryEngine<'a> {
         // back after the flush so its allocation is reused across stages.
         let mut observations = std::mem::take(&mut self.stage_observations);
         let collect = self.sink.is_some();
-        let mut routed = 0usize;
         for (i, &group) in stage.membership.iter().enumerate() {
             if group == usize::MAX {
                 continue;
             }
             let q = &mut self.queries[i];
             if stage.direct {
-                let worker = &mut self.workers[0];
-                for (&frame, detections) in stage.picks[i].iter().zip(self.detections_buf.drain(..))
-                {
+                for (&frame, detections) in stage.picks[i].iter().zip(self.lanes.direct.drain(..)) {
                     let new_hits =
                         Self::observe_frame(q, i, frame, &detections, collect, &mut observations);
-                    worker.record_observation(i, new_hits);
+                    self.view.observed(i, frame, new_hits);
                 }
                 continue;
             }
             for &frame in &stage.picks[i] {
-                // The same (query, pick) order the routing pass walked, so
-                // the recorded shards line up one to one.
-                let worker = &mut self.workers[stage.pick_shards[routed] as usize];
-                routed += 1;
                 // A pick with no result was dropped by the failure policy
                 // (every terminal failure under `FailFast` aborted the stage
                 // above): the query simply never observes the frame, and the
                 // degradation is tallied instead.
-                match worker.result(group, frame) {
+                match self.lanes.result(group, frame) {
                     Some(detections) => {
                         let new_hits = Self::observe_frame(
                             q,
@@ -1334,11 +1259,11 @@ impl<'a> QueryEngine<'a> {
                             collect,
                             &mut observations,
                         );
-                        worker.record_observation(i, new_hits);
+                        self.view.observed(i, frame, new_hits);
                     }
                     None => {
                         q.dropped_frames += 1;
-                        worker.record_dropped(i);
+                        self.view.dropped(i, frame);
                     }
                 }
             }
@@ -1351,11 +1276,11 @@ impl<'a> QueryEngine<'a> {
             demanded_frames: stage.demanded,
             detector_frames,
             detector_calls,
-            retries: stage_retries,
+            retries: self.lanes.retries,
             failed_frames: stage_failed,
-            backoff_cost: stage_backoff,
-            batches: stage_batches,
-            cache: stage_cache,
+            backoff_cost: self.lanes.backoff,
+            batches: self.lanes.batches,
+            cache: self.lanes.cache,
         };
         // Stage commit: flush the sink at the same serial seam as the cache
         // transaction, before the stage counter advances.  A sink error
@@ -1367,9 +1292,10 @@ impl<'a> QueryEngine<'a> {
         self.demanded_frames += stage.demanded;
         self.detector_frames += detector_frames;
         self.detector_calls += detector_calls;
-        self.detect_retries += stage_retries;
+        self.detect_retries += stats.retries;
         self.failed_frames += stage_failed;
-        self.backoff_total += stage_backoff;
+        self.backoff_total += stats.backoff_cost;
+        self.cache_total.absorb(stats.cache);
         Ok(stats)
     }
 
@@ -1396,7 +1322,7 @@ impl<'a> QueryEngine<'a> {
     /// Quarantine every detector whose cumulative failed-frame count exceeds
     /// the threshold (no-op in the other failure modes).  Decided at the
     /// stage boundary from the logical per-detector failure counts, so the
-    /// decision is identical across shard counts and thread counts.
+    /// decision is identical across thread counts.
     fn apply_quarantine(&mut self) {
         let FailureMode::Quarantine { failure_threshold } = self.failure else {
             return;
@@ -1413,7 +1339,7 @@ impl<'a> QueryEngine<'a> {
 
     /// One frame's fan-out for one query: discriminator verdict, policy
     /// feedback, budget and trajectory bookkeeping.  Returns the number of
-    /// ground-truth instances first found on this frame (the per-shard hit
+    /// ground-truth instances first found on this frame (the view's hit
     /// tally).
     ///
     /// When `collect` is set (a [`StageSink`] is installed) the frame's
@@ -1559,13 +1485,7 @@ impl<'a> QueryEngine<'a> {
             detect_retries: self.detect_retries,
             failed_frames: self.failed_frames,
             backoff_cost: self.backoff_total,
-            cache: self
-                .workers
-                .iter()
-                .fold(CacheActivity::default(), |mut total, worker| {
-                    total.absorb(worker.cache_tally);
-                    total
-                }),
+            cache: self.cache_total,
             quarantined_detectors: self
                 .quarantined
                 .iter()
@@ -1576,52 +1496,16 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Build the merged report with its per-shard breakdown: the global
-    /// [`EngineReport`] (recomputed from and cross-checked against the
-    /// per-shard tallies by [`merge::merge_reports`]) plus one
-    /// [`ShardReport`] per shard.
+    /// Build the report with its per-shard breakdown: the global
+    /// [`EngineReport`] plus one [`crate::ShardReport`] per shard of the
+    /// [`QueryEngine::sharded`] router, each holding the tallies attributed
+    /// to it.
     #[must_use = "a sharded report carries the run's outcomes and cost accounting"]
     pub fn report_sharded(&self) -> ShardedReport {
-        let queries = self.queries.len();
-        let shards = self
-            .workers
-            .iter()
-            .map(|worker| ShardReport {
-                shard: worker.shard(),
-                detector_frames: worker.detector_frames,
-                detector_calls: worker.detector_calls,
-                retries: worker.retries,
-                backoff_cost: worker.backoff,
-                failed_frames: worker.failed_frames,
-                batches: worker.batches,
-                cache: worker.cache_tally,
-                per_query: (0..queries)
-                    .map(|i| {
-                        let tally = worker.per_query.get(i).copied().unwrap_or_default();
-                        ShardQueryTally {
-                            frames: tally.frames,
-                            hits: tally.hits,
-                            dropped: tally.dropped,
-                        }
-                    })
-                    .collect(),
-                per_detector: worker
-                    .per_detector
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, tally)| tally.frames > 0 || tally.calls > 0 || tally.failures > 0)
-                    .map(|(slot, tally)| DetectorInvocations {
-                        detector: slot as u32,
-                        class: self.detector_slots[slot].class().to_string(),
-                        frames: tally.frames,
-                        calls: tally.calls,
-                        failures: tally.failures,
-                    })
-                    .collect(),
-            })
-            .collect();
-        merge::merge_reports(self.report(), shards)
-            .expect("per-shard tallies are maintained in lockstep with the stage loop")
+        let shards = self.view.publish(self.queries.len(), |slot| {
+            self.detector_slots[slot].class().to_string()
+        });
+        ShardedReport::new(self.report(), shards)
     }
 }
 
@@ -1867,8 +1751,8 @@ mod tests {
             unsharded.report.detector_calls,
             sharded.report.detector_calls
         );
-        // A detector group is one cross-shard batch: splitting its frames
-        // across shards costs no extra physical invocation.
+        // A shard view costs no physical invocation: a serial run issues
+        // exactly the logical calls whatever the router.
         for merged in [&sharded, &unsharded] {
             assert_eq!(merged.physical_detector_calls, merged.report.detector_calls);
         }

@@ -51,63 +51,42 @@
 //! assert pick-for-pick equivalence against a faithful replica of the old
 //! loop.
 //!
-//! ## Sharded execution
-//!
-//! Every stage's picks can be routed across shards
-//! ([`QueryEngine::sharded`] with a [`ShardRouter`] built from an
-//! `exsample-video` `ShardSpec`): each picked frame goes to the shard owning
-//! its chunk, and one [`shard`] worker per shard holds its frames and
-//! results and keeps per-shard cost and hit tallies.  PICK stays global
-//! (policies span the full chunk space and own their per-query RNG streams)
-//! and FAN-OUT stays in registration/pick order, so — detectors being pure
-//! functions of the frame id — the [`merge`] layer's combined report is
-//! **bitwise-identical to an unsharded run** for any shard count, any
-//! partitioner and any shard interleaving.  Shards own accounting, not
-//! batches: a detector group's frames are gathered from every shard into one
-//! cross-shard batch, so sharding does not multiply detector invocations
-//! (each physical call is attributed to the shard owning its first frame,
-//! and [`ShardedReport`] accounts physical and logical counts separately).
-//!
 //! ## One stage loop, one runtime
 //!
-//! Every run — unsharded or sharded, serial or parallel, overlapped or not —
-//! executes the same loop of four phases, each written once in
-//! [`engine`]: **plan** (stop checks, SCHEDULE, PICK, grouping and routing
-//! into a stage buffer), **launch** (load the shard workers, probe the
-//! cache, gather the misses into one slice per lane; hand the pool helpers
-//! theirs if there are any), **land** (run the coordinator's slice, rejoin
-//! the helpers, scatter the outcomes to the owning shards) and **settle**
+//! Every run — serial or parallel, overlapped or not, under any shard router
+//! — executes the same loop of four phases, each written once in [`engine`]:
+//! **plan** (stop checks, SCHEDULE, PICK and grouping into a stage buffer
+//! holding one frame list per detector group), **launch** (load the lanes,
+//! probe the cache, gather the misses into one slice per lane; hand the pool
+//! helpers theirs if there are any), **land** (run the coordinator's slice,
+//! rejoin the helpers, scatter the outcomes to the lanes) and **settle**
 //! (fail-fast scan, cache commit, tallies, FAN-OUT, quarantine, stats,
-//! checkpoint sink).  Unsharded is the 1-shard case and serial the 1-lane
-//! one.  The one fork the code takes on its own is the single-query fast
-//! path: a stage with one picking query on one shard, no cache, no helpers
-//! and a bounds-free router detects straight from the pick buffer
-//! (measured: forcing it off costs the shipped fig5 sweep 2–7 %
-//! wall-clock); a failed batch probe drops it back onto the lanes, so fault
-//! handling exists once.
+//! checkpoint sink).  Serial is the 1-lane case.  The one fork the code takes
+//! on its own is the single-query fast path: a stage with one picking query,
+//! no cache, no helpers and the unsharded router detects straight from the
+//! pick buffer (measured: forcing it off costs the shipped fig5 sweep 2–7 %
+//! wall-clock); a failed batch probe drops it back onto the lanes — in the
+//! order the lanes would have held the picks — so fault handling exists once.
 //!
-//! The unit of DETECT work is the **slice** ([`shard`]): every shard's cache
-//! misses, gathered per detector group in canonical `(group, shard, frame)`
-//! order into one flat list and cut into contiguous spans of equal frame
-//! count, one per lane.  A batch never spans groups and a group is cut only
-//! where a lane boundary falls inside it, so a stage issues at most
-//! `groups + lanes − 1` detector calls — exactly `groups` when serial — for
-//! any shard count, and the lanes are evenly loaded however skewed the
-//! routing.  A slice carries frame ids and detector references only (its
+//! The unit of DETECT work is the **slice** ([`shard`]): the lanes' cache
+//! misses, laid end to end in canonical `(group, frame)` order and cut into
+//! contiguous spans of equal frame count, one per lane.  A batch never spans
+//! groups and a group is cut only where a lane boundary falls inside it, so
+//! a stage issues at most `groups + lanes − 1` detector calls — exactly
+//! `groups` when serial — and the lanes are evenly loaded however skewed the
+//! picks.  A slice carries frame ids and detector references only (its
 //! outcome is a pure function of the two; detectors are `Send + Sync`), so
 //! [`QueryEngine::execution`] with [`ExecutionMode::Parallel`] runs the
 //! slices on the [`runtime`] module's **persistent worker pool**: helper
 //! threads spawned once per engine run, parked on a condvar turnstile between
 //! stages, woken per stage with detection work, joined when the run ends —
-//! never spawned per stage.  Lanes are independent of shards: an unsharded
-//! engine uses every lane it is given.  The cache probe before the gather,
-//! the scatter, the cache commit (a serial fixed-order arbitration) and
-//! FAN-OUT (registration/pick order) all stay on the calling thread in
-//! canonical order — parallelism reorders *work*, never logical results, so
-//! parallel runs are bitwise-identical to serial ones in everything but the
-//! physical invocation shape (pinned for threads {1, 2, 4} ×
-//! shards {1, 3, 7} × both partitioners, with the cache on and off).  Serial
-//! remains the default, and `Parallel(0)` is a typed
+//! never spawned per stage.  The cache probe before the gather, the scatter,
+//! the cache commit (a serial fixed-order transaction) and FAN-OUT
+//! (registration/pick order) all stay on the calling thread in canonical
+//! order — parallelism reorders *work*, never logical results, so parallel
+//! runs are bitwise-identical to serial ones in everything but the physical
+//! invocation shape (pinned for threads {1, 2, 4}, with the cache on and
+//! off).  Serial remains the default, and `Parallel(0)` is a typed
 //! [`error::EngineError::InvalidExecution`].  A detector panic on any pool
 //! lane surfaces as a typed [`error::EngineError::WorkerPanicked`], never a
 //! deadlocked coordinator, a leaked thread or an unwinding stage loop.
@@ -115,6 +94,20 @@
 //! ([`QueryEngine::live_helper_threads`] /
 //! [`QueryEngine::spawned_helper_threads`]); the library keeps no global
 //! mutable state.
+//!
+//! ## Shards are a reporting view
+//!
+//! [`QueryEngine::sharded`] takes a [`ShardRouter`] built from an
+//! `exsample-video` `ShardSpec` and decides one thing: how
+//! [`QueryEngine::report_sharded`] groups the run's tallies.  Each tally —
+//! frames detected, hits, drops, retries, failures, cache activity — is
+//! added, where it is recorded, to the shard owning the frame it was paid
+//! for, and each physical call to the shard owning its batch's first frame;
+//! the [`merge`] module's [`ShardedReport`] publishes them next to the
+//! global [`EngineReport`].  Nothing executes per shard, so the global report
+//! is the same for any router and the per-shard reports partition it
+//! (pinned for shards {1, 3, 7} × both partitioners under faults, a cache
+//! and two lanes by the determinism suite).
 //!
 //! ## Failure model
 //!
@@ -132,16 +125,15 @@
 //! the offending detector for the rest of the run
 //! ([`StopReason::DetectorQuarantined`]).  Failed frames are never committed
 //! to the detection cache, and fault telemetry (retries, backoff cost,
-//! failed/dropped frames, quarantined detectors) flows through the per-shard
-//! reports and the [`merge`] layer with the same bitwise-determinism
-//! guarantee as every other tally.
+//! failed/dropped frames, quarantined detectors) flows through the reports
+//! with the same bitwise-determinism guarantee as every other tally.
 //!
 //! ## Batching & overlap
 //!
-//! Batching is not a setting: every stage issues one cross-shard batch per
-//! detector group, cut over the lanes (see above) — under a GPU-shaped
+//! Batching is not a setting: every stage issues one batch per detector
+//! group, cut over the lanes (see above) — under a GPU-shaped
 //! `per_call + per_frame × n` cost model (`exsample-detect`'s
-//! `BatchingDetector`) the bill is the same for any shard count, which the
+//! `BatchingDetector`) the bill is the same for any shard router, which the
 //! `batched_detect` bench axis records.  One opt-in knob remains,
 //! bitwise-deterministic and off by default:
 //!
@@ -157,7 +149,7 @@
 //!   pinned against a golden digest.
 //!
 //! Physical batch-size statistics (count/min/mean/max) flow through
-//! [`StageStats`], [`ShardReport`] and the [`merge`] layer as
+//! [`StageStats`], [`ShardReport`] and [`ShardedReport`] as
 //! [`merge::BatchStats`].
 //!
 //! ## Scheduling
@@ -175,7 +167,7 @@
 //! default) carries detector results *across* stages and queries: a warm
 //! re-query over cached frames issues zero new `detect_batch` invocations.
 //! The store is the [`cache`] module's lock-striped
-//! [`StripedDetectionCache`]: the coordinator probes every shard's frames
+//! [`StripedDetectionCache`]: the coordinator probes the stage's frames
 //! before it gathers the stage's detector demand (the gather needs the
 //! misses), and all admissions/evictions are applied by a serial fixed-order
 //! commit transaction after the scatter, so hit/miss/eviction accounting and
@@ -215,10 +207,7 @@ pub use engine::{
 };
 pub use error::{ChunkCountMismatch, EngineError};
 pub use exsample_core::SelectionTelemetry;
-pub use merge::{
-    merge_reports, BatchStats, DetectorInvocations, MergeError, ShardQueryTally, ShardReport,
-    ShardedReport,
-};
+pub use merge::{BatchStats, DetectorInvocations, ShardQueryTally, ShardReport, ShardedReport};
 pub use policy::{ExSamplePolicy, FrameSamplerPolicy, MethodPolicy, SamplingPolicy};
 pub use scheduler::{BudgetProportional, QueryLoad, RoundRobin, StageScheduler};
 pub use shard::ShardRouter;

@@ -6,16 +6,15 @@
 //! serial for per-stage spawns at 2 shards / 8 queries / 2 threads, against
 //! +1.2 % for the pool; the `parallel_detect_scoped` rows of
 //! `BENCH_sharded.json` are the last capture of that deleted design), so
-//! parallel runs use a [`WorkerPool`] of long-lived helper threads created
+//! parallel runs use a `WorkerPool` of long-lived helper threads created
 //! **once per engine run** and reused by every stage of that run.  A serial
 //! run never spawns one: its stage loop runs the stage's single slice inline.
 //!
 //! * **The job is a slice, not a shard.**  What crosses a thread boundary is
-//!   a [`Slice`]: one lane's equal share of the stage's gathered detector
+//!   a `Slice`: one lane's equal share of the stage's gathered detector
 //!   demand — frame ids and detector references in, per-batch outcomes out.
-//!   The shard workers (lanes, result maps, tallies) never leave the
-//!   coordinator, so parallelism is independent of the shard count (an
-//!   unsharded engine uses every lane) and of how skewed the routing is.
+//!   The lanes (frames, result maps, tallies) never leave the coordinator,
+//!   so parallelism is independent of how skewed the picks are.
 //! * **Spawn once, dispatch many.**  [`crate::QueryEngine::run_with`] (and
 //!   [`crate::QueryEngine::run`]) open one `std::thread::scope` around the
 //!   whole stage loop and spawn `n - 1` helper threads into it (the calling
@@ -44,7 +43,7 @@
 //!   consume them, all run on the coordinator in canonical order; a slice's
 //!   outcome is a pure function of its frames and detectors.  That is why
 //!   pooled execution stays bitwise-identical to serial (the determinism
-//!   suite pins threads {1, 2, 4} × shards {1, 3, 7} × both partitioners).
+//!   suite pins threads {1, 2, 4}).
 //! * **Clean shutdown, typed panics.**  Helpers exit when the pool is
 //!   dropped — the engine guarantees this happens before the scope closes,
 //!   even if a stage errors or a caller hook panics, so a run can never leak
@@ -485,7 +484,9 @@ fn helper_loop<'a>(slot: &LaneSlot<'a>, done_tx: &Sender<Done<'a>>, counters: Ar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{gather_slices, scatter_slices, DetectPolicy, ShardWorker};
+    use crate::shard::{
+        gather_slices, scatter_slices, DetectPolicy, Lanes, ShardRouter, ShardView,
+    };
     use exsample_detect::{Detector, FrameDetections, ObjectClass};
     use exsample_video::FrameId;
 
@@ -513,33 +514,26 @@ mod tests {
         }
     }
 
-    /// One stage of `worker`: `demand[g]` routed to group `g`, probed without
-    /// a cache (every frame is a miss) and gathered over `lanes` lanes into
-    /// `slices` (recycling whatever it held) and `owners`.
+    /// One stage of `lanes`: `demand[g]` in group `g`, probed without a cache
+    /// (every frame is a miss) and gathered over `count` lanes into `slices`
+    /// (recycling whatever it held).
     fn gather_stage<'a>(
-        worker: &mut ShardWorker,
+        lanes: &mut Lanes,
+        view: &mut ShardView,
         detectors: &[&'a dyn Detector],
         demand: &[&[FrameId]],
-        lanes: usize,
+        count: usize,
         slices: &mut Vec<Slice<'a>>,
-        owners: &mut Vec<u32>,
     ) {
         let slots: Vec<u32> = (0..detectors.len() as u32).collect();
-        worker.begin_stage(detectors.len(), 1);
+        lanes.begin_stage(detectors.len());
         for (group, frames) in demand.iter().enumerate() {
             for &frame in *frames {
-                worker.push_frame(group, frame);
+                lanes.push_frame(group, frame);
             }
         }
-        worker.probe(&slots, true, None);
-        gather_slices(
-            std::slice::from_ref(worker),
-            detectors,
-            lanes,
-            DetectPolicy::infallible(),
-            slices,
-            owners,
-        );
+        lanes.probe(&slots, true, None, view);
+        gather_slices(lanes, detectors, count, DetectPolicy::infallible(), slices);
     }
 
     #[test]
@@ -549,40 +543,35 @@ mod tests {
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::spawn(scope, 2, &counters);
             assert_eq!(pool.lanes(), 3);
-            // One worker and one set of slices for every stage, as in the
-            // engine: each gather recycles the slices the pool handed back.
-            let mut worker = ShardWorker::new(0);
-            let (mut slices, mut owners) = (Vec::new(), Vec::new());
+            // One set of lanes and slices for every stage, as in the engine:
+            // each gather recycles the slices the pool handed back.
+            let mut lanes = Lanes::default();
+            let mut view = ShardView::new(ShardRouter::single());
+            let mut slices = Vec::new();
             for stage in 0..4u64 {
                 let frames: Vec<FrameId> = (stage * 10..stage * 10 + 7).collect();
                 gather_stage(
-                    &mut worker,
+                    &mut lanes,
+                    &mut view,
                     &[&detector],
                     &[&frames],
                     pool.lanes(),
                     &mut slices,
-                    &mut owners,
                 );
                 assert_eq!(slices.len(), 3);
                 let dispatch = pool.dispatch_stage(&mut slices);
                 assert_eq!(slices.len(), 1, "slice 0 stays with the coordinator");
                 pool.join_stage(&mut slices, dispatch).expect("no panics");
                 assert_eq!(slices.len(), 3);
-                // Lane order was restored: the scatter walks the slices
-                // against the gather's owner list and finds every frame.
-                scatter_slices(
-                    std::slice::from_mut(&mut worker),
-                    &[0],
-                    false,
-                    &mut slices,
-                    &owners,
-                );
+                // Lane order was restored: the scatter walks the slices in
+                // gather order and finds every frame.
+                scatter_slices(&mut lanes, &mut view, &[0], false, &mut slices);
                 for &frame in &frames {
-                    assert_eq!(worker.result(0, frame).map(|d| d.frame), Some(frame));
+                    assert_eq!(lanes.result(0, frame).map(|d| d.frame), Some(frame));
                 }
-                assert_eq!(worker.stage_detected_frames(), 7);
+                assert_eq!(lanes.detected_frames(), 7);
                 // 7 frames over 3 lanes: one batch each.
-                assert_eq!(worker.stage_batches.count, 3);
+                assert_eq!(lanes.batches.count, 3);
             }
             drop(pool);
         });
@@ -599,14 +588,14 @@ mod tests {
             let mut pool = WorkerPool::spawn(scope, 1, &counters);
             // Two one-frame groups over two lanes: slice 0 (inline) is the
             // noop's, slice 1 (the helper's, or reclaimed) the bomb's.
-            let (mut slices, mut owners) = (Vec::new(), Vec::new());
+            let mut slices = Vec::new();
             gather_stage(
-                &mut ShardWorker::new(0),
+                &mut Lanes::default(),
+                &mut ShardView::new(ShardRouter::single()),
                 &[&noop, &bomb],
                 &[&[1], &[2]],
                 pool.lanes(),
                 &mut slices,
-                &mut owners,
             );
             let dispatch = pool.dispatch_stage(&mut slices);
             let err = pool.join_stage(&mut slices, dispatch).unwrap_err();
@@ -630,14 +619,14 @@ mod tests {
         let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::spawn(scope, 1, &counters);
-            let (mut slices, mut owners) = (Vec::new(), Vec::new());
+            let mut slices = Vec::new();
             gather_stage(
-                &mut ShardWorker::new(0),
+                &mut Lanes::default(),
+                &mut ShardView::new(ShardRouter::single()),
                 &[&bomb],
                 &[&[7, 8]],
                 pool.lanes(),
                 &mut slices,
-                &mut owners,
             );
             let dispatch = pool.dispatch_stage(&mut slices);
             let err = pool.join_stage(&mut slices, dispatch).unwrap_err();

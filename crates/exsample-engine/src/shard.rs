@@ -1,42 +1,42 @@
 //! Shard routing, per-shard tallies, and the slice — the unit of DETECT work.
 //!
-//! A sharded engine routes every picked frame to the shard owning its chunk
-//! (the [`ShardRouter`]); each shard's [`ShardWorker`] keeps the frames
-//! routed to it this stage, their results, and the shard's own cost and hit
-//! tallies.  PICK stays global (per-query policies span the full chunk space
-//! and own their RNG streams) and FAN-OUT stays in registration/pick order,
-//! which is what makes a merged sharded run bitwise-identical to the
-//! unsharded run — see the crate docs for the full determinism argument.
+//! Shards are a **reporting view**.  A [`ShardRouter`] maps a frame to the
+//! shard owning its chunk, and the engine reads it in exactly one kind of
+//! place: where a tally is recorded, to decide which shard's
+//! [`ShardReport`] it is added to.  Nothing executes per
+//! shard: PICK is global (per-query policies span the full chunk space and
+//! own their RNG streams), DETECT runs over one set of lanes — one per
+//! logical detector group — and FAN-OUT stays in registration/pick order, so
+//! every stage executes the same way for any router, and the global report
+//! cannot depend on it.
 //!
-//! Shards own *accounting*, not execution.  A stage's DETECT is:
+//! A stage's DETECT is:
 //!
-//! 1. [`ShardWorker::probe`] (coordinator) — coalesce each lane's frames and
-//!    answer what it can from the cross-stage cache
+//! 1. `Lanes::probe` (coordinator) — coalesce each lane's frames and answer
+//!    what it can from the cross-stage cache
 //!    ([`StripedDetectionCache::probe`], membership reads plus per-stripe
 //!    tallies — never a recency or membership mutation), recording each
-//!    lane's hits and misses as this worker's commit *intents*;
-//! 2. [`gather_slices`] (coordinator) — concatenate every shard's misses per
-//!    logical detector group in canonical `(group, shard, frame)` order and
-//!    cut that flat list into one contiguous [`Slice`] of equal frame count
-//!    per lane.  A batch never spans groups and a group is cut only where a
-//!    lane boundary falls inside it, so a stage issues at most
-//!    `groups + lanes − 1` batch probes — and exactly `groups` when serial —
-//!    whatever the shard count, and the lanes are evenly loaded however
-//!    skewed the routing was;
-//! 3. [`Slice::run`] (any thread — the slices travel to the persistent
-//!    per-run pool of `crate::runtime`, carrying frames and detector
-//!    references, never a `ShardWorker`) — one batched detector invocation
-//!    per batch, with per-frame recovery of a failed one;
-//! 4. [`scatter_slices`] (coordinator) — apply the outcomes to the owning
-//!    shards' lanes and tallies in the same canonical order, stopping at the
-//!    first exhausted frame under fail-fast;
-//! 5. [`arbitrate_cache`] (coordinator, under one [`crate::cache::CacheTxn`])
-//!    — collect every worker's recorded hits and fresh results as intents,
-//!    sort each kind into canonical `(slot, frame)` order, then apply all
-//!    touches followed by all inserts.  The canonical order depends only on
-//!    *which* frames were probed and detected — never on how they were
-//!    partitioned across shards or lanes — so cache accounting is
-//!    bitwise-identical across shard counts, partitioners and thread counts.
+//!    lane's hits and misses as commit *intents*;
+//! 2. `gather_slices` (coordinator) — lay the lanes' misses end to end in
+//!    canonical `(group, frame)` order and cut that flat list into one
+//!    contiguous `Slice` of equal frame count per lane.  A batch never spans
+//!    groups and a group is cut only where a lane boundary falls inside it,
+//!    so a stage issues at most `groups + lanes − 1` batch probes — and
+//!    exactly `groups` when serial — and the lanes are evenly loaded however
+//!    skewed the picks;
+//! 3. `Slice::run` (any thread — the slices travel to the persistent per-run
+//!    pool of [`crate::runtime`], carrying frames and detector references
+//!    only) — one batched detector invocation per batch, with per-frame
+//!    recovery of a failed one;
+//! 4. `scatter_slices` (coordinator) — apply the outcomes to the lanes and
+//!    the tallies in the same canonical order, stopping at the first
+//!    exhausted frame under fail-fast;
+//! 5. `Lanes::commit` (coordinator, under one [`crate::cache::CacheTxn`]) —
+//!    sort every recorded hit and fresh result into canonical `(slot, frame)`
+//!    order, then apply all touches followed by all inserts.  The order
+//!    depends only on *which* frames were probed and detected, never on the
+//!    lane count, so cache accounting is bitwise-identical across thread
+//!    counts.
 //!
 //! Only step 3 leaves the coordinator, and a slice's outcome is a pure
 //! function of its frames and detectors, so where the lane boundaries fall —
@@ -47,16 +47,12 @@
 //! cached allocation with a reference-count bump instead of deep-copying the
 //! detection list, and the same handles are shared back into the cache on
 //! commit.
-//!
-//! Workers are engine-internal execution state; their accumulated tallies are
-//! published as [`crate::merge::ShardReport`]s and combined by the
-//! [`crate::merge`] layer.
 
-use crate::cache::{CacheActivity, DetectorSlot, StripedDetectionCache};
+use crate::cache::{CacheActivity, CommitOutcome, DetectorSlot, StripedDetectionCache};
 use crate::error::EngineError;
-use crate::merge::BatchStats;
+use crate::merge::{BatchStats, DetectorInvocations, ShardQueryTally, ShardReport};
 use exsample_detect::{DetectError, Detector, FrameDetections};
-use exsample_video::{Chunking, FrameId, ShardSpec, ShardedRepository};
+use exsample_video::{Chunking, FrameId, ShardSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -94,9 +90,9 @@ impl DetectPolicy {
     }
 }
 
-/// A fatal detect failure under fail-fast, parked on the worker owning the
-/// frame: [`scatter_slices`] stops at the first one in canonical order and
-/// the engine surfaces it as [`EngineError::DetectorFailed`].
+/// A fatal detect failure under fail-fast, parked on the [`Lanes`]:
+/// [`scatter_slices`] stops at the first one in canonical order and the
+/// engine surfaces it as [`EngineError::DetectorFailed`].
 #[derive(Debug)]
 pub(crate) struct DetectFailure {
     /// Registry slot of the failing detector.
@@ -109,16 +105,19 @@ pub(crate) struct DetectFailure {
     pub error: DetectError,
 }
 
-/// Routes global frame ids to the shard owning them.
+/// Maps global frame ids to the shard owning them — the key the per-shard
+/// report view groups tallies by.
 ///
 /// Built from a [`ShardSpec`] over a [`Chunking`]: a frame's shard is the
 /// shard of its chunk.  The 1-shard router ([`ShardRouter::single`]) is the
-/// unsharded case and routes everything to shard 0 without a lookup.
+/// unsharded view and attributes everything to shard 0 without a lookup.
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
-    /// One-past-the-end frame id of each chunk (ascending).
+    /// One-past-the-end frame id of each run of consecutive chunks owned by
+    /// one shard (ascending): one run per shard for a contiguous layout, one
+    /// per chunk for round-robin.
     bounds: Vec<FrameId>,
-    /// `shards[j]` = shard owning chunk `j`.
+    /// `shards[r]` = shard owning run `r`.
     shards: Vec<u32>,
     shard_count: usize,
 }
@@ -145,18 +144,22 @@ impl ShardRouter {
                 chunking_chunks: chunking.len(),
             });
         }
+        let mut bounds: Vec<FrameId> = Vec::new();
+        let mut shards: Vec<u32> = Vec::new();
+        for (chunk, &shard) in chunking.chunks().iter().zip(spec.shard_assignment()) {
+            match (shards.last(), bounds.last_mut()) {
+                (Some(&owner), Some(end)) if owner == shard => *end = chunk.end(),
+                _ => {
+                    bounds.push(chunk.end());
+                    shards.push(shard);
+                }
+            }
+        }
         Ok(ShardRouter {
-            bounds: chunking.chunks().iter().map(|c| c.end()).collect(),
-            shards: spec.shard_assignment().to_vec(),
+            bounds,
+            shards,
             shard_count: spec.shard_count() as usize,
         })
-    }
-
-    /// Route frames according to a bound [`ShardedRepository`] (whose spec and
-    /// chunking are consistent by construction).
-    pub fn from_repository(repo: &ShardedRepository) -> Self {
-        ShardRouter::new(repo.chunking(), repo.spec())
-            .expect("a ShardedRepository binds a spec to its own chunking")
     }
 
     /// The common construction in one call: a contiguous-range
@@ -171,7 +174,7 @@ impl ShardRouter {
             .expect("the spec was built from this chunking")
     }
 
-    /// Number of shards frames are routed across.
+    /// Number of shards tallies are grouped into.
     pub fn shard_count(&self) -> usize {
         self.shard_count
     }
@@ -194,198 +197,211 @@ impl ShardRouter {
         if self.bounds.is_empty() {
             return 0;
         }
-        let chunk = self.bounds.partition_point(|&end| end <= frame);
+        let run = self.bounds.partition_point(|&end| end <= frame);
         assert!(
-            chunk < self.shards.len(),
+            run < self.shards.len(),
             "frame {frame} is beyond the sharded chunking"
         );
-        self.shards[chunk] as usize
+        self.shards[run] as usize
     }
 }
 
-/// Cumulative per-query tallies kept by one worker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct WorkerQueryTally {
-    /// Frames of this query observed on this shard.
-    pub frames: u64,
-    /// New ground-truth instances first observed on this shard's frames.
-    pub hits: u64,
-    /// Picks of this query dropped from fan-out because their detection
-    /// failed (degraded failure modes only).
-    pub dropped: u64,
+/// The per-shard view of a run: one cumulative [`ShardReport`] per shard of
+/// the router, each tally added — where it is recorded — to the shard owning
+/// the frame it was paid for.  Reading the router is all the view does; it
+/// never changes what executes.
+#[derive(Debug)]
+pub(crate) struct ShardView {
+    router: ShardRouter,
+    /// Cumulative tallies per shard.  `per_query` grows on demand and
+    /// `per_detector` is indexed by registry slot; [`ShardView::publish`]
+    /// turns both into their report shape.
+    shards: Vec<ShardReport>,
 }
 
-/// Cumulative per-detector tallies kept by one worker (indexed by the
-/// engine's detector registry slot).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct WorkerDetectorTally {
-    pub frames: u64,
-    pub calls: u64,
-    /// Frames whose detect attempts were exhausted without success.
-    pub failures: u64,
+impl ShardView {
+    pub(crate) fn new(router: ShardRouter) -> Self {
+        let shards = (0..router.shard_count() as u32)
+            .map(|shard| ShardReport {
+                shard,
+                ..ShardReport::default()
+            })
+            .collect();
+        ShardView { router, shards }
+    }
+
+    pub(crate) fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// The tallies of the shard owning `frame`.
+    #[inline]
+    fn of(&mut self, frame: FrameId) -> &mut ShardReport {
+        let shard = self.router.shard_of(frame);
+        &mut self.shards[shard]
+    }
+
+    /// `count` physical invocations of `frames` frames each against `slot`,
+    /// attributed to the shard owning the batch's first frame `first`.
+    fn call(&mut self, slot: DetectorSlot, first: FrameId, frames: u64, count: u64) {
+        let tally = self.of(first);
+        tally.detector_calls += count;
+        tally.batches.record_repeat(frames, count);
+        detector_entry(tally, slot).calls += count;
+    }
+
+    fn detected(&mut self, slot: DetectorSlot, frame: FrameId) {
+        let tally = self.of(frame);
+        tally.detector_frames += 1;
+        detector_entry(tally, slot).frames += 1;
+    }
+
+    fn recovered(&mut self, frame: FrameId, retries: u64, backoff: u64) {
+        let tally = self.of(frame);
+        tally.retries += retries;
+        tally.backoff_cost += backoff;
+    }
+
+    fn failed(&mut self, slot: DetectorSlot, frame: FrameId) {
+        let tally = self.of(frame);
+        tally.failed_frames += 1;
+        detector_entry(tally, slot).failures += 1;
+    }
+
+    fn probed(&mut self, frame: FrameId, hit: bool) {
+        let cache = &mut self.of(frame).cache;
+        if hit {
+            cache.hits += 1;
+        } else {
+            cache.misses += 1;
+        }
+    }
+
+    fn committed(&mut self, frame: FrameId, outcome: CommitOutcome) {
+        let cache = &mut self.of(frame).cache;
+        cache.evictions += outcome.evicted;
+        cache.admission_rejects += u64::from(outcome.rejected);
+    }
+
+    /// One frame of query `query` observed (with `new_hits` ground-truth
+    /// instances first found on it).
+    #[inline]
+    pub(crate) fn observed(&mut self, query: usize, frame: FrameId, new_hits: u64) {
+        let tally = query_entry(self.of(frame), query);
+        tally.frames += 1;
+        tally.hits += new_hits;
+    }
+
+    /// One pick of query `query` dropped from fan-out because its detection
+    /// failed (degraded failure modes).
+    pub(crate) fn dropped(&mut self, query: usize, frame: FrameId) {
+        query_entry(self.of(frame), query).dropped += 1;
+    }
+
+    /// The per-shard reports of a run over `queries` registered queries:
+    /// per-query tallies padded to the query count, per-detector tallies of
+    /// the detectors this shard paid for, labelled by `class(slot)`.
+    pub(crate) fn publish(
+        &self,
+        queries: usize,
+        class: impl Fn(usize) -> String,
+    ) -> Vec<ShardReport> {
+        self.shards
+            .iter()
+            .map(|tally| {
+                let mut report = tally.clone();
+                report.per_query.resize(queries, Default::default());
+                report
+                    .per_detector
+                    .retain(|d| d.frames > 0 || d.calls > 0 || d.failures > 0);
+                for detector in &mut report.per_detector {
+                    detector.class = class(detector.detector as usize);
+                }
+                report
+            })
+            .collect()
+    }
 }
 
-/// One detector group's routed frames and results on one shard, for one
-/// stage.  Lanes are indexed by the stage's *logical* group index (the
-/// engine's cross-shard detector grouping), so the same logical group can
-/// have a lane on every shard; slots and their allocations are reused across
-/// stages.  Results are shared handles: a cache hit is an `Arc` clone of the
-/// cached entry, a fresh detection is wrapped once and later shared back into
-/// the cache the same way.
+fn detector_entry(tally: &mut ShardReport, slot: DetectorSlot) -> &mut DetectorInvocations {
+    let slot = slot as usize;
+    if tally.per_detector.len() <= slot {
+        let len = tally.per_detector.len();
+        tally
+            .per_detector
+            .extend((len..=slot).map(|detector| DetectorInvocations {
+                detector: detector as u32,
+                ..DetectorInvocations::default()
+            }));
+    }
+    &mut tally.per_detector[slot]
+}
+
+fn query_entry(tally: &mut ShardReport, query: usize) -> &mut ShardQueryTally {
+    if tally.per_query.len() <= query {
+        tally.per_query.resize(query + 1, Default::default());
+    }
+    &mut tally.per_query[query]
+}
+
+/// One logical detector group's frames and results for one stage.  Slots
+/// and their allocations are reused across stages.  Results are shared
+/// handles: a cache hit is an `Arc` clone of the cached entry, a fresh
+/// detection is wrapped once and later shared back into the cache the same
+/// way.
 #[derive(Debug, Default)]
 struct Lane {
     frames: Vec<FrameId>,
-    /// Frames of this lane not answered by the cache ([`ShardWorker::probe`]),
-    /// in lane order — this lane's contribution to the stage's gathered
-    /// detector demand.
+    /// Frames of this lane not answered by the cache ([`Lanes::probe`]), in
+    /// lane order — this lane's share of the stage's detector demand.
     misses: Vec<FrameId>,
-    /// Frames of this lane that an earlier same-detector lane of this worker
-    /// already missed (cache on, coalescing off): they ride that lane's
-    /// detection instead of being demanded — or tallied — a second time.
+    /// Frames of this lane that an earlier same-detector lane already missed
+    /// (cache on, coalescing off): they ride that lane's detection instead
+    /// of being demanded — or tallied — a second time.
     joined: Vec<FrameId>,
     /// Frames of this lane answered by the cache, in probe order — the
-    /// worker's recorded touch intents, replayed during commit arbitration.
+    /// touch intents replayed by [`Lanes::commit`].
     hits: Vec<FrameId>,
     results: HashMap<FrameId, Arc<FrameDetections>>,
 }
 
-/// One insert intent collected for [`arbitrate_cache`]: a fresh detection a
-/// worker wants published into the cross-stage cache, tagged with the
-/// owning worker's index for outcome attribution.
-struct CacheInsert {
-    slot: DetectorSlot,
-    frame: FrameId,
-    worker: usize,
-    detections: Arc<FrameDetections>,
-}
-
-/// Phase 3 — serial commit arbitration over the striped cache.
-///
-/// Collects every worker's recorded probe hits (touch intents) and fresh
-/// detections (insert intents), sorts each kind into canonical
-/// `(slot, frame)` order, then applies all touches followed by all inserts
-/// under one [`crate::cache::CacheTxn`].  Keys are unique across workers (a frame is
-/// routed to exactly one shard, and uncoalesced same-slot lanes dedupe at
-/// probe time), so the canonical order — and with it every recency update,
-/// eviction and admission decision — depends only on the set of frames
-/// probed and detected this stage, never on the shard layout or on which
-/// thread ran which lane.  That is what makes cache accounting
-/// bitwise-identical across shard counts and partitioners, not merely
-/// across thread counts at a fixed layout.
-pub(crate) fn arbitrate_cache(
-    workers: &mut [ShardWorker],
-    detector_slots: &[DetectorSlot],
-    cache: &StripedDetectionCache,
-) {
-    let mut txn = cache.begin();
-    let mut touches: Vec<(DetectorSlot, FrameId)> = Vec::new();
-    for worker in workers.iter() {
-        worker.collect_cache_touches(detector_slots, &mut touches);
-    }
-    touches.sort_unstable();
-    for (slot, frame) in touches {
-        txn.touch(slot, frame);
-    }
-    let mut inserts: Vec<CacheInsert> = Vec::new();
-    for (index, worker) in workers.iter().enumerate() {
-        worker.collect_cache_inserts(detector_slots, index, &mut inserts);
-    }
-    inserts.sort_unstable_by_key(|intent| (intent.slot, intent.frame));
-    for intent in inserts {
-        let outcome = txn.insert(intent.slot, intent.frame, intent.detections);
-        workers[intent.worker].absorb_commit_outcome(outcome);
-    }
-}
-
-/// Per-shard state: the frames routed to this shard in the current stage and
-/// their results, plus the shard's cumulative cost and hit tallies.  Lives on
-/// the coordinator for the whole run — DETECT work leaves it as [`Slice`]s.
-#[derive(Debug)]
-pub(crate) struct ShardWorker {
-    shard: u32,
+/// A stage's DETECT state: one lane per logical detector group, and what the
+/// stage has paid so far.  Lives on the coordinator for the whole run —
+/// DETECT work leaves it as [`Slice`]s.  Every tally recorded here is also
+/// attributed to the [`ShardView`] passed alongside.
+#[derive(Debug, Default)]
+pub(crate) struct Lanes {
     lanes: Vec<Lane>,
     /// Lanes in use this stage (dead slots keep their allocations).
-    live_lanes: usize,
-    /// Frames this worker detected for each logical group this stage; the
-    /// engine folds the cross-shard sums into its logical accounting.
-    pub lane_detected: Vec<u64>,
-    /// Frames this worker *failed* for each logical group this stage (after
-    /// exhausting retries); the engine folds these into its per-detector
-    /// quarantine accounting.
-    pub lane_failed: Vec<u64>,
-    /// Cumulative frames actually run through detectors on this shard.
-    pub detector_frames: u64,
-    /// Cumulative physical `detect_batch` invocations issued by this shard.
-    pub detector_calls: u64,
-    /// Cumulative per-frame retry attempts issued on this shard.
+    live: usize,
+    /// Frames detected for each logical group this stage.
+    pub detected: Vec<u64>,
+    /// Frames *failed* for each logical group this stage (after exhausting
+    /// retries); the engine folds these into its per-detector quarantine
+    /// accounting.
+    pub failed: Vec<u64>,
+    /// This stage's per-frame retry attempts.
     pub retries: u64,
-    /// Cumulative backoff cost units charged on this shard.
+    /// This stage's backoff cost units.
     pub backoff: u64,
-    /// Cumulative frames whose detect attempts were exhausted on this shard.
-    pub failed_frames: u64,
-    /// This stage's retry attempts (reset by [`ShardWorker::begin_stage`]).
-    pub stage_retries: u64,
-    /// This stage's backoff cost units (reset by
-    /// [`ShardWorker::begin_stage`]).
-    pub stage_backoff: u64,
-    /// Cumulative batch-size statistics over the physical invocations
-    /// attributed to this shard (`batches.count` tracks
-    /// [`ShardWorker::detector_calls`] exactly; the merge layer checks it).
+    /// This stage's physical batch-size statistics.
     pub batches: BatchStats,
-    /// This stage's batch-size statistics (reset by
-    /// [`ShardWorker::begin_stage`]).
-    pub stage_batches: BatchStats,
-    /// This stage's cache activity attributed to this shard (reset by
-    /// [`ShardWorker::begin_stage`]): probe hits/misses plus the
-    /// evictions/admission-rejects this shard's commits triggered.
-    pub stage_cache: CacheActivity,
-    /// Cumulative cache activity attributed to this shard; summing every
-    /// shard's tally reproduces the engine totals exactly (the merge layer
-    /// cross-checks this).
-    pub cache_tally: CacheActivity,
-    /// The stage's fatal failure under fail-fast, if this worker owns the
-    /// failing frame; the engine aborts the stage on finding one.
+    /// This stage's cache activity: probe hits/misses plus the
+    /// evictions/admission-rejects its commit triggered.
+    pub cache: CacheActivity,
+    /// The stage's fatal failure under fail-fast; the engine aborts the
+    /// stage on finding one.
     pub fatal: Option<DetectFailure>,
-    /// Per-query tallies, indexed by query registration index.
-    pub per_query: Vec<WorkerQueryTally>,
-    /// Per-detector tallies, indexed by detector registry slot.
-    pub per_detector: Vec<WorkerDetectorTally>,
+    /// The fast path's detections, one per pick in pick order (see
+    /// [`Lanes::detect_direct`]); fan-out drains them.
+    pub direct: Vec<FrameDetections>,
 }
 
-impl ShardWorker {
-    pub(crate) fn new(shard: u32) -> Self {
-        ShardWorker {
-            shard,
-            lanes: Vec::new(),
-            live_lanes: 0,
-            lane_detected: Vec::new(),
-            lane_failed: Vec::new(),
-            detector_frames: 0,
-            detector_calls: 0,
-            retries: 0,
-            backoff: 0,
-            failed_frames: 0,
-            stage_retries: 0,
-            stage_backoff: 0,
-            batches: BatchStats::default(),
-            stage_batches: BatchStats::default(),
-            stage_cache: CacheActivity::default(),
-            cache_tally: CacheActivity::default(),
-            fatal: None,
-            per_query: Vec::new(),
-            per_detector: Vec::new(),
-        }
-    }
-
-    pub(crate) fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Prepare for a stage with `groups` logical detector groups over
-    /// `queries` registered queries.
-    pub(crate) fn begin_stage(&mut self, groups: usize, queries: usize) {
-        while self.lanes.len() < groups {
-            self.lanes.push(Lane::default());
+impl Lanes {
+    /// Prepare for a stage with `groups` logical detector groups.
+    pub(crate) fn begin_stage(&mut self, groups: usize) {
+        if self.lanes.len() < groups {
+            self.lanes.resize_with(groups, Lane::default);
         }
         for lane in &mut self.lanes[..groups] {
             lane.frames.clear();
@@ -394,57 +410,67 @@ impl ShardWorker {
             lane.hits.clear();
             lane.results.clear();
         }
-        self.live_lanes = groups;
-        self.lane_detected.clear();
-        self.lane_detected.resize(groups, 0);
-        self.lane_failed.clear();
-        self.lane_failed.resize(groups, 0);
-        self.stage_retries = 0;
-        self.stage_backoff = 0;
-        self.stage_batches = BatchStats::default();
-        self.stage_cache = CacheActivity::default();
-        if self.per_query.len() < queries {
-            self.per_query.resize(queries, WorkerQueryTally::default());
-        }
+        self.live = groups;
+        self.detected.clear();
+        self.detected.resize(groups, 0);
+        self.failed.clear();
+        self.failed.resize(groups, 0);
+        self.retries = 0;
+        self.backoff = 0;
+        self.batches = BatchStats::default();
+        self.cache = CacheActivity::default();
+        self.fatal = None;
     }
 
-    /// Route one picked frame into the lane of logical group `group` (unit
+    /// Put one picked frame into the lane of logical group `group` (unit
     /// tests load lanes directly; the engine stages whole lanes and hands
-    /// them over with [`ShardWorker::adopt_frames`]).
+    /// them over with [`Lanes::adopt_frames`]).
     #[cfg(test)]
     pub(crate) fn push_frame(&mut self, group: usize, frame: FrameId) {
         self.lanes[group].frames.push(frame);
     }
 
+    /// Adopt a staged frame buffer as the lane of logical group `group`,
+    /// handing the lane's previous (cleared) buffer back for recycling.
+    ///
+    /// Stages are planned into engine-side buffers (under overlap, while the
+    /// previous stage's DETECT is still running), then loaded here right
+    /// after [`Lanes::begin_stage`]; swapping keeps both sides' allocations
+    /// alive across stages.
+    #[inline]
+    pub(crate) fn adopt_frames(&mut self, group: usize, frames: &mut Vec<FrameId>) {
+        std::mem::swap(&mut self.lanes[group].frames, frames);
+    }
+
     /// Coalesce each lane and split it into cache hits (answered in place
     /// with an `Arc` clone of the cached entry, and recorded in probe order as
-    /// this worker's touch intents) and misses (this lane's share of the
-    /// stage's detector demand, see [`gather_slices`]).
+    /// touch intents) and misses (this lane's share of the stage's detector
+    /// demand, see [`gather_slices`]).
     ///
     /// When `coalesce` is set, each lane's frames are sorted and deduplicated
-    /// first (queries on the same shard share the detector bill).  Runs once
-    /// per worker per stage, on the coordinator, before the gather — which
-    /// needs its result — and only *reads* cache membership while tallying
-    /// per-stripe counters, so probe outcomes are a pure function of the
-    /// membership set.
+    /// first (queries sharing a detector share the detector bill).  Runs once
+    /// per stage, on the coordinator, before the gather — which needs its
+    /// result — and only *reads* cache membership while tallying per-stripe
+    /// counters, so probe outcomes are a pure function of the membership set.
     ///
-    /// With coalescing *off*, two same-stage lanes of this worker can carry
-    /// the same detector; a later lane dedupes against earlier same-slot
-    /// lanes at probe time instead of probing the cache again: a frame an
-    /// earlier lane hit is shared immediately, a frame an earlier lane
-    /// missed is *joined* to that lane's detection untallied
-    /// ([`ShardWorker::share_joined`] hands it the outcome once the stage
-    /// has detected).  Each distinct `(detector, frame)` pair therefore
-    /// counts — and is detected, and can fail — exactly once per stage.
-    /// Without a cache, uncoalesced lanes deliberately pay the full bill
-    /// (that is what "uncoalesced detector work" measures).
+    /// With coalescing *off*, two same-stage lanes can carry the same
+    /// detector; a later lane dedupes against earlier same-slot lanes at
+    /// probe time instead of probing the cache again: a frame an earlier
+    /// lane hit is shared immediately, a frame an earlier lane missed is
+    /// *joined* to that lane's detection untallied (`share_joined` hands it
+    /// the outcome once the stage has detected).  Each distinct
+    /// `(detector, frame)` pair therefore counts — and is detected, and can
+    /// fail — exactly once per stage.  Without a cache, uncoalesced lanes
+    /// deliberately pay the full bill (that is what "uncoalesced detector
+    /// work" measures).
     pub(crate) fn probe(
         &mut self,
         detector_slots: &[DetectorSlot],
         coalesce: bool,
         cache: Option<&StripedDetectionCache>,
+        view: &mut ShardView,
     ) {
-        for g in 0..self.live_lanes {
+        for g in 0..self.live {
             let (earlier, rest) = self.lanes.split_at_mut(g);
             let lane = &mut rest[0];
             if lane.frames.is_empty() {
@@ -480,29 +506,30 @@ impl ShardWorker {
                         }
                     }
                 }
-                match cache.probe(slot, frame) {
+                let hit = match cache.probe(slot, frame) {
                     Some(detections) => {
                         lane.results.insert(frame, detections);
                         lane.hits.push(frame);
-                        self.stage_cache.hits += 1;
-                        self.cache_tally.hits += 1;
+                        self.cache.hits += 1;
+                        true
                     }
                     None => {
                         lane.misses.push(frame);
-                        self.stage_cache.misses += 1;
-                        self.cache_tally.misses += 1;
+                        self.cache.misses += 1;
+                        false
                     }
-                }
+                };
+                view.probed(frame, hit);
             }
         }
     }
 
-    /// Hand every joined frame (see [`ShardWorker::probe`]) the result the
-    /// earlier same-slot lane it rides on got this stage.  A frame that lane
-    /// failed stays without a result here too, so fan-out drops it for both
+    /// Hand every joined frame (see [`Lanes::probe`]) the result the earlier
+    /// same-slot lane it rides on got this stage.  A frame that lane failed
+    /// stays without a result here too, so fan-out drops it for both
     /// queries alike.
     fn share_joined(&mut self, detector_slots: &[DetectorSlot]) {
-        for g in 1..self.live_lanes {
+        for g in 1..self.live {
             let (earlier, rest) = self.lanes.split_at_mut(g);
             let Lane {
                 joined, results, ..
@@ -520,30 +547,46 @@ impl ShardWorker {
         }
     }
 
+    /// Record `count` physical invocations of `frames` frames each whose
+    /// batch starts at frame `first`, whatever their outcome.
+    fn record_call(
+        &mut self,
+        view: &mut ShardView,
+        slot: DetectorSlot,
+        first: FrameId,
+        frames: u64,
+        count: u64,
+    ) {
+        self.batches.record_repeat(frames, count);
+        view.call(slot, first, frames, count);
+    }
+
     /// Take the detections of one frame of logical group `group` (registry
-    /// slot `slot`) whose batch probe succeeded.
+    /// slot `slot`).
     fn absorb_detection(
         &mut self,
+        view: &mut ShardView,
         group: usize,
         slot: DetectorSlot,
         frame: FrameId,
         detections: FrameDetections,
     ) {
-        self.record_detected(group, slot, 1);
+        self.detected[group] += 1;
+        view.detected(slot, frame);
         self.lanes[group]
             .results
             .insert(frame, Arc::new(detections));
     }
 
-    /// Take one frame's [`FrameRecovery`] after a failed batch probe, charged
-    /// to this worker (the frame's owner): its per-frame tries are physical
-    /// calls, every try but the first is a retry charged its deterministic
-    /// backoff cost, a recovered frame lands in the group's lane results, and
-    /// an exhausted one gains no result — so it can never be committed to the
-    /// cache or fanned out — and, under fail-fast, is parked in
-    /// [`ShardWorker::fatal`].
+    /// Take one frame's [`FrameRecovery`] after a failed batch probe: its
+    /// per-frame tries are physical calls, every try but the first is a
+    /// retry charged its deterministic backoff cost, a recovered frame lands
+    /// in the group's lane results, and an exhausted one gains no result —
+    /// so it can never be committed to the cache or fanned out — and, under
+    /// fail-fast, is parked in [`Lanes::fatal`].
     fn absorb_recovery(
         &mut self,
+        view: &mut ShardView,
         group: usize,
         slot: DetectorSlot,
         frame: FrameId,
@@ -551,21 +594,16 @@ impl ShardWorker {
         policy: DetectPolicy,
     ) {
         let tries = u64::from(recovery.tries);
-        let retries = tries - 1;
         let backoff: u64 = (1..recovery.tries).map(|k| policy.retry_cost(k)).sum();
-        self.detector_calls += tries;
-        self.record_batches(1, tries);
-        self.per_detector_entry(slot).calls += tries;
-        self.stage_retries += retries;
-        self.retries += retries;
-        self.stage_backoff += backoff;
+        self.record_call(view, slot, frame, 1, tries);
+        self.retries += tries - 1;
         self.backoff += backoff;
+        view.recovered(frame, tries - 1, backoff);
         match recovery.outcome {
-            Ok(detections) => self.absorb_detection(group, slot, frame, detections),
+            Ok(detections) => self.absorb_detection(view, group, slot, frame, detections),
             Err(error) => {
-                self.failed_frames += 1;
-                self.lane_failed[group] += 1;
-                self.per_detector_entry(slot).failures += 1;
+                self.failed[group] += 1;
+                view.failed(slot, frame);
                 if policy.fail_fast {
                     self.fatal = Some(DetectFailure {
                         slot,
@@ -580,33 +618,48 @@ impl ShardWorker {
     }
 
     /// The fast path's DETECT: one batched call over a single query's picks,
-    /// in pick order, straight into `out` — no coalescing, result map or
-    /// `Arc` per frame (see the engine's stage planning for when it is
-    /// taken).  Returns whether `out` now holds one detection set per pick.
+    /// in pick order, straight into [`Lanes::direct`] — no coalescing, result
+    /// map or `Arc` per frame (see the engine's stage planning for when it is
+    /// taken).  Returns whether `direct` now holds one detection set per
+    /// pick.
     ///
-    /// A failed probe falls back to [`recover_frame`] for every pick, so the
-    /// recovered frames (and any fail-fast failure) land in lane 0 exactly as
-    /// [`scatter_slices`] would have left them and the caller fans out
-    /// through the lane like any 1-shard stage.
+    /// A failed probe falls back to [`recover_frame`] for every frame of
+    /// lane 0, laid out as the lane path would have gathered the picks —
+    /// sorted and deduplicated when `coalesce` is set, in pick order when
+    /// not — so the recovered frames, and the frame a fail-fast run stops at,
+    /// are exactly what [`scatter_slices`] would have left, and the caller
+    /// fans out through the lane like any other stage.
     pub(crate) fn detect_direct(
         &mut self,
+        view: &mut ShardView,
         detector: &dyn Detector,
         slot: DetectorSlot,
         picks: &[FrameId],
+        coalesce: bool,
         policy: DetectPolicy,
-        out: &mut Vec<FrameDetections>,
     ) -> bool {
-        out.clear();
-        let probe = detector.try_detect_batch(picks, out);
-        self.record_call(slot, picks.len() as u64);
+        self.direct.clear();
+        let probe = detector.try_detect_batch(picks, &mut self.direct);
+        self.record_call(view, slot, picks[0], picks.len() as u64, 1);
         if probe.is_ok() {
-            self.record_detected(0, slot, picks.len() as u64);
+            self.detected[0] += picks.len() as u64;
+            for &frame in picks {
+                view.detected(slot, frame);
+            }
             return true;
         }
-        out.clear();
-        for &frame in picks {
+        self.direct.clear();
+        let frames = &mut self.lanes[0].frames;
+        frames.clear();
+        frames.extend_from_slice(picks);
+        if coalesce {
+            frames.sort_unstable();
+            frames.dedup();
+        }
+        for i in 0..self.lanes[0].frames.len() {
+            let frame = self.lanes[0].frames[i];
             let recovery = recover_frame(detector, frame, policy);
-            self.absorb_recovery(0, slot, frame, recovery, policy);
+            self.absorb_recovery(view, 0, slot, frame, recovery, policy);
             if self.fatal.is_some() {
                 break;
             }
@@ -614,150 +667,68 @@ impl ShardWorker {
         false
     }
 
-    fn per_detector_entry(&mut self, slot: DetectorSlot) -> &mut WorkerDetectorTally {
-        if self.per_detector.len() <= slot as usize {
-            self.per_detector
-                .resize(slot as usize + 1, WorkerDetectorTally::default());
-        }
-        &mut self.per_detector[slot as usize]
-    }
-
-    /// Record `count` physical invocations of `frames` frames each into this
-    /// shard's batch statistics (stage and cumulative).
-    fn record_batches(&mut self, frames: u64, count: u64) {
-        self.stage_batches.record_repeat(frames, count);
-        self.batches.record_repeat(frames, count);
-    }
-
-    /// Record one physical batched invocation of `frames` frames against
-    /// registry slot `slot`, whatever its outcome.
-    fn record_call(&mut self, slot: DetectorSlot, frames: u64) {
-        self.detector_calls += 1;
-        self.record_batches(frames, 1);
-        self.per_detector_entry(slot).calls += 1;
-    }
-
-    /// Record `frames` successfully detected frames of logical group `group`
-    /// (registry slot `slot`).
-    fn record_detected(&mut self, group: usize, slot: DetectorSlot, frames: u64) {
-        self.detector_frames += frames;
-        self.lane_detected[group] += frames;
-        self.per_detector_entry(slot).frames += frames;
-    }
-
-    /// Adopt a staged frame buffer as the lane of logical group `group`,
-    /// handing the lane's previous (cleared) buffer back for recycling.
-    ///
-    /// Overlap-mode stages route picks into engine-side staging buffers while
-    /// the previous stage's DETECT is still running, then load them here
-    /// right after [`ShardWorker::begin_stage`]; swapping keeps both sides'
-    /// allocations alive across stages.
-    #[inline]
-    pub(crate) fn adopt_frames(&mut self, group: usize, frames: &mut Vec<FrameId>) {
-        std::mem::swap(&mut self.lanes[group].frames, frames);
-    }
-
-    /// Export this worker's recorded probe hits as touch intents for
-    /// [`arbitrate_cache`], which sorts all workers' intents into canonical
-    /// `(slot, frame)` order before applying any of them.
-    fn collect_cache_touches(
-        &self,
-        detector_slots: &[DetectorSlot],
-        out: &mut Vec<(DetectorSlot, FrameId)>,
-    ) {
-        for (g, lane) in self.lanes[..self.live_lanes].iter().enumerate() {
-            let slot = detector_slots[g];
-            out.extend(lane.hits.iter().map(|&frame| (slot, frame)));
-        }
-    }
-
-    /// Export this stage's fresh detections as insert intents for
-    /// [`arbitrate_cache`] (an `Arc` clone per miss, no deep copy), tagged
-    /// with this worker's index so eviction/admission outcomes can be folded
-    /// back into the right shard's tallies.
+    /// Serial cache commit under one [`crate::cache::CacheTxn`]: every
+    /// recorded probe hit (touch intent) and fresh detection (insert intent),
+    /// each kind sorted into canonical `(slot, frame)` order, touches first.
+    /// Keys are unique (uncoalesced same-slot lanes dedupe at probe time), so
+    /// the canonical order — and with it every recency update, eviction and
+    /// admission decision — depends only on the set of frames probed and
+    /// detected this stage, never on which thread ran which slice.
     ///
     /// Cache hygiene under faults: a frame whose detect attempts failed has
     /// no result, so a failed attempt can never be committed — only frames
     /// with an actual result reach the LRU, and each exactly once per stage.
-    fn collect_cache_inserts(
-        &self,
+    pub(crate) fn commit(
+        &mut self,
         detector_slots: &[DetectorSlot],
-        worker: usize,
-        out: &mut Vec<CacheInsert>,
+        cache: &StripedDetectionCache,
+        view: &mut ShardView,
     ) {
-        for (g, lane) in self.lanes[..self.live_lanes].iter().enumerate() {
-            let slot = detector_slots[g];
-            for &frame in &lane.misses {
-                let Some(detections) = lane.results.get(&frame) else {
-                    // The frame's detect attempts were exhausted (or a
-                    // fail-fast stage stopped before reaching it).
-                    continue;
-                };
-                out.push(CacheInsert {
-                    slot,
-                    frame,
-                    worker,
-                    detections: Arc::clone(detections),
-                });
-            }
+        let live = &self.lanes[..self.live];
+        let mut touches: Vec<(DetectorSlot, FrameId)> = live
+            .iter()
+            .zip(detector_slots)
+            .flat_map(|(lane, &slot)| lane.hits.iter().map(move |&frame| (slot, frame)))
+            .collect();
+        touches.sort_unstable();
+        let mut inserts: Vec<(DetectorSlot, FrameId, Arc<FrameDetections>)> = live
+            .iter()
+            .zip(detector_slots)
+            .flat_map(|(lane, &slot)| {
+                // A frame without a result exhausted its attempts (or a
+                // fail-fast stage stopped before reaching it).
+                lane.misses.iter().filter_map(move |frame| {
+                    let detections = lane.results.get(frame)?;
+                    Some((slot, *frame, Arc::clone(detections)))
+                })
+            })
+            .collect();
+        inserts.sort_unstable_by_key(|&(slot, frame, _)| (slot, frame));
+        let mut txn = cache.begin();
+        for (slot, frame) in touches {
+            txn.touch(slot, frame);
+        }
+        for (slot, frame, detections) in inserts {
+            let outcome = txn.insert(slot, frame, detections);
+            self.cache.evictions += outcome.evicted;
+            self.cache.admission_rejects += u64::from(outcome.rejected);
+            view.committed(frame, outcome);
         }
     }
 
-    /// Fold one insert's eviction/admission outcome into this shard's cache
-    /// tallies (called by [`arbitrate_cache`] for each of this worker's
-    /// insert intents).
-    fn absorb_commit_outcome(&mut self, outcome: crate::cache::CommitOutcome) {
-        self.stage_cache.evictions += outcome.evicted;
-        self.cache_tally.evictions += outcome.evicted;
-        self.stage_cache.admission_rejects += u64::from(outcome.rejected);
-        self.cache_tally.admission_rejects += u64::from(outcome.rejected);
+    /// Frames detected this stage (the sum of the per-group counts).
+    pub(crate) fn detected_frames(&self) -> u64 {
+        self.detected.iter().sum()
     }
 
-    /// Frames this worker ran through detectors this stage (the sum of its
-    /// per-group detected counts).
-    pub(crate) fn stage_detected_frames(&self) -> u64 {
-        self.lane_detected.iter().sum()
-    }
-
-    /// Frames this worker failed this stage (the sum of its per-group failed
-    /// counts).
-    #[cfg(test)]
-    pub(crate) fn stage_failed_frames(&self) -> u64 {
-        self.lane_failed.iter().sum()
-    }
-
-    /// The detections of `frame` for logical group `group`, if this worker
-    /// detected (or cache-answered) it this stage.
+    /// The detections of `frame` for logical group `group`, if it was
+    /// detected (or cache-answered) this stage.
     #[inline]
     pub(crate) fn result(&self, group: usize, frame: FrameId) -> Option<&FrameDetections> {
         self.lanes
             .get(group)
             .and_then(|lane| lane.results.get(&frame))
             .map(Arc::as_ref)
-    }
-
-    /// Record one observed frame (and any newly found instances) for query
-    /// `query` on this shard.
-    #[inline]
-    pub(crate) fn record_observation(&mut self, query: usize, new_hits: u64) {
-        if self.per_query.len() <= query {
-            self.per_query
-                .resize(query + 1, WorkerQueryTally::default());
-        }
-        let tally = &mut self.per_query[query];
-        tally.frames += 1;
-        tally.hits += new_hits;
-    }
-
-    /// Record one pick of query `query` dropped from fan-out because its
-    /// detection failed (degraded failure modes).
-    #[inline]
-    pub(crate) fn record_dropped(&mut self, query: usize) {
-        if self.per_query.len() <= query {
-            self.per_query
-                .resize(query + 1, WorkerQueryTally::default());
-        }
-        self.per_query[query].dropped += 1;
     }
 }
 
@@ -771,13 +742,13 @@ pub(crate) struct FrameRecovery {
 
 /// Per-frame recovery of one frame after a failed batch probe — the one
 /// retry loop every detect path shares ([`Slice::run`]'s batches and
-/// [`ShardWorker::detect_direct`]), and a pure function of
+/// [`Lanes::detect_direct`]), and a pure function of
 /// `(detector, frame, policy)`.  The frame is attempted individually up to
 /// `policy.max_attempts` times; a permanent error stops retrying
 /// immediately.  Because the frame's attempt history is always one batch
 /// probe plus its own per-frame tries, the record — and every tally
-/// [`ShardWorker::absorb_recovery`] derives from it — is identical however
-/// the failed batch was composed: the engine's fault determinism guarantee.
+/// [`Lanes::absorb_recovery`] derives from it — is identical however the
+/// failed batch was composed: the engine's fault determinism guarantee.
 fn recover_frame(detector: &dyn Detector, frame: FrameId, policy: DetectPolicy) -> FrameRecovery {
     let max_attempts = policy.max_attempts.max(1);
     let mut buf = Vec::with_capacity(1);
@@ -869,31 +840,25 @@ impl Slice<'_> {
     }
 }
 
-/// Gather the stage's detector demand — every worker's misses per logical
-/// group, in canonical `(group, shard, frame-within-lane)` order — and cut it
-/// into `lanes` contiguous [`Slice`]s of equal frame count (the first
-/// `total % lanes` get the odd frame), recording each gathered frame's owning
-/// worker in `owners`.  Never builds an empty slice: `slices` ends up with
+/// Gather the stage's detector demand — every lane's misses, in canonical
+/// `(group, frame-within-lane)` order — and cut it into `lanes` contiguous
+/// [`Slice`]s of equal frame count (the first `total % lanes` get the odd
+/// frame).  Never builds an empty slice: `slices` ends up with
 /// `min(lanes, total)` entries, none at all when every frame was a cache hit.
 ///
 /// A batch never spans groups, and a group is cut only where a lane boundary
 /// falls inside it — so the slices hold at most `groups + lanes − 1` batches
-/// between them, exactly `groups` of them when `lanes` is 1, for any shard
-/// count.  `detectors[g]` is logical group `g`'s detector.
+/// between them, exactly `groups` of them when `lanes` is 1.
+/// `detectors[g]` is logical group `g`'s detector.
 pub(crate) fn gather_slices<'a>(
-    workers: &[ShardWorker],
+    demand: &Lanes,
     detectors: &[&'a dyn Detector],
     lanes: usize,
     policy: DetectPolicy,
     slices: &mut Vec<Slice<'a>>,
-    owners: &mut Vec<u32>,
 ) {
-    let groups = detectors.len();
-    let total: usize = workers
-        .iter()
-        .flat_map(|worker| &worker.lanes[..groups])
-        .map(|lane| lane.misses.len())
-        .sum();
+    let groups = &demand.lanes[..detectors.len()];
+    let total: usize = groups.iter().map(|lane| lane.misses.len()).sum();
     let spans = lanes.min(total);
     // Recycle last stage's slices: their buffers keep their allocations.
     slices.resize_with(spans, || Slice {
@@ -908,62 +873,56 @@ pub(crate) fn gather_slices<'a>(
         slice.outcomes.clear();
         slice.policy = policy;
     }
-    owners.clear();
     if spans == 0 {
         return;
     }
     let quota = |span: usize| total / spans + usize::from(span < total % spans);
     let mut span = 0;
     let mut room = quota(0);
-    for (group, &detector) in detectors.iter().enumerate() {
-        for (owner, worker) in workers.iter().enumerate() {
-            let mut misses = worker.lanes[group].misses.as_slice();
-            while !misses.is_empty() {
-                if room == 0 {
-                    span += 1;
-                    room = quota(span);
-                }
-                let (taken, rest) = misses.split_at(misses.len().min(room));
-                misses = rest;
-                room -= taken.len();
-                let slice = &mut slices[span];
-                slice.frames.extend_from_slice(taken);
-                owners.extend(std::iter::repeat_n(owner as u32, taken.len()));
-                match slice.batches.last_mut() {
-                    Some(batch) if batch.group == group => batch.len += taken.len(),
-                    _ => slice.batches.push(Batch {
-                        group,
-                        detector,
-                        len: taken.len(),
-                    }),
-                }
+    for (group, (&detector, lane)) in detectors.iter().zip(groups).enumerate() {
+        let mut misses = lane.misses.as_slice();
+        while !misses.is_empty() {
+            if room == 0 {
+                span += 1;
+                room = quota(span);
+            }
+            let (taken, rest) = misses.split_at(misses.len().min(room));
+            misses = rest;
+            room -= taken.len();
+            let slice = &mut slices[span];
+            slice.frames.extend_from_slice(taken);
+            match slice.batches.last_mut() {
+                Some(batch) if batch.group == group => batch.len += taken.len(),
+                _ => slice.batches.push(Batch {
+                    group,
+                    detector,
+                    len: taken.len(),
+                }),
             }
         }
     }
 }
 
-/// Apply the run slices' outcomes to the owning workers, in the canonical
-/// order [`gather_slices`] laid the frames out in (`owners` is its record of
-/// who owns each).  Results land in the owner's lane, logical tallies
-/// (detected frames, per-group counts, retry/backoff/failure telemetry) on
-/// the owner too — so they are identical for any shard layout and any lane
-/// count — and each *physical* batch probe (with its batch statistics) is
-/// attributed to the shard owning the batch's first frame, so per-shard call
-/// counts stay well-defined and `batches.count` keeps tracking
-/// `detector_calls` everywhere.
+/// Apply the run slices' outcomes to the lanes, in the canonical order
+/// [`gather_slices`] laid the frames out in.  Results land in their group's
+/// lane, logical tallies (detected frames, per-group counts,
+/// retry/backoff/failure telemetry) on the stage and on the shard owning
+/// each frame — so they are identical for any lane count — and each
+/// *physical* batch probe (with its batch statistics) on the shard owning the
+/// batch's first frame, so per-shard call counts stay well-defined and
+/// `batches.count` keeps tracking `detector_calls` everywhere.
 ///
 /// Under fail-fast the pass stops at the first exhausted frame in canonical
-/// order, parked as its owner's [`ShardWorker::fatal`]: whatever lanes ran
-/// beyond it is discarded, which makes the reported failure independent of
-/// the lane count, and the engine abandons the stage before any commit.
+/// order, parked as [`Lanes::fatal`]: whatever lanes ran beyond it is
+/// discarded, which makes the reported failure independent of the lane
+/// count, and the engine abandons the stage before any commit.
 pub(crate) fn scatter_slices(
-    workers: &mut [ShardWorker],
+    lanes: &mut Lanes,
+    view: &mut ShardView,
     detector_slots: &[DetectorSlot],
     share_lanes: bool,
     slices: &mut [Slice<'_>],
-    owners: &[u32],
 ) {
-    let mut gathered = 0;
     for slice in slices.iter_mut() {
         let policy = slice.policy;
         let mut start = 0;
@@ -971,22 +930,18 @@ pub(crate) fn scatter_slices(
             let group = batch.group;
             let slot = detector_slots[group];
             let frames = &slice.frames[start..start + batch.len];
-            let owners = &owners[gathered..gathered + batch.len];
             start += batch.len;
-            gathered += batch.len;
-            workers[owners[0] as usize].record_call(slot, batch.len as u64);
-            let owned = frames.iter().zip(owners);
+            lanes.record_call(view, slot, frames[0], batch.len as u64, 1);
             match outcome {
                 BatchOutcome::Detected(detections) => {
-                    for ((&frame, &owner), detections) in owned.zip(detections) {
-                        workers[owner as usize].absorb_detection(group, slot, frame, detections);
+                    for (&frame, detections) in frames.iter().zip(detections) {
+                        lanes.absorb_detection(view, group, slot, frame, detections);
                     }
                 }
                 BatchOutcome::Recovered(recoveries) => {
-                    for ((&frame, &owner), recovery) in owned.zip(recoveries) {
-                        let worker = &mut workers[owner as usize];
-                        worker.absorb_recovery(group, slot, frame, recovery, policy);
-                        if worker.fatal.is_some() {
+                    for (&frame, recovery) in frames.iter().zip(recoveries) {
+                        lanes.absorb_recovery(view, group, slot, frame, recovery, policy);
+                        if lanes.fatal.is_some() {
                             return;
                         }
                     }
@@ -995,9 +950,7 @@ pub(crate) fn scatter_slices(
         }
     }
     if share_lanes {
-        for worker in workers.iter_mut() {
-            worker.share_joined(detector_slots);
-        }
+        lanes.share_joined(detector_slots);
     }
 }
 
@@ -1092,49 +1045,56 @@ mod tests {
         }
     }
 
-    /// A worker with `frames` routed into group 0 and probed against `cache`.
-    fn faulty_stage_worker(frames: &[FrameId], cache: &StripedDetectionCache) -> ShardWorker {
-        let mut worker = ShardWorker::new(0);
-        worker.begin_stage(1, 1);
-        for &frame in frames {
-            worker.push_frame(0, frame);
-        }
-        // Coalescing off keeps the lane in insertion order, so the tests can
-        // pin exactly which frames are attempted before a fail-fast abort.
-        worker.probe(&[0], false, Some(cache));
-        worker
+    /// The unsharded view.
+    fn view() -> ShardView {
+        ShardView::new(ShardRouter::single())
     }
 
-    /// One stage's DETECT over `workers`' probed lanes: gather over `lanes`
-    /// lanes, run every slice, scatter.  Returns each slice's frame count.
+    /// One stage with `frames` in group 0, in pick order (coalescing off keeps
+    /// the lane in insertion order, so the tests can pin exactly which frames
+    /// are attempted before a fail-fast abort), probed against `cache`.
+    fn stage(frames: &[FrameId], cache: Option<&StripedDetectionCache>) -> (Lanes, ShardView) {
+        let mut lanes = Lanes::default();
+        let mut view = view();
+        lanes.begin_stage(1);
+        for &frame in frames {
+            lanes.push_frame(0, frame);
+        }
+        lanes.probe(&[0], false, cache, &mut view);
+        (lanes, view)
+    }
+
+    /// One stage's DETECT over probed `lanes`: gather over `count` lanes, run
+    /// every slice, scatter.  Returns each slice's frame count.
     fn detect_stage(
-        workers: &mut [ShardWorker],
+        lanes: &mut Lanes,
+        view: &mut ShardView,
         detectors: &[&dyn Detector],
         slots: &[DetectorSlot],
         policy: DetectPolicy,
-        lanes: usize,
+        count: usize,
     ) -> Vec<usize> {
-        let (mut slices, mut owners) = (Vec::new(), Vec::new());
-        gather_slices(workers, detectors, lanes, policy, &mut slices, &mut owners);
+        let mut slices = Vec::new();
+        gather_slices(lanes, detectors, count, policy, &mut slices);
         slices.iter_mut().for_each(Slice::run);
         let sizes = slices.iter().map(|slice| slice.frames.len()).collect();
-        scatter_slices(workers, slots, true, &mut slices, &owners);
+        scatter_slices(lanes, view, slots, true, &mut slices);
         sizes
     }
 
-    /// [`detect_stage`] for one worker on one lane.
+    /// [`detect_stage`] on one lane.
     fn detect(
-        worker: &mut ShardWorker,
+        lanes: &mut Lanes,
+        view: &mut ShardView,
         detectors: &[&dyn Detector],
         slots: &[DetectorSlot],
         policy: DetectPolicy,
     ) {
-        detect_stage(std::slice::from_mut(worker), detectors, slots, policy, 1);
+        detect_stage(lanes, view, detectors, slots, policy, 1);
     }
 
-    /// Run the serial arbitration pass for one worker against `cache`.
-    fn arbitrate(worker: &mut ShardWorker, slots: &[DetectorSlot], cache: &StripedDetectionCache) {
-        arbitrate_cache(std::slice::from_mut(worker), slots, cache);
+    fn failed_frames(lanes: &Lanes) -> u64 {
+        lanes.failed.iter().sum()
     }
 
     #[test]
@@ -1143,34 +1103,31 @@ mod tests {
         // try), frame 9 fails permanently, frame 1 is healthy.
         let detector = FlakyDetector::new(vec![(5, 2)], vec![9]);
         let cache = StripedDetectionCache::new(CacheConfig::new(8));
-        let mut worker = faulty_stage_worker(&[1, 5, 9], &cache);
+        let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&cache));
         let policy = DetectPolicy {
             max_attempts: 3,
             backoff_cost: 4,
             fail_fast: false,
         };
-        detect(&mut worker, &[&detector], &[0], policy);
+        detect(&mut lanes, &mut view, &[&detector], &[0], policy);
 
         // Frame 5 recovered on its retry; frame 9 exhausted its attempts.
-        assert!(worker.result(0, 1).is_some());
-        assert!(worker.result(0, 5).is_some());
-        assert!(worker.result(0, 9).is_none());
-        assert_eq!(worker.stage_detected_frames(), 2);
-        assert_eq!(worker.stage_failed_frames(), 1);
-        assert_eq!(worker.stage_retries, 1, "frame 5 needed one retry");
-        assert_eq!(
-            worker.stage_backoff, 4,
-            "first retry costs backoff_cost * 1"
-        );
-        assert_eq!(worker.failed_frames, 1);
-        assert_eq!(worker.per_detector[0].failures, 1);
+        assert!(lanes.result(0, 1).is_some());
+        assert!(lanes.result(0, 5).is_some());
+        assert!(lanes.result(0, 9).is_none());
+        assert_eq!(lanes.detected_frames(), 2);
+        assert_eq!(failed_frames(&lanes), 1);
+        assert_eq!(lanes.retries, 1, "frame 5 needed one retry");
+        assert_eq!(lanes.backoff, 4, "first retry costs backoff_cost * 1");
+        assert_eq!(view.shards[0].failed_frames, 1);
+        assert_eq!(view.shards[0].per_detector[0].failures, 1);
         // Permanent errors stop retrying immediately: probe + one per-frame
         // try, despite the 3-attempt budget.
         assert_eq!(detector.attempts_on(9), 2);
 
         // Cache hygiene: the failed frame is never committed; the recovered
         // one is committed exactly once.
-        arbitrate(&mut worker, &[0], &cache);
+        lanes.commit(&[0], &cache, &mut view);
         assert!(
             cache.probe(0, 9).is_none(),
             "failed frame must not be cached"
@@ -1180,32 +1137,35 @@ mod tests {
         assert_eq!(Arc::strong_count(&held), 3);
         // Releasing the lane leaves exactly one committed handle (plus ours):
         // the retry committed once, not once per attempt.
-        worker.begin_stage(1, 1);
+        lanes.begin_stage(1);
         assert_eq!(Arc::strong_count(&held), 2);
         assert_eq!(cache.stats().len, 2);
 
         // A follow-up stage over the same frames re-detects only frame 9.
         let calls_before = detector.calls.load(Ordering::SeqCst);
-        let mut worker = faulty_stage_worker(&[1, 5, 9], &cache);
-        detect(&mut worker, &[&detector], &[0], policy);
+        let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&cache));
+        detect(&mut lanes, &mut view, &[&detector], &[0], policy);
         assert!(
             detector.calls.load(Ordering::SeqCst) > calls_before,
             "frame 9 still misses the cache"
         );
-        assert_eq!(worker.stage_detected_frames(), 0, "only frame 9 was missed");
-        assert_eq!(worker.stage_failed_frames(), 1);
+        assert_eq!(lanes.detected_frames(), 0, "only frame 9 was missed");
+        assert_eq!(failed_frames(&lanes), 1);
     }
 
     #[test]
     fn fail_fast_records_the_first_failure_and_stops_the_lane() {
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
         let cache = StripedDetectionCache::new(CacheConfig::new(8));
-        let mut worker = faulty_stage_worker(&[2, 9, 4], &cache);
-        detect(&mut worker, &[&detector], &[0], DetectPolicy::infallible());
-        let fatal = worker
-            .fatal
-            .as_ref()
-            .expect("fail-fast records the failure");
+        let (mut lanes, mut view) = stage(&[2, 9, 4], Some(&cache));
+        detect(
+            &mut lanes,
+            &mut view,
+            &[&detector],
+            &[0],
+            DetectPolicy::infallible(),
+        );
+        let fatal = lanes.fatal.as_ref().expect("fail-fast records the failure");
         assert_eq!(fatal.frame, 9);
         assert_eq!(fatal.slot, 0);
         assert_eq!(fatal.attempts, 2, "batch probe + one per-frame try");
@@ -1214,7 +1174,7 @@ mod tests {
         // per-frame (only the probe charged it) and nothing after the
         // failure can reach the cache.
         assert_eq!(detector.attempts_on(4), 1);
-        arbitrate(&mut worker, &[0], &cache);
+        lanes.commit(&[0], &cache, &mut view);
         assert!(cache.probe(0, 9).is_none());
         assert!(cache.probe(0, 4).is_none());
     }
@@ -1222,18 +1182,17 @@ mod tests {
     #[test]
     fn retries_off_fails_transient_frames_without_retrying() {
         let detector = FlakyDetector::new(vec![(5, 2)], Vec::new());
-        let cache = StripedDetectionCache::new(CacheConfig::new(8));
-        let mut worker = faulty_stage_worker(&[5], &cache);
+        let (mut lanes, mut view) = stage(&[5], None);
         let policy = DetectPolicy {
             max_attempts: 1,
             backoff_cost: 10,
             fail_fast: false,
         };
-        detect(&mut worker, &[&detector], &[0], policy);
-        assert!(worker.result(0, 5).is_none());
-        assert_eq!(worker.stage_failed_frames(), 1);
-        assert_eq!(worker.stage_retries, 0, "no retry budget, no retries");
-        assert_eq!(worker.stage_backoff, 0);
+        detect(&mut lanes, &mut view, &[&detector], &[0], policy);
+        assert!(lanes.result(0, 5).is_none());
+        assert_eq!(failed_frames(&lanes), 1);
+        assert_eq!(lanes.retries, 0, "no retry budget, no retries");
+        assert_eq!(lanes.backoff, 0);
         // Probe + the single allowed per-frame try.
         assert_eq!(detector.attempts_on(5), 2);
     }
@@ -1245,112 +1204,120 @@ mod tests {
         cache
             .begin()
             .insert(0, 3, Arc::new(FrameDetections::empty(3)));
-        let mut worker = ShardWorker::new(0);
-        worker.begin_stage(2, 2);
+        let mut lanes = Lanes::default();
+        let mut view = view();
+        lanes.begin_stage(2);
         for &frame in &[3u64, 7] {
-            worker.push_frame(0, frame);
-            worker.push_frame(1, frame);
+            lanes.push_frame(0, frame);
+            lanes.push_frame(1, frame);
         }
         // Two lanes carry the same detector slot (coalescing off).
-        worker.probe(&[0, 0], false, Some(&cache));
+        lanes.probe(&[0, 0], false, Some(&cache), &mut view);
         // Each distinct (detector, frame) probes once: 1 hit (frame 3),
         // 1 miss (frame 7) — not two of each, matching the single physical
         // detection frame 7 will cost.
-        assert_eq!(worker.stage_cache.hits, 1);
-        assert_eq!(worker.stage_cache.misses, 1);
+        assert_eq!((lanes.cache.hits, lanes.cache.misses), (1, 1));
+        assert_eq!(view.shards[0].cache, lanes.cache);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // The second lane shares the hit's result immediately...
-        assert!(worker.result(1, 3).is_some());
+        assert!(lanes.result(1, 3).is_some());
         // ...and detect resolves the shared miss once, sharing it across
         // both lanes with a single commit.
         let detector = FlakyDetector::new(Vec::new(), Vec::new());
         detect(
-            &mut worker,
+            &mut lanes,
+            &mut view,
             &[&detector, &detector],
             &[0, 0],
             DetectPolicy::infallible(),
         );
-        assert!(worker.result(0, 7).is_some());
-        assert!(worker.result(1, 7).is_some());
-        assert_eq!(worker.stage_detected_frames(), 1, "frame 7 detected once");
-        arbitrate(&mut worker, &[0, 0], &cache);
+        assert!(lanes.result(0, 7).is_some());
+        assert!(lanes.result(1, 7).is_some());
+        assert_eq!(lanes.detected_frames(), 1, "frame 7 detected once");
+        lanes.commit(&[0, 0], &cache, &mut view);
         assert_eq!(cache.stats().len, 2);
         assert_eq!(cache.stats().misses, 1, "commit does not re-probe");
     }
 
-    /// `shards` workers with `frames` all routed to worker `hot`, group 0,
-    /// probed without a cache.
-    fn skewed_workers(shards: u32, hot: usize, frames: &[FrameId]) -> Vec<ShardWorker> {
-        let mut workers: Vec<ShardWorker> = (0..shards).map(ShardWorker::new).collect();
-        for worker in &mut workers {
-            worker.begin_stage(1, 1);
-        }
-        for &frame in frames {
-            workers[hot].push_frame(0, frame);
-        }
-        for worker in &mut workers {
-            worker.probe(&[0], false, None);
-        }
-        workers
-    }
-
     #[test]
     fn slices_are_even_and_never_empty_however_skewed_the_routing() {
+        // Four contiguous shards of 25 frames, every frame on shard 2: the
+        // lanes still share evenly, and the view attributes everything to
+        // the shard owning the frames.
+        let chunking = chunking(100, 4);
+        let router = ShardRouter::new(&chunking, &ShardSpec::contiguous(4, 4)).unwrap();
         let detector = FlakyDetector::new(Vec::new(), Vec::new());
-        let frames: Vec<FrameId> = (100..109).collect();
-        for (lanes, expected) in [
+        let frames: Vec<FrameId> = (50..59).collect();
+        for (count, expected) in [
             (1usize, vec![9usize]),
             (2, vec![5, 4]),
             (4, vec![3, 2, 2, 2]),
             (16, vec![1; 9]),
         ] {
-            // Every frame sits on shard 2 of 4: the lanes still share evenly.
-            let mut workers = skewed_workers(4, 2, &frames);
+            let mut lanes = Lanes::default();
+            let mut view = ShardView::new(router.clone());
+            lanes.begin_stage(1);
+            for &frame in &frames {
+                lanes.push_frame(0, frame);
+            }
+            lanes.probe(&[0], false, None, &mut view);
             let sizes = detect_stage(
-                &mut workers,
+                &mut lanes,
+                &mut view,
                 &[&detector],
                 &[0],
                 DetectPolicy::infallible(),
-                lanes,
+                count,
             );
-            assert_eq!(sizes, expected, "{lanes} lanes");
+            assert_eq!(sizes, expected, "{count} lanes");
             // One group, so one batch per slice, all attributed to the shard
             // owning the frames; nothing was lost or detected twice.
-            assert_eq!(workers[2].stage_batches.count, expected.len() as u64);
-            assert_eq!(workers[2].stage_detected_frames(), 9);
+            assert_eq!(lanes.batches.count, expected.len() as u64);
+            assert_eq!(view.shards[2].batches.count, expected.len() as u64);
+            assert_eq!(view.shards[2].detector_frames, 9);
+            assert_eq!(lanes.detected_frames(), 9);
             for &frame in &frames {
-                assert!(workers[2].result(0, frame).is_some());
+                assert!(lanes.result(0, frame).is_some());
             }
         }
         // No demand, no slice: nothing is ever handed an empty batch.
-        let mut idle = skewed_workers(4, 2, &[]);
+        let (mut idle, mut view) = stage(&[], None);
         let calls = detector.calls.load(Ordering::SeqCst);
-        let sizes = detect_stage(&mut idle, &[&detector], &[0], DetectPolicy::infallible(), 4);
+        let sizes = detect_stage(
+            &mut idle,
+            &mut view,
+            &[&detector],
+            &[0],
+            DetectPolicy::infallible(),
+            4,
+        );
         assert!(sizes.is_empty());
         assert_eq!(detector.calls.load(Ordering::SeqCst), calls);
     }
 
     #[test]
     fn a_group_is_cut_only_where_a_lane_boundary_falls_inside_it() {
-        // Three groups of 2, 5 and 4 frames on one worker, cut over 3 lanes
-        // (4 + 4 + 3): slice 0 holds group 0 and the head of group 1, slice 1
-        // the rest of group 1 and one frame of group 2, slice 2 the tail —
-        // 3 groups + 2 cuts = 5 batches, and none spans two groups.
+        // Three groups of 2, 5 and 4 frames, cut over 3 lanes (4 + 4 + 3):
+        // slice 0 holds group 0 and the head of group 1, slice 1 the rest of
+        // group 1 and one frame of group 2, slice 2 the tail — 3 groups + 2
+        // cuts = 5 batches, and none spans two groups.
         let detectors: Vec<FlakyDetector> = (0..3)
             .map(|_| FlakyDetector::new(Vec::new(), Vec::new()))
             .collect();
         let refs: Vec<&dyn Detector> = detectors.iter().map(|d| d as &dyn Detector).collect();
-        let mut worker = ShardWorker::new(0);
-        worker.begin_stage(3, 3);
+        let mut lanes = Lanes::default();
+        let mut view = view();
+        lanes.begin_stage(3);
         for (group, count) in [(0usize, 2u64), (1, 5), (2, 4)] {
             for frame in 0..count {
-                worker.push_frame(group, group as u64 * 100 + frame);
+                lanes.push_frame(group, group as u64 * 100 + frame);
             }
         }
-        worker.probe(&[0, 1, 2], true, None);
+        lanes.probe(&[0, 1, 2], true, None, &mut view);
         let sizes = detect_stage(
-            std::slice::from_mut(&mut worker),
+            &mut lanes,
+            &mut view,
             &refs,
             &[0, 1, 2],
             DetectPolicy::infallible(),
@@ -1362,8 +1329,8 @@ mod tests {
             .map(|d| d.calls.load(Ordering::SeqCst))
             .collect();
         assert_eq!(calls, vec![1, 2, 2]);
-        assert_eq!(worker.stage_batches.count, 5);
-        assert_eq!(worker.lane_detected, vec![2, 5, 4]);
+        assert_eq!(lanes.batches.count, 5);
+        assert_eq!(lanes.detected, vec![2, 5, 4]);
     }
 
     #[test]
@@ -1379,20 +1346,19 @@ mod tests {
             backoff_cost: 4,
             fail_fast: false,
         };
-        let run = |lanes: usize| {
+        let run = |count: usize| {
             let detector = FlakyDetector::new(vec![(5, 2)], vec![9]);
-            let mut workers = skewed_workers(3, 1, &frames);
-            detect_stage(&mut workers, &[&detector], &[0], policy, lanes);
-            let worker = workers.swap_remove(1);
+            let (mut lanes, mut view) = stage(&frames, None);
+            detect_stage(&mut lanes, &mut view, &[&detector], &[0], policy, count);
             let resolved: Vec<bool> = frames
                 .iter()
-                .map(|&frame| worker.result(0, frame).is_some())
+                .map(|&frame| lanes.result(0, frame).is_some())
                 .collect();
             (
-                worker.stage_detected_frames(),
-                worker.stage_failed_frames(),
-                worker.stage_retries,
-                worker.stage_backoff,
+                lanes.detected_frames(),
+                failed_frames(&lanes),
+                lanes.retries,
+                lanes.backoff,
                 resolved,
             )
         };
@@ -1402,8 +1368,8 @@ mod tests {
             (9, 1, 1, 4),
             "frame 5 recovers on its one retry, frame 9 is dropped"
         );
-        for lanes in [2usize, 3, 5, 10] {
-            assert_eq!(run(lanes), serial, "{lanes} lanes");
+        for count in [2usize, 3, 5, 10] {
+            assert_eq!(run(count), serial, "{count} lanes");
         }
     }
 
@@ -1413,23 +1379,24 @@ mod tests {
         // into, the stage reports frame 9 — first in gather order — and
         // applies nothing after it, even what another lane did detect.
         let frames = [2u64, 9, 4, 11, 6];
-        for lanes in [1usize, 2, 3, 5] {
+        for count in [1usize, 2, 3, 5] {
             let detector = FlakyDetector::new(Vec::new(), vec![9, 11]);
-            let mut workers = skewed_workers(2, 0, &frames);
+            let (mut lanes, mut view) = stage(&frames, None);
             detect_stage(
-                &mut workers,
+                &mut lanes,
+                &mut view,
                 &[&detector],
                 &[0],
                 DetectPolicy::infallible(),
-                lanes,
+                count,
             );
-            let fatal = workers[0].fatal.as_ref().expect("fail-fast parks it");
-            assert_eq!((fatal.frame, fatal.attempts), (9, 2), "{lanes} lanes");
-            assert!(workers[0].result(0, 2).is_some(), "{lanes} lanes");
+            let fatal = lanes.fatal.as_ref().expect("fail-fast parks it");
+            assert_eq!((fatal.frame, fatal.attempts), (9, 2), "{count} lanes");
+            assert!(lanes.result(0, 2).is_some(), "{count} lanes");
             for after in [4u64, 11, 6] {
-                assert!(workers[0].result(0, after).is_none(), "{lanes} lanes");
+                assert!(lanes.result(0, after).is_none(), "{count} lanes");
             }
-            assert_eq!(workers[0].stage_failed_frames(), 1, "{lanes} lanes");
+            assert_eq!(failed_frames(&lanes), 1, "{count} lanes");
         }
     }
 
@@ -1440,24 +1407,31 @@ mod tests {
         // a result too instead of demanding the frame a second time.
         let cache = StripedDetectionCache::new(CacheConfig::new(8));
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
-        let mut worker = ShardWorker::new(0);
-        worker.begin_stage(2, 2);
+        let mut lanes = Lanes::default();
+        let mut view = view();
+        lanes.begin_stage(2);
         for &frame in &[3u64, 9] {
-            worker.push_frame(0, frame);
-            worker.push_frame(1, frame);
+            lanes.push_frame(0, frame);
+            lanes.push_frame(1, frame);
         }
-        worker.probe(&[0, 0], false, Some(&cache));
+        lanes.probe(&[0, 0], false, Some(&cache), &mut view);
         let policy = DetectPolicy {
             max_attempts: 1,
             backoff_cost: 0,
             fail_fast: false,
         };
-        detect(&mut worker, &[&detector, &detector], &[0, 0], policy);
-        assert!(worker.result(0, 3).is_some() && worker.result(1, 3).is_some());
-        assert!(worker.result(0, 9).is_none() && worker.result(1, 9).is_none());
-        assert_eq!(worker.stage_failed_frames(), 1);
+        detect(
+            &mut lanes,
+            &mut view,
+            &[&detector, &detector],
+            &[0, 0],
+            policy,
+        );
+        assert!(lanes.result(0, 3).is_some() && lanes.result(1, 3).is_some());
+        assert!(lanes.result(0, 9).is_none() && lanes.result(1, 9).is_none());
+        assert_eq!(failed_frames(&lanes), 1);
         assert_eq!(detector.attempts_on(9), 2, "one probe, one per-frame try");
-        arbitrate(&mut worker, &[0, 0], &cache);
+        lanes.commit(&[0, 0], &cache, &mut view);
         assert_eq!(cache.stats().len, 1, "only frame 3 is committed, once");
     }
 
@@ -1471,22 +1445,20 @@ mod tests {
     }
 
     #[test]
-    fn router_agrees_with_the_sharded_repository() {
-        let repo = VideoRepository::single_clip(1_000);
-        let chunking = Chunking::new(&repo, ChunkingPolicy::FixedCount { chunks: 10 });
+    fn router_agrees_with_the_shard_spec() {
+        let chunking = chunking(1_000, 10);
         for p in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
             let spec = ShardSpec::new(p, chunking.len(), 3);
             let router = ShardRouter::new(&chunking, &spec).unwrap();
-            let sharded = ShardedRepository::new(repo.clone(), chunking.clone(), spec);
+            assert_eq!(router.shard_count(), 3);
             for frame in 0..1_000 {
+                let chunk = chunking.chunk_of_frame(frame).0 as usize;
                 assert_eq!(
                     router.shard_of(frame) as u32,
-                    sharded.shard_of_frame(frame).0,
+                    spec.shard_assignment()[chunk],
                     "{p:?} frame {frame}"
                 );
             }
-            let via_repo = ShardRouter::from_repository(&sharded);
-            assert_eq!(via_repo.shard_of(999), router.shard_of(999));
         }
     }
 

@@ -1,7 +1,8 @@
 //! What the determinism, fault and batching suites share: the split of a
 //! sharded report into its *logical* half — bitwise-identical across the
 //! whole execution matrix — and its *physical* half, which follows the lane
-//! count by the shape law checked here.
+//! count by the shape law checked here; and a digest to pin whole reports
+//! with.
 
 #![allow(dead_code)]
 
@@ -27,10 +28,10 @@ pub fn logical_shards(report: &ShardedReport) -> Vec<ShardReport> {
 }
 
 /// The physical-shape law of a fault-free run on `lanes` lanes: every
-/// logical call is one cross-shard batch, cut only where one of the
-/// `lanes - 1` lane boundaries of its stage falls inside it — so a serial run
-/// issues exactly the logical calls, whatever the shard count — and each
-/// physical call is attributed to exactly one shard.
+/// logical call is one batch, cut only where one of the `lanes - 1` lane
+/// boundaries of its stage falls inside it — so a serial run issues exactly
+/// the logical calls — and each physical call is attributed to exactly one
+/// shard.
 pub fn assert_physical_shape(report: &ShardedReport, lanes: usize, context: &str) {
     let logical = report.report.detector_calls;
     let physical = report.physical_detector_calls;
@@ -80,4 +81,14 @@ pub fn cut_batches(sizes: &[usize], lanes: usize) -> Vec<(usize, usize)> {
         .into_iter()
         .map(|(group, _, frames)| (group, frames))
         .collect()
+}
+
+/// FNV-1a over a value's `Debug` rendering: a dependency-free,
+/// platform-stable digest of a whole report.
+pub fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }

@@ -7,47 +7,47 @@
 //! 2. a multi-query run produces identical per-query outcomes for any stage
 //!    interleaving — solo vs. concurrent execution, coalescing on or off,
 //!    permuted registration order, extra companion queries; and
-//! 3. shard invariance: for shard counts {1, 2, 3, 7} and both partitioners,
-//!    the merged `EngineReport` and every query's pick sequence are identical
-//!    to the unsharded run — and the explicit `RoundRobin` scheduler is
-//!    pick-for-pick the default behaviour; and
+//! 3. the shard view: a router only groups tallies, so under faults, a cache
+//!    and two lanes, for shards {1, 3, 7} × both partitioners, the global
+//!    `EngineReport` and every pick sequence are the unsharded run's, the
+//!    per-shard reports sum to the global figures, and the per-shard
+//!    breakdown matches a digest captured before shards became a view — and
+//!    the explicit `RoundRobin` scheduler is pick-for-pick the default
+//!    behaviour; and
 //! 4. execution-mode invariance: parallel DETECT execution
 //!    (`ExecutionMode::Parallel`) is bitwise-identical to serial execution —
-//!    merged reports, per-query pick sequences, the logical per-shard
-//!    breakdown — over the full matrix of threads {1, 2, 4} ×
-//!    shards {1, 3, 7} × both partitioners (serial runs detect inline,
-//!    parallel runs on the persistent per-run worker pool); and
-//! 5. the physical-shape law: a stage's detector demand is one cross-shard
-//!    batch per detector group, cut evenly over the lanes — so a serial run
-//!    issues exactly the logical calls for any shard count, an `L`-lane run
-//!    exactly the batches the closed-form cut predicts (at most `L − 1`
-//!    more per stage), identically for every shard count and partitioner,
-//!    each call attributed to one shard; and
+//!    reports, per-query pick sequences, the logical per-shard breakdown —
+//!    over threads {1, 2, 4} (serial runs detect inline, parallel runs on the
+//!    persistent per-run worker pool); and
+//! 5. the physical-shape law: a stage's detector demand is one batch per
+//!    detector group, cut evenly over the lanes — so a serial run issues
+//!    exactly the logical calls and an `L`-lane run exactly the batches the
+//!    closed-form cut predicts (at most `L − 1` more per stage); and
 //! 6. overlap determinism: stage-overlapped runs (`QueryEngine::overlap`) are
 //!    *not* pick-for-pick with non-overlapped runs (stop decisions lag one
 //!    stage by design) but are bitwise-identical to each other across the
-//!    full execution matrix — and match a
-//!    golden digest captured from the engine's former separate overlapped
-//!    stage loop, so the one-stage-stale stop behaviour is pinned
-//!    independently of the loop it now shares with every other run; and
+//!    execution matrix — and match a golden digest captured from the
+//!    engine's former separate overlapped stage loop, so the
+//!    one-stage-stale stop behaviour is pinned independently of the loop it
+//!    now shares with every other run; and
 //! 7. cache-axis determinism: with the lock-striped detections cache enabled
-//!    (small enough to evict), merged reports, per-query pick sequences, and
-//!    the cache accounting itself (hits/misses/evictions/admission rejects,
-//!    globally and per shard) are bitwise-identical across
-//!    threads {1, 2, 4} × shards {1, 3, 7} × both partitioners × overlap
-//!    on/off — and the frequency-admission policy preserves the same
-//!    guarantee.
+//!    (small enough to evict), reports, per-query pick sequences, and the
+//!    cache accounting itself (hits/misses/evictions/admission rejects) are
+//!    bitwise-identical across threads {1, 2, 4} × overlap on/off — and the
+//!    frequency-admission policy preserves the same guarantee.
 
 mod common;
 
 use exsample_core::{ExSample, ExSampleConfig};
 use exsample_detect::{
-    Detector, FrameDetections, GroundTruth, ObjectClass, ObjectInstance, PerfectDetector,
+    Detector, FaultInjectingDetector, FaultPlan, FrameDetections, GroundTruth, ObjectClass,
+    ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
     run_query, AdmissionPolicy, CacheConfig, EngineReport, ExSamplePolicy, ExecutionMode,
-    FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RoundRobin, SamplingPolicy,
-    ShardRouter, ShardedReport, StageStats, StopReason,
+    FailureMode, FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RetryPolicy, RoundRobin,
+    SamplingPolicy, ShardQueryTally, ShardReport, ShardRouter, ShardedReport, StageStats,
+    StopReason,
 };
 use exsample_track::{Discriminator, MatchOutcome, OracleDiscriminator};
 use exsample_video::{
@@ -371,8 +371,8 @@ fn multi_query_outcomes_are_invariant_to_stage_interleaving() {
 }
 
 /// A pass-through policy that logs every pick it hands to the engine, in
-/// production order — the per-query pick sequence the shard-invariance suite
-/// compares across shard counts.
+/// production order — the per-query pick sequence the suites compare across
+/// configurations.
 struct RecordingPolicy<'a> {
     inner: Box<dyn SamplingPolicy + 'a>,
     log: Rc<RefCell<Vec<FrameId>>>,
@@ -482,70 +482,153 @@ fn assert_engine_reports_equal(a: &EngineReport, b: &EngineReport, context: &str
     }
 }
 
+/// `common::logical_shards` of every layout of the shard-view test, and the
+/// whole `report_sharded()` of its contiguous layouts, as `common::
+/// debug_digest`s captured at 5251ec3 — before shards became a view, when
+/// each shard was still an execution worker.  Round-robin physical
+/// attribution is not pinned: it follows the batch cuts, which no longer
+/// group a stage's frames by shard.
+const SHARD_VIEW_DIGESTS: [(ShardPartitioner, u32, u64, Option<u64>); 6] = [
+    (
+        ShardPartitioner::RoundRobin,
+        1,
+        13_593_614_937_378_617_621,
+        None,
+    ),
+    (
+        ShardPartitioner::Contiguous,
+        1,
+        13_593_614_937_378_617_621,
+        Some(3_176_052_907_160_182_134),
+    ),
+    (
+        ShardPartitioner::RoundRobin,
+        3,
+        14_374_717_348_273_666_433,
+        None,
+    ),
+    (
+        ShardPartitioner::Contiguous,
+        3,
+        4_071_430_742_187_467_308,
+        Some(10_193_287_450_414_386_245),
+    ),
+    (
+        ShardPartitioner::RoundRobin,
+        7,
+        13_147_912_720_221_504_073,
+        None,
+    ),
+    (
+        ShardPartitioner::Contiguous,
+        7,
+        8_526_586_648_633_038_456,
+        Some(17_462_708_354_132_697_960),
+    ),
+];
+
+/// The shard view.  A router only decides which shard each tally is added
+/// to, so it is checked once, on the richest configuration — dropped-frame
+/// faults with retries, a cache small enough to evict, two lanes — instead
+/// of as an axis of every matrix: the global report and the picks are the
+/// unsharded run's, the per-shard reports sum to the global figures, and the
+/// per-shard breakdown is the one each shard's execution worker used to keep.
 #[test]
 fn sharded_runs_are_bitwise_identical_to_unsharded() {
-    let frames = 4_000u64;
+    let frames = 1_500u64;
     let (chunking, truth) = skewed_setup(frames, 21);
-    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
+    let plan = FaultPlan::new(2_022)
+        .transient_rate(0.10)
+        .transient_attempts(2)
+        .permanent_rate(0.03);
+    let run = |router: ShardRouter| {
+        let detector = FaultInjectingDetector::new(
+            PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),
+            plan,
+        );
+        let (specs, logs) = recorded_specs(&chunking, frames, &detector);
+        let mut engine = QueryEngine::new()
+            .sharded(router)
+            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
+            .failure_mode(FailureMode::DropFrames)
+            .cache_capacity(MATRIX_CACHE_CAPACITY)
+            .execution(ExecutionMode::Parallel(2))
+            .expect("valid execution mode");
+        for spec in specs {
+            engine.push(spec).unwrap();
+        }
+        let _ = engine.run().unwrap();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+        (engine.report_sharded(), picks)
+    };
 
-    // Baseline: the unsharded engine.
-    let (specs, baseline_logs) = recorded_specs(&chunking, frames, &detector);
-    let mut baseline = QueryEngine::new();
-    for spec in specs {
-        baseline.push(spec).unwrap();
-    }
-    let baseline_report = baseline.run().unwrap();
+    let (unsharded, unsharded_picks) = run(ShardRouter::single());
+    let global = &unsharded.report;
     assert!(
-        baseline_report.outcomes.iter().any(|r| r.true_found > 0),
-        "setup finds nothing"
+        global.detect_retries > 0 && global.failed_frames > 0,
+        "no faults"
     );
-    let baseline_picks: Vec<Vec<FrameId>> = baseline_logs
-        .iter()
-        .map(|log| log.borrow().clone())
-        .collect();
+    assert!(
+        global.cache.hits > 0 && global.cache.evictions > 0,
+        "idle cache"
+    );
+    assert!(
+        global.outcomes.iter().any(|r| r.true_found > 0),
+        "finds nothing"
+    );
 
-    for shards in [1u32, 2, 3, 7] {
-        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            let context = format!("{partitioner:?}/{shards} shards");
-            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-            let router = ShardRouter::new(&chunking, &spec).unwrap();
-            let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-            let mut engine = QueryEngine::new().sharded(router);
-            assert_eq!(engine.shard_count(), shards as usize);
-            for spec in specs {
-                engine.push(spec).unwrap();
-            }
-            let _ = engine.run().unwrap();
-            let merged = engine.report_sharded();
+    for (partitioner, shards, logical, full) in SHARD_VIEW_DIGESTS {
+        let context = format!("{partitioner:?}/{shards} shards");
+        let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+        let (view, picks) = run(ShardRouter::new(&chunking, &spec).unwrap());
+        assert_engine_reports_equal(&view.report, global, &context);
+        assert_eq!(picks, unsharded_picks, "{context}: pick sequences");
+        assert_eq!(
+            view.physical_detector_calls, unsharded.physical_detector_calls,
+            "{context}: what runs does not depend on the router"
+        );
 
-            // The merged global report is bitwise-identical to the unsharded
-            // run: picks, hits, trajectories, stop reasons, stage counts and
-            // deduplicated detector work.
-            assert_engine_reports_equal(&merged.report, &baseline_report, &context);
+        // The per-shard reports partition the global one.
+        let sum = |tally: fn(&ShardReport) -> u64| view.shards.iter().map(tally).sum::<u64>();
+        assert_eq!(view.shards.len(), shards as usize, "{context}");
+        assert_eq!(sum(|s| s.detector_frames), global.detector_frames);
+        assert_eq!(sum(|s| s.retries), global.detect_retries, "{context}");
+        assert_eq!(sum(|s| s.backoff_cost), global.backoff_cost, "{context}");
+        assert_eq!(sum(|s| s.failed_frames), global.failed_frames, "{context}");
+        assert_eq!(sum(|s| s.cache.hits), global.cache.hits, "{context}");
+        assert_eq!(sum(|s| s.cache.misses), global.cache.misses, "{context}");
+        assert_eq!(sum(|s| s.cache.evictions), global.cache.evictions);
+        for (i, outcome) in global.outcomes.iter().enumerate() {
+            let query = |tally: fn(&ShardQueryTally) -> u64| {
+                view.shards
+                    .iter()
+                    .map(|s| tally(&s.per_query[i]))
+                    .sum::<u64>()
+            };
+            assert_eq!(query(|q| q.frames), outcome.frames_processed, "{context}");
+            assert_eq!(query(|q| q.hits), outcome.true_found as u64, "{context}");
+            assert_eq!(query(|q| q.dropped), outcome.dropped_frames, "{context}");
+        }
+        for shard in &view.shards {
+            assert_eq!(shard.batches.count, shard.detector_calls, "{context}");
+        }
 
-            // Every query's pick sequence is identical, frame for frame.
-            for (log, expected) in logs.iter().zip(&baseline_picks) {
-                assert_eq!(&*log.borrow(), expected, "{context}: pick sequence");
-            }
-
-            // The per-shard breakdown partitions every query's frames, and
-            // a serial run issues exactly the logical invocations however
-            // many shards a detector group's frames span.
-            assert_eq!(merged.shards.len(), shards as usize);
-            for (i, outcome) in merged.report.outcomes.iter().enumerate() {
-                let routed: u64 = merged.shards.iter().map(|s| s.per_query[i].frames).sum();
-                assert_eq!(routed, outcome.frames_processed, "{context}: routing");
-            }
-            common::assert_physical_shape(&merged, 1, &context);
+        assert_eq!(
+            common::debug_digest(&common::logical_shards(&view)),
+            logical,
+            "{context}: per-shard breakdown"
+        );
+        if let Some(full) = full {
+            assert_eq!(common::debug_digest(&view), full, "{context}: report");
         }
     }
 }
 
 /// Everything a sharded report of a `lanes`-lane run carries, against the
-/// serial run of the same layout: the embedded global report and the logical
-/// per-shard breakdowns (frames, hits, cache and per-detector tallies)
-/// bitwise, the physical invocations by the shape law — exactly the logical
-/// calls when serial, at most one more per lane boundary per stage otherwise.
+/// serial run: the embedded global report and the logical per-shard
+/// breakdown (frames, hits, cache and per-detector tallies) bitwise, the
+/// physical invocations by the shape law — exactly the logical calls when
+/// serial, at most one more per lane boundary per stage otherwise.
 fn assert_sharded_reports_agree(
     parallel: &ShardedReport,
     serial: &ShardedReport,
@@ -567,82 +650,41 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
     let frames = 4_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
     let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
+    let run = |mode: ExecutionMode| {
+        let (specs, logs) = recorded_specs(&chunking, frames, &detector);
+        let mut engine = QueryEngine::new()
+            .execution(mode)
+            .expect("valid execution mode");
+        for spec in specs {
+            engine.push(spec).unwrap();
+        }
+        // The three queries share one detector, so every stage is one
+        // group: its frames are cut over the lanes exactly — one batch per
+        // lane, or per frame when there are fewer.
+        let lanes = mode.effective_threads() as u64;
+        let _ = engine
+            .run_with(|stats: &StageStats| {
+                assert_eq!(stats.detector_calls, 1);
+                assert_eq!(stats.batches.count, lanes.min(stats.detector_frames));
+                assert_eq!(stats.batches.frames, stats.detector_frames);
+            })
+            .unwrap();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+        (engine.report_sharded(), picks)
+    };
 
-    // Baseline: the unsharded, serial engine.
-    let (specs, baseline_logs) = recorded_specs(&chunking, frames, &detector);
-    let mut baseline = QueryEngine::new();
-    for spec in specs {
-        baseline.push(spec).unwrap();
-    }
-    let _ = baseline.run().unwrap();
-    let baseline_merged = baseline.report_sharded();
+    let (serial, serial_picks) = run(ExecutionMode::Serial);
     assert!(
-        baseline_merged
-            .report
-            .outcomes
-            .iter()
-            .any(|r| r.true_found > 0),
+        serial.report.outcomes.iter().any(|r| r.true_found > 0),
         "setup finds nothing"
     );
-    let baseline_picks: Vec<Vec<FrameId>> = baseline_logs
-        .iter()
-        .map(|log| log.borrow().clone())
-        .collect();
-
-    for shards in [1u32, 3, 7] {
-        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            let run = |mode: ExecutionMode| {
-                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                let router = ShardRouter::new(&chunking, &spec).unwrap();
-                let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-                let mut engine = QueryEngine::new()
-                    .sharded(router)
-                    .execution(mode)
-                    .expect("valid execution mode");
-                for spec in specs {
-                    engine.push(spec).unwrap();
-                }
-                // The three queries share one detector, so every stage is
-                // one group: its frames are cut over the lanes exactly —
-                // one batch per lane, or per frame when there are fewer.
-                let lanes = mode.effective_threads() as u64;
-                let _ = engine
-                    .run_with(|stats: &StageStats| {
-                        assert_eq!(stats.detector_calls, 1);
-                        assert_eq!(stats.batches.count, lanes.min(stats.detector_frames));
-                        assert_eq!(stats.batches.frames, stats.detector_frames);
-                    })
-                    .unwrap();
-                let picks: Vec<Vec<FrameId>> =
-                    logs.iter().map(|log| log.borrow().clone()).collect();
-                (engine.report_sharded(), picks)
-            };
-
-            // The serial sharded run is the reference the parallel runs must
-            // reproduce, per-shard logical breakdown included (which
-            // legitimately differs from the 1-shard baseline's).
-            let (serial, serial_picks) = run(ExecutionMode::Serial);
-            assert_eq!(serial_picks, baseline_picks);
-            assert_engine_reports_equal(
-                &serial.report,
-                &baseline_merged.report,
-                &format!("{partitioner:?}/{shards} shards serial vs unsharded"),
-            );
-
-            for threads in [1usize, 2, 4] {
-                let context = format!("{partitioner:?}/{shards} shards/{threads} threads");
-                let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
-                // Per-query pick sequences, frame for frame.
-                assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                // Merged report and logical per-shard breakdowns bitwise
-                // against the serial sharded run, physical invocations by
-                // the shape law …
-                assert_sharded_reports_agree(&parallel, &serial, threads, &context);
-                // … and the logical view bitwise against the unsharded
-                // run.
-                assert_engine_reports_equal(&parallel.report, &baseline_merged.report, &context);
-            }
-        }
+    for threads in [1usize, 2, 4] {
+        let context = format!("{threads} threads");
+        let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+        // Per-query pick sequences, frame for frame; reports and the logical
+        // breakdown bitwise, physical invocations by the shape law.
+        assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
+        assert_sharded_reports_agree(&parallel, &serial, threads, &context);
     }
 }
 
@@ -676,12 +718,10 @@ impl Detector for BatchLoggingDetector {
 
 #[test]
 fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
-    // Every run aggregates: a stage's demand is one cross-shard batch per
-    // detector group, cut evenly over the lanes.  Three queries with a
-    // detector each make multi-group stages; the batches every stage issues
-    // must be exactly the closed-form cut — whatever the shard count and the
-    // partitioner — while picks and merged reports stay those of the
-    // unsharded serial run.
+    // Every run aggregates: a stage's demand is one batch per detector group,
+    // cut evenly over the lanes.  Three queries with a detector each make
+    // multi-group stages; the batches every stage issues must be exactly the
+    // closed-form cut, while picks and reports stay those of the serial run.
     let frames = 4_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
     let log: BatchLog = Arc::default();
@@ -693,69 +733,53 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
         })
         .collect();
 
-    // Physical calls of the first layout run at each lane count: every other
-    // layout must issue exactly as many.
-    let mut physical_at: Vec<Option<u64>> = vec![None; 5];
     let mut baseline: Option<(EngineReport, Vec<Vec<FrameId>>)> = None;
-    for shards in [1u32, 3, 7] {
-        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            for lanes in [1usize, 2, 4] {
-                let context = format!("{partitioner:?}/{shards} shards/{lanes} lanes");
-                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                let router = ShardRouter::new(&chunking, &spec).unwrap();
-                let mut engine = QueryEngine::new()
-                    .sharded(router)
-                    .execution(ExecutionMode::Parallel(lanes))
-                    .expect("valid execution mode");
-                // Query `i` owns detector `i`, so a stage's groups come in
-                // detector-id order.
-                let (specs, logs) = recorded_specs_on(
-                    &chunking,
-                    frames,
-                    [&detectors[0], &detectors[1], &detectors[2]],
-                );
-                for spec in specs {
-                    engine.push(spec).unwrap();
-                }
-                log.lock().unwrap().clear();
-                let _ = engine
-                    .run_with(|stats: &StageStats| {
-                        let mut issued = std::mem::take(&mut *log.lock().unwrap());
-                        let mut sizes = [0usize; 3];
-                        for &(id, batch) in &issued {
-                            sizes[id] += batch;
-                        }
-                        let ids: Vec<usize> = (0..3).filter(|&id| sizes[id] > 0).collect();
-                        let demand: Vec<usize> = ids.iter().map(|&id| sizes[id]).collect();
-                        let mut expected: Vec<(usize, usize)> = common::cut_batches(&demand, lanes)
-                            .into_iter()
-                            .map(|(group, batch)| (ids[group], batch))
-                            .collect();
-                        // Lanes run concurrently: arrival order is theirs.
-                        issued.sort_unstable();
-                        expected.sort_unstable();
-                        assert_eq!(issued, expected, "{context}: stage {}", stats.stage);
-                        assert_eq!(stats.detector_calls, ids.len() as u64, "{context}");
-                        assert_eq!(stats.batches.count, expected.len() as u64, "{context}");
-                    })
-                    .unwrap();
-                let merged = engine.report_sharded();
-                let picks: Vec<Vec<FrameId>> =
-                    logs.iter().map(|log| log.borrow().clone()).collect();
-
-                common::assert_physical_shape(&merged, lanes, &context);
-                let physical = physical_at[lanes].get_or_insert(merged.physical_detector_calls);
-                assert_eq!(
-                    merged.physical_detector_calls, *physical,
-                    "{context}: the physical shape must not depend on the layout"
-                );
-                let (report, baseline_picks) =
-                    baseline.get_or_insert_with(|| (merged.report.clone(), picks.clone()));
-                assert!(report.outcomes.iter().any(|r| r.true_found > 0));
-                assert_engine_reports_equal(&merged.report, report, &context);
-                assert_eq!(&picks, baseline_picks, "{context}: pick sequences");
-            }
+    for lanes in [1usize, 2, 4] {
+        let context = format!("{lanes} lanes");
+        let mut engine = QueryEngine::new()
+            .execution(ExecutionMode::Parallel(lanes))
+            .expect("valid execution mode");
+        // Query `i` owns detector `i`, so a stage's groups come in
+        // detector-id order.
+        let (specs, logs) = recorded_specs_on(
+            &chunking,
+            frames,
+            [&detectors[0], &detectors[1], &detectors[2]],
+        );
+        for spec in specs {
+            engine.push(spec).unwrap();
         }
+        log.lock().unwrap().clear();
+        let _ = engine
+            .run_with(|stats: &StageStats| {
+                let mut issued = std::mem::take(&mut *log.lock().unwrap());
+                let mut sizes = [0usize; 3];
+                for &(id, batch) in &issued {
+                    sizes[id] += batch;
+                }
+                let ids: Vec<usize> = (0..3).filter(|&id| sizes[id] > 0).collect();
+                let demand: Vec<usize> = ids.iter().map(|&id| sizes[id]).collect();
+                let mut expected: Vec<(usize, usize)> = common::cut_batches(&demand, lanes)
+                    .into_iter()
+                    .map(|(group, batch)| (ids[group], batch))
+                    .collect();
+                // Lanes run concurrently: arrival order is theirs.
+                issued.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(issued, expected, "{context}: stage {}", stats.stage);
+                assert_eq!(stats.detector_calls, ids.len() as u64, "{context}");
+                assert_eq!(stats.batches.count, expected.len() as u64, "{context}");
+            })
+            .unwrap();
+        let merged = engine.report_sharded();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+
+        common::assert_physical_shape(&merged, lanes, &context);
+        let (report, baseline_picks) =
+            baseline.get_or_insert_with(|| (merged.report.clone(), picks.clone()));
+        assert!(report.outcomes.iter().any(|r| r.true_found > 0));
+        assert_engine_reports_equal(&merged.report, report, &context);
+        assert_eq!(&picks, baseline_picks, "{context}: pick sequences");
     }
 }
 
@@ -766,61 +790,31 @@ fn overlapped_runs_are_deterministic_across_the_matrix() {
     let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
 
     // Overlap changes *when* stop conditions are decided (one stage late, by
-    // design), so its reference is itself overlapped: the unsharded serial
-    // overlapped run.  Every other configuration must reproduce it bitwise.
-    let (specs, baseline_logs) = recorded_specs(&chunking, frames, &detector);
-    let mut baseline = QueryEngine::new().overlap(true);
-    for spec in specs {
-        baseline.push(spec).unwrap();
-    }
-    let _ = baseline.run().unwrap();
-    let baseline_merged = baseline.report_sharded();
+    // design), so its reference is itself overlapped: the serial overlapped
+    // run.  Every lane count must reproduce it bitwise.
+    let run = |mode: ExecutionMode| {
+        let (specs, logs) = recorded_specs(&chunking, frames, &detector);
+        let mut engine = QueryEngine::new()
+            .overlap(true)
+            .execution(mode)
+            .expect("valid execution mode");
+        for spec in specs {
+            engine.push(spec).unwrap();
+        }
+        let _ = engine.run().unwrap();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+        (engine.report_sharded(), picks)
+    };
+    let (serial, serial_picks) = run(ExecutionMode::Serial);
     assert!(
-        baseline_merged
-            .report
-            .outcomes
-            .iter()
-            .any(|r| r.true_found > 0),
+        serial.report.outcomes.iter().any(|r| r.true_found > 0),
         "setup finds nothing"
     );
-    let baseline_picks: Vec<Vec<FrameId>> = baseline_logs
-        .iter()
-        .map(|log| log.borrow().clone())
-        .collect();
-
-    for shards in [1u32, 3, 7] {
-        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            let run = |mode: ExecutionMode| {
-                let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                let router = ShardRouter::new(&chunking, &spec).unwrap();
-                let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-                let mut engine = QueryEngine::new()
-                    .sharded(router)
-                    .overlap(true)
-                    .execution(mode)
-                    .expect("valid execution mode");
-                for spec in specs {
-                    engine.push(spec).unwrap();
-                }
-                let _ = engine.run().unwrap();
-                let picks: Vec<Vec<FrameId>> =
-                    logs.iter().map(|log| log.borrow().clone()).collect();
-                (engine.report_sharded(), picks)
-            };
-
-            let context = format!("{partitioner:?}/{shards} shards");
-            let (serial, serial_picks) = run(ExecutionMode::Serial);
-            assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
-            assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
-
-            for threads in [1usize, 2, 4] {
-                let context = format!("{context}/{threads} threads");
-                let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
-                assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                assert_sharded_reports_agree(&parallel, &serial, threads, &context);
-                assert_engine_reports_equal(&parallel.report, &baseline_merged.report, &context);
-            }
-        }
+    for threads in [1usize, 2, 4] {
+        let context = format!("overlap/{threads} threads");
+        let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+        assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
+        assert_sharded_reports_agree(&parallel, &serial, threads, &context);
     }
 }
 
@@ -837,78 +831,39 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
 
     for overlap in [false, true] {
         // Overlap changes stop timing by design, so each overlap setting has
-        // its own reference: the unsharded serial cached run.
-        let (specs, baseline_logs) = recorded_specs(&chunking, frames, &detector);
-        let mut baseline = QueryEngine::new()
-            .overlap(overlap)
-            .cache_capacity(MATRIX_CACHE_CAPACITY);
-        for spec in specs {
-            baseline.push(spec).unwrap();
-        }
-        let _ = baseline.run().unwrap();
-        let baseline_merged = baseline.report_sharded();
+        // its own reference: the serial cached run.
+        let run = |mode: ExecutionMode| {
+            let (specs, logs) = recorded_specs(&chunking, frames, &detector);
+            let mut engine = QueryEngine::new()
+                .overlap(overlap)
+                .cache_capacity(MATRIX_CACHE_CAPACITY)
+                .execution(mode)
+                .expect("valid execution mode");
+            for spec in specs {
+                engine.push(spec).unwrap();
+            }
+            let _ = engine.run().unwrap();
+            let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+            (engine.report_sharded(), picks)
+        };
+        let (serial, serial_picks) = run(ExecutionMode::Serial);
         assert!(
-            baseline_merged
-                .report
-                .outcomes
-                .iter()
-                .any(|r| r.true_found > 0),
+            serial.report.outcomes.iter().any(|r| r.true_found > 0),
             "setup finds nothing"
         );
         // The axis must actually be exercised: cold probes, warm re-probes
         // and LRU evictions all occur in the reference run.
-        let activity = baseline_merged.report.cache;
+        let activity = serial.report.cache;
         assert!(activity.misses > 0, "overlap {overlap}: no cache misses");
         assert!(activity.hits > 0, "overlap {overlap}: no cache hits");
         assert!(activity.evictions > 0, "overlap {overlap}: no evictions");
-        let baseline_picks: Vec<Vec<FrameId>> = baseline_logs
-            .iter()
-            .map(|log| log.borrow().clone())
-            .collect();
 
-        for shards in [1u32, 3, 7] {
-            for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let run = |mode: ExecutionMode| {
-                    let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-                    let router = ShardRouter::new(&chunking, &spec).unwrap();
-                    let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-                    let mut engine = QueryEngine::new()
-                        .sharded(router)
-                        .overlap(overlap)
-                        .cache_capacity(MATRIX_CACHE_CAPACITY)
-                        .execution(mode)
-                        .expect("valid execution mode");
-                    for spec in specs {
-                        engine.push(spec).unwrap();
-                    }
-                    let _ = engine.run().unwrap();
-                    let picks: Vec<Vec<FrameId>> =
-                        logs.iter().map(|log| log.borrow().clone()).collect();
-                    (engine.report_sharded(), picks)
-                };
-
-                let context = format!("cached/overlap {overlap}/{partitioner:?}/{shards} shards");
-                let (serial, serial_picks) = run(ExecutionMode::Serial);
-                assert_eq!(serial_picks, baseline_picks, "{context}: pick sequences");
-                // The merged report comparison includes the global cache
-                // accounting — identical across shard counts, not just
-                // across thread counts at a fixed layout.
-                assert_engine_reports_equal(&serial.report, &baseline_merged.report, &context);
-
-                for threads in [1usize, 2, 4] {
-                    let context = format!("{context}/{threads} threads");
-                    let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
-                    assert_eq!(parallel_picks, baseline_picks, "{context}: pick sequences");
-                    // Per-shard breakdowns carry per-shard cache
-                    // tallies; this comparison pins those too.
-                    assert_sharded_reports_agree(&parallel, &serial, threads, &context);
-                    assert_engine_reports_equal(
-                        &parallel.report,
-                        &baseline_merged.report,
-                        &context,
-                    );
-                }
-            }
+        for threads in [1usize, 2, 4] {
+            let context = format!("cached/overlap {overlap}/{threads} threads");
+            let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+            assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
+            // The report comparison includes the cache accounting.
+            assert_sharded_reports_agree(&parallel, &serial, threads, &context);
         }
     }
 }
@@ -921,19 +876,15 @@ fn frequency_admission_runs_are_bitwise_identical_across_threads() {
 
     // The frequency gate only changes *which* inserts are admitted, never the
     // picks — so the uncached pick sequences remain the reference, and the
-    // cache accounting must agree bitwise across the execution matrix at a
-    // fixed shard layout.
+    // cache accounting must agree bitwise across the execution matrix.
     let config = || {
         CacheConfig::new(192)
             .stripes(4)
             .admission(AdmissionPolicy::Frequency)
     };
     let run = |mode: ExecutionMode| {
-        let spec = ShardSpec::new(ShardPartitioner::RoundRobin, chunking.len(), 3);
-        let router = ShardRouter::new(&chunking, &spec).unwrap();
         let (specs, logs) = recorded_specs(&chunking, frames, &detector);
         let mut engine = QueryEngine::new()
-            .sharded(router)
             .cache_config(config())
             .expect("valid cache config")
             .execution(mode)

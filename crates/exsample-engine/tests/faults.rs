@@ -5,10 +5,9 @@
 //!    detector, no retry policy): retries stay opt-in and free;
 //! 2. **fault determinism matrix** — for a fixed seed and [`FaultPlan`],
 //!    degraded runs under [`FailureMode::DropFrames`] are bitwise-identical —
-//!    merged reports, logical per-shard breakdowns, retry/backoff/failure/drop
-//!    tallies — across shard counts {1, 3, 7} × threads {1, 2, 4} × both
-//!    partitioners, and on the unsharded engine's lanes: a failed batch
-//!    recovers per frame, so it never matters which frames shared it;
+//!    reports, logical breakdowns, retry/backoff/failure/drop tallies —
+//!    across threads {1, 2, 4}: a failed batch recovers per frame, so it
+//!    never matters which frames shared it;
 //! 3. **quarantine** — a detector exceeding its failure threshold is disabled
 //!    for the rest of the run, its queries stop with
 //!    [`StopReason::DetectorQuarantined`], other queries are untouched, and
@@ -16,9 +15,9 @@
 //! 4. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
 //!    first terminal failure (in gather order) as a typed
 //!    [`EngineError::DetectorFailed`] with full context and a chained source,
-//!    identically across thread counts at a fixed shard layout — and by the
-//!    fast path and the gathered path alike, which share one per-frame retry
-//!    loop;
+//!    identically across thread counts and shard routers — and by the fast
+//!    path and the gathered path alike, which share one per-frame retry loop
+//!    and walk the picks in the same order;
 //! 5. **cache hygiene** — failed frames are never committed to the detection
 //!    cache (a warm re-query re-attempts and re-drops exactly them), while
 //!    frames recovered by a retry are committed exactly once (a warm re-query
@@ -26,7 +25,7 @@
 //! 6. **cache determinism under faults** — with the striped detections cache
 //!    enabled and small enough to evict, degraded runs keep every tally
 //!    (including the cache's own hit/miss/eviction accounting) bitwise-
-//!    identical across the shard × thread × partitioner matrix.
+//!    identical across thread counts.
 
 mod common;
 
@@ -169,10 +168,10 @@ fn assert_engine_reports_equal(a: &EngineReport, b: &EngineReport, context: &str
     }
 }
 
-/// Merged reports and logical per-shard breakdowns, bitwise.  Physical call
-/// counts are not compared: under faults they depend on which healthy frames
-/// shared a failed batch (each pays one extra per-frame call), which is the
-/// lane count's to decide.
+/// Reports and logical breakdowns, bitwise.  Physical call counts are not
+/// compared: under faults they depend on which healthy frames shared a
+/// failed batch (each pays one extra per-frame call), which is the lane
+/// count's to decide.
 fn assert_sharded_reports_equal(a: &ShardedReport, b: &ShardedReport, context: &str) {
     assert_engine_reports_equal(&a.report, &b.report, context);
     assert_eq!(
@@ -228,16 +227,13 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
 
-    let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
+    let run = |mode: ExecutionMode| {
         let detector = faulty_detector(&truth, faulty_plan());
         let mut engine = QueryEngine::new()
             .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(FailureMode::DropFrames);
-        if let Some((partitioner, shards)) = shards {
-            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-            engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-        }
-        engine = engine.execution(mode).expect("valid execution mode");
+            .failure_mode(FailureMode::DropFrames)
+            .execution(mode)
+            .expect("valid execution mode");
         for spec in fault_specs(&chunking, frames, &detector) {
             engine.push(spec).unwrap();
         }
@@ -245,9 +241,9 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
         engine.report_sharded()
     };
 
-    // Baseline: unsharded, serial.  The assertions below are only meaningful
-    // if the plan genuinely degraded the run, so pin that first.
-    let baseline = sharded_run(None, ExecutionMode::Serial);
+    // Baseline: serial.  The assertions below are only meaningful if the
+    // plan genuinely degraded the run, so pin that first.
+    let baseline = run(ExecutionMode::Serial);
     assert!(
         baseline.report.detect_retries > 0,
         "plan scheduled no transient faults — the matrix would be vacuous"
@@ -275,38 +271,11 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
         "the degraded run found nothing at all"
     );
 
-    // Lanes need no shards: the unsharded engine cuts its failed and healthy
-    // batches differently at every thread count, and tallies the same.
-    for threads in [2usize, 4] {
-        let parallel = sharded_run(None, ExecutionMode::Parallel(threads));
-        assert_sharded_reports_equal(
-            &parallel,
-            &baseline,
-            &format!("unsharded/{threads} threads"),
-        );
-    }
-
-    for shards in [1u32, 3, 7] {
-        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            // The serial sharded run is the per-layout reference: parallel
-            // runs must reproduce its per-shard breakdown bitwise, and its
-            // merged view must equal the unsharded baseline's.
-            let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
-            assert_engine_reports_equal(
-                &serial.report,
-                &baseline.report,
-                &format!("{partitioner:?}/{shards} shards serial vs unsharded"),
-            );
-            for threads in [1usize, 2, 4] {
-                let context = format!("{partitioner:?}/{shards} shards/{threads} threads");
-                let parallel = sharded_run(
-                    Some((partitioner, shards)),
-                    ExecutionMode::Parallel(threads),
-                );
-                assert_sharded_reports_equal(&parallel, &serial, &context);
-                assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
-            }
-        }
+    // The lanes cut failed and healthy batches differently at every thread
+    // count, and tally the same.
+    for threads in [1usize, 2, 4] {
+        let parallel = run(ExecutionMode::Parallel(threads));
+        assert_sharded_reports_equal(&parallel, &baseline, &format!("{threads} threads"));
     }
 }
 
@@ -317,19 +286,16 @@ fn degraded_runs_with_the_striped_cache_stay_deterministic() {
 
     // The same degraded matrix as above with the striped detections cache in
     // the loop (small enough to evict): retries, drops, cache hygiene and the
-    // cache accounting itself must all stay bitwise-identical across shard
-    // layouts and thread counts.
-    let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
+    // cache accounting itself must all stay bitwise-identical across thread
+    // counts.
+    let run = |mode: ExecutionMode| {
         let detector = faulty_detector(&truth, faulty_plan());
         let mut engine = QueryEngine::new()
             .retry_policy(RetryPolicy::new(3).backoff_cost(4))
             .failure_mode(FailureMode::DropFrames)
-            .cache_capacity(256);
-        if let Some((partitioner, shards)) = shards {
-            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-            engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-        }
-        engine = engine.execution(mode).expect("valid execution mode");
+            .cache_capacity(256)
+            .execution(mode)
+            .expect("valid execution mode");
         for spec in fault_specs(&chunking, frames, &detector) {
             engine.push(spec).unwrap();
         }
@@ -337,7 +303,7 @@ fn degraded_runs_with_the_striped_cache_stay_deterministic() {
         engine.report_sharded()
     };
 
-    let baseline = sharded_run(None, ExecutionMode::Serial);
+    let baseline = run(ExecutionMode::Serial);
     assert!(
         baseline.report.detect_retries > 0,
         "plan scheduled no transient faults — the matrix would be vacuous"
@@ -351,24 +317,9 @@ fn degraded_runs_with_the_striped_cache_stay_deterministic() {
         "the cache axis is vacuous without misses"
     );
 
-    for shards in [1u32, 3, 7] {
-        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
-            assert_engine_reports_equal(
-                &serial.report,
-                &baseline.report,
-                &format!("cached {partitioner:?}/{shards} shards serial vs unsharded"),
-            );
-            for threads in [1usize, 2, 4] {
-                let context = format!("cached {partitioner:?}/{shards} shards/{threads} threads");
-                let parallel = sharded_run(
-                    Some((partitioner, shards)),
-                    ExecutionMode::Parallel(threads),
-                );
-                assert_sharded_reports_equal(&parallel, &serial, &context);
-                assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
-            }
-        }
+    for threads in [1usize, 2, 4] {
+        let parallel = run(ExecutionMode::Parallel(threads));
+        assert_sharded_reports_equal(&parallel, &baseline, &format!("cached/{threads} threads"));
     }
 }
 
@@ -377,23 +328,20 @@ fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
     // The fault axis of stage overlap: a degraded `DropFrames` run stays
     // bitwise-deterministic across the execution matrix.  Overlap's
     // reference is itself overlapped (stop decisions lag one stage by
-    // design); the cross-shard batches every run aggregates into keep faults
-    // per-frame (a failed batch probe recovers each frame individually), so
-    // the logical fault telemetry is layout-invariant either way.
+    // design); the batches every run aggregates into keep faults per-frame
+    // (a failed batch probe recovers each frame individually), so the
+    // logical fault telemetry is lane-invariant either way.
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
 
-    let sharded_run = |shards: Option<(ShardPartitioner, u32)>, mode: ExecutionMode| {
+    let run = |mode: ExecutionMode| {
         let detector = faulty_detector(&truth, faulty_plan());
         let mut engine = QueryEngine::new()
             .overlap(true)
             .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(FailureMode::DropFrames);
-        if let Some((partitioner, shards)) = shards {
-            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
-            engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-        }
-        engine = engine.execution(mode).expect("valid execution mode");
+            .failure_mode(FailureMode::DropFrames)
+            .execution(mode)
+            .expect("valid execution mode");
         for spec in fault_specs(&chunking, frames, &detector) {
             engine.push(spec).unwrap();
         }
@@ -401,7 +349,7 @@ fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
         engine.report_sharded()
     };
 
-    let baseline = sharded_run(None, ExecutionMode::Serial);
+    let baseline = run(ExecutionMode::Serial);
     assert!(
         baseline.report.detect_retries > 0,
         "no transient faults — the matrix would be vacuous"
@@ -421,24 +369,9 @@ fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
         "no frame was dropped"
     );
 
-    for shards in [1u32, 3, 7] {
-        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-            let serial = sharded_run(Some((partitioner, shards)), ExecutionMode::Serial);
-            assert_engine_reports_equal(
-                &serial.report,
-                &baseline.report,
-                &format!("overlap/{partitioner:?}/{shards} shards serial vs unsharded"),
-            );
-            for threads in [1usize, 2, 4] {
-                let context = format!("overlap/{partitioner:?}/{shards} shards/{threads} threads");
-                let parallel = sharded_run(
-                    Some((partitioner, shards)),
-                    ExecutionMode::Parallel(threads),
-                );
-                assert_sharded_reports_equal(&parallel, &serial, &context);
-                assert_engine_reports_equal(&parallel.report, &baseline.report, &context);
-            }
-        }
+    for threads in [1usize, 2, 4] {
+        let parallel = run(ExecutionMode::Parallel(threads));
+        assert_sharded_reports_equal(&parallel, &baseline, &format!("overlap/{threads} threads"));
     }
 }
 
@@ -570,15 +503,13 @@ fn uncoalesced_twins_on_a_faulty_detector_tally_the_same_on_any_lane_count() {
 #[test]
 fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
     let frames = 3_000u64;
-    let (chunking, truth) = skewed_setup(frames, 12);
+    let (_chunking, truth) = skewed_setup(frames, 12);
     let plan = FaultPlan::new(FAULT_SEED).permanent_rate(0.30);
 
-    let run = |shards: u32, threads: usize| {
+    let run = |threads: usize| {
         let faulty = faulty_detector(&truth, plan);
         let clean = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("person"));
-        let spec = ShardSpec::contiguous(chunking.len(), shards);
         let mut engine = QueryEngine::new()
-            .sharded(ShardRouter::new(&chunking, &spec).unwrap())
             .retry_policy(RetryPolicy::new(2).backoff_cost(1))
             .failure_mode(FailureMode::Quarantine {
                 failure_threshold: 4,
@@ -612,7 +543,7 @@ fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
         engine.run().unwrap()
     };
 
-    let baseline = run(1, 1);
+    let baseline = run(1);
     let doomed = &baseline.outcomes[0];
     let spared = &baseline.outcomes[1];
     assert_eq!(
@@ -635,13 +566,10 @@ fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
     assert!(baseline.failed_frames > 4, "threshold was never exceeded");
 
     // Quarantine is decided from logical failure counts at stage boundaries,
-    // so the whole degraded outcome is invariant across the execution matrix.
-    for shards in [1u32, 3, 7] {
-        for threads in [1usize, 2, 4] {
-            let context = format!("{shards} shards/{threads} threads");
-            let report = run(shards, threads);
-            assert_engine_reports_equal(&report, &baseline, &context);
-        }
+    // so the whole degraded outcome is invariant across thread counts.
+    for threads in [2usize, 4] {
+        let report = run(threads);
+        assert_engine_reports_equal(&report, &baseline, &format!("{threads} threads"));
     }
 }
 
@@ -651,11 +579,10 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
     let (chunking, truth) = skewed_setup(frames, 12);
     let plan = FaultPlan::new(FAULT_SEED).permanent_rate(0.10);
 
-    let run = |threads: usize| {
+    let run = |router: ShardRouter, threads: usize| {
         let detector = faulty_detector(&truth, plan);
-        let spec = ShardSpec::contiguous(chunking.len(), 3);
         let mut engine = QueryEngine::new()
-            .sharded(ShardRouter::new(&chunking, &spec).unwrap())
+            .sharded(router)
             .retry_policy(RetryPolicy::new(3).backoff_cost(2))
             .execution(ExecutionMode::Parallel(threads))
             .expect("valid execution mode");
@@ -682,7 +609,8 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
         }
     };
 
-    let (class, frame, attempts, source) = run(1);
+    // One lane on the unsharded router: the fast path.
+    let (class, frame, attempts, source) = run(ShardRouter::single(), 1);
     assert_eq!(class, "car");
     assert!(
         matches!(source, DetectError::Permanent { .. }),
@@ -703,31 +631,41 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
     let chained = std::error::Error::source(&err).expect("DetectorFailed chains its source");
     assert!(chained.to_string().contains("permanent"));
 
-    // At a fixed shard layout the first fatal frame (gather order) is pinned
-    // across thread counts: the scatter stops there whatever the lanes beyond
-    // it went on to detect.
-    for threads in [1usize, 2, 4] {
-        let (c, f, a, s) = run(threads);
-        let context = format!("{threads} threads");
-        assert_eq!(c, class, "{context}: class");
-        assert_eq!(f, frame, "{context}: frame");
-        assert_eq!(a, attempts, "{context}: attempts");
-        assert_eq!(s, source, "{context}: source");
+    // The first fatal frame in gather order is pinned for every lane count
+    // and every router: the fast path walks the picks in the order the lanes
+    // gather them, the scatter stops there whatever the lanes beyond it went
+    // on to detect, and a router only attributes tallies.
+    let mut routers = vec![("unsharded".to_string(), ShardRouter::single())];
+    for shards in [1u32, 3, 7] {
+        for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
+            let spec = ShardSpec::new(partitioner, chunking.len(), shards);
+            let router = ShardRouter::new(&chunking, &spec).unwrap();
+            routers.push((format!("{partitioner:?}/{shards} shards"), router));
+        }
+    }
+    for (layout, router) in routers {
+        for threads in [1usize, 2, 4] {
+            let context = format!("{layout}/{threads} lanes");
+            let failure = run(router.clone(), threads);
+            assert_eq!(
+                failure,
+                (class.clone(), frame, attempts, source.clone()),
+                "{context}"
+            );
+        }
     }
 }
 
 #[test]
 fn failed_frames_are_never_cached_and_recovered_frames_commit_once() {
     let frames = 400u64;
-    let (chunking, truth) = skewed_setup(frames, 12);
+    let (_chunking, truth) = skewed_setup(frames, 12);
     let plan = FaultPlan::new(FAULT_SEED)
         .transient_rate(0.20)
         .transient_attempts(2)
         .permanent_rate(0.05);
     let detector = faulty_detector(&truth, plan);
-    let spec = ShardSpec::contiguous(chunking.len(), 3);
     let mut engine = QueryEngine::new()
-        .sharded(ShardRouter::new(&chunking, &spec).unwrap())
         .cache_capacity(4_096)
         .retry_policy(RetryPolicy::new(3).backoff_cost(2))
         .failure_mode(FailureMode::DropFrames);

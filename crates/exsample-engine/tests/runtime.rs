@@ -21,10 +21,11 @@
 //! 5. the stripe count is invisible to accounting: stripes only shard the
 //!    probe-time locks, so stripe counts {1, 2, 8, 64} produce bitwise-
 //!    identical cache tallies and reports, serial or parallel; and
-//! 6. lanes are independent of shards: demand routed to one shard of four is
-//!    still shared evenly by the lanes, an unsharded engine uses every lane
-//!    it was given — and stays bitwise the serial run — and no detector is
-//!    ever handed an empty batch.
+//! 6. lanes share every stage evenly: demand that one shard of a four-shard
+//!    view owns entirely is still split in half over two lanes (and its
+//!    calls attributed to that shard), an engine uses every lane it was
+//!    given — and stays bitwise the serial run — and no detector is ever
+//!    handed an empty batch.
 
 mod common;
 
@@ -39,9 +40,7 @@ use exsample_video::{Chunking, ChunkingPolicy, FrameId, ShardSpec, VideoReposito
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-fn setup(frames: u64, chunks: u32) -> (Chunking, Arc<GroundTruth>) {
-    let repo = VideoRepository::single_clip(frames);
-    let chunking = Chunking::new(&repo, ChunkingPolicy::FixedCount { chunks });
+fn setup(frames: u64) -> Arc<GroundTruth> {
     let mut instances = Vec::new();
     let span = (frames / 32).max(2);
     for i in 0..6u64 {
@@ -56,8 +55,7 @@ fn setup(frames: u64, chunks: u32) -> (Chunking, Arc<GroundTruth>) {
             (start + span).min(frames - 1),
         ));
     }
-    let truth = Arc::new(GroundTruth::from_instances(frames, instances));
-    (chunking, truth)
+    Arc::new(GroundTruth::from_instances(frames, instances))
 }
 
 /// A detector that counts its batched invocations, logs their sizes, and
@@ -112,10 +110,8 @@ impl Detector for BombDetector {
     }
 }
 
-fn pooled_engine<'a>(chunking: &Chunking, shards: u32, threads: usize) -> QueryEngine<'a> {
-    let spec = ShardSpec::contiguous(chunking.len(), shards);
+fn pooled_engine<'a>(threads: usize) -> QueryEngine<'a> {
     QueryEngine::new()
-        .sharded(ShardRouter::new(chunking, &spec).unwrap())
         .execution(ExecutionMode::Parallel(threads))
         .unwrap()
 }
@@ -123,10 +119,10 @@ fn pooled_engine<'a>(chunking: &Chunking, shards: u32, threads: usize) -> QueryE
 #[test]
 fn repeated_pooled_runs_leak_no_threads() {
     let frames = 2_000u64;
-    let (chunking, truth) = setup(frames, 9);
+    let truth = setup(frames);
     for round in 0..5 {
         let detector = ObservantDetector::new(Arc::clone(&truth));
-        let mut engine = pooled_engine(&chunking, 3, 3);
+        let mut engine = pooled_engine(3);
         for (label, seed) in [("a", 40u64 + round), ("b", 50 + round)] {
             engine
                 .push(
@@ -170,16 +166,16 @@ fn repeated_pooled_runs_leak_no_threads() {
 #[test]
 fn helper_lane_detector_panic_is_a_typed_error() {
     let frames = 3_000u64;
-    let (chunking, truth) = setup(frames, 9);
-    // Contiguous 3-shard split, coalesced lanes: a stage's demand is gathered
-    // in ascending frame order, so the last third of the frame range falls
-    // into the last of the 3 lanes — a pool helper's slice (or one the
-    // coordinator reclaims); the coordinator's inline lane is the first.
+    let truth = setup(frames);
+    // Coalesced lanes: a stage's demand is gathered in ascending frame order,
+    // so the last third of the frame range falls into the last of the 3
+    // lanes — a pool helper's slice (or one the coordinator reclaims); the
+    // coordinator's inline lane is the first.
     let detector = BombDetector {
         inner: PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),
         panic_at: frames * 2 / 3,
     };
-    let mut engine = pooled_engine(&chunking, 3, 3);
+    let mut engine = pooled_engine(3);
     engine
         .push(
             QuerySpec::new(
@@ -220,14 +216,14 @@ fn helper_lane_detector_panic_is_a_typed_error() {
 #[test]
 fn inline_lane_detector_panic_is_a_typed_error() {
     let frames = 3_000u64;
-    let (chunking, truth) = setup(frames, 9);
+    let truth = setup(frames);
     // Panic on every frame but frame 0: the coordinator's inline lane meets
     // one first.  The runtime catches it exactly like a helper panic.
     let detector = BombDetector {
         inner: PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),
         panic_at: 1,
     };
-    let mut engine = pooled_engine(&chunking, 3, 3);
+    let mut engine = pooled_engine(3);
     engine
         .push(
             QuerySpec::new(
@@ -251,9 +247,9 @@ fn inline_lane_detector_panic_is_a_typed_error() {
 #[test]
 fn fully_cache_warm_stages_skip_pool_dispatch() {
     let frames = 400u64;
-    let (chunking, truth) = setup(frames, 9);
+    let truth = setup(frames);
     let detector = ObservantDetector::new(Arc::clone(&truth));
-    let mut engine = pooled_engine(&chunking, 3, 3).cache_capacity(4_096);
+    let mut engine = pooled_engine(3).cache_capacity(4_096);
     engine
         .push(
             QuerySpec::new(
@@ -303,14 +299,12 @@ fn fully_cache_warm_stages_skip_pool_dispatch() {
 #[test]
 fn warm_stages_skip_dispatch_under_overlap_and_aggregation() {
     let frames = 400u64;
-    let (chunking, truth) = setup(frames, 9);
+    let truth = setup(frames);
     let detector = ObservantDetector::new(Arc::clone(&truth));
     // Overlap plans the next stage mid-DETECT — which must not cost a warm
     // stage a dispatch (or a detector call): its demand is probed, and found
     // empty, before anything is handed out.
-    let mut engine = pooled_engine(&chunking, 3, 3)
-        .cache_capacity(4_096)
-        .overlap(true);
+    let mut engine = pooled_engine(3).cache_capacity(4_096).overlap(true);
     engine
         .push(
             QuerySpec::new(
@@ -360,15 +354,13 @@ fn warm_stages_skip_dispatch_under_overlap_and_aggregation() {
 #[test]
 fn overlapped_cache_accounting_is_execution_invariant() {
     let frames = 400u64;
-    let (chunking, truth) = setup(frames, 9);
+    let truth = setup(frames);
     // A cold run followed by a warm re-query on the same overlapped engine:
     // hit/miss/eviction tallies (and reports) must be bitwise-identical
     // however many lanes DETECT is cut over.
     let run = |mode: ExecutionMode| {
         let detector = ObservantDetector::new(Arc::clone(&truth));
-        let spec = ShardSpec::contiguous(chunking.len(), 3);
         let mut engine = QueryEngine::new()
-            .sharded(ShardRouter::new(&chunking, &spec).unwrap())
             .execution(mode)
             .expect("valid execution mode")
             .cache_capacity(64)
@@ -419,16 +411,14 @@ fn overlapped_cache_accounting_is_execution_invariant() {
 #[test]
 fn stripe_count_never_changes_cache_accounting() {
     let frames = 400u64;
-    let (chunking, truth) = setup(frames, 9);
+    let truth = setup(frames);
     // The stripe count only controls probe-time lock granularity; recency,
     // eviction and admission all live in the single arbitration-owned LRU
     // state.  So any stripe count must produce bitwise-identical cache
     // accounting and reports, serial or parallel.
     let run = |stripes: usize, mode: ExecutionMode| {
         let detector = ObservantDetector::new(Arc::clone(&truth));
-        let spec = ShardSpec::contiguous(chunking.len(), 3);
         let mut engine = QueryEngine::new()
-            .sharded(ShardRouter::new(&chunking, &spec).unwrap())
             .execution(mode)
             .expect("valid execution mode")
             .cache_config(CacheConfig::new(64).stripes(stripes))
@@ -476,12 +466,18 @@ fn stripe_count_never_changes_cache_accounting() {
 #[test]
 fn skewed_demand_is_shared_evenly_by_the_lanes() {
     let frames = 4_000u64;
-    let (chunking, truth) = setup(frames, 8);
+    let truth = setup(frames);
+    let chunking = Chunking::new(
+        &VideoRepository::single_clip(frames),
+        ChunkingPolicy::FixedCount { chunks: 8 },
+    );
     let detector = ObservantDetector::new(Arc::clone(&truth));
-    // Four contiguous shards of 1000 frames, and a sampler that only ever
-    // picks from the first thousand: every frame of every stage is routed to
-    // shard 0.  The two lanes still get half the stage each.
-    let mut engine = pooled_engine(&chunking, 4, 2);
+    // A view of four contiguous shards of 1000 frames, and a sampler that
+    // only ever picks from the first thousand: shard 0 owns every frame of
+    // every stage.  The two lanes still get half the stage each, and the
+    // view attributes every call to shard 0.
+    let spec = ShardSpec::contiguous(chunking.len(), 4);
+    let mut engine = pooled_engine(2).sharded(ShardRouter::new(&chunking, &spec).unwrap());
     engine
         .push(
             QuerySpec::new(
@@ -516,7 +512,7 @@ fn skewed_demand_is_shared_evenly_by_the_lanes() {
 #[test]
 fn an_unsharded_engine_uses_its_lanes_and_matches_the_serial_run() {
     let frames = 2_000u64;
-    let (_chunking, truth) = setup(frames, 9);
+    let truth = setup(frames);
     // One query (which a serial run detects straight from its pick buffer)
     // and two (which it gathers): on two lanes both go through the slices,
     // and nothing but the physical batch shape may tell.
@@ -552,7 +548,7 @@ fn an_unsharded_engine_uses_its_lanes_and_matches_the_serial_run() {
 
         let (parallel, (spawned, dispatches)) = run(ExecutionMode::Parallel(2));
         let context = format!("{queries} queries");
-        assert_eq!(spawned, 1, "{context}: one helper, no shards needed");
+        assert_eq!(spawned, 1, "{context}: one helper");
         assert_eq!(dispatches, serial.report.stages, "{context}");
         common::assert_physical_shape(&parallel, 2, &context);
         assert!(parallel.physical_detector_calls > serial.physical_detector_calls);

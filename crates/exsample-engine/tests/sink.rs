@@ -4,8 +4,8 @@
 //! 2. the observation stream — (stage, query, frame, n1_delta, new hits,
 //!    new instances), in (query registration, pick) order — is
 //!    bitwise-identical across the engine's execution axes (serial vs
-//!    parallel, sharded, overlapped), because the sink is flushed at the
-//!    serial stage-commit boundary in every configuration;
+//!    parallel, overlapped), because the sink is flushed at the serial
+//!    stage-commit boundary in every configuration;
 //! 3. the stream is internally consistent with the run's report (observation
 //!    counts vs frames processed, summed hits vs true found); and
 //! 4. a sink refusal aborts the run as `EngineError::CheckpointFailed` with
@@ -15,9 +15,9 @@ use exsample_core::ExSampleConfig;
 use exsample_detect::{GroundTruth, ObjectClass, ObjectInstance, PerfectDetector};
 use exsample_engine::{
     EngineError, ExSamplePolicy, ExecutionMode, FrameSamplerPolicy, QueryEngine, QueryReport,
-    QuerySpec, ShardRouter, StageObservation, StageSink,
+    QuerySpec, StageObservation, StageSink,
 };
-use exsample_video::{Chunking, ChunkingPolicy, ShardPartitioner, ShardSpec, VideoRepository};
+use exsample_video::{Chunking, ChunkingPolicy, VideoRepository};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -201,36 +201,26 @@ fn observation_stream_is_execution_invariant_and_consistent() {
         assert_eq!(*stage, i as u64);
     }
 
-    // Execution invariance: sharded × parallel runs flush the identical
-    // stream.  Overlapped runs are deliberately NOT pick-for-pick with
-    // non-overlapped ones (stop decisions lag one stage by design), so each
-    // overlap setting is compared against its own single-shard serial
-    // baseline.
+    // Execution invariance: parallel runs flush the identical stream.
+    // Overlapped runs are deliberately NOT pick-for-pick with non-overlapped
+    // ones (stop decisions lag one stage by design), so each overlap setting
+    // is compared against its own serial baseline.
     for overlap in [false, true] {
         let (expected_flushes, expected_outcomes) = if overlap {
             run_recorded(&chunking, frames, &truth, |e| e.overlap(true))
         } else {
             (baseline.clone(), outcomes.clone())
         };
-        for shards in [3u32, 7] {
-            let spec = ShardSpec::new(ShardPartitioner::RoundRobin, chunking.len(), shards);
-            let router = ShardRouter::new(&chunking, &spec).unwrap();
-            let (flushes, outcomes) = run_recorded(&chunking, frames, &truth, |e| {
-                e.sharded(router)
-                    .overlap(overlap)
-                    .execution(ExecutionMode::Parallel(2))
-                    .expect("valid execution mode")
-            });
-            assert_eq!(
-                flushes, expected_flushes,
-                "observation stream diverged at {shards} shards, overlap {overlap}"
-            );
-            assert_outcomes_equal(
-                &outcomes,
-                &expected_outcomes,
-                &format!("{shards} shards, overlap {overlap}"),
-            );
-        }
+        let (flushes, outcomes) = run_recorded(&chunking, frames, &truth, |e| {
+            e.overlap(overlap)
+                .execution(ExecutionMode::Parallel(2))
+                .expect("valid execution mode")
+        });
+        assert_eq!(
+            flushes, expected_flushes,
+            "observation stream diverged, overlap {overlap}"
+        );
+        assert_outcomes_equal(&outcomes, &expected_outcomes, &format!("overlap {overlap}"));
     }
 }
 

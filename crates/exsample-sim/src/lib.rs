@@ -13,12 +13,11 @@
 //!   condition, detector noise, discriminator) and run any
 //!   [`exsample_baselines::SamplingMethod`].  Execution happens on a
 //!   single-query `exsample-engine` `QueryEngine` (batch 1), with the virtual
-//!   clock charged from the engine's per-stage accounting hook; `shards(n)`
-//!   partitions the DETECT phase across shard workers and `parallel(n)` runs
-//!   those workers on the engine's persistent per-run worker pool, both
-//!   bitwise-identical to the serial unsharded run (`parallel(0)` is the
+//!   clock charged from the engine's per-stage accounting hook; `parallel(n)`
+//!   cuts each stage's DETECT over the engine's persistent per-run worker
+//!   pool, bitwise-identical to the serial run (`parallel(0)` is the
 //!   engine's typed `InvalidExecution` error).
-//! * [`checkpoint`] (private) — the bridge from the engine's stage-commit
+//! * `checkpoint` (private) — the bridge from the engine's stage-commit
 //!   hook to the crash-safe `exsample-store` belief store:
 //!   `QueryRunner::checkpoint(path)` persists every committed stage's belief
 //!   deltas and results, `QueryRunner::warm_start(path)` seeds a fresh

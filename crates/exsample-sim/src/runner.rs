@@ -11,12 +11,10 @@
 //! size 1 — the configuration that consumes the RNG stream exactly as the
 //! historical hand-written pick→detect→record loop did.  The virtual clock is
 //! charged from the engine's per-stage cost-accounting hook.  With
-//! [`QueryRunner::shards`] the engine's DETECT phase is partitioned across
-//! shard workers (contiguous-range chunk assignment), and with
-//! [`QueryRunner::parallel`] those workers' detector invocations run on the
-//! engine's persistent worker pool (spawned once per run, woken per stage);
-//! results are bitwise-identical to the unsharded serial run either way —
-//! sharding and parallelism only change where the detector work executes.
+//! [`QueryRunner::parallel`] each stage's detector invocations are cut over
+//! the engine's persistent worker pool (spawned once per run, woken per
+//! stage); results are bitwise-identical to the serial run — parallelism
+//! only changes where the detector work executes.
 //!
 //! Configuration and execution errors surface as typed [`SimError`]s instead
 //! of panics.
@@ -35,7 +33,7 @@ use exsample_detect::{
 };
 use exsample_engine::{
     CacheActivity, ExSamplePolicy, ExecutionMode, FailureMode, MethodPolicy, QueryEngine,
-    QuerySpec, RetryPolicy, SamplingPolicy, SelectionTelemetry, ShardRouter,
+    QuerySpec, RetryPolicy, SamplingPolicy, SelectionTelemetry,
 };
 use exsample_rand::SeedSequence;
 use exsample_store::{BeliefStore, StoreHealth};
@@ -197,7 +195,6 @@ pub struct QueryRunner<'a> {
     detector_noise: Option<DetectorNoise>,
     discriminator: DiscriminatorKind,
     cost: DecodeCostModel,
-    shards: u32,
     /// `None` = serial execution (never requested); `Some(n)` is validated by
     /// the engine at run time (`Some(0)` is the typed
     /// `EngineError::InvalidExecution`).
@@ -233,7 +230,6 @@ impl<'a> QueryRunner<'a> {
             detector_noise: None,
             discriminator: DiscriminatorKind::Oracle,
             cost: DecodeCostModel::paper(),
-            shards: 1,
             parallel: None,
             retry: RetryPolicy::none(),
             failure: FailureMode::default(),
@@ -286,18 +282,9 @@ impl<'a> QueryRunner<'a> {
         self
     }
 
-    /// Partition the engine's DETECT phase across this many shards
-    /// (contiguous-range chunk assignment).  Results are bitwise-identical to
-    /// the unsharded run for any shard count.  A value of 0 is treated as 1
-    /// (unsharded).
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Cut each stage's detector invocations over this many lanes — the
-    /// calling thread plus the engine's persistent worker-pool threads —
-    /// whatever the shard count.  Results are bitwise-identical to serial
+    /// calling thread plus the engine's persistent worker-pool threads.
+    /// Results are bitwise-identical to serial
     /// execution for any thread count.  A value of 1 means serial
     /// execution (the default when this method is never called); a value of
     /// 0 asks for a worker pool with no threads and surfaces the engine's
@@ -310,8 +297,8 @@ impl<'a> QueryRunner<'a> {
 
     /// Overlap each stage's PICK with the previous stage's DETECT (the
     /// engine's stage-pipelining knob; off by default).  Overlapped runs are
-    /// fully deterministic and bitwise-identical across shard/thread/dispatch
-    /// configurations, but schedule each stage from one-stage-stale state, so
+    /// fully deterministic and bitwise-identical across thread counts, but
+    /// schedule each stage from one-stage-stale state, so
     /// they are *not* pick-for-pick identical to non-overlapped runs — a stop
     /// condition may be noticed one stage later.
     pub fn overlap(mut self, overlap: bool) -> Self {
@@ -322,7 +309,7 @@ impl<'a> QueryRunner<'a> {
     /// Enable the engine's lock-striped detections cache with this capacity
     /// (entries; 0 — the default — leaves the cache off).  Cached results
     /// are shared across stages; accounting is bitwise-deterministic across
-    /// shard/thread/dispatch configurations and the run's telemetry lands in
+    /// thread counts and overlap, and the run's telemetry lands in
     /// [`RunResult::cache`].
     pub fn cache(mut self, capacity: usize) -> Self {
         self.cache = capacity;
@@ -555,12 +542,6 @@ impl<'a> QueryRunner<'a> {
             .retry_policy(self.retry)
             .failure_mode(self.failure)
             .overlap(self.overlap);
-        if self.shards > 1 {
-            engine = engine.sharded(ShardRouter::contiguous(
-                self.dataset.chunking(),
-                self.shards,
-            ));
-        }
         if self.cache > 0 {
             engine = engine.cache_capacity(self.cache);
         }
@@ -807,34 +788,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runner_results_are_bitwise_identical() {
-        let dataset = skewed_dataset();
-        let run = |shards: u32| {
-            QueryRunner::new(&dataset)
-                .stop(StopCondition::FrameBudget(600))
-                .seed(19)
-                .shards(shards)
-                .run(MethodKind::ExSample(ExSampleConfig::default()))
-                .expect("query run succeeded")
-        };
-        let unsharded = run(1);
-        for shards in [2u32, 3, 7] {
-            let sharded = run(shards);
-            assert_eq!(sharded.frames_processed, unsharded.frames_processed);
-            assert_eq!(sharded.found_instances, unsharded.found_instances);
-            assert_eq!(sharded.trajectory, unsharded.trajectory);
-            assert_eq!(sharded.sample_secs, unsharded.sample_secs);
-        }
-    }
-
-    #[test]
     fn parallel_runner_results_are_bitwise_identical() {
         let dataset = skewed_dataset();
-        let run = |shards: u32, parallel: Option<usize>| {
+        let run = |parallel: Option<usize>| {
             let mut runner = QueryRunner::new(&dataset)
                 .stop(StopCondition::FrameBudget(600))
-                .seed(23)
-                .shards(shards);
+                .seed(23);
             if let Some(threads) = parallel {
                 runner = runner.parallel(threads);
             }
@@ -842,19 +801,9 @@ mod tests {
                 .run(MethodKind::ExSample(ExSampleConfig::default()))
                 .expect("query run succeeded")
         };
-        let serial = run(1, None);
-        // Lanes need no shards: the unsharded runner threads too.
-        for (shards, parallel) in [
-            (1u32, 2usize),
-            (1, 4),
-            (2, 1),
-            (2, 2),
-            (3, 2),
-            (3, 4),
-            (7, 4),
-            (2, 64),
-        ] {
-            let threaded = run(shards, Some(parallel));
+        let serial = run(None);
+        for parallel in [1usize, 2, 4, 64] {
+            let threaded = run(Some(parallel));
             assert_eq!(threaded.frames_processed, serial.frames_processed);
             assert_eq!(threaded.found_instances, serial.found_instances);
             assert_eq!(threaded.trajectory, serial.trajectory);
@@ -869,11 +818,10 @@ mod tests {
         // overlapped configuration must agree bitwise with the overlapped
         // serial reference.
         let dataset = skewed_dataset();
-        let run = |shards: u32, parallel: Option<usize>| {
+        let run = |parallel: Option<usize>| {
             let mut runner = QueryRunner::new(&dataset)
                 .stop(StopCondition::FrameBudget(600))
                 .seed(23)
-                .shards(shards)
                 .overlap(true);
             if let Some(threads) = parallel {
                 runner = runner.parallel(threads);
@@ -882,19 +830,13 @@ mod tests {
                 .run(MethodKind::ExSample(ExSampleConfig::default()))
                 .expect("query run succeeded")
         };
-        let reference = run(1, None);
+        let reference = run(None);
         // Overlapped scheduling decides each stage's stop condition one stage
         // late (the documented staleness), so a FrameBudget(600) run at batch
         // 1 lands on exactly 601 processed frames in every configuration.
         assert_eq!(reference.frames_processed, 601);
-        for (shards, parallel) in [
-            (1u32, Some(2)),
-            (3, None),
-            (3, Some(2)),
-            (7, Some(4)),
-            (2, Some(64)),
-        ] {
-            let overlapped = run(shards, parallel);
+        for parallel in [2usize, 4, 64] {
+            let overlapped = run(Some(parallel));
             assert_eq!(overlapped.frames_processed, reference.frames_processed);
             assert_eq!(overlapped.found_instances, reference.found_instances);
             assert_eq!(overlapped.trajectory, reference.trajectory);
@@ -905,11 +847,10 @@ mod tests {
     #[test]
     fn cached_runner_matches_uncached_outcomes_and_reports_telemetry() {
         let dataset = skewed_dataset();
-        let run = |cache: usize, shards: u32, parallel: Option<usize>| {
+        let run = |cache: usize, parallel: Option<usize>| {
             let mut runner = QueryRunner::new(&dataset)
                 .stop(StopCondition::FrameBudget(600))
                 .seed(19)
-                .shards(shards)
                 .cache(cache);
             if let Some(threads) = parallel {
                 runner = runner.parallel(threads);
@@ -918,9 +859,9 @@ mod tests {
                 .run(MethodKind::ExSample(ExSampleConfig::default()))
                 .expect("query run succeeded")
         };
-        let uncached = run(0, 1, None);
+        let uncached = run(0, None);
         assert!(uncached.cache.is_none(), "cache off reports no telemetry");
-        let cached = run(4_096, 1, None);
+        let cached = run(4_096, None);
         // The sampling methods pick without replacement, so a single run
         // over a cold cache misses every frame and hits none — but the
         // outcomes must be untouched and the telemetry fully accounted.
@@ -931,9 +872,9 @@ mod tests {
         assert_eq!(telemetry.misses, cached.frames_processed);
         assert_eq!(telemetry.hits, 0);
         // Cache accounting is part of the determinism contract: identical
-        // across shard and thread counts.
-        for (shards, parallel) in [(3u32, None), (3, Some(2)), (7, Some(4))] {
-            let other = run(4_096, shards, parallel);
+        // across thread counts.
+        for parallel in [2usize, 4] {
+            let other = run(4_096, Some(parallel));
             assert_eq!(other.found_instances, cached.found_instances);
             assert_eq!(other.trajectory, cached.trajectory);
             assert_eq!(other.cache, cached.cache);
@@ -962,11 +903,10 @@ mod tests {
     fn degraded_runs_report_faults_and_stay_deterministic() {
         let dataset = skewed_dataset();
         let plan = FaultPlan::new(41).transient_rate(0.08).permanent_rate(0.02);
-        let run = |shards: u32, parallel: Option<usize>| {
+        let run = |parallel: Option<usize>| {
             let mut runner = QueryRunner::new(&dataset)
                 .stop(StopCondition::FrameBudget(600))
                 .seed(29)
-                .shards(shards)
                 .retry_policy(RetryPolicy::new(3).backoff_cost(3))
                 .failure_mode(FailureMode::DropFrames)
                 .fault_plan(plan);
@@ -977,7 +917,7 @@ mod tests {
                 .run(MethodKind::ExSample(ExSampleConfig::default()))
                 .expect("degraded run succeeded")
         };
-        let baseline = run(1, None);
+        let baseline = run(None);
         // The fault rates are high enough that the run is non-vacuous: some
         // frames retried, some dropped, and backoff showed up on the clock.
         assert!(baseline.detect_retries > 0, "expected retries");
@@ -985,8 +925,8 @@ mod tests {
         // One query, so engine-wide failures equal the query's dropped tally.
         assert_eq!(baseline.failed_frames, baseline.dropped_frames);
         assert!(baseline.true_found > 0, "degraded run still finds objects");
-        for (shards, parallel) in [(3u32, None), (3, Some(2)), (7, Some(4))] {
-            let other = run(shards, parallel);
+        for parallel in [2usize, 4] {
+            let other = run(Some(parallel));
             assert_eq!(other.frames_processed, baseline.frames_processed);
             assert_eq!(other.found_instances, baseline.found_instances);
             assert_eq!(other.trajectory, baseline.trajectory);

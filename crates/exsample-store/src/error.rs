@@ -35,8 +35,8 @@ pub enum StoreError {
         detail: String,
     },
     /// The storage backend simulated a crash: the process is considered dead
-    /// and every further operation fails.  Only [`FaultInjectingStorage`]
-    /// (crate::FaultInjectingStorage) raises this.
+    /// and every further operation fails.  Only
+    /// [`FaultInjectingStorage`](crate::FaultInjectingStorage) raises this.
     Crashed {
         /// The mutating-operation index at which the crash fired.
         op: u64,

@@ -19,11 +19,9 @@
 //! * [`cost`] — the decode / IO cost model (sequential scan vs. random access).
 //! * [`sampler`] — within-chunk frame samplers: uniform-without-replacement and the
 //!   paper's `random+` hierarchical sampler (Section III-F).
-//! * [`shard`] — partitioning the chunk axis across shards: [`ShardSpec`]
-//!   (round-robin and contiguous-range partitioners with per-shard chunk index
-//!   remapping), [`ShardedRepository`], and the shard-agnostic
-//!   [`RepositoryAccess`] trait under which the monolithic repository is just
-//!   the 1-shard case.
+//! * [`shard`] — assigning the chunk axis to shards: [`ShardSpec`], the
+//!   round-robin or contiguous-range chunk→shard map the engine's per-shard
+//!   report view groups its tallies by.
 //!
 //! Everything is deterministic given a seed and completely independent of any real
 //! video codec: what matters for reproducing the paper is *which frame indexes are
@@ -44,7 +42,7 @@ pub use clip::{ClipId, VideoClip};
 pub use cost::{DecodeCostModel, FrameCost};
 pub use repository::{FrameRef, VideoRepository};
 pub use sampler::{FrameSampler, RandomPlusSampler, UniformSampler};
-pub use shard::{RepositoryAccess, ShardId, ShardPartitioner, ShardSpec, ShardedRepository};
+pub use shard::{ShardPartitioner, ShardSpec};
 
 /// A global frame index into a [`VideoRepository`].
 ///

@@ -1,9 +1,7 @@
-//! Partitioning a chunked repository across shards.
+//! Assigning the chunk axis to shards.
 //!
-//! The ROADMAP's service shape — many concurrent queries over a repository far
-//! too large for one node — partitions the *chunk* axis: every chunk of a
-//! [`Chunking`] is owned by exactly one shard, and a shard serves the frames
-//! of its chunks.  Two deterministic partitioners cover the common layouts:
+//! Every chunk of a [`Chunking`](crate::Chunking) is owned by exactly one
+//! shard.  Two deterministic partitioners cover the common layouts:
 //!
 //! * [`ShardPartitioner::RoundRobin`] — chunk `j` goes to shard `j mod S`.
 //!   Spreads temporally adjacent chunks (which tend to have correlated load)
@@ -13,27 +11,10 @@
 //!   contiguous, which is what a deployment that stores video by time range
 //!   wants.
 //!
-//! A [`ShardSpec`] is the pure chunk→shard mapping (with the per-shard *local
-//! chunk index* remapping a shard-resident sampler would use);
-//! [`ShardedRepository`] binds a spec to a concrete repository and chunking
-//! and answers frame-level questions (`shard_of_frame`, per-shard frame
-//! counts).  The single-shard case is just `S = 1`: every accessor degenerates
-//! to the unsharded answer, which is what lets shard-agnostic code (see
-//! [`RepositoryAccess`]) treat the monolithic repository as the 1-shard case.
-
-use crate::chunk::Chunking;
-use crate::repository::{FrameRef, VideoRepository};
-use crate::FrameId;
-
-/// Identifier of a shard within a [`ShardSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ShardId(pub u32);
-
-impl std::fmt::Display for ShardId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard{}", self.0)
-    }
-}
+//! A [`ShardSpec`] is the pure chunk→shard mapping.  Nothing in the workspace
+//! executes per shard: the engine's `ShardRouter` pairs a spec with a chunking
+//! to decide which shard of its per-shard report view each frame's tallies
+//! are attributed to.
 
 /// How chunks are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,21 +27,16 @@ pub enum ShardPartitioner {
     Contiguous,
 }
 
-/// A complete assignment of chunks to shards, with the per-shard local chunk
-/// index remapping.
+/// A complete assignment of chunks to shards.
 ///
 /// The spec is pure bookkeeping over chunk *indices* — it knows nothing about
-/// frames.  Pair it with a [`Chunking`] (via [`ShardedRepository`]) to answer
-/// frame-level questions.
+/// frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     partitioner: ShardPartitioner,
     /// `assignment[j]` = shard owning chunk `j`.
     assignment: Vec<u32>,
-    /// `local_index[j]` = index of chunk `j` within its shard's chunk list.
-    local_index: Vec<u32>,
-    /// `members[s]` = global chunk indices owned by shard `s`, in global order.
-    members: Vec<Vec<u32>>,
+    shards: u32,
 }
 
 impl ShardSpec {
@@ -112,21 +88,15 @@ impl ShardSpec {
     ) -> Self {
         assert!(chunks > 0, "cannot shard an empty chunking");
         assert!(shards > 0, "shard count must be positive");
-        let mut assignment = Vec::with_capacity(chunks);
-        let mut local_index = Vec::with_capacity(chunks);
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); shards as usize];
-        for j in 0..chunks {
-            let s = shard_of(j, shards);
-            debug_assert!(s < shards, "partitioner produced an out-of-range shard");
-            assignment.push(s);
-            local_index.push(members[s as usize].len() as u32);
-            members[s as usize].push(j as u32);
-        }
+        let assignment: Vec<u32> = (0..chunks).map(|j| shard_of(j, shards)).collect();
+        debug_assert!(
+            assignment.iter().all(|&s| s < shards),
+            "partitioner produced an out-of-range shard"
+        );
         ShardSpec {
             partitioner,
             assignment,
-            local_index,
-            members,
+            shards,
         }
     }
 
@@ -143,41 +113,7 @@ impl ShardSpec {
     /// Number of shards (some may own zero chunks when there are more shards
     /// than chunks).
     pub fn shard_count(&self) -> u32 {
-        self.members.len() as u32
-    }
-
-    /// The shard owning a global chunk index.
-    ///
-    /// # Panics
-    /// Panics if `chunk` is out of range.
-    pub fn shard_of_chunk(&self, chunk: usize) -> ShardId {
-        ShardId(self.assignment[chunk])
-    }
-
-    /// The index of a global chunk within its shard's chunk list (the
-    /// remapping a shard-resident sampler indexes its statistics by).
-    ///
-    /// # Panics
-    /// Panics if `chunk` is out of range.
-    pub fn local_chunk_index(&self, chunk: usize) -> usize {
-        self.local_index[chunk] as usize
-    }
-
-    /// The inverse remapping: the global chunk index of a shard's `local`-th
-    /// chunk.
-    ///
-    /// # Panics
-    /// Panics if `shard` or `local` is out of range.
-    pub fn global_chunk_index(&self, shard: ShardId, local: usize) -> usize {
-        self.members[shard.0 as usize][local] as usize
-    }
-
-    /// The global chunk indices owned by a shard, in global chunk order.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_chunks(&self, shard: ShardId) -> &[u32] {
-        &self.members[shard.0 as usize]
+        self.shards
     }
 
     /// `assignment` as a slice: `shard_assignment()[j]` is the shard owning
@@ -187,302 +123,45 @@ impl ShardSpec {
     }
 }
 
-/// Shard-agnostic read access to a repository of frames.
-///
-/// The engine and cost-model layers only ever ask these questions; expressing
-/// them as a trait lets code written against "a repository" run unchanged over
-/// the monolithic [`VideoRepository`] (the 1-shard case) or a
-/// [`ShardedRepository`].
-pub trait RepositoryAccess {
-    /// Total number of frames across all clips (all shards).
-    fn total_frames(&self) -> u64;
-
-    /// Number of clips.
-    fn clip_count(&self) -> usize;
-
-    /// Total duration in seconds.
-    fn total_duration_secs(&self) -> f64;
-
-    /// Resolve a global frame id into a [`FrameRef`].
-    fn resolve(&self, frame: FrameId) -> FrameRef;
-
-    /// Frames that must be decoded to materialise `frame` via random access.
-    fn random_access_decode_frames(&self, frame: FrameId) -> u64;
-}
-
-impl RepositoryAccess for VideoRepository {
-    fn total_frames(&self) -> u64 {
-        VideoRepository::total_frames(self)
-    }
-
-    fn clip_count(&self) -> usize {
-        VideoRepository::clip_count(self)
-    }
-
-    fn total_duration_secs(&self) -> f64 {
-        VideoRepository::total_duration_secs(self)
-    }
-
-    fn resolve(&self, frame: FrameId) -> FrameRef {
-        VideoRepository::resolve(self, frame)
-    }
-
-    fn random_access_decode_frames(&self, frame: FrameId) -> u64 {
-        VideoRepository::random_access_decode_frames(self, frame)
-    }
-}
-
-/// A chunked repository partitioned across shards.
-///
-/// Binds a [`VideoRepository`], the [`Chunking`] over it, and a [`ShardSpec`]
-/// assigning each chunk to a shard.  Frame-level routing
-/// ([`ShardedRepository::shard_of_frame`]) goes through the chunking, so a
-/// frame's shard is the shard of its chunk.
-#[derive(Debug, Clone)]
-pub struct ShardedRepository {
-    repo: VideoRepository,
-    chunking: Chunking,
-    spec: ShardSpec,
-}
-
-impl ShardedRepository {
-    /// Bind a spec to a repository and its chunking.
-    ///
-    /// # Panics
-    /// Panics if the spec's chunk count does not match the chunking.
-    pub fn new(repo: VideoRepository, chunking: Chunking, spec: ShardSpec) -> Self {
-        assert_eq!(
-            spec.chunk_count(),
-            chunking.len(),
-            "shard spec covers {} chunks but the chunking has {}",
-            spec.chunk_count(),
-            chunking.len()
-        );
-        ShardedRepository {
-            repo,
-            chunking,
-            spec,
-        }
-    }
-
-    /// The 1-shard case: a sharded view that behaves exactly like the
-    /// monolithic repository.
-    pub fn single(repo: VideoRepository, chunking: Chunking) -> Self {
-        let spec = ShardSpec::contiguous(chunking.len(), 1);
-        ShardedRepository::new(repo, chunking, spec)
-    }
-
-    /// The underlying repository.
-    pub fn repository(&self) -> &VideoRepository {
-        &self.repo
-    }
-
-    /// The chunking the shard spec partitions.
-    pub fn chunking(&self) -> &Chunking {
-        &self.chunking
-    }
-
-    /// The chunk→shard assignment.
-    pub fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> u32 {
-        self.spec.shard_count()
-    }
-
-    /// The shard owning a global frame id.
-    ///
-    /// # Panics
-    /// Panics if `frame` is not covered by the chunking.
-    pub fn shard_of_frame(&self, frame: FrameId) -> ShardId {
-        let chunk = self.chunking.chunk_of_frame(frame);
-        self.spec.shard_of_chunk(chunk.0 as usize)
-    }
-
-    /// Total frames owned by a shard.
-    pub fn shard_frame_count(&self, shard: ShardId) -> u64 {
-        self.spec
-            .shard_chunks(shard)
-            .iter()
-            .map(|&j| self.chunking.chunks()[j as usize].len())
-            .sum()
-    }
-
-    /// The lengths of a shard's chunks, indexed by *local* chunk index — the
-    /// chunk-length vector a shard-resident sampler would be built from.
-    pub fn shard_chunk_lengths(&self, shard: ShardId) -> Vec<u64> {
-        self.spec
-            .shard_chunks(shard)
-            .iter()
-            .map(|&j| self.chunking.chunks()[j as usize].len())
-            .collect()
-    }
-}
-
-impl RepositoryAccess for ShardedRepository {
-    fn total_frames(&self) -> u64 {
-        self.repo.total_frames()
-    }
-
-    fn clip_count(&self) -> usize {
-        self.repo.clip_count()
-    }
-
-    fn total_duration_secs(&self) -> f64 {
-        self.repo.total_duration_secs()
-    }
-
-    fn resolve(&self, frame: FrameId) -> FrameRef {
-        self.repo.resolve(frame)
-    }
-
-    fn random_access_decode_frames(&self, frame: FrameId) -> u64 {
-        self.repo.random_access_decode_frames(frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::ChunkingPolicy;
-
-    fn sharded(frames: u64, chunks: u32, shards: u32, p: ShardPartitioner) -> ShardedRepository {
-        let repo = VideoRepository::single_clip(frames);
-        let chunking = Chunking::new(&repo, ChunkingPolicy::FixedCount { chunks });
-        let spec = ShardSpec::new(p, chunking.len(), shards);
-        ShardedRepository::new(repo, chunking, spec)
-    }
 
     #[test]
     fn round_robin_assignment_and_remapping() {
         let spec = ShardSpec::round_robin(7, 3);
         assert_eq!(spec.shard_assignment(), &[0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(spec.shard_chunks(ShardId(0)), &[0, 3, 6]);
-        assert_eq!(spec.shard_chunks(ShardId(1)), &[1, 4]);
-        assert_eq!(spec.local_chunk_index(4), 1);
-        assert_eq!(spec.global_chunk_index(ShardId(1), 1), 4);
         assert_eq!(spec.partitioner(), ShardPartitioner::RoundRobin);
+        assert_eq!((spec.chunk_count(), spec.shard_count()), (7, 3));
     }
 
     #[test]
     fn contiguous_assignment_is_ordered_and_balanced() {
         let spec = ShardSpec::contiguous(10, 3);
-        // Shards own contiguous, near-equal ranges covering every chunk once.
-        let mut sizes = Vec::new();
-        let mut prev_last: Option<u32> = None;
-        for s in 0..spec.shard_count() {
-            let chunks = spec.shard_chunks(ShardId(s));
-            sizes.push(chunks.len());
-            assert!(chunks.windows(2).all(|w| w[1] == w[0] + 1), "{chunks:?}");
-            if let (Some(prev), Some(&first)) = (prev_last, chunks.first()) {
-                assert_eq!(first, prev + 1);
-            }
-            prev_last = chunks.last().copied().or(prev_last);
-        }
+        // Shards own contiguous, near-equal ranges covering every chunk once:
+        // the assignment never decreases and never skips a shard.
+        let assignment = spec.shard_assignment();
+        assert!(assignment
+            .windows(2)
+            .all(|w| w[1] == w[0] || w[1] == w[0] + 1));
+        assert_eq!((assignment[0], assignment[9]), (0, 2));
+        let sizes: Vec<usize> = (0..spec.shard_count())
+            .map(|s| assignment.iter().filter(|&&a| a == s).count())
+            .collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn every_chunk_round_trips_through_the_remapping() {
-        for shards in [1u32, 2, 3, 7, 16] {
-            for p in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {
-                let spec = ShardSpec::new(p, 13, shards);
-                assert_eq!(spec.shard_count(), shards);
-                for j in 0..13 {
-                    let s = spec.shard_of_chunk(j);
-                    let local = spec.local_chunk_index(j);
-                    assert_eq!(spec.global_chunk_index(s, local), j, "{p:?}/{shards}");
-                }
-                // Members partition the chunk axis.
-                let total: usize = (0..shards)
-                    .map(|s| spec.shard_chunks(ShardId(s)).len())
-                    .sum();
-                assert_eq!(total, 13);
-            }
-        }
     }
 
     #[test]
     fn more_shards_than_chunks_leaves_empty_shards() {
         let spec = ShardSpec::round_robin(2, 5);
         assert_eq!(spec.shard_count(), 5);
-        assert_eq!(spec.shard_chunks(ShardId(0)), &[0]);
-        assert_eq!(spec.shard_chunks(ShardId(1)), &[1]);
-        assert!(spec.shard_chunks(ShardId(4)).is_empty());
-    }
-
-    #[test]
-    fn sharded_repository_routes_frames_by_chunk() {
-        let r = sharded(1_000, 10, 3, ShardPartitioner::RoundRobin);
-        for frame in 0..1_000 {
-            let chunk = r.chunking().chunk_of_frame(frame);
-            assert_eq!(
-                r.shard_of_frame(frame),
-                r.spec().shard_of_chunk(chunk.0 as usize)
-            );
-        }
-        // Per-shard frame counts partition the total.
-        let total: u64 = (0..3).map(|s| r.shard_frame_count(ShardId(s))).sum();
-        assert_eq!(total, 1_000);
-    }
-
-    #[test]
-    fn shard_chunk_lengths_follow_the_local_order() {
-        let r = sharded(1_000, 10, 4, ShardPartitioner::Contiguous);
-        for s in 0..4 {
-            let lengths = r.shard_chunk_lengths(ShardId(s));
-            let expected: Vec<u64> = r
-                .spec()
-                .shard_chunks(ShardId(s))
-                .iter()
-                .map(|&j| r.chunking().chunks()[j as usize].len())
-                .collect();
-            assert_eq!(lengths, expected);
-        }
-    }
-
-    #[test]
-    fn single_shard_view_matches_the_monolithic_repository() {
-        let r = sharded(350, 7, 1, ShardPartitioner::Contiguous);
-        assert_eq!(r.shard_count(), 1);
-        assert_eq!(r.shard_frame_count(ShardId(0)), 350);
-        for frame in [0u64, 100, 349] {
-            assert_eq!(r.shard_of_frame(frame), ShardId(0));
-        }
-        // The trait view is indistinguishable from the raw repository.
-        let mono = VideoRepository::single_clip(350);
-        let a: &dyn RepositoryAccess = &mono;
-        let b: &dyn RepositoryAccess = &r;
-        assert_eq!(a.total_frames(), b.total_frames());
-        assert_eq!(a.clip_count(), b.clip_count());
-        assert_eq!(a.resolve(123), b.resolve(123));
-        assert_eq!(
-            a.random_access_decode_frames(123),
-            b.random_access_decode_frames(123)
-        );
-        assert!((a.total_duration_secs() - b.total_duration_secs()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard spec covers")]
-    fn mismatched_spec_panics() {
-        let repo = VideoRepository::single_clip(100);
-        let chunking = Chunking::new(&repo, ChunkingPolicy::FixedCount { chunks: 4 });
-        let spec = ShardSpec::contiguous(5, 2);
-        let _ = ShardedRepository::new(repo, chunking, spec);
+        assert_eq!(spec.shard_assignment(), &[0, 1]);
     }
 
     #[test]
     #[should_panic(expected = "shard count must be positive")]
     fn zero_shards_panics() {
         let _ = ShardSpec::round_robin(4, 0);
-    }
-
-    #[test]
-    fn shard_id_display() {
-        assert_eq!(ShardId(3).to_string(), "shard3");
     }
 }

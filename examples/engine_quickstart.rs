@@ -9,13 +9,13 @@
 //! in staged pick → detect → fan-out pipelines.  Frames that several queries
 //! request in the same stage are run through the detector once and the result
 //! is shared (coalescing), which is where a multi-query deployment saves real
-//! detector time.  The same run is then repeated on a 2-shard engine — the
-//! chunk axis split across two shard workers — to show that sharding changes
-//! *whose* detector work it is (the per-shard breakdown) but neither a query
-//! outcome nor the number of detector invocations, and once more with each
-//! stage's batches cut over two lanes of the run's worker pool
-//! (`ExecutionMode::Parallel`), which changes nothing but where the batches
-//! are cut.
+//! detector time.  The same run is then repeated with a 2-shard report view —
+//! the chunk axis split into two contiguous ranges — to show that a shard
+//! router only says *whose* detector work it was (the per-shard breakdown),
+//! changing neither a query outcome nor the number of detector invocations,
+//! and once more with each stage's batches cut over two lanes of the run's
+//! worker pool (`ExecutionMode::Parallel`), which changes nothing but where
+//! the batches are cut.
 
 use exsample::core::ExSampleConfig;
 use exsample::data::{Dataset, GridWorkload, SkewLevel};
@@ -129,12 +129,12 @@ fn main() {
         report.coalesced_savings()
     );
 
-    // 4. The same three queries on a 2-shard engine: the chunk axis is split
-    //    into two contiguous ranges, each owned by a shard worker that keeps
-    //    the frames, results and tallies of its range.  A detector group's
-    //    frames are still gathered into one cross-shard batch, so the merged
-    //    report is bitwise-identical to the unsharded run and no extra
-    //    detector invocation is paid — only the per-shard breakdown is new.
+    // 4. The same three queries with a 2-shard report view: the chunk axis is
+    //    split into two contiguous ranges, and every tally is added to the
+    //    shard owning the frame it was paid for.  The view changes nothing
+    //    that runs, so the report is bitwise-identical to the unsharded run
+    //    and no extra detector invocation is paid — only the per-shard
+    //    breakdown is new.
     let spec = ShardSpec::contiguous(dataset.chunking().len(), 2);
     let router = ShardRouter::new(dataset.chunking(), &spec).expect("spec matches chunking");
     let mut sharded = QueryEngine::new().sharded(router);
@@ -158,15 +158,15 @@ fn main() {
     }
     assert_eq!(merged.shard_overhead_calls(), 0);
     println!(
-        "  {} physical invocations for {} logical ones: shards do not multiply detector calls",
+        "  {} physical invocations for {} logical ones: a shard view costs no detector calls",
         merged.physical_detector_calls, merged.report.detector_calls,
     );
 
     // 5. The same 2-shard run with every stage's batches cut evenly over two
     //    lanes of the run's persistent worker pool.  Parallel execution
-    //    reorders *work*, never results: the merged report — outcomes and
-    //    per-shard frames alike — is bitwise-identical to the serial sharded
-    //    run; a batch cut at the lane boundary is the one physical difference.
+    //    reorders *work*, never results: the report — outcomes and per-shard
+    //    frames alike — is bitwise-identical to the serial run; a batch cut
+    //    at the lane boundary is the one physical difference.
     println!("\n2-shard run with 2 DETECT lanes:");
     let router = ShardRouter::new(dataset.chunking(), &spec).expect("spec matches chunking");
     let mut parallel = QueryEngine::new()
@@ -197,7 +197,7 @@ fn main() {
         "parallel stages run on the persistent pool"
     );
     println!(
-        "  bitwise-identical to the serial sharded run, down to the per-shard frames \
+        "  bitwise-identical to the serial run, down to the per-shard frames \
          ({} extra physical invocations from cutting batches at the lane boundary)",
         parallel_merged.shard_overhead_calls()
     );

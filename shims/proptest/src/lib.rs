@@ -87,7 +87,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::Range;
 
-    /// Acceptable size arguments for [`vec`]: a fixed size or a size range.
+    /// Acceptable size arguments for [`vec()`]: a fixed size or a size range.
     pub trait IntoSizeRange {
         /// Draw a concrete length.
         fn pick_len(&self, rng: &mut TestRng) -> usize;
