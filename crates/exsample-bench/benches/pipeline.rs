@@ -4,9 +4,16 @@
 //! update) and a short end-to-end query for ExSample vs. random sampling on a
 //! skewed workload, documenting the simulation throughput that the experiment
 //! binaries rely on.
+//!
+//! `simulated_detector_detect` looks frames up in a single-class grid truth;
+//! `simulated_detector_detect_archie` does the same on the archie analog at
+//! scale 0.2, cycling through its six classes, which is the multi-class
+//! lookup the fig5 sweep and the repository benchmark's detector layer pay
+//! for on every processed frame.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use exsample_core::ExSampleConfig;
+use exsample_data::datasets::{archie, DatasetAnalog};
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_detect::{Detector, PerfectDetector};
 use exsample_sim::{MethodKind, QueryRunner, StopCondition};
@@ -35,6 +42,21 @@ fn bench_detector_and_discriminator(c: &mut Criterion) {
         b.iter(|| {
             frame = (frame + 9_973) % dataset.total_frames();
             black_box(detector.detect(frame))
+        });
+    });
+    let archie = DatasetAnalog::new(archie(), 99).with_scale(0.2).generate();
+    let detectors: Vec<PerfectDetector> = archie
+        .classes()
+        .into_iter()
+        .map(|class| PerfectDetector::new(Arc::clone(archie.ground_truth()), class))
+        .collect();
+    c.bench_function("simulated_detector_detect_archie", |b| {
+        let mut frame = 0u64;
+        let mut class = 0;
+        b.iter(|| {
+            frame = (frame + 9_973) % archie.total_frames();
+            class = (class + 1) % detectors.len();
+            black_box(detectors[class].detect(frame))
         });
     });
     c.bench_function("oracle_discriminator_observe", |b| {

@@ -196,14 +196,14 @@ impl Detector for PerfectDetector {
         let detections = self
             .truth
             .visible_of_class_at(frame, &self.class)
-            .into_iter()
-            .map(|inst| {
-                Detection::with_truth(
-                    inst.bbox_at(frame).expect("instance visible at frame"),
+            .filter_map(|inst| {
+                let bbox = inst.bbox_at(frame)?;
+                Some(Detection::with_truth(
+                    bbox,
                     self.class.clone(),
                     1.0,
                     inst.id(),
-                )
+                ))
             })
             .collect();
         FrameDetections::new(frame, detections)
@@ -315,7 +315,11 @@ impl Detector for SimulatedDetector {
         let mut rng = self.frame_rng(frame);
         let mut detections = Vec::new();
 
-        for inst in self.truth.visible_of_class_at(frame, &self.class) {
+        let visible = self
+            .truth
+            .visible_of_class_at(frame, &self.class)
+            .filter_map(|inst| Some((inst, inst.bbox_at(frame)?)));
+        for (inst, truth_box) in visible {
             // The instance's own detectability models persistent difficulty (small
             // object, occlusion); the detector's miss rate models per-frame noise.
             let keep: f64 = rng.gen();
@@ -323,7 +327,6 @@ impl Detector for SimulatedDetector {
             if keep >= detect_prob {
                 continue;
             }
-            let truth_box = inst.bbox_at(frame).expect("instance visible at frame");
             let jitter = self.noise.localization_sigma;
             let bbox = if jitter > 0.0 {
                 let dx = (rng.gen::<f64>() - 0.5) * 2.0 * jitter;
