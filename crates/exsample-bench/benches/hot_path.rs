@@ -6,9 +6,11 @@
 //! M ∈ {60, 1 000, 10 000} chunks, plus the two axes that predict the
 //! repository benchmark's `exsample-core.pick_s`: `hybrid` (the hybrid
 //! belief-class fold vs the per-chunk reference fold at M ∈ {1k, 10k} under
-//! all-prior and ~16-class posteriors) and `max_of_k` (the fold's large-class
-//! draw at the shapes and class sizes the BDD analogs produce), and the
-//! parallel-vs-sequential sweep throughput of `exsample_sim::run_trials`.
+//! all-prior and ~16-class posteriors), `max_of_k` (the fold's large-class
+//! draw at the shapes and class sizes the BDD analogs produce) and
+//! `max_of_k_gated` (that draw behind the fold's floor test, losing far,
+//! losing near and winning), and the parallel-vs-sequential sweep throughput
+//! of `exsample_sim::run_trials`.
 //!
 //! The `reference` module reproduces the seed implementation line-for-line:
 //! eligibility mask allocated per pick, the single pick routed through a
@@ -24,7 +26,7 @@ use exsample_data::{GridWorkload, SkewLevel};
 use exsample_rand::GammaTail;
 use exsample_sim::{run_trials, MethodKind, QueryRunner, StopCondition};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Faithful replica of the pre-refactor (seed) selection hot path, kept as the
 /// benchmark baseline.  Copied from the seed implementation; do not "optimise".
@@ -413,6 +415,61 @@ fn bench_max_of_k(c: &mut Criterion) {
     group.finish();
 }
 
+/// An RNG whose every uniform variate is `mantissa · 2⁻⁵³`.
+struct FixedUniform(u64);
+
+impl RngCore for FixedUniform {
+    fn next_u64(&mut self) -> u64 {
+        self.0 << 11
+    }
+}
+
+/// The `max_of_k_gated` axis: the same draws behind the floor test the fold
+/// applies, over a ring of 64 fixed uniforms whose ungated draws `x` are known,
+/// with each draw's floor placed where the test decides it one way:
+/// `lose_far` at `2x` (the closed-form bound settles it), `lose_near` at
+/// `x·(1 + 1e-4)` (`ln Q` settles it) and `win` at `x·(1 − 1e-4)` (tested,
+/// then inverted); `ungated` passes a floor of 0, which is never tested, and
+/// is the `max_of_k` axis on this ring.  Together they give the per-draw cost
+/// of a loser and the test's overhead on a winner, which with the share of
+/// large-class draws that lose predict `exsample-core.pick_s`.
+fn bench_max_of_k_gated(c: &mut Criterion) {
+    const RING: usize = 64;
+    const RATE: f64 = 2.0;
+    let mut group = c.benchmark_group("max_of_k_gated");
+    let mut seeds = StdRng::seed_from_u64(23);
+    let mantissas: Vec<u64> = (0..RING).map(|_| (seeds.next_u64() >> 11).max(1)).collect();
+    for (regime, scale) in [
+        ("ungated", 0.0),
+        ("lose_far", 2.0),
+        ("lose_near", 1.0 + 1e-4),
+        ("win", 1.0 - 1e-4),
+    ] {
+        for shape in [0.1, 1.1] {
+            for k in [16u64, 100, 900] {
+                let tail = GammaTail::new(shape);
+                let floors: Vec<f64> = mantissas
+                    .iter()
+                    .map(|&m| scale * tail.max_of_k(&mut FixedUniform(m), RATE, k))
+                    .collect();
+                group.bench_with_input(
+                    BenchmarkId::new(&format!("{regime}/shape_{shape}"), k),
+                    &k,
+                    |b, &k| {
+                        let mut i = 0;
+                        b.iter(|| {
+                            i = (i + 1) % RING;
+                            let mut rng = FixedUniform(mantissas[i]);
+                            black_box(tail.max_of_k_above(&mut rng, RATE, black_box(k), floors[i]))
+                        });
+                    },
+                );
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_sweep_throughput(c: &mut Criterion) {
     let dataset = GridWorkload::builder()
         .frames(60_000)
@@ -459,6 +516,7 @@ criterion_group!(
     bench_batched_pick,
     bench_hybrid,
     bench_max_of_k,
+    bench_max_of_k_gated,
     bench_sweep_throughput
 );
 criterion_main!(benches);

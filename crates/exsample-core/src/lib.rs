@@ -73,8 +73,10 @@
 //!   invalidation seam as the belief cache, and every Thompson pick over more
 //!   than [`policy::SMALL_M_CHUNKS`] chunks walks it once: small classes draw
 //!   per chunk through the cache and the prune, large classes draw their
-//!   maximum.  All-singleton posteriors degenerate to the per-chunk fold,
-//!   all-prior ones to a single draw; there is no knob and no gate.
+//!   maximum — and skip its inversion when a tail test shows it cannot beat
+//!   the running best, which leaves every pick bit for bit where it was
+//!   (`GammaTail::max_of_k_above`).  All-singleton posteriors degenerate to
+//!   the per-chunk fold, all-prior ones to a single draw; there is no knob.
 //!   Repositories of up to 64 chunks keep the per-chunk schedule, pick for
 //!   pick with a textbook arg-max under the same seed; above that the fold is
 //!   pinned to [`policy::select_chunk_reference`] in distribution by

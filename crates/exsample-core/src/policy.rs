@@ -17,8 +17,9 @@
 //! never by a knob:
 //!
 //! * at or below [`SMALL_M_CHUNKS`] chunks, a plain loop over the cached
-//!   per-chunk Marsaglia–Tsang constants, one full draw per eligible chunk
-//!   (one pruned pass maintaining `batch` running arg-maxes when batched);
+//!   per-chunk Marsaglia–Tsang constants, one full RNG schedule per eligible
+//!   chunk (one pruned pass maintaining `batch` running arg-maxes when
+//!   batched);
 //! * above it, the **hybrid belief-class fold** described below;
 //! * the **reference path** ([`select_chunk_reference`], also taken when the
 //!   cached priors do not match): constructs each chunk's belief distribution
@@ -53,10 +54,25 @@
 //! draw, and nothing in between needs a gate.  The fold is distributionally
 //! exact but has its own RNG schedule, which is why it starts above
 //! [`SMALL_M_CHUNKS`]: smaller repositories keep their pick sequences.
+//!
+//! Most large-class draws lose to the running best (60–75 % on the BDD
+//! analogs), and a draw that loses is only compared and thrown away.  So a
+//! large class passes its slot's best as a floor
+//! ([`exsample_rand::GammaTail::max_of_k_above`]).  The draw spends its
+//! uniform `U` first, as always.  It skips the inversion when its tail level
+//! `q = −expm1(ln U / k)` is no smaller than `Q(a, best·rate)`, the tail
+//! probability of the best: `Q` falls strictly, so the inverted draw would be
+//! `≤ best`.  The test tries a closed-form bound on `Q` first (one `ln`), then
+//! `ln Q` itself.  It skips only when `ln q` clears the tested `ln Q` by 1e-9,
+//! 1000× the inversion's residual, so every skipped draw would have lost
+//! after inversion too.  The RNG stream is untouched (one uniform either
+//! way), and a draw that is not skipped comes back bit for bit.  Every pick
+//! is therefore exactly what the ungated fold picks.  An unset or NaN best
+//! is passed as a floor of 0, which is never tested.
 
 use crate::config::{ChunkSelectionPolicy, ExSampleConfig};
 use crate::stats::ChunkStatsSet;
-use exsample_rand::gamma::{gamma_draw, mt_draw_unit};
+use exsample_rand::gamma::mt_draw_unit;
 use exsample_rand::ziggurat::fast_exponential;
 use rand::Rng;
 
@@ -66,10 +82,12 @@ use rand::Rng;
 /// struct-of-arrays walk and the prune's gate branch cost more than the handful
 /// of `exp`s they avoid (the prune only pays off once a scan skips ~`ln M`
 /// boost exponentials, and the video pipeline's typical chunk counts sit well
-/// below that break-even).  The single pick is a plain indexed loop computing
-/// every chunk's *full* draw via [`gamma_draw`] — the same RNG schedule as a
-/// textbook per-chunk Thompson draw, which the equivalence tests exploit.
-/// Above it the hybrid belief-class fold takes over.
+/// below that break-even).  The single pick is a plain indexed loop that
+/// consumes every chunk's *full* RNG schedule — the same stream as a textbook
+/// per-chunk Thompson draw, which the equivalence tests exploit — and skips
+/// only the boost's `exp` for a chunk whose unboosted draw already trails the
+/// best (see `thompson_pick_small`).  Above it the hybrid belief-class fold
+/// takes over.
 pub const SMALL_M_CHUNKS: usize = 64;
 
 /// Eligible members at which a belief class stops drawing per chunk and
@@ -83,6 +101,14 @@ pub const SMALL_M_CHUNKS: usize = 64;
 /// `fig5_sweep/wall_s` reads 1.07 / 0.80 / 0.77 / 0.82 / 0.81 / 0.82 / 0.90 s
 /// at 4 / 8 / 12 / 16 / 24 / 32 / 64 — because a real posterior has almost
 /// nothing between its singletons and its classes of hundreds.
+///
+/// Since the floor test (module docs), a max-of-k draw that loses costs
+/// 64–70 ns when the closed-form bound settles it and 81–142 ns when `ln Q`
+/// does, against 0.28–0.38 µs inverted (`max_of_k_gated` rows), so the
+/// break-even for losers sits nearer 4–9 per-chunk draws.  The constant
+/// stays: which classes draw per chunk decides the fold's RNG schedule, so
+/// moving it would move every pick above 64 chunks, and by the sweep above
+/// the end-to-end choice is flat anyway.
 const HYBRID_MIN: usize = 16;
 
 /// How a selection was served, for the sampler's telemetry.
@@ -467,10 +493,18 @@ fn thompson_fold_hybrid<R: Rng + ?Sized>(
             draws += 1;
             let (tail, rate) = stats.class_tail(slot);
             for (winner, best) in winners.iter_mut().zip(bests.iter_mut()) {
-                let draw = tail.max_of_k(rng, rate, k as u64);
-                if *winner == UNSET || beats(draw, *best) {
-                    *winner = CLASS_TAG | slot;
-                    *best = draw;
+                // A draw at or below the running best cannot take the lead,
+                // so it is not inverted (see the module docs).
+                let floor = if *winner == UNSET || best.is_nan() {
+                    0.0
+                } else {
+                    *best
+                };
+                if let Some(draw) = tail.max_of_k_above(rng, rate, k as u64, floor) {
+                    if *winner == UNSET || beats(draw, *best) {
+                        *winner = CLASS_TAG | slot;
+                        *best = draw;
+                    }
                 }
             }
         }
@@ -484,12 +518,16 @@ fn thompson_fold_hybrid<R: Rng + ?Sized>(
     draws
 }
 
-/// The small-M fast path: a plain loop computing every eligible chunk's full
-/// draw from its `(d, c, boost_inv_shape, rate)` constants — `constants` reads
-/// them from the belief cache or rebuilds them from the statistics — with no
-/// prune gate (see [`SMALL_M_CHUNKS`]).  Allocation-free; the full-draw
-/// schedule makes each pick draw-for-draw identical to a textbook per-chunk
-/// Thompson arg-max under the same RNG state.
+/// The small-M fast path: a plain loop drawing every eligible chunk's belief
+/// from its `(d, c, boost_inv_shape, rate)` constants — `constants` reads them
+/// from the belief cache or rebuilds them from the statistics.  Every chunk
+/// consumes the full [`exsample_rand::gamma::gamma_draw`] schedule (the
+/// Marsaglia–Tsang body, then the boost exponential below shape 1), so each
+/// pick is draw-for-draw identical to a textbook per-chunk Thompson arg-max
+/// under the same RNG state.  Only the boost's `exp` and multiply are skipped, when the unboosted
+/// `t0/rate` is already `≤ best`: the factor `exp(−E/shape)` lies in
+/// `[0, 1]` and floating-point multiply and divide are monotone, so the full
+/// draw could not have won either.  Allocation-free.
 #[inline]
 fn thompson_pick_small<R: Rng + ?Sized>(
     eligible: &[bool],
@@ -497,13 +535,23 @@ fn thompson_pick_small<R: Rng + ?Sized>(
     constants: impl Fn(usize) -> (f64, f64, f64, f64),
 ) -> Option<usize> {
     let mut best_j: Option<usize> = None;
+    // Starts at −∞, which no `t0/rate` is at or below.
     let mut best = f64::NEG_INFINITY;
     for (j, &elig) in eligible.iter().enumerate() {
         if !elig {
             continue;
         }
         let (d, c, boost_inv_shape, rate) = constants(j);
-        let draw = gamma_draw(rng, d, c, boost_inv_shape, rate);
+        let t0 = mt_draw_unit(rng, d, c);
+        let draw = if boost_inv_shape > 0.0 {
+            let e = fast_exponential(rng);
+            if t0 / rate <= best {
+                continue;
+            }
+            t0 * (-e * boost_inv_shape).exp() / rate
+        } else {
+            t0 / rate
+        };
         if best_j.is_none() || beats(draw, best) {
             best_j = Some(j);
             best = draw;
@@ -1021,8 +1069,8 @@ mod tests {
 
     #[test]
     fn small_m_fast_path_is_draw_for_draw_a_textbook_argmax() {
-        // At M ≤ SMALL_M_CHUNKS, `select_chunk` computes every eligible
-        // chunk's full draw — the exact RNG schedule of `belief.sample()` —
+        // At M ≤ SMALL_M_CHUNKS, `select_chunk` consumes every eligible
+        // chunk's full RNG schedule — that of `belief.sample()` —
         // so it must agree with a textbook per-chunk Thompson arg-max not just
         // in distribution but pick for pick under the same seed.
         use exsample_rand::Sampler;

@@ -280,3 +280,67 @@ fn sixty_chunk_run_is_bitwise_the_per_chunk_sequence() {
         "60-chunk pick sequence changed: {digest:#x}"
     );
 }
+
+/// The scripted reward of the above-64-chunk pin: every 97th chunk is hot
+/// (a hit on a third of its picks, a second sighting on every 53rd step),
+/// every 13th chunk is warm (a rare hit), the rest never yield.  Untouched
+/// chunks stay all-prior and unproductive ones pile up into big `(0, n)`
+/// classes, while the hot and warm ones scatter into singletons — the shape
+/// of a BDD posterior.
+fn scripted_reward(chunk: usize, step: u64) -> i64 {
+    if chunk % 97 == 5 {
+        i64::from(step.is_multiple_of(3)) - i64::from(step.is_multiple_of(53))
+    } else if chunk.is_multiple_of(13) {
+        i64::from(step.is_multiple_of(29))
+    } else {
+        0
+    }
+}
+
+/// FNV-1a over `picks` picks of an `M`-chunk sampler in batches of `batch`,
+/// under [`scripted_reward`].  Every 50th chunk holds only 8 frames, so
+/// eligibility turns partial mid-run.
+fn hybrid_digest(chunks: usize, batch: usize, picks: u64) -> u64 {
+    let lengths: Vec<u64> = (0..chunks)
+        .map(|j| if j % 50 == 7 { 8 } else { 10_000 })
+        .collect();
+    let mut sampler = ExSample::new(ExSampleConfig::default(), &lengths);
+    let mut rng = StdRng::seed_from_u64(2_027 + chunks as u64);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut step = 0u64;
+    while step < picks {
+        let round = if batch == 1 {
+            vec![sampler.next_frame(&mut rng).expect("frames remain")]
+        } else {
+            sampler.next_batch(&mut rng, batch)
+        };
+        for pick in round {
+            digest = fold_pick(digest, pick.chunk, pick.offset);
+            sampler.record(pick.chunk, scripted_reward(pick.chunk, step));
+            step += 1;
+        }
+    }
+    let telemetry = sampler.selection_telemetry();
+    assert_eq!(telemetry.per_chunk_picks, 0, "M = {chunks} is the fold's");
+    digest
+}
+
+#[test]
+fn hybrid_fold_pick_sequences_are_pinned_above_sixty_four_chunks() {
+    // Captured at f022f3f, before the max-of-k draw learned to skip the
+    // inversion of a draw that cannot beat the running best: that gate must
+    // leave every pick where it was, bit for bit.
+    const GOLDEN: [(usize, usize, u64); 4] = [
+        (1_000, 1, 0xc0b2_14e6_97ce_886d),
+        (1_000, 16, 0x6547_c722_8503_c0c4),
+        (1_600, 1, 0xfd24_e084_0825_a1a8),
+        (1_600, 16, 0xd32d_b84e_a0e6_3fe6),
+    ];
+    let digests =
+        GOLDEN.map(|(chunks, batch, _)| (chunks, batch, hybrid_digest(chunks, batch, 20_000)));
+    assert_eq!(
+        digests.map(|(chunks, batch, digest)| format!("M = {chunks}, batch {batch}: {digest:#x}")),
+        GOLDEN.map(|(chunks, batch, digest)| format!("M = {chunks}, batch {batch}: {digest:#x}")),
+        "hybrid-fold pick sequences changed"
+    );
+}

@@ -31,12 +31,19 @@
 //! * [`gamma_max_of_k`] — the exact max-of-k draw, spending one uniform variate
 //!   regardless of `k`.  At shape 0.1 it costs about 0.3 µs for
 //!   k ∈ {16, 100, 900}, against 1.1 / 2.6 / 2.0 µs when `(1 − Q) − p` was
-//!   refined in linear space with `ln Γ` recomputed per evaluation.
+//!   refined in linear space with `ln Γ` recomputed per evaluation;
+//! * [`GammaTail::max_of_k_above`] — the same draw behind a floor: on the
+//!   same uniform it returns the same value, or `None` without inverting when
+//!   a tail test (a closed-form bound, [`GammaTail::ln_survival_bound`], then
+//!   `ln Q` itself) shows the draw cannot exceed the floor.  The fold passes
+//!   its running best, and most large-class draws lose to it.
 //!
 //! Round-trip (`quantile(cdf(x)) ≈ x`) and chi-square tests against `k`
 //! independent Marsaglia–Tsang draws pin the implementation down; proptests in
-//! `tests/quantile_props.rs` cover tolerance, monotonicity, extreme shapes and
-//! the whole `k × shape × U` grid of the draw up to `k = 10⁹`.
+//! `tests/quantile_props.rs` cover tolerance, monotonicity, extreme shapes,
+//! the whole `k × shape × U` grid of the draw up to `k = 10⁹`, and the floor
+//! test's soundness (a skipped draw is never above its floor, a returned one
+//! is bit-equal to the ungated draw, the bound is never below `Q`).
 
 use crate::gamma::{ln_gamma, lower_series, upper_fraction};
 use crate::uniform_open01;
@@ -123,6 +130,26 @@ const SERIES_MIN_TAIL: f64 = 1e-5;
 /// series `e·x + 35` pipelined ones; per max-of-k draw the series keeps winning
 /// up to about 12 (shape 0.1, k = 100: 1270 ns at 0, 360 at 4.5, 290 at 12).
 const SERIES_REACH: f64 = 12.0;
+
+/// The reach of the lower series when `Q` is evaluated on the way to the
+/// upper-tail level `q`: [`SERIES_REACH`] while `1 − P` keeps its digits
+/// there, none (the continued fraction from `a + 1` on) below
+/// [`SERIES_MIN_TAIL`].  The inversion and the floor test of
+/// [`GammaTail::max_of_k_above`] both choose their evaluator through it.
+#[inline]
+fn series_reach(q: f64) -> f64 {
+    if q >= SERIES_MIN_TAIL {
+        SERIES_REACH
+    } else {
+        0.0
+    }
+}
+
+/// Margin in `ln Q` by which a max-of-k draw must fall short of its floor
+/// before [`GammaTail::max_of_k_above`] skips inverting it: 1000× the ~1e-12
+/// residual the inversion lands within, so every skipped draw would have
+/// come out at or below the floor had it been inverted.
+const FLOOR_MARGIN: f64 = 1e-9;
 
 /// Quantile (inverse CDF) of `Gamma(shape, 1)`: the `x` with `P(shape, x) = p`,
 /// where `P` is the regularised lower incomplete gamma function — consistent
@@ -239,11 +266,7 @@ impl GammaTail {
         let a1 = a - 1.0;
         let upper = q <= 0.5;
         let ln_target = if upper { q.ln() } else { p.ln() };
-        let reach = if upper && q >= SERIES_MIN_TAIL {
-            SERIES_REACH
-        } else {
-            0.0
-        };
+        let reach = if upper { series_reach(q) } else { 0.0 };
         let mut x = if a > 1.0 {
             // Wilson–Hilferty: a Gamma variate is approximately the cube of a
             // shifted, scaled normal variate.
@@ -292,22 +315,99 @@ impl GammaTail {
         x
     }
 
+    /// A closed-form upper bound on `ln Q(shape, x)`: one `ln`, no series.
+    ///
+    /// Above `x` the density's power factor `t^(a−1)` is at most `x^(a−1)`
+    /// when `a ≤ 1`, and at most `x^(a−1)·e^((a−1)(t−x)/x)` when `a > 1`, so
+    /// integrating `e^(−t)` against it gives
+    ///
+    /// ```text
+    /// Q(a, x) ≤ x^(a−1)·e^(−x) / Γ(a)                    (a ≤ 1)
+    /// Q(a, x) ≤ x^(a−1)·e^(−x) / Γ(a) · x / (x − a + 1)    (a > 1, x > a − 1)
+    /// ```
+    ///
+    /// and the trivial `Q ≤ 1` (a bound of `0`) elsewhere.  Within about
+    /// `(1 − a)/x` of the exact tail far out, which is where the maxima of
+    /// large belief classes land.
+    pub fn ln_survival_bound(&self, x: f64) -> f64 {
+        let a = self.shape;
+        if x <= 0.0 {
+            return 0.0;
+        }
+        let ln_bound = (a - 1.0) * x.ln() - x - self.ln_gamma;
+        if a <= 1.0 {
+            ln_bound
+        } else if x > a - 1.0 {
+            ln_bound + (x / (x - a + 1.0)).ln()
+        } else {
+            0.0
+        }
+    }
+
     /// Draw the maximum of `k` iid `Gamma(shape, rate)` variates exactly,
     /// spending one uniform variate: see [`gamma_max_of_k`].
     ///
     /// # Panics
     /// Panics if `rate` is not positive finite, or `k == 0`.
     pub fn max_of_k<R: Rng + ?Sized>(&self, rng: &mut R, rate: f64, k: u64) -> f64 {
-        assert!(k > 0, "the maximum of zero draws is undefined");
-        assert!(
-            rate > 0.0 && rate.is_finite(),
-            "gamma_max_of_k needs a positive finite rate, got {rate}"
-        );
-        let u = uniform_open01(rng);
-        // q = 1 − U^(1/k), formed without ever rounding U^(1/k) to 1.
-        let q = -(u.ln() / k as f64).exp_m1();
-        self.upper_quantile(q) / rate
+        self.upper_quantile(max_of_k_tail(rng, rate, k)) / rate
     }
+
+    /// [`GammaTail::max_of_k`], returned only if it can exceed `floor`: the
+    /// draw, bit for bit, or `None` when it would come out at or below
+    /// `floor` — decided without inverting it.
+    ///
+    /// The draw spends its one uniform `U` either way, so the RNG stream is
+    /// the same as [`GammaTail::max_of_k`]'s.  Its unit-rate value `X` solves
+    /// `Q(a, X) = q` with `q = −expm1(ln U / k)`, and `Q` is strictly
+    /// decreasing, so the draw exceeds `floor` iff `q < Q(a, floor·rate)`.
+    /// The test runs in two steps and stops at the first that settles it:
+    ///
+    /// 1. [`GammaTail::ln_survival_bound`], one `ln` — it settles almost every
+    ///    loser whose floor is not within a few per cent of the draw;
+    /// 2. `ln Q` itself, through the evaluator the inversion would use
+    ///    (the lower series out to `SERIES_REACH` while the tail keeps its
+    ///    digits, else the continued fraction).
+    ///
+    /// `None` only when `ln q` clears the tested `ln Q` by a margin of 1e-9,
+    /// 1000× the inversion's residual; anything closer is inverted in full.
+    /// So `Some(x)` is exactly what [`GammaTail::max_of_k`] returns for the
+    /// same `U`, and `None` means that value is `≤ floor`.  A floor that is
+    /// not positive (or NaN) is never tested.  A loser settled by the bound
+    /// costs about a fifth of a full draw, one settled by `ln Q` a third to
+    /// a half; a winner pays the test on top of the inversion.
+    ///
+    /// # Panics
+    /// Panics if `rate` is not positive finite, or `k == 0`.
+    pub fn max_of_k_above<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        rate: f64,
+        k: u64,
+        floor: f64,
+    ) -> Option<f64> {
+        let q = max_of_k_tail(rng, rate, k);
+        if floor > 0.0 {
+            let (ln_q, y) = (q.ln(), floor * rate);
+            if ln_q >= self.ln_survival_bound(y) + FLOOR_MARGIN
+                || ln_q >= self.ln_tail_and_slope(y, true, series_reach(q)).0 + FLOOR_MARGIN
+            {
+                return None;
+            }
+        }
+        Some(self.upper_quantile(q) / rate)
+    }
+}
+
+/// The upper-tail level `q = 1 − U^(1/k)` of one max-of-k draw, formed from
+/// one uniform without ever rounding `U^(1/k)` to 1.
+fn max_of_k_tail<R: Rng + ?Sized>(rng: &mut R, rate: f64, k: u64) -> f64 {
+    assert!(k > 0, "the maximum of zero draws is undefined");
+    assert!(
+        rate > 0.0 && rate.is_finite(),
+        "gamma_max_of_k needs a positive finite rate, got {rate}"
+    );
+    -(uniform_open01(rng).ln() / k as f64).exp_m1()
 }
 
 /// Draw the maximum of `k` iid `Gamma(shape, rate)` variates exactly, spending

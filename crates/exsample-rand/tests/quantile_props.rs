@@ -5,7 +5,9 @@
 //! ExSample produces — from the `α₀ = 0.1` prior up to beliefs with tens of
 //! thousands of observations — and on the max-of-k draw staying exact from
 //! singleton classes to billion-member ones.  These properties pin round-trip
-//! tolerance, monotonicity in every argument, and extreme-shape behaviour.
+//! tolerance, monotonicity in every argument, and extreme-shape behaviour,
+//! and that the max-of-k draw's floor test skips only draws that could not
+//! have exceeded the floor.
 
 use exsample_rand::gamma::lower_incomplete_gamma_regularized;
 use exsample_rand::{gamma_max_of_k, gamma_quantile, Gamma, GammaTail};
@@ -67,6 +69,59 @@ fn max_of_k_is_exact_and_monotone_from_singletons_to_a_billion() {
             );
         }
     }
+}
+
+/// The floor test of `max_of_k_above` is sound: with a fixed uniform, a
+/// skipped draw (`None`) is one the ungated draw puts at or below the floor,
+/// and a returned draw is bit-equal to the ungated one.  Floors sit at the
+/// max-of-k distribution's own quantiles, from one nearly every draw beats to
+/// one nearly none does, and the uniforms include a few ulps either side of
+/// each floor's level, where the draw lands on the floor itself.
+#[test]
+fn max_of_k_above_skips_only_draws_that_cannot_exceed_the_floor() {
+    const KS: [u64; 4] = [16, 100, 1_000, 1_000_000];
+    const LEVELS: [f64; 4] = [0.01, 0.5, 0.99, 1.0 - 1e-6];
+    const RATE: f64 = 3.0;
+    const SCALE: f64 = (1u64 << 53) as f64;
+    let mut mantissas: Vec<u64> = (1..64).map(|i| i * ((1 << 53) / 64)).collect();
+    mantissas.extend([1, (1 << 53) - 1]);
+    for level in LEVELS {
+        let at = (level * SCALE) as u64;
+        mantissas.extend((at - 3..=at + 3).filter(|&m| m > 0 && m < 1 << 53));
+    }
+    let (mut skipped, mut returned) = (0usize, 0usize);
+    for shape in [0.1, 1.1, 5.1, 64.0] {
+        let tail = GammaTail::new(shape);
+        for k in KS {
+            for level in LEVELS {
+                // F_max⁻¹(level): the draw whose uniform is `level`.
+                let floor = tail.upper_quantile(-(level.ln() / k as f64).exp_m1()) / RATE;
+                for &mantissa in &mantissas {
+                    let draw = tail.max_of_k(&mut FixedUniform(mantissa), RATE, k);
+                    let case = format!(
+                        "shape {shape}, k {k}, floor {floor} (level {level}), U {}",
+                        mantissa as f64 / SCALE
+                    );
+                    match tail.max_of_k_above(&mut FixedUniform(mantissa), RATE, k, floor) {
+                        None => {
+                            skipped += 1;
+                            assert!(draw <= floor, "{case}: skipped a draw of {draw}");
+                        }
+                        Some(x) => {
+                            returned += 1;
+                            assert_eq!(x.to_bits(), draw.to_bits(), "{case}: {x} vs {draw}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The test decides both ways on this grid: most uniforms sit below the
+    // upper floors' levels, and the lowest floor is beaten by almost all.
+    assert!(
+        skipped > returned / 2 && returned > skipped / 4,
+        "skipped {skipped}, returned {returned}"
+    );
 }
 
 /// `ln_survival` against closed forms (integer shapes: `Q(n, x) = e^{−x} Σ
@@ -177,6 +232,43 @@ proptest! {
             ((back - ln_q).exp() - 1.0).abs() < 1e-8,
             "shape {shape}, ln q {ln_q}: x {x}, ln Q back {back}"
         );
+    }
+
+    /// The closed-form bound behind the floor test never undercuts the
+    /// exact tail, from the body down to tails of 1e-30: at every `x` for
+    /// shapes up to 1, and above `a − 1` beyond (where the bound holds).
+    #[test]
+    fn survival_bound_is_never_below_the_tail(shape in 0.05f64..200.0, ln_q in -69.0f64..-0.01) {
+        let tail = GammaTail::new(shape);
+        let x = tail.upper_quantile(ln_q.exp());
+        prop_assume!(shape <= 1.0 || x > shape - 1.0);
+        let exact = tail.ln_survival(x);
+        let bound = tail.ln_survival_bound(x);
+        prop_assert!(
+            bound >= exact - 1e-12 * exact.abs().max(1.0),
+            "shape {shape}, x {x}: bound {bound} < ln Q {exact}"
+        );
+    }
+
+    /// The floor test against the ungated draw over random shapes, rates,
+    /// class sizes and floors near the draw: `None` only at or below the
+    /// floor, `Some` bit-equal to the ungated draw.
+    #[test]
+    fn max_of_k_above_agrees_with_the_ungated_draw(
+        shape in 0.05f64..200.0,
+        rate in 0.05f64..500.0,
+        k in 1u64..1_000_000,
+        seed in 0u64..1_000,
+        ratio in 0.5f64..2.0,
+    ) {
+        let tail = GammaTail::new(shape);
+        let draw = tail.max_of_k(&mut StdRng::seed_from_u64(seed), rate, k);
+        // A floor near the draw's median, so both answers occur.
+        let floor = ratio * tail.upper_quantile(-(0.5f64.ln() / k as f64).exp_m1()) / rate;
+        match tail.max_of_k_above(&mut StdRng::seed_from_u64(seed), rate, k, floor) {
+            None => prop_assert!(draw <= floor, "skipped {draw} > floor {floor}"),
+            Some(x) => prop_assert_eq!(x.to_bits(), draw.to_bits()),
+        }
     }
 
     /// `Gamma::quantile` agrees with the free function under rate scaling.

@@ -271,7 +271,10 @@ impl Bencher {
                 name, m.median_ns, per_sec, m.batches, m.iters_per_batch
             );
             let path = bench_json_path(&path);
-            let first_write = truncated_paths().lock().unwrap().insert(path.clone());
+            // Held until the line is written: a report that decided to
+            // truncate must not open the file after another has appended.
+            let mut truncated = truncated_paths().lock().unwrap();
+            let first_write = truncated.insert(path.clone());
             let mut options = OpenOptions::new();
             options.create(true);
             if first_write {
