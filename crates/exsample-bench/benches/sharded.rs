@@ -27,18 +27,14 @@
 //! detector the same axis is where the speedup shows up; treat the committed
 //! baseline's parallel rows as a dispatch overhead bound.
 //!
-//! The `cache_contention` axis covers the lock-striped detections cache: a
-//! scripted warm-heavy probe/commit trace compares the striped cache head to
-//! head against the legacy serial LRU (`DetectionCache`, the reference
-//! implementation) on one thread.  On a 1-vCPU container striping itself
-//! can only pay off under real concurrency, so the acceptance bar is that
-//! the striped protocol costs at most ~5% over the serial reference — in
-//! the committed baseline it is in fact *faster*, because recency replay is
-//! transaction-local (a touch never takes a stripe lock) and the internal
-//! maps use a deterministic mix64 hasher instead of SipHash.  Full
-//! warm-heavy 8-query engine runs at 1/2/4 worker threads pin the
-//! engine-level overhead of the probe / serial-arbitration protocol, with
-//! count-invariance asserted across every row.
+//! The `cache_contention` axis runs full warm-heavy 8-query engine runs with
+//! the detections cache at 1/2/4 worker threads, plus the uncached serial
+//! baseline: the engine-level cost of probing and committing serially around
+//! the dispatched lanes, with count-invariance asserted across every row.
+//! (Its `trace/*` rows still in `BENCH_sharded.json` are the last capture of
+//! the lock-striped cache and the legacy serial LRU it was pinned against;
+//! both are gone.  The `engine_8q_striped/*` rows there are
+//! `engine_8q_cached/*` under their old name.)
 //!
 //! `BENCH_QUICK=1` (the CI smoke configuration) shrinks the per-query budget.
 
@@ -46,12 +42,12 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use exsample_core::ExSampleConfig;
 use exsample_data::{Dataset, GridWorkload, SkewLevel};
 use exsample_detect::{
-    BatchCostModel, BatchingDetector, Detector, FaultInjectingDetector, FaultPlan, FrameDetections,
-    GroundTruth, PerfectDetector,
+    BatchCostModel, BatchingDetector, Detector, FaultInjectingDetector, FaultPlan, GroundTruth,
+    PerfectDetector,
 };
 use exsample_engine::{
-    CacheConfig, DetectionCache, ExSamplePolicy, ExecutionMode, FailureMode, QueryEngine,
-    QuerySpec, RetryPolicy, ShardRouter, ShardedReport, StripedDetectionCache,
+    ExSamplePolicy, ExecutionMode, FailureMode, QueryEngine, QuerySpec, RetryPolicy, ShardRouter,
+    ShardedReport,
 };
 use std::sync::Arc;
 
@@ -195,63 +191,6 @@ fn run_engine_batched(
     )
 }
 
-/// Cache-trace shape shared by both LRU implementations: one cold pass that
-/// fills `capacity` entries, then `CACHE_TRACE_PASSES - 1` warm passes that
-/// hit every one of them — the hit-dominated long-running-service shape where
-/// probe cost, not eviction cost, dominates.
-const CACHE_TRACE_CAPACITY: usize = 1_024;
-const CACHE_TRACE_PASSES: usize = 8;
-
-/// The scripted trace against the legacy serial LRU (the pre-striping
-/// reference implementation): `get` misses fill, `get` hits refresh recency
-/// inline.  Hits clone the returned handle out, as an engine lane keeping
-/// the detections would — the same handle cost the striped probe pays.
-fn legacy_cache_trace() -> u64 {
-    let mut cache = DetectionCache::new(CACHE_TRACE_CAPACITY);
-    let mut hits = 0u64;
-    for _ in 0..CACHE_TRACE_PASSES {
-        for frame in 0..CACHE_TRACE_CAPACITY as u64 {
-            if black_box(cache.get(0, frame).cloned()).is_some() {
-                hits += 1;
-            } else {
-                cache.insert(0, frame, Arc::new(FrameDetections::empty(frame)));
-            }
-        }
-    }
-    hits
-}
-
-/// The same trace through the striped cache's probe/commit protocol: parallel
-/// probes first (here on one thread — the 1-vCPU overhead measurement), then
-/// one arbitration transaction per pass replaying touches and inserts, just
-/// as the engine's commit boundary does.
-fn striped_cache_trace(stripes: usize) -> u64 {
-    let cache = StripedDetectionCache::new(CacheConfig::new(CACHE_TRACE_CAPACITY).stripes(stripes));
-    let mut hits = 0u64;
-    let mut hit_frames = Vec::with_capacity(CACHE_TRACE_CAPACITY);
-    let mut miss_frames = Vec::with_capacity(CACHE_TRACE_CAPACITY);
-    for _ in 0..CACHE_TRACE_PASSES {
-        hit_frames.clear();
-        miss_frames.clear();
-        for frame in 0..CACHE_TRACE_CAPACITY as u64 {
-            if black_box(cache.probe(0, frame)).is_some() {
-                hit_frames.push(frame);
-            } else {
-                miss_frames.push(frame);
-            }
-        }
-        hits += hit_frames.len() as u64;
-        let mut txn = cache.begin();
-        for &frame in &hit_frames {
-            txn.touch(0, frame);
-        }
-        for &frame in &miss_frames {
-            txn.insert(0, frame, Arc::new(FrameDetections::empty(frame)));
-        }
-    }
-    hits
-}
-
 /// A small, dense workload for the cache axis: 8 queries over few enough
 /// frames that they keep re-demanding each other's picks across stages —
 /// the warm-heavy shape where the cache actually earns its keep.
@@ -268,7 +207,7 @@ fn warm_dataset() -> Dataset {
         .generate()
 }
 
-/// A warm-heavy 8-query engine run with the striped cache (capacity sized to
+/// A warm-heavy 8-query engine run with the detections cache (capacity sized to
 /// hold the whole working set, so every cross-query revisit is a hit), or
 /// uncached when `cache` is 0.
 fn run_engine_warm(
@@ -403,31 +342,21 @@ fn bench_sharded(c: &mut Criterion) {
     }
     batched_group.finish();
 
-    // The cache-contention axis.  Trace rows: the same warm-heavy scripted
-    // probe/commit sequence against the legacy serial LRU and the striped
-    // cache on one thread — on this 1-vCPU container the striped protocol
-    // (per-stripe locks + one arbitration transaction per pass) must stay
-    // within noise (±5%) of the serial reference.  Engine rows: full 8-query
-    // warm-heavy runs, striped cache at 1/2/4 worker threads plus the
-    // uncached serial baseline, measuring the end-to-end cost of probing and
-    // committing serially around the dispatched lanes.
+    // The cache-contention axis: full 8-query warm-heavy runs, cached at
+    // 1/2/4 worker threads plus the uncached serial baseline, measuring the
+    // end-to-end cost of probing and committing serially around the
+    // dispatched lanes.
     let warm = warm_dataset();
     let warm_detector =
         PerfectDetector::new(Arc::clone(warm.ground_truth()), GridWorkload::class());
     let mut cache_group = c.benchmark_group("cache_contention");
     cache_group.sample_size(10);
-    cache_group.bench_with_input(BenchmarkId::new("trace", "legacy_serial"), &(), |b, _| {
-        b.iter(|| black_box(legacy_cache_trace()));
-    });
-    cache_group.bench_with_input(BenchmarkId::new("trace", "striped"), &(), |b, _| {
-        b.iter(|| black_box(striped_cache_trace(8)));
-    });
     cache_group.bench_with_input(BenchmarkId::new("engine_8q", "uncached"), &(), |b, _| {
         b.iter(|| black_box(run_engine_warm(&warm, &warm_detector, 0, 0, budget)));
     });
     for &threads in &THREAD_COUNTS {
         cache_group.bench_with_input(
-            BenchmarkId::new("engine_8q_striped", threads.max(1)),
+            BenchmarkId::new("engine_8q_cached", threads.max(1)),
             &threads,
             |b, &threads| {
                 b.iter(|| {
@@ -550,20 +479,9 @@ fn bench_sharded(c: &mut Criterion) {
         assert_eq!(guarded.report.failed_frames, 0);
     }
 
-    // Cache count-invariance: the scripted traces agree hit-for-hit across
-    // implementations and stripe counts, striped engine runs are
-    // logically identical across worker-thread counts (report and
-    // cache accounting alike), and the cache changes only the detector bill —
-    // never any query's outcome.
-    let expected_hits = ((CACHE_TRACE_PASSES - 1) * CACHE_TRACE_CAPACITY) as u64;
-    assert_eq!(legacy_cache_trace(), expected_hits);
-    for stripes in [1usize, 8, 64] {
-        assert_eq!(
-            striped_cache_trace(stripes),
-            expected_hits,
-            "{stripes} stripes: trace hit count"
-        );
-    }
+    // Cache count-invariance: cached engine runs are logically identical
+    // across worker-thread counts (report and cache accounting alike), and
+    // the cache changes only the detector bill — never any query's outcome.
     let uncached = run_engine_warm(&warm, &warm_detector, 0, 0, budget);
     let cached_serial = run_engine_warm(&warm, &warm_detector, 0, 4_096, budget);
     assert!(cached_serial.report.cache.hits > 0, "warm runs must hit");
@@ -579,7 +497,7 @@ fn bench_sharded(c: &mut Criterion) {
     for threads in [2usize, 4] {
         let parallel = run_engine_warm(&warm, &warm_detector, threads, 4_096, budget);
         assert_same_outcomes(
-            &format!("striped cache, {threads} threads"),
+            &format!("cached, {threads} threads"),
             &parallel,
             &cached_serial,
         );
@@ -596,7 +514,7 @@ fn bench_sharded(c: &mut Criterion) {
             cached_serial.report.detector_calls
         );
     }
-    println!("\n# cache_contention telemetry (8 warm queries, striped capacity 4096)");
+    println!("\n# cache_contention telemetry (8 warm queries, cache capacity 4096)");
     println!(
         "# cached: hits {} | misses {} | evictions {} | detector frames {} (uncached {})",
         cached_serial.report.cache.hits,

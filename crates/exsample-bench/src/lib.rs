@@ -19,7 +19,7 @@
 //! * `--overlap` — run each stage's PICK concurrently with the previous
 //!   stage's DETECT (stop decisions lag one stage, by design; a given
 //!   overlapped configuration is still bitwise-deterministic).
-//! * `--cache N` — enable the engine's lock-striped detections cache with
+//! * `--cache N` — enable the engine's detections cache with
 //!   capacity N entries (no flag = off; `--cache 0` is rejected — leave the
 //!   flag off instead).  Cache accounting is bitwise-deterministic across
 //!   `--parallel`/`--overlap`, and the run summary gains a cache telemetry
@@ -66,7 +66,7 @@ pub struct ExperimentOptions {
     pub parallel: usize,
     /// Overlap each stage's PICK with the previous stage's DETECT.
     pub overlap: bool,
-    /// Capacity of the engine's striped detections cache (0 = off, the
+    /// Capacity of the engine's detections cache (0 = off, the
     /// default).
     pub cache: usize,
     /// Retries allowed per frame whose detect attempt failed (0 = off).
@@ -407,7 +407,7 @@ pub fn banner(reference: &str, description: &str, options: &ExperimentOptions) {
     }
     if options.cache > 0 {
         println!(
-            "# cache: lock-striped detections LRU, capacity {} entries \
+            "# cache: detections LRU, capacity {} entries \
              (accounting is bitwise-deterministic across threads and overlap)",
             options.cache
         );

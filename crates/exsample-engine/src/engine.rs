@@ -59,7 +59,7 @@
 //! the *physical* invocation shape follows the lane count: a detector group
 //! is cut where a lane boundary falls inside it.
 
-use crate::cache::{CacheActivity, CacheConfig, CacheStats, StripedDetectionCache};
+use crate::cache::{CacheActivity, CacheConfig, CacheStats, DetectionCache};
 use crate::error::EngineError;
 use crate::merge::{BatchStats, ShardedReport};
 use crate::policy::SamplingPolicy;
@@ -589,7 +589,7 @@ pub struct QueryEngine<'a> {
     /// Stages whose demand fits one slice stay inline and don't count.
     pooled_dispatches: u64,
     /// Optional cross-stage frame→detections cache (off by default).
-    cache: Option<StripedDetectionCache>,
+    cache: Option<DetectionCache>,
     /// Retry policy for failed detect attempts (off by default).
     retry: RetryPolicy,
     /// What happens when a frame's attempts are exhausted (fail-fast by
@@ -789,52 +789,38 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Enable the bounded cross-stage frame→detections cache with the given
-    /// capacity (in frames), using the default lock-stripe count and
-    /// admission policy.  Off by default: the cache never changes query
+    /// capacity (in frames) and the default admission policy (plain LRU);
+    /// `0` means no cache.  Off by default: the cache never changes query
     /// outcomes (detectors are pure functions of the frame id), but warm hits
     /// bypass `detect_batch`, so the detector cost accounting of a cached run
     /// is not comparable to an uncached one.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero (use [`QueryEngine::cache_config`] for a
-    /// non-panicking, fully-configurable variant).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Some(StripedDetectionCache::new(CacheConfig::new(capacity)));
+        self.cache = (capacity > 0).then(|| DetectionCache::new(CacheConfig::new(capacity)));
         self
     }
 
-    /// Enable the cross-stage cache from a full [`CacheConfig`] (capacity,
-    /// lock-stripe count, admission policy).  Stripe count and admission
-    /// policy never change *which* entries survive relative to the
-    /// determinism contract — stripes affect contention only, and the
-    /// admission gate is itself deterministic — but
+    /// Enable the cross-stage cache from a full [`CacheConfig`] (capacity and
+    /// admission policy).  The admission gate is deterministic, but
     /// [`AdmissionPolicy::Frequency`](crate::AdmissionPolicy::Frequency)
     /// changes the admission decisions versus the default LRU, so its
     /// accounting is only comparable between runs sharing the policy.
     ///
     /// # Errors
-    /// [`EngineError::InvalidCache`] if the capacity or stripe count is zero.
+    /// [`EngineError::InvalidCache`] if the capacity is zero.
     pub fn cache_config(mut self, config: CacheConfig) -> Result<Self, EngineError> {
-        if config.capacity == 0 || config.stripes == 0 {
+        if config.capacity == 0 {
             return Err(EngineError::InvalidCache {
                 capacity: config.capacity,
-                stripes: config.stripes,
             });
         }
-        self.cache = Some(StripedDetectionCache::new(config));
+        self.cache = Some(DetectionCache::new(config));
         Ok(self)
     }
 
     /// Hit/miss/eviction/admission-reject counters of the cross-stage cache,
     /// if enabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(StripedDetectionCache::stats)
-    }
-
-    /// Per-stripe counters of the cross-stage cache, if enabled (contention
-    /// diagnostics; the aggregate view is [`QueryEngine::cache_stats`]).
-    pub fn cache_stripe_stats(&self) -> Option<Vec<CacheStats>> {
-        self.cache.as_ref().map(StripedDetectionCache::stripe_stats)
+        self.cache.as_ref().map(DetectionCache::stats)
     }
 
     /// Set the retry policy for failed detect attempts (default:
@@ -1082,7 +1068,7 @@ impl<'a> QueryEngine<'a> {
         self.lanes.probe(
             &stage.slots,
             self.coalesce,
-            self.cache.as_ref(),
+            self.cache.as_mut(),
             &mut self.view,
         );
         // Uncoalesced, uncached groups may carry the same (detector, frame)
@@ -1200,7 +1186,7 @@ impl<'a> QueryEngine<'a> {
         // results).  The order is a pure function of the frames probed and
         // detected this stage, so the LRU's eviction sequence is identical no
         // matter how many lanes detected.
-        if let Some(cache) = self.cache.as_ref() {
+        if let Some(cache) = self.cache.as_mut() {
             self.lanes.commit(&stage.slots, cache, &mut self.view);
         }
 
@@ -2044,5 +2030,43 @@ mod tests {
             warm.outcomes[1].trajectory,
             truth_check.outcomes[0].trajectory
         );
+    }
+
+    #[test]
+    fn zero_cache_capacity_means_no_cache() {
+        let (_chunking, _truth, detector) = setup(512, 4);
+        let run = |capacity: Option<usize>| {
+            let mut engine = QueryEngine::new();
+            if let Some(capacity) = capacity {
+                engine = engine.cache_capacity(capacity);
+            }
+            engine
+                .push(
+                    QuerySpec::new("q", Box::new(FrameSamplerPolicy::uniform(512)), &detector)
+                        .seed(53)
+                        .batch(16),
+                )
+                .unwrap();
+            let report = engine.run().unwrap();
+            (format!("{report:?}"), engine.cache_stats())
+        };
+        let (uncached, none) = run(None);
+        assert_eq!(none, None);
+        let (zero, stats) = run(Some(0));
+        assert_eq!(stats, None, "capacity 0 builds no cache");
+        assert_eq!(zero, uncached, "and runs exactly like an uncached engine");
+    }
+
+    #[test]
+    fn zero_capacity_cache_config_is_a_typed_error() {
+        let err = QueryEngine::new()
+            .cache_config(CacheConfig::new(0))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, EngineError::InvalidCache { capacity: 0 }));
+        let engine = QueryEngine::new()
+            .cache_config(CacheConfig::new(1))
+            .unwrap();
+        assert_eq!(engine.cache_stats(), Some(CacheStats::default()));
     }
 }

@@ -89,15 +89,13 @@ pub enum EngineError {
         /// The final error returned by the detector.
         source: DetectError,
     },
-    /// A cache configuration that can never hold an entry was requested —
-    /// [`crate::cache::CacheConfig`] with a zero capacity or a zero stripe
-    /// count.  (The builder's `stripes` knob rounds *up* to a power of two,
-    /// so any positive stripe count is accepted; only zero is rejected.)
+    /// A cache configuration that can never hold an entry was requested:
+    /// [`crate::cache::CacheConfig`] with a zero capacity, passed to
+    /// [`crate::QueryEngine::cache_config`].  (`cache_capacity(0)` is not an
+    /// error: it means "no cache".)
     InvalidCache {
         /// The rejected capacity.
         capacity: usize,
-        /// The rejected stripe count.
-        stripes: usize,
     },
     /// The installed [`crate::StageSink`] rejected a stage commit.
     ///
@@ -157,10 +155,9 @@ impl fmt::Display for EngineError {
                 f,
                 "the `{class}` detector failed on frame {frame} after {attempts} attempt(s)"
             ),
-            EngineError::InvalidCache { capacity, stripes } => write!(
+            EngineError::InvalidCache { capacity } => write!(
                 f,
-                "the detections cache needs a positive capacity and stripe count \
-                 (got capacity {capacity}, stripes {stripes})"
+                "the detections cache needs a positive capacity (got capacity {capacity})"
             ),
             EngineError::CheckpointFailed { stage, message } => write!(
                 f,
@@ -219,12 +216,8 @@ mod tests {
         assert!(execution.to_string().contains("at least one worker thread"));
         assert!(execution.to_string().contains("got 0"));
         assert!(std::error::Error::source(&execution).is_none());
-        let cache = EngineError::InvalidCache {
-            capacity: 0,
-            stripes: 4,
-        };
+        let cache = EngineError::InvalidCache { capacity: 0 };
         assert!(cache.to_string().contains("capacity 0"));
-        assert!(cache.to_string().contains("stripes 4"));
         assert!(std::error::Error::source(&cache).is_none());
         let checkpoint = EngineError::CheckpointFailed {
             stage: 7,

@@ -166,13 +166,13 @@
 //! ([`QueryEngine::cache_capacity`] / [`QueryEngine::cache_config`], off by
 //! default) carries detector results *across* stages and queries: a warm
 //! re-query over cached frames issues zero new `detect_batch` invocations.
-//! The store is the [`cache`] module's lock-striped
-//! [`StripedDetectionCache`]: the coordinator probes the stage's frames
-//! before it gathers the stage's detector demand (the gather needs the
-//! misses), and all admissions/evictions are applied by a serial fixed-order
-//! commit transaction after the scatter, so hit/miss/eviction accounting and
-//! the surviving entries are bitwise-identical across every thread count and
-//! stripe count.  An opt-in count-min
+//! The store is the [`cache`] module's single-map LRU, owned by the engine
+//! and touched only by the coordinator: it probes the stage's frames before
+//! it gathers the stage's detector demand (the gather needs the misses), and
+//! applies every recency touch, admission and eviction in one serial
+//! fixed-order commit after the scatter, so hit/miss/eviction accounting and
+//! the surviving entries are bitwise-identical across every thread count.
+//! The cache holds no lock.  An opt-in count-min
 //! frequency admission policy ([`AdmissionPolicy::Frequency`]) keeps a
 //! churning scan from evicting a hot working set.
 //!
@@ -196,10 +196,7 @@ pub mod runtime;
 pub mod scheduler;
 pub mod shard;
 
-pub use cache::{
-    AdmissionPolicy, CacheActivity, CacheConfig, CacheStats, CacheTxn, CommitOutcome,
-    DetectionCache, StripedDetectionCache,
-};
+pub use cache::{AdmissionPolicy, CacheActivity, CacheConfig, CacheStats};
 pub use driver::{run_query, QueryOutcome};
 pub use engine::{
     EngineReport, ExecutionMode, FailureMode, QueryEngine, QueryReport, QuerySpec, RetryPolicy,

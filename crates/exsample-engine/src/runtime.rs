@@ -38,9 +38,8 @@
 //!   genuinely in parallel.  Which side runs a slice affects wall-clock
 //!   placement only, never results.
 //! * **Serial on both sides.**  The cache probe and the gather that builds
-//!   the slices, and the scatter, the commit arbitration
-//!   ([`crate::cache::CacheTxn`]) and the registration-order fan-out that
-//!   consume them, all run on the coordinator in canonical order; a slice's
+//!   the slices, and the scatter, the cache commit and the registration-order
+//!   fan-out that consume them, all run on the coordinator in canonical order; a slice's
 //!   outcome is a pure function of its frames and detectors.  That is why
 //!   pooled execution stays bitwise-identical to serial (the determinism
 //!   suite pins threads {1, 2, 4}).

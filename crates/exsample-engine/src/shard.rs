@@ -13,10 +13,9 @@
 //! A stage's DETECT is:
 //!
 //! 1. `Lanes::probe` (coordinator) — coalesce each lane's frames and answer
-//!    what it can from the cross-stage cache
-//!    ([`StripedDetectionCache::probe`], membership reads plus per-stripe
-//!    tallies — never a recency or membership mutation), recording each
-//!    lane's hits and misses as commit *intents*;
+//!    what it can from the cross-stage cache (a membership read plus a
+//!    hit/miss tally per frame — never a recency or membership mutation),
+//!    recording each lane's hits and misses as commit *intents*;
 //! 2. `gather_slices` (coordinator) — lay the lanes' misses end to end in
 //!    canonical `(group, frame)` order and cut that flat list into one
 //!    contiguous `Slice` of equal frame count per lane.  A batch never spans
@@ -31,12 +30,11 @@
 //! 4. `scatter_slices` (coordinator) — apply the outcomes to the lanes and
 //!    the tallies in the same canonical order, stopping at the first
 //!    exhausted frame under fail-fast;
-//! 5. `Lanes::commit` (coordinator, under one [`crate::cache::CacheTxn`]) —
-//!    sort every recorded hit and fresh result into canonical `(slot, frame)`
-//!    order, then apply all touches followed by all inserts.  The order
-//!    depends only on *which* frames were probed and detected, never on the
-//!    lane count, so cache accounting is bitwise-identical across thread
-//!    counts.
+//! 5. `Lanes::commit` (coordinator) — sort every recorded hit and fresh
+//!    result into canonical `(slot, frame)` order, then apply all touches
+//!    followed by all inserts to the cache.  The order depends only on
+//!    *which* frames were probed and detected, never on the lane count, so
+//!    cache accounting is bitwise-identical across thread counts.
 //!
 //! Only step 3 leaves the coordinator, and a slice's outcome is a pure
 //! function of its frames and detectors, so where the lane boundaries fall —
@@ -48,7 +46,7 @@
 //! detection list, and the same handles are shared back into the cache on
 //! commit.
 
-use crate::cache::{CacheActivity, CommitOutcome, DetectorSlot, StripedDetectionCache};
+use crate::cache::{CacheActivity, DetectionCache, DetectorSlot, Key};
 use crate::error::EngineError;
 use crate::merge::{BatchStats, DetectorInvocations, ShardQueryTally, ShardReport};
 use exsample_detect::{DetectError, Detector, FrameDetections};
@@ -277,10 +275,8 @@ impl ShardView {
         }
     }
 
-    fn committed(&mut self, frame: FrameId, outcome: CommitOutcome) {
-        let cache = &mut self.of(frame).cache;
-        cache.evictions += outcome.evicted;
-        cache.admission_rejects += u64::from(outcome.rejected);
+    fn committed(&mut self, frame: FrameId, outcome: CacheActivity) {
+        self.of(frame).cache.absorb(outcome);
     }
 
     /// One frame of query `query` observed (with `new_hits` ground-truth
@@ -450,8 +446,8 @@ impl Lanes {
     /// When `coalesce` is set, each lane's frames are sorted and deduplicated
     /// first (queries sharing a detector share the detector bill).  Runs once
     /// per stage, on the coordinator, before the gather — which needs its
-    /// result — and only *reads* cache membership while tallying per-stripe
-    /// counters, so probe outcomes are a pure function of the membership set.
+    /// result — and only *reads* cache membership while tallying hits and
+    /// misses, so probe outcomes are a pure function of the membership set.
     ///
     /// With coalescing *off*, two same-stage lanes can carry the same
     /// detector; a later lane dedupes against earlier same-slot lanes at
@@ -467,7 +463,7 @@ impl Lanes {
         &mut self,
         detector_slots: &[DetectorSlot],
         coalesce: bool,
-        cache: Option<&StripedDetectionCache>,
+        mut cache: Option<&mut DetectionCache>,
         view: &mut ShardView,
     ) {
         for g in 0..self.live {
@@ -480,7 +476,7 @@ impl Lanes {
                 lane.frames.sort_unstable();
                 lane.frames.dedup();
             }
-            let Some(cache) = cache else {
+            let Some(cache) = cache.as_deref_mut() else {
                 lane.misses.extend_from_slice(&lane.frames);
                 continue;
             };
@@ -506,7 +502,7 @@ impl Lanes {
                         }
                     }
                 }
-                let hit = match cache.probe(slot, frame) {
+                let hit = match cache.probe((slot, frame)) {
                     Some(detections) => {
                         lane.results.insert(frame, detections);
                         lane.hits.push(frame);
@@ -667,13 +663,13 @@ impl Lanes {
         false
     }
 
-    /// Serial cache commit under one [`crate::cache::CacheTxn`]: every
-    /// recorded probe hit (touch intent) and fresh detection (insert intent),
-    /// each kind sorted into canonical `(slot, frame)` order, touches first.
-    /// Keys are unique (uncoalesced same-slot lanes dedupe at probe time), so
-    /// the canonical order — and with it every recency update, eviction and
-    /// admission decision — depends only on the set of frames probed and
-    /// detected this stage, never on which thread ran which slice.
+    /// Serial cache commit: every recorded probe hit (touch intent) and fresh
+    /// detection (insert intent), each kind sorted into canonical
+    /// `(slot, frame)` order, touches first.  Keys are unique (uncoalesced
+    /// same-slot lanes dedupe at probe time), so the canonical order — and
+    /// with it every recency update, eviction and admission decision —
+    /// depends only on the set of frames probed and detected this stage,
+    /// never on which thread ran which slice.
     ///
     /// Cache hygiene under faults: a frame whose detect attempts failed has
     /// no result, so a failed attempt can never be committed — only frames
@@ -681,17 +677,17 @@ impl Lanes {
     pub(crate) fn commit(
         &mut self,
         detector_slots: &[DetectorSlot],
-        cache: &StripedDetectionCache,
+        cache: &mut DetectionCache,
         view: &mut ShardView,
     ) {
         let live = &self.lanes[..self.live];
-        let mut touches: Vec<(DetectorSlot, FrameId)> = live
+        let mut touches: Vec<Key> = live
             .iter()
             .zip(detector_slots)
             .flat_map(|(lane, &slot)| lane.hits.iter().map(move |&frame| (slot, frame)))
             .collect();
         touches.sort_unstable();
-        let mut inserts: Vec<(DetectorSlot, FrameId, Arc<FrameDetections>)> = live
+        let mut inserts: Vec<(Key, Arc<FrameDetections>)> = live
             .iter()
             .zip(detector_slots)
             .flat_map(|(lane, &slot)| {
@@ -699,20 +695,18 @@ impl Lanes {
                 // fail-fast stage stopped before reaching it).
                 lane.misses.iter().filter_map(move |frame| {
                     let detections = lane.results.get(frame)?;
-                    Some((slot, *frame, Arc::clone(detections)))
+                    Some(((slot, *frame), Arc::clone(detections)))
                 })
             })
             .collect();
-        inserts.sort_unstable_by_key(|&(slot, frame, _)| (slot, frame));
-        let mut txn = cache.begin();
-        for (slot, frame) in touches {
-            txn.touch(slot, frame);
+        inserts.sort_unstable_by_key(|&(key, _)| key);
+        for key in touches {
+            cache.touch(key);
         }
-        for (slot, frame, detections) in inserts {
-            let outcome = txn.insert(slot, frame, detections);
-            self.cache.evictions += outcome.evicted;
-            self.cache.admission_rejects += u64::from(outcome.rejected);
-            view.committed(frame, outcome);
+        for (key, detections) in inserts {
+            let outcome = cache.insert(key, detections);
+            self.cache.absorb(outcome);
+            view.committed(key.1, outcome);
         }
     }
 
@@ -1053,7 +1047,7 @@ mod tests {
     /// One stage with `frames` in group 0, in pick order (coalescing off keeps
     /// the lane in insertion order, so the tests can pin exactly which frames
     /// are attempted before a fail-fast abort), probed against `cache`.
-    fn stage(frames: &[FrameId], cache: Option<&StripedDetectionCache>) -> (Lanes, ShardView) {
+    fn stage(frames: &[FrameId], cache: Option<&mut DetectionCache>) -> (Lanes, ShardView) {
         let mut lanes = Lanes::default();
         let mut view = view();
         lanes.begin_stage(1);
@@ -1102,8 +1096,8 @@ mod tests {
         // Frame 5 fails its first two attempts (batch probe + first per-frame
         // try), frame 9 fails permanently, frame 1 is healthy.
         let detector = FlakyDetector::new(vec![(5, 2)], vec![9]);
-        let cache = StripedDetectionCache::new(CacheConfig::new(8));
-        let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&cache));
+        let mut cache = DetectionCache::new(CacheConfig::new(8));
+        let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&mut cache));
         let policy = DetectPolicy {
             max_attempts: 3,
             backoff_cost: 4,
@@ -1127,12 +1121,12 @@ mod tests {
 
         // Cache hygiene: the failed frame is never committed; the recovered
         // one is committed exactly once.
-        lanes.commit(&[0], &cache, &mut view);
+        lanes.commit(&[0], &mut cache, &mut view);
         assert!(
-            cache.probe(0, 9).is_none(),
+            cache.probe((0, 9)).is_none(),
             "failed frame must not be cached"
         );
-        let held = cache.probe(0, 5).expect("recovered frame is cached");
+        let held = cache.probe((0, 5)).expect("recovered frame is cached");
         // Cache entry + lane result + our handle.
         assert_eq!(Arc::strong_count(&held), 3);
         // Releasing the lane leaves exactly one committed handle (plus ours):
@@ -1143,7 +1137,7 @@ mod tests {
 
         // A follow-up stage over the same frames re-detects only frame 9.
         let calls_before = detector.calls.load(Ordering::SeqCst);
-        let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&cache));
+        let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&mut cache));
         detect(&mut lanes, &mut view, &[&detector], &[0], policy);
         assert!(
             detector.calls.load(Ordering::SeqCst) > calls_before,
@@ -1156,8 +1150,8 @@ mod tests {
     #[test]
     fn fail_fast_records_the_first_failure_and_stops_the_lane() {
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
-        let cache = StripedDetectionCache::new(CacheConfig::new(8));
-        let (mut lanes, mut view) = stage(&[2, 9, 4], Some(&cache));
+        let mut cache = DetectionCache::new(CacheConfig::new(8));
+        let (mut lanes, mut view) = stage(&[2, 9, 4], Some(&mut cache));
         detect(
             &mut lanes,
             &mut view,
@@ -1174,9 +1168,9 @@ mod tests {
         // per-frame (only the probe charged it) and nothing after the
         // failure can reach the cache.
         assert_eq!(detector.attempts_on(4), 1);
-        lanes.commit(&[0], &cache, &mut view);
-        assert!(cache.probe(0, 9).is_none());
-        assert!(cache.probe(0, 4).is_none());
+        lanes.commit(&[0], &mut cache, &mut view);
+        assert!(cache.probe((0, 9)).is_none());
+        assert!(cache.probe((0, 4)).is_none());
     }
 
     #[test]
@@ -1199,11 +1193,9 @@ mod tests {
 
     #[test]
     fn uncoalesced_same_slot_lanes_dedupe_at_probe_time() {
-        let cache = StripedDetectionCache::new(CacheConfig::new(8));
+        let mut cache = DetectionCache::new(CacheConfig::new(8));
         // Warm frame 3 so the shared frames cover both a hit and a miss.
-        cache
-            .begin()
-            .insert(0, 3, Arc::new(FrameDetections::empty(3)));
+        cache.insert((0, 3), Arc::new(FrameDetections::empty(3)));
         let mut lanes = Lanes::default();
         let mut view = view();
         lanes.begin_stage(2);
@@ -1212,7 +1204,7 @@ mod tests {
             lanes.push_frame(1, frame);
         }
         // Two lanes carry the same detector slot (coalescing off).
-        lanes.probe(&[0, 0], false, Some(&cache), &mut view);
+        lanes.probe(&[0, 0], false, Some(&mut cache), &mut view);
         // Each distinct (detector, frame) probes once: 1 hit (frame 3),
         // 1 miss (frame 7) — not two of each, matching the single physical
         // detection frame 7 will cost.
@@ -1235,7 +1227,7 @@ mod tests {
         assert!(lanes.result(0, 7).is_some());
         assert!(lanes.result(1, 7).is_some());
         assert_eq!(lanes.detected_frames(), 1, "frame 7 detected once");
-        lanes.commit(&[0, 0], &cache, &mut view);
+        lanes.commit(&[0, 0], &mut cache, &mut view);
         assert_eq!(cache.stats().len, 2);
         assert_eq!(cache.stats().misses, 1, "commit does not re-probe");
     }
@@ -1405,7 +1397,7 @@ mod tests {
         // Coalescing off, cache on: lane 1 joins lane 0's misses.  Frame 9
         // fails permanently — once, for lane 0 — and lane 1 is left without
         // a result too instead of demanding the frame a second time.
-        let cache = StripedDetectionCache::new(CacheConfig::new(8));
+        let mut cache = DetectionCache::new(CacheConfig::new(8));
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
         let mut lanes = Lanes::default();
         let mut view = view();
@@ -1414,7 +1406,7 @@ mod tests {
             lanes.push_frame(0, frame);
             lanes.push_frame(1, frame);
         }
-        lanes.probe(&[0, 0], false, Some(&cache), &mut view);
+        lanes.probe(&[0, 0], false, Some(&mut cache), &mut view);
         let policy = DetectPolicy {
             max_attempts: 1,
             backoff_cost: 0,
@@ -1431,7 +1423,7 @@ mod tests {
         assert!(lanes.result(0, 9).is_none() && lanes.result(1, 9).is_none());
         assert_eq!(failed_frames(&lanes), 1);
         assert_eq!(detector.attempts_on(9), 2, "one probe, one per-frame try");
-        lanes.commit(&[0, 0], &cache, &mut view);
+        lanes.commit(&[0, 0], &mut cache, &mut view);
         assert_eq!(cache.stats().len, 1, "only frame 3 is committed, once");
     }
 

@@ -30,7 +30,7 @@
 //!    engine's former separate overlapped stage loop, so the
 //!    one-stage-stale stop behaviour is pinned independently of the loop it
 //!    now shares with every other run; and
-//! 7. cache-axis determinism: with the lock-striped detections cache enabled
+//! 7. cache-axis determinism: with the detections cache enabled
 //!    (small enough to evict), reports, per-query pick sequences, and the
 //!    cache accounting itself (hits/misses/evictions/admission rejects) are
 //!    bitwise-identical across threads {1, 2, 4} × overlap on/off — and the
@@ -877,11 +877,7 @@ fn frequency_admission_runs_are_bitwise_identical_across_threads() {
     // The frequency gate only changes *which* inserts are admitted, never the
     // picks — so the uncached pick sequences remain the reference, and the
     // cache accounting must agree bitwise across the execution matrix.
-    let config = || {
-        CacheConfig::new(192)
-            .stripes(4)
-            .admission(AdmissionPolicy::Frequency)
-    };
+    let config = || CacheConfig::new(192).admission(AdmissionPolicy::Frequency);
     let run = |mode: ExecutionMode| {
         let (specs, logs) = recorded_specs(&chunking, frames, &detector);
         let mut engine = QueryEngine::new()

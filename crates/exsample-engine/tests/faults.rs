@@ -22,7 +22,7 @@
 //!    cache (a warm re-query re-attempts and re-drops exactly them), while
 //!    frames recovered by a retry are committed exactly once (a warm re-query
 //!    triggers zero further retries); and
-//! 6. **cache determinism under faults** — with the striped detections cache
+//! 6. **cache determinism under faults** — with the detections cache
 //!    enabled and small enough to evict, degraded runs keep every tally
 //!    (including the cache's own hit/miss/eviction accounting) bitwise-
 //!    identical across thread counts.
@@ -280,11 +280,11 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
 }
 
 #[test]
-fn degraded_runs_with_the_striped_cache_stay_deterministic() {
+fn degraded_runs_with_the_cache_stay_deterministic() {
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
 
-    // The same degraded matrix as above with the striped detections cache in
+    // The same degraded matrix as above with the detections cache in
     // the loop (small enough to evict): retries, drops, cache hygiene and the
     // cache accounting itself must all stay bitwise-identical across thread
     // counts.

@@ -18,10 +18,7 @@
 //! 4. cache accounting does not depend on the lanes: hit/miss/eviction
 //!    tallies are bitwise-identical across the overlapped execution matrix;
 //!    and
-//! 5. the stripe count is invisible to accounting: stripes only shard the
-//!    probe-time locks, so stripe counts {1, 2, 8, 64} produce bitwise-
-//!    identical cache tallies and reports, serial or parallel; and
-//! 6. lanes share every stage evenly: demand that one shard of a four-shard
+//! 5. lanes share every stage evenly: demand that one shard of a four-shard
 //!    view owns entirely is still split in half over two lanes (and its
 //!    calls attributed to that shard), an engine uses every lane it was
 //!    given — and stays bitwise the serial run — and no detector is ever
@@ -33,8 +30,7 @@ use exsample_detect::{
     Detector, FrameDetections, GroundTruth, ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    CacheConfig, EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec,
-    ShardRouter, StageStats,
+    EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec, ShardRouter, StageStats,
 };
 use exsample_video::{Chunking, ChunkingPolicy, FrameId, ShardSpec, VideoRepository};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -404,61 +400,6 @@ fn overlapped_cache_accounting_is_execution_invariant() {
             assert_eq!(a.frames_processed, b.frames_processed, "{context}: frames");
             assert_eq!(a.trajectory, b.trajectory, "{context}: trajectory");
             assert_eq!(a.stop_reason, b.stop_reason, "{context}: stop reason");
-        }
-    }
-}
-
-#[test]
-fn stripe_count_never_changes_cache_accounting() {
-    let frames = 400u64;
-    let truth = setup(frames);
-    // The stripe count only controls probe-time lock granularity; recency,
-    // eviction and admission all live in the single arbitration-owned LRU
-    // state.  So any stripe count must produce bitwise-identical cache
-    // accounting and reports, serial or parallel.
-    let run = |stripes: usize, mode: ExecutionMode| {
-        let detector = ObservantDetector::new(Arc::clone(&truth));
-        let mut engine = QueryEngine::new()
-            .execution(mode)
-            .expect("valid execution mode")
-            .cache_config(CacheConfig::new(64).stripes(stripes))
-            .expect("valid cache config");
-        for (label, seed) in [("cold", 3u64), ("warm", 5)] {
-            engine
-                .push(
-                    QuerySpec::new(
-                        label,
-                        Box::new(FrameSamplerPolicy::uniform(frames)),
-                        &detector,
-                    )
-                    .seed(seed)
-                    .batch(32),
-                )
-                .unwrap();
-            let _ = engine.run().unwrap();
-        }
-        let stats = engine.cache_stats().expect("cache is configured");
-        (stats, engine.report_sharded())
-    };
-    let (reference_stats, reference) = run(1, ExecutionMode::Serial);
-    assert!(reference_stats.hits > 0, "warm query never hit the cache");
-    assert!(reference_stats.evictions > 0, "cache never evicted");
-    for stripes in [1usize, 2, 8, 64] {
-        for mode in [ExecutionMode::Serial, ExecutionMode::Parallel(4)] {
-            let context = format!("{stripes} stripes/{mode:?}");
-            let (stats, report) = run(stripes, mode);
-            assert_eq!(stats, reference_stats, "{context}: cache accounting");
-            for (a, b) in report
-                .report
-                .outcomes
-                .iter()
-                .zip(&reference.report.outcomes)
-            {
-                assert_eq!(a.frames_processed, b.frames_processed, "{context}: frames");
-                assert_eq!(a.trajectory, b.trajectory, "{context}: trajectory");
-                assert_eq!(a.stop_reason, b.stop_reason, "{context}: stop reason");
-            }
-            assert_eq!(report.report.cache, reference.report.cache, "{context}");
         }
     }
 }

@@ -205,7 +205,7 @@ pub struct QueryRunner<'a> {
     /// Overlap each stage's PICK with the previous stage's DETECT (see
     /// `QueryEngine::overlap`; off by default).
     overlap: bool,
-    /// Capacity of the engine's striped detections cache (0 = off, the
+    /// Capacity of the engine's detections cache (0 = off, the
     /// default).
     cache: usize,
     /// Directory of the durable belief store every committed stage is
@@ -306,7 +306,7 @@ impl<'a> QueryRunner<'a> {
         self
     }
 
-    /// Enable the engine's lock-striped detections cache with this capacity
+    /// Enable the engine's detections cache with this capacity
     /// (entries; 0 — the default — leaves the cache off).  Cached results
     /// are shared across stages; accounting is bitwise-deterministic across
     /// thread counts and overlap, and the run's telemetry lands in
