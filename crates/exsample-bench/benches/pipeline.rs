@@ -10,12 +10,17 @@
 //! scale 0.2, cycling through its six classes, which is the multi-class
 //! lookup the fig5 sweep and the repository benchmark's detector layer pay
 //! for on every processed frame.
+//!
+//! `engine_batch1/{random,exsample}` run one batch-1 `QueryEngine` query per
+//! archie class on a free detector and report ns per frame, the row that
+//! predicts the repository benchmark's `exsample-sim.*_us_per_frame`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use exsample_core::ExSampleConfig;
 use exsample_data::datasets::{archie, DatasetAnalog};
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_detect::{Detector, PerfectDetector};
+use exsample_engine::{ExSamplePolicy, FrameSamplerPolicy, QueryEngine, QuerySpec, SamplingPolicy};
 use exsample_sim::{MethodKind, QueryRunner, StopCondition};
 use exsample_track::{Discriminator, OracleDiscriminator};
 use std::sync::Arc;
@@ -44,12 +49,7 @@ fn bench_detector_and_discriminator(c: &mut Criterion) {
             black_box(detector.detect(frame))
         });
     });
-    let archie = DatasetAnalog::new(archie(), 99).with_scale(0.2).generate();
-    let detectors: Vec<PerfectDetector> = archie
-        .classes()
-        .into_iter()
-        .map(|class| PerfectDetector::new(Arc::clone(archie.ground_truth()), class))
-        .collect();
+    let (archie, detectors) = archie_analog();
     c.bench_function("simulated_detector_detect_archie", |b| {
         let mut frame = 0u64;
         let mut class = 0;
@@ -99,9 +99,58 @@ fn bench_short_queries(c: &mut Criterion) {
     group.finish();
 }
 
+/// The archie analog at scale 0.2, with a free detector per class.
+fn archie_analog() -> (exsample_data::Dataset, Vec<PerfectDetector>) {
+    let archie = DatasetAnalog::new(archie(), 99).with_scale(0.2).generate();
+    let detectors = archie
+        .classes()
+        .into_iter()
+        .map(|class| PerfectDetector::new(Arc::clone(archie.ground_truth()), class))
+        .collect();
+    (archie, detectors)
+}
+
+/// Frames each class's query runs per `engine_batch1` iteration.
+const ENGINE_BATCH1_FRAMES: u64 = 2_000;
+
+fn bench_engine_batch1(c: &mut Criterion) {
+    let (archie, detectors) = archie_analog();
+    let frames = ENGINE_BATCH1_FRAMES * detectors.len() as u64;
+    let mut group = c.benchmark_group("engine_batch1");
+    group
+        .sample_size(20)
+        .throughput(Throughput::Elements(frames));
+    for method in ["random", "exsample"] {
+        group.bench_function(method, |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                for detector in &detectors {
+                    let policy: Box<dyn SamplingPolicy> = if method == "random" {
+                        Box::new(FrameSamplerPolicy::uniform(archie.total_frames()))
+                    } else {
+                        Box::new(ExSamplePolicy::new(
+                            ExSampleConfig::default(),
+                            archie.chunking(),
+                        ))
+                    };
+                    let spec = QuerySpec::new(method, policy, detector).seed(seed);
+                    let mut engine = QueryEngine::new();
+                    engine
+                        .push(spec.frame_budget(ENGINE_BATCH1_FRAMES))
+                        .expect("batch 1 is valid");
+                    black_box(engine.run().expect("a free detector never fails").stages);
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_detector_and_discriminator,
-    bench_short_queries
+    bench_short_queries,
+    bench_engine_batch1
 );
 criterion_main!(benches);

@@ -533,7 +533,9 @@ pub trait StageSink {
 /// slices are still mid-DETECT on pool helpers, and stage `n`'s fan-out
 /// still needs *its* picks afterwards.  The stage loop ping-pongs two of
 /// these; [`QueryEngine::launch`] swaps the group frame lists into the
-/// lanes, so both sides' allocations recycle across stages.
+/// lanes, so both sides' allocations recycle across stages.  A stage's shape
+/// never picks a DETECT path; it only decides whether there is anything to
+/// cut — a one-group stage without pool helpers is detected in place.
 #[derive(Default)]
 struct Stage<'a> {
     /// The stage's logical detector groups, in group order: one per distinct
@@ -552,9 +554,6 @@ struct Stage<'a> {
     active: usize,
     /// Frames demanded by those picks.
     demanded: u64,
-    /// The fast path: the stage's single picking query is detected straight
-    /// from its pick buffer (see [`QueryEngine::plan`] for when).
-    direct: bool,
 }
 
 /// The batched multi-query execution engine.  See the module docs for the
@@ -1016,27 +1015,6 @@ impl<'a> QueryEngine<'a> {
             frames.clear();
         }
 
-        // Fast path for stages with a single picking query (the whole run,
-        // for a single-query engine — e.g. the per-frame sim runner at batch
-        // 1): no coalescing, no result map — DETECT is one batched call over
-        // the pick buffer and fan-out consumes the detections straight out
-        // of it in pick order.  It is the one measured fork of the stage loop
-        // (forcing it off costs the benchmark's `fig5_sweep` 2–7 %
-        // wall-clock, see CHANGES.md PR 13), selected from what the run and
-        // the stage look like, never by a setting.  It is only taken under
-        // the bounds-free unsharded router, and it skips the probe and the
-        // gather, so it cannot honour a cache or cut the batch over the lanes
-        // of a run that has helpers.
-        let router = self.view.router();
-        stage.direct = stage.active == 1
-            && router.shard_count() == 1
-            && self.cache.is_none()
-            && self.pool.is_none()
-            && !router.checks_bounds();
-        if stage.direct {
-            return true;
-        }
-
         // Lay every group's picks out in (query, pick) arrival order.
         for (picks, &group) in stage.picks.iter().zip(&stage.membership) {
             if group != usize::MAX {
@@ -1055,15 +1033,13 @@ impl<'a> QueryEngine<'a> {
     /// result — and what it leaves decides the dispatch: a stage answered
     /// entirely from the cache gathers no slice at all, and one whose demand
     /// fits a single slice has nothing to hand a helper, so neither pays a
-    /// turnstile hand-off or a wake.  No lane is ever handed an empty slice.
+    /// turnstile hand-off or a wake.  No lane is ever handed an empty slice,
+    /// and a one-batch stage gathers none: `land` detects it in place.
     fn launch(&mut self, stage: &mut Stage<'a>) -> Option<StageDispatch> {
         let groups = stage.detectors.len();
         self.lanes.begin_stage(groups);
         for (group, frames) in stage.frames[..groups].iter_mut().enumerate() {
             self.lanes.adopt_frames(group, frames);
-        }
-        if stage.direct {
-            return None;
         }
         self.lanes.probe(
             &stage.slots,
@@ -1071,6 +1047,9 @@ impl<'a> QueryEngine<'a> {
             self.cache.as_mut(),
             &mut self.view,
         );
+        if self.detects_in_place(stage) {
+            return None;
+        }
         // Uncoalesced, uncached groups may carry the same (detector, frame)
         // twice.  A detector that counts its attempts per frame (fault
         // injection does) must see them in group order whatever the lane
@@ -1100,10 +1079,16 @@ impl<'a> QueryEngine<'a> {
         Some(pool.dispatch_stage(&mut self.slices))
     }
 
+    /// Whether a launched stage is one batch: one group, and no pool helpers
+    /// to cut it for.
+    fn detects_in_place(&self, stage: &Stage<'a>) -> bool {
+        self.pool.is_none() && stage.detectors.len() == 1
+    }
+
     /// Complete a launched stage's DETECT: run the slices — through the pool
     /// when the run has one, which runs the coordinator's slice under the
     /// same panic containment as the helpers' and rejoins them — and scatter
-    /// the outcomes to the lanes.
+    /// the outcomes to the lanes.  A one-batch stage is detected in place.
     ///
     /// # Errors
     /// Returns [`EngineError::WorkerPanicked`] if a lane's detect pass
@@ -1111,26 +1096,14 @@ impl<'a> QueryEngine<'a> {
     /// before its scatter, commit and fan-out.
     fn land(
         &mut self,
-        stage: &mut Stage<'a>,
+        stage: &Stage<'a>,
         flight: Option<StageDispatch>,
     ) -> Result<(), EngineError> {
-        if stage.direct {
-            let policy = self.detect_policy();
-            let index = stage
-                .membership
-                .iter()
-                .position(|&group| group != usize::MAX)
-                .expect("one query picked this stage");
-            // A failed batch probe recovers the picks frame by frame into
-            // lane 0: fan out through the lane.
-            stage.direct = self.lanes.detect_direct(
-                &mut self.view,
-                stage.detectors[0],
-                stage.slots[0],
-                &stage.picks[index],
-                self.coalesce,
-                policy,
-            );
+        if self.detects_in_place(stage) {
+            let (detector, slot, policy) =
+                (stage.detectors[0], stage.slots[0], self.detect_policy());
+            self.lanes
+                .detect_in_place(&mut self.view, detector, slot, policy);
             return Ok(());
         }
         match flight {
@@ -1143,13 +1116,8 @@ impl<'a> QueryEngine<'a> {
             }
             None => self.slices.iter_mut().for_each(Slice::run),
         }
-        shard::scatter_slices(
-            &mut self.lanes,
-            &mut self.view,
-            &stage.slots,
-            self.cache.is_some(),
-            &mut self.slices,
-        );
+        let slices = &mut self.slices;
+        shard::scatter_slices(&mut self.lanes, &mut self.view, &stage.slots, slices);
         Ok(())
     }
 
@@ -1222,20 +1190,12 @@ impl<'a> QueryEngine<'a> {
                 continue;
             }
             let q = &mut self.queries[i];
-            if stage.direct {
-                for (&frame, detections) in stage.picks[i].iter().zip(self.lanes.direct.drain(..)) {
-                    let new_hits =
-                        Self::observe_frame(q, i, frame, &detections, collect, &mut observations);
-                    self.view.observed(i, frame, new_hits);
-                }
-                continue;
-            }
-            for &frame in &stage.picks[i] {
+            for (pick, &frame) in stage.picks[i].iter().enumerate() {
                 // A pick with no result was dropped by the failure policy
                 // (every terminal failure under `FailFast` aborted the stage
                 // above): the query simply never observes the frame, and the
                 // degradation is tallied instead.
-                match self.lanes.result(group, frame) {
+                match self.lanes.result(group, pick, frame) {
                     Some(detections) => {
                         let new_hits = Self::observe_frame(
                             q,
@@ -1441,7 +1401,7 @@ impl<'a> QueryEngine<'a> {
             if self.overlap {
                 more = self.plan(&mut next, self.stages + 1);
             }
-            self.land(&mut current, flight)?;
+            self.land(&current, flight)?;
             let stats = self.settle(&current)?;
             on_stage(&stats);
             if !self.overlap {

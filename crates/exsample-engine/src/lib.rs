@@ -61,12 +61,11 @@
 //! helpers theirs if there are any), **land** (run the coordinator's slice,
 //! rejoin the helpers, scatter the outcomes to the lanes) and **settle**
 //! (fail-fast scan, cache commit, tallies, FAN-OUT, quarantine, stats,
-//! checkpoint sink).  Serial is the 1-lane case.  The one fork the code takes
-//! on its own is the single-query fast path: a stage with one picking query,
-//! no cache, no helpers and the unsharded router detects straight from the
-//! pick buffer (measured: forcing it off costs the shipped fig5 sweep 2–7 %
-//! wall-clock); a failed batch probe drops it back onto the lanes — in the
-//! order the lanes would have held the picks — so fault handling exists once.
+//! checkpoint sink).  Serial is the 1-lane case.  There is one DETECT path:
+//! a stage with one detector group and no pool helpers demands exactly one
+//! batch, so `land` detects it in place over the lane's misses instead of
+//! gathering and scattering a single slice — through the same absorb calls,
+//! in the same order, so fault handling and every tally exist once.
 //!
 //! The unit of DETECT work is the **slice** ([`shard`]): the lanes' cache
 //! misses, laid end to end in canonical `(group, frame)` order and cut into

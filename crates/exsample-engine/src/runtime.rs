@@ -8,12 +8,12 @@
 //! `BENCH_sharded.json` are the last capture of that deleted design), so
 //! parallel runs use a `WorkerPool` of long-lived helper threads created
 //! **once per engine run** and reused by every stage of that run.  A serial
-//! run never spawns one: its stage loop runs the stage's single slice inline.
+//! run never spawns one: its stage loop detects inline.
 //!
 //! * **The job is a slice, not a shard.**  What crosses a thread boundary is
 //!   a `Slice`: one lane's equal share of the stage's gathered detector
 //!   demand — frame ids and detector references in, per-batch outcomes out.
-//!   The lanes (frames, result maps, tallies) never leave the coordinator,
+//!   The lanes (frames, results, tallies) never leave the coordinator,
 //!   so parallelism is independent of how skewed the picks are.
 //! * **Spawn once, dispatch many.**  [`crate::QueryEngine::run_with`] (and
 //!   [`crate::QueryEngine::run`]) open one `std::thread::scope` around the
@@ -564,9 +564,10 @@ mod tests {
                 assert_eq!(slices.len(), 3);
                 // Lane order was restored: the scatter walks the slices in
                 // gather order and finds every frame.
-                scatter_slices(&mut lanes, &mut view, &[0], false, &mut slices);
-                for &frame in &frames {
-                    assert_eq!(lanes.result(0, frame).map(|d| d.frame), Some(frame));
+                scatter_slices(&mut lanes, &mut view, &[0], &mut slices);
+                for (pick, &frame) in frames.iter().enumerate() {
+                    let found = lanes.result(0, pick, frame).map(|d| d.frame);
+                    assert_eq!(found, Some(frame));
                 }
                 assert_eq!(lanes.detected_frames(), 7);
                 // 7 frames over 3 lanes: one batch each.

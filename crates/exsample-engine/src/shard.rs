@@ -41,17 +41,19 @@
 //! and which thread runs which slice — changes the *physical* invocation
 //! shape and nothing else.
 //!
-//! Lane results are held as `Arc<FrameDetections>`: a cache hit keeps the
-//! cached allocation with a reference-count bump instead of deep-copying the
-//! detection list, and the same handles are shared back into the cache on
-//! commit.
+//! A one-group stage without pool helpers is one batch, so there is nothing
+//! to cut: `Lanes::detect_in_place` does steps 2–4 as that one call.
+//!
+//! Lane results are held by position in the lane's frame list, and every
+//! miss carries its position, so neither the scatter nor the commit
+//! searches.  A fresh detection stays owned until the cache commit or a
+//! joined lane shares it as an `Arc`; a cache hit is an `Arc` bump.
 
 use crate::cache::{CacheActivity, DetectionCache, DetectorSlot, Key};
 use crate::error::EngineError;
 use crate::merge::{BatchStats, DetectorInvocations, ShardQueryTally, ShardReport};
 use exsample_detect::{DetectError, Detector, FrameDetections};
 use exsample_video::{Chunking, FrameId, ShardSpec};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How DETECT handles detector failures — the engine's
@@ -175,12 +177,6 @@ impl ShardRouter {
     /// Number of shards tallies are grouped into.
     pub fn shard_count(&self) -> usize {
         self.shard_count
-    }
-
-    /// Whether this router validates frame ids against chunk bounds
-    /// (chunking-built routers do; [`ShardRouter::single`] cannot).
-    pub fn checks_bounds(&self) -> bool {
-        !self.bounds.is_empty()
     }
 
     /// The shard owning `frame`.
@@ -340,25 +336,57 @@ fn query_entry(tally: &mut ShardReport, query: usize) -> &mut ShardQueryTally {
     &mut tally.per_query[query]
 }
 
+/// One frame's detections in a lane: owned when freshly detected, shared
+/// when they came from the cache or were handed to it.
+#[derive(Debug)]
+enum Held {
+    Owned(FrameDetections),
+    Shared(Arc<FrameDetections>),
+}
+
+impl Held {
+    fn get(&self) -> &FrameDetections {
+        match self {
+            Held::Owned(detections) => detections,
+            Held::Shared(detections) => detections,
+        }
+    }
+
+    /// A shared handle to the detections, turning owned ones into an `Arc`
+    /// in place the first time something shares them.
+    fn share(&mut self) -> Arc<FrameDetections> {
+        let shared = match std::mem::replace(self, Held::Owned(FrameDetections::empty(0))) {
+            Held::Owned(detections) => Arc::new(detections),
+            Held::Shared(detections) => detections,
+        };
+        *self = Held::Shared(Arc::clone(&shared));
+        shared
+    }
+}
+
 /// One logical detector group's frames and results for one stage.  Slots
-/// and their allocations are reused across stages.  Results are shared
-/// handles: a cache hit is an `Arc` clone of the cached entry, a fresh
-/// detection is wrapped once and later shared back into the cache the same
-/// way.
+/// and their allocations are reused across stages.
 #[derive(Debug, Default)]
 struct Lane {
+    /// The group's picks; sorted and deduplicated by [`Lanes::probe`] when
+    /// coalescing.
     frames: Vec<FrameId>,
     /// Frames of this lane not answered by the cache ([`Lanes::probe`]), in
     /// lane order — this lane's share of the stage's detector demand.
     misses: Vec<FrameId>,
+    /// The position in `frames` of each entry of `misses`.
+    miss_at: Vec<usize>,
     /// Frames of this lane that an earlier same-detector lane already missed
-    /// (cache on, coalescing off): they ride that lane's detection instead
-    /// of being demanded — or tallied — a second time.
-    joined: Vec<FrameId>,
+    /// (cache on, coalescing off), as `(position, earlier lane, position
+    /// there)`: they ride that lane's detection instead of being demanded —
+    /// or tallied — a second time.
+    joined: Vec<(usize, usize, usize)>,
     /// Frames of this lane answered by the cache, in probe order — the
     /// touch intents replayed by [`Lanes::commit`].
     hits: Vec<FrameId>,
-    results: HashMap<FrameId, Arc<FrameDetections>>,
+    /// One slot per entry of `frames`: its detections, once detected or
+    /// answered by the cache.
+    results: Vec<Option<Held>>,
 }
 
 /// A stage's DETECT state: one lane per logical detector group, and what the
@@ -388,9 +416,10 @@ pub(crate) struct Lanes {
     /// The stage's fatal failure under fail-fast; the engine aborts the
     /// stage on finding one.
     pub fatal: Option<DetectFailure>,
-    /// The fast path's detections, one per pick in pick order (see
-    /// [`Lanes::detect_direct`]); fan-out drains them.
-    pub direct: Vec<FrameDetections>,
+    /// Whether [`Lanes::probe`] coalesced the lanes (each is then sorted).
+    coalesced: bool,
+    /// [`Lanes::detect_in_place`]'s batch output, reused across stages.
+    batch_out: Vec<FrameDetections>,
 }
 
 impl Lanes {
@@ -402,6 +431,7 @@ impl Lanes {
         for lane in &mut self.lanes[..groups] {
             lane.frames.clear();
             lane.misses.clear();
+            lane.miss_at.clear();
             lane.joined.clear();
             lane.hits.clear();
             lane.results.clear();
@@ -466,51 +496,45 @@ impl Lanes {
         mut cache: Option<&mut DetectionCache>,
         view: &mut ShardView,
     ) {
+        self.coalesced = coalesce;
         for g in 0..self.live {
             let (earlier, rest) = self.lanes.split_at_mut(g);
             let lane = &mut rest[0];
-            if lane.frames.is_empty() {
-                continue;
-            }
             if coalesce {
                 lane.frames.sort_unstable();
                 lane.frames.dedup();
             }
+            lane.results.resize_with(lane.frames.len(), || None);
             let Some(cache) = cache.as_deref_mut() else {
                 lane.misses.extend_from_slice(&lane.frames);
+                lane.miss_at.extend(0..lane.frames.len());
                 continue;
             };
             let slot = detector_slots[g];
-            let dedupe = detector_slots[..g].contains(&slot);
-            lane.results.reserve(lane.frames.len());
-            'frames: for i in 0..lane.frames.len() {
-                let frame = lane.frames[i];
-                if dedupe {
-                    // An earlier same-slot lane already probed this frame:
-                    // reuse its outcome without touching the cache tallies.
-                    for (other, &s) in earlier.iter().zip(detector_slots) {
-                        if s != slot {
-                            continue;
-                        }
-                        if let Some(detections) = other.results.get(&frame) {
-                            lane.results.insert(frame, Arc::clone(detections));
-                            continue 'frames;
-                        }
-                        if other.misses.contains(&frame) {
-                            lane.joined.push(frame);
-                            continue 'frames;
-                        }
+            for at in 0..lane.frames.len() {
+                let frame = lane.frames[at];
+                // The first earlier same-slot lane holding this frame probed
+                // it: reuse its outcome without touching the cache tallies.
+                let prober = (0..g)
+                    .filter(|&other| detector_slots[other] == slot)
+                    .find_map(|o| Some((o, earlier[o].frames.iter().position(|&f| f == frame)?)));
+                if let Some((other, there)) = prober {
+                    match earlier[other].results[there].as_mut() {
+                        Some(held) => lane.results[at] = Some(Held::Shared(held.share())),
+                        None => lane.joined.push((at, other, there)),
                     }
+                    continue;
                 }
                 let hit = match cache.probe((slot, frame)) {
                     Some(detections) => {
-                        lane.results.insert(frame, detections);
+                        lane.results[at] = Some(Held::Shared(detections));
                         lane.hits.push(frame);
                         self.cache.hits += 1;
                         true
                     }
                     None => {
                         lane.misses.push(frame);
+                        lane.miss_at.push(at);
                         self.cache.misses += 1;
                         false
                     }
@@ -524,21 +548,16 @@ impl Lanes {
     /// same-slot lane it rides on got this stage.  A frame that lane failed
     /// stays without a result here too, so fan-out drops it for both
     /// queries alike.
-    fn share_joined(&mut self, detector_slots: &[DetectorSlot]) {
+    fn share_joined(&mut self) {
         for g in 1..self.live {
             let (earlier, rest) = self.lanes.split_at_mut(g);
             let Lane {
                 joined, results, ..
             } = &mut rest[0];
-            for &frame in joined.iter() {
-                let shared = earlier
-                    .iter()
-                    .zip(detector_slots)
-                    .filter(|&(_, &slot)| slot == detector_slots[g])
-                    .find_map(|(other, _)| other.results.get(&frame));
-                if let Some(detections) = shared {
-                    results.insert(frame, Arc::clone(detections));
-                }
+            for &(at, other, there) in joined.iter() {
+                results[at] = earlier[other].results[there]
+                    .as_mut()
+                    .map(|held| Held::Shared(held.share()));
             }
         }
     }
@@ -557,21 +576,18 @@ impl Lanes {
         view.call(slot, first, frames, count);
     }
 
-    /// Take the detections of one frame of logical group `group` (registry
-    /// slot `slot`).
+    /// Take the detections of one frame, at position `at` of logical group
+    /// `group`'s lane (registry slot `slot`).
     fn absorb_detection(
         &mut self,
         view: &mut ShardView,
-        group: usize,
-        slot: DetectorSlot,
+        (group, slot, at): (usize, DetectorSlot, usize),
         frame: FrameId,
         detections: FrameDetections,
     ) {
         self.detected[group] += 1;
         view.detected(slot, frame);
-        self.lanes[group]
-            .results
-            .insert(frame, Arc::new(detections));
+        self.lanes[group].results[at] = Some(Held::Owned(detections));
     }
 
     /// Take one frame's [`FrameRecovery`] after a failed batch probe: its
@@ -583,8 +599,7 @@ impl Lanes {
     fn absorb_recovery(
         &mut self,
         view: &mut ShardView,
-        group: usize,
-        slot: DetectorSlot,
+        (group, slot, at): (usize, DetectorSlot, usize),
         frame: FrameId,
         recovery: FrameRecovery,
         policy: DetectPolicy,
@@ -596,7 +611,7 @@ impl Lanes {
         self.backoff += backoff;
         view.recovered(frame, tries - 1, backoff);
         match recovery.outcome {
-            Ok(detections) => self.absorb_detection(view, group, slot, frame, detections),
+            Ok(detections) => self.absorb_detection(view, (group, slot, at), frame, detections),
             Err(error) => {
                 self.failed[group] += 1;
                 view.failed(slot, frame);
@@ -613,54 +628,42 @@ impl Lanes {
         }
     }
 
-    /// The fast path's DETECT: one batched call over a single query's picks,
-    /// in pick order, straight into [`Lanes::direct`] — no coalescing, result
-    /// map or `Arc` per frame (see the engine's stage planning for when it is
-    /// taken).  Returns whether `direct` now holds one detection set per
-    /// pick.
-    ///
-    /// A failed probe falls back to [`recover_frame`] for every frame of
-    /// lane 0, laid out as the lane path would have gathered the picks —
-    /// sorted and deduplicated when `coalesce` is set, in pick order when
-    /// not — so the recovered frames, and the frame a fail-fast run stops at,
-    /// are exactly what [`scatter_slices`] would have left, and the caller
-    /// fans out through the lane like any other stage.
-    pub(crate) fn detect_direct(
+    /// DETECT of a one-batch stage (one group, no pool helpers) in place:
+    /// exactly what gathering lane 0's misses into one slice, running it and
+    /// scattering it would do, through the same absorb calls in the same
+    /// order — there is just nothing to cut.
+    pub(crate) fn detect_in_place(
         &mut self,
         view: &mut ShardView,
         detector: &dyn Detector,
         slot: DetectorSlot,
-        picks: &[FrameId],
-        coalesce: bool,
         policy: DetectPolicy,
-    ) -> bool {
-        self.direct.clear();
-        let probe = detector.try_detect_batch(picks, &mut self.direct);
-        self.record_call(view, slot, picks[0], picks.len() as u64, 1);
-        if probe.is_ok() {
-            self.detected[0] += picks.len() as u64;
-            for &frame in picks {
-                view.detected(slot, frame);
+    ) {
+        let misses = std::mem::take(&mut self.lanes[0].misses);
+        let miss_at = std::mem::take(&mut self.lanes[0].miss_at);
+        if let Some(&first) = misses.first() {
+            let mut out = std::mem::take(&mut self.batch_out);
+            let probe = detector.try_detect_batch(&misses, &mut out);
+            self.record_call(view, slot, first, misses.len() as u64, 1);
+            let frames = misses.iter().zip(&miss_at);
+            if probe.is_ok() {
+                for ((&frame, &at), detections) in frames.zip(out.drain(..)) {
+                    self.absorb_detection(view, (0, slot, at), frame, detections);
+                }
+            } else {
+                out.clear();
+                for (&frame, &at) in frames {
+                    let recovery = recover_frame(detector, frame, policy);
+                    self.absorb_recovery(view, (0, slot, at), frame, recovery, policy);
+                    if self.fatal.is_some() {
+                        break;
+                    }
+                }
             }
-            return true;
+            self.batch_out = out;
         }
-        self.direct.clear();
-        let frames = &mut self.lanes[0].frames;
-        frames.clear();
-        frames.extend_from_slice(picks);
-        if coalesce {
-            frames.sort_unstable();
-            frames.dedup();
-        }
-        for i in 0..self.lanes[0].frames.len() {
-            let frame = self.lanes[0].frames[i];
-            let recovery = recover_frame(detector, frame, policy);
-            self.absorb_recovery(view, 0, slot, frame, recovery, policy);
-            if self.fatal.is_some() {
-                break;
-            }
-        }
-        false
+        self.lanes[0].misses = misses;
+        self.lanes[0].miss_at = miss_at;
     }
 
     /// Serial cache commit: every recorded probe hit (touch intent) and fresh
@@ -680,25 +683,23 @@ impl Lanes {
         cache: &mut DetectionCache,
         view: &mut ShardView,
     ) {
-        let live = &self.lanes[..self.live];
+        let live = &mut self.lanes[..self.live];
         let mut touches: Vec<Key> = live
             .iter()
             .zip(detector_slots)
             .flat_map(|(lane, &slot)| lane.hits.iter().map(move |&frame| (slot, frame)))
             .collect();
         touches.sort_unstable();
-        let mut inserts: Vec<(Key, Arc<FrameDetections>)> = live
-            .iter()
-            .zip(detector_slots)
-            .flat_map(|(lane, &slot)| {
+        let mut inserts: Vec<(Key, Arc<FrameDetections>)> = Vec::new();
+        for (lane, &slot) in live.iter_mut().zip(detector_slots) {
+            for (&frame, &at) in lane.misses.iter().zip(&lane.miss_at) {
                 // A frame without a result exhausted its attempts (or a
                 // fail-fast stage stopped before reaching it).
-                lane.misses.iter().filter_map(move |frame| {
-                    let detections = lane.results.get(frame)?;
-                    Some(((slot, *frame), Arc::clone(detections)))
-                })
-            })
-            .collect();
+                if let Some(held) = lane.results[at].as_mut() {
+                    inserts.push(((slot, frame), held.share()));
+                }
+            }
+        }
         inserts.sort_unstable_by_key(|&(key, _)| key);
         for key in touches {
             cache.touch(key);
@@ -715,14 +716,24 @@ impl Lanes {
         self.detected.iter().sum()
     }
 
-    /// The detections of `frame` for logical group `group`, if it was
-    /// detected (or cache-answered) this stage.
+    /// The detections of a query's `pick`-th pick, `frame`, in logical group
+    /// `group`, if it was detected (or cache-answered) this stage.  A
+    /// coalesced lane is sorted, so the frame is found by binary search; an
+    /// uncoalesced lane holds exactly one query's picks, in pick order.
     #[inline]
-    pub(crate) fn result(&self, group: usize, frame: FrameId) -> Option<&FrameDetections> {
-        self.lanes
-            .get(group)
-            .and_then(|lane| lane.results.get(&frame))
-            .map(Arc::as_ref)
+    pub(crate) fn result(
+        &self,
+        group: usize,
+        pick: usize,
+        frame: FrameId,
+    ) -> Option<&FrameDetections> {
+        let lane = self.lanes.get(group)?;
+        let at = if self.coalesced {
+            lane.frames.binary_search(&frame).ok()?
+        } else {
+            pick
+        };
+        lane.results.get(at)?.as_ref().map(Held::get)
     }
 }
 
@@ -735,12 +746,11 @@ pub(crate) struct FrameRecovery {
 }
 
 /// Per-frame recovery of one frame after a failed batch probe — the one
-/// retry loop every detect path shares ([`Slice::run`]'s batches and
-/// [`Lanes::detect_direct`]), and a pure function of
-/// `(detector, frame, policy)`.  The frame is attempted individually up to
-/// `policy.max_attempts` times; a permanent error stops retrying
-/// immediately.  Because the frame's attempt history is always one batch
-/// probe plus its own per-frame tries, the record — and every tally
+/// retry loop of [`Slice::run`] and [`Lanes::detect_in_place`], and a pure
+/// function of `(detector, frame, policy)`.  The frame is attempted
+/// individually up to `policy.max_attempts` times; a permanent error stops
+/// retrying immediately.  Because the frame's attempt history is always one
+/// batch probe plus its own per-frame tries, the record — and every tally
 /// [`Lanes::absorb_recovery`] derives from it — is identical however the
 /// failed batch was composed: the engine's fault determinism guarantee.
 fn recover_frame(detector: &dyn Detector, frame: FrameId, policy: DetectPolicy) -> FrameRecovery {
@@ -914,27 +924,36 @@ pub(crate) fn scatter_slices(
     lanes: &mut Lanes,
     view: &mut ShardView,
     detector_slots: &[DetectorSlot],
-    share_lanes: bool,
     slices: &mut [Slice<'_>],
 ) {
+    // The gather laid each group's misses out contiguously, in group order:
+    // the `k`-th frame the slices hold for a group is its lane's `k`-th miss.
+    let (mut group_now, mut next_miss) = (usize::MAX, 0);
     for slice in slices.iter_mut() {
         let policy = slice.policy;
         let mut start = 0;
         for (batch, outcome) in slice.batches.iter().zip(slice.outcomes.drain(..)) {
             let group = batch.group;
+            if group != group_now {
+                (group_now, next_miss) = (group, 0);
+            }
             let slot = detector_slots[group];
             let frames = &slice.frames[start..start + batch.len];
             start += batch.len;
+            let first_miss = next_miss;
+            next_miss += batch.len;
+            let place =
+                |lanes: &Lanes, i: usize| (group, slot, lanes.lanes[group].miss_at[first_miss + i]);
             lanes.record_call(view, slot, frames[0], batch.len as u64, 1);
             match outcome {
                 BatchOutcome::Detected(detections) => {
-                    for (&frame, detections) in frames.iter().zip(detections) {
-                        lanes.absorb_detection(view, group, slot, frame, detections);
+                    for (i, (&frame, detections)) in frames.iter().zip(detections).enumerate() {
+                        lanes.absorb_detection(view, place(lanes, i), frame, detections);
                     }
                 }
                 BatchOutcome::Recovered(recoveries) => {
-                    for (&frame, recovery) in frames.iter().zip(recoveries) {
-                        lanes.absorb_recovery(view, group, slot, frame, recovery, policy);
+                    for (i, (&frame, recovery)) in frames.iter().zip(recoveries).enumerate() {
+                        lanes.absorb_recovery(view, place(lanes, i), frame, recovery, policy);
                         if lanes.fatal.is_some() {
                             return;
                         }
@@ -943,9 +962,7 @@ pub(crate) fn scatter_slices(
             }
         }
     }
-    if share_lanes {
-        lanes.share_joined(detector_slots);
-    }
+    lanes.share_joined();
 }
 
 #[cfg(test)]
@@ -954,6 +971,7 @@ mod tests {
     use crate::cache::CacheConfig;
     use exsample_detect::ObjectClass;
     use exsample_video::{ChunkingPolicy, ShardPartitioner, VideoRepository};
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -1072,11 +1090,12 @@ mod tests {
         gather_slices(lanes, detectors, count, policy, &mut slices);
         slices.iter_mut().for_each(Slice::run);
         let sizes = slices.iter().map(|slice| slice.frames.len()).collect();
-        scatter_slices(lanes, view, slots, true, &mut slices);
+        scatter_slices(lanes, view, slots, &mut slices);
         sizes
     }
 
-    /// [`detect_stage`] on one lane.
+    /// One stage's DETECT without pool helpers, as the engine runs it: in
+    /// place for one group, else [`detect_stage`] on one lane.
     fn detect(
         lanes: &mut Lanes,
         view: &mut ShardView,
@@ -1084,11 +1103,22 @@ mod tests {
         slots: &[DetectorSlot],
         policy: DetectPolicy,
     ) {
-        detect_stage(lanes, view, detectors, slots, policy, 1);
+        if let ([detector], [slot]) = (detectors, slots) {
+            lanes.detect_in_place(view, *detector, *slot, policy);
+        } else {
+            detect_stage(lanes, view, detectors, slots, policy, 1);
+        }
     }
 
     fn failed_frames(lanes: &Lanes) -> u64 {
         lanes.failed.iter().sum()
+    }
+
+    /// Whether `frame` of group `group` has a result this stage.
+    fn resolved(lanes: &Lanes, group: usize, frame: FrameId) -> bool {
+        let lane = &lanes.lanes[group];
+        let at = lane.frames.iter().position(|&f| f == frame);
+        at.is_some_and(|at| lane.results[at].is_some())
     }
 
     #[test]
@@ -1106,9 +1136,9 @@ mod tests {
         detect(&mut lanes, &mut view, &[&detector], &[0], policy);
 
         // Frame 5 recovered on its retry; frame 9 exhausted its attempts.
-        assert!(lanes.result(0, 1).is_some());
-        assert!(lanes.result(0, 5).is_some());
-        assert!(lanes.result(0, 9).is_none());
+        assert!(resolved(&lanes, 0, 1));
+        assert!(resolved(&lanes, 0, 5));
+        assert!(!resolved(&lanes, 0, 9));
         assert_eq!(lanes.detected_frames(), 2);
         assert_eq!(failed_frames(&lanes), 1);
         assert_eq!(lanes.retries, 1, "frame 5 needed one retry");
@@ -1183,7 +1213,7 @@ mod tests {
             fail_fast: false,
         };
         detect(&mut lanes, &mut view, &[&detector], &[0], policy);
-        assert!(lanes.result(0, 5).is_none());
+        assert!(!resolved(&lanes, 0, 5));
         assert_eq!(failed_frames(&lanes), 1);
         assert_eq!(lanes.retries, 0, "no retry budget, no retries");
         assert_eq!(lanes.backoff, 0);
@@ -1213,7 +1243,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // The second lane shares the hit's result immediately...
-        assert!(lanes.result(1, 3).is_some());
+        assert!(resolved(&lanes, 1, 3));
         // ...and detect resolves the shared miss once, sharing it across
         // both lanes with a single commit.
         let detector = FlakyDetector::new(Vec::new(), Vec::new());
@@ -1224,8 +1254,8 @@ mod tests {
             &[0, 0],
             DetectPolicy::infallible(),
         );
-        assert!(lanes.result(0, 7).is_some());
-        assert!(lanes.result(1, 7).is_some());
+        assert!(resolved(&lanes, 0, 7));
+        assert!(resolved(&lanes, 1, 7));
         assert_eq!(lanes.detected_frames(), 1, "frame 7 detected once");
         lanes.commit(&[0, 0], &mut cache, &mut view);
         assert_eq!(cache.stats().len, 2);
@@ -1270,7 +1300,7 @@ mod tests {
             assert_eq!(view.shards[2].detector_frames, 9);
             assert_eq!(lanes.detected_frames(), 9);
             for &frame in &frames {
-                assert!(lanes.result(0, frame).is_some());
+                assert!(resolved(&lanes, 0, frame));
             }
         }
         // No demand, no slice: nothing is ever handed an empty batch.
@@ -1344,7 +1374,7 @@ mod tests {
             detect_stage(&mut lanes, &mut view, &[&detector], &[0], policy, count);
             let resolved: Vec<bool> = frames
                 .iter()
-                .map(|&frame| lanes.result(0, frame).is_some())
+                .map(|&frame| resolved(&lanes, 0, frame))
                 .collect();
             (
                 lanes.detected_frames(),
@@ -1384,9 +1414,9 @@ mod tests {
             );
             let fatal = lanes.fatal.as_ref().expect("fail-fast parks it");
             assert_eq!((fatal.frame, fatal.attempts), (9, 2), "{count} lanes");
-            assert!(lanes.result(0, 2).is_some(), "{count} lanes");
+            assert!(resolved(&lanes, 0, 2), "{count} lanes");
             for after in [4u64, 11, 6] {
-                assert!(lanes.result(0, after).is_none(), "{count} lanes");
+                assert!(!resolved(&lanes, 0, after), "{count} lanes");
             }
             assert_eq!(failed_frames(&lanes), 1, "{count} lanes");
         }
@@ -1419,8 +1449,8 @@ mod tests {
             &[0, 0],
             policy,
         );
-        assert!(lanes.result(0, 3).is_some() && lanes.result(1, 3).is_some());
-        assert!(lanes.result(0, 9).is_none() && lanes.result(1, 9).is_none());
+        assert!(resolved(&lanes, 0, 3) && resolved(&lanes, 1, 3));
+        assert!(!resolved(&lanes, 0, 9) && !resolved(&lanes, 1, 9));
         assert_eq!(failed_frames(&lanes), 1);
         assert_eq!(detector.attempts_on(9), 2, "one probe, one per-frame try");
         lanes.commit(&[0, 0], &mut cache, &mut view);

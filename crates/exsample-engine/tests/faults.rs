@@ -15,9 +15,9 @@
 //! 4. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
 //!    first terminal failure (in gather order) as a typed
 //!    [`EngineError::DetectorFailed`] with full context and a chained source,
-//!    identically across thread counts and shard routers — and by the fast
-//!    path and the gathered path alike, which share one per-frame retry loop
-//!    and walk the picks in the same order;
+//!    identically across thread counts and shard routers, coalesced or not —
+//!    a one-batch stage detected in place and one cut over lanes share one
+//!    per-frame retry loop and walk the lane in the same order;
 //! 5. **cache hygiene** — failed frames are never committed to the detection
 //!    cache (a warm re-query re-attempts and re-drops exactly them), while
 //!    frames recovered by a retry are committed exactly once (a warm re-query
@@ -375,43 +375,22 @@ fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
     }
 }
 
-/// The DETECT paths a single-query engine can take.
-#[derive(Debug, Clone, Copy)]
-enum DetectPath {
-    /// No cache, unsharded, serial: one batched call straight over the pick
-    /// buffer.
-    Fast,
-    /// A 1-shard chunking router (which routes and bounds) forces the gather.
-    Gathered,
-    /// Helpers force the gather too, and cut it over two lanes.
-    Lanes,
-}
-
 #[test]
-fn fast_path_fault_recovery_matches_the_lane_path() {
-    // Every path recovers a failed batch probe through the one shared
-    // per-frame retry loop, so a degraded run must be bitwise-identical
-    // whichever path detected it.
+fn single_query_fault_recovery_is_lane_count_invariant() {
+    // A single query's stage is one batch when serial — detected in place —
+    // and cut over the lanes under `Parallel(2)`.  Both recover a failed
+    // batch probe through the one per-frame retry loop, in lane order, so a
+    // degraded run must be bitwise-identical either way.
     let frames = 3_000u64;
-    let (chunking, truth) = skewed_setup(frames, 12);
-    let run = |path: DetectPath, failure: FailureMode, coalesce: bool| {
+    let (_chunking, truth) = skewed_setup(frames, 12);
+    let run = |mode: ExecutionMode, failure: FailureMode, coalesce: bool| {
         let detector = faulty_detector(&truth, faulty_plan());
         let mut engine = QueryEngine::new()
             .retry_policy(RetryPolicy::new(3).backoff_cost(4))
             .failure_mode(failure)
-            .coalesce(coalesce);
-        match path {
-            DetectPath::Fast => {}
-            DetectPath::Gathered => {
-                let spec = ShardSpec::contiguous(chunking.len(), 1);
-                engine = engine.sharded(ShardRouter::new(&chunking, &spec).unwrap());
-            }
-            DetectPath::Lanes => {
-                engine = engine
-                    .execution(ExecutionMode::Parallel(2))
-                    .expect("valid execution mode");
-            }
-        }
+            .coalesce(coalesce)
+            .execution(mode)
+            .expect("valid execution mode");
         engine
             .push(
                 QuerySpec::new(
@@ -426,32 +405,34 @@ fn fast_path_fault_recovery_matches_the_lane_path() {
             .unwrap();
         engine.run()
     };
-    let degraded = |path| run(path, FailureMode::DropFrames, true).unwrap();
-    let fast = degraded(DetectPath::Fast);
-    assert!(fast.detect_retries > 0, "vacuous: no retries exercised");
-    assert!(fast.failed_frames > 0, "vacuous: no failures exercised");
-    for path in [DetectPath::Gathered, DetectPath::Lanes] {
-        assert_engine_reports_equal(&fast, &degraded(path), &format!("fast path vs {path:?}"));
-    }
+    let degraded = |mode| run(mode, FailureMode::DropFrames, true).unwrap();
+    let serial = degraded(ExecutionMode::Serial);
+    assert!(serial.detect_retries > 0, "vacuous: no retries exercised");
+    assert!(serial.failed_frames > 0, "vacuous: no failures exercised");
+    let parallel = degraded(ExecutionMode::Parallel(2));
+    assert_engine_reports_equal(&serial, &parallel, "serial vs 2 lanes");
 
     // Fail-fast: the same frame, after the same number of attempts, is
-    // reported by every path.  Coalescing is off so the lanes keep pick order
-    // like the fast path does (a coalesced lane sorts its frames, and which
-    // of a stage's failing frames is met *first* depends on the order).
-    let fatal = |path| match run(path, FailureMode::FailFast, false) {
-        Err(EngineError::DetectorFailed {
-            frame,
-            attempts,
-            source,
-            ..
-        }) => (frame, attempts, source),
-        other => panic!("{path:?}: expected DetectorFailed, got {other:?}"),
-    };
-    let (frame, attempts, source) = fatal(DetectPath::Fast);
-    assert_eq!(attempts, 2, "batch probe + one per-frame try");
-    assert!(matches!(source, DetectError::Permanent { .. }));
-    for path in [DetectPath::Gathered, DetectPath::Lanes] {
-        assert_eq!(fatal(path), (frame, attempts, source.clone()), "{path:?}");
+    // reported at either lane count — with coalescing on (the lane is
+    // sorted) and off (the lane keeps pick order).
+    for coalesce in [true, false] {
+        let fatal = |mode| match run(mode, FailureMode::FailFast, coalesce) {
+            Err(EngineError::DetectorFailed {
+                frame,
+                attempts,
+                source,
+                ..
+            }) => (frame, attempts, source),
+            other => panic!("{mode:?}: expected DetectorFailed, got {other:?}"),
+        };
+        let (frame, attempts, source) = fatal(ExecutionMode::Serial);
+        assert_eq!(attempts, 2, "batch probe + one per-frame try");
+        assert!(matches!(source, DetectError::Permanent { .. }));
+        assert_eq!(
+            fatal(ExecutionMode::Parallel(2)),
+            (frame, attempts, source),
+            "coalesce {coalesce}"
+        );
     }
 }
 
@@ -609,7 +590,7 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
         }
     };
 
-    // One lane on the unsharded router: the fast path.
+    // One lane on the unsharded router: the stage is detected in place.
     let (class, frame, attempts, source) = run(ShardRouter::single(), 1);
     assert_eq!(class, "car");
     assert!(
@@ -632,9 +613,8 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
     assert!(chained.to_string().contains("permanent"));
 
     // The first fatal frame in gather order is pinned for every lane count
-    // and every router: the fast path walks the picks in the order the lanes
-    // gather them, the scatter stops there whatever the lanes beyond it went
-    // on to detect, and a router only attributes tallies.
+    // and every router: the scatter stops there whatever the lanes beyond it
+    // went on to detect, and a router only attributes tallies.
     let mut routers = vec![("unsharded".to_string(), ShardRouter::single())];
     for shards in [1u32, 3, 7] {
         for partitioner in [ShardPartitioner::RoundRobin, ShardPartitioner::Contiguous] {

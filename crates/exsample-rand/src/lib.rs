@@ -28,13 +28,10 @@
 //! * [`poisson`] — Poisson counts (inversion for small mean, normal-approximation
 //!   rejection for large mean).
 //! * [`exponential`] — Exponential inter-arrival times.
-//! * [`beta`] — Beta distribution built from two Gamma draws.
 //! * [`seeding`] — deterministic hierarchical seed derivation for multi-trial
 //!   experiments.
 //! * [`summary`] — summary statistics (mean, variance, percentiles, geometric
 //!   mean) used when aggregating experiment trials.
-//! * [`histogram`] — fixed-width histograms used by the Figure 2 estimator
-//!   validation experiment.
 //!
 //! ## Example
 //!
@@ -52,11 +49,9 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod beta;
 pub mod error;
 pub mod exponential;
 pub mod gamma;
-pub mod histogram;
 pub mod lognormal;
 pub mod normal;
 pub mod poisson;
@@ -66,11 +61,9 @@ pub mod summary;
 pub mod ziggurat;
 mod ziggurat_tables;
 
-pub use beta::Beta;
 pub use error::DistributionError;
 pub use exponential::Exponential;
 pub use gamma::{CachedGamma, Gamma};
-pub use histogram::Histogram;
 pub use lognormal::LogNormal;
 pub use normal::{Normal, StandardNormal};
 pub use poisson::Poisson;

@@ -2,8 +2,8 @@
 //!
 //! Implements the subset of the criterion 0.5 API used by this workspace's
 //! benches (`criterion_group!` / `criterion_main!`, `Criterion::bench_function`,
-//! benchmark groups with `bench_with_input`, and `black_box`) on top of a plain
-//! wall-clock measurement loop:
+//! benchmark groups with `bench_with_input` and an element `Throughput`, and
+//! `black_box`) on top of a plain wall-clock measurement loop:
 //!
 //! 1. warm up the closure for a fixed wall-clock budget,
 //! 2. pick an iteration count that makes one measurement batch take roughly a
@@ -116,6 +116,7 @@ impl Criterion {
             warmup: self.warmup,
             measure_target: self.measure_target,
             sample_size: self.sample_size,
+            elements: None,
             result: None,
         };
         f(&mut bencher);
@@ -129,6 +130,7 @@ impl Criterion {
             criterion: self,
             name: name.to_string(),
             sample_size: None,
+            elements: None,
         }
     }
 
@@ -142,11 +144,19 @@ impl Criterion {
     pub fn final_summary(&self) {}
 }
 
-/// A group of benchmarks sharing a name prefix and sample-size override.
+/// How much work one iteration does, for per-element reporting.
+pub enum Throughput {
+    /// Each iteration processes this many elements.
+    Elements(u64),
+}
+
+/// A group of benchmarks sharing a name prefix, a sample-size override and
+/// a throughput.
 pub struct BenchmarkGroup<'c> {
     criterion: &'c mut Criterion,
     name: String,
     sample_size: Option<usize>,
+    elements: Option<u64>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -156,6 +166,23 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Report this group's benchmarks per element as well as per iteration.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        let Throughput::Elements(n) = throughput;
+        self.elements = Some(n.max(1));
+        self
+    }
+
+    fn bencher(&self) -> Bencher {
+        Bencher {
+            warmup: self.criterion.warmup,
+            measure_target: self.criterion.measure_target,
+            sample_size: self.sample_size.unwrap_or(self.criterion.sample_size),
+            elements: self.elements,
+            result: None,
+        }
+    }
+
     /// Benchmark a closure under `group/name`.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
@@ -163,12 +190,7 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, name);
-        let mut bencher = Bencher {
-            warmup: self.criterion.warmup,
-            measure_target: self.criterion.measure_target,
-            sample_size: self.sample_size.unwrap_or(self.criterion.sample_size),
-            result: None,
-        };
+        let mut bencher = self.bencher();
         f(&mut bencher);
         bencher.report(&full);
         self
@@ -180,12 +202,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let full = format!("{}/{}", self.name, id.0);
-        let mut bencher = Bencher {
-            warmup: self.criterion.warmup,
-            measure_target: self.criterion.measure_target,
-            sample_size: self.sample_size.unwrap_or(self.criterion.sample_size),
-            result: None,
-        };
+        let mut bencher = self.bencher();
         f(&mut bencher, input);
         bencher.report(&full);
         self
@@ -215,6 +232,8 @@ pub struct Bencher {
     warmup: Duration,
     measure_target: Duration,
     sample_size: usize,
+    /// Elements per iteration, when the group declared a throughput.
+    elements: Option<u64>,
     result: Option<Measurement>,
 }
 
@@ -261,14 +280,18 @@ impl Bencher {
             return;
         };
         let per_sec = 1e9 / m.median_ns;
+        let per_element = self.elements.map(|n| m.median_ns / n as f64);
+        let element_note = per_element.map_or(String::new(), |ns| format!("  {ns:.1} ns/elem"));
         println!(
-            "{name:<56} {:>12.1} ns/iter {:>16.0} iter/s  ({} x {} iters)",
+            "{name:<56} {:>12.1} ns/iter {:>16.0} iter/s  ({} x {} iters){element_note}",
             m.median_ns, per_sec, m.batches, m.iters_per_batch
         );
         if let Ok(path) = std::env::var("BENCH_JSON") {
+            let element_field =
+                per_element.map_or(String::new(), |ns| format!(",\"ns_per_element\":{ns:.2}"));
             let line = format!(
-                "{{\"name\":\"{}\",\"median_ns\":{:.2},\"iters_per_sec\":{:.1},\"batches\":{},\"iters_per_batch\":{}}}\n",
-                name, m.median_ns, per_sec, m.batches, m.iters_per_batch
+                "{{\"name\":\"{}\",\"median_ns\":{:.2},\"iters_per_sec\":{:.1},\"batches\":{},\"iters_per_batch\":{}{}}}\n",
+                name, m.median_ns, per_sec, m.batches, m.iters_per_batch, element_field
             );
             let path = bench_json_path(&path);
             // Held until the line is written: a report that decided to
@@ -382,7 +405,7 @@ mod tests {
         std::env::set_var("BENCH_QUICK", "1");
         let mut c = Criterion::default();
         let mut group = c.benchmark_group("g");
-        group.sample_size(3);
+        group.sample_size(3).throughput(Throughput::Elements(4));
         group.bench_with_input(BenchmarkId::from_parameter(4), &4u64, |b, &n| {
             b.iter(|| (0..n).sum::<u64>())
         });
