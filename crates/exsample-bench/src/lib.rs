@@ -16,14 +16,10 @@
 //!   calling thread plus N − 1 worker-pool threads; no flag = serial;
 //!   `--parallel 0` is rejected with the engine's typed `InvalidExecution`
 //!   message; results are bitwise-identical to serial execution).
-//! * `--overlap` — run each stage's PICK concurrently with the previous
-//!   stage's DETECT (stop decisions lag one stage, by design; a given
-//!   overlapped configuration is still bitwise-deterministic).
 //! * `--cache N` — enable the engine's detections cache with
 //!   capacity N entries (no flag = off; `--cache 0` is rejected — leave the
 //!   flag off instead).  Cache accounting is bitwise-deterministic across
-//!   `--parallel`/`--overlap`, and the run summary gains a cache telemetry
-//!   line.
+//!   `--parallel`, and the run summary gains a cache telemetry line.
 //! * `--retries N` — allow N retries per frame whose detect attempt failed
 //!   (0 = off, the default; backoff is charged as deterministic stage cost).
 //! * `--fault-rate X` — wrap every detector in a seeded deterministic fault
@@ -64,8 +60,6 @@ pub struct ExperimentOptions {
     /// with the engine's typed `InvalidExecution` message, and `--parallel 1`
     /// is serial execution under another name.
     pub parallel: usize,
-    /// Overlap each stage's PICK with the previous stage's DETECT.
-    pub overlap: bool,
     /// Capacity of the engine's detections cache (0 = off, the
     /// default).
     pub cache: usize,
@@ -92,7 +86,6 @@ impl Default for ExperimentOptions {
             scale: None,
             seed: 7,
             parallel: 0,
-            overlap: false,
             cache: 0,
             retries: 0,
             fault_rate: 0.0,
@@ -152,7 +145,6 @@ impl ExperimentOptions {
                     }
                     options.parallel = parallel;
                 }
-                "--overlap" => options.overlap = true,
                 "--cache" => {
                     let value = iter.next().ok_or("--cache requires a value")?;
                     let cache: usize = value
@@ -202,8 +194,7 @@ impl ExperimentOptions {
                 }
                 "--help" | "-h" => {
                     return Err("supported flags: --full --trials N --scale X --seed N \
-                         --parallel N --overlap \
-                         --cache N --retries N \
+                         --parallel N --cache N --retries N \
                          --fault-rate X --checkpoint PATH --warm-start PATH --csv"
                         .to_string())
                 }
@@ -281,7 +272,7 @@ impl ExperimentOptions {
     }
 
     /// Apply the options' engine-shape, failure-model and durability knobs
-    /// (`--parallel`, `--overlap`, `--cache`, `--retries`, `--fault-rate`,
+    /// (`--parallel`, `--cache`, `--retries`, `--fault-rate`,
     /// `--checkpoint`, `--warm-start`) to a simulation
     /// [`exsample_sim::QueryRunner`] — the single place the runner-driven
     /// experiment bins pick them up.
@@ -290,7 +281,6 @@ impl ExperimentOptions {
         runner: exsample_sim::QueryRunner<'d>,
     ) -> exsample_sim::QueryRunner<'d> {
         let mut runner = runner
-            .overlap(self.overlap)
             .cache(self.cache)
             .retry_policy(self.retry_policy())
             .failure_mode(self.failure_mode());
@@ -352,9 +342,9 @@ pub fn ok_or_exit<T, E: std::error::Error>(result: Result<T, E>) -> T {
     }
 }
 
-/// A fresh engine with the options' execution mode, overlap knob, retry
-/// policy, failure mode and cache applied — the engine constructor the
-/// experiment bins use, so `--parallel`, `--overlap`, `--retries`,
+/// A fresh engine with the options' execution mode, retry policy, failure
+/// mode and cache applied — the engine constructor the experiment bins use,
+/// so `--parallel`, `--retries`,
 /// `--fault-rate` and `--cache` reach every engine-driven experiment the same
 /// way.  No `--parallel` flag (or `--parallel 1`) means serial execution.
 ///
@@ -365,7 +355,6 @@ pub fn experiment_engine<'a>(
     options: &ExperimentOptions,
 ) -> Result<exsample_engine::QueryEngine<'a>, exsample_engine::EngineError> {
     let mut engine = exsample_engine::QueryEngine::new()
-        .overlap(options.overlap)
         .retry_policy(options.retry_policy())
         .failure_mode(options.failure_mode());
     if options.parallel > 1 {
@@ -408,7 +397,7 @@ pub fn banner(reference: &str, description: &str, options: &ExperimentOptions) {
     if options.cache > 0 {
         println!(
             "# cache: detections LRU, capacity {} entries \
-             (accounting is bitwise-deterministic across threads and overlap)",
+             (accounting is bitwise-deterministic across threads)",
             options.cache
         );
     }
@@ -542,6 +531,24 @@ mod tests {
     }
 
     #[test]
+    fn overlap_flag_is_rejected_as_unknown() {
+        // Stages are never overlapped; the former flag must fail loudly, not
+        // be ignored.
+        let err = parse(&["--overlap"]).unwrap_err();
+        assert!(err.contains("unknown flag `--overlap`"), "message: {err}");
+    }
+
+    #[test]
+    fn selection_flag_is_rejected_as_unknown() {
+        // How the Thompson arg-max is evaluated is decided by the chunk count;
+        // the former knob must fail loudly, not be ignored.
+        for args in [&["--selection", "class-max"][..], &["--selection"][..]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown flag `--selection`"), "message: {err}");
+        }
+    }
+
+    #[test]
     fn parallel_flag_parses_and_rejects_zero() {
         assert_eq!(parse(&[]).unwrap().parallel, 0);
         assert_eq!(parse(&["--parallel", "4"]).unwrap().parallel, 4);
@@ -560,22 +567,6 @@ mod tests {
         assert_eq!(parse(&[]).unwrap().effective_threads(), 1);
         assert_eq!(parse(&["--parallel", "1"]).unwrap().effective_threads(), 1);
         assert_eq!(parse(&["--parallel", "8"]).unwrap().effective_threads(), 8);
-    }
-
-    #[test]
-    fn overlap_flag_parses() {
-        assert!(!parse(&[]).unwrap().overlap);
-        assert!(parse(&["--overlap"]).unwrap().overlap);
-    }
-
-    #[test]
-    fn selection_flag_is_rejected_as_unknown() {
-        // How the Thompson arg-max is evaluated is decided by the chunk count;
-        // the former knob must fail loudly, not be ignored.
-        for args in [&["--selection", "class-max"][..], &["--selection"][..]] {
-            let err = parse(args).unwrap_err();
-            assert!(err.contains("unknown flag `--selection`"), "message: {err}");
-        }
     }
 
     #[test]
@@ -767,12 +758,11 @@ mod tests {
     #[test]
     fn experiment_engine_builds_for_any_thread_count() {
         let engine = |args: &[&str]| experiment_engine(&parse(args).unwrap()).unwrap();
-        let parallel = engine(&["--parallel", "2", "--overlap"]);
+        let parallel = engine(&["--parallel", "2"]);
         assert_eq!(
             parallel.execution_mode(),
             exsample_engine::ExecutionMode::Parallel(2)
         );
-        assert!(parallel.overlap_enabled());
         assert_eq!(
             parallel.shard_count(),
             1,

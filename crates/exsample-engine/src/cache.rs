@@ -8,8 +8,8 @@
 //! per frame without changing recency or membership; the *commit*, after the
 //! scatter, replays every hit as a touch and every fresh result as an
 //! insert, each kind in canonical `(slot, frame)` order, touches first.  So
-//! every tally and surviving entry is bitwise-identical across thread counts
-//! and overlap.  Recency is a lazy-deletion LRU: every touch logs a
+//! every tally and surviving entry is bitwise-identical across thread
+//! counts.  Recency is a lazy-deletion LRU: every touch logs a
 //! `(key, tick)`, and eviction pops the log until an entry matches its key's
 //! current tick.
 

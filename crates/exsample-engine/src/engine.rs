@@ -28,15 +28,13 @@
 //! detects it once and fans the (deterministic) result out to each query's own
 //! discriminator.  See the crate docs for the exact coalescing semantics.
 //!
-//! In code the pipeline is one loop of four functions, each phase written
-//! once: `plan` (stop checks, SCHEDULE, PICK and grouping into a `Stage`
-//! buffer holding one frame list per detector group), `launch` (load the
-//! lanes, probe the cache, gather the misses into one slice per lane and
-//! hand the pool helpers theirs, if the run has any), `land` (run the
-//! coordinator's slice, rejoin the helpers, scatter the outcomes to the
-//! lanes) and `settle` (fail-fast scan, cache commit, tallies, FAN-OUT,
-//! quarantine, stats, sink).  [`QueryEngine::overlap`] only moves
-//! `plan(n + 1)` from after `settle(n)` to between `launch(n)` and `land(n)`.
+//! In code the pipeline is one loop of three functions, each phase written
+//! once, over one reused `Stage`: `plan` (stop checks, SCHEDULE, PICK,
+//! grouping, and loading each detector group's frames into its lane),
+//! `detect` (probe the cache, then gather the misses into one slice per
+//! lane, run the slices — one pool call when the run has helpers — and
+//! scatter the outcomes to the lanes) and `settle` (fail-fast scan, cache
+//! commit, tallies, FAN-OUT, quarantine, stats, sink).
 //!
 //! Shards are a reporting view, not an execution mode: the router of
 //! [`QueryEngine::sharded`] is read only where a tally is recorded, to add it
@@ -63,7 +61,7 @@ use crate::cache::{CacheActivity, CacheConfig, CacheStats, DetectionCache};
 use crate::error::EngineError;
 use crate::merge::{BatchStats, ShardedReport};
 use crate::policy::SamplingPolicy;
-use crate::runtime::{PoolCounters, StageDispatch, WorkerPool};
+use crate::runtime::{PoolCounters, WorkerPool};
 use crate::scheduler::{QueryLoad, RoundRobin, StageScheduler};
 use crate::shard::{self, DetectPolicy, Lanes, ShardRouter, ShardView, Slice};
 use exsample_core::SelectionTelemetry;
@@ -344,8 +342,7 @@ pub struct StageStats {
     /// Cross-stage cache activity this stage (all zeros when the cache is
     /// off): probe hits/misses plus the evictions and admission rejects this
     /// stage's commits triggered.  Execution-invariant like every logical
-    /// field — the determinism matrix pins it across the full thread ×
-    /// overlap grid.
+    /// field — the determinism matrix pins it across thread counts.
     pub cache: CacheActivity,
 }
 
@@ -508,8 +505,8 @@ pub struct StageObservation {
 /// stage's batch to the sink **serially**, after the stage's results are
 /// folded — the same serial seam the cache's commit transaction uses, so the
 /// batch's observation order is a pure function of (query registration
-/// order, pick order) and therefore bitwise-identical across routers, thread
-/// counts and overlap.
+/// order, pick order) and therefore bitwise-identical across routers and
+/// thread counts.
 ///
 /// An `Err` aborts the run with [`EngineError::CheckpointFailed`]: a
 /// checkpoint that cannot be made durable must stop the run rather than let
@@ -525,17 +522,15 @@ pub trait StageSink {
     ) -> Result<(), String>;
 }
 
-/// One planned stage: everything [`QueryEngine::plan`] decides (SCHEDULE +
-/// PICK + group) and the later phases consume.
-///
-/// The plan lives here rather than in the lanes because under
-/// [`QueryEngine::overlap`] stage `n + 1` is planned while stage `n`'s
-/// slices are still mid-DETECT on pool helpers, and stage `n`'s fan-out
-/// still needs *its* picks afterwards.  The stage loop ping-pongs two of
-/// these; [`QueryEngine::launch`] swaps the group frame lists into the
-/// lanes, so both sides' allocations recycle across stages.  A stage's shape
-/// never picks a DETECT path; it only decides whether there is anything to
-/// cut — a one-group stage without pool helpers is detected in place.
+/// One planned stage: the per-query picks and the grouping that
+/// [`QueryEngine::plan`] decides and [`QueryEngine::settle`]'s fan-out reads
+/// back.  The group frame lists go straight into the lanes; what stays here
+/// is what the lanes do not keep — each query's picks in pick order (a lane
+/// is sorted and deduplicated by the probe) and which group each query
+/// joined.  The stage loop reuses one of these for the whole run.  A stage's
+/// shape never picks a DETECT path; it only decides whether there is
+/// anything to cut — a one-group stage without pool helpers is detected in
+/// place.
 #[derive(Default)]
 struct Stage<'a> {
     /// The stage's logical detector groups, in group order: one per distinct
@@ -546,8 +541,6 @@ struct Stage<'a> {
     slots: Vec<u32>,
     /// Query → group map (`usize::MAX` = not picking this stage).
     membership: Vec<usize>,
-    /// Picked frames per group, in (query, pick) arrival order.
-    frames: Vec<Vec<FrameId>>,
     /// Per-query picks (indexed by query registration order).
     picks: Vec<Vec<FrameId>>,
     /// Queries that contributed picks.
@@ -574,9 +567,6 @@ pub struct QueryEngine<'a> {
     slices: Vec<Slice<'a>>,
     /// How many lanes DETECT is cut over (serial — one — by default).
     execution: ExecutionMode,
-    /// Plan each stage while the previous stage's DETECT is in flight (off
-    /// by default; see [`QueryEngine::overlap`]).
-    overlap: bool,
     /// The run's worker pool: `Some` only while [`QueryEngine::run_with`] is
     /// executing a parallel run (the threads live in that call's
     /// `std::thread::scope`, and the pool — whose job senders are their
@@ -643,7 +633,6 @@ impl<'a> QueryEngine<'a> {
             lanes: Lanes::default(),
             slices: Vec::new(),
             execution: ExecutionMode::Serial,
-            overlap: false,
             pool: None,
             pool_counters: Arc::new(PoolCounters::default()),
             pooled_dispatches: 0,
@@ -725,41 +714,6 @@ impl<'a> QueryEngine<'a> {
     /// The engine's execution mode.
     pub fn execution_mode(&self) -> ExecutionMode {
         self.execution
-    }
-
-    /// Plan each stage (SCHEDULE + PICK + ROUTE) while the *previous* stage's
-    /// DETECT is in flight (off by default).
-    ///
-    /// The stage loop is `plan → launch → land → settle`, and this flag
-    /// decides exactly one thing: where `plan(n + 1)` runs.  Off, it runs
-    /// after `settle(n)`; on, it runs between `launch(n)` — which hands stage
-    /// `n`'s slices to the pool helpers — and `land(n)`, which rejoins them,
-    /// so under [`ExecutionMode::Parallel`] the coordinator picks while the
-    /// helpers detect.  Runs without helpers (serial mode) and stages whose
-    /// demand fits one slice have nothing in flight to overlap with but
-    /// plan at the same point, which is what keeps overlapped runs
-    /// bitwise-identical across thread counts.
-    /// On a saturated or single-vCPU host the pool's reclaim pass takes the
-    /// dispatched work back after the overlapped plan — the handoff stays
-    /// two mutex operations and never regresses below serial execution.
-    ///
-    /// The semantic difference from a non-overlapped run: stage *n + 1* is
-    /// planned *before* stage *n*'s fan-out, so stop conditions, budget
-    /// clamps and quarantine checks see state that is one stage stale.  An
-    /// overlapped run is therefore **not** pick-for-pick identical to a
-    /// non-overlapped one — a query may overshoot its frame budget or result
-    /// limit by up to one stage's batch before stopping (budgets stay exact
-    /// in *accounting*, only the stop decision lags) — but it is fully
-    /// deterministic: the determinism suite pins overlapped runs across the
-    /// whole execution matrix and against a golden digest.
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// Whether stage-overlapped execution is enabled.
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap
     }
 
     /// Number of stages, across all of this engine's runs, that dispatched
@@ -904,15 +858,11 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// SCHEDULE + PICK + group stage `number` into `stage`, without touching
-    /// the lanes or the slices (which may be mid-DETECT on pool helpers).
-    ///
-    /// Runs against the engine state as of the last settled stage — under
-    /// [`QueryEngine::overlap`] that is one stage stale (the in-flight
-    /// stage's results are not folded in yet), which is exactly the
-    /// documented semantic difference of overlapped runs.  Returns `false`
-    /// when no query picked: the run ends once the in-flight stage settles.
-    fn plan(&mut self, stage: &mut Stage<'a>, number: u64) -> bool {
+    /// SCHEDULE + PICK + group the next stage into `stage`, and load each
+    /// group's frames into its lane.  Runs against the engine state as of
+    /// the last settled stage.  Returns `false` when no query picked: the
+    /// run is over.
+    fn plan(&mut self, stage: &mut Stage<'a>) -> bool {
         stage.detectors.clear();
         stage.slots.clear();
         stage.membership.clear();
@@ -955,7 +905,7 @@ impl<'a> QueryEngine<'a> {
         // (against the trait contract) cannot replay last stage's quotas.
         self.allocation.clear();
         self.scheduler
-            .allocate(number, &self.loads, &mut self.allocation);
+            .allocate(self.stages, &self.loads, &mut self.allocation);
 
         // PICK.  The engine clamps every live allocation to
         // `1..=budget_left` so no scheduler can livelock a run or overrun a
@@ -1006,49 +956,48 @@ impl<'a> QueryEngine<'a> {
             stage.membership.push(group);
         }
 
-        // The group frame lists, cleared.
-        let groups = stage.detectors.len();
-        if stage.frames.len() < groups {
-            stage.frames.resize_with(groups, Vec::new);
-        }
-        for frames in &mut stage.frames {
-            frames.clear();
-        }
-
-        // Lay every group's picks out in (query, pick) arrival order.
+        // Lay every group's picks out in its lane, in (query, pick) arrival
+        // order.
+        self.lanes.begin_stage(stage.detectors.len());
         for (picks, &group) in stage.picks.iter().zip(&stage.membership) {
             if group != usize::MAX {
-                stage.frames[group].extend_from_slice(picks);
+                self.lanes.push_frames(group, picks);
             }
         }
         true
     }
 
-    /// Load a planned stage into the lanes, probe the cache, gather the misses
-    /// into one slice per lane and, when the run has pool helpers, hand them
-    /// theirs.  Returns the in-flight handle [`QueryEngine::land`]
-    /// joins.
+    /// DETECT for a planned stage: probe the cache, then gather the misses
+    /// into one slice per lane, run the slices and scatter the outcomes to
+    /// the lanes.
     ///
-    /// The probe runs here, on the coordinator, because the gather needs its
-    /// result — and what it leaves decides the dispatch: a stage answered
-    /// entirely from the cache gathers no slice at all, and one whose demand
-    /// fits a single slice has nothing to hand a helper, so neither pays a
-    /// turnstile hand-off or a wake.  No lane is ever handed an empty slice,
-    /// and a one-batch stage gathers none: `land` detects it in place.
-    fn launch(&mut self, stage: &mut Stage<'a>) -> Option<StageDispatch> {
+    /// The probe runs first, on the coordinator, because the gather needs its
+    /// result.  A stage answered entirely from the cache gathers no slice at
+    /// all, so it never reaches the pool; no lane is ever handed an empty
+    /// slice; and a one-batch stage — one group, no pool helpers to cut it
+    /// for — gathers none: it is detected in place.  With helpers, the
+    /// slices are one [`WorkerPool::run_stage`] call, which runs the
+    /// coordinator's slice under the same panic containment as the helpers'
+    /// and rejoins them.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::WorkerPanicked`] if a lane's detect pass
+    /// panicked under [`ExecutionMode::Parallel`]; the stage is abandoned
+    /// before its scatter, commit and fan-out.
+    fn detect(&mut self, stage: &Stage<'a>) -> Result<(), EngineError> {
         let groups = stage.detectors.len();
-        self.lanes.begin_stage(groups);
-        for (group, frames) in stage.frames[..groups].iter_mut().enumerate() {
-            self.lanes.adopt_frames(group, frames);
-        }
         self.lanes.probe(
             &stage.slots,
             self.coalesce,
             self.cache.as_mut(),
             &mut self.view,
         );
-        if self.detects_in_place(stage) {
-            return None;
+        if self.pool.is_none() && groups == 1 {
+            let (detector, slot, policy) =
+                (stage.detectors[0], stage.slots[0], self.detect_policy());
+            self.lanes
+                .detect_in_place(&mut self.view, detector, slot, policy);
+            return Ok(());
         }
         // Uncoalesced, uncached groups may carry the same (detector, frame)
         // twice.  A detector that counts its attempts per frame (fault
@@ -1069,59 +1018,25 @@ impl<'a> QueryEngine<'a> {
             self.detect_policy(),
             &mut self.slices,
         );
-        let pool = self.pool.as_mut()?;
-        if self.slices.is_empty() {
-            return None;
-        }
-        if self.slices.len() > 1 {
-            self.pooled_dispatches += 1;
-        }
-        Some(pool.dispatch_stage(&mut self.slices))
-    }
-
-    /// Whether a launched stage is one batch: one group, and no pool helpers
-    /// to cut it for.
-    fn detects_in_place(&self, stage: &Stage<'a>) -> bool {
-        self.pool.is_none() && stage.detectors.len() == 1
-    }
-
-    /// Complete a launched stage's DETECT: run the slices — through the pool
-    /// when the run has one, which runs the coordinator's slice under the
-    /// same panic containment as the helpers' and rejoins them — and scatter
-    /// the outcomes to the lanes.  A one-batch stage is detected in place.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::WorkerPanicked`] if a lane's detect pass
-    /// panicked under [`ExecutionMode::Parallel`]; the stage is abandoned
-    /// before its scatter, commit and fan-out.
-    fn land(
-        &mut self,
-        stage: &Stage<'a>,
-        flight: Option<StageDispatch>,
-    ) -> Result<(), EngineError> {
-        if self.detects_in_place(stage) {
-            let (detector, slot, policy) =
-                (stage.detectors[0], stage.slots[0], self.detect_policy());
-            self.lanes
-                .detect_in_place(&mut self.view, detector, slot, policy);
-            return Ok(());
-        }
-        match flight {
-            // The reclaim pass inside `join_stage` runs *after* whatever the
-            // coordinator did since `launch`: on a saturated host it takes
-            // the queued slices back here and pays two mutex operations.
-            Some(dispatch) => {
-                let pool = self.pool.as_mut().expect("only a live pool dispatches");
-                pool.join_stage(&mut self.slices, dispatch)?;
+        match self.pool.as_mut() {
+            Some(pool) if !self.slices.is_empty() => {
+                if self.slices.len() > 1 {
+                    self.pooled_dispatches += 1;
+                }
+                pool.run_stage(&mut self.slices)?;
             }
-            None => self.slices.iter_mut().for_each(Slice::run),
+            _ => self.slices.iter_mut().for_each(Slice::run),
         }
-        let slices = &mut self.slices;
-        shard::scatter_slices(&mut self.lanes, &mut self.view, &stage.slots, slices);
+        shard::scatter_slices(
+            &mut self.lanes,
+            &mut self.view,
+            &stage.slots,
+            &mut self.slices,
+        );
         Ok(())
     }
 
-    /// Fold a landed stage into the engine: fail-fast scan, cache commit,
+    /// Fold a detected stage into the engine: fail-fast scan, cache commit,
     /// tallies, FAN-OUT, quarantine, stats, sink flush, run counters — the
     /// serial half of every stage, identical in every execution
     /// configuration.
@@ -1379,34 +1294,17 @@ impl<'a> QueryEngine<'a> {
         self.drive(&mut on_stage)
     }
 
-    /// The stage loop: `plan → launch → land → settle` per stage, over two
-    /// ping-ponged [`Stage`] buffers, until a plan finds no query picking.
-    ///
-    /// [`QueryEngine::overlap`] is nothing but the position of `plan(n + 1)`:
-    /// after `settle(n)` by default, between `launch(n)` and `land(n)` when
-    /// overlapped — there it runs while stage `n`'s DETECT is in flight on
-    /// the pool helpers, and sees state one stage stale.
+    /// The stage loop: `plan → detect → settle` per stage, over one reused
+    /// [`Stage`], until a plan finds no query picking.
     fn drive<F: FnMut(&StageStats)>(
         &mut self,
         on_stage: &mut F,
     ) -> Result<EngineReport, EngineError> {
-        let mut current = Stage::default();
-        let mut next = Stage::default();
-        let mut more = self.plan(&mut next, self.stages);
-        while more {
-            // `next` becomes the executing stage; the old `current`'s
-            // buffers are recycled for planning the one after.
-            std::mem::swap(&mut current, &mut next);
-            let flight = self.launch(&mut current);
-            if self.overlap {
-                more = self.plan(&mut next, self.stages + 1);
-            }
-            self.land(&current, flight)?;
-            let stats = self.settle(&current)?;
+        let mut stage = Stage::default();
+        while self.plan(&mut stage) {
+            self.detect(&stage)?;
+            let stats = self.settle(&stage)?;
             on_stage(&stats);
-            if !self.overlap {
-                more = self.plan(&mut next, self.stages);
-            }
         }
         Ok(self.report())
     }
@@ -1510,20 +1408,22 @@ mod tests {
     #[test]
     fn frame_budget_is_exact_even_with_large_batches() {
         let (chunking, _truth, detector) = setup(40_000, 8);
-        let mut engine = QueryEngine::new();
-        let policy = ExSamplePolicy::new(ExSampleConfig::default(), &chunking);
-        engine
-            .push(
-                QuerySpec::new("q", Box::new(policy), &detector)
-                    .seed(5)
-                    .batch(64)
-                    .frame_budget(100),
-            )
-            .unwrap();
-        let report = engine.run().unwrap();
-        let q = &report.outcomes[0];
-        assert_eq!(q.frames_processed, 100);
-        assert_eq!(q.stop_reason, Some(StopReason::FrameBudgetExhausted));
+        for mode in [ExecutionMode::Serial, ExecutionMode::Parallel(2)] {
+            let mut engine = QueryEngine::new().execution(mode).unwrap();
+            let policy = ExSamplePolicy::new(ExSampleConfig::default(), &chunking);
+            engine
+                .push(
+                    QuerySpec::new("q", Box::new(policy), &detector)
+                        .seed(5)
+                        .batch(64)
+                        .frame_budget(100),
+                )
+                .unwrap();
+            let report = engine.run().unwrap();
+            let q = &report.outcomes[0];
+            assert_eq!(q.frames_processed, 100, "{mode:?}");
+            assert_eq!(q.stop_reason, Some(StopReason::FrameBudgetExhausted));
+        }
     }
 
     #[test]

@@ -53,19 +53,19 @@
 //!
 //! ## One stage loop, one runtime
 //!
-//! Every run — serial or parallel, overlapped or not, under any shard router
-//! — executes the same loop of four phases, each written once in [`engine`]:
-//! **plan** (stop checks, SCHEDULE, PICK and grouping into a stage buffer
-//! holding one frame list per detector group), **launch** (load the lanes,
-//! probe the cache, gather the misses into one slice per lane; hand the pool
-//! helpers theirs if there are any), **land** (run the coordinator's slice,
-//! rejoin the helpers, scatter the outcomes to the lanes) and **settle**
-//! (fail-fast scan, cache commit, tallies, FAN-OUT, quarantine, stats,
-//! checkpoint sink).  Serial is the 1-lane case.  There is one DETECT path:
-//! a stage with one detector group and no pool helpers demands exactly one
-//! batch, so `land` detects it in place over the lane's misses instead of
-//! gathering and scattering a single slice — through the same absorb calls,
-//! in the same order, so fault handling and every tally exist once.
+//! Every run — serial or parallel, under any shard router — executes the
+//! same loop of three phases over one reused stage buffer, each written once
+//! in [`engine`]: **plan** (stop checks, SCHEDULE, PICK, grouping, and
+//! loading each detector group's frames into its lane), **detect** (probe
+//! the cache, gather the misses into one slice per lane, run the slices —
+//! one pool call when the run has helpers — and scatter the outcomes to the
+//! lanes) and **settle** (fail-fast scan, cache commit, tallies, FAN-OUT,
+//! quarantine, stats, checkpoint sink).  Serial is the 1-lane case.  There
+//! is one DETECT path: a stage with one detector group and no pool helpers
+//! demands exactly one batch, so `detect` runs it in place over the lane's
+//! misses instead of gathering and scattering a single slice — through the
+//! same absorb calls, in the same order, so fault handling and every tally
+//! exist once.
 //!
 //! The unit of DETECT work is the **slice** ([`shard`]): the lanes' cache
 //! misses, laid end to end in canonical `(group, frame)` order and cut into
@@ -127,25 +127,15 @@
 //! failed/dropped frames, quarantined detectors) flows through the reports
 //! with the same bitwise-determinism guarantee as every other tally.
 //!
-//! ## Batching & overlap
+//! ## Batching
 //!
 //! Batching is not a setting: every stage issues one batch per detector
 //! group, cut over the lanes (see above) — under a GPU-shaped
 //! `per_call + per_frame × n` cost model (`exsample-detect`'s
 //! `BatchingDetector`) the bill is the same for any shard router, which the
-//! `batched_detect` bench axis records.  One opt-in knob remains,
-//! bitwise-deterministic and off by default:
-//!
-//! * [`QueryEngine::overlap`] is *where `plan` runs*: instead of planning
-//!   stage `n + 1` after stage `n` has settled, the loop plans it between
-//!   `launch(n)` and `land(n)` — while stage `n`'s DETECT is in flight on the
-//!   pool helpers.  Nothing else changes (the cache probe runs before the
-//!   dispatch and the commit stays a serial canonical-order arbitration
-//!   either way).  Stop decisions therefore lag one stage (a
-//!   query may overshoot its budget by up to one stage's batch) — the one
-//!   documented semantic difference — and each overlapped configuration is
-//!   itself bitwise-deterministic across the whole execution matrix and
-//!   pinned against a golden digest.
+//! `batched_detect` bench axis records.  Each stage plans after the previous
+//! one has settled, so every stop decision sees every result and a frame
+//! budget is never overshot.
 //!
 //! Physical batch-size statistics (count/min/mean/max) flow through
 //! [`StageStats`], [`ShardReport`] and [`ShardedReport`] as

@@ -23,12 +23,11 @@
 //!   already-running helpers' Mutex+Condvar **turnstiles** — a condvar wake,
 //!   not a thread spawn.  No busy-waiting anywhere: idle helpers are parked
 //!   in `Condvar::wait`.
-//! * **Two halves.**  `WorkerPool::dispatch_stage` queues the helpers'
-//!   slices and returns; `WorkerPool::join_stage` runs the coordinator's own
-//!   slice, collects the rest and puts them back in lane order.  The engine's
-//!   stage loop calls them as its `launch` and `land` phases; whatever it
-//!   does in between (under [`crate::QueryEngine::overlap`]: planning the
-//!   next stage) runs alongside the helpers' DETECT.
+//! * **One call per stage.**  `WorkerPool::run_stage` queues the helpers'
+//!   slices, runs the coordinator's own slice inline, reclaims any slice a
+//!   helper has not started, collects the rest and puts them back in lane
+//!   order.  It is the whole of a parallel stage's DETECT run: the engine's
+//!   `detect` phase calls it once per stage that has any slice to run.
 //! * **Help-first reclaim.**  After running its own slice, the coordinator
 //!   *reclaims* any queued slice whose helper has not started it and runs it
 //!   inline.  On a saturated or single-vCPU host — where a helper wake could
@@ -126,16 +125,6 @@ struct Done<'a> {
     slice: Slice<'a>,
     /// The panic message, if the lane's detect pass panicked.
     panic: Option<String>,
-}
-
-/// An in-flight dispatched stage: the handle [`WorkerPool::dispatch_stage`]
-/// returns and exactly one [`WorkerPool::join_stage`] call consumes.  Between
-/// the two calls, slices `1..` of the stage sit on (or run from) the helper
-/// turnstiles while slice 0 still lives in the engine's slice vector — which
-/// is what lets the coordinator interleave other work (the next stage's PICK)
-/// with the helpers' DETECT.
-pub(crate) struct StageDispatch {
-    slices: usize,
 }
 
 /// Render a caught panic payload as the message carried by
@@ -310,21 +299,24 @@ impl<'a> WorkerPool<'a> {
         self.lanes.len() + 1
     }
 
-    /// First half of a stage's detect pass: queue slices `1..` on the helper
-    /// turnstiles and return the in-flight stage handle.  Slice 0 stays in
-    /// `slices`; it is run by [`WorkerPool::join_stage`], which must be
-    /// called exactly once with the returned handle (the coordinator may do
-    /// other work — the next stage's planning — in between).
-    pub(crate) fn dispatch_stage(&mut self, slices: &mut Vec<Slice<'a>>) -> StageDispatch {
+    /// Run one stage's slices: queue slices `1..` on the helper turnstiles,
+    /// run slice 0 inline, reclaim queued slices whose helpers have not
+    /// started, await the rest, and reassemble `slices` in lane order —
+    /// every slice run, exactly what the serial loop produces, so pooled
+    /// execution is observably identical to it.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::WorkerPanicked`] if any lane's detect pass
+    /// panicked (the first panic in lane order wins).  All slices are
+    /// reassembled into `slices` even on error.
+    pub(crate) fn run_stage(&mut self, slices: &mut Vec<Slice<'a>>) -> Result<(), EngineError> {
+        let count = slices.len();
         debug_assert!(
-            (1..=self.lanes()).contains(&slices.len()),
-            "a dispatched stage has one slice per lane at most, and at least one"
+            (1..=self.lanes()).contains(&count),
+            "a stage has one slice per lane at most, and at least one"
         );
         self.dispatched_stages += 1;
         let reengage = self.dispatched_stages.is_multiple_of(REENGAGE_PERIOD);
-        let dispatch = StageDispatch {
-            slices: slices.len(),
-        };
         // Every queued lane was left Idle by the previous stage (its Done
         // was collected, or the coordinator reclaimed it).
         for (helper, slice) in slices.drain(1..).enumerate() {
@@ -343,30 +335,11 @@ impl<'a> WorkerPool<'a> {
             // waking them only buys a context switch on a host that isn't
             // scheduling them anyway) are left parked except on
             // re-engagement stages; their queued slice is picked up by the
-            // reclaim pass in [`WorkerPool::join_stage`].
+            // reclaim pass below.
             if self.consecutive_misses[helper] < DISENGAGE_AFTER || reengage {
                 slot.turnstile.notify_one();
             }
         }
-        dispatch
-    }
-
-    /// Second half of a stage's detect pass: run slice 0 inline, reclaim
-    /// queued slices whose helpers have not started, await the rest, and
-    /// reassemble `slices` in lane order — every slice run, exactly what the
-    /// serial loop produces, so pooled dispatch is observably identical to
-    /// it.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::WorkerPanicked`] if any lane's detect pass
-    /// panicked (the first panic in lane order wins).  All slices are
-    /// reassembled into `slices` even on error.
-    pub(crate) fn join_stage(
-        &mut self,
-        slices: &mut Vec<Slice<'a>>,
-        dispatch: StageDispatch,
-    ) -> Result<(), EngineError> {
-        let count = dispatch.slices;
 
         // The coordinator is the first lane: run slice 0 inline instead of
         // sleeping until the helpers finish.  Panics are caught exactly like
@@ -527,9 +500,7 @@ mod tests {
         let slots: Vec<u32> = (0..detectors.len() as u32).collect();
         lanes.begin_stage(detectors.len());
         for (group, frames) in demand.iter().enumerate() {
-            for &frame in *frames {
-                lanes.push_frame(group, frame);
-            }
+            lanes.push_frames(group, frames);
         }
         lanes.probe(&slots, true, None, view);
         gather_slices(lanes, detectors, count, DetectPolicy::infallible(), slices);
@@ -558,9 +529,7 @@ mod tests {
                     &mut slices,
                 );
                 assert_eq!(slices.len(), 3);
-                let dispatch = pool.dispatch_stage(&mut slices);
-                assert_eq!(slices.len(), 1, "slice 0 stays with the coordinator");
-                pool.join_stage(&mut slices, dispatch).expect("no panics");
+                pool.run_stage(&mut slices).expect("no panics");
                 assert_eq!(slices.len(), 3);
                 // Lane order was restored: the scatter walks the slices in
                 // gather order and finds every frame.
@@ -597,8 +566,7 @@ mod tests {
                 pool.lanes(),
                 &mut slices,
             );
-            let dispatch = pool.dispatch_stage(&mut slices);
-            let err = pool.join_stage(&mut slices, dispatch).unwrap_err();
+            let err = pool.run_stage(&mut slices).unwrap_err();
             match err {
                 EngineError::WorkerPanicked { message } => {
                     assert!(message.contains("bomb detector"), "message: {message}")
@@ -628,8 +596,7 @@ mod tests {
                 pool.lanes(),
                 &mut slices,
             );
-            let dispatch = pool.dispatch_stage(&mut slices);
-            let err = pool.join_stage(&mut slices, dispatch).unwrap_err();
+            let err = pool.run_stage(&mut slices).unwrap_err();
             assert!(matches!(err, EngineError::WorkerPanicked { .. }));
             drop(pool);
         });

@@ -448,24 +448,10 @@ impl Lanes {
         self.fatal = None;
     }
 
-    /// Put one picked frame into the lane of logical group `group` (unit
-    /// tests load lanes directly; the engine stages whole lanes and hands
-    /// them over with [`Lanes::adopt_frames`]).
-    #[cfg(test)]
-    pub(crate) fn push_frame(&mut self, group: usize, frame: FrameId) {
-        self.lanes[group].frames.push(frame);
-    }
-
-    /// Adopt a staged frame buffer as the lane of logical group `group`,
-    /// handing the lane's previous (cleared) buffer back for recycling.
-    ///
-    /// Stages are planned into engine-side buffers (under overlap, while the
-    /// previous stage's DETECT is still running), then loaded here right
-    /// after [`Lanes::begin_stage`]; swapping keeps both sides' allocations
-    /// alive across stages.
-    #[inline]
-    pub(crate) fn adopt_frames(&mut self, group: usize, frames: &mut Vec<FrameId>) {
-        std::mem::swap(&mut self.lanes[group].frames, frames);
+    /// Append picked frames to the lane of logical group `group`, after
+    /// [`Lanes::begin_stage`].
+    pub(crate) fn push_frames(&mut self, group: usize, frames: &[FrameId]) {
+        self.lanes[group].frames.extend_from_slice(frames);
     }
 
     /// Coalesce each lane and split it into cache hits (answered in place
@@ -1069,9 +1055,7 @@ mod tests {
         let mut lanes = Lanes::default();
         let mut view = view();
         lanes.begin_stage(1);
-        for &frame in frames {
-            lanes.push_frame(0, frame);
-        }
+        lanes.push_frames(0, frames);
         lanes.probe(&[0], false, cache, &mut view);
         (lanes, view)
     }
@@ -1229,10 +1213,8 @@ mod tests {
         let mut lanes = Lanes::default();
         let mut view = view();
         lanes.begin_stage(2);
-        for &frame in &[3u64, 7] {
-            lanes.push_frame(0, frame);
-            lanes.push_frame(1, frame);
-        }
+        lanes.push_frames(0, &[3, 7]);
+        lanes.push_frames(1, &[3, 7]);
         // Two lanes carry the same detector slot (coalescing off).
         lanes.probe(&[0, 0], false, Some(&mut cache), &mut view);
         // Each distinct (detector, frame) probes once: 1 hit (frame 3),
@@ -1280,9 +1262,7 @@ mod tests {
             let mut lanes = Lanes::default();
             let mut view = ShardView::new(router.clone());
             lanes.begin_stage(1);
-            for &frame in &frames {
-                lanes.push_frame(0, frame);
-            }
+            lanes.push_frames(0, &frames);
             lanes.probe(&[0], false, None, &mut view);
             let sizes = detect_stage(
                 &mut lanes,
@@ -1332,9 +1312,8 @@ mod tests {
         let mut view = view();
         lanes.begin_stage(3);
         for (group, count) in [(0usize, 2u64), (1, 5), (2, 4)] {
-            for frame in 0..count {
-                lanes.push_frame(group, group as u64 * 100 + frame);
-            }
+            let frames: Vec<FrameId> = (0..count).map(|f| group as u64 * 100 + f).collect();
+            lanes.push_frames(group, &frames);
         }
         lanes.probe(&[0, 1, 2], true, None, &mut view);
         let sizes = detect_stage(
@@ -1432,10 +1411,8 @@ mod tests {
         let mut lanes = Lanes::default();
         let mut view = view();
         lanes.begin_stage(2);
-        for &frame in &[3u64, 9] {
-            lanes.push_frame(0, frame);
-            lanes.push_frame(1, frame);
-        }
+        lanes.push_frames(0, &[3, 9]);
+        lanes.push_frames(1, &[3, 9]);
         lanes.probe(&[0, 0], false, Some(&mut cache), &mut view);
         let policy = DetectPolicy {
             max_attempts: 1,

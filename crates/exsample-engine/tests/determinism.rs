@@ -23,17 +23,10 @@
 //!    detector group, cut evenly over the lanes — so a serial run issues
 //!    exactly the logical calls and an `L`-lane run exactly the batches the
 //!    closed-form cut predicts (at most `L − 1` more per stage); and
-//! 6. overlap determinism: stage-overlapped runs (`QueryEngine::overlap`) are
-//!    *not* pick-for-pick with non-overlapped runs (stop decisions lag one
-//!    stage by design) but are bitwise-identical to each other across the
-//!    execution matrix — and match a golden digest captured from the
-//!    engine's former separate overlapped stage loop, so the
-//!    one-stage-stale stop behaviour is pinned independently of the loop it
-//!    now shares with every other run; and
-//! 7. cache-axis determinism: with the detections cache enabled
+//! 6. cache-axis determinism: with the detections cache enabled
 //!    (small enough to evict), reports, per-query pick sequences, and the
 //!    cache accounting itself (hits/misses/evictions/admission rejects) are
-//!    bitwise-identical across threads {1, 2, 4} × overlap on/off — and the
+//!    bitwise-identical across threads {1, 2, 4} — and the
 //!    frequency-admission policy preserves the same guarantee.
 
 mod common;
@@ -783,19 +776,22 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
     }
 }
 
+/// Cache capacity for the cache-axis matrix: small enough that the standard
+/// workload's distinct probed frames force real evictions, large enough that
+/// re-picked frames still find warm entries.
+const MATRIX_CACHE_CAPACITY: usize = 256;
+
 #[test]
-fn overlapped_runs_are_deterministic_across_the_matrix() {
+fn cached_runs_are_bitwise_identical_across_the_matrix() {
     let frames = 4_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
     let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
 
-    // Overlap changes *when* stop conditions are decided (one stage late, by
-    // design), so its reference is itself overlapped: the serial overlapped
-    // run.  Every lane count must reproduce it bitwise.
+    // The reference is the serial cached run.
     let run = |mode: ExecutionMode| {
         let (specs, logs) = recorded_specs(&chunking, frames, &detector);
         let mut engine = QueryEngine::new()
-            .overlap(true)
+            .cache_capacity(MATRIX_CACHE_CAPACITY)
             .execution(mode)
             .expect("valid execution mode");
         for spec in specs {
@@ -810,61 +806,19 @@ fn overlapped_runs_are_deterministic_across_the_matrix() {
         serial.report.outcomes.iter().any(|r| r.true_found > 0),
         "setup finds nothing"
     );
+    // The axis must actually be exercised: cold probes, warm re-probes and
+    // LRU evictions all occur in the reference run.
+    let activity = serial.report.cache;
+    assert!(activity.misses > 0, "no cache misses");
+    assert!(activity.hits > 0, "no cache hits");
+    assert!(activity.evictions > 0, "no evictions");
+
     for threads in [1usize, 2, 4] {
-        let context = format!("overlap/{threads} threads");
+        let context = format!("cached/{threads} threads");
         let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
         assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
+        // The report comparison includes the cache accounting.
         assert_sharded_reports_agree(&parallel, &serial, threads, &context);
-    }
-}
-
-/// Cache capacity for the cache-axis matrix: small enough that the standard
-/// workload's distinct probed frames force real evictions, large enough that
-/// re-picked frames still find warm entries.
-const MATRIX_CACHE_CAPACITY: usize = 256;
-
-#[test]
-fn cached_runs_are_bitwise_identical_across_the_matrix() {
-    let frames = 4_000u64;
-    let (chunking, truth) = skewed_setup(frames, 21);
-    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
-
-    for overlap in [false, true] {
-        // Overlap changes stop timing by design, so each overlap setting has
-        // its own reference: the serial cached run.
-        let run = |mode: ExecutionMode| {
-            let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-            let mut engine = QueryEngine::new()
-                .overlap(overlap)
-                .cache_capacity(MATRIX_CACHE_CAPACITY)
-                .execution(mode)
-                .expect("valid execution mode");
-            for spec in specs {
-                engine.push(spec).unwrap();
-            }
-            let _ = engine.run().unwrap();
-            let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
-            (engine.report_sharded(), picks)
-        };
-        let (serial, serial_picks) = run(ExecutionMode::Serial);
-        assert!(
-            serial.report.outcomes.iter().any(|r| r.true_found > 0),
-            "setup finds nothing"
-        );
-        // The axis must actually be exercised: cold probes, warm re-probes
-        // and LRU evictions all occur in the reference run.
-        let activity = serial.report.cache;
-        assert!(activity.misses > 0, "overlap {overlap}: no cache misses");
-        assert!(activity.hits > 0, "overlap {overlap}: no cache hits");
-        assert!(activity.evictions > 0, "overlap {overlap}: no evictions");
-
-        for threads in [1usize, 2, 4] {
-            let context = format!("cached/overlap {overlap}/{threads} threads");
-            let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
-            assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
-            // The report comparison includes the cache accounting.
-            assert_sharded_reports_agree(&parallel, &serial, threads, &context);
-        }
     }
 }
 
@@ -929,103 +883,4 @@ fn round_robin_scheduler_reproduces_the_default_pick_sequences() {
     let (explicit_report, explicit_picks) = run(true);
     assert_engine_reports_equal(&explicit_report, &default_report, "explicit round-robin");
     assert_eq!(explicit_picks, default_picks);
-}
-
-/// FNV-1a over a pick sequence — a dependency-free, platform-stable digest.
-fn pick_hash(picks: &[FrameId]) -> u64 {
-    picks
-        .iter()
-        .flat_map(|frame| frame.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-}
-
-/// `(stages, per-query (frames_processed, stop_reason, true_found, pick hash),
-/// cache (hits, misses, evictions))` of one run.
-type RunDigest = (
-    u64,
-    Vec<(u64, Option<StopReason>, usize, u64)>,
-    (u64, u64, u64),
-);
-
-#[test]
-fn overlapped_runs_match_the_golden_digest() {
-    // Overlapped runs are otherwise only compared with their own serial run,
-    // which shares the stage loop with them.  These constants were captured
-    // from the pre-unification engine (the separate `drive_overlapped` loop),
-    // so they pin the one-stage-stale stop behaviour independently: an
-    // overlapped query overshoots its budget/limit by exactly the picks the
-    // old loop drew.
-    let frames = 4_000u64;
-    let (chunking, truth) = skewed_setup(frames, 21);
-    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
-    let digest = |full: bool| -> RunDigest {
-        let spec = ShardSpec::new(ShardPartitioner::RoundRobin, chunking.len(), 3);
-        let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-        let mut engine = QueryEngine::new()
-            .sharded(ShardRouter::new(&chunking, &spec).unwrap())
-            .overlap(true);
-        if full {
-            engine = engine
-                .cache_capacity(MATRIX_CACHE_CAPACITY)
-                .execution(ExecutionMode::Parallel(2))
-                .expect("valid execution mode");
-        }
-        for spec in specs {
-            engine.push(spec).unwrap();
-        }
-        let report = engine.run().unwrap();
-        let queries = report
-            .outcomes
-            .iter()
-            .zip(&logs)
-            .map(|(q, log)| {
-                (
-                    q.frames_processed,
-                    q.stop_reason,
-                    q.true_found,
-                    pick_hash(&log.borrow()),
-                )
-            })
-            .collect();
-        let cache = report.cache;
-        (
-            report.stages,
-            queries,
-            (cache.hits, cache.misses, cache.evictions),
-        )
-    };
-
-    let plain = digest(false);
-    let full = digest(true);
-    // `random` (budget 500, batch 4) stops at 504: the overlapped stop check
-    // runs one stage late.  Picks are execution-invariant, so the two runs
-    // share every per-query value and differ only in cache traffic.
-    let queries = vec![
-        (
-            64,
-            Some(StopReason::ResultLimitReached),
-            13,
-            12_905_561_523_152_941_025,
-        ),
-        (
-            504,
-            Some(StopReason::FrameBudgetExhausted),
-            13,
-            10_197_240_609_292_110_657,
-        ),
-        (
-            64,
-            Some(StopReason::ResultLimitReached),
-            13,
-            14_619_544_510_407_229_637,
-        ),
-    ];
-    assert_eq!(plain, (126, queries.clone(), (0, 0, 0)), "overlapped");
-    assert_eq!(
-        full,
-        (126, queries, (7, 624, 368)),
-        "overlapped + cached + parallel"
-    );
 }

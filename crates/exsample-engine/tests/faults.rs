@@ -324,58 +324,6 @@ fn degraded_runs_with_the_cache_stay_deterministic() {
 }
 
 #[test]
-fn degraded_runs_with_overlap_and_aggregation_stay_deterministic() {
-    // The fault axis of stage overlap: a degraded `DropFrames` run stays
-    // bitwise-deterministic across the execution matrix.  Overlap's
-    // reference is itself overlapped (stop decisions lag one stage by
-    // design); the batches every run aggregates into keep faults per-frame
-    // (a failed batch probe recovers each frame individually), so the
-    // logical fault telemetry is lane-invariant either way.
-    let frames = 3_000u64;
-    let (chunking, truth) = skewed_setup(frames, 21);
-
-    let run = |mode: ExecutionMode| {
-        let detector = faulty_detector(&truth, faulty_plan());
-        let mut engine = QueryEngine::new()
-            .overlap(true)
-            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(FailureMode::DropFrames)
-            .execution(mode)
-            .expect("valid execution mode");
-        for spec in fault_specs(&chunking, frames, &detector) {
-            engine.push(spec).unwrap();
-        }
-        let _ = engine.run().unwrap();
-        engine.report_sharded()
-    };
-
-    let baseline = run(ExecutionMode::Serial);
-    assert!(
-        baseline.report.detect_retries > 0,
-        "no transient faults — the matrix would be vacuous"
-    );
-    assert!(
-        baseline.report.failed_frames > 0,
-        "no permanent faults — the matrix would be vacuous"
-    );
-    assert!(
-        baseline
-            .report
-            .outcomes
-            .iter()
-            .map(|r| r.dropped_frames)
-            .sum::<u64>()
-            > 0,
-        "no frame was dropped"
-    );
-
-    for threads in [1usize, 2, 4] {
-        let parallel = run(ExecutionMode::Parallel(threads));
-        assert_sharded_reports_equal(&parallel, &baseline, &format!("overlap/{threads} threads"));
-    }
-}
-
-#[test]
 fn single_query_fault_recovery_is_lane_count_invariant() {
     // A single query's stage is one batch when serial — detected in place —
     // and cut over the lanes under `Parallel(2)`.  Both recover a failed

@@ -12,12 +12,12 @@
 //!    deadlock, an unwinding coordinator, or a leaked thread — and the same
 //!    engine can be run again; and
 //! 3. a fully cache-warm stage skips pool dispatch entirely (no channel send,
-//!    no helper wake), pinned via [`QueryEngine::pooled_stage_dispatches`] —
-//!    including under stage overlap (the probe runs before the gather, so a
-//!    warm stage has no slice to hand out); and
-//! 4. cache accounting does not depend on the lanes: hit/miss/eviction
-//!    tallies are bitwise-identical across the overlapped execution matrix;
-//!    and
+//!    no helper wake), pinned via [`QueryEngine::pooled_stage_dispatches`]
+//!    (the probe runs before the gather, so a warm stage has no slice to hand
+//!    out); and
+//! 4. cache accounting does not depend on the lanes: the hit/miss/eviction
+//!    tallies of a cold run followed by a warm re-query are bitwise-identical
+//!    for every lane count; and
 //! 5. lanes share every stage evenly: demand that one shard of a four-shard
 //!    view owns entirely is still split in half over two lanes (and its
 //!    calls attributed to that shard), an engine uses every lane it was
@@ -293,65 +293,10 @@ fn fully_cache_warm_stages_skip_pool_dispatch() {
 }
 
 #[test]
-fn warm_stages_skip_dispatch_under_overlap_and_aggregation() {
+fn cold_then_warm_cache_accounting_is_lane_count_invariant() {
     let frames = 400u64;
     let truth = setup(frames);
-    let detector = ObservantDetector::new(Arc::clone(&truth));
-    // Overlap plans the next stage mid-DETECT — which must not cost a warm
-    // stage a dispatch (or a detector call): its demand is probed, and found
-    // empty, before anything is handed out.
-    let mut engine = pooled_engine(3).cache_capacity(4_096).overlap(true);
-    engine
-        .push(
-            QuerySpec::new(
-                "cold",
-                Box::new(FrameSamplerPolicy::uniform(frames)),
-                &detector,
-            )
-            .seed(3)
-            .batch(32),
-        )
-        .unwrap();
-    let cold = engine.run().unwrap();
-    assert_eq!(cold.outcomes[0].frames_processed, frames);
-    let cold_dispatches = engine.pooled_stage_dispatches();
-    let cold_calls = detector.batch_calls.load(Ordering::SeqCst);
-    assert!(
-        cold_dispatches > 0,
-        "cold overlapped run never used the pool"
-    );
-    assert!(cold_calls > 0);
-
-    engine
-        .push(
-            QuerySpec::new(
-                "warm",
-                Box::new(FrameSamplerPolicy::uniform(frames)),
-                &detector,
-            )
-            .seed(5)
-            .batch(32),
-        )
-        .unwrap();
-    let warm = engine.run().unwrap();
-    assert_eq!(warm.outcomes[1].frames_processed, frames);
-    assert_eq!(
-        detector.batch_calls.load(Ordering::SeqCst),
-        cold_calls,
-        "warm overlapped re-query must be served entirely from the cache"
-    );
-    assert_eq!(
-        engine.pooled_stage_dispatches(),
-        cold_dispatches,
-        "cache-warm overlapped stages must skip pool dispatch entirely"
-    );
-}
-
-#[test]
-fn overlapped_cache_accounting_is_execution_invariant() {
-    let frames = 400u64;
-    let truth = setup(frames);
-    // A cold run followed by a warm re-query on the same overlapped engine:
+    // A cold run followed by a warm re-query on the same engine:
     // hit/miss/eviction tallies (and reports) must be bitwise-identical
     // however many lanes DETECT is cut over.
     let run = |mode: ExecutionMode| {
@@ -359,8 +304,7 @@ fn overlapped_cache_accounting_is_execution_invariant() {
         let mut engine = QueryEngine::new()
             .execution(mode)
             .expect("valid execution mode")
-            .cache_capacity(64)
-            .overlap(true);
+            .cache_capacity(64);
         for (label, seed) in [("cold", 3u64), ("warm", 5)] {
             engine
                 .push(

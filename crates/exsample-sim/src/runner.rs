@@ -202,9 +202,6 @@ pub struct QueryRunner<'a> {
     retry: RetryPolicy,
     failure: FailureMode,
     fault: Option<FaultPlan>,
-    /// Overlap each stage's PICK with the previous stage's DETECT (see
-    /// `QueryEngine::overlap`; off by default).
-    overlap: bool,
     /// Capacity of the engine's detections cache (0 = off, the
     /// default).
     cache: usize,
@@ -234,7 +231,6 @@ impl<'a> QueryRunner<'a> {
             retry: RetryPolicy::none(),
             failure: FailureMode::default(),
             fault: None,
-            overlap: false,
             cache: 0,
             checkpoint: None,
             warm_start: None,
@@ -295,21 +291,10 @@ impl<'a> QueryRunner<'a> {
         self
     }
 
-    /// Overlap each stage's PICK with the previous stage's DETECT (the
-    /// engine's stage-pipelining knob; off by default).  Overlapped runs are
-    /// fully deterministic and bitwise-identical across thread counts, but
-    /// schedule each stage from one-stage-stale state, so
-    /// they are *not* pick-for-pick identical to non-overlapped runs — a stop
-    /// condition may be noticed one stage later.
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
     /// Enable the engine's detections cache with this capacity
     /// (entries; 0 — the default — leaves the cache off).  Cached results
     /// are shared across stages; accounting is bitwise-deterministic across
-    /// thread counts and overlap, and the run's telemetry lands in
+    /// thread counts, and the run's telemetry lands in
     /// [`RunResult::cache`].
     pub fn cache(mut self, capacity: usize) -> Self {
         self.cache = capacity;
@@ -540,8 +525,7 @@ impl<'a> QueryRunner<'a> {
 
         let mut engine = QueryEngine::new()
             .retry_policy(self.retry)
-            .failure_mode(self.failure)
-            .overlap(self.overlap);
+            .failure_mode(self.failure);
         if self.cache > 0 {
             engine = engine.cache_capacity(self.cache);
         }
@@ -802,45 +786,16 @@ mod tests {
                 .expect("query run succeeded")
         };
         let serial = run(None);
+        // Each stage is planned after the last one settled, so the budget is
+        // exact: batch-1 stages stop on the 600th frame in every
+        // configuration.
+        assert_eq!(serial.frames_processed, 600);
         for parallel in [1usize, 2, 4, 64] {
             let threaded = run(Some(parallel));
-            assert_eq!(threaded.frames_processed, serial.frames_processed);
+            assert_eq!(threaded.frames_processed, 600);
             assert_eq!(threaded.found_instances, serial.found_instances);
             assert_eq!(threaded.trajectory, serial.trajectory);
             assert_eq!(threaded.sample_secs, serial.sample_secs);
-        }
-    }
-
-    #[test]
-    fn overlapped_runner_is_deterministic_across_configs() {
-        // Overlapped runs schedule from one-stage-stale state, so they are a
-        // *different* (still valid) run than non-overlapped ones — but every
-        // overlapped configuration must agree bitwise with the overlapped
-        // serial reference.
-        let dataset = skewed_dataset();
-        let run = |parallel: Option<usize>| {
-            let mut runner = QueryRunner::new(&dataset)
-                .stop(StopCondition::FrameBudget(600))
-                .seed(23)
-                .overlap(true);
-            if let Some(threads) = parallel {
-                runner = runner.parallel(threads);
-            }
-            runner
-                .run(MethodKind::ExSample(ExSampleConfig::default()))
-                .expect("query run succeeded")
-        };
-        let reference = run(None);
-        // Overlapped scheduling decides each stage's stop condition one stage
-        // late (the documented staleness), so a FrameBudget(600) run at batch
-        // 1 lands on exactly 601 processed frames in every configuration.
-        assert_eq!(reference.frames_processed, 601);
-        for parallel in [2usize, 4, 64] {
-            let overlapped = run(Some(parallel));
-            assert_eq!(overlapped.frames_processed, reference.frames_processed);
-            assert_eq!(overlapped.found_instances, reference.found_instances);
-            assert_eq!(overlapped.trajectory, reference.trajectory);
-            assert_eq!(overlapped.sample_secs, reference.sample_secs);
         }
     }
 
