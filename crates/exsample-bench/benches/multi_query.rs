@@ -1,14 +1,14 @@
 //! Multi-query engine throughput: 1, 8 and 64 concurrent queries over one
-//! shared repository, with cross-query frame coalescing on and off.
+//! shared repository.
 //!
 //! Each iteration executes a full `QueryEngine` run: every query is an
 //! ExSample policy with its own RNG stream and frame budget, all targeting the
-//! same detector over the same repository.  The coalesced/uncoalesced pair
-//! measures what sharing detector work across queries buys; the detector here
-//! is the cheap simulated one, so the wall-clock gap *understates* the real
-//! saving (each shared frame avoids a full decode + GPU inference in
-//! production) — which is why the bench also reports the invocation counts
-//! that determine the real-world bill.
+//! same detector over the same repository.  What sharing detector work across
+//! queries buys is the gap between the frames the queries demanded and the
+//! frames the engine detected; the detector here is the cheap simulated one,
+//! so wall-clock time *understates* the real saving (each shared frame avoids
+//! a full decode + GPU inference in production) — which is why the bench also
+//! reports the invocation counts that determine the real-world bill.
 //!
 //! `BENCH_QUICK=1` (the CI smoke configuration) shrinks the per-query budget.
 
@@ -46,10 +46,9 @@ fn run_engine(
     dataset: &Dataset,
     detector: &PerfectDetector,
     queries: usize,
-    coalesce: bool,
     budget: u64,
 ) -> EngineReport {
-    let mut engine = QueryEngine::new().coalesce(coalesce);
+    let mut engine = QueryEngine::new();
     for q in 0..queries {
         let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
         engine
@@ -71,29 +70,28 @@ fn bench_multi_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("multi_query");
     group.sample_size(10);
     for &queries in &QUERY_COUNTS {
-        for (label, coalesce) in [("coalesced", true), ("uncoalesced", false)] {
-            group.bench_with_input(BenchmarkId::new(label, queries), &queries, |b, &queries| {
-                b.iter(|| black_box(run_engine(&dataset, &detector, queries, coalesce, budget)));
-            });
-        }
+        group.bench_with_input(
+            BenchmarkId::new("coalesced", queries),
+            &queries,
+            |b, &queries| {
+                b.iter(|| black_box(run_engine(&dataset, &detector, queries, budget)));
+            },
+        );
     }
     group.finish();
 
     // The acceptance-relevant numbers: batched detector invocations actually
     // issued vs. what the queries demanded, per concurrency level.
     println!("\n# multi-query detector invocation counts (per-query budget {budget} frames)");
-    println!("# queries | demanded | detected (coalesced) | detected (uncoalesced) | shared");
+    println!("# queries | demanded | detected | shared");
     for &queries in &QUERY_COUNTS {
-        let coalesced = run_engine(&dataset, &detector, queries, true, budget);
-        let uncoalesced = run_engine(&dataset, &detector, queries, false, budget);
-        assert_eq!(coalesced.demanded_frames, uncoalesced.demanded_frames);
+        let report = run_engine(&dataset, &detector, queries, budget);
         println!(
-            "# {:>7} | {:>8} | {:>20} | {:>22} | {:>6}",
+            "# {:>7} | {:>8} | {:>8} | {:>6}",
             queries,
-            coalesced.demanded_frames,
-            coalesced.detector_frames,
-            uncoalesced.detector_frames,
-            coalesced.coalesced_savings()
+            report.demanded_frames,
+            report.detector_frames,
+            report.coalesced_savings()
         );
     }
 }

@@ -43,11 +43,11 @@
 //! Every query owns a private RNG stream seeded from its spec, stop conditions
 //! are evaluated per query, and fan-out visits queries in registration order.
 //! Per-query outcomes are therefore reproducible regardless of stage
-//! interleaving: adding or removing concurrent queries, toggling coalescing,
-//! or permuting registration order never changes what an individual query
-//! finds.  A single-query engine at batch 1 consumes the caller's RNG exactly
-//! as the paper's per-frame loop does — [`run_query`] (the legacy driver
-//! entry point) is a thin wrapper over the engine, and the determinism tests
+//! interleaving: adding or removing concurrent queries or permuting
+//! registration order never changes what an individual query finds.  A
+//! single-query engine at batch 1 consumes the caller's RNG exactly as the
+//! paper's per-frame loop does — [`run_query`] (the legacy driver entry
+//! point) is a thin wrapper over the engine, and the determinism tests
 //! assert pick-for-pick equivalence against a faithful replica of the old
 //! loop.
 //!
@@ -55,8 +55,8 @@
 //!
 //! Every run — serial or parallel, under any shard router — executes the
 //! same loop of three phases over one reused stage buffer, each written once
-//! in [`engine`]: **plan** (stop checks, SCHEDULE, PICK, grouping, and
-//! loading each detector group's frames into its lane), **detect** (probe
+//! in [`engine`]: **plan** (stop checks, PICK, grouping, and loading each
+//! detector group's frames into its lane), **detect** (probe
 //! the cache, gather the misses into one slice per lane, run the slices —
 //! one pool call when the run has helpers — and scatter the outcomes to the
 //! lanes) and **settle** (fail-fast scan, cache commit, tallies, FAN-OUT,
@@ -143,11 +143,9 @@
 //!
 //! ## Scheduling
 //!
-//! How many frames each live query may pick per stage is delegated to an
-//! object-safe [`StageScheduler`]: [`RoundRobin`] (the default) grants every
-//! live query its configured batch — the historical behaviour, pick-for-pick
-//! — while [`BudgetProportional`] divides the stage's capacity in proportion
-//! to remaining per-query frame budgets.
+//! There is one rule: every live query picks its [`QuerySpec::batch`] per
+//! stage, clamped to what is left of its frame budget.  A query that needs
+//! bigger stages asks for a bigger batch.
 //!
 //! ## Caching
 //!
@@ -182,7 +180,6 @@ pub mod error;
 pub mod merge;
 pub mod policy;
 pub mod runtime;
-pub mod scheduler;
 pub mod shard;
 
 pub use cache::{AdmissionPolicy, CacheActivity, CacheConfig, CacheStats};
@@ -195,5 +192,4 @@ pub use error::{ChunkCountMismatch, EngineError};
 pub use exsample_core::SelectionTelemetry;
 pub use merge::{BatchStats, DetectorInvocations, ShardQueryTally, ShardReport, ShardedReport};
 pub use policy::{ExSamplePolicy, FrameSamplerPolicy, MethodPolicy, SamplingPolicy};
-pub use scheduler::{BudgetProportional, QueryLoad, RoundRobin, StageScheduler};
 pub use shard::ShardRouter;

@@ -502,7 +502,7 @@ mod tests {
         for (group, frames) in demand.iter().enumerate() {
             lanes.push_frames(group, frames);
         }
-        lanes.probe(&slots, true, None, view);
+        lanes.probe(&slots, None, view);
         gather_slices(lanes, detectors, count, DetectPolicy::infallible(), slices);
     }
 
@@ -534,8 +534,8 @@ mod tests {
                 // Lane order was restored: the scatter walks the slices in
                 // gather order and finds every frame.
                 scatter_slices(&mut lanes, &mut view, &[0], &mut slices);
-                for (pick, &frame) in frames.iter().enumerate() {
-                    let found = lanes.result(0, pick, frame).map(|d| d.frame);
+                for &frame in &frames {
+                    let found = lanes.result(0, frame).map(|d| d.frame);
                     assert_eq!(found, Some(frame));
                 }
                 assert_eq!(lanes.detected_frames(), 7);

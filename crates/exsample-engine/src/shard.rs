@@ -12,8 +12,9 @@
 //!
 //! A stage's DETECT is:
 //!
-//! 1. `Lanes::probe` (coordinator) — coalesce each lane's frames and answer
-//!    what it can from the cross-stage cache (a membership read plus a
+//! 1. `Lanes::probe` (coordinator) — sort and deduplicate each lane's frames
+//!    (one lane per registry slot, so this is the coalescing) and answer what
+//!    it can from the cross-stage cache (a membership read plus a
 //!    hit/miss tally per frame — never a recency or membership mutation),
 //!    recording each lane's hits and misses as commit *intents*;
 //! 2. `gather_slices` (coordinator) — lay the lanes' misses end to end in
@@ -46,8 +47,8 @@
 //!
 //! Lane results are held by position in the lane's frame list, and every
 //! miss carries its position, so neither the scatter nor the commit
-//! searches.  A fresh detection stays owned until the cache commit or a
-//! joined lane shares it as an `Arc`; a cache hit is an `Arc` bump.
+//! searches.  A fresh detection stays owned until the cache commit shares
+//! it as an `Arc`; a cache hit is an `Arc` bump.
 
 use crate::cache::{CacheActivity, DetectionCache, DetectorSlot, Key};
 use crate::error::EngineError;
@@ -368,19 +369,13 @@ impl Held {
 /// and their allocations are reused across stages.
 #[derive(Debug, Default)]
 struct Lane {
-    /// The group's picks; sorted and deduplicated by [`Lanes::probe`] when
-    /// coalescing.
+    /// The group's picks; sorted and deduplicated by [`Lanes::probe`].
     frames: Vec<FrameId>,
     /// Frames of this lane not answered by the cache ([`Lanes::probe`]), in
     /// lane order — this lane's share of the stage's detector demand.
     misses: Vec<FrameId>,
     /// The position in `frames` of each entry of `misses`.
     miss_at: Vec<usize>,
-    /// Frames of this lane that an earlier same-detector lane already missed
-    /// (cache on, coalescing off), as `(position, earlier lane, position
-    /// there)`: they ride that lane's detection instead of being demanded —
-    /// or tallied — a second time.
-    joined: Vec<(usize, usize, usize)>,
     /// Frames of this lane answered by the cache, in probe order — the
     /// touch intents replayed by [`Lanes::commit`].
     hits: Vec<FrameId>,
@@ -416,8 +411,6 @@ pub(crate) struct Lanes {
     /// The stage's fatal failure under fail-fast; the engine aborts the
     /// stage on finding one.
     pub fatal: Option<DetectFailure>,
-    /// Whether [`Lanes::probe`] coalesced the lanes (each is then sorted).
-    coalesced: bool,
     /// [`Lanes::detect_in_place`]'s batch output, reused across stages.
     batch_out: Vec<FrameDetections>,
 }
@@ -432,7 +425,6 @@ impl Lanes {
             lane.frames.clear();
             lane.misses.clear();
             lane.miss_at.clear();
-            lane.joined.clear();
             lane.hits.clear();
             lane.results.clear();
         }
@@ -454,63 +446,32 @@ impl Lanes {
         self.lanes[group].frames.extend_from_slice(frames);
     }
 
-    /// Coalesce each lane and split it into cache hits (answered in place
-    /// with an `Arc` clone of the cached entry, and recorded in probe order as
-    /// touch intents) and misses (this lane's share of the stage's detector
-    /// demand, see [`gather_slices`]).
+    /// Sort and deduplicate each lane's frames — queries sharing a detector
+    /// share its lane, and so the detector bill — and split the lane into
+    /// cache hits (answered in place with an `Arc` clone of the cached entry,
+    /// and recorded in probe order as touch intents) and misses (this lane's
+    /// share of the stage's detector demand, see [`gather_slices`]).
     ///
-    /// When `coalesce` is set, each lane's frames are sorted and deduplicated
-    /// first (queries sharing a detector share the detector bill).  Runs once
-    /// per stage, on the coordinator, before the gather — which needs its
-    /// result — and only *reads* cache membership while tallying hits and
-    /// misses, so probe outcomes are a pure function of the membership set.
-    ///
-    /// With coalescing *off*, two same-stage lanes can carry the same
-    /// detector; a later lane dedupes against earlier same-slot lanes at
-    /// probe time instead of probing the cache again: a frame an earlier
-    /// lane hit is shared immediately, a frame an earlier lane missed is
-    /// *joined* to that lane's detection untallied (`share_joined` hands it
-    /// the outcome once the stage has detected).  Each distinct
-    /// `(detector, frame)` pair therefore counts — and is detected, and can
-    /// fail — exactly once per stage.  Without a cache, uncoalesced lanes
-    /// deliberately pay the full bill (that is what "uncoalesced detector
-    /// work" measures).
+    /// Runs once per stage, on the coordinator, before the gather — which
+    /// needs its result — and only *reads* cache membership while tallying
+    /// hits and misses, so probe outcomes are a pure function of the
+    /// membership set.
     pub(crate) fn probe(
         &mut self,
         detector_slots: &[DetectorSlot],
-        coalesce: bool,
         mut cache: Option<&mut DetectionCache>,
         view: &mut ShardView,
     ) {
-        self.coalesced = coalesce;
-        for g in 0..self.live {
-            let (earlier, rest) = self.lanes.split_at_mut(g);
-            let lane = &mut rest[0];
-            if coalesce {
-                lane.frames.sort_unstable();
-                lane.frames.dedup();
-            }
+        for (lane, &slot) in self.lanes[..self.live].iter_mut().zip(detector_slots) {
+            lane.frames.sort_unstable();
+            lane.frames.dedup();
             lane.results.resize_with(lane.frames.len(), || None);
             let Some(cache) = cache.as_deref_mut() else {
                 lane.misses.extend_from_slice(&lane.frames);
                 lane.miss_at.extend(0..lane.frames.len());
                 continue;
             };
-            let slot = detector_slots[g];
-            for at in 0..lane.frames.len() {
-                let frame = lane.frames[at];
-                // The first earlier same-slot lane holding this frame probed
-                // it: reuse its outcome without touching the cache tallies.
-                let prober = (0..g)
-                    .filter(|&other| detector_slots[other] == slot)
-                    .find_map(|o| Some((o, earlier[o].frames.iter().position(|&f| f == frame)?)));
-                if let Some((other, there)) = prober {
-                    match earlier[other].results[there].as_mut() {
-                        Some(held) => lane.results[at] = Some(Held::Shared(held.share())),
-                        None => lane.joined.push((at, other, there)),
-                    }
-                    continue;
-                }
+            for (at, &frame) in lane.frames.iter().enumerate() {
                 let hit = match cache.probe((slot, frame)) {
                     Some(detections) => {
                         lane.results[at] = Some(Held::Shared(detections));
@@ -526,24 +487,6 @@ impl Lanes {
                     }
                 };
                 view.probed(frame, hit);
-            }
-        }
-    }
-
-    /// Hand every joined frame (see [`Lanes::probe`]) the result the earlier
-    /// same-slot lane it rides on got this stage.  A frame that lane failed
-    /// stays without a result here too, so fan-out drops it for both
-    /// queries alike.
-    fn share_joined(&mut self) {
-        for g in 1..self.live {
-            let (earlier, rest) = self.lanes.split_at_mut(g);
-            let Lane {
-                joined, results, ..
-            } = &mut rest[0];
-            for &(at, other, there) in joined.iter() {
-                results[at] = earlier[other].results[there]
-                    .as_mut()
-                    .map(|held| Held::Shared(held.share()));
             }
         }
     }
@@ -654,11 +597,12 @@ impl Lanes {
 
     /// Serial cache commit: every recorded probe hit (touch intent) and fresh
     /// detection (insert intent), each kind sorted into canonical
-    /// `(slot, frame)` order, touches first.  Keys are unique (uncoalesced
-    /// same-slot lanes dedupe at probe time), so the canonical order — and
-    /// with it every recency update, eviction and admission decision —
-    /// depends only on the set of frames probed and detected this stage,
-    /// never on which thread ran which slice.
+    /// `(slot, frame)` order, touches first.  Keys are unique — a stage has
+    /// one lane per registry slot, and [`Lanes::probe`] deduplicates each
+    /// lane — so the canonical order, and with it every recency update,
+    /// eviction and admission decision, depends only on the set of frames
+    /// probed and detected this stage, never on which thread ran which
+    /// slice.
     ///
     /// Cache hygiene under faults: a frame whose detect attempts failed has
     /// no result, so a failed attempt can never be committed — only frames
@@ -687,6 +631,11 @@ impl Lanes {
             }
         }
         inserts.sort_unstable_by_key(|&(key, _)| key);
+        debug_assert!(
+            touches.windows(2).all(|pair| pair[0] != pair[1])
+                && inserts.windows(2).all(|pair| pair[0].0 != pair[1].0),
+            "a cache key repeats within one stage's commit"
+        );
         for key in touches {
             cache.touch(key);
         }
@@ -702,23 +651,13 @@ impl Lanes {
         self.detected.iter().sum()
     }
 
-    /// The detections of a query's `pick`-th pick, `frame`, in logical group
-    /// `group`, if it was detected (or cache-answered) this stage.  A
-    /// coalesced lane is sorted, so the frame is found by binary search; an
-    /// uncoalesced lane holds exactly one query's picks, in pick order.
+    /// The detections of `frame` in logical group `group`, if it was
+    /// detected (or cache-answered) this stage.  The lane is sorted, so the
+    /// frame is found by binary search.
     #[inline]
-    pub(crate) fn result(
-        &self,
-        group: usize,
-        pick: usize,
-        frame: FrameId,
-    ) -> Option<&FrameDetections> {
+    pub(crate) fn result(&self, group: usize, frame: FrameId) -> Option<&FrameDetections> {
         let lane = self.lanes.get(group)?;
-        let at = if self.coalesced {
-            lane.frames.binary_search(&frame).ok()?
-        } else {
-            pick
-        };
+        let at = lane.frames.binary_search(&frame).ok()?;
         lane.results.get(at)?.as_ref().map(Held::get)
     }
 }
@@ -948,7 +887,6 @@ pub(crate) fn scatter_slices(
             }
         }
     }
-    lanes.share_joined();
 }
 
 #[cfg(test)]
@@ -1048,15 +986,13 @@ mod tests {
         ShardView::new(ShardRouter::single())
     }
 
-    /// One stage with `frames` in group 0, in pick order (coalescing off keeps
-    /// the lane in insertion order, so the tests can pin exactly which frames
-    /// are attempted before a fail-fast abort), probed against `cache`.
+    /// One stage with `frames` in group 0, probed against `cache`.
     fn stage(frames: &[FrameId], cache: Option<&mut DetectionCache>) -> (Lanes, ShardView) {
         let mut lanes = Lanes::default();
         let mut view = view();
         lanes.begin_stage(1);
         lanes.push_frames(0, frames);
-        lanes.probe(&[0], false, cache, &mut view);
+        lanes.probe(&[0], cache, &mut view);
         (lanes, view)
     }
 
@@ -1165,7 +1101,7 @@ mod tests {
     fn fail_fast_records_the_first_failure_and_stops_the_lane() {
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
         let mut cache = DetectionCache::new(CacheConfig::new(8));
-        let (mut lanes, mut view) = stage(&[2, 9, 4], Some(&mut cache));
+        let (mut lanes, mut view) = stage(&[2, 9, 14], Some(&mut cache));
         detect(
             &mut lanes,
             &mut view,
@@ -1178,13 +1114,13 @@ mod tests {
         assert_eq!(fatal.slot, 0);
         assert_eq!(fatal.attempts, 2, "batch probe + one per-frame try");
         assert!(!fatal.error.is_transient());
-        // The lane stopped at the failure: frame 4 was never attempted
+        // The lane stopped at the failure: frame 14 was never attempted
         // per-frame (only the probe charged it) and nothing after the
         // failure can reach the cache.
-        assert_eq!(detector.attempts_on(4), 1);
+        assert_eq!(detector.attempts_on(14), 1);
         lanes.commit(&[0], &mut cache, &mut view);
         assert!(cache.probe((0, 9)).is_none());
-        assert!(cache.probe((0, 4)).is_none());
+        assert!(cache.probe((0, 14)).is_none());
     }
 
     #[test]
@@ -1206,45 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn uncoalesced_same_slot_lanes_dedupe_at_probe_time() {
-        let mut cache = DetectionCache::new(CacheConfig::new(8));
-        // Warm frame 3 so the shared frames cover both a hit and a miss.
-        cache.insert((0, 3), Arc::new(FrameDetections::empty(3)));
-        let mut lanes = Lanes::default();
-        let mut view = view();
-        lanes.begin_stage(2);
-        lanes.push_frames(0, &[3, 7]);
-        lanes.push_frames(1, &[3, 7]);
-        // Two lanes carry the same detector slot (coalescing off).
-        lanes.probe(&[0, 0], false, Some(&mut cache), &mut view);
-        // Each distinct (detector, frame) probes once: 1 hit (frame 3),
-        // 1 miss (frame 7) — not two of each, matching the single physical
-        // detection frame 7 will cost.
-        assert_eq!((lanes.cache.hits, lanes.cache.misses), (1, 1));
-        assert_eq!(view.shards[0].cache, lanes.cache);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // The second lane shares the hit's result immediately...
-        assert!(resolved(&lanes, 1, 3));
-        // ...and detect resolves the shared miss once, sharing it across
-        // both lanes with a single commit.
-        let detector = FlakyDetector::new(Vec::new(), Vec::new());
-        detect(
-            &mut lanes,
-            &mut view,
-            &[&detector, &detector],
-            &[0, 0],
-            DetectPolicy::infallible(),
-        );
-        assert!(resolved(&lanes, 0, 7));
-        assert!(resolved(&lanes, 1, 7));
-        assert_eq!(lanes.detected_frames(), 1, "frame 7 detected once");
-        lanes.commit(&[0, 0], &mut cache, &mut view);
-        assert_eq!(cache.stats().len, 2);
-        assert_eq!(cache.stats().misses, 1, "commit does not re-probe");
-    }
-
-    #[test]
     fn slices_are_even_and_never_empty_however_skewed_the_routing() {
         // Four contiguous shards of 25 frames, every frame on shard 2: the
         // lanes still share evenly, and the view attributes everything to
@@ -1263,7 +1160,7 @@ mod tests {
             let mut view = ShardView::new(router.clone());
             lanes.begin_stage(1);
             lanes.push_frames(0, &frames);
-            lanes.probe(&[0], false, None, &mut view);
+            lanes.probe(&[0], None, &mut view);
             let sizes = detect_stage(
                 &mut lanes,
                 &mut view,
@@ -1315,7 +1212,7 @@ mod tests {
             let frames: Vec<FrameId> = (0..count).map(|f| group as u64 * 100 + f).collect();
             lanes.push_frames(group, &frames);
         }
-        lanes.probe(&[0, 1, 2], true, None, &mut view);
+        lanes.probe(&[0, 1, 2], None, &mut view);
         let sizes = detect_stage(
             &mut lanes,
             &mut view,
@@ -1379,7 +1276,7 @@ mod tests {
         // Frames 9 and 11 both fail permanently.  Whichever lanes they fall
         // into, the stage reports frame 9 — first in gather order — and
         // applies nothing after it, even what another lane did detect.
-        let frames = [2u64, 9, 4, 11, 6];
+        let frames = [2u64, 4, 9, 11, 16];
         for count in [1usize, 2, 3, 5] {
             let detector = FlakyDetector::new(Vec::new(), vec![9, 11]);
             let (mut lanes, mut view) = stage(&frames, None);
@@ -1393,45 +1290,14 @@ mod tests {
             );
             let fatal = lanes.fatal.as_ref().expect("fail-fast parks it");
             assert_eq!((fatal.frame, fatal.attempts), (9, 2), "{count} lanes");
-            assert!(resolved(&lanes, 0, 2), "{count} lanes");
-            for after in [4u64, 11, 6] {
+            for before in [2u64, 4] {
+                assert!(resolved(&lanes, 0, before), "{count} lanes");
+            }
+            for after in [11u64, 16] {
                 assert!(!resolved(&lanes, 0, after), "{count} lanes");
             }
             assert_eq!(failed_frames(&lanes), 1, "{count} lanes");
         }
-    }
-
-    #[test]
-    fn a_joined_frame_shares_the_failure_of_the_lane_it_rides_on() {
-        // Coalescing off, cache on: lane 1 joins lane 0's misses.  Frame 9
-        // fails permanently — once, for lane 0 — and lane 1 is left without
-        // a result too instead of demanding the frame a second time.
-        let mut cache = DetectionCache::new(CacheConfig::new(8));
-        let detector = FlakyDetector::new(Vec::new(), vec![9]);
-        let mut lanes = Lanes::default();
-        let mut view = view();
-        lanes.begin_stage(2);
-        lanes.push_frames(0, &[3, 9]);
-        lanes.push_frames(1, &[3, 9]);
-        lanes.probe(&[0, 0], false, Some(&mut cache), &mut view);
-        let policy = DetectPolicy {
-            max_attempts: 1,
-            backoff_cost: 0,
-            fail_fast: false,
-        };
-        detect(
-            &mut lanes,
-            &mut view,
-            &[&detector, &detector],
-            &[0, 0],
-            policy,
-        );
-        assert!(resolved(&lanes, 0, 3) && resolved(&lanes, 1, 3));
-        assert!(!resolved(&lanes, 0, 9) && !resolved(&lanes, 1, 9));
-        assert_eq!(failed_frames(&lanes), 1);
-        assert_eq!(detector.attempts_on(9), 2, "one probe, one per-frame try");
-        lanes.commit(&[0, 0], &mut cache, &mut view);
-        assert_eq!(cache.stats().len, 1, "only frame 3 is committed, once");
     }
 
     #[test]

@@ -5,15 +5,13 @@
 //!    loop is replicated faithfully here, since `run_query` itself is now a
 //!    wrapper over the engine); and
 //! 2. a multi-query run produces identical per-query outcomes for any stage
-//!    interleaving — solo vs. concurrent execution, coalescing on or off,
-//!    permuted registration order, extra companion queries; and
+//!    interleaving — solo vs. concurrent execution, permuted registration
+//!    order, extra companion queries; and
 //! 3. the shard view: a router only groups tallies, so under faults, a cache
 //!    and two lanes, for shards {1, 3, 7} × both partitioners, the global
 //!    `EngineReport` and every pick sequence are the unsharded run's, the
 //!    per-shard reports sum to the global figures, and the per-shard
-//!    breakdown matches a digest captured before shards became a view — and
-//!    the explicit `RoundRobin` scheduler is pick-for-pick the default
-//!    behaviour; and
+//!    breakdown matches a digest captured before shards became a view; and
 //! 4. execution-mode invariance: parallel DETECT execution
 //!    (`ExecutionMode::Parallel`) is bitwise-identical to serial execution —
 //!    reports, per-query pick sequences, the logical per-shard breakdown —
@@ -38,7 +36,7 @@ use exsample_detect::{
 };
 use exsample_engine::{
     run_query, AdmissionPolicy, CacheConfig, EngineReport, ExSamplePolicy, ExecutionMode,
-    FailureMode, FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RetryPolicy, RoundRobin,
+    FailureMode, FrameSamplerPolicy, QueryEngine, QueryReport, QuerySpec, RetryPolicy,
     SamplingPolicy, ShardQueryTally, ShardReport, ShardRouter, ShardedReport, StageStats,
     StopReason,
 };
@@ -302,16 +300,7 @@ fn multi_query_outcomes_are_invariant_to_stage_interleaving() {
         assert_reports_equal(a, b, "concurrent+coalesced vs solo");
     }
 
-    // Interleaving 2: coalescing off.
-    let mut uncoalesced = QueryEngine::new().coalesce(false);
-    for spec in standard_specs(&chunking, frames, &detector) {
-        uncoalesced.push(spec).unwrap();
-    }
-    for (a, b) in uncoalesced.run().unwrap().outcomes.iter().zip(&solo) {
-        assert_reports_equal(a, b, "uncoalesced vs solo");
-    }
-
-    // Interleaving 3: registration order reversed.
+    // Interleaving 2: registration order reversed.
     let mut reversed = QueryEngine::new();
     for spec in standard_specs(&chunking, frames, &detector)
         .into_iter()
@@ -329,7 +318,7 @@ fn multi_query_outcomes_are_invariant_to_stage_interleaving() {
         assert_reports_equal(a, b, "reversed registration vs solo");
     }
 
-    // Interleaving 4: an extra companion query changes the stage pattern but
+    // Interleaving 3: an extra companion query changes the stage pattern but
     // no existing query's outcome.  The companion is a same-seed twin of the
     // `random` query, so its per-stage picks are identical to that query's
     // while both run — guaranteeing the coalescer genuinely shares detector
@@ -858,29 +847,4 @@ fn frequency_admission_runs_are_bitwise_identical_across_threads() {
         assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
         assert_sharded_reports_agree(&parallel, &serial, threads, &context);
     }
-}
-
-#[test]
-fn round_robin_scheduler_reproduces_the_default_pick_sequences() {
-    let frames = 4_000u64;
-    let (chunking, truth) = skewed_setup(frames, 8);
-    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
-
-    let run = |explicit: bool| {
-        let (specs, logs) = recorded_specs(&chunking, frames, &detector);
-        let mut engine = QueryEngine::new();
-        if explicit {
-            engine = engine.scheduler(Box::new(RoundRobin));
-        }
-        for spec in specs {
-            engine.push(spec).unwrap();
-        }
-        let report = engine.run().unwrap();
-        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
-        (report, picks)
-    };
-    let (default_report, default_picks) = run(false);
-    let (explicit_report, explicit_picks) = run(true);
-    assert_engine_reports_equal(&explicit_report, &default_report, "explicit round-robin");
-    assert_eq!(explicit_picks, default_picks);
 }

@@ -15,8 +15,7 @@
 //! 4. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
 //!    first terminal failure (in gather order) as a typed
 //!    [`EngineError::DetectorFailed`] with full context and a chained source,
-//!    identically across thread counts and shard routers, coalesced or not —
-//!    a one-batch stage detected in place and one cut over lanes share one
+//!    identically across thread counts and shard routers — a one-batch stage detected in place and one cut over lanes share one
 //!    per-frame retry loop and walk the lane in the same order;
 //! 5. **cache hygiene** — failed frames are never committed to the detection
 //!    cache (a warm re-query re-attempts and re-drops exactly them), while
@@ -331,12 +330,11 @@ fn single_query_fault_recovery_is_lane_count_invariant() {
     // degraded run must be bitwise-identical either way.
     let frames = 3_000u64;
     let (_chunking, truth) = skewed_setup(frames, 12);
-    let run = |mode: ExecutionMode, failure: FailureMode, coalesce: bool| {
+    let run = |mode: ExecutionMode, failure: FailureMode| {
         let detector = faulty_detector(&truth, faulty_plan());
         let mut engine = QueryEngine::new()
             .retry_policy(RetryPolicy::new(3).backoff_cost(4))
             .failure_mode(failure)
-            .coalesce(coalesce)
             .execution(mode)
             .expect("valid execution mode");
         engine
@@ -353,7 +351,7 @@ fn single_query_fault_recovery_is_lane_count_invariant() {
             .unwrap();
         engine.run()
     };
-    let degraded = |mode| run(mode, FailureMode::DropFrames, true).unwrap();
+    let degraded = |mode| run(mode, FailureMode::DropFrames).unwrap();
     let serial = degraded(ExecutionMode::Serial);
     assert!(serial.detect_retries > 0, "vacuous: no retries exercised");
     assert!(serial.failed_frames > 0, "vacuous: no failures exercised");
@@ -361,72 +359,21 @@ fn single_query_fault_recovery_is_lane_count_invariant() {
     assert_engine_reports_equal(&serial, &parallel, "serial vs 2 lanes");
 
     // Fail-fast: the same frame, after the same number of attempts, is
-    // reported at either lane count — with coalescing on (the lane is
-    // sorted) and off (the lane keeps pick order).
-    for coalesce in [true, false] {
-        let fatal = |mode| match run(mode, FailureMode::FailFast, coalesce) {
-            Err(EngineError::DetectorFailed {
-                frame,
-                attempts,
-                source,
-                ..
-            }) => (frame, attempts, source),
-            other => panic!("{mode:?}: expected DetectorFailed, got {other:?}"),
-        };
-        let (frame, attempts, source) = fatal(ExecutionMode::Serial);
-        assert_eq!(attempts, 2, "batch probe + one per-frame try");
-        assert!(matches!(source, DetectError::Permanent { .. }));
-        assert_eq!(
-            fatal(ExecutionMode::Parallel(2)),
-            (frame, attempts, source),
-            "coalesce {coalesce}"
-        );
-    }
-}
-
-#[test]
-fn uncoalesced_twins_on_a_faulty_detector_tally_the_same_on_any_lane_count() {
-    // Coalescing off, no cache: same-seed twins put every frame into two
-    // groups of one detector, and the injector's schedule is per (frame,
-    // attempt) — so which group's batch reaches a frame first decides which
-    // of them pays its transient faults.  Such a stage is never cut over
-    // lanes, which keeps the groups' attempts in group order and the tallies
-    // those of the serial run.
-    let frames = 3_000u64;
-    let (_chunking, truth) = skewed_setup(frames, 12);
-    let run = |mode: ExecutionMode| {
-        let detector = faulty_detector(&truth, faulty_plan());
-        let mut engine = QueryEngine::new()
-            .coalesce(false)
-            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(FailureMode::DropFrames)
-            .execution(mode)
-            .expect("valid execution mode");
-        for label in ["twin-a", "twin-b"] {
-            engine
-                .push(
-                    QuerySpec::new(
-                        label,
-                        Box::new(FrameSamplerPolicy::uniform(frames)),
-                        &detector,
-                    )
-                    .seed(19)
-                    .batch(32)
-                    .frame_budget(600),
-                )
-                .unwrap();
-        }
-        let report = engine.run().unwrap();
-        (report, engine.pooled_stage_dispatches())
+    // reported at either lane count — the lane is sorted, so both walk it in
+    // frame order.
+    let fatal = |mode| match run(mode, FailureMode::FailFast) {
+        Err(EngineError::DetectorFailed {
+            frame,
+            attempts,
+            source,
+            ..
+        }) => (frame, attempts, source),
+        other => panic!("{mode:?}: expected DetectorFailed, got {other:?}"),
     };
-    let (serial, _) = run(ExecutionMode::Serial);
-    assert!(serial.detect_retries > 0, "vacuous: no retries exercised");
-    assert!(serial.failed_frames > 0, "vacuous: no failures exercised");
-    for threads in [2usize, 4] {
-        let (parallel, dispatches) = run(ExecutionMode::Parallel(threads));
-        assert_eq!(dispatches, 0, "{threads} threads: a twin stage was cut");
-        assert_engine_reports_equal(&parallel, &serial, &format!("{threads} threads"));
-    }
+    let (frame, attempts, source) = fatal(ExecutionMode::Serial);
+    assert_eq!(attempts, 2, "batch probe + one per-frame try");
+    assert!(matches!(source, DetectError::Permanent { .. }));
+    assert_eq!(fatal(ExecutionMode::Parallel(2)), (frame, attempts, source));
 }
 
 #[test]
