@@ -16,16 +16,16 @@
 //! thread counts — the determinism suite enforces that — and what this
 //! benchmark tracks is pure execution overhead: gathering the lanes' misses
 //! into one `detect_batch` per detector group and scattering the results
-//! back, attributing each tally to its shard, and dispatching DETECT to the
-//! pool (a turnstile wake per stage).  The printed table reports the
+//! back, attributing each tally to its shard, and handing DETECT's slices to
+//! the run's pool.  The printed table reports the
 //! physical-vs-logical invocation counts: equal when serial, at most one
 //! extra call per lane boundary per stage otherwise.
 //!
-//! The parallel axis measures *overhead*, not speedup, on a 1-vCPU container:
-//! the simulated detector is microseconds-cheap, so any thread dispatch can
-//! only cost time there.  On real hardware with a real (milliseconds)
-//! detector the same axis is where the speedup shows up; treat the committed
-//! baseline's parallel rows as a dispatch overhead bound.
+//! The parallel axis measures *overhead*, not speedup: the simulated detector
+//! is microseconds-cheap, so thread dispatch can only cost time here.  With
+//! a real (milliseconds) detector the same axis is where the speedup shows
+//! up; treat the committed baseline's parallel rows as a dispatch overhead
+//! bound.
 //!
 //! The `cache_contention` axis runs full warm-heavy 8-query engine runs with
 //! the detections cache at 1/2/4 worker threads, plus the uncached serial
@@ -305,8 +305,8 @@ fn bench_sharded(c: &mut Criterion) {
     // 8 concurrent queries.  Same work, different thread placement — the
     // determinism suite guarantees identical outputs, so the delta is pure
     // execution-mode overhead (or, with an expensive detector, speedup).
-    // Threads are the run's persistent worker pool: dispatch costs a
-    // turnstile wake per stage, not a spawn.
+    // Threads are the run's persistent worker pool, spawned once per run,
+    // not per stage.
     let mut parallel_group = c.benchmark_group("parallel_detect");
     parallel_group.sample_size(10);
     for &shards in &PARALLEL_SHARD_COUNTS {

@@ -13,7 +13,8 @@
 //! * `--scale X` — override the dataset scale factor (dataset-analog experiments).
 //! * `--seed N` — root seed (default 7).
 //! * `--parallel N` — cut each stage's detector invocations over N lanes (the
-//!   calling thread plus N − 1 worker-pool threads; no flag = serial;
+//!   calling thread plus N − 1 threads of the engine's per-run worker pool;
+//!   no flag = serial;
 //!   `--parallel 0` is rejected with the engine's typed `InvalidExecution`
 //!   message; results are bitwise-identical to serial execution).
 //! * `--cache N` — enable the engine's detections cache with

@@ -60,7 +60,7 @@ use crate::cache::{CacheActivity, CacheConfig, CacheStats, DetectionCache};
 use crate::error::EngineError;
 use crate::merge::{BatchStats, ShardedReport};
 use crate::policy::SamplingPolicy;
-use crate::runtime::{PoolCounters, WorkerPool};
+use crate::runtime::WorkerPool;
 use crate::shard::{self, DetectPolicy, Lanes, ShardRouter, ShardView, Slice};
 use exsample_core::SelectionTelemetry;
 use exsample_detect::{Detector, FrameDetections, InstanceId};
@@ -69,7 +69,6 @@ use exsample_video::FrameId;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// How many lanes a stage's DETECT is cut over.
 ///
@@ -78,9 +77,9 @@ use std::sync::Arc;
 /// engine's historical behaviour.  Parallel execution cuts the stage's
 /// gathered detector demand into equal slices, one per lane, and runs them on
 /// the [`crate::runtime`] module's persistent per-run pool (helper threads
-/// spawned once per run, woken per stage).  A slice's outcome is a pure function of its
-/// frames and detectors, and probing, scattering and committing stay on the
-/// calling thread in canonical order, so **every logical result — reports,
+/// spawned once per run, reused by every stage).  A slice's outcome is a
+/// pure function of its frames and detectors, and probing, scattering and
+/// committing stay on the calling thread in canonical order, so **every logical result — reports,
 /// pick sequences, cache state, fault tallies — is bitwise-identical between
 /// the two modes** for any thread count; only the physical invocation count
 /// grows, by at most `lanes − 1` per stage.  The determinism suite pins this
@@ -563,11 +562,9 @@ pub struct QueryEngine<'a> {
     execution: ExecutionMode,
     /// The run's worker pool: `Some` only while [`QueryEngine::run_with`] is
     /// executing a parallel run (the threads live in that call's
-    /// `std::thread::scope`, and the pool — whose job senders are their
-    /// shutdown signal — is dropped before the scope closes on every path).
+    /// `std::thread::scope`, and the pool — whose drop is their shutdown
+    /// signal — is dropped before the scope closes on every path).
     pool: Option<WorkerPool<'a>>,
-    /// Lifecycle counts of the helper threads this engine's pools spawn.
-    pool_counters: Arc<PoolCounters>,
     /// Stages that dispatched work to the pool (cumulative across runs).
     /// Stages whose demand fits one slice stay inline and don't count.
     pooled_dispatches: u64,
@@ -623,7 +620,6 @@ impl<'a> QueryEngine<'a> {
             slices: Vec::new(),
             execution: ExecutionMode::Serial,
             pool: None,
-            pool_counters: Arc::new(PoolCounters::default()),
             pooled_dispatches: 0,
             cache: None,
             retry: RetryPolicy::none(),
@@ -690,26 +686,10 @@ impl<'a> QueryEngine<'a> {
     /// Number of stages, across all of this engine's runs, that dispatched
     /// DETECT work to the persistent worker pool.  Serial stages and stages
     /// whose demand after the cache probe fits one slice — fully cache-warm
-    /// ones above all — stay inline (no turnstile hand-off, no wake) and
-    /// don't count; the runtime lifecycle tests use this to pin the
-    /// warm-skip down.
+    /// ones above all — stay inline on the calling thread and don't count;
+    /// the runtime lifecycle tests use this to pin the warm-skip down.
     pub fn pooled_stage_dispatches(&self) -> u64 {
         self.pooled_dispatches
-    }
-
-    /// Pool helper threads of this engine currently alive.  Pools live only
-    /// for the duration of a run (its `std::thread::scope` joins them), so
-    /// between runs this is zero — the "no leaked threads" guarantee made
-    /// observable.
-    pub fn live_helper_threads(&self) -> usize {
-        self.pool_counters.live()
-    }
-
-    /// Pool helper threads this engine has ever spawned: an `n`-way parallel
-    /// run grows this by exactly `n - 1` — once per run, however many stages
-    /// the run executes.
-    pub fn spawned_helper_threads(&self) -> usize {
-        self.pool_counters.spawned()
     }
 
     /// Enable the bounded cross-stage frame→detections cache with the given
@@ -1170,12 +1150,12 @@ impl<'a> QueryEngine<'a> {
     /// Under [`ExecutionMode::Parallel`] this is where the persistent worker
     /// runtime lives: one `std::thread::scope` wraps the whole stage loop,
     /// `n - 1` helper threads are spawned into it once, and every stage with
-    /// more detection work than one slice wakes them over their turnstiles
-    /// instead of spawning fresh threads.  The pool is dropped — and with it every helper's
-    /// shutdown signal sent — before the scope closes on *every* path out of
-    /// the loop (completion, a stage error, even a panicking `on_stage`
-    /// hook), and the scope then joins the helpers, so a run can neither leak
-    /// nor deadlock its threads.
+    /// more detection work than one slice hands them their slices instead of
+    /// spawning fresh threads.  The pool is dropped — which is every helper's
+    /// shutdown signal — before the scope closes on *every* path out of the
+    /// loop (completion, a stage error, even a panicking `on_stage` hook),
+    /// and the scope then joins the helpers, so a run can neither leak nor
+    /// deadlock its threads.
     ///
     /// # Errors
     /// Returns [`EngineError::NoQueries`] if no query was registered,
@@ -1194,7 +1174,7 @@ impl<'a> QueryEngine<'a> {
         let threads = self.execution.effective_threads();
         if threads > 1 {
             return std::thread::scope(|scope| {
-                self.pool = Some(WorkerPool::spawn(scope, threads - 1, &self.pool_counters));
+                self.pool = Some(WorkerPool::spawn(scope, threads - 1));
                 // Clears the pool on unwind too: dropping it is what lets the
                 // scoped helpers exit, so the scope's implicit join cannot
                 // hang even if `on_stage` panics mid-run.

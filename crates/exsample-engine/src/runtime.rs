@@ -1,131 +1,60 @@
 //! The persistent worker-pool execution runtime — the engine's one way of
 //! running a stage's DETECT on more than one thread.
 //!
-//! Spawning and joining threads inside every stage costs more than a cheap
-//! detector does (the capture that introduced this pool measured ~+28 % over
-//! serial for per-stage spawns at 2 shards / 8 queries / 2 threads, against
-//! +1.2 % for the pool; the `parallel_detect_scoped` rows of
-//! `BENCH_sharded.json` are the last capture of that deleted design), so
-//! parallel runs use a `WorkerPool` of long-lived helper threads created
-//! **once per engine run** and reused by every stage of that run.  A serial
-//! run never spawns one: its stage loop detects inline.
+//! Parallel runs use a `WorkerPool` of long-lived helper threads created
+//! **once per engine run** and reused by every stage of that run; a serial
+//! run never spawns one (its stage loop detects inline).  The pool is kept,
+//! and kept this small, on one end-to-end measurement: 10 alternating pairs
+//! of the repository benchmark (seeds 1–10, `--seconds 6`, 2-core host,
+//! `detector_frames` equal in every pair) of each variant of this module
+//! against the pool before it lost its completion channel, disengage
+//! heuristic and thread counters.  A ratio above 1 means the variant was
+//! slower; the count is the pairs in which it was faster.
+//!
+//! | variant | `bdd1k_multi` | `dashcam_gpu` |
+//! |---|---|---|
+//! | per-stage `std::thread::scope` | 1.364 (0/10) | 1.036 (0/10) |
+//! | persistent pool, `mpsc` job channels, no reclaim | 1.223 (1/10) | 0.993 (8/10) |
+//! | pool minus disengage/re-engage only | 0.968 (6/10) | 0.998 (6/10) |
+//! | one turnstile per helper (this module) | 0.998 (5/10) | 0.996 (6/10) |
+//!
+//! So the persistent pool and the coordinator's reclaim both pay, on
+//! `bdd1k_multi`'s cheap 528-stage runs; nothing else did.
 //!
 //! * **The job is a slice, not a shard.**  What crosses a thread boundary is
 //!   a `Slice`: one lane's equal share of the stage's gathered detector
 //!   demand — frame ids and detector references in, per-batch outcomes out.
-//!   The lanes (frames, results, tallies) never leave the coordinator,
-//!   so parallelism is independent of how skewed the picks are.
-//! * **Spawn once, dispatch many.**  [`crate::QueryEngine::run_with`] (and
-//!   [`crate::QueryEngine::run`]) open one `std::thread::scope` around the
-//!   whole stage loop and spawn `n - 1` helper threads into it (the calling
-//!   thread itself is the `n`-th lane — it runs the first slice inline
-//!   instead of sleeping on a channel).  Each stage then queues slices on the
-//!   already-running helpers' Mutex+Condvar **turnstiles** — a condvar wake,
-//!   not a thread spawn.  No busy-waiting anywhere: idle helpers are parked
-//!   in `Condvar::wait`.
-//! * **One call per stage.**  `WorkerPool::run_stage` queues the helpers'
-//!   slices, runs the coordinator's own slice inline, reclaims any slice a
-//!   helper has not started, collects the rest and puts them back in lane
-//!   order.  It is the whole of a parallel stage's DETECT run: the engine's
-//!   `detect` phase calls it once per stage that has any slice to run.
-//! * **Help-first reclaim.**  After running its own slice, the coordinator
-//!   *reclaims* any queued slice whose helper has not started it and runs it
-//!   inline.  On a saturated or single-vCPU host — where a helper wake could
-//!   only add scheduling latency — the whole handoff therefore collapses to
-//!   two uncontended mutex operations and the stage never blocks; on idle
-//!   multicore hardware the helpers win the race and the slices execute
-//!   genuinely in parallel.  Which side runs a slice affects wall-clock
+//!   The lanes (frames, results, tallies) never leave the coordinator.
+//! * **One turnstile per helper.**  [`crate::QueryEngine::run_with`] opens
+//!   one `std::thread::scope` around the whole stage loop and spawns `n - 1`
+//!   helpers into it; the calling thread is the `n`-th lane.  Each helper
+//!   owns one `Mutex<LaneState>` + `Condvar` — the only synchronisation in
+//!   the pool — and parks on the condvar between stages.
+//! * **One call per stage.**  `WorkerPool::run_stage` queues slices `1..`
+//!   on the helpers, runs slice 0 inline, then walks the helpers in lane
+//!   order: a slice still `Ready` is reclaimed and run inline, a `Done` one
+//!   is taken, a `Running` one is waited for.  Slices come back in lane
+//!   order by construction.  Which side runs a slice affects wall-clock
 //!   placement only, never results.
-//! * **Serial on both sides.**  The cache probe and the gather that builds
+//! * **Serial on both sides.**  The cache probe and the gather that build
 //!   the slices, and the scatter, the cache commit and the registration-order
-//!   fan-out that consume them, all run on the coordinator in canonical order; a slice's
-//!   outcome is a pure function of its frames and detectors.  That is why
-//!   pooled execution stays bitwise-identical to serial (the determinism
+//!   fan-out that consume them, all run on the coordinator in canonical
+//!   order; a slice's outcome is a pure function of its frames and detectors,
+//!   so pooled execution stays bitwise-identical to serial (the determinism
 //!   suite pins threads {1, 2, 4}).
 //! * **Clean shutdown, typed panics.**  Helpers exit when the pool is
 //!   dropped — the engine guarantees this happens before the scope closes,
-//!   even if a stage errors or a caller hook panics, so a run can never leak
-//!   or deadlock its threads, and the scope joins every helper before `run`
-//!   returns.  A detector panic inside any lane (helper *or* the
-//!   coordinator's inline lane) is caught outside every lock, the slice is
+//!   even if a stage errors or a caller hook panics — and the scope joins
+//!   every helper before `run` returns.  A detector panic inside any lane
+//!   (helper *or* inline) is caught outside every lock, the slice is
 //!   returned to the engine, and the stage surfaces
-//!   [`EngineError::WorkerPanicked`] instead of unwinding or hanging.
-//! * **No global state.**  Helper-thread lifecycle counts live in a
-//!   `PoolCounters` handle owned by the engine (and shared with the pools
-//!   it spawns), read through [`crate::QueryEngine::live_helper_threads`] /
-//!   [`crate::QueryEngine::spawned_helper_threads`] — concurrent engines
-//!   never see each other's threads.
+//!   [`EngineError::WorkerPanicked`] for the first panic in lane order.
 
 use crate::error::EngineError;
 use crate::shard::Slice;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
-
-/// Helper-thread lifecycle counters of one engine: how many of its pool
-/// helpers are alive right now, and how many it has ever spawned.
-///
-/// Owned by the engine and shared with every pool it spawns (and, through
-/// [`LiveGuard`], with each helper thread), so the counts are per engine —
-/// tests asserting "no leaked threads" cannot be perturbed by another
-/// engine's pool running concurrently in the same process.
-#[derive(Debug, Default)]
-pub(crate) struct PoolCounters {
-    live: AtomicUsize,
-    spawned: AtomicUsize,
-}
-
-impl PoolCounters {
-    /// Helper threads currently alive.  Pools live only for the duration of
-    /// an engine run, so outside [`crate::QueryEngine::run`] this is zero.
-    pub(crate) fn live(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
-    }
-
-    /// Helper threads ever spawned: an `n`-way parallel run grows this by
-    /// exactly `n - 1`, however many stages it executes.
-    pub(crate) fn spawned(&self) -> usize {
-        self.spawned.load(Ordering::SeqCst)
-    }
-}
-
-/// RAII tally of a helper thread's lifetime in its [`PoolCounters`].
-struct LiveGuard(Arc<PoolCounters>);
-
-impl LiveGuard {
-    fn new(counters: Arc<PoolCounters>) -> Self {
-        counters.live.fetch_add(1, Ordering::SeqCst);
-        counters.spawned.fetch_add(1, Ordering::SeqCst);
-        LiveGuard(counters)
-    }
-}
-
-impl Drop for LiveGuard {
-    fn drop(&mut self) {
-        self.0.live.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// One stage's work for one helper lane: the slice it owns this stage (by
-/// value — ownership transfer is what makes the handoff safe without locks).
-struct Job<'a> {
-    /// Index of this slice among the stage's slices (slice 0 is the
-    /// coordinator's inline lane and never crosses a channel).
-    lane: usize,
-    slice: Slice<'a>,
-}
-
-/// A lane's completed stage work, sent back to the coordinator.
-struct Done<'a> {
-    lane: usize,
-    /// The slice, returned even when the lane panicked (its buffers are
-    /// recycled into the next stage; the run is erroring out anyway).
-    slice: Slice<'a>,
-    /// The panic message, if the lane's detect pass panicked.
-    panic: Option<String>,
-}
 
 /// Render a caught panic payload as the message carried by
 /// [`EngineError::WorkerPanicked`].
@@ -149,106 +78,71 @@ fn run_slice(slice: &mut Slice<'_>) -> Option<String> {
         .map(panic_message)
 }
 
-/// One helper lane's handoff turnstile: a `Mutex`-guarded job slot plus the
-/// `Condvar` its helper thread blocks on between stages.
-///
-/// The turnstile — rather than a plain channel — exists for one reason: the
-/// coordinator can **reclaim** a job the helper has not started yet
-/// ([`LaneState::Ready`] → taken back) and run it inline.  On a saturated or
-/// single-vCPU host the helper often is not scheduled before the coordinator
-/// finishes its own slice, so reclaiming collapses the entire per-stage
-/// handoff (wake, block, wake) into two uncontended mutex operations; on real
-/// hardware the helper wins the race, marks the lane [`LaneState::Running`],
-/// and the slices genuinely execute in parallel.  Either way the same slice
-/// is run to the same outcomes, so the race affects wall-clock only — never
-/// results.
-struct LaneSlot<'a> {
+/// State of one helper's turnstile.  Every write is one whole-value
+/// assignment, so the state is valid at every step.
+enum LaneState<'a> {
+    /// No slice queued; the helper is (or will be) parked on the condvar.
+    Idle,
+    /// A slice is queued and goes to whichever side locks the lane first:
+    /// the helper runs it, or the coordinator reclaims it and runs it inline.
+    Ready(Slice<'a>),
+    /// The helper took the slice and is detecting; the coordinator waits.
+    Running,
+    /// The helper ran the slice (the panic message, if its detect pass
+    /// panicked); the coordinator takes it back.
+    Done(Slice<'a>, Option<String>),
+    /// The pool is shutting down; the helper exits on observing this.
+    Shutdown,
+}
+
+/// One helper's turnstile: its [`LaneState`] and the condvar that both the
+/// helper (waiting for work) and the coordinator (waiting for a `Running`
+/// slice) park on — hence `notify_all`.
+struct Lane<'a> {
     state: Mutex<LaneState<'a>>,
     turnstile: Condvar,
 }
 
-impl<'a> LaneSlot<'a> {
-    /// Lock the turnstile.  A poisoned lock is recovered rather than
-    /// propagated: every write to the [`LaneState`] is one whole-value
-    /// assignment, so the state is valid at every step, and detector panics —
-    /// the only panics a run expects — are caught outside the lock, so a
-    /// failure elsewhere must not also cost the run its clean shutdown.
+impl<'a> Lane<'a> {
+    /// Lock the lane.  A poisoned lock is recovered rather than propagated:
+    /// the state is valid at every step, and detector panics — the only
+    /// panics a run expects — are caught outside the lock, so a failure
+    /// elsewhere must not also cost the run its clean shutdown.
     fn lock(&self) -> MutexGuard<'_, LaneState<'a>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
 
-/// State of one lane's turnstile.
-enum LaneState<'a> {
-    /// No job queued; the helper is (or will be) blocked on the condvar.
-    Idle,
-    /// A job is queued and may be taken by the helper *or* reclaimed by the
-    /// coordinator — whichever locks the slot first.
-    Ready(Job<'a>),
-    /// The helper took the job and is detecting; the coordinator must await
-    /// its [`Done`] on the completion channel.
-    Running,
-    /// The pool is shutting down; the helper exits on observing this.
-    Shutdown,
+    /// Park on the turnstile until notified.
+    fn wait<'g>(&self, state: MutexGuard<'g, LaneState<'a>>) -> MutexGuard<'g, LaneState<'a>> {
+        self.turnstile
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Set the state and wake whoever is parked on the lane.
+    fn set(&self, state: LaneState<'a>) {
+        *self.lock() = state;
+        self.turnstile.notify_all();
+    }
 }
 
 /// A persistent pool of DETECT helper threads, spawned once per engine run
 /// into the run's `std::thread::scope` and reused by every parallel stage.
 ///
-/// The pool owns one [`LaneSlot`] per helper plus the shared completion
-/// channel.  Dropping the pool flips every slot to [`LaneState::Shutdown`]
-/// and wakes its helper, which exits and is joined by the enclosing scope.
-/// The engine drops its pool before the scope closes on every path — normal
-/// completion, stage error, or a panicking caller hook — so shutdown can
-/// never hang.
+/// Dropping the pool flips every lane to [`LaneState::Shutdown`] and wakes
+/// its helper, which exits and is joined by the enclosing scope.  The engine
+/// drops its pool before the scope closes on every path — normal completion,
+/// stage error, or a panicking caller hook — so shutdown can never hang.
 pub(crate) struct WorkerPool<'a> {
     /// One turnstile per helper thread; helper `i` serves slice `i + 1` of
-    /// each dispatched stage (slice 0 runs inline on the coordinator).
-    lanes: Vec<Arc<LaneSlot<'a>>>,
-    /// Consecutive slices of each helper reclaimed by the coordinator — the
-    /// wake-stickiness state: a helper at or past [`DISENGAGE_AFTER`] misses
-    /// is not woken per stage, its queued slices are simply reclaimed.
-    consecutive_misses: Vec<u32>,
-    /// Stages dispatched so far (drives periodic re-engagement).
-    dispatched_stages: u64,
-    /// Per-stage panic scratch, indexed by lane (lane 0 is the inline lane),
-    /// so the reported panic is the first in *lane* order no matter in which
-    /// order helper completions arrive.
-    lane_panics: Vec<Option<String>>,
-    /// Completion channel shared by all helpers (used only for jobs a helper
-    /// actually ran; reclaimed jobs never touch it).
-    done_rx: Receiver<Done<'a>>,
-    /// Per-stage reassembly scratch, indexed by lane.
-    returned: Vec<Option<Slice<'a>>>,
+    /// each stage (slice 0 runs inline on the coordinator).
+    lanes: Vec<Arc<Lane<'a>>>,
 }
-
-/// Disengage a helper after this many *consecutive* reclaimed slices.
-///
-/// One lost race must not cost a multicore host its parallelism — a helper
-/// can lose a single race to a transient OS stall — so a helper is only
-/// stopped being woken once the coordinator has reclaimed its slice this
-/// many stages in a row (the pattern of a host that is not scheduling it at
-/// all, e.g. one vCPU).  Any slice the helper does run resets its count.
-const DISENGAGE_AFTER: u32 = 2;
-
-/// Wake disengaged helpers every this many dispatched stages.
-///
-/// A helper whose last [`DISENGAGE_AFTER`] slices were all reclaimed is
-/// probably not getting scheduled (the host is saturated, or has one vCPU);
-/// waking it again every stage would buy a context switch and nothing else,
-/// so its queued slices go un-notified — still reclaimable — until the next
-/// re-engagement stage offers it work again.  On an idle multicore host a
-/// helper re-engages within one period of a (multi-stage) stall — and with a
-/// detector expensive enough for parallelism to matter, helpers win their
-/// races and never disengage in the first place; on a 1-vCPU host the
-/// steady state is one wake per helper per period instead of per stage.
-const REENGAGE_PERIOD: u64 = 32;
 
 impl Drop for WorkerPool<'_> {
     fn drop(&mut self) {
         for lane in &self.lanes {
-            *lane.lock() = LaneState::Shutdown;
-            lane.turnstile.notify_one();
+            lane.set(LaneState::Shutdown);
         }
     }
 }
@@ -262,36 +156,25 @@ impl<'a> WorkerPool<'a> {
     pub(crate) fn spawn<'scope, 'env>(
         scope: &'scope Scope<'scope, 'env>,
         helpers: usize,
-        counters: &Arc<PoolCounters>,
     ) -> WorkerPool<'a>
     where
         'a: 'scope,
     {
-        let (done_tx, done_rx) = channel::<Done<'a>>();
         let lanes = (0..helpers)
-            .map(|lane| {
-                let slot = Arc::new(LaneSlot {
+            .map(|index| {
+                let lane = Arc::new(Lane {
                     state: Mutex::new(LaneState::Idle),
                     turnstile: Condvar::new(),
                 });
-                let helper_slot = Arc::clone(&slot);
-                let done_tx = done_tx.clone();
-                let counters = Arc::clone(counters);
+                let helper_lane = Arc::clone(&lane);
                 std::thread::Builder::new()
-                    .name(format!("exsample-detect-{lane}"))
-                    .spawn_scoped(scope, move || helper_loop(&helper_slot, &done_tx, counters))
+                    .name(format!("exsample-detect-{index}"))
+                    .spawn_scoped(scope, move || helper_loop(&helper_lane))
                     .expect("spawn DETECT pool worker thread");
-                slot
+                lane
             })
             .collect();
-        WorkerPool {
-            consecutive_misses: vec![0; helpers],
-            lanes,
-            dispatched_stages: 0,
-            lane_panics: Vec::new(),
-            done_rx,
-            returned: Vec::new(),
-        }
+        WorkerPool { lanes }
     }
 
     /// Lanes a stage's demand is cut over: the helpers plus the coordinator.
@@ -299,156 +182,83 @@ impl<'a> WorkerPool<'a> {
         self.lanes.len() + 1
     }
 
-    /// Run one stage's slices: queue slices `1..` on the helper turnstiles,
-    /// run slice 0 inline, reclaim queued slices whose helpers have not
-    /// started, await the rest, and reassemble `slices` in lane order —
-    /// every slice run, exactly what the serial loop produces, so pooled
-    /// execution is observably identical to it.
+    /// Run one stage's slices: queue slices `1..` on the helpers, run slice
+    /// 0 inline, then take every queued slice back in lane order —
+    /// reclaiming and running inline any a helper has not started, waiting
+    /// for any it is running.  Every slice is run, exactly as the serial
+    /// loop runs it, so pooled execution is observably identical to it.
     ///
     /// # Errors
     /// Returns [`EngineError::WorkerPanicked`] if any lane's detect pass
     /// panicked (the first panic in lane order wins).  All slices are
     /// reassembled into `slices` even on error.
     pub(crate) fn run_stage(&mut self, slices: &mut Vec<Slice<'a>>) -> Result<(), EngineError> {
-        let count = slices.len();
         debug_assert!(
-            (1..=self.lanes()).contains(&count),
+            (1..=self.lanes()).contains(&slices.len()),
             "a stage has one slice per lane at most, and at least one"
         );
-        self.dispatched_stages += 1;
-        let reengage = self.dispatched_stages.is_multiple_of(REENGAGE_PERIOD);
-        // Every queued lane was left Idle by the previous stage (its Done
-        // was collected, or the coordinator reclaimed it).
-        for (helper, slice) in slices.drain(1..).enumerate() {
-            let slot = &self.lanes[helper];
-            {
-                let mut state = slot.lock();
-                debug_assert!(matches!(*state, LaneState::Idle));
-                *state = LaneState::Ready(Job {
-                    lane: helper + 1,
-                    slice,
-                });
-            }
-            // Wake the helper — with the mutex released, so it never stalls
-            // on a lock the coordinator still holds.  Disengaged helpers
-            // (their last DISENGAGE_AFTER slices were all reclaimed, so
-            // waking them only buys a context switch on a host that isn't
-            // scheduling them anyway) are left parked except on
-            // re-engagement stages; their queued slice is picked up by the
-            // reclaim pass below.
-            if self.consecutive_misses[helper] < DISENGAGE_AFTER || reengage {
-                slot.turnstile.notify_one();
-            }
+        let queued = slices.len() - 1;
+        for (lane, slice) in self.lanes.iter().zip(slices.drain(1..)) {
+            debug_assert!(
+                matches!(*lane.lock(), LaneState::Idle),
+                "the previous stage took every queued slice back"
+            );
+            lane.set(LaneState::Ready(slice));
         }
 
         // The coordinator is the first lane: run slice 0 inline instead of
-        // sleeping until the helpers finish.  Panics are caught exactly like
-        // a helper's, so a poisoned detector surfaces as a typed error no
-        // matter which lane its frames fell into.
-        self.lane_panics.clear();
-        self.lane_panics.resize_with(count, || None);
-        self.lane_panics[0] = run_slice(&mut slices[0]);
-
-        // Reclaim pass: any queued slice whose helper has not started yet is
-        // taken back and run right here.  On a busy or single-vCPU host this
-        // is the common case — the handoff collapses to two mutex operations
-        // and the stage never blocks — while on idle multicore hardware the
-        // helpers have already flipped their lanes to Running and the slices
-        // are executing concurrently.
-        self.returned.clear();
-        self.returned.resize_with(count, || None);
-        let mut outstanding = 0usize;
-        for lane in 1..count {
-            let reclaimed = {
-                let mut state = self.lanes[lane - 1].lock();
-                match std::mem::replace(&mut *state, LaneState::Idle) {
-                    LaneState::Ready(job) => Some(job),
-                    other => {
-                        *state = other;
-                        None
-                    }
+        // sleeping until the helpers finish.
+        let mut panic = run_slice(&mut slices[0]);
+        for lane in &self.lanes[..queued] {
+            let taken = {
+                let mut state = lane.lock();
+                while matches!(*state, LaneState::Running) {
+                    state = lane.wait(state);
                 }
+                std::mem::replace(&mut *state, LaneState::Idle)
             };
-            match reclaimed {
-                Some(mut job) => {
-                    self.consecutive_misses[lane - 1] =
-                        self.consecutive_misses[lane - 1].saturating_add(1);
-                    self.lane_panics[job.lane] = run_slice(&mut job.slice);
-                    self.returned[job.lane] = Some(job.slice);
+            let (slice, lane_panic) = match taken {
+                LaneState::Ready(mut slice) => {
+                    let lane_panic = run_slice(&mut slice);
+                    (slice, lane_panic)
                 }
-                None => {
-                    self.consecutive_misses[lane - 1] = 0;
-                    outstanding += 1;
-                }
-            }
+                LaneState::Done(slice, lane_panic) => (slice, lane_panic),
+                _ => unreachable!("a queued lane holds its slice until the coordinator takes it"),
+            };
+            panic = panic.or(lane_panic);
+            slices.push(slice);
         }
-
-        // Await the slices a helper genuinely ran, then put everything back
-        // in lane order.
-        for _ in 0..outstanding {
-            let done = self
-                .done_rx
-                .recv()
-                .expect("every running lane reports back, panicked or not");
-            self.lane_panics[done.lane] = done.panic;
-            self.returned[done.lane] = Some(done.slice);
-        }
-        slices.extend(
-            self.returned[1..]
-                .iter_mut()
-                .map(|slot| slot.take().expect("every slice was collected")),
-        );
-
-        // Completion order is scheduler-dependent, lane order is not: the
-        // reported panic is deterministically the first in lane order.
-        match self.lane_panics.iter_mut().find_map(Option::take) {
+        match panic {
             Some(message) => Err(EngineError::WorkerPanicked { message }),
             None => Ok(()),
         }
     }
 }
 
-/// A helper thread's lifetime: block on the turnstile until a job is queued
-/// (or shutdown is signalled), run it, report the result, repeat.
-fn helper_loop<'a>(slot: &LaneSlot<'a>, done_tx: &Sender<Done<'a>>, counters: Arc<PoolCounters>) {
-    let _live = LiveGuard::new(counters);
+/// A helper thread's lifetime: park on the turnstile until a slice is queued
+/// (or shutdown is signalled), run it, hand it back as `Done`, repeat.
+fn helper_loop(lane: &Lane<'_>) {
+    let mut state = lane.lock();
     loop {
-        let Job { lane, mut slice } = {
-            let mut state = slot.lock();
-            loop {
-                match std::mem::replace(&mut *state, LaneState::Idle) {
-                    // Won the race against a coordinator reclaim: mark the
-                    // lane Running so the coordinator awaits our Done.
-                    LaneState::Ready(job) => {
-                        *state = LaneState::Running;
-                        break job;
-                    }
-                    LaneState::Shutdown => {
-                        *state = LaneState::Shutdown;
-                        return;
-                    }
-                    // Idle (including spurious wakeups and reclaimed jobs):
-                    // park on the turnstile — a condvar block, no busy-wait.
-                    LaneState::Idle | LaneState::Running => {
-                        state = slot
-                            .turnstile
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
+        match std::mem::replace(&mut *state, LaneState::Idle) {
+            // Won the race against a coordinator reclaim.
+            LaneState::Ready(mut slice) => {
+                *state = LaneState::Running;
+                drop(state);
+                let panic = run_slice(&mut slice);
+                state = lane.lock();
+                if matches!(*state, LaneState::Shutdown) {
+                    return;
                 }
+                *state = LaneState::Done(slice, panic);
+                lane.turnstile.notify_all();
             }
-        };
-        let panic = run_slice(&mut slice);
-        {
-            let mut state = slot.lock();
-            if !matches!(*state, LaneState::Shutdown) {
-                *state = LaneState::Idle;
+            LaneState::Shutdown => return,
+            // Idle, or Done and not yet taken (spurious or own wakeups).
+            other => {
+                *state = other;
+                state = lane.wait(state);
             }
-        }
-        if done_tx.send(Done { lane, slice, panic }).is_err() {
-            // Coordinator gone (it only drops the completion receiver with
-            // the whole pool).
-            return;
         }
     }
 }
@@ -509,9 +319,8 @@ mod tests {
     #[test]
     fn pool_round_trips_workers_and_recycles_buffers() {
         let detector = NoopDetector(ObjectClass::from("car"));
-        let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(scope, 2, &counters);
+            let mut pool = WorkerPool::spawn(scope, 2);
             assert_eq!(pool.lanes(), 3);
             // One set of lanes and slices for every stage, as in the engine:
             // each gather recycles the slices the pool handed back.
@@ -544,17 +353,14 @@ mod tests {
             }
             drop(pool);
         });
-        assert_eq!(counters.live(), 0);
-        assert_eq!(counters.spawned(), 2, "helpers spawn once, not per stage");
     }
 
     #[test]
     fn helper_lane_panic_is_typed_and_workers_come_back() {
         let noop = NoopDetector(ObjectClass::from("car"));
         let bomb = BombDetector(ObjectClass::from("car"));
-        let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(scope, 1, &counters);
+            let mut pool = WorkerPool::spawn(scope, 1);
             // Two one-frame groups over two lanes: slice 0 (inline) is the
             // noop's, slice 1 (the helper's, or reclaimed) the bomb's.
             let mut slices = Vec::new();
@@ -578,15 +384,13 @@ mod tests {
             assert_eq!(slices.len(), 2);
             drop(pool);
         });
-        assert_eq!(counters.live(), 0);
     }
 
     #[test]
     fn inline_lane_panic_is_typed_too() {
         let bomb = BombDetector(ObjectClass::from("car"));
-        let counters = Arc::new(PoolCounters::default());
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(scope, 1, &counters);
+            let mut pool = WorkerPool::spawn(scope, 1);
             let mut slices = Vec::new();
             gather_stage(
                 &mut Lanes::default(),
@@ -600,6 +404,5 @@ mod tests {
             assert!(matches!(err, EngineError::WorkerPanicked { .. }));
             drop(pool);
         });
-        assert_eq!(counters.live(), 0);
     }
 }

@@ -12,8 +12,8 @@
 //! historical hand-written pick→detect→record loop did.  The virtual clock is
 //! charged from the engine's per-stage cost-accounting hook.  With
 //! [`QueryRunner::parallel`] each stage's detector invocations are cut over
-//! the engine's persistent worker pool (spawned once per run, woken per
-//! stage); results are bitwise-identical to the serial run — parallelism
+//! the engine's persistent worker pool (spawned once per run, reused by
+//! every stage); results are bitwise-identical to the serial run — parallelism
 //! only changes where the detector work executes.
 //!
 //! Configuration and execution errors surface as typed [`SimError`]s instead
