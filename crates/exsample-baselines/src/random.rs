@@ -24,11 +24,6 @@ impl RandomSampler {
             inner: UniformSampler::new(total_frames),
         }
     }
-
-    /// Frames not yet sampled.
-    pub fn remaining(&self) -> u64 {
-        self.inner.remaining()
-    }
 }
 
 impl SamplingMethod for RandomSampler {
@@ -55,11 +50,6 @@ impl RandomPlusSampler {
         RandomPlusSampler {
             inner: exsample_video::RandomPlusSampler::new(total_frames),
         }
-    }
-
-    /// Frames not yet sampled.
-    pub fn remaining(&self) -> u64 {
-        self.inner.remaining()
     }
 }
 
@@ -92,7 +82,7 @@ mod tests {
             assert!(seen.insert(f));
         }
         assert_eq!(seen.len(), 500);
-        assert_eq!(method.remaining(), 0);
+        assert_eq!(method.inner.remaining(), 0);
     }
 
     #[test]
@@ -119,10 +109,10 @@ mod tests {
     fn feedback_is_ignored_without_effect() {
         let mut method = RandomSampler::new(50);
         let mut rng = StdRng::seed_from_u64(3);
-        let before = method.remaining();
+        let before = method.inner.remaining();
         method.record(7, &MatchOutcome::default());
-        assert_eq!(method.remaining(), before);
+        assert_eq!(method.inner.remaining(), before);
         let _ = method.next_frame(&mut rng);
-        assert_eq!(method.remaining(), before - 1);
+        assert_eq!(method.inner.remaining(), before - 1);
     }
 }

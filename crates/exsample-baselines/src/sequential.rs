@@ -20,11 +20,6 @@ pub struct SequentialScan {
 }
 
 impl SequentialScan {
-    /// Scan every frame of a repository of `total_frames` frames.
-    pub fn every_frame(total_frames: u64) -> Self {
-        SequentialScan::with_stride(total_frames, 1)
-    }
-
     /// Scan one frame out of every `stride` (e.g. `stride = 30` is one frame per
     /// second of 30 fps video).
     ///
@@ -36,20 +31,6 @@ impl SequentialScan {
             total_frames,
             stride,
             next: 0,
-        }
-    }
-
-    /// The stride between visited frames.
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// Number of frames this scan will visit in total.
-    pub fn planned_frames(&self) -> u64 {
-        if self.total_frames == 0 {
-            0
-        } else {
-            (self.total_frames - 1) / self.stride + 1
         }
     }
 }
@@ -79,7 +60,7 @@ mod tests {
 
     #[test]
     fn visits_every_frame_in_order() {
-        let mut scan = SequentialScan::every_frame(5);
+        let mut scan = SequentialScan::with_stride(5, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let frames: Vec<FrameId> = std::iter::from_fn(|| scan.next_frame(&mut rng)).collect();
         assert_eq!(frames, vec![0, 1, 2, 3, 4]);
@@ -91,21 +72,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let frames: Vec<FrameId> = std::iter::from_fn(|| scan.next_frame(&mut rng)).collect();
         assert_eq!(frames, vec![0, 3, 6, 9]);
-        assert_eq!(SequentialScan::with_stride(10, 3).planned_frames(), 4);
     }
 
     #[test]
     fn empty_repository_yields_nothing() {
-        let mut scan = SequentialScan::every_frame(0);
+        let mut scan = SequentialScan::with_stride(0, 1);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(scan.next_frame(&mut rng), None);
-        assert_eq!(scan.planned_frames(), 0);
     }
 
     #[test]
     fn no_upfront_cost() {
-        assert_eq!(SequentialScan::every_frame(100).upfront_scan_frames(), 0);
-        assert_eq!(SequentialScan::every_frame(100).name(), "sequential");
+        assert_eq!(SequentialScan::with_stride(100, 1).upfront_scan_frames(), 0);
+        assert_eq!(SequentialScan::with_stride(100, 1).name(), "sequential");
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl ExperimentOptions {
     /// Parse options from an argument iterator (typically `std::env::args().skip(1)`).
     ///
     /// Unknown flags produce an error string listing the supported flags.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut options = ExperimentOptions::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
@@ -240,7 +240,7 @@ impl ExperimentOptions {
     /// attempt budget is N+1), each charged one unit of exponential backoff
     /// as deterministic stage cost.  `--retries 0` (the default) is
     /// [`exsample_engine::RetryPolicy::none`].
-    pub fn retry_policy(&self) -> exsample_engine::RetryPolicy {
+    pub(crate) fn retry_policy(&self) -> exsample_engine::RetryPolicy {
         if self.retries == 0 {
             exsample_engine::RetryPolicy::none()
         } else {
@@ -252,7 +252,7 @@ impl ExperimentOptions {
     /// by dropping frames that exhaust their attempts (so a `--fault-rate`
     /// experiment completes with tallied losses), fault-free runs keep the
     /// engine's fail-fast default.
-    pub fn failure_mode(&self) -> exsample_engine::FailureMode {
+    pub(crate) fn failure_mode(&self) -> exsample_engine::FailureMode {
         if self.fault_rate > 0.0 {
             exsample_engine::FailureMode::DropFrames
         } else {
@@ -263,7 +263,7 @@ impl ExperimentOptions {
     /// The deterministic fault plan implied by `--fault-rate` (None when the
     /// rate is zero).  The plan is seeded from `--seed`, so a degraded run is
     /// reproducible end to end.
-    pub fn fault_plan(&self) -> Option<exsample_detect::FaultPlan> {
+    pub(crate) fn fault_plan(&self) -> Option<exsample_detect::FaultPlan> {
         (self.fault_rate > 0.0).then(|| {
             let seed = exsample_rand::SeedSequence::new(self.seed)
                 .derive("fault-plan")
@@ -318,13 +318,13 @@ impl ExperimentOptions {
 /// nonzero — the experiment bins' replacement for `expect` on fallible runs,
 /// so a failing detector produces a typed one-liner instead of a panic
 /// backtrace.
-pub fn exit_with_error_chain(error: &dyn std::error::Error) -> ! {
+pub(crate) fn exit_with_error_chain(error: &dyn std::error::Error) -> ! {
     eprintln!("error: {}", format_error_chain(error));
     std::process::exit(1);
 }
 
 /// Render `error` and its `source()` chain as a single `: `-separated line.
-pub fn format_error_chain(error: &dyn std::error::Error) -> String {
+pub(crate) fn format_error_chain(error: &dyn std::error::Error) -> String {
     let mut message = error.to_string();
     let mut cursor = error.source();
     while let Some(next) = cursor {
@@ -456,20 +456,12 @@ where
     merged
 }
 
-/// Print a one-line `#`-comment summary of the cache telemetry carried by
-/// `results` (hits/misses/evictions/admission rejects summed over the runs),
-/// or nothing when the cache was off.  Experiment bins call this after their
-/// tables so `--cache N` runs report warm-hit savings next to recall.
-pub fn print_cache_summary<'a, I>(label: &str, results: I)
-where
-    I: IntoIterator<Item = &'a exsample_sim::RunResult>,
-{
-    print_cache_telemetry(label, merged_cache_telemetry(results).as_ref());
-}
-
-/// Print the already-merged telemetry line of [`print_cache_summary`] (bins
-/// whose runs go out of scope per table cell accumulate telemetry with
-/// [`exsample_engine::CacheActivity::absorb`] and print it here).
+/// Print a one-line `#`-comment summary of merged cache telemetry
+/// (hits/misses/evictions/admission rejects), or nothing when the cache was
+/// off.  Experiment bins print it after their tables so `--cache N` runs
+/// report warm-hit savings next to recall; bins whose runs go out of scope
+/// per table cell accumulate telemetry with
+/// [`exsample_engine::CacheActivity::absorb`] first.
 pub fn print_cache_telemetry(label: &str, cache: Option<&exsample_engine::CacheActivity>) {
     if let Some(cache) = cache {
         println!(

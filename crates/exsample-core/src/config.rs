@@ -64,7 +64,7 @@ impl ExSampleConfig {
     ///
     /// `α₀` and `β₀` must be strictly positive because the Gamma distribution is
     /// undefined at zero — this is precisely why the paper adds them.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.alpha0 > 0.0 && self.alpha0.is_finite(),
             "alpha0 must be a positive finite number, got {}",
@@ -88,9 +88,13 @@ impl ExSampleConfig {
         self.within_chunk = within;
         self
     }
+}
 
+/// The prior setter the tests use to leave the paper's `α₀ = 0.1, β₀ = 1`.
+#[cfg(test)]
+impl ExSampleConfig {
     /// Builder-style setter for the Gamma priors.
-    pub fn with_priors(mut self, alpha0: f64, beta0: f64) -> Self {
+    pub(crate) fn with_priors(mut self, alpha0: f64, beta0: f64) -> Self {
         self.alpha0 = alpha0;
         self.beta0 = beta0;
         self

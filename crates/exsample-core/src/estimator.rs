@@ -20,7 +20,7 @@
 ///
 /// Returns `None` when `n == 0` (the estimator is undefined before any samples,
 /// which is exactly why the belief distribution carries a prior).
-pub fn point_estimate(n1: u64, n: u64) -> Option<f64> {
+pub(crate) fn point_estimate(n1: u64, n: u64) -> Option<f64> {
     if n == 0 {
         None
     } else {
@@ -39,14 +39,16 @@ pub fn variance_bound(expected_estimate: f64, n: u64) -> f64 {
 
 /// `π_i(n+1) = p_i (1 − p_i)^n`: the probability that instance `i` is seen for the
 /// first time on the `(n+1)`-th sample (missed on the first `n`).
-pub fn pi_next(p: f64, n: u64) -> f64 {
+pub(crate) fn pi_next(p: f64, n: u64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&p));
     p * (1.0 - p).powi(n as i32)
 }
 
 /// The expectation `E[R(n+1)] = Σ_i π_i(n+1)` over all instances — the quantity the
 /// estimator tries to track, computable only with knowledge of the true `p_i`.
-pub fn expected_r_next(probabilities: &[f64], n: u64) -> f64 {
+/// The reference the Eq. III bound tests compare against.
+#[cfg(test)]
+fn expected_r_next(probabilities: &[f64], n: u64) -> f64 {
     probabilities.iter().map(|&p| pi_next(p, n)).sum()
 }
 
@@ -64,8 +66,10 @@ pub fn realized_r_next(probabilities: &[f64], seen: &[bool]) -> f64 {
 }
 
 /// The expectation `E[N1(n)] = Σ_i n · p_i (1 − p_i)^{n−1}` of the number of
-/// instances seen exactly once after `n` samples.
-pub fn expected_n1(probabilities: &[f64], n: u64) -> f64 {
+/// instances seen exactly once after `n` samples.  A test reference, like
+/// [`expected_r_next`].
+#[cfg(test)]
+fn expected_n1(probabilities: &[f64], n: u64) -> f64 {
     if n == 0 {
         return 0.0;
     }

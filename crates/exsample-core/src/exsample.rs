@@ -38,7 +38,7 @@ pub struct FramePick {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SelectionTelemetry {
     /// Picks served by the hybrid belief-class fold: every Thompson pick over
-    /// more than [`policy::SMALL_M_CHUNKS`] chunks.
+    /// more than `policy::SMALL_M_CHUNKS` chunks.
     pub class_max_picks: u64,
     /// Picks served by a per-chunk path (small repositories, other policies).
     pub per_chunk_picks: u64,
@@ -101,8 +101,8 @@ impl WithinSampler {
 /// * `eligible` / `eligible_count` — which chunks still hold unsampled frames,
 ///   updated the moment a chunk's last frame is handed out;
 /// * `remaining` — the total number of unsampled frames, so
-///   [`ExSample::remaining_frames`] and [`ExSample::is_exhausted`] are O(1)
-///   instead of an O(M) sum over the within-chunk samplers;
+///   [`ExSample::remaining_frames`] is O(1) instead of an O(M) sum over the
+///   within-chunk samplers;
 /// * reusable scratch buffers for batched selection.
 ///
 /// Together with the belief cache in [`ChunkStatsSet`], this makes
@@ -184,20 +184,10 @@ impl ExSample {
         self.chunk_lengths.len()
     }
 
-    /// Length (in frames) of chunk `j`.
-    pub fn chunk_length(&self, j: usize) -> u64 {
-        self.chunk_lengths[j]
-    }
-
     /// Total frames not yet sampled, across all chunks.  O(1): maintained as a
     /// running counter rather than a sum over the within-chunk samplers.
     pub fn remaining_frames(&self) -> u64 {
         self.remaining
-    }
-
-    /// Whether every frame of every chunk has been sampled.  O(1).
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining == 0
     }
 
     /// Chunk-selection telemetry accumulated since construction.
@@ -389,7 +379,7 @@ mod tests {
             sampler.record(0, 0);
         }
         assert_eq!(seen.len(), 100);
-        assert!(sampler.is_exhausted());
+        assert_eq!(sampler.remaining_frames(), 0);
     }
 
     #[test]
@@ -520,14 +510,14 @@ mod tests {
             }
         }
         let mut picks = Vec::new();
-        while !sampler.is_exhausted() {
+        while sampler.remaining_frames() > 0 {
             sampler.next_batch_into(&mut rng, 7, &mut picks);
             taken += picks.len() as u64;
             assert_eq!(sampler.remaining_frames(), 125 - taken);
             assert_eq!(sampler.remaining_frames(), sum_remaining(&sampler));
         }
         assert_eq!(taken, 125);
-        assert!(sampler.is_exhausted());
+        assert_eq!(sampler.remaining_frames(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! * [`config`] — [`ExSampleConfig`]: priors, chunk-selection policy, within-chunk
 //!   sampling strategy, batch size.
-//! * [`stats`] — [`ChunkStats`] / [`ChunkStatsSet`]: the `(N1, n)` bookkeeping and
+//! * [`stats`] — [`stats::ChunkStats`] / [`ChunkStatsSet`]: the `(N1, n)` bookkeeping and
 //!   belief construction.
 //! * [`estimator`] — the `R̂` estimator and the theoretical quantities (bias and
 //!   variance bounds, `π_i(n)` terms) used by the validation experiments.
@@ -54,7 +54,7 @@
 //!   (updated the moment a chunk's last frame is handed out), hands selection
 //!   the facts it would otherwise scan the mask for, and keeps reusable scratch
 //!   buffers for batched selection.  `next_frame`, `next_batch_into` and
-//!   `is_exhausted` perform zero heap allocations after warm-up — a
+//!   `remaining_frames` perform zero heap allocations after warm-up — a
 //!   counting-allocator test pins the policy layer to exactly zero.  Batched
 //!   selection makes a *single pass* maintaining `batch` running arg-maxes
 //!   instead of `batch` full scans.
@@ -71,7 +71,7 @@
 //!   0.3 µs — twenty per-chunk draws) and its carrier is uniform in the class.
 //!   [`ChunkStatsSet`] maintains the class index incrementally at the same
 //!   invalidation seam as the belief cache, and every Thompson pick over more
-//!   than [`policy::SMALL_M_CHUNKS`] chunks walks it once: small classes draw
+//!   than `policy::SMALL_M_CHUNKS` chunks walks it once: small classes draw
 //!   per chunk through the cache and the prune, large classes draw their
 //!   maximum — and skip its inversion when a tail test shows it cannot beat
 //!   the running best, which leaves every pick bit for bit where it was
@@ -114,4 +114,4 @@ pub mod stats;
 
 pub use config::{ChunkSelectionPolicy, ExSampleConfig, WithinChunkSampling};
 pub use exsample::{ExSample, FramePick, SelectionTelemetry};
-pub use stats::{ChunkStats, ChunkStatsSet};
+pub use stats::ChunkStatsSet;

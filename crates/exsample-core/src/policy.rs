@@ -13,10 +13,10 @@
 //! Thompson sampling must draw from *every* eligible chunk's belief on every
 //! pick, so this module is the per-pick cost centre.  Which arg-max runs is
 //! decided by what the code can see — the chunk count and whether the
-//! statistics' cached priors match the config ([`ChunkStatsSet::priors`]) —
+//! statistics' cached priors match the config (`ChunkStatsSet::priors`) —
 //! never by a knob:
 //!
-//! * at or below [`SMALL_M_CHUNKS`] chunks, a plain loop over the cached
+//! * at or below `SMALL_M_CHUNKS` chunks, a plain loop over the cached
 //!   per-chunk Marsaglia–Tsang constants, one full RNG schedule per eligible
 //!   chunk (one pruned pass maintaining `batch` running arg-maxes when
 //!   batched);
@@ -25,7 +25,7 @@
 //!   cached priors do not match): constructs each chunk's belief distribution
 //!   per draw, exactly as a from-the-paper implementation would.
 //!
-//! At or below [`SMALL_M_CHUNKS`] the cached and reference paths consume
+//! At or below `SMALL_M_CHUNKS` the cached and reference paths consume
 //! identical RNG streams, so they select identical chunk sequences under the
 //! same seed (asserted draw for draw); above it they agree in distribution
 //! (asserted by chi-square tests).
@@ -53,7 +53,7 @@
 //! posteriors degenerate to the per-chunk fold, all-prior ones to a single
 //! draw, and nothing in between needs a gate.  The fold is distributionally
 //! exact but has its own RNG schedule, which is why it starts above
-//! [`SMALL_M_CHUNKS`]: smaller repositories keep their pick sequences.
+//! `SMALL_M_CHUNKS`: smaller repositories keep their pick sequences.
 //!
 //! Most large-class draws lose to the running best (60–75 % on the BDD
 //! analogs), and a draw that loses is only compared and thrown away.  So a
@@ -88,7 +88,7 @@ use rand::Rng;
 /// only the boost's `exp` for a chunk whose unboosted draw already trails the
 /// best (see `thompson_pick_small`).  Above it the hybrid belief-class fold
 /// takes over.
-pub const SMALL_M_CHUNKS: usize = 64;
+pub(crate) const SMALL_M_CHUNKS: usize = 64;
 
 /// Eligible members at which a belief class stops drawing per chunk and
 /// contributes one max-of-k draw.
@@ -215,7 +215,7 @@ pub(crate) fn select_chunk_known<R: Rng + ?Sized>(
 /// eligible chunk draws.
 ///
 /// Exists so tests (and benchmarks) can prove the optimised paths equivalent.
-/// Up to [`SMALL_M_CHUNKS`] chunks both functions consume the same random
+/// Up to `SMALL_M_CHUNKS` chunks both functions consume the same random
 /// stream, compute the same draw values, and return the same chunk — draw for
 /// draw; above it the hybrid fold matches this function in distribution.
 pub fn select_chunk_reference<R: Rng + ?Sized>(

@@ -17,15 +17,14 @@
 //! chunk's `(N1_j, n_j)` pair and the priors fixed at construction, so they are
 //! refreshed exactly when `(N1_j, n_j)` changes — i.e. inside
 //! [`ChunkStatsSet::record`] and [`ChunkStatsSet::adjust_n1`] — and nowhere
-//! else.  Draws ([`ChunkStatsSet::cached_belief_draw`]) take `&self` and never
-//! touch the cache, which keeps the selection loop read-only and
-//! allocation-free.
+//! else.  The selection loop reads the cache through `&self` and never
+//! touches it, which keeps it read-only and allocation-free.
 //!
-//! The cache is built for the priors passed to [`ChunkStatsSet::with_priors`]
+//! The cache is built for the priors passed to `ChunkStatsSet::with_priors`
 //! ([`ChunkStatsSet::new`] uses the paper defaults `α₀ = 0.1`, `β₀ = 1`).
 //! Callers that score the same statistics under *different* priors (the policy
 //! layer supports this for ablations) must fall back to the uncached path —
-//! see [`ChunkStatsSet::priors`].
+//! see `ChunkStatsSet::priors`.
 //!
 //! # The belief-class index
 //!
@@ -45,16 +44,16 @@
 //! pair changes, i.e. inside [`ChunkStatsSet::record`] /
 //! [`ChunkStatsSet::adjust_n1`].  Maintenance is RNG-free and always on, so it
 //! never perturbs pick sequences; the fold merely *reads* the index
-//! ([`ChunkStatsSet::class_members`], [`ChunkStatsSet::class_tail`]).
+//! (`ChunkStatsSet::class_members`, `ChunkStatsSet::class_tail`).
 //!
 //! The max-of-k draw needs `ln Γ(N1 + α₀)`, which costs more than the rest of
 //! the draw and depends on `N1` alone, so the set keeps one prepared
 //! [`GammaTail`] per `N1` it has seen (grown at the same seam, nothing global).
 
 use crate::config::ExSampleConfig;
-use exsample_rand::gamma::{gamma_draw, mt_constants};
+use crate::estimator;
+use exsample_rand::gamma::mt_constants;
 use exsample_rand::{Gamma, GammaTail};
-use rand::Rng;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -90,7 +89,7 @@ pub struct ChunkStats {
 
 impl ChunkStats {
     /// Fresh statistics (no samples, no results).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ChunkStats::default()
     }
 
@@ -99,19 +98,14 @@ impl ChunkStats {
         self.n
     }
 
-    /// Raw `N1` counter (may be negative, see the type-level documentation).
-    pub fn n1_raw(&self) -> i64 {
-        self.n1
-    }
-
     /// `N1` clamped at zero, as used in the estimator and the belief.
-    pub fn n1(&self) -> u64 {
+    pub(crate) fn n1(&self) -> u64 {
         self.n1.max(0) as u64
     }
 
     /// Record one sampled frame whose discriminator outcome changed `N1` by
     /// `n1_delta` (`|d0| − |d1|`).
-    pub fn record(&mut self, n1_delta: i64) {
+    pub(crate) fn record(&mut self, n1_delta: i64) {
         self.n1 += n1_delta;
         self.n += 1;
     }
@@ -125,16 +119,10 @@ impl ChunkStats {
         self.n1 += n1_delta;
     }
 
-    /// The point estimate `R̂ = N1 / n` (Eq. III.1).  Defined as `+∞`-free: a chunk
-    /// with no samples yet returns `f64::INFINITY`-avoiding 0/0 by reporting the
-    /// prior mean implied by `config` instead would hide information, so this
-    /// returns `None` when `n == 0`.
-    pub fn point_estimate(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.n1() as f64 / self.n as f64)
-        }
+    /// The point estimate `R̂ = N1 / n` (Eq. III.1) over the clamped `N1`;
+    /// `None` before the first sample (see [`estimator::point_estimate`]).
+    pub(crate) fn point_estimate(&self) -> Option<f64> {
+        estimator::point_estimate(self.n1(), self.n)
     }
 
     /// The Gamma belief distribution `Γ(N1 + α₀, n + β₀)` of Eq. III.4.
@@ -180,7 +168,7 @@ impl ChunkStatsSet {
 
     /// Create statistics for `chunks` chunks, caching beliefs for the given
     /// Gamma priors.
-    pub fn with_priors(chunks: usize, alpha0: f64, beta0: f64) -> Self {
+    pub(crate) fn with_priors(chunks: usize, alpha0: f64, beta0: f64) -> Self {
         assert!(chunks > 0, "ExSample needs at least one chunk");
         assert!(
             alpha0 > 0.0 && beta0 > 0.0,
@@ -213,7 +201,7 @@ impl ChunkStatsSet {
     }
 
     /// The priors the belief cache is built for.
-    pub fn priors(&self) -> (f64, f64) {
+    pub(crate) fn priors(&self) -> (f64, f64) {
         (self.alpha0, self.beta0)
     }
 
@@ -295,32 +283,20 @@ impl ChunkStatsSet {
     /// hybrid fold iterates slots and skips empty ones, so this bounds its
     /// scan; it never exceeds the chunk count.
     #[inline]
-    pub fn class_slot_count(&self) -> usize {
+    pub(crate) fn class_slot_count(&self) -> usize {
         self.classes.len()
     }
 
     /// The chunks currently in class slot `slot` (empty for recycled slots).
     #[inline]
-    pub fn class_members(&self, slot: usize) -> &[u32] {
+    pub(crate) fn class_members(&self, slot: usize) -> &[u32] {
         &self.classes[slot].members
-    }
-
-    /// The class slot chunk `j` currently belongs to.
-    #[inline]
-    pub fn chunk_class(&self, j: usize) -> usize {
-        self.class_of[j] as usize
-    }
-
-    /// The clamped `(N1, n)` key of class slot `slot`.
-    #[inline]
-    pub fn class_key(&self, slot: usize) -> (u64, u64) {
-        self.classes[slot].key
     }
 
     /// The prepared upper tail and the rate of the belief shared by every
     /// chunk in class slot `slot`: what one max-of-k draw over the class needs.
     #[inline]
-    pub fn class_tail(&self, slot: usize) -> (GammaTail, f64) {
+    pub(crate) fn class_tail(&self, slot: usize) -> (GammaTail, f64) {
         let (n1, n) = self.classes[slot].key;
         let tail = match self.tails.get(n1 as usize) {
             Some(&tail) => tail,
@@ -333,7 +309,7 @@ impl ChunkStatsSet {
     /// chunk `j`'s belief.  Exposed for the selection hot path in
     /// [`crate::policy`], which needs the raw constants to prune losing draws.
     #[inline]
-    pub fn belief_constants(&self, j: usize) -> (f64, f64, f64, f64) {
+    pub(crate) fn belief_constants(&self, j: usize) -> (f64, f64, f64, f64) {
         (
             self.cache_d[j],
             self.cache_c[j],
@@ -348,7 +324,7 @@ impl ChunkStatsSet {
     /// The selection hot path iterates these zipped, which lets the compiler
     /// elide per-chunk bounds checks.
     #[inline]
-    pub fn belief_soa(&self) -> (&[f64], &[f64], &[f64], &[f64]) {
+    pub(crate) fn belief_soa(&self) -> (&[f64], &[f64], &[f64], &[f64]) {
         (
             &self.cache_d,
             &self.cache_c,
@@ -357,30 +333,9 @@ impl ChunkStatsSet {
         )
     }
 
-    /// Draw one value from chunk `j`'s belief using the cached constants.
-    ///
-    /// Bitwise identical to `self.chunk(j).belief(config).sample(rng)` under
-    /// the same RNG state, provided `config`'s priors match [`Self::priors`] —
-    /// without constructing a distribution.
-    #[inline]
-    pub fn cached_belief_draw<R: Rng + ?Sized>(&self, j: usize, rng: &mut R) -> f64 {
-        gamma_draw(
-            rng,
-            self.cache_d[j],
-            self.cache_c[j],
-            self.cache_boost_inv_shape[j],
-            self.cache_rate[j],
-        )
-    }
-
     /// Number of chunks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.stats.len()
-    }
-
-    /// Whether there are no chunks (never true).
-    pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
     }
 
     /// Statistics of chunk `j`.
@@ -394,7 +349,7 @@ impl ChunkStatsSet {
     }
 
     /// Total frames sampled across all chunks.
-    pub fn total_samples(&self) -> u64 {
+    pub(crate) fn total_samples(&self) -> u64 {
         self.total_samples
     }
 
@@ -442,6 +397,36 @@ impl ChunkStatsSet {
     }
 }
 
+/// Views of the class index and the belief cache that the tests check against
+/// the per-chunk statistics.
+#[cfg(test)]
+impl ChunkStatsSet {
+    /// The class slot chunk `j` currently belongs to.
+    pub(crate) fn chunk_class(&self, j: usize) -> usize {
+        self.class_of[j] as usize
+    }
+
+    /// The clamped `(N1, n)` key of class slot `slot`.
+    pub(crate) fn class_key(&self, slot: usize) -> (u64, u64) {
+        self.classes[slot].key
+    }
+
+    /// Draw one value from chunk `j`'s belief using the cached constants.
+    ///
+    /// Bitwise identical to `self.chunk(j).belief(config).sample(rng)` under
+    /// the same RNG state, provided `config`'s priors match [`Self::priors`] —
+    /// without constructing a distribution.
+    pub(crate) fn cached_belief_draw<R: rand::Rng + ?Sized>(&self, j: usize, rng: &mut R) -> f64 {
+        exsample_rand::gamma::gamma_draw(
+            rng,
+            self.cache_d[j],
+            self.cache_c[j],
+            self.cache_boost_inv_shape[j],
+            self.cache_rate[j],
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,7 +442,7 @@ mod tests {
         s.record(0);
         s.record(-1);
         assert_eq!(s.samples(), 3);
-        assert_eq!(s.n1_raw(), 1);
+        assert_eq!(s.n1, 1);
         assert_eq!(s.n1(), 1);
         assert!((s.point_estimate().unwrap() - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -467,7 +452,7 @@ mod tests {
         let mut s = ChunkStats::new();
         s.record(-1);
         s.record(-1);
-        assert_eq!(s.n1_raw(), -2);
+        assert_eq!(s.n1, -2);
         assert_eq!(s.n1(), 0);
         assert_eq!(s.point_estimate(), Some(0.0));
         let belief = s.belief(&ExSampleConfig::default());

@@ -8,7 +8,6 @@ use std::sync::Arc;
 /// partition, and the ground-truth object instances that live in it.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    name: String,
     repository: VideoRepository,
     chunking: Chunking,
     ground_truth: Arc<GroundTruth>,
@@ -19,8 +18,7 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if the ground truth's frame count disagrees with the repository.
-    pub fn new(
-        name: impl Into<String>,
+    pub(crate) fn new(
         repository: VideoRepository,
         chunking: Chunking,
         ground_truth: Arc<GroundTruth>,
@@ -31,16 +29,10 @@ impl Dataset {
             "ground truth and repository disagree on the total frame count"
         );
         Dataset {
-            name: name.into(),
             repository,
             chunking,
             ground_truth,
         }
-    }
-
-    /// Human-readable dataset name (e.g. `"dashcam"` or `"fig3/skew32/d700"`).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The simulated video repository.
@@ -116,13 +108,12 @@ mod tests {
                 ObjectInstance::simple(2, "bus", 240, 260),
             ],
         ));
-        Dataset::new("test", repo, chunking, truth)
+        Dataset::new(repo, chunking, truth)
     }
 
     #[test]
     fn accessors() {
         let d = dataset();
-        assert_eq!(d.name(), "test");
         assert_eq!(d.total_frames(), 1_000);
         assert_eq!(d.chunk_lengths(), vec![250, 250, 250, 250]);
         assert_eq!(d.classes().len(), 2);
@@ -155,6 +146,6 @@ mod tests {
         let repo = VideoRepository::single_clip(1_000);
         let chunking = Chunking::new(&repo, ChunkingPolicy::PerClip);
         let truth = Arc::new(GroundTruth::new(500));
-        let _ = Dataset::new("bad", repo, chunking, truth);
+        let _ = Dataset::new(repo, chunking, truth);
     }
 }

@@ -73,14 +73,11 @@ pub struct DatasetSpec {
     pub classes: Vec<ClassSpec>,
 }
 
+/// Class lookup for the calibration tests.
+#[cfg(test)]
 impl DatasetSpec {
-    /// The classes queried on this dataset.
-    pub fn class_names(&self) -> Vec<&'static str> {
-        self.classes.iter().map(|c| c.class).collect()
-    }
-
     /// Look up a class spec by name.
-    pub fn class(&self, name: &str) -> Option<&ClassSpec> {
+    fn class(&self, name: &str) -> Option<&ClassSpec> {
         self.classes.iter().find(|c| c.class == name)
     }
 }
@@ -267,11 +264,6 @@ impl DatasetAnalog {
         self
     }
 
-    /// The underlying spec.
-    pub fn spec(&self) -> &DatasetSpec {
-        &self.spec
-    }
-
     /// Materialise the dataset analog.
     pub fn generate(&self) -> Dataset {
         let seeds = SeedSequence::new(self.seed)
@@ -334,7 +326,7 @@ impl DatasetAnalog {
             }
         }
 
-        Dataset::new(self.spec.name, repo, chunking, Arc::new(truth))
+        Dataset::new(repo, chunking, Arc::new(truth))
     }
 
     fn build_repository(&self) -> (VideoRepository, Chunking) {
@@ -347,13 +339,7 @@ impl DatasetAnalog {
                 let clips = clips.max(1);
                 let frames_per_clip = (total_frames / u64::from(clips)).max(1);
                 let video_clips: Vec<VideoClip> = (0..clips)
-                    .map(|i| {
-                        VideoClip::with_defaults(
-                            ClipId(i),
-                            format!("{}-{i}", self.spec.name),
-                            frames_per_clip,
-                        )
-                    })
+                    .map(|i| VideoClip::with_defaults(ClipId(i), frames_per_clip))
                     .collect();
                 let repo = VideoRepository::from_clips(video_clips);
                 // Scale the chunk duration together with the dataset so the chunk
@@ -378,13 +364,7 @@ impl DatasetAnalog {
                     frames_per_clip = (total_frames / u64::from(clip_count)).max(1);
                 }
                 let video_clips: Vec<VideoClip> = (0..clip_count)
-                    .map(|i| {
-                        VideoClip::with_defaults(
-                            ClipId(i),
-                            format!("{}-clip{i}", self.spec.name),
-                            frames_per_clip,
-                        )
-                    })
+                    .map(|i| VideoClip::with_defaults(ClipId(i), frames_per_clip))
                     .collect();
                 let repo = VideoRepository::from_clips(video_clips);
                 let chunking = Chunking::new(&repo, ChunkingPolicy::PerClip);

@@ -38,7 +38,7 @@ pub enum SkewLevel {
 
 impl SkewLevel {
     /// The concentration fraction (`1.0` means no skew).
-    pub fn concentration(&self) -> f64 {
+    pub(crate) fn concentration(&self) -> f64 {
         match self {
             SkewLevel::None => 1.0,
             SkewLevel::Quarter => 1.0 / 4.0,
@@ -99,6 +99,9 @@ impl std::fmt::Display for GridWorkloadError {
 
 impl std::error::Error for GridWorkloadError {}
 
+/// Log-space standard deviation of the instance-duration LogNormal.
+const DURATION_SIGMA: f64 = 1.0;
+
 /// Builder for [`GridWorkload`].
 #[derive(Debug, Clone)]
 pub struct GridWorkloadBuilder {
@@ -106,7 +109,6 @@ pub struct GridWorkloadBuilder {
     instances: usize,
     chunks: u32,
     mean_duration: f64,
-    duration_sigma: f64,
     skew: SkewLevel,
     seed: u64,
 }
@@ -120,7 +122,6 @@ impl Default for GridWorkloadBuilder {
             instances: 2_000,
             chunks: 128,
             mean_duration: 700.0,
-            duration_sigma: 1.0,
             skew: SkewLevel::ThirtySecond,
             seed: 0,
         }
@@ -149,12 +150,6 @@ impl GridWorkloadBuilder {
     /// Target mean instance duration in frames.
     pub fn mean_duration(mut self, mean: f64) -> Self {
         self.mean_duration = mean;
-        self
-    }
-
-    /// Log-space standard deviation of the duration LogNormal.
-    pub fn duration_sigma(mut self, sigma: f64) -> Self {
-        self.duration_sigma = sigma;
         self
     }
 
@@ -205,31 +200,6 @@ impl GridWorkload {
         ObjectClass::from("object")
     }
 
-    /// Total frames.
-    pub fn frames(&self) -> u64 {
-        self.spec.frames
-    }
-
-    /// Number of instances.
-    pub fn instances(&self) -> usize {
-        self.spec.instances
-    }
-
-    /// Number of chunks.
-    pub fn chunks(&self) -> u32 {
-        self.spec.chunks
-    }
-
-    /// Skew level.
-    pub fn skew(&self) -> SkewLevel {
-        self.spec.skew
-    }
-
-    /// Target mean duration.
-    pub fn mean_duration(&self) -> f64 {
-        self.spec.mean_duration
-    }
-
     /// Materialise the workload as a [`Dataset`].
     pub fn generate(&self) -> Dataset {
         let spec = &self.spec;
@@ -244,7 +214,7 @@ impl GridWorkload {
             },
         );
 
-        let duration_dist = LogNormal::with_mean(spec.mean_duration, spec.duration_sigma)
+        let duration_dist = LogNormal::with_mean(spec.mean_duration, DURATION_SIGMA)
             .expect("builder validated the mean duration");
         let concentration = spec.skew.concentration();
         let class = Self::class();
@@ -277,13 +247,7 @@ impl GridWorkload {
             ));
         }
 
-        let name = format!(
-            "grid/skew-{}/dur-{}/chunks-{}",
-            spec.skew.label(),
-            spec.mean_duration,
-            spec.chunks
-        );
-        Dataset::new(name, repo, chunking, Arc::new(truth))
+        Dataset::new(repo, chunking, Arc::new(truth))
     }
 }
 

@@ -38,7 +38,7 @@ impl IndependentWorkload {
     /// `median_p = 6e-4`, `sigma = 1.75` over 1000 instances (giving a mean near
     /// `3e-3` and a standard deviation near `8e-3`).  Probabilities are capped at
     /// 0.5 so no instance is found in essentially every frame.
-    pub fn generate<R: Rng + ?Sized>(
+    pub(crate) fn generate<R: Rng + ?Sized>(
         instances: usize,
         median_p: f64,
         sigma: f64,

@@ -37,5 +37,5 @@ pub mod skewgen;
 
 pub use dataset::Dataset;
 pub use datasets::{DatasetAnalog, DatasetSpec};
-pub use grid::{GridWorkload, GridWorkloadBuilder, SkewLevel};
+pub use grid::{GridWorkload, SkewLevel};
 pub use independent::IndependentWorkload;

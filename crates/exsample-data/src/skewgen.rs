@@ -6,9 +6,9 @@
 //! set of chunks that covers half the instances.  This module provides:
 //!
 //! * the skew metric `S` itself ([`skew_metric`]);
-//! * Gaussian temporal placement used by the Figure 3 grid ([`normal_center`]);
+//! * Gaussian temporal placement used by the Figure 3 grid (`normal_center`);
 //! * a "hot chunk" weight profile that produces a target skew `S`
-//!   ([`hot_chunk_weights`]), used when synthesising the real-dataset analogs.
+//!   (`hot_chunk_weights`), used when synthesising the real-dataset analogs.
 
 use exsample_rand::{Normal, Sampler};
 use rand::Rng;
@@ -48,7 +48,11 @@ pub fn skew_metric(instances_per_chunk: &[usize]) -> f64 {
 ///
 /// `concentration = 1.0` (or anything ≥ 1) means no skew and falls back to a
 /// uniform draw.  The result is clamped to `[0, total_frames)`.
-pub fn normal_center<R: Rng + ?Sized>(total_frames: u64, concentration: f64, rng: &mut R) -> u64 {
+pub(crate) fn normal_center<R: Rng + ?Sized>(
+    total_frames: u64,
+    concentration: f64,
+    rng: &mut R,
+) -> u64 {
     assert!(total_frames > 0);
     assert!(concentration > 0.0, "concentration must be positive");
     if concentration >= 1.0 {
@@ -70,7 +74,7 @@ pub fn normal_center<R: Rng + ?Sized>(total_frames: u64, concentration: f64, rng
 /// With that split the minimum chunk set covering half the mass is exactly the hot
 /// set, so the expected [`skew_metric`] equals the target (up to rounding of the
 /// hot-chunk count).  `S = 1` degenerates to uniform weights.
-pub fn hot_chunk_weights(num_chunks: usize, target_skew: f64) -> Vec<f64> {
+pub(crate) fn hot_chunk_weights(num_chunks: usize, target_skew: f64) -> Vec<f64> {
     assert!(num_chunks > 0);
     assert!(target_skew >= 1.0, "skew below 1 is not meaningful");
     let hot_chunks = ((num_chunks as f64 / (2.0 * target_skew)).round() as usize)
@@ -93,7 +97,7 @@ pub fn hot_chunk_weights(num_chunks: usize, target_skew: f64) -> Vec<f64> {
 }
 
 /// Sample an index according to a (normalised) weight vector.
-pub fn sample_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
+pub(crate) fn sample_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
     assert!(!weights.is_empty());
     let total: f64 = weights.iter().sum();
     let mut target = rng.gen::<f64>() * total;

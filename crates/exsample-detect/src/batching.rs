@@ -40,7 +40,7 @@ pub struct BatchCostModel {
 
 impl BatchCostModel {
     /// Create a cost model with the given fixed and marginal costs.
-    pub fn new(per_call: u64, per_frame: u64) -> Self {
+    pub(crate) fn new(per_call: u64, per_frame: u64) -> Self {
         BatchCostModel {
             per_call,
             per_frame,
@@ -60,14 +60,8 @@ impl BatchCostModel {
     }
 
     /// The modelled cost of one physical call over `n` frames.
-    pub fn call_cost(&self, n: u64) -> u64 {
+    pub(crate) fn call_cost(&self, n: u64) -> u64 {
         self.per_call + self.per_frame * n
-    }
-
-    /// The modelled cost of `calls` physical invocations covering `frames`
-    /// frames in total.
-    pub fn cost(&self, calls: u64, frames: u64) -> u64 {
-        self.per_call * calls + self.per_frame * frames
     }
 }
 
@@ -108,16 +102,6 @@ impl<D: Detector> BatchingDetector<D> {
             physical_frames: AtomicU64::new(0),
             modelled_cost: AtomicU64::new(0),
         }
-    }
-
-    /// The wrapped detector.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// The cost model being charged.
-    pub fn model(&self) -> BatchCostModel {
-        self.model
     }
 
     /// Physical invocations issued so far (single-frame `detect` calls count
@@ -201,7 +185,7 @@ mod tests {
         let model = BatchCostModel::new(10, 2);
         assert_eq!(model.call_cost(0), 10);
         assert_eq!(model.call_cost(5), 20);
-        assert_eq!(model.cost(3, 5), 40);
+        assert_eq!(model.call_cost(2) + model.call_cost(3), 2 * 10 + 5 * 2);
         // One big batch beats the same frames split into singleton calls.
         assert!(model.call_cost(8) < 8 * model.call_cost(1));
         assert_eq!(BatchCostModel::gpu_default(), BatchCostModel::default());
@@ -210,7 +194,7 @@ mod tests {
     #[test]
     fn wrapper_preserves_results_and_charges_each_invocation() {
         let det = wrapped();
-        let direct = det.inner().detect(100);
+        let direct = det.inner.detect(100);
         assert_eq!(det.detect(100), direct);
         assert_eq!(det.physical_calls(), 1);
         assert_eq!(det.physical_frames(), 1);

@@ -5,7 +5,7 @@
 /// Coordinates are normalised to the frame: `(0, 0)` is the top-left corner and
 /// `(1, 1)` the bottom-right, so boxes are resolution-independent.  Boxes produced
 /// by motion models or localisation noise may poke slightly outside the frame; the
-/// IoU arithmetic still works, and [`BBox::clamp_to_frame`] is available when a
+/// IoU arithmetic still works, and `BBox::clamp_to_frame` is available when a
 /// strictly in-frame box is required.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
@@ -36,12 +36,12 @@ impl BBox {
     }
 
     /// Right edge.
-    pub fn x2(&self) -> f64 {
+    pub(crate) fn x2(&self) -> f64 {
         self.x + self.w
     }
 
     /// Bottom edge.
-    pub fn y2(&self) -> f64 {
+    pub(crate) fn y2(&self) -> f64 {
         self.y + self.h
     }
 
@@ -51,12 +51,12 @@ impl BBox {
     }
 
     /// Area of the box.
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         self.w * self.h
     }
 
     /// Area of the intersection with another box.
-    pub fn intersection_area(&self, other: &BBox) -> f64 {
+    pub(crate) fn intersection_area(&self, other: &BBox) -> f64 {
         let ix = (self.x2().min(other.x2()) - self.x.max(other.x)).max(0.0);
         let iy = (self.y2().min(other.y2()) - self.y.max(other.y)).max(0.0);
         ix * iy
@@ -75,11 +75,6 @@ impl BBox {
         }
     }
 
-    /// Whether this box overlaps the other at all.
-    pub fn overlaps(&self, other: &BBox) -> bool {
-        self.intersection_area(other) > 0.0
-    }
-
     /// Euclidean distance between box centres.
     pub fn center_distance(&self, other: &BBox) -> f64 {
         let (ax, ay) = self.center();
@@ -88,7 +83,7 @@ impl BBox {
     }
 
     /// Translate the box by `(dx, dy)`.
-    pub fn translated(&self, dx: f64, dy: f64) -> BBox {
+    pub(crate) fn translated(&self, dx: f64, dy: f64) -> BBox {
         BBox {
             x: self.x + dx,
             y: self.y + dy,
@@ -104,7 +99,7 @@ impl BBox {
     }
 
     /// Clamp the box to the unit frame `[0, 1] x [0, 1]`.
-    pub fn clamp_to_frame(&self) -> BBox {
+    pub(crate) fn clamp_to_frame(&self) -> BBox {
         let x1 = self.x.clamp(0.0, 1.0);
         let y1 = self.y.clamp(0.0, 1.0);
         let x2 = self.x2().clamp(0.0, 1.0);
@@ -128,7 +123,6 @@ mod tests {
         let a = BBox::new(0.0, 0.0, 0.2, 0.2);
         let b = BBox::new(0.5, 0.5, 0.2, 0.2);
         assert_eq!(a.iou(&b), 0.0);
-        assert!(!a.overlaps(&b));
     }
 
     #[test]
@@ -138,7 +132,6 @@ mod tests {
         let a = BBox::new(0.0, 0.0, 1.0, 1.0);
         let b = BBox::new(0.5, 0.0, 1.0, 1.0);
         assert!((a.iou(&b) - 1.0 / 3.0).abs() < 1e-12);
-        assert!(a.overlaps(&b));
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Object classes.
 //!
 //! The paper's queries search for a specific class of object per query ("find 20
-//! traffic lights").  Classes are plain interned strings; the constants below cover
-//! every class that appears in the paper's Table I / Figure 5 query list so dataset
-//! analogs and experiments can refer to them without typos.
+//! traffic lights").  Classes are plain interned strings.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -17,11 +14,6 @@ use std::sync::Arc;
 pub struct ObjectClass(Arc<str>);
 
 impl ObjectClass {
-    /// Create a class from a name.
-    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
-        ObjectClass(Arc::from(name.into().as_ref()))
-    }
-
     /// The class name.
     pub fn name(&self) -> &str {
         &self.0
@@ -46,42 +38,6 @@ impl From<String> for ObjectClass {
     }
 }
 
-/// Class-name constants used by the paper's evaluation queries.
-pub mod classes {
-    /// Bicycles (dashcam, BDD, amsterdam, archie).
-    pub const BICYCLE: &str = "bicycle";
-    /// Buses (all datasets).
-    pub const BUS: &str = "bus";
-    /// Cars (BDD MOT, amsterdam, archie, night-street).
-    pub const CAR: &str = "car";
-    /// Dogs (amsterdam, night-street).
-    pub const DOG: &str = "dog";
-    /// Fire hydrants (dashcam).
-    pub const FIRE_HYDRANT: &str = "fire hydrant";
-    /// Motorcycles (BDD, amsterdam, archie, night-street).
-    pub const MOTORCYCLE: &str = "motorcycle";
-    /// Pedestrians (BDD MOT).
-    pub const PEDESTRIAN: &str = "pedestrian";
-    /// Persons (BDD, amsterdam, archie, dashcam, night-street).
-    pub const PERSON: &str = "person";
-    /// Riders (BDD).
-    pub const RIDER: &str = "rider";
-    /// Stop signs (dashcam).
-    pub const STOP_SIGN: &str = "stop sign";
-    /// Traffic lights (BDD, dashcam).
-    pub const TRAFFIC_LIGHT: &str = "traffic light";
-    /// Traffic signs (BDD).
-    pub const TRAFFIC_SIGN: &str = "traffic sign";
-    /// Trailers (BDD MOT).
-    pub const TRAILER: &str = "trailer";
-    /// Trains (BDD MOT).
-    pub const TRAIN: &str = "train";
-    /// Trucks (all datasets).
-    pub const TRUCK: &str = "truck";
-    /// Boats (amsterdam).
-    pub const BOAT: &str = "boat";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,7 +46,7 @@ mod tests {
     #[test]
     fn equality_and_hashing() {
         let a = ObjectClass::from("car");
-        let b = ObjectClass::new("car");
+        let b = ObjectClass::from(String::from("car"));
         let c = ObjectClass::from("bus");
         assert_eq!(a, b);
         assert_ne!(a, c);
@@ -100,7 +56,7 @@ mod tests {
 
     #[test]
     fn display_and_name() {
-        let c = ObjectClass::from(classes::TRAFFIC_LIGHT);
+        let c = ObjectClass::from("traffic light");
         assert_eq!(c.to_string(), "traffic light");
         assert_eq!(c.name(), "traffic light");
     }

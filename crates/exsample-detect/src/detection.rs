@@ -35,7 +35,12 @@ impl Detection {
     }
 
     /// Create a detection linked to a ground-truth instance.
-    pub fn with_truth(bbox: BBox, class: ObjectClass, score: f64, truth: InstanceId) -> Self {
+    pub(crate) fn with_truth(
+        bbox: BBox,
+        class: ObjectClass,
+        score: f64,
+        truth: InstanceId,
+    ) -> Self {
         Detection {
             bbox,
             class,

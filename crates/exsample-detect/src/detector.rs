@@ -242,17 +242,6 @@ impl Default for DetectorNoise {
 }
 
 impl DetectorNoise {
-    /// No noise at all: behaves like [`PerfectDetector`] (modulo instance
-    /// detectability).
-    pub fn none() -> Self {
-        DetectorNoise {
-            miss_rate: 0.0,
-            false_positives_per_frame: 0.0,
-            localization_sigma: 0.0,
-            min_true_score: 1.0,
-        }
-    }
-
     fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.miss_rate),
@@ -297,11 +286,6 @@ impl SimulatedDetector {
             noise,
             seeds: SeedSequence::new(seed).derive("simulated-detector"),
         }
-    }
-
-    /// The noise configuration.
-    pub fn noise(&self) -> DetectorNoise {
-        self.noise
     }
 
     /// Deterministic per-frame RNG.
@@ -451,8 +435,13 @@ mod tests {
 
     #[test]
     fn zero_noise_matches_perfect_detector_counts() {
-        let det =
-            SimulatedDetector::new(truth(), ObjectClass::from("car"), DetectorNoise::none(), 7);
+        let none = DetectorNoise {
+            miss_rate: 0.0,
+            false_positives_per_frame: 0.0,
+            localization_sigma: 0.0,
+            min_true_score: 1.0,
+        };
+        let det = SimulatedDetector::new(truth(), ObjectClass::from("car"), none, 7);
         let perfect = PerfectDetector::new(truth(), ObjectClass::from("car"));
         for frame in [0u64, 400, 750, 1_200, 5_000] {
             assert_eq!(

@@ -119,7 +119,7 @@ impl FaultPlan {
     }
 
     /// The plan's seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -180,16 +180,6 @@ impl<D: Detector> FaultInjectingDetector<D> {
             injected_faults: AtomicU64::new(0),
             slow_calls: AtomicU64::new(0),
         }
-    }
-
-    /// The wrapped detector.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// The plan faults are scheduled from.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     /// Total scheduled faults encountered so far (each faulted frame in each

@@ -43,7 +43,7 @@ pub enum MotionModel {
 
 impl MotionModel {
     /// The box at interpolation parameter `t` in `[0, 1]` across the interval.
-    pub fn bbox_at(&self, t: f64) -> BBox {
+    pub(crate) fn bbox_at(&self, t: f64) -> BBox {
         let t = t.clamp(0.0, 1.0);
         match self {
             MotionModel::Static { bbox } => *bbox,
@@ -148,7 +148,7 @@ impl ObjectInstance {
     }
 
     /// Per-frame detection probability when visible.
-    pub fn detectability(&self) -> f64 {
+    pub(crate) fn detectability(&self) -> f64 {
         self.detectability
     }
 

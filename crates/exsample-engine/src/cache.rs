@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 /// Identifier of a distinct detector instance (assigned by the engine in
 /// first-seen order; see `QueryEngine`'s detector registry).
-pub type DetectorSlot = u32;
+pub(crate) type DetectorSlot = u32;
 
 /// Cache key: one detector's view of one frame.
 pub(crate) type Key = (DetectorSlot, FrameId);
@@ -212,7 +212,7 @@ pub(crate) struct DetectionCache {
 
 impl DetectionCache {
     /// Panics on a zero capacity (the engine builds no cache instead).
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         assert!(config.capacity > 0, "cache capacity must be positive");
         let frequency = config.admission == AdmissionPolicy::Frequency;
         DetectionCache {
@@ -227,21 +227,21 @@ impl DetectionCache {
 
     /// Look up `key`'s detections, tallying a hit or a miss.  Recency is not
     /// refreshed: the commit replays the hit as a [`DetectionCache::touch`].
-    pub fn probe(&mut self, key: Key) -> Option<Arc<FrameDetections>> {
+    pub(crate) fn probe(&mut self, key: Key) -> Option<Arc<FrameDetections>> {
         let entry = self.map.get(&key);
         self.tally.hits += u64::from(entry.is_some());
         self.tally.misses += u64::from(entry.is_none());
         entry.map(|entry| Arc::clone(&entry.detections))
     }
 
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let len = self.map.len();
         CacheStats { len, ..self.tally }
     }
 
     /// Replay one probe hit: refresh `key`'s recency and feed the sketch (a
     /// key that is no longer resident keeps no recency).
-    pub fn touch(&mut self, key: Key) {
+    pub(crate) fn touch(&mut self, key: Key) {
         if let Some(sketch) = self.sketch.as_mut() {
             sketch.record(key);
         }
@@ -255,7 +255,7 @@ impl DetectionCache {
 
     /// Replay one probe miss's fill — admit (or refresh) the detections,
     /// evicting the LRU entry past capacity — and report what it caused.
-    pub fn insert(&mut self, key: Key, detections: Arc<FrameDetections>) -> CacheActivity {
+    pub(crate) fn insert(&mut self, key: Key, detections: Arc<FrameDetections>) -> CacheActivity {
         let mut outcome = CacheActivity::default();
         if !self.admits(key) {
             outcome.admission_rejects = 1;

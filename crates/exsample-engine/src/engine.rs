@@ -269,7 +269,7 @@ impl<'a> QuerySpec<'a> {
 
     /// Use an external RNG instead of a seeded private stream (the legacy
     /// `run_query` wrapper threads its caller's generator through here).
-    pub fn rng(mut self, rng: Box<dyn RngCore + 'a>) -> Self {
+    pub(crate) fn rng(mut self, rng: Box<dyn RngCore + 'a>) -> Self {
         self.rng = rng;
         self
     }
@@ -370,7 +370,7 @@ pub struct QueryReport {
     /// without a chunk-selection step).
     pub selection: Option<SelectionTelemetry>,
     /// Why the query stopped, or `None` if it has not run to completion
-    /// (possible only in reports taken via [`QueryEngine::report`] before a
+    /// (possible only in reports taken via `QueryEngine::report` before a
     /// run, or after one that returned an error; after a completed
     /// [`QueryEngine::run`] every query has a reason).
     pub stop_reason: Option<StopReason>,
@@ -781,21 +781,6 @@ impl<'a> QueryEngine<'a> {
             dropped_frames: 0,
         });
         Ok(self.queries.len() - 1)
-    }
-
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Total frames demanded by queries so far (uncoalesced detector work).
-    pub fn demanded_frames(&self) -> u64 {
-        self.demanded_frames
-    }
-
-    /// Total frames run through detectors so far (after coalescing).
-    pub fn detector_frames(&self) -> u64 {
-        self.detector_frames
     }
 
     /// The registry slot of `detector`, assigned in first-seen order.
@@ -1216,7 +1201,7 @@ impl<'a> QueryEngine<'a> {
 
     /// Build the report for the engine's current state.
     #[must_use = "an engine report carries the run's outcomes and cost accounting"]
-    pub fn report(&self) -> EngineReport {
+    pub(crate) fn report(&self) -> EngineReport {
         EngineReport {
             outcomes: self.queries.iter().map(QueryState::report).collect(),
             stages: self.stages,
@@ -1639,7 +1624,7 @@ mod tests {
         let cold = engine.run().unwrap();
         assert_eq!(cold.outcomes[0].frames_processed, 256);
         let cold_calls = detector.batch_calls.load(Ordering::Relaxed);
-        let cold_frames = engine.detector_frames();
+        let cold_frames = engine.detector_frames;
         assert!(cold_calls > 0);
 
         // A warm re-query over the same repository: every frame is cached, so
@@ -1662,7 +1647,7 @@ mod tests {
             cold_calls,
             "warm re-query must be served entirely from the cache"
         );
-        assert_eq!(engine.detector_frames(), cold_frames);
+        assert_eq!(engine.detector_frames, cold_frames);
         let stats = engine.cache_stats().expect("cache enabled");
         assert!(stats.hits >= 256);
         // Outcomes are identical to an uncached run of the same query.

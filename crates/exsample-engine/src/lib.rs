@@ -185,14 +185,14 @@ pub mod policy;
 pub mod runtime;
 pub mod shard;
 
-pub use cache::{AdmissionPolicy, CacheActivity, CacheConfig, CacheStats};
-pub use driver::{run_query, QueryOutcome};
+pub use cache::{AdmissionPolicy, CacheActivity, CacheConfig};
+pub use driver::run_query;
 pub use engine::{
     EngineReport, ExecutionMode, FailureMode, QueryEngine, QueryReport, QuerySpec, RetryPolicy,
     StageObservation, StageSink, StageStats, StopReason, TrajectoryPoint,
 };
-pub use error::{ChunkCountMismatch, EngineError};
+pub use error::EngineError;
 pub use exsample_core::SelectionTelemetry;
-pub use merge::{BatchStats, DetectorInvocations, ShardQueryTally, ShardReport, ShardedReport};
+pub use merge::{BatchStats, ShardQueryTally, ShardReport, ShardedReport};
 pub use policy::{ExSamplePolicy, FrameSamplerPolicy, MethodPolicy, SamplingPolicy};
 pub use shard::ShardRouter;

@@ -43,14 +43,9 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Record one physical invocation carrying `frames` frames.
-    pub fn record(&mut self, frames: u64) {
-        self.record_repeat(frames, 1);
-    }
-
     /// Record `count` physical invocations of `frames` frames each (e.g. a
     /// burst of per-frame recovery calls).
-    pub fn record_repeat(&mut self, frames: u64, count: u64) {
+    pub(crate) fn record_repeat(&mut self, frames: u64, count: u64) {
         if count == 0 {
             return;
         }
@@ -66,7 +61,7 @@ impl BatchStats {
     }
 
     /// Fold another tally into this one.
-    pub fn merge(&mut self, other: &BatchStats) {
+    pub(crate) fn merge(&mut self, other: &BatchStats) {
         if other.count == 0 {
             return;
         }
@@ -82,7 +77,7 @@ impl BatchStats {
     }
 
     /// Mean frames per invocation (0.0 when nothing was recorded).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -225,7 +220,7 @@ mod tests {
         // (`checked_div` is `None` exactly when there are no calls).
         if let Some(even) = frames.checked_div(calls) {
             batches.record_repeat(even, calls - 1);
-            batches.record(frames - even * (calls - 1));
+            batches.record_repeat(frames - even * (calls - 1), 1);
         }
         ShardReport {
             shard,
@@ -270,7 +265,7 @@ mod tests {
     fn batch_stats_record_merge_and_mean() {
         let mut stats = BatchStats::default();
         assert_eq!(stats.mean(), 0.0);
-        stats.record(6);
+        stats.record_repeat(6, 1);
         stats.record_repeat(1, 3);
         assert_eq!(stats.count, 4);
         assert_eq!(stats.frames, 9);
@@ -279,7 +274,7 @@ mod tests {
         assert_eq!(stats.mean(), 2.25);
 
         let mut other = BatchStats::default();
-        other.record(10);
+        other.record_repeat(10, 1);
         other.merge(&stats);
         assert_eq!(other.count, 5);
         assert_eq!(other.frames, 19);

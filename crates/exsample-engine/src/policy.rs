@@ -116,11 +116,6 @@ impl<S: BorrowMut<ExSample>> ExSamplePolicy<S> {
         })
     }
 
-    /// The wrapped sampler (e.g. to inspect per-chunk statistics).
-    pub fn sampler(&self) -> &ExSample {
-        self.sampler.borrow()
-    }
-
     /// Which chunk a global frame id belongs to.
     ///
     /// # Panics
@@ -205,18 +200,6 @@ impl FrameSamplerPolicy<RandomPlusSampler> {
     }
 }
 
-impl<S: FrameSampler> FrameSamplerPolicy<S> {
-    /// Wrap an arbitrary frame sampler under a display name.
-    pub fn with_name(name: &'static str, inner: S) -> Self {
-        FrameSamplerPolicy { name, inner }
-    }
-
-    /// The wrapped sampler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
 /// Batching shim for pick-at-a-time sources: clear `picks`, then draw up to
 /// `batch` frames, stopping early when the source runs dry.
 fn fill_batch(
@@ -265,11 +248,6 @@ impl<M: SamplingMethod> MethodPolicy<M> {
     /// Wrap a sampling method (owned, or `&mut dyn SamplingMethod`).
     pub fn new(inner: M) -> Self {
         MethodPolicy { inner }
-    }
-
-    /// The wrapped method.
-    pub fn inner(&self) -> &M {
-        &self.inner
     }
 }
 
@@ -340,7 +318,7 @@ mod tests {
                 matched_more: Vec::new(),
             },
         );
-        assert_eq!(policy.sampler().stats().chunk(3).samples(), 1);
+        assert_eq!(policy.sampler.stats().chunk(3).samples(), 1);
     }
 
     #[test]

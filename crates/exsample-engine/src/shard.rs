@@ -176,7 +176,7 @@ impl ShardRouter {
     }
 
     /// Number of shards tallies are grouped into.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shard_count
     }
 
@@ -188,7 +188,7 @@ impl ShardRouter {
     /// bounds-free [`ShardRouter::single`] router cannot perform this check —
     /// any chunking-built router does, even at shard count 1.
     #[inline]
-    pub fn shard_of(&self, frame: FrameId) -> usize {
+    pub(crate) fn shard_of(&self, frame: FrameId) -> usize {
         if self.bounds.is_empty() {
             return 0;
         }

@@ -24,6 +24,6 @@ pub mod objective;
 pub mod simplex;
 pub mod solver;
 
-pub use objective::{expected_found, gradient, InstanceChunkProbabilities};
+pub use objective::{expected_found, InstanceChunkProbabilities};
 pub use simplex::project_to_simplex;
-pub use solver::{optimal_weights, OptimalAllocation, SolverOptions};
+pub use solver::{optimal_weights, SolverOptions};

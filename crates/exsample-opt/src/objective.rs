@@ -60,23 +60,23 @@ impl InstanceChunkProbabilities {
     }
 
     /// Number of instances.
-    pub fn instances(&self) -> usize {
+    pub(crate) fn instances(&self) -> usize {
         self.rows.len()
     }
 
     /// Number of chunks.
-    pub fn chunks(&self) -> usize {
+    pub(crate) fn chunks(&self) -> usize {
         self.chunks
     }
 
     /// The row for instance `i`.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.rows[i]
     }
 
     /// The probability of seeing instance `i` in one sample drawn with chunk
     /// weights `w`: the dot product `p_i · w`.
-    pub fn hit_probability(&self, i: usize, weights: &[f64]) -> f64 {
+    pub(crate) fn hit_probability(&self, i: usize, weights: &[f64]) -> f64 {
         self.rows[i]
             .iter()
             .zip(weights)
@@ -104,7 +104,7 @@ pub fn expected_found(probs: &InstanceChunkProbabilities, weights: &[f64], n: u6
 
 /// Gradient of [`expected_found`] with respect to the weights:
 /// `∂/∂w_j = Σ_i n · p_ij · (1 − p_i·w)^{n−1}`.
-pub fn gradient(probs: &InstanceChunkProbabilities, weights: &[f64], n: u64) -> Vec<f64> {
+pub(crate) fn gradient(probs: &InstanceChunkProbabilities, weights: &[f64], n: u64) -> Vec<f64> {
     assert_eq!(weights.len(), probs.chunks());
     let mut grad = vec![0.0; probs.chunks()];
     for i in 0..probs.instances() {

@@ -105,20 +105,6 @@ pub fn optimal_weights(
     }
 }
 
-/// Evaluate the optimal-allocation curve at several sample budgets, re-solving for
-/// each (the dashed lines of Figures 3 and 4 are produced this way, because the
-/// optimal weights depend on `n`).
-pub fn optimal_curve(
-    probs: &InstanceChunkProbabilities,
-    budgets: &[u64],
-    options: SolverOptions,
-) -> Vec<(u64, f64)> {
-    budgets
-        .iter()
-        .map(|&n| (n, optimal_weights(probs, n, options).expected_found))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,9 +175,12 @@ mod tests {
     #[test]
     fn curve_is_monotone_in_budget() {
         let probs = uniform_spread();
-        let curve = optimal_curve(&probs, &[10, 100, 1_000], SolverOptions::default());
-        assert_eq!(curve.len(), 3);
-        assert!(curve[0].1 < curve[1].1 && curve[1].1 < curve[2].1);
+        // The optimal weights depend on `n`, so each budget is solved afresh.
+        let found: Vec<f64> = [10, 100, 1_000]
+            .iter()
+            .map(|&n| optimal_weights(&probs, n, SolverOptions::default()).expected_found)
+            .collect();
+        assert!(found[0] < found[1] && found[1] < found[2]);
     }
 
     #[test]

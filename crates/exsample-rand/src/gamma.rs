@@ -84,14 +84,6 @@ impl Gamma {
         log_pdf.exp()
     }
 
-    /// Cumulative distribution function at `x` (regularised lower incomplete gamma).
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        lower_incomplete_gamma_regularized(self.shape, self.rate * x)
-    }
-
     /// The `q`-quantile (inverse CDF).
     ///
     /// Used by the Bayes-UCB policy, which ranks chunks by an upper quantile of the
@@ -112,59 +104,15 @@ impl Sampler<f64> for Gamma {
     }
 }
 
-/// A Gamma distribution with its Marsaglia–Tsang sampling constants precomputed.
-///
-/// [`Gamma::sample`] recomputes `d = shape − 1/3` and `c = 1/√(9d)` on every
-/// draw; when the *same* distribution is sampled many times (Thompson sampling
-/// draws from every chunk's belief on every pick), those recomputations — one
-/// square root and one division per draw — are pure overhead.  `CachedGamma`
-/// hoists them into the constructor.  Draws are **bitwise identical** to
-/// [`Gamma::sample`] under the same RNG state: both paths execute exactly the
-/// same arithmetic on exactly the same random stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedGamma {
-    shape: f64,
-    rate: f64,
-    d: f64,
-    c: f64,
-    /// `1/shape` when `shape < 1` (the boost branch), `0.0` otherwise.
-    boost_inv_shape: f64,
-}
-
-impl CachedGamma {
-    /// Create a cached Gamma sampler with the given shape and rate.
-    pub fn new(shape: f64, rate: f64) -> Result<Self, DistributionError> {
-        Gamma::new(shape, rate).map(|g| g.cached())
-    }
-
-    /// Shape parameter `alpha`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// Rate parameter `beta`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
+/// The analytic CDF the quantile and sampler tests compare against.
+#[cfg(test)]
 impl Gamma {
-    /// Precompute the Marsaglia–Tsang constants for repeated sampling.
-    pub fn cached(&self) -> CachedGamma {
-        let (d, c, boost_inv_shape) = mt_constants(self.shape);
-        CachedGamma {
-            shape: self.shape,
-            rate: self.rate,
-            d,
-            c,
-            boost_inv_shape,
+    /// Cumulative distribution function at `x` (regularised lower incomplete gamma).
+    fn cdf(&self, x: f64) -> f64 {
+        if x <= 0.0 {
+            return 0.0;
         }
-    }
-}
-
-impl Sampler<f64> for CachedGamma {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        gamma_draw(rng, self.d, self.c, self.boost_inv_shape, self.rate)
+        lower_incomplete_gamma_regularized(self.shape, self.rate * x)
     }
 }
 
@@ -174,7 +122,8 @@ impl Sampler<f64> for CachedGamma {
 /// *boosted* shape `s` (`shape + 1` when `shape < 1`, else `shape`), and
 /// `boost_inv_shape` is `1/shape` when the boost branch applies and `0.0`
 /// otherwise.  These are the per-distribution constants cached by
-/// [`CachedGamma`] and by `exsample-core`'s per-chunk belief cache.
+/// `exsample-core`'s per-chunk belief cache; [`gamma_draw`] on them is
+/// bitwise [`Gamma::sample`].
 #[inline]
 pub fn mt_constants(shape: f64) -> (f64, f64, f64) {
     let boost = shape < 1.0;
@@ -233,7 +182,7 @@ pub fn gamma_draw<R: Rng + ?Sized>(
 }
 
 /// Natural log of the Gamma function (Lanczos approximation, g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Coefficients for the Lanczos approximation.
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -383,21 +332,22 @@ mod tests {
         assert!(Gamma::new(1.0, 0.0).is_err());
         assert!(Gamma::new(-1.0, 1.0).is_err());
         assert!(Gamma::new(f64::NAN, 1.0).is_err());
-        assert!(CachedGamma::new(0.0, 1.0).is_err());
     }
 
     #[test]
     fn cached_sampler_matches_uncached_draw_for_draw() {
-        // Same seed => bitwise-identical draw sequences, for both the plain
-        // branch (shape >= 1) and the boost branch (shape < 1).
+        // Same seed => bitwise-identical draw sequences from the cached
+        // constants (what exsample-core's belief cache stores) and from
+        // `Gamma::sample`, for both the plain branch (shape >= 1) and the
+        // boost branch (shape < 1).
         for &(shape, rate) in &[(5.1, 106.0), (0.1, 1.0), (0.1, 400.0), (37.1, 1_201.0)] {
             let dist = Gamma::new(shape, rate).unwrap();
-            let cached = dist.cached();
+            let (d, c, boost_inv_shape) = mt_constants(shape);
             let mut rng_a = StdRng::seed_from_u64(77);
             let mut rng_b = StdRng::seed_from_u64(77);
             for i in 0..5_000 {
                 let a = dist.sample(&mut rng_a);
-                let b = cached.sample(&mut rng_b);
+                let b = gamma_draw(&mut rng_b, d, c, boost_inv_shape, rate);
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),

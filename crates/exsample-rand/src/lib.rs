@@ -16,8 +16,8 @@
 //! * [`normal`] — standard / parameterised Normal via the Marsaglia polar method.
 //! * [`gamma`] — Gamma via the Marsaglia–Tsang squeeze method (with the shape < 1
 //!   boost), the core of ExSample's Thompson sampling step; includes the
-//!   cached-constant API ([`CachedGamma`], [`gamma::mt_constants`],
-//!   [`gamma::gamma_draw`]) that the chunk-selection hot path builds on.
+//!   cached-constant API ([`gamma::mt_constants`], [`gamma::gamma_draw`]) that
+//!   the chunk-selection hot path builds on.
 //! * [`quantile`] — Gamma quantile (Wilson–Hilferty seed + Halley refinement on
 //!   the regularized incomplete gamma) and [`quantile::gamma_max_of_k`], the
 //!   exact max-of-k order-statistic draw behind belief-class deduplicated
@@ -27,7 +27,6 @@
 //! * [`lognormal`] — LogNormal durations, parameterisable by target mean/sigma.
 //! * [`poisson`] — Poisson counts (inversion for small mean, normal-approximation
 //!   rejection for large mean).
-//! * [`exponential`] — Exponential inter-arrival times.
 //! * [`seeding`] — deterministic hierarchical seed derivation for multi-trial
 //!   experiments.
 //! * [`summary`] — summary statistics (mean, variance, percentiles, geometric
@@ -50,7 +49,6 @@
 #![deny(unsafe_code)]
 
 pub mod error;
-pub mod exponential;
 pub mod gamma;
 pub mod lognormal;
 pub mod normal;
@@ -61,13 +59,11 @@ pub mod summary;
 pub mod ziggurat;
 mod ziggurat_tables;
 
-pub use error::DistributionError;
-pub use exponential::Exponential;
-pub use gamma::{CachedGamma, Gamma};
+pub use gamma::Gamma;
 pub use lognormal::LogNormal;
 pub use normal::{Normal, StandardNormal};
 pub use poisson::Poisson;
-pub use quantile::{gamma_max_of_k, gamma_quantile, standard_normal_quantile, GammaTail};
+pub use quantile::{gamma_max_of_k, gamma_quantile, GammaTail};
 pub use seeding::SeedSequence;
 pub use summary::{geometric_mean, Summary};
 
@@ -119,7 +115,7 @@ mod tests {
     #[test]
     fn sample_n_has_requested_length() {
         let mut rng = StdRng::seed_from_u64(2);
-        let d = Exponential::new(1.5).unwrap();
+        let d = Gamma::new(1.5, 2.0).unwrap();
         assert_eq!(d.sample_n(&mut rng, 37).len(), 37);
     }
 }

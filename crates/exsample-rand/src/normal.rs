@@ -18,13 +18,6 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StandardNormal;
 
-impl StandardNormal {
-    /// Create the standard normal sampler.
-    pub fn new() -> Self {
-        StandardNormal
-    }
-}
-
 impl Sampler<f64> for StandardNormal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         loop {
@@ -67,16 +60,6 @@ impl Normal {
         Normal { mean, std_dev: 0.0 }
     }
 
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation of the distribution.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
     /// Probability density function evaluated at `x`.
     pub fn pdf(&self, x: f64) -> f64 {
         if self.std_dev == 0.0 {
@@ -84,18 +67,6 @@ impl Normal {
         }
         let z = (x - self.mean) / self.std_dev;
         (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    /// Cumulative distribution function evaluated at `x`.
-    ///
-    /// Uses the complementary-error-function expansion (Abramowitz & Stegun 7.1.26),
-    /// accurate to about `1.5e-7`, which is ample for workload generation and tests.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.std_dev == 0.0 {
-            return if x >= self.mean { 1.0 } else { 0.0 };
-        }
-        let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
-        0.5 * (1.0 + erf(z))
     }
 }
 
@@ -108,10 +79,27 @@ impl Sampler<f64> for Normal {
     }
 }
 
+/// The analytic CDF the sampler tests compare empirical frequencies against.
+#[cfg(test)]
+impl Normal {
+    /// Cumulative distribution function evaluated at `x`.
+    ///
+    /// Uses the complementary-error-function expansion (Abramowitz & Stegun 7.1.26),
+    /// accurate to about `1.5e-7`.
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
+        if self.std_dev == 0.0 {
+            return if x >= self.mean { 1.0 } else { 0.0 };
+        }
+        let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
+        0.5 * (1.0 + erf(z))
+    }
+}
+
 /// Error function approximation (Abramowitz & Stegun formula 7.1.26).
 ///
 /// Maximum absolute error ~1.5e-7 over the real line.
-pub fn erf(x: f64) -> f64 {
+#[cfg(test)]
+fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
 

@@ -13,7 +13,7 @@
 //! That draw competes with `k` cached Marsaglia–Tsang draws at ~16 ns each, so
 //! it has to be cheap as well as trustworthy.  This module provides:
 //!
-//! * [`standard_normal_quantile`] — Acklam's rational approximation of `Φ⁻¹`
+//! * `standard_normal_quantile` — Acklam's rational approximation of `Φ⁻¹`
 //!   (absolute error < 1.2e-9 before refinement), used only as a seed;
 //! * [`GammaTail`] — `Gamma(shape, 1)` prepared for inversion.  `ln Γ(shape)`
 //!   is computed once per shape instead of once per incomplete-gamma
@@ -57,7 +57,7 @@ use rand::Rng;
 /// removed by the Halley refinement there.
 ///
 /// Returns `-∞` for `p <= 0` and `+∞` for `p >= 1`.
-pub fn standard_normal_quantile(p: f64) -> f64 {
+pub(crate) fn standard_normal_quantile(p: f64) -> f64 {
     if p <= 0.0 {
         return f64::NEG_INFINITY;
     }
@@ -153,7 +153,7 @@ const FLOOR_MARGIN: f64 = 1e-9;
 
 /// Quantile (inverse CDF) of `Gamma(shape, 1)`: the `x` with `P(shape, x) = p`,
 /// where `P` is the regularised lower incomplete gamma function — consistent
-/// with [`crate::Gamma::cdf`] to better than 1e-9 relative accuracy in the
+/// with `crate::Gamma::cdf` to better than 1e-9 relative accuracy in the
 /// smaller of `p` and `1 − p` (round-trip tested).  See [`GammaTail`] for the
 /// method; callers that invert one shape repeatedly should hold one.
 ///

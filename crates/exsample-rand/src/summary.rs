@@ -36,37 +36,9 @@ impl Summary {
         self.sorted = false;
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
     /// Whether no observations have been recorded.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-
-    /// Arithmetic mean. Returns 0 for an empty summary.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Unbiased sample variance. Returns 0 for fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let sum_sq: f64 = self.values.iter().map(|v| (v - mean) * (v - mean)).sum();
-        sum_sq / (self.values.len() - 1) as f64
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Minimum observation (0 if empty).
@@ -119,10 +91,27 @@ impl Summary {
     pub fn median(&mut self) -> f64 {
         self.percentile(0.5)
     }
+}
 
-    /// A copy of the raw observations.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+/// The moments the distribution tests compare their draws against.
+#[cfg(test)]
+impl Summary {
+    /// Arithmetic mean. Returns 0 for an empty summary.
+    pub(crate) fn mean(&self) -> f64 {
+        if self.values.is_empty() {
+            return 0.0;
+        }
+        self.values.iter().sum::<f64>() / self.values.len() as f64
+    }
+
+    /// Unbiased sample variance. Returns 0 for fewer than two observations.
+    pub(crate) fn variance(&self) -> f64 {
+        if self.values.len() < 2 {
+            return 0.0;
+        }
+        let mean = self.mean();
+        let sum_sq: f64 = self.values.iter().map(|v| (v - mean) * (v - mean)).sum();
+        sum_sq / (self.values.len() - 1) as f64
     }
 }
 

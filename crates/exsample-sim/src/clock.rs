@@ -2,7 +2,7 @@
 //!
 //! The paper's time numbers are derived from two measured throughputs (Section
 //! V-B): scanning/scoring at ~100 fps (io + decode bound) and sampled processing at
-//! ~20 fps (object-detector bound).  [`VirtualClock`] charges those costs as a run
+//! ~20 fps (object-detector bound).  `VirtualClock` charges those costs as a run
 //! progresses so that "frames processed" can be reported as wall-clock/GPU time the
 //! way Table I and Figure 5 do.
 
@@ -10,7 +10,7 @@ use exsample_video::DecodeCostModel;
 
 /// Accumulates virtual seconds spent scanning and processing sampled frames.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     cost: DecodeCostModel,
     scan_secs: f64,
     sample_secs: f64,
@@ -18,48 +18,33 @@ pub struct VirtualClock {
 
 impl VirtualClock {
     /// A clock using the paper's measured throughputs.
-    pub fn paper() -> Self {
-        VirtualClock::new(DecodeCostModel::paper())
-    }
-
-    /// A clock over a custom cost model.
-    pub fn new(cost: DecodeCostModel) -> Self {
+    pub(crate) fn paper() -> Self {
         VirtualClock {
-            cost,
+            cost: DecodeCostModel::paper(),
             scan_secs: 0.0,
             sample_secs: 0.0,
         }
     }
 
-    /// The underlying cost model.
-    pub fn cost_model(&self) -> DecodeCostModel {
-        self.cost
-    }
-
     /// Charge a sequential scan / proxy-scoring pass over `frames` frames.
-    pub fn charge_scan(&mut self, frames: u64) {
+    pub(crate) fn charge_scan(&mut self, frames: u64) {
         self.scan_secs += self.cost.scan_secs(frames);
     }
 
     /// Charge the full sampled-processing cost (random-access decode + detector)
     /// for `frames` frames.
-    pub fn charge_sampled(&mut self, frames: u64) {
+    pub(crate) fn charge_sampled(&mut self, frames: u64) {
         self.sample_secs += self.cost.sampled_processing_secs(frames);
     }
 
     /// Seconds spent scanning so far.
-    pub fn scan_secs(&self) -> f64 {
+    pub(crate) fn scan_secs(&self) -> f64 {
         self.scan_secs
     }
 
     /// Seconds spent on sampled processing so far.
-    pub fn sample_secs(&self) -> f64 {
+    pub(crate) fn sample_secs(&self) -> f64 {
         self.sample_secs
-    }
-
-    /// Total virtual seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.scan_secs + self.sample_secs
     }
 }
 
@@ -93,7 +78,6 @@ mod tests {
         clock.charge_sampled(100);
         assert!((clock.scan_secs() - 10.0).abs() < 1e-9);
         assert!((clock.sample_secs() - 5.0).abs() < 1e-9);
-        assert!((clock.total_secs() - 15.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The experiment harness of the ExSample reproduction: it runs distinct-object
 //! queries end-to-end (sampling method → simulated decode → simulated detector →
 //! discriminator), accounts for virtual GPU/decode time the way the paper does,
-//! and aggregates multi-trial sweeps into the statistics the evaluation reports
-//! (medians, 25–75 % bands, savings ratios, geometric means).
+//! and aggregates multi-trial sweeps into the medians the evaluation reports.
 //!
 //! * [`clock`] — virtual time accounting on top of the decode/detector cost model
 //!   (scan at ~100 fps, sampled processing at ~20 fps) plus Table-I-style duration
@@ -22,8 +21,8 @@
 //!   `QueryRunner::checkpoint(path)` persists every committed stage's belief
 //!   deltas and results, `QueryRunner::warm_start(path)` seeds a fresh
 //!   ExSample run from a recovered store's posterior.
-//! * [`metrics`] — recall trajectories, frames-to-recall, savings ratios, and
-//!   aggregation of trajectories across trials.
+//! * [`metrics`] — recall-trajectory lookups: frames to reach a count, instances
+//!   found after a number of frames.
 //! * [`sweep`] — run many trials (optionally in parallel) and collect their
 //!   results.
 //! * [`table`] — plain-text/markdown table rendering for the experiment binaries.
@@ -39,9 +38,9 @@ pub mod runner;
 pub mod sweep;
 pub mod table;
 
-pub use clock::{format_duration, VirtualClock};
+pub use clock::format_duration;
 pub use error::SimError;
-pub use metrics::{frames_to_count, savings_ratio, TrajectoryBand};
+pub use metrics::frames_to_count;
 pub use runner::{MethodKind, QueryRunner, RunResult, StopCondition, TrajectoryPoint};
 pub use sweep::{run_trials, TrialSet};
 pub use table::Table;

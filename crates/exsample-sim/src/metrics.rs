@@ -1,13 +1,10 @@
-//! Recall-trajectory metrics and multi-trial aggregation.
+//! Recall-trajectory lookups.
 //!
-//! The evaluation reports (a) *savings ratios*: how many fewer frames (equivalently,
-//! how much less time) ExSample needs than random sampling to reach a given number
-//! of results or recall level (Figures 3 and 5), and (b) *trajectory bands*: the
-//! median and 25–75 percentile envelope of instances-found-vs-frames-sampled curves
-//! across repeated trials (the solid lines and shaded regions of Figures 3 and 4).
+//! The evaluation compares methods by the frames each needs to reach a given
+//! number of results or recall level (Figures 3 and 5); these are the
+//! trajectory lookups that comparison is built from.
 
-use crate::runner::{RunResult, TrajectoryPoint};
-use exsample_rand::Summary;
+use crate::runner::TrajectoryPoint;
 
 /// Frames needed by a trajectory to reach `count` found instances, or `None`.
 pub fn frames_to_count(trajectory: &[TrajectoryPoint], count: usize) -> Option<u64> {
@@ -20,37 +17,6 @@ pub fn frames_to_count(trajectory: &[TrajectoryPoint], count: usize) -> Option<u
         .map(|p| p.frames)
 }
 
-/// The savings ratio of `method` over `baseline` at a result-count target:
-/// `frames_baseline / frames_method`.
-///
-/// Returns `None` if either run never reached the target.  Ratios above 1 mean the
-/// method needed fewer frames than the baseline (a 6x ratio is the paper's best
-/// case; 0.75x its worst).
-pub fn savings_ratio(method: &RunResult, baseline: &RunResult, count: usize) -> Option<f64> {
-    let m = method.frames_to_count(count)?;
-    let b = baseline.frames_to_count(count)?;
-    if m == 0 {
-        // Both reached the target "for free" (count == 0 handled by caller); treat
-        // zero-cost method frames as a ratio of exactly the baseline cost.
-        return Some((b as f64).max(1.0));
-    }
-    Some(b as f64 / m as f64)
-}
-
-/// The savings ratio at a recall level rather than an absolute count.
-pub fn savings_ratio_at_recall(
-    method: &RunResult,
-    baseline: &RunResult,
-    recall: f64,
-) -> Option<f64> {
-    let m = method.frames_to_recall(recall)?;
-    let b = baseline.frames_to_recall(recall)?;
-    if m == 0 {
-        return Some((b as f64).max(1.0));
-    }
-    Some(b as f64 / m as f64)
-}
-
 /// The number of instances a trajectory had found after `frames` samples.
 pub fn found_at(trajectory: &[TrajectoryPoint], frames: u64) -> usize {
     trajectory
@@ -60,153 +26,32 @@ pub fn found_at(trajectory: &[TrajectoryPoint], frames: u64) -> usize {
         .map_or(0, |p| p.found)
 }
 
-/// Median and 25–75 percentile band of instances found at fixed frame checkpoints,
-/// aggregated over many trials of the same configuration.
-#[derive(Debug, Clone)]
-pub struct TrajectoryBand {
-    /// The frame checkpoints the band is evaluated at.
-    pub checkpoints: Vec<u64>,
-    /// Median instances found at each checkpoint.
-    pub median: Vec<f64>,
-    /// 25th percentile at each checkpoint.
-    pub p25: Vec<f64>,
-    /// 75th percentile at each checkpoint.
-    pub p75: Vec<f64>,
-}
-
-impl TrajectoryBand {
-    /// Aggregate the trajectories of several trials at the given checkpoints.
-    ///
-    /// # Panics
-    /// Panics if `trials` is empty.
-    pub fn from_trials(trials: &[RunResult], checkpoints: &[u64]) -> Self {
-        assert!(!trials.is_empty(), "need at least one trial to aggregate");
-        let mut median = Vec::with_capacity(checkpoints.len());
-        let mut p25 = Vec::with_capacity(checkpoints.len());
-        let mut p75 = Vec::with_capacity(checkpoints.len());
-        for &frames in checkpoints {
-            let mut summary = Summary::new();
-            for trial in trials {
-                summary.push(found_at(&trial.trajectory, frames) as f64);
-            }
-            median.push(summary.percentile(0.5));
-            p25.push(summary.percentile(0.25));
-            p75.push(summary.percentile(0.75));
-        }
-        TrajectoryBand {
-            checkpoints: checkpoints.to_vec(),
-            median,
-            p25,
-            p75,
-        }
-    }
-}
-
-/// Logarithmically spaced frame checkpoints from 1 to `max_frames`, as used on the
-/// log-scale x-axes of Figures 3 and 4.
-pub fn log_checkpoints(max_frames: u64, points: usize) -> Vec<u64> {
-    assert!(points >= 2, "need at least two checkpoints");
-    assert!(max_frames >= 1);
-    let max = max_frames as f64;
-    let mut out: Vec<u64> = (0..points)
-        .map(|i| {
-            let t = i as f64 / (points - 1) as f64;
-            max.powf(t).round() as u64
-        })
-        .collect();
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn result_with_trajectory(points: &[(u64, usize)]) -> RunResult {
-        RunResult {
-            method: "test".to_string(),
-            frames_processed: points.last().map_or(0, |p| p.0),
-            upfront_scan_frames: 0,
-            distinct_found: points.last().map_or(0, |p| p.1),
-            true_found: points.last().map_or(0, |p| p.1),
-            total_instances: 100,
-            found_instances: Vec::new(),
-            trajectory: points
-                .iter()
-                .map(|&(frames, found)| TrajectoryPoint { frames, found })
-                .collect(),
-            scan_secs: 0.0,
-            sample_secs: 0.0,
-            detect_retries: 0,
-            failed_frames: 0,
-            dropped_frames: 0,
-            selection: None,
-            cache: None,
-            store: None,
-        }
+    fn trajectory(points: &[(u64, usize)]) -> Vec<TrajectoryPoint> {
+        points
+            .iter()
+            .map(|&(frames, found)| TrajectoryPoint { frames, found })
+            .collect()
     }
 
     #[test]
     fn frames_to_count_finds_first_crossing() {
-        let t = result_with_trajectory(&[(5, 1), (20, 2), (100, 3)]);
-        assert_eq!(frames_to_count(&t.trajectory, 0), Some(0));
-        assert_eq!(frames_to_count(&t.trajectory, 1), Some(5));
-        assert_eq!(frames_to_count(&t.trajectory, 3), Some(100));
-        assert_eq!(frames_to_count(&t.trajectory, 4), None);
-    }
-
-    #[test]
-    fn savings_ratio_compares_methods() {
-        let fast = result_with_trajectory(&[(10, 1), (50, 10)]);
-        let slow = result_with_trajectory(&[(100, 1), (400, 10)]);
-        assert_eq!(savings_ratio(&fast, &slow, 10), Some(8.0));
-        assert_eq!(savings_ratio(&slow, &fast, 10), Some(0.125));
-        assert_eq!(savings_ratio(&fast, &slow, 11), None);
-    }
-
-    #[test]
-    fn savings_ratio_at_recall_uses_total_instances() {
-        // total_instances = 100, so recall 0.1 needs 10 found.
-        let fast = result_with_trajectory(&[(10, 5), (50, 10)]);
-        let slow = result_with_trajectory(&[(100, 5), (500, 10)]);
-        assert_eq!(savings_ratio_at_recall(&fast, &slow, 0.1), Some(10.0));
-        assert_eq!(savings_ratio_at_recall(&fast, &slow, 0.5), None);
+        let t = trajectory(&[(5, 1), (20, 2), (100, 3)]);
+        assert_eq!(frames_to_count(&t, 0), Some(0));
+        assert_eq!(frames_to_count(&t, 1), Some(5));
+        assert_eq!(frames_to_count(&t, 3), Some(100));
+        assert_eq!(frames_to_count(&t, 4), None);
     }
 
     #[test]
     fn found_at_interpolates_step_function() {
-        let t = result_with_trajectory(&[(5, 1), (20, 2)]);
-        assert_eq!(found_at(&t.trajectory, 4), 0);
-        assert_eq!(found_at(&t.trajectory, 5), 1);
-        assert_eq!(found_at(&t.trajectory, 19), 1);
-        assert_eq!(found_at(&t.trajectory, 1_000), 2);
-    }
-
-    #[test]
-    fn trajectory_band_aggregates_percentiles() {
-        let trials = vec![
-            result_with_trajectory(&[(10, 1), (100, 10)]),
-            result_with_trajectory(&[(10, 3), (100, 20)]),
-            result_with_trajectory(&[(10, 5), (100, 30)]),
-        ];
-        let band = TrajectoryBand::from_trials(&trials, &[10, 100]);
-        assert_eq!(band.median, vec![3.0, 20.0]);
-        assert_eq!(band.p25, vec![2.0, 15.0]);
-        assert_eq!(band.p75, vec![4.0, 25.0]);
-        assert_eq!(band.checkpoints, vec![10, 100]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn empty_trials_panic() {
-        let _ = TrajectoryBand::from_trials(&[], &[10]);
-    }
-
-    #[test]
-    fn log_checkpoints_are_increasing_and_span_range() {
-        let cps = log_checkpoints(10_000, 9);
-        assert_eq!(*cps.first().unwrap(), 1);
-        assert_eq!(*cps.last().unwrap(), 10_000);
-        assert!(cps.windows(2).all(|w| w[0] < w[1]));
+        let t = trajectory(&[(5, 1), (20, 2)]);
+        assert_eq!(found_at(&t, 4), 0);
+        assert_eq!(found_at(&t, 5), 1);
+        assert_eq!(found_at(&t, 19), 1);
+        assert_eq!(found_at(&t, 1_000), 2);
     }
 }

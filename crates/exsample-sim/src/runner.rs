@@ -38,7 +38,6 @@ use exsample_engine::{
 use exsample_rand::SeedSequence;
 use exsample_store::{BeliefStore, StoreHealth};
 use exsample_track::{Discriminator, OracleDiscriminator, TrackingDiscriminator};
-use exsample_video::DecodeCostModel;
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -166,16 +165,6 @@ impl RunResult {
         self.frames_to_count(needed)
     }
 
-    /// Virtual seconds to reach a recall level, including any upfront scan, under
-    /// the given cost model.  `None` if the recall level was never reached.
-    pub fn time_to_recall(&self, recall: f64, cost: &DecodeCostModel) -> Option<f64> {
-        let frames = self.frames_to_recall(recall)?;
-        Some(
-            cost.proxy_scoring_secs(self.upfront_scan_frames)
-                + cost.sampled_processing_secs(frames),
-        )
-    }
-
     /// Total virtual seconds of the whole run (scan + sampled processing).
     pub fn total_secs(&self) -> f64 {
         self.scan_secs + self.sample_secs
@@ -194,7 +183,6 @@ pub struct QueryRunner<'a> {
     frame_cap: Option<u64>,
     detector_noise: Option<DetectorNoise>,
     discriminator: DiscriminatorKind,
-    cost: DecodeCostModel,
     /// `None` = serial execution (never requested); `Some(n)` is validated by
     /// the engine at run time (`Some(0)` is the typed
     /// `EngineError::InvalidExecution`).
@@ -226,7 +214,6 @@ impl<'a> QueryRunner<'a> {
             frame_cap: None,
             detector_noise: None,
             discriminator: DiscriminatorKind::Oracle,
-            cost: DecodeCostModel::paper(),
             parallel: None,
             retry: RetryPolicy::none(),
             failure: FailureMode::default(),
@@ -353,12 +340,6 @@ impl<'a> QueryRunner<'a> {
     /// Choose the discriminator implementation.
     pub fn discriminator(mut self, kind: DiscriminatorKind) -> Self {
         self.discriminator = kind;
-        self
-    }
-
-    /// Use a custom cost model for time accounting.
-    pub fn cost_model(mut self, cost: DecodeCostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -493,7 +474,7 @@ impl<'a> QueryRunner<'a> {
             }
         };
 
-        let mut clock = VirtualClock::new(self.cost);
+        let mut clock = VirtualClock::paper();
         clock.charge_scan(upfront_scan_frames);
 
         // Translate the stop condition into engine limits, on top of the
@@ -628,6 +609,7 @@ impl<'a> QueryRunner<'a> {
 mod tests {
     use super::*;
     use exsample_data::{GridWorkload, SkewLevel};
+    use exsample_video::DecodeCostModel;
 
     fn skewed_dataset() -> Dataset {
         GridWorkload::builder()
@@ -723,12 +705,11 @@ mod tests {
             .run(MethodKind::Proxy(ProxyConfig::default()))
             .expect("query run succeeded");
         assert_eq!(result.upfront_scan_frames, dataset.total_frames());
-        assert!(result.scan_secs > 0.0);
-        // Time to any recall level includes the scan.
-        let time = result
-            .time_to_recall(10.0 / 400.0, &DecodeCostModel::paper())
-            .unwrap();
-        assert!(time >= result.scan_secs);
+        // The clock charged the whole scan at the paper's scan rate.
+        assert_eq!(
+            result.scan_secs,
+            DecodeCostModel::paper().scan_secs(dataset.total_frames())
+        );
     }
 
     #[test]

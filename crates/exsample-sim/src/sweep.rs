@@ -18,7 +18,7 @@
 
 use crate::error::SimError;
 use crate::runner::RunResult;
-use exsample_rand::{geometric_mean, Summary};
+use exsample_rand::Summary;
 use rayon::prelude::*;
 
 /// A collection of per-trial results for one experimental configuration.
@@ -68,17 +68,6 @@ impl TrialSet {
         } else {
             Some(summary.median())
         }
-    }
-
-    /// Geometric mean of per-trial recall values.
-    pub fn geometric_mean_recall(&self) -> f64 {
-        geometric_mean(
-            &self
-                .results
-                .iter()
-                .map(RunResult::recall)
-                .collect::<Vec<_>>(),
-        )
     }
 }
 
@@ -167,7 +156,6 @@ mod tests {
         assert!(median.unwrap() >= 1.0);
         // An unreachable target yields None.
         assert_eq!(set.median_frames_to_count(10_000), None);
-        assert!(set.geometric_mean_recall() > 0.0);
     }
 
     #[test]

@@ -37,16 +37,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Column widths (maximum of header and cell widths).
     fn widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
@@ -194,7 +184,7 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = Table::new(vec!["x"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         assert_eq!(t.to_plain().lines().count(), 2);
     }
 }

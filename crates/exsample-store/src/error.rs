@@ -62,7 +62,7 @@ pub enum StoreError {
 
 impl StoreError {
     /// Build an [`StoreError::Io`] from a real `std::io::Error`.
-    pub fn io(op: &'static str, file: &str, err: &std::io::Error) -> Self {
+    pub(crate) fn io(op: &'static str, file: &str, err: &std::io::Error) -> Self {
         StoreError::Io {
             op,
             file: file.to_string(),
@@ -76,7 +76,7 @@ impl StoreError {
     /// Transient means `Io` with `ErrorKind::Interrupted` — the kind the
     /// fault injector uses for its scheduled flaky-disk errors, and the kind
     /// POSIX promises is safe to retry.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(
             self,
             StoreError::Io {

@@ -101,7 +101,7 @@ impl StoragePlan {
     }
 
     /// The plan's seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -187,11 +187,6 @@ impl<S: Storage> FaultInjectingStorage<S> {
             seeds,
             counters: Arc::default(),
         }
-    }
-
-    /// The wrapped backend.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 
     /// A counter handle that outlives handing this wrapper to a store.
@@ -429,7 +424,7 @@ mod tests {
         assert!(storage.append("log", b"x").is_err());
         assert!(storage.truncate("log", 0).is_err());
         // The torn tail survived: more than the first append, less than both.
-        let survived = storage.into_inner().read("log").unwrap().unwrap();
+        let survived = storage.inner.read("log").unwrap().unwrap();
         assert!(
             survived.len() >= 10 && survived.len() < 20,
             "{}",
@@ -450,6 +445,6 @@ mod tests {
         assert_eq!(monitor.mutations(), 9);
         assert_eq!(monitor.injected_transients(), 0);
         assert_eq!(monitor.injected_short_writes(), 0);
-        assert_eq!(storage.into_inner().read("log").unwrap().unwrap().len(), 24);
+        assert_eq!(storage.inner.read("log").unwrap().unwrap().len(), 24);
     }
 }

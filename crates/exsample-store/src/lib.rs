@@ -12,7 +12,7 @@
 //! from the recovered state instead of starting cold.
 //!
 //! Robustness is proved, not claimed: all I/O goes through the [`Storage`]
-//! seam (real [`FsStorage`], in-memory [`MemStorage`]), and the seeded
+//! seam (real `FsStorage`, in-memory [`MemStorage`]), and the seeded
 //! [`FaultInjectingStorage`] — the storage twin of the detector stack's
 //! `FaultInjectingDetector` — injects short writes, transient I/O errors and
 //! crash points from a pure per-`(op, attempt)` schedule.  The crate's test
@@ -34,6 +34,6 @@ mod store;
 
 pub use error::StoreError;
 pub use fault::{FaultInjectingStorage, StorageFaultMonitor, StoragePlan};
-pub use record::{crc32, encode_frames, next_frame, FrameScan, Record, FRAME_HEADER, MAX_PAYLOAD};
-pub use storage::{FsStorage, MemFiles, MemStorage, Storage};
-pub use store::{BeliefCell, BeliefState, BeliefStore, RecoveryReport, ResultCell, StoreHealth};
+pub use record::{encode_frames, next_frame, FrameScan, Record};
+pub use storage::{MemFiles, MemStorage, Storage};
+pub use store::{BeliefCell, BeliefState, BeliefStore, RecoveryReport, StoreHealth};

@@ -25,10 +25,10 @@
 
 /// Maximum frame payload the decoder will accept (defence against a corrupt
 /// length field making recovery allocate gigabytes).
-pub const MAX_PAYLOAD: u32 = 1 << 24;
+pub(crate) const MAX_PAYLOAD: u32 = 1 << 24;
 
 /// Bytes of framing overhead per record (length + CRC).
-pub const FRAME_HEADER: usize = 8;
+pub(crate) const FRAME_HEADER: usize = 8;
 
 /// One durable record.  `BeliefDelta`, `ResultFound` and `StageCommit` are
 /// log records; `SnapshotHeader` and `BeliefTotal` appear only in snapshots;
@@ -136,7 +136,7 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// CRC-32/IEEE of `bytes` (the polynomial `zip`/`png`/`gzip` use).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
@@ -195,7 +195,7 @@ impl<'a> Cursor<'a> {
 
 impl Record {
     /// Encode the payload (no framing) into `out`.
-    pub fn encode_payload(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Record::SnapshotHeader {
                 generation,
@@ -268,7 +268,7 @@ impl Record {
 
     /// Decode one payload.  `None` means the payload is malformed — the
     /// framing layer treats that the same as a CRC mismatch.
-    pub fn decode_payload(payload: &[u8]) -> Option<Record> {
+    pub(crate) fn decode_payload(payload: &[u8]) -> Option<Record> {
         let mut c = Cursor {
             buf: payload,
             pos: 0,
@@ -321,7 +321,7 @@ impl Record {
     }
 
     /// Append the full frame (header + payload) for this record to `out`.
-    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_frame(&self, out: &mut Vec<u8>) {
         let mut payload = Vec::with_capacity(40);
         self.encode_payload(&mut payload);
         put_u32(out, payload.len() as u32);

@@ -59,13 +59,13 @@ pub trait Storage: Send {
 
 /// Real `std::fs` backend rooted at a directory.
 #[derive(Debug)]
-pub struct FsStorage {
+pub(crate) struct FsStorage {
     root: PathBuf,
 }
 
 impl FsStorage {
     /// Open (creating if necessary) a store directory.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
+    pub(crate) fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let root = root.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| StoreError::io("create_dir", &root.display().to_string(), &e))?;

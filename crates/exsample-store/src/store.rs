@@ -84,7 +84,7 @@ pub struct BeliefCell {
 
 /// One recovered distinct result: where and when an instance was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResultCell {
+pub(crate) struct ResultCell {
     /// Frame the instance was first found on.
     pub frame: u64,
     /// Stage of the find.
@@ -131,11 +131,6 @@ impl BeliefState {
         self.beliefs
             .range((class, 0)..=(class, u32::MAX))
             .map(|(&(_, chunk), &cell)| (chunk, cell))
-    }
-
-    /// All distinct results, ordered by `(class, instance)`.
-    pub fn results(&self) -> impl Iterator<Item = ((u32, u64), ResultCell)> + '_ {
-        self.results.iter().map(|(k, v)| (*k, *v))
     }
 
     /// How many distinct instances a class has recorded.
@@ -228,19 +223,6 @@ pub struct StoreHealth {
     pub stages_committed: u64,
     /// Fsynced group appends to the log (compactions are counted above).
     pub durable_writes: u64,
-}
-
-impl StoreHealth {
-    /// Sum another health report into this one (e.g. a warm-start open plus
-    /// a checkpoint store's run counters).
-    pub fn merge(&mut self, other: &StoreHealth) {
-        self.records_replayed += other.records_replayed;
-        self.torn_tail_bytes += other.torn_tail_bytes;
-        self.snapshot_compactions += other.snapshot_compactions;
-        self.io_retries += other.io_retries;
-        self.stages_committed += other.stages_committed;
-        self.durable_writes += other.durable_writes;
-    }
 }
 
 /// What [`BeliefStore::open`] found and repaired.
@@ -660,19 +642,9 @@ impl BeliefStore {
         self.durable_stage
     }
 
-    /// The live snapshot generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Cumulative health counters (recovery + run).
     pub fn health(&self) -> StoreHealth {
         self.health
-    }
-
-    /// Records staged but not yet committed.
-    pub fn pending_records(&self) -> usize {
-        self.pending.len()
     }
 
     // ---- durable I/O helpers -------------------------------------------
@@ -842,7 +814,7 @@ mod tests {
             // Staged but never committed — not even a flush writes it:
             store.append_delta(car, 0, 100, 1, 1).unwrap();
             store.flush().unwrap();
-            assert_eq!(store.pending_records(), 1);
+            assert_eq!(store.pending.len(), 1);
         }
         let (reopened, _) = open_mem(&files);
         assert_eq!(
@@ -901,7 +873,7 @@ mod tests {
                 }
             }
             assert_eq!(store.health().snapshot_compactions, 3);
-            assert_eq!(store.generation(), 3);
+            assert_eq!(store.generation, 3);
             assert_eq!(store.health().durable_writes, 0);
             store.state().clone()
         };

@@ -37,13 +37,13 @@ pub struct MatchOutcome {
 
 impl MatchOutcome {
     /// `|d0|`: the number of new distinct objects found in this frame.
-    pub fn d0(&self) -> usize {
+    pub(crate) fn d0(&self) -> usize {
         self.new.len()
     }
 
     /// `|d1|`: the number of detections matching an object previously seen exactly
     /// once.
-    pub fn d1(&self) -> usize {
+    pub(crate) fn d1(&self) -> usize {
         self.matched_once.len()
     }
 
@@ -164,7 +164,7 @@ pub struct TrackingDiscriminator {
 
 impl TrackingDiscriminator {
     /// Create a tracking discriminator with the given IoU threshold.
-    pub fn new(truth: Arc<GroundTruth>, min_iou: f64) -> Self {
+    pub(crate) fn new(truth: Arc<GroundTruth>, min_iou: f64) -> Self {
         assert!((0.0..=1.0).contains(&min_iou));
         TrackingDiscriminator {
             truth,
@@ -178,11 +178,6 @@ impl TrackingDiscriminator {
     /// Create a discriminator with the defaults used in the evaluation (IoU 0.5).
     pub fn with_defaults(truth: Arc<GroundTruth>) -> Self {
         TrackingDiscriminator::new(truth, 0.5)
-    }
-
-    /// Number of objects created from false-positive detections.
-    pub fn false_positive_objects(&self) -> usize {
-        self.false_positive_tracks.len()
     }
 
     /// Try to match a detection against accepted instance tracks at this frame.
@@ -357,7 +352,7 @@ mod tests {
 
         assert_eq!(d.distinct_count(), 2);
         assert_eq!(d.found_instances(), vec![InstanceId(0), InstanceId(1)]);
-        assert_eq!(d.false_positive_objects(), 0);
+        assert_eq!(d.false_positive_tracks.len(), 0);
     }
 
     #[test]
@@ -371,7 +366,7 @@ mod tests {
         );
         let o = d.observe(&fp);
         assert_eq!(o.d0(), 1);
-        assert_eq!(d.false_positive_objects(), 1);
+        assert_eq!(d.false_positive_tracks.len(), 1);
         // The same spurious box a few frames later matches the stored FP track.
         let fp2 = FrameDetections::new(
             60,

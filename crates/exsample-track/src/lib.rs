@@ -17,6 +17,7 @@
 //! * [`tracker`] — a SORT-like tracker that links per-frame detections into tracks;
 //!   used to build approximate ground truth by sequential scanning, exactly as the
 //!   paper does for its evaluation datasets.
+//! * [`ground_truth_builder`] — that sequential-scan ground-truth construction.
 //! * [`discriminator`] — the [`discriminator::Discriminator`] trait plus the
 //!   [`discriminator::TrackingDiscriminator`] (paper-faithful, IoU against stored
 //!   track positions) and [`discriminator::OracleDiscriminator`] (matches on

@@ -24,12 +24,10 @@ impl std::fmt::Display for ChunkId {
     }
 }
 
-/// A contiguous range of global frames belonging to a single clip.
+/// A contiguous range of global frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     id: ChunkId,
-    /// Index of the clip this chunk lies within.
-    clip_index: usize,
     /// Global frame range `[start, end)`.
     start: FrameId,
     end: FrameId,
@@ -37,13 +35,8 @@ pub struct Chunk {
 
 impl Chunk {
     /// Chunk identifier.
-    pub fn id(&self) -> ChunkId {
+    pub(crate) fn id(&self) -> ChunkId {
         self.id
-    }
-
-    /// Index of the clip the chunk belongs to.
-    pub fn clip_index(&self) -> usize {
-        self.clip_index
     }
 
     /// First global frame id of the chunk.
@@ -67,13 +60,8 @@ impl Chunk {
     }
 
     /// Whether the chunk contains the global frame id.
-    pub fn contains(&self, frame: FrameId) -> bool {
+    pub(crate) fn contains(&self, frame: FrameId) -> bool {
         frame >= self.start && frame < self.end
-    }
-
-    /// The global frame range of the chunk.
-    pub fn range(&self) -> std::ops::Range<FrameId> {
-        self.start..self.end
     }
 }
 
@@ -113,7 +101,6 @@ impl ChunkingPolicy {
 #[derive(Debug, Clone)]
 pub struct Chunking {
     chunks: Vec<Chunk>,
-    policy: ChunkingPolicy,
 }
 
 impl Chunking {
@@ -142,7 +129,7 @@ impl Chunking {
                 Self::fixed_count_split(repo, u64::from(chunks))
             }
         };
-        Chunking { chunks, policy }
+        Chunking { chunks }
     }
 
     fn per_clip_split(repo: &VideoRepository, max_len: impl Fn(&VideoClip) -> u64) -> Vec<Chunk> {
@@ -156,7 +143,6 @@ impl Chunking {
                 let id = ChunkId(chunks.len() as u32);
                 chunks.push(Chunk {
                     id,
-                    clip_index,
                     start: clip_start + local,
                     end: clip_start + local + len,
                 });
@@ -175,20 +161,13 @@ impl Chunking {
             // remainder frames landing on the later chunks.
             let start = i * total / count;
             let end = (i + 1) * total / count;
-            let clip_index = repo.resolve(start).clip_index;
             chunks.push(Chunk {
                 id: ChunkId(i as u32),
-                clip_index,
                 start,
                 end,
             });
         }
         chunks
-    }
-
-    /// The chunking policy this partition was built with.
-    pub fn policy(&self) -> ChunkingPolicy {
-        self.policy
     }
 
     /// Number of chunks.
@@ -204,11 +183,6 @@ impl Chunking {
     /// All chunks in temporal order.
     pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
-    }
-
-    /// Look up a chunk by id.
-    pub fn chunk(&self, id: ChunkId) -> &Chunk {
-        &self.chunks[id.0 as usize]
     }
 
     /// The lengths (in frames) of every chunk, indexed by chunk id.
@@ -234,9 +208,9 @@ mod tests {
 
     fn repo() -> VideoRepository {
         VideoRepository::from_clips(vec![
-            VideoClip::new(ClipId(0), "a", 100, 30.0, 20),
-            VideoClip::new(ClipId(1), "b", 45, 30.0, 20),
-            VideoClip::new(ClipId(2), "c", 250, 30.0, 20),
+            VideoClip::new(ClipId(0), 100, 30.0, 20),
+            VideoClip::new(ClipId(1), 45, 30.0, 20),
+            VideoClip::new(ClipId(2), 250, 30.0, 20),
         ])
     }
 
@@ -260,8 +234,8 @@ mod tests {
         let c = Chunking::new(&r, ChunkingPolicy::PerClip);
         assert_eq!(c.len(), 3);
         assert_partition(&r, &c);
-        assert_eq!(c.chunk(ChunkId(1)).len(), 45);
-        assert_eq!(c.chunk(ChunkId(1)).clip_index(), 1);
+        assert_eq!(c.chunks()[1].start(), r.clip_offset(1));
+        assert_eq!(c.chunks()[1].len(), 45);
     }
 
     #[test]
@@ -273,8 +247,10 @@ mod tests {
         assert_partition(&r, &c);
         // No chunk crosses a clip boundary.
         for chunk in c.chunks() {
-            let span = r.clip_span(chunk.clip_index());
-            assert!(chunk.start() >= span.start && chunk.end() <= span.end);
+            for clip in 0..r.clip_count() {
+                let boundary = r.clip_offset(clip);
+                assert!(!(chunk.start() < boundary && boundary < chunk.end()));
+            }
         }
     }
 
@@ -316,7 +292,7 @@ mod tests {
         let c = Chunking::new(&r, ChunkingPolicy::FixedFrames { frames: 60 });
         for frame in 0..r.total_frames() {
             let id = c.chunk_of_frame(frame);
-            assert!(c.chunk(id).contains(frame));
+            assert!(c.chunks()[id.0 as usize].contains(frame));
         }
     }
 

@@ -1,6 +1,6 @@
 //! A single encoded video clip.
 
-use crate::{FrameId, DEFAULT_FPS, DEFAULT_GOP};
+use crate::{DEFAULT_FPS, DEFAULT_GOP};
 
 /// Identifier of a clip within a [`crate::VideoRepository`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -22,7 +22,6 @@ impl std::fmt::Display for ClipId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VideoClip {
     id: ClipId,
-    name: String,
     frame_count: u64,
     fps: f64,
     gop_size: u32,
@@ -33,19 +32,12 @@ impl VideoClip {
     ///
     /// # Panics
     /// Panics if `frame_count == 0`, `fps <= 0`, or `gop_size == 0`.
-    pub fn new(
-        id: ClipId,
-        name: impl Into<String>,
-        frame_count: u64,
-        fps: f64,
-        gop_size: u32,
-    ) -> Self {
+    pub(crate) fn new(id: ClipId, frame_count: u64, fps: f64, gop_size: u32) -> Self {
         assert!(frame_count > 0, "a clip must contain at least one frame");
         assert!(fps > 0.0, "fps must be positive");
         assert!(gop_size > 0, "GOP size must be positive");
         VideoClip {
             id,
-            name: name.into(),
             frame_count,
             fps,
             gop_size,
@@ -53,14 +45,14 @@ impl VideoClip {
     }
 
     /// Create a clip with the paper's defaults (30 fps, keyframe every 20 frames).
-    pub fn with_defaults(id: ClipId, name: impl Into<String>, frame_count: u64) -> Self {
-        VideoClip::new(id, name, frame_count, DEFAULT_FPS, DEFAULT_GOP)
+    pub fn with_defaults(id: ClipId, frame_count: u64) -> Self {
+        VideoClip::new(id, frame_count, DEFAULT_FPS, DEFAULT_GOP)
     }
 
     /// Create a clip of the given duration in seconds with the paper's defaults.
-    pub fn from_duration_secs(id: ClipId, name: impl Into<String>, seconds: f64) -> Self {
+    pub fn from_duration_secs(id: ClipId, seconds: f64) -> Self {
         let frames = (seconds * DEFAULT_FPS).round().max(1.0) as u64;
-        VideoClip::with_defaults(id, name, frames)
+        VideoClip::with_defaults(id, frames)
     }
 
     /// Clip identifier.
@@ -68,28 +60,18 @@ impl VideoClip {
         self.id
     }
 
-    /// Human-readable clip name (e.g. `"drive_2021_03_14_a"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of frames in the clip.
-    pub fn frame_count(&self) -> u64 {
+    pub(crate) fn frame_count(&self) -> u64 {
         self.frame_count
     }
 
     /// Frames per second.
-    pub fn fps(&self) -> f64 {
+    pub(crate) fn fps(&self) -> f64 {
         self.fps
     }
 
-    /// Keyframe interval.
-    pub fn gop_size(&self) -> u32 {
-        self.gop_size
-    }
-
     /// Duration of the clip in seconds.
-    pub fn duration_secs(&self) -> f64 {
+    pub(crate) fn duration_secs(&self) -> f64 {
         self.frame_count as f64 / self.fps
     }
 
@@ -125,11 +107,6 @@ impl VideoClip {
         }
         ((secs * self.fps) as u64).min(self.frame_count - 1)
     }
-
-    /// Global frame id of the clip's first frame given the clip's global offset.
-    pub(crate) fn span(&self, global_offset: FrameId) -> std::ops::Range<FrameId> {
-        global_offset..global_offset + self.frame_count
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +114,7 @@ mod tests {
     use super::*;
 
     fn clip() -> VideoClip {
-        VideoClip::new(ClipId(3), "test", 100, 30.0, 20)
+        VideoClip::new(ClipId(3), 100, 30.0, 20)
     }
 
     #[test]
@@ -178,16 +155,16 @@ mod tests {
 
     #[test]
     fn from_duration_secs_rounds_to_frames() {
-        let c = VideoClip::from_duration_secs(ClipId(0), "x", 10.0);
+        let c = VideoClip::from_duration_secs(ClipId(0), 10.0);
         assert_eq!(c.frame_count(), 300);
-        let c = VideoClip::from_duration_secs(ClipId(0), "x", 0.001);
+        let c = VideoClip::from_duration_secs(ClipId(0), 0.001);
         assert_eq!(c.frame_count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_frames_panics() {
-        let _ = VideoClip::with_defaults(ClipId(0), "bad", 0);
+        let _ = VideoClip::with_defaults(ClipId(0), 0);
     }
 
     #[test]

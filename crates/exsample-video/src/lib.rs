@@ -54,4 +54,4 @@ pub const DEFAULT_FPS: f64 = 30.0;
 
 /// The keyframe interval the paper re-encodes its video with ("we re-encode our
 /// video data to insert keyframes every 20 frames").
-pub const DEFAULT_GOP: u32 = 20;
+pub(crate) const DEFAULT_GOP: u32 = 20;

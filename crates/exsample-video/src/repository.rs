@@ -31,7 +31,7 @@ pub struct VideoRepository {
 
 impl VideoRepository {
     /// Create an empty repository.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VideoRepository::default()
     }
 
@@ -47,15 +47,11 @@ impl VideoRepository {
     /// Convenience constructor: a repository consisting of a single clip of
     /// `frame_count` frames with default encoding parameters.
     pub fn single_clip(frame_count: u64) -> Self {
-        VideoRepository::from_clips(vec![VideoClip::with_defaults(
-            ClipId(0),
-            "clip0",
-            frame_count,
-        )])
+        VideoRepository::from_clips(vec![VideoClip::with_defaults(ClipId(0), frame_count)])
     }
 
     /// Append a clip to the repository.
-    pub fn push_clip(&mut self, clip: VideoClip) {
+    pub(crate) fn push_clip(&mut self, clip: VideoClip) {
         self.offsets.push(self.total_frames);
         self.total_frames += clip.frame_count();
         self.clips.push(clip);
@@ -67,7 +63,7 @@ impl VideoRepository {
     }
 
     /// All clips in order.
-    pub fn clips(&self) -> &[VideoClip] {
+    pub(crate) fn clips(&self) -> &[VideoClip] {
         &self.clips
     }
 
@@ -77,7 +73,7 @@ impl VideoRepository {
     }
 
     /// Total duration of the repository in seconds.
-    pub fn total_duration_secs(&self) -> f64 {
+    pub(crate) fn total_duration_secs(&self) -> f64 {
         self.clips.iter().map(VideoClip::duration_secs).sum()
     }
 
@@ -87,13 +83,8 @@ impl VideoRepository {
     }
 
     /// The global frame id of the first frame of clip `index`.
-    pub fn clip_offset(&self, index: usize) -> FrameId {
+    pub(crate) fn clip_offset(&self, index: usize) -> FrameId {
         self.offsets[index]
-    }
-
-    /// The global frame range covered by clip `index`.
-    pub fn clip_span(&self, index: usize) -> std::ops::Range<FrameId> {
-        self.clips[index].span(self.offsets[index])
     }
 
     /// Resolve a global frame id into a [`FrameRef`].
@@ -131,9 +122,9 @@ mod tests {
 
     fn repo() -> VideoRepository {
         VideoRepository::from_clips(vec![
-            VideoClip::with_defaults(ClipId(0), "a", 100),
-            VideoClip::with_defaults(ClipId(1), "b", 50),
-            VideoClip::with_defaults(ClipId(2), "c", 200),
+            VideoClip::with_defaults(ClipId(0), 100),
+            VideoClip::with_defaults(ClipId(1), 50),
+            VideoClip::with_defaults(ClipId(2), 200),
         ])
     }
 
@@ -144,7 +135,6 @@ mod tests {
         assert_eq!(r.clip_offset(0), 0);
         assert_eq!(r.clip_offset(1), 100);
         assert_eq!(r.clip_offset(2), 150);
-        assert_eq!(r.clip_span(1), 100..150);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub enum ShardPartitioner {
 /// frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
-    partitioner: ShardPartitioner,
     /// `assignment[j]` = shard owning chunk `j`.
     assignment: Vec<u32>,
     shards: u32,
@@ -45,9 +44,7 @@ impl ShardSpec {
     /// # Panics
     /// Panics if `chunks` or `shards` is zero.
     pub fn round_robin(chunks: usize, shards: u32) -> Self {
-        Self::build(ShardPartitioner::RoundRobin, chunks, shards, |j, s| {
-            (j % s as usize) as u32
-        })
+        Self::build(chunks, shards, |j, s| (j % s as usize) as u32)
     }
 
     /// Split `chunks` chunks into `shards` contiguous ranges whose sizes
@@ -59,7 +56,7 @@ impl ShardSpec {
     /// Panics if `chunks` or `shards` is zero.
     pub fn contiguous(chunks: usize, shards: u32) -> Self {
         let s = shards as usize;
-        Self::build(ShardPartitioner::Contiguous, chunks, shards, |j, _| {
+        Self::build(chunks, shards, |j, _| {
             // Inverse of the range starts `start_s = s * chunks / shards`.
             let mut shard = j * s / chunks;
             while (shard + 1) * chunks / s <= j {
@@ -80,12 +77,7 @@ impl ShardSpec {
         }
     }
 
-    fn build(
-        partitioner: ShardPartitioner,
-        chunks: usize,
-        shards: u32,
-        shard_of: impl Fn(usize, u32) -> u32,
-    ) -> Self {
+    fn build(chunks: usize, shards: u32, shard_of: impl Fn(usize, u32) -> u32) -> Self {
         assert!(chunks > 0, "cannot shard an empty chunking");
         assert!(shards > 0, "shard count must be positive");
         let assignment: Vec<u32> = (0..chunks).map(|j| shard_of(j, shards)).collect();
@@ -93,16 +85,7 @@ impl ShardSpec {
             assignment.iter().all(|&s| s < shards),
             "partitioner produced an out-of-range shard"
         );
-        ShardSpec {
-            partitioner,
-            assignment,
-            shards,
-        }
-    }
-
-    /// The partitioner this spec was built with.
-    pub fn partitioner(&self) -> ShardPartitioner {
-        self.partitioner
+        ShardSpec { assignment, shards }
     }
 
     /// Number of chunks covered by the spec.
@@ -131,7 +114,7 @@ mod tests {
     fn round_robin_assignment_and_remapping() {
         let spec = ShardSpec::round_robin(7, 3);
         assert_eq!(spec.shard_assignment(), &[0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(spec.partitioner(), ShardPartitioner::RoundRobin);
+        assert_eq!(spec, ShardSpec::new(ShardPartitioner::RoundRobin, 7, 3));
         assert_eq!((spec.chunk_count(), spec.shard_count()), (7, 3));
     }
 

@@ -133,15 +133,6 @@ impl Criterion {
             elements: None,
         }
     }
-
-    /// Compatibility no-op (criterion configures this on the group).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    /// Compatibility no-op: upstream criterion parses CLI filters here.
-    pub fn final_summary(&self) {}
 }
 
 /// How much work one iteration does, for per-element reporting.

@@ -151,8 +151,8 @@ pub mod bool {
 
 /// Common imports for property tests.
 pub mod prelude {
+    pub use crate::TestCaseError;
     pub use crate::{prop_assert, prop_assert_eq, prop_assume, proptest};
-    pub use crate::{Strategy, TestCaseError};
 }
 
 /// Assert a condition inside a `proptest!` body.
