@@ -118,11 +118,16 @@ impl ExperimentOptions {
                 }
                 "--scale" => {
                     let value = iter.next().ok_or("--scale requires a value")?;
-                    options.scale = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --scale value: {value}"))?,
-                    );
+                    let scale: f64 = value
+                        .parse()
+                        .map_err(|_| format!("bad --scale value: {value}"))?;
+                    if !exsample_data::DatasetAnalog::valid_scale(scale) {
+                        return Err(format!(
+                            "--scale must be in (0, {}], got {value}",
+                            exsample_data::DatasetAnalog::MAX_SCALE
+                        ));
+                    }
+                    options.scale = Some(scale);
                 }
                 "--seed" => {
                     let value = iter.next().ok_or("--seed requires a value")?;
@@ -159,9 +164,14 @@ impl ExperimentOptions {
                 }
                 "--retries" => {
                     let value = iter.next().ok_or("--retries requires a value")?;
-                    options.retries = value
+                    let retries: u32 = value
                         .parse()
                         .map_err(|_| format!("bad --retries value: {value}"))?;
+                    // The attempt budget, retries + 1, must fit in a u32.
+                    if retries.checked_add(1).is_none() {
+                        return Err(format!("--retries must be below {}, got {value}", u32::MAX));
+                    }
+                    options.retries = retries;
                 }
                 "--fault-rate" => {
                     let value = iter.next().ok_or("--fault-rate requires a value")?;
@@ -457,16 +467,16 @@ where
 }
 
 /// Print a one-line `#`-comment summary of merged cache telemetry
-/// (hits/misses/evictions/admission rejects), or nothing when the cache was
-/// off.  Experiment bins print it after their tables so `--cache N` runs
-/// report warm-hit savings next to recall; bins whose runs go out of scope
-/// per table cell accumulate telemetry with
-/// [`exsample_engine::CacheActivity::absorb`] first.
+/// (hits/misses/evictions), or nothing when the cache was off.  Experiment
+/// bins print it after their tables so `--cache N` runs report warm-hit
+/// savings next to recall; bins whose runs go out of scope per table cell
+/// accumulate telemetry with [`exsample_engine::CacheActivity::absorb`]
+/// first.
 pub fn print_cache_telemetry(label: &str, cache: Option<&exsample_engine::CacheActivity>) {
     if let Some(cache) = cache {
         println!(
-            "# cache[{label}]: hits {}, misses {}, evictions {}, admission rejects {}",
-            cache.hits, cache.misses, cache.evictions, cache.admission_rejects
+            "# cache[{label}]: hits {}, misses {}, evictions {}",
+            cache.hits, cache.misses, cache.evictions
         );
     }
 }
@@ -503,6 +513,24 @@ mod tests {
         assert_eq!(options.scale_or(0.25), 0.5);
         assert_eq!(options.seed, 3);
         assert!(options.csv);
+    }
+
+    #[test]
+    fn scale_outside_the_dataset_range_is_a_usage_error() {
+        for bad in ["0", "-1", "nan", "inf", "4.5"] {
+            let err = parse(&["--scale", bad]).unwrap_err();
+            assert!(err.contains("(0, 4]"), "{bad}: {err}");
+        }
+        assert_eq!(parse(&["--scale", "4"]).unwrap().scale_or(0.25), 4.0);
+    }
+
+    #[test]
+    fn retries_whose_attempt_budget_overflows_are_rejected() {
+        let max = u32::MAX.to_string();
+        assert!(parse(&["--retries", &max]).unwrap_err().contains("below"));
+        let below = (u32::MAX - 1).to_string();
+        let options = parse(&["--retries", &below]).unwrap();
+        assert_eq!(options.retry_policy().max_attempts(), u32::MAX);
     }
 
     #[test]
@@ -636,7 +664,6 @@ mod tests {
             hits: 8,
             misses: 2,
             evictions: 1,
-            admission_rejects: 0,
         };
         let merged = merged_cache_telemetry([
             &result(Some(activity)),
@@ -647,7 +674,6 @@ mod tests {
         assert_eq!(merged.hits, 16);
         assert_eq!(merged.misses, 4);
         assert_eq!(merged.evictions, 2);
-        assert_eq!(merged.admission_rejects, 0);
     }
 
     #[test]

@@ -245,6 +245,15 @@ pub struct DatasetAnalog {
 }
 
 impl DatasetAnalog {
+    /// The largest scale [`DatasetAnalog::with_scale`] accepts: scales lie in
+    /// `(0, MAX_SCALE]`.
+    pub const MAX_SCALE: f64 = 4.0;
+
+    /// Whether [`DatasetAnalog::with_scale`] accepts `scale` (never for NaN).
+    pub fn valid_scale(scale: f64) -> bool {
+        scale > 0.0 && scale <= Self::MAX_SCALE
+    }
+
     /// Create a generator for `spec` at full scale.
     pub fn new(spec: DatasetSpec, seed: u64) -> Self {
         DatasetAnalog {
@@ -259,7 +268,11 @@ impl DatasetAnalog {
     /// probability (and therefore the relative behaviour of the samplers) intact
     /// while making experiments and tests proportionally cheaper.
     pub fn with_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0 && scale <= 4.0, "scale must be in (0, 4]");
+        assert!(
+            Self::valid_scale(scale),
+            "scale must be in (0, {}]",
+            Self::MAX_SCALE
+        );
         self.scale = scale;
         self
     }

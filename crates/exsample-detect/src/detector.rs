@@ -128,7 +128,7 @@ pub trait Detector: Send + Sync {
     /// A real inference backend can fail — a timeout, a lost connection, a
     /// corrupt frame — and a panic is the wrong vocabulary for that.  This
     /// method surfaces such failures as typed [`DetectError`]s so engines can
-    /// retry, drop the frame, or quarantine the detector.  The default
+    /// retry, drop the frame, or fail the run.  The default
     /// implementation wraps the infallible [`Detector::detect_batch`] path and
     /// never fails, so existing detectors keep working unchanged.
     ///

@@ -27,7 +27,7 @@
 //!   succeeds.  This is the shape retry machinery exists for.
 //! * **permanent** — a frame drawn with probability `permanent_rate` fails
 //!   *every* attempt with [`DetectError::Permanent`].  Retrying is futile;
-//!   drop-frame and quarantine handling exist for this shape.
+//!   drop-frame and fail-fast handling exist for this shape.
 //! * **slow** — a frame drawn with probability `slow_rate` makes every call
 //!   that includes it sleep for `slow_delay` before delegating.  Slowness
 //!   affects wall-clock only, never results, so it cannot perturb determinism.

@@ -26,8 +26,8 @@ pub(crate) type DetectorSlot = u32;
 pub(crate) type Key = (DetectorSlot, FrameId);
 
 /// Cache hit/miss/eviction counters.  Hits and misses are counted at probe
-/// time, evictions and admission rejects at commit; a frame two same-stage
-/// lanes share under one detector is probed — and counted — once.
+/// time, evictions at commit; a frame two same-stage lanes share under one
+/// detector is probed — and counted — once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -36,9 +36,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Inserts refused by the admission policy (always zero under
-    /// [`AdmissionPolicy::Always`]).
-    pub admission_rejects: u64,
     /// Entries currently resident.
     pub len: usize,
 }
@@ -53,8 +50,6 @@ pub struct CacheActivity {
     pub misses: u64,
     /// Evictions triggered by this scope's inserts.
     pub evictions: u64,
-    /// Inserts refused by the admission policy.
-    pub admission_rejects: u64,
 }
 
 impl CacheActivity {
@@ -63,51 +58,11 @@ impl CacheActivity {
         self.hits += other.hits;
         self.misses += other.misses;
         self.evictions += other.evictions;
-        self.admission_rejects += other.admission_rejects;
     }
 }
 
-/// How the cache decides whether a brand-new key may displace a resident
-/// entry when the cache is full.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Every insert is admitted; the least-recently-used entry is evicted to
-    /// make room.
-    #[default]
-    Always,
-    /// TinyLFU-style gate: a new key arriving at capacity is admitted only
-    /// if a count-min sketch estimates it at least as frequent as the LRU
-    /// victim, so a one-pass scan cannot flush a hot working set.
-    Frequency,
-}
-
-/// Configuration of the engine's detections cache (see
-/// `QueryEngine::cache_config`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    pub(crate) capacity: usize,
-    pub(crate) admission: AdmissionPolicy,
-}
-
-impl CacheConfig {
-    /// A cache holding at most `capacity` frame entries, admitting every
-    /// insert (plain LRU).
-    pub fn new(capacity: usize) -> Self {
-        CacheConfig {
-            capacity,
-            admission: AdmissionPolicy::Always,
-        }
-    }
-
-    /// Set the admission policy.
-    pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.admission = admission;
-        self
-    }
-}
-
-/// SplitMix64 finalizer: a cheap, strong bit mixer that keeps the map and the
-/// sketch independent of the standard library's randomised hashing.
+/// SplitMix64 finalizer: a cheap, strong bit mixer that keeps the map
+/// independent of the standard library's randomised hashing.
 fn mix64(h: u64) -> u64 {
     let h = (h ^ h >> 33).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     let h = (h ^ h >> 33).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
@@ -133,63 +88,6 @@ impl std::hash::Hasher for Mix64Hasher {
     }
 }
 
-/// Per-row seeds for the count-min sketch.
-const SKETCH_ROW_SEEDS: [u64; 4] = [
-    0x9E37_79B9_7F4A_7C15,
-    0xC2B2_AE3D_27D4_EB4F,
-    0x1656_67B1_9E37_79F9,
-    0xFF51_AFD7_ED55_8CCD,
-];
-
-/// Count-min sketch of per-key access frequency for the frequency gate:
-/// four rows of saturating counters, halved every `sample_period` additions
-/// so stale popularity decays.
-struct CountMinSketch {
-    /// Row width minus one (width is a power of two).
-    width_mask: u64,
-    /// Four rows stored flat: `rows[row * width + column]`.
-    rows: Vec<u32>,
-    additions: u64,
-    sample_period: u64,
-}
-
-impl CountMinSketch {
-    fn new(capacity: usize) -> Self {
-        let width = capacity.next_power_of_two().max(64);
-        CountMinSketch {
-            width_mask: (width - 1) as u64,
-            rows: vec![0; width * SKETCH_ROW_SEEDS.len()],
-            additions: 0,
-            sample_period: (capacity as u64 * 16).max(1024),
-        }
-    }
-
-    /// The flat index of `key`'s counter in each row.
-    fn cells(&self, (slot, frame): Key) -> [usize; 4] {
-        let hash = frame ^ u64::from(slot).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let width = self.width_mask as usize + 1;
-        std::array::from_fn(|row| {
-            row * width + (mix64(hash ^ SKETCH_ROW_SEEDS[row]) & self.width_mask) as usize
-        })
-    }
-
-    fn record(&mut self, key: Key) {
-        for cell in self.cells(key) {
-            self.rows[cell] = self.rows[cell].saturating_add(1);
-        }
-        self.additions += 1;
-        if self.additions >= self.sample_period {
-            self.rows.iter_mut().for_each(|cell| *cell /= 2);
-            self.additions = 0;
-        }
-    }
-
-    fn estimate(&self, key: Key) -> u32 {
-        let [a, b, c, d] = self.cells(key).map(|cell| self.rows[cell]);
-        a.min(b).min(c).min(d)
-    }
-}
-
 /// A resident entry; log entries older than its `tick` are stale.
 struct Entry {
     detections: Arc<FrameDetections>,
@@ -205,22 +103,19 @@ pub(crate) struct DetectionCache {
     /// Touch log for lazy-deletion LRU: front = least recent candidate.
     order: VecDeque<(Key, u64)>,
     tick: u64,
-    sketch: Option<CountMinSketch>,
     /// Every counter but `len`, which is read off the map.
     tally: CacheStats,
 }
 
 impl DetectionCache {
     /// Panics on a zero capacity (the engine builds no cache instead).
-    pub(crate) fn new(config: CacheConfig) -> Self {
-        assert!(config.capacity > 0, "cache capacity must be positive");
-        let frequency = config.admission == AdmissionPolicy::Frequency;
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
         DetectionCache {
-            capacity: config.capacity,
+            capacity,
             map: Map::default(),
             order: VecDeque::new(),
             tick: 0,
-            sketch: frequency.then(|| CountMinSketch::new(config.capacity)),
             tally: CacheStats::default(),
         }
     }
@@ -239,12 +134,9 @@ impl DetectionCache {
         CacheStats { len, ..self.tally }
     }
 
-    /// Replay one probe hit: refresh `key`'s recency and feed the sketch (a
-    /// key that is no longer resident keeps no recency).
+    /// Replay one probe hit: refresh `key`'s recency (a key that is no
+    /// longer resident keeps no recency).
     pub(crate) fn touch(&mut self, key: Key) {
-        if let Some(sketch) = self.sketch.as_mut() {
-            sketch.record(key);
-        }
         self.compact_if_bloated();
         self.tick += 1;
         if let Some(entry) = self.map.get_mut(&key) {
@@ -257,39 +149,20 @@ impl DetectionCache {
     /// evicting the LRU entry past capacity — and report what it caused.
     pub(crate) fn insert(&mut self, key: Key, detections: Arc<FrameDetections>) -> CacheActivity {
         let mut outcome = CacheActivity::default();
-        if !self.admits(key) {
-            outcome.admission_rejects = 1;
-        } else {
-            self.tick += 1;
-            let tick = self.tick;
-            let new = self.map.insert(key, Entry { detections, tick }).is_none();
-            if new && self.map.len() > self.capacity {
-                if let Some(victim) = lru_key(&mut self.order, &self.map) {
-                    self.order.pop_front();
-                    self.map.remove(&victim);
-                    outcome.evictions = 1;
-                }
+        self.tick += 1;
+        let tick = self.tick;
+        let new = self.map.insert(key, Entry { detections, tick }).is_none();
+        if new && self.map.len() > self.capacity {
+            if let Some(victim) = lru_key(&mut self.order, &self.map) {
+                self.order.pop_front();
+                self.map.remove(&victim);
+                outcome.evictions = 1;
             }
-            self.order.push_back((key, tick));
-            self.compact_if_bloated();
         }
+        self.order.push_back((key, tick));
+        self.compact_if_bloated();
         self.tally.evictions += outcome.evictions;
-        self.tally.admission_rejects += outcome.admission_rejects;
         outcome
-    }
-
-    /// Record `key` in the sketch, if any: it enters unless the cache is full,
-    /// it is new, and its estimated frequency trails the LRU victim's.
-    fn admits(&mut self, key: Key) -> bool {
-        let Some(sketch) = self.sketch.as_mut() else {
-            return true;
-        };
-        sketch.record(key);
-        if self.map.len() < self.capacity || self.map.contains_key(&key) {
-            return true;
-        }
-        lru_key(&mut self.order, &self.map)
-            .is_none_or(|victim| sketch.estimate(key) >= sketch.estimate(victim))
     }
 
     /// Drop stale log entries once the log outgrows twice the live map, so a
@@ -321,7 +194,7 @@ mod tests {
     use super::*;
 
     fn lru(capacity: usize) -> DetectionCache {
-        DetectionCache::new(CacheConfig::new(capacity))
+        DetectionCache::new(capacity)
     }
 
     /// Insert `key`'s (empty) detections.
@@ -391,51 +264,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = lru(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn striped_zero_capacity_panics() {
-        let config = CacheConfig::new(0).admission(AdmissionPolicy::Frequency);
-        let _ = DetectionCache::new(config);
-    }
-
-    #[test]
-    fn striped_probe_commit_round_trip() {
-        let mut cache = lru(2);
-        assert!(cache.probe((0, 7)).is_none());
-        let original = Arc::new(FrameDetections::empty(7));
-        assert_eq!(
-            cache.insert((0, 7), Arc::clone(&original)),
-            CacheActivity::default()
-        );
-        let held = cache.probe((0, 7)).expect("warm hit");
-        assert!(Arc::ptr_eq(&held, &original), "hit shares the allocation");
-        assert!(cache.probe((1, 7)).is_none(), "detector is part of the key");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 2, 1));
-        // A probe alone leaves recency alone: frame 7 stays the LRU entry
-        // until its hit is committed as a touch.
-        put(&mut cache, (0, 8));
-        assert!(cache.probe((0, 7)).is_some());
-        assert_eq!(put(&mut cache, (0, 9)).evictions, 1);
-        assert!(cache.probe((0, 7)).is_none(), "uncommitted hit was evicted");
-        assert!(cache.probe((0, 8)).is_some());
-        cache.touch((0, 8));
-        assert_eq!(put(&mut cache, (0, 10)).evictions, 1);
-        assert!(cache.probe((0, 8)).is_some(), "committed hit survived");
-        assert!(cache.probe((0, 9)).is_none());
-    }
-
-    #[test]
     fn striped_touch_log_stays_bounded_under_hit_dominated_load() {
-        // Under frequency admission every touch also feeds the sketch, and a
-        // touch of a key that is not resident must not grow the log either.
-        let config = CacheConfig::new(8).admission(AdmissionPolicy::Frequency);
-        let mut cache = DetectionCache::new(config);
+        // A touch of a key that is not resident must not grow the log either.
+        let mut cache = lru(8);
         (0..8).for_each(|frame| _ = put(&mut cache, (0, frame)));
         for round in 0..10_000 {
             assert!(get(&mut cache, round % 8));
@@ -448,33 +279,24 @@ mod tests {
     }
 
     #[test]
-    fn frequency_admission_shields_a_hot_working_set_from_a_scan() {
-        let config = CacheConfig::new(4).admission(AdmissionPolicy::Frequency);
-        let mut cache = DetectionCache::new(config);
-        // Insert a hot working set, then touch it four times over.
-        for frame in (0..4).chain((0..16).map(|i| i % 4)) {
-            if !get(&mut cache, frame) {
-                put(&mut cache, (0, frame));
-            }
-        }
-        // A one-pass cold scan: each candidate's sketch count is 1 against
-        // the victims' 5, so none is admitted and nothing is evicted.
-        assert!((100..116).all(|frame| put(&mut cache, (0, frame)).admission_rejects == 1));
-        assert!((0..4).all(|frame| cache.map.contains_key(&(0, frame))));
-        assert_eq!(cache.stats().evictions, 0);
-        // Every attempt records the newcomer, so it is rejected while its
-        // count trails the victims' 5 and admitted on the attempt that ties.
-        let rejects = [0; 5].map(|_| put(&mut cache, (0, 200)).admission_rejects);
-        assert_eq!(rejects, [1, 1, 1, 1, 0]);
-        assert!(cache.map.contains_key(&(0, 200)));
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_panics() {
+        let _ = lru(0);
     }
 
     #[test]
-    fn always_admission_never_rejects() {
+    fn probe_hit_keeps_no_recency_until_committed() {
         let mut cache = lru(2);
-        (0..16).for_each(|frame| _ = put(&mut cache, (0, frame)));
-        let s = cache.stats();
-        assert_eq!((s.evictions, s.admission_rejects, s.len), (14, 0, 2));
+        (7..=8).for_each(|frame| _ = put(&mut cache, (0, frame)));
+        // Frame 7 stays the LRU entry until its hit is committed as a touch.
+        assert!(cache.probe((0, 7)).is_some());
+        assert_eq!(put(&mut cache, (0, 9)).evictions, 1);
+        assert!(cache.probe((0, 7)).is_none(), "uncommitted hit was evicted");
+        assert!(cache.probe((0, 8)).is_some());
+        cache.touch((0, 8));
+        assert_eq!(put(&mut cache, (0, 10)).evictions, 1);
+        assert!(cache.probe((0, 8)).is_some(), "committed hit survived");
+        assert!(cache.probe((0, 9)).is_none());
     }
 
     /// Insert or refresh `key` in a naive LRU of capacity 256 — keys in
@@ -488,9 +310,9 @@ mod tests {
     /// Drive a seeded trace as `Lanes::commit` does — 1000 stages of 1–40 keys
     /// over 2 × 700 (duplicates included), probed, then hits touched and
     /// misses inserted in sorted order — into FNV-1a digests of every stage's
-    /// stats and of the evicted keys.  `Always` is checked against the naive.
-    fn replay_golden(admission: AdmissionPolicy) -> [u64; 2] {
-        let mut cache = DetectionCache::new(CacheConfig::new(256).admission(admission));
+    /// stats and of the evicted keys, checking each stage against the naive.
+    fn replay_golden() -> [u64; 2] {
+        let mut cache = lru(256);
         let mut naive = Vec::new();
         let mut digests = [0xCBF2_9CE4_8422_2325u64; 2];
         let mut digest = |which: usize, words: &[u64]| {
@@ -519,18 +341,16 @@ mod tests {
                     evicted.extend(victim);
                 }
             }
-            if admission == AdmissionPolicy::Always {
-                assert!(touches.iter().all(|k| naive.contains(k)), "{stage}");
-                assert!(!inserts.iter().any(|k| naive.contains(k)), "{stage}");
-                let mut naive_evicted = Vec::new();
-                for key in touches.into_iter().chain(inserts) {
-                    naive_evicted.extend(naive_insert(&mut naive, key));
-                }
-                assert_eq!(evicted, naive_evicted, "stage {stage}");
+            assert!(touches.iter().all(|k| naive.contains(k)), "{stage}");
+            assert!(!inserts.iter().any(|k| naive.contains(k)), "{stage}");
+            let mut naive_evicted = Vec::new();
+            for key in touches.into_iter().chain(inserts) {
+                naive_evicted.extend(naive_insert(&mut naive, key));
             }
+            assert_eq!(evicted, naive_evicted, "stage {stage}");
             let s = cache.stats();
             digest(0, &[s.hits, s.misses]);
-            digest(0, &[s.evictions, s.admission_rejects, s.len as u64]);
+            digest(0, &[s.evictions, s.len as u64]);
             for &(slot, frame) in &evicted {
                 digest(1, &[u64::from(slot), frame]);
             }
@@ -538,13 +358,15 @@ mod tests {
         digests
     }
 
-    /// Digests captured from the lock-striped cache this one replaced (3752
-    /// hits, 16544 evictions; `Frequency`: 1119 evictions, 15543 rejects).
+    /// The eviction-order digest (second word) was captured from the
+    /// lock-striped cache this one replaced (3752 hits, 16544 evictions).
+    /// The stats digest (first word) was re-measured on the same trace once
+    /// the always-zero admission-rejects counter left each stage's words.
     #[test]
     fn golden_eviction_trace_is_pinned() {
-        let always = replay_golden(AdmissionPolicy::Always);
-        assert_eq!(always, [0x813d_b8ce_bbe1_733f, 0x7c48_8383_e4b4_44ea]);
-        let frequency = replay_golden(AdmissionPolicy::Frequency);
-        assert_eq!(frequency, [0x72dc_c936_6527_a5d5, 0xe206_212b_d9a9_aa4e]);
+        assert_eq!(
+            replay_golden(),
+            [0x5102_9c0e_2162_bf5f, 0x7c48_8383_e4b4_44ea]
+        );
     }
 }

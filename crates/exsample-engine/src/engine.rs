@@ -33,7 +33,7 @@
 //! `detect` (probe the cache, then gather the misses into one slice per
 //! lane, run the slices — one pool call when the run has helpers — and
 //! scatter the outcomes to the lanes) and `settle` (fail-fast scan, cache
-//! commit, tallies, FAN-OUT, quarantine, stats, sink).
+//! commit, tallies, FAN-OUT, stats, sink).
 //!
 //! Shards are a reporting view, not an execution mode: the router of
 //! [`QueryEngine::sharded`] is read only where a tally is recorded, to add it
@@ -56,7 +56,7 @@
 //! follows the lane count: a detector group is cut where a lane boundary
 //! falls inside it.
 
-use crate::cache::{CacheActivity, CacheConfig, CacheStats, DetectionCache};
+use crate::cache::{CacheActivity, CacheStats, DetectionCache};
 use crate::error::EngineError;
 use crate::merge::{BatchStats, ShardedReport};
 use crate::policy::SamplingPolicy;
@@ -118,12 +118,6 @@ pub enum StopReason {
     FrameBudgetExhausted,
     /// The query's policy ran out of frames to produce.
     RepositoryExhausted,
-    /// The query's detector was quarantined: under
-    /// [`FailureMode::Quarantine`], a detector whose cumulative failed-frame
-    /// count exceeded the failure threshold is disabled for the rest of the
-    /// run, and every query bound to it stops with this reason at the next
-    /// stage boundary.
-    DetectorQuarantined,
 }
 
 /// How (and whether) the engine retries a frame whose detect attempt failed.
@@ -197,15 +191,6 @@ pub enum FailureMode {
     /// they are never cached) and tally them in the reports
     /// ([`EngineReport::failed_frames`], [`QueryReport::dropped_frames`]).
     DropFrames,
-    /// Degrade like [`FailureMode::DropFrames`], and additionally disable any
-    /// detector whose cumulative failed-frame count *exceeds* the threshold:
-    /// its queries stop with [`StopReason::DetectorQuarantined`] at the next
-    /// stage boundary and it is never invoked again this run.
-    Quarantine {
-        /// Cumulative failed frames a detector may accrue before being
-        /// disabled (`0` quarantines on the first failure).
-        failure_threshold: u64,
-    },
 }
 
 /// One point of a recall trajectory: after `frames` detector invocations paid
@@ -337,9 +322,9 @@ pub struct StageStats {
     /// [`BatchCostModel`](exsample_detect::BatchCostModel)).
     pub batches: BatchStats,
     /// Cross-stage cache activity this stage (all zeros when the cache is
-    /// off): probe hits/misses plus the evictions and admission rejects this
-    /// stage's commits triggered.  Execution-invariant like every logical
-    /// field — the determinism matrix pins it across thread counts.
+    /// off): probe hits/misses plus the evictions this stage's commits
+    /// triggered.  Execution-invariant like every logical field — the
+    /// determinism matrix pins it across thread counts.
     pub cache: CacheActivity,
 }
 
@@ -399,9 +384,6 @@ pub struct EngineReport {
     pub failed_frames: u64,
     /// Total deterministic backoff cost charged for retries.
     pub backoff_cost: u64,
-    /// Class labels of detectors quarantined during the run, in registry
-    /// (first-seen) order.  Empty unless [`FailureMode::Quarantine`] tripped.
-    pub quarantined_detectors: Vec<String>,
     /// Total cross-stage cache activity (all zeros when the cache is off).
     pub cache: CacheActivity,
 }
@@ -575,11 +557,6 @@ pub struct QueryEngine<'a> {
     /// What happens when a frame's attempts are exhausted (fail-fast by
     /// default).
     failure: FailureMode,
-    /// Cumulative failed frames per detector registry slot (drives
-    /// [`FailureMode::Quarantine`]).
-    slot_failures: Vec<u64>,
-    /// Quarantined detector registry slots.
-    quarantined: Vec<bool>,
     /// Run totals of the fault telemetry (see [`EngineReport`]).
     detect_retries: u64,
     failed_frames: u64,
@@ -624,8 +601,6 @@ impl<'a> QueryEngine<'a> {
             cache: None,
             retry: RetryPolicy::none(),
             failure: FailureMode::FailFast,
-            slot_failures: Vec::new(),
-            quarantined: Vec::new(),
             detect_retries: 0,
             failed_frames: 0,
             backoff_total: 0,
@@ -693,36 +668,17 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Enable the bounded cross-stage frame→detections cache with the given
-    /// capacity (in frames) and the default admission policy (plain LRU);
+    /// capacity (in frames), evicting the least-recently-used entry past it;
     /// `0` means no cache.  Off by default: the cache never changes query
     /// outcomes (detectors are pure functions of the frame id), but warm hits
     /// bypass `detect_batch`, so the detector cost accounting of a cached run
     /// is not comparable to an uncached one.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = (capacity > 0).then(|| DetectionCache::new(CacheConfig::new(capacity)));
+        self.cache = (capacity > 0).then(|| DetectionCache::new(capacity));
         self
     }
 
-    /// Enable the cross-stage cache from a full [`CacheConfig`] (capacity and
-    /// admission policy).  The admission gate is deterministic, but
-    /// [`AdmissionPolicy::Frequency`](crate::AdmissionPolicy::Frequency)
-    /// changes the admission decisions versus the default LRU, so its
-    /// accounting is only comparable between runs sharing the policy.
-    ///
-    /// # Errors
-    /// [`EngineError::InvalidCache`] if the capacity is zero.
-    pub fn cache_config(mut self, config: CacheConfig) -> Result<Self, EngineError> {
-        if config.capacity == 0 {
-            return Err(EngineError::InvalidCache {
-                capacity: config.capacity,
-            });
-        }
-        self.cache = Some(DetectionCache::new(config));
-        Ok(self)
-    }
-
-    /// Hit/miss/eviction/admission-reject counters of the cross-stage cache,
-    /// if enabled.
+    /// Hit/miss/eviction counters of the cross-stage cache, if enabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(DetectionCache::stats)
     }
@@ -808,26 +764,16 @@ impl<'a> QueryEngine<'a> {
             stage.picks.resize_with(self.queries.len(), Vec::new);
         }
 
-        // Stop checks, PICK and grouping, query by query.  A quarantined
-        // detector stops its queries here, at the stage boundary after the
-        // quarantine decision — deterministically, regardless of threading.
-        // A live query picks its batch clamped to what is left of its frame
-        // budget, and joins the group of its detector's registry slot
-        // (groups in first-appearance order).
+        // Stop checks, PICK and grouping, query by query.  A live query
+        // picks its batch clamped to what is left of its frame budget, and
+        // joins the group of its detector's registry slot (groups in
+        // first-appearance order).
         for (i, (q, picks)) in self.queries.iter_mut().zip(&mut stage.picks).enumerate() {
             picks.clear();
             if q.stop.is_some() {
                 continue;
             }
-            let quarantined = !self.quarantined.is_empty()
-                && self
-                    .detector_slots
-                    .iter()
-                    .position(|&d| std::ptr::eq(d, q.detector))
-                    .is_some_and(|slot| self.quarantined.get(slot).copied().unwrap_or(false));
-            q.stop = q
-                .stop_condition()
-                .or(quarantined.then_some(StopReason::DetectorQuarantined));
+            q.stop = q.stop_condition();
             if q.stop.is_some() {
                 continue;
             }
@@ -919,7 +865,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Fold a detected stage into the engine: fail-fast scan, cache commit,
-    /// tallies, FAN-OUT, quarantine, stats, sink flush, run counters — the
+    /// tallies, FAN-OUT, stats, sink flush, run counters — the
     /// serial half of every stage, identical in every execution
     /// configuration.
     ///
@@ -961,20 +907,6 @@ impl<'a> QueryEngine<'a> {
         let detector_frames = self.lanes.detected_frames();
         let detector_calls = self.lanes.detected.iter().filter(|&&n| n > 0).count() as u64;
 
-        // Logical per-detector failure counts, charged to each group's
-        // registry slot so quarantine decisions see the run-cumulative view.
-        let mut stage_failed = 0u64;
-        for (g, &failures) in self.lanes.failed.iter().enumerate() {
-            if failures > 0 {
-                stage_failed += failures;
-                let slot = stage.slots[g] as usize;
-                if self.slot_failures.len() <= slot {
-                    self.slot_failures.resize(slot + 1, 0);
-                }
-                self.slot_failures[slot] += failures;
-            }
-        }
-
         // FAN-OUT in registration order, each query in its own pick order.
         // Observation collection is active only when a sink is installed, so
         // sink-less runs pay nothing.  The scratch vector is moved out of
@@ -1011,7 +943,6 @@ impl<'a> QueryEngine<'a> {
                 }
             }
         }
-        self.apply_quarantine();
 
         let stats = StageStats {
             stage: self.stages,
@@ -1020,7 +951,7 @@ impl<'a> QueryEngine<'a> {
             detector_frames,
             detector_calls,
             retries: self.lanes.retries,
-            failed_frames: stage_failed,
+            failed_frames: self.lanes.failed,
             backoff_cost: self.lanes.backoff,
             batches: self.lanes.batches,
             cache: self.lanes.cache,
@@ -1036,7 +967,7 @@ impl<'a> QueryEngine<'a> {
         self.detector_frames += detector_frames;
         self.detector_calls += detector_calls;
         self.detect_retries += stats.retries;
-        self.failed_frames += stage_failed;
+        self.failed_frames += stats.failed_frames;
         self.backoff_total += stats.backoff_cost;
         self.cache_total.absorb(stats.cache);
         Ok(stats)
@@ -1060,24 +991,6 @@ impl<'a> QueryEngine<'a> {
         };
         observations.clear();
         result
-    }
-
-    /// Quarantine every detector whose cumulative failed-frame count exceeds
-    /// the threshold (no-op in the other failure modes).  Decided at the
-    /// stage boundary from the logical per-detector failure counts, so the
-    /// decision is identical across thread counts.
-    fn apply_quarantine(&mut self) {
-        let FailureMode::Quarantine { failure_threshold } = self.failure else {
-            return;
-        };
-        for (slot, &failures) in self.slot_failures.iter().enumerate() {
-            if failures > failure_threshold {
-                if self.quarantined.len() <= slot {
-                    self.quarantined.resize(slot + 1, false);
-                }
-                self.quarantined[slot] = true;
-            }
-        }
     }
 
     /// One frame's fan-out for one query: discriminator verdict, policy
@@ -1212,13 +1125,6 @@ impl<'a> QueryEngine<'a> {
             failed_frames: self.failed_frames,
             backoff_cost: self.backoff_total,
             cache: self.cache_total,
-            quarantined_detectors: self
-                .quarantined
-                .iter()
-                .enumerate()
-                .filter(|&(_, &quarantined)| quarantined)
-                .map(|(slot, _)| self.detector_slots[slot].class().to_string())
-                .collect(),
         }
     }
 
@@ -1699,18 +1605,5 @@ mod tests {
         let (zero, stats) = run(Some(0));
         assert_eq!(stats, None, "capacity 0 builds no cache");
         assert_eq!(zero, uncached, "and runs exactly like an uncached engine");
-    }
-
-    #[test]
-    fn zero_capacity_cache_config_is_a_typed_error() {
-        let err = QueryEngine::new()
-            .cache_config(CacheConfig::new(0))
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidCache { capacity: 0 }));
-        let engine = QueryEngine::new()
-            .cache_config(CacheConfig::new(1))
-            .unwrap();
-        assert_eq!(engine.cache_stats(), Some(CacheStats::default()));
     }
 }

@@ -89,14 +89,6 @@ pub enum EngineError {
         /// The final error returned by the detector.
         source: DetectError,
     },
-    /// A cache configuration that can never hold an entry was requested:
-    /// [`crate::cache::CacheConfig`] with a zero capacity, passed to
-    /// [`crate::QueryEngine::cache_config`].  (`cache_capacity(0)` is not an
-    /// error: it means "no cache".)
-    InvalidCache {
-        /// The rejected capacity.
-        capacity: usize,
-    },
     /// The installed [`crate::StageSink`] rejected a stage commit.
     ///
     /// The sink is flushed serially at the stage-commit boundary; a sink that
@@ -155,10 +147,6 @@ impl fmt::Display for EngineError {
                 f,
                 "the `{class}` detector failed on frame {frame} after {attempts} attempt(s)"
             ),
-            EngineError::InvalidCache { capacity } => write!(
-                f,
-                "the detections cache needs a positive capacity (got capacity {capacity})"
-            ),
             EngineError::CheckpointFailed { stage, message } => write!(
                 f,
                 "the stage sink rejected the commit of stage {stage}: {message}"
@@ -216,9 +204,6 @@ mod tests {
         assert!(execution.to_string().contains("at least one worker thread"));
         assert!(execution.to_string().contains("got 0"));
         assert!(std::error::Error::source(&execution).is_none());
-        let cache = EngineError::InvalidCache { capacity: 0 };
-        assert!(cache.to_string().contains("capacity 0"));
-        assert!(std::error::Error::source(&cache).is_none());
         let checkpoint = EngineError::CheckpointFailed {
             stage: 7,
             message: "log append hit EIO".to_string(),

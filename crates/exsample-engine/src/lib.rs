@@ -60,7 +60,7 @@
 //! the cache, gather the misses into one slice per lane, run the slices —
 //! one pool call when the run has helpers — and scatter the outcomes to the
 //! lanes) and **settle** (fail-fast scan, cache commit, tallies, FAN-OUT,
-//! quarantine, stats, checkpoint sink).  Serial is the 1-lane case.  There
+//! stats, checkpoint sink).  Serial is the 1-lane case.  There
 //! is one DETECT path: a stage with one detector group and no pool helpers
 //! demands exactly one batch, so `detect` runs it in place over the lane's
 //! misses instead of gathering and scattering a single slice — through the
@@ -122,12 +122,10 @@
 //! backoff charged as *stage cost units* — never wall-clock sleeps — so
 //! degraded runs stay reproducible.  Terminal failures are then handled per
 //! [`FailureMode`]: fail fast with a typed
-//! [`error::EngineError::DetectorFailed`] (the default), drop the frame and
-//! tally the degradation ([`QueryReport::dropped_frames`]), or quarantine
-//! the offending detector for the rest of the run
-//! ([`StopReason::DetectorQuarantined`]).  Failed frames are never committed
-//! to the detection cache, and fault telemetry (retries, backoff cost,
-//! failed/dropped frames, quarantined detectors) flows through the reports
+//! [`error::EngineError::DetectorFailed`] (the default), or drop the frame
+//! and tally the degradation ([`QueryReport::dropped_frames`]).  Failed
+//! frames are never committed to the detection cache, and fault telemetry
+//! (retries, backoff cost, failed/dropped frames) flows through the reports
 //! with the same bitwise-determinism guarantee as every other tally.
 //!
 //! ## Batching
@@ -153,18 +151,15 @@
 //! ## Caching
 //!
 //! An optional bounded (detector, frame)→detections LRU cache
-//! ([`QueryEngine::cache_capacity`] / [`QueryEngine::cache_config`], off by
-//! default) carries detector results *across* stages and queries: a warm
+//! ([`QueryEngine::cache_capacity`], off by default) carries detector results *across* stages and queries: a warm
 //! re-query over cached frames issues zero new `detect_batch` invocations.
 //! The store is the [`cache`] module's single-map LRU, owned by the engine
 //! and touched only by the coordinator: it probes the stage's frames before
 //! it gathers the stage's detector demand (the gather needs the misses), and
-//! applies every recency touch, admission and eviction in one serial
+//! applies every recency touch, insert and eviction in one serial
 //! fixed-order commit after the scatter, so hit/miss/eviction accounting and
 //! the surviving entries are bitwise-identical across every thread count.
-//! The cache holds no lock.  An opt-in count-min
-//! frequency admission policy ([`AdmissionPolicy::Frequency`]) keeps a
-//! churning scan from evicting a hot working set.
+//! The cache holds no lock.
 //!
 //! ## Errors
 //!
@@ -185,7 +180,7 @@ pub mod policy;
 pub mod runtime;
 pub mod shard;
 
-pub use cache::{AdmissionPolicy, CacheActivity, CacheConfig};
+pub use cache::CacheActivity;
 pub use driver::run_query;
 pub use engine::{
     EngineReport, ExecutionMode, FailureMode, QueryEngine, QueryReport, QuerySpec, RetryPolicy,

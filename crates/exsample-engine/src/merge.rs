@@ -110,8 +110,7 @@ pub struct ShardQueryTally {
     pub hits: u64,
     /// Picked frames of this query that this shard dropped after their
     /// detection failed terminally (only under
-    /// [`crate::FailureMode::DropFrames`] or
-    /// [`crate::FailureMode::Quarantine`]).
+    /// [`crate::FailureMode::DropFrames`]).
     pub dropped: u64,
 }
 
@@ -156,7 +155,7 @@ pub struct ShardReport {
     /// shard's `detector_frames`.
     pub batches: BatchStats,
     /// Run-cumulative cache activity on this shard's frames: probe hits and
-    /// misses, and the evictions/admission-rejects their inserts caused
+    /// misses, and the evictions their inserts caused
     /// during the serial commit.
     pub cache: CacheActivity,
     /// Per-query tallies, indexed by query registration order.
@@ -243,7 +242,6 @@ mod tests {
             failed_frames: 0,
             backoff_cost: 0,
             cache: CacheActivity::default(),
-            quarantined_detectors: Vec::new(),
         };
         let merged =
             ShardedReport::new(report, vec![shard(0, 9, 3), shard(1, 5, 2), shard(2, 0, 0)]);

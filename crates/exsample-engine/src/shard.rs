@@ -395,10 +395,8 @@ pub(crate) struct Lanes {
     live: usize,
     /// Frames detected for each logical group this stage.
     pub detected: Vec<u64>,
-    /// Frames *failed* for each logical group this stage (after exhausting
-    /// retries); the engine folds these into its per-detector quarantine
-    /// accounting.
-    pub failed: Vec<u64>,
+    /// This stage's frames *failed* after exhausting their retries.
+    pub failed: u64,
     /// This stage's per-frame retry attempts.
     pub retries: u64,
     /// This stage's backoff cost units.
@@ -406,7 +404,7 @@ pub(crate) struct Lanes {
     /// This stage's physical batch-size statistics.
     pub batches: BatchStats,
     /// This stage's cache activity: probe hits/misses plus the
-    /// evictions/admission-rejects its commit triggered.
+    /// evictions its commit triggered.
     pub cache: CacheActivity,
     /// The stage's fatal failure under fail-fast; the engine aborts the
     /// stage on finding one.
@@ -431,8 +429,7 @@ impl Lanes {
         self.live = groups;
         self.detected.clear();
         self.detected.resize(groups, 0);
-        self.failed.clear();
-        self.failed.resize(groups, 0);
+        self.failed = 0;
         self.retries = 0;
         self.backoff = 0;
         self.batches = BatchStats::default();
@@ -542,7 +539,7 @@ impl Lanes {
         match recovery.outcome {
             Ok(detections) => self.absorb_detection(view, (group, slot, at), frame, detections),
             Err(error) => {
-                self.failed[group] += 1;
+                self.failed += 1;
                 view.failed(slot, frame);
                 if policy.fail_fast {
                     self.fatal = Some(DetectFailure {
@@ -599,10 +596,9 @@ impl Lanes {
     /// detection (insert intent), each kind sorted into canonical
     /// `(slot, frame)` order, touches first.  Keys are unique — a stage has
     /// one lane per registry slot, and [`Lanes::probe`] deduplicates each
-    /// lane — so the canonical order, and with it every recency update,
-    /// eviction and admission decision, depends only on the set of frames
-    /// probed and detected this stage, never on which thread ran which
-    /// slice.
+    /// lane — so the canonical order, and with it every recency update and
+    /// eviction, depends only on the set of frames probed and detected this
+    /// stage, never on which thread ran which slice.
     ///
     /// Cache hygiene under faults: a frame whose detect attempts failed has
     /// no result, so a failed attempt can never be committed — only frames
@@ -892,7 +888,6 @@ pub(crate) fn scatter_slices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheConfig;
     use exsample_detect::ObjectClass;
     use exsample_video::{ChunkingPolicy, ShardPartitioner, VideoRepository};
     use std::collections::HashMap;
@@ -1030,10 +1025,6 @@ mod tests {
         }
     }
 
-    fn failed_frames(lanes: &Lanes) -> u64 {
-        lanes.failed.iter().sum()
-    }
-
     /// Whether `frame` of group `group` has a result this stage.
     fn resolved(lanes: &Lanes, group: usize, frame: FrameId) -> bool {
         let lane = &lanes.lanes[group];
@@ -1046,7 +1037,7 @@ mod tests {
         // Frame 5 fails its first two attempts (batch probe + first per-frame
         // try), frame 9 fails permanently, frame 1 is healthy.
         let detector = FlakyDetector::new(vec![(5, 2)], vec![9]);
-        let mut cache = DetectionCache::new(CacheConfig::new(8));
+        let mut cache = DetectionCache::new(8);
         let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&mut cache));
         let policy = DetectPolicy {
             max_attempts: 3,
@@ -1060,7 +1051,7 @@ mod tests {
         assert!(resolved(&lanes, 0, 5));
         assert!(!resolved(&lanes, 0, 9));
         assert_eq!(lanes.detected_frames(), 2);
-        assert_eq!(failed_frames(&lanes), 1);
+        assert_eq!(lanes.failed, 1);
         assert_eq!(lanes.retries, 1, "frame 5 needed one retry");
         assert_eq!(lanes.backoff, 4, "first retry costs backoff_cost * 1");
         assert_eq!(view.shards[0].failed_frames, 1);
@@ -1094,13 +1085,13 @@ mod tests {
             "frame 9 still misses the cache"
         );
         assert_eq!(lanes.detected_frames(), 0, "only frame 9 was missed");
-        assert_eq!(failed_frames(&lanes), 1);
+        assert_eq!(lanes.failed, 1);
     }
 
     #[test]
     fn fail_fast_records_the_first_failure_and_stops_the_lane() {
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
-        let mut cache = DetectionCache::new(CacheConfig::new(8));
+        let mut cache = DetectionCache::new(8);
         let (mut lanes, mut view) = stage(&[2, 9, 14], Some(&mut cache));
         detect(
             &mut lanes,
@@ -1134,7 +1125,7 @@ mod tests {
         };
         detect(&mut lanes, &mut view, &[&detector], &[0], policy);
         assert!(!resolved(&lanes, 0, 5));
-        assert_eq!(failed_frames(&lanes), 1);
+        assert_eq!(lanes.failed, 1);
         assert_eq!(lanes.retries, 0, "no retry budget, no retries");
         assert_eq!(lanes.backoff, 0);
         // Probe + the single allowed per-frame try.
@@ -1254,7 +1245,7 @@ mod tests {
                 .collect();
             (
                 lanes.detected_frames(),
-                failed_frames(&lanes),
+                lanes.failed,
                 lanes.retries,
                 lanes.backoff,
                 resolved,
@@ -1296,7 +1287,7 @@ mod tests {
             for after in [11u64, 16] {
                 assert!(!resolved(&lanes, 0, after), "{count} lanes");
             }
-            assert_eq!(failed_frames(&lanes), 1, "{count} lanes");
+            assert_eq!(lanes.failed, 1, "{count} lanes");
         }
     }
 

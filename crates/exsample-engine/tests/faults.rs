@@ -8,20 +8,17 @@
 //!    reports, logical breakdowns, retry/backoff/failure/drop tallies —
 //!    across threads {1, 2, 4}: a failed batch recovers per frame, so it
 //!    never matters which frames shared it;
-//! 3. **quarantine** — a detector exceeding its failure threshold is disabled
-//!    for the rest of the run, its queries stop with
-//!    [`StopReason::DetectorQuarantined`], other queries are untouched, and
-//!    the whole outcome is config-invariant like every other tally;
-//! 4. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
+//! 3. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
 //!    first terminal failure (in gather order) as a typed
 //!    [`EngineError::DetectorFailed`] with full context and a chained source,
-//!    identically across thread counts and shard routers — a one-batch stage detected in place and one cut over lanes share one
-//!    per-frame retry loop and walk the lane in the same order;
-//! 5. **cache hygiene** — failed frames are never committed to the detection
+//!    identically across thread counts and shard routers — a one-batch stage
+//!    detected in place and one cut over lanes share one per-frame retry loop
+//!    and walk the lane in the same order;
+//! 4. **cache hygiene** — failed frames are never committed to the detection
 //!    cache (a warm re-query re-attempts and re-drops exactly them), while
 //!    frames recovered by a retry are committed exactly once (a warm re-query
 //!    triggers zero further retries); and
-//! 6. **cache determinism under faults** — with the detections cache
+//! 5. **cache determinism under faults** — with the detections cache
 //!    enabled and small enough to evict, degraded runs keep every tally
 //!    (including the cache's own hit/miss/eviction accounting) bitwise-
 //!    identical across thread counts.
@@ -35,7 +32,7 @@ use exsample_detect::{
 };
 use exsample_engine::{
     EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy,
-    QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter, ShardedReport, StopReason,
+    QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter, ShardedReport,
 };
 use exsample_video::{Chunking, ChunkingPolicy, ShardPartitioner, ShardSpec, VideoRepository};
 use std::sync::Arc;
@@ -156,10 +153,6 @@ fn assert_engine_reports_equal(a: &EngineReport, b: &EngineReport, context: &str
     assert_eq!(a.detect_retries, b.detect_retries, "{context}: retries");
     assert_eq!(a.failed_frames, b.failed_frames, "{context}: failed frames");
     assert_eq!(a.backoff_cost, b.backoff_cost, "{context}: backoff cost");
-    assert_eq!(
-        a.quarantined_detectors, b.quarantined_detectors,
-        "{context}: quarantined detectors"
-    );
     assert_eq!(a.cache, b.cache, "{context}: cache accounting");
     assert_eq!(a.outcomes.len(), b.outcomes.len(), "{context}: query count");
     for (qa, qb) in a.outcomes.iter().zip(&b.outcomes) {
@@ -217,7 +210,6 @@ fn fault_free_runs_with_retries_enabled_match_the_baseline() {
     assert_eq!(guarded.detect_retries, 0);
     assert_eq!(guarded.failed_frames, 0);
     assert_eq!(guarded.backoff_cost, 0);
-    assert!(guarded.quarantined_detectors.is_empty());
     assert!(guarded.outcomes.iter().all(|r| r.dropped_frames == 0));
 }
 
@@ -374,79 +366,6 @@ fn single_query_fault_recovery_is_lane_count_invariant() {
     assert_eq!(attempts, 2, "batch probe + one per-frame try");
     assert!(matches!(source, DetectError::Permanent { .. }));
     assert_eq!(fatal(ExecutionMode::Parallel(2)), (frame, attempts, source));
-}
-
-#[test]
-fn quarantine_disables_the_faulty_detector_and_spares_the_rest() {
-    let frames = 3_000u64;
-    let (_chunking, truth) = skewed_setup(frames, 12);
-    let plan = FaultPlan::new(FAULT_SEED).permanent_rate(0.30);
-
-    let run = |threads: usize| {
-        let faulty = faulty_detector(&truth, plan);
-        let clean = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("person"));
-        let mut engine = QueryEngine::new()
-            .retry_policy(RetryPolicy::new(2).backoff_cost(1))
-            .failure_mode(FailureMode::Quarantine {
-                failure_threshold: 4,
-            })
-            .execution(ExecutionMode::Parallel(threads))
-            .expect("valid execution mode");
-        engine
-            .push(
-                QuerySpec::new(
-                    "doomed",
-                    Box::new(FrameSamplerPolicy::uniform(frames)),
-                    &faulty,
-                )
-                .seed(23)
-                .batch(32)
-                .frame_budget(1_000),
-            )
-            .unwrap();
-        engine
-            .push(
-                QuerySpec::new(
-                    "spared",
-                    Box::new(FrameSamplerPolicy::uniform(frames)),
-                    &clean,
-                )
-                .seed(29)
-                .batch(32)
-                .frame_budget(500),
-            )
-            .unwrap();
-        engine.run().unwrap()
-    };
-
-    let baseline = run(1);
-    let doomed = &baseline.outcomes[0];
-    let spared = &baseline.outcomes[1];
-    assert_eq!(
-        doomed.stop_reason,
-        Some(StopReason::DetectorQuarantined),
-        "30% permanent faults must trip a threshold of 4"
-    );
-    assert!(
-        doomed.frames_processed < 1_000,
-        "quarantine must stop the query before its budget"
-    );
-    assert_eq!(
-        spared.stop_reason,
-        Some(StopReason::FrameBudgetExhausted),
-        "the clean query must be untouched"
-    );
-    assert_eq!(spared.frames_processed, 500);
-    assert_eq!(spared.dropped_frames, 0);
-    assert_eq!(baseline.quarantined_detectors, vec!["car".to_string()]);
-    assert!(baseline.failed_frames > 4, "threshold was never exceeded");
-
-    // Quarantine is decided from logical failure counts at stage boundaries,
-    // so the whole degraded outcome is invariant across thread counts.
-    for threads in [2usize, 4] {
-        let report = run(threads);
-        assert_engine_reports_equal(&report, &baseline, &format!("{threads} threads"));
-    }
 }
 
 #[test]

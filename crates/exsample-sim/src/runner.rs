@@ -125,8 +125,8 @@ pub struct RunResult {
     /// Gamma draws the deduplication saved.
     pub selection: Option<SelectionTelemetry>,
     /// Detections-cache telemetry (`Some` only when [`QueryRunner::cache`]
-    /// enabled the cache): hits, misses, evictions and admission rejects
-    /// accumulated over the run.
+    /// enabled the cache): hits, misses and evictions accumulated over the
+    /// run.
     pub cache: Option<CacheActivity>,
     /// Durable-store health counters (`Some` only when
     /// [`QueryRunner::checkpoint`] enabled checkpointing): records replayed
