@@ -1,32 +1,24 @@
 //! # exsample-baselines
 //!
-//! The baselines ExSample is evaluated against (Section II-B and Section V of the
-//! paper), all speaking a single [`SamplingMethod`] interface so the query runner
-//! in `exsample-sim` can drive them interchangeably:
+//! The frame orders ExSample is evaluated against (Section II-B and Section V
+//! of the paper) that are not plain random sampling:
 //!
 //! * [`sequential::SequentialScan`] — naive execution: process frames in temporal
 //!   order (optionally one out of every `k` frames).
-//! * [`random::RandomSampler`] — uniform random sampling without replacement over
-//!   the whole repository, the paper's main efficient baseline.
-//! * [`random::RandomPlusSampler`] — the `random+` refinement (Section III-F)
-//!   applied to the whole repository, evaluated separately as an ablation.
 //! * [`proxy::ProxyBaseline`] — a BlazeIt-style proxy-score baseline: an upfront
 //!   full-dataset scoring scan, then frames processed in descending proxy-score
 //!   order with an optional duplicate-avoidance gap.
 //!
-//! ExSample itself speaks the engine-level `SamplingPolicy` interface directly
-//! (see `exsample-engine`'s `ExSamplePolicy`); any [`SamplingMethod`] can be
-//! lifted into that interface via the engine's `MethodPolicy` adapter.
+//! Both are plain frame iterators; `exsample-engine` implements its
+//! `SamplingPolicy` trait for them, next to ExSample itself and the
+//! whole-repository `random` / `random+` samplers (`FrameSamplerPolicy` over
+//! `exsample-video`'s within-range samplers).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod method;
 pub mod proxy;
-pub mod random;
 pub mod sequential;
 
-pub use method::SamplingMethod;
 pub use proxy::{ProxyBaseline, ProxyConfig};
-pub use random::{RandomPlusSampler, RandomSampler};
 pub use sequential::SequentialScan;

@@ -17,13 +17,11 @@
 //! The simulated proxy scores a frame as (number of query-class instances visible)
 //! plus Gaussian noise whose magnitude controls the proxy's quality.
 
-use crate::method::SamplingMethod;
 use exsample_detect::{GroundTruth, ObjectClass};
 use exsample_rand::SeedSequence;
-use exsample_track::MatchOutcome;
 use exsample_video::FrameId;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// Configuration of the simulated proxy baseline.
@@ -59,7 +57,6 @@ pub struct ProxyBaseline {
     /// Frames already emitted (for the duplicate-avoidance heuristic).
     emitted: BTreeSet<FrameId>,
     dedup_gap: u64,
-    total_frames: u64,
 }
 
 impl ProxyBaseline {
@@ -100,7 +97,6 @@ impl ProxyBaseline {
             cursor: 0,
             emitted: BTreeSet::new(),
             dedup_gap: config.dedup_gap,
-            total_frames,
         }
     }
 
@@ -113,18 +109,16 @@ impl ProxyBaseline {
         let hi = frame.saturating_add(self.dedup_gap);
         self.emitted.range(lo..=hi).next().is_some()
     }
-}
 
-impl SamplingMethod for ProxyBaseline {
-    fn name(&self) -> &'static str {
-        "proxy"
+    /// Frames the upfront scoring scan decodes before the first pick: the
+    /// whole repository (Section V-B).
+    pub fn upfront_scan_frames(&self) -> u64 {
+        self.order.len() as u64
     }
 
-    fn upfront_scan_frames(&self) -> u64 {
-        self.total_frames
-    }
-
-    fn next_frame(&mut self, _rng: &mut dyn RngCore) -> Option<FrameId> {
+    /// The highest-scored frame not yet emitted (and not blocked by the
+    /// duplicate-avoidance gap), or `None` once the order is exhausted.
+    pub fn next_frame(&mut self) -> Option<FrameId> {
         while self.cursor < self.order.len() {
             let frame = self.order[self.cursor];
             self.cursor += 1;
@@ -136,15 +130,12 @@ impl SamplingMethod for ProxyBaseline {
         }
         None
     }
-
-    fn record(&mut self, _frame: FrameId, _outcome: &MatchOutcome) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use exsample_detect::ObjectInstance;
-    use rand::SeedableRng;
     use std::collections::HashSet;
 
     fn truth() -> GroundTruth {
@@ -171,11 +162,10 @@ mod tests {
             },
         );
         let mut proxy = proxy;
-        let mut rng = StdRng::seed_from_u64(1);
         // The 600 car frames should be emitted before any non-car frame.
         let mut emitted = Vec::new();
         for _ in 0..600 {
-            emitted.push(proxy.next_frame(&mut rng).unwrap());
+            emitted.push(proxy.next_frame().unwrap());
         }
         assert!(emitted
             .iter()
@@ -187,7 +177,6 @@ mod tests {
         let truth = truth();
         let proxy = ProxyBaseline::new(&truth, &ObjectClass::from("car"), ProxyConfig::default());
         assert_eq!(proxy.upfront_scan_frames(), 10_000);
-        assert_eq!(proxy.name(), "proxy");
     }
 
     #[test]
@@ -202,10 +191,8 @@ mod tests {
                 seed: 3,
             },
         );
-        let mut rng = StdRng::seed_from_u64(1);
-        let first_thousand: Vec<FrameId> = (0..1_000)
-            .map(|_| proxy.next_frame(&mut rng).unwrap())
-            .collect();
+        let first_thousand: Vec<FrameId> =
+            (0..1_000).map(|_| proxy.next_frame().unwrap()).collect();
         let car_frames = first_thousand
             .iter()
             .filter(|&&f| (1_000..1_500).contains(&f) || (7_000..7_100).contains(&f))
@@ -230,10 +217,7 @@ mod tests {
                 seed: 0,
             },
         );
-        let mut rng = StdRng::seed_from_u64(1);
-        let picks: Vec<FrameId> = (0..10)
-            .map(|_| proxy.next_frame(&mut rng).unwrap())
-            .collect();
+        let picks: Vec<FrameId> = (0..10).map(|_| proxy.next_frame().unwrap()).collect();
         for (i, &a) in picks.iter().enumerate() {
             for &b in &picks[i + 1..] {
                 assert!(a.abs_diff(b) > 100, "picks too close: {a} and {b}");
@@ -247,24 +231,11 @@ mod tests {
             GroundTruth::from_instances(500, vec![ObjectInstance::simple(0, "car", 10, 40)]);
         let mut proxy =
             ProxyBaseline::new(&truth, &ObjectClass::from("car"), ProxyConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let mut seen = HashSet::new();
-        while let Some(f) = proxy.next_frame(&mut rng) {
+        while let Some(f) = proxy.next_frame() {
             assert!(seen.insert(f));
         }
         assert_eq!(seen.len(), 500);
-    }
-
-    #[test]
-    fn feedback_is_ignored() {
-        let truth = truth();
-        let mut proxy =
-            ProxyBaseline::new(&truth, &ObjectClass::from("car"), ProxyConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = proxy.next_frame(&mut rng).unwrap();
-        proxy.record(a, &MatchOutcome::default());
-        let b = proxy.next_frame(&mut rng).unwrap();
-        assert_ne!(a, b);
     }
 
     #[test]

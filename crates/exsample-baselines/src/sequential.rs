@@ -6,10 +6,7 @@
 //! variance: it can get stuck in long stretches of video with no objects, and
 //! repeatedly detects the same long-lived object.
 
-use crate::method::SamplingMethod;
-use exsample_track::MatchOutcome;
 use exsample_video::FrameId;
-use rand::RngCore;
 
 /// Process frames in temporal order, visiting one frame out of every `stride`.
 #[derive(Debug, Clone)]
@@ -33,14 +30,9 @@ impl SequentialScan {
             next: 0,
         }
     }
-}
 
-impl SamplingMethod for SequentialScan {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn next_frame(&mut self, _rng: &mut dyn RngCore) -> Option<FrameId> {
+    /// The next frame in temporal order, or `None` past the last frame.
+    pub fn next_frame(&mut self) -> Option<FrameId> {
         if self.next >= self.total_frames {
             return None;
         }
@@ -48,43 +40,30 @@ impl SamplingMethod for SequentialScan {
         self.next += self.stride;
         Some(frame)
     }
-
-    fn record(&mut self, _frame: FrameId, _outcome: &MatchOutcome) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn visits_every_frame_in_order() {
         let mut scan = SequentialScan::with_stride(5, 1);
-        let mut rng = StdRng::seed_from_u64(1);
-        let frames: Vec<FrameId> = std::iter::from_fn(|| scan.next_frame(&mut rng)).collect();
+        let frames: Vec<FrameId> = std::iter::from_fn(|| scan.next_frame()).collect();
         assert_eq!(frames, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn stride_skips_frames() {
         let mut scan = SequentialScan::with_stride(10, 3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let frames: Vec<FrameId> = std::iter::from_fn(|| scan.next_frame(&mut rng)).collect();
+        let frames: Vec<FrameId> = std::iter::from_fn(|| scan.next_frame()).collect();
         assert_eq!(frames, vec![0, 3, 6, 9]);
     }
 
     #[test]
     fn empty_repository_yields_nothing() {
         let mut scan = SequentialScan::with_stride(0, 1);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(scan.next_frame(&mut rng), None);
-    }
-
-    #[test]
-    fn no_upfront_cost() {
-        assert_eq!(SequentialScan::with_stride(100, 1).upfront_scan_frames(), 0);
-        assert_eq!(SequentialScan::with_stride(100, 1).name(), "sequential");
+        assert_eq!(scan.next_frame(), None);
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!   frame / record feedback), including batched picking (Section III-F).
 //!
 //! The complete Algorithm 1 loop — wiring a detector and discriminator to the
-//! sampler — lives in the `exsample-engine` crate (`run_query` there is a thin
-//! wrapper over its batched multi-query `QueryEngine`); this crate is only the
-//! sampling algorithm itself.
+//! sampler — lives in the `exsample-engine` crate: a single-query
+//! `QueryEngine` at batch 1 over an `ExSamplePolicy` (which `exsample-sim`'s
+//! `QueryRunner` builds); this crate is only the sampling algorithm itself.
 //!
 //! ## Hot-path design
 //!

@@ -67,7 +67,7 @@ use exsample_detect::{Detector, FrameDetections, InstanceId};
 use exsample_track::{Discriminator, OracleDiscriminator};
 use exsample_video::FrameId;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashSet;
 
 /// How many lanes a stage's DETECT is cut over.
@@ -210,7 +210,7 @@ pub struct QuerySpec<'a> {
     policy: Box<dyn SamplingPolicy + 'a>,
     detector: &'a dyn Detector,
     discriminator: Box<dyn Discriminator + 'a>,
-    rng: Box<dyn RngCore + 'a>,
+    rng: StdRng,
     result_limit: Option<usize>,
     true_limit: Option<usize>,
     frame_budget: Option<u64>,
@@ -230,7 +230,7 @@ impl<'a> QuerySpec<'a> {
             policy,
             detector,
             discriminator: Box::new(OracleDiscriminator::new()),
-            rng: Box::new(StdRng::seed_from_u64(0)),
+            rng: StdRng::seed_from_u64(0),
             result_limit: None,
             true_limit: None,
             frame_budget: None,
@@ -248,14 +248,7 @@ impl<'a> QuerySpec<'a> {
     /// the same seeds produce identical per-query outcomes regardless of what
     /// else runs alongside.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.rng = Box::new(StdRng::seed_from_u64(seed));
-        self
-    }
-
-    /// Use an external RNG instead of a seeded private stream (the legacy
-    /// `run_query` wrapper threads its caller's generator through here).
-    pub(crate) fn rng(mut self, rng: Box<dyn RngCore + 'a>) -> Self {
-        self.rng = rng;
+        self.rng = StdRng::seed_from_u64(seed);
         self
     }
 
@@ -401,7 +394,7 @@ struct QueryState<'a> {
     policy: Box<dyn SamplingPolicy + 'a>,
     detector: &'a dyn Detector,
     discriminator: Box<dyn Discriminator + 'a>,
-    rng: Box<dyn RngCore + 'a>,
+    rng: StdRng,
     result_limit: Option<usize>,
     true_limit: Option<usize>,
     frame_budget: Option<u64>,
@@ -780,7 +773,7 @@ impl<'a> QueryEngine<'a> {
             // No stop condition holds, so the budget is not yet spent.
             let budget_left = q.frame_budget.map_or(u64::MAX, |b| b - q.frames_processed);
             let want = (q.batch as u64).min(budget_left) as usize;
-            q.policy.next_batch_into(q.rng.as_mut(), want, picks);
+            q.policy.next_batch_into(&mut q.rng, want, picks);
             if picks.is_empty() {
                 q.stop = Some(StopReason::RepositoryExhausted);
                 continue;

@@ -12,8 +12,8 @@
 //! * [`SamplingPolicy`] — one object-safe interface
 //!   (`next_batch_into` / `record` / `remaining`) unifying ExSample, the
 //!   whole-repository `random` / `random+` samplers, and the
-//!   `SamplingMethod` baselines (proxy ordering, sequential scan) behind a
-//!   single trait the engine drives without knowing the strategy.
+//!   `exsample-baselines` frame orders (proxy ordering, sequential scan)
+//!   behind a single trait the engine drives without knowing the strategy.
 //! * [`QueryEngine`] — a staged pipeline executing one or many queries:
 //!
 //! ```text
@@ -40,16 +40,17 @@
 //!
 //! ## Determinism
 //!
-//! Every query owns a private RNG stream seeded from its spec, stop conditions
-//! are evaluated per query, and fan-out visits queries in registration order.
-//! Per-query outcomes are therefore reproducible regardless of stage
-//! interleaving: adding or removing concurrent queries or permuting
-//! registration order never changes what an individual query finds.  A
-//! single-query engine at batch 1 consumes the caller's RNG exactly as the
-//! paper's per-frame loop does — [`run_query`] (the legacy driver entry
-//! point) is a thin wrapper over the engine, and the determinism tests
-//! assert pick-for-pick equivalence against a faithful replica of the old
-//! loop.
+//! Every query owns a private RNG stream seeded from its spec
+//! ([`QuerySpec::seed`]; no caller-supplied generator is threaded in), stop
+//! conditions are evaluated per query, and fan-out visits queries in
+//! registration order.  Per-query outcomes are therefore reproducible
+//! regardless of stage interleaving: adding or removing concurrent queries
+//! or permuting registration order never changes what an individual query
+//! finds.  A single-query engine at batch 1 is the paper's Algorithm 1: it
+//! consumes its seeded stream exactly as the per-frame pick → detect →
+//! record loop does, and the determinism tests assert pick-for-pick
+//! equivalence against a faithful replica of that loop run on a generator
+//! with the same seed.
 //!
 //! ## One stage loop, one runtime
 //!
@@ -172,7 +173,6 @@
 #![deny(unsafe_code)]
 
 pub mod cache;
-pub mod driver;
 pub mod engine;
 pub mod error;
 pub mod merge;
@@ -181,7 +181,6 @@ pub mod runtime;
 pub mod shard;
 
 pub use cache::CacheActivity;
-pub use driver::run_query;
 pub use engine::{
     EngineReport, ExecutionMode, FailureMode, QueryEngine, QueryReport, QuerySpec, RetryPolicy,
     StageObservation, StageSink, StageStats, StopReason, TrajectoryPoint,
@@ -189,5 +188,5 @@ pub use engine::{
 pub use error::EngineError;
 pub use exsample_core::SelectionTelemetry;
 pub use merge::{BatchStats, ShardQueryTally, ShardReport, ShardedReport};
-pub use policy::{ExSamplePolicy, FrameSamplerPolicy, MethodPolicy, SamplingPolicy};
+pub use policy::{ExSamplePolicy, FrameSamplerPolicy, SamplingPolicy};
 pub use shard::ShardRouter;

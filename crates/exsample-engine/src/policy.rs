@@ -1,33 +1,30 @@
-//! The [`SamplingPolicy`] trait and its adapters.
+//! The [`SamplingPolicy`] trait and its implementations.
 //!
 //! Every sampling strategy in the workspace — ExSample itself, the
-//! whole-repository `random`/`random+` samplers, and the `SamplingMethod`
-//! baselines (sequential scan, proxy ordering) — speaks this one object-safe
-//! interface to the engine: *fill a batch of global frame ids* /
-//! *hear back what the discriminator said about a frame* / *report how many
-//! frames are left*.  The engine never learns which strategy it is driving,
-//! which is what lets one [`crate::QueryEngine`] multiplex heterogeneous
-//! queries over a shared repository.
-//!
-//! Three adapters cover the existing implementations:
+//! whole-repository `random`/`random+` samplers, the sequential scan and the
+//! proxy order — speaks this one object-safe interface to the engine:
+//! *fill a batch of global frame ids* / *hear back what the discriminator
+//! said about a frame* / *report how many frames are left*.  The engine
+//! never learns which strategy it is driving, which is what lets one
+//! [`crate::QueryEngine`] multiplex heterogeneous queries over a shared
+//! repository.
 //!
 //! * [`ExSamplePolicy`] — wraps [`ExSample`] over a concrete [`Chunking`],
 //!   translating `(chunk, offset)` picks into global frame ids and routing
 //!   feedback back to the sampled chunk.  Batch 1 takes the exact single-pick
 //!   hot path, so an engine running batch 1 consumes the same RNG stream as
-//!   the legacy per-frame loop, pick for pick.
+//!   the paper's per-frame loop, pick for pick.
 //! * [`FrameSamplerPolicy`] — lifts any within-range [`FrameSampler`]
 //!   (uniform without replacement, `random+`) to a whole-repository policy.
-//! * [`MethodPolicy`] — bridges the [`SamplingMethod`] baselines (proxy,
-//!   sequential) so they run unmodified inside the engine.
+//! * [`SequentialScan`] and [`ProxyBaseline`] — the `exsample-baselines`
+//!   frame orders, which draw no randomness and ignore feedback.
 
 use crate::error::{ChunkCountMismatch, EngineError};
-use exsample_baselines::SamplingMethod;
+use exsample_baselines::{ProxyBaseline, SequentialScan};
 use exsample_core::{ExSample, ExSampleConfig, FramePick, SelectionTelemetry};
 use exsample_track::MatchOutcome;
 use exsample_video::{Chunking, FrameId, FrameSampler, RandomPlusSampler, UniformSampler};
 use rand::RngCore;
-use std::borrow::BorrowMut;
 
 /// An object-safe sampling strategy, as seen by the execution engine.
 ///
@@ -67,40 +64,30 @@ pub trait SamplingPolicy {
 }
 
 /// ExSample adapted to the engine interface.
-///
-/// Generic over the sampler's ownership so the engine can either own the
-/// algorithm state (`ExSamplePolicy<ExSample>`, the common case) or borrow a
-/// caller-owned sampler for one run (`ExSamplePolicy<&mut ExSample>`, which is
-/// how the legacy `run_query` wrapper lets callers inspect chunk statistics
-/// afterwards).
 #[derive(Debug)]
-pub struct ExSamplePolicy<S = ExSample>
-where
-    S: BorrowMut<ExSample>,
-{
-    sampler: S,
+pub struct ExSamplePolicy {
+    sampler: ExSample,
     chunk_starts: Vec<u64>,
     chunk_ends: Vec<u64>,
     scratch: Vec<FramePick>,
 }
 
-impl ExSamplePolicy<ExSample> {
+impl ExSamplePolicy {
     /// Build a fresh sampler for `chunking` with the given configuration.
     pub fn new(config: ExSampleConfig, chunking: &Chunking) -> Self {
         let sampler = ExSample::new(config, &chunking.chunk_lengths());
         ExSamplePolicy::from_sampler(sampler, chunking)
             .expect("sampler was built from this chunking")
     }
-}
 
-impl<S: BorrowMut<ExSample>> ExSamplePolicy<S> {
-    /// Wrap an already-configured sampler (owned or borrowed).
+    /// Wrap an already-configured sampler (for example one whose posterior
+    /// was seeded from a belief store).
     ///
     /// # Errors
     /// Returns [`EngineError::ChunkCountMismatch`] if the sampler's chunk count
     /// does not match `chunking`.
-    pub fn from_sampler(sampler: S, chunking: &Chunking) -> Result<Self, EngineError> {
-        let chunk_count = sampler.borrow().chunk_count();
+    pub fn from_sampler(sampler: ExSample, chunking: &Chunking) -> Result<Self, EngineError> {
+        let chunk_count = sampler.chunk_count();
         if chunk_count != chunking.len() {
             return Err(ChunkCountMismatch {
                 sampler_chunks: chunk_count,
@@ -129,24 +116,23 @@ impl<S: BorrowMut<ExSample>> ExSamplePolicy<S> {
     }
 }
 
-impl<S: BorrowMut<ExSample>> SamplingPolicy for ExSamplePolicy<S> {
+impl SamplingPolicy for ExSamplePolicy {
     fn name(&self) -> &'static str {
         "exsample"
     }
 
     fn next_batch_into(&mut self, rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
         picks.clear();
-        let sampler = self.sampler.borrow_mut();
         if batch == 1 {
             // The direct single-pick path: identical RNG consumption to the
-            // legacy per-frame loop, which is what makes a batch-1 engine run
-            // reproduce `run_query` pick for pick.
-            if let Some(pick) = sampler.next_frame(rng) {
+            // paper's per-frame loop, which is what makes a batch-1 engine
+            // run reproduce that loop pick for pick.
+            if let Some(pick) = self.sampler.next_frame(rng) {
                 picks.push(self.chunk_starts[pick.chunk] + pick.offset);
             }
             return;
         }
-        sampler.next_batch_into(rng, batch, &mut self.scratch);
+        self.sampler.next_batch_into(rng, batch, &mut self.scratch);
         picks.extend(
             self.scratch
                 .iter()
@@ -156,15 +142,15 @@ impl<S: BorrowMut<ExSample>> SamplingPolicy for ExSamplePolicy<S> {
 
     fn record(&mut self, frame: FrameId, outcome: &MatchOutcome) {
         let chunk = self.chunk_of(frame);
-        self.sampler.borrow_mut().record(chunk, outcome.n1_delta());
+        self.sampler.record(chunk, outcome.n1_delta());
     }
 
     fn remaining(&self) -> Option<u64> {
-        Some(self.sampler.borrow().remaining_frames())
+        Some(self.sampler.remaining_frames())
     }
 
     fn selection_telemetry(&self) -> Option<SelectionTelemetry> {
-        Some(self.sampler.borrow().selection_telemetry())
+        Some(self.sampler.selection_telemetry())
     }
 }
 
@@ -202,19 +188,9 @@ impl FrameSamplerPolicy<RandomPlusSampler> {
 
 /// Batching shim for pick-at-a-time sources: clear `picks`, then draw up to
 /// `batch` frames, stopping early when the source runs dry.
-fn fill_batch(
-    rng: &mut dyn RngCore,
-    batch: usize,
-    picks: &mut Vec<FrameId>,
-    mut next: impl FnMut(&mut dyn RngCore) -> Option<FrameId>,
-) {
+fn fill_batch(batch: usize, picks: &mut Vec<FrameId>, next: impl FnMut() -> Option<FrameId>) {
     picks.clear();
-    for _ in 0..batch {
-        let Some(frame) = next(rng) else {
-            break;
-        };
-        picks.push(frame);
-    }
+    picks.extend(std::iter::from_fn(next).take(batch));
 }
 
 impl<S: FrameSampler> SamplingPolicy for FrameSamplerPolicy<S> {
@@ -223,7 +199,7 @@ impl<S: FrameSampler> SamplingPolicy for FrameSamplerPolicy<S> {
     }
 
     fn next_batch_into(&mut self, rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
-        fill_batch(rng, batch, picks, |rng| self.inner.next_frame(rng))
+        fill_batch(batch, picks, || self.inner.next_frame(rng))
     }
 
     fn record(&mut self, _frame: FrameId, _outcome: &MatchOutcome) {}
@@ -233,40 +209,38 @@ impl<S: FrameSampler> SamplingPolicy for FrameSamplerPolicy<S> {
     }
 }
 
-/// Any [`SamplingMethod`] baseline as a sampling policy.
-///
-/// Methods have no native batching, so a batch is `batch` sequential picks —
-/// correct for the non-adaptive baselines (proxy order, sequential scan,
-/// whole-repository random), whose pick distribution does not depend on
-/// feedback timing.
-#[derive(Debug, Clone)]
-pub struct MethodPolicy<M: SamplingMethod> {
-    inner: M,
-}
+/// Sequential scan: frames in temporal order, one out of every `stride`.
+impl SamplingPolicy for SequentialScan {
+    fn name(&self) -> &'static str {
+        "sequential"
+    }
 
-impl<M: SamplingMethod> MethodPolicy<M> {
-    /// Wrap a sampling method (owned, or `&mut dyn SamplingMethod`).
-    pub fn new(inner: M) -> Self {
-        MethodPolicy { inner }
+    fn next_batch_into(&mut self, _rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
+        fill_batch(batch, picks, || self.next_frame())
+    }
+
+    fn record(&mut self, _frame: FrameId, _outcome: &MatchOutcome) {}
+
+    fn remaining(&self) -> Option<u64> {
+        None
     }
 }
 
-impl<M: SamplingMethod> SamplingPolicy for MethodPolicy<M> {
+/// Proxy order: every frame scored upfront, then frames by descending score.
+impl SamplingPolicy for ProxyBaseline {
     fn name(&self) -> &'static str {
-        self.inner.name()
+        "proxy"
     }
 
     fn upfront_scan_frames(&self) -> u64 {
-        self.inner.upfront_scan_frames()
+        ProxyBaseline::upfront_scan_frames(self)
     }
 
-    fn next_batch_into(&mut self, rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
-        fill_batch(rng, batch, picks, |rng| self.inner.next_frame(rng))
+    fn next_batch_into(&mut self, _rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
+        fill_batch(batch, picks, || self.next_frame())
     }
 
-    fn record(&mut self, frame: FrameId, outcome: &MatchOutcome) {
-        self.inner.record(frame, outcome);
-    }
+    fn record(&mut self, _frame: FrameId, _outcome: &MatchOutcome) {}
 
     fn remaining(&self) -> Option<u64> {
         None
@@ -276,7 +250,8 @@ impl<M: SamplingMethod> SamplingPolicy for MethodPolicy<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exsample_baselines::SequentialScan;
+    use exsample_baselines::ProxyConfig;
+    use exsample_detect::{GroundTruth, ObjectClass, ObjectInstance};
     use exsample_video::{ChunkingPolicy, VideoRepository};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -357,6 +332,7 @@ mod tests {
             Box::new(FrameSamplerPolicy::random_plus(300)),
         ];
         for mut policy in policies {
+            assert_eq!(policy.upfront_scan_frames(), 0);
             let mut rng = StdRng::seed_from_u64(9);
             let mut picks = Vec::new();
             let mut seen = HashSet::new();
@@ -366,7 +342,12 @@ mod tests {
                     break;
                 }
                 for &f in &picks {
+                    assert!(f < 300);
                     assert!(seen.insert(f));
+                    // Feedback is ignored: it never shrinks the pool.
+                    let before = policy.remaining();
+                    policy.record(f, &MatchOutcome::default());
+                    assert_eq!(policy.remaining(), before);
                 }
             }
             assert_eq!(seen.len(), 300, "policy {}", policy.name());
@@ -378,13 +359,36 @@ mod tests {
 
     #[test]
     fn method_policy_delegates_name_cost_and_order() {
-        let mut policy = MethodPolicy::new(SequentialScan::with_stride(10, 3));
-        assert_eq!(policy.name(), "sequential");
-        assert_eq!(policy.upfront_scan_frames(), 0);
+        let mut policy = SequentialScan::with_stride(10, 3);
+        assert_eq!(SamplingPolicy::name(&policy), "sequential");
+        assert_eq!(SamplingPolicy::upfront_scan_frames(&policy), 0);
         assert_eq!(policy.remaining(), None);
         let mut rng = StdRng::seed_from_u64(11);
         let mut picks = Vec::new();
         policy.next_batch_into(&mut rng, 8, &mut picks);
         assert_eq!(picks, vec![0, 3, 6, 9]);
+        policy.next_batch_into(&mut rng, 8, &mut picks);
+        assert!(picks.is_empty());
+
+        // The proxy pays for scoring the whole repository upfront and
+        // ignores feedback: recording a frame changes nothing it emits.
+        let truth =
+            GroundTruth::from_instances(500, vec![ObjectInstance::simple(0, "car", 10, 40)]);
+        let proxy =
+            || ProxyBaseline::new(&truth, &ObjectClass::from("car"), ProxyConfig::default());
+        let (mut fed, mut unfed) = (proxy(), proxy());
+        assert_eq!(SamplingPolicy::name(&fed), "proxy");
+        assert_eq!(SamplingPolicy::upfront_scan_frames(&fed), 500);
+        assert_eq!(fed.remaining(), None);
+        let mut rest = Vec::new();
+        fed.next_batch_into(&mut rng, 4, &mut picks);
+        for &frame in &picks {
+            fed.record(frame, &MatchOutcome::default());
+        }
+        fed.next_batch_into(&mut rng, 600, &mut rest);
+        picks.extend_from_slice(&rest);
+        unfed.next_batch_into(&mut rng, 1_000, &mut rest);
+        assert_eq!(picks, rest);
+        assert_eq!(rest.len(), 500);
     }
 }

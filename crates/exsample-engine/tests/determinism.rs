@@ -1,9 +1,9 @@
 //! Engine determinism guarantees, pinned down end to end:
 //!
-//! 1. a single-query engine at batch size 1 reproduces the legacy hand-written
-//!    `run_query` loop **pick for pick** under the same RNG seed (the legacy
-//!    loop is replicated faithfully here, since `run_query` itself is now a
-//!    wrapper over the engine); and
+//! 1. a single-query engine at batch size 1 over an `ExSamplePolicy`
+//!    reproduces the hand-written Algorithm 1 loop that preceded the engine
+//!    **pick for pick** under the same RNG seed (that loop is replicated
+//!    faithfully here); and
 //! 2. a multi-query run produces identical per-query outcomes for any stage
 //!    interleaving — solo vs. concurrent execution, permuted registration
 //!    order, extra companion queries; and
@@ -34,9 +34,9 @@ use exsample_detect::{
     ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    run_query, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy,
-    QueryEngine, QueryReport, QuerySpec, RetryPolicy, SamplingPolicy, ShardQueryTally, ShardReport,
-    ShardRouter, ShardedReport, StageStats, StopReason,
+    EngineReport, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy, QueryEngine,
+    QueryReport, QuerySpec, RetryPolicy, SamplingPolicy, ShardQueryTally, ShardReport, ShardRouter,
+    ShardedReport, StageObservation, StageSink, StageStats, StopReason,
 };
 use exsample_track::{Discriminator, MatchOutcome, OracleDiscriminator};
 use exsample_video::{
@@ -163,6 +163,24 @@ fn assert_reports_equal(a: &QueryReport, b: &QueryReport, context: &str) {
     );
 }
 
+/// Frames observed per chunk, counted from the engine's stage commits: the
+/// per-chunk sample counts the policy's sampler was fed.
+struct ChunkSamples {
+    chunking: Chunking,
+    counts: Rc<RefCell<Vec<u64>>>,
+}
+
+impl StageSink for ChunkSamples {
+    fn stage_committed(&mut self, _: u64, observations: &[StageObservation]) -> Result<(), String> {
+        let chunks = self.chunking.chunks();
+        let mut counts = self.counts.borrow_mut();
+        for observation in observations {
+            counts[chunks.partition_point(|c| c.end() <= observation.frame)] += 1;
+        }
+        Ok(())
+    }
+}
+
 #[test]
 fn engine_batch_one_reproduces_the_legacy_loop_pick_for_pick() {
     for (result_limit, frame_budget, seed) in [
@@ -190,23 +208,28 @@ fn engine_batch_one_reproduces_the_legacy_loop_pick_for_pick() {
             &mut legacy_rng,
         );
 
-        // Engine-backed run_query, same seed.
+        // A batch-1 engine over a fresh ExSample policy, same seed.
         let engine_detector =
             RecordingDetector::new(PerfectDetector::new(Arc::clone(&truth), class.clone()));
-        let mut engine_discriminator = OracleDiscriminator::new();
-        let mut engine_sampler =
-            ExSample::new(ExSampleConfig::default(), &chunking.chunk_lengths());
-        let mut engine_rng = StdRng::seed_from_u64(seed);
-        let outcome = run_query(
-            &mut engine_sampler,
-            &chunking,
+        let mut spec = QuerySpec::new(
+            "exsample",
+            Box::new(ExSamplePolicy::new(ExSampleConfig::default(), &chunking)),
             &engine_detector,
-            &mut engine_discriminator,
-            result_limit,
-            frame_budget,
-            &mut engine_rng,
         )
-        .expect("chunk counts match");
+        .seed(seed)
+        .result_limit(result_limit)
+        .batch(1);
+        if let Some(budget) = frame_budget {
+            spec = spec.frame_budget(budget);
+        }
+        let samples_per_chunk = Rc::new(RefCell::new(vec![0u64; chunking.len()]));
+        let mut engine = QueryEngine::new().stage_sink(Box::new(ChunkSamples {
+            chunking: chunking.clone(),
+            counts: Rc::clone(&samples_per_chunk),
+        }));
+        engine.push(spec).expect("valid spec");
+        let report = engine.run().expect("run succeeds");
+        let outcome = &report.outcomes[0];
 
         assert_eq!(
             engine_detector.log.lock().unwrap().as_slice(),
@@ -214,7 +237,7 @@ fn engine_batch_one_reproduces_the_legacy_loop_pick_for_pick() {
             "pick sequences diverged (limit {result_limit}, budget {frame_budget:?})"
         );
         assert_eq!(outcome.frames_processed, legacy_frames);
-        assert_eq!(outcome.stop_reason, legacy_stop);
+        assert_eq!(outcome.stop_reason, Some(legacy_stop));
         assert_eq!(
             outcome.distinct_found,
             legacy_discriminator.distinct_count()
@@ -224,7 +247,7 @@ fn engine_batch_one_reproduces_the_legacy_loop_pick_for_pick() {
             legacy_discriminator.found_instances()
         );
         assert_eq!(
-            outcome.samples_per_chunk,
+            *samples_per_chunk.borrow(),
             legacy_sampler
                 .stats()
                 .all()
@@ -232,9 +255,6 @@ fn engine_batch_one_reproduces_the_legacy_loop_pick_for_pick() {
                 .map(|s| s.samples())
                 .collect::<Vec<_>>()
         );
-        // The two runs must also leave the caller-side RNGs in the same state.
-        use rand::RngCore;
-        assert_eq!(engine_rng.next_u64(), legacy_rng.next_u64());
     }
 }
 

@@ -27,6 +27,8 @@ pub enum SimError {
     NoClasses,
     /// A sweep was requested with zero trials.
     NoTrials,
+    /// A sequential scan was asked to visit one frame out of every zero.
+    ZeroStride,
 }
 
 impl fmt::Display for SimError {
@@ -39,6 +41,7 @@ impl fmt::Display for SimError {
                 "the dataset has no object classes and no query class was chosen"
             ),
             SimError::NoTrials => write!(f, "a sweep needs at least one trial"),
+            SimError::ZeroStride => write!(f, "a sequential scan needs a stride of at least 1"),
         }
     }
 }

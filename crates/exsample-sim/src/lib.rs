@@ -9,8 +9,9 @@
 //!   (scan at ~100 fps, sampled processing at ~20 fps) plus Table-I-style duration
 //!   formatting (`"1m37s"`, `"2h58m"`).
 //! * [`runner`] — [`runner::QueryRunner`]: configure a query (dataset, class, stop
-//!   condition, detector noise, discriminator) and run any
-//!   [`exsample_baselines::SamplingMethod`].  Execution happens on a
+//!   condition, detector noise, discriminator) and run a built-in
+//!   [`runner::MethodKind`] or any `exsample-engine` `SamplingPolicy` — the one
+//!   way to run a single query.  Execution happens on a
 //!   single-query `exsample-engine` `QueryEngine` (batch 1), with the virtual
 //!   clock charged from the engine's per-stage accounting hook; `parallel(n)`
 //!   cuts each stage's DETECT over the engine's persistent per-run worker

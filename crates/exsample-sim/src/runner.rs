@@ -1,15 +1,16 @@
 //! End-to-end query execution.
 //!
 //! [`QueryRunner`] configures one distinct-object query over a [`Dataset`] and runs
-//! it with any sampling method, producing a [`RunResult`] with the full recall
-//! trajectory and virtual time accounting.  This is the harness every experiment
-//! binary and integration test is built on.
+//! it with a built-in method ([`QueryRunner::run`]) or any
+//! [`SamplingPolicy`] ([`QueryRunner::run_policy`]), producing a
+//! [`RunResult`] with the full recall trajectory and virtual time accounting.
+//! This is the harness every experiment binary and integration test is built
+//! on, and the one way to run a single query.
 //!
 //! Execution is delegated to `exsample-engine`: the runner translates its stop
-//! condition into engine limits, wraps the method in a
-//! [`exsample_engine::MethodPolicy`], and runs a single-query engine at batch
-//! size 1 — the configuration that consumes the RNG stream exactly as the
-//! historical hand-written pick→detect→record loop did.  The virtual clock is
+//! condition into engine limits and runs the policy on a single-query engine
+//! at batch size 1 — the configuration that consumes the RNG stream exactly
+//! as the paper's pick→detect→record loop does.  The virtual clock is
 //! charged from the engine's per-stage cost-accounting hook.  With
 //! [`QueryRunner::parallel`] each stage's detector invocations are cut over
 //! the engine's persistent worker pool (spawned once per run, reused by
@@ -22,9 +23,7 @@
 use crate::checkpoint::{CheckpointSink, SharedStore, StoreErrorCell};
 use crate::clock::VirtualClock;
 use crate::error::SimError;
-use exsample_baselines::{
-    ProxyBaseline, ProxyConfig, RandomPlusSampler, RandomSampler, SamplingMethod, SequentialScan,
-};
+use exsample_baselines::{ProxyBaseline, ProxyConfig, SequentialScan};
 use exsample_core::{ExSample, ExSampleConfig};
 use exsample_data::Dataset;
 use exsample_detect::{
@@ -32,7 +31,7 @@ use exsample_detect::{
     PerfectDetector, SimulatedDetector,
 };
 use exsample_engine::{
-    CacheActivity, ExSamplePolicy, ExecutionMode, FailureMode, MethodPolicy, QueryEngine,
+    CacheActivity, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy, QueryEngine,
     QuerySpec, RetryPolicy, SamplingPolicy, SelectionTelemetry,
 };
 use exsample_rand::SeedSequence;
@@ -250,10 +249,11 @@ impl<'a> QueryRunner<'a> {
     ///
     /// Only the belief is seeded — the frame pool is untouched, so the warm
     /// run may re-pick frames a previous run already saw; what it skips is
-    /// the exploration those earlier samples paid for.  Ignored for methods
-    /// other than [`MethodKind::ExSample`] (the baselines keep no per-chunk
-    /// posterior).  A store with no record of the query class warm-starts to
-    /// the prior (a cold start).
+    /// the exploration those earlier samples paid for.  Read only by
+    /// [`QueryRunner::run`] with [`MethodKind::ExSample`] (the baselines keep
+    /// no per-chunk posterior, and a policy given to
+    /// [`QueryRunner::run_policy`] is already built).  A store with no
+    /// record of the query class warm-starts to the prior (a cold start).
     pub fn warm_start(mut self, path: impl Into<PathBuf>) -> Self {
         self.warm_start = Some(path.into());
         self
@@ -360,90 +360,72 @@ impl<'a> QueryRunner<'a> {
         }
     }
 
-    /// Run with a pre-built ExSample sampler (constructed over
-    /// `dataset.chunk_lengths()`).  With [`QueryRunner::warm_start`] set, the
-    /// sampler's posterior is seeded from the recovered store first.
-    ///
-    /// # Errors
-    /// Returns [`SimError::Engine`] if the sampler's chunk count does not
-    /// match the dataset's chunking, and [`SimError::Store`] if the
-    /// warm-start store cannot be recovered.
-    pub fn run_exsample(self, mut sampler: ExSample) -> Result<RunResult, SimError> {
-        if let Some(path) = &self.warm_start {
-            let class = self.query_class()?;
-            let (store, _) = BeliefStore::open_dir(path)?;
-            // A store that never saw this class seeds nothing: the warm
-            // start degenerates to a cold one instead of erroring, so a
-            // first run and a resumed run share one code path.
-            if let Some(class_id) = store.state().class_id(class.name()) {
-                for (chunk, cell) in store.state().beliefs_for(class_id) {
-                    if (chunk as usize) < sampler.chunk_count() {
-                        sampler.apply_prior(chunk as usize, cell.n1, cell.samples);
-                    }
-                }
-            }
-        }
-        let policy = ExSamplePolicy::from_sampler(sampler, self.dataset.chunking())?;
-        self.run_policy("exsample".to_string(), 0, Box::new(policy))
-    }
-
     /// Run one of the built-in methods.
     ///
+    /// ExSample starts from a fresh sampler over the dataset's chunking; with
+    /// [`QueryRunner::warm_start`] set, its posterior is seeded from the
+    /// recovered store first.
+    ///
     /// # Errors
-    /// Returns a [`SimError`] if the run is misconfigured (no query class,
-    /// engine configuration rejected).
+    /// Returns a [`SimError`] if the run is misconfigured: no query class,
+    /// [`SimError::ZeroStride`] for a sequential scan with stride 0, a
+    /// warm-start store that cannot be recovered ([`SimError::Store`]), or an
+    /// engine configuration the engine rejects.
     pub fn run(self, kind: MethodKind) -> Result<RunResult, SimError> {
         let total = self.dataset.total_frames();
-        match kind {
+        let policy: Box<dyn SamplingPolicy> = match kind {
             MethodKind::ExSample(config) => {
-                if self.warm_start.is_some() {
-                    // The warm-start seam is the sampler itself; route
-                    // through the pre-built-sampler path to seed it.
-                    let sampler = ExSample::new(config, &self.dataset.chunk_lengths());
-                    return self.run_exsample(sampler);
+                let mut sampler = ExSample::new(config, &self.dataset.chunk_lengths());
+                if let Some(path) = &self.warm_start {
+                    let class = self.query_class()?;
+                    let (store, _) = BeliefStore::open_dir(path)?;
+                    // A store that never saw this class seeds nothing: the
+                    // warm start degenerates to a cold one instead of
+                    // erroring, so a first run and a resumed run share one
+                    // code path.
+                    if let Some(class_id) = store.state().class_id(class.name()) {
+                        for (chunk, cell) in store.state().beliefs_for(class_id) {
+                            if (chunk as usize) < sampler.chunk_count() {
+                                sampler.apply_prior(chunk as usize, cell.n1, cell.samples);
+                            }
+                        }
+                    }
                 }
-                let policy = ExSamplePolicy::new(config, self.dataset.chunking());
-                self.run_policy("exsample".to_string(), 0, Box::new(policy))
+                Box::new(ExSamplePolicy::from_sampler(
+                    sampler,
+                    self.dataset.chunking(),
+                )?)
             }
-            MethodKind::Random => self.run_method(&mut RandomSampler::new(total)),
-            MethodKind::RandomPlus => self.run_method(&mut RandomPlusSampler::new(total)),
+            MethodKind::Random => Box::new(FrameSamplerPolicy::uniform(total)),
+            MethodKind::RandomPlus => Box::new(FrameSamplerPolicy::random_plus(total)),
+            MethodKind::Sequential { stride: 0 } => return Err(SimError::ZeroStride),
             MethodKind::Sequential { stride } => {
-                self.run_method(&mut SequentialScan::with_stride(total, stride))
+                Box::new(SequentialScan::with_stride(total, stride))
             }
             MethodKind::Proxy(config) => {
                 let class = self.query_class()?;
-                let mut method = ProxyBaseline::new(self.dataset.ground_truth(), &class, config);
-                self.run_method(&mut method)
+                Box::new(ProxyBaseline::new(
+                    self.dataset.ground_truth(),
+                    &class,
+                    config,
+                ))
             }
-        }
+        };
+        self.run_policy(policy)
     }
 
-    /// Run an arbitrary sampling method.
+    /// Run any sampling policy on a single-query engine at batch size 1.
     ///
-    /// The run is delegated to a single-query [`QueryEngine`] at batch size 1,
-    /// which reproduces the historical per-frame loop pick for pick under the
-    /// same derived seed.
+    /// The result's method name and upfront scan cost are the policy's own
+    /// ([`SamplingPolicy::name`], [`SamplingPolicy::upfront_scan_frames`]).
+    /// [`QueryRunner::warm_start`] is not applied: a pre-built policy carries
+    /// its own state.
     ///
     /// # Errors
     /// Returns a [`SimError`] if the run is misconfigured.
-    pub fn run_method(self, method: &mut dyn SamplingMethod) -> Result<RunResult, SimError> {
-        let name = method.name().to_string();
-        let upfront_scan_frames = method.upfront_scan_frames();
-        self.run_policy(
-            name,
-            upfront_scan_frames,
-            Box::new(MethodPolicy::new(method)),
-        )
-    }
-
-    /// The shared execution core: run one sampling policy through a
-    /// single-query engine.
-    fn run_policy(
-        self,
-        name: String,
-        upfront_scan_frames: u64,
-        policy: Box<dyn SamplingPolicy + '_>,
-    ) -> Result<RunResult, SimError> {
+    pub fn run_policy(self, policy: Box<dyn SamplingPolicy + '_>) -> Result<RunResult, SimError> {
+        let name = policy.name().to_string();
+        let upfront_scan_frames = policy.upfront_scan_frames();
         let seeds = SeedSequence::new(self.seed).derive("query-runner");
         let class = self.query_class()?;
 
@@ -716,12 +698,23 @@ mod tests {
     fn run_exsample_accepts_prebuilt_sampler() {
         let dataset = skewed_dataset();
         let sampler = ExSample::new(ExSampleConfig::default(), &dataset.chunk_lengths());
-        let result = QueryRunner::new(&dataset)
-            .stop(StopCondition::DistinctResults(15))
-            .seed(11)
-            .run_exsample(sampler)
+        let policy = ExSamplePolicy::from_sampler(sampler, dataset.chunking()).unwrap();
+        let runner = || {
+            QueryRunner::new(&dataset)
+                .stop(StopCondition::DistinctResults(15))
+                .seed(11)
+        };
+        let result = runner()
+            .run_policy(Box::new(policy))
             .expect("query run succeeded");
         assert!(result.distinct_found >= 15);
+        assert_eq!(result.method, "exsample");
+        // A fresh sampler run as a policy is exactly the built-in method.
+        let builtin = runner()
+            .run(MethodKind::ExSample(ExSampleConfig::default()))
+            .expect("query run succeeded");
+        assert_eq!(result.found_instances, builtin.found_instances);
+        assert_eq!(result.trajectory, builtin.trajectory);
     }
 
     #[test]
@@ -750,6 +743,17 @@ mod tests {
             .expect("query run succeeded");
         assert_eq!(result.method, "sequential");
         assert_eq!(result.frames_processed, 100);
+    }
+
+    #[test]
+    fn zero_stride_sequential_scan_is_a_typed_error() {
+        let dataset = skewed_dataset();
+        let err = QueryRunner::new(&dataset)
+            .stop(StopCondition::FrameBudget(50))
+            .run(MethodKind::Sequential { stride: 0 })
+            .unwrap_err();
+        assert_eq!(err, SimError::ZeroStride);
+        assert!(err.to_string().contains("stride of at least 1"));
     }
 
     #[test]
@@ -936,5 +940,46 @@ mod tests {
         assert_eq!(result.total_instances, 0);
         assert_eq!(result.recall(), 0.0);
         assert_eq!(result.true_found, 0);
+    }
+
+    fn found_digest(found: &[InstanceId]) -> u64 {
+        found
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |digest, &InstanceId(id)| {
+                id.to_le_bytes().into_iter().fold(digest, |d, byte| {
+                    (d ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+            })
+    }
+
+    #[test]
+    fn baseline_runs_match_their_pinned_frames_and_finds() {
+        // Frames to recall 0.5 and an FNV-1a over the found instances, for
+        // random+, the sequential scan and the proxy order.  Captured when
+        // the baselines still ran through a separate frame-at-a-time trait
+        // and an adapter: any other implementation must pick the same frames
+        // and find the same instances.
+        let dataset = skewed_dataset();
+        for (kind, frames, found) in [
+            (MethodKind::RandomPlus, 849, 0x4281_8cdc_28e8_d6e5),
+            (
+                MethodKind::Sequential { stride: 30 },
+                1997,
+                0xbbfe_dcc1_0878_0bdf,
+            ),
+            (
+                MethodKind::Proxy(ProxyConfig::default()),
+                482,
+                0xb1fd_add2_82b2_dd61,
+            ),
+        ] {
+            let result = QueryRunner::new(&dataset)
+                .stop(StopCondition::Recall(0.5))
+                .seed(43)
+                .run(kind.clone())
+                .expect("query run succeeded");
+            assert_eq!(result.frames_processed, frames, "{kind:?}");
+            assert_eq!(found_digest(&result.found_instances), found, "{kind:?}");
+        }
     }
 }

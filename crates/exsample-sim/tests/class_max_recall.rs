@@ -10,10 +10,10 @@
 //! the textbook one-draw-per-chunk arg-max — within sampling noise, while the
 //! dedup telemetry confirms the fold actually ran.
 
-use exsample_baselines::SamplingMethod;
 use exsample_core::policy::select_chunk_reference;
 use exsample_core::{ChunkStatsSet, ExSampleConfig};
 use exsample_data::{GridWorkload, SkewLevel};
+use exsample_engine::SamplingPolicy;
 use exsample_sim::{run_trials, MethodKind, QueryRunner, RunResult, StopCondition, TrialSet};
 use exsample_track::MatchOutcome;
 use exsample_video::{FrameId, FrameSampler, RandomPlusSampler};
@@ -60,21 +60,33 @@ impl ReferenceExSample {
     }
 }
 
-impl SamplingMethod for ReferenceExSample {
+impl SamplingPolicy for ReferenceExSample {
     fn name(&self) -> &'static str {
         "exsample-reference"
     }
 
-    fn next_frame(&mut self, rng: &mut dyn RngCore) -> Option<FrameId> {
-        let eligible: Vec<bool> = self.samplers.iter().map(|s| s.remaining() > 0).collect();
-        let chunk = select_chunk_reference(&self.config, &self.stats, &eligible, rng)?;
-        let offset = self.samplers[chunk].next_frame(rng)?;
-        Some(self.starts[chunk] + offset)
+    fn next_batch_into(&mut self, rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
+        picks.clear();
+        while picks.len() < batch {
+            let eligible: Vec<bool> = self.samplers.iter().map(|s| s.remaining() > 0).collect();
+            let Some(chunk) = select_chunk_reference(&self.config, &self.stats, &eligible, rng)
+            else {
+                break;
+            };
+            let Some(offset) = self.samplers[chunk].next_frame(rng) else {
+                break;
+            };
+            picks.push(self.starts[chunk] + offset);
+        }
     }
 
     fn record(&mut self, frame: FrameId, outcome: &MatchOutcome) {
         let chunk = self.starts.partition_point(|&start| start <= frame) - 1;
         self.stats.record(chunk, outcome.n1_delta());
+    }
+
+    fn remaining(&self) -> Option<u64> {
+        None
     }
 }
 
@@ -108,7 +120,7 @@ fn class_max_recall_matches_per_chunk_within_noise() {
     let dataset = skewed_dataset(128);
     let hybrid = shipped(&dataset);
     let per_chunk = sweep(&dataset, |runner| {
-        runner.run_method(&mut ReferenceExSample::new(&dataset))
+        runner.run_policy(Box::new(ReferenceExSample::new(&dataset)))
     });
 
     let recalls = |set: &TrialSet| -> Vec<f64> { set.results.iter().map(|r| r.recall()).collect() };

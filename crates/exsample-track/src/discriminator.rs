@@ -68,23 +68,6 @@ pub trait Discriminator {
     fn found_instances(&self) -> Vec<InstanceId>;
 }
 
-/// Mutable references forward to the referenced discriminator, so execution
-/// engines that box their discriminators can also borrow one owned by the
-/// caller (e.g. the single-query `run_query` wrapper).
-impl<X: Discriminator + ?Sized> Discriminator for &mut X {
-    fn observe(&mut self, detections: &FrameDetections) -> MatchOutcome {
-        (**self).observe(detections)
-    }
-
-    fn distinct_count(&self) -> usize {
-        (**self).distinct_count()
-    }
-
-    fn found_instances(&self) -> Vec<InstanceId> {
-        (**self).found_instances()
-    }
-}
-
 /// A discriminator that matches detections by ground-truth instance id.
 ///
 /// False-positive detections (no ground-truth link) are ignored entirely.

@@ -18,7 +18,7 @@
 //! * [`track`] — IoU matching, SORT-style tracking, and the discriminator.
 //! * [`data`] — synthetic workloads and statistical dataset analogs.
 //! * [`core`] — the ExSample algorithm itself (Algorithm 1, Thompson sampling).
-//! * [`baselines`] — sequential scan, random, random+, BlazeIt-style proxy.
+//! * [`baselines`] — the sequential scan and the BlazeIt-style proxy order.
 //! * [`engine`] — the batched multi-query execution engine: the
 //!   `SamplingPolicy` trait unifying every sampling strategy, and the staged
 //!   pick/detect/record pipeline with cross-query frame coalescing.
@@ -28,9 +28,9 @@
 //! ## Quickstart
 //!
 //! ```
-//! use exsample::core::{ExSample, ExSampleConfig};
+//! use exsample::core::ExSampleConfig;
 //! use exsample::data::grid::{GridWorkload, SkewLevel};
-//! use exsample::sim::runner::{QueryRunner, StopCondition};
+//! use exsample::sim::runner::{MethodKind, QueryRunner, StopCondition};
 //!
 //! // Build a small synthetic dataset with skewed instance placement.
 //! let workload = GridWorkload::builder()
@@ -45,11 +45,10 @@
 //! let dataset = workload.generate();
 //!
 //! // Run ExSample until 50 distinct objects are found.
-//! let sampler = ExSample::new(ExSampleConfig::default(), &dataset.chunk_lengths());
 //! let outcome = QueryRunner::new(&dataset)
 //!     .stop(StopCondition::DistinctResults(50))
 //!     .seed(11)
-//!     .run_exsample(sampler)
+//!     .run(MethodKind::ExSample(ExSampleConfig::default()))
 //!     .expect("query run succeeded");
 //! assert!(outcome.distinct_found >= 50);
 //! ```
