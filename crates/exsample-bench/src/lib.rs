@@ -9,7 +9,8 @@
 //! * `--full` — run at the paper's full scale (16 M-frame simulations, full-size
 //!   dataset analogs, 21 trials).  The default is a reduced configuration that
 //!   reproduces the *shape* of each result in seconds rather than hours.
-//! * `--trials N` — override the number of trials.
+//! * `--trials N` — override the number of trials (`--trials 0` is rejected:
+//!   every experiment needs at least one).
 //! * `--scale X` — override the dataset scale factor (dataset-analog experiments).
 //! * `--seed N` — root seed (default 7).
 //! * `--parallel N` — cut each stage's detector invocations over N lanes (the
@@ -110,11 +111,13 @@ impl ExperimentOptions {
                 "--csv" => options.csv = true,
                 "--trials" => {
                     let value = iter.next().ok_or("--trials requires a value")?;
-                    options.trials = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --trials value: {value}"))?,
-                    );
+                    let trials: usize = value
+                        .parse()
+                        .map_err(|_| format!("bad --trials value: {value}"))?;
+                    if trials == 0 {
+                        return Err("--trials must be at least 1".to_string());
+                    }
+                    options.trials = Some(trials);
                 }
                 "--scale" => {
                     let value = iter.next().ok_or("--scale requires a value")?;
@@ -627,6 +630,16 @@ mod tests {
         assert_eq!(merged.per_chunk_picks, 4);
         assert_eq!(merged.draws_saved, 200);
         assert_eq!(merged.class_count, 3);
+    }
+
+    #[test]
+    fn trials_zero_is_a_usage_error() {
+        let err = parse(&["--trials", "0"]).unwrap_err();
+        assert!(
+            err.contains("--trials must be at least 1"),
+            "message: {err}"
+        );
+        assert_eq!(parse(&["--trials", "1"]).unwrap().trials_or(5, 21), 1);
     }
 
     #[test]

@@ -381,20 +381,6 @@ impl ChunkStatsSet {
         self.total_samples += samples_delta;
         self.refresh_cache(j);
     }
-
-    /// The empirical fraction of samples allocated to each chunk so far.
-    ///
-    /// This is the de-facto weight vector `w_j = n_j / n` that Section IV-A compares
-    /// against the optimal offline allocation.
-    pub fn allocation(&self) -> Vec<f64> {
-        if self.total_samples == 0 {
-            return vec![0.0; self.stats.len()];
-        }
-        self.stats
-            .iter()
-            .map(|s| s.samples() as f64 / self.total_samples as f64)
-            .collect()
-    }
 }
 
 /// Views of the class index and the belief cache that the tests check against
@@ -491,7 +477,7 @@ mod tests {
     #[test]
     fn stats_set_tracks_totals_and_allocation() {
         let mut set = ChunkStatsSet::new(4);
-        assert_eq!(set.allocation(), vec![0.0; 4]);
+        assert_eq!(set.total_samples(), 0);
         set.record(0, 1);
         set.record(0, 0);
         set.record(2, 1);
@@ -499,9 +485,9 @@ mod tests {
         assert_eq!(set.total_samples(), 4);
         assert_eq!(set.chunk(0).samples(), 2);
         assert_eq!(set.chunk(1).samples(), 0);
-        let alloc = set.allocation();
-        assert!((alloc[0] - 0.5).abs() < 1e-12);
-        assert!((alloc.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        // The empirical allocation `w_j = n_j / n` of Section IV-A sums to one.
+        let allocated: u64 = (0..4).map(|j| set.chunk(j).samples()).sum();
+        assert_eq!(allocated, set.total_samples());
     }
 
     #[test]

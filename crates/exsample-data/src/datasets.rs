@@ -20,9 +20,9 @@
 
 use crate::dataset::Dataset;
 use crate::skewgen;
-use exsample_detect::{BBox, GroundTruth, InstanceId, MotionModel, ObjectClass, ObjectInstance};
+use exsample_detect::{BBox, GroundTruth, InstanceId, ObjectClass, ObjectInstance};
 use exsample_rand::{LogNormal, Sampler, SeedSequence};
-use exsample_video::{Chunking, ChunkingPolicy, ClipId, VideoClip, VideoRepository};
+use exsample_video::{Chunking, ChunkingPolicy, VideoClip, VideoRepository};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -332,7 +332,7 @@ impl DatasetAnalog {
                     object_class.clone(),
                     first,
                     last,
-                    MotionModel::Static { bbox },
+                    bbox,
                     1.0,
                 ));
                 next_instance += 1;
@@ -351,9 +351,7 @@ impl DatasetAnalog {
             } => {
                 let clips = clips.max(1);
                 let frames_per_clip = (total_frames / u64::from(clips)).max(1);
-                let video_clips: Vec<VideoClip> = (0..clips)
-                    .map(|i| VideoClip::with_defaults(ClipId(i), frames_per_clip))
-                    .collect();
+                let video_clips = vec![VideoClip::with_defaults(frames_per_clip); clips as usize];
                 let repo = VideoRepository::from_clips(video_clips);
                 // Scale the chunk duration together with the dataset so the chunk
                 // *count* (and therefore the achievable skew structure, which is
@@ -376,9 +374,8 @@ impl DatasetAnalog {
                     clip_count = ((total_frames / 30).max(1)).min(u64::from(clips)) as u32;
                     frames_per_clip = (total_frames / u64::from(clip_count)).max(1);
                 }
-                let video_clips: Vec<VideoClip> = (0..clip_count)
-                    .map(|i| VideoClip::with_defaults(ClipId(i), frames_per_clip))
-                    .collect();
+                let video_clips =
+                    vec![VideoClip::with_defaults(frames_per_clip); clip_count as usize];
                 let repo = VideoRepository::from_clips(video_clips);
                 let chunking = Chunking::new(&repo, ChunkingPolicy::PerClip);
                 (repo, chunking)

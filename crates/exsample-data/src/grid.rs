@@ -10,7 +10,7 @@
 
 use crate::dataset::Dataset;
 use crate::skewgen;
-use exsample_detect::{BBox, GroundTruth, InstanceId, MotionModel, ObjectClass, ObjectInstance};
+use exsample_detect::{BBox, GroundTruth, InstanceId, ObjectClass, ObjectInstance};
 use exsample_rand::{LogNormal, Sampler, SeedSequence};
 use exsample_video::{Chunking, ChunkingPolicy, VideoRepository};
 use rand::rngs::StdRng;
@@ -242,7 +242,7 @@ impl GridWorkload {
                 class.clone(),
                 first,
                 last,
-                MotionModel::Static { bbox },
+                bbox,
                 1.0,
             ));
         }

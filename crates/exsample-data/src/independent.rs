@@ -18,18 +18,6 @@ pub struct IndependentWorkload {
 }
 
 impl IndependentWorkload {
-    /// Create a workload from explicit per-instance probabilities.
-    ///
-    /// # Panics
-    /// Panics if any probability is outside `[0, 1]`.
-    pub fn from_probabilities(probabilities: Vec<f64>) -> Self {
-        assert!(
-            probabilities.iter().all(|p| (0.0..=1.0).contains(p)),
-            "all hit probabilities must lie in [0, 1]"
-        );
-        IndependentWorkload { probabilities }
-    }
-
     /// Generate `instances` probabilities from a LogNormal in probability space,
     /// reproducing the paper's skewed `p_i` (Section III-D).
     ///
@@ -121,18 +109,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn workload(probabilities: Vec<f64>) -> IndependentWorkload {
+        IndependentWorkload { probabilities }
+    }
+
     #[test]
     fn explicit_probabilities_round_trip() {
-        let w = IndependentWorkload::from_probabilities(vec![0.1, 0.01, 0.5]);
+        let w = workload(vec![0.1, 0.01, 0.5]);
         assert_eq!(w.len(), 3);
         assert!((w.max_p() - 0.5).abs() < 1e-12);
         assert!((w.mean_p() - 0.61 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "must lie in [0, 1]")]
+    #[should_panic(expected = "median probability must be in (0, 1)")]
     fn invalid_probability_panics() {
-        let _ = IndependentWorkload::from_probabilities(vec![0.1, 1.5]);
+        let mut rng = StdRng::seed_from_u64(200);
+        let _ = IndependentWorkload::generate(10, 1.5, 1.0, &mut rng);
     }
 
     #[test]
@@ -163,7 +156,7 @@ mod tests {
 
     #[test]
     fn sample_frame_hits_instances_at_their_rate() {
-        let w = IndependentWorkload::from_probabilities(vec![0.5, 0.01]);
+        let w = workload(vec![0.5, 0.01]);
         let mut rng = StdRng::seed_from_u64(202);
         let trials = 20_000;
         let mut hits = [0u32; 2];
@@ -180,7 +173,7 @@ mod tests {
 
     #[test]
     fn zero_probability_instance_never_appears() {
-        let w = IndependentWorkload::from_probabilities(vec![0.0, 1.0]);
+        let w = workload(vec![0.0, 1.0]);
         let mut rng = StdRng::seed_from_u64(203);
         for _ in 0..100 {
             let visible = w.sample_frame(&mut rng);

@@ -4,7 +4,7 @@
 ///
 /// Coordinates are normalised to the frame: `(0, 0)` is the top-left corner and
 /// `(1, 1)` the bottom-right, so boxes are resolution-independent.  Boxes produced
-/// by motion models or localisation noise may poke slightly outside the frame; the
+/// by localisation noise may poke slightly outside the frame; the
 /// IoU arithmetic still works, and `BBox::clamp_to_frame` is available when a
 /// strictly in-frame box is required.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,11 +45,6 @@ impl BBox {
         self.y + self.h
     }
 
-    /// Centre point `(cx, cy)`.
-    pub fn center(&self) -> (f64, f64) {
-        (self.x + self.w / 2.0, self.y + self.h / 2.0)
-    }
-
     /// Area of the box.
     pub(crate) fn area(&self) -> f64 {
         self.w * self.h
@@ -75,13 +70,6 @@ impl BBox {
         }
     }
 
-    /// Euclidean distance between box centres.
-    pub fn center_distance(&self, other: &BBox) -> f64 {
-        let (ax, ay) = self.center();
-        let (bx, by) = other.center();
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
-    }
-
     /// Translate the box by `(dx, dy)`.
     pub(crate) fn translated(&self, dx: f64, dy: f64) -> BBox {
         BBox {
@@ -89,13 +77,6 @@ impl BBox {
             y: self.y + dy,
             ..*self
         }
-    }
-
-    /// Scale width and height by `factor` around the box centre.
-    pub fn scaled(&self, factor: f64) -> BBox {
-        assert!(factor >= 0.0, "scale factor must be non-negative");
-        let (cx, cy) = self.center();
-        BBox::from_center(cx, cy, self.w * factor, self.h * factor)
     }
 
     /// Clamp the box to the unit frame `[0, 1] x [0, 1]`.
@@ -151,24 +132,19 @@ mod tests {
     #[test]
     fn from_center_round_trips() {
         let b = BBox::from_center(0.5, 0.5, 0.2, 0.1);
-        let (cx, cy) = b.center();
-        assert!((cx - 0.5).abs() < 1e-12);
-        assert!((cy - 0.5).abs() < 1e-12);
+        assert!((b.x + b.w / 2.0 - 0.5).abs() < 1e-12);
+        assert!((b.y + b.h / 2.0 - 0.5).abs() < 1e-12);
         assert!((b.x - 0.4).abs() < 1e-12);
         assert!((b.y - 0.45).abs() < 1e-12);
     }
 
     #[test]
-    fn translated_and_scaled() {
+    fn translated() {
         let b = BBox::new(0.2, 0.2, 0.2, 0.2);
         let t = b.translated(0.1, -0.1);
         assert!((t.x - 0.3).abs() < 1e-12);
         assert!((t.y - 0.1).abs() < 1e-12);
-        let s = b.scaled(2.0);
-        assert!((s.area() - 4.0 * b.area()).abs() < 1e-12);
-        let (c0, c1) = b.center();
-        let (s0, s1) = s.center();
-        assert!((c0 - s0).abs() < 1e-12 && (c1 - s1).abs() < 1e-12);
+        assert_eq!((t.w, t.h), (b.w, b.h));
     }
 
     #[test]
@@ -176,13 +152,6 @@ mod tests {
         let b = BBox::new(-0.1, 0.9, 0.3, 0.3).clamp_to_frame();
         assert!(b.x >= 0.0 && b.y >= 0.0);
         assert!(b.x2() <= 1.0 + 1e-12 && b.y2() <= 1.0 + 1e-12);
-    }
-
-    #[test]
-    fn center_distance() {
-        let a = BBox::from_center(0.0, 0.0, 0.1, 0.1);
-        let b = BBox::from_center(0.3, 0.4, 0.1, 0.1);
-        assert!((a.center_distance(&b) - 0.5).abs() < 1e-12);
     }
 
     #[test]

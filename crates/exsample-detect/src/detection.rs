@@ -48,12 +48,6 @@ impl Detection {
             truth: Some(truth),
         }
     }
-
-    /// Whether this detection is a false positive (only meaningful for simulated
-    /// detections).
-    pub fn is_false_positive(&self) -> bool {
-        self.truth.is_none()
-    }
 }
 
 /// All detections produced for a single frame.
@@ -88,27 +82,6 @@ impl FrameDetections {
     pub fn is_empty(&self) -> bool {
         self.detections.is_empty()
     }
-
-    /// Iterate over detections of a given class.
-    pub fn of_class<'a>(
-        &'a self,
-        class: &'a ObjectClass,
-    ) -> impl Iterator<Item = &'a Detection> + 'a {
-        self.detections.iter().filter(move |d| &d.class == class)
-    }
-
-    /// Keep only detections whose score is at least `threshold`.
-    pub fn filter_by_score(&self, threshold: f64) -> FrameDetections {
-        FrameDetections {
-            frame: self.frame,
-            detections: self
-                .detections
-                .iter()
-                .filter(|d| d.score >= threshold)
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,33 +97,15 @@ mod tests {
     }
 
     #[test]
-    fn of_class_filters() {
-        let fd = FrameDetections::new(5, vec![det("car", 0.9), det("bus", 0.8), det("car", 0.7)]);
-        let car = ObjectClass::from("car");
-        assert_eq!(fd.of_class(&car).count(), 2);
-        assert_eq!(fd.len(), 3);
-        assert!(!fd.is_empty());
-    }
-
-    #[test]
-    fn filter_by_score() {
-        let fd = FrameDetections::new(5, vec![det("car", 0.9), det("car", 0.3)]);
-        let kept = fd.filter_by_score(0.5);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept.frame, 5);
-    }
-
-    #[test]
     fn false_positive_flag() {
         let fp = det("car", 0.5);
-        assert!(fp.is_false_positive());
+        assert_eq!(fp.truth, None);
         let tp = Detection::with_truth(
             BBox::new(0.0, 0.0, 0.1, 0.1),
             ObjectClass::from("car"),
             0.9,
             InstanceId(3),
         );
-        assert!(!tp.is_false_positive());
         assert_eq!(tp.truth, Some(InstanceId(3)));
     }
 
@@ -158,6 +113,10 @@ mod tests {
     fn empty_frame_result() {
         let fd = FrameDetections::empty(42);
         assert!(fd.is_empty());
+        assert_eq!(fd.len(), 0);
         assert_eq!(fd.frame, 42);
+        let fd = FrameDetections::new(5, vec![det("car", 0.9), det("bus", 0.8)]);
+        assert_eq!(fd.len(), 2);
+        assert!(!fd.is_empty());
     }
 }

@@ -220,8 +220,8 @@ pub struct DetectorNoise {
     /// Probability that a visible instance is *missed* in a given frame, on top of
     /// the instance's own detectability.
     pub miss_rate: f64,
-    /// Expected number of false-positive boxes per frame (drawn Poisson-like via a
-    /// Bernoulli per candidate slot).
+    /// Expected number of false-positive boxes per frame (one Bernoulli draw per
+    /// unit of this budget, the last one taking the fractional remainder).
     pub false_positives_per_frame: f64,
     /// Standard deviation of the localisation jitter applied to box centres, as a
     /// fraction of frame size.
@@ -488,7 +488,7 @@ mod tests {
         let mut saw_fp = false;
         for frame in 0..200u64 {
             for d in &fp_only.detect(frame).detections {
-                assert!(d.is_false_positive());
+                assert_eq!(d.truth, None);
                 saw_fp = true;
             }
         }

@@ -20,7 +20,7 @@
 //! bitwise-identical fault behaviour in every engine configuration (pinned by
 //! the engine's fault-determinism matrix).
 //!
-//! Three fault kinds are scheduled:
+//! Two fault kinds are scheduled:
 //!
 //! * **transient** — a frame drawn with probability `transient_rate` fails its
 //!   first `transient_attempts` attempts with [`DetectError::Transient`], then
@@ -28,9 +28,6 @@
 //! * **permanent** — a frame drawn with probability `permanent_rate` fails
 //!   *every* attempt with [`DetectError::Permanent`].  Retrying is futile;
 //!   drop-frame and fail-fast handling exist for this shape.
-//! * **slow** — a frame drawn with probability `slow_rate` makes every call
-//!   that includes it sleep for `slow_delay` before delegating.  Slowness
-//!   affects wall-clock only, never results, so it cannot perturb determinism.
 
 use crate::class::ObjectClass;
 use crate::detection::FrameDetections;
@@ -42,7 +39,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// What a [`FaultPlan`] schedules for one `(frame, attempt)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +58,6 @@ pub struct FaultPlan {
     transient_rate: f64,
     transient_attempts: u32,
     permanent_rate: f64,
-    slow_rate: f64,
-    slow_delay: Duration,
 }
 
 impl FaultPlan {
@@ -74,8 +68,6 @@ impl FaultPlan {
             transient_rate: 0.0,
             transient_attempts: 2,
             permanent_rate: 0.0,
-            slow_rate: 0.0,
-            slow_delay: Duration::ZERO,
         }
     }
 
@@ -109,35 +101,20 @@ impl FaultPlan {
         self
     }
 
-    /// Probability that a frame is scheduled as slow, and the delay every
-    /// call including a slow frame sleeps for before delegating.
-    pub fn slow(mut self, rate: f64, delay: Duration) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        self.slow_rate = rate;
-        self.slow_delay = delay;
-        self
-    }
-
     /// The plan's seed.
     pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
-    /// The fault (if any) scheduled for this `(frame, attempt)`, plus whether
-    /// the frame is flagged slow.  Pure function of the arguments.
-    fn schedule(
-        &self,
-        seeds: &SeedSequence,
-        frame: FrameId,
-        attempt: u32,
-    ) -> (Option<Fault>, bool) {
-        if self.transient_rate == 0.0 && self.permanent_rate == 0.0 && self.slow_rate == 0.0 {
-            return (None, false);
+    /// The fault (if any) scheduled for this `(frame, attempt)`.  Pure
+    /// function of the arguments.
+    fn schedule(&self, seeds: &SeedSequence, frame: FrameId, attempt: u32) -> Option<Fault> {
+        if self.transient_rate == 0.0 && self.permanent_rate == 0.0 {
+            return None;
         }
         let mut rng = StdRng::seed_from_u64(seeds.index(frame).seed());
         let kind: f64 = rng.gen();
-        let slow = self.slow_rate > 0.0 && rng.gen::<f64>() < self.slow_rate;
-        let fault = if kind < self.permanent_rate {
+        if kind < self.permanent_rate {
             Some(Fault::Permanent)
         } else if kind < self.permanent_rate + self.transient_rate
             && attempt < self.transient_attempts
@@ -145,8 +122,7 @@ impl FaultPlan {
             Some(Fault::Transient)
         } else {
             None
-        };
-        (fault, slow)
+        }
     }
 }
 
@@ -166,7 +142,6 @@ pub struct FaultInjectingDetector<D> {
     seeds: SeedSequence,
     attempts: Mutex<HashMap<FrameId, u32>>,
     injected_faults: AtomicU64,
-    slow_calls: AtomicU64,
 }
 
 impl<D: Detector> FaultInjectingDetector<D> {
@@ -178,7 +153,6 @@ impl<D: Detector> FaultInjectingDetector<D> {
             seeds: SeedSequence::new(plan.seed()).derive("fault-plan"),
             attempts: Mutex::new(HashMap::new()),
             injected_faults: AtomicU64::new(0),
-            slow_calls: AtomicU64::new(0),
         }
     }
 
@@ -186,11 +160,6 @@ impl<D: Detector> FaultInjectingDetector<D> {
     /// failing call counts once).
     pub fn injected_faults(&self) -> u64 {
         self.injected_faults.load(Ordering::SeqCst)
-    }
-
-    /// Total calls that slept because they included a slow-flagged frame.
-    pub fn slow_calls(&self) -> u64 {
-        self.slow_calls.load(Ordering::SeqCst)
     }
 }
 
@@ -213,16 +182,13 @@ impl<D: Detector> Detector for FaultInjectingDetector<D> {
         // batch composition or on where in the batch a fault sits.
         let mut first_fault: Option<DetectError> = None;
         let mut faults = 0u64;
-        let mut slow = false;
         {
             let mut attempts = self.attempts.lock().expect("attempt map poisoned");
             for &frame in frames {
                 let attempt = attempts.entry(frame).or_insert(0);
                 let n = *attempt;
                 *attempt += 1;
-                let (fault, slow_frame) = self.plan.schedule(&self.seeds, frame, n);
-                slow |= slow_frame;
-                if let Some(fault) = fault {
+                if let Some(fault) = self.plan.schedule(&self.seeds, frame, n) {
                     faults += 1;
                     if first_fault.is_none() {
                         first_fault = Some(match fault {
@@ -237,12 +203,6 @@ impl<D: Detector> Detector for FaultInjectingDetector<D> {
                         });
                     }
                 }
-            }
-        }
-        if slow {
-            self.slow_calls.fetch_add(1, Ordering::SeqCst);
-            if !self.plan.slow_delay.is_zero() {
-                std::thread::sleep(self.plan.slow_delay);
             }
         }
         if let Some(err) = first_fault {
@@ -281,7 +241,6 @@ mod tests {
         det.try_detect_batch(&frames, &mut out).unwrap();
         assert_eq!(out.len(), frames.len());
         assert_eq!(det.injected_faults(), 0);
-        assert_eq!(det.slow_calls(), 0);
     }
 
     #[test]
@@ -355,16 +314,6 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(det.detect(500).frame, 500);
         assert_eq!(det.injected_faults(), 0);
-    }
-
-    #[test]
-    fn slow_frames_count_slow_calls() {
-        let plan = FaultPlan::new(3).slow(1.0, Duration::ZERO);
-        let det = FaultInjectingDetector::new(perfect(), plan);
-        let mut out = Vec::new();
-        det.try_detect_batch(&[5], &mut out).unwrap();
-        det.try_detect_batch(&[6], &mut out).unwrap();
-        assert_eq!(det.slow_calls(), 2);
     }
 
     #[test]

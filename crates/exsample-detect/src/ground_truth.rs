@@ -36,7 +36,7 @@
 use crate::class::ObjectClass;
 use crate::instance::{InstanceId, ObjectInstance};
 use exsample_video::FrameId;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
@@ -115,7 +115,7 @@ struct Index {
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     instances: Vec<ObjectInstance>,
-    by_id: HashMap<InstanceId, usize>,
+    ids: HashSet<InstanceId>,
     /// One entry per class, in first-appearance order, with the indices of
     /// its instances, ascending.
     classes: Vec<(ObjectClass, Vec<u32>)>,
@@ -159,7 +159,7 @@ impl GroundTruth {
             self.total_frames
         );
         assert!(
-            !self.by_id.contains_key(&instance.id()),
+            self.ids.insert(instance.id()),
             "duplicate instance id {}",
             instance.id()
         );
@@ -170,7 +170,6 @@ impl GroundTruth {
                 .classes
                 .push((instance.class().clone(), vec![index as u32])),
         }
-        self.by_id.insert(instance.id(), index);
         self.instances.push(instance);
         self.index = OnceLock::new();
     }
@@ -222,11 +221,6 @@ impl GroundTruth {
     /// All instances.
     pub fn instances(&self) -> &[ObjectInstance] {
         &self.instances
-    }
-
-    /// Look up an instance by id.
-    pub fn get(&self, id: InstanceId) -> Option<&ObjectInstance> {
-        self.by_id.get(&id).map(|&i| &self.instances[i])
     }
 
     /// Instances of a particular class, in push order.
@@ -342,8 +336,6 @@ mod tests {
         assert_eq!(gt.count_of_class(&car), 3);
         assert_eq!(gt.len(), 4);
         assert_eq!(gt.classes().len(), 2);
-        assert!(gt.get(InstanceId(2)).is_some());
-        assert!(gt.get(InstanceId(99)).is_none());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! (a particular traffic light, a particular pedestrian) that is visible to the
 //! camera for a contiguous interval of frames.  Instance `i`'s visibility duration
 //! determines its probability `p_i` of being hit by a random frame sample, the core
-//! quantity of Section III.  The simulated detector and the discriminator both work
-//! off these instances.
+//! quantity of Section III.  Each instance keeps one fixed bounding box over its
+//! whole interval: the data generators place objects, they do not move them, and
+//! only the box's overlap with a detection (IoU) matters downstream.  The
+//! simulated detector and the discriminator both work off these instances.
 
 use crate::bbox::BBox;
 use crate::class::ObjectClass;
@@ -21,42 +23,6 @@ impl std::fmt::Display for InstanceId {
     }
 }
 
-/// How an instance's bounding box moves over its visibility interval.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MotionModel {
-    /// The box stays put for the whole interval (typical of infrastructure seen by a
-    /// fixed camera, e.g. a parked car).
-    Static {
-        /// The box in every visible frame.
-        bbox: BBox,
-    },
-    /// The box interpolates linearly from `start` to `end` over the interval
-    /// (typical of objects passing a fixed camera, or infrastructure approached by a
-    /// dashcam).
-    Linear {
-        /// Box in the first visible frame.
-        start: BBox,
-        /// Box in the last visible frame.
-        end: BBox,
-    },
-}
-
-impl MotionModel {
-    /// The box at interpolation parameter `t` in `[0, 1]` across the interval.
-    pub(crate) fn bbox_at(&self, t: f64) -> BBox {
-        let t = t.clamp(0.0, 1.0);
-        match self {
-            MotionModel::Static { bbox } => *bbox,
-            MotionModel::Linear { start, end } => BBox::new(
-                start.x + t * (end.x - start.x),
-                start.y + t * (end.y - start.y),
-                start.w + t * (end.w - start.w),
-                start.h + t * (end.h - start.h),
-            ),
-        }
-    }
-}
-
 /// A ground-truth object instance: one distinct result of a distinct-object query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectInstance {
@@ -66,7 +32,8 @@ pub struct ObjectInstance {
     first_frame: FrameId,
     /// Last global frame (inclusive) in which the object is visible.
     last_frame: FrameId,
-    motion: MotionModel,
+    /// The box in every visible frame: instances do not move.
+    bbox: BBox,
     /// Per-frame probability that a detector of nominal quality actually fires on
     /// this instance when it is visible (models small/occluded objects).
     detectability: f64,
@@ -82,7 +49,7 @@ impl ObjectInstance {
         class: ObjectClass,
         first_frame: FrameId,
         last_frame: FrameId,
-        motion: MotionModel,
+        bbox: BBox,
         detectability: f64,
     ) -> Self {
         assert!(
@@ -98,7 +65,7 @@ impl ObjectInstance {
             class,
             first_frame,
             last_frame,
-            motion,
+            bbox,
             detectability,
         }
     }
@@ -115,9 +82,7 @@ impl ObjectInstance {
             class.into(),
             first_frame,
             last_frame,
-            MotionModel::Static {
-                bbox: BBox::new(0.4, 0.4, 0.2, 0.2),
-            },
+            BBox::new(0.4, 0.4, 0.2, 0.2),
             1.0,
         )
     }
@@ -159,15 +124,7 @@ impl ObjectInstance {
 
     /// The instance's bounding box in `frame`, or `None` if not visible there.
     pub fn bbox_at(&self, frame: FrameId) -> Option<BBox> {
-        if !self.visible_at(frame) {
-            return None;
-        }
-        let t = if self.duration() == 1 {
-            0.0
-        } else {
-            (frame - self.first_frame) as f64 / (self.duration() - 1) as f64
-        };
-        Some(self.motion.bbox_at(t))
+        self.visible_at(frame).then_some(self.bbox)
     }
 
     /// The probability `p_i` of hitting this instance with one uniform frame sample
@@ -208,41 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_motion_interpolates() {
-        let start = BBox::new(0.0, 0.0, 0.1, 0.1);
-        let end = BBox::new(0.8, 0.4, 0.1, 0.1);
-        let i = ObjectInstance::new(
-            InstanceId(2),
-            ObjectClass::from("bus"),
-            0,
-            10,
-            MotionModel::Linear { start, end },
-            1.0,
-        );
-        let mid = i.bbox_at(5).unwrap();
-        assert!((mid.x - 0.4).abs() < 1e-12);
-        assert!((mid.y - 0.2).abs() < 1e-12);
-        assert_eq!(i.bbox_at(0).unwrap(), start);
-        assert_eq!(i.bbox_at(10).unwrap(), end);
-    }
-
-    #[test]
-    fn single_frame_linear_motion_does_not_divide_by_zero() {
-        let i = ObjectInstance::new(
-            InstanceId(3),
-            ObjectClass::from("dog"),
-            7,
-            7,
-            MotionModel::Linear {
-                start: BBox::new(0.0, 0.0, 0.1, 0.1),
-                end: BBox::new(0.5, 0.5, 0.1, 0.1),
-            },
-            1.0,
-        );
-        assert_eq!(i.bbox_at(7).unwrap(), BBox::new(0.0, 0.0, 0.1, 0.1));
-    }
-
-    #[test]
     fn hit_probability_is_duration_over_total() {
         let i = ObjectInstance::simple(1, "car", 0, 299);
         assert!((i.hit_probability(3000) - 0.1).abs() < 1e-12);
@@ -262,9 +184,7 @@ mod tests {
             ObjectClass::from("car"),
             0,
             1,
-            MotionModel::Static {
-                bbox: BBox::new(0.0, 0.0, 0.1, 0.1),
-            },
+            BBox::new(0.0, 0.0, 0.1, 0.1),
             1.5,
         );
     }

@@ -18,8 +18,8 @@
 //! * [`detection`] — a single detection (box + class + confidence) and the set of
 //!   detections produced for one frame.
 //! * [`instance`] — a ground-truth *object instance*: one physical object visible
-//!   over an interval of frames, with a simple motion model giving its box in each
-//!   frame where it is visible.
+//!   over an interval of frames, with one fixed box in every frame where it is
+//!   visible.
 //! * [`ground_truth`] — a queryable collection of instances with a temporal index.
 //! * [`detector`] — the [`detector::Detector`] trait (thread-safe: `Send + Sync`,
 //!   so engines can share one instance across concurrent worker lanes) plus
@@ -29,7 +29,7 @@
 //!   [`detector::Detector::try_detect_batch`] entry point returns typed
 //!   [`detector::DetectError`]s (transient vs permanent) instead of panicking.
 //! * [`fault`] — deterministic fault injection: a seeded [`fault::FaultPlan`]
-//!   schedules transient errors, permanent failures and slow calls per
+//!   schedules transient errors and permanent failures per
 //!   `(frame, attempt)`, and [`fault::FaultInjectingDetector`] wraps any
 //!   detector with that schedule — reproducible faults for testing
 //!   fault-tolerant engines.
@@ -58,4 +58,4 @@ pub use detection::{Detection, FrameDetections};
 pub use detector::{DetectError, Detector, DetectorNoise, PerfectDetector, SimulatedDetector};
 pub use fault::{FaultInjectingDetector, FaultPlan};
 pub use ground_truth::GroundTruth;
-pub use instance::{InstanceId, MotionModel, ObjectInstance};
+pub use instance::{InstanceId, ObjectInstance};

@@ -21,7 +21,10 @@
 //! 5. **cache determinism under faults** — with the detections cache
 //!    enabled and small enough to evict, degraded runs keep every tally
 //!    (including the cache's own hit/miss/eviction accounting) bitwise-
-//!    identical across thread counts.
+//!    identical across thread counts; and
+//! 6. **exact retry budget** — a frame whose transient fault outlasts the
+//!    budget is tried exactly `max_attempts` times after its batch probe,
+//!    and the retry, failure and drop tallies count exactly that.
 
 mod common;
 
@@ -32,7 +35,7 @@ use exsample_detect::{
 };
 use exsample_engine::{
     EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy,
-    QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter, ShardedReport,
+    QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter, ShardedReport, StopReason,
 };
 use exsample_video::{Chunking, ChunkingPolicy, ShardPartitioner, ShardSpec, VideoRepository};
 use std::sync::Arc;
@@ -518,4 +521,44 @@ fn failed_frames_are_never_cached_and_recovered_frames_commit_once() {
     );
     let stats = engine.cache_stats().expect("cache is configured");
     assert!(stats.hits > 0, "the warm query never hit the cache");
+}
+
+#[test]
+fn retry_budget_is_spent_exactly_on_faults_that_outlast_it() {
+    // Every frame fails its first 10 attempts, more than the batch probe plus
+    // a 3-attempt budget can reach: each frame is tried exactly 3 times on its
+    // own (2 retries), then dropped.  Pinned counts, not a differential: a
+    // budget off by one in either direction moves every one of them.
+    let frames = 96u64;
+    let (_chunking, truth) = skewed_setup(frames, 12);
+    let plan = FaultPlan::new(FAULT_SEED)
+        .transient_rate(1.0)
+        .transient_attempts(10);
+    let detector = faulty_detector(&truth, plan);
+    let mut engine = QueryEngine::new()
+        .retry_policy(RetryPolicy::new(3))
+        .failure_mode(FailureMode::DropFrames);
+    engine
+        .push(
+            QuerySpec::new(
+                "budget",
+                Box::new(FrameSamplerPolicy::uniform(frames)),
+                &detector,
+            )
+            .seed(5)
+            .batch(16),
+        )
+        .unwrap();
+    let report = engine.run().unwrap();
+    let query = &report.outcomes[0];
+    assert_eq!(query.dropped_frames, 96, "every frame exhausts its budget");
+    assert_eq!(
+        query.frames_processed, 0,
+        "a dropped frame is never observed"
+    );
+    assert_eq!(report.failed_frames, 96);
+    assert_eq!(report.detect_retries, 192, "2 retries per frame");
+    // 6 batch probes of 16 frames, then 3 single-frame tries per frame.
+    assert_eq!(detector.injected_faults(), 96 + 96 * 3);
+    assert_eq!(query.stop_reason, Some(StopReason::RepositoryExhausted));
 }

@@ -63,27 +63,6 @@ impl Gamma {
         self.shape / (self.rate * self.rate)
     }
 
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            // Density at zero: infinite for shape < 1, rate for shape == 1, zero above.
-            return if self.shape < 1.0 {
-                f64::INFINITY
-            } else if self.shape == 1.0 {
-                self.rate
-            } else {
-                0.0
-            };
-        }
-        let log_pdf = self.shape * self.rate.ln() + (self.shape - 1.0) * x.ln()
-            - self.rate * x
-            - ln_gamma(self.shape);
-        log_pdf.exp()
-    }
-
     /// The `q`-quantile (inverse CDF).
     ///
     /// Used by the Bayes-UCB policy, which ranks chunks by an upper quantile of the
@@ -426,19 +405,5 @@ mod tests {
         let count = (0..n).filter(|_| d.sample(&mut rng) <= threshold).count();
         let empirical = count as f64 / n as f64;
         assert!((empirical - d.cdf(threshold)).abs() < 0.01);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let d = Gamma::new(2.5, 1.0).unwrap();
-        // Trapezoidal integration over a generous range.
-        let mut integral = 0.0;
-        let dx = 0.001;
-        let mut x = 0.0;
-        while x < 40.0 {
-            integral += 0.5 * (d.pdf(x) + d.pdf(x + dx)) * dx;
-            x += dx;
-        }
-        assert!((integral - 1.0).abs() < 1e-3, "integral {integral}");
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! The ExSample algorithm (Moll et al., ICDE 2022) relies on sampling from a
 //! [`Gamma`] belief distribution for Thompson sampling (Eq. III.4 of the paper),
-//! and its evaluation workloads are generated from [`LogNormal`] duration models,
-//! [`Normal`] temporal placement models and [`Poisson`] count models.  The
+//! and its evaluation workloads are generated from [`LogNormal`] duration models
+//! and [`Normal`] temporal placement models.  The
 //! crates.io distribution crates are deliberately not used: every sampler here is
 //! implemented directly on top of a uniform [`rand::Rng`] source so the whole
 //! pipeline is auditable and reproducible from first principles.
@@ -25,8 +25,6 @@
 //! * [`ziggurat`] — fast table-based standard Normal / Exponential samplers
 //!   backing the Gamma hot path.
 //! * [`lognormal`] — LogNormal durations, parameterisable by target mean/sigma.
-//! * [`poisson`] — Poisson counts (inversion for small mean, normal-approximation
-//!   rejection for large mean).
 //! * [`seeding`] — deterministic hierarchical seed derivation for multi-trial
 //!   experiments.
 //! * [`summary`] — summary statistics (mean, variance, percentiles, geometric
@@ -52,7 +50,6 @@ pub mod error;
 pub mod gamma;
 pub mod lognormal;
 pub mod normal;
-pub mod poisson;
 pub mod quantile;
 pub mod seeding;
 pub mod summary;
@@ -62,7 +59,6 @@ mod ziggurat_tables;
 pub use gamma::Gamma;
 pub use lognormal::LogNormal;
 pub use normal::{Normal, StandardNormal};
-pub use poisson::Poisson;
 pub use quantile::{gamma_max_of_k, gamma_quantile, GammaTail};
 pub use seeding::SeedSequence;
 pub use summary::{geometric_mean, Summary};

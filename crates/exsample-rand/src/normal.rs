@@ -6,7 +6,7 @@
 //! draws internally (Marsaglia–Tsang).
 
 use crate::error::{ensure_finite, ensure_positive, DistributionError};
-use crate::{uniform_open01, Sampler};
+use crate::Sampler;
 use rand::Rng;
 
 /// The standard Normal distribution `N(0, 1)`.
@@ -43,38 +43,16 @@ pub struct Normal {
 impl Normal {
     /// Create a Normal distribution `N(mean, std_dev^2)`.
     ///
-    /// `std_dev` must be strictly positive; use [`Normal::degenerate`] for a point
-    /// mass.
+    /// `std_dev` must be strictly positive.
     pub fn new(mean: f64, std_dev: f64) -> Result<Self, DistributionError> {
         ensure_finite("Normal", "mean", mean)?;
         ensure_positive("Normal", "std_dev", std_dev)?;
         Ok(Normal { mean, std_dev })
     }
-
-    /// Create a degenerate Normal that always returns `mean`.
-    ///
-    /// The Figure 3 "no skew" configuration is modelled by an effectively infinite
-    /// standard deviation, but some tests use a zero-variance placement, which this
-    /// constructor supports without special-casing callers.
-    pub fn degenerate(mean: f64) -> Self {
-        Normal { mean, std_dev: 0.0 }
-    }
-
-    /// Probability density function evaluated at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.std_dev == 0.0 {
-            return if x == self.mean { f64::INFINITY } else { 0.0 };
-        }
-        let z = (x - self.mean) / self.std_dev;
-        (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
 }
 
 impl Sampler<f64> for Normal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.std_dev == 0.0 {
-            return self.mean;
-        }
         self.mean + self.std_dev * StandardNormal.sample(rng)
     }
 }
@@ -87,9 +65,6 @@ impl Normal {
     /// Uses the complementary-error-function expansion (Abramowitz & Stegun 7.1.26),
     /// accurate to about `1.5e-7`.
     pub(crate) fn cdf(&self, x: f64) -> f64 {
-        if self.std_dev == 0.0 {
-            return if x >= self.mean { 1.0 } else { 0.0 };
-        }
         let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
         0.5 * (1.0 + erf(z))
     }
@@ -113,17 +88,6 @@ fn erf(x: f64) -> f64 {
     let t = 1.0 / (1.0 + P * x);
     let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
     sign * y
-}
-
-/// Draw a standard normal using the ratio-of-uniforms method.
-///
-/// Kept as an internal alternative used by the Poisson sampler's large-mean branch
-/// where only a single variate is needed and tail accuracy matters.
-pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Box-Muller: simpler than polar for one-off use and needs no rejection loop.
-    let u1 = uniform_open01(rng);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -158,15 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_normal_is_constant() {
-        let d = Normal::degenerate(3.25);
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..100 {
-            assert_eq!(d.sample(&mut rng), 3.25);
-        }
-    }
-
-    #[test]
     fn invalid_parameters_rejected() {
         assert!(Normal::new(0.0, 0.0).is_err());
         assert!(Normal::new(0.0, -1.0).is_err());
@@ -184,29 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn pdf_is_symmetric_and_peaks_at_mean() {
-        let d = Normal::new(2.0, 1.5).unwrap();
-        assert!((d.pdf(1.0) - d.pdf(3.0)).abs() < 1e-12);
-        assert!(d.pdf(2.0) > d.pdf(2.5));
-        assert!(d.pdf(2.0) > d.pdf(1.5));
-    }
-
-    #[test]
     fn erf_known_values() {
         assert!((erf(0.0)).abs() < 1e-6);
         assert!((erf(1.0) - 0.842_700_79).abs() < 1e-5);
         assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-5);
         assert!((erf(3.0) - 0.999_977_9).abs() < 1e-4);
-    }
-
-    #[test]
-    fn box_muller_helper_reasonable() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut s = Summary::new();
-        for _ in 0..100_000 {
-            s.push(standard_normal(&mut rng));
-        }
-        assert!(s.mean().abs() < 0.02);
-        assert!((s.variance() - 1.0).abs() < 0.05);
     }
 }

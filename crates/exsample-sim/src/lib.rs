@@ -26,7 +26,7 @@
 //!   found after a number of frames.
 //! * [`sweep`] — run many trials (optionally in parallel) and collect their
 //!   results.
-//! * [`table`] — plain-text/markdown table rendering for the experiment binaries.
+//! * [`table`] — plain-text/CSV table rendering for the experiment binaries.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -1,8 +1,8 @@
 //! Plain-text table rendering for the experiment binaries.
 //!
 //! The experiment binaries regenerate the paper's tables and figures as text:
-//! aligned columns for terminals, with an optional markdown mode for inclusion in
-//! `EXPERIMENTS.md`.  Keeping this tiny renderer local avoids a formatting
+//! aligned columns for terminals, or CSV for further processing.  Keeping this
+//! tiny renderer local avoids a formatting
 //! dependency and keeps the output stable across releases.
 
 /// A simple column-aligned table builder.
@@ -73,20 +73,6 @@ impl Table {
         out
     }
 
-    /// Render as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            self.header.iter().map(|_| "---|").collect::<String>()
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
     /// Render as comma-separated values (cells containing commas are quoted).
     pub fn to_csv(&self) -> String {
         let escape = |cell: &str| -> String {
@@ -111,18 +97,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-}
-
-/// Format a ratio the way the paper labels its savings ("6.1x", "0.79x").
-pub fn format_ratio(ratio: f64) -> String {
-    if !ratio.is_finite() {
-        return "-".to_string();
-    }
-    if ratio >= 10.0 {
-        format!("{ratio:.0}x")
-    } else {
-        format!("{ratio:.2}x")
     }
 }
 
@@ -151,27 +125,11 @@ mod tests {
     }
 
     #[test]
-    fn markdown_rendering() {
-        let md = table().to_markdown();
-        assert!(md.starts_with("| dataset | category | savings |"));
-        assert!(md.contains("|---|---|---|"));
-        assert!(md.contains("| amsterdam | boat | 0.75x |"));
-    }
-
-    #[test]
     fn csv_rendering_escapes_commas() {
         let mut t = Table::new(vec!["a", "b"]);
         t.push_row(vec!["hello, world", "plain"]);
         let csv = t.to_csv();
         assert!(csv.contains("\"hello, world\",plain"));
-    }
-
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(format_ratio(6.1), "6.10x");
-        assert_eq!(format_ratio(0.79), "0.79x");
-        assert_eq!(format_ratio(84.0), "84x");
-        assert_eq!(format_ratio(f64::NAN), "-");
     }
 
     #[test]

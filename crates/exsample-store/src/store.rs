@@ -855,6 +855,41 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_last_record_is_truncated_as_torn() {
+        let mem = MemStorage::new();
+        let files = mem.files();
+        let (prefix_state, prefix_len) = {
+            let (mut store, _) = BeliefStore::open(mem).unwrap();
+            let car = store.intern_class("car");
+            store.append_delta(car, 1, 1, 1, 0).unwrap();
+            store.commit_stage(0).unwrap();
+            store.flush().unwrap();
+            let prefix = (store.state().clone(), files.lock().unwrap()[LOG].len());
+            store.append_delta(car, 2, 1, 1, 1).unwrap();
+            store.commit_stage(1).unwrap();
+            store.flush().unwrap();
+            assert_ne!(store.state(), &prefix.0, "stage 1 changed nothing");
+            prefix
+        };
+        // Bit rot inside the last record (stage 1's commit marker): its length
+        // and framing stay intact and the payload still decodes — to another
+        // stage number — so only the CRC can tell that the record is corrupt.
+        let full_len = {
+            let mut f = files.lock().unwrap();
+            let log = f.get_mut(LOG).unwrap();
+            *log.last_mut().unwrap() ^= 0x40;
+            log.len()
+        };
+        let (reopened, report) = open_mem(&files);
+        // The corrupt commit and the delta it would have sealed are discarded
+        // together: recovery keeps exactly the stage-0 prefix.
+        assert_eq!(report.torn_tail_bytes, (full_len - prefix_len) as u64);
+        assert_eq!(report.last_committed_stage, Some(0));
+        assert_eq!(reopened.state(), &prefix_state);
+        assert_eq!(files.lock().unwrap()[LOG].len(), prefix_len);
+    }
+
+    #[test]
     fn compaction_snapshots_state_and_restarts_the_log() {
         let mem = MemStorage::new();
         let files = mem.files();

@@ -90,13 +90,6 @@ pub enum ChunkingPolicy {
     },
 }
 
-impl ChunkingPolicy {
-    /// The paper's default for long video: 20-minute chunks.
-    pub fn twenty_minutes() -> Self {
-        ChunkingPolicy::FixedDuration { seconds: 1200.0 }
-    }
-}
-
 /// A complete partition of a repository's frames into chunks.
 #[derive(Debug, Clone)]
 pub struct Chunking {
@@ -204,13 +197,12 @@ impl Chunking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clip::ClipId;
 
     fn repo() -> VideoRepository {
         VideoRepository::from_clips(vec![
-            VideoClip::new(ClipId(0), 100, 30.0, 20),
-            VideoClip::new(ClipId(1), 45, 30.0, 20),
-            VideoClip::new(ClipId(2), 250, 30.0, 20),
+            VideoClip::new(100, 30.0),
+            VideoClip::new(45, 30.0),
+            VideoClip::new(250, 30.0),
         ])
     }
 
@@ -264,6 +256,16 @@ mod tests {
     }
 
     #[test]
+    fn twenty_minute_default_policy() {
+        // The paper's default for long video: 20-minute (1200 s) chunks, which at
+        // 30 fps split a 50-minute clip into 36 000 + 36 000 + 18 000 frames.
+        let r = VideoRepository::single_clip(50 * 60 * 30);
+        let c = Chunking::new(&r, ChunkingPolicy::FixedDuration { seconds: 1200.0 });
+        assert_partition(&r, &c);
+        assert_eq!(c.chunk_lengths(), vec![36_000, 36_000, 18_000]);
+    }
+
+    #[test]
     fn fixed_count_splits_evenly() {
         let r = repo();
         let c = Chunking::new(&r, ChunkingPolicy::FixedCount { chunks: 7 });
@@ -293,14 +295,6 @@ mod tests {
         for frame in 0..r.total_frames() {
             let id = c.chunk_of_frame(frame);
             assert!(c.chunks()[id.0 as usize].contains(frame));
-        }
-    }
-
-    #[test]
-    fn twenty_minute_default_policy() {
-        match ChunkingPolicy::twenty_minutes() {
-            ChunkingPolicy::FixedDuration { seconds } => assert_eq!(seconds, 1200.0),
-            other => panic!("unexpected policy {other:?}"),
         }
     }
 

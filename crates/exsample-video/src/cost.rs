@@ -9,28 +9,7 @@
 //!   object detector.
 //!
 //! This module models those costs explicitly so experiments can convert "frames
-//!  processed" into wall-clock / GPU seconds the way the paper does, and also
-//! exposes a finer-grained per-frame model (decode cost proportional to keyframe
-//! distance) used in ablation experiments.
-
-use crate::repository::VideoRepository;
-use crate::FrameId;
-
-/// The cost of materialising one frame, broken into decode and detection parts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrameCost {
-    /// Seconds spent on IO + decode.
-    pub decode_secs: f64,
-    /// Seconds spent running the object detector (zero for scan-only operations).
-    pub detect_secs: f64,
-}
-
-impl FrameCost {
-    /// Total seconds for this frame.
-    pub fn total_secs(&self) -> f64 {
-        self.decode_secs + self.detect_secs
-    }
-}
+//! processed" into wall-clock / GPU seconds the way the paper does.
 
 /// Throughput-based cost model matching the paper's measured rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,11 +18,6 @@ pub struct DecodeCostModel {
     pub scan_fps: f64,
     /// Random-access sampling throughput in frames/second including detection.
     pub sample_fps: f64,
-    /// Object detector throughput in frames/second on its own.
-    pub detector_fps: f64,
-    /// If true, random-access decode cost scales with the distance to the previous
-    /// keyframe instead of being a flat per-frame constant.
-    pub keyframe_aware: bool,
 }
 
 impl Default for DecodeCostModel {
@@ -51,25 +25,14 @@ impl Default for DecodeCostModel {
         DecodeCostModel {
             scan_fps: 100.0,
             sample_fps: 20.0,
-            detector_fps: 10.0,
-            keyframe_aware: false,
         }
     }
 }
 
 impl DecodeCostModel {
-    /// The paper's measured configuration (scan 100 fps, sample 20 fps, detector
-    /// 10 fps).
+    /// The paper's measured configuration (scan 100 fps, sample 20 fps).
     pub fn paper() -> Self {
         DecodeCostModel::default()
-    }
-
-    /// A keyframe-aware variant of the paper configuration, used in ablations.
-    pub fn keyframe_aware() -> Self {
-        DecodeCostModel {
-            keyframe_aware: true,
-            ..DecodeCostModel::default()
-        }
     }
 
     /// Seconds to *scan* (decode sequentially, without detection) `frames` frames.
@@ -90,27 +53,6 @@ impl DecodeCostModel {
     /// object detection).
     pub fn sampled_processing_secs(&self, frames: u64) -> f64 {
         frames as f64 / self.sample_fps
-    }
-
-    /// Cost of one sampled frame, optionally keyframe-aware.
-    ///
-    /// In the flat model the decode share of a sampled frame is the difference
-    /// between the full sampling cost (`1/sample_fps`) and the pure detection cost
-    /// (`1/detector_fps` would exceed it, so we attribute `1/sample_fps` minus the
-    /// scan cost to detection instead).  In the keyframe-aware model the decode
-    /// share scales with the number of frames decoded to reach the target.
-    pub fn sampled_frame_cost(&self, repo: &VideoRepository, frame: FrameId) -> FrameCost {
-        let per_frame_decode = 1.0 / self.scan_fps;
-        let decode_secs = if self.keyframe_aware {
-            per_frame_decode * repo.random_access_decode_frames(frame) as f64
-        } else {
-            per_frame_decode
-        };
-        let detect_secs = (1.0 / self.sample_fps - per_frame_decode).max(0.0);
-        FrameCost {
-            decode_secs,
-            detect_secs,
-        }
     }
 
     /// Seconds to process `frames` frames in batches of `batch` on a detector whose
@@ -151,24 +93,12 @@ mod tests {
 
     #[test]
     fn frame_cost_flat_model() {
+        // Every sampled frame costs the same 1/sample_fps seconds.
         let m = DecodeCostModel::paper();
-        let repo = VideoRepository::single_clip(1000);
-        let c = m.sampled_frame_cost(&repo, 57);
-        assert!((c.total_secs() - 1.0 / 20.0).abs() < 1e-12);
-        assert!(c.decode_secs > 0.0 && c.detect_secs > 0.0);
-    }
-
-    #[test]
-    fn frame_cost_keyframe_aware_model() {
-        let m = DecodeCostModel::keyframe_aware();
-        let repo = VideoRepository::single_clip(1000);
-        // Frame 0 is a keyframe: decode cost = 1 frame. Frame 19 needs 20 frames.
-        let cheap = m.sampled_frame_cost(&repo, 0);
-        let dear = m.sampled_frame_cost(&repo, 19);
-        assert!(dear.decode_secs > cheap.decode_secs);
-        assert!((dear.decode_secs - 20.0 * cheap.decode_secs).abs() < 1e-12);
-        // Detection cost identical in both.
-        assert_eq!(cheap.detect_secs, dear.detect_secs);
+        let one = m.sampled_processing_secs(1);
+        assert!((one - 1.0 / 20.0).abs() < 1e-12);
+        assert!((m.sampled_processing_secs(57) - 57.0 * one).abs() < 1e-12);
+        assert_eq!(m.sampled_processing_secs(0), 0.0);
     }
 
     #[test]

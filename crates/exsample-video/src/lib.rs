@@ -8,15 +8,13 @@
 //! a frame, pays the cost of decoding it, and hands the decoded frame to an object
 //! detector.  This crate models exactly that interface:
 //!
-//! * [`clip`] — a single encoded video file with a GOP (keyframe) structure that
-//!   determines random-access decode cost.  The paper re-encodes its datasets with a
-//!   keyframe every 20 frames to make random access cheap; the same parameter is
-//!   exposed here.
+//! * [`clip`] — a single encoded video file: its length and frame rate.
 //! * [`repository`] — an ordered collection of clips with a global frame index.
 //! * [`chunk`] — partitioning the repository into the temporal chunks over which
 //!   ExSample maintains its per-chunk statistics (20-minute chunks for long video,
 //!   one chunk per clip for short-clip datasets like BDD).
-//! * [`cost`] — the decode / IO cost model (sequential scan vs. random access).
+//! * [`cost`] — the throughput cost model (sequential scan vs. sampled
+//!   processing).
 //! * [`sampler`] — within-chunk frame samplers: uniform-without-replacement and the
 //!   paper's `random+` hierarchical sampler (Section III-F).
 //! * [`shard`] — assigning the chunk axis to shards: [`ShardSpec`], the
@@ -38,9 +36,9 @@ pub mod sampler;
 pub mod shard;
 
 pub use chunk::{Chunk, ChunkId, Chunking, ChunkingPolicy};
-pub use clip::{ClipId, VideoClip};
-pub use cost::{DecodeCostModel, FrameCost};
-pub use repository::{FrameRef, VideoRepository};
+pub use clip::VideoClip;
+pub use cost::DecodeCostModel;
+pub use repository::VideoRepository;
 pub use sampler::{FrameSampler, RandomPlusSampler, UniformSampler};
 pub use shard::{ShardPartitioner, ShardSpec};
 
@@ -51,7 +49,3 @@ pub type FrameId = u64;
 
 /// Frames per second used throughout the paper's datasets (30 fps video).
 pub const DEFAULT_FPS: f64 = 30.0;
-
-/// The keyframe interval the paper re-encodes its video with ("we re-encode our
-/// video data to insert keyframes every 20 frames").
-pub(crate) const DEFAULT_GOP: u32 = 20;

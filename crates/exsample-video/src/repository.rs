@@ -1,20 +1,7 @@
 //! A repository of video clips with a global frame index.
 
-use crate::clip::{ClipId, VideoClip};
+use crate::clip::VideoClip;
 use crate::FrameId;
-
-/// Resolution of a global frame id into (clip, local frame).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameRef {
-    /// Which clip the frame belongs to.
-    pub clip: ClipId,
-    /// Index of the clip within the repository's clip list.
-    pub clip_index: usize,
-    /// Frame index within the clip (0-based).
-    pub local_frame: u64,
-    /// The original global frame id.
-    pub global_frame: FrameId,
-}
 
 /// An ordered collection of video clips forming one searchable repository.
 ///
@@ -47,7 +34,7 @@ impl VideoRepository {
     /// Convenience constructor: a repository consisting of a single clip of
     /// `frame_count` frames with default encoding parameters.
     pub fn single_clip(frame_count: u64) -> Self {
-        VideoRepository::from_clips(vec![VideoClip::with_defaults(ClipId(0), frame_count)])
+        VideoRepository::from_clips(vec![VideoClip::with_defaults(frame_count)])
     }
 
     /// Append a clip to the repository.
@@ -86,34 +73,6 @@ impl VideoRepository {
     pub(crate) fn clip_offset(&self, index: usize) -> FrameId {
         self.offsets[index]
     }
-
-    /// Resolve a global frame id into a [`FrameRef`].
-    ///
-    /// # Panics
-    /// Panics if `frame` is out of range.
-    pub fn resolve(&self, frame: FrameId) -> FrameRef {
-        assert!(
-            frame < self.total_frames,
-            "frame {frame} out of range (repository has {} frames)",
-            self.total_frames
-        );
-        // Binary search over clip offsets: partition_point returns the first clip
-        // whose offset is greater than `frame`, so the containing clip is one less.
-        let idx = self.offsets.partition_point(|&off| off <= frame) - 1;
-        FrameRef {
-            clip: self.clips[idx].id(),
-            clip_index: idx,
-            local_frame: frame - self.offsets[idx],
-            global_frame: frame,
-        }
-    }
-
-    /// Number of frames that must be decoded to materialise `frame` via random
-    /// access (see [`VideoClip::random_access_decode_frames`]).
-    pub fn random_access_decode_frames(&self, frame: FrameId) -> u64 {
-        let r = self.resolve(frame);
-        self.clips[r.clip_index].random_access_decode_frames(r.local_frame)
-    }
 }
 
 #[cfg(test)]
@@ -122,9 +81,9 @@ mod tests {
 
     fn repo() -> VideoRepository {
         VideoRepository::from_clips(vec![
-            VideoClip::with_defaults(ClipId(0), 100),
-            VideoClip::with_defaults(ClipId(1), 50),
-            VideoClip::with_defaults(ClipId(2), 200),
+            VideoClip::with_defaults(100),
+            VideoClip::with_defaults(50),
+            VideoClip::with_defaults(200),
         ])
     }
 
@@ -135,36 +94,6 @@ mod tests {
         assert_eq!(r.clip_offset(0), 0);
         assert_eq!(r.clip_offset(1), 100);
         assert_eq!(r.clip_offset(2), 150);
-    }
-
-    #[test]
-    fn resolve_maps_global_to_local() {
-        let r = repo();
-        let f = r.resolve(0);
-        assert_eq!((f.clip_index, f.local_frame), (0, 0));
-        let f = r.resolve(99);
-        assert_eq!((f.clip_index, f.local_frame), (0, 99));
-        let f = r.resolve(100);
-        assert_eq!((f.clip_index, f.local_frame), (1, 0));
-        assert_eq!(f.clip, ClipId(1));
-        let f = r.resolve(349);
-        assert_eq!((f.clip_index, f.local_frame), (2, 199));
-        assert_eq!(f.global_frame, 349);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn resolve_out_of_range_panics() {
-        repo().resolve(350);
-    }
-
-    #[test]
-    fn resolve_round_trips_for_all_frames() {
-        let r = repo();
-        for frame in 0..r.total_frames() {
-            let f = r.resolve(frame);
-            assert_eq!(r.clip_offset(f.clip_index) + f.local_frame, frame);
-        }
     }
 
     #[test]
@@ -179,15 +108,6 @@ mod tests {
         let r = VideoRepository::single_clip(1_000);
         assert_eq!(r.clip_count(), 1);
         assert_eq!(r.total_frames(), 1_000);
-    }
-
-    #[test]
-    fn decode_cost_respects_clip_boundaries() {
-        let r = repo();
-        // Frame 100 is local frame 0 of clip 1 -> keyframe -> cost 1.
-        assert_eq!(r.random_access_decode_frames(100), 1);
-        // Frame 119 is local frame 19 of clip 1 -> cost 20.
-        assert_eq!(r.random_access_decode_frames(119), 20);
     }
 
     #[test]

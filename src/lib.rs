@@ -15,7 +15,7 @@
 //! * [`rand_ext`] — from-scratch random distributions (Gamma, LogNormal, …).
 //! * [`video`] — the simulated video-repository substrate.
 //! * [`detect`] — object detection data model and the simulated detector.
-//! * [`track`] — IoU matching, SORT-style tracking, and the discriminator.
+//! * [`track`] — the distinct-object discriminator (`d0` / `d1` of Algorithm 1).
 //! * [`data`] — synthetic workloads and statistical dataset analogs.
 //! * [`core`] — the ExSample algorithm itself (Algorithm 1, Thompson sampling).
 //! * [`baselines`] — the sequential scan and the BlazeIt-style proxy order.
