@@ -1,19 +1,16 @@
-//! Criterion benchmarks of the end-to-end simulated pipeline.
+//! Criterion benchmarks of the simulated pipeline's layers.
 //!
-//! These measure one full query-runner step (detector + discriminator + statistics
-//! update) and a short end-to-end query for ExSample vs. random sampling on a
-//! skewed workload, documenting the simulation throughput that the experiment
-//! binaries rely on.
+//! Every row predicts one per-layer metric of the repository benchmark
+//! (`benchmark/`), the end-to-end ledger: a row whose metric does not move
+//! there is not a result.
 //!
-//! `simulated_detector_detect` looks frames up in a single-class grid truth;
-//! `simulated_detector_detect_archie` does the same on the archie analog at
-//! scale 0.2, cycling through its six classes, which is the multi-class
-//! lookup the fig5 sweep and the repository benchmark's detector layer pay
-//! for on every processed frame.
-//!
+//! `simulated_detector_detect_archie` looks frames up in the archie analog
+//! at scale 0.2, cycling through its six classes: the multi-class lookup the
+//! fig5 sweep and the benchmark's detector layer pay for on every processed
+//! frame.  `oracle_discriminator_observe` is the discriminator's per-frame
+//! bookkeeping on one frame of a single-class grid workload.
 //! `engine_batch1/{random,exsample}` run one batch-1 `QueryEngine` query per
-//! archie class on a free detector and report ns per frame, the row that
-//! predicts the repository benchmark's `exsample-sim.*_us_per_frame`.
+//! archie class on a free detector and report ns per frame.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use exsample_core::ExSampleConfig;
@@ -21,11 +18,10 @@ use exsample_data::datasets::{archie, DatasetAnalog};
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_detect::{Detector, PerfectDetector};
 use exsample_engine::{ExSamplePolicy, FrameSamplerPolicy, QueryEngine, QuerySpec, SamplingPolicy};
-use exsample_sim::{MethodKind, QueryRunner, StopCondition};
 use exsample_track::{Discriminator, OracleDiscriminator};
 use std::sync::Arc;
 
-fn dataset() -> exsample_data::Dataset {
+fn grid() -> exsample_data::Dataset {
     GridWorkload::builder()
         .frames(500_000)
         .instances(800)
@@ -39,17 +35,8 @@ fn dataset() -> exsample_data::Dataset {
 }
 
 fn bench_detector_and_discriminator(c: &mut Criterion) {
-    let dataset = dataset();
-    let truth = Arc::clone(dataset.ground_truth());
-    let detector = PerfectDetector::new(Arc::clone(&truth), GridWorkload::class());
-    c.bench_function("simulated_detector_detect", |b| {
-        let mut frame = 0u64;
-        b.iter(|| {
-            frame = (frame + 9_973) % dataset.total_frames();
-            black_box(detector.detect(frame))
-        });
-    });
     let (archie, detectors) = archie_analog();
+    // Predicts `exsample-detect.inner_s`.
     c.bench_function("simulated_detector_detect_archie", |b| {
         let mut frame = 0u64;
         let mut class = 0;
@@ -59,44 +46,14 @@ fn bench_detector_and_discriminator(c: &mut Criterion) {
             black_box(detectors[class].detect(frame))
         });
     });
+    let grid = grid();
+    let detections = PerfectDetector::new(Arc::clone(grid.ground_truth()), GridWorkload::class())
+        .detect(250_000);
+    // Predicts `exsample-track.observe_s`.
     c.bench_function("oracle_discriminator_observe", |b| {
         let mut discriminator = OracleDiscriminator::new();
-        let detections = detector.detect(250_000);
         b.iter(|| black_box(discriminator.observe(&detections)));
     });
-}
-
-fn bench_short_queries(c: &mut Criterion) {
-    let dataset = dataset();
-    let mut group = c.benchmark_group("query_500_frames");
-    group.sample_size(20);
-    group.bench_function("exsample", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(
-                QueryRunner::new(&dataset)
-                    .stop(StopCondition::FrameBudget(500))
-                    .seed(seed)
-                    .run(MethodKind::ExSample(ExSampleConfig::default()))
-                    .expect("query run succeeded"),
-            )
-        });
-    });
-    group.bench_function("random", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(
-                QueryRunner::new(&dataset)
-                    .stop(StopCondition::FrameBudget(500))
-                    .seed(seed)
-                    .run(MethodKind::Random)
-                    .expect("query run succeeded"),
-            )
-        });
-    });
-    group.finish();
 }
 
 /// The archie analog at scale 0.2, with a free detector per class.
@@ -116,6 +73,7 @@ const ENGINE_BATCH1_FRAMES: u64 = 2_000;
 fn bench_engine_batch1(c: &mut Criterion) {
     let (archie, detectors) = archie_analog();
     let frames = ENGINE_BATCH1_FRAMES * detectors.len() as u64;
+    // Predicts `exsample-sim.{random,exsample}_us_per_frame`.
     let mut group = c.benchmark_group("engine_batch1");
     group
         .sample_size(20)
@@ -150,7 +108,6 @@ fn bench_engine_batch1(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_detector_and_discriminator,
-    bench_short_queries,
     bench_engine_batch1
 );
 criterion_main!(benches);

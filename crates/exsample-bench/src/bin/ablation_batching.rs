@@ -90,7 +90,7 @@ fn main() {
         // Batched inference speedup model: throughput improves with batch size and
         // saturates around 2x (a typical detector batching profile).
         let speedup = 1.0 + (batch as f64).log2().max(0.0) * 0.18;
-        let secs = cost.batched_processing_secs(budget, batch.max(1), speedup.min(2.0));
+        let secs = cost.batched_processing_secs(budget, speedup.min(2.0));
         table.push_row(vec![
             format!("{batch}"),
             format!("{:.0}", founds.median()),

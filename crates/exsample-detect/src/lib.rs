@@ -33,16 +33,10 @@
 //!   `(frame, attempt)`, and [`fault::FaultInjectingDetector`] wraps any
 //!   detector with that schedule — reproducible faults for testing
 //!   fault-tolerant engines.
-//! * [`batching`] — a tunable `per_call + per_frame × n` invocation cost model
-//!   ([`batching::BatchCostModel`], the GPU-shaped curve) and
-//!   [`batching::BatchingDetector`], a wrapper charging that model per
-//!   physical invocation so batching strategies are measurable by modelled
-//!   cost instead of wall-clock noise.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod batching;
 pub mod bbox;
 pub mod class;
 pub mod detection;
@@ -51,7 +45,6 @@ pub mod fault;
 pub mod ground_truth;
 pub mod instance;
 
-pub use batching::{BatchCostModel, BatchingDetector};
 pub use bbox::BBox;
 pub use class::ObjectClass;
 pub use detection::{Detection, FrameDetections};

@@ -312,7 +312,7 @@ pub struct StageStats {
     /// shared a failed batch, so cost hooks wanting execution-invariant
     /// numbers should stick to `detector_frames` /
     /// `detector_calls` and treat this as telemetry (or bill it through a
-    /// [`BatchCostModel`](exsample_detect::BatchCostModel)).
+    /// `per_call + per_frame × n` cost model of their own).
     pub batches: BatchStats,
     /// Cross-stage cache activity this stage (all zeros when the cache is
     /// off): probe hits/misses plus the evictions this stage's commits

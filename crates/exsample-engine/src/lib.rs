@@ -133,11 +133,11 @@
 //!
 //! Batching is not a setting: every stage issues one batch per detector
 //! group, cut over the lanes (see above) — under a GPU-shaped
-//! `per_call + per_frame × n` cost model (`exsample-detect`'s
-//! `BatchingDetector`) the bill is the same for any shard router, which the
-//! `batched_detect` bench axis records.  Each stage plans after the previous
-//! one has settled, so every stop decision sees every result and a frame
-//! budget is never overshot.
+//! `per_call + per_frame × n` cost model the bill is the same for any shard
+//! router, because the physical calls and frames do not depend on it
+//! (`sharded_runs_are_bitwise_identical_to_unsharded` pins both).  Each
+//! stage plans after the previous one has settled, so every stop decision
+//! sees every result and a frame budget is never overshot.
 //!
 //! Physical batch-size statistics (count/min/mean/max) flow through
 //! [`StageStats`], [`ShardReport`] and [`ShardedReport`] as

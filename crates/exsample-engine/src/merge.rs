@@ -27,9 +27,8 @@ use std::fmt;
 /// backend actually saw, so they vary with the lane count (a detector group
 /// is cut where a lane boundary falls inside it) and with which frames
 /// shared a failed batch.  That is the point: paired with a per-call +
-/// per-frame cost model (`exsample_detect::BatchCostModel`), they make an
-/// execution shape's cost comparable in reports without ever being part of
-/// the logical determinism contract.
+/// per-frame cost model, they make an execution shape's cost comparable in
+/// reports without ever being part of the logical determinism contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Physical invocations recorded.

@@ -20,11 +20,13 @@
 //! 5. the physical-shape law: a stage's detector demand is one batch per
 //!    detector group, cut evenly over the lanes — so a serial run issues
 //!    exactly the logical calls and an `L`-lane run exactly the batches the
-//!    closed-form cut predicts (at most `L − 1` more per stage); and
+//!    closed-form cut predicts (at most `L − 1` more per stage), which are
+//!    the calls the report counts; and
 //! 6. cache-axis determinism: with the detections cache enabled
 //!    (small enough to evict), reports, per-query pick sequences, and the
 //!    cache accounting itself (hits/misses/evictions) are bitwise-identical
-//!    across threads {1, 2, 4}.
+//!    across threads {1, 2, 4}, and equal to an uncached run's outcomes and
+//!    picks at a smaller detector bill.
 
 mod common;
 
@@ -751,9 +753,11 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
             engine.push(spec).unwrap();
         }
         log.lock().unwrap().clear();
+        let mut observed_calls = 0u64;
         let _ = engine
             .run_with(|stats: &StageStats| {
                 let mut issued = std::mem::take(&mut *log.lock().unwrap());
+                observed_calls += issued.len() as u64;
                 let mut sizes = [0usize; 3];
                 for &(id, batch) in &issued {
                     sizes[id] += batch;
@@ -776,6 +780,10 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
         let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
 
         common::assert_physical_shape(&merged, lanes, &context);
+        assert_eq!(
+            merged.physical_detector_calls, observed_calls,
+            "{context}: the report counts the calls the detectors saw"
+        );
         let (report, baseline_picks) =
             baseline.get_or_insert_with(|| (merged.report.clone(), picks.clone()));
         assert!(report.outcomes.iter().any(|r| r.true_found > 0));
@@ -796,10 +804,10 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
     let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
 
     // The reference is the serial cached run.
-    let run = |mode: ExecutionMode| {
+    let run_with_cache = |capacity: usize, mode: ExecutionMode| {
         let (specs, logs) = recorded_specs(&chunking, frames, &detector);
         let mut engine = QueryEngine::new()
-            .cache_capacity(MATRIX_CACHE_CAPACITY)
+            .cache_capacity(capacity)
             .execution(mode)
             .expect("valid execution mode");
         for spec in specs {
@@ -809,6 +817,7 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
         let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
         (engine.report_sharded(), picks)
     };
+    let run = |mode: ExecutionMode| run_with_cache(MATRIX_CACHE_CAPACITY, mode);
     let (serial, serial_picks) = run(ExecutionMode::Serial);
     assert!(
         serial.report.outcomes.iter().any(|r| r.true_found > 0),
@@ -820,6 +829,18 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
     assert!(activity.misses > 0, "no cache misses");
     assert!(activity.hits > 0, "no cache hits");
     assert!(activity.evictions > 0, "no evictions");
+
+    // The cache changes the detector bill, never an outcome or a pick.
+    let (uncached, uncached_picks) = run_with_cache(0, ExecutionMode::Serial);
+    assert_eq!(uncached_picks, serial_picks, "uncached: pick sequences");
+    assert_eq!(uncached.report.outcomes.len(), serial.report.outcomes.len());
+    for (a, b) in uncached.report.outcomes.iter().zip(&serial.report.outcomes) {
+        assert_reports_equal(a, b, "uncached");
+    }
+    assert!(
+        serial.report.detector_frames < uncached.report.detector_frames,
+        "cache hits must shrink the detector bill"
+    );
 
     for threads in [1usize, 2, 4] {
         let context = format!("cached/{threads} threads");

@@ -182,13 +182,14 @@ fn fault_free_runs_with_retries_enabled_match_the_baseline() {
     let (chunking, truth) = skewed_setup(frames, 12);
 
     // Pre-fault-tolerance shape: raw detector, default (no-retry) policy.
-    let baseline = {
+    let (baseline, baseline_calls) = {
         let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
         let mut engine = QueryEngine::new();
         for spec in fault_specs(&chunking, frames, &detector) {
             engine.push(spec).unwrap();
         }
-        engine.run().unwrap()
+        let report = engine.run().unwrap();
+        (report, engine.report_sharded().physical_detector_calls)
     };
     assert!(
         baseline.outcomes.iter().any(|r| r.true_found > 0),
@@ -197,7 +198,7 @@ fn fault_free_runs_with_retries_enabled_match_the_baseline() {
 
     // Retries armed, failure mode degraded, a fault wrapper in place — but a
     // zero-rate plan: nothing may change, bitwise.
-    let guarded = {
+    let (guarded, guarded_calls) = {
         let detector = faulty_detector(&truth, FaultPlan::new(FAULT_SEED));
         let mut engine = QueryEngine::new()
             .retry_policy(RetryPolicy::new(3).backoff_cost(5))
@@ -207,9 +208,10 @@ fn fault_free_runs_with_retries_enabled_match_the_baseline() {
         }
         let report = engine.run().unwrap();
         assert_eq!(detector.injected_faults(), 0, "zero-rate plan injected");
-        report
+        (report, engine.report_sharded().physical_detector_calls)
     };
     assert_engine_reports_equal(&guarded, &baseline, "fault-free guarded vs baseline");
+    assert_eq!(guarded_calls, baseline_calls, "physical detector calls");
     assert_eq!(guarded.detect_retries, 0);
     assert_eq!(guarded.failed_frames, 0);
     assert_eq!(guarded.backoff_cost, 0);

@@ -12,7 +12,7 @@
 
 use crate::clip::VideoClip;
 use crate::repository::VideoRepository;
-use crate::FrameId;
+use crate::{FrameId, DEFAULT_FPS};
 
 /// Identifier of a chunk within a [`Chunking`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -110,7 +110,8 @@ impl Chunking {
         let chunks = match policy {
             ChunkingPolicy::FixedDuration { seconds } => {
                 assert!(seconds > 0.0, "chunk duration must be positive");
-                Self::per_clip_split(repo, |clip| ((seconds * clip.fps()).floor() as u64).max(1))
+                let frames = ((seconds * DEFAULT_FPS).floor() as u64).max(1);
+                Self::per_clip_split(repo, |_| frames)
             }
             ChunkingPolicy::FixedFrames { frames } => {
                 assert!(frames > 0, "chunk frame bound must be positive");
@@ -200,9 +201,9 @@ mod tests {
 
     fn repo() -> VideoRepository {
         VideoRepository::from_clips(vec![
-            VideoClip::new(100, 30.0),
-            VideoClip::new(45, 30.0),
-            VideoClip::new(250, 30.0),
+            VideoClip::with_defaults(100),
+            VideoClip::with_defaults(45),
+            VideoClip::with_defaults(250),
         ])
     }
 

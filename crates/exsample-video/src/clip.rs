@@ -4,29 +4,23 @@ use crate::DEFAULT_FPS;
 
 /// A single encoded video file.
 ///
-/// The sampling pipeline only needs a clip's length and frame rate: the length
-/// places it on the repository's global frame axis, and the frame rate converts
-/// duration-based chunk sizes into frames.
+/// The sampling pipeline only needs a clip's length: it places the clip on
+/// the repository's global frame axis.  Every clip plays at [`DEFAULT_FPS`],
+/// which converts duration-based chunk sizes into frames.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VideoClip {
     frame_count: u64,
-    fps: f64,
 }
 
 impl VideoClip {
-    /// Create a clip with explicit parameters.
+    /// Create a clip of `frame_count` frames at the paper's default frame
+    /// rate (30 fps).
     ///
     /// # Panics
-    /// Panics if `frame_count == 0` or `fps <= 0`.
-    pub(crate) fn new(frame_count: u64, fps: f64) -> Self {
-        assert!(frame_count > 0, "a clip must contain at least one frame");
-        assert!(fps > 0.0, "fps must be positive");
-        VideoClip { frame_count, fps }
-    }
-
-    /// Create a clip with the paper's default frame rate (30 fps).
+    /// Panics if `frame_count == 0`.
     pub fn with_defaults(frame_count: u64) -> Self {
-        VideoClip::new(frame_count, DEFAULT_FPS)
+        assert!(frame_count > 0, "a clip must contain at least one frame");
+        VideoClip { frame_count }
     }
 
     /// Number of frames in the clip.
@@ -34,14 +28,9 @@ impl VideoClip {
         self.frame_count
     }
 
-    /// Frames per second.
-    pub(crate) fn fps(&self) -> f64 {
-        self.fps
-    }
-
     /// Duration of the clip in seconds.
     pub(crate) fn duration_secs(&self) -> f64 {
-        self.frame_count as f64 / self.fps
+        self.frame_count as f64 / DEFAULT_FPS
     }
 }
 

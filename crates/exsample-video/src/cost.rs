@@ -55,13 +55,13 @@ impl DecodeCostModel {
         frames as f64 / self.sample_fps
     }
 
-    /// Seconds to process `frames` frames in batches of `batch` on a detector whose
-    /// batched throughput improves by `batch_speedup` (>= 1) relative to the
-    /// single-frame rate.
+    /// Seconds to process `frames` sampled frames on a batched detector whose
+    /// throughput is `batch_speedup` (>= 1) times the single-frame rate.
     ///
-    /// Models the "Batched sampling" optimisation of Section III-F.
-    pub fn batched_processing_secs(&self, frames: u64, batch: usize, batch_speedup: f64) -> f64 {
-        assert!(batch > 0, "batch size must be positive");
+    /// The time depends on the speedup only: the caller maps a batch size to
+    /// its speedup.  Models the "Batched sampling" optimisation of Section
+    /// III-F.
+    pub fn batched_processing_secs(&self, frames: u64, batch_speedup: f64) -> f64 {
         assert!(
             batch_speedup >= 1.0,
             "batched inference cannot be slower than single-frame"
@@ -111,19 +111,13 @@ mod tests {
     fn batched_processing_speedup() {
         let m = DecodeCostModel::paper();
         let single = m.sampled_processing_secs(1000);
-        let batched = m.batched_processing_secs(1000, 16, 2.0);
+        let batched = m.batched_processing_secs(1000, 2.0);
         assert!((batched - single / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_panics() {
-        DecodeCostModel::paper().batched_processing_secs(10, 0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "cannot be slower")]
     fn sub_one_speedup_panics() {
-        DecodeCostModel::paper().batched_processing_secs(10, 4, 0.5);
+        DecodeCostModel::paper().batched_processing_secs(10, 0.5);
     }
 }
