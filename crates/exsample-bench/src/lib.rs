@@ -1,8 +1,8 @@
 //! # exsample-bench
 //!
 //! Shared infrastructure for the experiment binaries that regenerate the paper's
-//! tables and figures (see `src/bin/`) and for the Criterion micro-benchmarks
-//! (see `benches/`).
+//! tables and figures (see `src/bin/`).  Performance is measured end to end,
+//! and per layer, by the repository benchmark under `benchmark/`, not here.
 //!
 //! Every experiment binary accepts the same small set of command-line flags:
 //!
@@ -40,8 +40,7 @@
 //!   prior (runner-driven bins only).
 //! * `--csv` — emit CSV instead of aligned text tables.
 //!
-//! The binaries print the regenerated table/figure data to stdout; `EXPERIMENTS.md`
-//! records one captured run of each alongside the paper's reported numbers.
+//! The binaries print the regenerated table/figure data to stdout.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

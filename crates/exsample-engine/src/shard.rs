@@ -572,7 +572,9 @@ impl Lanes {
             let probe = detector.try_detect_batch(&misses, &mut out);
             self.record_call(view, slot, first, misses.len() as u64, 1);
             let frames = misses.iter().zip(&miss_at);
-            if probe.is_ok() {
+            // An `Ok` without one detection set per frame asked is a failed
+            // probe too: its frames go through per-frame recovery.
+            if probe.is_ok() && out.len() == misses.len() {
                 for ((&frame, &at), detections) in frames.zip(out.drain(..)) {
                     self.absorb_detection(view, (0, slot, at), frame, detections);
                 }
@@ -670,10 +672,12 @@ pub(crate) struct FrameRecovery {
 /// retry loop of [`Slice::run`] and [`Lanes::detect_in_place`], and a pure
 /// function of `(detector, frame, policy)`.  The frame is attempted
 /// individually up to `policy.max_attempts` times; a permanent error stops
-/// retrying immediately.  Because the frame's attempt history is always one
-/// batch probe plus its own per-frame tries, the record — and every tally
-/// [`Lanes::absorb_recovery`] derives from it — is identical however the
-/// failed batch was composed: the engine's fault determinism guarantee.
+/// retrying immediately, and so does an `Ok` that does not carry exactly one
+/// detection set: it becomes a [`DetectError::Permanent`] naming the frame.
+/// Because the frame's attempt history is always one batch probe plus its own
+/// per-frame tries, the record — and every tally [`Lanes::absorb_recovery`]
+/// derives from it — is identical however the failed batch was composed: the
+/// engine's fault determinism guarantee.
 fn recover_frame(detector: &dyn Detector, frame: FrameId, policy: DetectPolicy) -> FrameRecovery {
     let max_attempts = policy.max_attempts.max(1);
     let mut buf = Vec::with_capacity(1);
@@ -682,7 +686,13 @@ fn recover_frame(detector: &dyn Detector, frame: FrameId, policy: DetectPolicy) 
         tries += 1;
         buf.clear();
         match detector.try_detect_batch(std::slice::from_ref(&frame), &mut buf) {
-            Ok(()) => break Ok(buf.pop().expect("one detection set per detected frame")),
+            Ok(()) if buf.len() == 1 => break Ok(buf.remove(0)),
+            Ok(()) => {
+                break Err(DetectError::Permanent {
+                    frame,
+                    message: format!("answered {} detection sets for one frame", buf.len()),
+                })
+            }
             Err(err) => {
                 if !err.is_transient() || tries >= max_attempts {
                     break Err(err);
@@ -730,20 +740,19 @@ impl Slice<'_> {
     /// Run the slice's batches in order: one batched
     /// [`Detector::try_detect_batch`] call each — the fault-free path,
     /// identical in cost and behaviour to the pre-fault-tolerance engine —
-    /// and, when that probe errs, [`recover_frame`] for each of the batch's
-    /// frames in order.  Under fail-fast the run stops at the first exhausted
-    /// frame: nothing after it in canonical order will be applied.
+    /// and, when that probe errs or answers a frame count other than the
+    /// batch's, [`recover_frame`] for each of the batch's frames in order.
+    /// Under fail-fast the run stops at the first exhausted frame: nothing
+    /// after it in canonical order will be applied.
     pub(crate) fn run(&mut self) {
         let mut start = 0;
         for batch in &self.batches {
             let frames = &self.frames[start..start + batch.len];
             start += batch.len;
             let mut detections = Vec::with_capacity(frames.len());
-            if batch
-                .detector
-                .try_detect_batch(frames, &mut detections)
-                .is_ok()
-            {
+            let probe = batch.detector.try_detect_batch(frames, &mut detections);
+            // As in `Lanes::detect_in_place`: a miscounted `Ok` is a failed probe.
+            if probe.is_ok() && detections.len() == frames.len() {
                 self.outcomes.push(BatchOutcome::Detected(detections));
                 continue;
             }
@@ -1086,6 +1095,40 @@ mod tests {
         );
         assert_eq!(lanes.detected_frames(), 0, "only frame 9 was missed");
         assert_eq!(lanes.failed, 1);
+    }
+
+    #[test]
+    fn commit_touches_hits_in_slot_order_whatever_the_group_order() {
+        // Group 0 is registry slot 1 and group 1 is slot 0, as when a stage's
+        // first picking query uses the later-registered detector.  Both
+        // groups hit; the canonical commit touches (0, 7) before (1, 3), so
+        // the stage's one insert, (0, 9), evicts (0, 7), whatever order the
+        // lanes hold the hits in.  (0, 7) went in last, so only the touches
+        // can make it the least recently used entry.
+        let detector = FlakyDetector::new(vec![], vec![]);
+        let mut cache = DetectionCache::new(2);
+        for (slot, frame) in [(1, 3), (0, 7)] {
+            cache.insert((slot, frame), Arc::new(FrameDetections::empty(frame)));
+        }
+        let (mut lanes, mut view) = (Lanes::default(), view());
+        lanes.begin_stage(2);
+        lanes.push_frames(0, &[3]);
+        lanes.push_frames(1, &[7, 9]);
+        let slots = [1, 0];
+        lanes.probe(&slots, Some(&mut cache), &mut view);
+        let policy = DetectPolicy::infallible();
+        detect(
+            &mut lanes,
+            &mut view,
+            &[&detector, &detector],
+            &slots,
+            policy,
+        );
+        lanes.commit(&slots, &mut cache, &mut view);
+        assert_eq!(lanes.cache.evictions, 1);
+        assert!(cache.probe((0, 7)).is_none(), "the LRU hit is evicted");
+        assert!(cache.probe((1, 3)).is_some());
+        assert!(cache.probe((0, 9)).is_some());
     }
 
     #[test]

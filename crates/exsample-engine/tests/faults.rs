@@ -24,20 +24,26 @@
 //!    identical across thread counts; and
 //! 6. **exact retry budget** — a frame whose transient fault outlasts the
 //!    budget is tried exactly `max_attempts` times after its batch probe,
-//!    and the retry, failure and drop tallies count exactly that.
+//!    and the retry, failure and drop tallies count exactly that; and
+//! 7. **miscounted answers fail** — an `Ok` that does not carry one detection
+//!    set per frame asked is a failed batch probe, and a one-frame `Ok` without
+//!    exactly one set is a permanent failure of that frame, so no frame is
+//!    silently left without a result.
 
 mod common;
 
 use exsample_core::ExSampleConfig;
 use exsample_detect::{
-    DetectError, Detector, FaultInjectingDetector, FaultPlan, GroundTruth, ObjectClass,
-    ObjectInstance, PerfectDetector,
+    DetectError, Detector, FaultInjectingDetector, FaultPlan, FrameDetections, GroundTruth,
+    ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
     EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy,
     QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter, ShardedReport, StopReason,
 };
-use exsample_video::{Chunking, ChunkingPolicy, ShardPartitioner, ShardSpec, VideoRepository};
+use exsample_video::{
+    Chunking, ChunkingPolicy, FrameId, ShardPartitioner, ShardSpec, VideoRepository,
+};
 use std::sync::Arc;
 
 const FAULT_SEED: u64 = 2_022;
@@ -563,4 +569,86 @@ fn retry_budget_is_spent_exactly_on_faults_that_outlast_it() {
     // 6 batch probes of 16 frames, then 3 single-frame tries per frame.
     assert_eq!(detector.injected_faults(), 96 + 96 * 3);
     assert_eq!(query.stop_reason, Some(StopReason::RepositoryExhausted));
+}
+
+/// A detector whose every `Ok` answer carries one detection set fewer than
+/// the frames it was asked about.
+struct OneShort(PerfectDetector);
+
+impl Detector for OneShort {
+    fn detect(&self, frame: FrameId) -> FrameDetections {
+        self.0.detect(frame)
+    }
+
+    fn class(&self) -> &ObjectClass {
+        self.0.class()
+    }
+
+    fn try_detect_batch(
+        &self,
+        frames: &[FrameId],
+        out: &mut Vec<FrameDetections>,
+    ) -> Result<(), DetectError> {
+        self.0.detect_batch(frames, out);
+        out.pop();
+        Ok(())
+    }
+}
+
+#[test]
+fn an_ok_answer_one_result_short_fails_its_frames() {
+    // Every batch probe comes back one short, so it is recovered per frame,
+    // and every one-frame try comes back empty: a permanent failure.
+    let frames = 400u64;
+    let (_chunking, truth) = skewed_setup(frames, 12);
+    let detector = OneShort(PerfectDetector::new(
+        Arc::clone(&truth),
+        ObjectClass::from("car"),
+    ));
+    let run = |mode: ExecutionMode, failure: FailureMode| {
+        let mut engine = QueryEngine::new()
+            .retry_policy(RetryPolicy::new(3))
+            .failure_mode(failure)
+            .execution(mode)
+            .expect("valid execution mode");
+        engine
+            .push(
+                QuerySpec::new(
+                    "short",
+                    Box::new(FrameSamplerPolicy::uniform(frames)),
+                    &detector,
+                )
+                .seed(19)
+                .batch(32)
+                .frame_budget(200),
+            )
+            .unwrap();
+        engine.run()
+    };
+
+    let fatal = |mode| match run(mode, FailureMode::FailFast) {
+        Err(EngineError::DetectorFailed {
+            frame,
+            attempts,
+            source,
+            ..
+        }) => (frame, attempts, source),
+        other => panic!("{mode:?}: expected DetectorFailed, got {other:?}"),
+    };
+    let (frame, attempts, source) = fatal(ExecutionMode::Serial);
+    assert_eq!(attempts, 2, "batch probe + one per-frame try");
+    assert!(matches!(source, DetectError::Permanent { .. }));
+    assert_eq!(source.frame(), frame);
+    assert_eq!(fatal(ExecutionMode::Parallel(2)), (frame, attempts, source));
+
+    for mode in [ExecutionMode::Serial, ExecutionMode::Parallel(2)] {
+        let report = run(mode, FailureMode::DropFrames).unwrap();
+        let query = &report.outcomes[0];
+        assert!(report.failed_frames > 0, "{mode:?}: no frame failed");
+        assert_eq!(
+            report.failed_frames, query.dropped_frames,
+            "{mode:?}: every dropped frame is a failed frame"
+        );
+        assert_eq!(query.frames_processed, 0, "{mode:?}: a frame was observed");
+    }
 }

@@ -58,7 +58,7 @@ mod ziggurat_tables;
 
 pub use gamma::Gamma;
 pub use lognormal::LogNormal;
-pub use normal::{Normal, StandardNormal};
+pub use normal::Normal;
 pub use quantile::{gamma_max_of_k, gamma_quantile, GammaTail};
 pub use seeding::SeedSequence;
 pub use summary::{geometric_mean, Summary};

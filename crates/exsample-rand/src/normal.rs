@@ -16,7 +16,7 @@ use rand::Rng;
 /// returned and the other discarded; the sampler is stateless so it can be shared
 /// freely across threads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StandardNormal;
+pub(crate) struct StandardNormal;
 
 impl Sampler<f64> for StandardNormal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {

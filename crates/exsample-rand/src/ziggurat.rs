@@ -5,18 +5,18 @@
 //! These exist for one reason: ExSample's chunk-selection step draws one Gamma
 //! sample *per chunk per pick*, and each Gamma draw consumes a standard-normal
 //! variate (Marsaglia–Tsang squeeze) plus, for `shape < 1`, an exponential
-//! variate for the boost factor.  The polar-method [`crate::StandardNormal`]
-//! costs a rejection loop with two uniforms, a `ln` and a `sqrt` per variate;
-//! the ziggurat costs a single `u64` draw, two table loads and one multiply in
-//! ~98 % of cases.  At 10 000 chunks per pick the difference dominates the
-//! whole selection hot path.
+//! variate for the boost factor.  The polar-method standard normal of
+//! [`crate::normal`] costs a rejection loop with two uniforms, a `ln` and a
+//! `sqrt` per variate; the ziggurat costs a single `u64` draw, two table loads
+//! and one multiply in ~98 % of cases.  At 10 000 chunks per pick the
+//! difference dominates the whole selection hot path.
 //!
 //! The layer tables are precomputed and embedded as statics (see
 //! `ziggurat_tables.rs`), so lookups are direct loads: no lazy initialisation,
 //! and the layer index is masked to the table size so the compiler elides
 //! bounds checks.  The rare wedge/tail fall-throughs are outlined with
 //! `#[cold]` to keep the fast path small enough to inline.
-//! [`crate::StandardNormal`] keeps the polar method so existing
+//! [`crate::normal`] keeps the polar method so existing
 //! workload-generation streams are unaffected; the Gamma sampler (and
 //! therefore Thompson sampling) uses the ziggurat variants below.
 
@@ -33,10 +33,10 @@ const U53: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// Draw a standard-normal variate via the 128-layer ziggurat.
 ///
-/// Identical distribution to [`crate::StandardNormal`], roughly 3–4× faster.
-/// Consumes one `u64` in the ~98 % fast path.
+/// Identical distribution to [`crate::normal::StandardNormal`], roughly 3–4×
+/// faster.  Consumes one `u64` in the ~98 % fast path.
 #[inline]
-pub fn fast_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn fast_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let bits = rng.next_u64();
         // Bit budget of one u64: 7 bits of layer index, 1 sign bit, 53 bits of
