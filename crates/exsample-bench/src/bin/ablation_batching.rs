@@ -12,11 +12,11 @@
 //! batch size is the ablation variable — the hand-written pick→detect→record
 //! loop this binary used to carry is exactly what the engine now provides.
 
-use exsample_bench::{banner, experiment_engine, ok_or_exit, print_table, ExperimentOptions};
+use exsample_bench::{banner, ok_or_exit, print_table, ExperimentOptions};
 use exsample_core::ExSampleConfig;
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_detect::PerfectDetector;
-use exsample_engine::{ExSamplePolicy, QuerySpec};
+use exsample_engine::{ExSamplePolicy, QueryEngine, QuerySpec};
 use exsample_rand::{SeedSequence, Summary};
 use exsample_sim::Table;
 use exsample_video::DecodeCostModel;
@@ -49,9 +49,7 @@ fn main() {
     let cost = DecodeCostModel::paper();
 
     println!(
-        "# workload: 2M frames, 2000 instances, 128 chunks, skew 1/32, budget {budget} frames, {trials} trials, {} worker thread{}\n",
-        options.effective_threads(),
-        if options.effective_threads() == 1 { "" } else { "s" },
+        "# workload: 2M frames, 2000 instances, 128 chunks, skew 1/32, budget {budget} frames, {trials} trials\n"
     );
 
     let mut table = Table::new(vec![
@@ -70,15 +68,12 @@ fn main() {
                 .index(batch as u64)
                 .index(trial as u64)
                 .seed();
-            let detector = options.faulty_detector(Box::new(PerfectDetector::new(
-                Arc::clone(&truth),
-                class.clone(),
-            )));
+            let detector = PerfectDetector::new(Arc::clone(&truth), class.clone());
             let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
-            let mut engine = ok_or_exit(experiment_engine(&options));
+            let mut engine = QueryEngine::new();
             engine
                 .push(
-                    QuerySpec::new("batching", Box::new(policy), detector.as_ref())
+                    QuerySpec::new("batching", Box::new(policy), &detector)
                         .seed(seed)
                         .batch(batch)
                         .frame_budget(budget),

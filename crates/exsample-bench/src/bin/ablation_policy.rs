@@ -11,11 +11,11 @@
 //! coalescing savings), while each query's private RNG stream keeps its
 //! outcome identical to a standalone run.
 
-use exsample_bench::{banner, experiment_engine, ok_or_exit, print_table, ExperimentOptions};
+use exsample_bench::{banner, ok_or_exit, print_table, ExperimentOptions};
 use exsample_core::{ChunkSelectionPolicy, ExSampleConfig};
 use exsample_data::{GridWorkload, SkewLevel};
 use exsample_detect::PerfectDetector;
-use exsample_engine::{ExSamplePolicy, QuerySpec, TrajectoryPoint};
+use exsample_engine::{ExSamplePolicy, QueryEngine, QuerySpec, TrajectoryPoint};
 use exsample_rand::{SeedSequence, Summary};
 use exsample_sim::{metrics, Table};
 use rayon::prelude::*;
@@ -45,11 +45,7 @@ fn main() {
     let truth = Arc::clone(dataset.ground_truth());
 
     println!("# workload: 2M frames, 2000 instances, 64 chunks, skew 1/32, budget {budget}, {trials} trials");
-    println!(
-        "# all four policies run as concurrent queries of one engine per trial ({} worker thread{})\n",
-        options.effective_threads(),
-        if options.effective_threads() == 1 { "" } else { "s" },
-    );
+    println!("# all four policies run as concurrent queries of one engine per trial\n");
 
     let policies = [
         ("thompson", ChunkSelectionPolicy::ThompsonSampling),
@@ -64,13 +60,8 @@ fn main() {
     let trial_runs: Vec<(Vec<Vec<TrajectoryPoint>>, u64, u64)> = (0..trials as u64)
         .into_par_iter()
         .map(|trial| {
-            // Fresh per-trial detector: the fault injector's attempt counters
-            // are run-local state, so trials must not share one.
-            let detector = options.faulty_detector(Box::new(PerfectDetector::new(
-                Arc::clone(&truth),
-                GridWorkload::class(),
-            )));
-            let mut engine = ok_or_exit(experiment_engine(&options));
+            let detector = PerfectDetector::new(Arc::clone(&truth), GridWorkload::class());
+            let mut engine = QueryEngine::new();
             for (label, policy) in policies {
                 let config = ExSampleConfig::default().with_policy(policy);
                 engine
@@ -78,7 +69,7 @@ fn main() {
                         QuerySpec::new(
                             label,
                             Box::new(ExSamplePolicy::new(config, dataset.chunking())),
-                            detector.as_ref(),
+                            &detector,
                         )
                         .seed(seeds.derive(label).index(trial).seed())
                         .batch(16)

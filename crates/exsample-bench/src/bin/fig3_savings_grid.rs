@@ -13,12 +13,12 @@
 //! the paper-scale workload.
 
 use exsample_bench::{
-    banner, merged_cache_telemetry, merged_selection_telemetry, ok_or_exit, print_cache_telemetry,
-    print_selection_telemetry, print_table, ExperimentOptions,
+    banner, merged_selection_telemetry, ok_or_exit, print_selection_telemetry, print_table,
+    ExperimentOptions,
 };
 use exsample_core::ExSampleConfig;
 use exsample_data::{GridWorkload, SkewLevel};
-use exsample_engine::{CacheActivity, SelectionTelemetry};
+use exsample_engine::SelectionTelemetry;
 use exsample_rand::SeedSequence;
 use exsample_sim::{run_trials, MethodKind, QueryRunner, StopCondition, Table};
 
@@ -46,7 +46,6 @@ fn main() {
 
     let seeds = SeedSequence::new(options.seed).derive("fig3");
     let mut dedup: Option<SelectionTelemetry> = None;
-    let mut cache_total: Option<CacheActivity> = None;
     let mut table = Table::new(vec![
         "mean duration",
         "skew",
@@ -91,13 +90,6 @@ fn main() {
                     .seed(cell_seed.derive("random").index(trial).seed())
                     .run(MethodKind::Random)
             }));
-            for set in [&exsample, &random] {
-                if let Some(cell) = merged_cache_telemetry(&set.results) {
-                    cache_total
-                        .get_or_insert_with(Default::default)
-                        .absorb(cell);
-                }
-            }
 
             let savings: Vec<String> = targets
                 .iter()
@@ -131,7 +123,6 @@ fn main() {
 
     print_table(&options, &table);
     print_selection_telemetry("exsample", dedup.as_ref());
-    print_cache_telemetry("all runs", cache_total.as_ref());
     println!();
     println!("# Expected shape (paper Figure 3): savings near 1x in the 'none' skew column,");
     println!("# growing to large multiples in the 1/256 column; savings also grow with mean");

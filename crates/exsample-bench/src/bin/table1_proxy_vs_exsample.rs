@@ -18,11 +18,11 @@
 //! scan time and ExSample's sampling time shrink proportionally, so the comparison
 //! is preserved); `--full` uses the full-size analogs.
 
-use exsample_bench::{banner, experiment_engine, ok_or_exit, print_table, ExperimentOptions};
+use exsample_bench::{banner, ok_or_exit, print_table, ExperimentOptions};
 use exsample_core::ExSampleConfig;
 use exsample_data::datasets::{all_datasets, DatasetAnalog};
-use exsample_detect::{Detector, ObjectClass, PerfectDetector};
-use exsample_engine::{ExSamplePolicy, QuerySpec};
+use exsample_detect::{ObjectClass, PerfectDetector};
+use exsample_engine::{ExSamplePolicy, QueryEngine, QuerySpec};
 use exsample_rand::SeedSequence;
 use exsample_sim::{format_duration, metrics, Table};
 use exsample_video::DecodeCostModel;
@@ -41,11 +41,7 @@ fn main() {
     let seeds = SeedSequence::new(options.seed).derive("table1");
 
     println!(
-        "# dataset scale: {scale} (times scale linearly with dataset size; the scan-vs-sample comparison is scale-invariant)"
-    );
-    println!(
-        "# worker threads: {} (outcomes are invariant to them; they only move detector work)\n",
-        options.effective_threads(),
+        "# dataset scale: {scale} (times scale linearly with dataset size; the scan-vs-sample comparison is scale-invariant)\n"
     );
 
     let mut table = Table::new(vec![
@@ -71,22 +67,17 @@ fn main() {
 
         // One engine for the whole dataset: every class query runs
         // concurrently over the shared repository.
-        let detectors: Vec<Box<dyn Detector>> = spec
+        let detectors: Vec<PerfectDetector> = spec
             .classes
             .iter()
-            .map(|c| {
-                options.faulty_detector(Box::new(PerfectDetector::new(
-                    Arc::clone(truth),
-                    ObjectClass::from(c.class),
-                )))
-            })
+            .map(|c| PerfectDetector::new(Arc::clone(truth), ObjectClass::from(c.class)))
             .collect();
         let totals: Vec<usize> = spec
             .classes
             .iter()
             .map(|c| truth.count_of_class(&ObjectClass::from(c.class)))
             .collect();
-        let mut engine = ok_or_exit(experiment_engine(&options));
+        let mut engine = QueryEngine::new();
         for ((class_spec, detector), &total) in spec.classes.iter().zip(&detectors).zip(&totals) {
             let class = class_spec.class;
             let target = (0.9 * total as f64).ceil() as usize;
@@ -96,7 +87,7 @@ fn main() {
                     ExSampleConfig::default(),
                     dataset.chunking(),
                 )),
-                detector.as_ref(),
+                detector,
             )
             .seed(seeds.derive(spec.name).derive(class).seed())
             .batch(8)

@@ -90,17 +90,6 @@ impl ExSampleConfig {
     }
 }
 
-/// The prior setter the tests use to leave the paper's `α₀ = 0.1, β₀ = 1`.
-#[cfg(test)]
-impl ExSampleConfig {
-    /// Builder-style setter for the Gamma priors.
-    pub(crate) fn with_priors(mut self, alpha0: f64, beta0: f64) -> Self {
-        self.alpha0 = alpha0;
-        self.beta0 = beta0;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,5 +131,15 @@ mod tests {
     #[should_panic(expected = "beta0")]
     fn negative_beta0_rejected() {
         ExSampleConfig::default().with_priors(0.1, -1.0).validate();
+    }
+
+    /// The prior setter the tests use to leave the paper's `α₀ = 0.1, β₀ = 1`.
+    impl ExSampleConfig {
+        /// Builder-style setter for the Gamma priors.
+        pub(crate) fn with_priors(mut self, alpha0: f64, beta0: f64) -> Self {
+            self.alpha0 = alpha0;
+            self.beta0 = beta0;
+            self
+        }
     }
 }

@@ -44,14 +44,6 @@ pub(crate) fn pi_next(p: f64, n: u64) -> f64 {
     p * (1.0 - p).powi(n as i32)
 }
 
-/// The expectation `E[R(n+1)] = Σ_i π_i(n+1)` over all instances — the quantity the
-/// estimator tries to track, computable only with knowledge of the true `p_i`.
-/// The reference the Eq. III bound tests compare against.
-#[cfg(test)]
-fn expected_r_next(probabilities: &[f64], n: u64) -> f64 {
-    probabilities.iter().map(|&p| pi_next(p, n)).sum()
-}
-
 /// The conditional `R(n+1) = Σ_{i ∉ seen} p_i` for a *particular* run in which the
 /// instances in `seen` have already been found (`seen[i]` true ⇔ instance `i`
 /// seen).  This is what the Figure 2 experiment histograms.
@@ -62,20 +54,6 @@ pub fn realized_r_next(probabilities: &[f64], seen: &[bool]) -> f64 {
         .zip(seen)
         .filter(|(_, &s)| !s)
         .map(|(&p, _)| p)
-        .sum()
-}
-
-/// The expectation `E[N1(n)] = Σ_i n · p_i (1 − p_i)^{n−1}` of the number of
-/// instances seen exactly once after `n` samples.  A test reference, like
-/// [`expected_r_next`].
-#[cfg(test)]
-fn expected_n1(probabilities: &[f64], n: u64) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    probabilities
-        .iter()
-        .map(|&p| n as f64 * p * (1.0 - p).powi((n - 1) as i32))
         .sum()
 }
 
@@ -239,5 +217,25 @@ mod tests {
             let rhs: f64 = ps.iter().map(|&p| p * pi_next(p, n - 1)).sum();
             assert!((lhs - rhs).abs() < 1e-10, "identity failed at n = {n}");
         }
+    }
+
+    /// The expectation `E[R(n+1)] = Σ_i π_i(n+1)` over all instances — the quantity the
+    /// estimator tries to track, computable only with knowledge of the true `p_i`.
+    /// The reference the Eq. III bound tests compare against.
+    fn expected_r_next(probabilities: &[f64], n: u64) -> f64 {
+        probabilities.iter().map(|&p| pi_next(p, n)).sum()
+    }
+
+    /// The expectation `E[N1(n)] = Σ_i n · p_i (1 − p_i)^{n−1}` of the number of
+    /// instances seen exactly once after `n` samples.  A test reference, like
+    /// [`expected_r_next`].
+    fn expected_n1(probabilities: &[f64], n: u64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        probabilities
+            .iter()
+            .map(|&p| n as f64 * p * (1.0 - p).powi((n - 1) as i32))
+            .sum()
     }
 }

@@ -383,36 +383,6 @@ impl ChunkStatsSet {
     }
 }
 
-/// Views of the class index and the belief cache that the tests check against
-/// the per-chunk statistics.
-#[cfg(test)]
-impl ChunkStatsSet {
-    /// The class slot chunk `j` currently belongs to.
-    pub(crate) fn chunk_class(&self, j: usize) -> usize {
-        self.class_of[j] as usize
-    }
-
-    /// The clamped `(N1, n)` key of class slot `slot`.
-    pub(crate) fn class_key(&self, slot: usize) -> (u64, u64) {
-        self.classes[slot].key
-    }
-
-    /// Draw one value from chunk `j`'s belief using the cached constants.
-    ///
-    /// Bitwise identical to `self.chunk(j).belief(config).sample(rng)` under
-    /// the same RNG state, provided `config`'s priors match [`Self::priors`] —
-    /// without constructing a distribution.
-    pub(crate) fn cached_belief_draw<R: rand::Rng + ?Sized>(&self, j: usize, rng: &mut R) -> f64 {
-        exsample_rand::gamma::gamma_draw(
-            rng,
-            self.cache_d[j],
-            self.cache_c[j],
-            self.cache_boost_inv_shape[j],
-            self.cache_rate[j],
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,6 +704,39 @@ mod tests {
                 set.cached_belief_draw(3, &mut rng_a).to_bits(),
                 belief.sample(&mut rng_b).to_bits()
             );
+        }
+    }
+
+    /// Views of the class index and the belief cache that the tests check against
+    /// the per-chunk statistics.
+    impl ChunkStatsSet {
+        /// The class slot chunk `j` currently belongs to.
+        pub(crate) fn chunk_class(&self, j: usize) -> usize {
+            self.class_of[j] as usize
+        }
+
+        /// The clamped `(N1, n)` key of class slot `slot`.
+        pub(crate) fn class_key(&self, slot: usize) -> (u64, u64) {
+            self.classes[slot].key
+        }
+
+        /// Draw one value from chunk `j`'s belief using the cached constants.
+        ///
+        /// Bitwise identical to `self.chunk(j).belief(config).sample(rng)` under
+        /// the same RNG state, provided `config`'s priors match [`Self::priors`] —
+        /// without constructing a distribution.
+        pub(crate) fn cached_belief_draw<R: rand::Rng + ?Sized>(
+            &self,
+            j: usize,
+            rng: &mut R,
+        ) -> f64 {
+            exsample_rand::gamma::gamma_draw(
+                rng,
+                self.cache_d[j],
+                self.cache_c[j],
+                self.cache_boost_inv_shape[j],
+                self.cache_rate[j],
+            )
         }
     }
 }

@@ -73,15 +73,6 @@ pub struct DatasetSpec {
     pub classes: Vec<ClassSpec>,
 }
 
-/// Class lookup for the calibration tests.
-#[cfg(test)]
-impl DatasetSpec {
-    /// Look up a class spec by name.
-    fn class(&self, name: &str) -> Option<&ClassSpec> {
-        self.classes.iter().find(|c| c.class == name)
-    }
-}
-
 /// 10 hours of dashcam video over several drives (Section V-A), ~1.1 M frames,
 /// 20-minute chunks.
 pub fn dashcam() -> DatasetSpec {
@@ -494,5 +485,13 @@ mod tests {
     #[should_panic(expected = "scale must be")]
     fn zero_scale_panics() {
         let _ = DatasetAnalog::new(dashcam(), 1).with_scale(0.0);
+    }
+
+    /// Class lookup for the calibration tests.
+    impl DatasetSpec {
+        /// Look up a class spec by name.
+        fn class(&self, name: &str) -> Option<&ClassSpec> {
+            self.classes.iter().find(|c| c.class == name)
+        }
     }
 }

@@ -54,7 +54,7 @@ pub struct CacheActivity {
 
 impl CacheActivity {
     /// Fold another tally into this one.
-    pub fn absorb(&mut self, other: CacheActivity) {
+    pub(crate) fn absorb(&mut self, other: CacheActivity) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.evictions += other.evictions;

@@ -122,7 +122,8 @@ pub enum StopReason {
 
 /// How (and whether) the engine retries a frame whose detect attempt failed.
 ///
-/// Off by default ([`RetryPolicy::none`]): a run with retries disabled is
+/// Off by default (`RetryPolicy::default()`: one recovery attempt per frame,
+/// no backoff): a run with retries disabled is
 /// pick-for-pick identical to the pre-fault-tolerance engine.  When enabled,
 /// a frame that fails with a transient
 /// [`DetectError`](exsample_detect::DetectError) is retried up to the
@@ -147,7 +148,7 @@ impl RetryPolicy {
     /// No retries (the default): a frame gets exactly one recovery attempt
     /// after a failed batch probe, and a transient fault that persists past
     /// it fails the frame.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
             backoff_cost: 0,
@@ -172,11 +173,6 @@ impl RetryPolicy {
     pub fn backoff_cost(mut self, cost: u64) -> Self {
         self.backoff_cost = cost;
         self
-    }
-
-    /// The per-frame attempt budget.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
     }
 }
 
@@ -646,11 +642,6 @@ impl<'a> QueryEngine<'a> {
         Ok(self)
     }
 
-    /// The engine's execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.execution
-    }
-
     /// Number of stages, across all of this engine's runs, that dispatched
     /// DETECT work to the persistent worker pool.  Serial stages and stages
     /// whose demand after the cache probe fits one slice — fully cache-warm
@@ -677,7 +668,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Set the retry policy for failed detect attempts (default:
-    /// [`RetryPolicy::none`]).  With retries off, a fault-free run is
+    /// `RetryPolicy::default()`, no retries).  With retries off, a fault-free run is
     /// pick-for-pick identical to the pre-fault-tolerance engine.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -698,11 +689,6 @@ impl<'a> QueryEngine<'a> {
             backoff_cost: self.retry.backoff_cost,
             fail_fast: matches!(self.failure, FailureMode::FailFast),
         }
-    }
-
-    /// Number of shards [`QueryEngine::report_sharded`] groups tallies into.
-    pub fn shard_count(&self) -> usize {
-        self.view.router().shard_count()
     }
 
     /// Register a query; returns its index (reports come back in this order).
@@ -1368,12 +1354,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::InvalidExecution { threads: 0 }));
         // Valid modes build, and the lane count is the thread count asked
-        // for — whatever the shard count.
-        let engine = QueryEngine::new()
+        // for.
+        assert!(QueryEngine::new()
             .execution(ExecutionMode::Parallel(64))
-            .unwrap();
-        assert_eq!(engine.execution_mode(), ExecutionMode::Parallel(64));
-        assert_eq!(engine.execution_mode().effective_threads(), 64);
+            .is_ok());
+        assert_eq!(ExecutionMode::Parallel(64).effective_threads(), 64);
         assert_eq!(ExecutionMode::Serial.effective_threads(), 1);
         assert_eq!(ExecutionMode::Parallel(1).effective_threads(), 1);
     }

@@ -73,16 +73,6 @@ pub(crate) struct DetectPolicy {
 }
 
 impl DetectPolicy {
-    /// The pre-fault-tolerance behaviour: no retries, first failure is fatal.
-    #[cfg(test)]
-    pub(crate) fn infallible() -> Self {
-        DetectPolicy {
-            max_attempts: 1,
-            backoff_cost: 0,
-            fail_fast: true,
-        }
-    }
-
     /// Backoff cost of the `retry`-th retry (1-based) of one frame.
     #[inline]
     fn retry_cost(&self, retry: u32) -> u64 {
@@ -223,10 +213,6 @@ impl ShardView {
             })
             .collect();
         ShardView { router, shards }
-    }
-
-    pub(crate) fn router(&self) -> &ShardRouter {
-        &self.router
     }
 
     /// The tallies of the shard owning `frame`.
@@ -1386,5 +1372,16 @@ mod tests {
         let router = ShardRouter::new(&chunking, &spec).unwrap();
         assert_eq!(router.shard_of(99), 0);
         let _ = router.shard_of(100);
+    }
+
+    impl DetectPolicy {
+        /// The pre-fault-tolerance behaviour: no retries, first failure is fatal.
+        pub(crate) fn infallible() -> Self {
+            DetectPolicy {
+                max_attempts: 1,
+                backoff_cost: 0,
+                fail_fast: true,
+            }
+        }
     }
 }

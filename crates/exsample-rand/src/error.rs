@@ -28,13 +28,6 @@ pub enum DistributionError {
         /// The offending value.
         value: f64,
     },
-    /// A probability parameter fell outside `[0, 1]`.
-    ProbabilityOutOfRange {
-        /// Which distribution rejected the parameter.
-        distribution: &'static str,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for DistributionError {
@@ -55,13 +48,6 @@ impl fmt::Display for DistributionError {
             } => write!(
                 f,
                 "{distribution}: parameter `{parameter}` must be finite, got {value}"
-            ),
-            DistributionError::ProbabilityOutOfRange {
-                distribution,
-                value,
-            } => write!(
-                f,
-                "{distribution}: probability must lie in [0, 1], got {value}"
             ),
         }
     }

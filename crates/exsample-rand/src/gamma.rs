@@ -83,18 +83,6 @@ impl Sampler<f64> for Gamma {
     }
 }
 
-/// The analytic CDF the quantile and sampler tests compare against.
-#[cfg(test)]
-impl Gamma {
-    /// Cumulative distribution function at `x` (regularised lower incomplete gamma).
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        lower_incomplete_gamma_regularized(self.shape, self.rate * x)
-    }
-}
-
 /// The Marsaglia–Tsang constants for `Gamma(shape, 1)` sampling.
 ///
 /// Returns `(d, c, boost_inv_shape)` where `d = s − 1/3`, `c = 1/√(9d)` for the
@@ -405,5 +393,16 @@ mod tests {
         let count = (0..n).filter(|_| d.sample(&mut rng) <= threshold).count();
         let empirical = count as f64 / n as f64;
         assert!((empirical - d.cdf(threshold)).abs() < 0.01);
+    }
+
+    /// The analytic CDF the quantile and sampler tests compare against.
+    impl Gamma {
+        /// Cumulative distribution function at `x` (regularised lower incomplete gamma).
+        fn cdf(&self, x: f64) -> f64 {
+            if x <= 0.0 {
+                return 0.0;
+            }
+            lower_incomplete_gamma_regularized(self.shape, self.rate * x)
+        }
     }
 }

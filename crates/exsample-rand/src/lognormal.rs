@@ -46,21 +46,6 @@ impl Sampler<f64> for LogNormal {
     }
 }
 
-/// The closed-form moments the sampler tests compare their draws against.
-#[cfg(test)]
-impl LogNormal {
-    /// Arithmetic mean `exp(mu + sigma^2/2)`.
-    fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-
-    /// Arithmetic variance `(exp(sigma^2) - 1) * exp(2 mu + sigma^2)`.
-    fn variance(&self) -> f64 {
-        let s2 = self.sigma * self.sigma;
-        (s2.exp() - 1.0) * (2.0 * self.mu + s2).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,5 +113,19 @@ mod tests {
         assert!(LogNormal::new(f64::NAN, 1.0).is_err());
         assert!(LogNormal::with_mean(0.0, 1.0).is_err());
         assert!(LogNormal::with_mean(-5.0, 1.0).is_err());
+    }
+
+    /// The closed-form moments the sampler tests compare their draws against.
+    impl LogNormal {
+        /// Arithmetic mean `exp(mu + sigma^2/2)`.
+        fn mean(&self) -> f64 {
+            (self.mu + self.sigma * self.sigma / 2.0).exp()
+        }
+
+        /// Arithmetic variance `(exp(sigma^2) - 1) * exp(2 mu + sigma^2)`.
+        fn variance(&self) -> f64 {
+            let s2 = self.sigma * self.sigma;
+            (s2.exp() - 1.0) * (2.0 * self.mu + s2).exp()
+        }
     }
 }

@@ -57,39 +57,6 @@ impl Sampler<f64> for Normal {
     }
 }
 
-/// The analytic CDF the sampler tests compare empirical frequencies against.
-#[cfg(test)]
-impl Normal {
-    /// Cumulative distribution function evaluated at `x`.
-    ///
-    /// Uses the complementary-error-function expansion (Abramowitz & Stegun 7.1.26),
-    /// accurate to about `1.5e-7`.
-    pub(crate) fn cdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
-        0.5 * (1.0 + erf(z))
-    }
-}
-
-/// Error function approximation (Abramowitz & Stegun formula 7.1.26).
-///
-/// Maximum absolute error ~1.5e-7 over the real line.
-#[cfg(test)]
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-
-    const A1: f64 = 0.254829592;
-    const A2: f64 = -0.284496736;
-    const A3: f64 = 1.421413741;
-    const A4: f64 = -1.453152027;
-    const A5: f64 = 1.061405429;
-    const P: f64 = 0.3275911;
-
-    let t = 1.0 / (1.0 + P * x);
-    let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
-    sign * y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,5 +111,36 @@ mod tests {
         assert!((erf(1.0) - 0.842_700_79).abs() < 1e-5);
         assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-5);
         assert!((erf(3.0) - 0.999_977_9).abs() < 1e-4);
+    }
+
+    /// The analytic CDF the sampler tests compare empirical frequencies against.
+    impl Normal {
+        /// Cumulative distribution function evaluated at `x`.
+        ///
+        /// Uses the complementary-error-function expansion (Abramowitz & Stegun 7.1.26),
+        /// accurate to about `1.5e-7`.
+        pub(crate) fn cdf(&self, x: f64) -> f64 {
+            let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
+            0.5 * (1.0 + erf(z))
+        }
+    }
+
+    /// Error function approximation (Abramowitz & Stegun formula 7.1.26).
+    ///
+    /// Maximum absolute error ~1.5e-7 over the real line.
+    fn erf(x: f64) -> f64 {
+        let sign = if x < 0.0 { -1.0 } else { 1.0 };
+        let x = x.abs();
+
+        const A1: f64 = 0.254829592;
+        const A2: f64 = -0.284496736;
+        const A3: f64 = 1.421413741;
+        const A4: f64 = -1.453152027;
+        const A5: f64 = 1.061405429;
+        const P: f64 = 0.3275911;
+
+        let t = 1.0 / (1.0 + P * x);
+        let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
+        sign * y
     }
 }

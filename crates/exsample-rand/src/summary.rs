@@ -93,28 +93,6 @@ impl Summary {
     }
 }
 
-/// The moments the distribution tests compare their draws against.
-#[cfg(test)]
-impl Summary {
-    /// Arithmetic mean. Returns 0 for an empty summary.
-    pub(crate) fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Unbiased sample variance. Returns 0 for fewer than two observations.
-    pub(crate) fn variance(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let sum_sq: f64 = self.values.iter().map(|v| (v - mean) * (v - mean)).sum();
-        sum_sq / (self.values.len() - 1) as f64
-    }
-}
-
 /// Geometric mean of a slice of positive values.
 ///
 /// Used for the paper's headline "1.9x average savings" number, which is a
@@ -202,5 +180,26 @@ mod tests {
         let empty = Summary::new();
         assert_eq!(empty.min(), 0.0);
         assert_eq!(empty.max(), 0.0);
+    }
+
+    /// The moments the distribution tests compare their draws against.
+    impl Summary {
+        /// Arithmetic mean. Returns 0 for an empty summary.
+        pub(crate) fn mean(&self) -> f64 {
+            if self.values.is_empty() {
+                return 0.0;
+            }
+            self.values.iter().sum::<f64>() / self.values.len() as f64
+        }
+
+        /// Unbiased sample variance. Returns 0 for fewer than two observations.
+        pub(crate) fn variance(&self) -> f64 {
+            if self.values.len() < 2 {
+                return 0.0;
+            }
+            let mean = self.mean();
+            let sum_sq: f64 = self.values.iter().map(|v| (v - mean) * (v - mean)).sum();
+            sum_sq / (self.values.len() - 1) as f64
+        }
     }
 }

@@ -13,10 +13,8 @@
 //!   [`runner::MethodKind`] or any `exsample-engine` `SamplingPolicy` — the one
 //!   way to run a single query.  Execution happens on a
 //!   single-query `exsample-engine` `QueryEngine` (batch 1), with the virtual
-//!   clock charged from the engine's per-stage accounting hook; `parallel(n)`
-//!   cuts each stage's DETECT over the engine's persistent per-run worker
-//!   pool, bitwise-identical to the serial run (`parallel(0)` is the
-//!   engine's typed `InvalidExecution` error).
+//!   clock charged from the engine's per-stage accounting hook.  The engine
+//!   keeps its defaults; the runner sets no engine knob.
 //! * `checkpoint` (private) — the bridge from the engine's stage-commit
 //!   hook to the crash-safe `exsample-store` belief store:
 //!   `QueryRunner::checkpoint(path)` persists every committed stage's belief

@@ -11,11 +11,11 @@
 //! condition into engine limits and runs the policy on a single-query engine
 //! at batch size 1 — the configuration that consumes the RNG stream exactly
 //! as the paper's pick→detect→record loop does.  The virtual clock is
-//! charged from the engine's per-stage cost-accounting hook.  With
-//! [`QueryRunner::parallel`] each stage's detector invocations are cut over
-//! the engine's persistent worker pool (spawned once per run, reused by
-//! every stage); results are bitwise-identical to the serial run — parallelism
-//! only changes where the detector work executes.
+//! charged from the engine's per-stage cost-accounting hook.  The engine
+//! runs with its defaults (serial, uncached, fail-fast): the paper's
+//! experiments vary the sampler, the data and the stop condition, never the
+//! engine, so a caller who wants another engine configuration builds a
+//! `QueryEngine` directly.
 //!
 //! Configuration and execution errors surface as typed [`SimError`]s instead
 //! of panics.
@@ -31,8 +31,7 @@ use exsample_detect::{
     PerfectDetector, SimulatedDetector,
 };
 use exsample_engine::{
-    CacheActivity, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy, QueryEngine,
-    QuerySpec, RetryPolicy, SamplingPolicy, SelectionTelemetry,
+    ExSamplePolicy, FrameSamplerPolicy, QueryEngine, QuerySpec, SamplingPolicy, SelectionTelemetry,
 };
 use exsample_rand::SeedSequence;
 use exsample_store::{BeliefStore, StoreHealth};
@@ -108,25 +107,12 @@ pub struct RunResult {
     pub trajectory: Vec<TrajectoryPoint>,
     /// Virtual seconds spent scanning (upfront) at the cost model's scan rate.
     pub scan_secs: f64,
-    /// Virtual seconds spent on sampled processing (decode + detector),
-    /// including any deterministic retry backoff charged as frame-equivalent
-    /// cost.
+    /// Virtual seconds spent on sampled processing (decode + detector).
     pub sample_secs: f64,
-    /// Detect attempts retried after transient failures (degraded runs only).
-    pub detect_retries: u64,
-    /// Picked frames whose detection failed terminally (degraded runs only).
-    pub failed_frames: u64,
-    /// Picked frames the query never observed because the failure mode
-    /// dropped them (degraded runs only).
-    pub dropped_frames: u64,
     /// Chunk-selection telemetry (ExSample runs only): how many picks went
     /// through the belief-class fold versus per-chunk draws, and how many
     /// Gamma draws the deduplication saved.
     pub selection: Option<SelectionTelemetry>,
-    /// Detections-cache telemetry (`Some` only when [`QueryRunner::cache`]
-    /// enabled the cache): hits, misses and evictions accumulated over the
-    /// run.
-    pub cache: Option<CacheActivity>,
     /// Durable-store health counters (`Some` only when
     /// [`QueryRunner::checkpoint`] enabled checkpointing): records replayed
     /// and torn bytes discarded during recovery, and the run's sealed
@@ -182,16 +168,7 @@ pub struct QueryRunner<'a> {
     frame_cap: Option<u64>,
     detector_noise: Option<DetectorNoise>,
     discriminator: DiscriminatorKind,
-    /// `None` = serial execution (never requested); `Some(n)` is validated by
-    /// the engine at run time (`Some(0)` is the typed
-    /// `EngineError::InvalidExecution`).
-    parallel: Option<usize>,
-    retry: RetryPolicy,
-    failure: FailureMode,
     fault: Option<FaultPlan>,
-    /// Capacity of the engine's detections cache (0 = off, the
-    /// default).
-    cache: usize,
     /// Directory of the durable belief store every committed stage is
     /// persisted to (`None` = no checkpointing, the default).
     checkpoint: Option<PathBuf>,
@@ -213,11 +190,7 @@ impl<'a> QueryRunner<'a> {
             frame_cap: None,
             detector_noise: None,
             discriminator: DiscriminatorKind::Oracle,
-            parallel: None,
-            retry: RetryPolicy::none(),
-            failure: FailureMode::default(),
             fault: None,
-            cache: 0,
             checkpoint: None,
             warm_start: None,
         }
@@ -230,8 +203,8 @@ impl<'a> QueryRunner<'a> {
     /// *killed* run recovers a stage prefix at most 63 stages short of where
     /// it died — never a partial stage.  A run that *returns* loses nothing
     /// unless the store itself failed: on success the store is compacted
-    /// into a snapshot, on a typed engine failure (fail-fast detector error,
-    /// worker panic) the open group is flushed first.  Health counters land
+    /// into a snapshot, on a typed engine failure (a fail-fast detector
+    /// error) the open group is flushed first.  Health counters land
     /// in [`RunResult::store`].
     ///
     /// Checkpointing is a pure observer: outcomes, picks and the virtual
@@ -265,49 +238,11 @@ impl<'a> QueryRunner<'a> {
         self
     }
 
-    /// Cut each stage's detector invocations over this many lanes — the
-    /// calling thread plus the engine's persistent worker-pool threads.
-    /// Results are bitwise-identical to serial
-    /// execution for any thread count.  A value of 1 means serial
-    /// execution (the default when this method is never called); a value of
-    /// 0 asks for a worker pool with no threads and surfaces the engine's
-    /// typed `EngineError::InvalidExecution` (wrapped in
-    /// [`SimError::Engine`]) when the run starts.
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel = Some(threads);
-        self
-    }
-
-    /// Enable the engine's detections cache with this capacity
-    /// (entries; 0 — the default — leaves the cache off).  Cached results
-    /// are shared across stages; accounting is bitwise-deterministic across
-    /// thread counts, and the run's telemetry lands in
-    /// [`RunResult::cache`].
-    pub fn cache(mut self, capacity: usize) -> Self {
-        self.cache = capacity;
-        self
-    }
-
-    /// Retry frames whose detect attempt failed transiently, per `retry`.
-    ///
-    /// Off by default ([`RetryPolicy::none`]); retry backoff is charged to
-    /// the virtual clock as frame-equivalent sampled cost, so degraded runs
-    /// stay bitwise-reproducible (no wall-clock sleeping).
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// What the engine does when a frame's detect attempts are exhausted
-    /// (fail fast by default; see [`FailureMode`]).
-    pub fn failure_mode(mut self, failure: FailureMode) -> Self {
-        self.failure = failure;
-        self
-    }
-
     /// Wrap the run's detector in a deterministic fault injector driven by
-    /// `plan` (see [`FaultPlan`]) — the harness for experimenting with
-    /// degraded runs.
+    /// `plan` (see [`FaultPlan`]).  The engine fails fast, so the first frame
+    /// the plan fails ends the run with a chained [`SimError::Engine`] — the
+    /// seam through which a test makes a run's engine fail (with
+    /// [`QueryRunner::checkpoint`], after the sealed stages are flushed).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -486,12 +421,7 @@ impl<'a> QueryRunner<'a> {
             spec = spec.frame_budget(budget);
         }
 
-        let mut engine = QueryEngine::new()
-            .retry_policy(self.retry)
-            .failure_mode(self.failure);
-        if self.cache > 0 {
-            engine = engine.cache_capacity(self.cache);
-        }
+        let mut engine = QueryEngine::new();
         // Durable checkpointing: open (and, after a kill, recover) the
         // belief store, then hook it into the engine's serial stage-commit
         // seam.  The store is shared with this function so the final
@@ -512,21 +442,8 @@ impl<'a> QueryRunner<'a> {
                 Some((store, error))
             }
         };
-        match self.parallel {
-            // 1 is serial execution under another name; skip the mode change
-            // so the engine stays on its historical default.
-            None | Some(1) => {}
-            // Everything else — including the invalid 0, which the engine
-            // rejects with the typed InvalidExecution error — goes through
-            // the engine's own validation.
-            Some(threads) => engine = engine.execution(ExecutionMode::Parallel(threads))?,
-        }
         engine.push(spec)?;
-        // Retry backoff is charged as frame-equivalent sampled cost so the
-        // virtual clock stays deterministic (no wall-clock sleeping).
-        let report = match engine
-            .run_with(|stage| clock.charge_sampled(stage.detector_frames + stage.backoff_cost))
-        {
+        let report = match engine.run_with(|stage| clock.charge_sampled(stage.detector_frames)) {
             Ok(report) => report,
             Err(error) => {
                 if let Some((store, cell)) = &durable {
@@ -557,9 +474,6 @@ impl<'a> QueryRunner<'a> {
                 Some(store.health())
             }
         };
-        let detect_retries = report.detect_retries;
-        let failed_frames = report.failed_frames;
-        let cache = (self.cache > 0).then_some(report.cache);
         let outcome = report
             .outcomes
             .into_iter()
@@ -577,11 +491,7 @@ impl<'a> QueryRunner<'a> {
             trajectory: outcome.trajectory,
             scan_secs: clock.scan_secs(),
             sample_secs: clock.sample_secs(),
-            detect_retries,
-            failed_frames,
-            dropped_frames: outcome.dropped_frames,
             selection: outcome.selection,
-            cache,
             store,
         })
     }
@@ -754,151 +664,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SimError::ZeroStride);
         assert!(err.to_string().contains("stride of at least 1"));
-    }
-
-    #[test]
-    fn parallel_runner_results_are_bitwise_identical() {
-        let dataset = skewed_dataset();
-        let run = |parallel: Option<usize>| {
-            let mut runner = QueryRunner::new(&dataset)
-                .stop(StopCondition::FrameBudget(600))
-                .seed(23);
-            if let Some(threads) = parallel {
-                runner = runner.parallel(threads);
-            }
-            runner
-                .run(MethodKind::ExSample(ExSampleConfig::default()))
-                .expect("query run succeeded")
-        };
-        let serial = run(None);
-        // Each stage is planned after the last one settled, so the budget is
-        // exact: batch-1 stages stop on the 600th frame in every
-        // configuration.
-        assert_eq!(serial.frames_processed, 600);
-        for parallel in [1usize, 2, 4, 64] {
-            let threaded = run(Some(parallel));
-            assert_eq!(threaded.frames_processed, 600);
-            assert_eq!(threaded.found_instances, serial.found_instances);
-            assert_eq!(threaded.trajectory, serial.trajectory);
-            assert_eq!(threaded.sample_secs, serial.sample_secs);
-        }
-    }
-
-    #[test]
-    fn cached_runner_matches_uncached_outcomes_and_reports_telemetry() {
-        let dataset = skewed_dataset();
-        let run = |cache: usize, parallel: Option<usize>| {
-            let mut runner = QueryRunner::new(&dataset)
-                .stop(StopCondition::FrameBudget(600))
-                .seed(19)
-                .cache(cache);
-            if let Some(threads) = parallel {
-                runner = runner.parallel(threads);
-            }
-            runner
-                .run(MethodKind::ExSample(ExSampleConfig::default()))
-                .expect("query run succeeded")
-        };
-        let uncached = run(0, None);
-        assert!(uncached.cache.is_none(), "cache off reports no telemetry");
-        let cached = run(4_096, None);
-        // The sampling methods pick without replacement, so a single run
-        // over a cold cache misses every frame and hits none — but the
-        // outcomes must be untouched and the telemetry fully accounted.
-        assert_eq!(cached.found_instances, uncached.found_instances);
-        assert_eq!(cached.trajectory, uncached.trajectory);
-        assert_eq!(cached.sample_secs, uncached.sample_secs);
-        let telemetry = cached.cache.expect("cache enabled");
-        assert_eq!(telemetry.misses, cached.frames_processed);
-        assert_eq!(telemetry.hits, 0);
-        // Cache accounting is part of the determinism contract: identical
-        // across thread counts.
-        for parallel in [2usize, 4] {
-            let other = run(4_096, Some(parallel));
-            assert_eq!(other.found_instances, cached.found_instances);
-            assert_eq!(other.trajectory, cached.trajectory);
-            assert_eq!(other.cache, cached.cache);
-        }
-    }
-
-    #[test]
-    fn parallel_zero_is_a_typed_invalid_execution_error() {
-        let dataset = skewed_dataset();
-        let err = QueryRunner::new(&dataset)
-            .stop(StopCondition::FrameBudget(50))
-            .parallel(0)
-            .run(MethodKind::Random)
-            .unwrap_err();
-        match err {
-            SimError::Engine(exsample_engine::EngineError::InvalidExecution { threads }) => {
-                assert_eq!(threads, 0);
-            }
-            other => panic!("expected InvalidExecution, got {other:?}"),
-        }
-        // The message tells the caller how to ask for serial execution.
-        assert!(err.to_string().contains("at least one worker thread"));
-    }
-
-    #[test]
-    fn degraded_runs_report_faults_and_stay_deterministic() {
-        let dataset = skewed_dataset();
-        let plan = FaultPlan::new(41).transient_rate(0.08).permanent_rate(0.02);
-        let run = |parallel: Option<usize>| {
-            let mut runner = QueryRunner::new(&dataset)
-                .stop(StopCondition::FrameBudget(600))
-                .seed(29)
-                .retry_policy(RetryPolicy::new(3).backoff_cost(3))
-                .failure_mode(FailureMode::DropFrames)
-                .fault_plan(plan);
-            if let Some(threads) = parallel {
-                runner = runner.parallel(threads);
-            }
-            runner
-                .run(MethodKind::ExSample(ExSampleConfig::default()))
-                .expect("degraded run succeeded")
-        };
-        let baseline = run(None);
-        // The fault rates are high enough that the run is non-vacuous: some
-        // frames retried, some dropped, and backoff showed up on the clock.
-        assert!(baseline.detect_retries > 0, "expected retries");
-        assert!(baseline.dropped_frames > 0, "expected dropped frames");
-        // One query, so engine-wide failures equal the query's dropped tally.
-        assert_eq!(baseline.failed_frames, baseline.dropped_frames);
-        assert!(baseline.true_found > 0, "degraded run still finds objects");
-        for parallel in [2usize, 4] {
-            let other = run(Some(parallel));
-            assert_eq!(other.frames_processed, baseline.frames_processed);
-            assert_eq!(other.found_instances, baseline.found_instances);
-            assert_eq!(other.trajectory, baseline.trajectory);
-            assert_eq!(other.sample_secs, baseline.sample_secs);
-            assert_eq!(other.detect_retries, baseline.detect_retries);
-            assert_eq!(other.failed_frames, baseline.failed_frames);
-            assert_eq!(other.dropped_frames, baseline.dropped_frames);
-        }
-    }
-
-    #[test]
-    fn fault_free_plan_with_retries_matches_the_plain_run() {
-        let dataset = skewed_dataset();
-        let plain = QueryRunner::new(&dataset)
-            .stop(StopCondition::FrameBudget(400))
-            .seed(37)
-            .run(MethodKind::ExSample(ExSampleConfig::default()))
-            .expect("query run succeeded");
-        let guarded = QueryRunner::new(&dataset)
-            .stop(StopCondition::FrameBudget(400))
-            .seed(37)
-            .retry_policy(RetryPolicy::new(3).backoff_cost(5))
-            .failure_mode(FailureMode::DropFrames)
-            .fault_plan(FaultPlan::new(99))
-            .run(MethodKind::ExSample(ExSampleConfig::default()))
-            .expect("query run succeeded");
-        assert_eq!(guarded.found_instances, plain.found_instances);
-        assert_eq!(guarded.trajectory, plain.trajectory);
-        assert_eq!(guarded.sample_secs, plain.sample_secs);
-        assert_eq!(guarded.detect_retries, 0);
-        assert_eq!(guarded.failed_frames, 0);
-        assert_eq!(guarded.dropped_frames, 0);
     }
 
     #[test]
