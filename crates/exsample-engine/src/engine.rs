@@ -7,17 +7,20 @@
 //!          ┌──────────────────────────────────────────────────────────┐
 //!  stage:  │ 1. PICK     every live query draws its batch of frame    │
 //!          │             ids, clamped to its remaining frame budget,  │
-//!          │             from its SamplingPolicy (own RNG stream)     │
+//!          │             from its SamplingPolicy (own RNG stream):    │
+//!          │             on the calling thread, or, under             │
+//!          │             ExecutionMode::Parallel(n), query i on lane  │
+//!          │             i mod n of the run's persistent worker pool  │
 //!          │ 2. DETECT   picks are grouped per shared detector; each  │
 //!          │             group's cache misses are one batch, the      │
 //!          │             stage's batches cut evenly over the lanes:   │
 //!          │             one on the calling thread, or, under         │
 //!          │             ExecutionMode::Parallel, several on the      │
 //!          │             run's persistent worker pool                 │
-//!          │ 3. FAN-OUT  per query, in pick order: discriminator      │
-//!          │             observes the frame's detections, the policy  │
-//!          │             records the verdict, budgets and             │
-//!          │             trajectories advance                         │
+//!          │ 3. FAN-OUT  per query, in pick order, on the calling     │
+//!          │             thread: discriminator observes the frame's   │
+//!          │             detections, the policy records the verdict,  │
+//!          │             budgets and trajectories advance             │
 //!          └──────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -28,8 +31,10 @@
 //! discriminator.  See the crate docs for the exact coalescing semantics.
 //!
 //! In code the pipeline is one loop of three functions, each phase written
-//! once, over one reused `Stage`: `plan` (stop checks, PICK, grouping,
-//! and loading each detector group's frames into its lane),
+//! once, over one reused `Stage`: `plan` (stop checks, PICK and grouping,
+//! query by query — or, when the run has helpers, in three passes whose
+//! PICK is one pool job per lane — then loading each detector group's
+//! frames into its lane),
 //! `detect` (probe the cache, then gather the misses into one slice per
 //! lane, run the slices — one pool call when the run has helpers — and
 //! scatter the outcomes to the lanes) and `settle` (fail-fast scan, cache
@@ -45,9 +50,12 @@
 //! [`QuerySpec::seed`], detectors are pure functions of the frame id, and
 //! phase 3 always visits queries in registration order — so per-query outcomes
 //! are a function of the query's own spec, never of how stages interleave,
-//! which queries share the engine, or how many threads execute DETECT.
-//! Parallelism only reorders *work*: what a lane runs is a slice of frame ids
-//! and detector references whose outcome is a pure function of the two, the
+//! which queries share the engine, or how many threads execute PICK and
+//! DETECT.  Parallelism only reorders *work*: a PICK job carries one query's
+//! policy and RNG stream, which no other query reads, and is handed back
+//! before grouping, which stays in registration order; a DETECT slice is
+//! frame ids and detector references whose outcome is a pure function of the
+//! two; the
 //! cache is probed before the gather and committed after the scatter — both
 //! on the calling thread, in canonical order — and FAN-OUT always consumes
 //! results in registration/pick order — so no observable result, cache
@@ -60,37 +68,43 @@ use crate::cache::{CacheActivity, CacheStats, DetectionCache};
 use crate::error::EngineError;
 use crate::merge::{BatchStats, ShardedReport};
 use crate::policy::SamplingPolicy;
-use crate::runtime::WorkerPool;
+use crate::runtime::{PickBatch, PickJob, WorkerPool};
 use crate::shard::{self, DetectPolicy, Lanes, ShardRouter, ShardView, Slice};
 use exsample_core::SelectionTelemetry;
 use exsample_detect::{Detector, FrameDetections, InstanceId};
-use exsample_track::{Discriminator, OracleDiscriminator};
+use exsample_track::{Discriminator, MatchOutcome, OracleDiscriminator};
 use exsample_video::FrameId;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::HashSet;
 
-/// How many lanes a stage's DETECT is cut over.
+/// How many lanes a stage's PICK and DETECT are cut over.
 ///
-/// Serial execution (the default) issues one batched detector invocation per
-/// detector group per stage on the calling thread — pick-for-pick the
-/// engine's historical behaviour.  Parallel execution cuts the stage's
-/// gathered detector demand into equal slices, one per lane, and runs them on
-/// the [`crate::runtime`] module's persistent per-run pool (helper threads
-/// spawned once per run, reused by every stage).  A slice's outcome is a
-/// pure function of its frames and detectors, and probing, scattering and
-/// committing stay on the calling thread in canonical order, so **every logical result — reports,
-/// pick sequences, cache state, fault tallies — is bitwise-identical between
-/// the two modes** for any thread count; only the physical invocation count
-/// grows, by at most `lanes − 1` per stage.  The determinism suite pins this
-/// for threads {1, 2, 4}.
+/// Serial execution (the default) picks for every query and issues one
+/// batched detector invocation per detector group per stage, all on the
+/// calling thread — pick-for-pick the engine's historical behaviour.
+/// Parallel execution runs both on the [`crate::runtime`] module's
+/// persistent per-run pool (helper threads spawned once per run, reused by
+/// every stage): query `i` picks on lane `i mod n`, and the stage's gathered
+/// detector demand is cut into equal slices, one per lane.  A pick reads
+/// only its own query's policy and RNG stream, a slice's outcome is a pure
+/// function of its frames and detectors, and grouping, probing, scattering,
+/// committing and FAN-OUT stay on the calling thread in canonical order, so
+/// **every logical result — reports, pick sequences, cache state, fault
+/// tallies — is bitwise-identical between the two modes** for any thread
+/// count; only the physical invocation count grows, by at most `lanes − 1`
+/// per stage.  The determinism suite pins this for threads {1, 2, 4}.
+///
+/// A policy or detector panic on any lane of a parallel run, the calling
+/// thread's included, ends the run with [`EngineError::WorkerPanicked`]
+/// after every policy is back with its query; a serial run lets it unwind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Run every stage's DETECT on the calling thread (default).
+    /// Run every stage's PICK and DETECT on the calling thread (default).
     #[default]
     Serial,
-    /// Cut every stage's DETECT over this many lanes: the calling thread
-    /// plus the run's persistent pool helpers.
+    /// Cut every stage's PICK and DETECT over this many lanes: the calling
+    /// thread plus the run's persistent pool helpers.
     ///
     /// `Parallel(1)` is serial execution under another name.  A count of zero
     /// is rejected by [`QueryEngine::execution`] as
@@ -426,6 +440,23 @@ impl QueryState<'_> {
         None
     }
 
+    /// The stop checks, then the query's PICK size: its batch clamped to
+    /// what is left of its frame budget.  `None` once the query has
+    /// stopped.
+    fn next_want(&mut self) -> Option<usize> {
+        if self.stop.is_none() {
+            self.stop = self.stop_condition();
+        }
+        if self.stop.is_some() {
+            return None;
+        }
+        // No stop condition holds, so the budget is not yet spent.
+        let budget_left = self
+            .frame_budget
+            .map_or(u64::MAX, |b| b - self.frames_processed);
+        Some((self.batch as u64).min(budget_left) as usize)
+    }
+
     fn report(&self) -> QueryReport {
         let mut found_instances: Vec<InstanceId> = self.found_true.iter().copied().collect();
         found_instances.sort();
@@ -442,6 +473,27 @@ impl QueryState<'_> {
             selection: self.policy.selection_telemetry(),
             stop_reason: self.stop,
         }
+    }
+}
+
+/// What a query holds while its policy is out on a PICK lane: a policy that
+/// picks nothing.  The engine hands the query's own policy back before
+/// anything else calls it; boxing this zero-sized stand-in allocates nothing.
+struct Lent;
+
+impl SamplingPolicy for Lent {
+    fn name(&self) -> &'static str {
+        "lent"
+    }
+
+    fn next_batch_into(&mut self, _rng: &mut dyn RngCore, _batch: usize, picks: &mut Vec<FrameId>) {
+        picks.clear();
+    }
+
+    fn record(&mut self, _frame: FrameId, _outcome: &MatchOutcome) {}
+
+    fn remaining(&self) -> Option<u64> {
+        Some(0)
     }
 }
 
@@ -508,8 +560,14 @@ struct Stage<'a> {
     slots: Vec<u32>,
     /// Query → group map (`usize::MAX` = not picking this stage).
     membership: Vec<usize>,
+    /// Under a pool: per-query PICK size (indexed by query registration
+    /// order; 0 = not picking this stage).
+    wants: Vec<usize>,
     /// Per-query picks (indexed by query registration order).
     picks: Vec<Vec<FrameId>>,
+    /// Under a pool: each lane's PICK batch, empty between stages (its
+    /// allocation is recycled).
+    pick_batches: Vec<PickBatch<'a>>,
     /// Queries that contributed picks.
     active: usize,
     /// Frames demanded by those picks.
@@ -536,8 +594,9 @@ pub struct QueryEngine<'a> {
     /// `std::thread::scope`, and the pool — whose drop is their shutdown
     /// signal — is dropped before the scope closes on every path).
     pool: Option<WorkerPool<'a>>,
-    /// Stages that dispatched work to the pool (cumulative across runs).
-    /// Stages whose demand fits one slice stay inline and don't count.
+    /// Stages that dispatched DETECT work to the pool (cumulative across
+    /// runs).  Stages whose demand fits one slice stay inline and don't
+    /// count.
     pooled_dispatches: u64,
     /// Optional cross-stage frame→detections cache (off by default).
     cache: Option<DetectionCache>,
@@ -626,10 +685,12 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// Choose how many lanes DETECT is cut over (default:
+    /// Choose how many lanes PICK and DETECT are cut over (default:
     /// [`ExecutionMode::Serial`], which is pick-for-pick the historical
     /// behaviour).  Parallel execution never changes any logical result —
-    /// see [`ExecutionMode`] — only how many threads pay the detector bill.
+    /// see [`ExecutionMode`] — only how many threads draw the picks and pay
+    /// the detector bill; a policy or detector panic becomes
+    /// [`EngineError::WorkerPanicked`].
     ///
     /// # Errors
     /// Returns [`EngineError::InvalidExecution`] for
@@ -731,8 +792,15 @@ impl<'a> QueryEngine<'a> {
 
     /// PICK + group the next stage into `stage`, and load each group's
     /// frames into its lane.  Runs against the engine state as of the last
-    /// settled stage.  Returns `false` when no query picked: the run is over.
-    fn plan(&mut self, stage: &mut Stage<'a>) -> bool {
+    /// settled stage.  A serial run checks, picks and groups query by query;
+    /// a run with a pool does it in three passes — stop checks and PICK
+    /// sizes, PICK on the lanes, grouping — so that only PICK leaves the
+    /// coordinator.  Returns `false` when no query picked: the run is over.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::WorkerPanicked`] if a policy panicked under
+    /// [`ExecutionMode::Parallel`]; every policy is back with its query.
+    fn plan(&mut self, stage: &mut Stage<'a>) -> Result<bool, EngineError> {
         stage.detectors.clear();
         stage.slots.clear();
         stage.membership.clear();
@@ -743,23 +811,35 @@ impl<'a> QueryEngine<'a> {
             stage.picks.resize_with(self.queries.len(), Vec::new);
         }
 
-        // Stop checks, PICK and grouping, query by query.  A live query
-        // picks its batch clamped to what is left of its frame budget, and
-        // joins the group of its detector's registry slot (groups in
-        // first-appearance order).
+        // With a pool, passes 1 and 2: each live query's PICK size in
+        // registration order (0 = not picking), then PICK on the lanes.
+        let pooled = self.pool.is_some();
+        if let Some(pool) = self.pool.as_mut() {
+            stage.wants.clear();
+            let queries = self.queries.iter_mut().zip(&mut stage.picks);
+            stage.wants.extend(queries.map(|(q, picks)| {
+                picks.clear();
+                q.next_want().unwrap_or(0)
+            }));
+            Self::pick_on_lanes(pool, &mut self.queries, stage)?;
+        }
+
+        // Stop checks and PICK (serial), then grouping, query by query: a
+        // query that picked joins the group of its detector's registry slot
+        // (groups in first-appearance order); one that picked nothing has
+        // exhausted its repository.
         for (i, (q, picks)) in self.queries.iter_mut().zip(&mut stage.picks).enumerate() {
-            picks.clear();
-            if q.stop.is_some() {
-                continue;
+            if pooled {
+                if stage.wants[i] == 0 {
+                    continue;
+                }
+            } else {
+                picks.clear();
+                let Some(want) = q.next_want() else {
+                    continue;
+                };
+                q.policy.next_batch_into(&mut q.rng, want, picks);
             }
-            q.stop = q.stop_condition();
-            if q.stop.is_some() {
-                continue;
-            }
-            // No stop condition holds, so the budget is not yet spent.
-            let budget_left = q.frame_budget.map_or(u64::MAX, |b| b - q.frames_processed);
-            let want = (q.batch as u64).min(budget_left) as usize;
-            q.policy.next_batch_into(&mut q.rng, want, picks);
             if picks.is_empty() {
                 q.stop = Some(StopReason::RepositoryExhausted);
                 continue;
@@ -777,7 +857,7 @@ impl<'a> QueryEngine<'a> {
             };
         }
         if stage.active == 0 {
-            return false;
+            return Ok(false);
         }
 
         // Lay every group's picks out in its lane, in (query, pick) arrival
@@ -788,7 +868,44 @@ impl<'a> QueryEngine<'a> {
                 self.lanes.push_frames(group, picks);
             }
         }
-        true
+        Ok(true)
+    }
+
+    /// Pass 2 of [`QueryEngine::plan`] on the pool: lend each picking
+    /// query's policy, RNG stream and pick buffer to its lane's batch —
+    /// query `i` always picks on lane `i mod n` — run the batches, and hand
+    /// everything back, whatever the batches did.
+    fn pick_on_lanes(
+        pool: &mut WorkerPool<'a>,
+        queries: &mut [QueryState<'a>],
+        stage: &mut Stage<'a>,
+    ) -> Result<(), EngineError> {
+        let lanes = pool.lanes();
+        stage.pick_batches.resize_with(lanes, Vec::new);
+        let lent = queries.iter_mut().zip(&mut stage.picks).zip(&stage.wants);
+        for (i, ((q, picks), &want)) in lent.enumerate() {
+            if want > 0 {
+                stage.pick_batches[i % lanes].push(PickJob {
+                    query: i,
+                    policy: std::mem::replace(&mut q.policy, Box::new(Lent)),
+                    rng: q.rng.clone(),
+                    want,
+                    picks: std::mem::take(picks),
+                });
+            }
+        }
+        let picked = pool.run_picks(&mut stage.pick_batches);
+        for job in stage
+            .pick_batches
+            .iter_mut()
+            .flat_map(|batch| batch.drain(..))
+        {
+            let q = &mut queries[job.query];
+            q.policy = job.policy;
+            q.rng = job.rng;
+            stage.picks[job.query] = job.picks;
+        }
+        picked
     }
 
     /// DETECT for a planned stage: probe the cache, then gather the misses
@@ -1027,18 +1144,18 @@ impl<'a> QueryEngine<'a> {
     /// Under [`ExecutionMode::Parallel`] this is where the persistent worker
     /// runtime lives: one `std::thread::scope` wraps the whole stage loop,
     /// `n - 1` helper threads are spawned into it once, and every stage with
-    /// more detection work than one slice hands them their slices instead of
-    /// spawning fresh threads.  The pool is dropped — which is every helper's
-    /// shutdown signal — before the scope closes on *every* path out of the
-    /// loop (completion, a stage error, even a panicking `on_stage` hook),
-    /// and the scope then joins the helpers, so a run can neither leak nor
-    /// deadlock its threads.
+    /// picks on more than one lane, or more detection work than one slice,
+    /// hands them their jobs instead of spawning fresh threads.  The pool is
+    /// dropped — which is every helper's shutdown signal — before the scope
+    /// closes on *every* path out of the loop (completion, a stage error,
+    /// even a panicking `on_stage` hook), and the scope then joins the
+    /// helpers, so a run can neither leak nor deadlock its threads.
     ///
     /// # Errors
     /// Returns [`EngineError::NoQueries`] if no query was registered,
-    /// [`EngineError::WorkerPanicked`] if a pooled worker lane's detector
-    /// panicked, [`EngineError::DetectorFailed`] if a detector exhausted a
-    /// frame's attempts under [`FailureMode::FailFast`], and
+    /// [`EngineError::WorkerPanicked`] if a policy or detector panicked on a
+    /// lane of a parallel run, [`EngineError::DetectorFailed`] if a detector
+    /// exhausted a frame's attempts under [`FailureMode::FailFast`], and
     /// [`EngineError::CheckpointFailed`] if the stage sink refused a stage
     /// (the run stops at the offending stage).
     pub fn run_with<F: FnMut(&StageStats)>(
@@ -1075,7 +1192,7 @@ impl<'a> QueryEngine<'a> {
         on_stage: &mut F,
     ) -> Result<EngineReport, EngineError> {
         let mut stage = Stage::default();
-        while self.plan(&mut stage) {
+        while self.plan(&mut stage)? {
             self.detect(&stage)?;
             let stats = self.settle(&stage)?;
             on_stage(&stats);

@@ -103,16 +103,17 @@ pub enum EngineError {
         /// The sink's description of the failure.
         message: String,
     },
-    /// A worker lane's detect pass panicked during a parallel stage.
+    /// A worker lane's PICK or DETECT job panicked during a parallel stage.
     ///
-    /// The worker pool catches detector panics on every lane (helper threads
-    /// and the coordinator's inline lane alike) and surfaces them as this
-    /// typed error instead of unwinding the coordinator or — worse — leaving
-    /// it blocked on a completion channel.  The run stops at the offending
+    /// The worker pool catches policy and detector panics on every lane
+    /// (helper threads and the coordinator's inline lane alike) and surfaces
+    /// them as this typed error instead of unwinding the coordinator or —
+    /// worse — leaving it blocked on a helper.  Every policy is back with
+    /// its query before the error returns.  The run stops at the offending
     /// stage; the engine's reports and cost accounting are unspecified after
     /// this error.
     WorkerPanicked {
-        /// The panic message of the first lane (in chunk order) that failed.
+        /// The panic message of the first lane (in lane order) that failed.
         message: String,
     },
 }
@@ -153,7 +154,7 @@ impl fmt::Display for EngineError {
             ),
             EngineError::WorkerPanicked { message } => write!(
                 f,
-                "a DETECT worker lane panicked during a parallel stage: {message}"
+                "a worker lane panicked during a parallel stage: {message}"
             ),
         }
     }

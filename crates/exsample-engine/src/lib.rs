@@ -56,8 +56,9 @@
 //!
 //! Every run — serial or parallel, under any shard router — executes the
 //! same loop of three phases over one reused stage buffer, each written once
-//! in [`engine`]: **plan** (stop checks, PICK, grouping, and loading each
-//! detector group's frames into its lane), **detect** (probe
+//! in [`engine`]: **plan** (stop checks, PICK — one pool job per lane when
+//! the run has helpers — grouping, and loading each detector group's frames
+//! into its lane), **detect** (probe
 //! the cache, gather the misses into one slice per lane, run the slices —
 //! one pool call when the run has helpers — and scatter the outcomes to the
 //! lanes) and **settle** (fail-fast scan, cache commit, tallies, FAN-OUT,
@@ -78,8 +79,12 @@
 //! outcome is a pure function of the two; detectors are `Send + Sync`), so
 //! [`QueryEngine::execution`] with [`ExecutionMode::Parallel`] runs the
 //! slices on the [`runtime`] module's **persistent worker pool**: helper
-//! threads spawned once per engine run, handed their slices every stage,
-//! joined when the run ends — never spawned per stage.  The pool is kept on
+//! threads spawned once per engine run, handed their jobs every stage,
+//! joined when the run ends — never spawned per stage.  The pool runs each
+//! stage's PICK too, the engine's cost when many queries each draw one
+//! Gamma per chunk: query `i` picks on lane `i mod n`, its policy
+//! ([`SamplingPolicy`] is `Send`) and RNG stream moved to the lane and back,
+//! so a pick reads only its own query's state.  The pool is kept on
 //! a measured verdict (10 alternating pairs of the repository benchmark on
 //! a 2-core host, median `wall_s` pair ratio against the pool): a per-stage
 //! `std::thread::scope` is 1.364× slower on `bdd1k_multi` and a pool
@@ -93,9 +98,10 @@
 //! runs are bitwise-identical to serial ones in everything but the physical
 //! invocation shape (pinned for threads {1, 2, 4}, with the cache on and
 //! off).  Serial remains the default, and `Parallel(0)` is a typed
-//! [`error::EngineError::InvalidExecution`].  A detector panic on any pool
-//! lane surfaces as a typed [`error::EngineError::WorkerPanicked`], never a
-//! deadlocked coordinator, a leaked thread or an unwinding stage loop.  The
+//! [`error::EngineError::InvalidExecution`].  A policy or detector panic on
+//! any pool lane surfaces as a typed [`error::EngineError::WorkerPanicked`],
+//! never a deadlocked coordinator, a leaked thread or an unwinding stage
+//! loop.  The
 //! library keeps no global mutable state.
 //!
 //! ## Shards are a reporting view

@@ -32,7 +32,15 @@ use rand::RngCore;
 /// without-replacement contract every underlying sampler already obeys), and
 /// must tolerate [`SamplingPolicy::record`] calls for any frame they produced,
 /// in production order.
-pub trait SamplingPolicy {
+///
+/// A policy is `Send` because under
+/// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel) the engine
+/// moves each live query's policy, with its RNG, to a worker lane for the
+/// stage's PICK and takes it back before FAN-OUT.  It is never shared: one
+/// thread at a time calls it, and every call of a query still sees the
+/// query's own state in the serial order, so where a pick runs never changes
+/// what it picks.
+pub trait SamplingPolicy: Send {
     /// Short human-readable name ("exsample", "random", …), used in reports.
     fn name(&self) -> &'static str;
 
@@ -193,7 +201,7 @@ fn fill_batch(batch: usize, picks: &mut Vec<FrameId>, next: impl FnMut() -> Opti
     picks.extend(std::iter::from_fn(next).take(batch));
 }
 
-impl<S: FrameSampler> SamplingPolicy for FrameSamplerPolicy<S> {
+impl<S: FrameSampler + Send> SamplingPolicy for FrameSamplerPolicy<S> {
     fn name(&self) -> &'static str {
         self.name
     }

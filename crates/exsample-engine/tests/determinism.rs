@@ -30,6 +30,7 @@
 
 mod common;
 
+use exsample_baselines::SequentialScan;
 use exsample_core::{ExSample, ExSampleConfig};
 use exsample_detect::{
     Detector, FaultInjectingDetector, FaultPlan, FrameDetections, GroundTruth, ObjectClass,
@@ -374,10 +375,11 @@ fn multi_query_outcomes_are_invariant_to_stage_interleaving() {
 
 /// A pass-through policy that logs every pick it hands to the engine, in
 /// production order — the per-query pick sequence the suites compare across
-/// configurations.
+/// configurations.  The log is behind an `Arc<Mutex<_>>` because a policy is
+/// `Send`: parallel engines pick on their worker lanes.
 struct RecordingPolicy<'a> {
     inner: Box<dyn SamplingPolicy + 'a>,
-    log: Rc<RefCell<Vec<FrameId>>>,
+    log: PickLog,
 }
 
 impl SamplingPolicy for RecordingPolicy<'_> {
@@ -391,7 +393,7 @@ impl SamplingPolicy for RecordingPolicy<'_> {
 
     fn next_batch_into(&mut self, rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
         self.inner.next_batch_into(rng, batch, picks);
-        self.log.borrow_mut().extend_from_slice(picks);
+        self.log.lock().unwrap().extend_from_slice(picks);
     }
 
     fn record(&mut self, frame: FrameId, outcome: &MatchOutcome) {
@@ -404,7 +406,7 @@ impl SamplingPolicy for RecordingPolicy<'_> {
 }
 
 /// A shared pick log, one per recorded query.
-type PickLog = Rc<RefCell<Vec<FrameId>>>;
+type PickLog = Arc<Mutex<Vec<FrameId>>>;
 
 /// The standard specs with pick logging attached to every query.
 fn recorded_specs<'a>(
@@ -429,10 +431,10 @@ fn recorded_specs_on<'a>(
     let mut specs = Vec::new();
     let mut logs = Vec::new();
     for (i, policy) in inner.into_iter().enumerate() {
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = PickLog::default();
         let recorded = RecordingPolicy {
             inner: policy,
-            log: Rc::clone(&log),
+            log: Arc::clone(&log),
         };
         let detector = detectors[i];
         let spec = match i {
@@ -561,7 +563,7 @@ fn sharded_runs_are_bitwise_identical_to_unsharded() {
             engine.push(spec).unwrap();
         }
         let _ = engine.run().unwrap();
-        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.lock().unwrap().clone()).collect();
         (engine.report_sharded(), picks)
     };
 
@@ -672,7 +674,7 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
                 assert_eq!(stats.batches.frames, stats.detector_frames);
             })
             .unwrap();
-        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.lock().unwrap().clone()).collect();
         (engine.report_sharded(), picks)
     };
 
@@ -688,6 +690,83 @@ fn parallel_execution_matrix_is_bitwise_identical_to_serial() {
         // breakdown bitwise, physical invocations by the shape law.
         assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
         assert_sharded_reports_agree(&parallel, &serial, threads, &context);
+    }
+}
+
+/// Pooled PICK.  Under `Parallel(n)` query `i` picks on lane `i mod n`, so
+/// six queries over two lanes put queries 0, 2 and 4 on the coordinator's
+/// lane and 1, 3 and 5 on the helper's.  The even queries stop early — one
+/// by its result limit, one by a short budget, one by running its sequential
+/// scan dry — so the coordinator's set empties while the helper's still
+/// picks, and four lanes leave lanes idle sooner still.  Pick sequences and
+/// reports are the serial run's, bit for bit, for each lane count.
+#[test]
+fn pooled_pick_is_bitwise_identical_as_lanes_empty() {
+    let frames = 4_000u64;
+    let (chunking, truth) = skewed_setup(frames, 21);
+    let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
+    let run = |mode: ExecutionMode| {
+        let policies: [(&str, Box<dyn SamplingPolicy>); 6] = [
+            (
+                "exsample",
+                Box::new(ExSamplePolicy::new(ExSampleConfig::default(), &chunking)),
+            ),
+            ("random", Box::new(FrameSamplerPolicy::uniform(frames))),
+            ("scan", Box::new(SequentialScan::with_stride(frames, 100))),
+            (
+                "exsample",
+                Box::new(ExSamplePolicy::new(ExSampleConfig::default(), &chunking)),
+            ),
+            ("random", Box::new(FrameSamplerPolicy::uniform(frames))),
+            ("scan", Box::new(SequentialScan::with_stride(frames, 7))),
+        ];
+        let mut engine = QueryEngine::new().execution(mode).unwrap();
+        let mut logs = Vec::new();
+        for (i, (label, inner)) in policies.into_iter().enumerate() {
+            let log = PickLog::default();
+            let policy = Box::new(RecordingPolicy {
+                inner,
+                log: Arc::clone(&log),
+            });
+            let spec = QuerySpec::new(label, policy, &detector).seed(300 + i as u64);
+            let spec = match i {
+                0 => spec.batch(16).result_limit(3).frame_budget(2_000),
+                1 => spec.batch(8).frame_budget(900),
+                2 => spec.batch(8),
+                3 => spec.batch(12).true_limit(5).frame_budget(1_500),
+                4 => spec.batch(16).frame_budget(160),
+                _ => spec.batch(16).frame_budget(2_000),
+            };
+            engine.push(spec).unwrap();
+            logs.push(log);
+        }
+        let report = engine.run().unwrap();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.lock().unwrap().clone()).collect();
+        (report, picks)
+    };
+
+    let (serial, serial_picks) = run(ExecutionMode::Serial);
+    let stops: Vec<StopReason> = serial
+        .outcomes
+        .iter()
+        .map(|r| r.stop_reason.expect("every query stops"))
+        .collect();
+    assert_eq!(stops[0], StopReason::ResultLimitReached, "setup: query 0");
+    assert_eq!(stops[2], StopReason::RepositoryExhausted, "setup: query 2");
+    assert_eq!(stops[4], StopReason::FrameBudgetExhausted, "setup: query 4");
+    let longest_even = [0, 2, 4]
+        .map(|i| serial.outcomes[i].frames_processed)
+        .into_iter()
+        .max();
+    assert!(
+        longest_even < Some(serial.outcomes[5].frames_processed),
+        "setup: the coordinator's lane must empty while the helper's still picks"
+    );
+    for threads in [2usize, 4] {
+        let context = format!("pooled PICK, {threads} lanes");
+        let (parallel, parallel_picks) = run(ExecutionMode::Parallel(threads));
+        assert_eq!(parallel_picks, serial_picks, "{context}: pick sequences");
+        assert_engine_reports_equal(&parallel, &serial, &context);
     }
 }
 
@@ -777,7 +856,7 @@ fn aggregated_runs_are_bitwise_identical_across_the_matrix() {
             })
             .unwrap();
         let merged = engine.report_sharded();
-        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.lock().unwrap().clone()).collect();
 
         common::assert_physical_shape(&merged, lanes, &context);
         assert_eq!(
@@ -814,7 +893,7 @@ fn cached_runs_are_bitwise_identical_across_the_matrix() {
             engine.push(spec).unwrap();
         }
         let _ = engine.run().unwrap();
-        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.borrow().clone()).collect();
+        let picks: Vec<Vec<FrameId>> = logs.iter().map(|log| log.lock().unwrap().clone()).collect();
         (engine.report_sharded(), picks)
     };
     let run = |mode: ExecutionMode| run_with_cache(MATRIX_CACHE_CAPACITY, mode);

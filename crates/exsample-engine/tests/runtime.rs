@@ -30,9 +30,12 @@ use exsample_detect::{
     Detector, FrameDetections, GroundTruth, ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec, ShardRouter, StageStats,
+    EngineError, ExecutionMode, FrameSamplerPolicy, QueryEngine, QuerySpec, SamplingPolicy,
+    ShardRouter, StageStats, StopReason,
 };
+use exsample_track::MatchOutcome;
 use exsample_video::{Chunking, ChunkingPolicy, FrameId, ShardSpec, VideoRepository};
+use rand::RngCore;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,6 +123,54 @@ impl Detector for BombDetector {
     }
 }
 
+/// A pass-through policy that logs the threads that pick for it and, when
+/// armed, panics on its `panic_on`-th pick (1-based) — that pick only.
+struct WatchedPolicy {
+    inner: FrameSamplerPolicy<exsample_video::UniformSampler>,
+    picks: u32,
+    panic_on: Option<u32>,
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
+}
+
+impl WatchedPolicy {
+    fn new(frames: u64, panic_on: Option<u32>, threads: &Arc<Mutex<HashSet<ThreadId>>>) -> Self {
+        WatchedPolicy {
+            inner: FrameSamplerPolicy::uniform(frames),
+            picks: 0,
+            panic_on,
+            threads: Arc::clone(threads),
+        }
+    }
+}
+
+impl SamplingPolicy for WatchedPolicy {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn next_batch_into(&mut self, rng: &mut dyn RngCore, batch: usize, picks: &mut Vec<FrameId>) {
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+        self.picks += 1;
+        assert!(
+            self.panic_on != Some(self.picks),
+            "policy refuses its pick {}",
+            self.picks
+        );
+        self.inner.next_batch_into(rng, batch, picks);
+    }
+
+    fn record(&mut self, frame: FrameId, outcome: &MatchOutcome) {
+        self.inner.record(frame, outcome);
+    }
+
+    fn remaining(&self) -> Option<u64> {
+        self.inner.remaining()
+    }
+}
+
 fn pooled_engine<'a>(threads: usize) -> QueryEngine<'a> {
     QueryEngine::new()
         .execution(ExecutionMode::Parallel(threads))
@@ -164,6 +215,84 @@ fn pooled_runs_detect_on_at_most_n_threads() {
             (1..=3).contains(&threads),
             "round {round}: {threads} threads detected over {stages} stages"
         );
+    }
+}
+
+#[test]
+fn pooled_runs_pick_on_at_most_n_threads() {
+    let frames = 2_000u64;
+    let truth = setup(frames);
+    let detector = ObservantDetector::new(Arc::clone(&truth));
+    let threads = Arc::default();
+    let mut engine = pooled_engine(2);
+    for seed in 0..4u64 {
+        engine
+            .push(
+                QuerySpec::new(
+                    "watched",
+                    Box::new(WatchedPolicy::new(frames, None, &threads)),
+                    &detector,
+                )
+                .seed(80 + seed)
+                .batch(8)
+                .frame_budget(400),
+            )
+            .unwrap();
+    }
+    let report = engine.run().unwrap();
+    assert!(report.stages >= 50, "a many-stage run: {}", report.stages);
+    // The coordinator and one helper: no pick ever runs on a third thread,
+    // however many stages hand batches out.
+    let pickers = threads.lock().unwrap().len();
+    assert!((1..=2).contains(&pickers), "{pickers} threads picked");
+}
+
+#[test]
+fn a_policy_panic_on_either_lane_is_a_typed_error() {
+    let frames = 2_000u64;
+    let truth = setup(frames);
+    // Three queries over two lanes: queries 0 and 2 pick on the
+    // coordinator's lane, query 1 on the helper's (or inline, when the
+    // coordinator reclaims the helper's batch before it starts).
+    for doomed in [0usize, 1] {
+        let detector = ObservantDetector::new(Arc::clone(&truth));
+        let threads = Arc::default();
+        let mut engine = pooled_engine(2);
+        for i in 0..3usize {
+            let panic_on = (i == doomed).then_some(3);
+            engine
+                .push(
+                    QuerySpec::new(
+                        "watched",
+                        Box::new(WatchedPolicy::new(frames, panic_on, &threads)),
+                        &detector,
+                    )
+                    .seed(90 + i as u64)
+                    .batch(16)
+                    .frame_budget(200),
+                )
+                .unwrap();
+        }
+        match engine.run().unwrap_err() {
+            EngineError::WorkerPanicked { message } => {
+                assert_eq!(message, "policy refuses its pick 3", "query {doomed}")
+            }
+            other => panic!("query {doomed}: expected WorkerPanicked, got {other:?}"),
+        }
+        // Every policy came back with its query, the doomed one's included:
+        // the same engine runs on to every budget.  A query left without its
+        // policy would pick nothing and stop as exhausted.
+        let report = engine.run().unwrap();
+        for (i, outcome) in report.outcomes.iter().enumerate() {
+            let context = format!("query {i} after query {doomed} panicked");
+            assert_eq!(outcome.policy, "random", "{context}");
+            assert_eq!(outcome.frames_processed, 200, "{context}");
+            assert_eq!(
+                outcome.stop_reason,
+                Some(StopReason::FrameBudgetExhausted),
+                "{context}"
+            );
+        }
     }
 }
 

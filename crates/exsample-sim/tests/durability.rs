@@ -1,6 +1,7 @@
 //! End-to-end durability: checkpointing is a pure observer, a torn
-//! checkpoint recovers, a run that fails fast still persists what it sealed,
-//! and a warm-started run beats a cold one.
+//! checkpoint recovers, a run that fails fast still persists what it sealed
+//! (past a written group or inside the first), and a warm-started run beats
+//! a cold one.
 //!
 //! These tests run against the real filesystem backend (`FsStorage` under a
 //! scratch directory) — the same code path the experiment binaries'
@@ -229,6 +230,38 @@ fn a_fail_fast_abort_persists_exactly_the_stages_sealed_before_it() {
         let expected = before.samples + u64::from(key.1 == failed_chunk);
         assert_eq!(cell.samples, expected, "chunk {}", key.1);
     }
+}
+
+#[test]
+fn a_fail_fast_abort_inside_the_first_group_persists_its_stages() {
+    let dataset = skewed_dataset();
+    let scratch = Scratch::new("failfast-open");
+
+    // A fault rate high enough that the run aborts inside its first 64-stage
+    // group, which no append has written yet: only the runner's flush of the
+    // open group on an engine failure makes those stages durable.
+    let error = QueryRunner::new(&dataset)
+        .stop(StopCondition::FrameBudget(2_000))
+        .seed(7)
+        .fault_plan(FaultPlan::new(5).permanent_rate(0.05))
+        .checkpoint(&scratch.0)
+        .run(MethodKind::ExSample(ExSampleConfig::default()))
+        .expect_err("the fault plan aborts the run");
+    assert!(
+        matches!(error, SimError::Engine(EngineError::DetectorFailed { .. })),
+        "expected the engine's DetectorFailed, got {error:?}"
+    );
+
+    let (store, report) = BeliefStore::open_dir(&scratch.0).expect("store reopens");
+    let sealed = report.last_committed_stage.map_or(0, |s| s + 1);
+    assert!(
+        (2..64).contains(&sealed),
+        "vacuous: {sealed} sealed stages should lie inside the first group"
+    );
+    assert_eq!(
+        store.state(),
+        &state_after(&dataset, sealed, "failfast-open-ref")
+    );
 }
 
 #[test]
