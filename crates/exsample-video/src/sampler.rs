@@ -412,6 +412,39 @@ mod tests {
         assert!(s.next_frame(&mut rng).is_none());
     }
 
+    /// FNV-1a over `random+`'s full draw sequence for every length `0..400`
+    /// and four larger ones, eight seeds each (three for the 2^20-frame range,
+    /// which dominates the test's run time): every offset, the `None` at
+    /// exhaustion, and one RNG word drawn after the sampler stops (so a
+    /// change in how many RNG calls a sampler makes shows even when its
+    /// offsets do not).  Pins the draw order bit for bit across rewrites of
+    /// the sampler's bookkeeping.
+    #[test]
+    fn random_plus_draw_sequence_is_pinned() {
+        const GOLDEN: u64 = 0xcc23_51ff_f29f_5b59;
+        fn fold(digest: u64, value: u64) -> u64 {
+            value.to_le_bytes().into_iter().fold(digest, |d, byte| {
+                (d ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let lens = (0..400u64).chain([1_000, 4_097, 30_000, 1 << 20]);
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for len in lens {
+            let seeds: u64 = if len > 100_000 { 3 } else { 8 };
+            for seed in 0..seeds {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9) ^ len);
+                let mut s = RandomPlusSampler::new(len);
+                digest = fold(digest, len);
+                while let Some(f) = s.next_frame(&mut rng) {
+                    digest = fold(digest, f);
+                }
+                digest = fold(digest, u64::MAX);
+                digest = fold(digest, rng.gen::<u64>());
+            }
+        }
+        assert_eq!(digest, GOLDEN, "random+ draw sequence: {digest:#018x}");
+    }
+
     #[test]
     fn samplers_report_progress() {
         let mut rng = StdRng::seed_from_u64(89);
