@@ -105,10 +105,12 @@ impl WithinSampler {
 ///   within-chunk samplers;
 /// * reusable scratch buffers for batched selection.
 ///
-/// Together with the belief cache in [`ChunkStatsSet`], this makes
-/// [`ExSample::next_frame`] and [`ExSample::next_batch_into`] perform no heap
-/// allocation after the first batched call (within-chunk samplers amortise
-/// their own bookkeeping growth).
+/// Together with the belief cache in [`ChunkStatsSet`], this makes chunk
+/// selection in [`ExSample::next_frame`] and [`ExSample::next_batch_into`]
+/// allocation-free after the first batched call.  What allocates is the
+/// within-chunk samplers' own state, and only as it grows: `random+` reuses
+/// its round buffers and enlarges them by doubling, the uniform sampler's
+/// sparse map grows with its draws.
 #[derive(Debug, Clone)]
 pub struct ExSample {
     config: ExSampleConfig,

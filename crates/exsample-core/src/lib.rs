@@ -53,9 +53,12 @@
 //!   mask, eligible-chunk count and total remaining-frame count incrementally
 //!   (updated the moment a chunk's last frame is handed out), hands selection
 //!   the facts it would otherwise scan the mask for, and keeps reusable scratch
-//!   buffers for batched selection.  `next_frame`, `next_batch_into` and
-//!   `remaining_frames` perform zero heap allocations after warm-up — a
-//!   counting-allocator test pins the policy layer to exactly zero.  Batched
+//!   buffers for batched selection.  Selection and `remaining_frames`
+//!   perform zero heap allocations after warm-up, and a counting-allocator
+//!   test pins the policy layer to exactly zero.  The whole pick loop
+//!   allocates only when a within-chunk sampler's state grows: with the
+//!   default `random+`, whose round buffers are reused, the same test holds
+//!   it under one allocation per fifty picks.  Batched
 //!   selection makes a *single pass* maintaining `batch` running arg-maxes
 //!   instead of `batch` full scans.
 //! * **Pruned arg-max.**  A chunk's draw is `d·v³·exp(−E/shape)/rate` with the

@@ -1,12 +1,13 @@
-//! Proof that the chunk-selection hot path performs zero heap allocations.
+//! Proof that the chunk-selection hot path performs no heap allocations in
+//! steady state.
 //!
-//! Uses a counting wrapper around the system allocator: after warm-up, a burst
-//! of `next_frame` picks (with `Uniform` within-chunk sampling, whose sparse
-//! Fisher–Yates state only grows its hash map occasionally) and a burst of
-//! `next_batch_into` calls must allocate nothing at all in the selection layer.
-//! The test pins the *selection* functions (`select_chunk` /
-//! `select_batch_into`) to exactly zero allocations, and the full pick loop to
-//! the rare amortised within-chunk-sampler growth only.
+//! Uses a counting wrapper around the system allocator.  The selection
+//! functions (`select_chunk` / `select_batch_into`) are pinned to exactly zero
+//! allocations.  The full pick loop (`next_frame` and `next_batch_into`) is
+//! pinned after warm-up for both within-chunk samplers: under `Uniform`, whose
+//! sparse Fisher–Yates maps keep growing, to fewer than one allocation per two
+//! picks; under the default `random+`, whose round buffers are reused and grow
+//! only by doubling as its rounds grow, to fewer than one per fifty.
 
 use exsample_core::{policy, ExSample, ExSampleConfig, WithinChunkSampling};
 use rand::rngs::StdRng;
@@ -95,6 +96,53 @@ fn selection_is_allocation_free_after_warmup() {
     assert!(
         batch_allocs < batched_taken / 2,
         "expected only amortised within-chunk allocations, got {batch_allocs} for {batched_taken} picks"
+    );
+}
+
+#[test]
+fn random_plus_pick_loop_is_allocation_free_after_warmup() {
+    let _guard = SERIAL.lock().unwrap();
+    // Default config: `random+` inside every chunk.  Warm-up runs 512 picks
+    // per chunk on average, so the samplers have grown their round buffers
+    // through about nine rounds; later rounds need more room only at doublings.
+    let mut sampler = ExSample::new(ExSampleConfig::default(), &[100_000u64; 512]);
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut picks = Vec::with_capacity(64);
+    for _ in 0..512 {
+        sampler.next_batch_into(&mut rng, 512, &mut picks);
+        for (j, p) in picks.iter().enumerate() {
+            sampler.record(p.chunk, i64::from(j % 7 == 0));
+        }
+    }
+
+    // Before its round buffers were reused, `random+` allocated a fresh round
+    // vector per round and two `taken` vectors per split: on this test, 794
+    // allocations in the single burst and 13,553 in the batched one.
+    let before = allocations();
+    let picks_taken = 2_000;
+    for _ in 0..picks_taken {
+        let pick = sampler.next_frame(&mut rng).expect("frames remain");
+        sampler.record(pick.chunk, 0);
+    }
+    let single_allocs = allocations() - before;
+    assert!(
+        single_allocs < picks_taken / 50,
+        "random+ single picks: {single_allocs} allocations for {picks_taken} picks"
+    );
+
+    let before = allocations();
+    let mut batched_taken = 0usize;
+    for _ in 0..200 {
+        sampler.next_batch_into(&mut rng, 64, &mut picks);
+        batched_taken += picks.len();
+        for p in &picks {
+            sampler.record(p.chunk, 0);
+        }
+    }
+    let batch_allocs = allocations() - before;
+    assert!(
+        batch_allocs < batched_taken / 50,
+        "random+ batched picks: {batch_allocs} allocations for {batched_taken} picks"
     );
 }
 

@@ -137,25 +137,38 @@ impl FrameSampler for UniformSampler {
 /// half for the next round.  Early samples are therefore spread out across the
 /// whole range (one per segment) instead of clustering the way independent uniform
 /// draws can, while the eventual ordering still covers every frame exactly once.
+///
+/// All per-round state lives in four buffers the sampler owns and reuses: the
+/// two segment queues and two arenas of taken offsets.  Once they have grown to
+/// a round's size, drawing allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RandomPlusSampler {
     progress: WithoutReplacement,
     /// Segments remaining to be visited in the current round, in randomised order.
     current_round: Vec<Segment>,
-    /// Segments queued for the next round.
+    /// Segments queued for the next round, each with this round's draw.
     next_round: Vec<Segment>,
+    /// Every live segment's offsets from earlier rounds, one contiguous run each.
+    taken: Vec<u64>,
+    /// Where [`Self::advance_round`] lays out the next round's runs before it
+    /// swaps them into `taken`.
+    spare_taken: Vec<u64>,
 }
 
-/// A contiguous sub-range together with the offsets already sampled from it.
-#[derive(Debug, Clone)]
+/// A contiguous sub-range and where its already-sampled offsets are.
+///
+/// A segment is visited once per round and split each round, so its run of
+/// taken offsets stays short (at most the number of rounds, i.e. `log2(len)`).
+#[derive(Debug, Clone, Copy)]
 struct Segment {
     start: u64,
     end: u64,
-    /// Offsets (absolute, within `0..len`) already drawn from this segment.
-    ///
-    /// A segment is visited once per round and split each round, so this list stays
-    /// short (its length is bounded by the number of rounds, i.e. `log2(len)`).
-    taken: Vec<u64>,
+    /// The segment's run in the sampler's `taken` arena: offsets (absolute,
+    /// within `0..len`) drawn from it in earlier rounds.
+    taken_at: usize,
+    taken_len: usize,
+    /// The offset drawn from the segment this round, once it has been visited.
+    drawn: u64,
 }
 
 impl Segment {
@@ -163,50 +176,31 @@ impl Segment {
         self.end - self.start
     }
 
-    fn available(&self) -> u64 {
-        self.len() - self.taken.len() as u64
+    /// The segment's run of earlier rounds' offsets in the `taken` arena.
+    fn taken<'a>(&self, arena: &'a [u64]) -> &'a [u64] {
+        &arena[self.taken_at..self.taken_at + self.taken_len]
     }
 
-    /// Draw one untaken offset uniformly from this segment.
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        debug_assert!(self.available() > 0);
+    /// Untaken offsets left after this round's draw.
+    fn available_after_draw(&self) -> u64 {
+        self.len() - self.taken_len as u64 - 1
+    }
+
+    /// Draw one untaken offset uniformly from this segment and record it as
+    /// this round's draw.
+    fn draw<R: Rng + ?Sized>(&mut self, arena: &[u64], rng: &mut R) -> u64 {
+        debug_assert!(self.len() > self.taken_len as u64);
+        let taken = self.taken(arena);
         // Rejection sampling is fine: at most log2(len) offsets are ever taken from
         // a segment, so the acceptance probability stays close to one except for
         // tiny (few-frame) segments, where the loop still terminates quickly.
         loop {
             let candidate = rng.gen_range(self.start..self.end);
-            if !self.taken.contains(&candidate) {
-                self.taken.push(candidate);
+            if !taken.contains(&candidate) {
+                self.drawn = candidate;
                 return candidate;
             }
         }
-    }
-
-    /// Split the segment into halves, partitioning the taken offsets accordingly.
-    fn split(self) -> (Option<Segment>, Option<Segment>) {
-        if self.len() <= 1 {
-            // A single-frame segment cannot be split; it survives as-is if untaken.
-            return if self.available() > 0 {
-                (Some(self), None)
-            } else {
-                (None, None)
-            };
-        }
-        let mid = self.start + self.len() / 2;
-        let (left_taken, right_taken): (Vec<u64>, Vec<u64>) =
-            self.taken.iter().partition(|&&o| o < mid);
-        let left = Segment {
-            start: self.start,
-            end: mid,
-            taken: left_taken,
-        };
-        let right = Segment {
-            start: mid,
-            end: self.end,
-            taken: right_taken,
-        };
-        let keep = |s: Segment| if s.available() > 0 { Some(s) } else { None };
-        (keep(left), keep(right))
     }
 }
 
@@ -217,7 +211,9 @@ impl RandomPlusSampler {
             vec![Segment {
                 start: 0,
                 end: len,
-                taken: Vec::new(),
+                taken_at: 0,
+                taken_len: 0,
+                drawn: 0,
             }]
         } else {
             Vec::new()
@@ -226,30 +222,52 @@ impl RandomPlusSampler {
             progress: WithoutReplacement::new(len),
             current_round,
             next_round: Vec::new(),
+            taken: Vec::new(),
+            spare_taken: Vec::new(),
         }
     }
 
-    /// Advance to the next round: split every pending segment and shuffle the order
-    /// in which the new segments will be visited.
+    /// Advance to the next round: split every pending segment in half and shuffle
+    /// the order in which the halves that still hold untaken frames are visited.
+    ///
+    /// A half's run is the stable filter of its parent's run and this round's
+    /// draw; the runs are laid out in `spare_taken`, which then becomes `taken`.
     fn advance_round<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         debug_assert!(self.current_round.is_empty());
-        let pending = std::mem::take(&mut self.next_round);
-        let mut fresh = Vec::with_capacity(pending.len() * 2);
-        for segment in pending {
-            let (a, b) = segment.split();
-            if let Some(a) = a {
-                fresh.push(a);
-            }
-            if let Some(b) = b {
-                fresh.push(b);
+        self.spare_taken.clear();
+        for parent in &self.next_round {
+            // A segment that outlives its draw has at least two frames.
+            debug_assert!(parent.len() > 1);
+            let run = parent.taken(&self.taken);
+            let mid = parent.start + parent.len() / 2;
+            for (start, end) in [(parent.start, mid), (mid, parent.end)] {
+                let taken_at = self.spare_taken.len();
+                let inside = |o: &u64| (start..end).contains(o);
+                self.spare_taken.extend(run.iter().filter(|o| inside(o)));
+                if inside(&parent.drawn) {
+                    self.spare_taken.push(parent.drawn);
+                }
+                let child = Segment {
+                    start,
+                    end,
+                    taken_at,
+                    taken_len: self.spare_taken.len() - taken_at,
+                    drawn: 0,
+                };
+                if child.len() > child.taken_len as u64 {
+                    self.current_round.push(child);
+                } else {
+                    self.spare_taken.truncate(taken_at);
+                }
             }
         }
+        self.next_round.clear();
+        std::mem::swap(&mut self.taken, &mut self.spare_taken);
         // Visit segments in random order within the round (Fisher–Yates).
-        for i in (1..fresh.len()).rev() {
+        for i in (1..self.current_round.len()).rev() {
             let j = rng.gen_range(0..=i);
-            fresh.swap(i, j);
+            self.current_round.swap(i, j);
         }
-        self.current_round = fresh;
     }
 }
 
@@ -268,16 +286,10 @@ impl FrameSampler for RandomPlusSampler {
         }
         if self.current_round.is_empty() {
             self.advance_round(rng);
-            if self.current_round.is_empty() {
-                return None;
-            }
         }
-        let mut segment = self
-            .current_round
-            .pop()
-            .expect("current round checked non-empty above");
-        let offset = segment.draw(rng);
-        if segment.available() > 0 {
+        let mut segment = self.current_round.pop()?;
+        let offset = segment.draw(&self.taken, rng);
+        if segment.available_after_draw() > 0 {
             self.next_round.push(segment);
         }
         self.progress.note_drawn();
