@@ -72,12 +72,14 @@
 //!   after other queries stop.  A prototype that rebalanced the live
 //!   queries over the lanes every stage was no faster and raised
 //!   `bdd1k_multi`'s `peak_rss_mib` by 8–22 %.  glibc keeps one malloc
-//!   arena per thread, and a pick allocates (a chunk's `random+` sampler
-//!   grows its segment lists): a query that picks on both threads grows
-//!   buffers in one arena and frees them into the other, and both keep the
-//!   space (`MALLOC_ARENA_MAX=1` takes the rise away).  The fixed lane
-//!   still moves a query's picks when its helper's batch is reclaimed or
-//!   its lane is the only busy one, and `peak_rss_mib` rises by 5–9 %.  Moving them less cost more: against the pool before pooled
+//!   arena per thread, and a pick then allocated (a chunk's `random+`
+//!   sampler built new segment lists every round): a query that picked on
+//!   both threads grew buffers in one arena and freed them into the other,
+//!   and both kept the space (`MALLOC_ARENA_MAX=1` took the rise away).
+//!   `random+` now reuses its round buffers, so a warmed-up pick allocates
+//!   only when one of them doubles, and the 5–9 % rise the fixed lane still
+//!   showed is gone; rebalancing has not been measured since.  Moving
+//!   picks less cost more: against the pool before pooled
 //!   PICK on a busy host, never reclaiming a batch nor inlining a lone
 //!   busy lane read `wall_s` 0.903 and `peak_rss_mib` 1.031 where this
 //!   module read 0.870 and 1.073 (seeds 51–56, `--seconds 5`), and lost
