@@ -27,8 +27,8 @@
 //! The binaries print the regenerated table/figure data to stdout.
 //!
 //! The paper's experiments vary only the sampler, the data and the recall
-//! target, so the engine's knobs (DETECT lanes, the detections cache,
-//! retries, injected faults) are not flags: every engine-driven binary runs
+//! target, so the engine's knobs (DETECT lanes, the detections cache) and
+//! injected detector faults are not flags: every engine-driven binary runs
 //! `QueryEngine::new()`, and a library caller sets a knob on the engine's
 //! own builder.
 

@@ -29,17 +29,17 @@ use std::sync::Arc;
 /// A typed detection failure from the fallible [`Detector::try_detect_batch`]
 /// entry point.
 ///
-/// Real inference backends fail in two qualitatively different ways, and the
-/// retry machinery upstream needs to tell them apart:
+/// Real inference backends fail in two qualitatively different ways:
 ///
 /// * [`DetectError::Transient`] — the *call* failed (a timeout, an exhausted
 ///   queue, a dropped connection).  Retrying the same frame may succeed.
 /// * [`DetectError::Permanent`] — the *frame* fails (corrupt input, an
-///   unservable request).  Every retry will fail the same way; callers should
-///   give up on the frame immediately.
+///   unservable request).  Every retry will fail the same way.
 ///
 /// Both variants name the offending frame so engines can attribute the
-/// failure, retry at frame granularity, and report degraded runs precisely.
+/// failure at frame granularity and report it precisely.  The execution
+/// engine treats both alike: a frame that fails its one per-frame try after
+/// a failed batch probe fails the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectError {
     /// A transient failure: retrying the same frame may succeed.
@@ -128,7 +128,7 @@ pub trait Detector: Send + Sync {
     /// A real inference backend can fail — a timeout, a lost connection, a
     /// corrupt frame — and a panic is the wrong vocabulary for that.  This
     /// method surfaces such failures as typed [`DetectError`]s so engines can
-    /// retry, drop the frame, or fail the run.  The default
+    /// tell which frame failed, and how.  The default
     /// implementation wraps the infallible [`Detector::detect_batch`] path and
     /// never fails, so existing detectors keep working unchanged.
     ///

@@ -24,10 +24,11 @@
 //!
 //! * **transient** — a frame drawn with probability `transient_rate` fails its
 //!   first `transient_attempts` attempts with [`DetectError::Transient`], then
-//!   succeeds.  This is the shape retry machinery exists for.
+//!   succeeds.  At one attempt, the execution engine's per-frame try after a
+//!   failed batch probe recovers it; at more, it fails the run.
 //! * **permanent** — a frame drawn with probability `permanent_rate` fails
-//!   *every* attempt with [`DetectError::Permanent`].  Retrying is futile;
-//!   drop-frame and fail-fast handling exist for this shape.
+//!   *every* attempt with [`DetectError::Permanent`], so it always fails the
+//!   run that reaches it.
 
 use crate::class::ObjectClass;
 use crate::detection::FrameDetections;
@@ -83,10 +84,10 @@ impl FaultPlan {
 
     /// How many leading attempts a transient frame fails before recovering.
     ///
-    /// Defaults to 2.  Engines typically spend one batch-level attempt probing
-    /// a lane before falling back to single-frame recovery, so a value of 2
-    /// means "the batch probe and the first single-frame attempt fail; the
-    /// first *retry* succeeds" — the schedule that exercises retry machinery.
+    /// Defaults to 2.  The execution engine spends one batch-level attempt
+    /// probing a batch and, if it fails, one single-frame attempt per frame:
+    /// at 1 the single-frame attempt recovers the frame, at 2 or more the
+    /// frame fails the run.
     pub fn transient_attempts(mut self, attempts: u32) -> Self {
         assert!(attempts > 0, "a transient fault must fail at least once");
         self.transient_attempts = attempts;

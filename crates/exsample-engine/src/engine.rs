@@ -69,7 +69,7 @@ use crate::error::EngineError;
 use crate::merge::{BatchStats, ShardedReport};
 use crate::policy::SamplingPolicy;
 use crate::runtime::{PickBatch, PickJob, WorkerPool};
-use crate::shard::{self, DetectPolicy, Lanes, ShardRouter, ShardView, Slice};
+use crate::shard::{self, Lanes, ShardRouter, ShardView, Slice};
 use exsample_core::SelectionTelemetry;
 use exsample_detect::{Detector, FrameDetections, InstanceId};
 use exsample_track::{Discriminator, MatchOutcome, OracleDiscriminator};
@@ -90,10 +90,10 @@ use std::collections::HashSet;
 /// only its own query's policy and RNG stream, a slice's outcome is a pure
 /// function of its frames and detectors, and grouping, probing, scattering,
 /// committing and FAN-OUT stay on the calling thread in canonical order, so
-/// **every logical result — reports, pick sequences, cache state, fault
-/// tallies — is bitwise-identical between the two modes** for any thread
-/// count; only the physical invocation count grows, by at most `lanes − 1`
-/// per stage.  The determinism suite pins this for threads {1, 2, 4}.
+/// **every logical result — reports, pick sequences, cache state, the
+/// detector failure reported — is bitwise-identical between the two
+/// modes** for any thread count; only the physical invocation count grows,
+/// by at most `lanes − 1` per stage.  The determinism suite pins this for threads {1, 2, 4}.
 ///
 /// A policy or detector panic on any lane of a parallel run, the calling
 /// thread's included, ends the run with [`EngineError::WorkerPanicked`]
@@ -132,75 +132,6 @@ pub enum StopReason {
     FrameBudgetExhausted,
     /// The query's policy ran out of frames to produce.
     RepositoryExhausted,
-}
-
-/// How (and whether) the engine retries a frame whose detect attempt failed.
-///
-/// Off by default (`RetryPolicy::default()`: one recovery attempt per frame,
-/// no backoff): a run with retries disabled is
-/// pick-for-pick identical to the pre-fault-tolerance engine.  When enabled,
-/// a frame that fails with a transient
-/// [`DetectError`](exsample_detect::DetectError) is retried up to the
-/// attempt budget; permanent errors are never retried.  Each retry is charged
-/// a *deterministic* backoff cost — the `k`-th retry of a frame costs
-/// `backoff_cost * 2^(k-1)` cost units — accounted as stage cost
-/// ([`StageStats::backoff_cost`]) instead of wall-clock sleeping, so retrying
-/// runs stay bitwise-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    max_attempts: u32,
-    backoff_cost: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-impl RetryPolicy {
-    /// No retries (the default): a frame gets exactly one recovery attempt
-    /// after a failed batch probe, and a transient fault that persists past
-    /// it fails the frame.
-    pub(crate) fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_cost: 0,
-        }
-    }
-
-    /// Retry each failing frame until it has been attempted `max_attempts`
-    /// times (batch probes excluded), with no backoff cost.
-    ///
-    /// # Panics
-    /// Panics if `max_attempts` is zero.
-    pub fn new(max_attempts: u32) -> Self {
-        assert!(max_attempts >= 1, "retry policy needs at least one attempt");
-        RetryPolicy {
-            max_attempts,
-            backoff_cost: 0,
-        }
-    }
-
-    /// Charge this many cost units for a frame's first retry (doubling per
-    /// further retry — deterministic exponential backoff).
-    pub fn backoff_cost(mut self, cost: u64) -> Self {
-        self.backoff_cost = cost;
-        self
-    }
-}
-
-/// What the engine does when a frame's detect attempts are exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailureMode {
-    /// Abort the run with a typed [`EngineError::DetectorFailed`] carrying
-    /// the detector class, frame and attempt count (the default).
-    #[default]
-    FailFast,
-    /// Degrade: exclude failed frames from fan-out (no query observes them,
-    /// they are never cached) and tally them in the reports
-    /// ([`EngineReport::failed_frames`], [`QueryReport::dropped_frames`]).
-    DropFrames,
 }
 
 /// One point of a recall trajectory: after `frames` detector invocations paid
@@ -306,15 +237,6 @@ pub struct StageStats {
     /// needed any detection this stage, regardless of how many lanes the
     /// group's frames were cut across.
     pub detector_calls: u64,
-    /// Per-frame retry attempts issued this stage (0 on fault-free stages).
-    pub retries: u64,
-    /// Frames whose detect attempts were exhausted this stage (degraded
-    /// failure modes only; fail-fast aborts instead of counting).
-    pub failed_frames: u64,
-    /// Deterministic backoff cost charged for this stage's retries (see
-    /// [`RetryPolicy::backoff_cost`]) — cost-accounting hooks should bill it
-    /// alongside `detector_frames`.
-    pub backoff_cost: u64,
     /// Physical batch-size statistics of this stage's detector invocations
     /// (count / frames / min / mean / max).  Unlike every other field, this
     /// is a *physical* tally: it depends on the lane count (a detector group
@@ -350,9 +272,6 @@ pub struct QueryReport {
     pub trajectory: Vec<TrajectoryPoint>,
     /// Frames the policy had to scan upfront (proxy-style policies only).
     pub upfront_scan_frames: u64,
-    /// Picks of this query dropped from fan-out because their detection
-    /// failed (degraded failure modes only; always 0 under fail-fast).
-    pub dropped_frames: u64,
     /// Chunk-selection telemetry reported by the query's policy (class-max vs
     /// per-chunk picks and dedup savings; ExSample only, `None` for policies
     /// without a chunk-selection step).
@@ -380,13 +299,6 @@ pub struct EngineReport {
     /// [`StageStats::detector_calls`]; the physical count lives in
     /// [`ShardedReport::physical_detector_calls`]).
     pub detector_calls: u64,
-    /// Total per-frame retry attempts issued by the run (0 when fault-free).
-    pub detect_retries: u64,
-    /// Total frames whose detect attempts were exhausted (degraded failure
-    /// modes only).
-    pub failed_frames: u64,
-    /// Total deterministic backoff cost charged for retries.
-    pub backoff_cost: u64,
     /// Total cross-stage cache activity (all zeros when the cache is off).
     pub cache: CacheActivity,
 }
@@ -413,8 +325,6 @@ struct QueryState<'a> {
     found_true: HashSet<InstanceId>,
     trajectory: Vec<TrajectoryPoint>,
     stop: Option<StopReason>,
-    /// Picks dropped from fan-out because their detection failed.
-    dropped_frames: u64,
 }
 
 impl QueryState<'_> {
@@ -469,7 +379,6 @@ impl QueryState<'_> {
             found_instances,
             trajectory: self.trajectory.clone(),
             upfront_scan_frames: self.policy.upfront_scan_frames(),
-            dropped_frames: self.dropped_frames,
             selection: self.policy.selection_telemetry(),
             stop_reason: self.stop,
         }
@@ -500,8 +409,6 @@ impl SamplingPolicy for Lent {
 /// One observed frame's durable facts, collected during a stage's fan-out
 /// for the engine's [`StageSink`] (when one is installed).
 ///
-/// Dropped frames produce no observation: a frame the failure policy dropped
-/// never updated a policy's beliefs, so there is nothing to persist.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageObservation {
     /// Query registration index the observation belongs to.
@@ -600,15 +507,7 @@ pub struct QueryEngine<'a> {
     pooled_dispatches: u64,
     /// Optional cross-stage frame→detections cache (off by default).
     cache: Option<DetectionCache>,
-    /// Retry policy for failed detect attempts (off by default).
-    retry: RetryPolicy,
-    /// What happens when a frame's attempts are exhausted (fail-fast by
-    /// default).
-    failure: FailureMode,
-    /// Run totals of the fault telemetry (see [`EngineReport`]).
-    detect_retries: u64,
-    failed_frames: u64,
-    backoff_total: u64,
+    /// Run total of the cache activity (see [`EngineReport::cache`]).
     cache_total: CacheActivity,
     /// Registry of distinct detectors seen, in first-seen order.  Membership
     /// is by *fat* pointer (`std::ptr::eq` on `&dyn Detector` compares data
@@ -647,11 +546,6 @@ impl<'a> QueryEngine<'a> {
             pool: None,
             pooled_dispatches: 0,
             cache: None,
-            retry: RetryPolicy::none(),
-            failure: FailureMode::FailFast,
-            detect_retries: 0,
-            failed_frames: 0,
-            backoff_total: 0,
             cache_total: CacheActivity::default(),
             detector_slots: Vec::new(),
             stages: 0,
@@ -728,30 +622,6 @@ impl<'a> QueryEngine<'a> {
         self.cache.as_ref().map(DetectionCache::stats)
     }
 
-    /// Set the retry policy for failed detect attempts (default:
-    /// `RetryPolicy::default()`, no retries).  With retries off, a fault-free run is
-    /// pick-for-pick identical to the pre-fault-tolerance engine.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Choose what happens when a frame's detect attempts are exhausted
-    /// (default: [`FailureMode::FailFast`]).
-    pub fn failure_mode(mut self, failure: FailureMode) -> Self {
-        self.failure = failure;
-        self
-    }
-
-    /// The flattened fault-handling policy every slice of this engine carries.
-    fn detect_policy(&self) -> DetectPolicy {
-        DetectPolicy {
-            max_attempts: self.retry.max_attempts,
-            backoff_cost: self.retry.backoff_cost,
-            fail_fast: matches!(self.failure, FailureMode::FailFast),
-        }
-    }
-
     /// Register a query; returns its index (reports come back in this order).
     ///
     /// # Errors
@@ -774,7 +644,6 @@ impl<'a> QueryEngine<'a> {
             found_true: HashSet::new(),
             trajectory: Vec::new(),
             stop: None,
-            dropped_frames: 0,
         });
         Ok(self.queries.len() - 1)
     }
@@ -929,17 +798,14 @@ impl<'a> QueryEngine<'a> {
         self.lanes
             .probe(&stage.slots, self.cache.as_mut(), &mut self.view);
         if self.pool.is_none() && stage.detectors.len() == 1 {
-            let (detector, slot, policy) =
-                (stage.detectors[0], stage.slots[0], self.detect_policy());
-            self.lanes
-                .detect_in_place(&mut self.view, detector, slot, policy);
+            let (detector, slot) = (stage.detectors[0], stage.slots[0]);
+            self.lanes.detect_in_place(&mut self.view, detector, slot);
             return Ok(());
         }
         shard::gather_slices(
             &self.lanes,
             &stage.detectors,
             self.pool.as_ref().map_or(1, WorkerPool::lanes),
-            self.detect_policy(),
             &mut self.slices,
         );
         match self.pool.as_mut() {
@@ -966,16 +832,16 @@ impl<'a> QueryEngine<'a> {
     /// configuration.
     ///
     /// # Errors
-    /// Returns [`EngineError::DetectorFailed`] if a detector exhausted a
-    /// frame's attempts under [`FailureMode::FailFast`] (the stage is
-    /// abandoned before its cache commit and fan-out, so no result of the
-    /// doomed stage is ever published), and
+    /// Returns [`EngineError::DetectorFailed`] if a frame failed its batch
+    /// probe and its per-frame try (the stage is abandoned before its cache
+    /// commit and fan-out, so no result of the doomed stage is ever
+    /// published), and
     /// [`EngineError::CheckpointFailed`] if the stage sink refused the
     /// stage.  Reports and cost accounting are unspecified after either.
     fn settle(&mut self, stage: &Stage<'a>) -> Result<StageStats, EngineError> {
-        // Fail-fast scan: under `FailureMode::FailFast` the scatter stopped at
-        // the stage's first exhausted frame (in canonical order) and parked
-        // it on the lanes; it aborts the stage *before* the cache commit.
+        // Fail-fast scan: the scatter stopped at the stage's first failed
+        // frame (in canonical order) and parked it on the lanes; it aborts
+        // the stage *before* the cache commit.
         if let Some(failure) = self.lanes.fatal.take() {
             let class = self.detector_slots[failure.slot as usize]
                 .class()
@@ -983,7 +849,8 @@ impl<'a> QueryEngine<'a> {
             return Err(EngineError::DetectorFailed {
                 class,
                 frame: failure.frame,
-                attempts: failure.attempts,
+                // The batch probe and the one per-frame try.
+                attempts: 2,
                 source: failure.error,
             });
         }
@@ -1016,26 +883,17 @@ impl<'a> QueryEngine<'a> {
             }
             let q = &mut self.queries[i];
             for &frame in &stage.picks[i] {
-                // A pick with no result was dropped by the failure policy
-                // (every terminal failure under `FailFast` aborted the stage
-                // above): the query simply never observes the frame, and the
-                // degradation is tallied instead.
-                match self.lanes.result(group, frame) {
-                    Some(detections) => {
-                        let new_hits = Self::observe_frame(
-                            q,
-                            i,
-                            frame,
-                            detections,
-                            collect,
-                            &mut observations,
-                        );
-                        self.view.observed(i, frame, new_hits);
-                    }
-                    None => {
-                        q.dropped_frames += 1;
-                        self.view.dropped(i, frame);
-                    }
+                // Every pick has a result: a frame that failed aborted the
+                // stage above.
+                let detections = self.lanes.result(group, frame);
+                debug_assert!(
+                    detections.is_some(),
+                    "pick {frame} of query {i} reached FAN-OUT without a result"
+                );
+                if let Some(detections) = detections {
+                    let new_hits =
+                        Self::observe_frame(q, i, frame, detections, collect, &mut observations);
+                    self.view.observed(i, frame, new_hits);
                 }
             }
         }
@@ -1046,9 +904,6 @@ impl<'a> QueryEngine<'a> {
             demanded_frames: stage.demanded,
             detector_frames,
             detector_calls,
-            retries: self.lanes.retries,
-            failed_frames: self.lanes.failed,
-            backoff_cost: self.lanes.backoff,
             batches: self.lanes.batches,
             cache: self.lanes.cache,
         };
@@ -1062,9 +917,6 @@ impl<'a> QueryEngine<'a> {
         self.demanded_frames += stage.demanded;
         self.detector_frames += detector_frames;
         self.detector_calls += detector_calls;
-        self.detect_retries += stats.retries;
-        self.failed_frames += stats.failed_frames;
-        self.backoff_total += stats.backoff_cost;
         self.cache_total.absorb(stats.cache);
         Ok(stats)
     }
@@ -1154,8 +1006,8 @@ impl<'a> QueryEngine<'a> {
     /// # Errors
     /// Returns [`EngineError::NoQueries`] if no query was registered,
     /// [`EngineError::WorkerPanicked`] if a policy or detector panicked on a
-    /// lane of a parallel run, [`EngineError::DetectorFailed`] if a detector
-    /// exhausted a frame's attempts under [`FailureMode::FailFast`], and
+    /// lane of a parallel run, [`EngineError::DetectorFailed`] if a frame
+    /// failed its batch probe and its per-frame try, and
     /// [`EngineError::CheckpointFailed`] if the stage sink refused a stage
     /// (the run stops at the offending stage).
     pub fn run_with<F: FnMut(&StageStats)>(
@@ -1217,9 +1069,6 @@ impl<'a> QueryEngine<'a> {
             demanded_frames: self.demanded_frames,
             detector_frames: self.detector_frames,
             detector_calls: self.detector_calls,
-            detect_retries: self.detect_retries,
-            failed_frames: self.failed_frames,
-            backoff_cost: self.backoff_total,
             cache: self.cache_total,
         }
     }

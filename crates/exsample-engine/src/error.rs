@@ -69,12 +69,11 @@ pub enum EngineError {
         /// The rejected thread count.
         threads: usize,
     },
-    /// A detector's fallible detect path failed and the engine is running in
-    /// fail-fast mode (the default [`crate::FailureMode::FailFast`]).
+    /// A frame failed its batch probe and then its one per-frame try — the
+    /// engine's only failure rule.
     ///
-    /// The retry policy (if any) was exhausted before this error was raised:
-    /// `attempts` counts every attempt made on the frame during the stage,
-    /// including the failed batch probe.  The underlying
+    /// `attempts` counts every attempt made on the frame during the stage:
+    /// the failed batch probe and the per-frame try.  The underlying
     /// [`DetectError`] is preserved and surfaced through
     /// [`std::error::Error::source`].  The run stops at the offending stage;
     /// the engine's reports and cost accounting are unspecified after this
@@ -84,7 +83,7 @@ pub enum EngineError {
         class: String,
         /// The frame whose detection could not be completed.
         frame: FrameId,
-        /// Total attempts made on the frame this stage (batch probe included).
+        /// Attempts made on the frame this stage (batch probe included).
         attempts: u32,
         /// The final error returned by the detector.
         source: DetectError,

@@ -109,31 +109,26 @@
 //! [`QueryEngine::sharded`] takes a [`ShardRouter`] built from an
 //! `exsample-video` `ShardSpec` and decides one thing: how
 //! [`QueryEngine::report_sharded`] groups the run's tallies.  Each tally —
-//! frames detected, hits, drops, retries, failures, cache activity — is
-//! added, where it is recorded, to the shard owning the frame it was paid
-//! for, and each physical call to the shard owning its batch's first frame;
-//! the [`merge`] module's [`ShardedReport`] publishes them next to the
-//! global [`EngineReport`].  Nothing executes per shard, so the global report
-//! is the same for any router and the per-shard reports partition it
-//! (pinned for shards {1, 3, 7} × both partitioners under faults, a cache
-//! and two lanes by the determinism suite).
+//! frames detected, hits, cache activity — is added, where it is recorded,
+//! to the shard owning the frame it was paid for, and each physical call to
+//! the shard owning its batch's first frame; the [`merge`] module's
+//! [`ShardedReport`] publishes them next to the global [`EngineReport`].
+//! Nothing executes per shard, so the global report is the same for any
+//! router and the per-shard reports partition it
+//! (pinned for shards {1, 3, 7} × both partitioners under recovered faults,
+//! a cache and two lanes by the determinism suite).
 //!
 //! ## Failure model
 //!
 //! Detectors can *fail*, not just panic: the engine drives the fallible
-//! `Detector::try_detect_batch` entry point and reacts per its configured
-//! [`RetryPolicy`] and [`FailureMode`].  Retries are off by default (a
-//! fault-free run is pick-for-pick and bitwise identical to the
-//! pre-fault-tolerance engine); when enabled, each failed frame is retried
-//! individually up to the attempt budget with deterministic exponential
-//! backoff charged as *stage cost units* — never wall-clock sleeps — so
-//! degraded runs stay reproducible.  Terminal failures are then handled per
-//! [`FailureMode`]: fail fast with a typed
-//! [`error::EngineError::DetectorFailed`] (the default), or drop the frame
-//! and tally the degradation ([`QueryReport::dropped_frames`]).  Failed
-//! frames are never committed to the detection cache, and fault telemetry
-//! (retries, backoff cost, failed/dropped frames) flows through the reports
-//! with the same bitwise-determinism guarantee as every other tally.
+//! `Detector::try_detect_batch` entry point, and has one rule.  A failed
+//! batch probe tries each of its frames once on its own; the first frame, in
+//! canonical order, that fails that try aborts the run with a typed
+//! [`error::EngineError::DetectorFailed`] before the stage's cache commit
+//! and fan-out.  Nothing about it can be configured.  The per-frame try is
+//! a pure function of the detector and the frame, so the reported failure
+//! is the same for any lane count and shard router, and a fault-free run
+//! pays for none of it.
 //!
 //! ## Batching
 //!
@@ -188,8 +183,8 @@ pub mod shard;
 
 pub use cache::CacheActivity;
 pub use engine::{
-    EngineReport, ExecutionMode, FailureMode, QueryEngine, QueryReport, QuerySpec, RetryPolicy,
-    StageObservation, StageSink, StageStats, StopReason, TrajectoryPoint,
+    EngineReport, ExecutionMode, QueryEngine, QueryReport, QuerySpec, StageObservation, StageSink,
+    StageStats, StopReason, TrajectoryPoint,
 };
 pub use error::EngineError;
 pub use exsample_core::SelectionTelemetry;

@@ -6,14 +6,14 @@
 //! tallies as one [`ShardReport`] per shard next to the engine's own global
 //! [`EngineReport`].  The global report is the run's report — the same for
 //! any router, because no router changes what executes — and the per-shard
-//! reports partition it: per-query frames, hits and drops, detected frames,
-//! retries, backoff, failures and cache activity each sum over the shards to
-//! the global figure.  `detector_calls` stays *logical* in the global report
-//! (one per detector group per stage); the physical invocation count — equal
-//! to it for a fault-free serial run, larger where a group was cut at a lane
-//! boundary or a failed batch recovered per frame — is the sum over the
-//! shards, [`ShardedReport::physical_detector_calls`], each call attributed to
-//! the shard owning its batch's first frame.
+//! reports partition it: per-query frames and hits, detected frames and
+//! cache activity each sum over the shards to the global figure.
+//! `detector_calls` stays *logical* in the global report (one per detector
+//! group per stage); the physical invocation count — equal to it for a
+//! fault-free serial run, larger where a group was cut at a lane boundary or
+//! a failed batch probe tried its frames one by one — is the sum over the
+//! shards, [`ShardedReport::physical_detector_calls`], each call attributed
+//! to the shard owning its batch's first frame.
 
 use crate::cache::CacheActivity;
 use crate::engine::EngineReport;
@@ -107,10 +107,6 @@ pub struct ShardQueryTally {
     pub frames: u64,
     /// Ground-truth instances first found on this shard's frames.
     pub hits: u64,
-    /// Picked frames of this query that this shard dropped after their
-    /// detection failed terminally (only under
-    /// [`crate::FailureMode::DropFrames`]).
-    pub dropped: u64,
 }
 
 /// One detector's invocation tallies on one shard.
@@ -123,11 +119,8 @@ pub struct DetectorInvocations {
     /// Frames successfully run through this detector on this shard.
     pub frames: u64,
     /// Physical detect invocations attributed to this shard (batch probes
-    /// whose first frame it owns, plus its frames' recovery attempts).
+    /// whose first frame it owns, plus its frames' per-frame tries).
     pub calls: u64,
-    /// Frames whose detection by this detector failed terminally on this
-    /// shard (retry budget exhausted or permanent error).
-    pub failures: u64,
 }
 
 /// Everything attributed to one shard over a run.
@@ -139,15 +132,8 @@ pub struct ShardReport {
     /// post-cache).
     pub detector_frames: u64,
     /// Physical `detect_batch` invocations attributed to this shard: batch
-    /// probes whose first frame it owns, plus its frames' recovery tries.
+    /// probes whose first frame it owns, plus its frames' per-frame tries.
     pub detector_calls: u64,
-    /// Detect attempts retried on this shard's frames after a transient
-    /// failure.
-    pub retries: u64,
-    /// Deterministic backoff cost units charged for this shard's retries.
-    pub backoff_cost: u64,
-    /// Frames of this shard whose detection failed terminally.
-    pub failed_frames: u64,
     /// Batch-size statistics over the physical invocations attributed to this
     /// shard (`batches.count == detector_calls`).  A batch may carry other
     /// shards' frames, so `batches.frames` is *not* constrained to this
@@ -237,9 +223,6 @@ mod tests {
             demanded_frames: 16,
             detector_frames: 14,
             detector_calls: 3,
-            detect_retries: 0,
-            failed_frames: 0,
-            backoff_cost: 0,
             cache: CacheActivity::default(),
         };
         let merged =

@@ -500,9 +500,7 @@ fn helper_loop(lane: &Lane<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{
-        gather_slices, scatter_slices, DetectPolicy, Lanes, ShardRouter, ShardView,
-    };
+    use crate::shard::{gather_slices, scatter_slices, Lanes, ShardRouter, ShardView};
     use exsample_detect::{Detector, FrameDetections, ObjectClass};
     use exsample_video::FrameId;
 
@@ -547,7 +545,7 @@ mod tests {
             lanes.push_frames(group, frames);
         }
         lanes.probe(&slots, None, view);
-        gather_slices(lanes, detectors, count, DetectPolicy::infallible(), slices);
+        gather_slices(lanes, detectors, count, slices);
     }
 
     #[test]

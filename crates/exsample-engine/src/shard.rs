@@ -26,11 +26,12 @@
 //!    skewed the picks;
 //! 3. `Slice::run` (any thread — the slices travel to the persistent per-run
 //!    pool of [`crate::runtime`], carrying frames and detector references
-//!    only) — one batched detector invocation per batch, with per-frame
-//!    recovery of a failed one;
+//!    only) — one batched detector invocation per batch; a failed one tries
+//!    each of its frames once on its own, and the first frame that fails
+//!    that try aborts the stage;
 //! 4. `scatter_slices` (coordinator) — apply the outcomes to the lanes and
-//!    the tallies in the same canonical order, stopping at the first
-//!    exhausted frame under fail-fast;
+//!    the tallies in the same canonical order, stopping at the first failed
+//!    frame;
 //! 5. `Lanes::commit` (coordinator) — sort every recorded hit and fresh
 //!    result into canonical `(slot, frame)` order, then apply all touches
 //!    followed by all inserts to the cache.  The order depends only on
@@ -57,42 +58,17 @@ use exsample_detect::{DetectError, Detector, FrameDetections};
 use exsample_video::{Chunking, FrameId, ShardSpec};
 use std::sync::Arc;
 
-/// How DETECT handles detector failures — the engine's
-/// [`crate::RetryPolicy`] and [`crate::FailureMode`] flattened into the
-/// `Copy` form every [`Slice`] carries.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DetectPolicy {
-    /// Per-frame attempt budget (batch probe excluded); `1` means no retries.
-    pub max_attempts: u32,
-    /// Cost units charged for the `k`-th retry of a frame:
-    /// `backoff_cost * 2^(k-1)` (deterministic exponential backoff).
-    pub backoff_cost: u64,
-    /// Whether an exhausted frame aborts the stage (fail-fast) instead of
-    /// being dropped from fan-out and tallied.
-    pub fail_fast: bool,
-}
-
-impl DetectPolicy {
-    /// Backoff cost of the `retry`-th retry (1-based) of one frame.
-    #[inline]
-    fn retry_cost(&self, retry: u32) -> u64 {
-        self.backoff_cost
-            .saturating_mul(1u64 << u64::from(retry - 1).min(62))
-    }
-}
-
-/// A fatal detect failure under fail-fast, parked on the [`Lanes`]:
-/// [`scatter_slices`] stops at the first one in canonical order and the
-/// engine surfaces it as [`EngineError::DetectorFailed`].
+/// A frame that failed its batch probe and its one per-frame try, parked on
+/// the [`Lanes`]: [`scatter_slices`] stops at the first one in canonical
+/// order and the engine aborts the stage with
+/// [`EngineError::DetectorFailed`].
 #[derive(Debug)]
 pub(crate) struct DetectFailure {
     /// Registry slot of the failing detector.
     pub slot: DetectorSlot,
-    /// The frame whose attempts were exhausted.
+    /// The frame that failed.
     pub frame: FrameId,
-    /// Total attempts on the frame this stage, batch probe included.
-    pub attempts: u32,
-    /// The final error the detector returned.
+    /// The error its per-frame try returned.
     pub error: DetectError,
 }
 
@@ -237,18 +213,6 @@ impl ShardView {
         detector_entry(tally, slot).frames += 1;
     }
 
-    fn recovered(&mut self, frame: FrameId, retries: u64, backoff: u64) {
-        let tally = self.of(frame);
-        tally.retries += retries;
-        tally.backoff_cost += backoff;
-    }
-
-    fn failed(&mut self, slot: DetectorSlot, frame: FrameId) {
-        let tally = self.of(frame);
-        tally.failed_frames += 1;
-        detector_entry(tally, slot).failures += 1;
-    }
-
     fn probed(&mut self, frame: FrameId, hit: bool) {
         let cache = &mut self.of(frame).cache;
         if hit {
@@ -271,12 +235,6 @@ impl ShardView {
         tally.hits += new_hits;
     }
 
-    /// One pick of query `query` dropped from fan-out because its detection
-    /// failed (degraded failure modes).
-    pub(crate) fn dropped(&mut self, query: usize, frame: FrameId) {
-        query_entry(self.of(frame), query).dropped += 1;
-    }
-
     /// The per-shard reports of a run over `queries` registered queries:
     /// per-query tallies padded to the query count, per-detector tallies of
     /// the detectors this shard paid for, labelled by `class(slot)`.
@@ -290,9 +248,7 @@ impl ShardView {
             .map(|tally| {
                 let mut report = tally.clone();
                 report.per_query.resize(queries, Default::default());
-                report
-                    .per_detector
-                    .retain(|d| d.frames > 0 || d.calls > 0 || d.failures > 0);
+                report.per_detector.retain(|d| d.frames > 0 || d.calls > 0);
                 for detector in &mut report.per_detector {
                     detector.class = class(detector.detector as usize);
                 }
@@ -381,19 +337,13 @@ pub(crate) struct Lanes {
     live: usize,
     /// Frames detected for each logical group this stage.
     pub detected: Vec<u64>,
-    /// This stage's frames *failed* after exhausting their retries.
-    pub failed: u64,
-    /// This stage's per-frame retry attempts.
-    pub retries: u64,
-    /// This stage's backoff cost units.
-    pub backoff: u64,
     /// This stage's physical batch-size statistics.
     pub batches: BatchStats,
     /// This stage's cache activity: probe hits/misses plus the
     /// evictions its commit triggered.
     pub cache: CacheActivity,
-    /// The stage's fatal failure under fail-fast; the engine aborts the
-    /// stage on finding one.
+    /// The stage's first failed frame; the engine aborts the stage on
+    /// finding one.
     pub fatal: Option<DetectFailure>,
     /// [`Lanes::detect_in_place`]'s batch output, reused across stages.
     batch_out: Vec<FrameDetections>,
@@ -415,9 +365,6 @@ impl Lanes {
         self.live = groups;
         self.detected.clear();
         self.detected.resize(groups, 0);
-        self.failed = 0;
-        self.retries = 0;
-        self.backoff = 0;
         self.batches = BatchStats::default();
         self.cache = CacheActivity::default();
         self.fatal = None;
@@ -502,41 +449,21 @@ impl Lanes {
         self.lanes[group].results[at] = Some(Held::Owned(detections));
     }
 
-    /// Take one frame's [`FrameRecovery`] after a failed batch probe: its
-    /// per-frame tries are physical calls, every try but the first is a
-    /// retry charged its deterministic backoff cost, a recovered frame lands
-    /// in the group's lane results, and an exhausted one gains no result —
-    /// so it can never be committed to the cache or fanned out — and, under
-    /// fail-fast, is parked in [`Lanes::fatal`].
+    /// Take one frame's per-frame try after a failed batch probe: the try is
+    /// a physical call, a recovered frame lands in the group's lane results,
+    /// and a failed one gains no result — so it can never be committed to
+    /// the cache or fanned out — and is parked in [`Lanes::fatal`].
     fn absorb_recovery(
         &mut self,
         view: &mut ShardView,
         (group, slot, at): (usize, DetectorSlot, usize),
         frame: FrameId,
-        recovery: FrameRecovery,
-        policy: DetectPolicy,
+        recovery: Result<FrameDetections, DetectError>,
     ) {
-        let tries = u64::from(recovery.tries);
-        let backoff: u64 = (1..recovery.tries).map(|k| policy.retry_cost(k)).sum();
-        self.record_call(view, slot, frame, 1, tries);
-        self.retries += tries - 1;
-        self.backoff += backoff;
-        view.recovered(frame, tries - 1, backoff);
-        match recovery.outcome {
+        self.record_call(view, slot, frame, 1, 1);
+        match recovery {
             Ok(detections) => self.absorb_detection(view, (group, slot, at), frame, detections),
-            Err(error) => {
-                self.failed += 1;
-                view.failed(slot, frame);
-                if policy.fail_fast {
-                    self.fatal = Some(DetectFailure {
-                        slot,
-                        frame,
-                        // Batch probe + per-frame tries.
-                        attempts: recovery.tries + 1,
-                        error,
-                    });
-                }
-            }
+            Err(error) => self.fatal = Some(DetectFailure { slot, frame, error }),
         }
     }
 
@@ -549,7 +476,6 @@ impl Lanes {
         view: &mut ShardView,
         detector: &dyn Detector,
         slot: DetectorSlot,
-        policy: DetectPolicy,
     ) {
         let misses = std::mem::take(&mut self.lanes[0].misses);
         let miss_at = std::mem::take(&mut self.lanes[0].miss_at);
@@ -567,8 +493,8 @@ impl Lanes {
             } else {
                 out.clear();
                 for (&frame, &at) in frames {
-                    let recovery = recover_frame(detector, frame, policy);
-                    self.absorb_recovery(view, (0, slot, at), frame, recovery, policy);
+                    let recovery = recover_frame(detector, frame);
+                    self.absorb_recovery(view, (0, slot, at), frame, recovery);
                     if self.fatal.is_some() {
                         break;
                     }
@@ -588,9 +514,10 @@ impl Lanes {
     /// eviction, depends only on the set of frames probed and detected this
     /// stage, never on which thread ran which slice.
     ///
-    /// Cache hygiene under faults: a frame whose detect attempts failed has
-    /// no result, so a failed attempt can never be committed — only frames
-    /// with an actual result reach the LRU, and each exactly once per stage.
+    /// Cache hygiene under faults: a stage with a failed frame aborts before
+    /// its commit, and a frame recovered by its per-frame try has one result
+    /// — so only frames with an actual result reach the LRU, and each
+    /// exactly once per stage.
     pub(crate) fn commit(
         &mut self,
         detector_slots: &[DetectorSlot],
@@ -607,8 +534,8 @@ impl Lanes {
         let mut inserts: Vec<(Key, Arc<FrameDetections>)> = Vec::new();
         for (lane, &slot) in live.iter_mut().zip(detector_slots) {
             for (&frame, &at) in lane.misses.iter().zip(&lane.miss_at) {
-                // A frame without a result exhausted its attempts (or a
-                // fail-fast stage stopped before reaching it).
+                // A miss without a result failed its per-frame try (the
+                // engine aborts such a stage before its commit).
                 if let Some(held) = lane.results[at].as_mut() {
                     inserts.push(((slot, frame), held.share()));
                 }
@@ -646,47 +573,25 @@ impl Lanes {
     }
 }
 
-/// One frame's per-frame recovery after the batch probe carrying it failed.
-pub(crate) struct FrameRecovery {
-    /// Per-frame tries issued (the batch probe excluded; at least one).
-    tries: u32,
-    /// The frame's detections, or the error its last try returned.
-    outcome: Result<FrameDetections, DetectError>,
-}
-
-/// Per-frame recovery of one frame after a failed batch probe — the one
-/// retry loop of [`Slice::run`] and [`Lanes::detect_in_place`], and a pure
-/// function of `(detector, frame, policy)`.  The frame is attempted
-/// individually up to `policy.max_attempts` times; a permanent error stops
-/// retrying immediately, and so does an `Ok` that does not carry exactly one
-/// detection set: it becomes a [`DetectError::Permanent`] naming the frame.
-/// Because the frame's attempt history is always one batch probe plus its own
-/// per-frame tries, the record — and every tally [`Lanes::absorb_recovery`]
-/// derives from it — is identical however the failed batch was composed: the
-/// engine's fault determinism guarantee.
-fn recover_frame(detector: &dyn Detector, frame: FrameId, policy: DetectPolicy) -> FrameRecovery {
-    let max_attempts = policy.max_attempts.max(1);
+/// The one per-frame try of a frame whose batch probe failed — shared by
+/// [`Slice::run`] and [`Lanes::detect_in_place`], and a pure function of
+/// `(detector, frame)`.  It identifies which frames of a failed batch
+/// actually fail: an error, or an `Ok` that does not carry exactly one
+/// detection set (a [`DetectError::Permanent`] naming the frame), fails the
+/// frame and so aborts the stage.  Because the frame's attempt history is
+/// always one batch probe plus this one try, the outcome — and the failure
+/// the engine reports — is identical however the failed batch was composed:
+/// the engine's fault determinism guarantee.
+fn recover_frame(detector: &dyn Detector, frame: FrameId) -> Result<FrameDetections, DetectError> {
     let mut buf = Vec::with_capacity(1);
-    let mut tries = 0u32;
-    let outcome = loop {
-        tries += 1;
-        buf.clear();
-        match detector.try_detect_batch(std::slice::from_ref(&frame), &mut buf) {
-            Ok(()) if buf.len() == 1 => break Ok(buf.remove(0)),
-            Ok(()) => {
-                break Err(DetectError::Permanent {
-                    frame,
-                    message: format!("answered {} detection sets for one frame", buf.len()),
-                })
-            }
-            Err(err) => {
-                if !err.is_transient() || tries >= max_attempts {
-                    break Err(err);
-                }
-            }
-        }
-    };
-    FrameRecovery { tries, outcome }
+    detector.try_detect_batch(std::slice::from_ref(&frame), &mut buf)?;
+    match buf.len() {
+        1 => Ok(buf.remove(0)),
+        answered => Err(DetectError::Permanent {
+            frame,
+            message: format!("answered {answered} detection sets for one frame"),
+        }),
+    }
 }
 
 /// One physical batched invocation of a [`Slice`]: `len` consecutive frames
@@ -703,9 +608,8 @@ enum BatchOutcome {
     /// fault-free path.
     Detected(Vec<FrameDetections>),
     /// The batch probe failed somewhere: every frame went through
-    /// [`recover_frame`].  Under fail-fast the list ends at the first
-    /// exhausted frame.
-    Recovered(Vec<FrameRecovery>),
+    /// [`recover_frame`], and the list ends at the first frame that failed.
+    Recovered(Vec<Result<FrameDetections, DetectError>>),
 }
 
 /// The unit of DETECT work: one lane's contiguous span of a stage's gathered
@@ -717,9 +621,8 @@ pub(crate) struct Slice<'a> {
     frames: Vec<FrameId>,
     batches: Vec<Batch<'a>>,
     /// One outcome per batch run, in batch order (shorter than `batches`
-    /// only when a fail-fast failure stopped the run).
+    /// only when a failed frame stopped the run).
     outcomes: Vec<BatchOutcome>,
-    policy: DetectPolicy,
 }
 
 impl Slice<'_> {
@@ -728,8 +631,8 @@ impl Slice<'_> {
     /// identical in cost and behaviour to the pre-fault-tolerance engine —
     /// and, when that probe errs or answers a frame count other than the
     /// batch's, [`recover_frame`] for each of the batch's frames in order.
-    /// Under fail-fast the run stops at the first exhausted frame: nothing
-    /// after it in canonical order will be applied.
+    /// The run stops at the first frame that fails: nothing after it in
+    /// canonical order will be applied.
     pub(crate) fn run(&mut self) {
         let mut start = 0;
         for batch in &self.batches {
@@ -745,8 +648,8 @@ impl Slice<'_> {
             let mut recoveries = Vec::with_capacity(frames.len());
             let mut fatal = false;
             for &frame in frames {
-                let recovery = recover_frame(batch.detector, frame, self.policy);
-                fatal = self.policy.fail_fast && recovery.outcome.is_err();
+                let recovery = recover_frame(batch.detector, frame);
+                fatal = recovery.is_err();
                 recoveries.push(recovery);
                 if fatal {
                     break;
@@ -774,7 +677,6 @@ pub(crate) fn gather_slices<'a>(
     demand: &Lanes,
     detectors: &[&'a dyn Detector],
     lanes: usize,
-    policy: DetectPolicy,
     slices: &mut Vec<Slice<'a>>,
 ) {
     let groups = &demand.lanes[..detectors.len()];
@@ -785,13 +687,11 @@ pub(crate) fn gather_slices<'a>(
         frames: Vec::new(),
         batches: Vec::new(),
         outcomes: Vec::new(),
-        policy,
     });
     for slice in slices.iter_mut() {
         slice.frames.clear();
         slice.batches.clear();
         slice.outcomes.clear();
-        slice.policy = policy;
     }
     if spans == 0 {
         return;
@@ -825,15 +725,14 @@ pub(crate) fn gather_slices<'a>(
 
 /// Apply the run slices' outcomes to the lanes, in the canonical order
 /// [`gather_slices`] laid the frames out in.  Results land in their group's
-/// lane, logical tallies (detected frames, per-group counts,
-/// retry/backoff/failure telemetry) on the stage and on the shard owning
-/// each frame — so they are identical for any lane count — and each
+/// lane, logical tallies (detected frames, per-group counts) on the stage
+/// and on the shard owning each frame — so they are identical for any lane count — and each
 /// *physical* batch probe (with its batch statistics) on the shard owning the
 /// batch's first frame, so per-shard call counts stay well-defined and
 /// `batches.count` keeps tracking `detector_calls` everywhere.
 ///
-/// Under fail-fast the pass stops at the first exhausted frame in canonical
-/// order, parked as [`Lanes::fatal`]: whatever lanes ran beyond it is
+/// The pass stops at the first failed frame in canonical order, parked as
+/// [`Lanes::fatal`]: whatever lanes ran beyond it is
 /// discarded, which makes the reported failure independent of the lane
 /// count, and the engine abandons the stage before any commit.
 pub(crate) fn scatter_slices(
@@ -846,7 +745,6 @@ pub(crate) fn scatter_slices(
     // the `k`-th frame the slices hold for a group is its lane's `k`-th miss.
     let (mut group_now, mut next_miss) = (usize::MAX, 0);
     for slice in slices.iter_mut() {
-        let policy = slice.policy;
         let mut start = 0;
         for (batch, outcome) in slice.batches.iter().zip(slice.outcomes.drain(..)) {
             let group = batch.group;
@@ -869,7 +767,7 @@ pub(crate) fn scatter_slices(
                 }
                 BatchOutcome::Recovered(recoveries) => {
                     for (i, (&frame, recovery)) in frames.iter().zip(recoveries).enumerate() {
-                        lanes.absorb_recovery(view, place(lanes, i), frame, recovery, policy);
+                        lanes.absorb_recovery(view, place(lanes, i), frame, recovery);
                         if lanes.fatal.is_some() {
                             return;
                         }
@@ -993,11 +891,10 @@ mod tests {
         view: &mut ShardView,
         detectors: &[&dyn Detector],
         slots: &[DetectorSlot],
-        policy: DetectPolicy,
         count: usize,
     ) -> Vec<usize> {
         let mut slices = Vec::new();
-        gather_slices(lanes, detectors, count, policy, &mut slices);
+        gather_slices(lanes, detectors, count, &mut slices);
         slices.iter_mut().for_each(Slice::run);
         let sizes = slices.iter().map(|slice| slice.frames.len()).collect();
         scatter_slices(lanes, view, slots, &mut slices);
@@ -1011,12 +908,11 @@ mod tests {
         view: &mut ShardView,
         detectors: &[&dyn Detector],
         slots: &[DetectorSlot],
-        policy: DetectPolicy,
     ) {
         if let ([detector], [slot]) = (detectors, slots) {
-            lanes.detect_in_place(view, *detector, *slot, policy);
+            lanes.detect_in_place(view, *detector, *slot);
         } else {
-            detect_stage(lanes, view, detectors, slots, policy, 1);
+            detect_stage(lanes, view, detectors, slots, 1);
         }
     }
 
@@ -1029,58 +925,52 @@ mod tests {
 
     #[test]
     fn failed_frames_are_never_cached_and_a_recovered_retry_commits_once() {
-        // Frame 5 fails its first two attempts (batch probe + first per-frame
-        // try), frame 9 fails permanently, frame 1 is healthy.
-        let detector = FlakyDetector::new(vec![(5, 2)], vec![9]);
+        // Frame 5 fails its batch probe only, frames 1 and 9 are healthy:
+        // the failed probe tries each frame once on its own, and all three
+        // recover.
+        let detector = FlakyDetector::new(vec![(5, 1)], Vec::new());
         let mut cache = DetectionCache::new(8);
         let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&mut cache));
-        let policy = DetectPolicy {
-            max_attempts: 3,
-            backoff_cost: 4,
-            fail_fast: false,
-        };
-        detect(&mut lanes, &mut view, &[&detector], &[0], policy);
+        detect(&mut lanes, &mut view, &[&detector], &[0]);
+        assert!(lanes.fatal.is_none());
+        for frame in [1, 5, 9] {
+            assert!(resolved(&lanes, 0, frame));
+            assert_eq!(detector.attempts_on(frame), 2, "probe + one try");
+        }
+        assert_eq!(lanes.detected_frames(), 3);
+        // The probe and the three per-frame tries are physical calls.
+        assert_eq!(lanes.batches.count, 4);
+        assert_eq!(view.shards[0].detector_calls, 4);
 
-        // Frame 5 recovered on its retry; frame 9 exhausted its attempts.
-        assert!(resolved(&lanes, 0, 1));
-        assert!(resolved(&lanes, 0, 5));
-        assert!(!resolved(&lanes, 0, 9));
-        assert_eq!(lanes.detected_frames(), 2);
-        assert_eq!(lanes.failed, 1);
-        assert_eq!(lanes.retries, 1, "frame 5 needed one retry");
-        assert_eq!(lanes.backoff, 4, "first retry costs backoff_cost * 1");
-        assert_eq!(view.shards[0].failed_frames, 1);
-        assert_eq!(view.shards[0].per_detector[0].failures, 1);
-        // Permanent errors stop retrying immediately: probe + one per-frame
-        // try, despite the 3-attempt budget.
-        assert_eq!(detector.attempts_on(9), 2);
-
-        // Cache hygiene: the failed frame is never committed; the recovered
-        // one is committed exactly once.
+        // Cache hygiene: the recovered frame is committed exactly once.
         lanes.commit(&[0], &mut cache, &mut view);
-        assert!(
-            cache.probe((0, 9)).is_none(),
-            "failed frame must not be cached"
-        );
         let held = cache.probe((0, 5)).expect("recovered frame is cached");
         // Cache entry + lane result + our handle.
         assert_eq!(Arc::strong_count(&held), 3);
         // Releasing the lane leaves exactly one committed handle (plus ours):
-        // the retry committed once, not once per attempt.
+        // the per-frame try committed once, not once per attempt.
         lanes.begin_stage(1);
         assert_eq!(Arc::strong_count(&held), 2);
-        assert_eq!(cache.stats().len, 2);
+        assert_eq!(cache.stats().len, 3);
 
-        // A follow-up stage over the same frames re-detects only frame 9.
+        // A follow-up stage over the same frames is answered by the cache.
         let calls_before = detector.calls.load(Ordering::SeqCst);
         let (mut lanes, mut view) = stage(&[1, 5, 9], Some(&mut cache));
-        detect(&mut lanes, &mut view, &[&detector], &[0], policy);
+        detect(&mut lanes, &mut view, &[&detector], &[0]);
+        assert_eq!(detector.calls.load(Ordering::SeqCst), calls_before);
+        assert_eq!(lanes.detected_frames(), 0);
+
+        // A frame that fails its per-frame try gains no result, so even a
+        // commit of its stage could not cache it.
+        let detector = FlakyDetector::new(Vec::new(), vec![11]);
+        let (mut lanes, mut view) = stage(&[11], Some(&mut cache));
+        detect(&mut lanes, &mut view, &[&detector], &[0]);
+        assert!(lanes.fatal.is_some());
+        lanes.commit(&[0], &mut cache, &mut view);
         assert!(
-            detector.calls.load(Ordering::SeqCst) > calls_before,
-            "frame 9 still misses the cache"
+            cache.probe((0, 11)).is_none(),
+            "failed frame must not be cached"
         );
-        assert_eq!(lanes.detected_frames(), 0, "only frame 9 was missed");
-        assert_eq!(lanes.failed, 1);
     }
 
     #[test]
@@ -1102,14 +992,7 @@ mod tests {
         lanes.push_frames(1, &[7, 9]);
         let slots = [1, 0];
         lanes.probe(&slots, Some(&mut cache), &mut view);
-        let policy = DetectPolicy::infallible();
-        detect(
-            &mut lanes,
-            &mut view,
-            &[&detector, &detector],
-            &slots,
-            policy,
-        );
+        detect(&mut lanes, &mut view, &[&detector, &detector], &slots);
         lanes.commit(&slots, &mut cache, &mut view);
         assert_eq!(lanes.cache.evictions, 1);
         assert!(cache.probe((0, 7)).is_none(), "the LRU hit is evicted");
@@ -1122,17 +1005,15 @@ mod tests {
         let detector = FlakyDetector::new(Vec::new(), vec![9]);
         let mut cache = DetectionCache::new(8);
         let (mut lanes, mut view) = stage(&[2, 9, 14], Some(&mut cache));
-        detect(
-            &mut lanes,
-            &mut view,
-            &[&detector],
-            &[0],
-            DetectPolicy::infallible(),
-        );
+        detect(&mut lanes, &mut view, &[&detector], &[0]);
         let fatal = lanes.fatal.as_ref().expect("fail-fast records the failure");
         assert_eq!(fatal.frame, 9);
         assert_eq!(fatal.slot, 0);
-        assert_eq!(fatal.attempts, 2, "batch probe + one per-frame try");
+        assert_eq!(
+            detector.attempts_on(9),
+            2,
+            "batch probe + one per-frame try"
+        );
         assert!(!fatal.error.is_transient());
         // The lane stopped at the failure: frame 14 was never attempted
         // per-frame (only the probe charged it) and nothing after the
@@ -1145,19 +1026,16 @@ mod tests {
 
     #[test]
     fn retries_off_fails_transient_frames_without_retrying() {
+        // Frame 5 fails its probe and its per-frame try: there is no third
+        // attempt, so the transient fault fails the stage.
         let detector = FlakyDetector::new(vec![(5, 2)], Vec::new());
         let (mut lanes, mut view) = stage(&[5], None);
-        let policy = DetectPolicy {
-            max_attempts: 1,
-            backoff_cost: 10,
-            fail_fast: false,
-        };
-        detect(&mut lanes, &mut view, &[&detector], &[0], policy);
+        detect(&mut lanes, &mut view, &[&detector], &[0]);
         assert!(!resolved(&lanes, 0, 5));
-        assert_eq!(lanes.failed, 1);
-        assert_eq!(lanes.retries, 0, "no retry budget, no retries");
-        assert_eq!(lanes.backoff, 0);
-        // Probe + the single allowed per-frame try.
+        let fatal = lanes.fatal.as_ref().expect("the stage fails");
+        assert_eq!(fatal.frame, 5);
+        assert!(fatal.error.is_transient());
+        // Probe + the single per-frame try.
         assert_eq!(detector.attempts_on(5), 2);
     }
 
@@ -1181,14 +1059,7 @@ mod tests {
             lanes.begin_stage(1);
             lanes.push_frames(0, &frames);
             lanes.probe(&[0], None, &mut view);
-            let sizes = detect_stage(
-                &mut lanes,
-                &mut view,
-                &[&detector],
-                &[0],
-                DetectPolicy::infallible(),
-                count,
-            );
+            let sizes = detect_stage(&mut lanes, &mut view, &[&detector], &[0], count);
             assert_eq!(sizes, expected, "{count} lanes");
             // One group, so one batch per slice, all attributed to the shard
             // owning the frames; nothing was lost or detected twice.
@@ -1203,14 +1074,7 @@ mod tests {
         // No demand, no slice: nothing is ever handed an empty batch.
         let (mut idle, mut view) = stage(&[], None);
         let calls = detector.calls.load(Ordering::SeqCst);
-        let sizes = detect_stage(
-            &mut idle,
-            &mut view,
-            &[&detector],
-            &[0],
-            DetectPolicy::infallible(),
-            4,
-        );
+        let sizes = detect_stage(&mut idle, &mut view, &[&detector], &[0], 4);
         assert!(sizes.is_empty());
         assert_eq!(detector.calls.load(Ordering::SeqCst), calls);
     }
@@ -1233,14 +1097,7 @@ mod tests {
             lanes.push_frames(group, &frames);
         }
         lanes.probe(&[0, 1, 2], None, &mut view);
-        let sizes = detect_stage(
-            &mut lanes,
-            &mut view,
-            &refs,
-            &[0, 1, 2],
-            DetectPolicy::infallible(),
-            3,
-        );
+        let sizes = detect_stage(&mut lanes, &mut view, &refs, &[0, 1, 2], 3);
         assert_eq!(sizes, vec![4, 4, 3]);
         let calls: Vec<u64> = detectors
             .iter()
@@ -1253,39 +1110,28 @@ mod tests {
 
     #[test]
     fn slice_composition_never_changes_fault_tallies() {
-        // Frame 5 fails its probe and its first per-frame try, frame 9 fails
-        // permanently, the rest are healthy: however the ten frames are cut
-        // over lanes (and so whichever healthy frames share a failed batch),
-        // every logical tally is the same.  Only the physical call count
-        // moves.
+        // Frames 5 and 7 fail their batch probe only, the rest are healthy:
+        // however the ten frames are cut over lanes (and so whichever
+        // healthy frames share a failed batch), every logical tally is the
+        // same.  Only the physical call count moves.
         let frames: Vec<FrameId> = (0..10).collect();
-        let policy = DetectPolicy {
-            max_attempts: 3,
-            backoff_cost: 4,
-            fail_fast: false,
-        };
         let run = |count: usize| {
-            let detector = FlakyDetector::new(vec![(5, 2)], vec![9]);
+            let detector = FlakyDetector::new(vec![(5, 1), (7, 1)], Vec::new());
             let (mut lanes, mut view) = stage(&frames, None);
-            detect_stage(&mut lanes, &mut view, &[&detector], &[0], policy, count);
+            detect_stage(&mut lanes, &mut view, &[&detector], &[0], count);
+            assert!(lanes.fatal.is_none(), "{count} lanes");
             let resolved: Vec<bool> = frames
                 .iter()
                 .map(|&frame| resolved(&lanes, 0, frame))
                 .collect();
             (
                 lanes.detected_frames(),
-                lanes.failed,
-                lanes.retries,
-                lanes.backoff,
                 resolved,
+                view.shards[0].per_detector[0].frames,
             )
         };
         let serial = run(1);
-        assert_eq!(
-            (serial.0, serial.1, serial.2, serial.3),
-            (9, 1, 1, 4),
-            "frame 5 recovers on its one retry, frame 9 is dropped"
-        );
+        assert_eq!(serial, (10, vec![true; 10], 10), "every fault recovers");
         for count in [2usize, 3, 5, 10] {
             assert_eq!(run(count), serial, "{count} lanes");
         }
@@ -1300,23 +1146,16 @@ mod tests {
         for count in [1usize, 2, 3, 5] {
             let detector = FlakyDetector::new(Vec::new(), vec![9, 11]);
             let (mut lanes, mut view) = stage(&frames, None);
-            detect_stage(
-                &mut lanes,
-                &mut view,
-                &[&detector],
-                &[0],
-                DetectPolicy::infallible(),
-                count,
-            );
+            detect_stage(&mut lanes, &mut view, &[&detector], &[0], count);
             let fatal = lanes.fatal.as_ref().expect("fail-fast parks it");
-            assert_eq!((fatal.frame, fatal.attempts), (9, 2), "{count} lanes");
+            assert_eq!(fatal.frame, 9, "{count} lanes");
+            assert_eq!(detector.attempts_on(9), 2, "{count} lanes");
             for before in [2u64, 4] {
                 assert!(resolved(&lanes, 0, before), "{count} lanes");
             }
             for after in [11u64, 16] {
                 assert!(!resolved(&lanes, 0, after), "{count} lanes");
             }
-            assert_eq!(lanes.failed, 1, "{count} lanes");
         }
     }
 
@@ -1372,16 +1211,5 @@ mod tests {
         let router = ShardRouter::new(&chunking, &spec).unwrap();
         assert_eq!(router.shard_of(99), 0);
         let _ = router.shard_of(100);
-    }
-
-    impl DetectPolicy {
-        /// The pre-fault-tolerance behaviour: no retries, first failure is fatal.
-        pub(crate) fn infallible() -> Self {
-            DetectPolicy {
-                max_attempts: 1,
-                backoff_cost: 0,
-                fail_fast: true,
-            }
-        }
     }
 }

@@ -1,31 +1,26 @@
-//! Fault-tolerance guarantees of the engine, pinned end to end:
+//! Fault-tolerance guarantees of the engine, pinned end to end.  The engine
+//! has one failure rule: a failed batch probe tries each of its frames once
+//! on its own, and a frame that fails that try aborts the stage with
+//! [`EngineError::DetectorFailed`].
 //!
-//! 1. **fault-free identity** — with retries enabled but no faults scheduled,
-//!    a run is bitwise-identical to the pre-fault-tolerance engine (raw
-//!    detector, no retry policy): retries stay opt-in and free;
-//! 2. **fault determinism matrix** — for a fixed seed and [`FaultPlan`],
-//!    degraded runs under [`FailureMode::DropFrames`] are bitwise-identical —
-//!    reports, logical breakdowns, retry/backoff/failure/drop tallies —
-//!    across threads {1, 2, 4}: a failed batch recovers per frame, so it
-//!    never matters which frames shared it;
-//! 3. **fail-fast** — the default [`FailureMode::FailFast`] surfaces the
-//!    first terminal failure (in gather order) as a typed
-//!    [`EngineError::DetectorFailed`] with full context and a chained source,
-//!    identically across thread counts and shard routers — a one-batch stage
-//!    detected in place and one cut over lanes share one per-frame retry loop
-//!    and walk the lane in the same order;
-//! 4. **cache hygiene** — failed frames are never committed to the detection
-//!    cache (a warm re-query re-attempts and re-drops exactly them), while
-//!    frames recovered by a retry are committed exactly once (a warm re-query
-//!    triggers zero further retries); and
-//! 5. **cache determinism under faults** — with the detections cache
-//!    enabled and small enough to evict, degraded runs keep every tally
-//!    (including the cache's own hit/miss/eviction accounting) bitwise-
-//!    identical across thread counts; and
-//! 6. **exact retry budget** — a frame whose transient fault outlasts the
-//!    budget is tried exactly `max_attempts` times after its batch probe,
-//!    and the retry, failure and drop tallies count exactly that; and
-//! 7. **miscounted answers fail** — an `Ok` that does not carry one detection
+//! 1. **fault-free identity** — a fault-injecting wrapper with no faults
+//!    scheduled changes nothing, bitwise, physical calls included;
+//! 2. **fault determinism matrix** — for a fixed seed and a [`FaultPlan`]
+//!    whose every fault the per-frame try recovers, runs are
+//!    bitwise-identical — reports and logical breakdowns, cache accounting
+//!    included — across threads {1, 2, 4}, with and without an evicting
+//!    cache, and equal to the fault-free run: a failed batch recovers per
+//!    frame, so it never matters which frames shared it;
+//! 3. **fail-fast** — the first frame that fails its per-frame try (in
+//!    gather order) surfaces as a typed [`EngineError::DetectorFailed`] with
+//!    full context and a chained source, identically across thread counts
+//!    and shard routers — a one-batch stage detected in place and one cut
+//!    over lanes share one per-frame try and walk the lane in the same order;
+//! 4. **cache hygiene** — frames recovered by their per-frame try are
+//!    committed exactly once (a warm re-query calls the detector zero more
+//!    times), and a failed stage aborts before its cache commit, so nothing
+//!    it detected is cached; and
+//! 5. **miscounted answers fail** — an `Ok` that does not carry one detection
 //!    set per frame asked is a failed batch probe, and a one-frame `Ok` without
 //!    exactly one set is a permanent failure of that frame, so no frame is
 //!    silently left without a result.
@@ -38,8 +33,8 @@ use exsample_detect::{
     ObjectClass, ObjectInstance, PerfectDetector,
 };
 use exsample_engine::{
-    EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FailureMode, FrameSamplerPolicy,
-    QueryEngine, QueryReport, QuerySpec, RetryPolicy, ShardRouter, ShardedReport, StopReason,
+    EngineError, EngineReport, ExSamplePolicy, ExecutionMode, FrameSamplerPolicy, QueryEngine,
+    QueryReport, QuerySpec, ShardRouter, ShardedReport, StageStats,
 };
 use exsample_video::{
     Chunking, ChunkingPolicy, FrameId, ShardPartitioner, ShardSpec, VideoRepository,
@@ -66,14 +61,19 @@ fn skewed_setup(frames: u64, chunks: u32) -> (Chunking, Arc<GroundTruth>) {
     (chunking, truth)
 }
 
-/// The standard fault schedule the determinism matrix runs under: enough
-/// transient faults to exercise retries and enough permanent ones to exercise
-/// drops, deterministically from `FAULT_SEED`.
-fn faulty_plan() -> FaultPlan {
+/// The standard fault schedule the determinism matrix runs under: one frame
+/// in ten fails its batch probe and recovers on its per-frame try,
+/// deterministically from `FAULT_SEED`.
+fn recovered_plan() -> FaultPlan {
     FaultPlan::new(FAULT_SEED)
         .transient_rate(0.10)
-        .transient_attempts(2)
-        .permanent_rate(0.03)
+        .transient_attempts(1)
+}
+
+/// [`recovered_plan`] plus frames that fail every attempt: the first of them
+/// a run reaches aborts it.
+fn fatal_plan() -> FaultPlan {
+    recovered_plan().permanent_rate(0.03)
 }
 
 /// A fresh fault-injecting wrapper around a fresh perfect detector.  Fresh
@@ -138,11 +138,6 @@ fn assert_query_reports_equal(a: &QueryReport, b: &QueryReport, context: &str) {
         "{context}: stop reason ({})",
         a.label
     );
-    assert_eq!(
-        a.dropped_frames, b.dropped_frames,
-        "{context}: dropped frames ({})",
-        a.label
-    );
 }
 
 fn assert_engine_reports_equal(a: &EngineReport, b: &EngineReport, context: &str) {
@@ -159,9 +154,6 @@ fn assert_engine_reports_equal(a: &EngineReport, b: &EngineReport, context: &str
         a.detector_calls, b.detector_calls,
         "{context}: logical detector calls"
     );
-    assert_eq!(a.detect_retries, b.detect_retries, "{context}: retries");
-    assert_eq!(a.failed_frames, b.failed_frames, "{context}: failed frames");
-    assert_eq!(a.backoff_cost, b.backoff_cost, "{context}: backoff cost");
     assert_eq!(a.cache, b.cache, "{context}: cache accounting");
     assert_eq!(a.outcomes.len(), b.outcomes.len(), "{context}: query count");
     for (qa, qb) in a.outcomes.iter().zip(&b.outcomes) {
@@ -183,11 +175,11 @@ fn assert_sharded_reports_equal(a: &ShardedReport, b: &ShardedReport, context: &
 }
 
 #[test]
-fn fault_free_runs_with_retries_enabled_match_the_baseline() {
+fn fault_free_runs_through_the_fault_wrapper_match_the_baseline() {
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 12);
 
-    // Pre-fault-tolerance shape: raw detector, default (no-retry) policy.
+    // The raw detector.
     let (baseline, baseline_calls) = {
         let detector = PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car"));
         let mut engine = QueryEngine::new();
@@ -202,13 +194,11 @@ fn fault_free_runs_with_retries_enabled_match_the_baseline() {
         "setup finds nothing"
     );
 
-    // Retries armed, failure mode degraded, a fault wrapper in place — but a
-    // zero-rate plan: nothing may change, bitwise.
+    // A fault wrapper in place, but a zero-rate plan: nothing may change,
+    // bitwise.
     let (guarded, guarded_calls) = {
         let detector = faulty_detector(&truth, FaultPlan::new(FAULT_SEED));
-        let mut engine = QueryEngine::new()
-            .retry_policy(RetryPolicy::new(3).backoff_cost(5))
-            .failure_mode(FailureMode::DropFrames);
+        let mut engine = QueryEngine::new();
         for spec in fault_specs(&chunking, frames, &detector) {
             engine.push(spec).unwrap();
         }
@@ -218,10 +208,6 @@ fn fault_free_runs_with_retries_enabled_match_the_baseline() {
     };
     assert_engine_reports_equal(&guarded, &baseline, "fault-free guarded vs baseline");
     assert_eq!(guarded_calls, baseline_calls, "physical detector calls");
-    assert_eq!(guarded.detect_retries, 0);
-    assert_eq!(guarded.failed_frames, 0);
-    assert_eq!(guarded.backoff_cost, 0);
-    assert!(guarded.outcomes.iter().all(|r| r.dropped_frames == 0));
 }
 
 #[test]
@@ -229,115 +215,68 @@ fn degraded_runs_are_bitwise_deterministic_across_the_execution_matrix() {
     let frames = 3_000u64;
     let (chunking, truth) = skewed_setup(frames, 21);
 
-    let run = |mode: ExecutionMode| {
-        let detector = faulty_detector(&truth, faulty_plan());
+    // Every fault of the plan is recovered by its frame's per-frame try, so
+    // each run completes; the detections cache, when on, is small enough to
+    // evict.
+    let run = |mode: ExecutionMode, cache: usize, plan: FaultPlan| {
+        let detector = faulty_detector(&truth, plan);
         let mut engine = QueryEngine::new()
-            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(FailureMode::DropFrames)
+            .cache_capacity(cache)
             .execution(mode)
             .expect("valid execution mode");
         for spec in fault_specs(&chunking, frames, &detector) {
             engine.push(spec).unwrap();
         }
         let _ = engine.run().unwrap();
-        engine.report_sharded()
+        (engine.report_sharded(), detector.injected_faults())
     };
 
-    // Baseline: serial.  The assertions below are only meaningful if the
-    // plan genuinely degraded the run, so pin that first.
-    let baseline = run(ExecutionMode::Serial);
-    assert!(
-        baseline.report.detect_retries > 0,
-        "plan scheduled no transient faults — the matrix would be vacuous"
-    );
-    assert!(
-        baseline.report.failed_frames > 0,
-        "plan scheduled no permanent faults — the matrix would be vacuous"
-    );
-    assert!(
-        baseline.report.backoff_cost > 0,
-        "retries charged no backoff"
-    );
-    assert!(
-        baseline
-            .report
-            .outcomes
-            .iter()
-            .map(|r| r.dropped_frames)
-            .sum::<u64>()
-            > 0,
-        "no frame was dropped"
-    );
-    assert!(
-        baseline.report.outcomes.iter().any(|r| r.true_found > 0),
-        "the degraded run found nothing at all"
-    );
-
-    // The lanes cut failed and healthy batches differently at every thread
-    // count, and tally the same.
-    for threads in [1usize, 2, 4] {
-        let parallel = run(ExecutionMode::Parallel(threads));
-        assert_sharded_reports_equal(&parallel, &baseline, &format!("{threads} threads"));
-    }
-}
-
-#[test]
-fn degraded_runs_with_the_cache_stay_deterministic() {
-    let frames = 3_000u64;
-    let (chunking, truth) = skewed_setup(frames, 21);
-
-    // The same degraded matrix as above with the detections cache in
-    // the loop (small enough to evict): retries, drops, cache hygiene and the
-    // cache accounting itself must all stay bitwise-identical across thread
-    // counts.
-    let run = |mode: ExecutionMode| {
-        let detector = faulty_detector(&truth, faulty_plan());
-        let mut engine = QueryEngine::new()
-            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(FailureMode::DropFrames)
-            .cache_capacity(256)
-            .execution(mode)
-            .expect("valid execution mode");
-        for spec in fault_specs(&chunking, frames, &detector) {
-            engine.push(spec).unwrap();
+    for cache in [0usize, 256] {
+        // Baseline: serial.  The assertions below are only meaningful if the
+        // plan genuinely injected faults, so pin that first.
+        let (baseline, injected) = run(ExecutionMode::Serial, cache, recovered_plan());
+        assert!(
+            injected > 0,
+            "cache {cache}: the plan injected no fault — the matrix would be vacuous"
+        );
+        assert!(
+            baseline.report.outcomes.iter().any(|r| r.true_found > 0),
+            "cache {cache}: the faulty run found nothing at all"
+        );
+        if cache > 0 {
+            let activity = baseline.report.cache;
+            assert!(
+                activity.misses > 0 && activity.evictions > 0,
+                "the cache axis is vacuous without misses and evictions"
+            );
         }
-        let _ = engine.run().unwrap();
-        engine.report_sharded()
-    };
+        // Recovered faults cost physical calls only: the logical run is the
+        // fault-free one's.
+        let (fault_free, _) = run(ExecutionMode::Serial, cache, FaultPlan::new(FAULT_SEED));
+        assert_sharded_reports_equal(&baseline, &fault_free, &format!("cache {cache}/fault-free"));
+        assert!(baseline.physical_detector_calls > fault_free.physical_detector_calls);
 
-    let baseline = run(ExecutionMode::Serial);
-    assert!(
-        baseline.report.detect_retries > 0,
-        "plan scheduled no transient faults — the matrix would be vacuous"
-    );
-    assert!(
-        baseline.report.failed_frames > 0,
-        "plan scheduled no permanent faults — the matrix would be vacuous"
-    );
-    assert!(
-        baseline.report.cache.misses > 0,
-        "the cache axis is vacuous without misses"
-    );
-
-    for threads in [1usize, 2, 4] {
-        let parallel = run(ExecutionMode::Parallel(threads));
-        assert_sharded_reports_equal(&parallel, &baseline, &format!("cached/{threads} threads"));
+        // The lanes cut failed and healthy batches differently at every
+        // thread count, and tally the same.
+        for threads in [1usize, 2, 4] {
+            let (parallel, _) = run(ExecutionMode::Parallel(threads), cache, recovered_plan());
+            let context = format!("cache {cache}/{threads} threads");
+            assert_sharded_reports_equal(&parallel, &baseline, &context);
+        }
     }
 }
 
 #[test]
 fn single_query_fault_recovery_is_lane_count_invariant() {
     // A single query's stage is one batch when serial — detected in place —
-    // and cut over the lanes under `Parallel(2)`.  Both recover a failed
-    // batch probe through the one per-frame retry loop, in lane order, so a
-    // degraded run must be bitwise-identical either way.
+    // and cut over the lanes under `Parallel(2)`.  Both try a failed batch
+    // probe's frames one by one through the same per-frame try, in lane
+    // order, so a run must be bitwise-identical either way.
     let frames = 3_000u64;
     let (_chunking, truth) = skewed_setup(frames, 12);
-    let run = |mode: ExecutionMode, failure: FailureMode| {
-        let detector = faulty_detector(&truth, faulty_plan());
+    let run = |mode: ExecutionMode, plan: FaultPlan| {
+        let detector = faulty_detector(&truth, plan);
         let mut engine = QueryEngine::new()
-            .retry_policy(RetryPolicy::new(3).backoff_cost(4))
-            .failure_mode(failure)
             .execution(mode)
             .expect("valid execution mode");
         engine
@@ -354,17 +293,15 @@ fn single_query_fault_recovery_is_lane_count_invariant() {
             .unwrap();
         engine.run()
     };
-    let degraded = |mode| run(mode, FailureMode::DropFrames).unwrap();
-    let serial = degraded(ExecutionMode::Serial);
-    assert!(serial.detect_retries > 0, "vacuous: no retries exercised");
-    assert!(serial.failed_frames > 0, "vacuous: no failures exercised");
-    let parallel = degraded(ExecutionMode::Parallel(2));
+    let recovered = |mode| run(mode, recovered_plan()).unwrap();
+    let serial = recovered(ExecutionMode::Serial);
+    let parallel = recovered(ExecutionMode::Parallel(2));
     assert_engine_reports_equal(&serial, &parallel, "serial vs 2 lanes");
 
     // Fail-fast: the same frame, after the same number of attempts, is
     // reported at either lane count — the lane is sorted, so both walk it in
     // frame order.
-    let fatal = |mode| match run(mode, FailureMode::FailFast) {
+    let fatal = |mode| match run(mode, fatal_plan()) {
         Err(EngineError::DetectorFailed {
             frame,
             attempts,
@@ -389,7 +326,6 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
         let detector = faulty_detector(&truth, plan);
         let mut engine = QueryEngine::new()
             .sharded(router)
-            .retry_policy(RetryPolicy::new(3).backoff_cost(2))
             .execution(ExecutionMode::Parallel(threads))
             .expect("valid execution mode");
         engine
@@ -423,8 +359,7 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
         "a permanent fault must surface as its typed source"
     );
     assert_eq!(source.frame(), frame);
-    // Probe + the mandatory single-frame identification try; `Permanent`
-    // stops the retry budget (3 attempts) from being burned.
+    // The batch probe + the one per-frame identification try.
     assert_eq!(attempts, 2);
     let err = EngineError::DetectorFailed {
         class: class.clone(),
@@ -463,112 +398,59 @@ fn fail_fast_surfaces_a_typed_error_with_full_context() {
 
 #[test]
 fn failed_frames_are_never_cached_and_recovered_frames_commit_once() {
-    let frames = 400u64;
-    let (_chunking, truth) = skewed_setup(frames, 12);
-    let plan = FaultPlan::new(FAULT_SEED)
-        .transient_rate(0.20)
-        .transient_attempts(2)
-        .permanent_rate(0.05);
-    let detector = faulty_detector(&truth, plan);
-    let mut engine = QueryEngine::new()
-        .cache_capacity(4_096)
-        .retry_policy(RetryPolicy::new(3).backoff_cost(2))
-        .failure_mode(FailureMode::DropFrames);
-    engine
-        .push(
-            QuerySpec::new(
-                "cold",
-                Box::new(FrameSamplerPolicy::uniform(frames)),
-                &detector,
-            )
-            .seed(41)
-            .batch(32),
+    const FRAMES: u64 = 400;
+    fn uniform<'a>(label: &str, seed: u64, detector: &'a dyn Detector) -> QuerySpec<'a> {
+        QuerySpec::new(
+            label,
+            Box::new(FrameSamplerPolicy::uniform(FRAMES)),
+            detector,
         )
-        .unwrap();
+        .seed(seed)
+        .batch(32)
+    }
+    let (_chunking, truth) = skewed_setup(FRAMES, 12);
+
+    // Every fault recovers, so the cold run detects the whole range.
+    let detector = faulty_detector(&truth, recovered_plan().transient_rate(0.20));
+    let mut engine = QueryEngine::new().cache_capacity(4_096);
+    engine.push(uniform("cold", 41, &detector)).unwrap();
     let cold = engine.run().unwrap();
-    let cold_dropped = cold.outcomes[0].dropped_frames;
-    let cold_retries = cold.detect_retries;
-    let cold_failed = cold.failed_frames;
-    assert!(cold_dropped > 0, "vacuous: no permanent faults scheduled");
-    assert!(cold_retries > 0, "vacuous: no transient faults scheduled");
-    assert_eq!(
-        cold.outcomes[0].frames_processed,
-        frames - cold_dropped,
-        "a dropped frame is never observed by its query"
-    );
+    assert_eq!(cold.outcomes[0].frames_processed, FRAMES);
+    let cold_calls = engine.report_sharded().physical_detector_calls;
+    let injected = detector.injected_faults();
+    assert!(injected > 0, "vacuous: no fault injected");
 
-    // Warm re-query over the same full range.  Every frame that succeeded —
-    // directly or via a retry — was committed exactly once and is served from
-    // the cache: zero further retries.  Every frame that failed was *never*
-    // committed: the warm query re-attempts and re-drops exactly those.
-    engine
-        .push(
-            QuerySpec::new(
-                "warm",
-                Box::new(FrameSamplerPolicy::uniform(frames)),
-                &detector,
-            )
-            .seed(43)
-            .batch(32),
-        )
-        .unwrap();
+    // Warm re-query over the same full range: every frame — recovered ones
+    // included — was committed exactly once and is served from the cache, so
+    // the detector is called zero more times.
+    engine.push(uniform("warm", 43, &detector)).unwrap();
     let warm = engine.run().unwrap();
+    assert_eq!(warm.outcomes[1].frames_processed, FRAMES);
     assert_eq!(
-        warm.detect_retries, cold_retries,
-        "recovered frames must be cache hits on the warm run — a repeat retry \
-         means a successful recovery was not committed"
+        engine.report_sharded().physical_detector_calls,
+        cold_calls,
+        "a warm re-query must call the detector zero more times"
     );
-    assert_eq!(
-        warm.outcomes[1].dropped_frames, cold_dropped,
-        "the warm query must re-drop exactly the frames that failed cold"
-    );
-    assert_eq!(
-        warm.failed_frames,
-        cold_failed * 2,
-        "failed frames must miss the cache and fail again"
-    );
-    let stats = engine.cache_stats().expect("cache is configured");
-    assert!(stats.hits > 0, "the warm query never hit the cache");
-}
+    assert_eq!(detector.injected_faults(), injected);
+    assert_eq!(warm.detector_frames, cold.detector_frames);
+    let cached = engine.cache_stats().expect("cache is configured").len;
+    assert_eq!(cached as u64, FRAMES);
 
-#[test]
-fn retry_budget_is_spent_exactly_on_faults_that_outlast_it() {
-    // Every frame fails its first 10 attempts, more than the batch probe plus
-    // a 3-attempt budget can reach: each frame is tried exactly 3 times on its
-    // own (2 retries), then dropped.  Pinned counts, not a differential: a
-    // budget off by one in either direction moves every one of them.
-    let frames = 96u64;
-    let (_chunking, truth) = skewed_setup(frames, 12);
-    let plan = FaultPlan::new(FAULT_SEED)
-        .transient_rate(1.0)
-        .transient_attempts(10);
-    let detector = faulty_detector(&truth, plan);
-    let mut engine = QueryEngine::new()
-        .retry_policy(RetryPolicy::new(3))
-        .failure_mode(FailureMode::DropFrames);
-    engine
-        .push(
-            QuerySpec::new(
-                "budget",
-                Box::new(FrameSamplerPolicy::uniform(frames)),
-                &detector,
-            )
-            .seed(5)
-            .batch(16),
-        )
-        .unwrap();
-    let report = engine.run().unwrap();
-    let query = &report.outcomes[0];
-    assert_eq!(query.dropped_frames, 96, "every frame exhausts its budget");
-    assert_eq!(
-        query.frames_processed, 0,
-        "a dropped frame is never observed"
+    // A frame that fails aborts its stage before the cache commit: the cache
+    // holds exactly the frames of the stages that settled, none of the
+    // failed stage's.
+    let detector = faulty_detector(&truth, fatal_plan());
+    let mut engine = QueryEngine::new().cache_capacity(4_096);
+    engine.push(uniform("doomed", 41, &detector)).unwrap();
+    let mut settled = 0u64;
+    let failed = engine.run_with(|stats: &StageStats| settled += stats.detector_frames);
+    assert!(settled > 0, "vacuous: the first stage failed");
+    assert!(
+        matches!(failed, Err(EngineError::DetectorFailed { .. })),
+        "expected DetectorFailed, got {failed:?}"
     );
-    assert_eq!(report.failed_frames, 96);
-    assert_eq!(report.detect_retries, 192, "2 retries per frame");
-    // 6 batch probes of 16 frames, then 3 single-frame tries per frame.
-    assert_eq!(detector.injected_faults(), 96 + 96 * 3);
-    assert_eq!(query.stop_reason, Some(StopReason::RepositoryExhausted));
+    let cached = engine.cache_stats().expect("cache is configured").len as u64;
+    assert_eq!(cached, settled, "the failed stage committed nothing");
 }
 
 /// A detector whose every `Ok` answer carries one detection set fewer than
@@ -605,10 +487,8 @@ fn an_ok_answer_one_result_short_fails_its_frames() {
         Arc::clone(&truth),
         ObjectClass::from("car"),
     ));
-    let run = |mode: ExecutionMode, failure: FailureMode| {
+    let run = |mode: ExecutionMode| {
         let mut engine = QueryEngine::new()
-            .retry_policy(RetryPolicy::new(3))
-            .failure_mode(failure)
             .execution(mode)
             .expect("valid execution mode");
         engine
@@ -626,7 +506,7 @@ fn an_ok_answer_one_result_short_fails_its_frames() {
         engine.run()
     };
 
-    let fatal = |mode| match run(mode, FailureMode::FailFast) {
+    let fatal = |mode| match run(mode) {
         Err(EngineError::DetectorFailed {
             frame,
             attempts,
@@ -640,15 +520,4 @@ fn an_ok_answer_one_result_short_fails_its_frames() {
     assert!(matches!(source, DetectError::Permanent { .. }));
     assert_eq!(source.frame(), frame);
     assert_eq!(fatal(ExecutionMode::Parallel(2)), (frame, attempts, source));
-
-    for mode in [ExecutionMode::Serial, ExecutionMode::Parallel(2)] {
-        let report = run(mode, FailureMode::DropFrames).unwrap();
-        let query = &report.outcomes[0];
-        assert!(report.failed_frames > 0, "{mode:?}: no frame failed");
-        assert_eq!(
-            report.failed_frames, query.dropped_frames,
-            "{mode:?}: every dropped frame is a failed frame"
-        );
-        assert_eq!(query.frames_processed, 0, "{mode:?}: a frame was observed");
-    }
 }

@@ -129,11 +129,6 @@ fn assert_outcomes_equal(a: &[QueryReport], b: &[QueryReport], context: &str) {
             "{context}: stop ({})",
             x.label
         );
-        assert_eq!(
-            x.dropped_frames, y.dropped_frames,
-            "{context}: dropped ({})",
-            x.label
-        );
     }
 }
 
@@ -181,9 +176,7 @@ fn observation_stream_is_execution_invariant_and_consistent() {
     // Internal consistency against the reports.
     let observed: usize = baseline.iter().map(|(_, obs)| obs.len()).sum();
     let processed: u64 = outcomes.iter().map(|r| r.frames_processed).sum();
-    let dropped: u64 = outcomes.iter().map(|r| r.dropped_frames).sum();
-    assert_eq!(observed as u64 + dropped, processed + dropped);
-    assert_eq!(dropped, 0, "a perfect detector drops nothing");
+    assert_eq!(observed as u64, processed);
     let hits: u64 = baseline
         .iter()
         .flat_map(|(_, obs)| obs)

@@ -116,8 +116,8 @@ pub struct RunResult {
     /// Durable-store health counters (`Some` only when
     /// [`QueryRunner::checkpoint`] enabled checkpointing): records replayed
     /// and torn bytes discarded during recovery, and the run's sealed
-    /// stages, fsynced group writes, snapshot compactions and storage
-    /// retries.
+    /// stages, fsynced group writes, snapshot compactions and the store's
+    /// own I/O retries (the engine never retries a detector).
     pub store: Option<StoreHealth>,
 }
 
