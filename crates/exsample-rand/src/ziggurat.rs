@@ -150,6 +150,31 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the `to_bits()` of every entry of `NORMAL_X`, `NORMAL_Y`,
+    /// `EXP_X` and `EXP_Y`, in that order: pins the four layer tables bit for
+    /// bit, so any change to how they are produced shows here, naming the
+    /// table whose bits moved.
+    #[test]
+    fn layer_tables_are_pinned() {
+        const GOLDEN: [(&str, u64); 4] = [
+            ("NORMAL_X", 0x5816_45bd_8055_ad22),
+            ("NORMAL_Y", 0x662f_47ff_fd34_e19d),
+            ("EXP_X", 0x73c3_9b12_ba88_2027),
+            ("EXP_Y", 0x5b50_ea77_68bd_07f8),
+        ];
+        fn fold(digest: u64, value: u64) -> u64 {
+            value.to_le_bytes().into_iter().fold(digest, |d, byte| {
+                (d ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let tables: [&[f64]; 4] = [&NORMAL_X, &NORMAL_Y, &EXP_X, &EXP_Y];
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for ((name, golden), table) in GOLDEN.into_iter().zip(tables) {
+            digest = table.iter().fold(digest, |d, x| fold(d, x.to_bits()));
+            assert_eq!(digest, golden, "{name}: digest {digest:#018x}");
+        }
+    }
+
     #[test]
     fn normal_moments_match() {
         let mut rng = StdRng::seed_from_u64(41);
