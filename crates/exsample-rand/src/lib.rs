@@ -23,7 +23,8 @@
 //!   exact max-of-k order-statistic draw behind belief-class deduplicated
 //!   Thompson sampling.
 //! * [`ziggurat`] — fast table-based standard Normal / Exponential samplers
-//!   backing the Gamma hot path.
+//!   backing the Gamma hot path; `build.rs` derives their layer tables from
+//!   the Marsaglia–Tsang recurrence.
 //! * [`lognormal`] — LogNormal durations, parameterisable by target mean/sigma.
 //! * [`seeding`] — deterministic hierarchical seed derivation for multi-trial
 //!   experiments.
@@ -54,7 +55,6 @@ pub mod quantile;
 pub mod seeding;
 pub mod summary;
 pub mod ziggurat;
-mod ziggurat_tables;
 
 pub use gamma::Gamma;
 pub use lognormal::LogNormal;

@@ -11,23 +11,21 @@
 //! and one multiply in ~98 % of cases.  At 10 000 chunks per pick the
 //! difference dominates the whole selection hot path.
 //!
-//! The layer tables are precomputed and embedded as statics (see
-//! `ziggurat_tables.rs`), so lookups are direct loads: no lazy initialisation,
-//! and the layer index is masked to the table size so the compiler elides
-//! bounds checks.  The rare wedge/tail fall-throughs are outlined with
-//! `#[cold]` to keep the fast path small enough to inline.
-//! [`crate::normal`] keeps the polar method so existing
+//! The layer tables are derived at build time from the Marsaglia–Tsang layer
+//! recurrence (see the crate's `build.rs`) and embedded as statics, so lookups
+//! are direct loads: no lazy initialisation, and the layer index is masked to
+//! the table size so the compiler elides bounds checks.  The rare wedge/tail
+//! fall-throughs are outlined with `#[cold]` to keep the fast path small
+//! enough to inline.  [`crate::normal`] keeps the polar method so existing
 //! workload-generation streams are unaffected; the Gamma sampler (and
 //! therefore Thompson sampling) uses the ziggurat variants below.
 
 use crate::uniform_open01;
-use crate::ziggurat_tables::{EXP_X, EXP_Y, NORMAL_X, NORMAL_Y};
 use rand::Rng;
 
-/// Rightmost strip boundary for the 128-layer normal ziggurat.
-const NORMAL_R: f64 = 3.442_619_855_899;
-/// Rightmost strip boundary for the 256-layer exponential ziggurat.
-const EXP_R: f64 = 7.697_117_470_131_05;
+// `NORMAL_R`, `NORMAL_X`, `NORMAL_Y` (128 layers) and `EXP_R`, `EXP_X`,
+// `EXP_Y` (256 layers), derived by `build.rs`.
+include!(concat!(env!("OUT_DIR"), "/ziggurat_tables.rs"));
 
 const U53: f64 = 1.0 / (1u64 << 53) as f64;
 
@@ -126,36 +124,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn table_boundaries_satisfy_the_layer_recurrence() {
-        // Spot-check the embedded tables against their defining equations.
-        let f = |x: f64| (-0.5 * x * x).exp();
-        assert!((NORMAL_X[1] - NORMAL_R).abs() < 1e-12);
-        assert_eq!(NORMAL_X[128], 0.0);
-        let v = 9.91256303526217e-3;
-        for i in 2..128 {
-            let expected = (-2.0 * (v / NORMAL_X[i - 1] + f(NORMAL_X[i - 1])).ln()).sqrt();
-            assert!((NORMAL_X[i] - expected).abs() < 1e-12, "normal layer {i}");
-            assert!(NORMAL_X[i] < NORMAL_X[i - 1], "normal layers must decrease");
-            assert!((NORMAL_Y[i] - f(NORMAL_X[i])).abs() < 1e-15);
-        }
-        let fe = |x: f64| (-x).exp();
-        let ve = 3.949_659_822_581_557e-3;
-        assert!((EXP_X[1] - EXP_R).abs() < 1e-12);
-        assert_eq!(EXP_X[256], 0.0);
-        for i in 2..256 {
-            let expected = -(ve / EXP_X[i - 1] + fe(EXP_X[i - 1])).ln();
-            assert!((EXP_X[i] - expected).abs() < 1e-12, "exp layer {i}");
-            assert!((EXP_Y[i] - fe(EXP_X[i])).abs() < 1e-15);
-        }
-    }
-
     /// FNV-1a over the `to_bits()` of every entry of `NORMAL_X`, `NORMAL_Y`,
     /// `EXP_X` and `EXP_Y`, in that order: pins the four layer tables bit for
     /// bit, so any change to how they are produced shows here, naming the
-    /// table whose bits moved.
+    /// table whose bits moved.  The digest was taken from the literal tables
+    /// the build script replaced; a host whose `exp`/`ln` round a last bit
+    /// differently fails it here rather than drawing from other tables.
     #[test]
     fn layer_tables_are_pinned() {
+        for (x, y, r) in [
+            (&NORMAL_X[..], &NORMAL_Y[..], NORMAL_R),
+            (&EXP_X, &EXP_Y, EXP_R),
+        ] {
+            let n = x.len() - 1;
+            assert_eq!((x[1], x[n], y[n]), (r, 0.0, 1.0), "{n}-layer ziggurat");
+            assert!(x.windows(2).all(|w| w[1] < w[0]), "{n} layers must narrow");
+        }
         const GOLDEN: [(&str, u64); 4] = [
             ("NORMAL_X", 0x5816_45bd_8055_ad22),
             ("NORMAL_Y", 0x662f_47ff_fd34_e19d),
