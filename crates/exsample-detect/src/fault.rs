@@ -23,9 +23,10 @@
 //! Two fault kinds are scheduled:
 //!
 //! * **transient** — a frame drawn with probability `transient_rate` fails its
-//!   first `transient_attempts` attempts with [`DetectError::Transient`], then
-//!   succeeds.  At one attempt, the execution engine's per-frame try after a
-//!   failed batch probe recovers it; at more, it fails the run.
+//!   first `transient_attempts` attempts (default 1) with
+//!   [`DetectError::Transient`], then succeeds.  At the default, the execution
+//!   engine's per-frame try after a failed batch probe recovers it; at more
+//!   attempts, it fails the run.
 //! * **permanent** — a frame drawn with probability `permanent_rate` fails
 //!   *every* attempt with [`DetectError::Permanent`], so it always fails the
 //!   run that reaches it.
@@ -67,7 +68,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             transient_rate: 0.0,
-            transient_attempts: 2,
+            transient_attempts: 1,
             permanent_rate: 0.0,
         }
     }
@@ -84,10 +85,11 @@ impl FaultPlan {
 
     /// How many leading attempts a transient frame fails before recovering.
     ///
-    /// Defaults to 2.  The execution engine spends one batch-level attempt
+    /// Defaults to 1.  The execution engine spends one batch-level attempt
     /// probing a batch and, if it fails, one single-frame attempt per frame:
-    /// at 1 the single-frame attempt recovers the frame, at 2 or more the
-    /// frame fails the run.
+    /// at 1 the single-frame attempt recovers the frame, so a default
+    /// transient fault is one the engine recovers; at 2 or more the frame
+    /// fails the run.
     pub fn transient_attempts(mut self, attempts: u32) -> Self {
         assert!(attempts > 0, "a transient fault must fail at least once");
         self.transient_attempts = attempts;
@@ -277,7 +279,7 @@ mod tests {
     fn schedule_is_independent_of_batch_composition() {
         // The same frame reaches the same fault decisions whether attempted in
         // a large batch or alone: attempts are charged per frame, per call.
-        let plan = FaultPlan::new(23).transient_rate(0.3).transient_attempts(1);
+        let plan = FaultPlan::new(23).transient_rate(0.3);
         let solo = FaultInjectingDetector::new(perfect(), plan);
         let batched = FaultInjectingDetector::new(perfect(), plan);
         let frames: Vec<FrameId> = (0..200).collect();

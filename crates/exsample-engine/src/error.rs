@@ -63,8 +63,8 @@ pub enum EngineError {
     },
     /// An execution mode that can never make progress was requested —
     /// `ExecutionMode::Parallel(0)` asks for a worker pool with no threads.
-    /// (A thread count *exceeding* the shard count is not an error: the
-    /// engine clamps it to one thread per shard, the documented rule.)
+    /// It is the one rejected count: `Parallel(n)` runs `n` lanes for any
+    /// `n >= 1`, whatever the shard count.
     InvalidExecution {
         /// The rejected thread count.
         threads: usize,

@@ -541,9 +541,7 @@ const SHARD_VIEW_DIGESTS: [(ShardPartitioner, u32, u64, Option<u64>); 6] = [
 fn sharded_runs_are_bitwise_identical_to_unsharded() {
     let frames = 1_500u64;
     let (chunking, truth) = skewed_setup(frames, 21);
-    let plan = FaultPlan::new(2_022)
-        .transient_rate(0.10)
-        .transient_attempts(1);
+    let plan = FaultPlan::new(2_022).transient_rate(0.10);
     let run = |router: ShardRouter| {
         let detector = FaultInjectingDetector::new(
             PerfectDetector::new(Arc::clone(&truth), ObjectClass::from("car")),

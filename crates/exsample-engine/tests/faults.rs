@@ -65,9 +65,7 @@ fn skewed_setup(frames: u64, chunks: u32) -> (Chunking, Arc<GroundTruth>) {
 /// in ten fails its batch probe and recovers on its per-frame try,
 /// deterministically from `FAULT_SEED`.
 fn recovered_plan() -> FaultPlan {
-    FaultPlan::new(FAULT_SEED)
-        .transient_rate(0.10)
-        .transient_attempts(1)
+    FaultPlan::new(FAULT_SEED).transient_rate(0.10)
 }
 
 /// [`recovered_plan`] plus frames that fail every attempt: the first of them

@@ -239,10 +239,11 @@ impl<'a> QueryRunner<'a> {
     }
 
     /// Wrap the run's detector in a deterministic fault injector driven by
-    /// `plan` (see [`FaultPlan`]).  The engine fails fast, so the first frame
-    /// the plan fails ends the run with a chained [`SimError::Engine`] — the
-    /// seam through which a test makes a run's engine fail (with
-    /// [`QueryRunner::checkpoint`], after the sealed stages are flushed).
+    /// `plan` (see [`FaultPlan`]).  The engine fails fast, so a frame that
+    /// fails its per-frame try ends the run with a chained
+    /// [`SimError::Engine`] — the seam through which a test makes a run's
+    /// engine fail (with [`QueryRunner::checkpoint`], after the sealed stages
+    /// are flushed).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
