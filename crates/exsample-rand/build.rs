@@ -58,11 +58,6 @@ fn emit(
     }
     let y: Vec<f64> = x.iter().map(|&x| f(x)).collect();
     let bits = |v: f64| format!("f64::from_bits({:#018x})", v.to_bits());
-    writeln!(
-        out,
-        "/// Right edge of the {n}-layer ziggurat's base strip, where its tail begins."
-    )
-    .unwrap();
     writeln!(out, "const {prefix}_R: f64 = {};", bits(r)).unwrap();
     for (axis, values) in [("X", &x), ("Y", &y)] {
         writeln!(out, "static {prefix}_{axis}: [f64; {}] = [", n + 1).unwrap();

@@ -23,8 +23,9 @@
 use crate::uniform_open01;
 use rand::Rng;
 
-// `NORMAL_R`, `NORMAL_X`, `NORMAL_Y` (128 layers) and `EXP_R`, `EXP_X`,
-// `EXP_Y` (256 layers), derived by `build.rs`.
+// `NORMAL_X`/`NORMAL_Y` (128 layers) and `EXP_X`/`EXP_Y` (256 layers), the
+// layer boundaries and densities `build.rs` derives, and `NORMAL_R`/`EXP_R`,
+// the right edge of each base strip, where the tail begins.
 include!(concat!(env!("OUT_DIR"), "/ziggurat_tables.rs"));
 
 const U53: f64 = 1.0 / (1u64 << 53) as f64;
