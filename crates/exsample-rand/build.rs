@@ -9,13 +9,10 @@
 //! with `y[i] = f(x[i])`.  Every value is written as `f64::from_bits`, so no
 //! float formatting rounds it.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 fn main() {
-    let mut out = String::new();
-    emit(
-        &mut out,
+    let normal = tables(
         "NORMAL",
         128,
         3.442_619_855_899,
@@ -23,8 +20,7 @@ fn main() {
         |x| (-0.5 * x * x).exp(),
         |y| (-2.0 * y.ln()).sqrt(),
     );
-    emit(
-        &mut out,
+    let exp = tables(
         "EXP",
         256,
         7.697_117_470_131_05,
@@ -34,22 +30,21 @@ fn main() {
     );
     let path = Path::new(&std::env::var_os("OUT_DIR").expect("cargo sets OUT_DIR"))
         .join("ziggurat_tables.rs");
-    std::fs::write(path, out).expect("write the ziggurat tables");
+    std::fs::write(path, normal + &exp).expect("write the ziggurat tables");
     println!("cargo:rerun-if-changed=build.rs");
 }
 
-/// Writes `{prefix}_R` and the `n + 1` layer boundaries `{prefix}_X` and
-/// densities `{prefix}_Y` of the ziggurat of `f` with base edge `r` and
-/// layer area `v`.
-fn emit(
-    out: &mut String,
+/// `{prefix}_R` and the `n + 1` layer boundaries `{prefix}_X` and densities
+/// `{prefix}_Y` of the ziggurat of `f` with base edge `r` and layer area `v`,
+/// as Rust source.
+fn tables(
     prefix: &str,
     n: usize,
     r: f64,
     v: f64,
     f: fn(f64) -> f64,
     f_inv: fn(f64) -> f64,
-) {
+) -> String {
     let mut x = vec![0.0; n + 1];
     x[0] = v / f(r);
     x[1] = r;
@@ -58,12 +53,13 @@ fn emit(
     }
     let y: Vec<f64> = x.iter().map(|&x| f(x)).collect();
     let bits = |v: f64| format!("f64::from_bits({:#018x})", v.to_bits());
-    writeln!(out, "const {prefix}_R: f64 = {};", bits(r)).unwrap();
+    let mut out = format!("const {prefix}_R: f64 = {};\n", bits(r));
     for (axis, values) in [("X", &x), ("Y", &y)] {
-        writeln!(out, "static {prefix}_{axis}: [f64; {}] = [", n + 1).unwrap();
+        out += &format!("static {prefix}_{axis}: [f64; {}] = [\n", n + 1);
         for &value in values {
-            writeln!(out, "    {},", bits(value)).unwrap();
+            out += &format!("    {},\n", bits(value));
         }
-        writeln!(out, "];").unwrap();
+        out += "];\n";
     }
+    out
 }

@@ -128,9 +128,9 @@ mod tests {
     /// FNV-1a over the `to_bits()` of every entry of `NORMAL_X`, `NORMAL_Y`,
     /// `EXP_X` and `EXP_Y`, in that order: pins the four layer tables bit for
     /// bit, so any change to how they are produced shows here, naming the
-    /// table whose bits moved.  The digest was taken from the literal tables
-    /// the build script replaced; a host whose `exp`/`ln` round a last bit
-    /// differently fails it here rather than drawing from other tables.
+    /// table whose bits moved.  `build.rs` derives the tables with the build
+    /// host's `exp` and `ln`: a libm that rounds a last bit differently fails
+    /// here rather than drawing from other tables.
     #[test]
     fn layer_tables_are_pinned() {
         for (x, y, r) in [
