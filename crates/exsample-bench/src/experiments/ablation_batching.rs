@@ -10,11 +10,11 @@
 //!
 //! Each run is one single-query `exsample-engine` execution whose per-stage
 //! batch size is the ablation variable — the hand-written pick→detect→record
-//! loop this binary used to carry is exactly what the engine now provides.
+//! loop this experiment used to carry is exactly what the engine now provides.
 
-use exsample_bench::{banner, ok_or_exit, print_table, ExperimentOptions};
+use super::{skewed_grid, ExperimentError, ExperimentOptions, Report};
 use exsample_core::ExSampleConfig;
-use exsample_data::{GridWorkload, SkewLevel};
+use exsample_data::GridWorkload;
 use exsample_detect::PerfectDetector;
 use exsample_engine::{ExSamplePolicy, QueryEngine, QuerySpec};
 use exsample_rand::{SeedSequence, Summary};
@@ -22,35 +22,14 @@ use exsample_sim::Table;
 use exsample_video::DecodeCostModel;
 use std::sync::Arc;
 
-fn main() {
-    let options = ExperimentOptions::from_env();
-    banner(
-        "Ablation (Section III-F)",
-        "batched sampling: instances found vs. batch size",
-        &options,
-    );
+/// Run the batching ablation; fails on a rejected workload or a failed engine run.
+pub fn run(options: &ExperimentOptions) -> Result<Report, ExperimentError> {
     let trials = options.trials_or(5, 15);
     let budget: u64 = if options.full { 30_000 } else { 12_000 };
-    let batch_sizes: &[usize] = &[1, 8, 32, 64];
     let seeds = SeedSequence::new(options.seed).derive("ablation-batching");
 
-    let dataset = GridWorkload::builder()
-        .frames(2_000_000)
-        .instances(2_000)
-        .chunks(128)
-        .mean_duration(700.0)
-        .skew(SkewLevel::ThirtySecond)
-        .seed(seeds.derive("workload").seed())
-        .build()
-        .expect("valid workload")
-        .generate();
-    let class = GridWorkload::class();
-    let truth = Arc::clone(dataset.ground_truth());
+    let dataset = skewed_grid(2_000_000, 128, seeds.derive("workload").seed())?;
     let cost = DecodeCostModel::paper();
-
-    println!(
-        "# workload: 2M frames, 2000 instances, 128 chunks, skew 1/32, budget {budget} frames, {trials} trials\n"
-    );
 
     let mut table = Table::new(vec![
         "batch size",
@@ -60,7 +39,7 @@ fn main() {
         "virtual time (batched GPU)",
     ]);
 
-    for &batch in batch_sizes {
+    for batch in [1, 8, 32, 64] {
         let mut founds = Summary::new();
         for trial in 0..trials {
             let seed = seeds
@@ -68,18 +47,17 @@ fn main() {
                 .index(batch as u64)
                 .index(trial as u64)
                 .seed();
-            let detector = PerfectDetector::new(Arc::clone(&truth), class.clone());
+            let detector =
+                PerfectDetector::new(Arc::clone(dataset.ground_truth()), GridWorkload::class());
             let policy = ExSamplePolicy::new(ExSampleConfig::default(), dataset.chunking());
             let mut engine = QueryEngine::new();
-            engine
-                .push(
-                    QuerySpec::new("batching", Box::new(policy), &detector)
-                        .seed(seed)
-                        .batch(batch)
-                        .frame_budget(budget),
-                )
-                .expect("batch size is non-zero");
-            let report = ok_or_exit(engine.run());
+            engine.push(
+                QuerySpec::new("batching", Box::new(policy), &detector)
+                    .seed(seed)
+                    .batch(batch)
+                    .frame_budget(budget),
+            )?;
+            let report = engine.run()?;
             founds.push(report.outcomes[0].distinct_found as f64);
         }
         // Batched inference speedup model: throughput improves with batch size and
@@ -95,10 +73,15 @@ fn main() {
         ]);
     }
 
-    print_table(&options, &table);
-    println!();
-    println!("# Expected shape: the median instances found per frame processed is nearly");
-    println!("# independent of the batch size (the statistics updates are additive and the");
-    println!("# Thompson draws are exchangeable within a batch), while the virtual GPU time");
-    println!("# for the same budget drops as batching improves detector throughput.");
+    Ok(Report {
+        before: format!("# workload: 2M frames, 2000 instances, 128 chunks, skew 1/32, budget {budget} frames, {trials} trials\n\n"),
+        table,
+        after: "
+# Expected shape: the median instances found per frame processed is nearly
+# independent of the batch size (the statistics updates are additive and the
+# Thompson draws are exchangeable within a batch), while the virtual GPU time
+# for the same budget drops as batching improves detector throughput.
+"
+        .to_string(),
+    })
 }

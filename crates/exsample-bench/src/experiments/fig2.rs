@@ -7,13 +7,13 @@
 //! moderate number of samples has been taken, while being (intentionally) wider
 //! early on.
 //!
-//! This binary reproduces that comparison quantitatively.  For a set of sample-count
+//! This experiment reproduces that comparison quantitatively.  For a set of sample-count
 //! checkpoints `n` it records, across many independent trials, the observed `N1`
 //! and the true `R(n+1)` (computable in simulation because the `p_i` are known),
 //! then compares the empirical quantiles of `R(n+1)` with the quantiles of the
 //! Gamma belief built from the *median* observed `N1` at that checkpoint.
 
-use exsample_bench::{banner, print_table, ExperimentOptions};
+use super::{ExperimentError, ExperimentOptions, Report};
 use exsample_core::estimator;
 use exsample_data::IndependentWorkload;
 use exsample_rand::{Gamma, SeedSequence, Summary};
@@ -21,14 +21,8 @@ use exsample_sim::Table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn main() {
-    let options = ExperimentOptions::from_env();
-    banner(
-        "Figure 2",
-        "estimator validation: Gamma belief vs. empirical R(n+1)",
-        &options,
-    );
-
+/// Run Figure 2's comparison; fails on a median `N1` that makes no Gamma belief.
+pub fn run(options: &ExperimentOptions) -> Result<Report, ExperimentError> {
     // Reduced mode keeps the run to a few seconds; full mode approaches the paper's
     // configuration (1000 instances, checkpoints up to 180k samples, many trials).
     let trials = options.trials_or(60, 400);
@@ -37,21 +31,11 @@ fn main() {
     } else {
         &[100, 1_000, 5_000, 20_000]
     };
-    let max_n = *checkpoints.last().unwrap();
 
     let seeds = SeedSequence::new(options.seed).derive("fig2");
     let mut workload_rng = SmallRng::seed_from_u64(seeds.derive("workload").seed());
     let workload = IndependentWorkload::paper_figure2(&mut workload_rng);
     let probabilities = workload.probabilities().to_vec();
-
-    println!(
-        "# workload: {} instances, mean p = {:.2e}, sigma p = {:.2e}, max p = {:.2e}",
-        workload.len(),
-        workload.mean_p(),
-        workload.sigma_p(),
-        workload.max_p()
-    );
-    println!("# trials: {trials}\n");
 
     // Per checkpoint, collect across trials: observed N1, true R(n+1), and the point
     // estimate N1/n.
@@ -61,19 +45,19 @@ fn main() {
     for trial in 0..trials {
         let mut rng = SmallRng::seed_from_u64(seeds.derive("trial").index(trial as u64).seed());
         let mut seen_counts = vec![0u32; probabilities.len()];
-        let mut next_checkpoint = 0usize;
-        for n in 1..=max_n {
-            for idx in workload.sample_frame(&mut rng) {
-                seen_counts[idx] += 1;
+        let mut n = 0;
+        for (i, &checkpoint) in checkpoints.iter().enumerate() {
+            for _ in n..checkpoint {
+                for idx in workload.sample_frame(&mut rng) {
+                    seen_counts[idx] += 1;
+                }
             }
-            if next_checkpoint < checkpoints.len() && n == checkpoints[next_checkpoint] {
-                let n1 = seen_counts.iter().filter(|&&c| c == 1).count() as f64;
-                let seen: Vec<bool> = seen_counts.iter().map(|&c| c > 0).collect();
-                let r = estimator::realized_r_next(&probabilities, &seen);
-                n1_by_checkpoint[next_checkpoint].push(n1);
-                r_by_checkpoint[next_checkpoint].push(r);
-                next_checkpoint += 1;
-            }
+            n = checkpoint;
+            let n1 = seen_counts.iter().filter(|&&c| c == 1).count() as f64;
+            let seen: Vec<bool> = seen_counts.iter().map(|&c| c > 0).collect();
+            let r = estimator::realized_r_next(&probabilities, &seen);
+            n1_by_checkpoint[i].push(n1);
+            r_by_checkpoint[i].push(r);
         }
     }
 
@@ -94,7 +78,7 @@ fn main() {
         let mut n1_summary = Summary::from_values(n1_by_checkpoint[i].clone());
         let mut r_summary = Summary::from_values(r_by_checkpoint[i].clone());
         let median_n1 = n1_summary.median().round();
-        let belief = Gamma::belief(median_n1, n as f64, 0.1, 1.0).expect("valid belief");
+        let belief = Gamma::belief(median_n1, n as f64, 0.1, 1.0)?;
         let lo = belief.quantile(0.05);
         let hi = belief.quantile(0.95);
         let coverage = r_by_checkpoint[i]
@@ -116,10 +100,22 @@ fn main() {
         ]);
     }
 
-    print_table(&options, &table);
-    println!();
-    println!("# Reading the table: at small n the belief is much wider than the empirical");
-    println!("# distribution of R(n+1) (high coverage, conservative); at moderate and large n");
-    println!("# the belief mean tracks the true R median within a small factor, matching the");
-    println!("# paper's Figure 2.");
+    Ok(Report {
+        before: format!(
+            "# workload: {} instances, mean p = {:.2e}, sigma p = {:.2e}, max p = {:.2e}\n\
+             # trials: {trials}\n\n",
+            workload.len(),
+            workload.mean_p(),
+            workload.sigma_p(),
+            workload.max_p()
+        ),
+        table,
+        after: "
+# Reading the table: at small n the belief is much wider than the empirical
+# distribution of R(n+1) (high coverage, conservative); at moderate and large n
+# the belief mean tracks the true R median within a small factor, matching the
+# paper's Figure 2.
+"
+        .to_string(),
+    })
 }

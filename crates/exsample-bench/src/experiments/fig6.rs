@@ -5,24 +5,19 @@
 //! queries: dashcam/bicycle (very skewed, S≈14, large savings), BDD-1k/motor
 //! (skewed but diluted over 1000 chunks, S≈19), night-street/person (moderate skew,
 //! S≈4.5), archie/car (nearly uniform, S≈1.1) and amsterdam/boat (nearly uniform,
-//! S≈1.6, the worst case).  This binary prints each analog's chunk histogram
+//! S≈1.6, the worst case).  This experiment prints each analog's chunk histogram
 //! summary, the realised skew metric, and the instance count, next to the values
 //! the paper reports.
 
-use exsample_bench::{banner, print_table, ExperimentOptions};
+use super::{ExperimentError, ExperimentOptions, Report};
 use exsample_data::datasets::{amsterdam, archie, bdd1k, dashcam, night_street, DatasetAnalog};
 use exsample_data::skewgen::skew_metric;
 use exsample_detect::ObjectClass;
 use exsample_rand::SeedSequence;
 use exsample_sim::Table;
 
-fn main() {
-    let options = ExperimentOptions::from_env();
-    banner(
-        "Figure 6",
-        "chunk-level instance skew for representative queries",
-        &options,
-    );
+/// Run Figure 6's skew profiles (it cannot fail).
+pub fn run(options: &ExperimentOptions) -> Result<Report, ExperimentError> {
     let scale = options.scale_or(0.25);
     let seeds = SeedSequence::new(options.seed).derive("fig6");
 
@@ -34,8 +29,6 @@ fn main() {
         (archie(), "car", 33_546, 1.1, "savings ~1x"),
         (amsterdam(), "boat", 588, 1.6, "savings ~0.9x"),
     ];
-
-    println!("# dataset scale: {scale}\n");
 
     let mut table = Table::new(vec![
         "query",
@@ -72,9 +65,14 @@ fn main() {
         ]);
     }
 
-    print_table(&options, &table);
-    println!();
-    println!("# The analog instance counts scale with --scale; the skew metric S is scale-");
-    println!("# free and should sit near the paper's reported values, explaining which");
-    println!("# queries benefit most from adaptive sampling.");
+    Ok(Report {
+        before: format!("# dataset scale: {scale}\n\n"),
+        table,
+        after: "
+# The analog instance counts scale with --scale; the skew metric S is scale-
+# free and should sit near the paper's reported values, explaining which
+# queries benefit most from adaptive sampling.
+"
+        .to_string(),
+    })
 }

@@ -18,7 +18,7 @@
 //! scan time and ExSample's sampling time shrink proportionally, so the comparison
 //! is preserved); `--full` uses the full-size analogs.
 
-use exsample_bench::{banner, ok_or_exit, print_table, ExperimentOptions};
+use super::{ExperimentError, ExperimentOptions, Report};
 use exsample_core::ExSampleConfig;
 use exsample_data::datasets::{all_datasets, DatasetAnalog};
 use exsample_detect::{ObjectClass, PerfectDetector};
@@ -28,21 +28,11 @@ use exsample_sim::{format_duration, metrics, Table};
 use exsample_video::DecodeCostModel;
 use std::sync::Arc;
 
-fn main() {
-    let options = ExperimentOptions::from_env();
-    banner(
-        "Table I",
-        "proxy scan time vs. ExSample time to 10/50/90% of instances",
-        &options,
-    );
-
+/// Run Table I's comparison; fails on a rejected query or a failed engine run.
+pub fn run(options: &ExperimentOptions) -> Result<Report, ExperimentError> {
     let scale = options.scale_or(0.2);
     let cost = DecodeCostModel::paper();
     let seeds = SeedSequence::new(options.seed).derive("table1");
-
-    println!(
-        "# dataset scale: {scale} (times scale linearly with dataset size; the scan-vs-sample comparison is scale-invariant)\n"
-    );
 
     let mut table = Table::new(vec![
         "dataset",
@@ -95,26 +85,22 @@ fn main() {
             if total > 0 {
                 query = query.true_limit(target);
             }
-            engine.push(query).expect("valid query spec");
+            engine.push(query)?;
         }
-        let report = ok_or_exit(engine.run());
+        let report = engine.run()?;
 
         for (outcome, &total) in report.outcomes.iter().zip(&totals) {
             // The run to 90% recall yields the whole trajectory, from which the
             // lower recall levels are read off.
-            let time_at = |recall: f64| -> String {
+            let secs_to = |recall: f64| {
                 let target = (recall * total as f64).ceil() as usize;
                 metrics::frames_to_count(&outcome.trajectory, target)
-                    .map(|frames| format_duration(cost.sampled_processing_secs(frames)))
-                    .unwrap_or_else(|| "-".to_string())
+                    .map(|frames| cost.sampled_processing_secs(frames))
             };
-            let target90 = (0.9 * total as f64).ceil() as usize;
-            let beats = metrics::frames_to_count(&outcome.trajectory, target90)
-                .map(|frames| cost.sampled_processing_secs(frames) < scan_secs);
+            let time_at = |recall| secs_to(recall).map_or("-".to_string(), format_duration);
+            let beats = secs_to(0.9).map(|secs| secs < scan_secs);
             queries += 1;
-            if beats == Some(true) {
-                wins += 1;
-            }
+            wins += usize::from(beats == Some(true));
             table.push_row(vec![
                 spec.name.to_string(),
                 format_duration(scan_secs),
@@ -123,19 +109,23 @@ fn main() {
                 time_at(0.1),
                 time_at(0.5),
                 time_at(0.9),
-                match beats {
-                    Some(true) => "yes".to_string(),
-                    Some(false) => "no".to_string(),
-                    None => "-".to_string(),
-                },
+                beats
+                    .map_or("-", |b| if b { "yes" } else { "no" })
+                    .to_string(),
             ]);
         }
     }
 
-    print_table(&options, &table);
-    println!();
-    println!("# {wins}/{queries} queries reach 90% of instances with ExSample before a proxy");
-    println!("# model would even finish scanning/scoring the dataset (the paper reports this");
-    println!("# holds for all of its queries; lower recalls are reached orders of magnitude");
-    println!("# sooner).");
+    Ok(Report {
+        before: format!("# dataset scale: {scale} (times scale linearly with dataset size; the scan-vs-sample comparison is scale-invariant)\n\n"),
+        table,
+        after: format!(
+            "
+# {wins}/{queries} queries reach 90% of instances with ExSample before a proxy
+# model would even finish scanning/scoring the dataset (the paper reports this
+# holds for all of its queries; lower recalls are reached orders of magnitude
+# sooner).
+"
+        ),
+    })
 }

@@ -5,10 +5,10 @@
 //! 95 % bound derived from Eq. III.3 contains the actual expected reward about 80 %
 //! of the time — a slight under-estimate attributed to co-occurrence of instances
 //! (the independence assumption behind Eq. III.3 does not perfectly hold).  This
-//! binary repeats the check on the BDD MOT analog: co-occurrence arises naturally
+//! experiment repeats the check on the BDD MOT analog: co-occurrence arises naturally
 //! because instances cluster within short clips.
 
-use exsample_bench::{banner, print_table, ExperimentOptions};
+use super::{ExperimentError, ExperimentOptions, Report};
 use exsample_core::estimator;
 use exsample_data::datasets::{bdd_mot, DatasetAnalog};
 use exsample_detect::{Detector, ObjectClass, PerfectDetector};
@@ -21,13 +21,8 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-fn main() {
-    let options = ExperimentOptions::from_env();
-    banner(
-        "Section III-D check",
-        "coverage of the Eq. III.3 variance bound on the BDD MOT analog",
-        &options,
-    );
+/// Run the Section III-D coverage check (it cannot fail).
+pub fn run(options: &ExperimentOptions) -> Result<Report, ExperimentError> {
     let scale = options.scale_or(0.25);
     let trials = options.trials_or(20, 60);
     let samples_per_trial: u64 = if options.full { 20_000 } else { 6_000 };
@@ -37,8 +32,6 @@ fn main() {
         .with_scale(scale)
         .generate();
     let total_frames = dataset.total_frames();
-
-    println!("# scale {scale}, {trials} trials, {samples_per_trial} samples per trial\n");
 
     let mut table = Table::new(vec!["class", "checks", "covered", "coverage"]);
     let mut overall_checks = 0usize;
@@ -50,8 +43,7 @@ fn main() {
         if probabilities.is_empty() {
             continue;
         }
-        let truth = Arc::clone(dataset.ground_truth());
-        let detector = PerfectDetector::new(Arc::clone(&truth), class.clone());
+        let detector = PerfectDetector::new(Arc::clone(dataset.ground_truth()), class.clone());
         let mut checks = 0usize;
         let mut covered = 0usize;
 
@@ -63,42 +55,39 @@ fn main() {
             let mut found: HashSet<u64> = HashSet::new();
             let mut n = 0u64;
             // Check the interval at logarithmically spaced sample counts.
-            let checkpoints: Vec<u64> = (1..)
+            let checkpoints = (1..)
                 .map(|k| 100u64 * (1 << k))
-                .take_while(|&c| c <= samples_per_trial)
-                .collect();
-            let mut next = 0usize;
-            while n < samples_per_trial {
-                let Some(frame) = sampler.next_frame(&mut rng) else {
-                    break;
-                };
-                let outcome = discriminator.observe(&detector.detect(frame));
-                for det in &outcome.new {
-                    if let Some(id) = det.truth {
-                        found.insert(id.0);
+                .take_while(|&c| c <= samples_per_trial);
+            'trial: for checkpoint in checkpoints {
+                while n < checkpoint {
+                    let Some(frame) = sampler.next_frame(&mut rng) else {
+                        break 'trial;
+                    };
+                    let outcome = discriminator.observe(&detector.detect(frame));
+                    for det in &outcome.new {
+                        if let Some(id) = det.truth {
+                            found.insert(id.0);
+                        }
                     }
+                    n += 1;
                 }
-                n += 1;
-                if next < checkpoints.len() && n == checkpoints[next] {
-                    next += 1;
-                    // Observed N1 and the estimator's 95% interval from Eq. III.3:
-                    // mean = N1/n, variance bound = mean / n.
-                    let seen_once = discriminator.seen_exactly_once();
-                    let estimate = seen_once as f64 / n as f64;
-                    let std = estimator::variance_bound(estimate, n).sqrt();
-                    let (lo, hi) = (estimate - 1.96 * std, estimate + 1.96 * std);
-                    // True expected reward: sum of p_i over unseen instances,
-                    // normalised per frame.
-                    let truth_r: f64 = dataset
-                        .ground_truth()
-                        .of_class(&class)
-                        .filter(|inst| !found.contains(&inst.id().0))
-                        .map(|inst| inst.hit_probability(total_frames))
-                        .sum();
-                    checks += 1;
-                    if truth_r >= lo && truth_r <= hi {
-                        covered += 1;
-                    }
+                // Observed N1 and the estimator's 95% interval from Eq. III.3:
+                // mean = N1/n, variance bound = mean / n.
+                let seen_once = discriminator.seen_exactly_once();
+                let estimate = seen_once as f64 / n as f64;
+                let std = estimator::variance_bound(estimate, n).sqrt();
+                let (lo, hi) = (estimate - 1.96 * std, estimate + 1.96 * std);
+                // True expected reward: sum of p_i over unseen instances,
+                // normalised per frame.
+                let truth_r: f64 = dataset
+                    .ground_truth()
+                    .of_class(&class)
+                    .filter(|inst| !found.contains(&inst.id().0))
+                    .map(|inst| inst.hit_probability(total_frames))
+                    .sum();
+                checks += 1;
+                if truth_r >= lo && truth_r <= hi {
+                    covered += 1;
                 }
             }
         }
@@ -112,10 +101,12 @@ fn main() {
         ]);
     }
 
-    print_table(&options, &table);
-    println!();
-    println!(
-        "# overall coverage: {:.0}% (paper reports ~80% on BDD MOT, i.e. the bound is a slight underestimate because instances co-occur)",
-        100.0 * overall_covered as f64 / overall_checks.max(1) as f64
-    );
+    Ok(Report {
+        before: format!("# scale {scale}, {trials} trials, {samples_per_trial} samples per trial\n\n"),
+        table,
+        after: format!(
+            "\n# overall coverage: {:.0}% (paper reports ~80% on BDD MOT, i.e. the bound is a slight underestimate because instances co-occur)\n",
+            100.0 * overall_covered as f64 / overall_checks.max(1) as f64
+        ),
+    })
 }

@@ -1,41 +1,57 @@
 //! # exsample-bench
 //!
-//! Shared infrastructure for the experiment binaries that regenerate the paper's
-//! tables and figures (see `src/bin/`).  Performance is measured end to end,
-//! and per layer, by the repository benchmark under `benchmark/`, not here.
+//! The `repro` binary regenerates the paper's tables and figures:
+//! `repro <experiment> [flags]` runs one experiment of
+//! [`experiments::EXPERIMENTS`] and prints its banner, its `#` comment lines
+//! and its table to stdout.  Each experiment is a module of [`experiments`]
+//! whose `run` returns a [`Report`], so a library caller reads the table
+//! instead of parsing stdout.  Performance is measured end to end, and per
+//! layer, by the repository benchmark under `benchmark/`, not here.
 //!
-//! Every experiment binary accepts the same small set of command-line flags:
+//! The subcommands are `fig2` to `fig6`, `table1`, `variance-coverage`,
+//! `ablation-batching`, `ablation-policy` and `ablation-random-plus`.  Each
+//! reads `--full`, `--seed` and `--csv`, and the flags noted below; a flag
+//! the chosen experiment does not read is a usage error, not ignored.
 //!
 //! * `--full` — run at the paper's full scale (16 M-frame simulations, full-size
 //!   dataset analogs, 21 trials).  The default is a reduced configuration that
 //!   reproduces the *shape* of each result in seconds rather than hours.
-//! * `--trials N` — override the number of trials (`--trials 0` is rejected:
-//!   every experiment needs at least one).
-//! * `--scale X` — override the dataset scale factor (dataset-analog experiments).
+//! * `--trials N` (all but `fig6` and `table1`) — override the number of
+//!   trials (`--trials 0` is rejected: every experiment needs at least one).
+//! * `--scale X` (`fig5`, `fig6`, `table1`, `variance-coverage`) — override
+//!   the dataset scale factor.
 //! * `--seed N` — root seed (default 7).
-//! * `--checkpoint PATH` — persist every ExSample run's per-chunk posterior
-//!   and query results to the durable belief store at PATH (crash-safe log +
-//!   snapshot; a torn tail from a kill is recovered and reported on the next
-//!   open).  Checkpointing is a pure observer: outcomes and the virtual
-//!   clock are bitwise-identical to an uncheckpointed run.  Runner-driven
-//!   bins only, and single-writer — combine with `--trials 1`.
-//! * `--warm-start PATH` — seed every ExSample run's posterior from the
-//!   belief store at PATH before sampling starts, instead of the uniform
-//!   prior (runner-driven bins only).
-//! * `--csv` — emit CSV instead of aligned text tables.
+//! * `--checkpoint PATH` (`fig3`, `fig4`, `fig5`, `ablation-random-plus`:
+//!   the runner-driven experiments) — persist every ExSample run's per-chunk
+//!   posterior and query results to the durable belief store at PATH
+//!   (crash-safe log + snapshot; a torn tail from a kill is recovered and
+//!   reported on the next open).  Checkpointing is a pure observer: outcomes
+//!   and the virtual clock are bitwise-identical to an uncheckpointed run.
+//!   The store is single-writer: combine with `--trials 1`.
+//! * `--warm-start PATH` (as `--checkpoint`) — seed every ExSample run's
+//!   posterior from the belief store at PATH before sampling starts, instead
+//!   of the uniform prior.
+//! * `--csv` — emit the table as CSV instead of aligned text.
 //!
-//! The binaries print the regenerated table/figure data to stdout.
+//! A usage error exits with status 2; an experiment that fails prints its
+//! error and the error's `source()` chain on one stderr line and exits 1.
 //!
 //! The paper's experiments vary only the sampler, the data and the recall
 //! target, so the engine's knobs (DETECT lanes, the detections cache) and
-//! injected detector faults are not flags: every engine-driven binary runs
-//! `QueryEngine::new()`, and a library caller sets a knob on the engine's
-//! own builder.
+//! injected detector faults are not flags: every engine-driven experiment
+//! runs `QueryEngine::new()`, and a library caller sets a knob on the
+//! engine's own builder.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-/// Command-line options shared by every experiment binary.
+pub mod experiments;
+
+use experiments::{Experiment, EXPERIMENTS};
+use exsample_data::DatasetAnalog;
+use std::io::{self, Write};
+
+/// Command-line options shared by every experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOptions {
     /// Run at the paper's full scale.
@@ -71,85 +87,6 @@ impl Default for ExperimentOptions {
 }
 
 impl ExperimentOptions {
-    /// Parse options from an argument iterator (typically `std::env::args().skip(1)`).
-    ///
-    /// Unknown flags produce an error string listing the supported flags.
-    pub(crate) fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut options = ExperimentOptions::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--full" => options.full = true,
-                "--csv" => options.csv = true,
-                "--trials" => {
-                    let value = iter.next().ok_or("--trials requires a value")?;
-                    let trials: usize = value
-                        .parse()
-                        .map_err(|_| format!("bad --trials value: {value}"))?;
-                    if trials == 0 {
-                        return Err("--trials must be at least 1".to_string());
-                    }
-                    options.trials = Some(trials);
-                }
-                "--scale" => {
-                    let value = iter.next().ok_or("--scale requires a value")?;
-                    let scale: f64 = value
-                        .parse()
-                        .map_err(|_| format!("bad --scale value: {value}"))?;
-                    if !exsample_data::DatasetAnalog::valid_scale(scale) {
-                        return Err(format!(
-                            "--scale must be in (0, {}], got {value}",
-                            exsample_data::DatasetAnalog::MAX_SCALE
-                        ));
-                    }
-                    options.scale = Some(scale);
-                }
-                "--seed" => {
-                    let value = iter.next().ok_or("--seed requires a value")?;
-                    options.seed = value
-                        .parse()
-                        .map_err(|_| format!("bad --seed value: {value}"))?;
-                }
-                "--checkpoint" => {
-                    let value = iter
-                        .next()
-                        .ok_or("--checkpoint requires a directory path")?;
-                    if value.is_empty() {
-                        return Err("--checkpoint requires a non-empty path".to_string());
-                    }
-                    options.checkpoint = Some(std::path::PathBuf::from(value));
-                }
-                "--warm-start" => {
-                    let value = iter
-                        .next()
-                        .ok_or("--warm-start requires a directory path")?;
-                    if value.is_empty() {
-                        return Err("--warm-start requires a non-empty path".to_string());
-                    }
-                    options.warm_start = Some(std::path::PathBuf::from(value));
-                }
-                "--help" | "-h" => {
-                    return Err("supported flags: --full --trials N --scale X --seed N \
-                         --checkpoint PATH --warm-start PATH --csv"
-                        .to_string())
-                }
-                other => return Err(format!("unknown flag `{other}` (try --help)")),
-            }
-        }
-        Ok(options)
-    }
-
-    /// Parse from the process arguments, printing the error and exiting on failure.
-    pub fn from_env() -> Self {
-        match ExperimentOptions::parse(std::env::args().skip(1)) {
-            Ok(options) => options,
-            Err(message) => {
-                eprintln!("{message}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// The number of trials to run, given the experiment's defaults for the reduced
     /// and full configurations.
     pub fn trials_or(&self, reduced: usize, full: usize) -> usize {
@@ -161,35 +98,123 @@ impl ExperimentOptions {
     pub fn scale_or(&self, reduced: f64) -> f64 {
         self.scale.unwrap_or(if self.full { 1.0 } else { reduced })
     }
+}
 
-    /// Apply the options' durability flags (`--checkpoint`, `--warm-start`)
-    /// to a simulation [`exsample_sim::QueryRunner`] — the single place the
-    /// runner-driven experiment bins pick them up.
-    pub fn apply_to_runner<'d>(
-        &self,
-        mut runner: exsample_sim::QueryRunner<'d>,
-    ) -> exsample_sim::QueryRunner<'d> {
-        if let Some(path) = &self.checkpoint {
-            runner = runner.checkpoint(path.clone());
-        }
-        if let Some(path) = &self.warm_start {
-            runner = runner.warm_start(path.clone());
-        }
-        runner
+/// `value` parsed as the `T` that `valid` accepts, or a usage message naming
+/// `flag` and, for a parsed value `valid` rejects, the `rule` it breaks.
+fn checked<T: std::str::FromStr>(
+    flag: &str,
+    value: String,
+    valid: impl Fn(&T) -> bool,
+    rule: &str,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(parsed) if valid(&parsed) => Ok(parsed),
+        Ok(_) => Err(format!("{flag} must be {rule}, got {value}")),
+        Err(_) => Err(format!("bad {flag} value: {value}")),
     }
 }
 
-/// Print `error` and its full `source()` chain as one line on stderr and exit
-/// nonzero — the experiment bins' replacement for `expect` on fallible runs,
-/// so a failing detector produces a typed one-liner instead of a panic
-/// backtrace.
-pub(crate) fn exit_with_error_chain(error: &dyn std::error::Error) -> ! {
-    eprintln!("error: {}", format_error_chain(error));
-    std::process::exit(1);
+/// What one experiment prints under its banner.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The lines printed before the table, each ending in a newline.
+    pub before: String,
+    /// The regenerated table or figure data.
+    pub table: exsample_sim::Table,
+    /// The lines printed after the table, each ending in a newline.
+    pub after: String,
+}
+
+/// Parse `repro`'s arguments (typically `std::env::args().skip(1)`): an
+/// experiment's name, then the flags it reads.
+///
+/// A missing or unknown experiment, a malformed or unknown flag and a flag
+/// the experiment does not read are usage errors, returned as the message
+/// to print.
+pub fn parse_command<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<(&'static Experiment, ExperimentOptions), String> {
+    let mut iter = args.into_iter();
+    let name = iter.next().unwrap_or_default();
+    let experiment = EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        format!("usage: repro <{}> [flags]", names.join(" | "))
+    })?;
+    let mut options = ExperimentOptions::default();
+    while let Some(flag) = iter.next() {
+        let mut value = || {
+            iter.next()
+                .filter(|value| !value.is_empty())
+                .ok_or(format!("{flag} requires a value"))
+        };
+        match flag.as_str() {
+            "--trials" | "--scale" | "--checkpoint" | "--warm-start"
+                if !experiment.flags.contains(&flag.as_str()) =>
+            {
+                return Err(format!("`repro {name}` does not read {flag}"))
+            }
+            "--full" => options.full = true,
+            "--csv" => options.csv = true,
+            "--trials" => {
+                options.trials = Some(checked(&flag, value()?, |&t| t >= 1, "at least 1")?)
+            }
+            "--scale" => {
+                let range = format!("in (0, {}]", DatasetAnalog::MAX_SCALE);
+                let scale = checked(&flag, value()?, |&s| DatasetAnalog::valid_scale(s), &range)?;
+                options.scale = Some(scale);
+            }
+            "--seed" => options.seed = checked(&flag, value()?, |_| true, "")?,
+            "--checkpoint" => options.checkpoint = Some(value()?.into()),
+            "--warm-start" => options.warm_start = Some(value()?.into()),
+            "--help" | "-h" => {
+                return Err(format!(
+                    "supported flags: --full --trials N --scale X --seed N --checkpoint PATH \
+                     --warm-start PATH --csv; `repro {name}` reads --full --seed --csv {}",
+                    experiment.flags.join(" ")
+                ))
+            }
+            other => return Err(format!("unknown flag `{other}` (try --help)")),
+        }
+    }
+    Ok((experiment, options))
+}
+
+/// Print `report` under `experiment`'s banner, with its table as aligned
+/// text or, with `--csv`, as CSV.
+///
+/// A reader that closed its end (`repro fig6 | head -3`) ends the output
+/// quietly: a `BrokenPipe` is `Ok`, every other write error is returned.
+pub fn print_report(
+    out: &mut impl Write,
+    experiment: &Experiment,
+    options: &ExperimentOptions,
+    report: &Report,
+) -> io::Result<()> {
+    let mode = if options.full {
+        "full (paper scale)"
+    } else {
+        "reduced (default)"
+    };
+    let table = if options.csv {
+        report.table.to_csv()
+    } else {
+        report.table.to_plain()
+    };
+    let printed = write!(
+        out,
+        "# {}\n# mode: {mode}  seed: {}\n\n{}{table}{}",
+        experiment.title, options.seed, report.before, report.after
+    )
+    .and_then(|()| out.flush());
+    match printed {
+        Err(error) if error.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        printed => printed,
+    }
 }
 
 /// Render `error` and its `source()` chain as a single `: `-separated line.
-pub(crate) fn format_error_chain(error: &dyn std::error::Error) -> String {
+pub fn format_error_chain(error: &dyn std::error::Error) -> String {
     let mut message = error.to_string();
     let mut cursor = error.source();
     while let Some(next) = cursor {
@@ -200,80 +225,45 @@ pub(crate) fn format_error_chain(error: &dyn std::error::Error) -> String {
     message
 }
 
-/// Unwrap `result`, exiting with the error's full chain on failure.
-pub fn ok_or_exit<T, E: std::error::Error>(result: Result<T, E>) -> T {
-    match result {
-        Ok(value) => value,
-        Err(error) => exit_with_error_chain(&error),
-    }
-}
-
-/// Print a table in the format selected by the options.
-pub fn print_table(options: &ExperimentOptions, table: &exsample_sim::Table) {
-    if options.csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_plain());
-    }
-}
-
-/// Print an experiment banner with its figure/table reference.
-pub fn banner(reference: &str, description: &str, options: &ExperimentOptions) {
-    println!("# {reference}: {description}");
-    println!(
-        "# mode: {}  seed: {}",
-        if options.full {
-            "full (paper scale)"
-        } else {
-            "reduced (default)"
-        },
-        options.seed
-    );
-    println!();
-}
-
-/// Merge the selection telemetry of every run in `results` into one summary
-/// (None when no run carried telemetry, e.g. non-ExSample methods).
-pub fn merged_selection_telemetry<'a, I>(results: I) -> Option<exsample_engine::SelectionTelemetry>
-where
+/// Merge the selection telemetry of every run in `results` into `merged`
+/// (left None while no run carried telemetry, e.g. non-ExSample methods).
+pub(crate) fn merge_selection_telemetry<'a, I>(
+    merged: &mut Option<exsample_engine::SelectionTelemetry>,
+    results: I,
+) where
     I: IntoIterator<Item = &'a exsample_sim::RunResult>,
 {
-    let mut merged: Option<exsample_engine::SelectionTelemetry> = None;
-    for result in results {
-        if let Some(telemetry) = &result.selection {
-            merged.get_or_insert_with(Default::default).merge(telemetry);
-        }
+    for telemetry in results.into_iter().filter_map(|r| r.selection.as_ref()) {
+        merged.get_or_insert_with(Default::default).merge(telemetry);
     }
-    merged
 }
 
-/// Print a one-line `#`-comment summary of merged dedup telemetry (hybrid-fold
-/// vs per-chunk pick counts, Gamma draws saved, and the peak belief-class
-/// count), or nothing when no run carried telemetry.  Bins whose runs go out
-/// of scope per table cell accumulate with [`merged_selection_telemetry`] and
-/// [`exsample_engine::SelectionTelemetry::merge`] and print here.
-pub fn print_selection_telemetry(
-    label: &str,
+/// The `#`-comment line summarising the ExSample runs' merged dedup
+/// telemetry (hybrid-fold vs per-chunk pick counts, Gamma draws saved, and
+/// the peak belief-class count), or nothing when no run carried telemetry.
+pub(crate) fn selection_telemetry_line(
     telemetry: Option<&exsample_engine::SelectionTelemetry>,
-) {
-    if let Some(telemetry) = telemetry {
-        println!(
-            "# selection[{label}]: hybrid-fold picks {}, per-chunk picks {}, \
-             gamma draws saved {}, peak classes {}",
+) -> String {
+    telemetry.map_or(String::new(), |telemetry| {
+        format!(
+            "# selection[exsample]: hybrid-fold picks {}, per-chunk picks {}, \
+             gamma draws saved {}, peak classes {}\n",
             telemetry.class_max_picks,
             telemetry.per_chunk_picks,
             telemetry.draws_saved,
             telemetry.class_count
-        );
-    }
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parse `args` as the flags of `repro fig5`, which reads every flag.
     fn parse(args: &[&str]) -> Result<ExperimentOptions, String> {
-        ExperimentOptions::parse(args.iter().map(|s| s.to_string()))
+        let args = std::iter::once(&"fig5").chain(args).map(|s| s.to_string());
+        parse_command(args).map(|(_, options)| options)
     }
 
     #[test]
@@ -320,38 +310,17 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_is_rejected_as_unknown() {
-        // Shards are a report view no bin prints; the former flag must fail
-        // loudly, not be ignored.
-        for args in [&["--shards", "4"][..], &["--shards"][..]] {
-            let err = parse(args).unwrap_err();
-            assert!(err.contains("unknown flag `--shards`"), "message: {err}");
-        }
-    }
-
-    #[test]
-    fn overlap_flag_is_rejected_as_unknown() {
-        // Stages are never overlapped; the former flag must fail loudly, not
-        // be ignored.
-        let err = parse(&["--overlap"]).unwrap_err();
-        assert!(err.contains("unknown flag `--overlap`"), "message: {err}");
-    }
-
-    #[test]
-    fn selection_flag_is_rejected_as_unknown() {
-        // How the Thompson arg-max is evaluated is decided by the chunk count;
-        // the former knob must fail loudly, not be ignored.
-        for args in [&["--selection", "class-max"][..], &["--selection"][..]] {
-            let err = parse(args).unwrap_err();
-            assert!(err.contains("unknown flag `--selection`"), "message: {err}");
-        }
-    }
-
-    #[test]
     fn former_flags_are_rejected_as_unknown() {
-        // Engine knobs are set on the engine's own builder; the former
-        // experiment flags must fail loudly, not be ignored.
+        // Shards are a report view, stages are never overlapped, the chunk
+        // count decides how the Thompson arg-max is evaluated, and engine
+        // knobs are set on the engine's own builder: the former experiment
+        // flags must fail loudly, not be ignored.
         for args in [
+            &["--shards", "4"][..],
+            &["--shards"][..],
+            &["--overlap"][..],
+            &["--selection", "class-max"][..],
+            &["--selection"][..],
             &["--parallel", "2"][..],
             &["--cache", "8"][..],
             &["--retries", "1"][..],
@@ -363,6 +332,69 @@ mod tests {
                 "{args:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_flag_the_experiment_does_not_read_is_a_usage_error() {
+        let flags = ["--full", "--trials 2", "--scale 0.5", "--seed 3"];
+        let flags = flags
+            .into_iter()
+            .chain(["--checkpoint s", "--warm-start s", "--csv"]);
+        // One column per flag above: Y = read, N = a usage error.
+        let reads = [
+            ("fig2", "YYNYNNY"),
+            ("fig3", "YYNYYYY"),
+            ("fig4", "YYNYYYY"),
+            ("fig5", "YYYYYYY"),
+            ("fig6", "YNYYNNY"),
+            ("table1", "YNYYNNY"),
+            ("variance-coverage", "YYYYNNY"),
+            ("ablation-batching", "YYNYNNY"),
+            ("ablation-policy", "YYNYNNY"),
+            ("ablation-random-plus", "YYNYYYY"),
+        ];
+        assert_eq!(reads.len(), EXPERIMENTS.len());
+        for (name, row) in reads {
+            for (flag, read) in flags.clone().zip(row.chars()) {
+                let args = format!("{name} {flag}");
+                let args: Vec<&str> = args.split(' ').collect();
+                match (parse_command(args.iter().map(|s| s.to_string())), read) {
+                    (Ok((experiment, _)), 'Y') => assert_eq!(experiment.name, name),
+                    (Err(err), 'N') => {
+                        assert_eq!(err, format!("`repro {name}` does not read {}", args[1]))
+                    }
+                    (result, _) => panic!("repro {args:?}: {result:?}"),
+                }
+            }
+        }
+        let usage = |args: &[&str]| parse_command(args.iter().map(|s| s.to_string())).unwrap_err();
+        assert!(usage(&[]).starts_with("usage: repro <fig2 | fig3 | fig4"));
+        assert!(usage(&["fig7", "--trials", "2"]).starts_with("usage: repro <fig2"));
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_the_output_quietly() {
+        let mut table = exsample_sim::Table::new(vec!["a", "b"]);
+        table.push_row(vec!["1", "2"]);
+        let report = Report {
+            before: "# before\n\n".to_string(),
+            table,
+            after: "# after\n".to_string(),
+        };
+        let (fig6, options) = parse_command(["fig6".to_string()]).unwrap();
+        let (reader, mut closed) = io::pipe().unwrap();
+        drop(reader);
+        assert!(print_report(&mut closed, fig6, &options, &report).is_ok());
+        // Every other write error is returned.
+        let err = print_report(&mut &mut [0u8; 8][..], fig6, &options, &report).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        let mut out = Vec::new();
+        print_report(&mut out, fig6, &options, &report).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "# Figure 6: chunk-level instance skew for representative queries\n\
+             # mode: reduced (default)  seed: 7\n\n# before\n\na  b\n----\n1  2\n# after\n"
+        );
     }
 
     #[test]
@@ -381,19 +413,19 @@ mod tests {
             selection,
             store: None,
         };
-        assert!(merged_selection_telemetry([&result(None)]).is_none());
+        let mut merged = None;
+        merge_selection_telemetry(&mut merged, [&result(None)]);
+        assert!(merged.is_none());
+        assert_eq!(selection_telemetry_line(merged.as_ref()), "");
         let telemetry = exsample_engine::SelectionTelemetry {
             class_max_picks: 5,
             per_chunk_picks: 2,
             draws_saved: 100,
             class_count: 3,
         };
-        let merged = merged_selection_telemetry([
-            &result(Some(telemetry)),
-            &result(None),
-            &result(Some(telemetry)),
-        ])
-        .unwrap();
+        merge_selection_telemetry(&mut merged, [&result(Some(telemetry)), &result(None)]);
+        merge_selection_telemetry(&mut merged, [&result(Some(telemetry))]);
+        let merged = merged.unwrap();
         assert_eq!(merged.class_max_picks, 10);
         assert_eq!(merged.per_chunk_picks, 4);
         assert_eq!(merged.draws_saved, 200);

@@ -24,7 +24,7 @@
 //!   found after a number of frames.
 //! * [`sweep`] — run many trials (optionally in parallel) and collect their
 //!   results.
-//! * [`table`] — plain-text/CSV table rendering for the experiment binaries.
+//! * [`table`] — plain-text/CSV table rendering for the `repro` experiments.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

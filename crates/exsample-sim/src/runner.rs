@@ -4,7 +4,7 @@
 //! it with a built-in method ([`QueryRunner::run`]) or any
 //! [`SamplingPolicy`] ([`QueryRunner::run_policy`]), producing a
 //! [`RunResult`] with the full recall trajectory and virtual time accounting.
-//! This is the harness every experiment binary and integration test is built
+//! This is the harness every `repro` experiment and integration test is built
 //! on, and the one way to run a single query.
 //!
 //! Execution is delegated to `exsample-engine`: the runner translates its stop

@@ -1,6 +1,6 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the `repro` experiments.
 //!
-//! The experiment binaries regenerate the paper's tables and figures as text:
+//! The experiments regenerate the paper's tables and figures as text:
 //! aligned columns for terminals, or CSV for further processing.  Keeping this
 //! tiny renderer local avoids a formatting
 //! dependency and keeps the output stable across releases.

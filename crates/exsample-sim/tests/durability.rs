@@ -4,7 +4,7 @@
 //! a cold one.
 //!
 //! These tests run against the real filesystem backend (`FsStorage` under a
-//! scratch directory) — the same code path the experiment binaries'
+//! scratch directory) — the same code path the `repro` experiments'
 //! `--checkpoint`/`--warm-start` flags exercise.
 
 use exsample_core::ExSampleConfig;
