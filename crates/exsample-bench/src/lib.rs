@@ -310,17 +310,38 @@ mod tests {
     }
 
     #[test]
+    fn shards_flag_is_rejected_as_unknown() {
+        // Shards are a report view no experiment prints; the former flag
+        // must fail loudly, not be ignored.
+        for args in [&["--shards", "4"][..], &["--shards"][..]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown flag `--shards`"), "message: {err}");
+        }
+    }
+
+    #[test]
+    fn overlap_flag_is_rejected_as_unknown() {
+        // Stages are never overlapped; the former flag must fail loudly, not
+        // be ignored.
+        let err = parse(&["--overlap"]).unwrap_err();
+        assert!(err.contains("unknown flag `--overlap`"), "message: {err}");
+    }
+
+    #[test]
+    fn selection_flag_is_rejected_as_unknown() {
+        // How the Thompson arg-max is evaluated is decided by the chunk count;
+        // the former knob must fail loudly, not be ignored.
+        for args in [&["--selection", "class-max"][..], &["--selection"][..]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown flag `--selection`"), "message: {err}");
+        }
+    }
+
+    #[test]
     fn former_flags_are_rejected_as_unknown() {
-        // Shards are a report view, stages are never overlapped, the chunk
-        // count decides how the Thompson arg-max is evaluated, and engine
-        // knobs are set on the engine's own builder: the former experiment
-        // flags must fail loudly, not be ignored.
+        // Engine knobs are set on the engine's own builder; the former
+        // experiment flags must fail loudly, not be ignored.
         for args in [
-            &["--shards", "4"][..],
-            &["--shards"][..],
-            &["--overlap"][..],
-            &["--selection", "class-max"][..],
-            &["--selection"][..],
             &["--parallel", "2"][..],
             &["--cache", "8"][..],
             &["--retries", "1"][..],
